@@ -610,31 +610,36 @@ func (h *Handle) Len() int {
 	return h.live.Len()
 }
 
-// bytesPerNode is the rough heap estimate per live document node that
-// MemoryFootprint charges for the parts outside the index backend:
-// xmltree node, labeling entry and name-table slot. Measured around
-// 300–400 bytes on the Shakespeare corpus and rounded up — the slice
-// backend's per-entry share, which BytesPerNode used to fold in, is now
-// reported by the backend itself.
-const bytesPerNode = 448
+// bytesPerID is the heap estimate per node id ever allocated that
+// MemoryFootprint charges for the parts outside the index backend: the
+// id's slots in the name, leaf, parent, depth, child-list and label
+// columns, its entry in its parent's child list and its label. Every
+// one of those is sized by ids allocated, not by live nodes — a deleted
+// node keeps its slots and its label — so an edit-aged document costs
+// what its id count says. Measured: Hamlet holds 192 bytes of heap per
+// id fresh and 201 after 5 000 edits, index included; with the slice
+// backend's own 64 bytes per entry on top, 160 lands within 1.2x of
+// both (TestMemoryFootprintTracksHeap holds it within 2x).
+const bytesPerID = 160
 
-// MemoryFootprint estimates the handle's resident bytes: a per-node
-// constant for the tree and labeling plus whatever the index backend
+// MemoryFootprint estimates the handle's resident bytes: a per-id
+// constant for the columns and labeling plus whatever the index backend
 // reports — for the paged backend that is its bounded page cache, not
 // the document size, which is what lets one process keep many
 // larger-than-budget documents open. The catalog's memory budget
 // charges this estimate.
 func (h *Handle) MemoryFootprint() int64 {
-	var fp int64
-	if h.shared != nil {
-		fp = int64(h.shared.Len()) * bytesPerNode
-		_ = h.shared.Snapshot(func(d *LiveDocument) error {
-			fp += d.Store().MemoryFootprint()
-			return nil
-		})
-	} else {
-		fp = int64(h.live.Len())*bytesPerNode + h.live.Store().MemoryFootprint()
+	footprint := func(d *LiveDocument) int64 {
+		return int64(d.Labeling().Tree().Cap())*bytesPerID + d.Store().MemoryFootprint()
 	}
+	if h.shared == nil {
+		return footprint(h.live)
+	}
+	var fp int64
+	_ = h.shared.Snapshot(func(d *LiveDocument) error {
+		fp = footprint(d)
+		return nil
+	})
 	return fp
 }
 

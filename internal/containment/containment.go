@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/cow"
 	"repro/internal/keys"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -27,12 +28,17 @@ import (
 // byte, identical across codecs.
 const levelBits = 8
 
-// Labeling is a containment-labeled document.
+// Labeling is a containment-labeled document. A dynamic codec writes
+// a node's start and end keys once, so the two columns keep their
+// backing arrays across CloneLabeling (cow.Append); a static codec's
+// re-encoding replaces both arrays.
 type Labeling struct {
 	codec keys.Codec
 	tree  *scheme.Tree
 	start []keys.Key
 	end   []keys.Key
+
+	startMark, endMark *cow.Mark
 }
 
 var _ scheme.Labeling = (*Labeling)(nil)
@@ -97,6 +103,7 @@ func (l *Labeling) reassign() (changed int, err error) {
 		}
 	}
 	l.start, l.end = newStart, newEnd
+	l.startMark, l.endMark = cow.NewMark(n), cow.NewMark(n)
 	return changed, nil
 }
 
@@ -218,8 +225,6 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 		// Static codec out of room: grow the tree first, then
 		// re-encode everything and count the damage.
 		id := l.tree.AddChild(parent, pos)
-		l.start = append(l.start, nil)
-		l.end = append(l.end, nil)
 		changed, err := l.reassign()
 		if err != nil {
 			return 0, 0, err
@@ -227,8 +232,8 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 		return id, changed, nil
 	}
 	id := l.tree.AddChild(parent, pos)
-	l.start = append(l.start, m1)
-	l.end = append(l.end, m2)
+	l.start = cow.Append(&l.startMark, l.start, m1)
+	l.end = cow.Append(&l.endMark, l.end, m2)
 	return id, 0, nil
 }
 
@@ -283,10 +288,6 @@ func (l *Labeling) InsertSubtree(parent, pos int, shape *xmltree.Node) ([]int, i
 		return nil, 0, fmt.Errorf("containment: %w", err)
 	}
 	ids := l.addShape(parent, pos, shape)
-	for range ids {
-		l.start = append(l.start, nil)
-		l.end = append(l.end, nil)
-	}
 	if err != nil {
 		// Static codec out of room: re-encode everything.
 		changed, rerr := l.reassign()
@@ -297,6 +298,8 @@ func (l *Labeling) InsertSubtree(parent, pos int, shape *xmltree.Node) ([]int, i
 	}
 	// Assign the fresh keys over the fragment in document order:
 	// start at pre-visit, end at post-visit.
+	l.start = cow.Grow(&l.startMark, l.start, size)
+	l.end = cow.Grow(&l.endMark, l.end, size)
 	cursor, idAt := 0, 0
 	var walk func(n *xmltree.Node)
 	walk = func(n *xmltree.Node) {
@@ -342,10 +345,6 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 	ids := make([][]int, len(shapes))
 	for k, shape := range shapes {
 		ids[k] = l.addShape(parent, pos+k, shape)
-		for range ids[k] {
-			l.start = append(l.start, nil)
-			l.end = append(l.end, nil)
-		}
 	}
 	if err != nil {
 		// Static codec out of room: re-encode everything.
@@ -357,6 +356,8 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 	}
 	// Assign the fresh keys across the fragments in document order:
 	// start at pre-visit, end at post-visit, fragments consecutive.
+	l.start = cow.Grow(&l.startMark, l.start, total)
+	l.end = cow.Grow(&l.endMark, l.end, total)
 	cursor := 0
 	for k, shape := range shapes {
 		idAt := 0
@@ -377,17 +378,14 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 	return ids, 0, nil
 }
 
-// CloneLabeling returns an independent deep copy, implementing
-// scheme.Cloner. Keys are immutable values (bit strings, QED codes,
-// boxed numbers) that are replaced, never mutated, so the key slices
-// are copied shallowly; the structural mirror is deep-copied.
+// CloneLabeling implements scheme.Cloner. Keys are immutable values
+// (bit strings, QED codes, boxed numbers) and a node's keys are
+// written once — or, under a static codec, replaced together with
+// the whole column — so the clone shares both key columns.
 func (l *Labeling) CloneLabeling() scheme.Labeling {
-	return &Labeling{
-		codec: l.codec,
-		tree:  l.tree.Clone(),
-		start: append([]keys.Key(nil), l.start...),
-		end:   append([]keys.Key(nil), l.end...),
-	}
+	cl := *l
+	cl.tree = l.tree.Clone()
+	return &cl
 }
 
 // addShape mirrors the fragment into the structural tree, returning

@@ -84,7 +84,7 @@ func (d *Document) ApplyBatch(edits []Edit) ([]EditResult, error) {
 	return out, nil
 }
 
-// InsertTreeBatch inserts deep copies of the fragments as consecutive
+// InsertTreeBatch inserts copies of the fragments as consecutive
 // children of parent starting at pos. When the labeling implements
 // scheme.BatchInserter the whole run takes the label write path once
 // — every fragment code lands in the single gap with one even
@@ -111,19 +111,13 @@ func (d *Document) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) (
 		}
 		return out, total, nil
 	}
-	if parent < 0 || parent >= len(d.nodes) || !d.lab.Tree().Alive(parent) {
-		return nil, 0, fmt.Errorf("%w: parent %d", ErrBadNode, parent)
-	}
-	if d.nodes[parent].Kind != xmltree.Element {
-		return nil, 0, fmt.Errorf("%w: parent %d is not an element", ErrBadNode, parent)
+	if err := d.validateInsert(parent, pos); err != nil {
+		return nil, 0, err
 	}
 	for _, f := range fragments {
 		if f == nil || f.Kind != xmltree.Element {
 			return nil, 0, errors.New("dyndoc: fragment must be an element tree")
 		}
-	}
-	if pos < 0 || pos > len(d.nodes[parent].Children) {
-		return nil, 0, fmt.Errorf("dyndoc: child position %d out of range [0,%d]", pos, len(d.nodes[parent].Children))
 	}
 	ids, relabeled, err := bi.InsertSubtrees(parent, pos, fragments)
 	if err != nil {
@@ -132,43 +126,17 @@ func (d *Document) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) (
 	d.relabeled += int64(relabeled)
 	mInserts.Add(int64(len(fragments)))
 	mRelabeled.Add(int64(relabeled))
-	// With re-labeling, label-keyed backends rebuild once after the
-	// walk (the rebuild covers every fragment node).
-	rebuild := relabeled > 0 && d.idx.Name() != "slice"
-	var walkErr error
+	rebuild := d.rebuildAfter(relabeled)
+	var failed error
 	for k, f := range fragments {
-		clone := cloneTree(f)
-		if err := d.nodes[parent].InsertChildAt(pos+k, clone); err != nil {
-			// Unreachable after the up-front validation: position pos+k
-			// is in range once the k preceding fragments are attached.
-			return nil, 0, fmt.Errorf("dyndoc: tree/labeling drift: %w", err)
+		// As within recordTree: every fragment is recorded, the first
+		// index failure ends the index writes.
+		if err := d.recordTree(ids[k], f, rebuild || failed != nil); err != nil {
+			failed = err
 		}
-		idAt := 0
-		var walk func(n *xmltree.Node)
-		walk = func(n *xmltree.Node) {
-			id := ids[k][idAt]
-			idAt++
-			for id >= len(d.nodes) {
-				d.nodes = append(d.nodes, nil)
-				d.names = append(d.names, "")
-			}
-			d.nodes[id] = n
-			if n.Kind == xmltree.Element {
-				// Only elements enter the name and element indexes,
-				// matching the bulk construction path.
-				d.names[id] = n.Name
-				if !rebuild && walkErr == nil {
-					walkErr = d.addToIndex(n.Name, id)
-				}
-			}
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		walk(clone)
 	}
-	if walkErr != nil {
-		return nil, 0, walkErr
+	if failed != nil {
+		return nil, 0, failed
 	}
 	if rebuild {
 		if err := d.rebuildIndex(); err != nil {

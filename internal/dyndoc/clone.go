@@ -4,60 +4,29 @@ import (
 	"fmt"
 
 	"repro/internal/scheme"
-	"repro/internal/xmltree"
 )
 
-// Clone returns an independent deep copy of the document: the XML
-// tree, the labeling (via scheme.Cloner) and the index lists share no
-// mutable state with the original, so one side can be edited while
-// the other is read. Clone fails when the labeling does not implement
-// scheme.Cloner (all schemes in this repository do).
+// Clone returns a document that answers as d does now and can be
+// edited independently of it: no write on either side is ever
+// observable on the other, so one side can be edited while the other
+// is read. It does not write to d. The write-once columns are shared
+// (package cow); the labeling (via scheme.Cloner) and the index
+// backend copy what they mutate in place, flat or on first touch.
+// Clone fails when the labeling does not implement scheme.Cloner (all
+// schemes in this repository do).
 func (d *Document) Clone() (*Document, error) {
 	cl, ok := d.lab.(scheme.Cloner)
 	if !ok {
 		return nil, fmt.Errorf("dyndoc: labeling %s does not implement scheme.Cloner", d.lab.Name())
 	}
-	// Presize by the live element count, not len(d.nodes): ids are
-	// never reused, so d.nodes counts every node that ever existed and
-	// a map sized to it dwarfs a small document that has seen many
-	// edits — and Clone runs once per published snapshot.
-	nodeMap := make(map[*xmltree.Node]*xmltree.Node, d.idx.Entries())
-	var copyTree func(n *xmltree.Node) *xmltree.Node
-	copyTree = func(n *xmltree.Node) *xmltree.Node {
-		out := &xmltree.Node{Kind: n.Kind, Name: n.Name, Data: n.Data}
-		nodeMap[n] = out
-		if len(n.Children) > 0 {
-			out.Children = make([]*xmltree.Node, 0, len(n.Children))
-			for _, c := range n.Children {
-				out.AppendChild(copyTree(c))
-			}
-		}
-		return out
-	}
-	root := copyTree(d.doc.Root)
-	nodes := make([]*xmltree.Node, len(d.nodes))
-	for i, n := range d.nodes {
-		// Detached (deleted) nodes map to nil; their dead ids are never
-		// dereferenced because Tree().Alive gates every access.
-		if n != nil {
-			nodes[i] = nodeMap[n]
-		}
-	}
-	lab := cl.CloneLabeling()
-	// The index backend clones through its own interface (slice copies
-	// its lists; paged shares pages copy-on-write) and rebinds its
-	// label callbacks to the cloned labeling.
-	idx, err := d.idx.Clone(bindingFor(lab))
-	if err != nil {
+	out := *d
+	out.lab = cl.CloneLabeling()
+	// The index backend clones through its own interface (slice shares
+	// its per-name lists; paged shares pages copy-on-write) and rebinds
+	// its label callbacks to the cloned labeling.
+	var err error
+	if out.idx, err = d.idx.Clone(bindingFor(out.lab)); err != nil {
 		return nil, err
 	}
-	return &Document{
-		doc:       &xmltree.Document{Root: root},
-		lab:       lab,
-		nodes:     nodes,
-		names:     append([]string(nil), d.names...),
-		idx:       idx,
-		factory:   d.factory,
-		relabeled: d.relabeled,
-	}, nil
+	return &out, nil
 }

@@ -1,22 +1,28 @@
-// Package dyndoc binds an XML tree, a labeling scheme and a query
-// index into one live document — the end-to-end system the CDBS paper
-// motivates: keep querying a document while it is being edited, with
-// the dynamic schemes never re-labeling a node.
+// Package dyndoc binds a labeling scheme and a query index into one
+// live document — the end-to-end system the CDBS paper motivates: keep
+// querying a document while it is being edited, with the dynamic
+// schemes never re-labeling a node.
 //
-// Every edit updates three things in lock step: the xmltree nodes, the
-// labeling, and the document-ordered element index the query engine
-// joins over. The index lives behind the store.Backend interface: the
-// default slice backend keeps document-ordered id lists in memory
-// (insertions binary-search on the labeling's Before predicate), and
-// the paged backend keeps them in B-trees over checksummed 4 KB pages
-// keyed by order-preserving label bytes, for documents whose index
-// should not live on the heap.
+// A Document holds no XML tree of its own. The labeling's structural
+// mirror (scheme.Tree) is the tree; what it does not carry — element
+// names, text data, attribute names and values — lives in id-indexed
+// columns that are written once per id. Every edit updates two things
+// in lock step: the labeling, and the document-ordered element index
+// the query engine joins over. The index lives behind the
+// store.Backend interface: the default slice backend keeps
+// document-ordered id lists in memory (insertions binary-search on the
+// labeling's Before predicate), and the paged backend keeps them in
+// B-trees over checksummed 4 KB pages keyed by order-preserving label
+// bytes, for documents whose index should not live on the heap.
 package dyndoc
 
 import (
+	"encoding/xml"
 	"errors"
 	"fmt"
+	"strings"
 
+	"repro/internal/cow"
 	"repro/internal/metrics"
 	"repro/internal/scheme"
 	"repro/internal/store"
@@ -34,16 +40,36 @@ var (
 )
 
 // Document is a live, labeled, queryable XML document.
+//
+// names and leaves are written once per id and never again, so a
+// document and its clones share their backing arrays (cow.Append).
 type Document struct {
-	doc   *xmltree.Document
-	lab   scheme.Labeling
-	nodes []*xmltree.Node // by node id
-	names []string        // element name by id; "" for text nodes
+	lab    scheme.Labeling
+	names  []string // element name by id; "" for text and attribute nodes
+	leaves []*leaf  // what a text or attribute node holds, by id; nil for elements
+
+	namesMark, leavesMark *cow.Mark
 
 	idx     store.Backend // live element index in document order
 	factory StoreFactory  // how to build a fresh backend (rebuilds, conversions)
 
 	relabeled int64 // cumulative re-labels caused by edits
+}
+
+// leaf is the immutable content of a non-element node: character
+// data, or an attribute's name and value.
+type leaf struct {
+	kind xmltree.Kind
+	name string
+	data string
+}
+
+// leafOf returns the column entry for n: nil for an element.
+func leafOf(n *xmltree.Node) *leaf {
+	if n.Kind == xmltree.Element {
+		return nil
+	}
+	return &leaf{kind: n.Kind, name: n.Name, data: n.Data}
 }
 
 // StoreFactory builds a storage backend over a binding; it
@@ -66,7 +92,8 @@ func bindingFor(lab scheme.Labeling) store.Binding {
 }
 
 // New labels doc with the given builder and indexes it in the default
-// in-memory slice backend.
+// in-memory slice backend. It reads doc once and keeps no reference to
+// it.
 func New(doc *xmltree.Document, build scheme.Builder) (*Document, error) {
 	return NewWithStore(doc, build, nil)
 }
@@ -83,15 +110,16 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 	}
 	nodes := doc.Nodes()
 	d := &Document{
-		doc:     doc,
-		lab:     lab,
-		nodes:   nodes,
-		names:   make([]string, len(nodes)),
-		factory: factory,
+		lab:        lab,
+		names:      make([]string, len(nodes)),
+		leaves:     make([]*leaf, len(nodes)),
+		namesMark:  cow.NewMark(len(nodes)),
+		leavesMark: cow.NewMark(len(nodes)),
+		factory:    factory,
 	}
 	var elems []int
 	for i, n := range nodes {
-		if n.Kind != xmltree.Element {
+		if d.leaves[i] = leafOf(n); d.leaves[i] != nil {
 			continue
 		}
 		d.names[i] = n.Name
@@ -196,78 +224,158 @@ func (d *Document) Relabeled() int64 { return d.relabeled }
 
 // Name returns the element name of a live node id ("" for text).
 func (d *Document) Name(id int) (string, error) {
-	if id < 0 || id >= len(d.names) || !d.lab.Tree().Alive(id) {
+	if !d.lab.Tree().Alive(id) {
 		return "", fmt.Errorf("%w: %d", ErrBadNode, id)
 	}
 	return d.names[id], nil
 }
 
-// XML serialises the current document.
-func (d *Document) XML() string { return d.doc.String() }
+// XML serialises the current document, byte for byte as
+// xmltree.Document.String renders the same tree.
+func (d *Document) XML() string {
+	var sb strings.Builder
+	// Ids are document order at build time and the root cannot be
+	// deleted, so it is always id 0.
+	if err := d.writeXML(&sb, 0); err != nil {
+		return "<!-- " + err.Error() + " -->"
+	}
+	return sb.String()
+}
+
+func (d *Document) writeXML(sb *strings.Builder, id int) error {
+	if lf := d.leaves[id]; lf != nil {
+		if lf.kind == xmltree.Attr {
+			return fmt.Errorf("xmltree: attribute node %q outside an element", lf.name)
+		}
+		return xml.EscapeText(sb, []byte(lf.data))
+	}
+	name := d.names[id]
+	sb.WriteString("<" + name)
+	rest := d.lab.Tree().Children[id]
+	for len(rest) > 0 {
+		a := d.leaves[rest[0]]
+		if a == nil || a.kind != xmltree.Attr {
+			break
+		}
+		sb.WriteString(" " + a.name + `="`)
+		if err := xml.EscapeText(sb, []byte(a.data)); err != nil {
+			return err
+		}
+		sb.WriteString(`"`)
+		rest = rest[1:]
+	}
+	sb.WriteString(">")
+	for _, c := range rest {
+		if lf := d.leaves[c]; lf != nil && lf.kind == xmltree.Attr {
+			return fmt.Errorf("xmltree: attribute %q after non-attribute children of <%s>", lf.name, name)
+		}
+		if err := d.writeXML(sb, c); err != nil {
+			return err
+		}
+	}
+	sb.WriteString("</" + name + ">")
+	return nil
+}
+
+// validateInsert checks an insert's target before the labeling is
+// touched, so a rejected insert mutates nothing. Positions count
+// text-node children too: the labeling's Tree mirrors every node.
+func (d *Document) validateInsert(parent, pos int) error {
+	tr := d.lab.Tree()
+	if !tr.Alive(parent) {
+		return fmt.Errorf("%w: parent %d", ErrBadNode, parent)
+	}
+	if d.names[parent] == "" {
+		return fmt.Errorf("%w: parent %d is not an element", ErrBadNode, parent)
+	}
+	if pos < 0 || pos > len(tr.Children[parent]) {
+		return fmt.Errorf("dyndoc: child position %d out of range [0,%d]", pos, len(tr.Children[parent]))
+	}
+	return nil
+}
+
+// recordNode fills the columns for the id a label insert just
+// allocated (ids are dense, so it is the next slot): an element called
+// name, or the text or attribute node lf. Elements enter the index
+// unless skipIndex; text and attribute nodes are labeled but not
+// queryable, matching the bulk construction path.
+func (d *Document) recordNode(id int, name string, lf *leaf, skipIndex bool) error {
+	d.names = cow.Append(&d.namesMark, d.names, name)
+	d.leaves = cow.Append(&d.leavesMark, d.leaves, lf)
+	if lf != nil || skipIndex {
+		return nil
+	}
+	return d.addToIndex(name, id)
+}
+
+// recordTree is recordNode over frag's nodes, whose ids are given in
+// preorder. An index failure does not stop the walk — the columns must
+// cover every id the labeling allocated — but it is the last index
+// write attempted, and it is returned.
+func (d *Document) recordTree(ids []int, frag *xmltree.Node, skipIndex bool) error {
+	var failed error
+	at := 0
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		lf := leafOf(n)
+		name := n.Name
+		if lf != nil {
+			name = ""
+		}
+		if err := d.recordNode(ids[at], name, lf, skipIndex || failed != nil); err != nil {
+			failed = err
+		}
+		at++
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(frag)
+	return failed
+}
 
 // InsertElement inserts a fresh element called name as the pos-th
 // child of parent. It returns the new node's id and how many existing
 // nodes were re-labeled (zero under the dynamic schemes).
 func (d *Document) InsertElement(parent, pos int, name string) (int, int, error) {
-	if parent < 0 || parent >= len(d.nodes) || !d.lab.Tree().Alive(parent) {
-		return 0, 0, fmt.Errorf("%w: parent %d", ErrBadNode, parent)
-	}
-	if d.nodes[parent].Kind != xmltree.Element {
-		return 0, 0, fmt.Errorf("%w: parent %d is not an element", ErrBadNode, parent)
+	if err := d.validateInsert(parent, pos); err != nil {
+		return 0, 0, err
 	}
 	if name == "" {
 		return 0, 0, errors.New("dyndoc: empty element name")
-	}
-	// Validate the xmltree position before touching the labeling, so a
-	// rejected insert mutates nothing. The position accounts for
-	// text-node children, which the labeling's Tree mirrors too, so
-	// positions agree directly.
-	if pos < 0 || pos > len(d.nodes[parent].Children) {
-		return 0, 0, fmt.Errorf("dyndoc: child position %d out of range [0,%d]", pos, len(d.nodes[parent].Children))
 	}
 	id, relabeled, err := d.lab.InsertChildAt(parent, pos)
 	if err != nil {
 		return 0, 0, err
 	}
 	d.relabeled += int64(relabeled)
-	node := xmltree.NewElement(name)
-	if err := d.nodes[parent].InsertChildAt(pos, node); err != nil {
-		// Unreachable after the up-front validation unless the tree and
-		// labeling have drifted; roll the label insert back so the two
-		// views stay consistent even then.
-		if _, derr := d.lab.DeleteSubtree(id); derr != nil {
-			return 0, 0, fmt.Errorf("dyndoc: tree/labeling drift: %v (rollback also failed: %v)", err, derr)
-		}
-		d.relabeled -= int64(relabeled)
-		return 0, 0, fmt.Errorf("dyndoc: tree/labeling drift: %w", err)
-	}
 	mInserts.Inc()
 	mRelabeled.Add(int64(relabeled))
-	d.nodes = append(d.nodes, node)
-	d.names = append(d.names, name)
-	if err := d.indexInsert(name, id, relabeled); err != nil {
+	rebuild := d.rebuildAfter(relabeled)
+	if err := d.recordNode(id, name, nil, rebuild); err != nil {
 		return 0, 0, err
+	}
+	if rebuild {
+		if err := d.rebuildIndex(); err != nil {
+			return 0, 0, err
+		}
 	}
 	return id, relabeled, nil
 }
 
-// indexInsert registers a fresh element after an edit. When existing
-// nodes were re-labeled, label-keyed backends (paged) rebuild from the
-// labeling — the rebuild covers the new node too; otherwise the node
-// is added incrementally.
-func (d *Document) indexInsert(name string, id int, relabeled int) error {
-	if relabeled > 0 && d.idx.Name() != "slice" {
-		return d.rebuildIndex()
-	}
-	return d.addToIndex(name, id)
+// rebuildAfter reports whether an edit that re-labeled existing nodes
+// must rebuild the index: label-keyed backends (paged) hold stale keys
+// then, and the rebuild covers the new nodes too.
+func (d *Document) rebuildAfter(relabeled int) bool {
+	return relabeled > 0 && d.idx.Name() != "slice"
 }
 
 // DeleteSubtree removes the node id and its descendants from the
-// tree, the labeling and the index. It returns the number of removed
+// labeling and the index. It returns the number of removed
 // nodes.
 func (d *Document) DeleteSubtree(id int) (int, error) {
 	tr := d.lab.Tree()
-	if id < 0 || id >= len(d.nodes) || !tr.Alive(id) {
+	if !tr.Alive(id) {
 		return 0, fmt.Errorf("%w: %d", ErrBadNode, id)
 	}
 	if tr.Parents[id] == -1 {
@@ -283,15 +391,6 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 		}
 	}
 	collect(id)
-	// Detach the xmltree node.
-	node := d.nodes[id]
-	pi := node.Parent.ChildIndex(node)
-	if pi < 0 {
-		return 0, errors.New("dyndoc: tree/labeling drift: node not under its parent")
-	}
-	if _, err := node.Parent.RemoveChildAt(pi); err != nil {
-		return 0, err
-	}
 	// Drop the doomed nodes from the index BEFORE deleting their
 	// labels: label-keyed backends compute each node's tree key from
 	// its still-live label. A failed incremental removal falls back to
@@ -353,72 +452,26 @@ func (d *Document) Count(path string) (int, error) {
 	return len(ids), err
 }
 
-// InsertTree inserts a deep copy of the given element fragment as the
+// InsertTree inserts a copy of the given element fragment as the
 // pos-th child of parent, labeling the whole fragment in one batch.
 // It returns the new ids in preorder.
 func (d *Document) InsertTree(parent, pos int, fragment *xmltree.Node) ([]int, int, error) {
-	if parent < 0 || parent >= len(d.nodes) || !d.lab.Tree().Alive(parent) {
-		return nil, 0, fmt.Errorf("%w: parent %d", ErrBadNode, parent)
-	}
-	if d.nodes[parent].Kind != xmltree.Element {
-		return nil, 0, fmt.Errorf("%w: parent %d is not an element", ErrBadNode, parent)
+	if err := d.validateInsert(parent, pos); err != nil {
+		return nil, 0, err
 	}
 	if fragment == nil || fragment.Kind != xmltree.Element {
 		return nil, 0, errors.New("dyndoc: fragment must be an element tree")
-	}
-	// Validate the xmltree position before the batch label insert, so
-	// a rejected insert leaves no phantom labeled fragment behind.
-	if pos < 0 || pos > len(d.nodes[parent].Children) {
-		return nil, 0, fmt.Errorf("dyndoc: child position %d out of range [0,%d]", pos, len(d.nodes[parent].Children))
 	}
 	ids, relabeled, err := d.lab.InsertSubtree(parent, pos, fragment)
 	if err != nil {
 		return nil, 0, err
 	}
 	d.relabeled += int64(relabeled)
-	clone := cloneTree(fragment)
-	if err := d.nodes[parent].InsertChildAt(pos, clone); err != nil {
-		// Unreachable after the up-front validation unless the tree and
-		// labeling have drifted; roll the batch label insert back.
-		if _, derr := d.lab.DeleteSubtree(ids[0]); derr != nil {
-			return nil, 0, fmt.Errorf("dyndoc: tree/labeling drift: %v (rollback also failed: %v)", err, derr)
-		}
-		d.relabeled -= int64(relabeled)
-		return nil, 0, fmt.Errorf("dyndoc: tree/labeling drift: %w", err)
-	}
 	mInserts.Inc()
 	mRelabeled.Add(int64(relabeled))
-	// Register every fragment node under its preorder id. With
-	// re-labeling, label-keyed backends rebuild once afterwards (the
-	// rebuild covers the fragment), so the walk skips incremental adds.
-	rebuild := relabeled > 0 && d.idx.Name() != "slice"
-	var walkErr error
-	idAt := 0
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		id := ids[idAt]
-		idAt++
-		for id >= len(d.nodes) {
-			d.nodes = append(d.nodes, nil)
-			d.names = append(d.names, "")
-		}
-		d.nodes[id] = n
-		if n.Kind == xmltree.Element {
-			// Only elements enter the name and element indexes — text
-			// nodes are labeled but not queryable, matching the bulk
-			// construction path.
-			d.names[id] = n.Name
-			if !rebuild && walkErr == nil {
-				walkErr = d.addToIndex(n.Name, id)
-			}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(clone)
-	if walkErr != nil {
-		return nil, 0, walkErr
+	rebuild := d.rebuildAfter(relabeled)
+	if err := d.recordTree(ids, fragment, rebuild); err != nil {
+		return nil, 0, err
 	}
 	if rebuild {
 		if err := d.rebuildIndex(); err != nil {
@@ -426,13 +479,4 @@ func (d *Document) InsertTree(parent, pos int, fragment *xmltree.Node) ([]int, i
 		}
 	}
 	return ids, relabeled, nil
-}
-
-// cloneTree deep-copies an element fragment.
-func cloneTree(n *xmltree.Node) *xmltree.Node {
-	out := &xmltree.Node{Kind: n.Kind, Name: n.Name, Data: n.Data}
-	for _, c := range n.Children {
-		out.AppendChild(cloneTree(c))
-	}
-	return out
 }

@@ -1,0 +1,86 @@
+package dyndoc
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/containment"
+	"repro/internal/keys"
+	"repro/internal/xmltree"
+)
+
+// sizedDoc builds a three-level document of exactly elems elements:
+// a root, sections of up to 50 items each.
+func sizedDoc(elems int) *xmltree.Document {
+	root := xmltree.NewElement("root")
+	var sec *xmltree.Node
+	for n := 1; n < elems; n++ {
+		if sec == nil || len(sec.Children) == 50 {
+			sec = root.AppendChild(xmltree.NewElement("section"))
+			continue
+		}
+		sec.AppendChild(xmltree.NewElement("item"))
+	}
+	return &xmltree.Document{Root: root}
+}
+
+func sizedConcurrent(tb testing.TB, elems int) *Concurrent {
+	tb.Helper()
+	c, err := NewConcurrent(sizedDoc(elems), containment.Build(keys.VCDBS()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+var editSizes = []int{1_000, 10_000, 100_000}
+
+// BenchmarkEditVsSize is ROADMAP item 2's doc/edit-vs-size: one
+// snapshot edit (clone, insert, publish) against documents of growing
+// size. B/op is what an edit copies.
+func BenchmarkEditVsSize(b *testing.B) {
+	for _, elems := range editSizes {
+		b.Run(fmt.Sprintf("elems=%d", elems), func(b *testing.B) {
+			c := sizedConcurrent(b, elems)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Section 1 is node id 1; its child list is the one
+				// list the edit touches.
+				if _, _, err := c.InsertElement(1, 0, "x"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestEditBytesBounded pins what a snapshot edit may allocate: the
+// flat per-id copies (child-list headers 24 B, dead flag 1 B, element
+// list 8 B) and the lists the edit touches — not a copy of the
+// document, which was about 250 B per id.
+func TestEditBytesBounded(t *testing.T) {
+	const edits = 64
+	for _, elems := range editSizes {
+		c := sizedConcurrent(t, elems)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < edits; i++ {
+			if _, _, err := c.InsertElement(1, 0, "x"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		var ids int
+		_ = c.Snapshot(func(d *Document) error { ids = d.Labeling().Tree().Cap(); return nil })
+		perEdit := (after.TotalAlloc - before.TotalAlloc) / edits
+		bound := uint64(48*ids + 8<<10)
+		t.Logf("%d elements: %d B per edit (%.1f B per id), bound %d", elems, perEdit, float64(perEdit)/float64(ids), bound)
+		if perEdit > bound {
+			t.Errorf("%d elements: %d B allocated per Concurrent.InsertElement, want at most 48 B x %d ids + 8 KB = %d",
+				elems, perEdit, ids, bound)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dyndoc"
 	"repro/internal/labelstore/faultfs"
 	"repro/internal/registry"
+	"repro/internal/xmltree"
 )
 
 const testScheme = "V-CDBS-Containment"
@@ -219,6 +220,68 @@ func TestCheckpointCompacts(t *testing.T) {
 	}
 	if got, want := d2.XML(), d.XML(); got != want {
 		t.Fatalf("replayed XML = %s, want %s", got, want)
+	}
+}
+
+// TestCheckpointRoundTripsEditedText checks the checkpoint against a
+// document with text nodes that has been edited: the checkpoint's XML
+// comes from the document's columns and its labeling's tree, Replay
+// re-parses it, and the XML of what Replay rebuilds — with the batches
+// journaled after the checkpoint applied on top — must be the
+// original's, byte for byte.
+func TestCheckpointRoundTripsEditedText(t *testing.T) {
+	dir := t.TempDir()
+	d := mustDoc(t, "<play><title>Hamlet &amp; co</title><act><scene><speech><speaker>A</speaker><line>to be &lt;or&gt; not</line></speech></scene></act></play>")
+	j, err := Create(Config{Dir: dir, Scheme: testScheme}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speech := func(n int) *xmltree.Node {
+		sp := xmltree.NewElement("speech")
+		sp.AppendChild(xmltree.NewElement("speaker")).AppendChild(xmltree.NewText(fmt.Sprintf("speaker %d", n)))
+		sp.AppendChild(xmltree.NewElement("line")).AppendChild(xmltree.NewText(fmt.Sprintf("line %d & more", n)))
+		return sp
+	}
+	script := func(from, to int) {
+		for i := from; i < to; i++ {
+			scenes, err := d.QueryString("//scene")
+			if err != nil || len(scenes) == 0 {
+				t.Fatalf("scenes: %v, %v", scenes, err)
+			}
+			edits := []dyndoc.Edit{{Op: dyndoc.OpInsertTree, Parent: scenes[0], Pos: i % 2, Fragment: speech(i)}}
+			switch i % 5 {
+			case 1:
+				edits = append(edits, dyndoc.Edit{Op: dyndoc.OpInsertElement, Parent: scenes[0], Pos: 0, Name: "stagedir"})
+			case 3:
+				speeches, err := d.QueryString("//speech")
+				if err != nil {
+					t.Fatal(err)
+				}
+				edits = append(edits, dyndoc.Edit{Op: dyndoc.OpDeleteSubtree, Node: speeches[len(speeches)/2]})
+			}
+			if err := applyAndAppend(t, j, d, edits)(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	script(0, 40)
+	if err := j.Checkpoint(d); err != nil {
+		t.Fatal(err)
+	}
+	script(40, 60)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, d2, info, err := Replay(Config{Dir: dir, Scheme: testScheme})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if info.Checkpoint != 1 || info.Batches != 20 {
+		t.Fatalf("replay info = %+v, want checkpoint=1 batches=20", info)
+	}
+	if got, want := d2.XML(), d.XML(); got != want {
+		t.Fatalf("replayed XML = %s\nwant %s", got, want)
 	}
 }
 

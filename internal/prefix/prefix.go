@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/cow"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
@@ -11,10 +12,18 @@ import (
 // Labeling is a prefix-labeled document: every node stores its full
 // label, the sequence of self components from the root. The root's
 // label is the empty sequence.
+//
+// A dynamic codec writes a node's label once, so the labels column
+// keeps its backing array across CloneLabeling (cow.Append). A static
+// codec's sibling renumbering rewrites existing slots and first makes
+// the column private (ownLabels).
 type Labeling struct {
 	codec  ComponentCodec
 	tree   *scheme.Tree
 	labels [][]Component
+
+	labelsMark *cow.Mark
+	private    cow.Owner[struct{}] // whether labels' slots may be rewritten in place
 }
 
 var _ scheme.Labeling = (*Labeling)(nil)
@@ -33,6 +42,9 @@ func New(codec ComponentCodec, doc *xmltree.Document) (*Labeling, error) {
 		codec:  codec,
 		tree:   tree,
 		labels: make([][]Component, tree.Len()),
+
+		labelsMark: cow.NewMark(tree.Len()),
+		private:    cow.NewOwner[struct{}](),
 	}
 	order := tree.PreOrder()
 	if len(order) == 0 {
@@ -188,7 +200,7 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	self, err := l.codec.Between(left, right)
 	if err == nil {
 		id := l.tree.AddChild(parent, pos)
-		l.labels = append(l.labels, extend(l.labels[parent], self))
+		l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[parent], self))
 		return id, 0, nil
 	}
 	if !errors.Is(err, ErrNoRoom) {
@@ -197,7 +209,8 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	// Static codec: renumber the parent's children and rebuild the
 	// labels of every shifted subtree.
 	id := l.tree.AddChild(parent, pos)
-	l.labels = append(l.labels, nil)
+	l.ownLabels()
+	l.labels = cow.Append(&l.labelsMark, l.labels, nil)
 	kids = l.tree.Children[parent]
 	selfs, err := l.codec.Initial(len(kids))
 	if err != nil {
@@ -220,6 +233,19 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 		l.relabelSubtree(c, &relabeled)
 	}
 	return id, relabeled, nil
+}
+
+// ownLabels moves the labels column to an array no other labeling
+// holds, unless it already is one, so that existing slots can be
+// rewritten.
+func (l *Labeling) ownLabels() {
+	l.private.Refresh()
+	if l.private.Has(struct{}{}) {
+		return
+	}
+	l.labels = cow.Copy(l.labels)
+	l.labelsMark = cow.NewMark(len(l.labels))
+	l.private.Add(struct{}{})
 }
 
 // relabelSubtree rebuilds the labels of v's descendants from v's
@@ -270,16 +296,15 @@ func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 	return out, nil
 }
 
-// CloneLabeling returns an independent deep copy, implementing
-// scheme.Cloner. Label slices are write-once (every assignment goes
-// through extend, which allocates fresh storage), so the outer slice
-// is copied and the component sequences are shared.
+// CloneLabeling implements scheme.Cloner. Label slices are write-once
+// (every assignment goes through extend, which allocates fresh
+// storage), and the column of them is shared until a static codec
+// rewrites it.
 func (l *Labeling) CloneLabeling() scheme.Labeling {
-	return &Labeling{
-		codec:  l.codec,
-		tree:   l.tree.Clone(),
-		labels: append([][]Component(nil), l.labels...),
-	}
+	cl := *l
+	cl.tree = l.tree.Clone()
+	cl.private = l.private.Fork()
+	return &cl
 }
 
 // InsertSubtrees inserts fragments shaped like the given element
@@ -329,7 +354,7 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 	ids := make([][]int, len(shapes))
 	for k, shape := range shapes {
 		rootID := l.tree.AddChild(parent, pos+k)
-		l.labels = append(l.labels, extend(l.labels[parent], selfs[k]))
+		l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[parent], selfs[k]))
 		fids := []int{rootID}
 		var add func(pid int, n *xmltree.Node) error
 		add = func(pid int, n *xmltree.Node) error {
@@ -342,7 +367,7 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 			}
 			for i, c := range n.Children {
 				id := l.tree.AddChild(pid, i)
-				l.labels = append(l.labels, extend(l.labels[pid], kidSelfs[i]))
+				l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[pid], kidSelfs[i]))
 				fids = append(fids, id)
 				if err := add(id, c); err != nil {
 					return err
@@ -383,7 +408,7 @@ func (l *Labeling) InsertSubtree(parent, pos int, shape *xmltree.Node) ([]int, i
 		}
 		for i, c := range n.Children {
 			id := l.tree.AddChild(pid, i)
-			l.labels = append(l.labels, extend(l.labels[pid], selfs[i]))
+			l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[pid], selfs[i]))
 			ids = append(ids, id)
 			if err := add(id, c); err != nil {
 				return err

@@ -46,8 +46,7 @@ func (l *Labeling) Tree() *scheme.Tree { return l.tree }
 // Scheme exposes the underlying prime machinery.
 func (l *Labeling) Scheme() *Scheme { return l.s }
 
-// CloneLabeling returns an independent deep copy, implementing
-// scheme.Cloner.
+// CloneLabeling implements scheme.Cloner.
 func (l *Labeling) CloneLabeling() scheme.Labeling {
 	return &Labeling{s: l.s.Clone(), tree: l.tree.Clone()}
 }

@@ -26,6 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+
+	"repro/internal/cow"
 )
 
 // GroupSize is the number of nodes sharing one SC value; the paper
@@ -36,13 +38,18 @@ const GroupSize = 5
 var ErrBadTree = errors.New("primelbl: malformed parent vector")
 
 // Scheme holds the prime labels and SC values for one document whose
-// nodes are identified by document-order index 0..n-1.
+// nodes are identified by document-order index 0..n-1. The self
+// labels, product labels and parents are written once per node, so a
+// Scheme and its clones share those columns (cow.Append); the ordering
+// numbers and SC values shift on every insertion and are per clone.
 type Scheme struct {
 	selfPrimes []int64    // self label per node
 	labels     []*big.Int // product label per node
 	parents    []int      // parent index per node (-1 for the root)
 	ordering   []int64    // current ordering number per node (1-based)
 	sc         []*big.Int // one SC value per group of GroupSize nodes
+
+	selfPrimesMark, labelsMark, parentsMark *cow.Mark
 
 	scRecalcs int64 // cumulative SC recomputations
 }
@@ -63,6 +70,10 @@ func Build(parents []int) (*Scheme, error) {
 		labels:     make([]*big.Int, n),
 		parents:    append([]int(nil), parents...),
 		ordering:   make([]int64, n),
+
+		selfPrimesMark: cow.NewMark(n),
+		labelsMark:     cow.NewMark(n),
+		parentsMark:    cow.NewMark(n),
 	}
 	primes := firstPrimes(n - 1)
 	s.selfPrimes[0] = 1
@@ -226,9 +237,9 @@ func (s *Scheme) InsertBefore(pos, parent int) (scRecalcs int, err error) {
 	}
 	// Append the new node (index n, prime p_n).
 	p := nthPrimeFrom(s.selfPrimes)
-	s.selfPrimes = append(s.selfPrimes, p)
-	s.labels = append(s.labels, new(big.Int).Mul(s.labels[parent], big.NewInt(p)))
-	s.parents = append(s.parents, parent)
+	s.selfPrimes = cow.Append(&s.selfPrimesMark, s.selfPrimes, p)
+	s.labels = cow.Append(&s.labelsMark, s.labels, new(big.Int).Mul(s.labels[parent], big.NewInt(p)))
+	s.parents = cow.Append(&s.parentsMark, s.parents, parent)
 	s.ordering = append(s.ordering, int64(pos+1))
 
 	// Recompute the SC value of every group containing a node whose
@@ -249,20 +260,17 @@ func (s *Scheme) InsertBefore(pos, parent int) (scRecalcs int, err error) {
 // performed, including the initial build.
 func (s *Scheme) TotalSCRecalcs() int64 { return s.scRecalcs }
 
-// Clone returns an independent deep copy of the scheme state. The
-// big.Int label and SC values are never mutated after assignment
-// (recomputeSC installs a freshly allocated value), so their pointer
-// slices are copied shallowly; the ordering numbers are shifted in
-// place by InsertBefore and are copied deeply.
+// Clone returns a scheme that answers as s does now and can be edited
+// independently of it. The write-once columns are shared. The big.Int
+// SC values are never mutated after assignment (recomputeSC installs a
+// freshly allocated value), so their pointer slice is copied
+// shallowly; the ordering numbers are shifted in place by InsertBefore
+// and are copied.
 func (s *Scheme) Clone() *Scheme {
-	return &Scheme{
-		selfPrimes: append([]int64(nil), s.selfPrimes...),
-		labels:     append([]*big.Int(nil), s.labels...),
-		parents:    append([]int(nil), s.parents...),
-		ordering:   append([]int64(nil), s.ordering...),
-		sc:         append([]*big.Int(nil), s.sc...),
-		scRecalcs:  s.scRecalcs,
-	}
+	cl := *s
+	cl.ordering = cow.Copy(s.ordering)
+	cl.sc = cow.Copy(s.sc)
+	return &cl
 }
 
 // firstPrimes returns the first n primes using a sieve sized with the

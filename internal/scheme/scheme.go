@@ -11,7 +11,9 @@ package scheme
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/cow"
 	"repro/internal/xmltree"
 )
 
@@ -74,15 +76,19 @@ type LabelMarshaler interface {
 	MarshalLabel(v int) ([]byte, error)
 }
 
-// Cloner is implemented by labelings that can produce an independent
-// deep copy of themselves. Snapshot layers (dyndoc.Concurrent) clone
-// the labeling to build the next copy-on-write snapshot; like
-// LabelMarshaler it is a separate interface so the capability can be
-// discovered without widening Labeling. A clone must share no mutable
-// state with its original: an edit on either side must never be
-// observable on the other.
+// Cloner is implemented by labelings that can produce a clone of
+// themselves. Snapshot layers (dyndoc.Concurrent) clone the labeling
+// to build the next copy-on-write snapshot; like LabelMarshaler it is
+// a separate interface so the capability can be discovered without
+// widening Labeling. The contract is about observability, not about
+// memory: no write on either side may ever be observable on the
+// other, and cloning must not write to the original (readers may be
+// traversing it), but state that is immutable once written — labels,
+// parent pointers, depths — may be shared, under the rules of package
+// cow.
 type Cloner interface {
-	// CloneLabeling returns an independent deep copy of the labeling.
+	// CloneLabeling returns a labeling that answers exactly as the
+	// receiver does now and can be edited independently of it.
 	CloneLabeling() Labeling
 }
 
@@ -125,12 +131,23 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // Tree is the structural mirror every labeling keeps: parent pointers
 // and ordered child lists by node id. It is bookkeeping for updates,
 // not part of any label.
+//
+// Parents and Depths are written once per id, so a Tree and its
+// clones share their backing arrays (cow.Append). A child list is
+// shared until the first edit under that parent after a clone, which
+// replaces it with a private copy.
 type Tree struct {
 	Parents  []int   // parent id; -1 for the root
 	Children [][]int // ordered child ids
 	Depths   []int   // depth; root = 1
 	Dead     []bool  // ids removed by deletion
 	live     int
+
+	parentsMark, depthsMark *cow.Mark
+	// own holds the parents below base whose child list is private to
+	// this tree; the lists of ids from base up were created by it.
+	own  cow.Owner[int]
+	base int
 }
 
 // NewTree mirrors a document, with node ids in document order.
@@ -146,6 +163,10 @@ func NewTree(doc *xmltree.Document) *Tree {
 		Depths:   make([]int, len(nodes)),
 		Dead:     make([]bool, len(nodes)),
 		live:     len(nodes),
+
+		parentsMark: cow.NewMark(len(nodes)),
+		depthsMark:  cow.NewMark(len(nodes)),
+		own:         cow.NewOwner[int](),
 	}
 	for i, n := range nodes {
 		if n.Parent == nil {
@@ -161,22 +182,32 @@ func NewTree(doc *xmltree.Document) *Tree {
 	return t
 }
 
-// Clone returns a deep copy of the structural mirror that shares no
-// state with the original, for labelings that implement Cloner.
+// Clone returns a tree that answers as t does now and can be edited
+// independently of it, for labelings that implement Cloner. It copies
+// the child-list headers and the dead flags flat and shares the rest;
+// it does not write to t.
 func (t *Tree) Clone() *Tree {
-	out := &Tree{
-		Parents:  append([]int(nil), t.Parents...),
-		Children: make([][]int, len(t.Children)),
-		Depths:   append([]int(nil), t.Depths...),
-		Dead:     append([]bool(nil), t.Dead...),
+	return &Tree{
+		Parents:  t.Parents,
+		Children: cow.Copy(t.Children),
+		Depths:   t.Depths,
+		Dead:     cow.Copy(t.Dead),
 		live:     t.live,
+
+		parentsMark: t.parentsMark,
+		depthsMark:  t.depthsMark,
+		own:         t.own.Fork(),
+		base:        len(t.Parents),
 	}
-	for i, kids := range t.Children {
-		if kids != nil {
-			out.Children[i] = append([]int(nil), kids...)
-		}
+}
+
+// ownsKids reports whether parent's child list may be edited in
+// place.
+func (t *Tree) ownsKids(parent int) bool {
+	if t.own.Refresh() {
+		t.base = len(t.Parents)
 	}
-	return out
+	return parent >= t.base || t.own.Has(parent)
 }
 
 // Len returns the number of live nodes.
@@ -204,16 +235,18 @@ func (t *Tree) ValidateInsert(parent, pos int) error {
 // returns its id.
 func (t *Tree) AddChild(parent, pos int) int {
 	id := len(t.Parents)
-	t.Parents = append(t.Parents, parent)
-	t.Depths = append(t.Depths, t.Depths[parent]+1)
+	kids := t.Children[parent]
+	if !t.ownsKids(parent) {
+		// Clipped, the insert below cannot fit and moves to a new array.
+		kids = slices.Clip(kids)
+		t.own.Add(parent)
+	}
+	t.Parents = cow.Append(&t.parentsMark, t.Parents, parent)
+	t.Depths = cow.Append(&t.depthsMark, t.Depths, t.Depths[parent]+1)
 	t.Children = append(t.Children, nil)
 	t.Dead = append(t.Dead, false)
 	t.live++
-	kids := t.Children[parent]
-	kids = append(kids, 0)
-	copy(kids[pos+1:], kids[pos:])
-	kids[pos] = id
-	t.Children[parent] = kids
+	t.Children[parent] = slices.Insert(kids, pos, id)
 	return id
 }
 
@@ -225,11 +258,12 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	}
 	if p := t.Parents[v]; p != -1 {
 		kids := t.Children[p]
-		for i, c := range kids {
-			if c == v {
-				t.Children[p] = append(kids[:i], kids[i+1:]...)
-				break
+		if i := slices.Index(kids, v); i >= 0 {
+			if !t.ownsKids(p) {
+				kids = slices.Clone(kids)
+				t.own.Add(p)
 			}
+			t.Children[p] = slices.Delete(kids, i, i+1)
 		}
 	}
 	removed := 0

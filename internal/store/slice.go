@@ -1,21 +1,32 @@
 package store
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+
+	"repro/internal/cow"
+)
 
 // slice is the in-memory backend: per-name id slices plus the global
 // element list, all kept in document order by ordered insertion. It is
 // the original index layout and doubles as the differential oracle for
 // the paged backend.
+//
+// A clone copies elems and the byName map but shares the per-name
+// lists; the first Add or Remove that touches a name after a clone
+// replaces that name's list with a private one (own).
 type slice struct {
 	bind   Binding
 	byName map[string][]int
 	elems  []int
+	own    cow.Owner[string]
 }
 
 // NewSlice returns the in-memory slice backend. Binding.Before is
 // required; Binding.Key is unused.
 func NewSlice(b Binding) Backend {
-	return &slice{bind: b, byName: map[string][]int{}}
+	return &slice{bind: b, byName: map[string][]int{}, own: cow.NewOwner[string]()}
 }
 
 func (s *slice) Name() string { return "slice" }
@@ -23,6 +34,7 @@ func (s *slice) Name() string { return "slice" }
 func (s *slice) Build(elems []int, nameOf func(int) string) error {
 	s.elems = append(s.elems[:0], elems...)
 	s.byName = make(map[string][]int, len(s.byName))
+	s.own = cow.NewOwner[string]()
 	for _, id := range elems {
 		name := nameOf(id)
 		s.byName[name] = append(s.byName[name], id)
@@ -46,7 +58,13 @@ func (s *slice) insertOrdered(ids []int, id int) []int {
 
 func (s *slice) Add(name string, id int) error {
 	s.elems = s.insertOrdered(s.elems, id)
-	s.byName[name] = s.insertOrdered(s.byName[name], id)
+	ids := s.byName[name]
+	if s.own.Refresh(); !s.own.Has(name) {
+		// Clipped, the insert cannot fit and moves to a new array.
+		ids = slices.Clip(ids)
+		s.own.Add(name)
+	}
+	s.byName[name] = s.insertOrdered(ids, id)
 	return nil
 }
 
@@ -63,6 +81,7 @@ func (s *slice) Remove(doomed map[int]bool, nameOf func(int) string) error {
 		}
 		return kept
 	}
+	s.own.Refresh()
 	s.elems = prune(s.elems)
 	names := map[string]bool{}
 	for id := range doomed {
@@ -71,7 +90,12 @@ func (s *slice) Remove(doomed map[int]bool, nameOf func(int) string) error {
 		}
 	}
 	for name := range names {
-		if pruned := prune(s.byName[name]); len(pruned) > 0 {
+		ids := s.byName[name]
+		if !s.own.Has(name) {
+			ids = slices.Clone(ids)
+			s.own.Add(name)
+		}
+		if pruned := prune(ids); len(pruned) > 0 {
 			s.byName[name] = pruned
 		} else {
 			delete(s.byName, name)
@@ -97,20 +121,12 @@ func (s *slice) Stats() Stats {
 }
 
 func (s *slice) Clone(b Binding) (Backend, error) {
-	cl := &slice{bind: b, byName: make(map[string][]int, len(s.byName))}
-	cl.elems = append([]int(nil), s.elems...)
-	// One backing array for all per-name lists keeps the clone compact.
-	total := 0
-	for _, ids := range s.byName {
-		total += len(ids)
-	}
-	backing := make([]int, 0, total)
-	for name, ids := range s.byName {
-		start := len(backing)
-		backing = append(backing, ids...)
-		cl.byName[name] = backing[start:len(backing):len(backing)]
-	}
-	return cl, nil
+	return &slice{
+		bind:   b,
+		byName: maps.Clone(s.byName),
+		elems:  cow.Copy(s.elems),
+		own:    s.own.Fork(),
+	}, nil
 }
 
 func (s *slice) Flush() error   { return nil }

@@ -126,10 +126,10 @@ func TestPagedFootprintBounded(t *testing.T) {
 	if pgFP <= 0 || slFP <= 0 {
 		t.Fatalf("footprints must be positive: slice %d, paged %d", slFP, pgFP)
 	}
-	// Both share the per-node constant; the difference is the backend
+	// Both share the per-id constant (no edits yet: ids = nodes); the difference is the backend
 	// share, where paged must be bounded by its cache (plus memos),
 	// while slice grows with every entry.
-	backendShare := pgFP - int64(pg.Len())*bytesPerNode
+	backendShare := pgFP - int64(pg.Len())*bytesPerID
 	budget := int64(pagestore.MinCachePages+1) * pagestore.PageSize
 	memoAllowance := int64(pg.Len()) * 24 // memoized id slices + name table
 	if backendShare > budget+memoAllowance {

@@ -10,6 +10,7 @@
 #                      the journal's group-commit pipeline and the
 #                      HTTP serving stack (web + catalog + client), plus
 #                      the snapshot storm, planned-query storm,
+#                      snapshot-isolation histories, XML differential,
 #                      hook-install race, close-drain, journal stress,
 #                      watch storm and follower replication tests by name
 #   6. crash safety  — the recovery/fault-injection suite by name, the
@@ -44,6 +45,12 @@
 #                      the first, serves a leader write at the ack'd
 #                      horizon, rejects writes with 403 read_only,
 #                      survives SIGKILL and catches up after restart
+#  12. benchmark module — benchmark/ is a module of its own that root
+#                      `go build ./... && go test ./...` does not see:
+#                      build, vet and test it, then run every workload
+#                      once at smoke size with the layer ladder, so an
+#                      internal/ API change that breaks the instrument
+#                      fails here
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -71,11 +78,11 @@ go test ./...
 echo "==> go test -tags invariants ./internal/bitstr/... ./internal/cdbs/..."
 go test -tags invariants ./internal/bitstr/... ./internal/cdbs/...
 
-echo "==> go test -race ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/labelstore/... ./internal/journal/... ./internal/catalog/... ./internal/web/... ./client/..."
-go test -race ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/labelstore/... ./internal/journal/... ./internal/catalog/... ./internal/web/... ./client/...
+echo "==> go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/labelstore/... ./internal/journal/... ./internal/catalog/... ./internal/web/... ./client/..."
+go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/labelstore/... ./internal/journal/... ./internal/catalog/... ./internal/web/... ./client/...
 
 echo "==> snapshot + planned-query storms under the race detector"
-go test -race -count=1 -run 'TestSnapshotStorm|TestQueryDoesNotBlockOnWriter|TestPlannedQueryStorm|TestSetCommitHookInstallRace' ./internal/dyndoc
+go test -race -count=1 -run 'TestSnapshotStorm|TestQueryDoesNotBlockOnWriter|TestPlannedQueryStorm|TestSetCommitHookInstallRace|TestSnapshotIsolation|TestXMLMatchesEditedTree|TestDocumentClone' ./internal/dyndoc
 go test -race -count=1 -run 'TestParallelPartitionedJoins|TestCacheGenerations' ./internal/xpath/plan
 
 echo "==> close-drain and eviction races under the race detector"
@@ -270,5 +277,9 @@ httpd_status=0
 wait "$httpd_pid" || httpd_status=$?
 [ "$httpd_status" = "0" ] || httpd_fail "SIGTERM exit status $httpd_status, want 0"
 rm -rf "$httpd_dir"
+
+echo "==> benchmark module (build, vet, test, smoke run with the layer ladder)"
+(cd benchmark && go build -o /dev/null . && go vet ./... && go test ./...)
+bash benchmark/run.sh --smoke --trace 1 >/dev/null
 
 echo "CI gate passed."
