@@ -31,7 +31,7 @@ labelvet:
 	$(GO) run ./cmd/labelvet ./...
 
 # Short fuzz smoke runs for the label-assignment kernels and the
-# word-parallel bitstr kernels (differential, against reference.go).
+# word-parallel bitstr kernels (differential, against reference_test.go).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssignMiddleBinaryString -fuzztime=10s ./internal/cdbs
 	$(GO) test -run=^$$ -fuzz=FuzzTwoBetween -fuzztime=5s ./internal/cdbs
@@ -46,9 +46,9 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEditCodec -fuzztime=10s ./internal/journal
 	$(GO) test -run=^$$ -fuzz=FuzzStreamDecode -fuzztime=10s ./internal/journal
 
-# Regenerate BENCH_PR10.json (benchtime 1s; override with BENCH_TIME/BENCH_OUT).
+# Every benchmark workload with its end-to-end metrics (see benchmark/README.md).
 bench:
-	sh scripts/bench.sh
+	bash benchmark/run.sh
 
 ci:
 	sh scripts/ci.sh

@@ -273,10 +273,11 @@ func BenchmarkLiveDocumentEdit(b *testing.B) {
 	for _, sn := range []string{"V-CDBS-Containment", "QED-Prefix"} {
 		sn := sn
 		b.Run(sn, func(b *testing.B) {
-			doc, err := dynxml.ParseLive("<r><a/><b/></r>", sn)
+			h, err := dynxml.Open("<r><a/><b/></r>", dynxml.WithScheme(sn))
 			if err != nil {
 				b.Fatal(err)
 			}
+			doc := h.Live()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -291,10 +292,11 @@ func BenchmarkLiveDocumentEdit(b *testing.B) {
 // BenchmarkLiveDocumentQuery measures query latency on a live document
 // that has absorbed edits.
 func BenchmarkLiveDocumentQuery(b *testing.B) {
-	doc, err := dynxml.ParseLive("<r><a/><b/></r>", "V-CDBS-Containment")
+	h, err := dynxml.Open("<r><a/><b/></r>", dynxml.WithScheme("V-CDBS-Containment"))
 	if err != nil {
 		b.Fatal(err)
 	}
+	doc := h.Live()
 	for i := 0; i < 2000; i++ {
 		if _, _, err := doc.InsertElement(0, 1, "x"); err != nil {
 			b.Fatal(err)
@@ -334,15 +336,5 @@ func BenchmarkBulkInsertSubtree(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkKernels runs the label-kernel micro-benchmark registry
-// that also backs `make bench` and BENCH_PR4.json (see
-// internal/bench/kernels.go), so `go test -bench Kernels .` and the
-// JSON report measure the same functions.
-func BenchmarkKernels(b *testing.B) {
-	for _, nb := range bench.KernelBenchmarks() {
-		b.Run(nb.Name, nb.F)
 	}
 }

@@ -16,7 +16,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -24,7 +23,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"testing"
 	"text/tabwriter"
 	"time"
 
@@ -35,23 +33,13 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiments: table1,sizes,figure5,figure6,table4,figure7,frequent,live,overflow,durable,follow")
+	run := flag.String("run", "all", "comma-separated experiments: table1,sizes,figure5,figure6,table4,figure7,frequent,overflow,durable,follow")
 	scale := flag.Int("scale", 10, "D5 replication factor for figure6 (the paper uses 10)")
 	datasets := flag.String("datasets", "D1,D2,D3,D4,D5,D6", "datasets for figure5")
 	inserts := flag.Int("inserts", 2000, "insertions for the frequent-update experiment")
-	edits := flag.Int("edits", 400, "edits for the live-document experiment")
+	edits := flag.Int("edits", 400, "edits for the durable and follow experiments")
 	metricsJSON := flag.String("metrics-json", "", "after the experiments run, dump the metrics registry as JSON to this file (- for stdout)")
-	benchJSON := flag.String("bench-json", "", "run the kernel benchmarks and write a BENCH_*.json report to this file instead of experiments")
-	benchTime := flag.String("bench-time", "1s", "benchtime for -bench-json (e.g. 1s, 100ms, 1x)")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchTime); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	for _, r := range strings.Split(*run, ",") {
@@ -70,7 +58,6 @@ func main() {
 		{"table4", runTable4},
 		{"figure7", runFigure7},
 		{"frequent", func() error { return runFrequent(*inserts) }},
-		{"live", func() error { return runLive(*edits) }},
 		{"overflow", runOverflow},
 		{"durable", func() error { return runDurable(*edits) }},
 		{"follow", func() error { return runFollow(*edits) }},
@@ -120,41 +107,6 @@ func dumpMetrics(path string) error {
 
 func header(title string) {
 	fmt.Printf("\n==== %s ====\n\n", title)
-}
-
-// runBenchJSON measures every kernel benchmark (internal/bench
-// KernelBenchmarks) under the given benchtime and writes the report
-// as JSON. CI uses -bench-time 1x as a smoke run; `make bench` uses
-// the default 1s to regenerate BENCH_PR4.json.
-func runBenchJSON(path, benchtime string) error {
-	// testing.Benchmark honours the test.benchtime flag, which only
-	// exists after testing.Init.
-	testing.Init()
-	if f := flag.Lookup("test.benchtime"); f != nil {
-		if err := f.Value.Set(benchtime); err != nil {
-			return fmt.Errorf("bad -bench-time %q: %w", benchtime, err)
-		}
-	}
-	rep := bench.RunKernelBenchmarks(func(name string) {
-		fmt.Fprintf(os.Stderr, "bench %s\n", name)
-	})
-	rep.Note = "regenerate with `make bench` (scripts/bench.sh), or `go run ./cmd/experiments -bench-json FILE -bench-time 1s`"
-	rep.Benchtime = benchtime
-	rep.SeedBaseline = bench.SeedBaseline()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks, benchtime %s)\n", path, len(rep.Results), benchtime)
-	return nil
 }
 
 func runTable1() error {
@@ -292,26 +244,6 @@ func runFigure7() error {
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\t%d\n",
 			r.Scheme, r.CaseMillis[0], r.CaseMillis[1], r.CaseMillis[2], r.CaseMillis[3], r.CaseMillis[4],
 			r.Log2Millis[0], r.LabelWrites[0])
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\nlabelstore sync latency (s): %s\n",
-		metrics.Default.Histogram("labelstore_sync_seconds", nil).Summary())
-	return nil
-}
-
-func runLive(edits int) error {
-	header(fmt.Sprintf("Live documents — %d mixed edits on Hamlet (insert/query/delete, fsync per insert)", edits))
-	rows, err := bench.Live(nil, edits, 42, "")
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Scheme\tinserts\tdeletes\tqueries\tmatches\trelabeled\ttotal(ms)\tcheckpoint\trestored")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.1f\t%d\t%d\n",
-			r.Scheme, r.Inserts, r.Deletes, r.Queries, r.Matches, r.Relabeled, r.Millis, r.Checkpoint, r.Restored)
 	}
 	if err := w.Flush(); err != nil {
 		return err

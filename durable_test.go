@@ -1,12 +1,17 @@
 package dynxml
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/labelstore"
+	"repro/internal/xmltree"
 )
 
 const durableSeed = `<root><a></a><b></b></root>`
@@ -292,6 +297,109 @@ func TestDurableRecoverFlag(t *testing.T) {
 	// The torn record held the second insert; the first survives.
 	if n, err := r.Count("//x"); err != nil || n != 1 {
 		t.Fatalf("Count(//x) = %d, %v; want 1 after truncation", n, err)
+	}
+}
+
+// TestDurableLogHeaderDamage: one flipped bit in the log segment's
+// header used to make WithRecover read the CRC-protected log as a
+// checksum-free legacy file, truncate it on disk — ten intact,
+// acknowledged batches gone — and then fail anyway. A damaged header
+// is refused with a typed error, with and without WithRecover, the log
+// stays byte for byte as it was, and restoring the byte brings every
+// edit back.
+func TestDurableLogHeaderDamage(t *testing.T) {
+	h, dir := openDurable(t)
+	roots, err := h.QueryString("/root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, _, err := h.InsertElement(roots[0], 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := h.XML()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, "log-00000000")
+	clean, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := append([]byte(nil), clean...)
+	damaged[0] ^= 1
+	if err := os.WriteFile(log, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(nil, WithJournal(dir)); !errors.Is(err, ErrRecoveryTruncated) {
+		t.Fatalf("Open on header-damaged log = %v, want ErrRecoveryTruncated", err)
+	}
+	if _, err := Open(nil, WithJournal(dir), WithRecover()); !errors.Is(err, labelstore.ErrCorrupt) {
+		t.Fatalf("Open WithRecover on header-damaged log = %v, want labelstore.ErrCorrupt", err)
+	}
+	if after, err := os.ReadFile(log); err != nil || !bytes.Equal(after, damaged) {
+		t.Fatalf("Open modified the damaged log: %d -> %d bytes, %v", len(damaged), len(after), err)
+	}
+	if err := os.WriteFile(log, clean, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(nil, WithJournal(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.XML(); got != want {
+		t.Fatalf("replayed XML = %s, want %s", got, want)
+	}
+}
+
+// TestDurableAttributesRoundTrip: a journaled document opened from a
+// tree that carries attribute nodes reopens from its journal — from
+// the initial checkpoint plus log, and from a later checkpoint — with
+// byte-equal XML.
+func TestDurableAttributesRoundTrip(t *testing.T) {
+	tree, err := xmltree.ParseWithOptions(
+		strings.NewReader(`<root id="r1" lang="en"><a k="v &amp; w">text</a><b/></root>`),
+		xmltree.ParseOptions{IncludeAttributes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "journal")
+	h, err := Open(tree, WithJournal(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := h.QueryString("/root/b")
+	if err != nil || len(bs) != 1 {
+		t.Fatalf("/root/b = %v, %v", bs, err)
+	}
+	for round := 0; round < 2; round++ {
+		if _, _, err := h.InsertElement(bs[0], 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+		want := h.XML()
+		if !strings.Contains(want, `k="v &amp; w"`) {
+			t.Fatalf("XML lost its attributes: %s", want)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if h, err = Open(nil, WithJournal(dir)); err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		if got := h.XML(); got != want {
+			t.Fatalf("round %d: replayed XML = %s, want %s", round, got, want)
+		}
+		if err := h.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if bs, err = h.QueryString("/root/b"); err != nil || len(bs) != 1 {
+			t.Fatalf("/root/b after reopen = %v, %v", bs, err)
+		}
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -144,9 +144,8 @@ type Labeling = scheme.Labeling
 func Schemes() []string { return registry.Names() }
 
 // ErrUnknownScheme matches, via errors.Is, every error a scheme-name
-// lookup produces — from Open and from the deprecated constructors
-// alike. The error text carries a did-you-mean suggestion for
-// near-miss names.
+// lookup produces. The error text carries a did-you-mean suggestion
+// for near-miss names.
 var ErrUnknownScheme = registry.ErrUnknownScheme
 
 // ---------------------------------------------------------------------------
@@ -380,14 +379,6 @@ func newHandle() *Handle {
 // (WithJournal, WithDurability, WithRecover). With WithJournal and an
 // existing journal, src must be nil: the document is rebuilt from the
 // journal, not parsed.
-//
-// Open subsumes the deprecated Label, Live, ParseLive and ParseShared
-// constructors:
-//
-//	Label(doc, s)      → Open(doc, WithScheme(s)) then Labeling()
-//	Live(doc, s)       → Open(doc, WithScheme(s)) then Live()
-//	ParseLive(text, s) → Open(text, WithScheme(s)) then Live()
-//	ParseShared(t, s)  → Open(t, WithScheme(s), WithConcurrent()) then Shared()
 func Open(src any, opts ...Option) (*Handle, error) {
 	cfg := config{scheme: DefaultScheme}
 	for _, opt := range opts {
@@ -445,10 +436,6 @@ func openJournaled(src any, cfg config) (*Handle, error) {
 		Scheme:  cfg.scheme,
 		Mode:    journal.SyncAlways,
 		Recover: cfg.recover,
-		// With paged labels the page file carries the label bytes;
-		// checkpoints stop duplicating them (Replay rebuilds the
-		// labeling from XML and preorder either way).
-		OmitLabels: cfg.pagedDir != "",
 	}
 	if cfg.durability != nil {
 		jcfg.Mode = cfg.durability.mode
@@ -998,54 +985,4 @@ func MetricsJSON() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated constructors, kept as shims over Open.
-
-// Label labels doc with the named scheme.
-//
-// Deprecated: use Open(doc, WithScheme(schemeName)) and Labeling.
-func Label(doc *Document, schemeName string) (Labeling, error) {
-	h, err := Open(doc, WithScheme(schemeName))
-	if err != nil {
-		return nil, err
-	}
-	return h.Labeling(), nil
-}
-
-// Live wraps doc as a LiveDocument under the named scheme.
-//
-// Deprecated: use Open(doc, WithScheme(schemeName)) and Live.
-func Live(doc *Document, schemeName string) (*LiveDocument, error) {
-	h, err := Open(doc, WithScheme(schemeName))
-	if err != nil {
-		return nil, err
-	}
-	return h.Live(), nil
-}
-
-// ParseLive parses XML text into a LiveDocument under the named
-// scheme.
-//
-// Deprecated: use Open(text, WithScheme(schemeName)) and Live.
-func ParseLive(text, schemeName string) (*LiveDocument, error) {
-	h, err := Open(text, WithScheme(schemeName))
-	if err != nil {
-		return nil, err
-	}
-	return h.Live(), nil
-}
-
-// ParseShared parses XML text into a SharedDocument under the named
-// scheme.
-//
-// Deprecated: use Open(text, WithScheme(schemeName), WithConcurrent())
-// and Shared.
-func ParseShared(text, schemeName string) (*SharedDocument, error) {
-	h, err := Open(text, WithScheme(schemeName), WithConcurrent())
-	if err != nil {
-		return nil, err
-	}
-	return h.Shared(), nil
 }

@@ -86,11 +86,11 @@ func TestLabelAndQueryFacade(t *testing.T) {
 		t.Fatalf("only %d schemes", len(Schemes()))
 	}
 	for _, name := range Schemes() {
-		lab, err := Label(doc, name)
+		h, err := Open(doc, WithScheme(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		e, err := NewEngine(doc, lab)
+		e, err := NewEngine(doc, h.Labeling())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestLabelAndQueryFacade(t *testing.T) {
 			t.Errorf("%s: Count = %d, %v", name, n, err)
 		}
 	}
-	if _, err := Label(doc, "bogus"); err == nil {
+	if _, err := Open(doc, WithScheme("bogus")); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
@@ -118,10 +118,11 @@ func ExampleBetween() {
 	// Output: 1 11 101
 }
 
-// ExampleLabel shows re-label-free insertion under V-CDBS containment.
-func ExampleLabel() {
-	doc, _ := ParseXMLString("<r><a/><b/></r>")
-	lab, _ := Label(doc, "V-CDBS-Containment")
+// ExampleHandle_Labeling shows re-label-free insertion under V-CDBS
+// containment.
+func ExampleHandle_Labeling() {
+	h, _ := Open("<r><a/><b/></r>", WithScheme("V-CDBS-Containment"))
+	lab := h.Labeling()
 	// Insert a new element between <a/> and <b/> (before child 1).
 	_, relabeled, _ := lab.InsertChildAt(0, 1)
 	fmt.Println("relabeled:", relabeled)
@@ -140,10 +141,11 @@ func TestExampleDocRoundTrip(t *testing.T) {
 }
 
 func TestSharedDocumentFacade(t *testing.T) {
-	doc, err := ParseShared("<r><a/></r>", "V-CDBS-Containment")
+	h, err := Open("<r><a/></r>", WithScheme("V-CDBS-Containment"), WithConcurrent())
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc := h.Shared()
 	if _, _, err := doc.InsertElement(0, 1, "b"); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestSharedDocumentFacade(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("Count = %d, %v", n, err)
 	}
-	if _, err := ParseShared("<r/>", "bogus"); err == nil {
+	if _, err := Open("<r/>", WithScheme("bogus"), WithConcurrent()); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }
@@ -161,17 +163,17 @@ func TestLiveFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := Live(raw, "QED-Prefix")
+	h, err := Open(raw, WithScheme("QED-Prefix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.Len() != 2 {
+	if live := h.Live(); live.Len() != 2 {
 		t.Fatalf("Len = %d", live.Len())
 	}
-	if _, err := Live(raw, "bogus"); err == nil {
+	if _, err := Open(raw, WithScheme("bogus")); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	if _, err := ParseLive("<broken", "QED-Prefix"); err == nil {
+	if _, err := Open("<broken", WithScheme("QED-Prefix")); err == nil {
 		t.Fatal("bad XML accepted")
 	}
 }

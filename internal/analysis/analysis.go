@@ -79,7 +79,6 @@ func NewSuite(cfg SuiteConfig) (*Suite, error) {
 		newLockCopy(),
 		newLockHeld(),
 		newErrCheck(),
-		newDeprecated(),
 		newPanicAudit(cfg.Allowlist),
 		newGuardedBy(),
 		newAtomicMix(),

@@ -129,7 +129,6 @@ func TestCodeLiteralFixture(t *testing.T) { runFixture(t, "codeliteral", "codeli
 func TestLockCopyFixture(t *testing.T)    { runFixture(t, "lockcopy", "lockcopy", nil) }
 func TestLockHeldFixture(t *testing.T)    { runFixture(t, "lockheld", "lockheld", nil) }
 func TestErrCheckFixture(t *testing.T)    { runFixture(t, "errcheck", "errcheck", nil) }
-func TestDeprecatedFixture(t *testing.T)  { runFixture(t, "deprecated", "deprecated", nil) }
 func TestGuardedByFixture(t *testing.T)   { runFixture(t, "guardedby", "guardedby", nil) }
 func TestAtomicMixFixture(t *testing.T)   { runFixture(t, "atomicmix", "atomicmix", nil) }
 func TestAckOrderFixture(t *testing.T)    { runFixture(t, "ackorder", "ackorder", nil) }

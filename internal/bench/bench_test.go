@@ -220,40 +220,6 @@ func TestFrequentShape(t *testing.T) {
 	}
 }
 
-func TestLiveWorkload(t *testing.T) {
-	if testing.Short() {
-		t.Skip("edit storm with per-insert fsync in -short mode")
-	}
-	const edits = 80
-	rows, err := Live([]string{"V-CDBS-Containment", "QED-Prefix"}, edits, 7, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Inserts+r.Deletes+r.Queries != edits {
-			t.Errorf("%s: ops %d+%d+%d != %d edits", r.Scheme, r.Inserts, r.Deletes, r.Queries, edits)
-		}
-		if r.Inserts == 0 || r.Deletes == 0 || r.Queries == 0 {
-			t.Errorf("%s: degenerate mix %+v", r.Scheme, r)
-		}
-		// The journal holds one record per insert plus the checkpoint,
-		// and the checkpoint covers Hamlet plus the surviving inserts.
-		if r.Restored != r.Inserts+r.Checkpoint {
-			t.Errorf("%s: restored %d records, want %d inserts + %d checkpoint", r.Scheme, r.Restored, r.Inserts, r.Checkpoint)
-		}
-		if r.Checkpoint <= 6000 {
-			t.Errorf("%s: checkpoint of %d labels is too small for Hamlet", r.Scheme, r.Checkpoint)
-		}
-		// Both schemes are dynamic: the storm must not relabel.
-		if r.Relabeled != 0 {
-			t.Errorf("%s: %d nodes relabeled", r.Scheme, r.Relabeled)
-		}
-	}
-}
-
 func TestOverflowAblation(t *testing.T) {
 	rows, err := Overflow(64, 300)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cdbs"
 	"repro/internal/datagen"
-	"repro/internal/dyndoc"
 	"repro/internal/labelstore"
 	"repro/internal/registry"
 	"repro/internal/scheme"
@@ -291,134 +290,6 @@ func Frequent(schemes []string, inserts int, skewed bool, seed int64) ([]Frequen
 			MicrosPerOp:    ms * 1000 / float64(inserts),
 			TotalRelabeled: total,
 		})
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// E9 — live documents: the end-to-end update path. A dyndoc.Document
-// absorbs a mixed edit storm — inserts, queries, deletes — with every
-// insert's label journalled through the crash-safe labelstore (one
-// fsync per edit, the Figure 7 transaction model), then a full
-// labeling checkpoint written and read back to prove durability.
-
-// LiveRow summarises one scheme's live-document run.
-type LiveRow struct {
-	Scheme     string
-	Edits      int
-	Inserts    int
-	Deletes    int
-	Queries    int
-	Matches    int   // total nodes retrieved across all queries
-	Relabeled  int64 // existing nodes re-labeled by the storm
-	Millis     float64
-	Checkpoint int // labels written by the final full checkpoint
-	Restored   int // records read back from the store afterwards
-}
-
-// Live runs the mixed workload over Hamlet under each scheme: 60% of
-// edits insert a speech under a random scene, 20% run an XPath query,
-// 20% delete a previously inserted subtree. Each insert is persisted
-// and fsynced individually; the run ends with a SaveLabeling
-// checkpoint and a ReadAll to verify the journal. dir holds the store
-// files (empty means a temp dir).
-func Live(schemes []string, edits int, seed int64, dir string) ([]LiveRow, error) {
-	if schemes == nil {
-		schemes = FrequentSchemes()
-	}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "cdbs-live-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	var out []LiveRow
-	for si, sn := range schemes {
-		entry, err := registry.Lookup(sn)
-		if err != nil {
-			return nil, err
-		}
-		d, err := dyndoc.New(datagen.Hamlet(), entry.Build)
-		if err != nil {
-			return nil, fmt.Errorf("bench: live %s: %w", sn, err)
-		}
-		scenes, err := d.QueryString("//scene")
-		if err != nil {
-			return nil, err
-		}
-		path := filepath.Join(dir, fmt.Sprintf("live-%d.log", si))
-		store, err := labelstore.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		marshaler, _ := d.Labeling().(scheme.LabelMarshaler)
-		queries := []string{"//speech", "/play/act/scene", "//line"}
-		gen := rand.New(rand.NewSource(seed))
-		row := LiveRow{Scheme: sn, Edits: edits}
-		var inserted []int // our own nodes: deletion candidates
-		ms, err := timeIt(func() error {
-			for i := 0; i < edits; i++ {
-				switch r := gen.Intn(10); {
-				case r < 6 || len(inserted) == 0 && r >= 8:
-					parent := scenes[gen.Intn(len(scenes))]
-					pos := gen.Intn(len(d.Labeling().Tree().Children[parent]) + 1)
-					id, _, err := d.InsertElement(parent, pos, "speech")
-					if err != nil {
-						return err
-					}
-					payload := []byte{0}
-					if marshaler != nil {
-						if p, merr := marshaler.MarshalLabel(id); merr == nil {
-							payload = p
-						}
-					}
-					if err := store.Write(uint64(id), payload); err != nil {
-						return err
-					}
-					if err := store.Sync(); err != nil {
-						return err
-					}
-					inserted = append(inserted, id)
-					row.Inserts++
-				case r < 8:
-					q := queries[gen.Intn(len(queries))]
-					ids, err := d.QueryString(q)
-					if err != nil {
-						return err
-					}
-					row.Queries++
-					row.Matches += len(ids)
-				default:
-					j := gen.Intn(len(inserted))
-					id := inserted[j]
-					inserted[j] = inserted[len(inserted)-1]
-					inserted = inserted[:len(inserted)-1]
-					if _, err := d.DeleteSubtree(id); err != nil {
-						return err
-					}
-					row.Deletes++
-				}
-			}
-			n, err := labelstore.SaveLabeling(store, d.Labeling())
-			if err != nil {
-				return err
-			}
-			row.Checkpoint = n
-			return store.Close()
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: live %s: %w", sn, err)
-		}
-		recs, err := labelstore.ReadAll(path)
-		if err != nil {
-			return nil, fmt.Errorf("bench: live %s: read back: %w", sn, err)
-		}
-		row.Restored = len(recs)
-		row.Relabeled = d.Relabeled()
-		row.Millis = ms
-		out = append(out, row)
 	}
 	return out, nil
 }

@@ -20,8 +20,9 @@
 // storage (bytes.Compare/bytes.Equal scans, shift-and-OR block copies,
 // math/bits intrinsics) instead of one bit per loop iteration, relying
 // on the invariant that all spare bits past Len-1 are zero. The
-// original bit-at-a-time implementations are retained in reference.go
-// as differential-fuzz ground truth and benchmark baselines.
+// original bit-at-a-time implementations are retained in
+// reference_test.go as differential-fuzz ground truth and benchmark
+// baselines.
 // Compare, Equal, HasPrefix, Uint, TrimTrailingZeros and AppendText
 // never allocate; Concat, Prefix (when it must copy), AppendBit and
 // SpliceBits allocate exactly once.

@@ -33,7 +33,7 @@ func fromFuzz(t *testing.T, data []byte, n uint16) BitString {
 }
 
 // FuzzBitstrKernels differentially tests the word-parallel kernels
-// against the retained bit-at-a-time references in reference.go.
+// against the retained bit-at-a-time references in reference_test.go.
 func FuzzBitstrKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint16(0), uint16(0))
 	f.Add([]byte{0xB5}, []byte{0xB5}, uint16(8), uint16(7))

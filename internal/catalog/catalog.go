@@ -44,16 +44,6 @@ var (
 	mOpenSeconds = metrics.Default.Histogram("catalog_open_seconds", nil)
 )
 
-// BytesPerNode was the flat per-node resident-memory estimate the
-// budget accounting multiplied by Handle.Len.
-//
-// Deprecated: the catalog now charges Handle.MemoryFootprint, which
-// asks the index backend for its real share — essential since a paged
-// backend's share is its bounded page cache, not the document size.
-// The constant remains only for external callers sizing budgets by
-// hand.
-const BytesPerNode = 512
-
 // Residency defaults for a zero Config.
 const (
 	DefaultMaxOpen   = 64
@@ -552,7 +542,7 @@ type Stats struct {
 	// ResidentDocs is the number of open handles.
 	ResidentDocs int
 	// ResidentBytes is the estimated bytes those handles pin in
-	// memory (BytesPerNode per live node).
+	// memory (the sum of their Handle.MemoryFootprint).
 	ResidentBytes int64
 	// MemBudget and MaxOpen echo the effective configuration.
 	MemBudget int64

@@ -11,8 +11,7 @@ import (
 // emitted code. EncodeBetween replaced it on the production paths
 // with a one-pass recursion that validates the bounds once; this
 // implementation stays as the differential ground truth for the unit
-// tests, FuzzEncodeBetween and the word/ref benchmark pair, mirroring
-// bitstr/reference.go.
+// tests and FuzzEncodeBetween, mirroring bitstr/reference_test.go.
 func RefNBetween(l, r bitstr.BitString, n int) ([]bitstr.BitString, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("cdbs: NBetween count %d is negative", n)

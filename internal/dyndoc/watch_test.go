@@ -274,25 +274,24 @@ func TestWatchStorm(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// A writer deletes only what it inserted: racing another
+			// writer to the same id would make the loser's delete fail.
+			var mine []int
 			for i := 0; i < opsEach; i++ {
-				if i%10 == 9 {
-					ids, err := c.QueryString("//storm")
-					if err != nil {
+				if i%10 == 9 && len(mine) > 0 {
+					if _, err := c.DeleteSubtree(mine[0]); err != nil {
 						errCh <- err
 						return
 					}
-					if len(ids) > 0 {
-						if _, err := c.DeleteSubtree(ids[0]); err != nil {
-							errCh <- err
-							return
-						}
-						continue
-					}
+					mine = mine[1:]
+					continue
 				}
-				if _, _, err := c.InsertElement(shelves[w%len(shelves)], 0, "storm"); err != nil {
+				id, _, err := c.InsertElement(shelves[w%len(shelves)], 0, "storm")
+				if err != nil {
 					errCh <- err
 					return
 				}
+				mine = append(mine, id)
 			}
 		}(w)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dyndoc"
 	"repro/internal/labelstore"
 	"repro/internal/metrics"
-	"repro/internal/registry"
 )
 
 // Follower replays a leader's journal into a read-only live document.
@@ -318,28 +317,6 @@ func (f *Follower) fail(err error) error {
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	return err
-}
-
-// rebuildFromMeta reconstructs a document from checkpoint meta and the
-// leader-id → local-id map its preorder list pins down.
-func rebuildFromMeta(meta checkpointMeta) (*dyndoc.Document, map[int]int, error) {
-	entry, err := registry.Lookup(meta.Scheme)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: follower: checkpoint scheme: %w", err)
-	}
-	d, err := dyndoc.Parse(meta.XML, entry.Build)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: follower: rebuilding checkpoint document: %w", err)
-	}
-	pre := d.Labeling().Tree().PreOrder()
-	if len(pre) != len(meta.PreOrder) {
-		return nil, nil, fmt.Errorf("journal: follower: checkpoint id list has %d entries for %d nodes", len(meta.PreOrder), len(pre))
-	}
-	idmap := make(map[int]int, len(pre))
-	for i, old := range meta.PreOrder {
-		idmap[old] = pre[i]
-	}
-	return d, idmap, nil
 }
 
 // newestCheckpoint scans dir for the newest generation whose

@@ -229,7 +229,7 @@ func (f *Follower) adoptChunk(chunk *ShipChunk) error {
 		newGen = 0
 	}
 	cfg := Config{Dir: f.cfg.Dir, WrapFile: f.cfg.WrapFile}
-	if err := writeMirrorCheckpoint(cfg, newGen, chunk.Snapshot, meta.BaseSeq); err != nil {
+	if err := writeCheckpointMeta(cfg, newGen, chunk.Snapshot, meta.BaseSeq); err != nil {
 		return f.fail(err)
 	}
 	store, err := openStore(cfg, logPath(f.cfg.Dir, newGen))
@@ -289,30 +289,4 @@ func (f *Follower) adoptChunk(chunk *ShipChunk) error {
 	}
 	mFollowerApplied.Add(int64(len(chunk.Batches)))
 	return nil
-}
-
-// writeMirrorCheckpoint writes a label-free checkpoint segment holding
-// the leader's meta payload verbatim: the preorder list must keep
-// leader ids so mirrored batches stay replayable. readCheckpoint
-// accepts it — zero label records is a valid count.
-//
-// vet:durable
-func writeMirrorCheckpoint(cfg Config, gen uint64, metaPayload []byte, baseSeq uint64) error {
-	store, err := openStore(cfg, ckptPath(cfg.Dir, gen))
-	if err != nil {
-		return err
-	}
-	if err := store.Write(metaRecordID, metaPayload); err != nil {
-		_ = store.Close()
-		return err
-	}
-	if err := store.Write(endRecordID, encodeEnd(checkpointEnd{Labels: 0, BaseSeq: baseSeq})); err != nil {
-		_ = store.Close()
-		return err
-	}
-	if err := store.Sync(); err != nil {
-		_ = store.Close()
-		return err
-	}
-	return store.Close()
 }

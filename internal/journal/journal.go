@@ -70,21 +70,6 @@ type Config struct {
 	Mode Mode
 	// Interval is the SyncInterval flush period (default 100ms).
 	Interval time.Duration
-	// NoGroupCommit disables fsync coalescing in SyncAlways mode:
-	// every batch pays its own fsync under the append lock. It exists
-	// as the baseline the group-commit benchmark measures against.
-	NoGroupCommit bool
-	// GroupWindow bounds how long a SyncAlways commit leader waits
-	// before flushing so that batches from concurrent writers join
-	// its wave — the classic group-commit delay knob (PostgreSQL's
-	// commit_delay). Without it a leader elected right after its own
-	// append often syncs a wave of one, halving the achievable
-	// coalescing. The wait is a yielding spin, not a sleep
-	// (sub-millisecond sleeps overshoot by far more than the window),
-	// and ends early once appends go quiet, so a lone writer pays
-	// only the quiet threshold. Zero means the 50µs default; negative
-	// disables the window entirely.
-	GroupWindow time.Duration
 	// WrapFile, if set, wraps every file the journal opens for
 	// writing — the fault-injection seam the kill matrix uses.
 	WrapFile func(f labelstore.File) labelstore.File
@@ -93,15 +78,20 @@ type Config struct {
 	// log, remove stray segments). Without it Replay refuses such
 	// journals with ErrRecoveryTruncated.
 	Recover bool
-	// OmitLabels makes checkpoints skip the per-node label records.
-	// Replay never reads them — it rebuilds the labeling from the
-	// checkpoint's XML and preorder — so the records exist only for
-	// offline inspection. A paged-label document keeps its labels in
-	// its own page file, and writing them a second time into every
-	// checkpoint would double the checkpoint cost for bytes nothing
-	// consumes.
-	OmitLabels bool
 }
+
+// groupWindow bounds how long a SyncAlways commit leader waits before
+// flushing so that batches from concurrent writers join its wave — the
+// classic group-commit delay (PostgreSQL's commit_delay). Without it a
+// leader elected right after its own append often syncs a wave of one,
+// halving the achievable coalescing. The wait is a yielding spin, not
+// a sleep (sub-millisecond sleeps overshoot by far more than the
+// window), and ends once appends have been quiet for groupQuiet, so a
+// lone writer pays only that.
+const (
+	groupWindow = 50 * time.Microsecond
+	groupQuiet  = groupWindow / 8
+)
 
 // ErrClosed reports journal use after Close.
 var ErrClosed = errors.New("journal: closed")
@@ -180,11 +170,6 @@ func newJournal(cfg Config, store *labelstore.Store, gen, seq, ckptBase uint64) 
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
-	if cfg.GroupWindow == 0 {
-		cfg.GroupWindow = 50 * time.Microsecond
-	} else if cfg.GroupWindow < 0 {
-		cfg.GroupWindow = 0
-	}
 	j := &Journal{cfg: cfg, store: store, gen: gen, seq: seq, baseSeq: seq, ckptBase: ckptBase, durable: seq}
 	j.cond = sync.NewCond(&j.cmu)
 	if cfg.Mode == SyncInterval {
@@ -248,36 +233,37 @@ func Create(cfg Config, d *dyndoc.Document) (*Journal, error) {
 	return newJournal(cfg, store, 0, 0, 0), nil
 }
 
-// writeCheckpoint serializes doc into ckpt-gen: a meta record, every
-// label via labelstore.SaveLabeling, and an END trailer. The segment
-// is fully synced and closed before writeCheckpoint returns, so its
-// existence with a decodable END record proves it is complete.
+// writeCheckpoint serializes doc into ckpt-gen: everything Replay
+// rebuilds the labeling from — scheme, XML, preorder id list.
 //
 // vet:durable
 func writeCheckpoint(cfg Config, gen uint64, d *dyndoc.Document, baseSeq uint64) error {
-	store, err := openStore(cfg, ckptPath(cfg.Dir, gen))
-	if err != nil {
-		return err
-	}
-	meta := checkpointMeta{
+	return writeCheckpointMeta(cfg, gen, encodeMeta(checkpointMeta{
 		Scheme:   cfg.Scheme,
 		XML:      d.XML(),
 		PreOrder: append([]int(nil), d.Labeling().Tree().PreOrder()...),
 		BaseSeq:  baseSeq,
+	}), baseSeq)
+}
+
+// writeCheckpointMeta writes ckpt-gen as an encoded meta record and an
+// END trailer — the whole checkpoint format. A follower's mirror hands
+// in the leader's meta payload verbatim, since its preorder list must
+// keep leader ids for mirrored batches to stay replayable. The segment
+// is fully synced and closed before writeCheckpointMeta returns, so
+// its existence with a decodable END record proves it is complete.
+//
+// vet:durable
+func writeCheckpointMeta(cfg Config, gen uint64, metaPayload []byte, baseSeq uint64) error {
+	store, err := openStore(cfg, ckptPath(cfg.Dir, gen))
+	if err != nil {
+		return err
 	}
-	if err := store.Write(metaRecordID, encodeMeta(meta)); err != nil {
+	if err := store.Write(metaRecordID, metaPayload); err != nil {
 		_ = store.Close()
 		return err
 	}
-	labels := 0
-	if !cfg.OmitLabels {
-		labels, err = labelstore.SaveLabeling(store, d.Labeling())
-		if err != nil {
-			_ = store.Close()
-			return err
-		}
-	}
-	if err := store.Write(endRecordID, encodeEnd(checkpointEnd{Labels: labels, BaseSeq: baseSeq})); err != nil {
+	if err := store.Write(endRecordID, encodeEnd(checkpointEnd{BaseSeq: baseSeq})); err != nil {
 		_ = store.Close()
 		return err
 	}
@@ -320,21 +306,6 @@ func (j *Journal) Append(edits []dyndoc.Edit, results []dyndoc.EditResult) (wait
 	}
 	j.seq = seq
 	j.appended.Store(seq)
-	if j.cfg.Mode == SyncAlways && j.cfg.NoGroupCommit {
-		// Baseline path: every batch pays a full flush+fsync while
-		// holding the append lock, serializing all writers behind it.
-		err := j.store.Sync()
-		if err != nil {
-			j.wedge(err)
-			j.mu.Unlock()
-			return nil, err
-		}
-		j.setDurable(seq)
-		j.mu.Unlock()
-		mAppends.Inc()
-		mAppendSeconds.Observe(time.Since(start).Seconds())
-		return nil, nil
-	}
 	j.mu.Unlock()
 	mAppends.Inc()
 	mAppendSeconds.Observe(time.Since(start).Seconds())
@@ -411,28 +382,21 @@ func (j *Journal) waitDurable(seq uint64) error {
 		// Give concurrent writers a window to append into this wave
 		// before the flush picks its target: spin-yield until the
 		// window closes or appends have gone quiet (every writer that
-		// was going to join has). The quiet threshold stays small so a
-		// generous window does not tax every wave with its tail.
-		if w := j.cfg.GroupWindow; w > 0 {
-			deadline := time.Now().Add(w)
-			quiet := w / 8
-			if quiet > 10*time.Microsecond {
-				quiet = 10 * time.Microsecond
+		// was going to join has).
+		deadline := time.Now().Add(groupWindow)
+		last := j.appended.Load()
+		lastChange := time.Now()
+		for {
+			now := time.Now()
+			if !now.Before(deadline) {
+				break
 			}
-			last := j.appended.Load()
-			lastChange := time.Now()
-			for {
-				now := time.Now()
-				if !now.Before(deadline) {
-					break
-				}
-				if cur := j.appended.Load(); cur != last {
-					last, lastChange = cur, now
-				} else if now.Sub(lastChange) > quiet {
-					break
-				}
-				runtime.Gosched()
+			if cur := j.appended.Load(); cur != last {
+				last, lastChange = cur, now
+			} else if now.Sub(lastChange) > groupQuiet {
+				break
 			}
+			runtime.Gosched()
 		}
 
 		// Flush buffered records under the append lock, then fsync

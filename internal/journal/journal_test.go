@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dyndoc"
+	"repro/internal/labelstore"
 	"repro/internal/labelstore/faultfs"
 	"repro/internal/registry"
 	"repro/internal/xmltree"
@@ -17,13 +20,19 @@ import (
 
 const testScheme = "V-CDBS-Containment"
 
+// mustDoc parses xml — attributes included, as attribute nodes — and
+// labels it under testScheme.
 func mustDoc(t *testing.T, xml string) *dyndoc.Document {
 	t.Helper()
 	entry, err := registry.Lookup(testScheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := dyndoc.Parse(xml, entry.Build)
+	tree, err := xmltree.ParseWithOptions(strings.NewReader(xml), xmltree.ParseOptions{IncludeAttributes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dyndoc.New(tree, entry.Build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,20 +233,23 @@ func TestCheckpointCompacts(t *testing.T) {
 }
 
 // TestCheckpointRoundTripsEditedText checks the checkpoint against a
-// document with text nodes that has been edited: the checkpoint's XML
+// document with text and attribute nodes that has been edited (the
+// checkpoint's id list counts attribute nodes, so a rebuild that
+// dropped them could not be reopened at all): the checkpoint's XML
 // comes from the document's columns and its labeling's tree, Replay
 // re-parses it, and the XML of what Replay rebuilds — with the batches
 // journaled after the checkpoint applied on top — must be the
 // original's, byte for byte.
 func TestCheckpointRoundTripsEditedText(t *testing.T) {
 	dir := t.TempDir()
-	d := mustDoc(t, "<play><title>Hamlet &amp; co</title><act><scene><speech><speaker>A</speaker><line>to be &lt;or&gt; not</line></speech></scene></act></play>")
+	d := mustDoc(t, `<play id="p1" lang="en"><title short="H &amp; co">Hamlet &amp; co</title><act n="1"><scene><speech><speaker who="a&lt;b">A</speaker><line>to be &lt;or&gt; not</line></speech></scene></act></play>`)
 	j, err := Create(Config{Dir: dir, Scheme: testScheme}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	speech := func(n int) *xmltree.Node {
 		sp := xmltree.NewElement("speech")
+		sp.AppendChild(xmltree.NewAttr("n", fmt.Sprint(n)))
 		sp.AppendChild(xmltree.NewElement("speaker")).AppendChild(xmltree.NewText(fmt.Sprintf("speaker %d", n)))
 		sp.AppendChild(xmltree.NewElement("line")).AppendChild(xmltree.NewText(fmt.Sprintf("line %d & more", n)))
 		return sp
@@ -619,30 +631,168 @@ func TestSyncNoneCloseStillDurable(t *testing.T) {
 	}
 }
 
-func TestNoGroupCommitBaseline(t *testing.T) {
+// TestCheckpointRecords pins the checkpoint format and its backward
+// compatibility: a fresh checkpoint is exactly a meta record and an
+// END trailer; one in the shape older versions wrote — N per-node
+// label records in between, END advertising N — still replays through
+// the same reader; and one whose advertised count is off is still an
+// incomplete checkpoint.
+func TestCheckpointRecords(t *testing.T) {
 	dir := t.TempDir()
-	d := mustDoc(t, "<root/>")
-	j, err := Create(Config{Dir: dir, Scheme: testScheme, NoGroupCommit: true}, d)
+	d := mustDoc(t, "<root><a/><b/></root>")
+	j, err := Create(Config{Dir: dir, Scheme: testScheme}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := rootID(t, d)
-	for i := 0; i < 3; i++ {
-		if err := applyAndAppend(t, j, d, insertEdit(root, fmt.Sprintf("n%d", i)))(); err != nil {
+	for _, name := range []string{"x", "y"} {
+		if err := applyAndAppend(t, j, d, insertEdit(root, name))(); err != nil {
 			t.Fatal(err)
-		}
-		if st := j.Stats(); st.Durable != st.Seq {
-			t.Fatalf("baseline append not immediately durable: %+v", st)
 		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, d2, _, err := Replay(Config{Dir: dir, Scheme: testScheme})
+	recs, err := labelstore.ReadAll(ckptPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := d2.XML(), d.XML(); got != want {
-		t.Fatalf("XML = %s, want %s", got, want)
+	if len(recs) != 2 || recs[0].ID != metaRecordID || recs[1].ID != endRecordID {
+		t.Fatalf("fresh checkpoint holds %d records, want exactly meta + END", len(recs))
+	}
+
+	rewrite := func(labels, advertised int) {
+		t.Helper()
+		store, err := labelstore.Create(ckptPath(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		write := func(id uint64, payload []byte) {
+			t.Helper()
+			if err := store.Write(id, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(metaRecordID, recs[0].Payload)
+		for v := 0; v < labels; v++ {
+			write(uint64(v), []byte{byte(v)})
+		}
+		write(endRecordID, encodeEnd(checkpointEnd{Labels: advertised}))
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rewrite(3, 3)
+	j2, d2, info, err := Replay(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("label-carrying checkpoint: %v", err)
+	}
+	if info.Repaired || info.Batches != 2 || d2.XML() != d.XML() {
+		t.Fatalf("label-carrying checkpoint: info %+v, XML %s, want %s", info, d2.XML(), d.XML())
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rewrite(3, 2)
+	if _, ok := readCheckpoint(ckptPath(dir, 0)); ok {
+		t.Fatal("checkpoint advertising 2 label records but holding 3 read as complete")
+	}
+	if _, _, _, err := Replay(Config{Dir: dir, Recover: true}); err == nil {
+		t.Fatal("replayed from a checkpoint with a wrong record count")
+	}
+}
+
+// TestSegmentHeaderDamage: a segment whose 8-byte header has one bit
+// flipped is damaged, not torn. For the log and for the checkpoint, at
+// every header byte, Replay fails with and without Recover and leaves
+// every file in the directory byte for byte as it was — in particular
+// the log's CRC-intact acknowledged batches, which one restored byte
+// makes replayable again. (Reading such a log as a checksum-free
+// legacy format once let recovery cut it down to a fraction.) A
+// damaged checkpoint is an incomplete checkpoint like any other.
+func TestSegmentHeaderDamage(t *testing.T) {
+	dir := t.TempDir()
+	d := mustDoc(t, "<root><a/><b/></root>")
+	j, err := Create(Config{Dir: dir, Scheme: testScheme}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := rootID(t, d)
+	const edits = 10
+	for i := 0; i < edits; i++ {
+		if err := applyAndAppend(t, j, d, insertEdit(root, fmt.Sprintf("n%d", i)))(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	for _, path := range []string{logPath(dir, 0), ckptPath(dir, 0)} {
+		clean, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			damaged := append([]byte(nil), clean...)
+			damaged[i] ^= 1
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := files()
+			for _, recover := range []bool{false, true} {
+				what := fmt.Sprintf("%s byte %d, Recover=%v", filepath.Base(path), i, recover)
+				j, _, _, err := Replay(Config{Dir: dir, Recover: recover})
+				if err == nil {
+					_ = j.Close()
+					t.Fatalf("%s: Replay succeeded", what)
+				}
+				if path == logPath(dir, 0) {
+					var typed bool
+					switch {
+					case !recover: // refused for want of Recover
+						typed = errors.Is(err, ErrRecoveryTruncated)
+					case i < 7: // refused by the segment reader: bad magic
+						typed = errors.Is(err, labelstore.ErrCorrupt)
+					default: // refused by the segment reader: bad version
+						typed = strings.Contains(err.Error(), "unsupported format version")
+					}
+					if !typed {
+						t.Errorf("%s: unexpected error %v", what, err)
+					}
+				}
+				if after := files(); !reflect.DeepEqual(after, before) {
+					t.Fatalf("%s: Replay modified the journal directory", what)
+				}
+			}
+		}
+		if err := os.WriteFile(path, clean, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j2, d2, info, err := Replay(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if info.Repaired || info.Batches != edits || d2.XML() != d.XML() {
+		t.Fatalf("after restoring the headers: info %+v, XML %s, want %s", info, d2.XML(), d.XML())
 	}
 }

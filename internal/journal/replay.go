@@ -6,10 +6,12 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/dyndoc"
 	"repro/internal/labelstore"
 	"repro/internal/registry"
+	"repro/internal/xmltree"
 )
 
 // Exists reports whether dir holds a journal (any segment files). A
@@ -94,11 +96,13 @@ func listGens(dir string) ([]genFiles, error) {
 }
 
 // readCheckpoint parses ckpt-gen and reports whether it is complete:
-// a meta record first, the advertised number of labels, and a
-// decodable END trailer last. An incomplete checkpoint — torn file,
-// missing trailer, label count mismatch — is not an error here; it is
-// the expected residue of a crash mid-checkpoint, and the caller
-// falls back to the previous generation.
+// a meta record first, then as many records as the END trailer
+// advertises (none since checkpoints stopped carrying per-node label
+// records; older ones carry one per node, which nothing reads), and a
+// decodable END trailer last. An incomplete checkpoint — torn or
+// damaged file, missing trailer, record count mismatch — is not an
+// error here; it is the expected residue of a crash mid-checkpoint,
+// and the caller falls back to the previous generation.
 func readCheckpoint(path string) (checkpointMeta, bool) {
 	recs, err := labelstore.ReadAll(path)
 	if err != nil || len(recs) < 2 {
@@ -119,6 +123,34 @@ func readCheckpoint(path string) (checkpointMeta, bool) {
 		return checkpointMeta{}, false
 	}
 	return meta, true
+}
+
+// rebuildFromMeta reconstructs the checkpointed document and the
+// checkpoint-id → rebuilt-id map its preorder list pins down. The XML
+// is parsed with attribute nodes: the checkpoint serialised them (a
+// document without any serialises none), and the id list counts them.
+func rebuildFromMeta(meta checkpointMeta) (*dyndoc.Document, map[int]int, error) {
+	entry, err := registry.Lookup(meta.Scheme)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: checkpoint scheme: %w", err)
+	}
+	tree, err := xmltree.ParseWithOptions(strings.NewReader(meta.XML), xmltree.ParseOptions{IncludeAttributes: true})
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: rebuilding checkpoint document: %w", err)
+	}
+	d, err := dyndoc.New(tree, entry.Build)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: rebuilding checkpoint document: %w", err)
+	}
+	pre := d.Labeling().Tree().PreOrder()
+	if len(pre) != len(meta.PreOrder) {
+		return nil, nil, fmt.Errorf("journal: checkpoint id list has %d entries for %d nodes", len(meta.PreOrder), len(pre))
+	}
+	idmap := make(map[int]int, len(pre))
+	for i, old := range meta.PreOrder {
+		idmap[old] = pre[i]
+	}
+	return d, idmap, nil
 }
 
 // Replay rebuilds a live document from the journal in cfg.Dir — the
@@ -210,21 +242,9 @@ func Replay(cfg Config) (*Journal, *dyndoc.Document, ReplayInfo, error) {
 	// are translated through an old-id → new-id map seeded from the
 	// checkpoint's preorder list and extended by each batch's recorded
 	// results.
-	entry, err := registry.Lookup(meta.Scheme)
+	d, idmap, err := rebuildFromMeta(meta)
 	if err != nil {
-		return fail(fmt.Errorf("journal: checkpoint scheme: %w", err))
-	}
-	d, err := dyndoc.Parse(meta.XML, entry.Build)
-	if err != nil {
-		return fail(fmt.Errorf("journal: rebuilding checkpoint document: %w", err))
-	}
-	newPre := d.Labeling().Tree().PreOrder()
-	if len(newPre) != len(meta.PreOrder) {
-		return fail(fmt.Errorf("journal: checkpoint id list has %d entries for %d nodes", len(meta.PreOrder), len(newPre)))
-	}
-	idmap := make(map[int]int, len(newPre))
-	for i, old := range meta.PreOrder {
-		idmap[old] = newPre[i]
+		return fail(err)
 	}
 	seq := meta.BaseSeq
 	for _, rec := range recs {

@@ -23,9 +23,9 @@ import (
 // re-checks the checksum over the bytes actually consumed, so a
 // non-canonical encoding fails the CRC like any other corruption.
 //
-// Files that do not start with the magic are read as the legacy v1
-// format (unversioned, checksum-free, id|len|payload records), kept
-// so pre-v2 experiment logs stay loadable.
+// This is the only format: a file whose head is neither the header nor
+// a strict prefix of it (a header torn by a crash) is corrupt, and no
+// reader or repair touches it.
 const (
 	magic         = "LBLSTOR" // 7 bytes; the 8th header byte is the version
 	FormatVersion = 2
@@ -45,6 +45,35 @@ func header() []byte {
 	h := make([]byte, 0, headerSize)
 	h = append(h, magic...)
 	return append(h, FormatVersion)
+}
+
+// errTornHeader reports a segment cut before its header fully hit the
+// disk: the file is a strict prefix of the header, possibly empty — the
+// state a crash leaves between creation and the header landing.
+var errTornHeader = fmt.Errorf("labelstore: torn segment header: %w", io.ErrUnexpectedEOF)
+
+// readHeader consumes the segment header off r. It is the one place
+// that decides what a file's head means: errTornHeader for a strict
+// prefix of the header, ErrCorrupt for any other head that is not the
+// magic, and an error naming the version for a magic followed by a
+// version this code does not write.
+func readHeader(r *bufio.Reader) error {
+	head, err := r.Peek(headerSize)
+	if err != nil && err != io.EOF {
+		return fmt.Errorf("labelstore: %w", err)
+	}
+	switch full := header(); {
+	case len(head) < headerSize && string(head) == string(full[:len(head)]):
+		return errTornHeader
+	case len(head) < headerSize || string(head[:len(magic)]) != magic:
+		return fmt.Errorf("%w: not a v2 segment", ErrCorrupt)
+	case head[len(magic)] != FormatVersion:
+		return fmt.Errorf("labelstore: unsupported format version %d", head[len(magic)])
+	}
+	if _, err := r.Discard(headerSize); err != nil {
+		return fmt.Errorf("labelstore: %w", err)
+	}
+	return nil
 }
 
 // appendRecord appends the v2 encoding of one record to dst.
@@ -121,11 +150,11 @@ func readUvarint(br interface{ ReadByte() (byte, error) }) (uint64, error) {
 	return 0, fmt.Errorf("%w: uvarint overflows 64 bits", ErrCorrupt)
 }
 
-// readRecordV2 parses one v2 record. A clean end of data (zero bytes
+// readRecord parses one record. A clean end of data (zero bytes
 // available) returns io.EOF; any partial or invalid record returns a
 // non-EOF error. consumed is the number of bytes read off r,
 // including for failed parses.
-func readRecordV2(r *bufio.Reader) (rec Record, consumed int64, err error) {
+func readRecord(r *bufio.Reader) (rec Record, consumed int64, err error) {
 	cr := &crcByteReader{r: r}
 	defer func() { consumed = cr.n }()
 	id, err := readUvarint(cr)
@@ -160,35 +189,6 @@ func readRecordV2(r *bufio.Reader) (rec Record, consumed int64, err error) {
 	cr.n += 4
 	if got := binary.LittleEndian.Uint32(footer[:]); got != want {
 		return Record{}, 0, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, got, want)
-	}
-	return Record{ID: id, Payload: payload}, 0, nil
-}
-
-// readRecordV1 parses one legacy record (no checksum). The same
-// boundary rule applies: io.EOF only on a clean record boundary.
-func readRecordV1(r *bufio.Reader) (rec Record, consumed int64, err error) {
-	cr := &crcByteReader{r: r}
-	defer func() { consumed = cr.n }()
-	id, err := readUvarint(cr)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	n, err := readUvarint(cr)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Record{}, 0, fmt.Errorf("labelstore: torn length: %w", err)
-	}
-	if n > MaxPayload {
-		return Record{}, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
-	}
-	payload := make([]byte, n)
-	if err := cr.readFull(payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Record{}, 0, fmt.Errorf("labelstore: torn payload: %w", err)
 	}
 	return Record{ID: id, Payload: payload}, 0, nil
 }

@@ -218,10 +218,11 @@ type Record struct {
 }
 
 // ReadAll parses a store file back into records. It is strict: a file
-// cut inside a record — a torn varint, payload or checksum — is an
-// error (io.ErrUnexpectedEOF or ErrCorrupt in the chain), never a
-// silently shortened result. Use Recover to repair such a file. Files
-// without the v2 magic are parsed as legacy v1 logs.
+// cut inside a record — a torn varint, payload or checksum — or inside
+// its header is an error (io.ErrUnexpectedEOF or ErrCorrupt in the
+// chain), never a silently shortened result. Use Recover to repair
+// such a file. A file that does not start with the segment header is
+// ErrCorrupt.
 func ReadAll(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -229,17 +230,12 @@ func ReadAll(path string) ([]Record, error) {
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
-	v2, err := sniffV2(r)
-	if err != nil {
+	if err := readHeader(r); err != nil {
 		return nil, err
-	}
-	read := readRecordV1
-	if v2 {
-		read = readRecordV2
 	}
 	var out []Record
 	for {
-		rec, _, err := read(r)
+		rec, _, err := readRecord(r)
 		if err == io.EOF {
 			return out, nil
 		}
@@ -248,30 +244,4 @@ func ReadAll(path string) ([]Record, error) {
 		}
 		out = append(out, rec)
 	}
-}
-
-// sniffV2 inspects the stream head. On a v2 header it consumes the
-// header and returns true; otherwise it consumes nothing and returns
-// false (legacy v1). A file that starts with the magic but carries an
-// unknown version is an error, as is a non-empty strict prefix of the
-// header — a store torn before its header fully hit the disk.
-func sniffV2(r *bufio.Reader) (bool, error) {
-	head, err := r.Peek(headerSize)
-	if err != nil && err != io.EOF {
-		return false, fmt.Errorf("labelstore: %w", err)
-	}
-	if len(head) >= headerSize && string(head[:len(magic)]) == magic {
-		if head[len(magic)] != FormatVersion {
-			return false, fmt.Errorf("labelstore: unsupported format version %d", head[len(magic)])
-		}
-		if _, err := r.Discard(headerSize); err != nil {
-			return false, fmt.Errorf("labelstore: %w", err)
-		}
-		return true, nil
-	}
-	full := header()
-	if len(head) > 0 && len(head) < headerSize && string(head) == string(full[:len(head)]) {
-		return false, fmt.Errorf("labelstore: torn segment header (%d of %d bytes): %w", len(head), headerSize, io.ErrUnexpectedEOF)
-	}
-	return false, nil
 }

@@ -2,11 +2,11 @@ package labelstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -53,19 +53,6 @@ func sameRecords(a, b []Record) bool {
 		}
 	}
 	return true
-}
-
-// v1Bytes encodes records in the legacy checksum-free v1 format.
-func v1Bytes(recs []Record) []byte {
-	var out []byte
-	var hdr [2 * binary.MaxVarintLen64]byte
-	for _, r := range recs {
-		n := binary.PutUvarint(hdr[:], r.ID)
-		n += binary.PutUvarint(hdr[n:], uint64(len(r.Payload)))
-		out = append(out, hdr[:n]...)
-		out = append(out, r.Payload...)
-	}
-	return out
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -144,9 +131,8 @@ func TestOpenAppend(t *testing.T) {
 // TestOpenEmptyFile: Open on a zero-length file — the state a crash
 // leaves between file creation and the header landing — must repair
 // it to a valid v2 store before appending. The regression it guards:
-// appending CRC-footed v2 records behind no header, which ReadAll
-// rejects and Recover used to mis-parse as legacy v1 (wrong IDs,
-// garbage payloads, no error).
+// appending CRC-footed records behind no header, which no reader
+// accepts.
 func TestOpenEmptyFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "labels.log")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
@@ -216,68 +202,83 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	}
 }
 
-func TestReadAllV1Legacy(t *testing.T) {
-	want := testRecords()
-	path := filepath.Join(t.TempDir(), "v1.log")
-	if err := os.WriteFile(path, v1Bytes(want), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v1 round-trips nil payloads as empty.
-	if !sameRecords(got, want) {
-		t.Errorf("v1 ReadAll = %+v, want %+v", got, want)
-	}
-	// An empty file is an empty v1 store.
-	empty := filepath.Join(t.TempDir(), "empty.log")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ReadAll(empty); err != nil || len(got) != 0 {
-		t.Errorf("empty file: %v, %v", got, err)
-	}
-}
-
-// TestReadAllTornVarint is the regression for the v1 reader treating
+// TestReadAllTornVarint is the regression for a reader treating
 // io.EOF from a partially-read id uvarint as a clean end of file: a
-// file cut mid-varint must fail with io.ErrUnexpectedEOF, in both
-// formats.
+// file cut mid-varint must fail with io.ErrUnexpectedEOF.
 func TestReadAllTornVarint(t *testing.T) {
 	dir := t.TempDir()
 
-	// v1: one whole record, then a multi-byte id varint cut short.
-	v1 := append(v1Bytes(testRecords()[:1]), 0x80, 0x80)
-	p1 := filepath.Join(dir, "v1-torn")
-	if err := os.WriteFile(p1, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadAll(p1); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("v1 torn id accepted: err = %v", err)
-	}
-
-	// v2: header + one whole record + a torn id varint.
-	p2 := filepath.Join(dir, "v2-torn")
-	writeStore(t, p2, testRecords()[:1])
-	raw, err := os.ReadFile(p2)
+	// Header + one whole record + a torn id varint.
+	p := filepath.Join(dir, "torn")
+	writeStore(t, p, testRecords()[:1])
+	raw, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(p2, append(raw, 0x80), 0o644); err != nil {
+	if err := os.WriteFile(p, append(raw, 0x80), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadAll(p2); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("v2 torn id accepted: err = %v", err)
+	if _, err := ReadAll(p); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("torn id accepted: err = %v", err)
 	}
 
 	// A bare torn varint with no preceding record.
-	p3 := filepath.Join(dir, "bare")
-	if err := os.WriteFile(p3, []byte{0xFF}, 0o644); err != nil {
+	bare := filepath.Join(dir, "bare")
+	if err := os.WriteFile(bare, append(header(), 0xFF), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadAll(p3); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadAll(bare); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("bare torn varint accepted: err = %v", err)
+	}
+}
+
+// TestHeaderBitFlip: a populated segment with any single bit of its
+// 8-byte header flipped is not a torn segment, it is a damaged one.
+// No reader accepts it and no repair path — Recover, Open — shrinks or
+// rewrites it: the records behind the header are CRC-intact and one
+// restored byte away from readable. (Reading such a file as a
+// checksum-free legacy format once let Recover cut it to a fraction.)
+func TestHeaderBitFlip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.log")
+	writeStore(t, path, testRecords())
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < headerSize; i++ {
+		for bit := 0; bit < 8; bit++ {
+			damaged := append([]byte(nil), clean...)
+			damaged[i] ^= 1 << bit
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check := func(op string, err error) {
+				t.Helper()
+				if i < len(magic) {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Errorf("byte %d bit %d: %s = %v, want ErrCorrupt", i, bit, op, err)
+					}
+				} else if err == nil || !strings.Contains(err.Error(), "unsupported format version") {
+					t.Errorf("byte %d bit %d: %s = %v, want the unsupported-version error", i, bit, op, err)
+				}
+				if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, damaged) {
+					t.Fatalf("byte %d bit %d: %s modified the file (%d -> %d bytes, %v)", i, bit, op, len(damaged), len(after), rerr)
+				}
+			}
+			_, err := ReadAll(path)
+			check("ReadAll", err)
+			_, _, err = Recover(path)
+			check("Recover", err)
+			_, err = Open(path)
+			check("Open", err)
+		}
+	}
+	// Restoring the byte restores every record.
+	if err := os.WriteFile(path, clean, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadAll(path); err != nil || !sameRecords(got, testRecords()) {
+		t.Errorf("restored file: %+v, %v", got, err)
 	}
 }
 
@@ -375,13 +376,13 @@ func TestReadAllErrors(t *testing.T) {
 	if _, err := ReadAll(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
 	}
-	// Truncated v1 payload.
+	// Record bytes behind no header: not a segment.
 	bad := filepath.Join(dir, "bad")
 	if err := os.WriteFile(bad, []byte{1, 10, 0xFF}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadAll(bad); err == nil {
-		t.Error("truncated payload accepted")
+	if _, err := ReadAll(bad); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("headerless file: err = %v, want ErrCorrupt", err)
 	}
 }
 

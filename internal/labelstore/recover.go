@@ -2,6 +2,7 @@ package labelstore
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -22,8 +23,9 @@ import (
 // Special cases: a file shorter than the segment header that is a
 // prefix of it — including a zero-length file, the state a crash
 // leaves between creation and the header landing — is reset to a
-// valid empty v2 store; legacy v1 files (no magic) are scanned with
-// the same boundary rules, just without checksum protection.
+// valid empty store. A file whose head is anything else but the
+// header is not a torn segment: Recover fails with ErrCorrupt (or the
+// unsupported-version error) and leaves it byte for byte as it was.
 func Recover(path string) (records []Record, truncatedBytes int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -49,42 +51,23 @@ func recoverOpenFile(f *os.File) (records []Record, truncatedBytes int64, err er
 	}
 	r := bufio.NewReader(f)
 
-	// Decide the format and the scan start. A torn header (strict
-	// prefix of the v2 header) is repaired by rewriting it whole.
-	head, err := r.Peek(headerSize)
-	if err != nil && err != io.EOF {
-		return nil, 0, fmt.Errorf("labelstore: %w", err)
-	}
-	full := header()
-	v2 := len(head) >= headerSize && string(head[:len(magic)]) == magic
-	if v2 && head[len(magic)] != FormatVersion {
-		return nil, 0, fmt.Errorf("labelstore: unsupported format version %d", head[len(magic)])
-	}
-	if !v2 && len(head) < headerSize && string(head) == string(full[:len(head)]) {
-		// The crash landed before the header was complete — possibly
-		// before any byte of it (a zero-length file): nothing was ever
-		// readable, so reset to a valid empty store. Without this,
-		// Open would append v2 records to a headerless file that every
-		// reader then mis-parses as legacy v1.
+	if err := readHeader(r); errors.Is(err, errTornHeader) {
+		// Nothing was ever readable, so reset to a valid empty store.
+		// Without this, Open would append records to a headerless file
+		// that no reader accepts.
 		if err := rewriteHeader(f); err != nil {
 			return nil, 0, err
 		}
 		recordTruncation(size)
 		return nil, size, nil
+	} else if err != nil {
+		return nil, 0, err
 	}
-	read := readRecordV1
-	off := int64(0)
-	if v2 {
-		read = readRecordV2
-		if _, err := r.Discard(headerSize); err != nil {
-			return nil, 0, fmt.Errorf("labelstore: %w", err)
-		}
-		off = int64(headerSize)
-	}
+	off := int64(headerSize)
 
 	// Scan forward, remembering the last clean boundary.
 	for {
-		rec, consumed, err := read(r)
+		rec, consumed, err := readRecord(r)
 		if err == io.EOF {
 			break // clean end: the whole tail is intact
 		}

@@ -2,7 +2,9 @@ package labelstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -139,47 +141,21 @@ func TestRecoverCorruptMiddle(t *testing.T) {
 	}
 }
 
-// TestRecoverV1 covers the legacy format: no checksums, but the same
-// boundary rules — a torn tail is truncated, whole records survive.
-func TestRecoverV1(t *testing.T) {
-	want := testRecords()
-	enc := v1Bytes(want)
-	path := filepath.Join(t.TempDir(), "v1.log")
-	// Cut inside the last record's payload.
-	if err := os.WriteFile(path, enc[:len(enc)-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recovered, truncated, err := Recover(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRecords(recovered, want[:3]) {
-		t.Errorf("v1 recovery: %+v", recovered)
-	}
-	if truncated == 0 {
-		t.Error("v1 recovery reported no truncation")
-	}
-	if again, err := ReadAll(path); err != nil || !sameRecords(again, want[:3]) {
-		t.Errorf("v1 post-recovery read: %+v, %v", again, err)
-	}
-}
-
 // TestRecoverTornHeader: a crash before the segment header landed
 // leaves a strict prefix of it — possibly the empty prefix, a
 // zero-length file; Recover resets the file to a valid empty store
 // that Open can append to. Without the off==0 case, Open would append
-// v2 records to a headerless file that readers mis-parse as v1.
+// records to a headerless file that no reader accepts.
 func TestRecoverTornHeader(t *testing.T) {
 	for off := 0; off < headerSize; off++ {
 		path := filepath.Join(t.TempDir(), "torn.log")
 		if err := os.WriteFile(path, header()[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// A zero-length file reads cleanly as an empty legacy v1 store
-		// (documented contract); any non-empty strict header prefix is
-		// a detected tear.
-		if _, err := ReadAll(path); off > 0 && err == nil {
-			t.Errorf("off %d: torn header read cleanly", off)
+		// Every strict header prefix, the empty one included, is a
+		// detected tear.
+		if _, err := ReadAll(path); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("off %d: torn header read: err = %v, want io.ErrUnexpectedEOF", off, err)
 		}
 		recs, truncated, err := Recover(path)
 		if err != nil || len(recs) != 0 || truncated != int64(off) {
@@ -244,7 +220,12 @@ func FuzzReadAll(f *testing.F) {
 	f.Add(v2[:headerSize+1])
 	f.Add(header())
 	f.Add(header()[:3])
-	f.Add(v1Bytes(want))
+	f.Add(v2[headerSize:]) // records behind no header
+	for i := 0; i < headerSize; i++ {
+		damaged := append([]byte(nil), v2...)
+		damaged[i] ^= 1
+		f.Add(damaged)
+	}
 	f.Add([]byte{0x80, 0x80, 0x80})
 	f.Add([]byte{1, 10, 0xFF})
 	corrupt := append([]byte(nil), v2...)
@@ -258,11 +239,19 @@ func FuzzReadAll(f *testing.F) {
 		}
 		strict, strictErr := ReadAll(path)
 		recovered, truncated, err := Recover(path)
-		if err != nil {
-			// Only a version we never wrote may be unrecoverable.
-			if len(data) >= headerSize && string(data[:len(magic)]) == magic && data[len(magic)] != FormatVersion {
-				return
+		if !bytes.HasPrefix(data, header()) && !bytes.HasPrefix(header(), data) {
+			// Neither a segment nor one torn inside its header: damaged
+			// magic, a version we never wrote, or foreign bytes. Both
+			// refuse it and the file stays as it was.
+			if strictErr == nil || err == nil {
+				t.Fatalf("not a segment, yet ReadAll = %v, Recover = %v", strictErr, err)
 			}
+			if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("Recover modified a file that is not a segment (%d -> %d bytes, %v)", len(data), len(after), rerr)
+			}
+			return
+		}
+		if err != nil {
 			t.Fatalf("Recover failed on recoverable input: %v", err)
 		}
 		if truncated < 0 || truncated > int64(len(data)) {

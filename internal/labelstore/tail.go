@@ -2,7 +2,7 @@ package labelstore
 
 import (
 	"bufio"
-	"fmt"
+	"errors"
 	"io"
 	"math"
 )
@@ -24,31 +24,16 @@ import (
 func ReadAvailable(r io.ReaderAt, off int64) ([]Record, int64, error) {
 	br := bufio.NewReader(io.NewSectionReader(r, off, math.MaxInt64-off))
 	if off == 0 {
-		head, err := br.Peek(headerSize)
-		if err != nil && err != io.EOF {
-			return nil, 0, fmt.Errorf("labelstore: %w", err)
-		}
-		if len(head) < headerSize {
-			full := header()
-			if string(head) == string(full[:len(head)]) {
-				return nil, 0, nil // header still being written
-			}
-			return nil, 0, fmt.Errorf("%w: not a v2 segment", ErrCorrupt)
-		}
-		if string(head[:len(magic)]) != magic {
-			return nil, 0, fmt.Errorf("%w: not a v2 segment", ErrCorrupt)
-		}
-		if head[len(magic)] != FormatVersion {
-			return nil, 0, fmt.Errorf("labelstore: unsupported format version %d", head[len(magic)])
-		}
-		if _, err := br.Discard(headerSize); err != nil {
-			return nil, 0, fmt.Errorf("labelstore: %w", err)
+		if err := readHeader(br); errors.Is(err, errTornHeader) {
+			return nil, 0, nil // header still being written
+		} else if err != nil {
+			return nil, 0, err
 		}
 		off = int64(headerSize)
 	}
 	var out []Record
 	for {
-		rec, n, err := readRecordV2(br)
+		rec, n, err := readRecord(br)
 		if err != nil {
 			// io.EOF is a clean boundary; anything else is a tail that
 			// is torn, still in flight, or corrupt — indistinguishable

@@ -6,8 +6,8 @@ import "fmt"
 // index subdivision driven by one validated Between call per emitted
 // code. EncodeBetween replaced it on the production paths with a
 // one-pass recursion that validates the bounds once; it stays as the
-// differential ground truth for the unit tests, FuzzEncodeBetween and
-// the word/ref benchmark pair, mirroring cdbs/reference.go.
+// differential ground truth for the unit tests and FuzzEncodeBetween,
+// mirroring cdbs/reference_test.go.
 func RefNBetween(l, r Code, n int) ([]Code, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("qed: NBetween count %d is negative", n)

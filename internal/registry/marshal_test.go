@@ -44,9 +44,10 @@ func TestEverySchemeMarshalsLabels(t *testing.T) {
 	}
 }
 
-// TestSaveLabelingRoundTrip checkpoints a labeling to disk and checks
-// the stored records line up with fresh marshals.
-func TestSaveLabelingRoundTrip(t *testing.T) {
+// TestMarshaledLabelsRoundTripStore writes every label of a labeling
+// to a labelstore file and checks the stored records line up with
+// fresh marshals.
+func TestMarshaledLabelsRoundTripStore(t *testing.T) {
 	doc := randomDoc(40, 5)
 	for _, name := range []string{"V-CDBS-Containment", "QED-Prefix", "Prime"} {
 		entry, err := Lookup(name)
@@ -62,12 +63,15 @@ func TestSaveLabelingRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		written, err := labelstore.SaveLabeling(store, lab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if written != lab.Len() {
-			t.Fatalf("%s: wrote %d of %d labels", name, written, lab.Len())
+		m := lab.(scheme.LabelMarshaler)
+		for _, v := range lab.Tree().PreOrder() {
+			payload, err := m.MarshalLabel(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Write(uint64(v), payload); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
@@ -79,7 +83,6 @@ func TestSaveLabelingRoundTrip(t *testing.T) {
 		if len(records) != lab.Len() {
 			t.Fatalf("%s: %d records", name, len(records))
 		}
-		m := lab.(scheme.LabelMarshaler)
 		for _, r := range records {
 			want, err := m.MarshalLabel(int(r.ID))
 			if err != nil {

@@ -24,9 +24,6 @@
 //	GET  /v1/docs/{name}/watch      SSE stream of change notifications (?path)
 //	GET  /healthz                   liveness
 //	GET  /debug/vars                process metrics registry as JSON
-//
-// Unversioned /docs... routes answer 308 Permanent Redirect to their
-// /v1 equivalents.
 package web
 
 import (
@@ -81,11 +78,6 @@ func New(cfg Config) *Server {
 	s.routeStream(mux, "GET /v1/docs/{name}/journal", "journal", s.handleJournal)
 	s.routeStream(mux, "GET /v1/docs/{name}/horizon", "horizon", s.handleHorizon)
 	s.routeStream(mux, "GET /v1/docs/{name}/watch", "watch", s.handleWatch)
-	// Unversioned routes from before the /v1 surface answer with a 308
-	// so old clients learn the new location without losing the method
-	// or body.
-	mux.Handle("/docs", redirectV1())
-	mux.Handle("/docs/", redirectV1())
 	// Introspection routes skip the timeout and per-route metrics:
 	// they must answer even when the API is saturated, and scraping
 	// them should not perturb what they report.
@@ -93,19 +85,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.handler = withRequestID(mux)
 	return s
-}
-
-// redirectV1 sends unversioned /docs... requests to their /v1
-// equivalent with 308 Permanent Redirect, which preserves the request
-// method and body across the retry.
-func redirectV1() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		target := "/v1" + r.URL.Path
-		if r.URL.RawQuery != "" {
-			target += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, target, http.StatusPermanentRedirect)
-	})
 }
 
 // route registers one API route under the full middleware stack.

@@ -9,28 +9,17 @@ import (
 	"repro/internal/journal"
 )
 
-// TestUnversionedRedirect is the only place unversioned routes may
-// appear: every pre-/v1 path answers 308 to its /v1 twin, preserving
-// method, query and (per 308 semantics) body on the client's retry.
-func TestUnversionedRedirect(t *testing.T) {
+// TestUnversionedRoutesNotFound: /v1 is the only API surface; the
+// pre-/v1 paths are no routes at all.
+func TestUnversionedRoutesNotFound(t *testing.T) {
 	s, _ := newTestServer(t, 0)
-	cases := []struct {
-		method, path, want string
-	}{
-		{"GET", "/docs", "/v1/docs"},
-		{"GET", "/docs/alpha", "/v1/docs/alpha"},
-		{"POST", "/docs/alpha/open", "/v1/docs/alpha/open"},
-		{"POST", "/docs/alpha/query", "/v1/docs/alpha/query"},
-		{"GET", "/docs/alpha/journal?from=3&limit=5", "/v1/docs/alpha/journal?from=3&limit=5"},
-	}
-	for _, tc := range cases {
-		w := do(s, tc.method, tc.path, "")
-		if w.Code != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: status %d, want 308", tc.method, tc.path, w.Code)
-			continue
-		}
-		if loc := w.Header().Get("Location"); loc != tc.want {
-			t.Errorf("%s %s: Location %q, want %q", tc.method, tc.path, loc, tc.want)
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/docs"},
+		{"GET", "/docs/alpha"},
+		{"POST", "/docs/alpha/query"},
+	} {
+		if w := do(s, tc.method, tc.path, ""); w.Code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, w.Code)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package xpath
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
@@ -262,13 +262,28 @@ func (e *Engine) siblings(ctx []int, name string, preceding bool) []int {
 			}
 		}
 	}
-	sort.Ints(out)
+	e.sortDocOrder(out)
 	return out
 }
 
-// parents returns the deduplicated parents of the context nodes that
-// match the name test, confirmed through the labeling's parent
-// predicate.
+// sortDocOrder sorts distinct ids into document order. Id order is not
+// document order once the document has been edited, and the next
+// step's joinDown assumes a document-ordered context.
+func (e *Engine) sortDocOrder(ids []int) {
+	slices.SortFunc(ids, func(a, b int) int {
+		switch {
+		case a == b:
+			return 0
+		case e.lab.Before(a, b):
+			return -1
+		}
+		return 1
+	})
+}
+
+// parents returns, deduplicated and in document order, the parents of
+// the context nodes that match the name test, confirmed through the
+// labeling's parent predicate.
 func (e *Engine) parents(ctx []int, name string) []int {
 	tr := e.lab.Tree()
 	seen := make(map[int]bool)
@@ -283,7 +298,7 @@ func (e *Engine) parents(ctx []int, name string) []int {
 			out = append(out, p)
 		}
 	}
-	sort.Ints(out)
+	e.sortDocOrder(out)
 	return out
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/containment"
 	"repro/internal/keys"
 	"repro/internal/prefix"
+	"repro/internal/registry"
 	"repro/internal/xmltree"
 )
 
@@ -346,6 +347,98 @@ func TestOracleSanity(t *testing.T) {
 		got := len(o.eval(MustParse(qs), nil, true))
 		if got != want {
 			t.Errorf("oracle Count(%s) = %d, want %d", qs, got, want)
+		}
+	}
+}
+
+// TestAxesDocOrderAfterEdits is the regression for the sibling and
+// parent axes returning their results in id order: on a document that
+// has been edited, ids no longer follow document order, and the child
+// step after such an axis (a structural join over a document-ordered
+// context) dropped matches. The labeling absorbs random inserts, the
+// same inserts are mirrored into a plain tree the oracle walks, and
+// every result must equal the oracle's as a sequence, under every
+// registered scheme.
+func TestAxesDocOrderAfterEdits(t *testing.T) {
+	queries := []string{
+		"//b/preceding-sibling::a",
+		"//b/preceding-sibling::a/c",
+		"//b/following-sibling::a",
+		"//b/following-sibling::a/c",
+		"//c/parent::a",
+		"//c/parent::a/b",
+		"//*/preceding-sibling::*/*",
+		"//*/following-sibling::*/*",
+		"//*/parent::*/*",
+	}
+	for _, sn := range registry.Names() {
+		entry, err := registry.Lookup(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := rand.New(rand.NewSource(5))
+		doc := randomNamedDoc(gen, 12)
+		lab, err := entry.Build(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", sn, err)
+		}
+		byID := doc.Nodes() // a fresh labeling numbers nodes in preorder
+		names := []string{"a", "b", "c"}
+		for i := 0; i < 60; i++ {
+			parent := gen.Intn(len(byID))
+			pos := gen.Intn(len(byID[parent].Children) + 1)
+			id, _, err := lab.InsertChildAt(parent, pos)
+			if err != nil {
+				t.Fatalf("%s: insert %d: %v", sn, i, err)
+			}
+			if id != len(byID) {
+				t.Fatalf("%s: insert %d got id %d, want %d", sn, i, id, len(byID))
+			}
+			n := xmltree.NewElement(names[gen.Intn(len(names))])
+			if err := byID[parent].InsertChildAt(pos, n); err != nil {
+				t.Fatal(err)
+			}
+			byID = append(byID, n)
+		}
+
+		// The engine's index lists are in document order by contract;
+		// take that order from the mirrored tree.
+		idOf := make(map[*xmltree.Node]int, len(byID))
+		elemNames := make([]string, len(byID))
+		for id, n := range byID {
+			idOf[n] = id
+			elemNames[id] = n.Name
+		}
+		byName := map[string][]int{}
+		var elems []int
+		inOrder := true
+		for i, n := range doc.Nodes() {
+			id := idOf[n]
+			inOrder = inOrder && id == i
+			byName[n.Name] = append(byName[n.Name], id)
+			elems = append(elems, id)
+		}
+		if inOrder {
+			t.Fatalf("%s: edits left id order equal to document order; the test proves nothing", sn)
+		}
+		eng := NewEngineIndexed(lab, elemNames, byName, elems)
+		o := newOracle(doc)
+		for _, qs := range queries {
+			q := MustParse(qs)
+			var want []int
+			for _, n := range o.eval(q, nil, true) {
+				want = append(want, idOf[n])
+			}
+			if len(want) == 0 {
+				t.Fatalf("%s: %q matches nothing; the test proves nothing", sn, qs)
+			}
+			got, err := eng.Eval(q)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", sn, qs, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %q:\nengine %v\noracle %v", sn, qs, got, want)
+			}
 		}
 	}
 }

@@ -147,46 +147,42 @@ func TestOpenBatch(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShimsMatchOpen checks the legacy constructors agree
-// with their Open spellings.
-func TestDeprecatedShimsMatchOpen(t *testing.T) {
+// TestOpenAccessorsAgree checks the typed views a handle hands out
+// (Labeling, Live, Shared) describe the same document the handle does,
+// for every source kind and mode the retired constructors covered.
+func TestOpenAccessorsAgree(t *testing.T) {
 	doc, err := ParseXMLString(openSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab, err := Label(doc, "V-CDBS-Containment")
+	labeled, err := Open(doc, WithScheme("V-CDBS-Containment"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lab.Len() != doc.Len() {
-		t.Fatalf("Label labeling has %d nodes, document %d", lab.Len(), doc.Len())
-	}
-	live, err := ParseLive(openSeed, "QED-Prefix")
-	if err != nil {
-		t.Fatal(err)
+	if lab := labeled.Labeling(); lab.Len() != doc.Len() {
+		t.Fatalf("labeling has %d nodes, document %d", lab.Len(), doc.Len())
 	}
 	h, err := Open(openSeed, WithScheme("QED-Prefix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.XML() != h.XML() {
-		t.Fatal("ParseLive and Open disagree")
+	if h.Live().XML() != h.XML() {
+		t.Fatal("Live() and the handle disagree")
 	}
-	shared, err := ParseShared(openSeed, "V-CDBS-Containment")
+	c, err := Open(openSeed, WithScheme("V-CDBS-Containment"), WithConcurrent())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared.Len() != h.Len() {
-		t.Fatal("ParseShared and Open disagree on node count")
+	if c.Shared().Len() != h.Len() {
+		t.Fatal("Shared() and a plain handle disagree on node count")
 	}
 	for _, bad := range []func() error{
-		func() error { _, err := Label(doc, "bogus"); return err },
-		func() error { _, err := Live(doc, "bogus"); return err },
-		func() error { _, err := ParseLive(openSeed, "bogus"); return err },
-		func() error { _, err := ParseShared(openSeed, "bogus"); return err },
+		func() error { _, err := Open(doc, WithScheme("bogus")); return err },
+		func() error { _, err := Open(openSeed, WithScheme("bogus")); return err },
+		func() error { _, err := Open(openSeed, WithScheme("bogus"), WithConcurrent()); return err },
 	} {
 		if err := bad(); !errors.Is(err, ErrUnknownScheme) {
-			t.Fatalf("shim error %v does not match ErrUnknownScheme", err)
+			t.Fatalf("error %v does not match ErrUnknownScheme", err)
 		}
 	}
 }

@@ -26,10 +26,9 @@
 #                      the concurrency/durability tier (guardedby, atomicmix,
 #                      ackorder, lockorder) explicitly in both tag states and
 #                      a fixture-coverage check over `labelvet -list`
-#   8. bench smoke   — every benchmark once (-benchtime 1x), the
-#                      store-backend kernels (slice vs paged, cold vs
-#                      warm page cache) by name, plus a throwaway BENCH
-#                      JSON report, so the bench machinery cannot rot
+#   8. bench smoke   — the label-kernel packages' benchmarks once
+#                      (-benchtime 1x), so they cannot rot; measuring is
+#                      benchmark/'s job (stage 12)
 #   9. metrics smoke — experiments binary dumps a -metrics-json snapshot and
 #                      the labelstore/cdbs/qed/dyndoc/journal-ship/watch/
 #                      follower keys must be present
@@ -37,10 +36,9 @@
 #                      surface is driven through dynxmlctl (the typed
 #                      /v1 client: open, query, explain, edit, batch,
 #                      sync, checkpoint, stats, xml, list, close,
-#                      reopen, horizon, watch), unversioned routes must
-#                      308 to /v1, /debug/vars must carry the web_* and
-#                      catalog_* families, and SIGTERM must stop the
-#                      server cleanly (exit 0)
+#                      reopen, horizon, watch), /debug/vars must carry
+#                      the web_* and catalog_* families, and SIGTERM
+#                      must stop the server cleanly (exit 0)
 #  11. replication smoke — a second dynxmld boots with -follow against
 #                      the first, serves a leader write at the ack'd
 #                      horizon, rejects writes with 403 read_only,
@@ -149,13 +147,10 @@ done
 
 echo "==> bench smoke (-benchtime 1x)"
 go test -run '^$' -bench . -benchtime 1x ./internal/bitstr ./internal/cdbs ./internal/qed
-go test -run '^$' -bench 'Kernels/xpath/' -benchtime 1x .
-go test -run '^$' -bench 'Kernels/store/' -benchtime 1x .
-BENCH_TIME=1x BENCH_OUT="${BENCH_SMOKE_OUT:-/tmp/bench_smoke.json}" sh scripts/bench.sh
 
 echo "==> metrics snapshot smoke (-metrics-json)"
 metrics_out="${METRICS_SMOKE_OUT:-/tmp/metrics_smoke.json}"
-go run ./cmd/experiments -run live,overflow,durable,follow -edits 60 -metrics-json "$metrics_out" >/dev/null
+go run ./cmd/experiments -run overflow,durable,follow -edits 60 -metrics-json "$metrics_out" >/dev/null
 for key in labelstore_sync_seconds labelstore_records_total cdbs_relabel_burst_codes qed_code_len_digits dyndoc_inserts_total dyndoc_snapshot_swaps_total dyndoc_reader_staleness_gens dyndoc_batch_size cdbs_batch_insert_codes journal_append_seconds journal_appends_total journal_group_commits_total journal_group_commit_batches journal_checkpoints_total journal_checkpoint_reclaimed_bytes_total journal_replayed_edits_total xpath_plan_cache_hits_total xpath_result_cache_hits_total xpath_join_parallel_parts journal_ship_requests_total journal_ship_batches_total journal_ship_bytes_total journal_ship_snapshots_total watch_watchers_active watch_events_total watch_notifications_total watch_coalesced_total watch_requeries_total follower_lag_seqs follower_applied_total follower_resets_total follower_polls_total; do
 	if ! grep -q "\"$key\"" "$metrics_out"; then
 		echo "metrics smoke: $key missing from $metrics_out" >&2
@@ -211,9 +206,6 @@ sleep 0.5
 wait "$watch_pid" || httpd_fail "watch never fired: $(cat "$httpd_dir/watch.out")"
 grep -q '"added":1' "$httpd_dir/watch.out" || httpd_fail "watch notification malformed: $(cat "$httpd_dir/watch.out")"
 if "$ctl" open ghost >/dev/null 2>&1; then httpd_fail "unknown doc did not fail"; fi
-# Unversioned paths answer 308 to their /v1 twins (compat redirect).
-status=$(curl -s -o /dev/null -w '%{http_code}' "$httpd_url/docs")
-[ "$status" = "308" ] || httpd_fail "unversioned /docs gave $status, want 308"
 vars_out="$httpd_dir/vars.json"
 curl -sf "$httpd_url/debug/vars" >"$vars_out" || httpd_fail "debug/vars"
 for key in web_requests_total web_inflight_requests web_panics_total web_timeouts_total \
