@@ -377,7 +377,7 @@ func runDurable(edits int) error {
 
 // runFollow drives the PR 9 replication path end to end in-process:
 // a journaled leader handle shipping encoded chunks to a follower
-// (journal.OpenFollower in fetch mode, exactly the transport the HTTP
+// (journal.OpenFollower over an in-process fetch, the transport the HTTP
 // endpoint wraps), with a live watch subscription on the follower.
 // Every leader write is timed from acknowledgement to visibility on
 // the follower — the read-your-writes lag a client pays after
@@ -405,7 +405,7 @@ func runFollow(edits int) error {
 	}
 	root := roots[0]
 
-	// The fetch mode mirrors into its own directory and replays encoded
+	// The follower mirrors into its own directory and replays encoded
 	// chunks — the same persist-then-advance contract the HTTP follower
 	// uses, minus the socket.
 	mirror, err := os.MkdirTemp("", "follow-mirror-")

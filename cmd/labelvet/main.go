@@ -26,8 +26,7 @@ import (
 
 func main() {
 	tags := flag.String("tags", "", "comma-separated extra build tags (e.g. invariants)")
-	names := flag.String("analyzers", "", "comma-separated analyzer names to run (default all)")
-	only := flag.String("only", "", "alias for -analyzers: run only this subset (e.g. guardedby,ackorder)")
+	only := flag.String("only", "", "comma-separated analyzer names to run (default all; e.g. guardedby,ackorder)")
 	allowlist := flag.String("allowlist", "", "panic allowlist file (default internal/analysis/panic_allowlist.txt)")
 	tests := flag.Bool("tests", true, "also analyze _test.go files")
 	list := flag.Bool("list", false, "list the registered analyzers with their one-line docs and exit")
@@ -51,13 +50,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *only != "" && *names != "" && *only != *names {
-		fmt.Fprintln(os.Stderr, "labelvet: -only and -analyzers are aliases; pass one of them")
-		os.Exit(2)
-	}
-	if *only != "" {
-		*names = *only
-	}
 	cfg := analysis.Config{
 		Patterns:      flag.Args(),
 		IncludeTests:  *tests,
@@ -66,8 +58,8 @@ func main() {
 	if *tags != "" {
 		cfg.Tags = strings.Split(*tags, ",")
 	}
-	if *names != "" {
-		cfg.Analyzers = strings.Split(*names, ",")
+	if *only != "" {
+		cfg.Analyzers = strings.Split(*only, ",")
 	}
 	diags, err := analysis.Vet(cfg)
 	if err != nil {

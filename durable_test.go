@@ -354,6 +354,91 @@ func TestDurableLogHeaderDamage(t *testing.T) {
 	}
 }
 
+// TestDurableUnfinishedCreate: a strict prefix of ckpt-00000000 alone in
+// the directory — what a kill inside the first Open leaves — used to
+// wedge the name: Open(src) said "already holds a journal", Open(nil)
+// "no complete checkpoint". Nothing in it was acknowledged, so Open(nil)
+// answers as for an absent journal, without touching the file, and
+// Open(src) creates over it. A lone log, or a lone incomplete later
+// checkpoint, is still refused both ways and never modified.
+func TestDurableUnfinishedCreate(t *testing.T) {
+	h, src := openDurable(t)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt0, err := os.ReadFile(filepath.Join(src, "ckpt-00000000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log0, err := os.ReadFile(filepath.Join(src, "log-00000000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, absent := Open(nil, WithJournal(t.TempDir()), WithRecover())
+	if absent == nil {
+		t.Fatal("Open(nil) over an empty directory succeeded")
+	}
+	seed := func(name string, content []byte) (dir, file string) {
+		dir = t.TempDir()
+		file = filepath.Join(dir, name)
+		if err := os.WriteFile(file, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir, file
+	}
+
+	for _, cut := range []int{0, 5, 20, len(ckpt0) - 3} {
+		dir, file := seed("ckpt-00000000", ckpt0[:cut])
+		if _, err := Open(nil, WithJournal(dir), WithRecover()); err == nil || err.Error() != absent.Error() {
+			t.Fatalf("cut %d: Open(nil) = %v, want the absent-journal error %v", cut, err, absent)
+		}
+		if after, err := os.ReadFile(file); err != nil || !bytes.Equal(after, ckpt0[:cut]) {
+			t.Fatalf("cut %d: Open(nil) modified the residue (%v)", cut, err)
+		}
+		h, err := Open(durableSeed, WithJournal(dir), WithRecover())
+		if err != nil {
+			t.Fatalf("cut %d: Open(src) over the residue: %v", cut, err)
+		}
+		roots, err := h.QueryString("/root")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := h.InsertElement(roots[0], 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+		want := h.XML()
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(nil, WithJournal(dir))
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if got := r.XML(); got != want {
+			t.Fatalf("cut %d: reopened XML = %s, want %s", cut, got, want)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for name, content := range map[string][]byte{
+		"log-00000000":  log0,
+		"ckpt-00000001": ckpt0[:len(ckpt0)-3],
+	} {
+		dir, file := seed(name, content)
+		if _, err := Open(durableSeed, WithJournal(dir), WithRecover()); err == nil {
+			t.Fatalf("lone %s: Open(src) created over it", name)
+		}
+		if _, err := Open(nil, WithJournal(dir), WithRecover()); err == nil || err.Error() == absent.Error() {
+			t.Fatalf("lone %s: Open(nil) = %v, want a damaged-journal error", name, err)
+		}
+		if after, err := os.ReadFile(file); err != nil || !bytes.Equal(after, content) {
+			t.Fatalf("lone %s: Open modified it (%v)", name, err)
+		}
+	}
+}
+
 // TestDurableAttributesRoundTrip: a journaled document opened from a
 // tree that carries attribute nodes reopens from its journal — from
 // the initial checkpoint plus log, and from a later checkpoint — with

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -201,13 +200,11 @@ const DefaultScheme = "V-CDBS-Containment"
 type config struct {
 	scheme     string
 	concurrent bool
-	batchSize  int
 	journalDir string
 	durability *Durability
 	recover    bool
 	followURL  string
 	followDir  string
-	followIvl  time.Duration
 	pagedDir   string
 	pageCache  int
 }
@@ -237,14 +234,6 @@ func WithScheme(name string) Option { return func(c *config) { c.scheme = name }
 // snapshot queries and serialized copy-on-write edits (the Shared
 // accessor exposes the full concurrent API).
 func WithConcurrent() Option { return func(c *config) { c.concurrent = true } }
-
-// WithBatchSize caps how many edits one ApplyBatch call applies per
-// published snapshot on a concurrent handle: a batch larger than n is
-// split into chunks of at most n edits, each chunk published (and
-// thus made visible to readers, and applied atomically) on its own.
-// Zero or negative n — and any n on a non-concurrent handle — leaves
-// batches unsplit.
-func WithBatchSize(n int) Option { return func(c *config) { c.batchSize = n } }
 
 // Durability selects when a journaled handle forces edits to stable
 // storage: Always, Interval(d) or None. See the package README's
@@ -345,12 +334,10 @@ var ErrRecoveryTruncated = journal.ErrRecoveryTruncated
 // write-ahead journal before acknowledging it.
 type Handle struct {
 	schemeName string
-	batchSize  int
 	live       *dyndoc.Document
 	shared     *dyndoc.Concurrent
 	jnl        *journal.Journal
 	follower   *journal.Follower // set on OpenFollower handles; edits get ErrReadOnly
-	followTmp  string            // URL-only follower: temp mirror dir, removed on Close
 
 	// Lifecycle: every error-returning method runs between acquire and
 	// release, so Close can drain the calls already past their closed
@@ -374,11 +361,10 @@ func newHandle() *Handle {
 // Open parses or wraps an XML document and labels it. src may be a
 // *Document (wrapped in place), a string or []byte of XML text, or an
 // io.Reader streaming XML text. Options select the scheme
-// (WithScheme), concurrent snapshot mode (WithConcurrent), the
-// concurrent batch chunk size (WithBatchSize) and durable journaling
-// (WithJournal, WithDurability, WithRecover). With WithJournal and an
-// existing journal, src must be nil: the document is rebuilt from the
-// journal, not parsed.
+// (WithScheme), concurrent snapshot mode (WithConcurrent) and durable
+// journaling (WithJournal, WithDurability, WithRecover). With
+// WithJournal and an existing journal, src must be nil: the document is
+// rebuilt from the journal, not parsed.
 func Open(src any, opts ...Option) (*Handle, error) {
 	cfg := config{scheme: DefaultScheme}
 	for _, opt := range opts {
@@ -409,7 +395,7 @@ func Open(src any, opts ...Option) (*Handle, error) {
 		return nil, err
 	}
 	h := newHandle()
-	h.schemeName, h.batchSize = entry.Name, cfg.batchSize
+	h.schemeName = entry.Name
 	d, err := dyndoc.NewWithStore(doc, entry.Build, cfg.storeFactory())
 	if err != nil {
 		return nil, pagedErr(err)
@@ -446,7 +432,6 @@ func openJournaled(src any, cfg config) (*Handle, error) {
 		return nil, err
 	}
 	h := newHandle()
-	h.batchSize = cfg.batchSize
 	var d *dyndoc.Document
 	if exists {
 		if src != nil {
@@ -779,32 +764,20 @@ func (h *Handle) DeleteSubtree(id int) (int, error) {
 
 // ApplyBatch applies the edits in order and returns one result per
 // completed edit. On a concurrent handle the batch is applied on a
-// private copy and published atomically — in chunks of WithBatchSize
-// edits when that option was given, each chunk atomic on its own — so
-// readers never see a torn chunk. On a plain handle edits apply in
-// place and an error leaves the already-applied prefix behind (its
-// results are returned with the error).
+// private copy and published atomically, so readers never see a torn
+// batch; a caller who wants smaller publish units calls ApplyBatch per
+// chunk. On a plain handle edits apply in place and an error leaves
+// the already-applied prefix behind (its results are returned with the
+// error).
 func (h *Handle) ApplyBatch(edits []Edit) ([]EditResult, error) {
 	if err := h.acquireWrite(); err != nil {
 		return nil, err
 	}
 	defer h.release()
-	if h.shared == nil {
-		return h.live.ApplyBatch(edits)
-	}
-	if h.batchSize <= 0 || len(edits) <= h.batchSize {
+	if h.shared != nil {
 		return h.shared.ApplyBatch(edits)
 	}
-	var out []EditResult
-	for start := 0; start < len(edits); start += h.batchSize {
-		end := min(start+h.batchSize, len(edits))
-		res, err := h.shared.ApplyBatch(edits[start:end])
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res...)
-	}
-	return out, nil
+	return h.live.ApplyBatch(edits)
 }
 
 // Sync blocks until every edit acknowledged so far is on stable
@@ -874,11 +847,7 @@ func (h *Handle) Close() error {
 	}
 	h.mu.Unlock()
 	if h.follower != nil {
-		err := h.follower.Close()
-		if h.followTmp != "" {
-			_ = os.RemoveAll(h.followTmp)
-		}
-		return err
+		return h.follower.Close()
 	}
 	err := h.closeStore()
 	if h.jnl != nil {

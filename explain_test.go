@@ -6,7 +6,7 @@ import (
 )
 
 // TestHandleExplainGolden pins Handle.Explain's rendered output — the
-// exact text cmd/xquery -explain prints — across the planner's
+// exact text cmd/dynxml query -explain prints — across the planner's
 // leftright and fallback strategies, the concurrent handle's
 // generation-keyed cache (miss then hit), and the cache-less plain
 // handle. The queries are chosen so the strategy choice cannot depend

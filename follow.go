@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"strings"
 	"time"
 
@@ -40,35 +39,23 @@ var ErrNotFound = errors.New("dynxml: document not found")
 
 // WithFollowURL points OpenFollower at a leader's journal endpoint —
 // typically http://host/v1/docs/{name}/journal as served by dynxmld.
-// Each poll pulls a binary ship chunk from it. Alone it follows into a
-// temporary mirror directory removed on Close; combined with
-// WithFollowDir the mirror persists and the follower serves everything
-// at or below its advertised horizon across kills and restarts.
+// Each poll pulls a binary ship chunk from it.
 func WithFollowURL(url string) Option { return func(c *config) { c.followURL = url } }
 
-// WithFollowDir names the follower's directory. With WithFollowURL it
-// is the local mirror the fetched batches are persisted into; alone it
-// is the LEADER's own journal directory on shared storage, tailed
-// directly without any network hop.
+// WithFollowDir names the follower's local mirror: the directory the
+// fetched batches are persisted into before the advertised horizon
+// advances, so the follower serves everything at or below that horizon
+// across kills and restarts. A caller who wants an ephemeral replica
+// passes a temporary directory of its own.
 func WithFollowDir(dir string) Option { return func(c *config) { c.followDir = dir } }
-
-// WithFollowInterval sets the follower's background poll cadence
-// (default 50ms). It requires OpenFollower.
-func WithFollowInterval(d time.Duration) Option { return func(c *config) { c.followIvl = d } }
 
 // OpenFollower opens a read-only replica of a leader document and keeps
 // it converging in the background. src must be nil — the replica's
-// whole state comes from the leader's journal. The transport is chosen
-// by the follow options:
-//
-//   - WithFollowURL only: pull ship chunks over HTTP into a temporary
-//     mirror (removed on Close).
-//   - WithFollowURL + WithFollowDir: pull over HTTP into a persistent
-//     mirror; after a kill and restart the handle serves everything at
-//     or below its last advertised horizon before ever reaching the
-//     leader again.
-//   - WithFollowDir only: tail the leader's journal directory directly
-//     (shared storage, no network).
+// whole state comes from the leader's journal — and both WithFollowURL
+// and WithFollowDir are required: ship chunks are pulled over HTTP into
+// the mirror, and after a kill and restart the handle serves everything
+// at or below its last advertised horizon before ever reaching the
+// leader again.
 //
 // The handle is concurrent and watchable but rejects every mutating
 // call with ErrReadOnly. Sync runs one explicit catch-up poll;
@@ -84,34 +71,17 @@ func OpenFollower(src any, opts ...Option) (*Handle, error) {
 	if cfg.journalDir != "" || cfg.durability != nil || cfg.recover {
 		return nil, errors.New("dynxml: WithJournal/WithDurability/WithRecover do not apply to a follower")
 	}
-	if cfg.followURL == "" && cfg.followDir == "" {
-		return nil, errors.New("dynxml: OpenFollower needs WithFollowURL or WithFollowDir")
+	if cfg.followURL == "" || cfg.followDir == "" {
+		return nil, errors.New("dynxml: OpenFollower needs both WithFollowURL and WithFollowDir")
 	}
-	if cfg.followURL != "" {
-		if u, err := url.Parse(cfg.followURL); err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("dynxml: bad follow URL %q", cfg.followURL)
-		}
+	if u, err := url.Parse(cfg.followURL); err != nil || u.Scheme == "" || u.Host == "" {
+		return nil, fmt.Errorf("dynxml: bad follow URL %q", cfg.followURL)
 	}
-	h := newHandle()
-	fcfg := journal.FollowerConfig{Dir: cfg.followDir, Interval: cfg.followIvl}
-	if cfg.followURL != "" {
-		fcfg.Fetch = httpFetch(cfg.followURL)
-		if fcfg.Dir == "" {
-			tmp, err := os.MkdirTemp("", "dynxml-follow-*")
-			if err != nil {
-				return nil, fmt.Errorf("dynxml: follower mirror: %w", err)
-			}
-			fcfg.Dir = tmp
-			h.followTmp = tmp
-		}
-	}
-	f, err := journal.OpenFollower(fcfg)
+	f, err := journal.OpenFollower(journal.FollowerConfig{Dir: cfg.followDir, Fetch: httpFetch(cfg.followURL)})
 	if err != nil {
-		if h.followTmp != "" {
-			_ = os.RemoveAll(h.followTmp)
-		}
 		return nil, err
 	}
+	h := newHandle()
 	h.follower = f
 	h.shared = f.Doc()
 	h.schemeName = f.Scheme()

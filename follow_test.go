@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"testing"
 	"time"
@@ -69,19 +68,43 @@ func assertReadOnly(t *testing.T, f *Handle) {
 	}
 }
 
-// TestOpenFollowerTail follows a leader's journal directory directly.
-func TestOpenFollowerTail(t *testing.T) {
-	dir := t.TempDir()
-	leader := leaderHandle(t, dir)
-	root := rootID(t, leader)
-	seq := leaderInsert(t, leader, root, "before")
+// shipServer serves leader's journal the way dynxmld's /v1 journal
+// endpoint does: a minimal handler built on Handle.Ship.
+func shipServer(t *testing.T, leader *Handle) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
+		chunk, err := leader.Ship(from, limit)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		_, _ = w.Write(chunk)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
 
-	f, err := OpenFollower(nil, WithFollowDir(dir), WithFollowInterval(5*time.Millisecond))
+// TestOpenFollowerURL follows over HTTP into a mirror directory: the
+// replica converges, hears leader writes through Watch, reports its
+// position in Stats and rejects every mutation.
+func TestOpenFollowerURL(t *testing.T) {
+	leader := leaderHandle(t, t.TempDir())
+	root := rootID(t, leader)
+	seq := leaderInsert(t, leader, root, "w1")
+	srv := shipServer(t, leader)
+
+	f, err := OpenFollower(nil, WithFollowURL(srv.URL), WithFollowDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if !f.Following() || f.Concurrent() != true {
+	if !f.Following() || !f.Concurrent() {
 		t.Fatalf("follower reports Following=%v Concurrent=%v", f.Following(), f.Concurrent())
 	}
 	if f.Scheme() != DefaultScheme {
@@ -90,20 +113,23 @@ func TestOpenFollowerTail(t *testing.T) {
 	if hor, ok, err := f.FollowHorizon(seq, 5*time.Second); err != nil || !ok {
 		t.Fatalf("FollowHorizon(%d) = %d, %v, %v", seq, hor, ok, err)
 	}
-	if n, err := f.Count("/library/before"); err != nil || n != 1 {
-		t.Fatalf("follower Count(before) = %d, %v", n, err)
+	if n, err := f.Count("/library/w1"); err != nil || n != 1 {
+		t.Fatalf("follower Count(w1) = %d, %v", n, err)
 	}
 	assertReadOnly(t, f)
 
 	// Watch on the follower hears a leader write arriving via replay.
-	ch, cancel, err := f.Watch("/library/after")
+	ch, cancel, err := f.Watch("/library/w2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
-	seq = leaderInsert(t, leader, root, "after")
-	if _, ok, err := f.FollowHorizon(seq, 5*time.Second); err != nil || !ok {
-		t.Fatalf("FollowHorizon after write: %v %v", ok, err)
+	seq = leaderInsert(t, leader, root, "w2")
+	if hor, ok, err := f.FollowHorizon(seq, 5*time.Second); err != nil || !ok {
+		t.Fatalf("FollowHorizon(%d) = %d, %v, %v", seq, hor, ok, err)
+	}
+	if n, err := f.Count("/library/w2"); err != nil || n != 1 {
+		t.Fatalf("follower Count(w2) = %d, %v", n, err)
 	}
 	select {
 	case n := <-ch:
@@ -119,53 +145,55 @@ func TestOpenFollowerTail(t *testing.T) {
 	}
 }
 
-// TestOpenFollowerURL follows over HTTP from a minimal journal
-// endpoint built on Handle.Ship, with no persistent mirror given — the
-// temp mirror must vanish on Close.
-func TestOpenFollowerURL(t *testing.T) {
-	leader := leaderHandle(t, t.TempDir())
-	root := rootID(t, leader)
-	seq := leaderInsert(t, leader, root, "w1")
-
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
-		chunk, err := leader.Ship(from, limit)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		_, _ = w.Write(chunk)
-	}))
-	defer srv.Close()
-
-	f, err := OpenFollower(nil, WithFollowURL(srv.URL), WithFollowInterval(5*time.Millisecond))
+// TestOpenFollowerNeverAheadOfDurable pins what feeding every replica
+// through Ship buys: a batch the leader could still lose to a crash is
+// never visible on a follower. Under durability None two edits are
+// acknowledged but not fsynced; the follower sees neither until the
+// leader's Sync moves its durable horizon.
+func TestOpenFollowerNeverAheadOfDurable(t *testing.T) {
+	leader, err := Open(openSeed, WithJournal(t.TempDir()), WithDurability(None))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := f.Count("/library/w1"); err != nil || n != 1 {
-		t.Fatalf("follower Count(w1) = %d, %v", n, err)
-	}
-	seq = leaderInsert(t, leader, root, "w2")
-	if hor, ok, err := f.FollowHorizon(seq, 5*time.Second); err != nil || !ok {
-		t.Fatalf("FollowHorizon(%d) = %d, %v, %v", seq, hor, ok, err)
-	}
-	if n, err := f.Count("/library/w2"); err != nil || n != 1 {
-		t.Fatalf("follower Count(w2) = %d, %v", n, err)
-	}
-	tmp := f.followTmp
-	if tmp == "" {
-		t.Fatal("URL-only follower has no temp mirror")
-	}
-	if err := f.Close(); err != nil {
+	defer leader.Close()
+	srv := shipServer(t, leader)
+	f, err := OpenFollower(nil, WithFollowURL(srv.URL), WithFollowDir(t.TempDir()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(tmp); err == nil {
-		t.Fatalf("temp mirror %s survived Close", tmp)
+	defer f.Close()
+
+	root := rootID(t, leader)
+	leaderInsert(t, leader, root, "u1")
+	seq := leaderInsert(t, leader, root, "u2")
+	if h := leader.Horizon(); h != 0 {
+		t.Fatalf("leader durable horizon %d before any sync, want 0", h)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats().Replica; st.Seq != 0 || st.Horizon != 0 {
+		t.Fatalf("replica at seq=%d horizon=%d, ahead of the leader's durable horizon 0", st.Seq, st.Horizon)
+	}
+	for _, name := range []string{"u1", "u2"} {
+		if n, err := f.Count("/library/" + name); err != nil || n != 0 {
+			t.Fatalf("follower Count(%s) = %d, %v before the leader synced; want 0", name, n, err)
+		}
+	}
+
+	if err := leader.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats().Replica; st.Seq != seq || st.Horizon != seq {
+		t.Fatalf("replica at seq=%d horizon=%d after the leader synced, want %d", st.Seq, st.Horizon, seq)
+	}
+	for _, name := range []string{"u1", "u2"} {
+		if n, err := f.Count("/library/" + name); err != nil || n != 1 {
+			t.Fatalf("follower Count(%s) = %d, %v after the leader synced; want 1", name, n, err)
+		}
 	}
 }
 
@@ -180,11 +208,14 @@ func TestFollowerOptionValidation(t *testing.T) {
 	if _, err := OpenFollower(nil); err == nil {
 		t.Fatal("OpenFollower accepted no follow options")
 	}
-	if _, err := OpenFollower(nil, WithFollowDir(t.TempDir()), WithJournal(t.TempDir())); err == nil {
+	if _, err := OpenFollower(nil, WithFollowURL("http://x"), WithFollowDir(t.TempDir()), WithJournal(t.TempDir())); err == nil {
 		t.Fatal("OpenFollower accepted WithJournal")
 	}
+	if _, err := OpenFollower(nil, WithFollowURL("http://x")); err == nil {
+		t.Fatal("OpenFollower accepted a URL without a mirror directory")
+	}
 	if _, err := OpenFollower(nil, WithFollowDir(t.TempDir())); err == nil {
-		t.Fatal("tail follower opened over an empty directory")
+		t.Fatal("OpenFollower accepted a mirror directory without a URL")
 	}
 }
 
@@ -192,7 +223,7 @@ func TestFollowerOptionValidation(t *testing.T) {
 func TestFollowerNotFoundOverHTTP(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	defer srv.Close()
-	_, err := OpenFollower(nil, WithFollowURL(srv.URL))
+	_, err := OpenFollower(nil, WithFollowURL(srv.URL), WithFollowDir(t.TempDir()))
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("got %v, want ErrNotFound", err)
 	}

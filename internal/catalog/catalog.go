@@ -28,6 +28,7 @@ import (
 	"time"
 
 	dynxml "repro"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 )
 
@@ -52,8 +53,8 @@ const (
 
 // Typed errors, matched by the HTTP layer via errors.Is.
 var (
-	// ErrNotFound reports a name with no journal directory under the
-	// catalog root.
+	// ErrNotFound reports a name with no journal under the catalog
+	// root.
 	ErrNotFound = errors.New("catalog: document not found")
 	// ErrExists reports a Create for a name that already has a journal.
 	ErrExists = errors.New("catalog: document already exists")
@@ -84,11 +85,6 @@ type Config struct {
 	// background eviction, so a burst of pinned documents can exceed
 	// it transiently; pinned handles are never evicted.
 	MemBudget int64
-	// StrictRecovery refuses to repair crash damage on open: a torn
-	// journal fails with dynxml.ErrRecoveryTruncated instead of being
-	// truncated to its last durable point. Off by default — a serving
-	// catalog wants the document back.
-	StrictRecovery bool
 	// FollowURL turns the whole catalog into a read-only replica of the
 	// leader server at this base URL (e.g. "http://leader:8080"): every
 	// document opens as a follower pulling ship chunks from the
@@ -213,7 +209,7 @@ func (p *Pin) Release() {
 // Create builds a brand-new named document from src (any dynxml.Open
 // source: XML text, []byte, io.Reader or *Document) under schemeName
 // (empty: the catalog default) and returns it pinned. The name gains
-// a journal directory; a name that already has one fails with
+// a journal directory; a name that already holds a journal fails with
 // ErrExists.
 func (c *Catalog) Create(name string, src any, schemeName string) (*Pin, error) {
 	if !ValidName(name) {
@@ -238,9 +234,13 @@ func (c *Catalog) Create(name string, src any, schemeName string) (*Pin, error) 
 			c.release(pinned) // resident: it certainly exists
 			return nil, fmt.Errorf("%w: %q", ErrExists, name)
 		}
-		if _, statErr := os.Stat(c.dir(name)); statErr == nil {
+		exists, err := journal.Exists(c.dir(name))
+		if err == nil && exists {
+			err = fmt.Errorf("%w: %q", ErrExists, name)
+		}
+		if err != nil {
 			c.abandon(opening)
-			return nil, fmt.Errorf("%w: %q", ErrExists, name)
+			return nil, err
 		}
 		mCreates.Inc()
 		return c.finishOpen(opening, src, schemeName)
@@ -274,9 +274,13 @@ func (c *Catalog) Acquire(name string) (*Pin, error) {
 		// leader does not serve fails the bootstrap fetch with
 		// dynxml.ErrNotFound.
 		if c.cfg.FollowURL == "" {
-			if _, statErr := os.Stat(c.dir(name)); statErr != nil {
+			exists, err := journal.Exists(c.dir(name))
+			if err == nil && !exists {
+				err = fmt.Errorf("%w: %q", ErrNotFound, name)
+			}
+			if err != nil {
 				c.abandon(opening)
-				return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+				return nil, err
 			}
 		}
 		mReplays.Inc()
@@ -333,12 +337,12 @@ func (c *Catalog) finishOpen(e *entry, src any, schemeName string) (*Pin, error)
 		opts := []dynxml.Option{
 			dynxml.WithJournal(c.dir(e.name)),
 			dynxml.WithDurability(c.cfg.Durability),
+			// A serving catalog wants the document back: crash damage is
+			// repaired (truncated to the last durable point) on open.
+			dynxml.WithRecover(),
 		}
 		if schemeName != "" {
 			opts = append(opts, dynxml.WithScheme(schemeName))
-		}
-		if !c.cfg.StrictRecovery {
-			opts = append(opts, dynxml.WithRecover())
 		}
 		if c.cfg.PagedLabels {
 			opts = append(opts, dynxml.WithPagedLabels(filepath.Join(c.dir(e.name), "pages")))

@@ -3,6 +3,8 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -127,6 +129,74 @@ func TestCreateAcquireLifecycle(t *testing.T) {
 // TestEvictionRoundTrip is the satellite regression test: every
 // acknowledged edit survives a budget eviction and the lazy replay
 // that follows — eviction must be invisible to clients.
+// TestUnfinishedCreate: a kill inside a document's first Create leaves
+// a strict prefix of ckpt-00000000 alone in its directory. That used to
+// wedge the name — Create answered ErrExists because the directory
+// existed, Acquire a 500 — although nothing in it was acknowledged.
+// The name is absent to Acquire and free to Create; a directory that
+// holds a journal without a usable checkpoint stays an error for both.
+func TestUnfinishedCreate(t *testing.T) {
+	root := t.TempDir()
+	c := openTest(t, Config{Root: root})
+	p, err := c.Create("model", seed, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+	if err := c.Evict("model"); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt []byte
+	for _, name := range []string{"ckpt-00000000", "ckpt-00000001"} {
+		if b, err := os.ReadFile(filepath.Join(root, "model", name)); err == nil {
+			ckpt = b
+		}
+	}
+	if ckpt == nil {
+		t.Fatal("evicted document left no checkpoint")
+	}
+	plant := func(doc, file string, content []byte) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(root, doc), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, doc, file), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cut := range []int{0, 5, 20, len(ckpt) - 3} {
+		name := fmt.Sprintf("cut%d", cut)
+		plant(name, "ckpt-00000000", ckpt[:cut])
+		if _, err := c.Acquire(name); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: Acquire = %v, want ErrNotFound", name, err)
+		}
+		p, err := c.Create(name, seed, "")
+		if err != nil {
+			t.Fatalf("%s: Create over the residue: %v", name, err)
+		}
+		addX(t, p, 2)
+		p.Release()
+		if err := c.Evict(name); err != nil {
+			t.Fatal(err)
+		}
+		p, err = c.Acquire(name)
+		if err != nil {
+			t.Fatalf("%s: Acquire after Create: %v", name, err)
+		}
+		if got := countX(t, p); got != 2 {
+			t.Fatalf("%s: replay sees %d edits, want 2", name, got)
+		}
+		p.Release()
+	}
+	plant("later", "ckpt-00000001", ckpt[:len(ckpt)-3])
+	if _, err := c.Create("later", seed, ""); !errors.Is(err, ErrExists) {
+		t.Fatalf("Create over a lone incomplete ckpt-1 = %v, want ErrExists", err)
+	}
+	if _, err := c.Acquire("later"); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("Acquire of a lone incomplete ckpt-1 = %v, want a damaged-journal error", err)
+	}
+}
+
 func TestEvictionRoundTrip(t *testing.T) {
 	c := openTest(t, Config{MaxOpen: 1})
 

@@ -3,7 +3,6 @@ package journal
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -13,21 +12,14 @@ import (
 )
 
 // Follower replays a leader's journal into a read-only live document.
-// Two transports share one replica state machine:
-//
-//   - Tail mode (Config.Fetch nil): Dir is the leader's own journal
-//     directory on shared storage. The follower tails the live log
-//     with labelstore.ReadAvailable — which never trips on the torn
-//     tail a concurrent writer leaves — and rides generation swaps by
-//     draining the old log before switching to the new one.
-//
-//   - Fetch mode (Config.Fetch set): Dir is the follower's OWN local
-//     mirror. Each poll pulls a ShipChunk from the leader (typically
-//     internal/web's /v1/docs/{name}/journal endpoint), applies the
-//     batches, then persists them to the mirror before advancing the
-//     advertised horizon — so a follower killed and restarted serves
-//     everything at or below the horizon it last advertised, from
-//     local state alone.
+// Dir is the follower's OWN local mirror. Each poll pulls a ShipChunk
+// from the leader through Config.Fetch (typically internal/web's
+// /v1/docs/{name}/journal endpoint), applies the batches, then
+// persists them to the mirror before advancing the advertised horizon
+// — so a follower killed and restarted serves everything at or below
+// the horizon it last advertised, from local state alone. Ship is the
+// only feed: it serves nothing above the leader's durable horizon, so
+// no replica ever exposes a batch a leader crash could still lose.
 //
 // Queries run against Doc(), a dyndoc.Concurrent with no commit hook:
 // lock-free snapshot reads, watchable, but every edit entry point of
@@ -49,10 +41,9 @@ type FetchFunc func(from uint64, max int) (*ShipChunk, error)
 
 // FollowerConfig configures OpenFollower.
 type FollowerConfig struct {
-	// Dir is the leader's journal directory (tail mode) or the
-	// follower's local mirror directory (fetch mode).
+	// Dir is the follower's local mirror directory.
 	Dir string
-	// Fetch, when set, selects fetch mode.
+	// Fetch pulls ship chunks from the leader. Required.
 	Fetch FetchFunc
 	// Interval is the background poll cadence (default 50ms).
 	Interval time.Duration
@@ -62,7 +53,7 @@ type FollowerConfig struct {
 	// Poll itself (tests, single-shot catch-up).
 	Manual bool
 	// WrapFile wraps mirror segment files as they are opened — the
-	// fault-injection seam, fetch mode only (tail mode never writes).
+	// fault-injection seam.
 	WrapFile func(f labelstore.File) labelstore.File
 }
 
@@ -77,7 +68,7 @@ var errDiverged = errors.New("journal: follower diverged")
 // FollowerStats is a point-in-time observability snapshot.
 type FollowerStats struct {
 	Seq           uint64 // last applied (visible) sequence
-	Horizon       uint64 // locally durable sequence (== Seq in tail mode)
+	Horizon       uint64 // locally durable sequence
 	LeaderHorizon uint64 // leader's durable horizon at last fetch
 	Generation    uint64 // current segment generation
 	Scheme        string
@@ -95,13 +86,11 @@ type Follower struct {
 
 	// pollMu serializes poll rounds (the background loop vs. an
 	// explicit Poll from a Sync call) and guards the replay-thread
-	// state below it: the id map, the open segment files, and the read
-	// offset are touched only with pollMu held.
+	// state below it: the id map and the open mirror log are touched
+	// only with pollMu held.
 	pollMu sync.Mutex
 	idmap  map[int]int       // vet:guardedby pollMu // leader id → local id
-	logf   *os.File          // vet:guardedby pollMu // tail mode: open log fd
-	logOff int64             // vet:guardedby pollMu // tail mode: clean read offset
-	store  *labelstore.Store // vet:guardedby pollMu // fetch mode: mirror log
+	store  *labelstore.Store // vet:guardedby pollMu // mirror log
 
 	mu            sync.Mutex
 	cond          *sync.Cond // vet:guardedby mu
@@ -122,11 +111,13 @@ type Follower struct {
 	done chan struct{}
 }
 
-// OpenFollower bootstraps a replica. Tail mode requires an existing
-// journal in Dir; fetch mode bootstraps from the local mirror when one
+// OpenFollower bootstraps a replica from the local mirror when one
 // exists and otherwise performs one synchronous from-scratch fetch, so
 // a successful return always carries a queryable document.
 func OpenFollower(cfg FollowerConfig) (*Follower, error) {
+	if cfg.Fetch == nil {
+		return nil, errors.New("journal: follower: FollowerConfig.Fetch is required")
+	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 50 * time.Millisecond
 	}
@@ -135,13 +126,7 @@ func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	f := &Follower{cfg: cfg}
 	f.cond = sync.NewCond(&f.mu)
-	var err error
-	if cfg.Fetch == nil {
-		err = f.bootstrapTail()
-	} else {
-		err = f.bootstrapFetch()
-	}
-	if err != nil {
+	if err := f.bootstrap(); err != nil {
 		return nil, err
 	}
 	if !cfg.Manual {
@@ -172,7 +157,7 @@ func (f *Follower) Horizon() uint64 {
 }
 
 // LeaderHorizon returns the leader durable horizon observed at the
-// last successful fetch (tail mode mirrors the applied sequence).
+// last successful fetch.
 func (f *Follower) LeaderHorizon() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -224,8 +209,8 @@ func (f *Follower) Stats() FollowerStats {
 	return s
 }
 
-// Close stops the poll loop and releases files. The document stays
-// readable at its last published state.
+// Close stops the poll loop and releases the mirror log. The document
+// stays readable at its last published state.
 func (f *Follower) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -239,14 +224,10 @@ func (f *Follower) Close() error {
 		close(f.stop)
 		<-f.done
 	}
-	// Taking pollMu waits out any in-flight Poll before the files it
-	// reads are closed; the closed flag stops the next one.
+	// Taking pollMu waits out any in-flight Poll before the log it
+	// writes is closed; the closed flag stops the next one.
 	f.pollMu.Lock()
 	defer f.pollMu.Unlock()
-	if f.logf != nil {
-		_ = f.logf.Close()
-		f.logf = nil
-	}
 	if f.store != nil {
 		_ = f.store.Close()
 		f.store = nil
@@ -268,11 +249,11 @@ func (f *Follower) loop() {
 	}
 }
 
-// Poll runs one catch-up round: pull (or read) everything new, apply
-// it, persist it (fetch mode) and advance the horizon. Transport
-// errors are transient — recorded, returned, retried next round.
-// History errors (a gap, a regression, an apply failure) are sticky:
-// the follower refuses to run forward from a fork.
+// Poll runs one catch-up round: pull everything new, apply it, persist
+// it and advance the horizon. Transport errors are transient —
+// recorded, returned, retried next round. History errors (a gap, a
+// regression, an apply failure) are sticky: the follower refuses to
+// run forward from a fork.
 func (f *Follower) Poll() error {
 	f.pollMu.Lock()
 	defer f.pollMu.Unlock()
@@ -289,12 +270,7 @@ func (f *Follower) Poll() error {
 	f.polls++
 	f.mu.Unlock()
 	mFollowerPolls.Inc()
-	var err error
-	if f.cfg.Fetch == nil {
-		err = f.pollTail()
-	} else {
-		err = f.pollFetch()
-	}
+	err := f.pollFetch()
 	f.mu.Lock()
 	f.lastErr = err
 	lag := float64(0)
@@ -317,22 +293,4 @@ func (f *Follower) fail(err error) error {
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	return err
-}
-
-// newestCheckpoint scans dir for the newest generation whose
-// checkpoint is complete.
-func newestCheckpoint(dir string) (genFiles, checkpointMeta, error) {
-	gens, err := listGens(dir)
-	if err != nil {
-		return genFiles{}, checkpointMeta{}, err
-	}
-	for _, g := range gens {
-		if !g.ckpt {
-			continue
-		}
-		if meta, ok := readCheckpoint(ckptPath(dir, g.gen)); ok {
-			return g, meta, nil
-		}
-	}
-	return genFiles{}, checkpointMeta{}, fmt.Errorf("journal: follower: no complete checkpoint in %s", dir)
 }

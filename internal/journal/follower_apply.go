@@ -63,25 +63,3 @@ func (f *Follower) applyBatchesLive(batches []ShipBatch) error {
 	mFollowerApplied.Add(int64(len(batches)))
 	return nil
 }
-
-// applyBatchesRaw replays batches onto an unpublished document during
-// bootstrap or checkpoint adoption — no clone, no publication.
-func applyBatchesRaw(d *dyndoc.Document, idmap map[int]int, from uint64, batches []ShipBatch) (uint64, int, error) {
-	seq := from
-	edits := 0
-	for _, b := range batches {
-		if b.Seq != seq+1 {
-			return seq, edits, fmt.Errorf("journal: follower: batch %d out of sequence (want %d)", b.Seq, seq+1)
-		}
-		es, recorded, err := DecodeBatch(b.Payload)
-		if err != nil {
-			return seq, edits, fmt.Errorf("journal: follower: batch %d: %w", b.Seq, err)
-		}
-		if _, _, err := applyRecorded(d, idmap, es, recorded); err != nil {
-			return seq, edits, fmt.Errorf("journal: follower: batch %d: %w", b.Seq, err)
-		}
-		seq = b.Seq
-		edits += len(es)
-	}
-	return seq, edits, nil
-}

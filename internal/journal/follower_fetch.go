@@ -1,40 +1,39 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/dyndoc"
-	"repro/internal/labelstore"
 )
 
-// Fetch mode: batches arrive as ShipChunks pulled from a leader (over
-// HTTP in production; any FetchFunc in tests) and are mirrored into
-// the follower's own local journal-shaped directory before the
-// advertised horizon advances. The mirror is what makes the horizon a
-// durability promise: a follower killed at any instant and restarted
-// re-serves every batch at or below the horizon it last advertised,
-// from local state alone, before it ever reaches the leader again.
+// Batches arrive as ShipChunks pulled from a leader (over HTTP in
+// production; any FetchFunc in tests) and are mirrored into the
+// follower's own local journal-shaped directory before the advertised
+// horizon advances. The mirror is what makes the horizon a durability
+// promise: a follower killed at any instant and restarted re-serves
+// every batch at or below the horizon it last advertised, from local
+// state alone, before it ever reaches the leader again.
 //
 // The mirror checkpoint stores the leader's checkpoint meta verbatim —
 // its preorder list carries LEADER node ids, which is what makes the
 // mirrored batch payloads (also in leader ids) replayable on restart.
 
-// bootstrapFetch restores the replica from the local mirror, or — for
-// a first run with an empty directory — performs one synchronous
+// bootstrap restores the replica from the local mirror — openDir, the
+// same opener a leader's Replay uses, repairing whatever a kill left —
+// or, when the directory holds no journal yet, performs one synchronous
 // from-scratch fetch so OpenFollower returns a queryable document.
-func (f *Follower) bootstrapFetch() error {
+func (f *Follower) bootstrap() error {
 	f.pollMu.Lock()
 	defer f.pollMu.Unlock()
 	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("journal: follower: %w", err)
 	}
-	gens, err := listGens(f.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	if len(gens) == 0 {
+	// Our own files: a torn tail is an interrupted mirror write for a
+	// batch the horizon never covered — truncate and refetch it.
+	r, err := openDir(Config{Dir: f.cfg.Dir, WrapFile: f.cfg.WrapFile, Recover: true})
+	if errors.Is(err, errNoJournal) {
 		if err := f.pollFetch(); err != nil {
 			return err
 		}
@@ -43,89 +42,30 @@ func (f *Follower) bootstrapFetch() error {
 		}
 		return nil
 	}
-	g, meta, err := newestCheckpoint(f.cfg.Dir)
 	if err != nil {
 		return err
 	}
-	d, idmap, err := rebuildFromMeta(meta)
+	c, err := dyndoc.NewConcurrentFrom(r.doc)
 	if err != nil {
-		return err
-	}
-	seq := meta.BaseSeq
-	lp := logPath(f.cfg.Dir, g.gen)
-	var recs []labelstore.Record
-	if g.log {
-		// Our own files: a torn tail is an interrupted mirror write for
-		// a batch the horizon never covered — truncate and refetch it.
-		recs, _, err = labelstore.Recover(lp)
-		if err != nil {
-			return fmt.Errorf("journal: follower: %w", err)
-		}
-	}
-	batches, err := f.contiguous(recs, seq)
-	if err != nil {
-		return err
-	}
-	seq, edits, err := applyBatchesRaw(d, idmap, seq, batches)
-	if err != nil {
-		return err
-	}
-	// Clear stale generations, then reopen the mirror log for append.
-	for _, other := range gens {
-		if other.gen == g.gen {
-			continue
-		}
-		if other.ckpt {
-			_ = os.Remove(ckptPath(f.cfg.Dir, other.gen))
-		}
-		if other.log {
-			_ = os.Remove(logPath(f.cfg.Dir, other.gen))
-		}
-	}
-	syncDir(f.cfg.Dir)
-	cfg := Config{Dir: f.cfg.Dir, WrapFile: f.cfg.WrapFile}
-	var store *labelstore.Store
-	if !g.log {
-		store, err = openStore(cfg, lp)
-		if err != nil {
-			return err
-		}
-	} else {
-		lf, err := os.OpenFile(lp, os.O_RDWR, 0)
-		if err != nil {
-			return fmt.Errorf("journal: follower: %w", err)
-		}
-		if _, err := lf.Seek(0, io.SeekEnd); err != nil {
-			_ = lf.Close()
-			return fmt.Errorf("journal: follower: %w", err)
-		}
-		var file labelstore.File = lf
-		if cfg.WrapFile != nil {
-			file = cfg.WrapFile(file)
-		}
-		store = labelstore.AppendStore(file)
-	}
-	c, err := dyndoc.NewConcurrentFrom(d)
-	if err != nil {
-		_ = store.Close()
+		_ = r.store.Close()
 		return err
 	}
 	f.doc = c
-	f.idmap = idmap
-	f.store = store
+	f.idmap = r.idmap
+	f.store = r.store
 	f.mu.Lock()
-	f.gen = g.gen
-	f.schemeName = meta.Scheme
-	f.seq = seq
-	f.horizon = seq
-	f.leaderHorizon = seq
-	f.batches += uint64(len(batches))
-	f.edits += uint64(edits)
+	f.gen = r.info.Checkpoint
+	f.schemeName = r.info.Scheme
+	f.seq = r.seq
+	f.horizon = r.seq
+	f.leaderHorizon = r.seq
+	f.batches += uint64(r.info.Batches)
+	f.edits += uint64(r.info.Edits)
 	f.mu.Unlock()
 	return nil
 }
 
-// pollFetch is one fetch-mode round: pull a chunk, adopt its snapshot
+// pollFetch is one poll round: pull a chunk, adopt its snapshot
 // if it carries one, apply and mirror the batches, then advance the
 // horizon. A fetch transport error is transient; everything after a
 // successful fetch is validated history, so failures there are sticky.
@@ -215,7 +155,7 @@ func (f *Follower) adoptChunk(chunk *ShipChunk) error {
 	if err != nil {
 		return f.fail(err)
 	}
-	seq, edits, err := applyBatchesRaw(d, idmap, meta.BaseSeq, chunk.Batches)
+	seq, edits, err := replayBatches(d, idmap, meta.BaseSeq, chunk.Batches)
 	if err != nil {
 		return f.fail(err)
 	}

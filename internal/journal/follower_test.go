@@ -29,6 +29,11 @@ func fetchVia(j *Journal) FetchFunc {
 	}
 }
 
+// deadLeader is the transport of an unreachable leader.
+func deadLeader(from uint64, max int) (*ShipChunk, error) {
+	return nil, errors.New("leader unreachable")
+}
+
 func leaderWrite(t *testing.T, j *Journal, d *dyndoc.Document, name string) {
 	t.Helper()
 	root := rootID(t, d)
@@ -37,56 +42,10 @@ func leaderWrite(t *testing.T, j *Journal, d *dyndoc.Document, name string) {
 	}
 }
 
-func TestFollowerTailCatchUp(t *testing.T) {
-	dir := t.TempDir()
-	d := mustDoc(t, `<root><meta lang="en">x</meta></root>`)
-	j, err := Create(Config{Dir: dir, Scheme: testScheme}, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	leaderWrite(t, j, d, "a")
-	leaderWrite(t, j, d, "b")
-
-	f, err := OpenFollower(FollowerConfig{Dir: dir, Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if got := f.Doc().XML(); got != d.XML() {
-		t.Fatalf("bootstrap state = %s, want %s", got, d.XML())
-	}
-	if f.Horizon() != 2 || f.Scheme() != testScheme {
-		t.Fatalf("bootstrap horizon=%d scheme=%q", f.Horizon(), f.Scheme())
-	}
-
-	// Live tail: leader appends, follower polls.
-	leaderWrite(t, j, d, "c")
-	if err := f.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Doc().XML(); got != d.XML() {
-		t.Fatalf("after poll = %s, want %s", got, d.XML())
-	}
-
-	// Generation swap: checkpoint, more writes, follower rides it.
-	if err := j.Checkpoint(d); err != nil {
-		t.Fatal(err)
-	}
-	leaderWrite(t, j, d, "e")
-	leaderWrite(t, j, d, "f")
-	if err := f.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Doc().XML(); got != d.XML() {
-		t.Fatalf("after generation swap = %s, want %s", got, d.XML())
-	}
-	st := f.Stats()
-	if st.Generation != 1 || st.Seq != 5 || st.Horizon != 5 {
-		t.Fatalf("stats after swap = %+v", st)
-	}
-	if st.Resets != 0 {
-		t.Fatalf("tail swap should not reset the document: %+v", st)
+func TestFollowerRequiresFetch(t *testing.T) {
+	if f, err := OpenFollower(FollowerConfig{Dir: t.TempDir(), Manual: true}); err == nil {
+		_ = f.Close()
+		t.Fatal("OpenFollower accepted a nil Fetch")
 	}
 }
 
@@ -145,10 +104,7 @@ func TestFollowerFetchCatchUpAndRestart(t *testing.T) {
 
 	// Restart with the leader unreachable: the local mirror alone must
 	// serve everything at or below the advertised horizon.
-	dead := func(from uint64, max int) (*ShipChunk, error) {
-		return nil, errors.New("leader unreachable")
-	}
-	f2, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: dead, Manual: true})
+	f2, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: deadLeader, Manual: true})
 	if err != nil {
 		t.Fatalf("restart from mirror: %v", err)
 	}
@@ -288,22 +244,26 @@ func TestFollowerRejectsForkedHistory(t *testing.T) {
 }
 
 // TestFollowerKillMatrix crashes the follower at every mirror I/O
-// boundary via fault injection, then restarts it with the leader
-// unreachable. The contract: a restart serves some prefix of the
-// leader's history no shorter than the horizon the follower advertised
-// before dying.
+// boundary via fault injection, then restarts it. A follower that had
+// opened restarts with the leader unreachable, and the contract is: it
+// serves some prefix of the leader's history no shorter than the
+// horizon it advertised before dying. A follower killed inside its
+// first open advertised nothing; it restarts against the live leader
+// and must open and converge — whatever the kill left in the mirror
+// must not wedge the name.
 func TestFollowerKillMatrix(t *testing.T) {
 	// followerScript drives one deterministic leader+follower run with
 	// the given mirror wrapper, returning the advertised horizon at the
 	// moment of "death" (first error) and how many batches the leader
-	// issued. A nil follower means the initial open itself crashed —
-	// no horizon was ever advertised, so no promise exists.
+	// issued. When the initial open itself dies it performs the
+	// live-leader restart check on the spot, while the leader is still
+	// up, and reports opened=false.
 	type runResult struct {
 		horizon uint64
 		issued  uint64
 		opened  bool
 	}
-	followerScript := func(t *testing.T, fdir string, wrap func(labelstore.File) labelstore.File) (res runResult) {
+	followerScript := func(t *testing.T, fdir, boundary string, wrap func(labelstore.File) labelstore.File) (res runResult) {
 		ldir := t.TempDir()
 		d := mustDoc(t, "<root/>")
 		j, err := Create(Config{Dir: ldir, Scheme: testScheme}, d)
@@ -316,6 +276,18 @@ func TestFollowerKillMatrix(t *testing.T) {
 		res.issued = 2
 		f, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: fetchVia(j), Manual: true, WrapFile: wrap})
 		if err != nil {
+			f2, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: fetchVia(j), Manual: true})
+			if err != nil {
+				t.Fatalf("%s: restart after a kill inside the first open: %v", boundary, err)
+			}
+			defer f2.Close()
+			leaderWrite(t, j, d, "n3")
+			if err := f2.Poll(); err != nil {
+				t.Fatalf("%s: poll after first-open restart: %v", boundary, err)
+			}
+			if got := f2.Doc().XML(); got != d.XML() {
+				t.Fatalf("%s: first-open restart did not converge:\n got %s\nwant %s", boundary, got, d.XML())
+			}
 			return res
 		}
 		res.opened = true
@@ -364,7 +336,7 @@ func TestFollowerKillMatrix(t *testing.T) {
 
 	// Profile the clean run's mirror I/O.
 	var files []*faultfs.File
-	profile := followerScript(t, t.TempDir(), func(f labelstore.File) labelstore.File {
+	profile := followerScript(t, t.TempDir(), "profile", func(f labelstore.File) labelstore.File {
 		ff := faultfs.Wrap(f.(faultfs.Backing))
 		files = append(files, ff)
 		return ff
@@ -379,10 +351,7 @@ func TestFollowerKillMatrix(t *testing.T) {
 	}
 
 	verify := func(t *testing.T, fdir string, res runResult, boundary string) {
-		dead := func(from uint64, max int) (*ShipChunk, error) {
-			return nil, errors.New("leader unreachable")
-		}
-		f, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: dead, Manual: true})
+		f, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: deadLeader, Manual: true})
 		if err != nil {
 			t.Fatalf("%s: restart after crash: %v (advertised horizon %d)", boundary, err, res.horizon)
 		}
@@ -399,33 +368,29 @@ func TestFollowerKillMatrix(t *testing.T) {
 		}
 	}
 
-	total := 0
+	total, firstOpen := 0, 0
+	crash := func(boundary string, fi int, fault faultfs.Fault) {
+		fdir := t.TempDir()
+		res := followerScript(t, fdir, boundary, wrapNth(fi, fault))
+		if res.opened {
+			verify(t, fdir, res, boundary)
+			total++
+		} else {
+			firstOpen++
+		}
+	}
 	for fi := range writes {
 		for n := 1; n <= writes[fi]; n++ {
 			for _, short := range []int{0, 3} {
-				boundary := fmt.Sprintf("file%d/write%d/short%d", fi, n, short)
-				fdir := t.TempDir()
-				res := followerScript(t, fdir, wrapNth(fi, faultfs.Fault{Op: faultfs.OpWrite, N: n, Short: short}))
-				if !res.opened {
-					continue
-				}
-				verify(t, fdir, res, boundary)
-				total++
+				crash(fmt.Sprintf("file%d/write%d/short%d", fi, n, short), fi, faultfs.Fault{Op: faultfs.OpWrite, N: n, Short: short})
 			}
 		}
 		for n := 1; n <= syncs[fi]; n++ {
-			boundary := fmt.Sprintf("file%d/sync%d", fi, n)
-			fdir := t.TempDir()
-			res := followerScript(t, fdir, wrapNth(fi, faultfs.Fault{Op: faultfs.OpSync, N: n}))
-			if !res.opened {
-				continue
-			}
-			verify(t, fdir, res, boundary)
-			total++
+			crash(fmt.Sprintf("file%d/sync%d", fi, n), fi, faultfs.Fault{Op: faultfs.OpSync, N: n})
 		}
 	}
-	if total < 10 {
-		t.Fatalf("follower kill matrix exercised only %d boundaries — profiling is broken", total)
+	if total < 10 || firstOpen == 0 {
+		t.Fatalf("follower kill matrix exercised only %d boundaries (%d inside the first open) — profiling is broken", total, firstOpen)
 	}
-	t.Logf("follower kill matrix: %d crash boundaries verified", total)
+	t.Logf("follower kill matrix: %d crash boundaries verified, %d more inside the first open", total, firstOpen)
 }

@@ -212,12 +212,14 @@ func syncDir(dir string) {
 
 // Create initializes a fresh journal for doc: checkpoint 0 holding
 // the document's current state, and an empty log 0. The directory is
-// created if missing and must not already contain a journal.
+// created if missing and must not already contain a journal (the
+// residue of an earlier Create that never finished is not one — see
+// segments — and is written over).
 func Create(cfg Config, d *dyndoc.Document) (*Journal, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if gens, err := listGens(cfg.Dir); err != nil {
+	if gens, err := segments(cfg.Dir); err != nil {
 		return nil, err
 	} else if len(gens) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrExists, cfg.Dir)

@@ -66,6 +66,26 @@ func applyAndAppend(t *testing.T, j *Journal, d *dyndoc.Document, edits []dyndoc
 	return wait
 }
 
+// dirFiles reads every file in dir, name → contents: two calls compare
+// equal exactly when nothing in the directory was created, removed or
+// modified in between.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
 func insertEdit(parent int, name string) []dyndoc.Edit {
 	return []dyndoc.Edit{{Op: dyndoc.OpInsertElement, Parent: parent, Pos: 0, Name: name}}
 }
@@ -729,22 +749,7 @@ func TestSegmentHeaderDamage(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files := func() map[string]string {
-		t.Helper()
-		out := map[string]string{}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[e.Name()] = string(b)
-		}
-		return out
-	}
+	files := func() map[string]string { return dirFiles(t, dir) }
 	for _, path := range []string{logPath(dir, 0), ckptPath(dir, 0)} {
 		clean, err := os.ReadFile(path)
 		if err != nil {
@@ -794,5 +799,139 @@ func TestSegmentHeaderDamage(t *testing.T) {
 	defer j2.Close()
 	if info.Repaired || info.Batches != edits || d2.XML() != d.XML() {
 		t.Fatalf("after restoring the headers: info %+v, XML %s, want %s", info, d2.XML(), d.XML())
+	}
+}
+
+// TestUnfinishedCreate pins the one directory state that is not a
+// journal although it holds a segment file: a lone incomplete
+// ckpt-00000000, which is what a kill inside Create (or inside a
+// follower's first snapshot adoption) leaves. Nothing in it was ever
+// acknowledged, so Exists says no, Replay reports no journal, a second
+// Create writes over it and a follower fetches from scratch — while an
+// unreachable leader, like every refusal here, leaves the directory
+// byte-identical. Any other directory without a complete checkpoint
+// stays a hard error and is never modified.
+func TestUnfinishedCreate(t *testing.T) {
+	src := t.TempDir()
+	j, err := Create(Config{Dir: src, Scheme: testScheme}, mustDoc(t, "<root><a/></root>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt0, err := os.ReadFile(ckptPath(src, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log0, err := os.ReadFile(logPath(src, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A live leader for the follower halves.
+	d := mustDoc(t, `<root><meta lang="en">x</meta></root>`)
+	leader, err := Create(Config{Dir: t.TempDir(), Scheme: testScheme}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	leaderWrite(t, leader, d, "a")
+
+	seed := func(t *testing.T, name string, content []byte) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	unchanged := func(t *testing.T, dir string, before map[string]string, what string) {
+		t.Helper()
+		if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s modified the directory", what)
+		}
+	}
+
+	for _, cut := range []int{0, 5, 20, len(ckpt0) - 3} {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
+			residue := ckpt0[:cut]
+			dir := seed(t, "ckpt-00000000", residue)
+			before := dirFiles(t, dir)
+			if ok, err := Exists(dir); err != nil || ok {
+				t.Fatalf("Exists = %v, %v; want false", ok, err)
+			}
+			for _, recover := range []bool{false, true} {
+				if _, _, _, err := Replay(Config{Dir: dir, Recover: recover}); !errors.Is(err, errNoJournal) {
+					t.Fatalf("Replay(Recover=%v) = %v, want errNoJournal", recover, err)
+				}
+			}
+			if _, err := OpenFollower(FollowerConfig{Dir: dir, Fetch: deadLeader, Manual: true}); err == nil {
+				t.Fatal("follower opened with the leader unreachable and nothing mirrored")
+			}
+			unchanged(t, dir, before, "a refused open")
+
+			// Leader: Create writes over the residue and round-trips.
+			doc := mustDoc(t, "<root><b/></root>")
+			j, err := Create(Config{Dir: dir, Scheme: testScheme}, doc)
+			if err != nil {
+				t.Fatalf("Create over the residue: %v", err)
+			}
+			if err := applyAndAppend(t, j, doc, insertEdit(rootID(t, doc), "n"))(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j2, d2, info, err := Replay(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			if info.Repaired || d2.XML() != doc.XML() {
+				t.Fatalf("round trip: info %+v, XML %s, want %s", info, d2.XML(), doc.XML())
+			}
+
+			// Follower: the same residue in a mirror is fetched over.
+			fdir := seed(t, "ckpt-00000000", residue)
+			f, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: fetchVia(leader), Manual: true})
+			if err != nil {
+				t.Fatalf("follower over the residue, leader reachable: %v", err)
+			}
+			defer f.Close()
+			if got := f.Doc().XML(); got != d.XML() {
+				t.Fatalf("follower state = %s, want %s", got, d.XML())
+			}
+		})
+	}
+
+	for name, content := range map[string][]byte{
+		"log-00000000":  log0,
+		"ckpt-00000001": ckpt0[:len(ckpt0)-3],
+	} {
+		t.Run("lone-"+name, func(t *testing.T) {
+			dir := seed(t, name, content)
+			before := dirFiles(t, dir)
+			if ok, err := Exists(dir); err != nil || !ok {
+				t.Fatalf("Exists = %v, %v; want true", ok, err)
+			}
+			for _, recover := range []bool{false, true} {
+				j, _, _, err := Replay(Config{Dir: dir, Recover: recover})
+				if err == nil {
+					_ = j.Close()
+					t.Fatalf("Replay(Recover=%v) succeeded", recover)
+				}
+				if errors.Is(err, errNoJournal) {
+					t.Fatalf("Replay(Recover=%v) = %v: not an absent journal", recover, err)
+				}
+			}
+			if _, err := Create(Config{Dir: dir, Scheme: testScheme}, mustDoc(t, "<root/>")); !errors.Is(err, ErrExists) {
+				t.Fatalf("Create = %v, want ErrExists", err)
+			}
+			if f, err := OpenFollower(FollowerConfig{Dir: dir, Fetch: fetchVia(leader), Manual: true}); err == nil {
+				_ = f.Close()
+				t.Fatal("follower opened over a mirror with no complete checkpoint")
+			}
+			unchanged(t, dir, before, "a refused open")
+		})
 	}
 }

@@ -174,6 +174,50 @@ func verifyCrash(t *testing.T, dir string, steps []step, refXML []string, run cr
 	return applied
 }
 
+// verifyCreateCrash checks that a kill inside Create never wedges the
+// directory. Create had not returned, so nothing was acknowledged;
+// what it left is either no journal — a second Create writes over it —
+// or, once checkpoint 0 was complete, a journal of the source document
+// that recovery opens. Either way the directory then takes a batch and
+// replays it cleanly. It reports whether the directory was re-created.
+func verifyCreateCrash(t *testing.T, dir, boundary string) (recreated bool) {
+	t.Helper()
+	cfg := Config{Dir: dir, Scheme: testScheme, Recover: true}
+	exists, err := Exists(dir)
+	if err != nil {
+		t.Fatalf("%s: Exists after a kill inside Create: %v", boundary, err)
+	}
+	d := mustDoc(t, "<root/>")
+	var j *Journal
+	if exists {
+		var d2 *dyndoc.Document
+		if j, d2, _, err = Replay(cfg); err != nil {
+			t.Fatalf("%s: Replay after a kill inside Create: %v", boundary, err)
+		}
+		if d2.XML() != d.XML() {
+			t.Fatalf("%s: recovered %s, want the source document %s", boundary, d2.XML(), d.XML())
+		}
+		d = d2
+	} else if j, err = Create(cfg, d); err != nil {
+		t.Fatalf("%s: Create after a kill inside Create: %v", boundary, err)
+	}
+	if err := applyAndAppend(t, j, d, insertEdit(rootID(t, d), "again"))(); err != nil {
+		t.Fatalf("%s: append after re-open: %v", boundary, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("%s: %v", boundary, err)
+	}
+	j2, d2, info, err := Replay(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("%s: clean Replay after re-open: %v", boundary, err)
+	}
+	defer j2.Close()
+	if info.Batches != 1 || d2.XML() != d.XML() {
+		t.Fatalf("%s: round trip: info %+v, XML %s, want %s", boundary, info, d2.XML(), d.XML())
+	}
+	return !exists
+}
+
 // checkOracle verifies the replayed document's labeling answers the
 // structural predicates correctly — the registry conformance check,
 // restricted to live nodes (replayed documents may carry deletions).
@@ -275,35 +319,36 @@ func TestKillMatrixAlways(t *testing.T) {
 	steps := killSteps(t)
 	refXML := referenceXMLs(t, steps)
 	writes, syncs := profileOps(t, steps)
-	total := 0
+	total, inCreate, recreated := 0, 0, 0
+	crash := func(boundary string, fi int, fault faultfs.Fault) {
+		dir := t.TempDir()
+		run := runScripted(t, dir, wrapNth(fi, fault), steps, false)
+		if run.createFailed {
+			// The journal never existed and no promise was made — except
+			// that the directory stays usable.
+			if verifyCreateCrash(t, dir, boundary) {
+				recreated++
+			}
+			inCreate++
+			return
+		}
+		verifyCrash(t, dir, steps, refXML, run, boundary)
+		total++
+	}
 	for fi := range writes {
 		for n := 1; n <= writes[fi]; n++ {
 			for _, short := range []int{0, 1, 9} {
-				boundary := fmt.Sprintf("file%d/write%d/short%d", fi, n, short)
-				dir := t.TempDir()
-				run := runScripted(t, dir, wrapNth(fi, faultfs.Fault{Op: faultfs.OpWrite, N: n, Short: short}), steps, false)
-				if run.createFailed {
-					continue // journal never existed; no promise made
-				}
-				verifyCrash(t, dir, steps, refXML, run, boundary)
-				total++
+				crash(fmt.Sprintf("file%d/write%d/short%d", fi, n, short), fi, faultfs.Fault{Op: faultfs.OpWrite, N: n, Short: short})
 			}
 		}
 		for n := 1; n <= syncs[fi]; n++ {
-			boundary := fmt.Sprintf("file%d/sync%d", fi, n)
-			dir := t.TempDir()
-			run := runScripted(t, dir, wrapNth(fi, faultfs.Fault{Op: faultfs.OpSync, N: n}), steps, false)
-			if run.createFailed {
-				continue
-			}
-			verifyCrash(t, dir, steps, refXML, run, boundary)
-			total++
+			crash(fmt.Sprintf("file%d/sync%d", fi, n), fi, faultfs.Fault{Op: faultfs.OpSync, N: n})
 		}
 	}
-	if total < 10 {
-		t.Fatalf("kill matrix exercised only %d boundaries — profiling is broken", total)
+	if total < 10 || recreated == 0 || recreated == inCreate {
+		t.Fatalf("kill matrix exercised only %d boundaries, %d inside Create (%d re-created) — profiling is broken", total, inCreate, recreated)
 	}
-	t.Logf("kill matrix: %d crash boundaries verified", total)
+	t.Logf("kill matrix: %d crash boundaries verified, %d more inside Create (%d re-created, %d recovered)", total, inCreate, recreated, inCreate-recreated)
 }
 
 // TestCrashRequiresRecoverFlag pins the API contract: a journal left

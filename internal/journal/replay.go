@@ -14,13 +14,14 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Exists reports whether dir holds a journal (any segment files). A
-// missing directory is simply no journal, not an error.
+// Exists reports whether dir holds a journal (any segment files,
+// beyond the residue of a Create that never finished — see segments).
+// A missing directory is simply no journal, not an error.
 func Exists(dir string) (bool, error) {
 	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
 		return false, nil
 	}
-	gens, err := listGens(dir)
+	gens, err := segments(dir)
 	if err != nil {
 		return false, err
 	}
@@ -95,6 +96,27 @@ func listGens(dir string) ([]genFiles, error) {
 	return out, nil
 }
 
+// segments is listGens under the unfinished-create rule: a directory
+// whose only segment file is an incomplete ckpt-00000000 holds no
+// journal. That file is what a kill inside Create, or inside a
+// follower's first snapshot adoption, leaves behind; log-0 is created
+// only once checkpoint 0 is complete and neither call had returned, so
+// nothing in such a directory was ever acknowledged and the next
+// Create (or from-scratch fetch) simply writes over it. Every other
+// directory without a complete checkpoint stays an error.
+func segments(dir string) ([]genFiles, error) {
+	gens, err := listGens(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(gens) == 1 && gens[0].gen == 0 && gens[0].ckpt && !gens[0].log {
+		if _, ok := readCheckpoint(ckptPath(dir, 0)); !ok {
+			return nil, nil
+		}
+	}
+	return gens, nil
+}
+
 // readCheckpoint parses ckpt-gen and reports whether it is complete:
 // a meta record first, then as many records as the END trailer
 // advertises (none since checkpoints stopped carrying per-node label
@@ -153,27 +175,39 @@ func rebuildFromMeta(meta checkpointMeta) (*dyndoc.Document, map[int]int, error)
 	return d, idmap, nil
 }
 
-// Replay rebuilds a live document from the journal in cfg.Dir — the
-// newest complete checkpoint plus every decodable log batch after it
-// — and returns the journal reopened for appending where the log left
-// off. A journal closed cleanly replays without repairs; one left by
-// a crash carries signatures (an incomplete checkpoint, a torn log
-// tail, a missing log, stray segments) that Replay only repairs when
-// cfg.Recover is set, failing with ErrRecoveryTruncated otherwise.
-// Repair never drops a batch whose durability was acknowledged in
-// SyncAlways mode: such batches are fsynced before acknowledgment, so
-// they sit before any torn tail.
-func Replay(cfg Config) (*Journal, *dyndoc.Document, ReplayInfo, error) {
-	var info ReplayInfo
-	fail := func(err error) (*Journal, *dyndoc.Document, ReplayInfo, error) {
-		return nil, nil, info, err
-	}
-	gens, err := listGens(cfg.Dir)
+// errNoJournal reports a directory with no journal in it.
+var errNoJournal = errors.New("journal: no journal")
+
+// recovered is a journal directory opened by openDir: the document its
+// newest complete checkpoint and log tail rebuild, the map from the
+// node ids the checkpoint and log use to the rebuilt document's, and
+// the log reopened for appending where it left off.
+type recovered struct {
+	doc     *dyndoc.Document
+	idmap   map[int]int
+	store   *labelstore.Store
+	seq     uint64 // last batch replayed
+	baseSeq uint64 // sequence the checkpoint covers
+	info    ReplayInfo
+}
+
+// openDir is the one place a journal-shaped directory — a leader's
+// journal or a follower's mirror — is opened: the newest complete
+// checkpoint plus every decodable log batch after it, replayed into a
+// fresh document. A directory closed cleanly opens without repairs;
+// one left by a crash carries signatures (an incomplete checkpoint, a
+// torn log tail, a missing log, stray segments) that openDir only
+// repairs when cfg.Recover is set, failing with ErrRecoveryTruncated
+// before it has modified any file otherwise. Repair never drops a
+// batch that was fsynced before it was acknowledged: such batches sit
+// before any torn tail.
+func openDir(cfg Config) (*recovered, error) {
+	gens, err := segments(cfg.Dir)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if len(gens) == 0 {
-		return fail(fmt.Errorf("journal: no journal in %s", cfg.Dir))
+		return nil, fmt.Errorf("%w in %s", errNoJournal, cfg.Dir)
 	}
 
 	// Pick the newest generation whose checkpoint is complete. Every
@@ -195,21 +229,13 @@ func Replay(cfg Config) (*Journal, *dyndoc.Document, ReplayInfo, error) {
 		needRepair = true // torn or incomplete checkpoint
 	}
 	if chosen < 0 {
-		return fail(fmt.Errorf("journal: no complete checkpoint in %s", cfg.Dir))
+		return nil, fmt.Errorf("journal: no complete checkpoint in %s", cfg.Dir)
 	}
 	if chosen+1 < len(gens) {
 		needRepair = true // stale older generations not yet removed
 	}
 	g := gens[chosen]
-	info.Checkpoint = g.gen
-	info.Scheme = meta.Scheme
-	// The journal's recorded scheme wins over whatever the caller
-	// passed (dynxml supplies its default when the user names none):
-	// carry it into the reopened journal so a later Checkpoint
-	// re-records it instead of silently migrating the journal onto the
-	// caller's scheme while this session's document stays labeled
-	// under the recorded one.
-	cfg.Scheme = meta.Scheme
+	r := &recovered{baseSeq: meta.BaseSeq, info: ReplayInfo{Checkpoint: g.gen, Scheme: meta.Scheme}}
 
 	// Read the log tail. A missing log (crash between checkpoint
 	// completion and log creation) holds no batches; a torn one is
@@ -223,46 +249,37 @@ func Replay(cfg Config) (*Journal, *dyndoc.Document, ReplayInfo, error) {
 		if err != nil {
 			needRepair = true
 			if cfg.Recover {
-				var truncated int64
-				recs, truncated, err = labelstore.Recover(lp)
+				recs, r.info.TruncatedBytes, err = labelstore.Recover(lp)
 				if err != nil {
-					return fail(err)
+					return nil, err
 				}
-				info.TruncatedBytes = truncated
 			}
 		}
 	}
 	if needRepair && !cfg.Recover {
-		return fail(fmt.Errorf("%w (open with recovery enabled to repair)", ErrRecoveryTruncated))
+		return nil, fmt.Errorf("%w (open with recovery enabled to repair)", ErrRecoveryTruncated)
 	}
-	info.Repaired = needRepair
+	r.info.Repaired = needRepair
 
 	// Rebuild the document from the checkpoint and re-execute the
 	// tail. The rebuilt document numbers its nodes freshly, so edits
 	// are translated through an old-id → new-id map seeded from the
 	// checkpoint's preorder list and extended by each batch's recorded
 	// results.
-	d, idmap, err := rebuildFromMeta(meta)
+	r.doc, r.idmap, err = rebuildFromMeta(meta)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	seq := meta.BaseSeq
-	for _, rec := range recs {
-		if rec.ID != seq+1 {
-			return fail(fmt.Errorf("journal: log record %d out of sequence (want %d)", rec.ID, seq+1))
-		}
-		edits, recorded, err := DecodeBatch(rec.Payload)
-		if err != nil {
-			return fail(err)
-		}
-		if _, _, err := applyRecorded(d, idmap, edits, recorded); err != nil {
-			return fail(fmt.Errorf("journal: replaying batch %d: %w", rec.ID, err))
-		}
-		seq = rec.ID
-		info.Batches++
-		info.Edits += len(edits)
-		mReplayedEdits.Add(int64(len(edits)))
+	batches := make([]ShipBatch, len(recs))
+	for i, rec := range recs {
+		batches[i] = ShipBatch{Seq: rec.ID, Payload: rec.Payload}
 	}
+	r.seq, r.info.Edits, err = replayBatches(r.doc, r.idmap, meta.BaseSeq, batches)
+	if err != nil {
+		return nil, err
+	}
+	r.info.Batches = len(batches)
+	mReplayedEdits.Add(int64(r.info.Edits))
 
 	// Remove everything that is not the chosen generation (only
 	// reachable with cfg.Recover — needRepair gated above).
@@ -282,28 +299,68 @@ func Replay(cfg Config) (*Journal, *dyndoc.Document, ReplayInfo, error) {
 	}
 
 	// Reopen the log for appending, through the configured wrapper.
-	var store *labelstore.Store
 	if !g.log {
-		store, err = openStore(cfg, lp)
+		r.store, err = openStore(cfg, lp)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-	} else {
-		f, err := os.OpenFile(lp, os.O_RDWR, 0)
-		if err != nil {
-			return fail(fmt.Errorf("journal: %w", err))
-		}
-		if _, err := f.Seek(0, io.SeekEnd); err != nil {
-			_ = f.Close()
-			return fail(fmt.Errorf("journal: %w", err))
-		}
-		var lf labelstore.File = f
-		if cfg.WrapFile != nil {
-			lf = cfg.WrapFile(lf)
-		}
-		store = labelstore.AppendStore(lf)
+		return r, nil
 	}
-	return newJournal(cfg, store, g.gen, seq, meta.BaseSeq), d, info, nil
+	f, err := os.OpenFile(lp, os.O_RDWR, 0)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	var lf labelstore.File = f
+	if cfg.WrapFile != nil {
+		lf = cfg.WrapFile(lf)
+	}
+	r.store = labelstore.AppendStore(lf)
+	return r, nil
+}
+
+// Replay rebuilds a live document from the journal in cfg.Dir (see
+// openDir for what is read and what Config.Recover repairs) and
+// returns the journal reopened for appending where the log left off.
+func Replay(cfg Config) (*Journal, *dyndoc.Document, ReplayInfo, error) {
+	r, err := openDir(cfg)
+	if err != nil {
+		return nil, nil, ReplayInfo{}, err
+	}
+	// The journal's recorded scheme wins over whatever the caller
+	// passed (dynxml supplies its default when the user names none):
+	// carry it into the reopened journal so a later Checkpoint
+	// re-records it instead of silently migrating the journal onto the
+	// caller's scheme while this session's document stays labeled
+	// under the recorded one.
+	cfg.Scheme = r.info.Scheme
+	return newJournal(cfg, r.store, r.info.Checkpoint, r.seq, r.baseSeq), r.doc, r.info, nil
+}
+
+// replayBatches re-executes a run of journaled batches, the first at
+// sequence from+1, onto an unpublished document — no clone, no
+// publication. A gap or regression in the run is an error: applying
+// past it would fork the document from the history that was logged.
+func replayBatches(d *dyndoc.Document, idmap map[int]int, from uint64, batches []ShipBatch) (seq uint64, edits int, err error) {
+	seq = from
+	for _, b := range batches {
+		if b.Seq != seq+1 {
+			return seq, edits, fmt.Errorf("journal: batch %d out of sequence (want %d)", b.Seq, seq+1)
+		}
+		es, recorded, err := DecodeBatch(b.Payload)
+		if err != nil {
+			return seq, edits, fmt.Errorf("journal: batch %d: %w", b.Seq, err)
+		}
+		if _, _, err := applyRecorded(d, idmap, es, recorded); err != nil {
+			return seq, edits, fmt.Errorf("journal: replaying batch %d: %w", b.Seq, err)
+		}
+		seq = b.Seq
+		edits += len(es)
+	}
+	return seq, edits, nil
 }
 
 // applyRecorded re-executes one recorded batch against the rebuilt

@@ -96,8 +96,8 @@ func phaseOf(p *Plan, i int) string {
 	return "join"
 }
 
-// String renders the report as the fixed-format text cmd/xquery
-// -explain prints (pinned by the golden test in the dynxml package).
+// String renders the report as the fixed-format text cmd/dynxml
+// query -explain prints (pinned by the golden test in the dynxml package).
 func (r *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "EXPLAIN %s\n", r.Query)

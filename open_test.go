@@ -94,7 +94,7 @@ func TestOpenOptions(t *testing.T) {
 }
 
 // TestOpenBatch checks ApplyBatch and InsertTreeBatch through the
-// handle, including concurrent chunking under WithBatchSize.
+// handle: a concurrent handle publishes a batch as one snapshot.
 func TestOpenBatch(t *testing.T) {
 	h, err := Open(openSeed)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestOpenBatch(t *testing.T) {
 		t.Fatalf("ApplyBatch = %d results, %v", len(res), err)
 	}
 
-	c, err := Open(openSeed, WithConcurrent(), WithBatchSize(2))
+	c, err := Open(openSeed, WithConcurrent())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,10 @@ func TestOpenBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res) != 5 {
-		t.Fatalf("chunked ApplyBatch returned %d results, want 5", len(res))
+		t.Fatalf("concurrent ApplyBatch returned %d results, want 5", len(res))
 	}
-	// 5 edits in chunks of 2 → 3 published snapshots.
-	if g := c.Shared().Generation(); g != 3 {
-		t.Fatalf("generation %d after chunked batch, want 3", g)
+	if g := c.Shared().Generation(); g != 1 {
+		t.Fatalf("generation %d after one batch, want 1", g)
 	}
 	if n, err := c.Count("//x"); err != nil || n != 5 {
 		t.Fatalf("Count(//x) = %d, %v; want 5", n, err)

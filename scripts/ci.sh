@@ -17,7 +17,8 @@
 #                      journal kill matrix, the paged-label damage
 #                      matrix (page files deleted/truncated/corrupted
 #                      between runs), the torn-page-file sweep, the
-#                      follower kill matrix, then the FuzzReadAll,
+#                      follower kill matrix (kills inside the first
+#                      open included), then the FuzzReadAll,
 #                      FuzzPageRoundTrip, FuzzMetaDecode,
 #                      FuzzEncodeBetween, FuzzEditCodec and
 #                      FuzzStreamDecode seed corpora as short fuzz runs
@@ -99,8 +100,8 @@ go test -race -count=1 -run 'TestClientFollowerReadYourWrites|TestClientWatch' .
 echo "==> crash-safety suite (recovery + fault injection)"
 go test -count=1 -run 'TestRecover|TestFault|TestSynced|TestReadAllTorn' ./internal/labelstore ./internal/labelstore/faultfs
 
-echo "==> journal kill matrix (every write/sync fault point at durability=always)"
-go test -count=1 -run 'TestKillMatrix|TestReplay|TestCheckpoint' ./internal/journal
+echo "==> journal kill matrix (every write/sync fault point at durability=always, Create's own included)"
+go test -count=1 -run 'TestKillMatrix|TestReplay|TestCheckpoint|TestUnfinishedCreate' ./internal/journal
 
 echo "==> paged-label damage matrix (delete/truncate/corrupt page files, replay must restore)"
 go test -count=1 -run 'TestPagedSurvivesPageFileDamage|TestPagedJournalRoundTrip' .
