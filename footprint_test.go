@@ -62,4 +62,33 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		}
 		runtime.KeepAlive(h)
 	}
+
+	// The paged backend's share is its page cache — decoded nodes, not
+	// 4 KB buffers — and Close drops exactly that. What the estimate
+	// gives up at Close must be within 2x of what the heap gives back.
+	h, err := Open(datagen.Hamlet(), WithPagedLabels(t.TempDir()), WithPageCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.QueryString("//speech"); err != nil {
+		t.Fatal(err)
+	}
+	heapNow := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	estOpen, heapOpen := h.MemoryFootprint(), heapNow()
+	pages := h.Stats().Storage.ResidentPages
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	share, freed := estOpen-h.MemoryFootprint(), heapOpen-heapNow()
+	t.Logf("paged: %d resident pages, estimate %d B, heap %d B (%.2fx)", pages, share, freed, float64(share)/float64(freed))
+	if pages < 32 || share > 2*freed || freed > 2*share {
+		t.Errorf("paged: backend share %d B over %d pages is not within 2x of the measured heap %d B", share, pages, freed)
+	}
+	runtime.KeepAlive(h)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -11,16 +12,18 @@ import (
 // entries; label byte keys are tens of bytes in practice.
 const MaxKeySize = 1024
 
-// node is the decoded form of a B-tree page. Key slices alias the
-// sealed page buffer they were decoded from (which is never mutated —
-// updates write a fresh buffer), so decoding allocates only the
-// slice headers.
+// node is the decoded form of a B-tree page: the form every tree
+// operation works on, and the only form the pager caches. Key bytes
+// are immutable once a node holds them (an insert copies the caller's
+// key, a delete drops a slice header), so nodes share them: a decoded
+// node's keys alias one copy of its page's payload, a clone's alias
+// its original's.
 type node struct {
 	leaf     bool
 	keys     [][]byte
 	vals     []uint32 // leaf: one value per key
 	children []uint32 // internal: len(keys)+1 child page ids
-	size     int      // encoded payload bytes
+	size     int      // encoded payload bytes, kept current by every mutation
 }
 
 // Payload encodings:
@@ -31,20 +34,44 @@ const entryOverhead = 2 + 4
 
 func (n *node) entrySize(i int) int { return entryOverhead + len(n.keys[i]) }
 
+// heapBytes estimates the heap a resident node holds: 192 bytes of node
+// and cache-entry structs, its key bytes (the encoded size stands in:
+// its 6 bytes per entry roughly cover the allocator's rounding of
+// inserted keys), 24 bytes of slice header per key slot and 4 per value
+// or child slot.
+func (n *node) heapBytes() int {
+	return 192 + n.size + 24*cap(n.keys) + 4*(cap(n.vals)+cap(n.children))
+}
+
+// roomy copies s into a slice with append headroom, so the inserts
+// that follow a fault-in, a copy-on-write or a split do not at once
+// regrow kilobytes of slice headers.
+func roomy[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	return append(make([]T, 0, headroom(len(s))), s...)
+}
+
+func headroom(n int) int { return n + n/8 + 4 }
+
+// decodeNode builds the node of a verified page buffer. The buffer is
+// the pager's scratch page, so the payload is copied out; the keys
+// alias that copy.
 func decodeNode(buf []byte) (*node, error) {
-	pl := payload(buf)
+	pl := bytes.Clone(payload(buf))
 	nk := pageNKeys(buf)
-	n := &node{size: len(pl), keys: make([][]byte, 0, nk)}
+	n := &node{size: len(pl), keys: make([][]byte, 0, headroom(nk))}
 	off := 0
 	switch pageType(buf) {
 	case PageLeaf:
 		n.leaf = true
-		n.vals = make([]uint32, 0, nk)
+		n.vals = make([]uint32, 0, headroom(nk))
 	case PageInternal:
 		if len(pl) < 4 {
 			return nil, &ErrPageCorrupt{ID: pageID(buf), Reason: "internal node shorter than child0"}
 		}
-		n.children = make([]uint32, 0, nk+1)
+		n.children = make([]uint32, 0, headroom(nk+1))
 		n.children = append(n.children, binary.BigEndian.Uint32(pl[:4]))
 		off = 4
 	default:
@@ -75,12 +102,11 @@ func decodeNode(buf []byte) (*node, error) {
 	return n, nil
 }
 
-// encodeNode seals n into a fresh PageSize buffer under id. A node
-// whose entries exceed PayloadSize is reported as an error — the split
-// logic keeps nodes within bounds, so this is a guard against writing
-// past the fixed buffer, never an expected path.
-func encodeNode(n *node, id uint32) ([]byte, error) {
-	buf := make([]byte, PageSize)
+// encodeNode seals n into buf (PageSize bytes, fully overwritten) under
+// id. A node whose entries exceed PayloadSize is reported as an error —
+// the split logic keeps nodes within bounds, so this is a guard against
+// writing past the fixed buffer, never an expected path.
+func encodeNode(n *node, id uint32, buf []byte) error {
 	pl := buf[HeaderSize : PageSize-FooterSize]
 	off := 0
 	typ := PageLeaf
@@ -91,7 +117,7 @@ func encodeNode(n *node, id uint32) ([]byte, error) {
 	}
 	for i, k := range n.keys {
 		if off+entryOverhead+len(k) > len(pl) {
-			return nil, fmt.Errorf("pagestore: node for page %d overflows payload: %d keys need > %d bytes", id, len(n.keys), len(pl))
+			return fmt.Errorf("pagestore: node for page %d overflows payload: %d keys need > %d bytes", id, len(n.keys), len(pl))
 		}
 		binary.BigEndian.PutUint16(pl[off:off+2], uint16(len(k)))
 		off += 2
@@ -106,22 +132,52 @@ func encodeNode(n *node, id uint32) ([]byte, error) {
 		binary.BigEndian.PutUint32(pl[off:off+4], v)
 		off += 4
 	}
-	n.size = off
+	clear(pl[off:])
 	Seal(buf, id, typ, len(n.keys), off)
-	return buf, nil
+	return nil
+}
+
+// checkEncoding verifies a node against the page just encoded from it:
+// the incrementally maintained size is the payload length, and decoding
+// the page gives the node back. The pager runs it on every writeback
+// under the `invariants` build tag.
+func checkEncoding(n *node, buf []byte) error {
+	if used := pageUsed(buf); used != n.size {
+		return fmt.Errorf("pagestore: page %d: node size %d, encoded payload %d", pageID(buf), n.size, used)
+	}
+	d, err := decodeNode(buf)
+	if err != nil {
+		return err
+	}
+	if d.leaf != n.leaf || !slices.EqualFunc(d.keys, n.keys, bytes.Equal) ||
+		!slices.Equal(d.vals, n.vals) || !slices.Equal(d.children, n.children) {
+		return fmt.Errorf("pagestore: page %d does not decode to the node it was encoded from", pageID(buf))
+	}
+	return nil
 }
 
 // Tree is a B-tree over a shared pager, keyed by raw bytes with uint32
-// values. Updates are copy-on-write: every mutated root-to-leaf path
-// is rewritten into freshly allocated pages, except pages this Tree
-// instance itself allocated since it was created or last flushed (the
-// owned set), which are safely rewritten in place because no other
-// clone or committed root can reach them. Clone is therefore O(1) —
-// share the pager, take the root — which is what lets the snapshot
+// values. Updates are copy-on-write once per snapshot: a page this Tree
+// allocated since it was created, cloned or last sealed (the owned set)
+// is reachable from no other root, so Insert and Delete mutate its
+// cached node in place — no copy, no new page id, no parent change
+// unless a split or an unlink alters the parent. Any other page on the
+// path is first copied into a fresh owned page and its parent
+// re-pointed, up to the root. Clone is therefore O(1) — share the
+// pager, take the root, empty both owned sets — which lets the snapshot
 // layer keep one immutable tree per published snapshot.
 //
-// A Tree instance is not safe for concurrent mutation; the store layer
-// serializes access. Distinct clones may be read concurrently.
+// Synchronisation: clones share one pager, so a reader's fault can
+// evict — and so encode — a writer's dirty page. Every mutation and
+// every encode of a cached node therefore happens under the pager's
+// mutex, which Insert and Delete hold for the whole operation. Readers
+// (Get, Scan*) take it per page and read the node after releasing it:
+// a page a reader can reach is owned by no writer, so it never changes
+// again. Even under the mutex a mutation keeps no node across a call
+// that can evict; it re-fetches a parent by id once the child returns.
+//
+// A Tree is not safe for concurrent use; the store layer serializes
+// access. Distinct clones may be used concurrently.
 type Tree struct {
 	pg    *Pager
 	root  uint32 // 0 = empty
@@ -130,9 +186,7 @@ type Tree struct {
 }
 
 // NewTree returns an empty tree over pg.
-func NewTree(pg *Pager) *Tree {
-	return &Tree{pg: pg, owned: map[uint32]bool{}}
-}
+func NewTree(pg *Pager) *Tree { return LoadTree(pg, 0, 0) }
 
 // LoadTree attaches to a committed root.
 func LoadTree(pg *Pager, root uint32, count int) *Tree {
@@ -148,48 +202,47 @@ func (t *Tree) Count() int { return t.count }
 // Clone returns an independent tree sharing pg and the current root.
 // Either side may keep mutating; path copying keeps the other's view
 // intact. Cloning seals the receiver too: pages it allocated are now
-// reachable from the clone's root, so neither side may rewrite them in
+// reachable from the clone's root, so neither side may mutate them in
 // place anymore.
 func (t *Tree) Clone() *Tree {
-	t.owned = map[uint32]bool{}
-	return &Tree{pg: t.pg, root: t.root, count: t.count, owned: map[uint32]bool{}}
+	t.Sealed()
+	return LoadTree(t.pg, t.root, t.count)
 }
 
 // Sealed drops ownership of every page allocated so far: called after
 // a flush commits them, so later mutations path-copy instead of
-// rewriting committed pages in place.
+// changing committed pages in place.
 func (t *Tree) Sealed() { t.owned = map[uint32]bool{} }
 
-// load returns the decoded node of a page. The pager memoizes the
-// decode on the cache entry under its own lock, so concurrent clone
-// readers sharing one pager never race on the memo.
-func (t *Tree) load(id uint32) (*node, error) {
-	return t.pg.GetNode(id)
+// newPage caches n as a fresh page this tree owns.
+//
+// vet:holds t.pg.mu
+func (t *Tree) newPage(n *node) (*cached, error) {
+	e, err := t.pg.newPageLocked(n)
+	if e != nil {
+		t.owned[e.id] = true
+	}
+	return e, err
 }
 
-// write stores n, reusing prev's page when this tree owns it (and the
-// caller is replacing, not keeping, that version), else into a fresh
-// page. It returns the page id holding n.
-func (t *Tree) write(n *node, prev uint32) (uint32, error) {
-	id := prev
-	if id == 0 || !t.owned[id] {
-		id = t.pg.Alloc()
-		t.owned[id] = true
+// mutable returns the entry through which this tree may change page
+// e: e itself when the tree owns it, else a copy in a fresh owned page
+// — the copy-on-write paid once per page per snapshot. It takes
+// getLocked's results, passing an error through.
+//
+// vet:holds t.pg.mu
+func (t *Tree) mutable(e *cached, err error) (*cached, error) {
+	if err != nil || t.owned[e.id] {
+		return e, err
 	}
-	buf, err := encodeNode(n, id)
-	if err != nil {
-		return 0, err
-	}
-	if err := t.pg.Put(id, buf, n); err != nil {
-		return 0, err
-	}
-	return id, nil
+	n := e.node
+	return t.newPage(&node{leaf: n.leaf, size: n.size, keys: roomy(n.keys), vals: roomy(n.vals), children: roomy(n.children)})
 }
 
-// search returns the first index i with key <= n.keys[i].
+// searchKeys returns the first index i with key <= keys[i], and
+// whether keys[i] is key.
 func searchKeys(keys [][]byte, key []byte) (int, bool) {
-	i := sort.Search(len(keys), func(i int) bool { return bytes.Compare(keys[i], key) >= 0 })
-	return i, i < len(keys) && bytes.Equal(keys[i], key)
+	return slices.BinarySearchFunc(keys, key, bytes.Compare)
 }
 
 // childIndex picks the child covering key in an internal node: the
@@ -200,12 +253,8 @@ func childIndex(keys [][]byte, key []byte) int {
 
 // Get returns the value stored under key.
 func (t *Tree) Get(key []byte) (uint32, bool, error) {
-	id := t.root
-	if id == 0 {
-		return 0, false, nil
-	}
-	for {
-		n, err := t.load(id)
+	for id := t.root; id != 0; {
+		n, err := t.pg.node(id)
 		if err != nil {
 			return 0, false, err
 		}
@@ -218,64 +267,48 @@ func (t *Tree) Get(key []byte) (uint32, bool, error) {
 		}
 		id = n.children[childIndex(n.keys, key)]
 	}
+	return 0, false, nil
 }
 
-// cloneNode copies a decoded node so it can be mutated without
-// touching the shared cached view.
-func cloneNode(n *node) *node {
-	out := &node{leaf: n.leaf, size: n.size}
-	out.keys = append(make([][]byte, 0, len(n.keys)+1), n.keys...)
-	if n.leaf {
-		out.vals = append(make([]uint32, 0, len(n.vals)+1), n.vals...)
-	} else {
-		out.children = append(make([]uint32, 0, len(n.children)+1), n.children...)
-	}
-	return out
-}
-
-// splitPoint picks the boundary index that divides n's encoded payload
-// roughly in half by bytes rather than by entry count: with skewed key
-// sizes a count split can leave one half over PayloadSize. An over-full
-// node exceeds PayloadSize by at most one MaxKeySize entry (splits
-// happen immediately after the insert that overflowed), so byte
+// split divides an over-full node in two at the boundary that halves
+// its encoded payload by bytes rather than by entry count: with skewed
+// key sizes a count split can leave one half over PayloadSize. An
+// over-full node exceeds PayloadSize by at most one MaxKeySize entry
+// (splits happen immediately after the insert that overflowed), so byte
 // balance guarantees both halves fit. Both halves stay non-empty.
-func splitPoint(n *node) int {
-	total := 0
-	for i := range n.keys {
-		total += n.entrySize(i)
-	}
-	acc := 0
-	for h := 1; h < len(n.keys); h++ {
-		acc += n.entrySize(h - 1)
-		if 2*acc >= total {
-			return h
-		}
-	}
-	return len(n.keys) - 1
-}
-
-// split divides an over-full node in two and returns the right half
-// plus the separator key to install in the parent. A leaf keeps every
-// entry — the separator is the right half's smallest key, which stays
-// in that leaf — while an internal node pushes the boundary key up: it
-// moves into the parent and is kept by neither half, so each child page
-// stays reachable from exactly one side. (The sizes of both halves are
-// recomputed when they are encoded.)
+//
+// It returns the right half plus the separator key to install in the
+// parent. A leaf keeps every entry — the separator is the right half's
+// smallest key, which stays in that leaf — while an internal node
+// pushes the boundary key up: it moves into the parent and is kept by
+// neither half, so each child page stays reachable from exactly one
+// side.
 func split(n *node) (*node, []byte) {
-	h := splitPoint(n)
-	right := &node{leaf: n.leaf}
-	if n.leaf {
-		right.keys = append(right.keys, n.keys[h:]...)
-		right.vals = append(right.vals, n.vals[h:]...)
-		n.keys = n.keys[:h]
-		n.vals = n.vals[:h]
-		return right, right.keys[0]
+	total := n.size
+	if !n.leaf {
+		total -= 4
 	}
-	sep := n.keys[h]
-	right.keys = append(right.keys, n.keys[h+1:]...)
-	right.children = append(right.children, n.children[h+1:]...)
+	h, left := 1, n.entrySize(0) // left = bytes of entries [0, h)
+	for ; 2*left < total && h < len(n.keys)-1; h++ {
+		left += n.entrySize(h)
+	}
+	right := &node{leaf: n.leaf}
+	var sep []byte
+	if n.leaf {
+		right.keys, right.vals = roomy(n.keys[h:]), roomy(n.vals[h:])
+		right.size, n.size = n.size-left, left
+		sep = right.keys[0]
+	} else {
+		sep = n.keys[h]
+		right.keys, right.children = roomy(n.keys[h+1:]), roomy(n.children[h+1:])
+		right.size, n.size = n.size-left-n.entrySize(h), 4+left
+		n.children = n.children[:h+1]
+	}
+	clear(n.keys[h:]) // the left half must not pin the right half's keys
 	n.keys = n.keys[:h]
-	n.children = n.children[:h+1]
+	if n.leaf {
+		n.vals = n.vals[:h]
+	}
 	return right, sep
 }
 
@@ -285,27 +318,27 @@ func (t *Tree) Insert(key []byte, val uint32) error {
 	if len(key) == 0 || len(key) > MaxKeySize {
 		return fmt.Errorf("pagestore: key size %d out of range [1,%d]", len(key), MaxKeySize)
 	}
+	t.pg.mu.Lock()
+	defer t.pg.mu.Unlock()
 	if t.root == 0 {
-		n := &node{leaf: true, keys: [][]byte{append([]byte(nil), key...)}, vals: []uint32{val}}
-		id, err := t.write(n, 0)
+		e, err := t.newPage(&node{leaf: true})
 		if err != nil {
 			return err
 		}
-		t.root, t.count = id, 1
-		return nil
+		t.root = e.id
 	}
-	newRoot, sep, rightID, added, err := t.insert(t.root, key, val)
+	id, sep, right, added, err := t.insert(t.root, key, val)
 	if err != nil {
 		return err
 	}
 	if sep != nil {
-		root := &node{leaf: false, keys: [][]byte{sep}, children: []uint32{newRoot, rightID}}
-		newRoot, err = t.write(root, 0)
+		e, err := t.newPage(&node{keys: [][]byte{sep}, children: []uint32{id, right}, size: 4 + entryOverhead + len(sep)})
 		if err != nil {
 			return err
 		}
+		id = e.id
 	}
-	t.root = newRoot
+	t.root = id
 	if added {
 		t.count++
 	}
@@ -313,64 +346,74 @@ func (t *Tree) Insert(key []byte, val uint32) error {
 }
 
 // insert descends into page id and returns the id now holding the
-// updated node, plus a separator and right-sibling id when the node
-// split.
+// updated node — id itself unless the page had to be copied — plus a
+// separator and right-sibling id when the node split.
+//
+// vet:holds t.pg.mu
 func (t *Tree) insert(id uint32, key []byte, val uint32) (newID uint32, sep []byte, rightID uint32, added bool, err error) {
-	n, err := t.load(id)
+	e, err := t.pg.getLocked(id)
 	if err != nil {
 		return 0, nil, 0, false, err
 	}
-	cp := cloneNode(n)
-	if cp.leaf {
-		i, ok := searchKeys(cp.keys, key)
+	n := e.node
+	if n.leaf {
+		i, ok := searchKeys(n.keys, key)
+		if e, err = t.mutable(e, nil); err != nil {
+			return 0, nil, 0, false, err
+		}
+		n = e.node
 		if ok {
-			cp.vals[i] = val
+			n.vals[i] = val
 		} else {
 			added = true
-			kc := append([]byte(nil), key...)
-			cp.keys = append(cp.keys, nil)
-			copy(cp.keys[i+1:], cp.keys[i:])
-			cp.keys[i] = kc
-			cp.vals = append(cp.vals, 0)
-			copy(cp.vals[i+1:], cp.vals[i:])
-			cp.vals[i] = val
-			cp.size += entryOverhead + len(kc)
+			n.insertKey(i, bytes.Clone(key))
+			n.vals = slices.Insert(n.vals, i, val)
 		}
 	} else {
-		ci := childIndex(cp.keys, key)
-		childNew, childSep, childRight, childAdded, err := t.insert(cp.children[ci], key, val)
-		if err != nil {
+		ci := childIndex(n.keys, key)
+		child := n.children[ci]
+		childNew, childSep, childRight, childAdded, err := t.insert(child, key, val)
+		if err != nil || (childNew == child && childSep == nil) {
+			return id, nil, 0, childAdded, err
+		}
+		// The descent may have evicted this page: fetch it again
+		// rather than trust e.
+		if e, err = t.mutable(t.pg.getLocked(id)); err != nil {
 			return 0, nil, 0, false, err
 		}
-		added = childAdded
-		cp.children[ci] = childNew
+		n, added = e.node, childAdded
+		n.children[ci] = childNew
 		if childSep != nil {
-			cp.keys = append(cp.keys, nil)
-			copy(cp.keys[ci+1:], cp.keys[ci:])
-			cp.keys[ci] = childSep
-			cp.children = append(cp.children, 0)
-			copy(cp.children[ci+2:], cp.children[ci+1:])
-			cp.children[ci+1] = childRight
-			cp.size += entryOverhead + len(childSep)
+			n.insertKey(ci, childSep)
+			n.children = slices.Insert(n.children, ci+1, childRight)
 		}
 	}
-	if cp.size > PayloadSize && len(cp.keys) > 1 {
-		right, s := split(cp)
-		rid, err := t.write(right, 0)
+	var right *node
+	if n.size > PayloadSize && len(n.keys) > 1 {
+		right, sep = split(n)
+		sep = bytes.Clone(sep) // a parent must not pin this page's payload
+	}
+	t.pg.markDirtyLocked(e)
+	if right != nil {
+		r, err := t.newPage(right)
 		if err != nil {
 			return 0, nil, 0, false, err
 		}
-		nid, err := t.write(cp, id)
-		if err != nil {
-			return 0, nil, 0, false, err
-		}
-		return nid, append([]byte(nil), s...), rid, added, nil
+		rightID = r.id
 	}
-	nid, err := t.write(cp, id)
-	if err != nil {
-		return 0, nil, 0, false, err
-	}
-	return nid, nil, 0, added, nil
+	return e.id, sep, rightID, added, nil
+}
+
+// insertKey opens slot i of n.keys for key (whose bytes n keeps).
+func (n *node) insertKey(i int, key []byte) {
+	n.keys = slices.Insert(n.keys, i, key)
+	n.size += entryOverhead + len(key)
+}
+
+// deleteKey drops slot i of n.keys.
+func (n *node) deleteKey(i int) {
+	n.size -= n.entrySize(i)
+	n.keys = slices.Delete(n.keys, i, i+1)
 }
 
 // Delete removes key, reporting whether it was present. Underflowing
@@ -378,82 +421,83 @@ func (t *Tree) insert(id uint32, key []byte, val uint32) (newID uint32, sep []by
 // empties, at which point it is unlinked from its parent; compaction
 // (a bulk rebuild into a fresh file) restores density.
 func (t *Tree) Delete(key []byte) (bool, error) {
+	t.pg.mu.Lock()
+	defer t.pg.mu.Unlock()
 	if t.root == 0 {
 		return false, nil
 	}
-	newRoot, removed, empty, err := t.delete(t.root, key)
-	if err != nil {
+	root, removed, err := t.delete(t.root, key)
+	if err != nil || !removed {
 		return false, err
 	}
-	if !removed {
-		return false, nil
-	}
-	t.count--
-	if empty {
-		t.root = 0
-		return true, nil
-	}
+	t.root, t.count = root, t.count-1
 	// Collapse a root holding a single child.
-	for newRoot != 0 {
-		n, err := t.load(newRoot)
+	for t.root != 0 {
+		e, err := t.pg.getLocked(t.root)
 		if err != nil {
-			return false, err
+			return true, err
 		}
-		if n.leaf || len(n.children) > 1 {
+		if e.node.leaf || len(e.node.children) > 1 {
 			break
 		}
-		newRoot = n.children[0]
+		t.root = e.node.children[0]
 	}
-	t.root = newRoot
 	return true, nil
 }
 
-func (t *Tree) delete(id uint32, key []byte) (newID uint32, removed, empty bool, err error) {
-	n, err := t.load(id)
+// delete descends into page id and returns the id now holding the
+// updated node, or 0 when the delete emptied it.
+//
+// vet:holds t.pg.mu
+func (t *Tree) delete(id uint32, key []byte) (newID uint32, removed bool, err error) {
+	e, err := t.pg.getLocked(id)
 	if err != nil {
-		return 0, false, false, err
+		return 0, false, err
 	}
+	n := e.node
 	if n.leaf {
 		i, ok := searchKeys(n.keys, key)
 		if !ok {
-			return id, false, false, nil
+			return id, false, nil
 		}
-		cp := cloneNode(n)
-		cp.size -= entryOverhead + len(cp.keys[i])
-		cp.keys = append(cp.keys[:i], cp.keys[i+1:]...)
-		cp.vals = append(cp.vals[:i], cp.vals[i+1:]...)
-		if len(cp.keys) == 0 {
-			return 0, true, true, nil
+		if len(n.keys) == 1 {
+			return 0, true, nil
 		}
-		nid, err := t.write(cp, id)
-		return nid, true, false, err
+		if e, err = t.mutable(e, nil); err != nil {
+			return 0, false, err
+		}
+		n = e.node
+		n.deleteKey(i)
+		n.vals = slices.Delete(n.vals, i, i+1)
+		t.pg.markDirtyLocked(e)
+		return e.id, true, nil
 	}
 	ci := childIndex(n.keys, key)
-	childNew, removed, childEmpty, err := t.delete(n.children[ci], key)
-	if err != nil || !removed {
-		return id, removed, false, err
+	child := n.children[ci]
+	childNew, removed, err := t.delete(child, key)
+	if err != nil || !removed || childNew == child {
+		return id, removed, err
 	}
-	cp := cloneNode(n)
-	if childEmpty {
+	if childNew == 0 && len(n.children) == 1 {
+		return 0, true, nil
+	}
+	// As in insert: the descent may have evicted this page.
+	if e, err = t.mutable(t.pg.getLocked(id)); err != nil {
+		return 0, false, err
+	}
+	n = e.node
+	if childNew != 0 {
+		n.children[ci] = childNew
+	} else {
 		// Unlink the emptied child and the separator beside it (a
 		// single-child node left by earlier unlinks has no separator).
-		if len(cp.keys) > 0 {
-			ki := ci
-			if ki == len(cp.keys) {
-				ki = len(cp.keys) - 1
-			}
-			cp.size -= entryOverhead + len(cp.keys[ki])
-			cp.keys = append(cp.keys[:ki], cp.keys[ki+1:]...)
+		if len(n.keys) > 0 {
+			n.deleteKey(min(ci, len(n.keys)-1))
 		}
-		cp.children = append(cp.children[:ci], cp.children[ci+1:]...)
-		if len(cp.children) == 0 {
-			return 0, true, true, nil
-		}
-	} else {
-		cp.children[ci] = childNew
+		n.children = slices.Delete(n.children, ci, ci+1)
 	}
-	nid, err := t.write(cp, id)
-	return nid, true, false, err
+	t.pg.markDirtyLocked(e)
+	return e.id, true, nil
 }
 
 // Scan walks every entry in key order, stopping early when fn returns
@@ -466,34 +510,38 @@ func (t *Tree) Scan(fn func(key []byte, val uint32) bool) error {
 // ScanFrom walks entries with key >= from (nil = from the start) in
 // key order, stopping early when fn returns false.
 func (t *Tree) ScanFrom(from []byte, fn func(key []byte, val uint32) bool) error {
-	if t.root == 0 {
-		return nil
-	}
 	type frame struct {
 		n   *node
 		idx int
 	}
 	var stack []frame
-	id := t.root
-	for {
-		n, err := t.load(id)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
+	// descend pushes the path from page id down to a leaf: towards
+	// from on the first call, leftmost on every later one.
+	descend := func(id uint32) error {
+		for id != 0 {
+			n, err := t.pg.node(id)
+			if err != nil {
+				return err
+			}
 			i := 0
-			if from != nil {
-				i, _ = searchKeys(n.keys, from)
+			if n.leaf {
+				if from != nil {
+					i, _ = searchKeys(n.keys, from)
+				}
+				id = 0
+			} else {
+				if from != nil {
+					i = childIndex(n.keys, from)
+				}
+				id = n.children[i]
 			}
 			stack = append(stack, frame{n, i})
-			break
 		}
-		ci := 0
-		if from != nil {
-			ci = childIndex(n.keys, from)
-		}
-		stack = append(stack, frame{n, ci})
-		id = n.children[ci]
+		from = nil
+		return nil
+	}
+	if err := descend(t.root); err != nil {
+		return err
 	}
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -509,20 +557,8 @@ func (t *Tree) ScanFrom(from []byte, fn func(key []byte, val uint32) bool) error
 		top.idx++
 		if top.idx >= len(top.n.children) {
 			stack = stack[:len(stack)-1]
-			continue
-		}
-		// Descend leftmost under the next child.
-		id := top.n.children[top.idx]
-		for {
-			n, err := t.load(id)
-			if err != nil {
-				return err
-			}
-			stack = append(stack, frame{n, 0})
-			if n.leaf {
-				break
-			}
-			id = n.children[0]
+		} else if err := descend(top.n.children[top.idx]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -531,9 +567,6 @@ func (t *Tree) ScanFrom(from []byte, fn func(key []byte, val uint32) bool) error
 // ScanPrefix walks entries whose key starts with prefix, in key order.
 func (t *Tree) ScanPrefix(prefix []byte, fn func(key []byte, val uint32) bool) error {
 	return t.ScanFrom(prefix, func(k []byte, v uint32) bool {
-		if !bytes.HasPrefix(k, prefix) {
-			return false
-		}
-		return fn(k, v)
+		return bytes.HasPrefix(k, prefix) && fn(k, v)
 	})
 }

@@ -1,0 +1,7 @@
+//go:build !invariants
+
+package pagestore
+
+// invariantsEnabled is off in normal builds: the writeback self-check
+// compiles to nothing.
+const invariantsEnabled = false

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/metrics"
@@ -21,41 +22,48 @@ var (
 // against its own evictions.
 const MinCachePages = 8
 
-// cached is one resident page: the sealed buffer, an optional decoded
-// view (the B-tree memoizes its node decode here), and LRU links.
+// cached is one resident page: its decoded node — the only form a page
+// has in memory — and LRU links. Page bytes exist only in the pager's
+// scratch buffer, while a page crosses the file boundary.
 type cached struct {
 	id         uint32
-	buf        []byte // PageSize, sealed
-	node       *node  // decoded B-tree view, nil until first decode
+	node       *node
 	dirty      bool
+	bytes      int // heap estimate of node, charged to Pager.resident
 	prev, next *cached
 }
 
-// Pager serves fixed-size pages out of an LRU cache over a page File.
-// Reads of uncached pages come from disk with CRC verification; new
-// and updated pages enter the cache dirty and are written back when
-// evicted or flushed. Only Flush moves the committed state — eviction
-// writeback never fsyncs and never touches the meta page, so a crash
-// exposes at most an old committed root whose pages are all intact.
+// Pager serves B-tree nodes out of an LRU cache over a page File. A
+// miss reads the page with CRC verification and decodes it; new and
+// mutated nodes stay decoded and dirty, and are encoded and sealed only
+// when evicted or flushed. Only Flush moves the committed state —
+// eviction writeback never fsyncs and never touches the meta page, so a
+// crash exposes at most an old committed root whose pages are all
+// intact.
 //
 // All methods are safe for concurrent use; snapshot readers and the
-// writer share one pager.
+// writer share one pager. Every mutation and every encode of a cached
+// node happens under mu (see Tree for the full rule).
 type Pager struct {
-	mu    sync.Mutex
-	file  *File
-	cap   int
-	cache map[uint32]*cached
-	head  *cached // most recently used
-	tail  *cached // least recently used
-	next  uint32  // vet:guardedby mu // next page id to allocate
+	mu      sync.Mutex
+	file    *File
+	cap     int
+	cache   map[uint32]*cached
+	head    *cached // most recently used
+	tail    *cached // least recently used
+	next    uint32  // vet:guardedby mu // next page id to allocate
+	scratch []byte  // vet:guardedby mu // the one page buffer reads and writebacks pass through
 
+	resident                 int64  // vet:guardedby mu // sum of cached.bytes
 	hits, misses, writebacks uint64 // vet:guardedby mu
 }
 
 // PagerStats is a point-in-time snapshot of one pager's counters.
 type PagerStats struct {
-	// Resident is the number of cached pages right now.
-	Resident int
+	// Resident is the number of cached pages right now, ResidentBytes
+	// the heap estimate of their decoded nodes.
+	Resident      int
+	ResidentBytes int64
 	// Allocated is the number of data pages ever allocated in the
 	// current file (committed or not).
 	Allocated int
@@ -71,10 +79,11 @@ func NewPager(file *File, cachePages int) *Pager {
 		cachePages = MinCachePages
 	}
 	return &Pager{
-		file:  file,
-		cap:   cachePages,
-		cache: make(map[uint32]*cached, cachePages),
-		next:  file.Meta().Pages,
+		file:    file,
+		cap:     cachePages,
+		cache:   make(map[uint32]*cached, cachePages),
+		next:    file.Meta().Pages,
+		scratch: make([]byte, PageSize),
 	}
 }
 
@@ -109,75 +118,91 @@ func (p *Pager) lruFront(e *cached) {
 	}
 }
 
+// writebackLocked encodes and seals e's node into the scratch page and
+// writes it at its id (no fsync).
+//
+// vet:holds p.mu
+func (p *Pager) writebackLocked(e *cached) error {
+	if err := encodeNode(e.node, e.id, p.scratch); err != nil {
+		return err
+	}
+	if invariantsEnabled {
+		if err := checkEncoding(e.node, p.scratch); err != nil {
+			return err
+		}
+	}
+	if err := p.file.WritePage(p.scratch); err != nil {
+		return err
+	}
+	e.dirty = false
+	return nil
+}
+
 // insertLocked adds e to the cache, evicting from the LRU end past
-// capacity. Dirty evictees are written back (no fsync).
+// capacity. Dirty evictees are written back first.
 //
 // vet:holds p.mu
 func (p *Pager) insertLocked(e *cached) error {
 	p.cache[e.id] = e
 	p.lruFront(e)
+	e.bytes = e.node.heapBytes()
+	p.resident += int64(e.bytes)
 	mPages.Add(1)
 	for len(p.cache) > p.cap {
 		victim := p.tail
-		if victim == nil {
-			break
-		}
 		if victim.dirty {
-			if err := p.file.WritePage(victim.buf); err != nil {
+			if err := p.writebackLocked(victim); err != nil {
 				return err
 			}
-			victim.dirty = false
 			p.writebacks++
 			mWritebacks.Inc()
 		}
 		p.lruUnlink(victim)
 		delete(p.cache, victim.id)
+		p.resident -= int64(victim.bytes)
 		mPages.Add(-1)
 	}
 	return nil
 }
 
-// Alloc reserves a fresh page id. The page becomes resident when the
-// caller Puts its sealed buffer.
-func (p *Pager) Alloc() uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id := p.next
+// newPageLocked allocates a fresh page id holding n and caches it
+// dirty; its bytes first exist when it is evicted or flushed.
+//
+// vet:holds p.mu
+func (p *Pager) newPageLocked(n *node) (*cached, error) {
+	if p.cache == nil {
+		return nil, fmt.Errorf("pagestore: pager is closed")
+	}
+	e := &cached{id: p.next, node: n, dirty: true}
 	p.next++
-	return id
+	return e, p.insertLocked(e)
 }
 
-// Get returns the resident entry for page id, reading and verifying it
-// from disk on a cache miss.
-func (p *Pager) Get(id uint32) (*cached, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.getLocked(id)
+// markDirtyLocked records that e's node was mutated in place: it needs
+// writeback, and its heap estimate may have moved.
+//
+// vet:holds p.mu
+func (p *Pager) markDirtyLocked(e *cached) {
+	e.dirty = true
+	b := e.node.heapBytes()
+	p.resident += int64(b - e.bytes)
+	e.bytes = b
 }
 
-// GetNode returns the decoded B-tree view of page id, reading the page
-// on a miss and memoizing the decode on the cache entry. The
-// memoization happens while p.mu is held so that concurrent snapshot
-// readers sharing one pager never race on the entry's node field.
-func (p *Pager) GetNode(id uint32) (*node, error) {
+// node returns the decoded node of page id for reading, faulting it in
+// on a miss.
+func (p *Pager) node(id uint32) (*node, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, err := p.getLocked(id)
 	if err != nil {
 		return nil, err
 	}
-	if e.node == nil {
-		n, err := decodeNode(e.buf)
-		if err != nil {
-			return nil, err
-		}
-		e.node = n
-	}
 	return e.node, nil
 }
 
-// getLocked looks id up in the cache, faulting it in from disk on a
-// miss.
+// getLocked looks id up in the cache; a miss reads the page through the
+// scratch buffer, verifies it and decodes it into a node of its own.
 //
 // vet:holds p.mu
 func (p *Pager) getLocked(id uint32) (*cached, error) {
@@ -187,55 +212,44 @@ func (p *Pager) getLocked(id uint32) (*cached, error) {
 	if e, ok := p.cache[id]; ok {
 		p.hits++
 		mCacheHits.Inc()
-		p.lruUnlink(e)
-		p.lruFront(e)
+		if p.head != e {
+			p.lruUnlink(e)
+			p.lruFront(e)
+		}
 		return e, nil
 	}
 	p.misses++
 	mCacheMisses.Inc()
-	buf := make([]byte, PageSize)
-	if err := p.file.ReadPage(id, buf); err != nil {
+	if err := p.file.ReadPage(id, p.scratch); err != nil {
 		return nil, err
 	}
-	e := &cached{id: id, buf: buf}
-	if err := p.insertLocked(e); err != nil {
+	n, err := decodeNode(p.scratch)
+	if err != nil {
 		return nil, err
 	}
-	return e, nil
+	e := &cached{id: id, node: n}
+	return e, p.insertLocked(e)
 }
 
-// Put installs (or replaces) page id with a sealed buffer and its
-// decoded view, marking it dirty. The buffer must be sealed under id.
-func (p *Pager) Put(id uint32, buf []byte, n *node) error {
-	if pageID(buf) != id {
-		return &ErrPageCorrupt{ID: id, Reason: fmt.Sprintf("sealed as %d", pageID(buf))}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e, ok := p.cache[id]; ok {
-		e.buf, e.node, e.dirty = buf, n, true
-		p.lruUnlink(e)
-		p.lruFront(e)
-		return nil
-	}
-	return p.insertLocked(&cached{id: id, buf: buf, node: n, dirty: true})
-}
-
-// Flush writes every dirty page back and commits the given roots and
-// counts: dirty writeback, fsync, meta slot write, fsync — the
-// ordering rule that makes the committed root only ever reference
-// fully-written pages.
+// Flush writes every dirty page back in ascending page id — sequential
+// I/O, and file bytes that are a function of the edit history alone —
+// and commits the given roots and counts: dirty writeback, fsync, meta
+// slot write, fsync — the ordering rule that makes the committed root
+// only ever reference fully-written pages.
 func (p *Pager) Flush(roots [2]uint32, counts [2]uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var dirty []*cached
 	for _, e := range p.cache {
-		if !e.dirty {
-			continue
+		if e.dirty {
+			dirty = append(dirty, e)
 		}
-		if err := p.file.WritePage(e.buf); err != nil {
+	}
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].id < dirty[j].id })
+	for _, e := range dirty {
+		if err := p.writebackLocked(e); err != nil {
 			return err
 		}
-		e.dirty = false
 	}
 	return p.file.Commit(Meta{Pages: p.next, Roots: roots, Counts: counts})
 }
@@ -245,11 +259,12 @@ func (p *Pager) Stats() PagerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PagerStats{
-		Resident:   len(p.cache),
-		Allocated:  int(p.next) - 1,
-		Hits:       p.hits,
-		Misses:     p.misses,
-		Writebacks: p.writebacks,
+		Resident:      len(p.cache),
+		ResidentBytes: p.resident,
+		Allocated:     int(p.next) - 1,
+		Hits:          p.hits,
+		Misses:        p.misses,
+		Writebacks:    p.writebacks,
 	}
 }
 
@@ -260,7 +275,7 @@ func (p *Pager) Close() error {
 	defer p.mu.Unlock()
 	if p.cache != nil {
 		mPages.Add(-float64(len(p.cache)))
-		p.cache, p.head, p.tail = nil, nil, nil
+		p.cache, p.head, p.tail, p.resident = nil, nil, nil, 0
 	}
 	return p.file.Close()
 }

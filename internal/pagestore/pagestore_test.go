@@ -89,12 +89,11 @@ func TestPagerEvictionWritebackAndReread(t *testing.T) {
 	// Fill well past the cache budget with dirty pages.
 	const n = 64
 	for i := 0; i < n; i++ {
-		id := p.Alloc()
-		buf := make([]byte, PageSize)
-		msg := fmt.Sprintf("page-%d", id)
-		copy(buf[HeaderSize:], msg)
-		Seal(buf, id, PageLeaf, 0, len(msg))
-		if err := p.Put(id, buf, nil); err != nil {
+		p.mu.Lock()
+		msg := fmt.Appendf(nil, "page-%d", p.next)
+		_, err := p.newPageLocked(&node{leaf: true, keys: [][]byte{msg}, vals: []uint32{p.next}, size: entryOverhead + len(msg)})
+		p.mu.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,13 +106,13 @@ func TestPagerEvictionWritebackAndReread(t *testing.T) {
 	}
 	// Every page — including the evicted ones — reads back intact.
 	for id := uint32(1); id <= n; id++ {
-		e, err := p.Get(id)
+		nd, err := p.node(id)
 		if err != nil {
 			t.Fatalf("page %d: %v", id, err)
 		}
 		want := fmt.Sprintf("page-%d", id)
-		if string(payload(e.buf)) != want {
-			t.Fatalf("page %d payload %q, want %q", id, payload(e.buf), want)
+		if len(nd.keys) != 1 || string(nd.keys[0]) != want || nd.vals[0] != id {
+			t.Fatalf("page %d holds %q, want %q", id, nd.keys, want)
 		}
 	}
 	if st := p.Stats(); st.Misses == 0 {

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/pagestore"
@@ -38,7 +41,6 @@ type paged struct {
 	// cachePages is the pager budget handed to every generation.
 	cachePages int
 
-	file   *pagestore.File // vet:guardedby mu
 	pg     *pagestore.Pager
 	labels *pagestore.Tree // vet:guardedby mu
 	names  *pagestore.Tree // vet:guardedby mu
@@ -47,15 +49,20 @@ type paged struct {
 	nameIDs  map[string]uint32 // vet:guardedby mu
 	nameList []string          // vet:guardedby mu
 
-	// memoElems and memoIDs materialize scan results once per mutation
-	// epoch so repeated queries don't re-walk the tree. They are
-	// mutated only under mu, but a materialized slice itself is never
-	// written again — invalidation swaps in a nil slice or fresh map —
-	// so handing one out as a borrowed read-only view (the same
-	// contract the slice backend and the query engine use) is safe and
-	// they are deliberately left un-annotated.
+	// memoElems and memoIDs materialize scan results so repeated
+	// queries don't re-walk the trees; an edit drops memoElems and the
+	// lists of the names it touched, nothing else. They are mutated
+	// only under mu, but a materialized slice itself is never written
+	// again — invalidation forgets it — so handing one out as a
+	// borrowed read-only view (the same contract the slice backend and
+	// the query engine use) is safe and they are deliberately left
+	// un-annotated.
 	memoElems []int
 	memoIDs   map[string][]int
+
+	// keyBuf is the scratch both trees' keys are built in (the trees
+	// copy what they keep).
+	keyBuf []byte // vet:guardedby mu
 
 	// lastErr records a degraded read (IDs/Elems cannot return an
 	// error through the query path); Flush surfaces it.
@@ -109,7 +116,6 @@ func (p *paged) openGen() error {
 	if err != nil {
 		return err
 	}
-	p.file = file
 	p.pg = pagestore.NewPager(file, p.cachePages)
 	p.labels = pagestore.NewTree(p.pg)
 	p.names = pagestore.NewTree(p.pg)
@@ -129,23 +135,28 @@ func (p *paged) nameIDLocked(name string) uint32 {
 	return id
 }
 
-// labelKey appends the node's order-preserving label bytes.
-func (p *paged) labelKey(dst []byte, id int) ([]byte, error) {
-	return p.bind.Key(dst, id)
-}
-
-// nameKey builds the names-tree key: nameID (big-endian, so prefix
-// scans isolate one name) followed by the label bytes.
-func (p *paged) nameKey(dst []byte, nameID uint32, label []byte) []byte {
-	dst = append(dst, byte(nameID>>24), byte(nameID>>16), byte(nameID>>8), byte(nameID))
-	return append(dst, label...)
-}
-
-func (p *paged) invalidateLocked() {
-	p.memoElems = nil
-	if len(p.memoIDs) > 0 {
-		p.memoIDs = map[string][]int{}
+// keysLocked builds node id's keys in the shared scratch: the
+// names-tree key is nameID (big-endian, so prefix scans isolate one
+// name) followed by the order-preserving label bytes, and the
+// labels-tree key is that same label suffix.
+//
+// vet:holds p.mu
+func (p *paged) keysLocked(nameID uint32, id int) (label, nameKey []byte, err error) {
+	nk := binary.BigEndian.AppendUint32(p.keyBuf[:0], nameID)
+	if nk, err = p.bind.Key(nk, id); err != nil {
+		return nil, nil, err
 	}
+	p.keyBuf = nk
+	return nk[4:], nk, nil
+}
+
+// dropMemoLocked forgets the lists an edit to one of name's elements
+// made stale.
+//
+// vet:holds p.mu
+func (p *paged) dropMemoLocked(name string) {
+	p.memoElems = nil
+	delete(p.memoIDs, name)
 }
 
 // vet:holds p.mu
@@ -153,19 +164,15 @@ func (p *paged) addLocked(name string, id int) error {
 	if id < 0 || int64(id) > math.MaxUint32 {
 		return fmt.Errorf("store: node id %d out of paged range", id)
 	}
-	label, err := p.labelKey(nil, id)
+	label, nk, err := p.keysLocked(p.nameIDLocked(name), id)
 	if err != nil {
 		return err
 	}
+	p.dropMemoLocked(name)
 	if err := p.labels.Insert(label, uint32(id)); err != nil {
 		return err
 	}
-	nk := p.nameKey(nil, p.nameIDLocked(name), label)
-	if err := p.names.Insert(nk, uint32(id)); err != nil {
-		return err
-	}
-	p.invalidateLocked()
-	return nil
+	return p.names.Insert(nk, uint32(id))
 }
 
 func (p *paged) Build(elems []int, nameOf func(int) string) error {
@@ -177,13 +184,13 @@ func (p *paged) Build(elems []int, nameOf func(int) string) error {
 		if err := p.swapGenLocked(func(labels, names *pagestore.Tree) error { return nil }); err != nil {
 			return err
 		}
+		p.memoElems, p.memoIDs = nil, map[string][]int{}
 	}
 	for _, id := range elems {
 		if err := p.addLocked(nameOf(id), id); err != nil {
 			return err
 		}
 	}
-	p.invalidateLocked()
 	return nil
 }
 
@@ -196,7 +203,6 @@ func (p *paged) Add(name string, id int) error {
 func (p *paged) Remove(doomed map[int]bool, nameOf func(int) string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var label []byte
 	for id := range doomed {
 		name := nameOf(id)
 		if name == "" {
@@ -211,21 +217,36 @@ func (p *paged) Remove(doomed map[int]bool, nameOf func(int) string) error {
 			// only ever seen in deletes.
 			continue
 		}
-		var err error
-		label, err = p.labelKey(label[:0], id)
+		label, nk, err := p.keysLocked(nameID, id)
 		if err != nil {
 			return err
 		}
+		p.dropMemoLocked(name)
 		if _, err := p.labels.Delete(label); err != nil {
 			return err
 		}
-		nk := p.nameKey(nil, nameID, label)
 		if _, err := p.names.Delete(nk); err != nil {
 			return err
 		}
 	}
-	p.invalidateLocked()
 	return nil
+}
+
+// scanIDsLocked collects the ids stored under prefix in key order. A
+// failed page read degrades to nil and is recorded for Flush.
+//
+// vet:holds p.mu
+func (p *paged) scanIDsLocked(t *pagestore.Tree, prefix []byte) []int {
+	ids := []int{}
+	err := t.ScanPrefix(prefix, func(_ []byte, v uint32) bool {
+		ids = append(ids, int(v))
+		return true
+	})
+	if err != nil {
+		p.lastErr = err
+		return nil
+	}
+	return ids
 }
 
 func (p *paged) IDs(name string) []int {
@@ -238,37 +259,20 @@ func (p *paged) IDs(name string) []int {
 	if !ok {
 		return nil
 	}
-	prefix := p.nameKey(nil, nameID, nil)
-	ids := []int{}
-	err := p.names.ScanPrefix(prefix, func(k []byte, v uint32) bool {
-		ids = append(ids, int(v))
-		return true
-	})
-	if err != nil {
-		p.lastErr = err
-		return nil
+	ids := p.scanIDsLocked(p.names, binary.BigEndian.AppendUint32(nil, nameID))
+	if ids != nil {
+		p.memoIDs[name] = ids
 	}
-	p.memoIDs[name] = ids
 	return ids
 }
 
 func (p *paged) Elems() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.memoElems != nil {
-		return p.memoElems
+	if p.memoElems == nil {
+		p.memoElems = p.scanIDsLocked(p.labels, nil)
 	}
-	ids := []int{}
-	err := p.labels.Scan(func(k []byte, v uint32) bool {
-		ids = append(ids, int(v))
-		return true
-	})
-	if err != nil {
-		p.lastErr = err
-		return nil
-	}
-	p.memoElems = ids
-	return ids
+	return p.memoElems
 }
 
 func (p *paged) Entries() int {
@@ -277,14 +281,20 @@ func (p *paged) Entries() int {
 	return p.labels.Count()
 }
 
+// pagerStatsLocked is the pager's counters, zero once closed.
+//
+// vet:holds p.mu
+func (p *paged) pagerStatsLocked() pagestore.PagerStats {
+	if p.pg == nil {
+		return pagestore.PagerStats{}
+	}
+	return p.pg.Stats()
+}
+
 func (p *paged) MemoryFootprint() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var st pagestore.PagerStats
-	if p.pg != nil {
-		st = p.pg.Stats()
-	}
-	fp := int64(st.Resident) * pagestore.PageSize
+	fp := p.pagerStatsLocked().ResidentBytes
 	fp += int64(len(p.memoElems)) * 8
 	for _, ids := range p.memoIDs {
 		fp += int64(len(ids)) * 8
@@ -298,10 +308,7 @@ func (p *paged) MemoryFootprint() int64 {
 func (p *paged) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var st pagestore.PagerStats
-	if p.pg != nil {
-		st = p.pg.Stats()
-	}
+	st := p.pagerStatsLocked()
 	return Stats{
 		Backend:        "paged",
 		Entries:        p.labels.Count(),
@@ -314,38 +321,33 @@ func (p *paged) Stats() Stats {
 }
 
 // Clone shares the page file copy-on-write: both sides' trees are
-// sealed, so each rewrites only pages it allocates afterwards. The
-// clone inherits pager and file; a later Compact on either side swaps
-// only that side's pointers, and the shared old file stays readable
-// until every holder drops it.
+// sealed, so each changes only pages it allocates afterwards. The
+// clone inherits the pager; a later Compact on either side swaps only
+// that side's pointers, and the shared old file stays readable until
+// every holder drops it.
 func (p *paged) Clone(b Binding) (Backend, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cl := &paged{
+	return &paged{
 		bind:       b,
 		dir:        p.dir,
 		cachePages: p.cachePages,
-		file:       p.file,
 		pg:         p.pg,
 		labels:     p.labels.Clone(),
 		names:      p.names.Clone(),
 		gen:        p.gen,
-		nameIDs:    make(map[string]uint32, len(p.nameIDs)),
-		nameList:   append([]string(nil), p.nameList...),
+		nameIDs:    maps.Clone(p.nameIDs),
+		nameList:   slices.Clone(p.nameList),
 		memoIDs:    map[string][]int{},
-	}
-	for name, id := range p.nameIDs {
-		cl.nameIDs[name] = id
-	}
-	return cl, nil
+	}, nil
 }
 
-// Flush writes every dirty page and commits both tree roots with a
-// dual-fsync barrier, then reports any degraded read recorded since
-// the previous flush.
-func (p *paged) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// commitLocked writes every dirty page, commits both tree roots with a
+// dual-fsync barrier and seals both trees, so later edits path-copy
+// rather than change a committed page in place.
+//
+// vet:holds p.mu
+func (p *paged) commitLocked() error {
 	if p.pg == nil {
 		return errors.New("store: paged backend is closed")
 	}
@@ -358,36 +360,42 @@ func (p *paged) Flush() error {
 	}
 	p.labels.Sealed()
 	p.names.Sealed()
-	if p.lastErr != nil {
-		err, p.lastErr = p.lastErr, nil
+	return nil
+}
+
+// Flush commits the index to the page file, then reports any degraded
+// read recorded since the previous flush.
+func (p *paged) Flush() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.commitLocked(); err != nil {
 		return err
 	}
-	return nil
+	err := p.lastErr
+	p.lastErr = nil
+	return err
 }
 
 // swapGenLocked builds a fresh generation file, lets fill populate the
 // new trees, commits it and retires the old generation. Old snapshots
-// (clones) keep their own pager/file pointers; the old file is
+// (clones) keep their own pager pointer; the old file is
 // unlinked now and closed by a finalizer once no pager references it.
 //
 // vet:holds p.mu
 func (p *paged) swapGenLocked(fill func(labels, names *pagestore.Tree) error) error {
-	oldFile, oldPg, oldGen := p.file, p.pg, p.gen
-	oldLabels, oldNames := p.labels, p.names
+	oldPg, oldGen, oldLabels, oldNames := p.pg, p.gen, p.labels, p.names
 	p.gen++
 	if err := p.openGen(); err != nil {
-		p.file, p.pg, p.gen = oldFile, oldPg, oldGen
+		p.gen = oldGen
 		return err
 	}
 	if err := fill(p.labels, p.names); err != nil {
-		failedGen := p.gen
 		_ = p.pg.Close()
-		_ = os.Remove(genPath(p.dir, failedGen))
-		p.file, p.pg, p.gen = oldFile, oldPg, oldGen
-		p.labels, p.names = oldLabels, oldNames
+		_ = os.Remove(genPath(p.dir, p.gen))
+		p.pg, p.gen, p.labels, p.names = oldPg, oldGen, oldLabels, oldNames
 		return fmt.Errorf("store: generation swap aborted: %w", err)
 	}
-	_ = os.Remove(oldFile.Path())
+	_ = os.Remove(genPath(p.dir, oldGen))
 	// Close the retired pager only when the last clone holding it is
 	// gone; until then its committed pages remain readable through the
 	// unlinked inode.
@@ -396,7 +404,8 @@ func (p *paged) swapGenLocked(fill func(labels, names *pagestore.Tree) error) er
 }
 
 // Compact rebuilds both trees densely into a new generation file,
-// reclaiming pages left sparse by unbalanced deletes.
+// reclaiming pages left sparse by unbalanced deletes. The entries, and
+// so the memoized lists, are unchanged.
 func (p *paged) Compact() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -413,25 +422,16 @@ func (p *paged) Compact() error {
 	if err != nil {
 		return err
 	}
-	p.invalidateLocked()
-	return p.pg.Flush(
-		[2]uint32{p.labels.Root(), p.names.Root()},
-		[2]uint64{uint64(p.labels.Count()), uint64(p.names.Count())},
-	)
+	return p.commitLocked()
 }
 
 func copyTree(src, dst *pagestore.Tree) error {
-	var scanErr error
+	var insErr error
 	err := src.Scan(func(k []byte, v uint32) bool {
-		if scanErr = dst.Insert(k, v); scanErr != nil {
-			return false
-		}
-		return true
+		insErr = dst.Insert(k, v)
+		return insErr == nil
 	})
-	if err != nil {
-		return err
-	}
-	return scanErr
+	return errors.Join(err, insErr)
 }
 
 func (p *paged) Close() error {

@@ -94,6 +94,16 @@ func TestSlicePagedDifferential(t *testing.T) {
 			if err := paged.Add(nm, id); err != nil {
 				t.Fatal(err)
 			}
+			// Reads interleaved with the edits keep the paged memos
+			// populated, so an edit must drop the edited name's list
+			// and may keep another's.
+			if i%7 == 0 {
+				for _, name := range []string{nm, names[rng.Intn(len(names))]} {
+					if o, s := oracle.IDs(name), paged.IDs(name); !sameIDs(o, s) {
+						t.Fatalf("round %d insert %d: ids(%q) diverge:\noracle %v\npaged  %v", round, i, name, o, s)
+					}
+				}
+			}
 		}
 		// ...then a random subtree-style removal.
 		if len(live) > 30 && rng.Intn(2) == 0 {
@@ -145,6 +155,91 @@ func TestSlicePagedDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEqual(t, w, oracle, rebuilt, names)
+}
+
+// TestPagedMemoSurvivesUnrelatedEdit: an edit forgets only the
+// memoized lists it can have changed — the edited names' and Elems —
+// so a query for another name is answered without a tree scan.
+func TestPagedMemoSurvivesUnrelatedEdit(t *testing.T) {
+	w := newWorld()
+	oracle := NewSlice(w.binding())
+	pg, err := OpenPaged(t.TempDir(), 8, w.binding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	nameOf := func(id int) string { return w.name[id] }
+	add := func(id int, name string) {
+		t.Helper()
+		w.ord[id], w.name[id] = uint64(id*10), name
+		for _, b := range []Backend{oracle, pg} {
+			if err := b.Add(name, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		add(i, []string{"a", "b"}[i%2])
+	}
+	sameArray := func(x, y []int) bool { return len(x) == len(y) && &x[0] == &y[0] }
+
+	bs := pg.IDs("b")
+	add(20, "a")
+	if !sameArray(bs, pg.IDs("b")) {
+		t.Fatal("Add(a) dropped the memoized ids of b")
+	}
+	add(21, "b")
+	if got := pg.IDs("b"); sameArray(bs, got) || !sameIDs(got, oracle.IDs("b")) {
+		t.Fatalf("after Add(b): ids(b) = %v, slice backend %v", got, oracle.IDs("b"))
+	}
+
+	as, bs := pg.IDs("a"), pg.IDs("b")
+	doomed := map[int]bool{3: true} // a b
+	for _, b := range []Backend{oracle, pg} {
+		if err := b.Remove(doomed, nameOf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameArray(as, pg.IDs("a")) {
+		t.Fatal("Remove of a b dropped the memoized ids of a")
+	}
+	if got := pg.IDs("b"); sameArray(bs, got) || !sameIDs(got, oracle.IDs("b")) {
+		t.Fatalf("after Remove of a b: ids(b) = %v, slice backend %v", got, oracle.IDs("b"))
+	}
+	if !sameIDs(pg.Elems(), oracle.Elems()) {
+		t.Fatalf("elems %v, slice backend %v", pg.Elems(), oracle.Elems())
+	}
+}
+
+// TestPagedAddAllocs pins an Add into warm owned pages: one key copy
+// per tree plus amortised slice growth and splits — the keys themselves
+// are built in a reused scratch, and no page is copied or encoded.
+func TestPagedAddAllocs(t *testing.T) {
+	w := newWorld()
+	pg, err := OpenPaged(t.TempDir(), 64, w.binding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	id := 0
+	add := func() {
+		w.ord[id] = uint64(id)
+		if err := pg.Add("n", id); err != nil {
+			t.Fatal(err)
+		}
+		id++
+	}
+	for id < 2000 {
+		add()
+	}
+	for i := id; i < id+600; i++ {
+		w.ord[i] = 0 // grow the test's own map outside the measurement
+	}
+	if allocs := testing.AllocsPerRun(500, add); allocs > 6 {
+		t.Fatalf("paged.Add allocates %.0f times, want <= 6", allocs)
+	} else {
+		t.Logf("paged.Add: %.0f allocs", allocs)
+	}
 }
 
 // TestPagedCloneIsolation clones a paged backend and mutates the

@@ -5,14 +5,17 @@
 #   1. gofmt         — formatting drift fails fast
 #   2. go vet        — the stock vet checks
 #   3. go build      — both tag states (the invariants tag swaps files in)
-#   4. go test       — the whole module, plus invariants-tagged label packages
+#   4. go test       — the whole module, plus the invariants-tagged label
+#                      packages and page store (whose tag makes the pager
+#                      check every page it writes back against its node)
 #   5. go test -race — the concurrent document layer, the labelstore,
 #                      the journal's group-commit pipeline and the
 #                      HTTP serving stack (web + catalog + client), plus
 #                      the snapshot storm, planned-query storm,
 #                      snapshot-isolation histories, XML differential,
 #                      hook-install race, close-drain, journal stress,
-#                      watch storm and follower replication tests by name
+#                      watch storm, follower replication and in-place
+#                      page mutation vs clone readers tests by name
 #   6. crash safety  — the recovery/fault-injection suite by name, the
 #                      journal kill matrix, the paged-label damage
 #                      matrix (page files deleted/truncated/corrupted
@@ -74,8 +77,8 @@ go build -tags invariants ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -tags invariants ./internal/bitstr/... ./internal/cdbs/..."
-go test -tags invariants ./internal/bitstr/... ./internal/cdbs/...
+echo "==> go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/pagestore/..."
+go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/pagestore/...
 
 echo "==> go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/labelstore/... ./internal/journal/... ./internal/catalog/... ./internal/web/... ./client/..."
 go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/labelstore/... ./internal/journal/... ./internal/catalog/... ./internal/web/... ./client/...
@@ -83,6 +86,9 @@ go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... .
 echo "==> snapshot + planned-query storms under the race detector"
 go test -race -count=1 -run 'TestSnapshotStorm|TestQueryDoesNotBlockOnWriter|TestPlannedQueryStorm|TestSetCommitHookInstallRace|TestSnapshotIsolation|TestXMLMatchesEditedTree|TestDocumentClone' ./internal/dyndoc
 go test -race -count=1 -run 'TestParallelPartitionedJoins|TestCacheGenerations' ./internal/xpath/plan
+
+echo "==> in-place page mutation vs clone readers under the race detector"
+go test -race -count=1 -run 'TestInPlaceVsCloneRace' ./internal/pagestore
 
 echo "==> close-drain and eviction races under the race detector"
 go test -race -count=1 -run 'TestCloseUnderLoad' .
