@@ -40,7 +40,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeBetween -fuzztime=10s ./internal/qed
 	$(GO) test -run=^$$ -fuzz=FuzzBitstrKernels -fuzztime=10s ./internal/bitstr
 	$(GO) test -run=^$$ -fuzz=FuzzBitstrCodecs -fuzztime=10s ./internal/bitstr
-	$(GO) test -run=^$$ -fuzz=FuzzReadAll -fuzztime=10s ./internal/labelstore
+	$(GO) test -run=^$$ -fuzz=FuzzReadAll -fuzztime=10s ./internal/journal
 	$(GO) test -run=^$$ -fuzz=FuzzPageRoundTrip -fuzztime=10s ./internal/pagestore
 	$(GO) test -run=^$$ -fuzz=FuzzMetaDecode -fuzztime=10s ./internal/pagestore
 	$(GO) test -run=^$$ -fuzz=FuzzEditCodec -fuzztime=10s ./internal/journal

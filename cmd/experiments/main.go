@@ -83,7 +83,7 @@ func main() {
 	}
 }
 
-// dumpMetrics writes the process-wide metrics registry — labelstore
+// dumpMetrics writes the process-wide metrics registry — segment-file
 // I/O and recovery, cdbs/qed code-length and relabel histograms,
 // dyndoc operation counters — as one JSON object.
 func dumpMetrics(path string) error {

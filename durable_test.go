@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/labelstore"
+	"repro/internal/journal"
 	"repro/internal/xmltree"
 )
 
@@ -335,8 +335,8 @@ func TestDurableLogHeaderDamage(t *testing.T) {
 	if _, err := Open(nil, WithJournal(dir)); !errors.Is(err, ErrRecoveryTruncated) {
 		t.Fatalf("Open on header-damaged log = %v, want ErrRecoveryTruncated", err)
 	}
-	if _, err := Open(nil, WithJournal(dir), WithRecover()); !errors.Is(err, labelstore.ErrCorrupt) {
-		t.Fatalf("Open WithRecover on header-damaged log = %v, want labelstore.ErrCorrupt", err)
+	if _, err := Open(nil, WithJournal(dir), WithRecover()); !errors.Is(err, journal.ErrCorrupt) {
+		t.Fatalf("Open WithRecover on header-damaged log = %v, want journal.ErrCorrupt", err)
 	}
 	if after, err := os.ReadFile(log); err != nil || !bytes.Equal(after, damaged) {
 		t.Fatalf("Open modified the damaged log: %d -> %d bytes, %v", len(damaged), len(after), err)

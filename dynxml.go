@@ -334,10 +334,14 @@ var ErrRecoveryTruncated = journal.ErrRecoveryTruncated
 // write-ahead journal before acknowledging it.
 type Handle struct {
 	schemeName string
-	live       *dyndoc.Document
-	shared     *dyndoc.Concurrent
-	jnl        *journal.Journal
-	follower   *journal.Follower // set on OpenFollower handles; edits get ErrReadOnly
+	// doc is the document every forwarded call goes to: live or shared,
+	// whichever Open chose. The typed fields are what Live, Shared and
+	// the two helpers that need a *LiveDocument (view, locked) read.
+	doc      document
+	live     *dyndoc.Document
+	shared   *dyndoc.Concurrent
+	jnl      *journal.Journal
+	follower *journal.Follower // set on OpenFollower handles; edits get ErrReadOnly
 
 	// Lifecycle: every error-returning method runs between acquire and
 	// release, so Close can drain the calls already past their closed
@@ -349,6 +353,24 @@ type Handle struct {
 	drained  *sync.Cond // signalled when inflight reaches 0 while closed
 	inflight int        // vet:guardedby mu // calls between acquire and release
 	closed   bool       // vet:guardedby mu // Close has begun; new calls get ErrClosed
+}
+
+// document is the method set *dyndoc.Document and *dyndoc.Concurrent
+// share signature for signature — everything a Handle forwards.
+type document interface {
+	Len() int
+	Relabeled() int64
+	Name(id int) (string, error)
+	XML() string
+	Query(q *Query) ([]int, error)
+	QueryString(path string) ([]int, error)
+	Count(path string) (int, error)
+	Explain(path string) (*plan.Report, error)
+	InsertElement(parent, pos int, name string) (int, int, error)
+	InsertTree(parent, pos int, fragment *Node) ([]int, int, error)
+	InsertTreeBatch(parent, pos int, fragments []*Node) ([][]int, int, error)
+	DeleteSubtree(id int) (int, error)
+	ApplyBatch(edits []Edit) ([]EditResult, error)
 }
 
 // newHandle returns a Handle with its lifecycle machinery wired.
@@ -405,8 +427,9 @@ func Open(src any, opts ...Option) (*Handle, error) {
 		if err != nil {
 			return nil, err
 		}
+		h.doc = h.shared
 	} else {
-		h.live = d
+		h.live, h.doc = d, d
 	}
 	return h, nil
 }
@@ -478,6 +501,7 @@ func openJournaled(src any, cfg config) (*Handle, error) {
 		_ = h.jnl.Close()
 		return nil, err
 	}
+	h.doc = h.shared
 	h.shared.SetCommitHook(h.jnl.Append)
 	return h, nil
 }
@@ -548,7 +572,7 @@ func (h *Handle) Journaled() bool { return h.jnl != nil }
 
 // Concurrent reports whether the handle was opened with
 // WithConcurrent.
-func (h *Handle) Concurrent() bool { return h.shared != nil }
+func (h *Handle) Concurrent() bool { return h.Shared() != nil }
 
 // Live returns the underlying in-place document, or nil on a
 // concurrent handle (whose document is only reachable through
@@ -563,24 +587,36 @@ func (h *Handle) Shared() *SharedDocument { return h.shared }
 // is the latest snapshot's labeling: immutable, safe to read, and
 // left behind by the next edit.
 func (h *Handle) Labeling() Labeling {
-	if h.shared != nil {
-		var lab Labeling
-		_ = h.shared.Snapshot(func(d *LiveDocument) error {
-			lab = d.Labeling()
-			return nil
-		})
-		return lab
+	var lab Labeling
+	h.view(func(d *LiveDocument) { lab = d.Labeling() })
+	return lab
+}
+
+// view runs fn on a document that stays as it is while fn reads it:
+// the latest snapshot of a concurrent handle, the document itself
+// otherwise.
+func (h *Handle) view(fn func(d *LiveDocument)) {
+	if h.shared == nil {
+		fn(h.live)
+		return
 	}
-	return h.live.Labeling()
+	_ = h.shared.Snapshot(func(d *LiveDocument) error {
+		fn(d)
+		return nil
+	})
+}
+
+// locked runs fn on the handle's current document with writers
+// excluded (a plain handle has no concurrent writers to exclude).
+func (h *Handle) locked(fn func(d *LiveDocument) error) error {
+	if h.shared == nil {
+		return fn(h.live)
+	}
+	return h.shared.Locked(fn)
 }
 
 // Len returns the live node count.
-func (h *Handle) Len() int {
-	if h.shared != nil {
-		return h.shared.Len()
-	}
-	return h.live.Len()
-}
+func (h *Handle) Len() int { return h.doc.Len() }
 
 // bytesPerID is the heap estimate per node id ever allocated that
 // MemoryFootprint charges for the parts outside the index backend: the
@@ -601,28 +637,16 @@ const bytesPerID = 160
 // larger-than-budget documents open. The catalog's memory budget
 // charges this estimate.
 func (h *Handle) MemoryFootprint() int64 {
-	footprint := func(d *LiveDocument) int64 {
-		return int64(d.Labeling().Tree().Cap())*bytesPerID + d.Store().MemoryFootprint()
-	}
-	if h.shared == nil {
-		return footprint(h.live)
-	}
 	var fp int64
-	_ = h.shared.Snapshot(func(d *LiveDocument) error {
-		fp = footprint(d)
-		return nil
+	h.view(func(d *LiveDocument) {
+		fp = int64(d.Labeling().Tree().Cap())*bytesPerID + d.Store().MemoryFootprint()
 	})
 	return fp
 }
 
 // Relabeled returns the cumulative count of existing nodes whose
 // labels updates have rewritten.
-func (h *Handle) Relabeled() int64 {
-	if h.shared != nil {
-		return h.shared.Relabeled()
-	}
-	return h.live.Relabeled()
-}
+func (h *Handle) Relabeled() int64 { return h.doc.Relabeled() }
 
 // Name returns the element name of a live node id.
 func (h *Handle) Name(id int) (string, error) {
@@ -630,19 +654,11 @@ func (h *Handle) Name(id int) (string, error) {
 		return "", err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.Name(id)
-	}
-	return h.live.Name(id)
+	return h.doc.Name(id)
 }
 
 // XML serialises the current document.
-func (h *Handle) XML() string {
-	if h.shared != nil {
-		return h.shared.XML()
-	}
-	return h.live.XML()
-}
+func (h *Handle) XML() string { return h.doc.XML() }
 
 // Query evaluates a parsed path expression; on a concurrent handle
 // the evaluation is lock-free against the latest snapshot.
@@ -651,10 +667,7 @@ func (h *Handle) Query(q *Query) ([]int, error) {
 		return nil, err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.Query(q)
-	}
-	return h.live.Query(q)
+	return h.doc.Query(q)
 }
 
 // QueryString parses and evaluates a path expression.
@@ -663,10 +676,7 @@ func (h *Handle) QueryString(path string) ([]int, error) {
 		return nil, err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.QueryString(path)
-	}
-	return h.live.QueryString(path)
+	return h.doc.QueryString(path)
 }
 
 // Count returns the number of matches for a path expression.
@@ -675,10 +685,7 @@ func (h *Handle) Count(path string) (int, error) {
 		return 0, err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.Count(path)
-	}
-	return h.live.Count(path)
+	return h.doc.Count(path)
 }
 
 // Explain plans and evaluates a path expression with instrumentation
@@ -693,15 +700,7 @@ func (h *Handle) Explain(path string) (string, error) {
 		return "", err
 	}
 	defer h.release()
-	var (
-		rep *plan.Report
-		err error
-	)
-	if h.shared != nil {
-		rep, err = h.shared.Explain(path)
-	} else {
-		rep, err = h.live.Explain(path)
-	}
+	rep, err := h.doc.Explain(path)
 	if err != nil {
 		return "", err
 	}
@@ -715,10 +714,7 @@ func (h *Handle) InsertElement(parent, pos int, name string) (int, int, error) {
 		return 0, 0, err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.InsertElement(parent, pos, name)
-	}
-	return h.live.InsertElement(parent, pos, name)
+	return h.doc.InsertElement(parent, pos, name)
 }
 
 // InsertTree inserts a deep copy of fragment as the pos-th child of
@@ -728,10 +724,7 @@ func (h *Handle) InsertTree(parent, pos int, fragment *Node) ([]int, int, error)
 		return nil, 0, err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.InsertTree(parent, pos, fragment)
-	}
-	return h.live.InsertTree(parent, pos, fragment)
+	return h.doc.InsertTree(parent, pos, fragment)
 }
 
 // InsertTreeBatch inserts the fragments as consecutive children of
@@ -743,10 +736,7 @@ func (h *Handle) InsertTreeBatch(parent, pos int, fragments []*Node) ([][]int, i
 		return nil, 0, err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.InsertTreeBatch(parent, pos, fragments)
-	}
-	return h.live.InsertTreeBatch(parent, pos, fragments)
+	return h.doc.InsertTreeBatch(parent, pos, fragments)
 }
 
 // DeleteSubtree removes the node and its descendants, returning how
@@ -756,10 +746,7 @@ func (h *Handle) DeleteSubtree(id int) (int, error) {
 		return 0, err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.DeleteSubtree(id)
-	}
-	return h.live.DeleteSubtree(id)
+	return h.doc.DeleteSubtree(id)
 }
 
 // ApplyBatch applies the edits in order and returns one result per
@@ -774,10 +761,7 @@ func (h *Handle) ApplyBatch(edits []Edit) ([]EditResult, error) {
 		return nil, err
 	}
 	defer h.release()
-	if h.shared != nil {
-		return h.shared.ApplyBatch(edits)
-	}
-	return h.live.ApplyBatch(edits)
+	return h.doc.ApplyBatch(edits)
 }
 
 // Sync blocks until every edit acknowledged so far is on stable
@@ -810,13 +794,10 @@ func (h *Handle) Checkpoint() error {
 		return err
 	}
 	defer h.release()
-	if h.jnl == nil {
-		if h.shared != nil {
-			return h.shared.Locked(func(d *LiveDocument) error { return d.Store().Flush() })
+	return h.locked(func(d *LiveDocument) error {
+		if h.jnl == nil {
+			return d.Store().Flush()
 		}
-		return h.live.Store().Flush()
-	}
-	return h.shared.Locked(func(d *LiveDocument) error {
 		if err := h.jnl.Checkpoint(d); err != nil {
 			return err
 		}
@@ -864,21 +845,14 @@ func (h *Handle) Close() error {
 // page file (snapshots still referencing it will fail cleanly, but
 // Close has already drained every in-flight call).
 func (h *Handle) closeStore() error {
-	shut := func(d *LiveDocument) error {
+	return h.locked(func(d *LiveDocument) error {
 		st := d.Store()
 		err := st.Flush()
 		if cerr := st.Close(); err == nil {
 			err = cerr
 		}
 		return err
-	}
-	if h.shared != nil {
-		return h.shared.Locked(shut)
-	}
-	if h.live != nil {
-		return shut(h.live)
-	}
-	return nil
+	})
 }
 
 // HandleStats is a point-in-time snapshot of a handle's state,
@@ -917,19 +891,8 @@ type StorageStats = store.Stats
 // Stats returns a snapshot of the handle's state. It stays callable
 // on a closed handle.
 func (h *Handle) Stats() HandleStats {
-	s := HandleStats{Scheme: h.schemeName}
-	if h.shared != nil {
-		s.Nodes = h.shared.Len()
-		s.Relabeled = h.shared.Relabeled()
-		_ = h.shared.Snapshot(func(d *LiveDocument) error {
-			s.Storage = d.Store().Stats()
-			return nil
-		})
-	} else {
-		s.Nodes = h.live.Len()
-		s.Relabeled = h.live.Relabeled()
-		s.Storage = h.live.Store().Stats()
-	}
+	s := HandleStats{Scheme: h.schemeName, Nodes: h.doc.Len(), Relabeled: h.doc.Relabeled()}
+	h.view(func(d *LiveDocument) { s.Storage = d.Store().Stats() })
 	if h.jnl != nil {
 		s.Journaled = true
 		s.Journal = h.jnl.Stats()

@@ -84,6 +84,7 @@ func OpenFollower(src any, opts ...Option) (*Handle, error) {
 	h := newHandle()
 	h.follower = f
 	h.shared = f.Doc()
+	h.doc = h.shared
 	h.schemeName = f.Scheme()
 	return h, nil
 }

@@ -24,7 +24,7 @@ func dropped(c closer) {
 	fmt.Errorf("") // want `error result of fmt.Errorf is dropped`
 }
 
-// The labelstore API shape: multi-result functions whose trailing
+// A crash-safe log's API shape: multi-result functions whose trailing
 // error reports data loss (Recover) or a failed open. Dropping these
 // is exactly the bug class the crash-safety work exists to prevent.
 

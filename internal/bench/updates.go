@@ -1,15 +1,17 @@
 package bench
 
 import (
+	"bufio"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/cdbs"
 	"repro/internal/datagen"
-	"repro/internal/labelstore"
+	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/scheme"
 	"repro/internal/xpath"
@@ -140,10 +142,16 @@ type Fig7Row struct {
 	LabelWrites [5]int64
 }
 
+// fig7SyncSeconds is the fsync share of Figure 7's total update time.
+// It is the histogram the journal's segment syncs land in as well —
+// one name for "an fsync that commits label writes" — and the one
+// `experiments -run figure7` summarises under its table.
+var fig7SyncSeconds = metrics.Default.Histogram("labelstore_sync_seconds", nil)
+
 // Figure7 measures, per insertion case, the time to compute the new
 // labels plus the time to persist every label the insertion dirtied
-// (one write per affected node, one fsync per update transaction),
-// using a labelstore in dir (empty means a temp dir).
+// (one write per affected node, one fsync per update transaction)
+// to a plain append-only file in dir (empty means a temp dir).
 func Figure7(schemes []string, dir string) ([]Fig7Row, error) {
 	if schemes == nil {
 		schemes = DefaultSchemes()
@@ -165,14 +173,16 @@ func Figure7(schemes []string, dir string) ([]Fig7Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			store, err := labelstore.Create(filepath.Join(dir, fmt.Sprintf("s%d-c%d.log", si, c)))
+			f, err := os.Create(filepath.Join(dir, fmt.Sprintf("s%d-c%d.log", si, c)))
 			if err != nil {
 				return nil, err
 			}
+			w := bufio.NewWriter(f)
 			marshaler, _ := lab.(scheme.LabelMarshaler)
 			// Fallback payload size if the scheme cannot marshal.
 			fallback := make([]byte, int(lab.TotalLabelBits()/int64(lab.Len())/8)+1)
 			var relabeled int
+			var writes int64
 			ms, err := timeIt(func() error {
 				newID, n, err := lab.InsertSiblingBefore(acts[c])
 				if err != nil {
@@ -187,18 +197,23 @@ func Figure7(schemes []string, dir string) ([]Fig7Row, error) {
 						payload = p
 					}
 				}
-				if err := store.Write(uint64(newID), payload); err != nil {
-					return err
-				}
-				for w := 0; w < n; w++ {
-					if err := store.Write(uint64(w), payload); err != nil {
+				for i := 0; i <= n; i++ {
+					if _, err := w.Write(payload); err != nil {
 						return err
 					}
+					writes++
 				}
-				return store.Sync()
+				if err := w.Flush(); err != nil {
+					return err
+				}
+				start := time.Now()
+				if err := f.Sync(); err != nil {
+					return err
+				}
+				fig7SyncSeconds.Observe(time.Since(start).Seconds())
+				return nil
 			})
-			writes, _, _ := store.Stats()
-			if cerr := store.Close(); err == nil {
+			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
 			if err != nil {

@@ -437,10 +437,6 @@ func (s BitString) Bytes() []byte {
 	return out
 }
 
-// StorageBits returns the number of bits of payload storage, identical
-// to Len. It exists for symmetry with label-size accounting code.
-func (s BitString) StorageBits() int { return s.n }
-
 // FromUint returns the standard (V-Binary) binary representation of v,
 // with no leading zeros; FromUint(0) is "0". This is the encoding the
 // paper's V-Binary column of Table 1 uses.

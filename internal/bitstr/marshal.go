@@ -32,19 +32,3 @@ func DecodeFrom(data []byte) (BitString, int, error) {
 	}
 	return bs, used + need, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s BitString) MarshalBinary() ([]byte, error) { return s.AppendTo(nil), nil }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *BitString) UnmarshalBinary(data []byte) error {
-	bs, used, err := DecodeFrom(data)
-	if err != nil {
-		return err
-	}
-	if used != len(data) {
-		return fmt.Errorf("bitstr: %d trailing bytes", len(data)-used)
-	}
-	*s = bs
-	return nil
-}

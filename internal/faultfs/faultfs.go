@@ -3,12 +3,11 @@
 // write, sync and close operations and fires configured faults at
 // exact operation indexes: a write error, a *short* write (the torn
 // tail a power cut leaves), or a sync failure. Everything up to the
-// fault reaches the real file, so running labelstore.Recover on the
-// path afterwards replays exactly what a crashed process would have
-// left on disk.
+// fault reaches the real file, so reopening the path afterwards sees
+// exactly what a crashed process would have left on disk.
 //
-// File satisfies labelstore.File structurally; tests build a store
-// with labelstore.NewStore(faultfs.Wrap(f, faults...)).
+// File satisfies journal.File structurally; the kill matrices hand
+// faultfs.Wrap to journal.Config.WrapFile.
 package faultfs
 
 import (
@@ -56,7 +55,7 @@ type Fault struct {
 	Err error
 }
 
-// Backing is what File wraps — the same contract labelstore.File
+// Backing is what File wraps — the same contract journal.File
 // demands, so a real *os.File fits.
 type Backing interface {
 	io.Writer

@@ -1,5 +1,5 @@
-// Package journal is a write-ahead log of dyndoc edit batches on top
-// of labelstore segments. Every acknowledged batch is appended to a
+// Package journal is a write-ahead log of dyndoc edit batches in
+// CRC-framed segment files (segment.go). Every acknowledged batch is appended to a
 // log segment before the caller learns it succeeded; group commit
 // coalesces concurrent writers into one fsync; checkpoints serialize
 // the full document into a fresh segment pair and reclaim the

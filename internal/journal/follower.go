@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dyndoc"
-	"repro/internal/labelstore"
 	"repro/internal/metrics"
 )
 
@@ -54,7 +53,7 @@ type FollowerConfig struct {
 	Manual bool
 	// WrapFile wraps mirror segment files as they are opened — the
 	// fault-injection seam.
-	WrapFile func(f labelstore.File) labelstore.File
+	WrapFile func(f File) File
 }
 
 // ErrFollowerClosed reports use of a closed follower.
@@ -89,8 +88,8 @@ type Follower struct {
 	// state below it: the id map and the open mirror log are touched
 	// only with pollMu held.
 	pollMu sync.Mutex
-	idmap  map[int]int       // vet:guardedby pollMu // leader id → local id
-	store  *labelstore.Store // vet:guardedby pollMu // mirror log
+	idmap  map[int]int // vet:guardedby pollMu // leader id → local id
+	store  *segment    // vet:guardedby pollMu // mirror log
 
 	mu            sync.Mutex
 	cond          *sync.Cond // vet:guardedby mu

@@ -8,8 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dyndoc"
-	"repro/internal/labelstore"
-	"repro/internal/labelstore/faultfs"
+	"repro/internal/faultfs"
 )
 
 // fetchVia is the test transport: leader Ship, through the real wire
@@ -263,7 +262,7 @@ func TestFollowerKillMatrix(t *testing.T) {
 		issued  uint64
 		opened  bool
 	}
-	followerScript := func(t *testing.T, fdir, boundary string, wrap func(labelstore.File) labelstore.File) (res runResult) {
+	followerScript := func(t *testing.T, fdir, boundary string, wrap func(File) File) (res runResult) {
 		ldir := t.TempDir()
 		d := mustDoc(t, "<root/>")
 		j, err := Create(Config{Dir: ldir, Scheme: testScheme}, d)
@@ -336,7 +335,7 @@ func TestFollowerKillMatrix(t *testing.T) {
 
 	// Profile the clean run's mirror I/O.
 	var files []*faultfs.File
-	profile := followerScript(t, t.TempDir(), "profile", func(f labelstore.File) labelstore.File {
+	profile := followerScript(t, t.TempDir(), "profile", func(f File) File {
 		ff := faultfs.Wrap(f.(faultfs.Backing))
 		files = append(files, ff)
 		return ff

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/dyndoc"
-	"repro/internal/labelstore"
 	"repro/internal/metrics"
 )
 
@@ -61,7 +60,7 @@ func (m Mode) String() string {
 // Config describes a journal.
 type Config struct {
 	// Dir is the journal directory: one ckpt-N/log-N segment pair,
-	// both labelstore files.
+	// both segment files (segment.go).
 	Dir string
 	// Scheme is the registry name recorded in checkpoints so Replay
 	// can rebuild the document under the same labeling scheme.
@@ -72,7 +71,7 @@ type Config struct {
 	Interval time.Duration
 	// WrapFile, if set, wraps every file the journal opens for
 	// writing — the fault-injection seam the kill matrix uses.
-	WrapFile func(f labelstore.File) labelstore.File
+	WrapFile func(f File) File
 	// Recover permits Replay to repair crash damage (truncate a torn
 	// log tail, discard an incomplete checkpoint, recreate a missing
 	// log, remove stray segments). Without it Replay refuses such
@@ -133,12 +132,12 @@ type Journal struct {
 	// mu is the append lock: sequence assignment and buffered record
 	// writes, in publication order.
 	mu       sync.Mutex
-	store    *labelstore.Store // vet:guardedby mu
-	gen      uint64            // vet:guardedby mu // current segment generation
-	seq      uint64            // vet:guardedby mu // last appended batch sequence
-	baseSeq  uint64            // vet:guardedby mu // seq when this session opened (replayed history)
-	ckptBase uint64            // vet:guardedby mu // seq the current generation's checkpoint covers
-	closed   bool              // vet:guardedby mu
+	store    *segment // vet:guardedby mu
+	gen      uint64   // vet:guardedby mu // current segment generation
+	seq      uint64   // vet:guardedby mu // last appended batch sequence
+	baseSeq  uint64   // vet:guardedby mu // seq when this session opened (replayed history)
+	ckptBase uint64   // vet:guardedby mu // seq the current generation's checkpoint covers
+	closed   bool     // vet:guardedby mu
 
 	// appended mirrors seq for lock-free reads by the group-commit
 	// window spin (an approximate progress signal, not a fence).
@@ -166,7 +165,7 @@ type Journal struct {
 	done chan struct{}
 }
 
-func newJournal(cfg Config, store *labelstore.Store, gen, seq, ckptBase uint64) *Journal {
+func newJournal(cfg Config, store *segment, gen, seq, ckptBase uint64) *Journal {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
@@ -178,25 +177,6 @@ func newJournal(cfg Config, store *labelstore.Store, gen, seq, ckptBase uint64) 
 		go j.flushLoop()
 	}
 	return j
-}
-
-// openStore opens path as a fresh labelstore segment through the
-// configured wrapper.
-func openStore(cfg Config, path string) (*labelstore.Store, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	var lf labelstore.File = f
-	if cfg.WrapFile != nil {
-		lf = cfg.WrapFile(lf)
-	}
-	s, err := labelstore.NewStore(lf)
-	if err != nil {
-		_ = lf.Close()
-		return nil, err
-	}
-	return s, nil
 }
 
 // syncDir fsyncs the journal directory so segment creations and

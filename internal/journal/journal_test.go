@@ -12,8 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dyndoc"
-	"repro/internal/labelstore"
-	"repro/internal/labelstore/faultfs"
+	"repro/internal/faultfs"
 	"repro/internal/registry"
 	"repro/internal/xmltree"
 )
@@ -673,7 +672,7 @@ func TestCheckpointRecords(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := labelstore.ReadAll(ckptPath(dir, 0))
+	recs, err := readAll(ckptPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +682,7 @@ func TestCheckpointRecords(t *testing.T) {
 
 	rewrite := func(labels, advertised int) {
 		t.Helper()
-		store, err := labelstore.Create(ckptPath(dir, 0))
+		store, err := openStore(Config{}, ckptPath(dir, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -775,7 +774,7 @@ func TestSegmentHeaderDamage(t *testing.T) {
 					case !recover: // refused for want of Recover
 						typed = errors.Is(err, ErrRecoveryTruncated)
 					case i < 7: // refused by the segment reader: bad magic
-						typed = errors.Is(err, labelstore.ErrCorrupt)
+						typed = errors.Is(err, ErrCorrupt)
 					default: // refused by the segment reader: bad version
 						typed = strings.Contains(err.Error(), "unsupported format version")
 					}

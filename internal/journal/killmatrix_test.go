@@ -7,8 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dyndoc"
-	"repro/internal/labelstore"
-	"repro/internal/labelstore/faultfs"
+	"repro/internal/faultfs"
 	"repro/internal/registry"
 	"repro/internal/xmltree"
 )
@@ -39,7 +38,7 @@ type crashRun struct {
 // stopping at the first error, and leaves the directory exactly as
 // the crash left it (Close is only attempted when nothing failed —
 // a dead process does not get to flush).
-func runScripted(t *testing.T, dir string, wrap func(labelstore.File) labelstore.File, steps []step, clean bool) crashRun {
+func runScripted(t *testing.T, dir string, wrap func(File) File, steps []step, clean bool) crashRun {
 	t.Helper()
 	d := mustDoc(t, "<root/>")
 	cfg := Config{Dir: dir, Scheme: testScheme, WrapFile: wrap}
@@ -105,7 +104,7 @@ func referenceXMLs(t *testing.T, steps []step) []string {
 func profileOps(t *testing.T, steps []step) (writes, syncs []int) {
 	t.Helper()
 	var files []*faultfs.File
-	wrap := func(f labelstore.File) labelstore.File {
+	wrap := func(f File) File {
 		ff := faultfs.Wrap(f.(faultfs.Backing))
 		files = append(files, ff)
 		return ff
@@ -122,9 +121,9 @@ func profileOps(t *testing.T, steps []step) (writes, syncs []int) {
 }
 
 // wrapNth arms one fault on the n-th file the journal opens.
-func wrapNth(n int, fault faultfs.Fault) func(labelstore.File) labelstore.File {
+func wrapNth(n int, fault faultfs.Fault) func(File) File {
 	opened := 0
-	return func(f labelstore.File) labelstore.File {
+	return func(f File) File {
 		idx := opened
 		opened++
 		if idx == n {

@@ -3,13 +3,11 @@ package journal
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"repro/internal/dyndoc"
-	"repro/internal/labelstore"
 	"repro/internal/registry"
 	"repro/internal/xmltree"
 )
@@ -126,8 +124,9 @@ func segments(dir string) ([]genFiles, error) {
 // error here; it is the expected residue of a crash mid-checkpoint,
 // and the caller falls back to the previous generation.
 func readCheckpoint(path string) (checkpointMeta, bool) {
-	recs, err := labelstore.ReadAll(path)
-	if err != nil || len(recs) < 2 {
+	s, err := scanFile(path)
+	recs := s.recs
+	if err != nil || s.why != cleanEOF || len(recs) < 2 {
 		return checkpointMeta{}, false
 	}
 	if recs[0].ID != metaRecordID || recs[len(recs)-1].ID != endRecordID {
@@ -185,7 +184,7 @@ var errNoJournal = errors.New("journal: no journal")
 type recovered struct {
 	doc     *dyndoc.Document
 	idmap   map[int]int
-	store   *labelstore.Store
+	store   *segment
 	seq     uint64 // last batch replayed
 	baseSeq uint64 // sequence the checkpoint covers
 	info    ReplayInfo
@@ -237,29 +236,36 @@ func openDir(cfg Config) (*recovered, error) {
 	g := gens[chosen]
 	r := &recovered{baseSeq: meta.BaseSeq, info: ReplayInfo{Checkpoint: g.gen, Scheme: meta.Scheme}}
 
-	// Read the log tail. A missing log (crash between checkpoint
-	// completion and log creation) holds no batches; a torn one is
-	// truncated at the last clean record boundary.
-	lp := logPath(cfg.Dir, g.gen)
-	var recs []labelstore.Record
+	// Everything but the log's own state is known by now; refuse before
+	// the log is opened read-write.
 	if !g.log {
-		needRepair = true
-	} else {
-		recs, err = labelstore.ReadAll(lp)
-		if err != nil {
-			needRepair = true
-			if cfg.Recover {
-				recs, r.info.TruncatedBytes, err = labelstore.Recover(lp)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
+		needRepair = true // crash between checkpoint completion and log creation
 	}
 	if needRepair && !cfg.Recover {
 		return nil, fmt.Errorf("%w (open with recovery enabled to repair)", ErrRecoveryTruncated)
 	}
+
+	// Open the log tail where it left off. A missing log holds no
+	// batches and is created below; a torn one is truncated at the last
+	// clean record boundary.
+	lp := logPath(cfg.Dir, g.gen)
+	var tail reopened
+	if g.log {
+		tail, err = reopenStore(cfg, lp)
+		if err != nil {
+			return nil, err
+		}
+		needRepair = needRepair || tail.damaged
+		r.info.TruncatedBytes = tail.cut
+	}
 	r.info.Repaired = needRepair
+	r.store = tail.store
+	fail := func(err error) (*recovered, error) {
+		if r.store != nil {
+			_ = r.store.Close() // nothing was appended; err is the one to report
+		}
+		return nil, err
+	}
 
 	// Rebuild the document from the checkpoint and re-execute the
 	// tail. The rebuilt document numbers its nodes freshly, so edits
@@ -268,15 +274,15 @@ func openDir(cfg Config) (*recovered, error) {
 	// results.
 	r.doc, r.idmap, err = rebuildFromMeta(meta)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	batches := make([]ShipBatch, len(recs))
-	for i, rec := range recs {
+	batches := make([]ShipBatch, len(tail.recs))
+	for i, rec := range tail.recs {
 		batches[i] = ShipBatch{Seq: rec.ID, Payload: rec.Payload}
 	}
 	r.seq, r.info.Edits, err = replayBatches(r.doc, r.idmap, meta.BaseSeq, batches)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	r.info.Batches = len(batches)
 	mReplayedEdits.Add(int64(r.info.Edits))
@@ -298,27 +304,12 @@ func openDir(cfg Config) (*recovered, error) {
 		syncDir(cfg.Dir)
 	}
 
-	// Reopen the log for appending, through the configured wrapper.
-	if !g.log {
+	if r.store == nil {
 		r.store, err = openStore(cfg, lp)
 		if err != nil {
 			return nil, err
 		}
-		return r, nil
 	}
-	f, err := os.OpenFile(lp, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	var lf labelstore.File = f
-	if cfg.WrapFile != nil {
-		lf = cfg.WrapFile(lf)
-	}
-	r.store = labelstore.AppendStore(lf)
 	return r, nil
 }
 

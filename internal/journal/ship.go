@@ -6,10 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
-	"repro/internal/labelstore"
 	"repro/internal/metrics"
 )
 
@@ -307,16 +305,16 @@ func (j *Journal) shipOnce(from uint64, maxBatches int) (*ShipChunk, error) {
 	if pos >= horizon {
 		return chunk, nil
 	}
-	f, err := os.Open(logPath(j.cfg.Dir, gen))
+	// The writer is live: a record that is torn now is complete on the
+	// next scan, so only a head that cannot be a segment is an error.
+	s, err := scanFile(logPath(j.cfg.Dir, gen))
+	if err == nil && s.why == notSegment {
+		err = s.err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("journal: ship: %w", err)
 	}
-	defer f.Close()
-	recs, _, err := labelstore.ReadAvailable(f, 0)
-	if err != nil {
-		return nil, fmt.Errorf("journal: ship: %w", err)
-	}
-	for _, rec := range recs {
+	for _, rec := range s.recs {
 		if rec.ID <= pos {
 			continue
 		}

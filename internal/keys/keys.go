@@ -72,14 +72,6 @@ type OrderedBytes interface {
 	AppendOrdered(dst []byte, k Key) ([]byte, error)
 }
 
-// All returns every codec the evaluation uses, in the order the
-// paper's containment-scheme figures list them.
-func All() []Codec {
-	return []Codec{
-		VBinary(), FBinary(), Float(), VCDBS(), FCDBS(), QED(),
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Integer codecs (V-Binary, F-Binary)
 

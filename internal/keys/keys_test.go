@@ -8,8 +8,14 @@ import (
 	"repro/internal/bitstr"
 )
 
+// allCodecs returns every codec the evaluation uses, in the order the
+// paper's containment-scheme figures list them.
+func allCodecs() []Codec {
+	return []Codec{VBinary(), FBinary(), Float(), VCDBS(), FCDBS(), QED()}
+}
+
 func TestAllCodecsEncodeOrdered(t *testing.T) {
-	for _, c := range All() {
+	for _, c := range allCodecs() {
 		for _, n := range []int{0, 1, 2, 18, 100} {
 			ks, err := c.Encode(n)
 			if err != nil {
@@ -31,7 +37,7 @@ func TestAllCodecsEncodeOrdered(t *testing.T) {
 }
 
 func TestDynamicCodecsInsertForever(t *testing.T) {
-	for _, c := range All() {
+	for _, c := range allCodecs() {
 		if !c.Dynamic() {
 			continue
 		}
@@ -193,7 +199,7 @@ func TestTotalBitsAccounting(t *testing.T) {
 	}
 	for _, w := range wants {
 		var codec Codec
-		for _, c := range All() {
+		for _, c := range allCodecs() {
 			if c.Name() == w.name {
 				codec = c
 			}
@@ -216,7 +222,7 @@ func TestTotalBitsAccounting(t *testing.T) {
 	if got > 200 {
 		t.Errorf("QED.TotalBits(18) = %d, implausibly large", got)
 	}
-	for _, c := range All() {
+	for _, c := range allCodecs() {
 		if n := c.TotalBits(nil); n != 0 {
 			t.Errorf("%s.TotalBits(nil) = %d", c.Name(), n)
 		}
@@ -242,7 +248,7 @@ func TestCDBSKeySizeEqualsBinary(t *testing.T) {
 
 func TestCodecNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, c := range All() {
+	for _, c := range allCodecs() {
 		if seen[c.Name()] {
 			t.Errorf("duplicate codec name %q", c.Name())
 		}

@@ -12,7 +12,7 @@ import (
 // must encode distinctly — including keys produced by Between, whose
 // lengths vary freely.
 func TestOrderedBytesAgree(t *testing.T) {
-	for _, c := range All() {
+	for _, c := range allCodecs() {
 		ob, ok := c.(OrderedBytes)
 		if !ok {
 			continue

@@ -2,7 +2,7 @@
 // counters, gauges and fixed-bucket histograms, all safe for
 // concurrent use, with an expvar-compatible JSON dump.
 //
-// The hot tiers (labelstore, cdbs, qed, dyndoc) register their
+// The hot tiers (journal segments, cdbs, qed, dyndoc) register their
 // instruments once at package init against the Default registry and
 // update them with a single atomic operation per event, so the
 // overhead on label kernels is a few nanoseconds. Snapshots are

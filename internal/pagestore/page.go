@@ -4,9 +4,9 @@
 // LRU cache and dirty-page writeback, and a copy-on-write B-tree keyed
 // by raw label bytes.
 //
-// The checksum discipline mirrors labelstore v2: every page carries a
-// Castagnoli CRC over everything but the footer, so a torn or bit-
-// flipped page is detected on read, never silently decoded. Durability
+// The checksum discipline mirrors the journal's segment format: every
+// page carries a Castagnoli CRC over everything but the footer, so a
+// torn or bit-flipped page is detected on read, never silently decoded. Durability
 // is layered the same way as the rest of the system: the journal's
 // write-ahead log stays the recovery truth, and a page file that fails
 // verification is simply rebuilt from the replayed document — the
@@ -55,7 +55,8 @@ const (
 	PageInternal
 )
 
-// castagnoli is the same CRC-32C polynomial labelstore v2 uses.
+// castagnoli is the same CRC-32C polynomial the journal's segment
+// format uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrPageCorrupt reports a page that failed header or checksum

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestTornFileEveryOffset mirrors labelstore's every-offset truncation
-// corpus: build a committed page file, then for every truncation
+// TestTornFileEveryOffset mirrors the journal segment's every-offset
+// truncation corpus: build a committed page file, then for every truncation
 // length from 0 to the full file, reopen and require one of exactly
 // two outcomes — a clean ErrNoMeta/verification failure (caller
 // rebuilds), or a successfully restored committed state whose

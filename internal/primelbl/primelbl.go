@@ -50,8 +50,6 @@ type Scheme struct {
 	sc         []*big.Int // one SC value per group of GroupSize nodes
 
 	selfPrimesMark, labelsMark, parentsMark *cow.Mark
-
-	scRecalcs int64 // cumulative SC recomputations
 }
 
 // Build labels a tree given as a parent vector in document order:
@@ -209,7 +207,6 @@ func (s *Scheme) recomputeSC(g int) {
 		s.sc = append(s.sc, nil)
 	}
 	s.sc[g] = x
-	s.scRecalcs++
 }
 
 // InsertBefore simulates inserting one new node at document position
@@ -255,10 +252,6 @@ func (s *Scheme) InsertBefore(pos, parent int) (scRecalcs int, err error) {
 	}
 	return len(dirty), nil
 }
-
-// TotalSCRecalcs returns the cumulative number of SC recomputations
-// performed, including the initial build.
-func (s *Scheme) TotalSCRecalcs() int64 { return s.scRecalcs }
 
 // Clone returns a scheme that answers as s does now and can be edited
 // independently of it. The write-once columns are shared. The big.Int

@@ -2,10 +2,8 @@ package registry
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
-	"repro/internal/labelstore"
 	"repro/internal/scheme"
 )
 
@@ -44,9 +42,10 @@ func TestEverySchemeMarshalsLabels(t *testing.T) {
 	}
 }
 
-// TestMarshaledLabelsRoundTripStore writes every label of a labeling
-// to a labelstore file and checks the stored records line up with
-// fresh marshals.
+// TestMarshaledLabelsRoundTripStore marshals every label of a
+// labeling in preorder, keeps the payloads the way a label log would,
+// and checks each kept payload against a fresh marshal — a marshaler
+// handing out a shared scratch buffer would fail it.
 func TestMarshaledLabelsRoundTripStore(t *testing.T) {
 	doc := randomDoc(40, 5)
 	for _, name := range []string{"V-CDBS-Containment", "QED-Prefix", "Prime"} {
@@ -58,38 +57,25 @@ func TestMarshaledLabelsRoundTripStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "labels.log")
-		store, err := labelstore.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		m := lab.(scheme.LabelMarshaler)
+		stored := map[int][]byte{}
 		for _, v := range lab.Tree().PreOrder() {
 			payload, err := m.MarshalLabel(v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := store.Write(uint64(v), payload); err != nil {
-				t.Fatal(err)
-			}
+			stored[v] = payload
 		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
+		if len(stored) != lab.Len() {
+			t.Fatalf("%s: %d records", name, len(stored))
 		}
-		records, err := labelstore.ReadAll(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(records) != lab.Len() {
-			t.Fatalf("%s: %d records", name, len(records))
-		}
-		for _, r := range records {
-			want, err := m.MarshalLabel(int(r.ID))
+		for v, payload := range stored {
+			want, err := m.MarshalLabel(v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(r.Payload, want) {
-				t.Fatalf("%s: node %d payload mismatch", name, r.ID)
+			if !bytes.Equal(payload, want) {
+				t.Fatalf("%s: node %d payload mismatch", name, v)
 			}
 		}
 	}

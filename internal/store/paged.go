@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pagestore"
 )
@@ -41,10 +42,11 @@ type paged struct {
 	// cachePages is the pager budget handed to every generation.
 	cachePages int
 
-	pg     *pagestore.Pager
+	fam *cloneFamily
+
+	cur    *pageGen        // vet:guardedby mu // nil once closed
 	labels *pagestore.Tree // vet:guardedby mu
 	names  *pagestore.Tree // vet:guardedby mu
-	gen    int             // vet:guardedby mu
 
 	nameIDs  map[string]uint32 // vet:guardedby mu
 	nameList []string          // vet:guardedby mu
@@ -67,6 +69,30 @@ type paged struct {
 	// lastErr records a degraded read (IDs/Elems cannot return an
 	// error through the query path); Flush surfaces it.
 	lastErr error // vet:guardedby mu
+}
+
+// cloneFamily is what the backend OpenPaged returned and every clone
+// descended from it share: the last generation number handed out, so
+// two clones that both swap never pick the same file name.
+type cloneFamily struct {
+	lastGen atomic.Int32
+}
+
+// pageGen is one generation: a page file and its pager, shared by
+// every clone that has not swapped past it. It is closed once — by the
+// first Close of a backend holding it, or by its finalizer after the
+// last holder dropped it; a retired generation's unlinked file stays
+// readable through the open descriptor until then.
+type pageGen struct {
+	num  int
+	pg   *pagestore.Pager
+	once sync.Once
+	err  error
+}
+
+func (g *pageGen) close() error {
+	g.once.Do(func() { g.err = g.pg.Close() })
+	return g.err
 }
 
 func genPath(dir string, gen int) string {
@@ -95,7 +121,7 @@ func OpenPaged(dir string, cachePages int, b Binding) (Backend, error) {
 		bind:       b,
 		dir:        dir,
 		cachePages: cachePages,
-		gen:        1,
+		fam:        new(cloneFamily),
 		nameIDs:    map[string]uint32{},
 		memoIDs:    map[string][]int{},
 	}
@@ -108,17 +134,21 @@ func OpenPaged(dir string, cachePages int, b Binding) (Backend, error) {
 	return p, nil
 }
 
-// openGen creates the current generation's file, pager and empty trees.
+// openGen makes a fresh generation current: the family's next file
+// name, a pager over it and empty trees. On failure p is unchanged.
 //
 // vet:holds p.mu
 func (p *paged) openGen() error {
-	file, err := pagestore.Create(genPath(p.dir, p.gen))
+	g := &pageGen{num: int(p.fam.lastGen.Add(1))}
+	file, err := pagestore.Create(genPath(p.dir, g.num))
 	if err != nil {
 		return err
 	}
-	p.pg = pagestore.NewPager(file, p.cachePages)
-	p.labels = pagestore.NewTree(p.pg)
-	p.names = pagestore.NewTree(p.pg)
+	g.pg = pagestore.NewPager(file, p.cachePages)
+	runtime.SetFinalizer(g, func(g *pageGen) { _ = g.close() })
+	p.cur = g
+	p.labels = pagestore.NewTree(g.pg)
+	p.names = pagestore.NewTree(g.pg)
 	return nil
 }
 
@@ -285,10 +315,10 @@ func (p *paged) Entries() int {
 //
 // vet:holds p.mu
 func (p *paged) pagerStatsLocked() pagestore.PagerStats {
-	if p.pg == nil {
+	if p.cur == nil {
 		return pagestore.PagerStats{}
 	}
-	return p.pg.Stats()
+	return p.cur.pg.Stats()
 }
 
 func (p *paged) MemoryFootprint() int64 {
@@ -322,9 +352,9 @@ func (p *paged) Stats() Stats {
 
 // Clone shares the page file copy-on-write: both sides' trees are
 // sealed, so each changes only pages it allocates afterwards. The
-// clone inherits the pager; a later Compact on either side swaps only
-// that side's pointers, and the shared old file stays readable until
-// every holder drops it.
+// clone inherits the generation; a later Compact on either side swaps
+// only that side's pointers, and the shared old file stays readable
+// until every holder drops it.
 func (p *paged) Clone(b Binding) (Backend, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -332,10 +362,10 @@ func (p *paged) Clone(b Binding) (Backend, error) {
 		bind:       b,
 		dir:        p.dir,
 		cachePages: p.cachePages,
-		pg:         p.pg,
+		fam:        p.fam,
+		cur:        p.cur,
 		labels:     p.labels.Clone(),
 		names:      p.names.Clone(),
-		gen:        p.gen,
 		nameIDs:    maps.Clone(p.nameIDs),
 		nameList:   slices.Clone(p.nameList),
 		memoIDs:    map[string][]int{},
@@ -348,10 +378,10 @@ func (p *paged) Clone(b Binding) (Backend, error) {
 //
 // vet:holds p.mu
 func (p *paged) commitLocked() error {
-	if p.pg == nil {
+	if p.cur == nil {
 		return errors.New("store: paged backend is closed")
 	}
-	err := p.pg.Flush(
+	err := p.cur.pg.Flush(
 		[2]uint32{p.labels.Root(), p.names.Root()},
 		[2]uint64{uint64(p.labels.Count()), uint64(p.names.Count())},
 	)
@@ -377,29 +407,22 @@ func (p *paged) Flush() error {
 }
 
 // swapGenLocked builds a fresh generation file, lets fill populate the
-// new trees, commits it and retires the old generation. Old snapshots
-// (clones) keep their own pager pointer; the old file is
-// unlinked now and closed by a finalizer once no pager references it.
+// new trees and retires the old generation: its file is unlinked now,
+// and it closes once no clone holds it any more (pageGen).
 //
 // vet:holds p.mu
 func (p *paged) swapGenLocked(fill func(labels, names *pagestore.Tree) error) error {
-	oldPg, oldGen, oldLabels, oldNames := p.pg, p.gen, p.labels, p.names
-	p.gen++
+	old, oldLabels, oldNames := p.cur, p.labels, p.names
 	if err := p.openGen(); err != nil {
-		p.gen = oldGen
 		return err
 	}
 	if err := fill(p.labels, p.names); err != nil {
-		_ = p.pg.Close()
-		_ = os.Remove(genPath(p.dir, p.gen))
-		p.pg, p.gen, p.labels, p.names = oldPg, oldGen, oldLabels, oldNames
+		_ = p.cur.close()
+		_ = os.Remove(genPath(p.dir, p.cur.num))
+		p.cur, p.labels, p.names = old, oldLabels, oldNames
 		return fmt.Errorf("store: generation swap aborted: %w", err)
 	}
-	_ = os.Remove(genPath(p.dir, oldGen))
-	// Close the retired pager only when the last clone holding it is
-	// gone; until then its committed pages remain readable through the
-	// unlinked inode.
-	runtime.SetFinalizer(oldPg, func(pg *pagestore.Pager) { _ = pg.Close() })
+	_ = os.Remove(genPath(p.dir, old.num))
 	return nil
 }
 
@@ -409,7 +432,7 @@ func (p *paged) swapGenLocked(fill func(labels, names *pagestore.Tree) error) er
 func (p *paged) Compact() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pg == nil {
+	if p.cur == nil {
 		return errors.New("store: paged backend is closed")
 	}
 	oldLabels, oldNames := p.labels, p.names
@@ -437,10 +460,10 @@ func copyTree(src, dst *pagestore.Tree) error {
 func (p *paged) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pg == nil {
+	if p.cur == nil {
 		return nil
 	}
-	err := p.pg.Close()
-	p.pg = nil
+	err := p.cur.close()
+	p.cur = nil
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -396,4 +397,59 @@ func TestStatsShape(t *testing.T) {
 	if s.MemoryFootprint() <= 0 || p.MemoryFootprint() <= 0 {
 		t.Fatal("zero memory footprint")
 	}
+}
+
+// TestPagedClonesBothCompact: two clones of one paged backend that
+// both Compact must not collide — neither on the retired pager (a
+// second runtime.SetFinalizer on it is a fatal throw) nor on the next
+// generation's file name (the second Create would truncate the file
+// the first just committed). Each keeps scanning every entry, and
+// each compaction produced its own generation file.
+func TestPagedClonesBothCompact(t *testing.T) {
+	w := newWorld()
+	dir := t.TempDir()
+	oracle := NewSlice(w.binding())
+	p, err := OpenPaged(dir, 8, w.binding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	names := []string{"a", "b", "c"}
+	for i := 0; i < 3000; i++ {
+		w.ord[i] = uint64(i)
+		w.name[i] = names[i%len(names)]
+		for _, b := range []Backend{oracle, p} {
+			if err := b.Add(w.name[i], i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.Clone(w.binding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, b := range []Backend{p, c} {
+		if err := b.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		checkEqual(t, w, oracle, p, names)
+		checkEqual(t, w, oracle, c, names)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "labels-*.pages"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("generation files after both compactions: %v, %v; want two", files, err)
+	}
+	// Each side still takes edits on its own generation.
+	w.ord[3000], w.name[3000] = 3000, "a"
+	for _, b := range []Backend{oracle, p, c} {
+		if err := b.Add("a", 3000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkEqual(t, w, oracle, p, names)
+	checkEqual(t, w, oracle, c, names)
 }

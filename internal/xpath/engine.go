@@ -74,14 +74,6 @@ func NewEngine(doc *xmltree.Document, lab scheme.Labeling) (*Engine, error) {
 	return e, nil
 }
 
-// NewEngineIndexed builds an engine over externally maintained index
-// structures (names per id, per-name id lists and the all-elements
-// list, each in document order). The slices are shared, not copied,
-// and must not be mutated during a query.
-func NewEngineIndexed(lab scheme.Labeling, names []string, byName map[string][]int, elems []int) *Engine {
-	return &Engine{lab: lab, names: names, idx: sliceIndex{byName: byName, elems: elems}}
-}
-
 // NewEngineWithIndex builds an engine over any Index implementation —
 // the entry point the dyndoc package uses so one incrementally
 // updated storage backend (slice or paged) serves every query.

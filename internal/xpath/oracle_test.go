@@ -421,7 +421,7 @@ func TestAxesDocOrderAfterEdits(t *testing.T) {
 		if inOrder {
 			t.Fatalf("%s: edits left id order equal to document order; the test proves nothing", sn)
 		}
-		eng := NewEngineIndexed(lab, elemNames, byName, elems)
+		eng := NewEngineWithIndex(lab, elemNames, sliceIndex{byName: byName, elems: elems})
 		o := newOracle(doc)
 		for _, qs := range queries {
 			q := MustParse(qs)

@@ -8,15 +8,17 @@
 #   4. go test       — the whole module, plus the invariants-tagged label
 #                      packages and page store (whose tag makes the pager
 #                      check every page it writes back against its node)
-#   5. go test -race — the concurrent document layer, the labelstore,
-#                      the journal's group-commit pipeline and the
+#   5. go test -race — the concurrent document layer, the journal's
+#                      segment files and group-commit pipeline, the
 #                      HTTP serving stack (web + catalog + client), plus
 #                      the snapshot storm, planned-query storm,
 #                      snapshot-isolation histories, XML differential,
 #                      hook-install race, close-drain, journal stress,
-#                      watch storm, follower replication and in-place
-#                      page mutation vs clone readers tests by name
-#   6. crash safety  — the recovery/fault-injection suite by name, the
+#                      watch storm, follower replication, in-place page
+#                      mutation vs clone readers and two-clones-both-
+#                      compact tests by name
+#   6. crash safety  — the segment recovery/fault-injection suite by name
+#                      (internal/journal, internal/faultfs), the
 #                      journal kill matrix, the paged-label damage
 #                      matrix (page files deleted/truncated/corrupted
 #                      between runs), the torn-page-file sweep, the
@@ -34,8 +36,8 @@
 #                      (-benchtime 1x), so they cannot rot; measuring is
 #                      benchmark/'s job (stage 12)
 #   9. metrics smoke — experiments binary dumps a -metrics-json snapshot and
-#                      the labelstore/cdbs/qed/dyndoc/journal-ship/watch/
-#                      follower keys must be present
+#                      the labelstore_* (segment)/cdbs/qed/dyndoc/journal-
+#                      ship/watch/follower keys must be present
 #  10. httpd smoke    — dynxmld starts on a random port, the whole route
 #                      surface is driven through dynxmlctl (the typed
 #                      /v1 client: open, query, explain, edit, batch,
@@ -80,8 +82,8 @@ go test ./...
 echo "==> go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/pagestore/..."
 go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/pagestore/...
 
-echo "==> go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/labelstore/... ./internal/journal/... ./internal/catalog/... ./internal/web/... ./client/..."
-go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/labelstore/... ./internal/journal/... ./internal/catalog/... ./internal/web/... ./client/...
+echo "==> go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/journal/... ./internal/faultfs/... ./internal/catalog/... ./internal/web/... ./client/..."
+go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/journal/... ./internal/faultfs/... ./internal/catalog/... ./internal/web/... ./client/...
 
 echo "==> snapshot + planned-query storms under the race detector"
 go test -race -count=1 -run 'TestSnapshotStorm|TestQueryDoesNotBlockOnWriter|TestPlannedQueryStorm|TestSetCommitHookInstallRace|TestSnapshotIsolation|TestXMLMatchesEditedTree|TestDocumentClone' ./internal/dyndoc
@@ -89,6 +91,7 @@ go test -race -count=1 -run 'TestParallelPartitionedJoins|TestCacheGenerations' 
 
 echo "==> in-place page mutation vs clone readers under the race detector"
 go test -race -count=1 -run 'TestInPlaceVsCloneRace' ./internal/pagestore
+go test -race -count=1 -run 'TestPagedClonesBothCompact' ./internal/store
 
 echo "==> close-drain and eviction races under the race detector"
 go test -race -count=1 -run 'TestCloseUnderLoad' .
@@ -103,8 +106,9 @@ go test -race -count=1 -run 'TestFollowerKillMatrix|TestFollowerReadYourWrites|T
 go test -race -count=1 -run 'TestOpenFollower' .
 go test -race -count=1 -run 'TestClientFollowerReadYourWrites|TestClientWatch' ./client
 
-echo "==> crash-safety suite (recovery + fault injection)"
-go test -count=1 -run 'TestRecover|TestFault|TestSynced|TestReadAllTorn' ./internal/labelstore ./internal/labelstore/faultfs
+echo "==> crash-safety suite (segment recovery + fault injection)"
+go test -count=1 -run 'TestRecover|TestFault|TestSynced|TestReadAllTorn|TestHeaderBitFlip|TestSegment|TestPrefold' ./internal/journal
+go test -count=1 ./internal/faultfs
 
 echo "==> journal kill matrix (every write/sync fault point at durability=always, Create's own included)"
 go test -count=1 -run 'TestKillMatrix|TestReplay|TestCheckpoint|TestUnfinishedCreate' ./internal/journal
@@ -117,7 +121,7 @@ echo "==> follower kill matrix (kill the replica at every ship/persist point, ca
 go test -count=1 -run 'TestFollowerKillMatrix' ./internal/journal
 
 echo "==> FuzzReadAll seed corpus (5s)"
-go test -run '^$' -fuzz 'FuzzReadAll' -fuzztime 5s ./internal/labelstore
+go test -run '^$' -fuzz 'FuzzReadAll' -fuzztime 5s ./internal/journal
 
 echo "==> FuzzPageRoundTrip + FuzzMetaDecode seed corpora (5s each, pagestore)"
 go test -run '^$' -fuzz 'FuzzPageRoundTrip' -fuzztime 5s ./internal/pagestore
