@@ -12,9 +12,11 @@ build:
 
 test:
 	$(GO) test ./...
+	$(GO) test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/...
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -run 'TestArenaCloneIsolation' ./internal/containment
 
 # `make vet` is the single local entry point for all static analysis:
 # stock go vet plus the full labelvet suite (including the guardedby/

@@ -46,6 +46,7 @@ const (
 	CodeUnknownScheme = "unknown_scheme"
 	CodeUnavailable   = "unavailable"
 	CodeReadOnly      = "read_only"
+	CodeLabelTooLong  = "label_too_long"
 	CodeBadRequest    = "bad_request"
 	CodeTimeout       = "timeout"
 	CodeInternal      = "internal"
@@ -428,9 +429,14 @@ type Stats struct {
 	Scheme    string `json:"scheme"`
 	Nodes     int    `json:"nodes"`
 	Relabeled int64  `json:"relabeled"`
-	Storage   *struct {
+	// LongestLabel against Storage.MaxLabel (both in bytes; zero when
+	// unbounded) is how close the document is to refusing inserts with
+	// CodeLabelTooLong.
+	LongestLabel int `json:"longest_label"`
+	Storage      *struct {
 		Backend        string  `json:"backend"`
 		Entries        int     `json:"entries"`
+		MaxLabel       int     `json:"max_label"`
 		ResidentPages  int     `json:"resident_pages"`
 		AllocatedPages int     `json:"allocated_pages"`
 		CacheHits      uint64  `json:"cache_hits"`

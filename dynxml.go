@@ -319,6 +319,14 @@ func pagedErr(err error) error {
 	return err
 }
 
+// ErrLabelTooLong matches, via errors.Is, the error an insert returns
+// when the new node's label would be longer than the paged label index
+// can key (HandleStats.Storage.MaxLabel bytes; HandleStats.LongestLabel
+// says how close the document is). Nothing was changed: the document
+// answers and serialises as before, and an insert into a wider gap
+// still succeeds.
+var ErrLabelTooLong = scheme.ErrLabelTooLong
+
 // ErrClosed reports a call on a closed Handle, matching errors.Is.
 var ErrClosed = errors.New("dynxml: handle is closed")
 
@@ -619,27 +627,39 @@ func (h *Handle) locked(fn func(d *LiveDocument) error) error {
 func (h *Handle) Len() int { return h.doc.Len() }
 
 // bytesPerID is the heap estimate per node id ever allocated that
-// MemoryFootprint charges for the parts outside the index backend: the
-// id's slots in the name, leaf, parent, depth, child-list and label
-// columns, its entry in its parent's child list and its label. Every
-// one of those is sized by ids allocated, not by live nodes — a deleted
-// node keeps its slots and its label — so an edit-aged document costs
-// what its id count says. Measured: Hamlet holds 192 bytes of heap per
-// id fresh and 201 after 5 000 edits, index included; with the slice
-// backend's own 64 bytes per entry on top, 160 lands within 1.2x of
-// both (TestMemoryFootprintTracksHeap holds it within 2x).
-const bytesPerID = 160
+// MemoryFootprint charges for the fixed-width columns outside the
+// labels and the index backend: the id's slots in the name, leaf,
+// parent, depth, child-list and dead columns and its entry in its
+// parent's child list. Every one of those is sized by ids allocated,
+// not by live nodes — a deleted node keeps its slots — so an edit-aged
+// document costs what its id count says. Measured on Hamlet: 107 bytes
+// of heap per id fresh and after 5 000 edits, of which the labels are
+// 14 (their arena and Refs, charged at their real size) and the slice
+// index about 20 (charged by the backend).
+const bytesPerID = 80
+
+// boxedLabelBytes is what MemoryFootprint charges per id for the
+// labels of a scheme that is no scheme.LabelSizer and holds each label
+// as heap objects of its own.
+const boxedLabelBytes = 80
 
 // MemoryFootprint estimates the handle's resident bytes: a per-id
-// constant for the columns and labeling plus whatever the index backend
-// reports — for the paged backend that is its bounded page cache, not
-// the document size, which is what lets one process keep many
-// larger-than-budget documents open. The catalog's memory budget
-// charges this estimate.
+// constant for the columns, the labels at the size their labeling
+// reports, plus whatever the index backend reports — for the paged
+// backend that is its bounded page cache, not the document size, which
+// is what lets one process keep many larger-than-budget documents
+// open. The catalog's memory budget charges this estimate
+// (TestMemoryFootprintTracksHeap holds it within 1.5x of the heap).
 func (h *Handle) MemoryFootprint() int64 {
 	var fp int64
 	h.view(func(d *LiveDocument) {
-		fp = int64(d.Labeling().Tree().Cap())*bytesPerID + d.Store().MemoryFootprint()
+		lab := d.Labeling()
+		ids := int64(lab.Tree().Cap())
+		labels := ids * boxedLabelBytes
+		if ls, ok := lab.(scheme.LabelSizer); ok {
+			labels = ls.LabelBytes()
+		}
+		fp = ids*bytesPerID + labels + d.Store().MemoryFootprint()
 	})
 	return fp
 }
@@ -865,6 +885,11 @@ type HandleStats struct {
 	// Relabeled is the cumulative count of existing nodes whose labels
 	// updates have rewritten — zero forever under the dynamic schemes.
 	Relabeled int64
+	// LongestLabel is the length in bytes of the longest ordered label
+	// the document has assigned (zero under a scheme without ordered
+	// labels); inserts are refused with ErrLabelTooLong once the next
+	// one would pass Storage.MaxLabel.
+	LongestLabel int
 	// Journaled reports whether the handle writes a journal; Journal
 	// is only meaningful when it is set.
 	Journaled bool
@@ -892,7 +917,7 @@ type StorageStats = store.Stats
 // on a closed handle.
 func (h *Handle) Stats() HandleStats {
 	s := HandleStats{Scheme: h.schemeName, Nodes: h.doc.Len(), Relabeled: h.doc.Relabeled()}
-	h.view(func(d *LiveDocument) { s.Storage = d.Store().Stats() })
+	h.view(func(d *LiveDocument) { s.Storage, s.LongestLabel = d.Store().Stats(), d.LongestLabel() })
 	if h.jnl != nil {
 		s.Journaled = true
 		s.Journal = h.jnl.Stats()

@@ -23,20 +23,21 @@ func heapDelta(t *testing.T, build func() *Handle) (*Handle, int64) {
 }
 
 // TestMemoryFootprintTracksHeap pins the estimate the catalog evicts
-// by to what the heap says, within a factor of two either way — for a
-// fresh document and for one aged by 5 000 edits, whose per-id arrays
-// have grown with every id ever allocated while its live node count
-// stood still.
+// by to what the heap says, within a factor of 1.5 either way — for a
+// fresh document, for one aged by 5 000 edits, whose per-id arrays and
+// label arena have grown with every id ever allocated while its live
+// node count stood still, and for one whose index is paged.
 func TestMemoryFootprintTracksHeap(t *testing.T) {
-	open := func() *Handle {
-		h, err := Open(datagen.Hamlet(), WithConcurrent())
+	open := func(opts ...Option) *Handle {
+		h, err := Open(datagen.Hamlet(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
+	fresh := func() *Handle { return open(WithConcurrent()) }
 	aged := func() *Handle {
-		h := open()
+		h := fresh()
 		speeches, err := h.QueryString("//speech")
 		if err != nil || len(speeches) == 0 {
 			t.Fatalf("speeches: %d, %v", len(speeches), err)
@@ -53,26 +54,29 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		}
 		return h
 	}
-	for name, build := range map[string]func() *Handle{"fresh": open, "aged by 5000 edits": aged} {
+	paged := func() *Handle {
+		h := open(WithPagedLabels(t.TempDir()), WithPageCache(64))
+		if _, err := h.QueryString("//speech"); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "paged": paged} {
 		h, heap := heapDelta(t, build)
 		est := h.MemoryFootprint()
 		t.Logf("%s: %d live nodes, estimate %d B, heap %d B (%.2fx)", name, h.Len(), est, heap, float64(est)/float64(heap))
-		if est > 2*heap || heap > 2*est {
-			t.Errorf("%s: MemoryFootprint %d B is not within 2x of the measured heap %d B", name, est, heap)
+		if 2*est > 3*heap || 2*heap > 3*est {
+			t.Errorf("%s: MemoryFootprint %d B is not within 1.5x of the measured heap %d B", name, est, heap)
 		}
-		runtime.KeepAlive(h)
+		if err := h.Close(); err != nil { // also keeps h alive to here
+			t.Fatal(err)
+		}
 	}
 
 	// The paged backend's share is its page cache — decoded nodes, not
 	// 4 KB buffers — and Close drops exactly that. What the estimate
-	// gives up at Close must be within 2x of what the heap gives back.
-	h, err := Open(datagen.Hamlet(), WithPagedLabels(t.TempDir()), WithPageCache(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.QueryString("//speech"); err != nil {
-		t.Fatal(err)
-	}
+	// gives up at Close must be within 1.5x of what the heap gives back.
+	h := paged()
 	heapNow := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -86,9 +90,9 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	share, freed := estOpen-h.MemoryFootprint(), heapOpen-heapNow()
-	t.Logf("paged: %d resident pages, estimate %d B, heap %d B (%.2fx)", pages, share, freed, float64(share)/float64(freed))
-	if pages < 32 || share > 2*freed || freed > 2*share {
-		t.Errorf("paged: backend share %d B over %d pages is not within 2x of the measured heap %d B", share, pages, freed)
+	t.Logf("paged: %d resident pages, backend share %d B, heap %d B (%.2fx)", pages, share, freed, float64(share)/float64(freed))
+	if pages < 32 || 2*share > 3*freed || 2*freed > 3*share {
+		t.Errorf("paged: backend share %d B over %d pages is not within 1.5x of the measured heap %d B", share, pages, freed)
 	}
 	runtime.KeepAlive(h)
 }

@@ -99,6 +99,20 @@ func FromBytes(data []byte, n int) (BitString, error) {
 	return s, nil
 }
 
+// View returns the first n bits of data as a BitString that aliases
+// data instead of copying it. The caller vouches for what FromBytes
+// establishes by copying: data holds exactly ceil(n/8) bytes with the
+// spare bits zero, and is never written again — the contract a
+// write-once arena of stored codes (keys.Arena) meets. The invariants
+// build checks the shape; nothing can check the promise.
+func View(data []byte, n int) BitString {
+	// Capped for the same reason Prefix caps: no append through the
+	// view may reach the bytes that follow it.
+	s := BitString{data: data[:len(data):len(data)], n: n}
+	s.assertWellFormed()
+	return s
+}
+
 // Repeat returns a BitString of n copies of bit. A non-positive n
 // yields Empty.
 func Repeat(bit byte, n int) BitString {
@@ -436,6 +450,10 @@ func (s BitString) Bytes() []byte {
 	copy(out, s.data)
 	return out
 }
+
+// AppendBytes appends the underlying storage (what Bytes copies) to
+// dst.
+func (s BitString) AppendBytes(dst []byte) []byte { return append(dst, s.data...) }
 
 // FromUint returns the standard (V-Binary) binary representation of v,
 // with no leading zeros; FromUint(0) is "0". This is the encoding the

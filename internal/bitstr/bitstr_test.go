@@ -339,3 +339,31 @@ func BenchmarkAppendBit(b *testing.B) {
 		_ = x.AppendBit(1)
 	}
 }
+
+// TestViewAliasesAndIsChecked pins View's two halves: it shares the
+// caller's bytes instead of copying them, and the invariants build —
+// and only it — refuses bytes that are not a well-formed bit string,
+// which a copying constructor would have repaired.
+func TestViewAliasesAndIsChecked(t *testing.T) {
+	arena := []byte{0b1010_0000, 0xFF}
+	v := View(arena[:1], 3)
+	if v.String() != "101" || v.AppendBit(1).String() != "1011" || arena[1] != 0xFF {
+		t.Fatalf("View reads %q and leaves %08b behind it", v, arena[1])
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = View(arena[:1], 3).Compare(v) }); n != 0 {
+		t.Errorf("View allocates %.0f times", n)
+	}
+	for name, bad := range map[string]func(){
+		"spare bits set": func() { View([]byte{0b1011_0000}, 3) },
+		"too many bytes": func() { View(arena, 3) },
+	} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			bad()
+			return false
+		}()
+		if panicked != invariantsEnabled {
+			t.Errorf("%s: panicked = %v with invariants enabled = %v", name, panicked, invariantsEnabled)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package bitstr
 
 import (
 	"bytes"
+	"cmp"
 	"testing"
 )
 
@@ -140,5 +141,26 @@ func FuzzBitstrCodecs(f *testing.F) {
 			t.Errorf("DecodeFrom round trip of %q: %q, %d, %v", s, dec, used, err)
 		}
 		checkWellFormed(t, "DecodeFrom", dec)
+		// The no-copy reader, with more stored strings behind the one
+		// it reads, as an arena has.
+		if s.EncodedLen() != len(wire) {
+			t.Errorf("EncodedLen of %q = %d, AppendTo wrote %d", s, s.EncodedLen(), len(wire))
+		}
+		n, packed := Stored(append(wire, 0xFF, 0xFF))
+		view := View(packed, n)
+		if !view.Equal(s) {
+			t.Errorf("Stored round trip of %q: %q", s, view)
+		}
+		checkWellFormed(t, "Stored", view)
+		// Stored's ordering claim, against a neighbour of s.
+		u := s.AppendBit(byte(v & 1)).Prefix(int(v>>1) % (s.Len() + 2))
+		un, up := Stored(u.AppendTo(nil))
+		c := bytes.Compare(packed, up)
+		if c == 0 {
+			c = cmp.Compare(n, un)
+		}
+		if c != s.Compare(u) {
+			t.Errorf("stored order of %q and %q is %d, Compare %d", s, u, c, s.Compare(u))
+		}
 	})
 }

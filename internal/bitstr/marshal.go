@@ -3,6 +3,7 @@ package bitstr
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // AppendTo serialises the bit string as a uvarint bit count followed
@@ -10,6 +11,28 @@ import (
 func (s BitString) AppendTo(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.n))
 	return append(dst, s.data...)
+}
+
+// EncodedLen returns how many bytes AppendTo appends for s.
+func (s BitString) EncodedLen() int {
+	return (bits.Len64(uint64(s.n)|1)+6)/7 + len(s.data)
+}
+
+// Stored is DecodeFrom without the copy and without the checks, for
+// bytes the caller itself wrote with AppendTo into storage it never
+// writes again: it returns the bit count and the packed bytes of the
+// bit string at the front of data, the latter as a slice of data. With
+// the spare bits zero, bytes.Compare on two packed forms, ties broken
+// by bit count, is Compare. Stored is small enough to inline; it sits
+// under every comparison of two stored labels.
+func Stored(data []byte) (n int, packed []byte) {
+	// binary.Uvarint, spelled out: a call would not leave room.
+	n, used := int(data[0]&0x7F), 1
+	for shift := 7; data[used-1] >= 0x80; shift += 7 {
+		n |= int(data[used]&0x7F) << shift
+		used++
+	}
+	return n, data[used : used+(n+7)>>3]
 }
 
 // DecodeFrom parses a bit string produced by AppendTo from the front

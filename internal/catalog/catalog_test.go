@@ -398,12 +398,12 @@ func TestCatalogClose(t *testing.T) {
 // released.
 func TestBudgetChargesFootprint(t *testing.T) {
 	// Roomy enough for the seed document, far too small for 200 nodes.
-	c := openTest(t, Config{MemBudget: 40_000})
+	c := openTest(t, Config{MemBudget: 20_000})
 	p, err := c.Create("alpha", seed, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Handle().MemoryFootprint() > 40_000 {
+	if p.Handle().MemoryFootprint() > 20_000 {
 		t.Fatal("seed document must fit the test budget")
 	}
 	p.Release()
@@ -416,7 +416,7 @@ func TestBudgetChargesFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	addX(t, p, 200)
-	if fp := p.Handle().MemoryFootprint(); fp <= 40_000 {
+	if fp := p.Handle().MemoryFootprint(); fp <= 20_000 {
 		t.Fatalf("grown document footprint %d should exceed the budget", fp)
 	}
 	p.Release() // release refreshes the charge and triggers eviction

@@ -1,0 +1,141 @@
+package containment
+
+import (
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/xmltree"
+)
+
+// labelsOf returns every live node's stored label: what a holder of l
+// can observe of its arena and its column of Refs.
+func labelsOf(t *testing.T, l *Labeling) map[int]string {
+	t.Helper()
+	out := map[int]string{}
+	for _, v := range l.Tree().PreOrder() {
+		b, err := l.MarshalLabel(v)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		out[v] = string(b)
+	}
+	return out
+}
+
+// edit applies the next n inserts of a seeded history to l: leaves
+// mostly, a fragment now and then.
+func edit(t *testing.T, l *Labeling, rng *rand.Rand, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		live := l.Tree().PreOrder()
+		parent := live[rng.Intn(len(live))]
+		pos := rng.Intn(len(l.Tree().Children[parent]) + 1)
+		var err error
+		if rng.Intn(8) == 0 {
+			_, _, err = l.InsertSubtree(parent, pos, randomShape(rng))
+		} else {
+			_, _, err = l.InsertChildAt(parent, pos)
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+	}
+}
+
+// TestArenaCloneIsolation holds the arena and the Ref column to
+// scheme.Cloner's contract where they share memory: a clone's appends
+// land in the backing arrays its original still reads, and only the
+// first clone to append may take the free tail. Every clone must end
+// up exactly where the same edits lead with no other holder around.
+// The race detector sees the concurrent halves; sharing that is a bug
+// shows up as changed labels even without it.
+func TestArenaCloneIsolation(t *testing.T) {
+	const edits = 300
+	history := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	for _, codec := range allCodecs() {
+		codec := codec
+		t.Run(codec.Name(), func(t *testing.T) {
+			t.Parallel()
+			// published returns a labeling with some edits behind it (so
+			// its arrays have the slack appends leave), and its labels.
+			published := func() (*Labeling, map[int]string) {
+				d, err := xmltree.ParseString("<r><a/><b><c/><c/></b><d/><e><f/></e></r>")
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := New(codec, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edit(t, l, history(1), 40)
+				return l, labelsOf(t, l)
+			}
+			clone := func(l *Labeling) *Labeling { return l.CloneLabeling().(*Labeling) }
+			// alone is where n edits of a history lead with no clone in
+			// sight.
+			alone := func(seed int64, n int) map[int]string {
+				l, _ := published()
+				edit(t, l, history(seed), n)
+				return labelsOf(t, l)
+			}
+			same := func(what string, l *Labeling, want map[int]string) {
+				t.Helper()
+				if !reflect.DeepEqual(labelsOf(t, l), want) {
+					t.Errorf("%s: labels differ from what its own edits make", what)
+				}
+			}
+			var wg sync.WaitGroup
+
+			// A published labeling read while its clone appends.
+			pub, want := published()
+			w := clone(pub)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					same("published labeling under its reader", pub, want)
+				}
+			}()
+			edit(t, w, history(2), edits)
+			wg.Wait()
+			same("writer clone", w, alone(2, edits))
+
+			// Two clones that both append, turn by turn: the second finds
+			// the tail the first claimed still in use. And two more at
+			// once: both reach for the tail together.
+			pub, want = published()
+			x, y := clone(pub), clone(pub)
+			hx, hy := history(3), history(4)
+			for i := 0; i < edits; i++ {
+				edit(t, x, hx, 1)
+				edit(t, y, hy, 1)
+			}
+			same("first divergent clone", x, alone(3, edits))
+			same("second divergent clone", y, alone(4, edits))
+			x, y = clone(pub), clone(pub)
+			wg.Add(2)
+			go func() { defer wg.Done(); edit(t, x, history(3), edits) }()
+			go func() { defer wg.Done(); edit(t, y, history(4), edits) }()
+			wg.Wait()
+			same("first concurrent clone", x, alone(3, edits))
+			same("second concurrent clone", y, alone(4, edits))
+			same("their original", pub, want)
+
+			// A clone that appended once and was dropped, then a fresh
+			// one: the second may not reuse what the first claimed while
+			// anything can still read it.
+			pub, want = published()
+			dropped := clone(pub)
+			edit(t, dropped, history(5), 1)
+			next := clone(pub)
+			edit(t, next, history(6), edits)
+			same("clone after a discarded one", next, alone(6, edits))
+			same("discarded clone", dropped, alone(5, 1))
+			same("their original", pub, want)
+		})
+	}
+}

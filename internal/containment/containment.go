@@ -15,8 +15,10 @@
 package containment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cow"
 	"repro/internal/keys"
@@ -28,20 +30,33 @@ import (
 // byte, identical across codecs.
 const levelBits = 8
 
-// Labeling is a containment-labeled document. A dynamic codec writes
-// a node's start and end keys once, so the two columns keep their
-// backing arrays across CloneLabeling (cow.Append); a static codec's
-// re-encoding replaces both arrays.
+// Labeling is a containment-labeled document. Its labels are one
+// keys.Arena, in which every endpoint key is stored once at its own
+// size, and one column of Refs into it: ends[2v] names node v's start
+// key and ends[2v+1] its end key. A dynamic codec writes both once, so
+// the arena and the column keep their backing arrays across
+// CloneLabeling (package cow's write-once rule); a static codec's
+// re-encoding replaces both.
 type Labeling struct {
-	codec keys.Codec
-	tree  *scheme.Tree
-	start []keys.Key
-	end   []keys.Key
+	tree *scheme.Tree
+	keys keys.Arena
+	ends []keys.Ref
+	mark *cow.Mark
 
-	startMark, endMark *cow.Mark
+	// limit and longest are the scheme.LabelLimiter state, in bytes of
+	// ordered label; both stay zero under a codec without that form.
+	// A label is no longer than its arena, hence the width, which
+	// keeps a clone of the struct in the allocation size it had with
+	// two key slices.
+	limit, longest uint32
 }
 
-var _ scheme.Labeling = (*Labeling)(nil)
+var (
+	_ scheme.Labeling       = (*Labeling)(nil)
+	_ scheme.OrderedLabeler = (*Labeling)(nil)
+	_ scheme.LabelLimiter   = (*Labeling)(nil)
+	_ scheme.LabelSizer     = (*Labeling)(nil)
+)
 
 // Build returns a scheme.Builder for the given endpoint codec.
 func Build(codec keys.Codec) scheme.Builder {
@@ -52,63 +67,66 @@ func Build(codec keys.Codec) scheme.Builder {
 
 // New labels doc with the given endpoint codec.
 func New(codec keys.Codec, doc *xmltree.Document) (*Labeling, error) {
-	tree := scheme.NewTree(doc)
-	l := &Labeling{codec: codec, tree: tree}
-	if err := l.assignAll(); err != nil {
+	arena, err := keys.NewArena(codec)
+	if err != nil {
+		return nil, err
+	}
+	l := &Labeling{tree: scheme.NewTree(doc), keys: arena}
+	if _, err := l.reassign(); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// assignAll (re)encodes every node's start and end keys in document
-// order and returns the count of nodes whose keys changed (zero on the
-// first call, when the old keys are nil).
-func (l *Labeling) assignAll() error {
-	_, err := l.reassign()
-	return err
-}
+func (l *Labeling) start(v int) keys.Ref { return l.ends[2*v] }
+func (l *Labeling) end(v int) keys.Ref   { return l.ends[2*v+1] }
 
+// reassign (re)encodes every node's start and end keys in document
+// order into a fresh arena and returns the count of nodes whose keys
+// changed (zero on the first call, when there are no old keys).
 func (l *Labeling) reassign() (changed int, err error) {
-	ks, err := l.codec.Encode(2 * l.tree.Len())
-	if err != nil {
-		return 0, err
-	}
-	n := l.tree.Cap()
-	newStart := make([]keys.Key, n)
-	newEnd := make([]keys.Key, n)
-	pos := 0
-	var walk func(v int)
-	walk = func(v int) {
-		newStart[v] = ks[pos]
-		pos++
-		for _, c := range l.tree.Children[v] {
-			walk(c)
-		}
-		newEnd[v] = ks[pos]
-		pos++
-	}
 	order := l.tree.PreOrder()
 	if len(order) == 0 {
 		return 0, errors.New("containment: empty tree")
 	}
-	walk(order[0])
-	for v := 0; v < n; v++ {
-		if !l.tree.Alive(v) {
-			continue
+	arena, err := keys.NewArena(l.keys.Codec())
+	if err != nil {
+		return 0, err
+	}
+	ks, err := arena.Encode(2 * l.tree.Len())
+	if err != nil {
+		return 0, err
+	}
+	ends := make([]keys.Ref, 2*l.tree.Cap())
+	pos := 0
+	var walk func(v int)
+	walk = func(v int) {
+		ends[2*v] = ks[pos]
+		pos++
+		for _, c := range l.tree.Children[v] {
+			walk(c)
 		}
-		if l.start != nil && v < len(l.start) && l.start[v] != nil {
-			if l.codec.Compare(l.start[v], newStart[v]) != 0 || l.codec.Compare(l.end[v], newEnd[v]) != 0 {
-				changed++
-			}
+		ends[2*v+1] = ks[pos]
+		pos++
+	}
+	walk(order[0])
+	// A key's stored form is canonical, so equal bytes are equal keys.
+	same := func(i int) bool { return bytes.Equal(l.keys.Stored(l.ends[i]), arena.Stored(ends[i])) }
+	for v := 0; 2*v < len(l.ends); v++ {
+		if l.tree.Alive(v) && !(same(2*v) && same(2*v+1)) {
+			changed++
 		}
 	}
-	l.start, l.end = newStart, newEnd
-	l.startMark, l.endMark = cow.NewMark(n), cow.NewMark(n)
+	l.keys, l.ends, l.mark = arena, ends, cow.NewMark(len(ends))
+	l.longest = 0
+	for _, v := range order {
+		l.longest = max(l.longest, l.labelLen(l.start(v)))
+	}
 	return changed, nil
 }
 
 // Name returns e.g. "V-CDBS-Containment".
-func (l *Labeling) Name() string { return l.codec.Name() + "-Containment" }
+func (l *Labeling) Name() string { return l.keys.Codec().Name() + "-Containment" }
 
 // Len returns the node count.
 func (l *Labeling) Len() int { return l.tree.Len() }
@@ -127,26 +145,49 @@ func (l *Labeling) Level(v int) int { return l.tree.Depths[v] }
 // numeric order (binary, float) make this return an error, which the
 // storage layer maps to "slice backend only".
 func (l *Labeling) AppendOrderedLabel(dst []byte, v int) ([]byte, error) {
-	ob, ok := l.codec.(keys.OrderedBytes)
-	if !ok {
-		return nil, fmt.Errorf("%w: containment codec %s", scheme.ErrNoOrderedLabels, l.codec.Name())
-	}
 	if !l.tree.Alive(v) {
 		return nil, fmt.Errorf("%w: %d", scheme.ErrBadNode, v)
 	}
-	return ob.AppendOrdered(dst, l.start[v])
+	b, ok := l.keys.Ordered(l.start(v))
+	if !ok {
+		return nil, fmt.Errorf("%w: containment codec %s", scheme.ErrNoOrderedLabels, l.keys.Codec().Name())
+	}
+	return append(dst, b...), nil
 }
 
-// StartKey returns v's start key (for tests and harnesses).
-func (l *Labeling) StartKey(v int) keys.Key { return l.start[v] }
+// labelLen returns the length of the ordered label a node with start
+// key r has: zero under a codec without one.
+func (l *Labeling) labelLen(r keys.Ref) uint32 {
+	b, _ := l.keys.Ordered(r)
+	return uint32(len(b))
+}
+
+// LimitLabel implements scheme.LabelLimiter.
+func (l *Labeling) LimitLabel(n int) { l.limit = uint32(min(max(n, 0), math.MaxUint32)) }
+
+// LongestLabel implements scheme.LabelLimiter.
+func (l *Labeling) LongestLabel() int { return int(l.longest) }
+
+// refuse undoes the key assignment of an insert that would give a
+// node an ordered label of n bytes, over the limit: it drops the keys
+// appended since the arena held size bytes, before anything else has
+// changed.
+func (l *Labeling) refuse(n uint32, size int) error {
+	l.keys.Truncate(size)
+	return fmt.Errorf("containment: %w: %d bytes, limit %d", scheme.ErrLabelTooLong, n, l.limit)
+}
+
+// StartKey returns v's start key as the codec's Key-level methods
+// would hold it (for tests and harnesses).
+func (l *Labeling) StartKey(v int) keys.Key { return l.keys.Key(l.start(v)) }
 
 // EndKey returns v's end key.
-func (l *Labeling) EndKey(v int) keys.Key { return l.end[v] }
+func (l *Labeling) EndKey(v int) keys.Key { return l.keys.Key(l.end(v)) }
 
 // IsAncestor implements interval containment on the labels.
 func (l *Labeling) IsAncestor(u, v int) bool {
-	return l.codec.Compare(l.start[u], l.start[v]) < 0 &&
-		l.codec.Compare(l.end[v], l.end[u]) < 0
+	return l.keys.Compare(l.start(u), l.start(v)) < 0 &&
+		l.keys.Compare(l.end(v), l.end(u)) < 0
 }
 
 // IsParent is containment plus a level difference of one.
@@ -164,19 +205,25 @@ func (l *Labeling) IsSibling(u, v int) bool {
 
 // Before orders nodes by their start keys (document order).
 func (l *Labeling) Before(u, v int) bool {
-	return l.codec.Compare(l.start[u], l.start[v]) < 0
+	return l.keys.Compare(l.start(u), l.start(v)) < 0
 }
 
 // TotalLabelBits charges each live node its two endpoints (with the
 // codec's own overhead accounting) plus a one-byte level.
 func (l *Labeling) TotalLabelBits() int64 {
-	all := make([]keys.Key, 0, 2*l.tree.Len())
-	for v := range l.start {
+	live := make([]keys.Ref, 0, 2*l.tree.Len())
+	for v := 0; 2*v < len(l.ends); v++ {
 		if l.tree.Alive(v) {
-			all = append(all, l.start[v], l.end[v])
+			live = append(live, l.start(v), l.end(v))
 		}
 	}
-	return int64(l.codec.TotalBits(all)) + int64(levelBits*l.tree.Len())
+	return int64(l.keys.TotalBits(live)) + int64(levelBits*l.tree.Len())
+}
+
+// LabelBytes implements scheme.LabelSizer: the arena and the column of
+// Refs into it, at their lengths.
+func (l *Labeling) LabelBytes() int64 {
+	return int64(l.keys.Size()) + 4*int64(len(l.ends))
 }
 
 // DeleteSubtree removes node v and its descendants. The remaining
@@ -189,18 +236,17 @@ func (l *Labeling) DeleteSubtree(v int) (int, error) {
 // gapBounds returns the value-sequence neighbors of the gap where the
 // pos-th child of parent would be inserted: the key immediately to the
 // left and immediately to the right.
-func (l *Labeling) gapBounds(parent, pos int) (left, right keys.Key) {
+func (l *Labeling) gapBounds(parent, pos int) (left, right keys.Ref) {
 	kids := l.tree.Children[parent]
 	if pos > 0 {
-		prev := kids[pos-1]
-		left = l.end[prev]
+		left = l.end(kids[pos-1])
 	} else {
-		left = l.start[parent]
+		left = l.start(parent)
 	}
 	if pos < len(kids) {
-		right = l.start[kids[pos]]
+		right = l.start(kids[pos])
 	} else {
-		right = l.end[parent]
+		right = l.end(parent)
 	}
 	return left, right
 }
@@ -213,10 +259,11 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 		return 0, 0, err
 	}
 	left, right := l.gapBounds(parent, pos)
-	m1, err := l.codec.Between(left, right)
-	var m2 keys.Key
+	size := l.keys.Size()
+	m1, err := l.keys.Between(left, right)
+	var m2 keys.Ref
 	if err == nil {
-		m2, err = l.codec.Between(m1, right)
+		m2, err = l.keys.Between(m1, right)
 	}
 	if err != nil {
 		if !errors.Is(err, keys.ErrNoRoom) {
@@ -231,9 +278,14 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 		}
 		return id, changed, nil
 	}
+	n := l.labelLen(m1)
+	if l.limit > 0 && n > l.limit {
+		return 0, 0, l.refuse(n, size)
+	}
 	id := l.tree.AddChild(parent, pos)
-	l.start = cow.Append(&l.startMark, l.start, m1)
-	l.end = cow.Append(&l.endMark, l.end, m2)
+	l.ends = cow.Grow(&l.mark, l.ends, 2)
+	l.ends[2*id], l.ends[2*id+1] = m1, m2
+	l.longest = max(l.longest, n)
 	return id, 0, nil
 }
 
@@ -247,25 +299,14 @@ func (l *Labeling) InsertSiblingBefore(v int) (int, int, error) {
 }
 
 // MarshalLabel serialises node v's label in its storage form: the
-// start and end keys in the codec's own encoding followed by a
-// one-byte level. It implements scheme.LabelMarshaler when the codec
-// supports key marshaling (all built-in codecs do).
+// start and end keys in the codec's own encoding (keys.Marshaler)
+// followed by a one-byte level. It implements scheme.LabelMarshaler.
 func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 	if !l.tree.Alive(v) {
 		return nil, fmt.Errorf("%w: %d", scheme.ErrBadNode, v)
 	}
-	m, ok := l.codec.(keys.Marshaler)
-	if !ok {
-		return nil, fmt.Errorf("containment: codec %s cannot marshal keys", l.codec.Name())
-	}
-	out, err := m.AppendKey(nil, l.start[v])
-	if err != nil {
-		return nil, err
-	}
-	out, err = m.AppendKey(out, l.end[v])
-	if err != nil {
-		return nil, err
-	}
+	out := l.keys.AppendKey(nil, l.start(v))
+	out = l.keys.AppendKey(out, l.end(v))
 	return append(out, byte(l.Level(v))), nil
 }
 
@@ -275,46 +316,11 @@ func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 // codecs never touch an existing label no matter how large the
 // fragment (the bulk generalisation of Corollary 3.3).
 func (l *Labeling) InsertSubtree(parent, pos int, shape *xmltree.Node) ([]int, int, error) {
-	if shape == nil {
-		return nil, 0, errors.New("containment: nil shape")
-	}
-	if err := l.tree.ValidateInsert(parent, pos); err != nil {
+	ids, changed, err := l.InsertSubtrees(parent, pos, []*xmltree.Node{shape})
+	if err != nil {
 		return nil, 0, err
 	}
-	size := shape.SubtreeSize()
-	left, right := l.gapBounds(parent, pos)
-	ks, err := l.codec.NBetween(left, right, 2*size)
-	if err != nil && !errors.Is(err, keys.ErrNoRoom) {
-		return nil, 0, fmt.Errorf("containment: %w", err)
-	}
-	ids := l.addShape(parent, pos, shape)
-	if err != nil {
-		// Static codec out of room: re-encode everything.
-		changed, rerr := l.reassign()
-		if rerr != nil {
-			return nil, 0, rerr
-		}
-		return ids, changed, nil
-	}
-	// Assign the fresh keys over the fragment in document order:
-	// start at pre-visit, end at post-visit.
-	l.start = cow.Grow(&l.startMark, l.start, size)
-	l.end = cow.Grow(&l.endMark, l.end, size)
-	cursor, idAt := 0, 0
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		id := ids[idAt]
-		idAt++
-		l.start[id] = ks[cursor]
-		cursor++
-		for _, c := range n.Children {
-			walk(c)
-		}
-		l.end[id] = ks[cursor]
-		cursor++
-	}
-	walk(shape)
-	return ids, 0, nil
+	return ids[0], changed, nil
 }
 
 // InsertSubtrees inserts fragments shaped like the given element
@@ -338,50 +344,67 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 		return nil, 0, err
 	}
 	left, right := l.gapBounds(parent, pos)
-	ks, err := l.codec.NBetween(left, right, 2*total)
+	size := l.keys.Size()
+	ks, err := l.keys.NBetween(left, right, 2*total)
 	if err != nil && !errors.Is(err, keys.ErrNoRoom) {
 		return nil, 0, fmt.Errorf("containment: %w", err)
 	}
-	ids := make([][]int, len(shapes))
-	for k, shape := range shapes {
-		ids[k] = l.addShape(parent, pos+k, shape)
+	addShapes := func() [][]int {
+		ids := make([][]int, len(shapes))
+		for k, shape := range shapes {
+			ids[k] = l.addShape(parent, pos+k, shape)
+		}
+		return ids
 	}
 	if err != nil {
-		// Static codec out of room: re-encode everything.
-		changed, rerr := l.reassign()
-		if rerr != nil {
-			return nil, 0, rerr
+		// Static codec out of room: grow the tree, then re-encode
+		// everything.
+		ids := addShapes()
+		changed, err := l.reassign()
+		if err != nil {
+			return nil, 0, err
 		}
 		return ids, changed, nil
 	}
-	// Assign the fresh keys across the fragments in document order:
-	// start at pre-visit, end at post-visit, fragments consecutive.
-	l.start = cow.Grow(&l.startMark, l.start, total)
-	l.end = cow.Grow(&l.endMark, l.end, total)
-	cursor := 0
-	for k, shape := range shapes {
-		idAt := 0
-		var walk func(n *xmltree.Node)
-		walk = func(n *xmltree.Node) {
-			id := ids[k][idAt]
-			idAt++
-			l.start[id] = ks[cursor]
-			cursor++
-			for _, c := range n.Children {
-				walk(c)
-			}
-			l.end[id] = ks[cursor]
-			cursor++
+	// The fresh keys go to the fragments in document order: start at
+	// pre-visit, end at post-visit, fragments consecutive. pairs lists
+	// each fragment node's two in preorder, the order addShape hands
+	// out ids in.
+	pairs := make([][2]keys.Ref, 0, total)
+	longest := uint32(0)
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		i := len(pairs)
+		pairs = append(pairs, [2]keys.Ref{ks[0]})
+		longest = max(longest, l.labelLen(ks[0]))
+		ks = ks[1:]
+		for _, c := range n.Children {
+			walk(c)
 		}
+		pairs[i][1], ks = ks[0], ks[1:]
+	}
+	for _, shape := range shapes {
 		walk(shape)
 	}
+	if l.limit > 0 && longest > l.limit {
+		return nil, 0, l.refuse(longest, size)
+	}
+	ids := addShapes()
+	l.ends = cow.Grow(&l.mark, l.ends, 2*total)
+	for k, i := 0, 0; k < len(ids); k++ {
+		for _, id := range ids[k] {
+			l.ends[2*id], l.ends[2*id+1] = pairs[i][0], pairs[i][1]
+			i++
+		}
+	}
+	l.longest = max(l.longest, longest)
 	return ids, 0, nil
 }
 
-// CloneLabeling implements scheme.Cloner. Keys are immutable values
-// (bit strings, QED codes, boxed numbers) and a node's keys are
-// written once — or, under a static codec, replaced together with
-// the whole column — so the clone shares both key columns.
+// CloneLabeling implements scheme.Cloner. A key is written once — or,
+// under a static codec, replaced together with the whole arena — so
+// the clone shares the arena and the column of Refs and copies no
+// label byte.
 func (l *Labeling) CloneLabeling() scheme.Labeling {
 	cl := *l
 	cl.tree = l.tree.Clone()

@@ -121,7 +121,7 @@ func (d *Document) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) (
 	}
 	ids, relabeled, err := bi.InsertSubtrees(parent, pos, fragments)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, refused(err)
 	}
 	d.relabeled += int64(relabeled)
 	mInserts.Add(int64(len(fragments)))

@@ -37,6 +37,8 @@ var (
 	mDeletes   = metrics.Default.Counter("dyndoc_deletes_total")
 	mQueries   = metrics.Default.Counter("dyndoc_queries_total")
 	mRelabeled = metrics.Default.Counter("dyndoc_relabeled_total")
+	// Inserts refused because the new label would not fit the index.
+	mLabelTooLong = metrics.Default.Counter("dyndoc_label_too_long_total")
 )
 
 // Document is a live, labeled, queryable XML document.
@@ -132,7 +134,24 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		_ = d.idx.Close()
 		return nil, err
 	}
+	limitLabels(lab, d.idx)
 	return d, nil
+}
+
+// limitLabels has the labeling refuse, while it is still harmless, any
+// insert whose label idx could not key.
+func limitLabels(lab scheme.Labeling, idx store.Backend) {
+	if ll, ok := lab.(scheme.LabelLimiter); ok {
+		ll.LimitLabel(idx.Stats().MaxLabel)
+	}
+}
+
+// refused counts err if it is a label-length refusal, and returns it.
+func refused(err error) error {
+	if errors.Is(err, scheme.ErrLabelTooLong) {
+		mLabelTooLong.Inc()
+	}
+	return err
 }
 
 // nameOf is the index's view of element names ("" for text nodes).
@@ -165,6 +184,7 @@ func (d *Document) ConvertStore(factory StoreFactory) error {
 	}
 	old := d.idx
 	d.idx, d.factory = idx, factory
+	limitLabels(d.lab, idx)
 	return old.Close()
 }
 
@@ -192,9 +212,15 @@ func (d *Document) rebuildIndex() error {
 // addToIndex registers one new element, falling back to a full rebuild
 // if the incremental add fails (a paged I/O error leaves the index
 // missing entries; the rebuild restores consistency or surfaces the
-// fault).
+// fault). A label the index cannot key is not such a failure — the
+// rebuild would meet the same label — and comes back as
+// scheme.ErrLabelTooLong; it gets this far only under a labeling that is no
+// scheme.LabelLimiter, which would have refused the insert itself.
 func (d *Document) addToIndex(name string, id int) error {
 	if err := d.idx.Add(name, id); err != nil {
+		if errors.Is(err, store.ErrLabelTooLong) {
+			return refused(fmt.Errorf("dyndoc: %w: %v", scheme.ErrLabelTooLong, err))
+		}
 		if rerr := d.rebuildIndex(); rerr != nil {
 			return fmt.Errorf("dyndoc: index add failed (%v) and rebuild failed: %w", err, rerr)
 		}
@@ -221,6 +247,17 @@ func (d *Document) Len() int { return d.lab.Len() }
 // labels changed across all edits — zero forever under the dynamic
 // schemes.
 func (d *Document) Relabeled() int64 { return d.relabeled }
+
+// LongestLabel returns the length in bytes of the longest ordered
+// label the document has ever assigned — the figure to hold against
+// the index's store.Stats.MaxLabel — or zero under a scheme without
+// ordered labels.
+func (d *Document) LongestLabel() int {
+	if ll, ok := d.lab.(scheme.LabelLimiter); ok {
+		return ll.LongestLabel()
+	}
+	return 0
+}
 
 // Name returns the element name of a live node id ("" for text).
 func (d *Document) Name(id int) (string, error) {
@@ -346,7 +383,7 @@ func (d *Document) InsertElement(parent, pos int, name string) (int, int, error)
 	}
 	id, relabeled, err := d.lab.InsertChildAt(parent, pos)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, refused(err)
 	}
 	d.relabeled += int64(relabeled)
 	mInserts.Inc()
@@ -464,7 +501,7 @@ func (d *Document) InsertTree(parent, pos int, fragment *xmltree.Node) ([]int, i
 	}
 	ids, relabeled, err := d.lab.InsertSubtree(parent, pos, fragment)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, refused(err)
 	}
 	d.relabeled += int64(relabeled)
 	mInserts.Inc()

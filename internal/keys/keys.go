@@ -5,6 +5,15 @@
 // created between two existing keys, how keys compare, and how much
 // storage a key list costs — the quantities behind Figures 5–7 and
 // Table 4.
+//
+// Every codec is written once, as kernels over its own key type
+// (bit strings, float64, QED codes), and reached two ways. The
+// Key-level Codec methods in this file box and unbox around the
+// kernels; they are what the kernel tests and the experiments call,
+// and the reference the packed path is tested against. Arena
+// (arena.go) runs the same kernels over views of keys stored back to
+// back in one byte slice, which is how a containment labeling holds
+// its endpoints.
 package keys
 
 import (
@@ -72,10 +81,78 @@ type OrderedBytes interface {
 	AppendOrdered(dst []byte, k Key) ([]byte, error)
 }
 
+// unbox returns the codec's own form of a bound: open for nil.
+func unbox[K any](k Key, open K) (K, error) {
+	if k == nil {
+		return open, nil
+	}
+	v, ok := k.(K)
+	if !ok {
+		return open, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
+	}
+	return v, nil
+}
+
+// unboxBounds is unbox over a gap's two bounds.
+func unboxBounds[K any](l, r Key, open K) (lv, rv K, err error) {
+	if lv, err = unbox(l, open); err != nil {
+		return lv, rv, err
+	}
+	rv, err = unbox(r, open)
+	return lv, rv, err
+}
+
+// boxAll turns a kernel's run of keys into Keys.
+func boxAll[K any](ks []K, err error) ([]Key, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Key, len(ks))
+	for i, k := range ks {
+		out[i] = k
+	}
+	return out, nil
+}
+
+// tally is what every codec's size accounting reduces a key list to:
+// how many keys, their summed size in bits and the largest.
+type tally struct{ count, sum, max int }
+
+func (t *tally) add(bits int) {
+	t.count++
+	t.sum += bits
+	if bits > t.max {
+		t.max = bits
+	}
+}
+
+// bitStringTotal is the Section 4.2 accounting shared by the four
+// bit-string codecs: fixed width charges every key the width of the
+// largest plus one stored width, variable width charges each key its
+// own bits plus a length field wide enough for the largest.
+func bitStringTotal(fixed bool, t tally) int {
+	if t.count == 0 {
+		return 0
+	}
+	if fixed {
+		return t.count*t.max + uintBits(uint64(t.max))
+	}
+	return t.sum + t.count*uintBits(uint64(t.max))
+}
+
+func bitStringTotalOf(fixed bool, ks []Key) int {
+	var t tally
+	for _, k := range ks {
+		t.add(k.(bitstr.BitString).Len())
+	}
+	return bitStringTotal(fixed, t)
+}
+
 // ---------------------------------------------------------------------------
 // Integer codecs (V-Binary, F-Binary)
 
 type intCodec struct {
+	bitStored
 	fixed bool
 }
 
@@ -100,129 +177,111 @@ func (c intCodec) Name() string {
 
 func (c intCodec) Dynamic() bool { return false }
 
-func (c intCodec) Encode(n int) ([]Key, error) {
+func (c intCodec) Encode(n int) ([]Key, error) { return boxAll(c.encodeBits(n)) }
+
+func (c intCodec) Between(l, r Key) (Key, error) {
+	lb, rb, err := unboxBounds(l, r, bitstr.Empty)
+	if err != nil {
+		return nil, err
+	}
+	return c.betweenBits(lb, rb)
+}
+
+func (c intCodec) NBetween(l, r Key, n int) ([]Key, error) {
+	lb, rb, err := unboxBounds(l, r, bitstr.Empty)
+	if err != nil {
+		return nil, err
+	}
+	return boxAll(c.nbetweenBits(lb, rb, n))
+}
+
+func (c intCodec) Compare(a, b Key) int {
+	return compareNumeric(a.(bitstr.BitString), b.(bitstr.BitString))
+}
+
+func (c intCodec) TotalBits(ks []Key) int { return bitStringTotalOf(c.fixed, ks) }
+
+func (c intCodec) encodeBits(n int) ([]bitstr.BitString, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("keys: cannot encode %d", n)
 	}
-	out := make([]Key, n)
-	if c.fixed {
-		width := uintBits(uint64(n))
-		for i := range out {
-			out[i] = bitstr.FromUintFixed(uint64(i+1), width)
-		}
-		return out, nil
-	}
+	out := make([]bitstr.BitString, n)
+	width := uintBits(uint64(n))
 	for i := range out {
-		out[i] = bitstr.FromUint(uint64(i + 1))
+		out[i] = c.fromUint(uint64(i+1), width)
 	}
 	return out, nil
 }
 
-// intValue decodes a binary key back to its integer.
-func intValue(k Key) (uint64, error) {
-	b, ok := k.(bitstr.BitString)
-	if !ok {
-		return 0, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
+// intBounds decodes a gap's bounds (the empty string is an open one,
+// read as 0) and returns the wider of their widths.
+func intBounds(l, r bitstr.BitString) (lv, rv uint64, width int, err error) {
+	if lv, err = l.Uint(); err != nil {
+		return 0, 0, 0, err
 	}
-	return b.Uint()
+	if rv, err = r.Uint(); err != nil {
+		return 0, 0, 0, err
+	}
+	return lv, rv, max(l.Len(), r.Len()), nil
 }
 
-func (c intCodec) Between(l, r Key) (Key, error) {
-	if l == nil && r == nil {
-		return c.fromUint(1, 1), nil
-	}
-	var lv, rv uint64
-	var width int
-	if l != nil {
-		v, err := intValue(l)
-		if err != nil {
-			return nil, err
-		}
-		lv = v
-		width = l.(bitstr.BitString).Len()
-	}
-	if r != nil {
-		v, err := intValue(r)
-		if err != nil {
-			return nil, err
-		}
-		rv = v
-		if w := r.(bitstr.BitString).Len(); w > width {
-			width = w
-		}
-	}
-	if l != nil && r != nil && lv >= rv {
-		return nil, fmt.Errorf("keys: %d not below %d", lv, rv)
+// betweenBits is Between on the codec's own keys; the empty bit string
+// is an open bound.
+func (c intCodec) betweenBits(l, r bitstr.BitString) (bitstr.BitString, error) {
+	lv, rv, width, err := intBounds(l, r)
+	if err != nil {
+		return bitstr.Empty, err
 	}
 	switch {
-	case l == nil:
+	case l.IsEmpty() && r.IsEmpty():
+		return c.fromUint(1, 1), nil
+	case l.IsEmpty():
 		if rv <= 1 {
-			return nil, ErrNoRoom
+			return bitstr.Empty, ErrNoRoom
 		}
 		return c.fromUint(rv-1, width), nil
-	case r == nil:
+	case r.IsEmpty():
 		return c.fromUint(lv+1, width), nil
+	case lv >= rv:
+		return bitstr.Empty, fmt.Errorf("keys: %d not below %d", lv, rv)
 	case rv-lv < 2:
 		// Consecutive integers: the paper's motivating case — every
 		// insertion in a compact integer containment labeling forces
 		// re-labeling.
-		return nil, ErrNoRoom
+		return bitstr.Empty, ErrNoRoom
 	}
 	return c.fromUint(lv+(rv-lv)/2, width), nil
 }
 
-// NBetween places n evenly spread integers in the gap, failing with
+// nbetweenBits places n evenly spread integers in the gap, failing with
 // ErrNoRoom when the gap is too tight.
-func (c intCodec) NBetween(l, r Key, n int) ([]Key, error) {
+func (c intCodec) nbetweenBits(l, r bitstr.BitString, n int) ([]bitstr.BitString, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("keys: NBetween count %d is negative", n)
 	}
-	var lv, rv uint64
-	var width int
-	if l != nil {
-		v, err := intValue(l)
-		if err != nil {
-			return nil, err
-		}
-		lv = v
-		width = l.(bitstr.BitString).Len()
+	lv, rv, width, err := intBounds(l, r)
+	if err != nil {
+		return nil, err
 	}
-	if r == nil {
+	out := make([]bitstr.BitString, n)
+	if r.IsEmpty() {
 		// Open right end: append consecutively.
-		out := make([]Key, n)
 		for i := range out {
 			out[i] = c.fromUint(lv+uint64(i)+1, width)
 		}
 		return out, nil
 	}
-	v, err := intValue(r)
-	if err != nil {
-		return nil, err
-	}
-	rv = v
-	if w := r.(bitstr.BitString).Len(); w > width {
-		width = w
-	}
 	if rv <= lv || rv-lv-1 < uint64(n) {
 		return nil, ErrNoRoom
 	}
-	out := make([]Key, n)
-	span := rv - lv
-	for i := range out {
-		out[i] = c.fromUint(lv+span*uint64(i+1)/uint64(n+1), width)
-	}
 	// Even division can collide at the edges; verify strict order.
+	span, prev := rv-lv, lv
 	for i := range out {
-		vi, _ := intValue(out[i])
-		if vi <= lv || vi >= rv {
+		v := lv + span*uint64(i+1)/uint64(n+1)
+		if v <= prev || v >= rv {
 			return nil, ErrNoRoom
 		}
-		if i > 0 {
-			prev, _ := intValue(out[i-1])
-			if vi <= prev {
-				return nil, ErrNoRoom
-			}
-		}
+		out[i], prev = c.fromUint(v, width), v
 	}
 	return out, nil
 }
@@ -233,45 +292,20 @@ func (c intCodec) fromUint(v uint64, width int) bitstr.BitString {
 	if !c.fixed {
 		return bitstr.FromUint(v)
 	}
-	if need := uintBits(v); need > width {
-		width = need
-	}
-	return bitstr.FromUintFixed(v, width)
+	return bitstr.FromUintFixed(v, max(width, uintBits(v)))
 }
 
-func (c intCodec) Compare(a, b Key) int {
-	av, bv := a.(bitstr.BitString), b.(bitstr.BitString)
-	// Numeric order on leading-zero-free codes: shorter means
-	// smaller; equal lengths compare bitwise. (Fixed-width codes have
-	// equal lengths, so this is plain bitwise comparison for them.)
+// compareNumeric is numeric order on leading-zero-free codes: shorter
+// means smaller; equal lengths compare bitwise. (Fixed-width codes
+// have equal lengths, so this is plain bitwise comparison for them.)
+func compareNumeric(a, b bitstr.BitString) int {
 	switch {
-	case av.Len() < bv.Len():
+	case a.Len() < b.Len():
 		return -1
-	case av.Len() > bv.Len():
+	case a.Len() > b.Len():
 		return 1
 	}
-	return av.Compare(bv)
-}
-
-func (c intCodec) TotalBits(ks []Key) int {
-	if len(ks) == 0 {
-		return 0
-	}
-	maxBits := 1
-	total := 0
-	for _, k := range ks {
-		b := k.(bitstr.BitString).Len()
-		total += b
-		if b > maxBits {
-			maxBits = b
-		}
-	}
-	if c.fixed {
-		// Every key at the width of the largest, plus one width field.
-		return len(ks)*maxBits + uintBits(uint64(maxBits))
-	}
-	// Variable width plus a per-key length field.
-	return total + len(ks)*uintBits(uint64(maxBits))
+	return a.Compare(b)
 }
 
 // uintBits returns the bit length of v, with a 1-bit minimum (the
@@ -298,106 +332,37 @@ func Float() Codec { return floatCodec{} }
 func (floatCodec) Name() string  { return "Float-point" }
 func (floatCodec) Dynamic() bool { return false }
 
-func (floatCodec) Encode(n int) ([]Key, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("keys: cannot encode %d", n)
+// openFloat is the float kernels' open bound. No key is NaN: every
+// key is an integer, an integer step from a key, or a finite midpoint.
+var openFloat = math.NaN()
+
+func (f floatCodec) Encode(n int) ([]Key, error) { return boxAll(f.encodeFloats(n)) }
+
+func (f floatCodec) Between(l, r Key) (Key, error) {
+	lv, rv, err := unboxBounds(l, r, openFloat)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]Key, n)
-	for i := range out {
-		out[i] = float64(i + 1)
-	}
-	return out, nil
+	return f.betweenFloats(lv, rv)
 }
 
-func (floatCodec) Between(l, r Key) (Key, error) {
-	if l == nil && r == nil {
-		return float64(1), nil
-	}
-	var lv, rv float64
-	if l != nil {
-		v, ok := l.(float64)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, l)
-		}
-		lv = v
-	} else {
-		v, ok := r.(float64)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, r)
-		}
-		return v - 1, nil
-	}
-	if r == nil {
-		return lv + 1, nil
-	}
-	v, ok := r.(float64)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, r)
-	}
-	rv = v
-	if lv >= rv {
-		return nil, fmt.Errorf("keys: %g not below %g", lv, rv)
-	}
-	mid := lv + (rv-lv)/2
-	if mid <= lv || mid >= rv || math.IsInf(mid, 0) {
-		// Precision exhausted: float-point cannot avoid re-labeling.
-		return nil, ErrNoRoom
-	}
-	return mid, nil
-}
-
-// NBetween places n evenly spread floats in the gap, failing with
-// ErrNoRoom when precision runs out.
 func (f floatCodec) NBetween(l, r Key, n int) ([]Key, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("keys: NBetween count %d is negative", n)
+	lv, rv, err := unboxBounds(l, r, openFloat)
+	if err != nil {
+		return nil, err
 	}
-	var lv float64
-	if l != nil {
-		v, ok := l.(float64)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, l)
-		}
-		lv = v
-	} else if r != nil {
-		v, ok := r.(float64)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, r)
-		}
-		lv = v - float64(n) - 1
-	} else {
-		lv = 0
-	}
-	if r == nil {
-		out := make([]Key, n)
-		for i := range out {
-			out[i] = lv + float64(i) + 1
-		}
-		return out, nil
-	}
-	rv, ok := r.(float64)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, r)
-	}
-	out := make([]Key, n)
-	prev := lv
-	for i := range out {
-		v := lv + (rv-lv)*float64(i+1)/float64(n+1)
-		if v <= prev || v >= rv || math.IsInf(v, 0) {
-			return nil, ErrNoRoom
-		}
-		out[i] = v
-		prev = v
-	}
-	return out, nil
+	return boxAll(f.nbetweenFloats(lv, rv, n))
 }
 
-func (floatCodec) Compare(a, b Key) int {
-	av, bv := a.(float64), b.(float64)
+func (floatCodec) Compare(a, b Key) int { return compareFloats(a.(float64), b.(float64)) }
+
+// compareFloats orders two keys; none is NaN, which spares the
+// comparisons cmp.Compare spends on it.
+func compareFloats(x, y float64) int {
 	switch {
-	case av < bv:
+	case x < y:
 		return -1
-	case av > bv:
+	case x > y:
 		return 1
 	}
 	return 0
@@ -405,10 +370,72 @@ func (floatCodec) Compare(a, b Key) int {
 
 func (floatCodec) TotalBits(ks []Key) int { return 64 * len(ks) }
 
+func (floatCodec) encodeFloats(n int) ([]float64, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("keys: cannot encode %d", n)
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(i + 1)
+	}
+	return out, nil
+}
+
+func (floatCodec) betweenFloats(l, r float64) (float64, error) {
+	switch {
+	case math.IsNaN(l) && math.IsNaN(r):
+		return 1, nil
+	case math.IsNaN(l):
+		return r - 1, nil
+	case math.IsNaN(r):
+		return l + 1, nil
+	case l >= r:
+		return 0, fmt.Errorf("keys: %g not below %g", l, r)
+	}
+	mid := l + (r-l)/2
+	if mid <= l || mid >= r || math.IsInf(mid, 0) {
+		// Precision exhausted: float-point cannot avoid re-labeling.
+		return 0, ErrNoRoom
+	}
+	return mid, nil
+}
+
+// nbetweenFloats places n evenly spread floats in the gap, failing with
+// ErrNoRoom when precision runs out.
+func (floatCodec) nbetweenFloats(l, r float64, n int) ([]float64, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("keys: NBetween count %d is negative", n)
+	}
+	switch {
+	case !math.IsNaN(l):
+	case !math.IsNaN(r):
+		l = r - float64(n) - 1
+	default:
+		l = 0
+	}
+	out := make([]float64, n)
+	if math.IsNaN(r) {
+		for i := range out {
+			out[i] = l + float64(i) + 1
+		}
+		return out, nil
+	}
+	prev := l
+	for i := range out {
+		v := l + (r-l)*float64(i+1)/float64(n+1)
+		if v <= prev || v >= r || math.IsInf(v, 0) {
+			return nil, ErrNoRoom
+		}
+		out[i], prev = v, v
+	}
+	return out, nil
+}
+
 // ---------------------------------------------------------------------------
 // CDBS codecs
 
 type cdbsCodec struct {
+	bitStored
 	fixed bool
 }
 
@@ -428,60 +455,23 @@ func (c cdbsCodec) Name() string {
 
 func (c cdbsCodec) Dynamic() bool { return true }
 
-func (c cdbsCodec) Encode(n int) ([]Key, error) {
-	codes, err := cdbs.Encode(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Key, n)
-	for i, code := range codes {
-		out[i] = code
-	}
-	return out, nil
-}
+func (c cdbsCodec) Encode(n int) ([]Key, error) { return boxAll(cdbs.Encode(n)) }
 
 func (c cdbsCodec) Between(l, r Key) (Key, error) {
-	lb, rb, err := bitBounds(l, r)
+	lb, rb, err := unboxBounds(l, r, bitstr.Empty)
 	if err != nil {
 		return nil, err
 	}
 	return cdbs.Between(lb, rb)
 }
 
-func bitBounds(l, r Key) (bitstr.BitString, bitstr.BitString, error) {
-	lb, rb := bitstr.Empty, bitstr.Empty
-	if l != nil {
-		v, ok := l.(bitstr.BitString)
-		if !ok {
-			return lb, rb, fmt.Errorf("%w: %T", ErrWrongKeyType, l)
-		}
-		lb = v
-	}
-	if r != nil {
-		v, ok := r.(bitstr.BitString)
-		if !ok {
-			return lb, rb, fmt.Errorf("%w: %T", ErrWrongKeyType, r)
-		}
-		rb = v
-	}
-	return lb, rb, nil
-}
-
 // NBetween delegates to Algorithm 2's even subdivision.
 func (c cdbsCodec) NBetween(l, r Key, n int) ([]Key, error) {
-	lb, rb, err := bitBounds(l, r)
+	lb, rb, err := unboxBounds(l, r, bitstr.Empty)
 	if err != nil {
 		return nil, err
 	}
-	codes, err := cdbs.NBetween(lb, rb, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Key, n)
-	for i, code := range codes {
-		out[i] = code
-	}
-	return out, nil
+	return boxAll(cdbs.NBetween(lb, rb, n))
 }
 
 func (c cdbsCodec) Compare(a, b Key) int {
@@ -497,29 +487,10 @@ func (c cdbsCodec) AppendOrdered(dst []byte, k Key) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
 	}
-	return append(dst, b.Bytes()...), nil
+	return b.AppendBytes(dst), nil
 }
 
-func (c cdbsCodec) TotalBits(ks []Key) int {
-	if len(ks) == 0 {
-		return 0
-	}
-	maxLen := 1
-	total := 0
-	for _, k := range ks {
-		n := k.(bitstr.BitString).Len()
-		total += n
-		if n > maxLen {
-			maxLen = n
-		}
-	}
-	if c.fixed {
-		// Codes padded to the width of the longest, one width field.
-		return len(ks)*maxLen + uintBits(uint64(maxLen))
-	}
-	// Variable codes with per-key length fields.
-	return total + len(ks)*uintBits(uint64(maxLen))
-}
+func (c cdbsCodec) TotalBits(ks []Key) int { return bitStringTotalOf(c.fixed, ks) }
 
 // ---------------------------------------------------------------------------
 // QED codec
@@ -533,63 +504,23 @@ func QED() Codec { return qedCodec{} }
 func (qedCodec) Name() string  { return "QED" }
 func (qedCodec) Dynamic() bool { return true }
 
-func (qedCodec) Encode(n int) ([]Key, error) {
-	codes, err := qed.Encode(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Key, n)
-	for i, code := range codes {
-		out[i] = code
-	}
-	return out, nil
-}
+func (qedCodec) Encode(n int) ([]Key, error) { return boxAll(qed.Encode(n)) }
 
 func (qedCodec) Between(l, r Key) (Key, error) {
-	lc, rc := qed.Empty, qed.Empty
-	if l != nil {
-		v, ok := l.(qed.Code)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, l)
-		}
-		lc = v
-	}
-	if r != nil {
-		v, ok := r.(qed.Code)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, r)
-		}
-		rc = v
+	lc, rc, err := unboxBounds(l, r, qed.Empty)
+	if err != nil {
+		return nil, err
 	}
 	return qed.Between(lc, rc)
 }
 
 // NBetween delegates to QED's even subdivision.
 func (qedCodec) NBetween(l, r Key, n int) ([]Key, error) {
-	lc, rc := qed.Empty, qed.Empty
-	if l != nil {
-		v, ok := l.(qed.Code)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, l)
-		}
-		lc = v
-	}
-	if r != nil {
-		v, ok := r.(qed.Code)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, r)
-		}
-		rc = v
-	}
-	codes, err := qed.NBetween(lc, rc, n)
+	lc, rc, err := unboxBounds(l, r, qed.Empty)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Key, n)
-	for i, code := range codes {
-		out[i] = code
-	}
-	return out, nil
+	return boxAll(qed.NBetween(lc, rc, n))
 }
 
 func (qedCodec) Compare(a, b Key) int {
@@ -604,10 +535,7 @@ func (qedCodec) AppendOrdered(dst []byte, k Key) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
 	}
-	for i := 0; i < c.Len(); i++ {
-		dst = append(dst, c.Digit(i))
-	}
-	return dst, nil
+	return c.AppendDigits(dst), nil
 }
 
 func (qedCodec) TotalBits(ks []Key) int {

@@ -28,8 +28,9 @@ var (
 	_ Marshaler = qedCodec{}
 )
 
-// AppendKey serialises a binary-integer key (its bit-string form).
-func (c intCodec) AppendKey(dst []byte, k Key) ([]byte, error) {
+// AppendKey serialises a bit-string key (V/F-Binary, V/F-CDBS) as its
+// bit count and bits.
+func (bitStored) AppendKey(dst []byte, k Key) ([]byte, error) {
 	b, ok := k.(bitstr.BitString)
 	if !ok {
 		return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
@@ -37,8 +38,8 @@ func (c intCodec) AppendKey(dst []byte, k Key) ([]byte, error) {
 	return b.AppendTo(dst), nil
 }
 
-// DecodeKey parses a binary-integer key.
-func (c intCodec) DecodeKey(data []byte) (Key, int, error) {
+// DecodeKey parses a bit-string key.
+func (bitStored) DecodeKey(data []byte) (Key, int, error) {
 	b, used, err := bitstr.DecodeFrom(data)
 	if err != nil {
 		return nil, 0, err
@@ -61,24 +62,6 @@ func (floatCodec) DecodeKey(data []byte) (Key, int, error) {
 		return nil, 0, fmt.Errorf("keys: truncated float key")
 	}
 	return math.Float64frombits(binary.BigEndian.Uint64(data)), 8, nil
-}
-
-// AppendKey serialises a CDBS key.
-func (c cdbsCodec) AppendKey(dst []byte, k Key) ([]byte, error) {
-	b, ok := k.(bitstr.BitString)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
-	}
-	return b.AppendTo(dst), nil
-}
-
-// DecodeKey parses a CDBS key.
-func (c cdbsCodec) DecodeKey(data []byte) (Key, int, error) {
-	b, used, err := bitstr.DecodeFrom(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return b, used, nil
 }
 
 // AppendKey serialises a QED key in its native separator-terminated

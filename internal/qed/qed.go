@@ -89,6 +89,16 @@ func MustParse(s string) Code {
 	return c
 }
 
+// FromDigits returns the code whose digit values (1..3, not ASCII)
+// are d, copying them. It is the inverse of AppendDigits and trusts d
+// the way that pairing allows: Between and EncodeBetween still check
+// the ending of every bound they are given.
+func FromDigits(d []byte) Code { return Code{digits: string(d)} }
+
+// AppendDigits appends the digit values of c, one byte each, to dst.
+// Their bytewise order is Compare's order.
+func (c Code) AppendDigits(dst []byte) []byte { return append(dst, c.digits...) }
+
 // Len returns the number of quaternary digits.
 func (c Code) Len() int { return len(c.digits) }
 

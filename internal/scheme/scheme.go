@@ -105,6 +105,31 @@ type OrderedLabeler interface {
 	AppendOrderedLabel(dst []byte, v int) ([]byte, error)
 }
 
+// LabelLimiter is implemented by an OrderedLabeler whose labels grow
+// without bound as inserts pile into one gap, so that the owner of a
+// key store with a size ceiling (the paged index) can have the insert
+// that would cross it refused while it is still harmless, and can
+// watch the distance to it.
+type LabelLimiter interface {
+	// LimitLabel makes every later insert that would give a node an
+	// ordered label longer than max bytes fail, before it changes
+	// anything, with an error matching ErrLabelTooLong. Zero lifts the
+	// limit; clones inherit it.
+	LimitLabel(max int)
+	// LongestLabel returns the length in bytes of the longest ordered
+	// label assigned so far (deleted nodes included).
+	LongestLabel() int
+}
+
+// LabelSizer is implemented by labelings that keep their labels in
+// storage whose size they can read off, so that a memory estimate
+// charges what the labels occupy instead of a guess per node.
+type LabelSizer interface {
+	// LabelBytes returns the heap the labels occupy, structural mirror
+	// excluded.
+	LabelBytes() int64
+}
+
 // BatchInserter is implemented by labelings with a bulk sibling-run
 // insertion path: the whole run takes the label-assignment write path
 // once, so dynamic codecs place every code of the run into the single
@@ -121,6 +146,11 @@ type BatchInserter interface {
 
 // ErrBadNode reports a node id that is out of range or dead.
 var ErrBadNode = errors.New("scheme: bad node id")
+
+// ErrLabelTooLong reports an insert refused under LabelLimiter: the
+// new node's ordered label would not fit the limit. The labeling is
+// unchanged; inserting elsewhere, or into a wider gap, still works.
+var ErrLabelTooLong = errors.New("scheme: ordered label exceeds the key store's limit")
 
 // ErrNoOrderedLabels reports a labeling whose label bytes do not sort
 // like document order, so it cannot feed an order-preserving key

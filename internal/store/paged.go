@@ -189,6 +189,10 @@ func (p *paged) dropMemoLocked(name string) {
 	delete(p.memoIDs, name)
 }
 
+// maxPagedLabel is the longest label both trees can key: the names
+// tree spends four bytes of pagestore.MaxKeySize on the name id.
+const maxPagedLabel = pagestore.MaxKeySize - 4
+
 // vet:holds p.mu
 func (p *paged) addLocked(name string, id int) error {
 	if id < 0 || int64(id) > math.MaxUint32 {
@@ -197,6 +201,11 @@ func (p *paged) addLocked(name string, id int) error {
 	label, nk, err := p.keysLocked(p.nameIDLocked(name), id)
 	if err != nil {
 		return err
+	}
+	if len(label) > maxPagedLabel {
+		// Refused before either tree is touched: the labels tree would
+		// take a key the names tree then turns down.
+		return fmt.Errorf("%w: node %d has %d bytes, limit %d", ErrLabelTooLong, id, len(label), maxPagedLabel)
 	}
 	p.dropMemoLocked(name)
 	if err := p.labels.Insert(label, uint32(id)); err != nil {
@@ -208,14 +217,25 @@ func (p *paged) addLocked(name string, id int) error {
 func (p *paged) Build(elems []int, nameOf func(int) string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.labels.Count() > 0 {
-		// Rebuild into a fresh generation rather than deleting
-		// entry-by-entry.
-		if err := p.swapGenLocked(func(labels, names *pagestore.Tree) error { return nil }); err != nil {
-			return err
-		}
-		p.memoElems, p.memoIDs = nil, map[string][]int{}
+	if p.labels.Count() == 0 {
+		return p.addAllLocked(elems, nameOf)
 	}
+	// Rebuild into a fresh generation rather than deleting entry by
+	// entry. The old trees stay until the new ones are complete, so a
+	// failed rebuild leaves the index as it was.
+	old, err := p.beginGenLocked()
+	if err != nil {
+		return err
+	}
+	if err := p.endGenLocked(old, p.addAllLocked(elems, nameOf)); err != nil {
+		return err
+	}
+	p.memoElems, p.memoIDs = nil, map[string][]int{}
+	return nil
+}
+
+// vet:holds p.mu
+func (p *paged) addAllLocked(elems []int, nameOf func(int) string) error {
 	for _, id := range elems {
 		if err := p.addLocked(nameOf(id), id); err != nil {
 			return err
@@ -342,6 +362,7 @@ func (p *paged) Stats() Stats {
 	return Stats{
 		Backend:        "paged",
 		Entries:        p.labels.Count(),
+		MaxLabel:       maxPagedLabel,
 		ResidentPages:  st.Resident,
 		AllocatedPages: st.Allocated,
 		CacheHits:      st.Hits,
@@ -406,23 +427,36 @@ func (p *paged) Flush() error {
 	return err
 }
 
-// swapGenLocked builds a fresh generation file, lets fill populate the
-// new trees and retires the old generation: its file is unlinked now,
-// and it closes once no clone holds it any more (pageGen).
+// generation is a page file with the two trees in it.
+type generation struct {
+	gen           *pageGen
+	labels, names *pagestore.Tree
+}
+
+// beginGenLocked makes a fresh, empty generation current and returns
+// the one it displaces, which endGenLocked must be handed once the new
+// trees are filled.
 //
 // vet:holds p.mu
-func (p *paged) swapGenLocked(fill func(labels, names *pagestore.Tree) error) error {
-	old, oldLabels, oldNames := p.cur, p.labels, p.names
-	if err := p.openGen(); err != nil {
-		return err
-	}
-	if err := fill(p.labels, p.names); err != nil {
+func (p *paged) beginGenLocked() (generation, error) {
+	old := generation{p.cur, p.labels, p.names}
+	return old, p.openGen()
+}
+
+// endGenLocked finishes the swap beginGenLocked started. If filling
+// the new trees failed it discards them and puts old back; otherwise it
+// retires old: its file is unlinked now, and it closes once no clone
+// holds it any more (pageGen).
+//
+// vet:holds p.mu
+func (p *paged) endGenLocked(old generation, fillErr error) error {
+	if fillErr != nil {
 		_ = p.cur.close()
 		_ = os.Remove(genPath(p.dir, p.cur.num))
-		p.cur, p.labels, p.names = old, oldLabels, oldNames
-		return fmt.Errorf("store: generation swap aborted: %w", err)
+		p.cur, p.labels, p.names = old.gen, old.labels, old.names
+		return fmt.Errorf("store: generation swap aborted: %w", fillErr)
 	}
-	_ = os.Remove(genPath(p.dir, old.num))
+	_ = os.Remove(genPath(p.dir, old.gen.num))
 	return nil
 }
 
@@ -435,14 +469,14 @@ func (p *paged) Compact() error {
 	if p.cur == nil {
 		return errors.New("store: paged backend is closed")
 	}
-	oldLabels, oldNames := p.labels, p.names
-	err := p.swapGenLocked(func(labels, names *pagestore.Tree) error {
-		if err := copyTree(oldLabels, labels); err != nil {
-			return err
-		}
-		return copyTree(oldNames, names)
-	})
+	old, err := p.beginGenLocked()
 	if err != nil {
+		return err
+	}
+	if err = copyTree(old.labels, p.labels); err == nil {
+		err = copyTree(old.names, p.names)
+	}
+	if err := p.endGenLocked(old, err); err != nil {
 		return err
 	}
 	return p.commitLocked()

@@ -110,9 +110,9 @@ func (s *slice) Entries() int          { return len(s.elems) }
 
 func (s *slice) MemoryFootprint() int64 {
 	// Each indexed element costs one slot in elems and one in its name
-	// list (8 bytes each), plus map/header overhead amortized into a
-	// flat per-entry estimate.
-	const bytesPerEntry = 64
+	// list (8 bytes each), plus append slack and map/header overhead
+	// amortized into a flat per-entry estimate.
+	const bytesPerEntry = 24
 	return int64(len(s.elems)) * bytesPerEntry
 }
 

@@ -18,6 +18,8 @@
 // recording the error for Flush) instead of failing queries outright.
 package store
 
+import "errors"
+
 // Binding supplies the label-dependent callbacks a backend needs from
 // the owning document. Backends never reach into the labeling
 // directly; rebinding a Binding is how a cloned document re-points its
@@ -41,6 +43,10 @@ type Stats struct {
 	Backend string
 	// Entries is the number of indexed elements.
 	Entries int
+	// MaxLabel is the longest Binding.Key encoding, in bytes, the
+	// backend can index; zero means any. Add refuses a longer one with
+	// ErrLabelTooLong.
+	MaxLabel int
 	// ResidentPages and AllocatedPages describe the page cache and
 	// file; zero for the slice backend.
 	ResidentPages  int
@@ -60,6 +66,10 @@ func (s Stats) CacheHitRatio() float64 {
 	}
 	return float64(s.CacheHits) / float64(total)
 }
+
+// ErrLabelTooLong reports a node whose Binding.Key encoding is longer
+// than Stats.MaxLabel. The index is unchanged.
+var ErrLabelTooLong = errors.New("store: label too long for the index")
 
 // Backend is a document's element index. Implementations are not
 // safe for concurrent use; the owning document serializes access the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -452,4 +453,58 @@ func TestPagedClonesBothCompact(t *testing.T) {
 	}
 	checkEqual(t, w, oracle, p, names)
 	checkEqual(t, w, oracle, c, names)
+}
+
+// TestPagedOverlongLabel: a label neither tree can key is refused with
+// ErrLabelTooLong before either is touched, by Add and by a rebuilding
+// Build alike, and the failed Build leaves the index it was to replace
+// in place — not an empty one.
+func TestPagedOverlongLabel(t *testing.T) {
+	w := newWorld()
+	long := map[int]int{} // id -> label length
+	b := w.binding()
+	short := b.Key
+	b.Key = func(dst []byte, id int) ([]byte, error) {
+		if n, ok := long[id]; ok {
+			return append(dst, make([]byte, n)...), nil
+		}
+		return short(dst, id)
+	}
+	p, err := OpenPaged(t.TempDir(), 8, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	oracle := NewSlice(b)
+	var elems []int
+	for id := 0; id < 200; id++ {
+		w.ord[id], w.name[id] = uint64(1000+id), []string{"a", "b"}[id%2]
+		elems = append(elems, id)
+	}
+	nameOf := func(id int) string { return w.name[id] }
+	for _, be := range []Backend{p, oracle} {
+		if err := be.Build(elems, nameOf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	limit := p.Stats().MaxLabel
+	w.name[200], long[200] = "a", limit
+	if err := p.Add("a", 200); err != nil {
+		t.Fatalf("a label of exactly MaxLabel = %d bytes: %v", limit, err)
+	}
+	if err := oracle.Add("a", 200); err != nil {
+		t.Fatal(err)
+	}
+	w.name[201], long[201] = "a", limit+1
+	if err := p.Add("a", 201); !errors.Is(err, ErrLabelTooLong) {
+		t.Fatalf("Add of a %d-byte label: %v, want ErrLabelTooLong", limit+1, err)
+	}
+	checkEqual(t, w, oracle, p, []string{"a", "b"})
+	if err := p.Build(append(elems, 200, 201), nameOf); !errors.Is(err, ErrLabelTooLong) {
+		t.Fatalf("Build over a %d-byte label: %v, want ErrLabelTooLong", limit+1, err)
+	}
+	checkEqual(t, w, oracle, p, []string{"a", "b"})
+	if err := p.Add("b", 201); !errors.Is(err, ErrLabelTooLong) || p.Flush() != nil {
+		t.Fatalf("the index after a failed Build: Add %v", err)
+	}
 }

@@ -160,6 +160,7 @@ type replicaInfo struct {
 type storageInfo struct {
 	Backend        string  `json:"backend"`
 	Entries        int     `json:"entries"`
+	MaxLabel       int     `json:"max_label,omitempty"`
 	ResidentPages  int     `json:"resident_pages,omitempty"`
 	AllocatedPages int     `json:"allocated_pages,omitempty"`
 	CacheHits      uint64  `json:"cache_hits,omitempty"`
@@ -169,28 +170,31 @@ type storageInfo struct {
 }
 
 type statsResponse struct {
-	Name      string       `json:"name"`
-	Scheme    string       `json:"scheme"`
-	Nodes     int          `json:"nodes"`
-	Relabeled int64        `json:"relabeled"`
-	Storage   *storageInfo `json:"storage,omitempty"`
-	Journal   *journalInfo `json:"journal,omitempty"`
-	Replica   *replicaInfo `json:"replica,omitempty"`
+	Name         string       `json:"name"`
+	Scheme       string       `json:"scheme"`
+	Nodes        int          `json:"nodes"`
+	Relabeled    int64        `json:"relabeled"`
+	LongestLabel int          `json:"longest_label,omitempty"`
+	Storage      *storageInfo `json:"storage,omitempty"`
+	Journal      *journalInfo `json:"journal,omitempty"`
+	Replica      *replicaInfo `json:"replica,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.withDoc(w, r, func(h *dynxml.Handle) {
 		st := h.Stats()
 		resp := statsResponse{
-			Name:      r.PathValue("name"),
-			Scheme:    st.Scheme,
-			Nodes:     st.Nodes,
-			Relabeled: st.Relabeled,
+			Name:         r.PathValue("name"),
+			Scheme:       st.Scheme,
+			Nodes:        st.Nodes,
+			Relabeled:    st.Relabeled,
+			LongestLabel: st.LongestLabel,
 		}
 		if st.Storage.Backend != "" {
 			resp.Storage = &storageInfo{
 				Backend:        st.Storage.Backend,
 				Entries:        st.Storage.Entries,
+				MaxLabel:       st.Storage.MaxLabel,
 				ResidentPages:  st.Storage.ResidentPages,
 				AllocatedPages: st.Storage.AllocatedPages,
 				CacheHits:      st.Storage.CacheHits,

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/pagestore"
 )
 
@@ -314,5 +315,108 @@ func TestPagedNonConcurrent(t *testing.T) {
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal("Close must stay idempotent:", err)
+	}
+}
+
+// TestPagedLabelLimit piles inserts into one gap of a paged document
+// until the next label would no longer fit a B-tree key. That insert
+// must come back as ErrLabelTooLong with the document exactly as it
+// was — it used to come back untyped after the index had been dropped
+// for a rebuild that met the same label — and inserts elsewhere must
+// go on working.
+func TestPagedLabelLimit(t *testing.T) {
+	for _, concurrent := range []bool{false, true} {
+		opts := []Option{WithPagedLabels(t.TempDir())}
+		if concurrent {
+			opts = append(opts, WithConcurrent())
+		}
+		h, err := Open("<r><a/><b/></r>", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := h.Stats().Storage.MaxLabel
+		if limit <= 0 || limit > pagestore.MaxKeySize {
+			t.Fatalf("paged Storage.MaxLabel = %d", limit)
+		}
+		refused := metrics.Default.Counter("dyndoc_label_too_long_total")
+		refusedBefore := refused.Value()
+		inserted := 0
+		for err == nil {
+			if _, _, err = h.InsertElement(0, 1, "x"); err == nil {
+				inserted++
+			}
+			if inserted > 16*limit {
+				t.Fatalf("%d single-gap inserts and no label limit in sight", inserted)
+			}
+		}
+		if !errors.Is(err, ErrLabelTooLong) {
+			t.Fatalf("insert %d: %v, want ErrLabelTooLong", inserted+1, err)
+		}
+		st := h.Stats()
+		if st.LongestLabel != limit || st.Nodes != 3+inserted {
+			t.Errorf("after the refusal: longest label %d (limit %d), %d nodes for %d inserts", st.LongestLabel, limit, st.Nodes, inserted)
+		}
+		xml := h.XML()
+		// Refused again and again, it stays refused and stays harmless.
+		for i := 0; i < 3; i++ {
+			if _, _, err := h.InsertElement(0, 1, "x"); !errors.Is(err, ErrLabelTooLong) {
+				t.Fatalf("repeated insert: %v, want ErrLabelTooLong", err)
+			}
+			if _, _, err := h.InsertTree(0, 1, &Node{Name: "x", Children: []*Node{{Name: "x"}}}); !errors.Is(err, ErrLabelTooLong) {
+				t.Fatalf("fragment insert: %v, want ErrLabelTooLong", err)
+			}
+		}
+		if got := refused.Value() - refusedBefore; got != 7 {
+			t.Errorf("dyndoc_label_too_long_total moved by %d, want 7", got)
+		}
+		if n, err := h.Count("//x"); err != nil || n != inserted {
+			t.Errorf("Count(//x) = %d, %v after the refused edits; want %d", n, err, inserted)
+		}
+		if h.XML() != xml || strings.Count(xml, "<x>") != inserted {
+			t.Error("a refused edit changed the document")
+		}
+		if _, _, err := h.InsertElement(0, 0, "y"); err != nil {
+			t.Errorf("insert into a fresh gap after the refusal: %v", err)
+		}
+		if n, err := h.Count("//y"); err != nil || n != 1 {
+			t.Errorf("Count(//y) = %d, %v", n, err)
+		}
+		if n, err := h.Count("//x"); err != nil || n != inserted {
+			t.Errorf("Count(//x) = %d, %v after a later insert; want %d", n, err, inserted)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPagedInsertAllocs pins a whole InsertElement on a warm paged
+// document under the default scheme: the two codes the insert computes
+// (Corollary 3.3), the two copies of the new label the B-trees keep,
+// and nothing for boxing a key, building it from a copy of its bytes
+// or re-encoding it on the way from the labeling to the index. Page
+// splits and column growth are amortised and round to zero.
+func TestPagedInsertAllocs(t *testing.T) {
+	h, err := Open(pagedSeed(2000), WithPagedLabels(t.TempDir()), WithPageCache(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	items, err := h.QueryString("/lib/item")
+	if err != nil || len(items) != 2000 {
+		t.Fatalf("items: %d, %v", len(items), err)
+	}
+	i := 0
+	insert := func() {
+		if _, _, err := h.InsertElement(items[i%len(items)], 0, "tag"); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 4000 { // every leaf the run will touch is resident and private
+		insert()
+	}
+	if got := testing.AllocsPerRun(2000, insert); got > 4 {
+		t.Errorf("InsertElement on a warm paged document allocates %.1f times, want <= 4", got)
 	}
 }

@@ -6,9 +6,14 @@
 #   2. go vet        — the stock vet checks
 #   3. go build      — both tag states (the invariants tag swaps files in)
 #   4. go test       — the whole module, plus the invariants-tagged label
-#                      packages and page store (whose tag makes the pager
-#                      check every page it writes back against its node)
-#   5. go test -race — the concurrent document layer, the journal's
+#                      packages (bitstr, cdbs, and keys + containment,
+#                      whose every arena read goes through the checked
+#                      bitstr.View) and page store (whose tag makes the
+#                      pager check every page it writes back against
+#                      its node)
+#   5. go test -race — the packed label arena (keys, containment) and
+#                      its clone-isolation and label-length-limit tests
+#                      by name, the concurrent document layer, the journal's
 #                      segment files and group-commit pipeline, the
 #                      HTTP serving stack (web + catalog + client), plus
 #                      the snapshot storm, planned-query storm,
@@ -79,11 +84,17 @@ go build -tags invariants ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/pagestore/..."
-go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/pagestore/...
+echo "==> go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/..."
+go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/...
 
-echo "==> go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/journal/... ./internal/faultfs/... ./internal/catalog/... ./internal/web/... ./client/..."
-go test -race ./internal/cow/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/journal/... ./internal/faultfs/... ./internal/catalog/... ./internal/web/... ./client/...
+echo "==> go test -race ./internal/cow/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/journal/... ./internal/faultfs/... ./internal/catalog/... ./internal/web/... ./client/..."
+go test -race ./internal/cow/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/journal/... ./internal/faultfs/... ./internal/catalog/... ./internal/web/... ./client/...
+
+echo "==> packed label arena: clone isolation and the label-length limit under the race detector"
+go test -race -count=3 -run 'TestArenaCloneIsolation' ./internal/containment
+go test -race -count=1 -run 'TestPagedLabelLimit' .
+go test -race -count=1 -run 'TestLabelTooLong' ./internal/web
+go test -race -count=1 -run 'TestPagedOverlongLabel' ./internal/store
 
 echo "==> snapshot + planned-query storms under the race detector"
 go test -race -count=1 -run 'TestSnapshotStorm|TestQueryDoesNotBlockOnWriter|TestPlannedQueryStorm|TestSetCommitHookInstallRace|TestSnapshotIsolation|TestXMLMatchesEditedTree|TestDocumentClone' ./internal/dyndoc
@@ -157,7 +168,7 @@ go run ./cmd/labelvet -list | while read -r name _; do
 done
 
 echo "==> bench smoke (-benchtime 1x)"
-go test -run '^$' -bench . -benchtime 1x ./internal/bitstr ./internal/cdbs ./internal/qed
+go test -run '^$' -bench . -benchtime 1x ./internal/bitstr ./internal/cdbs ./internal/qed ./internal/containment
 
 echo "==> metrics snapshot smoke (-metrics-json)"
 metrics_out="${METRICS_SMOKE_OUT:-/tmp/metrics_smoke.json}"
