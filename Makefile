@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadAll -fuzztime=10s ./internal/journal
 	$(GO) test -run=^$$ -fuzz=FuzzPageRoundTrip -fuzztime=10s ./internal/pagestore
 	$(GO) test -run=^$$ -fuzz=FuzzMetaDecode -fuzztime=10s ./internal/pagestore
+	$(GO) test -run=^$$ -fuzz=FuzzPageValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/pagestore
 	$(GO) test -run=^$$ -fuzz=FuzzEditCodec -fuzztime=10s ./internal/journal
 	$(GO) test -run=^$$ -fuzz=FuzzStreamDecode -fuzztime=10s ./internal/journal
 

@@ -73,9 +73,10 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		}
 	}
 
-	// The paged backend's share is its page cache — decoded nodes, not
-	// 4 KB buffers — and Close drops exactly that. What the estimate
-	// gives up at Close must be within 1.5x of what the heap gives back.
+	// The paged backend's share is its page cache — one 4 KB frame and a
+	// cache entry per resident page — and Close drops exactly that. What
+	// the estimate gives up at Close must be within 1.25x of what the
+	// heap gives back.
 	h := paged()
 	heapNow := func() int64 {
 		var ms runtime.MemStats
@@ -91,8 +92,8 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 	}
 	share, freed := estOpen-h.MemoryFootprint(), heapOpen-heapNow()
 	t.Logf("paged: %d resident pages, backend share %d B, heap %d B (%.2fx)", pages, share, freed, float64(share)/float64(freed))
-	if pages < 32 || 2*share > 3*freed || 2*freed > 3*share {
-		t.Errorf("paged: backend share %d B over %d pages is not within 1.5x of the measured heap %d B", share, pages, freed)
+	if pages < 32 || 4*share > 5*freed || 4*freed > 5*share {
+		t.Errorf("paged: backend share %d B over %d pages is not within 1.25x of the measured heap %d B", share, pages, freed)
 	}
 	runtime.KeepAlive(h)
 }

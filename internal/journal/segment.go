@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
 
+	"repro/internal/crc32c"
 	"repro/internal/metrics"
 )
 
@@ -39,9 +39,6 @@ const (
 	// or a checkpoint's XML, not a real limit.
 	maxPayload = 1 << 24
 )
-
-// castagnoli is the CRC-32C table shared by writer and scanner.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Segment metrics. The names predate the fold of the label log into
 // the journal and are an operator-visible surface (dashboards, the
@@ -83,8 +80,7 @@ func appendRecord(dst []byte, id uint64, payload []byte) []byte {
 	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
 	dst = append(dst, hdr[:n]...)
 	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[start:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, crc)
+	return binary.LittleEndian.AppendUint32(dst, crc32c.Sum(dst[start:]))
 }
 
 // File is the minimal contract a segment is written through: an
@@ -302,7 +298,7 @@ func (s *segReader) ReadByte() (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.crc = crc32.Update(s.crc, castagnoli, []byte{b})
+	s.crc = crc32c.Update(s.crc, []byte{b})
 	s.n++
 	return b, nil
 }
@@ -311,7 +307,7 @@ func (s *segReader) ReadByte() (byte, error) {
 // clean end.
 func (s *segReader) readFull(p []byte) error {
 	k, err := io.ReadFull(s.r, p)
-	s.crc = crc32.Update(s.crc, castagnoli, p[:k])
+	s.crc = crc32c.Update(s.crc, p[:k])
 	s.n += int64(k)
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF

@@ -2,9 +2,7 @@ package pagestore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -12,155 +10,76 @@ import (
 // entries; label byte keys are tens of bytes in practice.
 const MaxKeySize = 1024
 
-// node is the decoded form of a B-tree page: the form every tree
-// operation works on, and the only form the pager caches. Key bytes
-// are immutable once a node holds them (an insert copies the caller's
-// key, a delete drops a slice header), so nodes share them: a decoded
-// node's keys alias one copy of its page's payload, a clone's alias
-// its original's.
-type node struct {
-	leaf     bool
-	keys     [][]byte
-	vals     []uint32 // leaf: one value per key
-	children []uint32 // internal: len(keys)+1 child page ids
-	size     int      // encoded payload bytes, kept current by every mutation
+// search returns the first slot i with key <= key(i), and whether
+// key(i) is key.
+func (n *node) search(key []byte) (int, bool) {
+	return sort.Find(n.count(), func(i int) int { return bytes.Compare(key, n.key(i)) })
 }
 
-// Payload encodings:
+// childIndex picks the child covering key in an internal page: the
+// last slot whose key, a lower bound of its child, is <= key. Slot 0's
+// empty key is <= every key.
+func (n *node) childIndex(key []byte) int {
+	i, ok := n.search(key)
+	if !ok {
+		i--
+	}
+	return i
+}
+
+// splitPut stores a new entry in slot i of n, which has no room for
+// it, by first moving n's upper entries into the empty page right. The
+// boundary halves n's bytes, not its entry count (with skewed key sizes
+// a count split can leave a half the new entry does not fit), and
+// steps one entry down when the new entry lands in a left half it
+// would overflow; an entry is at most a quarter page, so both halves
+// then fit, and both stay non-empty.
 //
-//	leaf:     per entry: klen u16 | key | value u32
-//	internal: child0 u32, then per key: klen u16 | key | child u32
-const entryOverhead = 2 + 4
-
-func (n *node) entrySize(i int) int { return entryOverhead + len(n.keys[i]) }
-
-// heapBytes estimates the heap a resident node holds: 192 bytes of node
-// and cache-entry structs, its key bytes (the encoded size stands in:
-// its 6 bytes per entry roughly cover the allocator's rounding of
-// inserted keys), 24 bytes of slice header per key slot and 4 per value
-// or child slot.
-func (n *node) heapBytes() int {
-	return 192 + n.size + 24*cap(n.keys) + 4*(cap(n.vals)+cap(n.children))
-}
-
-// roomy copies s into a slice with append headroom, so the inserts
-// that follow a fault-in, a copy-on-write or a split do not at once
-// regrow kilobytes of slice headers.
-func roomy[T any](s []T) []T {
-	if s == nil {
-		return nil
+// It returns the separator for the parent. A leaf keeps every entry:
+// the separator is the right half's smallest key, and aliases right. An
+// internal page pushes the boundary key up — as a copy, its bytes are
+// dead in n from here on: its child becomes the right half's slot 0,
+// under the empty key, so each child stays reachable from exactly one
+// side.
+func (n *node) splitPut(right *node, i int, key []byte, val uint32) (sep []byte) {
+	cnt := n.count()
+	size := func(j int) int {
+		off, end := n.span(j)
+		return end - off + 2
 	}
-	return append(make([]T, 0, headroom(len(s))), s...)
-}
-
-func headroom(n int) int { return n + n/8 + 4 }
-
-// decodeNode builds the node of a verified page buffer. The buffer is
-// the pager's scratch page, so the payload is copied out; the keys
-// alias that copy.
-func decodeNode(buf []byte) (*node, error) {
-	pl := bytes.Clone(payload(buf))
-	nk := pageNKeys(buf)
-	n := &node{size: len(pl), keys: make([][]byte, 0, headroom(nk))}
-	off := 0
-	switch pageType(buf) {
-	case PageLeaf:
-		n.leaf = true
-		n.vals = make([]uint32, 0, headroom(nk))
-	case PageInternal:
-		if len(pl) < 4 {
-			return nil, &ErrPageCorrupt{ID: pageID(buf), Reason: "internal node shorter than child0"}
-		}
-		n.children = make([]uint32, 0, headroom(nk+1))
-		n.children = append(n.children, binary.BigEndian.Uint32(pl[:4]))
-		off = 4
-	default:
-		return nil, &ErrPageCorrupt{ID: pageID(buf), Reason: fmt.Sprintf("unexpected page type %d", pageType(buf))}
+	h, left := 1, size(0) // left = bytes of entries [0, h)
+	for total := n.live(); 2*left < total && h < cnt-1; h++ {
+		left += size(h)
 	}
-	for i := 0; i < nk; i++ {
-		if off+2 > len(pl) {
-			return nil, &ErrPageCorrupt{ID: pageID(buf), Reason: "truncated entry header"}
-		}
-		klen := int(binary.BigEndian.Uint16(pl[off : off+2]))
-		off += 2
-		if off+klen+4 > len(pl) {
-			return nil, &ErrPageCorrupt{ID: pageID(buf), Reason: "truncated entry"}
-		}
-		n.keys = append(n.keys, pl[off:off+klen:off+klen])
-		off += klen
-		v := binary.BigEndian.Uint32(pl[off : off+4])
-		off += 4
-		if n.leaf {
-			n.vals = append(n.vals, v)
+	if i <= h && left+len(key)+entryOverhead > PayloadSize {
+		h--
+	}
+	for j := h; j < cnt; j++ {
+		n.setDead(n.dead() + size(j) - 2)
+		if j == h && !n.leaf() {
+			sep = bytes.Clone(n.key(h))
+			right.put(0, nil, n.val(h))
 		} else {
-			n.children = append(n.children, v)
+			right.appendFrom(n, j)
 		}
 	}
-	if off != len(pl) {
-		return nil, &ErrPageCorrupt{ID: pageID(buf), Reason: "trailing payload bytes"}
+	n.setCount(h)
+	if i <= h {
+		n.put(i, key, val)
+	} else {
+		right.put(i-h, key, val)
 	}
-	return n, nil
-}
-
-// encodeNode seals n into buf (PageSize bytes, fully overwritten) under
-// id. A node whose entries exceed PayloadSize is reported as an error —
-// the split logic keeps nodes within bounds, so this is a guard against
-// writing past the fixed buffer, never an expected path.
-func encodeNode(n *node, id uint32, buf []byte) error {
-	pl := buf[HeaderSize : PageSize-FooterSize]
-	off := 0
-	typ := PageLeaf
-	if !n.leaf {
-		typ = PageInternal
-		binary.BigEndian.PutUint32(pl[0:4], n.children[0])
-		off = 4
+	if n.leaf() {
+		sep = right.key(0)
 	}
-	for i, k := range n.keys {
-		if off+entryOverhead+len(k) > len(pl) {
-			return fmt.Errorf("pagestore: node for page %d overflows payload: %d keys need > %d bytes", id, len(n.keys), len(pl))
-		}
-		binary.BigEndian.PutUint16(pl[off:off+2], uint16(len(k)))
-		off += 2
-		copy(pl[off:], k)
-		off += len(k)
-		v := uint32(0)
-		if n.leaf {
-			v = n.vals[i]
-		} else {
-			v = n.children[i+1]
-		}
-		binary.BigEndian.PutUint32(pl[off:off+4], v)
-		off += 4
-	}
-	clear(pl[off:])
-	Seal(buf, id, typ, len(n.keys), off)
-	return nil
-}
-
-// checkEncoding verifies a node against the page just encoded from it:
-// the incrementally maintained size is the payload length, and decoding
-// the page gives the node back. The pager runs it on every writeback
-// under the `invariants` build tag.
-func checkEncoding(n *node, buf []byte) error {
-	if used := pageUsed(buf); used != n.size {
-		return fmt.Errorf("pagestore: page %d: node size %d, encoded payload %d", pageID(buf), n.size, used)
-	}
-	d, err := decodeNode(buf)
-	if err != nil {
-		return err
-	}
-	if d.leaf != n.leaf || !slices.EqualFunc(d.keys, n.keys, bytes.Equal) ||
-		!slices.Equal(d.vals, n.vals) || !slices.Equal(d.children, n.children) {
-		return fmt.Errorf("pagestore: page %d does not decode to the node it was encoded from", pageID(buf))
-	}
-	return nil
+	return sep
 }
 
 // Tree is a B-tree over a shared pager, keyed by raw bytes with uint32
 // values. Updates are copy-on-write once per snapshot: a page this Tree
 // allocated since it was created, cloned or last sealed (the owned set)
 // is reachable from no other root, so Insert and Delete mutate its
-// cached node in place — no copy, no new page id, no parent change
+// cached frame in place — no copy, no new page id, no parent change
 // unless a split or an unlink alters the parent. Any other page on the
 // path is first copied into a fresh owned page and its parent
 // re-pointed, up to the root. Clone is therefore O(1) — share the
@@ -168,13 +87,16 @@ func checkEncoding(n *node, buf []byte) error {
 // layer keep one immutable tree per published snapshot.
 //
 // Synchronisation: clones share one pager, so a reader's fault can
-// evict — and so encode — a writer's dirty page. Every mutation and
-// every encode of a cached node therefore happens under the pager's
+// evict — and so seal — a writer's dirty page. Every mutation and
+// every seal of a cached frame therefore happens under the pager's
 // mutex, which Insert and Delete hold for the whole operation. Readers
-// (Get, Scan*) take it per page and read the node after releasing it:
-// a page a reader can reach is owned by no writer, so it never changes
-// again. Even under the mutex a mutation keeps no node across a call
-// that can evict; it re-fetches a parent by id once the child returns.
+// (Get, Scan*) take it per page and read the frame after releasing it:
+// a page a reader can reach is owned by no writer, so nothing of it
+// changes again but the footer a writeback stores, which no reader
+// looks at. A reader may hold a frame past its eviction, so frames are
+// never reused. Even under the mutex a mutation keeps no frame across a
+// call that can evict; it re-fetches a parent by id once the child
+// returns.
 //
 // A Tree is not safe for concurrent use; the store layer serializes
 // access. Distinct clones may be used concurrently.
@@ -235,20 +157,13 @@ func (t *Tree) mutable(e *cached, err error) (*cached, error) {
 	if err != nil || t.owned[e.id] {
 		return e, err
 	}
-	n := e.node
-	return t.newPage(&node{leaf: n.leaf, size: n.size, keys: roomy(n.keys), vals: roomy(n.vals), children: roomy(n.children)})
-}
-
-// searchKeys returns the first index i with key <= keys[i], and
-// whether keys[i] is key.
-func searchKeys(keys [][]byte, key []byte) (int, bool) {
-	return slices.BinarySearchFunc(keys, key, bytes.Compare)
-}
-
-// childIndex picks the child covering key in an internal node: the
-// separator at index i is the smallest key of child i+1.
-func childIndex(keys [][]byte, key []byte) int {
-	return sort.Search(len(keys), func(i int) bool { return bytes.Compare(key, keys[i]) < 0 })
+	if invariantsEnabled {
+		if err := checkPage(e.node); err != nil {
+			return nil, err
+		}
+	}
+	c := *e.node
+	return t.newPage(&c)
 }
 
 // Get returns the value stored under key.
@@ -258,58 +173,16 @@ func (t *Tree) Get(key []byte) (uint32, bool, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		if n.leaf {
-			i, ok := searchKeys(n.keys, key)
+		if n.leaf() {
+			i, ok := n.search(key)
 			if !ok {
 				return 0, false, nil
 			}
-			return n.vals[i], true, nil
+			return n.val(i), true, nil
 		}
-		id = n.children[childIndex(n.keys, key)]
+		id = n.val(n.childIndex(key))
 	}
 	return 0, false, nil
-}
-
-// split divides an over-full node in two at the boundary that halves
-// its encoded payload by bytes rather than by entry count: with skewed
-// key sizes a count split can leave one half over PayloadSize. An
-// over-full node exceeds PayloadSize by at most one MaxKeySize entry
-// (splits happen immediately after the insert that overflowed), so byte
-// balance guarantees both halves fit. Both halves stay non-empty.
-//
-// It returns the right half plus the separator key to install in the
-// parent. A leaf keeps every entry — the separator is the right half's
-// smallest key, which stays in that leaf — while an internal node
-// pushes the boundary key up: it moves into the parent and is kept by
-// neither half, so each child page stays reachable from exactly one
-// side.
-func split(n *node) (*node, []byte) {
-	total := n.size
-	if !n.leaf {
-		total -= 4
-	}
-	h, left := 1, n.entrySize(0) // left = bytes of entries [0, h)
-	for ; 2*left < total && h < len(n.keys)-1; h++ {
-		left += n.entrySize(h)
-	}
-	right := &node{leaf: n.leaf}
-	var sep []byte
-	if n.leaf {
-		right.keys, right.vals = roomy(n.keys[h:]), roomy(n.vals[h:])
-		right.size, n.size = n.size-left, left
-		sep = right.keys[0]
-	} else {
-		sep = n.keys[h]
-		right.keys, right.children = roomy(n.keys[h+1:]), roomy(n.children[h+1:])
-		right.size, n.size = n.size-left-n.entrySize(h), 4+left
-		n.children = n.children[:h+1]
-	}
-	clear(n.keys[h:]) // the left half must not pin the right half's keys
-	n.keys = n.keys[:h]
-	if n.leaf {
-		n.vals = n.vals[:h]
-	}
-	return right, sep
 }
 
 // Insert stores val under key, replacing any existing value. The key
@@ -321,7 +194,7 @@ func (t *Tree) Insert(key []byte, val uint32) error {
 	t.pg.mu.Lock()
 	defer t.pg.mu.Unlock()
 	if t.root == 0 {
-		e, err := t.newPage(&node{leaf: true})
+		e, err := t.newPage(newNode(PageLeaf))
 		if err != nil {
 			return err
 		}
@@ -332,7 +205,10 @@ func (t *Tree) Insert(key []byte, val uint32) error {
 		return err
 	}
 	if sep != nil {
-		e, err := t.newPage(&node{keys: [][]byte{sep}, children: []uint32{id, right}, size: 4 + entryOverhead + len(sep)})
+		root := newNode(PageInternal)
+		root.put(0, nil, id)
+		root.put(1, sep, right)
+		e, err := t.newPage(root)
 		if err != nil {
 			return err
 		}
@@ -346,8 +222,8 @@ func (t *Tree) Insert(key []byte, val uint32) error {
 }
 
 // insert descends into page id and returns the id now holding the
-// updated node — id itself unless the page had to be copied — plus a
-// separator and right-sibling id when the node split.
+// updated page — id itself unless the page had to be copied — plus a
+// separator and right-sibling id when the page split.
 //
 // vet:holds t.pg.mu
 func (t *Tree) insert(id uint32, key []byte, val uint32) (newID uint32, sep []byte, rightID uint32, added bool, err error) {
@@ -355,23 +231,22 @@ func (t *Tree) insert(id uint32, key []byte, val uint32) (newID uint32, sep []by
 	if err != nil {
 		return 0, nil, 0, false, err
 	}
-	n := e.node
-	if n.leaf {
-		i, ok := searchKeys(n.keys, key)
+	var i int // the slot the page's new entry takes
+	if e.node.leaf() {
+		var ok bool
+		i, ok = e.node.search(key)
 		if e, err = t.mutable(e, nil); err != nil {
 			return 0, nil, 0, false, err
 		}
-		n = e.node
+		e.dirty = true
 		if ok {
-			n.vals[i] = val
-		} else {
-			added = true
-			n.insertKey(i, bytes.Clone(key))
-			n.vals = slices.Insert(n.vals, i, val)
+			e.node.setVal(i, val)
+			return e.id, nil, 0, false, nil
 		}
+		added = true
 	} else {
-		ci := childIndex(n.keys, key)
-		child := n.children[ci]
+		i = e.node.childIndex(key)
+		child := e.node.val(i)
 		childNew, childSep, childRight, childAdded, err := t.insert(child, key, val)
 		if err != nil || (childNew == child && childSep == nil) {
 			return id, nil, 0, childAdded, err
@@ -381,43 +256,27 @@ func (t *Tree) insert(id uint32, key []byte, val uint32) (newID uint32, sep []by
 		if e, err = t.mutable(t.pg.getLocked(id)); err != nil {
 			return 0, nil, 0, false, err
 		}
-		n, added = e.node, childAdded
-		n.children[ci] = childNew
-		if childSep != nil {
-			n.insertKey(ci, childSep)
-			n.children = slices.Insert(n.children, ci+1, childRight)
+		e.dirty, added = true, childAdded
+		e.node.setVal(i, childNew)
+		if childSep == nil {
+			return e.id, nil, 0, added, nil
 		}
+		i, key, val = i+1, childSep, childRight
 	}
-	var right *node
-	if n.size > PayloadSize && len(n.keys) > 1 {
-		right, sep = split(n)
-		sep = bytes.Clone(sep) // a parent must not pin this page's payload
+	if e.node.put(i, key, val) {
+		return e.id, nil, 0, added, nil
 	}
-	t.pg.markDirtyLocked(e)
-	if right != nil {
-		r, err := t.newPage(right)
-		if err != nil {
-			return 0, nil, 0, false, err
-		}
-		rightID = r.id
+	right := newNode(e.node.typ())
+	sep = e.node.splitPut(right, i, key, val)
+	r, err := t.newPage(right) // may evict e: nothing below touches it
+	if err != nil {
+		return 0, nil, 0, false, err
 	}
-	return e.id, sep, rightID, added, nil
-}
-
-// insertKey opens slot i of n.keys for key (whose bytes n keeps).
-func (n *node) insertKey(i int, key []byte) {
-	n.keys = slices.Insert(n.keys, i, key)
-	n.size += entryOverhead + len(key)
-}
-
-// deleteKey drops slot i of n.keys.
-func (n *node) deleteKey(i int) {
-	n.size -= n.entrySize(i)
-	n.keys = slices.Delete(n.keys, i, i+1)
+	return e.id, sep, r.id, added, nil
 }
 
 // Delete removes key, reporting whether it was present. Underflowing
-// nodes are not rebalanced — deletes only shrink a page until it
+// pages are not rebalanced — deletes only shrink a page until it
 // empties, at which point it is unlinked from its parent; compaction
 // (a bulk rebuild into a fresh file) restores density.
 func (t *Tree) Delete(key []byte) (bool, error) {
@@ -437,16 +296,16 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		if err != nil {
 			return true, err
 		}
-		if e.node.leaf || len(e.node.children) > 1 {
+		if e.node.leaf() || e.node.count() > 1 {
 			break
 		}
-		t.root = e.node.children[0]
+		t.root = e.node.val(0)
 	}
 	return true, nil
 }
 
 // delete descends into page id and returns the id now holding the
-// updated node, or 0 when the delete emptied it.
+// updated page, or 0 when the delete emptied it.
 //
 // vet:holds t.pg.mu
 func (t *Tree) delete(id uint32, key []byte) (newID uint32, removed bool, err error) {
@@ -454,49 +313,46 @@ func (t *Tree) delete(id uint32, key []byte) (newID uint32, removed bool, err er
 	if err != nil {
 		return 0, false, err
 	}
-	n := e.node
-	if n.leaf {
-		i, ok := searchKeys(n.keys, key)
+	if e.node.leaf() {
+		i, ok := e.node.search(key)
 		if !ok {
 			return id, false, nil
 		}
-		if len(n.keys) == 1 {
+		if e.node.count() == 1 {
 			return 0, true, nil
 		}
 		if e, err = t.mutable(e, nil); err != nil {
 			return 0, false, err
 		}
-		n = e.node
-		n.deleteKey(i)
-		n.vals = slices.Delete(n.vals, i, i+1)
-		t.pg.markDirtyLocked(e)
+		e.node.remove(i)
+		e.dirty = true
 		return e.id, true, nil
 	}
-	ci := childIndex(n.keys, key)
-	child := n.children[ci]
+	ci := e.node.childIndex(key)
+	child := e.node.val(ci)
 	childNew, removed, err := t.delete(child, key)
 	if err != nil || !removed || childNew == child {
 		return id, removed, err
 	}
-	if childNew == 0 && len(n.children) == 1 {
+	if childNew == 0 && e.node.count() == 1 {
 		return 0, true, nil
 	}
 	// As in insert: the descent may have evicted this page.
 	if e, err = t.mutable(t.pg.getLocked(id)); err != nil {
 		return 0, false, err
 	}
-	n = e.node
-	if childNew != 0 {
-		n.children[ci] = childNew
-	} else {
-		// Unlink the emptied child and the separator beside it (a
-		// single-child node left by earlier unlinks has no separator).
-		if len(n.keys) > 0 {
-			n.deleteKey(min(ci, len(n.keys)-1))
-		}
-		n.children = slices.Delete(n.children, ci, ci+1)
+	switch n := e.node; {
+	case childNew != 0:
+		n.setVal(ci, childNew)
+	case ci == 0:
+		// Unlink the emptied child: slot 0 keeps the empty key and
+		// takes over its neighbour's child.
+		n.setVal(0, n.val(1))
+		n.remove(1)
+	default:
+		n.remove(ci)
 	}
-	t.pg.markDirtyLocked(e)
+	e.dirty = true
 	return e.id, true, nil
 }
 
@@ -510,58 +366,43 @@ func (t *Tree) Scan(fn func(key []byte, val uint32) bool) error {
 // ScanFrom walks entries with key >= from (nil = from the start) in
 // key order, stopping early when fn returns false.
 func (t *Tree) ScanFrom(from []byte, fn func(key []byte, val uint32) bool) error {
-	type frame struct {
-		n   *node
-		idx int
-	}
-	var stack []frame
-	// descend pushes the path from page id down to a leaf: towards
-	// from on the first call, leftmost on every later one.
-	descend := func(id uint32) error {
-		for id != 0 {
-			n, err := t.pg.node(id)
-			if err != nil {
-				return err
-			}
-			i := 0
-			if n.leaf {
-				if from != nil {
-					i, _ = searchKeys(n.keys, from)
-				}
-				id = 0
-			} else {
-				if from != nil {
-					i = childIndex(n.keys, from)
-				}
-				id = n.children[i]
-			}
-			stack = append(stack, frame{n, i})
-		}
-		from = nil
+	if t.root == 0 {
 		return nil
 	}
-	if err := descend(t.root); err != nil {
-		return err
+	_, err := t.scan(t.root, from, fn)
+	return err
+}
+
+// scan walks the subtree under page id — from the entry covering from
+// when it is set, else from the leftmost — and reports whether fn
+// wants more.
+func (t *Tree) scan(id uint32, from []byte, fn func(key []byte, val uint32) bool) (bool, error) {
+	n, err := t.pg.node(id)
+	if err != nil {
+		return false, err
 	}
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if top.n.leaf {
-			for ; top.idx < len(top.n.keys); top.idx++ {
-				if !fn(top.n.keys[top.idx], top.n.vals[top.idx]) {
-					return nil
-				}
+	i := 0
+	if n.leaf() {
+		if from != nil {
+			i, _ = n.search(from)
+		}
+		for cnt := n.count(); i < cnt; i++ {
+			if !fn(n.key(i), n.val(i)) {
+				return false, nil
 			}
-			stack = stack[:len(stack)-1]
-			continue
 		}
-		top.idx++
-		if top.idx >= len(top.n.children) {
-			stack = stack[:len(stack)-1]
-		} else if err := descend(top.n.children[top.idx]); err != nil {
-			return err
-		}
+		return true, nil
 	}
-	return nil
+	if from != nil {
+		i = n.childIndex(from)
+	}
+	for ; i < n.count(); i++ {
+		if more, err := t.scan(n.val(i), from, fn); err != nil || !more {
+			return false, err
+		}
+		from = nil // only the first child is entered part-way
+	}
+	return true, nil
 }
 
 // ScanPrefix walks entries whose key starts with prefix, in key order.

@@ -4,9 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/crc32c"
 )
 
 // Meta is the commit record of a page file: the state a reader may
@@ -32,7 +33,7 @@ type Meta struct {
 //
 //	offset size field
 //	0      4    magic "DXPM"
-//	4      4    format version (1)
+//	4      4    format version (2: slotted pages)
 //	8      8    epoch
 //	16     4    pages
 //	20     4    roots[0]
@@ -43,7 +44,7 @@ type Meta struct {
 //	60     4    CRC-32C over bytes [0, 60)
 const (
 	metaMagic   = 0x4458504D // "DXPM"
-	metaVersion = 1
+	metaVersion = 2
 	metaSlotLen = 64
 )
 
@@ -55,7 +56,6 @@ var ErrNoMeta = errors.New("pagestore: no valid meta slot")
 // dual-slot commit record in page 0.
 type File struct {
 	f    *os.File
-	path string
 	meta Meta
 	slot int // slot the current meta lives in; Commit writes 1-slot
 }
@@ -70,8 +70,7 @@ func encodeMeta(m Meta) []byte {
 	binary.BigEndian.PutUint32(buf[24:28], m.Roots[1])
 	binary.BigEndian.PutUint64(buf[28:36], m.Counts[0])
 	binary.BigEndian.PutUint64(buf[36:44], m.Counts[1])
-	crc := crc32.Checksum(buf[:metaSlotLen-4], castagnoli)
-	binary.BigEndian.PutUint32(buf[metaSlotLen-4:], crc)
+	binary.BigEndian.PutUint32(buf[metaSlotLen-4:], crc32c.Sum(buf[:metaSlotLen-4]))
 	return buf
 }
 
@@ -79,7 +78,7 @@ func decodeMeta(buf []byte) (Meta, bool) {
 	if len(buf) < metaSlotLen {
 		return Meta{}, false
 	}
-	if crc32.Checksum(buf[:metaSlotLen-4], castagnoli) != binary.BigEndian.Uint32(buf[metaSlotLen-4:metaSlotLen]) {
+	if crc32c.Sum(buf[:metaSlotLen-4]) != binary.BigEndian.Uint32(buf[metaSlotLen-4:metaSlotLen]) {
 		return Meta{}, false
 	}
 	if binary.BigEndian.Uint32(buf[0:4]) != metaMagic || binary.BigEndian.Uint32(buf[4:8]) != metaVersion {
@@ -110,7 +109,7 @@ func Create(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: %w", err)
 	}
-	pf := &File{f: f, path: path, slot: 1}
+	pf := &File{f: f, slot: 1}
 	if err := pf.Commit(Meta{Pages: 1}); err != nil {
 		_ = f.Close()
 		return nil, err
@@ -137,7 +136,7 @@ func Open(path string) (*File, error) {
 	}
 	m0, ok0 := decodeMeta(buf[:metaSlotLen])
 	m1, ok1 := decodeMeta(buf[metaSlotLen:])
-	pf := &File{f: f, path: path}
+	pf := &File{f: f}
 	switch {
 	case ok0 && (!ok1 || m0.Epoch >= m1.Epoch):
 		pf.meta, pf.slot = m0, 0
@@ -153,9 +152,6 @@ func Open(path string) (*File, error) {
 // Meta returns the current committed meta.
 func (pf *File) Meta() Meta { return pf.meta }
 
-// Path returns the file's path.
-func (pf *File) Path() string { return pf.path }
-
 // ReadPage reads and verifies page id into buf (PageSize bytes).
 func (pf *File) ReadPage(id uint32, buf []byte) error {
 	if id == 0 {
@@ -170,7 +166,7 @@ func (pf *File) ReadPage(id uint32, buf []byte) error {
 // WritePage writes a sealed page buffer at its stored id. It does not
 // sync; Commit provides the barrier.
 func (pf *File) WritePage(buf []byte) error {
-	id := pageID(buf)
+	id := binary.BigEndian.Uint32(buf[4:8])
 	if id == 0 {
 		return &ErrPageCorrupt{ID: id, Reason: "page 0 is the meta page"}
 	}

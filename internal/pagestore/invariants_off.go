@@ -2,6 +2,6 @@
 
 package pagestore
 
-// invariantsEnabled is off in normal builds: the writeback self-check
+// invariantsEnabled is off in normal builds: the frame self-check
 // compiles to nothing.
 const invariantsEnabled = false

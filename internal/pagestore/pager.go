@@ -1,9 +1,11 @@
 package pagestore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/metrics"
 )
@@ -22,46 +24,45 @@ var (
 // against its own evictions.
 const MinCachePages = 8
 
-// cached is one resident page: its decoded node — the only form a page
-// has in memory — and LRU links. Page bytes exist only in the pager's
-// scratch buffer, while a page crosses the file boundary.
+// cached is one resident page: its frame — the same 4 KB the file
+// holds — and LRU links. The frame is an allocation of its own, exactly
+// PageSize, because a reader may keep it past the entry's eviction.
 type cached struct {
 	id         uint32
-	node       *node
 	dirty      bool
-	bytes      int // heap estimate of node, charged to Pager.resident
+	node       *node
 	prev, next *cached
 }
 
-// Pager serves B-tree nodes out of an LRU cache over a page File. A
-// miss reads the page with CRC verification and decodes it; new and
-// mutated nodes stay decoded and dirty, and are encoded and sealed only
-// when evicted or flushed. Only Flush moves the committed state —
-// eviction writeback never fsyncs and never touches the meta page, so a
-// crash exposes at most an old committed root whose pages are all
-// intact.
+// residentPageBytes is what one cached page holds on the heap.
+const residentPageBytes = PageSize + int64(unsafe.Sizeof(cached{}))
+
+// Pager serves B-tree pages out of an LRU cache over a page File. A
+// miss reads the page straight into a fresh frame, verifies its CRC and
+// then its structure; new and mutated frames stay dirty, and have their
+// footer computed only when evicted or flushed. Only Flush moves the
+// committed state — eviction writeback never fsyncs and never touches
+// the meta page, so a crash exposes at most an old committed root whose
+// pages are all intact.
 //
 // All methods are safe for concurrent use; snapshot readers and the
-// writer share one pager. Every mutation and every encode of a cached
-// node happens under mu (see Tree for the full rule).
+// writer share one pager. Every mutation and every seal of a cached
+// frame happens under mu (see Tree for the full rule).
 type Pager struct {
-	mu      sync.Mutex
-	file    *File
-	cap     int
-	cache   map[uint32]*cached
-	head    *cached // most recently used
-	tail    *cached // least recently used
-	next    uint32  // vet:guardedby mu // next page id to allocate
-	scratch []byte  // vet:guardedby mu // the one page buffer reads and writebacks pass through
+	mu    sync.Mutex
+	file  *File
+	cap   int
+	cache map[uint32]*cached
+	lru   cached // list sentinel: lru.next is the most recently used page, lru.prev the least
+	next  uint32 // vet:guardedby mu // next page id to allocate
 
-	resident                 int64  // vet:guardedby mu // sum of cached.bytes
 	hits, misses, writebacks uint64 // vet:guardedby mu
 }
 
 // PagerStats is a point-in-time snapshot of one pager's counters.
 type PagerStats struct {
 	// Resident is the number of cached pages right now, ResidentBytes
-	// the heap estimate of their decoded nodes.
+	// the heap they hold: a frame and a cache entry each.
 	Resident      int
 	ResidentBytes int64
 	// Allocated is the number of data pages ever allocated in the
@@ -78,60 +79,41 @@ func NewPager(file *File, cachePages int) *Pager {
 	if cachePages < MinCachePages {
 		cachePages = MinCachePages
 	}
-	return &Pager{
-		file:    file,
-		cap:     cachePages,
-		cache:   make(map[uint32]*cached, cachePages),
-		next:    file.Meta().Pages,
-		scratch: make([]byte, PageSize),
+	p := &Pager{
+		file:  file,
+		cap:   cachePages,
+		cache: make(map[uint32]*cached, cachePages),
+		next:  file.Meta().Pages,
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
 }
 
 // lruUnlink removes e from the LRU list.
 //
 // vet:holds p.mu
-func (p *Pager) lruUnlink(e *cached) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		p.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		p.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
+func (p *Pager) lruUnlink(e *cached) { e.prev.next, e.next.prev = e.next, e.prev }
 
 // lruFront pushes e to the most-recently-used end.
 //
 // vet:holds p.mu
 func (p *Pager) lruFront(e *cached) {
-	e.prev, e.next = nil, p.head
-	if p.head != nil {
-		p.head.prev = e
-	}
-	p.head = e
-	if p.tail == nil {
-		p.tail = e
-	}
+	e.prev, e.next = &p.lru, p.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
-// writebackLocked encodes and seals e's node into the scratch page and
-// writes it at its id (no fsync).
+// writebackLocked seals e's frame in place and writes it at its id (no
+// fsync). Only the footer changes, which no reader looks at.
 //
 // vet:holds p.mu
 func (p *Pager) writebackLocked(e *cached) error {
-	if err := encodeNode(e.node, e.id, p.scratch); err != nil {
-		return err
-	}
 	if invariantsEnabled {
-		if err := checkEncoding(e.node, p.scratch); err != nil {
+		if err := checkPage(e.node); err != nil {
 			return err
 		}
 	}
-	if err := p.file.WritePage(p.scratch); err != nil {
+	Seal(e.node[:])
+	if err := p.file.WritePage(e.node[:]); err != nil {
 		return err
 	}
 	e.dirty = false
@@ -145,11 +127,9 @@ func (p *Pager) writebackLocked(e *cached) error {
 func (p *Pager) insertLocked(e *cached) error {
 	p.cache[e.id] = e
 	p.lruFront(e)
-	e.bytes = e.node.heapBytes()
-	p.resident += int64(e.bytes)
 	mPages.Add(1)
 	for len(p.cache) > p.cap {
-		victim := p.tail
+		victim := p.lru.prev
 		if victim.dirty {
 			if err := p.writebackLocked(victim); err != nil {
 				return err
@@ -159,38 +139,27 @@ func (p *Pager) insertLocked(e *cached) error {
 		}
 		p.lruUnlink(victim)
 		delete(p.cache, victim.id)
-		p.resident -= int64(victim.bytes)
 		mPages.Add(-1)
 	}
 	return nil
 }
 
-// newPageLocked allocates a fresh page id holding n and caches it
-// dirty; its bytes first exist when it is evicted or flushed.
+// newPageLocked stamps a fresh page id into frame n and caches it
+// dirty; it reaches the file when it is evicted or flushed.
 //
 // vet:holds p.mu
 func (p *Pager) newPageLocked(n *node) (*cached, error) {
 	if p.cache == nil {
 		return nil, fmt.Errorf("pagestore: pager is closed")
 	}
+	binary.BigEndian.PutUint32(n[4:8], p.next)
 	e := &cached{id: p.next, node: n, dirty: true}
 	p.next++
 	return e, p.insertLocked(e)
 }
 
-// markDirtyLocked records that e's node was mutated in place: it needs
-// writeback, and its heap estimate may have moved.
-//
-// vet:holds p.mu
-func (p *Pager) markDirtyLocked(e *cached) {
-	e.dirty = true
-	b := e.node.heapBytes()
-	p.resident += int64(b - e.bytes)
-	e.bytes = b
-}
-
-// node returns the decoded node of page id for reading, faulting it in
-// on a miss.
+// node returns the frame of page id for reading, faulting it in on a
+// miss.
 func (p *Pager) node(id uint32) (*node, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -201,8 +170,9 @@ func (p *Pager) node(id uint32) (*node, error) {
 	return e.node, nil
 }
 
-// getLocked looks id up in the cache; a miss reads the page through the
-// scratch buffer, verifies it and decodes it into a node of its own.
+// getLocked looks id up in the cache; a miss reads the page into a
+// frame of its own — never a recycled one, a reader may still hold
+// whatever was evicted — and verifies checksum, then structure.
 //
 // vet:holds p.mu
 func (p *Pager) getLocked(id uint32) (*cached, error) {
@@ -212,7 +182,7 @@ func (p *Pager) getLocked(id uint32) (*cached, error) {
 	if e, ok := p.cache[id]; ok {
 		p.hits++
 		mCacheHits.Inc()
-		if p.head != e {
+		if p.lru.next != e {
 			p.lruUnlink(e)
 			p.lruFront(e)
 		}
@@ -220,11 +190,11 @@ func (p *Pager) getLocked(id uint32) (*cached, error) {
 	}
 	p.misses++
 	mCacheMisses.Inc()
-	if err := p.file.ReadPage(id, p.scratch); err != nil {
+	n := new(node)
+	if err := p.file.ReadPage(id, n[:]); err != nil {
 		return nil, err
 	}
-	n, err := decodeNode(p.scratch)
-	if err != nil {
+	if err := n.validate(); err != nil {
 		return nil, err
 	}
 	e := &cached{id: id, node: n}
@@ -260,7 +230,7 @@ func (p *Pager) Stats() PagerStats {
 	defer p.mu.Unlock()
 	return PagerStats{
 		Resident:      len(p.cache),
-		ResidentBytes: p.resident,
+		ResidentBytes: int64(len(p.cache)) * residentPageBytes,
 		Allocated:     int(p.next) - 1,
 		Hits:          p.hits,
 		Misses:        p.misses,
@@ -275,7 +245,7 @@ func (p *Pager) Close() error {
 	defer p.mu.Unlock()
 	if p.cache != nil {
 		mPages.Add(-float64(len(p.cache)))
-		p.cache, p.head, p.tail, p.resident = nil, nil, nil, 0
+		p.cache, p.lru = nil, cached{}
 	}
 	return p.file.Close()
 }

@@ -61,7 +61,7 @@ func TestPageWriteReadVerify(t *testing.T) {
 	defer pf.Close()
 	buf := make([]byte, PageSize)
 	copy(buf[HeaderSize:], "hello pages")
-	Seal(buf, 1, PageLeaf, 1, 11)
+	sealPage(buf, 1, PageLeaf, 0, 11)
 	if err := pf.WritePage(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestPageWriteReadVerify(t *testing.T) {
 	if err := pf.ReadPage(1, got); err != nil {
 		t.Fatal(err)
 	}
-	if string(payload(got)) != "hello pages" {
-		t.Fatalf("payload %q", payload(got))
+	if pl := got[HeaderSize : HeaderSize+11]; string(pl) != "hello pages" {
+		t.Fatalf("payload %q", pl)
 	}
 	// Reading it back under the wrong id must fail verification.
 	if err := pf.ReadPage(2, got); err == nil {
@@ -90,8 +90,9 @@ func TestPagerEvictionWritebackAndReread(t *testing.T) {
 	const n = 64
 	for i := 0; i < n; i++ {
 		p.mu.Lock()
-		msg := fmt.Appendf(nil, "page-%d", p.next)
-		_, err := p.newPageLocked(&node{leaf: true, keys: [][]byte{msg}, vals: []uint32{p.next}, size: entryOverhead + len(msg)})
+		n := newNode(PageLeaf)
+		n.put(0, fmt.Appendf(nil, "page-%d", p.next), p.next)
+		_, err := p.newPageLocked(n)
 		p.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -111,8 +112,8 @@ func TestPagerEvictionWritebackAndReread(t *testing.T) {
 			t.Fatalf("page %d: %v", id, err)
 		}
 		want := fmt.Sprintf("page-%d", id)
-		if len(nd.keys) != 1 || string(nd.keys[0]) != want || nd.vals[0] != id {
-			t.Fatalf("page %d holds %q, want %q", id, nd.keys, want)
+		if nd.count() != 1 || string(nd.key(0)) != want || nd.val(0) != id {
+			t.Fatalf("page %d holds %q, want %q", id, nd.key(0), want)
 		}
 	}
 	if st := p.Stats(); st.Misses == 0 {
@@ -419,7 +420,7 @@ func TestTreeSkewedKeySizes(t *testing.T) {
 // TestCloneConcurrentColdReads exercises the documented guarantee that
 // distinct clones sharing one pager may be read concurrently: several
 // clones scan through a minimum-size cache — constantly faulting the
-// same cold pages back in and memoizing their decodes — while the
+// same cold pages back in — while the
 // writer keeps inserting. Run under -race this catches unsynchronized
 // sharing on the pager's cache entries.
 func TestCloneConcurrentColdReads(t *testing.T) {

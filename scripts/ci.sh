@@ -9,8 +9,8 @@
 #                      packages (bitstr, cdbs, and keys + containment,
 #                      whose every arena read goes through the checked
 #                      bitstr.View) and page store (whose tag makes the
-#                      pager check every page it writes back against
-#                      its node)
+#                      pager run checkPage on every frame it writes
+#                      back or copies on write)
 #   5. go test -race — the packed label arena (keys, containment) and
 #                      its clone-isolation and label-length-limit tests
 #                      by name, the concurrent document layer, the journal's
@@ -20,8 +20,10 @@
 #                      snapshot-isolation histories, XML differential,
 #                      hook-install race, close-drain, journal stress,
 #                      watch storm, follower replication, in-place page
-#                      mutation vs clone readers and two-clones-both-
-#                      compact tests by name
+#                      mutation vs clone readers, concurrent cold clone
+#                      reads and two-clones-both-compact tests by name,
+#                      then the page-frame allocation pins (a warm edit
+#                      allocates nothing, a fault one frame)
 #   6. crash safety  — the segment recovery/fault-injection suite by name
 #                      (internal/journal, internal/faultfs), the
 #                      journal kill matrix, the paged-label damage
@@ -30,8 +32,9 @@
 #                      follower kill matrix (kills inside the first
 #                      open included), then the FuzzReadAll,
 #                      FuzzPageRoundTrip, FuzzMetaDecode,
-#                      FuzzEncodeBetween, FuzzEditCodec and
-#                      FuzzStreamDecode seed corpora as short fuzz runs
+#                      FuzzPageValidate, FuzzEncodeBetween,
+#                      FuzzEditCodec and FuzzStreamDecode seed corpora
+#                      as short fuzz runs
 #   7. labelvet      — the repo's own static-analysis suite (label invariants,
 #                      lock hygiene, dropped errors, panic allowlist), then
 #                      the concurrency/durability tier (guardedby, atomicmix,
@@ -101,8 +104,13 @@ go test -race -count=1 -run 'TestSnapshotStorm|TestQueryDoesNotBlockOnWriter|Tes
 go test -race -count=1 -run 'TestParallelPartitionedJoins|TestCacheGenerations' ./internal/xpath/plan
 
 echo "==> in-place page mutation vs clone readers under the race detector"
-go test -race -count=1 -run 'TestInPlaceVsCloneRace' ./internal/pagestore
+go test -race -count=1 -run 'TestInPlaceVsCloneRace|TestCloneConcurrentColdReads' ./internal/pagestore
 go test -race -count=1 -run 'TestPagedClonesBothCompact' ./internal/store
+
+echo "==> page-frame allocation pins (a warm edit allocates nothing, a fault one frame)"
+go test -count=1 -run 'TestWarmLeafEditAllocs|TestFaultAllocatesOneFrame|TestPageReclaimsDeadSpace' ./internal/pagestore
+go test -count=1 -run 'TestPagedAddAllocs' ./internal/store
+go test -count=1 -run 'TestPagedInsertAllocs' .
 
 echo "==> close-drain and eviction races under the race detector"
 go test -race -count=1 -run 'TestCloseUnderLoad' .
@@ -134,9 +142,10 @@ go test -count=1 -run 'TestFollowerKillMatrix' ./internal/journal
 echo "==> FuzzReadAll seed corpus (5s)"
 go test -run '^$' -fuzz 'FuzzReadAll' -fuzztime 5s ./internal/journal
 
-echo "==> FuzzPageRoundTrip + FuzzMetaDecode seed corpora (5s each, pagestore)"
+echo "==> FuzzPageRoundTrip + FuzzMetaDecode + FuzzPageValidate seed corpora (5s each, pagestore)"
 go test -run '^$' -fuzz 'FuzzPageRoundTrip' -fuzztime 5s ./internal/pagestore
 go test -run '^$' -fuzz 'FuzzMetaDecode' -fuzztime 5s ./internal/pagestore
+go test -run '^$' -fuzz 'FuzzPageValidate' -fuzztime 5s -fuzzminimizetime 1s ./internal/pagestore
 
 echo "==> FuzzEditCodec seed corpus (5s)"
 go test -run '^$' -fuzz 'FuzzEditCodec' -fuzztime 5s ./internal/journal
