@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzPageValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/pagestore
 	$(GO) test -run=^$$ -fuzz=FuzzEditCodec -fuzztime=10s ./internal/journal
 	$(GO) test -run=^$$ -fuzz=FuzzStreamDecode -fuzztime=10s ./internal/journal
+	$(GO) test -run=^$$ -fuzz=FuzzQueryReplyDecode -fuzztime=5s ./client
 
 # Every benchmark workload with its end-to-end metrics (see benchmark/README.md).
 bench:

@@ -10,6 +10,9 @@
 // before an edit applies, so the retry cannot double-apply. Non-2xx
 // responses decode into *APIError carrying the server's stable error
 // code, message and request id.
+// Replies of the buffered /v1 routes state their Content-Length and
+// are read into one buffer of that size; a chunked reply (a proxy, an
+// older server) is read as it comes.
 package client
 
 import (
@@ -24,6 +27,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -197,29 +201,46 @@ func readAPIError(resp *http.Response) error {
 	return e
 }
 
-// call runs a logical request and decodes a 2xx JSON body into out
-// (skipped when out is nil).
-func (c *Client) call(method, path string, body, out any) error {
+// readBody reads a reply whole: into one buffer of its declared length
+// if it states one — up to 64 MB on its word alone — and as the bytes
+// arrive if not.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= 64<<20 {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, buf)
+		return buf, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// roundTrip runs a logical request and returns its 2xx reply's body.
+func (c *Client) roundTrip(method, path string, body any) ([]byte, error) {
 	var raw []byte
 	if body != nil {
 		var err error
 		if raw, err = json.Marshal(body); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	resp, err := c.do(method, path, raw)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		return readAPIError(resp)
+		return nil, readAPIError(resp)
 	}
 	defer resp.Body.Close()
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
+	return readBody(resp)
+}
+
+// call runs a logical request and decodes a 2xx JSON body into out
+// (skipped when out is nil).
+func (c *Client) call(method, path string, body, out any) error {
+	raw, err := c.roundTrip(method, path, body)
+	if err != nil || out == nil {
+		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.Unmarshal(raw, out)
 }
 
 // docPath builds a /v1 document route.
@@ -302,15 +323,68 @@ func (d *Doc) Scheme() string { return d.info.Scheme }
 // Queries
 
 // Query evaluates a path expression and returns the matching node ids.
+// A reply in the form the server renders costs its body and one []int
+// of exactly count ids; any other JSON spelling of it goes to
+// encoding/json.
 func (d *Doc) Query(path string) ([]int, error) {
+	raw, err := d.c.roundTrip("POST", d.c.docPath(d.name, "query"), map[string]string{"path": path})
+	if err != nil {
+		return nil, err
+	}
+	if ids, ok := decodeQueryReply(raw); ok {
+		return ids, nil
+	}
 	var resp struct {
 		Count int   `json:"count"`
 		IDs   []int `json:"ids"`
 	}
-	if err := d.c.call("POST", d.c.docPath(d.name, "query"), map[string]string{"path": path}, &resp); err != nil {
-		return nil, err
+	err = json.Unmarshal(raw, &resp)
+	return resp.IDs, err
+}
+
+// maxDigits is how many decimal digits always fit an int.
+const maxDigits = 9 + 9*(strconv.IntSize/64)
+
+// decodeQueryReply decodes a reply of exactly the form the server
+// renders: {"count":N,"ids":[a,b,...]} and at most one newline, no
+// other whitespace, numbers of at most maxDigits digits with no sign or
+// leading zero, N the number of ids — allocated once, at N. Anything
+// else is not ok and goes to encoding/json, which decides what it
+// means and agrees on whatever is accepted here (FuzzQueryReplyDecode).
+func decodeQueryReply(b []byte) (ids []int, ok bool) {
+	n, b, ok := number(b, `{"count":`)
+	// An id takes a digit and a separator: a count of more than half the
+	// body is wrong, and gets no memory on its word.
+	if !ok || n > len(b)/2 {
+		return nil, false
 	}
-	return resp.IDs, nil
+	ids, sep := make([]int, n), `,"ids":[`
+	for i := range ids {
+		if ids[i], b, ok = number(b, sep); !ok {
+			return nil, false
+		}
+		sep = ","
+	}
+	if n == 0 {
+		b, ok = bytes.CutPrefix(b, []byte(sep))
+	}
+	return ids, ok && (string(b) == "]}" || string(b) == "]}\n")
+}
+
+// number parses the decimal digits after the prefix b must start with
+// and returns what follows them. No digits, more than maxDigits and a
+// zero before another digit are not ok: encoding/json refuses them or
+// an int may not hold them.
+func number(b []byte, after string) (v int, rest []byte, ok bool) {
+	i := len(after)
+	if len(b) < i || string(b[:i]) != after {
+		return 0, nil, false
+	}
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		v = v*10 + int(b[i]-'0')
+	}
+	digits := i - len(after)
+	return v, b[i:], digits > 0 && digits <= maxDigits && (digits == 1 || b[len(after)] != '0')
 }
 
 // Count returns the number of matches for a path expression.
@@ -332,15 +406,7 @@ func (d *Doc) Explain(path string) (string, error) {
 
 // XML fetches the serialized document.
 func (d *Doc) XML() (string, error) {
-	resp, err := d.c.do("GET", d.c.docPath(d.name, "xml"), nil)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return "", readAPIError(resp)
-	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := d.c.roundTrip("GET", d.c.docPath(d.name, "xml"), nil)
 	return string(raw), err
 }
 
@@ -493,15 +559,7 @@ func (d *Doc) FollowHorizon(min uint64, wait time.Duration) (uint64, bool, error
 // transports and tooling.
 func (d *Doc) Journal(from uint64, limit int) ([]byte, error) {
 	path := fmt.Sprintf("%s?from=%d&limit=%d", d.c.docPath(d.name, "journal"), from, limit)
-	resp, err := d.c.do("GET", path, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, readAPIError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	return d.c.roundTrip("GET", path, nil)
 }
 
 // ---------------------------------------------------------------------------

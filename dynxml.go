@@ -373,6 +373,7 @@ type document interface {
 	Query(q *Query) ([]int, error)
 	QueryString(path string) ([]int, error)
 	Count(path string) (int, error)
+	QueryRendered(path string, render func(ids []int) []byte) ([]byte, error)
 	Explain(path string) (*plan.Report, error)
 	InsertElement(parent, pos int, name string) (int, int, error)
 	InsertTree(parent, pos int, fragment *Node) ([]int, int, error)
@@ -648,7 +649,8 @@ const boxedLabelBytes = 80
 // reports, plus whatever the index backend reports — for the paged
 // backend that is its bounded page cache, not the document size, which
 // is what lets one process keep many larger-than-budget documents
-// open. The catalog's memory budget charges this estimate
+// open — and, on a concurrent handle, the results and renderings its
+// query cache holds. The catalog's memory budget charges this estimate
 // (TestMemoryFootprintTracksHeap holds it within 1.5x of the heap).
 func (h *Handle) MemoryFootprint() int64 {
 	var fp int64
@@ -661,6 +663,9 @@ func (h *Handle) MemoryFootprint() int64 {
 		}
 		fp = ids*bytesPerID + labels + d.Store().MemoryFootprint()
 	})
+	if h.shared != nil {
+		fp += h.shared.CacheFootprint()
+	}
 	return fp
 }
 
@@ -706,6 +711,18 @@ func (h *Handle) Count(path string) (int, error) {
 	}
 	defer h.release()
 	return h.doc.Count(path)
+}
+
+// QueryRendered is render(ids) for the ids QueryString returns. A
+// concurrent handle memoises it with the cached result: between edits a
+// repeated query returns the same bytes, shared and read-only. Pass one
+// render per handle, which neither keeps nor modifies ids.
+func (h *Handle) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
+	if err := h.acquire(); err != nil {
+		return nil, err
+	}
+	defer h.release()
+	return h.doc.QueryRendered(path, render)
 }
 
 // Explain plans and evaluates a path expression with instrumentation

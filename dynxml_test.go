@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 func TestCodeFacade(t *testing.T) {
@@ -175,5 +177,28 @@ func TestLiveFacade(t *testing.T) {
 	}
 	if _, err := Open("<broken", WithScheme("QED-Prefix")); err == nil {
 		t.Fatal("bad XML accepted")
+	}
+}
+
+// TestCountHitAllocs pins Count on a concurrent handle whose result
+// cache holds the answer at this generation: it reads the cached
+// result's length — no parse, no copy of the ids, no allocation.
+func TestCountHitAllocs(t *testing.T) {
+	h, err := Open(datagen.Hamlet(), WithConcurrent())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	want, err := h.Count("//act/scene/speech")
+	if err != nil || want == 0 {
+		t.Fatalf("Count = %d, %v", want, err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if n, err := h.Count("//act/scene/speech"); err != nil || n != want {
+			t.Fatalf("Count = %d, %v; want %d", n, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Count on a result-cache hit allocates %.1f times, want 0", allocs)
 	}
 }

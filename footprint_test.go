@@ -1,6 +1,7 @@
 package dynxml
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -26,7 +27,9 @@ func heapDelta(t *testing.T, build func() *Handle) (*Handle, int64) {
 // by to what the heap says, within a factor of 1.5 either way — for a
 // fresh document, for one aged by 5 000 edits, whose per-id arrays and
 // label arena have grown with every id ever allocated while its live
-// node count stood still, and for one whose index is paged.
+// node count stood still, for one whose index is paged, and for one
+// whose result cache holds more bytes — a dozen large results and their
+// renderings — than the document itself.
 func TestMemoryFootprintTracksHeap(t *testing.T) {
 	open := func(opts ...Option) *Handle {
 		h, err := Open(datagen.Hamlet(), opts...)
@@ -61,7 +64,23 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		}
 		return h
 	}
-	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "paged": paged} {
+	cached := func() *Handle {
+		h := fresh()
+		for _, q := range []string{
+			"//*", "/play//*", "//act//*", "//scene//*", "//speech//*", "//speech/*", "//line", "//speech/line",
+			"//scene//line", "//act//line", "/play//line", "//scene/speech/line", "//act/scene/speech/line",
+		} {
+			b, err := h.QueryRendered(q, func(ids []int) []byte { return []byte(fmt.Sprint(ids)) })
+			if err != nil || len(b) < 4*4000 {
+				t.Fatalf("%s: rendering of %d bytes, %v", q, len(b), err)
+			}
+		}
+		if fp := h.Shared().CacheFootprint(); 2*fp < h.MemoryFootprint() {
+			t.Fatalf("the cache holds %d B of a %d B estimate: not the large share this case is about", fp, h.MemoryFootprint())
+		}
+		return h
+	}
+	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "paged": paged, "large cached results": cached} {
 		h, heap := heapDelta(t, build)
 		est := h.MemoryFootprint()
 		t.Logf("%s: %d live nodes, estimate %d B, heap %d B (%.2fx)", name, h.Len(), est, heap, float64(est)/float64(heap))

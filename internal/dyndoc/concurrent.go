@@ -188,11 +188,30 @@ func (c *Concurrent) QueryString(path string) ([]int, error) {
 	return c.Query(q)
 }
 
-// Count returns the number of matches for a path expression.
+// Count returns the number of matches for a path expression; on a
+// result-cache hit nothing is parsed, copied or allocated.
 func (c *Concurrent) Count(path string) (int, error) {
-	ids, err := c.QueryString(path)
-	return len(ids), err
+	s := c.load()
+	mQueries.Inc()
+	n, err := c.plans.Count(s.eng, s.gen, path)
+	mStaleness.Observe(float64(c.load().gen - s.gen))
+	return n, err
 }
+
+// QueryRendered is render(ids) for the ids QueryString returns,
+// memoised with the cached result: until the next edit a repeated query
+// is a map hit returning the same bytes. They are shared — read, never
+// written — and render is bound by plan.Cache.Rendered's contract.
+func (c *Concurrent) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
+	s := c.load()
+	mQueries.Inc()
+	b, err := c.plans.Rendered(s.eng, s.gen, path, render)
+	mStaleness.Observe(float64(c.load().gen - s.gen))
+	return b, err
+}
+
+// CacheFootprint estimates the bytes the plan/result cache holds.
+func (c *Concurrent) CacheFootprint() int64 { return c.plans.MemoryFootprint() }
 
 // updateLocked is the raw single-writer path: it clones the current
 // snapshot's document, applies fn to the clone and publishes the

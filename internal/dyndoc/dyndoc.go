@@ -489,6 +489,16 @@ func (d *Document) Count(path string) (int, error) {
 	return len(ids), err
 }
 
+// QueryRendered is render(ids) for the ids QueryString returns; an
+// unshared document has no cache to memoise it in (see Concurrent).
+func (d *Document) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
+	ids, err := d.QueryString(path)
+	if err != nil {
+		return nil, err
+	}
+	return render(ids), nil
+}
+
 // InsertTree inserts a copy of the given element fragment as the
 // pos-th child of parent, labeling the whole fragment in one batch.
 // It returns the new ids in preorder.

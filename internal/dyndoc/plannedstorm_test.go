@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,5 +137,104 @@ func TestPlannedQueryStorm(t *testing.T) {
 				return
 			}
 		}
+	}
+}
+
+// TestPlannedQueryStormRendered is the storm for the memoised
+// renderings (Concurrent.QueryRendered): editors publish snapshots
+// while readers fetch the rendered reply of one query. Each editor
+// evaluates the query with the naive engine on its private clone,
+// before publishing, and files the answer under the generation the
+// clone is about to become — so the oracle for a generation exists
+// before any reader can be served from it. A reader brackets its call
+// with two Generation reads; what it gets must be the rendering of the
+// oracle's ids at one of the generations in between. A rendering that
+// outlived its entry's generation, or bytes written after they were
+// shared, fail that (and -race reports the write).
+func TestPlannedQueryStormRendered(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	c, err := ParseConcurrent(seedDoc, containment.Build(keys.VCDBS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const editors, readers, editsEach = 3, 6, 60
+	const query = "//pair"
+	render := func(ids []int) []byte { return fmt.Appendf(nil, "%d %v", len(ids), ids) }
+
+	var oracle sync.Map // generation -> rendered oracle ids
+	oracle.Store(uint64(0), string(render(nil)))
+	var editing, reading sync.WaitGroup
+	errCh := make(chan error, editors+readers)
+	var stop atomic.Bool
+	var served atomic.Int64
+	for e := 0; e < editors; e++ {
+		editing.Add(1)
+		go func() {
+			defer editing.Done()
+			var mine []int
+			for i := 0; i < editsEach; i++ {
+				err := c.Update(func(d *Document) error {
+					if len(mine) > 4 { // keep the document small: retire the oldest
+						if _, err := d.DeleteSubtree(mine[0]); err != nil {
+							return err
+						}
+						mine = mine[1:]
+					}
+					id, _, err := d.InsertElement(0, i%2, "pair")
+					if err != nil {
+						return err
+					}
+					mine = append(mine, id)
+					ids, err := d.QueryString(query) // the naive engine, on the clone
+					if err != nil {
+						return err
+					}
+					oracle.Store(c.Generation()+1, string(render(ids)))
+					return nil
+				})
+				if err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for !stop.Load() {
+				g0 := c.Generation()
+				got, err := c.QueryRendered(query, render)
+				g1 := c.Generation()
+				if err != nil {
+					errCh <- err
+					return
+				}
+				ok := false
+				for g := g0; g <= g1 && !ok; g++ {
+					want, _ := oracle.Load(g)
+					ok = want == string(got)
+				}
+				served.Add(1)
+				if !ok {
+					errCh <- fmt.Errorf("served %q between generations %d and %d; the oracle has it at neither", got, g0, g1)
+					return
+				}
+			}
+		}()
+	}
+	editing.Wait()
+	stop.Store(true)
+	reading.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	t.Logf("%d replies served across %d generations", served.Load(), editors*editsEach)
+	if served.Load() < readers {
+		t.Errorf("only %d replies were served: the readers did not run beside the editors", served.Load())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	dynxml "repro"
 	"repro/internal/catalog"
@@ -241,9 +242,35 @@ type queryRequest struct {
 	Path string `json:"path"`
 }
 
-type queryResponse struct {
-	Count int   `json:"count"`
-	IDs   []int `json:"ids"`
+// renderQueryReply is the query route's reply: byte for byte what
+// json.Encoder writes for {"count": len(ids), "ids": ids}, newline
+// included, nil sent as []. A concurrent handle keeps it for as long as
+// the cached result, so it is allocated at its exact length.
+func renderQueryReply(ids []int) []byte {
+	n := len(`{"count":,"ids":[]}`+"\n") + decimalLen(len(ids)) + max(len(ids)-1, 0) // a comma between two ids
+	for _, id := range ids {
+		n += decimalLen(id)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(len(ids)), 10)
+	b = append(b, `,"ids":[`...)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, "]}\n"...)
+}
+
+// decimalLen is the number of digits of a non-negative v.
+func decimalLen(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -252,15 +279,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.withDoc(w, r, func(h *dynxml.Handle) {
-		ids, err := h.QueryString(req.Path)
+		body, err := h.QueryRendered(req.Path, renderQueryReply)
 		if err != nil {
 			fail(w, r, err)
 			return
 		}
-		if ids == nil {
-			ids = []int{}
-		}
-		writeJSON(w, http.StatusOK, queryResponse{Count: len(ids), IDs: ids})
+		w.Header().Set("Content-Type", "application/json")
+		writeShared(w, body)
 	})
 }
 

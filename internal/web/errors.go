@@ -1,7 +1,6 @@
 package web
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -40,9 +39,7 @@ type errorBody struct {
 // writeError renders a message as the JSON error envelope with the
 // given status and code.
 func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: msg, Code: code, RequestID: RequestID(r.Context())})
+	writeJSON(w, status, errorBody{Error: msg, Code: code, RequestID: RequestID(r.Context())})
 }
 
 // mapError translates a catalog or document error into an HTTP status,

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"time"
 
 	"repro/internal/metrics"
@@ -84,6 +85,7 @@ type bufferedResponse struct {
 	header http.Header
 	status int
 	body   bytes.Buffer
+	shared []byte // when set, the body instead, by reference (writeShared)
 }
 
 func newBufferedResponse() *bufferedResponse {
@@ -103,7 +105,8 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 	return b.body.Write(p)
 }
 
-// flush copies the buffered response onto the real writer.
+// flush copies the buffered response onto the real writer. The whole
+// body is in hand, so its length is stated and no reply leaves chunked.
 func (b *bufferedResponse) flush(w http.ResponseWriter) int {
 	for k, vs := range b.header {
 		for _, v := range vs {
@@ -113,9 +116,27 @@ func (b *bufferedResponse) flush(w http.ResponseWriter) int {
 	if b.status == 0 {
 		b.status = http.StatusOK
 	}
+	body := b.body.Bytes()
+	if b.shared != nil {
+		body = b.shared
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(b.status)
-	_, _ = w.Write(b.body.Bytes())
+	_, _ = w.Write(body)
 	return b.status
+}
+
+// writeShared writes a 200 reply's whole body from bytes other requests
+// read too and nobody writes again (a memoised rendering): a buffered
+// response keeps the reference, not a copy; net/http only reads them.
+func writeShared(w http.ResponseWriter, body []byte) {
+	if b, ok := w.(*bufferedResponse); ok {
+		b.WriteHeader(http.StatusOK)
+		b.shared = body
+		return
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // withTimeout bounds a request's wall time: the handler runs on its

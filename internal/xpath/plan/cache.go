@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -27,14 +28,24 @@ const (
 )
 
 // resultEntry is one materialized query result, valid only at the
-// generation it was computed against.
+// generation it was computed against, with the rendering of ids that
+// Cache.Rendered memoises, if one was asked for. An entry is immutable
+// once stored: the rendering arrives on a fresh entry that replaces it.
 type resultEntry struct {
-	gen uint64
-	ids []int
+	gen      uint64
+	ids      []int
+	rendered []byte
 }
 
-// Cache holds compiled plans keyed by query text and materialized
-// results keyed by (query text, snapshot generation). Plans stay
+// cost is what the entry is charged against maxIDs: its ids, and its
+// rendering at one id per 8 bytes held.
+func (ent *resultEntry) cost() int { return len(ent.ids) + (cap(ent.rendered)+7)/8 }
+
+// Cache holds compiled plans keyed by canonical query text and
+// materialized results keyed by (the text the caller sent, snapshot
+// generation): Eval sends its query's canonical text, Rendered and
+// Count the text they were given, so a hit through them parses nothing
+// and two spellings of one query share a plan. Plans stay
 // valid across snapshots — strategy drift is a performance question,
 // never a correctness one — so they are cached unconditionally.
 // Results are only valid at the exact generation they were computed
@@ -49,14 +60,15 @@ type Cache struct {
 	mu      sync.RWMutex
 	plans   map[string]*Plan        // vet:guardedby mu
 	results map[string]*resultEntry // vet:guardedby mu
-	nIDs    int                     // vet:guardedby mu // total ids across results
+	nIDs    int                     // vet:guardedby mu // total cost() across results
 }
 
 // NewCache returns a cache with the default bounds.
 func NewCache() *Cache { return NewCacheBounds(defaultMaxResults, defaultMaxCachedIDs) }
 
 // NewCacheBounds returns a cache bounded to maxResults entries and
-// maxIDs total cached node ids.
+// maxIDs total cached node ids; a memoised rendering counts as one id
+// per 8 bytes.
 func NewCacheBounds(maxResults, maxIDs int) *Cache {
 	return &Cache{
 		maxResults: maxResults,
@@ -85,72 +97,83 @@ func (c *Cache) planFor(e *xpath.Engine, q *xpath.Query, text string) *Plan {
 	return p
 }
 
-// lookupResult returns the cached ids for (text, gen), or nil.
-func (c *Cache) lookupResult(text string, gen uint64) ([]int, bool) {
+// lookupResult returns the cached entry for (text, gen), or nil.
+func (c *Cache) lookupResult(text string, gen uint64) *resultEntry {
 	c.mu.RLock()
 	ent := c.results[text]
 	c.mu.RUnlock()
 	if ent == nil || ent.gen != gen {
-		return nil, false
+		return nil
 	}
-	return ent.ids, true
+	return ent
 }
 
-// storeResult caches ids for (text, gen) and evicts — stale
-// generations first, then arbitrary entries — until the bounds hold.
-// A result the bounds could never admit (more ids than maxIDs, or a
-// zero-entry cache) is refused outright: storing it would pin the
-// cache over its memory bound forever, since eviction never removes
-// the entry just stored, and evicting every other entry first would
-// empty the cache for a result it still cannot keep. The stale entry
-// the oversize result replaces is still dropped — it is wrong at this
-// generation either way.
-func (c *Cache) storeResult(text string, gen uint64, ids []int) {
+// storeResult caches ent under text, evicts until the bounds hold and
+// returns ent, kept or not. A result the bounds could never admit
+// (costlier than maxIDs, or a zero-entry cache) is refused outright:
+// eviction never removes the entry just stored, so it would pin the
+// cache over its bound forever after emptying it in vain. The entry it
+// replaces is dropped either way — at another generation it is wrong.
+func (c *Cache) storeResult(text string, ent *resultEntry) *resultEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old := c.results[text]; old != nil {
-		c.nIDs -= len(old.ids)
+		c.nIDs -= old.cost()
 		delete(c.results, text)
 	}
-	if len(ids) > c.maxIDs || c.maxResults < 1 {
+	if ent.cost() > c.maxIDs || c.maxResults < 1 {
 		mResultRefuse.Inc()
-		return
+		return ent
 	}
-	c.results[text] = &resultEntry{gen: gen, ids: ids}
-	c.nIDs += len(ids)
-	if len(c.results) <= c.maxResults && c.nIDs <= c.maxIDs {
-		return
-	}
-	for key, ent := range c.results {
-		if key == text || ent.gen == gen {
-			continue
-		}
-		c.evictLocked(key, ent)
-		if len(c.results) <= c.maxResults && c.nIDs <= c.maxIDs {
-			return
-		}
-	}
-	for key, ent := range c.results {
-		if key == text {
-			continue
-		}
-		c.evictLocked(key, ent)
-		if len(c.results) <= c.maxResults && c.nIDs <= c.maxIDs {
-			return
-		}
-	}
-	// Unreachable: once every other entry is evicted, the fresh entry
-	// stands alone and the up-front admission check guaranteed a lone
-	// entry fits both bounds.
+	c.results[text] = ent
+	c.nIDs += ent.cost()
+	c.trimLocked(text, ent.gen)
+	return ent
 }
 
-// evictLocked removes one result entry.
+// trimLocked evicts entries other than keep's, those of another
+// generation than gen first, until both bounds hold; the caller has
+// checked that the kept entry alone fits them.
 //
 // vet:holds c.mu
-func (c *Cache) evictLocked(key string, ent *resultEntry) {
-	delete(c.results, key)
-	c.nIDs -= len(ent.ids)
-	mResultEvict.Inc()
+func (c *Cache) trimLocked(keep string, gen uint64) {
+	for _, staleOnly := range []bool{true, false} {
+		for key, ent := range c.results {
+			if len(c.results) <= c.maxResults && c.nIDs <= c.maxIDs {
+				return
+			}
+			if key == keep || staleOnly && ent.gen == gen {
+				continue
+			}
+			delete(c.results, key)
+			c.nIDs -= ent.cost()
+			mResultEvict.Inc()
+		}
+	}
+}
+
+// result returns the entry for (text, gen), evaluating against e on a
+// miss. q is text parsed, or nil to have a miss parse it. Every call
+// that gets past parsing counts one hit or one miss.
+func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query) (*resultEntry, error) {
+	if ent := c.lookupResult(text, gen); ent != nil {
+		mResultHits.Inc()
+		return ent, nil
+	}
+	planText := text
+	if q == nil {
+		var err error
+		if q, err = xpath.Parse(text); err != nil {
+			return nil, err
+		}
+		planText = q.String()
+	}
+	mResultMisses.Inc()
+	ids, err := c.planFor(e, q, planText).Eval(e)
+	if err != nil {
+		return nil, err
+	}
+	return c.storeResult(text, &resultEntry{gen: gen, ids: ids}), nil
 }
 
 // Eval evaluates q against e, serving from the result cache when an
@@ -160,18 +183,53 @@ func (c *Cache) evictLocked(key string, ent *resultEntry) {
 // yields stale reads, which is why dyndoc reads both from one atomic
 // snapshot load.
 func (c *Cache) Eval(e *xpath.Engine, gen uint64, q *xpath.Query) ([]int, error) {
-	text := q.String()
-	if ids, ok := c.lookupResult(text, gen); ok {
-		mResultHits.Inc()
-		return cloneIDs(ids), nil
-	}
-	mResultMisses.Inc()
-	ids, err := c.planFor(e, q, text).Eval(e)
+	ent, err := c.result(e, gen, q.String(), q)
 	if err != nil {
 		return nil, err
 	}
-	c.storeResult(text, gen, ids)
-	return cloneIDs(ids), nil
+	return slices.Clone(ent.ids), nil // nil stays nil: an empty result keeps the engine's convention
+}
+
+// Count is len of what Eval returns for the query text; a hit parses
+// and allocates nothing.
+func (c *Cache) Count(e *xpath.Engine, gen uint64, text string) (int, error) {
+	ent, err := c.result(e, gen, text, nil)
+	if err != nil {
+		return 0, err
+	}
+	return len(ent.ids), nil
+}
+
+// Rendered returns render(ids) for the ids Eval returns for the query
+// text, memoised with the result: render runs once per (text,
+// generation) the cache keeps and every later hit returns the same
+// bytes, which are shared — callers must not write to them — and go
+// with the entry, so they are never served at another generation.
+// render must not keep or modify ids, and every caller of one Cache
+// must pass the same rendering.
+func (c *Cache) Rendered(e *xpath.Engine, gen uint64, text string, render func(ids []int) []byte) ([]byte, error) {
+	ent, err := c.result(e, gen, text, nil)
+	if err != nil {
+		return nil, err
+	}
+	if ent.rendered != nil {
+		return ent.rendered, nil
+	}
+	ent = &resultEntry{gen: gen, ids: ent.ids, rendered: render(ent.ids)}
+	// A rendering that puts its result over the bound is not kept: the
+	// store would refuse it and drop the result with it.
+	if ent.cost() <= c.maxIDs {
+		c.storeResult(text, ent)
+	}
+	return ent.rendered, nil
+}
+
+// MemoryFootprint estimates the bytes the cached results hold: 8 per
+// id plus the renderings.
+func (c *Cache) MemoryFootprint() int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return int64(c.nIDs) * 8
 }
 
 // Explain evaluates q with instrumentation and returns the EXPLAIN
@@ -182,7 +240,7 @@ func (c *Cache) Eval(e *xpath.Engine, gen uint64, q *xpath.Query) ([]int, error)
 // diagnostics should not skew the production cache metrics.
 func (c *Cache) Explain(e *xpath.Engine, gen uint64, q *xpath.Query) (*Report, error) {
 	text := q.String()
-	_, hit := c.lookupResult(text, gen)
+	hit := c.lookupResult(text, gen) != nil
 	p := c.planFor(e, q, text)
 	rec := newReport(p, e)
 	rec.Generation = gen
@@ -195,17 +253,8 @@ func (c *Cache) Explain(e *xpath.Engine, gen uint64, q *xpath.Query) (*Report, e
 	if err != nil {
 		return nil, err
 	}
-	c.storeResult(text, gen, ids)
+	c.storeResult(text, &resultEntry{gen: gen, ids: ids})
 	return rec, nil
-}
-
-// cloneIDs defensively copies a cached result (nil stays nil, so an
-// empty result keeps the engine's nil convention).
-func cloneIDs(ids []int) []int {
-	if ids == nil {
-		return nil
-	}
-	return append([]int(nil), ids...)
 }
 
 // Explain compiles a throwaway plan for q against e and executes it

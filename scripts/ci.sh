@@ -23,7 +23,11 @@
 #                      mutation vs clone readers, concurrent cold clone
 #                      reads and two-clones-both-compact tests by name,
 #                      then the page-frame allocation pins (a warm edit
-#                      allocates nothing, a fault one frame)
+#                      allocates nothing, a fault one frame) and the
+#                      read-path allocation pins (a result-hit reply
+#                      allocates nothing per id, the client decodes it
+#                      into its body and one exact []int, Count on a
+#                      hit allocates nothing)
 #   6. crash safety  — the segment recovery/fault-injection suite by name
 #                      (internal/journal, internal/faultfs), the
 #                      journal kill matrix, the paged-label damage
@@ -33,8 +37,9 @@
 #                      open included), then the FuzzReadAll,
 #                      FuzzPageRoundTrip, FuzzMetaDecode,
 #                      FuzzPageValidate, FuzzEncodeBetween,
-#                      FuzzEditCodec and FuzzStreamDecode seed corpora
-#                      as short fuzz runs
+#                      FuzzEditCodec, FuzzStreamDecode and
+#                      FuzzQueryReplyDecode seed corpora as short fuzz
+#                      runs
 #   7. labelvet      — the repo's own static-analysis suite (label invariants,
 #                      lock hygiene, dropped errors, panic allowlist), then
 #                      the concurrency/durability tier (guardedby, atomicmix,
@@ -101,7 +106,7 @@ go test -race -count=1 -run 'TestPagedOverlongLabel' ./internal/store
 
 echo "==> snapshot + planned-query storms under the race detector"
 go test -race -count=1 -run 'TestSnapshotStorm|TestQueryDoesNotBlockOnWriter|TestPlannedQueryStorm|TestSetCommitHookInstallRace|TestSnapshotIsolation|TestXMLMatchesEditedTree|TestDocumentClone' ./internal/dyndoc
-go test -race -count=1 -run 'TestParallelPartitionedJoins|TestCacheGenerations' ./internal/xpath/plan
+go test -race -count=1 -run 'TestParallelPartitionedJoins|TestCacheGenerations|TestCacheRendered' ./internal/xpath/plan
 
 echo "==> in-place page mutation vs clone readers under the race detector"
 go test -race -count=1 -run 'TestInPlaceVsCloneRace|TestCloneConcurrentColdReads' ./internal/pagestore
@@ -111,6 +116,11 @@ echo "==> page-frame allocation pins (a warm edit allocates nothing, a fault one
 go test -count=1 -run 'TestWarmLeafEditAllocs|TestFaultAllocatesOneFrame|TestPageReclaimsDeadSpace' ./internal/pagestore
 go test -count=1 -run 'TestPagedAddAllocs' ./internal/store
 go test -count=1 -run 'TestPagedInsertAllocs' .
+
+echo "==> read-path allocation pins (a result-hit reply allocates nothing per id, the client one body and one []int, Count nothing)"
+go test -count=1 -run 'TestQueryHitAllocBytes' ./internal/web
+go test -count=1 -run 'TestQueryDecodeAllocs' ./client
+go test -count=1 -run 'TestCountHitAllocs' .
 
 echo "==> close-drain and eviction races under the race detector"
 go test -race -count=1 -run 'TestCloseUnderLoad' .
@@ -152,6 +162,9 @@ go test -run '^$' -fuzz 'FuzzEditCodec' -fuzztime 5s ./internal/journal
 
 echo "==> FuzzStreamDecode seed corpus (5s, hostile-leader ship frames)"
 go test -run '^$' -fuzz 'FuzzStreamDecode' -fuzztime 5s ./internal/journal
+
+echo "==> FuzzQueryReplyDecode seed corpus (5s, the client's fast reply decoder against encoding/json)"
+go test -run '^$' -fuzz 'FuzzQueryReplyDecode' -fuzztime 5s ./client
 
 echo "==> FuzzEncodeBetween seed corpus (5s each, cdbs + qed)"
 go test -run '^$' -fuzz 'FuzzEncodeBetween' -fuzztime 5s ./internal/cdbs
