@@ -630,13 +630,14 @@ func (h *Handle) Len() int { return h.doc.Len() }
 // bytesPerID is the heap estimate per node id ever allocated that
 // MemoryFootprint charges for the fixed-width columns outside the
 // labels and the index backend: the id's slots in the name, leaf,
-// parent, depth, child-list and dead columns and its entry in its
-// parent's child list. Every one of those is sized by ids allocated,
+// parent, depth and child-list columns, its dead bit and its entry in
+// its parent's child list. Every one of those is sized by ids allocated,
 // not by live nodes — a deleted node keeps its slots — so an edit-aged
-// document costs what its id count says. Measured on Hamlet: 107 bytes
+// document costs what its id count says. Measured on Hamlet: 100 bytes
 // of heap per id fresh and after 5 000 edits, of which the labels are
 // 14 (their arena and Refs, charged at their real size) and the slice
-// index about 20 (charged by the backend).
+// index about 10, 8 more while it holds the list of all elements
+// (charged by the backend).
 const bytesPerID = 80
 
 // boxedLabelBytes is what MemoryFootprint charges per id for the

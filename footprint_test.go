@@ -27,7 +27,8 @@ func heapDelta(t *testing.T, build func() *Handle) (*Handle, int64) {
 // by to what the heap says, within a factor of 1.5 either way — for a
 // fresh document, for one aged by 5 000 edits, whose per-id arrays and
 // label arena have grown with every id ever allocated while its live
-// node count stood still, for one whose index is paged, and for one
+// node count stood still, for an unshared one whose slice index holds
+// its all-elements memo, for one whose index is paged, and for one
 // whose result cache holds more bytes — a dozen large results and their
 // renderings — than the document itself.
 func TestMemoryFootprintTracksHeap(t *testing.T) {
@@ -57,6 +58,14 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		}
 		return h
 	}
+	listed := func() *Handle {
+		h := open()
+		before := h.MemoryFootprint()
+		if n, err := h.Count("//*"); err != nil || n == 0 || h.MemoryFootprint() < before+8*int64(n) {
+			t.Fatalf("//*: %d, %v; the estimate went from %d to %d B", n, err, before, h.MemoryFootprint())
+		}
+		return h
+	}
 	paged := func() *Handle {
 		h := open(WithPagedLabels(t.TempDir()), WithPageCache(64))
 		if _, err := h.QueryString("//speech"); err != nil {
@@ -80,7 +89,7 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		}
 		return h
 	}
-	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "paged": paged, "large cached results": cached} {
+	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "all elements listed": listed, "paged": paged, "large cached results": cached} {
 		h, heap := heapDelta(t, build)
 		est := h.MemoryFootprint()
 		t.Logf("%s: %d live nodes, estimate %d B, heap %d B (%.2fx)", name, h.Len(), est, heap, float64(est)/float64(heap))

@@ -23,9 +23,9 @@ func (d *Document) Clone() (*Document, error) {
 	out.lab = cl.CloneLabeling()
 	// The index backend clones through its own interface (slice shares
 	// its per-name lists; paged shares pages copy-on-write) and rebinds
-	// its label callbacks to the cloned labeling.
+	// its callbacks to the clone.
 	var err error
-	if out.idx, err = d.idx.Clone(bindingFor(out.lab)); err != nil {
+	if out.idx, err = d.idx.Clone(out.binding()); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -82,12 +82,13 @@ type StoreFactory func(store.Binding) (store.Backend, error)
 // ErrBadNode reports an id that is out of range or deleted.
 var ErrBadNode = errors.New("dyndoc: bad node id")
 
-// bindingFor derives the store binding from a labeling: the document
-// order predicate always, and the order-preserving label bytes when
-// the scheme can produce them (scheme.OrderedLabeler).
-func bindingFor(lab scheme.Labeling) store.Binding {
-	b := store.Binding{Before: lab.Before}
-	if ol, ok := lab.(scheme.OrderedLabeler); ok {
+// binding is what d's index backend needs from d: the labeling's
+// document order predicate and d's document-order walk always, and the
+// order-preserving label bytes when the scheme can produce them
+// (scheme.OrderedLabeler).
+func (d *Document) binding() store.Binding {
+	b := store.Binding{Before: d.lab.Before, Elems: d.liveElems}
+	if ol, ok := d.lab.(scheme.OrderedLabeler); ok {
 		b.Key = ol.AppendOrderedLabel
 	}
 	return b
@@ -127,7 +128,7 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		d.names[i] = n.Name
 		elems = append(elems, i)
 	}
-	if d.idx, err = factory(bindingFor(lab)); err != nil {
+	if d.idx, err = factory(d.binding()); err != nil {
 		return nil, err
 	}
 	if err := d.idx.Build(elems, d.nameOf); err != nil {
@@ -174,11 +175,11 @@ func (d *Document) ConvertStore(factory StoreFactory) error {
 	if factory == nil {
 		factory = func(b store.Binding) (store.Backend, error) { return store.NewSlice(b), nil }
 	}
-	idx, err := factory(bindingFor(d.lab))
+	idx, err := factory(d.binding())
 	if err != nil {
 		return err
 	}
-	if err := idx.Build(d.liveElems(), d.nameOf); err != nil {
+	if err := idx.Build(d.liveElems(nil), d.nameOf); err != nil {
 		_ = idx.Close()
 		return err
 	}
@@ -188,25 +189,32 @@ func (d *Document) ConvertStore(factory StoreFactory) error {
 	return old.Close()
 }
 
-// liveElems returns the live element ids in current document order,
-// derived from the labeling's structural mirror (not from the index —
-// this is what rebuilds the index).
-func (d *Document) liveElems() []int {
-	order := d.lab.Tree().PreOrder()
-	elems := make([]int, 0, len(order))
-	for _, id := range order {
-		if d.nameOf(id) != "" {
-			elems = append(elems, id)
+// liveElems appends the live element ids in current document order to
+// dst, from a walk of the labeling's structural mirror (not from the
+// index — this is what rebuilds the index, and what the slice backend
+// answers a * name test from).
+func (d *Document) liveElems(dst []int) []int {
+	kids := d.lab.Tree().Children
+	var walk func(v int)
+	walk = func(v int) {
+		if d.names[v] != "" {
+			dst = append(dst, v)
+		}
+		for _, c := range kids[v] {
+			walk(c)
 		}
 	}
-	return elems
+	if len(d.names) > 0 {
+		walk(0) // the root: see XML
+	}
+	return dst
 }
 
 // rebuildIndex reconstructs the index from the labeling, used after
 // re-labeling (stored label keys went stale) or after an index write
 // error left it incomplete.
 func (d *Document) rebuildIndex() error {
-	return d.idx.Build(d.liveElems(), d.nameOf)
+	return d.idx.Build(d.liveElems(nil), d.nameOf)
 }
 
 // addToIndex registers one new element, falling back to a full rebuild

@@ -57,9 +57,9 @@ func BenchmarkEditVsSize(b *testing.B) {
 }
 
 // TestEditBytesBounded pins what a snapshot edit may allocate: the
-// flat per-id copies (child-list headers 24 B, dead flag 1 B, element
-// list 8 B) and the lists the edit touches — not a copy of the
-// document, which was about 250 B per id.
+// flat per-id copies (child-list headers 24 B, dead bit 1/8 B) and the
+// lists the edit touches — not a copy of the document, which was about
+// 250 B per id, and not a list of its elements, which was 8 more.
 func TestEditBytesBounded(t *testing.T) {
 	const edits = 64
 	for _, elems := range editSizes {
@@ -76,10 +76,10 @@ func TestEditBytesBounded(t *testing.T) {
 		var ids int
 		_ = c.Snapshot(func(d *Document) error { ids = d.Labeling().Tree().Cap(); return nil })
 		perEdit := (after.TotalAlloc - before.TotalAlloc) / edits
-		bound := uint64(48*ids + 8<<10)
+		bound := uint64(26*ids + 8<<10)
 		t.Logf("%d elements: %d B per edit (%.1f B per id), bound %d", elems, perEdit, float64(perEdit)/float64(ids), bound)
 		if perEdit > bound {
-			t.Errorf("%d elements: %d B allocated per Concurrent.InsertElement, want at most 48 B x %d ids + 8 KB = %d",
+			t.Errorf("%d elements: %d B allocated per Concurrent.InsertElement, want at most 26 B x %d ids + 8 KB = %d",
 				elems, perEdit, ids, bound)
 		}
 	}

@@ -238,3 +238,122 @@ func TestPlannedQueryStormRendered(t *testing.T) {
 		t.Errorf("only %d replies were served: the readers did not run beside the editors", served.Load())
 	}
 }
+
+// TestStarQueryStorm is the storm for the slice index's all-elements
+// memo, which nothing maintains: the first * name test on a snapshot
+// fills it from a walk of that snapshot, readers of one snapshot may
+// fill it at the same time, and the edit that follows a clone forgets
+// it on the clone alone. Editors publish snapshots; each evaluates both
+// queries with the naive engine before publishing — on a clone of its
+// private clone, so that what it publishes still has the memo to fill —
+// and files the answers under the generation about to be published.
+// Readers ask through the planner and its cache, or evaluate on
+// whatever snapshot they load; what they get must be the oracle's
+// answer at a generation between two Generation reads.
+func TestStarQueryStorm(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	c, err := ParseConcurrent(seedDoc, containment.Build(keys.VCDBS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const editors, readers, editsEach = 3, 6, 60
+	queries := []string{"//*", "/library/*"}
+	type at struct {
+		gen   uint64
+		query string
+	}
+	var oracle sync.Map // at -> fmt.Sprint of the naive engine's ids
+	file := func(d *Document, gen uint64) error {
+		probe, err := d.Clone()
+		if err != nil {
+			return err
+		}
+		for _, q := range queries {
+			ids, err := probe.QueryString(q)
+			if err != nil {
+				return err
+			}
+			oracle.Store(at{gen, q}, fmt.Sprint(ids))
+		}
+		return nil
+	}
+	if err := c.Snapshot(func(d *Document) error { return file(d, 0) }); err != nil {
+		t.Fatal(err)
+	}
+	var editing, reading sync.WaitGroup
+	errCh := make(chan error, editors+readers)
+	var stop atomic.Bool
+	var served atomic.Int64
+	for e := 0; e < editors; e++ {
+		editing.Add(1)
+		go func() {
+			defer editing.Done()
+			var mine []int
+			for i := 0; i < editsEach; i++ {
+				err := c.Update(func(d *Document) error {
+					if len(mine) > 4 { // keep the document small: retire the oldest
+						if _, err := d.DeleteSubtree(mine[0]); err != nil {
+							return err
+						}
+						mine = mine[1:]
+					}
+					ids, _, err := d.InsertTree(0, i%2, speechFragment(i))
+					if err != nil {
+						return err
+					}
+					mine = append(mine, ids[0])
+					return file(d, c.Generation()+1)
+				})
+				if err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for i := r; !stop.Load(); i++ {
+				q := queries[i%len(queries)]
+				var ids []int
+				var err error
+				g0 := c.Generation()
+				if r%2 == 0 {
+					ids, err = c.QueryString(q)
+				} else {
+					err = c.Snapshot(func(d *Document) error { ids, err = d.QueryString(q); return err })
+				}
+				g1 := c.Generation()
+				if err != nil {
+					errCh <- err
+					return
+				}
+				got, ok := fmt.Sprint(ids), false
+				for g := g0; g <= g1 && !ok; g++ {
+					want, _ := oracle.Load(at{g, q})
+					ok = want == got
+				}
+				served.Add(1)
+				if !ok {
+					errCh <- fmt.Errorf("%s = %s between generations %d and %d; the naive engine has it at neither", q, got, g0, g1)
+					return
+				}
+			}
+		}()
+	}
+	editing.Wait()
+	stop.Store(true)
+	reading.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	t.Logf("%d answers served across %d generations", served.Load(), editors*editsEach)
+	if served.Load() < readers {
+		t.Errorf("only %d answers were served: the readers did not run beside the editors", served.Load())
+	}
+}

@@ -167,10 +167,10 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // shared until the first edit under that parent after a clone, which
 // replaces it with a private copy.
 type Tree struct {
-	Parents  []int   // parent id; -1 for the root
-	Children [][]int // ordered child ids
-	Depths   []int   // depth; root = 1
-	Dead     []bool  // ids removed by deletion
+	Parents  []int    // parent id; -1 for the root
+	Children [][]int  // ordered child ids
+	Depths   []int    // depth; root = 1
+	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
 
 	parentsMark, depthsMark *cow.Mark
@@ -191,7 +191,7 @@ func NewTree(doc *xmltree.Document) *Tree {
 		Parents:  make([]int, len(nodes)),
 		Children: make([][]int, len(nodes)),
 		Depths:   make([]int, len(nodes)),
-		Dead:     make([]bool, len(nodes)),
+		dead:     make([]uint64, len(nodes)/64+1),
 		live:     len(nodes),
 
 		parentsMark: cow.NewMark(len(nodes)),
@@ -214,14 +214,14 @@ func NewTree(doc *xmltree.Document) *Tree {
 
 // Clone returns a tree that answers as t does now and can be edited
 // independently of it, for labelings that implement Cloner. It copies
-// the child-list headers and the dead flags flat and shares the rest;
-// it does not write to t.
+// the child-list headers (24 B per id) and the dead bits flat and
+// shares the rest; it does not write to t.
 func (t *Tree) Clone() *Tree {
 	return &Tree{
 		Parents:  t.Parents,
 		Children: cow.Copy(t.Children),
 		Depths:   t.Depths,
-		Dead:     cow.Copy(t.Dead),
+		dead:     cow.Copy(t.dead),
 		live:     t.live,
 
 		parentsMark: t.parentsMark,
@@ -247,7 +247,7 @@ func (t *Tree) Len() int { return t.live }
 func (t *Tree) Cap() int { return len(t.Parents) }
 
 // Alive reports whether id v names a live node.
-func (t *Tree) Alive(v int) bool { return v >= 0 && v < len(t.Parents) && !t.Dead[v] }
+func (t *Tree) Alive(v int) bool { return v >= 0 && v < len(t.Parents) && t.dead[v>>6]>>(v&63)&1 == 0 }
 
 // ValidateInsert checks that parent is a live id and pos a valid
 // child position.
@@ -274,7 +274,9 @@ func (t *Tree) AddChild(parent, pos int) int {
 	t.Parents = cow.Append(&t.parentsMark, t.Parents, parent)
 	t.Depths = cow.Append(&t.depthsMark, t.Depths, t.Depths[parent]+1)
 	t.Children = append(t.Children, nil)
-	t.Dead = append(t.Dead, false)
+	if id>>6 == len(t.dead) {
+		t.dead = append(t.dead, 0)
+	}
 	t.live++
 	t.Children[parent] = slices.Insert(kids, pos, id)
 	return id
@@ -299,7 +301,7 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	removed := 0
 	var kill func(int)
 	kill = func(u int) {
-		t.Dead[u] = true
+		t.dead[u>>6] |= 1 << (u & 63)
 		t.live--
 		removed++
 		for _, c := range t.Children[u] {
@@ -358,16 +360,10 @@ func (t *Tree) IsAncestorStructural(u, v int) bool {
 	return false
 }
 
-// PreOrder returns node ids in current document order.
+// PreOrder returns node ids in current document order. The root, first
+// in document order at build time, is id 0.
 func (t *Tree) PreOrder() []int {
-	root := -1
-	for i, p := range t.Parents {
-		if p == -1 && !t.Dead[i] {
-			root = i
-			break
-		}
-	}
-	if root == -1 {
+	if !t.Alive(0) {
 		return nil
 	}
 	out := make([]int, 0, len(t.Parents))
@@ -378,6 +374,6 @@ func (t *Tree) PreOrder() []int {
 			walk(c)
 		}
 	}
-	walk(root)
+	walk(0)
 	return out
 }

@@ -55,10 +55,8 @@ type paged struct {
 	// queries don't re-walk the trees; an edit drops memoElems and the
 	// lists of the names it touched, nothing else. They are mutated
 	// only under mu, but a materialized slice itself is never written
-	// again — invalidation forgets it — so handing one out as a
-	// borrowed read-only view (the same contract the slice backend and
-	// the query engine use) is safe and they are deliberately left
-	// un-annotated.
+	// again — invalidation forgets it — so handing one out as a borrowed
+	// read-only view is safe and they are deliberately left un-annotated.
 	memoElems []int
 	memoIDs   map[string][]int
 
@@ -223,8 +221,8 @@ func (p *paged) Build(elems []int, nameOf func(int) string) error {
 	// Rebuild into a fresh generation rather than deleting entry by
 	// entry. The old trees stay until the new ones are complete, so a
 	// failed rebuild leaves the index as it was.
-	old, err := p.beginGenLocked()
-	if err != nil {
+	old := generation{p.cur, p.labels, p.names}
+	if err := p.openGen(); err != nil {
 		return err
 	}
 	if err := p.endGenLocked(old, p.addAllLocked(elems, nameOf)); err != nil {
@@ -433,20 +431,10 @@ type generation struct {
 	labels, names *pagestore.Tree
 }
 
-// beginGenLocked makes a fresh, empty generation current and returns
-// the one it displaces, which endGenLocked must be handed once the new
-// trees are filled.
-//
-// vet:holds p.mu
-func (p *paged) beginGenLocked() (generation, error) {
-	old := generation{p.cur, p.labels, p.names}
-	return old, p.openGen()
-}
-
-// endGenLocked finishes the swap beginGenLocked started. If filling
-// the new trees failed it discards them and puts old back; otherwise it
-// retires old: its file is unlinked now, and it closes once no clone
-// holds it any more (pageGen).
+// endGenLocked finishes the swap that openGen over old started, once
+// the new trees are filled. If filling them failed it discards them and
+// puts old back; otherwise it retires old: its file is unlinked now, and
+// it closes once no clone holds it any more (pageGen).
 //
 // vet:holds p.mu
 func (p *paged) endGenLocked(old generation, fillErr error) error {
@@ -469,11 +457,12 @@ func (p *paged) Compact() error {
 	if p.cur == nil {
 		return errors.New("store: paged backend is closed")
 	}
-	old, err := p.beginGenLocked()
-	if err != nil {
+	old := generation{p.cur, p.labels, p.names}
+	if err := p.openGen(); err != nil {
 		return err
 	}
-	if err = copyTree(old.labels, p.labels); err == nil {
+	err := copyTree(old.labels, p.labels)
+	if err == nil {
 		err = copyTree(old.names, p.names)
 	}
 	if err := p.endGenLocked(old, err); err != nil {

@@ -4,23 +4,28 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cow"
 )
 
-// slice is the in-memory backend: per-name id slices plus the global
-// element list, all kept in document order by ordered insertion. It is
-// the original index layout and doubles as the differential oracle for
-// the paged backend.
+// slice is the in-memory backend: one id slice per element name, kept
+// in document order by ordered insertion, and nothing else per id.
 //
-// A clone copies elems and the byName map but shares the per-name
-// lists; the first Add or Remove that touches a name after a clone
+// elems memoises the all-elements list: the first Elems after an edit
+// fills it, nothing writes to it afterwards, the next edit forgets it.
+// Readers of one published snapshot may fill it at the same time, with
+// the same list, hence the atomic pointer.
+//
+// A clone copies the byName map and the memo pointer and shares every
+// list; the first Add or Remove that touches a name after a clone
 // replaces that name's list with a private one (own).
 type slice struct {
-	bind   Binding
-	byName map[string][]int
-	elems  []int
-	own    cow.Owner[string]
+	bind    Binding
+	byName  map[string][]int
+	entries int
+	elems   atomic.Pointer[[]int]
+	own     cow.Owner[string]
 }
 
 // NewSlice returns the in-memory slice backend. Binding.Before is
@@ -29,104 +34,105 @@ func NewSlice(b Binding) Backend {
 	return &slice{bind: b, byName: map[string][]int{}, own: cow.NewOwner[string]()}
 }
 
-func (s *slice) Name() string { return "slice" }
-
 func (s *slice) Build(elems []int, nameOf func(int) string) error {
-	s.elems = append(s.elems[:0], elems...)
 	s.byName = make(map[string][]int, len(s.byName))
 	s.own = cow.NewOwner[string]()
 	for _, id := range elems {
 		name := nameOf(id)
 		s.byName[name] = append(s.byName[name], id)
 	}
+	s.entries = len(elems)
+	s.elems.Store(nil)
 	return nil
 }
 
-// insertOrdered inserts id into ids keeping document order, using the
-// binding's Before. Appends are O(1) for the common tail case.
-func (s *slice) insertOrdered(ids []int, id int) []int {
-	n := len(ids)
-	if n == 0 || s.bind.Before(ids[n-1], id) {
-		return append(ids, id)
-	}
-	at := sort.Search(n, func(i int) bool { return s.bind.Before(id, ids[i]) })
-	ids = append(ids, 0)
-	copy(ids[at+1:], ids[at:])
-	ids[at] = id
-	return ids
-}
-
 func (s *slice) Add(name string, id int) error {
-	s.elems = s.insertOrdered(s.elems, id)
 	ids := s.byName[name]
 	if s.own.Refresh(); !s.own.Has(name) {
 		// Clipped, the insert cannot fit and moves to a new array.
 		ids = slices.Clip(ids)
 		s.own.Add(name)
 	}
-	s.byName[name] = s.insertOrdered(ids, id)
+	at := len(ids) // the common case, and one Before call
+	if at > 0 && !s.bind.Before(ids[at-1], id) {
+		at = sort.Search(at, func(i int) bool { return s.bind.Before(id, ids[i]) })
+	}
+	s.byName[name] = slices.Insert(ids, at, id)
+	s.entries++
+	s.elems.Store(nil)
 	return nil
 }
 
+// Remove finds each doomed id in its own name's list by its label. The
+// doomed ids of one name next to each other there — all of them, when a
+// subtree is deleted — leave in one move.
 func (s *slice) Remove(doomed map[int]bool, nameOf func(int) string) error {
-	if len(doomed) == 0 {
-		return nil
-	}
-	prune := func(ids []int) []int {
-		kept := ids[:0]
-		for _, id := range ids {
-			if !doomed[id] {
-				kept = append(kept, id)
-			}
-		}
-		return kept
-	}
 	s.own.Refresh()
-	s.elems = prune(s.elems)
-	names := map[string]bool{}
 	for id := range doomed {
-		if name := nameOf(id); name != "" {
-			names[name] = true
-		}
-	}
-	for name := range names {
+		name := nameOf(id)
 		ids := s.byName[name]
-		if !s.own.Has(name) {
-			ids = slices.Clone(ids)
+		lo := sort.Search(len(ids), func(i int) bool { return !s.bind.Before(ids[i], id) })
+		if lo == len(ids) || ids[lo] != id {
+			continue // not indexed, or gone with an earlier run
+		}
+		hi := lo + 1
+		for lo > 0 && doomed[ids[lo-1]] {
+			lo--
+		}
+		for hi < len(ids) && doomed[ids[hi]] {
+			hi++
+		}
+		s.entries -= hi - lo
+		switch {
+		case hi-lo == len(ids):
+			delete(s.byName, name)
+		case s.own.Has(name):
+			s.byName[name] = slices.Delete(ids, lo, hi)
+		default:
+			s.byName[name] = slices.Concat(ids[:lo], ids[hi:])
 			s.own.Add(name)
 		}
-		if pruned := prune(ids); len(pruned) > 0 {
-			s.byName[name] = pruned
-		} else {
-			delete(s.byName, name)
-		}
+		s.elems.Store(nil)
 	}
 	return nil
 }
 
+func (s *slice) Name() string          { return "slice" }
 func (s *slice) IDs(name string) []int { return s.byName[name] }
-func (s *slice) Elems() []int          { return s.elems }
-func (s *slice) Entries() int          { return len(s.elems) }
+func (s *slice) Entries() int          { return s.entries }
+func (s *slice) Stats() Stats          { return Stats{Backend: "slice", Entries: s.entries} }
 
-func (s *slice) MemoryFootprint() int64 {
-	// Each indexed element costs one slot in elems and one in its name
-	// list (8 bytes each), plus append slack and map/header overhead
-	// amortized into a flat per-entry estimate.
-	const bytesPerEntry = 24
-	return int64(len(s.elems)) * bytesPerEntry
+func (s *slice) Elems() []int {
+	if memo := s.elems.Load(); memo != nil {
+		return *memo
+	}
+	all := make([]int, 0, s.entries)
+	if s.bind.Elems != nil {
+		all = s.bind.Elems(all)
+	} else {
+		for _, ids := range s.byName {
+			all = append(all, ids...)
+		}
+		sort.Slice(all, func(i, j int) bool { return s.bind.Before(all[i], all[j]) })
+	}
+	s.elems.Store(&all)
+	return all
 }
 
-func (s *slice) Stats() Stats {
-	return Stats{Backend: "slice", Entries: len(s.elems)}
+func (s *slice) MemoryFootprint() int64 {
+	// One 8-byte slot per entry in its name's list, half as much again
+	// for append slack and the map, and the memo while it is held.
+	fp := int64(s.entries) * 12
+	if memo := s.elems.Load(); memo != nil {
+		fp += int64(cap(*memo)) * 8
+	}
+	return fp
 }
 
 func (s *slice) Clone(b Binding) (Backend, error) {
-	return &slice{
-		bind:   b,
-		byName: maps.Clone(s.byName),
-		elems:  cow.Copy(s.elems),
-		own:    s.own.Fork(),
-	}, nil
+	c := &slice{bind: b, byName: maps.Clone(s.byName), entries: s.entries, own: s.own.Fork()}
+	c.elems.Store(s.elems.Load())
+	return c, nil
 }
 
 func (s *slice) Flush() error   { return nil }

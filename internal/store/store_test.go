@@ -4,9 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -39,14 +43,14 @@ func (w *testWorld) binding() Binding {
 func checkEqual(t *testing.T, w *testWorld, oracle, subject Backend, names []string) {
 	t.Helper()
 	if o, s := oracle.Entries(), subject.Entries(); o != s {
-		t.Fatalf("entries: oracle %d, paged %d", o, s)
+		t.Fatalf("entries: oracle %d, subject %d", o, s)
 	}
 	if o, s := oracle.Elems(), subject.Elems(); !sameIDs(o, s) {
-		t.Fatalf("elems diverge:\noracle %v\npaged  %v", o, s)
+		t.Fatalf("elems diverge:\noracle %v\nsubject %v", o, s)
 	}
 	for _, name := range names {
 		if o, s := oracle.IDs(name), subject.IDs(name); !sameIDs(o, s) {
-			t.Fatalf("ids(%q) diverge:\noracle %v\npaged  %v", name, o, s)
+			t.Fatalf("ids(%q) diverge:\noracle %v\nsubject %v", name, o, s)
 		}
 	}
 }
@@ -63,100 +67,304 @@ func sameIDs(a, b []int) bool {
 	return true
 }
 
-// TestSlicePagedDifferential drives random adds and removes through
-// both backends and requires identical query results throughout: the
-// slice backend is the oracle the paged backend must match.
+// fork returns a copy of w that later changes to w leave alone: the
+// document side of a clone.
+func (w *testWorld) fork() *testWorld {
+	return &testWorld{ord: maps.Clone(w.ord), name: maps.Clone(w.name)}
+}
+
+// walk is the world's own Binding.Elems: the ids it holds, ordered by
+// their keys, computed from neither backend.
+func (w *testWorld) walk(dst []int) []int {
+	at := len(dst)
+	for id := range w.ord {
+		dst = append(dst, id)
+	}
+	sort.Slice(dst[at:], func(i, j int) bool { return w.ord[dst[at+i]] < w.ord[dst[at+j]] })
+	return dst
+}
+
+// family is one document state held three ways: a slice backend whose
+// all-elements memo is filled from the world's walk, one that has no
+// walk and fills it by sorting its name lists, and a paged backend.
+type family struct {
+	w                   *testWorld
+	walked, sorted, pgd Backend
+}
+
+func (f *family) each() []Backend { return []Backend{f.walked, f.sorted, f.pgd} }
+
+// check requires the three backends to agree with each other on every
+// list and with the world's own walk on Elems.
+func (f *family) check(t *testing.T, names []string) {
+	t.Helper()
+	checkEqual(t, f.w, f.sorted, f.walked, names)
+	checkEqual(t, f.w, f.sorted, f.pgd, names)
+	if want, got := f.w.walk(nil), f.walked.Elems(); !sameIDs(want, got) {
+		t.Fatalf("elems diverge from the world:\nworld %v\nslice %v", want, got)
+	}
+}
+
+// clone forks the world and clones every backend onto the fork.
+func (f *family) clone(t *testing.T) *family {
+	t.Helper()
+	c := &family{w: f.w.fork()}
+	walking := c.w.binding()
+	walking.Elems = c.w.walk
+	var err [3]error
+	c.walked, err[0] = f.walked.Clone(walking)
+	c.sorted, err[1] = f.sorted.Clone(c.w.binding())
+	c.pgd, err[2] = f.pgd.Clone(c.w.binding())
+	if e := errors.Join(err[:]...); e != nil {
+		t.Fatal(e)
+	}
+	return c
+}
+
+// TestSlicePagedDifferential drives a random history of adds, removes
+// and clones through a slice backend with a walk, one without, and a
+// paged backend, and requires identical query results after every
+// step, on the clone and on the original alike: the slice backend is
+// the oracle the paged backend must match, and its walk-filled memo
+// must be the list its definition gives.
 func TestSlicePagedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := newWorld()
-	oracle := NewSlice(w.binding())
+	walking := w.binding()
+	walking.Elems = w.walk
 	paged, err := OpenPaged(t.TempDir(), 8, w.binding())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer paged.Close()
+	fams := []*family{{w: w, walked: NewSlice(walking), sorted: NewSlice(w.binding()), pgd: paged}}
 
 	names := []string{"book", "author", "title", "chapter", "section"}
-	nameOf := func(id int) string { return w.name[id] }
-	live := []int{}
 	nextID := 0
 
-	for round := 0; round < 40; round++ {
-		// A burst of inserts at random document positions...
-		for i := 0; i < 50; i++ {
-			id := nextID
-			nextID++
-			w.ord[id] = rng.Uint64()
-			nm := names[rng.Intn(len(names))]
-			w.name[id] = nm
-			live = append(live, id)
-			if err := oracle.Add(nm, id); err != nil {
+	add := func(f *family, nm string) {
+		f.w.ord[nextID], f.w.name[nextID] = rng.Uint64(), nm
+		for _, b := range f.each() {
+			if err := b.Add(nm, nextID); err != nil {
 				t.Fatal(err)
-			}
-			if err := paged.Add(nm, id); err != nil {
-				t.Fatal(err)
-			}
-			// Reads interleaved with the edits keep the paged memos
-			// populated, so an edit must drop the edited name's list
-			// and may keep another's.
-			if i%7 == 0 {
-				for _, name := range []string{nm, names[rng.Intn(len(names))]} {
-					if o, s := oracle.IDs(name), paged.IDs(name); !sameIDs(o, s) {
-						t.Fatalf("round %d insert %d: ids(%q) diverge:\noracle %v\npaged  %v", round, i, name, o, s)
-					}
-				}
 			}
 		}
-		// ...then a random subtree-style removal.
-		if len(live) > 30 && rng.Intn(2) == 0 {
-			doomed := map[int]bool{}
-			k := rng.Intn(20) + 1
-			for i := 0; i < k; i++ {
-				at := rng.Intn(len(live))
-				doomed[live[at]] = true
+		nextID++
+	}
+	// remove drops up to 20 ids, mostly neighbours as a subtree's are,
+	// with every memo filled beforehand so that it has one to forget.
+	remove := func(f *family) {
+		f.check(t, names)
+		live := f.w.walk(nil)
+		doomed := map[int]bool{}
+		at, k := rng.Intn(len(live)), rng.Intn(20)+1
+		for i := 0; i < k; i++ {
+			if rng.Intn(4) == 0 {
+				at = rng.Intn(len(live))
 			}
-			if err := oracle.Remove(doomed, nameOf); err != nil {
-				t.Fatal(err)
-			}
-			if err := paged.Remove(doomed, nameOf); err != nil {
-				t.Fatal(err)
-			}
-			kept := live[:0]
-			for _, id := range live {
-				if !doomed[id] {
-					kept = append(kept, id)
-				} else {
-					delete(w.ord, id)
-					delete(w.name, id)
-				}
-			}
-			live = kept
+			doomed[live[(at+i)%len(live)]] = true
 		}
-		checkEqual(t, w, oracle, paged, names)
-		switch round % 10 {
-		case 3:
-			if err := paged.Flush(); err != nil {
+		nameOf := func(id int) string { return f.w.name[id] }
+		for _, b := range f.each() {
+			if err := b.Remove(doomed, nameOf); err != nil {
 				t.Fatal(err)
 			}
-		case 7:
-			if err := paged.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			checkEqual(t, w, oracle, paged, names)
+		}
+		for id := range doomed {
+			delete(f.w.ord, id)
+			delete(f.w.name, id)
 		}
 	}
 
+	for round := 0; round < 40; round++ {
+		// Every family that exists takes edits: the original and each
+		// clone go their own way from the state they shared.
+		f := fams[rng.Intn(len(fams))]
+		// A burst of inserts at random document positions...
+		for i := 0; i < 50; i++ {
+			nm := names[rng.Intn(len(names))]
+			add(f, nm)
+			// Reads interleaved with the edits keep the memos populated,
+			// so an edit must drop the lists it changed and may keep
+			// another's.
+			switch {
+			case i%7 == 0:
+				for _, name := range []string{nm, names[rng.Intn(len(names))]} {
+					if o, s := f.sorted.IDs(name), f.pgd.IDs(name); !sameIDs(o, s) {
+						t.Fatalf("round %d insert %d: ids(%q) diverge:\noracle %v\npaged  %v", round, i, name, o, s)
+					}
+				}
+			case i%11 == 0:
+				f.check(t, names)
+			}
+		}
+		// ...then a random subtree-style removal.
+		if len(f.w.ord) > 30 && rng.Intn(2) == 0 {
+			remove(f)
+		}
+		for _, f := range fams {
+			f.check(t, names)
+		}
+		switch round % 10 {
+		case 3:
+			if err := f.pgd.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		case 5:
+			if len(fams) < 4 {
+				// Cloned with the memos filled (the check above) one time
+				// and dropped (an edit since) the next.
+				if len(fams)%2 == 0 {
+					add(f, names[0])
+				}
+				c := f.clone(t)
+				fams = append(fams, c)
+				for _, f := range fams {
+					f.check(t, names)
+				}
+				// The first edit after a clone finds every list shared:
+				// on the clone one time, on the original the next.
+				if len(fams)%2 == 0 {
+					remove(c)
+				} else {
+					remove(f)
+				}
+				for _, f := range fams {
+					f.check(t, names)
+				}
+			}
+		case 7:
+			if err := f.pgd.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			f.check(t, names)
+		}
+	}
+	if len(fams) < 3 {
+		t.Fatalf("the history made %d clones, want at least two", len(fams)-1)
+	}
+
 	// Build() must reproduce the same state from a document-order walk.
-	elems := append([]int(nil), oracle.Elems()...)
-	rebuilt, err := OpenPaged(t.TempDir(), 8, w.binding())
+	f := fams[0]
+	rebuilt, err := OpenPaged(t.TempDir(), 8, f.w.binding())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rebuilt.Close()
-	if err := rebuilt.Build(elems, nameOf); err != nil {
+	if err := rebuilt.Build(f.w.walk(nil), func(id int) string { return f.w.name[id] }); err != nil {
 		t.Fatal(err)
 	}
-	checkEqual(t, w, oracle, rebuilt, names)
+	checkEqual(t, f.w, f.sorted, rebuilt, names)
+}
+
+// countedWorld is a world of n elements spread evenly over the given
+// names in key order (id i has key 10*i), whose binding counts the
+// Before calls and, while asked is set, records every id they were
+// asked about.
+type countedWorld struct {
+	*testWorld
+	before int
+	asked  map[int]bool
+}
+
+func newCountedWorld(n int, names []string) (*countedWorld, Backend) {
+	w := &countedWorld{testWorld: newWorld(), asked: map[int]bool{}}
+	elems := make([]int, n)
+	for id := range elems {
+		elems[id] = id
+		w.ord[id], w.name[id] = uint64(10*id), names[id%len(names)]
+	}
+	b := NewSlice(Binding{Before: func(a, b int) bool {
+		w.before++
+		if w.asked != nil {
+			w.asked[a], w.asked[b] = true, true
+		}
+		return w.ord[a] < w.ord[b]
+	}})
+	_ = b.Build(elems, func(id int) string { return w.name[id] })
+	return w, b
+}
+
+// TestSliceAddCost pins what an edit of the slice index may touch: one
+// name's list. On 100 000 elements an Add into a list of k ids asks
+// Before at most ceil(log2 k) + 2 times and, once the list is private,
+// allocates nothing; a Remove of d ids asks nameOf d times and never
+// asks Before about an id of another name.
+func TestSliceAddCost(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	const n = 100_000
+	w, b := newCountedWorld(n, names)
+	next := n
+	add := func(name string, key uint64) {
+		w.ord[next], w.name[next] = key, name
+		if err := b.Add(name, next); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		name := names[rng.Intn(len(names))]
+		k := len(b.IDs(name))
+		w.before = 0
+		add(name, uint64(rng.Intn(10*n))) // anywhere, the far end included
+		if limit := bits.Len(uint(k-1)) + 2; w.before > limit {
+			t.Fatalf("Add into a list of %d ids asked Before %d times, want at most %d", k, w.before, limit)
+		}
+	}
+	if b.Entries() != next || len(b.Elems()) != next {
+		t.Fatalf("entries %d, elems %d, want %d", b.Entries(), len(b.Elems()), next)
+	}
+
+	cl, err := b.Clone(Binding{Before: func(a, b int) bool { return w.ord[a] < w.ord[b] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := next; id < next+600; id++ {
+		w.ord[id], w.name[id] = 0, "" // grow the test's own maps outside the measurement
+	}
+	w.asked = nil
+	add("a", 5) // the first edit of a list after a clone moves it to a private array
+	if allocs := testing.AllocsPerRun(500, func() { add("a", 5) }); allocs > 0 {
+		t.Fatalf("slice.Add into a private list allocates %.0f times, want 0", allocs)
+	}
+	if got := len(cl.IDs("a")); got >= len(b.IDs("a")) {
+		t.Fatalf("the clone's list grew with the original's: %d ids", got)
+	}
+
+	// A subtree's worth of neighbours and a few strays, of three names.
+	doomed := map[int]bool{}
+	for id := 5000; id < 5030; id++ {
+		if id%10 < 3 {
+			doomed[id] = true
+		}
+	}
+	doomed[70_001], doomed[90_002] = true, true
+	w.before, w.asked = 0, map[int]bool{}
+	asked := 0
+	err = b.Remove(doomed, func(id int) string { asked++; return w.name[id] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asked != len(doomed) {
+		t.Fatalf("Remove of %d ids asked nameOf %d times", len(doomed), asked)
+	}
+	for id := range w.asked {
+		if nm := w.name[id]; nm != "a" && nm != "b" && nm != "c" {
+			t.Fatalf("Remove of a, b and c elements asked Before about %d, a %q", id, nm)
+		}
+	}
+	if limit := len(doomed) * (bits.Len(uint(next/len(names))) + 1); w.before > limit {
+		t.Fatalf("Remove of %d ids asked Before %d times, want at most %d", len(doomed), w.before, limit)
+	}
+	if b.Entries() != next-len(doomed) || len(b.Elems()) != next-len(doomed) {
+		t.Fatalf("entries %d, elems %d, want %d", b.Entries(), len(b.Elems()), next-len(doomed))
+	}
+	for id := range doomed {
+		if slices.Contains(b.IDs(w.name[id]), id) {
+			t.Fatalf("doomed id %d is still listed", id)
+		}
+	}
 }
 
 // TestPagedMemoSurvivesUnrelatedEdit: an edit forgets only the

@@ -39,6 +39,8 @@ type Index interface {
 	// Elems returns all element ids in document order, under the same
 	// borrowing rule.
 	Elems() []int
+	// Entries returns len(Elems()) without materializing the list.
+	Entries() int
 }
 
 // sliceIndex is the engine's built-in Index over plain slices.
@@ -49,6 +51,7 @@ type sliceIndex struct {
 
 func (s sliceIndex) IDs(name string) []int { return s.byName[name] }
 func (s sliceIndex) Elems() []int          { return s.elems }
+func (s sliceIndex) Entries() int          { return len(s.elems) }
 
 // NewEngine indexes doc (whose labeling must have been built from the
 // same document, so node ids coincide with document order).
@@ -413,10 +416,16 @@ func (e *Engine) Count(q *Query) (int, error) {
 // but never mutate or append to it in place.
 func (e *Engine) Candidates(name string) []int { return e.candidates(name) }
 
-// CandidateCount returns len(Candidates(name)) without touching the
-// slice — the per-name selectivity statistic the planner orders
-// evaluation around.
-func (e *Engine) CandidateCount(name string) int { return len(e.candidates(name)) }
+// CandidateCount returns len(Candidates(name)) — the per-name
+// selectivity statistic the planner orders evaluation around. For "*"
+// it is the index's entry count, so planning never makes the index
+// materialize its all-elements list.
+func (e *Engine) CandidateCount(name string) int {
+	if name == "*" {
+		return e.idx.Entries()
+	}
+	return len(e.idx.IDs(name))
+}
 
 // Root returns the id of the document element, or -1 on an empty
 // document.
