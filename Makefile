@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race slicepins vet fmt labelvet fuzz bench ci
+.PHONY: all build test race indexpins vet fmt labelvet fuzz bench ci
 
 all: build
 
@@ -18,12 +18,14 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestArenaCloneIsolation' ./internal/containment
 
-# The slice index pins: an edit touches one name's list, concurrent
-# readers fill the all-elements memo, a snapshot edit copies 26 B per id.
-slicepins:
+# The index pins: an edit touches one name's list (slice) or key range
+# (paged, one tree), concurrent readers fill the all-elements memo of
+# either backend, a snapshot edit copies 26 B per id.
+indexpins:
 	$(GO) test -count=1 -run 'TestSliceAddCost' ./internal/store
 	$(GO) test -race -count=3 -run 'TestStarQueryStorm' ./internal/dyndoc
 	$(GO) test -count=1 -run 'TestEditBytesBounded' ./internal/dyndoc
+	$(GO) test -count=1 -run 'TestPagedOneTree' .
 
 # `make vet` is the single local entry point for all static analysis:
 # stock go vet plus the full labelvet suite (including the guardedby/

@@ -287,14 +287,13 @@ func WithDurability(d Durability) Option { return func(c *config) { c.durability
 // acknowledged under Always durability. It requires WithJournal.
 func WithRecover() Option { return func(c *config) { c.recover = true } }
 
-// WithPagedLabels moves the handle's element index — the label table
-// and the per-name id lists every query starts from — out of the Go
-// heap into a checksummed page file under dir, so a document can be
-// queried with only a bounded page cache resident (see WithPageCache).
-// The page file is an index, not a store of record: it is rebuilt from
-// the document on every Open, and with WithJournal the journal alone
-// carries durability (checkpoints stop embedding label records). It
-// requires a scheme whose labels have an order-preserving byte form —
+// WithPagedLabels moves the handle's element index — the per-name id
+// lists every query starts from, keyed by label — out of the Go heap
+// into a checksummed page file under dir, so a document can be queried
+// with only a bounded page cache resident (see WithPageCache). The page
+// file is an index, not a store of record: it is rebuilt from the
+// document on every Open, and with WithJournal the journal alone
+// carries durability. It requires a scheme whose labels have an order-preserving byte form —
 // the CDBS and QED containment schemes qualify (the default
 // V-CDBS-Containment included); schemes without one make Open fail
 // with ErrPagedUnsupported.

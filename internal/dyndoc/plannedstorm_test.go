@@ -11,6 +11,9 @@ import (
 
 	"repro/internal/containment"
 	"repro/internal/keys"
+	"repro/internal/pagestore"
+	"repro/internal/store"
+	"repro/internal/xmltree"
 )
 
 // TestPlannedQueryStorm is the planned-query counterpart of
@@ -239,21 +242,40 @@ func TestPlannedQueryStormRendered(t *testing.T) {
 	}
 }
 
-// TestStarQueryStorm is the storm for the slice index's all-elements
-// memo, which nothing maintains: the first * name test on a snapshot
-// fills it from a walk of that snapshot, readers of one snapshot may
-// fill it at the same time, and the edit that follows a clone forgets
-// it on the clone alone. Editors publish snapshots; each evaluates both
-// queries with the naive engine before publishing — on a clone of its
-// private clone, so that what it publishes still has the memo to fill —
-// and files the answers under the generation about to be published.
+// TestStarQueryStorm is the storm for the index's all-elements memo,
+// which nothing maintains, on both backends: the first * name test on a
+// snapshot fills it from a walk of that snapshot, readers of one
+// snapshot may fill it at the same time — on the paged backend they call
+// back into the document's walk under the backend's mutex — and the edit
+// that follows a clone forgets it on the clone alone. Editors publish
+// snapshots; each evaluates both queries with the naive engine before
+// publishing — on a clone of its private clone, so that what it
+// publishes still has the memo to fill — and files the answers under
+// the generation about to be published.
 // Readers ask through the planner and its cache, or evaluate on
 // whatever snapshot they load; what they get must be the oracle's
 // answer at a generation between two Generation reads.
 func TestStarQueryStorm(t *testing.T) {
+	paged := func(b store.Binding) (store.Backend, error) {
+		return store.OpenPaged(t.TempDir(), pagestore.MinCachePages, b)
+	}
+	for name, factory := range map[string]StoreFactory{"slice": nil, "paged": paged} {
+		t.Run(name, func(t *testing.T) { starQueryStorm(t, factory) })
+	}
+}
+
+func starQueryStorm(t *testing.T, factory StoreFactory) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	c, err := ParseConcurrent(seedDoc, containment.Build(keys.VCDBS()))
+	doc, err := xmltree.ParseString(seedDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewWithStore(doc, containment.Build(keys.VCDBS()), factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewConcurrentFrom(d)
 	if err != nil {
 		t.Fatal(err)
 	}

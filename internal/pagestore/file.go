@@ -24,6 +24,7 @@ type Meta struct {
 	// next allocation is page id Pages.
 	Pages uint32
 	// Roots holds the committed B-tree root page ids (0 = empty tree).
+	// internal/store keeps one tree, in slot 0, and writes slot 1 as 0.
 	Roots [2]uint32
 	// Counts holds the committed entry count per tree.
 	Counts [2]uint64

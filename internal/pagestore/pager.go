@@ -19,7 +19,7 @@ var (
 )
 
 // MinCachePages is the smallest cache a pager will run with: enough to
-// hold a root-to-leaf path of both trees plus the pages one mutation
+// hold a root-to-leaf path of a tree plus the pages one mutation
 // touches, so a pathological budget cannot thrash a single operation
 // against its own evictions.
 const MinCachePages = 8

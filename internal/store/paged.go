@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,16 +19,15 @@ import (
 // order-preserving label bytes; the paged backend requires them.
 var ErrNoOrderedKeys = errors.New("store: labeling scheme does not expose order-preserving label bytes")
 
-// paged keeps the element index in two B-trees over a checksummed page
+// paged keeps the element index in one B-tree over a checksummed page
 // file:
 //
-//	labels tree:  ordered label bytes            -> node id  (document order)
-//	names tree:   nameID(u32 BE) || label bytes  -> node id  (per-name, document order)
+//	names tree:   nameID(u32 BE) || label bytes  -> node id
 //
-// Because the label encoding is order-preserving, an in-order scan of
-// the labels tree yields ids in document order, and a prefix scan of
-// the names tree under one nameID yields that name's ids in document
-// order — no Before callback, no post-sort.
+// Because the label encoding is order-preserving, a prefix scan under
+// one nameID yields that name's ids in document order — no Before
+// callback, no post-sort — and an edit touches that name's key range
+// and no other.
 //
 // The name table (name -> nameID) is in-memory only: the page file is
 // rebuilt from the document on every open (the journal is the
@@ -44,15 +42,14 @@ type paged struct {
 
 	fam *cloneFamily
 
-	cur    *pageGen        // vet:guardedby mu // nil once closed
-	labels *pagestore.Tree // vet:guardedby mu
-	names  *pagestore.Tree // vet:guardedby mu
+	cur   *pageGen        // vet:guardedby mu // nil once closed
+	names *pagestore.Tree // vet:guardedby mu
 
-	nameIDs  map[string]uint32 // vet:guardedby mu
-	nameList []string          // vet:guardedby mu
+	// nameIDs are dense and never freed: the next one is len(nameIDs).
+	nameIDs map[string]uint32 // vet:guardedby mu
 
-	// memoElems and memoIDs materialize scan results so repeated
-	// queries don't re-walk the trees; an edit drops memoElems and the
+	// memoElems and memoIDs materialize Elems and IDs so repeated
+	// queries don't re-scan the tree; an edit drops memoElems and the
 	// lists of the names it touched, nothing else. They are mutated
 	// only under mu, but a materialized slice itself is never written
 	// again — invalidation forgets it — so handing one out as a borrowed
@@ -60,8 +57,8 @@ type paged struct {
 	memoElems []int
 	memoIDs   map[string][]int
 
-	// keyBuf is the scratch both trees' keys are built in (the trees
-	// copy what they keep).
+	// keyBuf is the scratch keys are built in (the tree copies what it
+	// keeps).
 	keyBuf []byte // vet:guardedby mu
 
 	// lastErr records a degraded read (IDs/Elems cannot return an
@@ -133,7 +130,7 @@ func OpenPaged(dir string, cachePages int, b Binding) (Backend, error) {
 }
 
 // openGen makes a fresh generation current: the family's next file
-// name, a pager over it and empty trees. On failure p is unchanged.
+// name, a pager over it and an empty tree. On failure p is unchanged.
 //
 // vet:holds p.mu
 func (p *paged) openGen() error {
@@ -145,7 +142,6 @@ func (p *paged) openGen() error {
 	g.pg = pagestore.NewPager(file, p.cachePages)
 	runtime.SetFinalizer(g, func(g *pageGen) { _ = g.close() })
 	p.cur = g
-	p.labels = pagestore.NewTree(g.pg)
 	p.names = pagestore.NewTree(g.pg)
 	return nil
 }
@@ -157,25 +153,23 @@ func (p *paged) nameIDLocked(name string) uint32 {
 	if id, ok := p.nameIDs[name]; ok {
 		return id
 	}
-	id := uint32(len(p.nameList))
+	id := uint32(len(p.nameIDs))
 	p.nameIDs[name] = id
-	p.nameList = append(p.nameList, name)
 	return id
 }
 
-// keysLocked builds node id's keys in the shared scratch: the
-// names-tree key is nameID (big-endian, so prefix scans isolate one
-// name) followed by the order-preserving label bytes, and the
-// labels-tree key is that same label suffix.
+// keyLocked builds node id's key in the shared scratch: nameID
+// (big-endian, so prefix scans isolate one name) followed by the
+// order-preserving label bytes.
 //
 // vet:holds p.mu
-func (p *paged) keysLocked(nameID uint32, id int) (label, nameKey []byte, err error) {
-	nk := binary.BigEndian.AppendUint32(p.keyBuf[:0], nameID)
-	if nk, err = p.bind.Key(nk, id); err != nil {
-		return nil, nil, err
+func (p *paged) keyLocked(nameID uint32, id int) ([]byte, error) {
+	key, err := p.bind.Key(binary.BigEndian.AppendUint32(p.keyBuf[:0], nameID), id)
+	if err != nil {
+		return nil, err
 	}
-	p.keyBuf = nk
-	return nk[4:], nk, nil
+	p.keyBuf = key
+	return key, nil
 }
 
 // dropMemoLocked forgets the lists an edit to one of name's elements
@@ -187,8 +181,8 @@ func (p *paged) dropMemoLocked(name string) {
 	delete(p.memoIDs, name)
 }
 
-// maxPagedLabel is the longest label both trees can key: the names
-// tree spends four bytes of pagestore.MaxKeySize on the name id.
+// maxPagedLabel is the longest label the tree can key: four bytes of
+// pagestore.MaxKeySize go to the name id.
 const maxPagedLabel = pagestore.MaxKeySize - 4
 
 // vet:holds p.mu
@@ -196,32 +190,27 @@ func (p *paged) addLocked(name string, id int) error {
 	if id < 0 || int64(id) > math.MaxUint32 {
 		return fmt.Errorf("store: node id %d out of paged range", id)
 	}
-	label, nk, err := p.keysLocked(p.nameIDLocked(name), id)
+	key, err := p.keyLocked(p.nameIDLocked(name), id)
 	if err != nil {
 		return err
 	}
-	if len(label) > maxPagedLabel {
-		// Refused before either tree is touched: the labels tree would
-		// take a key the names tree then turns down.
-		return fmt.Errorf("%w: node %d has %d bytes, limit %d", ErrLabelTooLong, id, len(label), maxPagedLabel)
+	if len(key) > pagestore.MaxKeySize {
+		return fmt.Errorf("%w: node %d has %d bytes, limit %d", ErrLabelTooLong, id, len(key)-4, maxPagedLabel)
 	}
 	p.dropMemoLocked(name)
-	if err := p.labels.Insert(label, uint32(id)); err != nil {
-		return err
-	}
-	return p.names.Insert(nk, uint32(id))
+	return p.names.Insert(key, uint32(id))
 }
 
 func (p *paged) Build(elems []int, nameOf func(int) string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.labels.Count() == 0 {
+	if p.names.Count() == 0 {
 		return p.addAllLocked(elems, nameOf)
 	}
 	// Rebuild into a fresh generation rather than deleting entry by
-	// entry. The old trees stay until the new ones are complete, so a
+	// entry. The old tree stays until the new one is complete, so a
 	// failed rebuild leaves the index as it was.
-	old := generation{p.cur, p.labels, p.names}
+	old := generation{p.cur, p.names}
 	if err := p.openGen(); err != nil {
 		return err
 	}
@@ -258,35 +247,30 @@ func (p *paged) Remove(doomed map[int]bool, nameOf func(int) string) error {
 		}
 		nameID, ok := p.nameIDs[name]
 		if !ok {
-			// Every Add inserts into both trees under the element's
-			// name, so a name with no allocated id has no entries in
-			// either tree; allocating one here would permanently grow
-			// the name table (and every future clone's copy) for names
-			// only ever seen in deletes.
+			// Every Add allocates its name's id first, so a name without
+			// one has no entries; allocating one here would permanently
+			// grow the name table (and every future clone's copy) for
+			// names only ever seen in deletes.
 			continue
 		}
-		label, nk, err := p.keysLocked(nameID, id)
+		key, err := p.keyLocked(nameID, id)
 		if err != nil {
 			return err
 		}
 		p.dropMemoLocked(name)
-		if _, err := p.labels.Delete(label); err != nil {
-			return err
-		}
-		if _, err := p.names.Delete(nk); err != nil {
+		if _, err := p.names.Delete(key); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scanIDsLocked collects the ids stored under prefix in key order. A
-// failed page read degrades to nil and is recorded for Flush.
+// scanIDsLocked appends to ids the ids stored under prefix, in key
+// order. A failed page read degrades to nil and is recorded for Flush.
 //
 // vet:holds p.mu
-func (p *paged) scanIDsLocked(t *pagestore.Tree, prefix []byte) []int {
-	ids := []int{}
-	err := t.ScanPrefix(prefix, func(_ []byte, v uint32) bool {
+func (p *paged) scanIDsLocked(ids []int, prefix []byte) []int {
+	err := p.names.ScanPrefix(prefix, func(_ []byte, v uint32) bool {
 		ids = append(ids, int(v))
 		return true
 	})
@@ -296,6 +280,12 @@ func (p *paged) scanIDsLocked(t *pagestore.Tree, prefix []byte) []int {
 	}
 	return ids
 }
+
+// appendAllLocked appends every name's list to dst, one after another:
+// the whole tree in key order.
+//
+// vet:holds p.mu
+func (p *paged) appendAllLocked(dst []int) []int { return p.scanIDsLocked(dst, nil) }
 
 func (p *paged) IDs(name string) []int {
 	p.mu.Lock()
@@ -307,7 +297,7 @@ func (p *paged) IDs(name string) []int {
 	if !ok {
 		return nil
 	}
-	ids := p.scanIDsLocked(p.names, binary.BigEndian.AppendUint32(nil, nameID))
+	ids := p.scanIDsLocked([]int{}, binary.BigEndian.AppendUint32(nil, nameID))
 	if ids != nil {
 		p.memoIDs[name] = ids
 	}
@@ -318,7 +308,7 @@ func (p *paged) Elems() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.memoElems == nil {
-		p.memoElems = p.scanIDsLocked(p.labels, nil)
+		p.memoElems = listElems(p.bind, p.names.Count(), p.appendAllLocked)
 	}
 	return p.memoElems
 }
@@ -326,7 +316,7 @@ func (p *paged) Elems() []int {
 func (p *paged) Entries() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.labels.Count()
+	return p.names.Count()
 }
 
 // pagerStatsLocked is the pager's counters, zero once closed.
@@ -359,7 +349,7 @@ func (p *paged) Stats() Stats {
 	st := p.pagerStatsLocked()
 	return Stats{
 		Backend:        "paged",
-		Entries:        p.labels.Count(),
+		Entries:        p.names.Count(),
 		MaxLabel:       maxPagedLabel,
 		ResidentPages:  st.Resident,
 		AllocatedPages: st.Allocated,
@@ -383,17 +373,16 @@ func (p *paged) Clone(b Binding) (Backend, error) {
 		cachePages: p.cachePages,
 		fam:        p.fam,
 		cur:        p.cur,
-		labels:     p.labels.Clone(),
 		names:      p.names.Clone(),
 		nameIDs:    maps.Clone(p.nameIDs),
-		nameList:   slices.Clone(p.nameList),
 		memoIDs:    map[string][]int{},
 	}, nil
 }
 
-// commitLocked writes every dirty page, commits both tree roots with a
-// dual-fsync barrier and seals both trees, so later edits path-copy
-// rather than change a committed page in place.
+// commitLocked writes every dirty page, commits the tree's root with a
+// dual-fsync barrier (the meta page's second tree slot is written 0, an
+// empty tree) and seals the tree, so later edits path-copy rather than
+// change a committed page in place.
 //
 // vet:holds p.mu
 func (p *paged) commitLocked() error {
@@ -401,13 +390,12 @@ func (p *paged) commitLocked() error {
 		return errors.New("store: paged backend is closed")
 	}
 	err := p.cur.pg.Flush(
-		[2]uint32{p.labels.Root(), p.names.Root()},
-		[2]uint64{uint64(p.labels.Count()), uint64(p.names.Count())},
+		[2]uint32{p.names.Root()},
+		[2]uint64{uint64(p.names.Count())},
 	)
 	if err != nil {
 		return err
 	}
-	p.labels.Sealed()
 	p.names.Sealed()
 	return nil
 }
@@ -425,14 +413,14 @@ func (p *paged) Flush() error {
 	return err
 }
 
-// generation is a page file with the two trees in it.
+// generation is a page file with the tree in it.
 type generation struct {
-	gen           *pageGen
-	labels, names *pagestore.Tree
+	gen   *pageGen
+	names *pagestore.Tree
 }
 
 // endGenLocked finishes the swap that openGen over old started, once
-// the new trees are filled. If filling them failed it discards them and
+// the new tree is filled. If filling it failed it discards it and
 // puts old back; otherwise it retires old: its file is unlinked now, and
 // it closes once no clone holds it any more (pageGen).
 //
@@ -441,14 +429,14 @@ func (p *paged) endGenLocked(old generation, fillErr error) error {
 	if fillErr != nil {
 		_ = p.cur.close()
 		_ = os.Remove(genPath(p.dir, p.cur.num))
-		p.cur, p.labels, p.names = old.gen, old.labels, old.names
+		p.cur, p.names = old.gen, old.names
 		return fmt.Errorf("store: generation swap aborted: %w", fillErr)
 	}
 	_ = os.Remove(genPath(p.dir, old.gen.num))
 	return nil
 }
 
-// Compact rebuilds both trees densely into a new generation file,
+// Compact rebuilds the tree densely into a new generation file,
 // reclaiming pages left sparse by unbalanced deletes. The entries, and
 // so the memoized lists, are unchanged.
 func (p *paged) Compact() error {
@@ -457,15 +445,11 @@ func (p *paged) Compact() error {
 	if p.cur == nil {
 		return errors.New("store: paged backend is closed")
 	}
-	old := generation{p.cur, p.labels, p.names}
+	old := generation{p.cur, p.names}
 	if err := p.openGen(); err != nil {
 		return err
 	}
-	err := copyTree(old.labels, p.labels)
-	if err == nil {
-		err = copyTree(old.names, p.names)
-	}
-	if err := p.endGenLocked(old, err); err != nil {
+	if err := p.endGenLocked(old, copyTree(old.names, p.names)); err != nil {
 		return err
 	}
 	return p.commitLocked()

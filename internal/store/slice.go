@@ -106,15 +106,12 @@ func (s *slice) Elems() []int {
 	if memo := s.elems.Load(); memo != nil {
 		return *memo
 	}
-	all := make([]int, 0, s.entries)
-	if s.bind.Elems != nil {
-		all = s.bind.Elems(all)
-	} else {
+	all := listElems(s.bind, s.entries, func(dst []int) []int {
 		for _, ids := range s.byName {
-			all = append(all, ids...)
+			dst = append(dst, ids...)
 		}
-		sort.Slice(all, func(i, j int) bool { return s.bind.Before(all[i], all[j]) })
-	}
+		return dst
+	})
 	s.elems.Store(&all)
 	return all
 }

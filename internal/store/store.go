@@ -3,15 +3,15 @@
 // name to node ids and from "all elements" to ids, both in document
 // order.
 //
-// Two backends implement it. The slice backend keeps one in-memory
-// ordered id slice per element name and nothing else per id; it is also
-// the differential oracle for the paged backend, which keeps the index
-// in B-trees over fixed-size checksummed pages (internal/pagestore)
-// keyed by raw order-preserving label bytes, so documents whose index
+// Two backends implement it, and both are one ordered id list per
+// element name and nothing else per id. The slice backend keeps the
+// lists as in-memory slices; it is also the differential oracle for the
+// paged backend, which keeps them as the key ranges of one B-tree over
+// fixed-size checksummed pages (internal/pagestore) keyed by name id
+// and raw order-preserving label bytes, so documents whose index
 // exceeds the cache budget spill to disk instead of growing the heap.
 // Neither maintains the list of all elements: the first * name test
-// after an edit fills an immutable memo — from the document's own walk
-// (Binding.Elems) or a scan of the labels tree — and the next edit
+// after an edit fills an immutable memo (listElems) and the next edit
 // forgets it.
 //
 // The backend is an index, not the source of truth: the journal (or
@@ -21,7 +21,10 @@
 // recording the error for Flush) instead of failing queries outright.
 package store
 
-import "errors"
+import (
+	"errors"
+	"sort"
+)
 
 // Binding supplies the label-dependent callbacks a backend needs from
 // the owning document. Backends never reach into the labeling
@@ -38,10 +41,24 @@ type Binding struct {
 	// refuses to open.
 	Key func(dst []byte, id int) ([]byte, error)
 	// Elems appends every live element id to dst in document order, from
-	// a walk of the document itself: what the slice backend fills its
+	// a walk of the document itself: what a backend fills its
 	// all-elements memo from. Optional; without it the memo is the per-name
 	// lists sorted by Before, thirty times slower on 15 000 elements.
 	Elems func(dst []int) []int
+}
+
+// listElems is the all-elements list of a backend bound to b that holds
+// n ids: the document's own walk or, for a binding without one, the
+// definition — every per-name list, which concat appends to its
+// argument, sorted by Before.
+func listElems(b Binding, n int, concat func(dst []int) []int) []int {
+	all := make([]int, 0, n)
+	if b.Elems != nil {
+		return b.Elems(all)
+	}
+	all = concat(all)
+	sort.Slice(all, func(i, j int) bool { return b.Before(all[i], all[j]) })
+	return all
 }
 
 // Stats describes a backend for surfacing through Handle.Stats and

@@ -84,24 +84,28 @@ func (w *testWorld) walk(dst []int) []int {
 	return dst
 }
 
-// family is one document state held three ways: a slice backend whose
+// family is one document state held four ways: a slice backend whose
 // all-elements memo is filled from the world's walk, one that has no
-// walk and fills it by sorting its name lists, and a paged backend.
+// walk and fills it by sorting its name lists, and a paged backend of
+// each kind.
 type family struct {
-	w                   *testWorld
-	walked, sorted, pgd Backend
+	w                           *testWorld
+	walked, sorted, pgd, pgdWlk Backend
 }
 
-func (f *family) each() []Backend { return []Backend{f.walked, f.sorted, f.pgd} }
+func (f *family) each() []Backend { return []Backend{f.walked, f.sorted, f.pgd, f.pgdWlk} }
 
-// check requires the three backends to agree with each other on every
+// check requires the four backends to agree with each other on every
 // list and with the world's own walk on Elems.
 func (f *family) check(t *testing.T, names []string) {
 	t.Helper()
-	checkEqual(t, f.w, f.sorted, f.walked, names)
-	checkEqual(t, f.w, f.sorted, f.pgd, names)
-	if want, got := f.w.walk(nil), f.walked.Elems(); !sameIDs(want, got) {
-		t.Fatalf("elems diverge from the world:\nworld %v\nslice %v", want, got)
+	for _, b := range f.each() {
+		checkEqual(t, f.w, f.sorted, b, names)
+	}
+	for _, b := range []Backend{f.walked, f.pgdWlk} {
+		if want, got := f.w.walk(nil), b.Elems(); !sameIDs(want, got) {
+			t.Fatalf("elems diverge from the world:\nworld %v\n%s %v", want, b.Name(), got)
+		}
 	}
 }
 
@@ -111,10 +115,11 @@ func (f *family) clone(t *testing.T) *family {
 	c := &family{w: f.w.fork()}
 	walking := c.w.binding()
 	walking.Elems = c.w.walk
-	var err [3]error
+	var err [4]error
 	c.walked, err[0] = f.walked.Clone(walking)
 	c.sorted, err[1] = f.sorted.Clone(c.w.binding())
 	c.pgd, err[2] = f.pgd.Clone(c.w.binding())
+	c.pgdWlk, err[3] = f.pgdWlk.Clone(walking)
 	if e := errors.Join(err[:]...); e != nil {
 		t.Fatal(e)
 	}
@@ -123,10 +128,10 @@ func (f *family) clone(t *testing.T) *family {
 
 // TestSlicePagedDifferential drives a random history of adds, removes
 // and clones through a slice backend with a walk, one without, and a
-// paged backend, and requires identical query results after every
-// step, on the clone and on the original alike: the slice backend is
-// the oracle the paged backend must match, and its walk-filled memo
-// must be the list its definition gives.
+// paged backend of each kind, and requires identical query results
+// after every step, on the clone and on the original alike: the slice
+// backend is the oracle the paged backend must match, and a walk-filled
+// memo must be the list its definition gives on both.
 func TestSlicePagedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := newWorld()
@@ -137,7 +142,12 @@ func TestSlicePagedDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer paged.Close()
-	fams := []*family{{w: w, walked: NewSlice(walking), sorted: NewSlice(w.binding()), pgd: paged}}
+	pagedWalking, err := OpenPaged(t.TempDir(), 8, walking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pagedWalking.Close()
+	fams := []*family{{w: w, walked: NewSlice(walking), sorted: NewSlice(w.binding()), pgd: paged, pgdWlk: pagedWalking}}
 
 	names := []string{"book", "author", "title", "chapter", "section"}
 	nextID := 0
@@ -207,7 +217,7 @@ func TestSlicePagedDifferential(t *testing.T) {
 		}
 		switch round % 10 {
 		case 3:
-			if err := f.pgd.Flush(); err != nil {
+			if err := errors.Join(f.pgd.Flush(), f.pgdWlk.Flush()); err != nil {
 				t.Fatal(err)
 			}
 		case 5:
@@ -234,7 +244,7 @@ func TestSlicePagedDifferential(t *testing.T) {
 				}
 			}
 		case 7:
-			if err := f.pgd.Compact(); err != nil {
+			if err := errors.Join(f.pgd.Compact(), f.pgdWlk.Compact()); err != nil {
 				t.Fatal(err)
 			}
 			f.check(t, names)
@@ -529,9 +539,8 @@ func TestPagedRemoveUnknownName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.nameIDs) != namesBefore || len(p.nameList) != namesBefore {
-		t.Fatalf("remove of unknown names grew the name table: %d ids, %d listed, want %d",
-			len(p.nameIDs), len(p.nameList), namesBefore)
+	if len(p.nameIDs) != namesBefore {
+		t.Fatalf("remove of unknown names grew the name table: %d ids, want %d", len(p.nameIDs), namesBefore)
 	}
 	if b.Entries() != 10 {
 		t.Fatalf("entries %d, want 10", b.Entries())

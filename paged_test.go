@@ -421,3 +421,40 @@ func TestPagedInsertAllocs(t *testing.T) {
 		t.Errorf("InsertElement on a warm paged document allocates %.1f times, want <= 2", got)
 	}
 }
+
+// TestPagedOneTree pins the paged index at one tree: the 50 001
+// elements of pagedSeed(25000) take at most 340 pages, and an insert
+// touches its own name's key range and nothing else — after a warm-up,
+// 2 000 inserts of one name under parents scattered over the whole
+// document fault no page into a 64-page cache.
+func TestPagedOneTree(t *testing.T) {
+	h, err := Open(pagedSeed(25000), WithPagedLabels(t.TempDir()), WithPageCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if got := h.Stats().Storage.AllocatedPages; got > 340 {
+		t.Errorf("the index of 50 001 elements takes %d pages, want <= 340", got)
+	}
+	items, err := h.QueryString("/lib/item")
+	if err != nil || len(items) != 25000 {
+		t.Fatalf("items: %d, %v", len(items), err)
+	}
+	i := 0
+	insert := func() {
+		if _, _, err := h.InsertElement(items[i*7919%len(items)], 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 500 {
+		insert()
+	}
+	before := h.Stats().Storage.CacheMisses
+	for i < 2500 {
+		insert()
+	}
+	if got := h.Stats().Storage.CacheMisses - before; got != 0 {
+		t.Errorf("2000 scattered inserts of one name faulted %d pages, want 0", got)
+	}
+}

@@ -27,11 +27,13 @@
 #                      read-path allocation pins (a result-hit reply
 #                      allocates nothing per id, the client decodes it
 #                      into its body and one exact []int, Count on a
-#                      hit allocates nothing), then the slice index
-#                      pins (an Add or Remove touches one name's list,
-#                      the all-elements memo is filled by concurrent
-#                      readers under the race detector, a snapshot
-#                      edit allocates 26 B per id)
+#                      hit allocates nothing), then the index pins (a
+#                      slice Add or Remove touches one name's list,
+#                      the all-elements memo of either backend is
+#                      filled by concurrent readers under the race
+#                      detector, a snapshot edit allocates 26 B per
+#                      id, the paged index is one tree and a paged
+#                      insert faults no page of another name)
 #   6. crash safety  — the segment recovery/fault-injection suite by name
 #                      (internal/journal, internal/faultfs), the
 #                      journal kill matrix, the paged-label damage
@@ -126,10 +128,11 @@ go test -count=1 -run 'TestQueryHitAllocBytes' ./internal/web
 go test -count=1 -run 'TestQueryDecodeAllocs' ./client
 go test -count=1 -run 'TestCountHitAllocs' .
 
-echo "==> slice index pins (an edit touches one name's list, the all-elements memo under the race detector, a snapshot edit copies 26 B per id)"
+echo "==> index pins (an edit touches one name's list or key range, the all-elements memo of both backends under the race detector, a snapshot edit copies 26 B per id)"
 go test -count=1 -run 'TestSliceAddCost' ./internal/store
 go test -race -count=3 -run 'TestStarQueryStorm' ./internal/dyndoc
 go test -count=1 -run 'TestEditBytesBounded' ./internal/dyndoc
+go test -count=1 -run 'TestPagedOneTree' .
 
 echo "==> close-drain and eviction races under the race detector"
 go test -race -count=1 -run 'TestCloseUnderLoad' .
