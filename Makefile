@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race indexpins vet fmt labelvet fuzz bench ci
+.PHONY: all build test race indexpins stamps vet fmt labelvet fuzz bench ci
 
 all: build
 
@@ -26,6 +26,15 @@ indexpins:
 	$(GO) test -race -count=3 -run 'TestStarQueryStorm' ./internal/dyndoc
 	$(GO) test -count=1 -run 'TestEditBytesBounded' ./internal/dyndoc
 	$(GO) test -count=1 -run 'TestPagedOneTree' .
+
+# The read-set stamps: a cached answer outlives every edit that cannot
+# change it and no other, whichever documents share the cache; a hit
+# allocates the caller's copy and nothing else, an edit's token nothing.
+stamps:
+	$(GO) test -race -count=3 -run 'TestStampedCacheDifferential|TestStampedCacheSharedLineages' ./internal/dyndoc
+	$(GO) test -count=1 -run 'TestCacheGenerations|TestCacheRendered|TestCacheBoundsTinyLimits' ./internal/xpath/plan
+	$(GO) test -count=1 -run 'TestSiblingParentAxisBytes' ./internal/xpath
+	$(GO) test -count=1 -run 'TestCountHitAllocs|TestPagedInsertAllocs|TestHandleExplainGolden' .
 
 # `make vet` is the single local entry point for all static analysis:
 # stock go vet plus the full labelvet suite (including the guardedby/

@@ -233,7 +233,7 @@ func query(args []string) error {
 				if len(corpus) > 1 {
 					fmt.Printf("-- file %d --\n", i+1)
 				}
-				rep, err := plan.Explain(e, q)
+				rep, err := plan.NewCache().Explain(e, 0, q) // each file its own engine, and cache
 				if err != nil {
 					return err
 				}

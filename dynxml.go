@@ -649,8 +649,8 @@ const boxedLabelBytes = 80
 // reports, plus whatever the index backend reports — for the paged
 // backend that is its bounded page cache, not the document size, which
 // is what lets one process keep many larger-than-budget documents
-// open — and, on a concurrent handle, the results and renderings its
-// query cache holds. The catalog's memory budget charges this estimate
+// open — and the results and renderings its query cache holds. The
+// catalog's memory budget charges this estimate
 // (TestMemoryFootprintTracksHeap holds it within 1.5x of the heap).
 func (h *Handle) MemoryFootprint() int64 {
 	var fp int64
@@ -661,11 +661,8 @@ func (h *Handle) MemoryFootprint() int64 {
 		if ls, ok := lab.(scheme.LabelSizer); ok {
 			labels = ls.LabelBytes()
 		}
-		fp = ids*bytesPerID + labels + d.Store().MemoryFootprint()
+		fp = ids*bytesPerID + labels + d.Store().MemoryFootprint() + d.CacheFootprint()
 	})
-	if h.shared != nil {
-		fp += h.shared.CacheFootprint()
-	}
 	return fp
 }
 
@@ -685,8 +682,10 @@ func (h *Handle) Name(id int) (string, error) {
 // XML serialises the current document.
 func (h *Handle) XML() string { return h.doc.XML() }
 
-// Query evaluates a parsed path expression; on a concurrent handle
-// the evaluation is lock-free against the latest snapshot.
+// Query evaluates a parsed path expression through the planner and the
+// result cache, which keeps an answer until an edit inserts or deletes
+// an element the query reads; on a concurrent handle the evaluation is
+// lock-free against the latest snapshot.
 func (h *Handle) Query(q *Query) ([]int, error) {
 	if err := h.acquire(); err != nil {
 		return nil, err
@@ -695,7 +694,8 @@ func (h *Handle) Query(q *Query) ([]int, error) {
 	return h.doc.Query(q)
 }
 
-// QueryString parses and evaluates a path expression.
+// QueryString parses and evaluates a path expression; a result-cache
+// hit skips the parse.
 func (h *Handle) QueryString(path string) ([]int, error) {
 	if err := h.acquire(); err != nil {
 		return nil, err
@@ -713,10 +713,10 @@ func (h *Handle) Count(path string) (int, error) {
 	return h.doc.Count(path)
 }
 
-// QueryRendered is render(ids) for the ids QueryString returns. A
-// concurrent handle memoises it with the cached result: between edits a
-// repeated query returns the same bytes, shared and read-only. Pass one
-// render per handle, which neither keeps nor modifies ids.
+// QueryRendered is render(ids) for the ids QueryString returns,
+// memoised with the cached result: while that stays valid a repeated
+// query returns the same bytes, shared and read-only. Pass one render
+// per handle, which neither keeps nor modifies ids.
 func (h *Handle) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
 	if err := h.acquire(); err != nil {
 		return nil, err
@@ -728,8 +728,9 @@ func (h *Handle) QueryRendered(path string, render func(ids []int) []byte) ([]by
 // Explain plans and evaluates a path expression with instrumentation
 // and returns the rendered EXPLAIN tree: the chosen strategy and
 // anchor step, estimated vs. measured cardinality per step, the
-// partition fan-out of the parallel joins, and — on a concurrent
-// handle — the snapshot generation with the result-cache state at it.
+// partition fan-out of the parallel joins, whether the result cache
+// held the answer (on a concurrent handle, at which snapshot
+// generation) and the element names the answer depends on.
 // The query is evaluated for real, so the report's numbers are
 // measurements, not guesses.
 func (h *Handle) Explain(path string) (string, error) {

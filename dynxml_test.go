@@ -2,6 +2,7 @@ package dynxml
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -180,25 +181,51 @@ func TestLiveFacade(t *testing.T) {
 	}
 }
 
-// TestCountHitAllocs pins Count on a concurrent handle whose result
-// cache holds the answer at this generation: it reads the cached
-// result's length — no parse, no copy of the ids, no allocation.
+// TestCountHitAllocs pins what a result-cache hit costs on either kind
+// of handle, with an edit the query does not read between filling the
+// cache and asking again: Count reads the cached result's length — no
+// parse, no copy of the ids, no allocation — and QueryString allocates
+// the caller's copy of the ids and nothing beside it, whether that is 5
+// ids or 3 797.
 func TestCountHitAllocs(t *testing.T) {
-	h, err := Open(datagen.Hamlet(), WithConcurrent())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	want, err := h.Count("//act/scene/speech")
-	if err != nil || want == 0 {
-		t.Fatalf("Count = %d, %v", want, err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if n, err := h.Count("//act/scene/speech"); err != nil || n != want {
-			t.Fatalf("Count = %d, %v; want %d", n, err, want)
+	for name, opts := range map[string][]Option{"concurrent": {WithConcurrent()}, "live": nil} {
+		h, err := Open(datagen.Hamlet(), opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Count on a result-cache hit allocates %.1f times, want 0", allocs)
+		defer h.Close()
+		for _, q := range []string{"//act/scene/speech", "/play/act", "//scene/speech/line"} {
+			want, err := h.Count(q)
+			if err != nil || want == 0 {
+				t.Fatalf("%s: Count(%s) = %d, %v", name, q, want, err)
+			}
+			if _, _, err := h.InsertElement(0, 0, "aside"); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if n, err := h.Count(q); err != nil || n != want {
+					t.Fatalf("Count = %d, %v; want %d", n, err, want)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: Count(%s) on a result-cache hit allocates %.1f times, want 0", name, q, allocs)
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if ids, err := h.QueryString(q); err != nil || len(ids) != want {
+					t.Fatalf("QueryString = %d ids, %v; want %d", len(ids), err, want)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			n, b := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+			t.Logf("%s: %s: %d ids, %d B in %d allocations per hit", name, q, want, b, n)
+			// A size class is at most an eighth above the request.
+			if limit := uint64(8*want)*9/8 + 64; n > 2 || b > limit {
+				t.Errorf("%s: QueryString(%s) on a hit allocates %d B in %d allocations for %d ids, want at most %d B in 2",
+					name, q, b, n, want, limit)
+			}
+		}
 	}
 }

@@ -30,7 +30,7 @@ func heapDelta(t *testing.T, build func() *Handle) (*Handle, int64) {
 // node count stood still, for an unshared one whose slice index holds
 // its all-elements memo, for one whose index is paged, and for one
 // whose result cache holds more bytes — a dozen large results and their
-// renderings — than the document itself.
+// renderings — than the document itself, concurrent or live.
 func TestMemoryFootprintTracksHeap(t *testing.T) {
 	open := func(opts ...Option) *Handle {
 		h, err := Open(datagen.Hamlet(), opts...)
@@ -73,8 +73,8 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		}
 		return h
 	}
-	cached := func() *Handle {
-		h := fresh()
+	cached := func(opts ...Option) *Handle {
+		h := open(opts...)
 		for _, q := range []string{
 			"//*", "/play//*", "//act//*", "//scene//*", "//speech//*", "//speech/*", "//line", "//speech/line",
 			"//scene//line", "//act//line", "/play//line", "//scene/speech/line", "//act/scene/speech/line",
@@ -84,12 +84,17 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 				t.Fatalf("%s: rendering of %d bytes, %v", q, len(b), err)
 			}
 		}
-		if fp := h.Shared().CacheFootprint(); 2*fp < h.MemoryFootprint() {
+		var fp int64
+		h.view(func(d *LiveDocument) { fp = d.CacheFootprint() })
+		if 2*fp < h.MemoryFootprint() {
 			t.Fatalf("the cache holds %d B of a %d B estimate: not the large share this case is about", fp, h.MemoryFootprint())
 		}
 		return h
 	}
-	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "all elements listed": listed, "paged": paged, "large cached results": cached} {
+	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "all elements listed": listed, "paged": paged,
+		"large cached results":              func() *Handle { return cached(WithConcurrent()) },
+		"live handle, large cached results": func() *Handle { return cached() },
+	} {
 		h, heap := heapDelta(t, build)
 		est := h.MemoryFootprint()
 		t.Logf("%s: %d live nodes, estimate %d B, heap %d B (%.2fx)", name, h.Len(), est, heap, float64(est)/float64(heap))

@@ -119,6 +119,7 @@ func (d *Document) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) (
 			return nil, 0, errors.New("dyndoc: fragment must be an element tree")
 		}
 	}
+	d.lastEdit = editTokens.Add(1)
 	ids, relabeled, err := bi.InsertSubtrees(parent, pos, fragments)
 	if err != nil {
 		return nil, 0, refused(err)

@@ -2,6 +2,7 @@ package dyndoc
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/scheme"
 )
@@ -11,7 +12,9 @@ import (
 // observable on the other, so one side can be edited while the other
 // is read. It does not write to d. The write-once columns are shared
 // (package cow); the labeling (via scheme.Cloner) and the index
-// backend copy what they mutate in place, flat or on first touch.
+// backend copy what they mutate in place, flat or on first touch. The
+// query cache is shared too: the two sides' edit tokens keep their
+// answers apart.
 // Clone fails when the labeling does not implement scheme.Cloner (all
 // schemes in this repository do).
 func (d *Document) Clone() (*Document, error) {
@@ -21,6 +24,7 @@ func (d *Document) Clone() (*Document, error) {
 	}
 	out := *d
 	out.lab = cl.CloneLabeling()
+	out.versions = maps.Clone(d.versions)
 	// The index backend clones through its own interface (slice shares
 	// its per-name lists; paged shares pages copy-on-write) and rebinds
 	// its callbacks to the clone.
@@ -28,5 +32,6 @@ func (d *Document) Clone() (*Document, error) {
 	if out.idx, err = d.idx.Clone(out.binding()); err != nil {
 		return nil, err
 	}
+	out.bind()
 	return &out, nil
 }

@@ -24,39 +24,30 @@ var (
 )
 
 // snapshot is one immutable published state of a shared document: the
-// (document, labeling, engine) triple queries run against, plus the
-// generation that produced it. Nothing reachable from a published
-// snapshot is ever mutated again — writers build the next snapshot on
-// a deep copy and publish it with one atomic pointer swap — so
-// readers traverse it without any synchronization.
+// document queries run against, plus the generation that produced it.
+// Nothing reachable from a published snapshot is ever mutated again —
+// writers build the next snapshot on a clone and publish it with one
+// atomic pointer swap — so readers traverse it without any
+// synchronization.
 type snapshot struct {
 	d   *Document
-	eng *xpath.Engine
 	gen uint64
 }
 
 // Concurrent wraps a Document for shared use with copy-on-write
 // snapshots. Queries are lock-free: they load the latest snapshot
-// with one atomic pointer read and evaluate against its immutable
-// (document, labeling, engine) triple, so no reader ever blocks
-// behind a writer. Writers serialize on a mutex, clone the current
-// document, apply their edits to the private clone and publish it as
-// the next snapshot; a reader racing a publish simply keeps the
-// previous complete snapshot for the rest of its query. The zero
-// value is not usable — construct with NewConcurrent or
+// with one atomic pointer read and ask its immutable document, so no
+// reader ever blocks behind a writer. Writers serialize on a mutex,
+// clone the current document, apply their edits to the private clone
+// and publish it as the next snapshot; a reader racing a publish simply
+// keeps the previous complete snapshot for the rest of its query. The
+// zero value is not usable — construct with NewConcurrent or
 // ParseConcurrent, which require the labeling to implement
 // scheme.Cloner.
 type Concurrent struct {
 	mu   sync.Mutex // serializes writers; never taken on the query path
 	snap atomic.Pointer[snapshot]
 	hook CommitHook // vet:guardedby mu // journaling hook; nil when the document is not journaled
-
-	// plans caches compiled query plans and generation-keyed results
-	// across snapshots. Set once at construction and internally
-	// synchronized; queries hand it the (engine, generation) pair of
-	// one atomic snapshot load, so a cached result can never cross
-	// generations (see plan.Cache).
-	plans *plan.Cache
 
 	// Watch state (see watch.go). Lock order: c.mu before wmu — the
 	// writer path enqueues events under both; the dispatcher only ever
@@ -126,8 +117,8 @@ func newConcurrent(d *Document) (*Concurrent, error) {
 	if _, ok := d.lab.(scheme.Cloner); !ok {
 		return nil, fmt.Errorf("dyndoc: labeling %s does not support snapshots (missing scheme.Cloner)", d.lab.Name())
 	}
-	c := &Concurrent{plans: plan.NewCache()}
-	c.snap.Store(&snapshot{d: d, eng: d.engine()})
+	c := &Concurrent{}
+	c.snap.Store(&snapshot{d: d})
 	return c, nil
 }
 
@@ -151,67 +142,54 @@ func (c *Concurrent) Name(id int) (string, error) { return c.load().d.Name(id) }
 // XML serialises the latest published snapshot.
 func (c *Concurrent) XML() string { return c.load().d.XML() }
 
+// observeStaleness records how far publication moved past s meanwhile.
+func (c *Concurrent) observeStaleness(s *snapshot) {
+	mStaleness.Observe(float64(c.load().gen - s.gen))
+}
+
 // Query evaluates a parsed path expression against the latest
-// published snapshot, lock-free. Evaluation goes through the plan
-// cache: the cost-based plan for the query text is compiled once, and
-// a result materialized at this exact generation is served from the
-// cache without touching the document — repeated queries under an
-// idle writer are a map hit.
+// published snapshot, lock-free. The snapshots of one Concurrent share
+// their documents' plan and result cache (Document.Query), so an answer
+// computed on one snapshot serves every later one whose edits touched
+// no element the query reads.
 func (c *Concurrent) Query(q *xpath.Query) ([]int, error) {
 	s := c.load()
-	mQueries.Inc()
-	ids, err := c.plans.Eval(s.eng, s.gen, q)
-	mStaleness.Observe(float64(c.load().gen - s.gen))
-	return ids, err
+	defer c.observeStaleness(s)
+	return s.d.Query(q)
 }
 
-// Explain plans and evaluates a path expression against the latest
-// published snapshot and returns the instrumented EXPLAIN report:
-// chosen strategy and anchor, estimated vs. measured per-step
-// cardinalities, partition fan-out, and whether the result cache held
-// the answer at the current generation.
+// Explain is Document.Explain on the latest published snapshot, whose
+// generation the report carries.
 func (c *Concurrent) Explain(path string) (*plan.Report, error) {
-	q, err := xpath.Parse(path)
-	if err != nil {
-		return nil, err
-	}
 	s := c.load()
-	return c.plans.Explain(s.eng, s.gen, q)
-}
-
-// QueryString parses and evaluates a path expression.
-func (c *Concurrent) QueryString(path string) ([]int, error) {
-	q, err := xpath.Parse(path)
+	rep, err := s.d.Explain(path)
 	if err != nil {
 		return nil, err
 	}
-	return c.Query(q)
+	rep.Generation, rep.Snapshot = s.gen, true
+	return rep, nil
 }
 
-// Count returns the number of matches for a path expression; on a
-// result-cache hit nothing is parsed, copied or allocated.
+// QueryString is Document.QueryString on the latest published snapshot.
+func (c *Concurrent) QueryString(path string) ([]int, error) {
+	s := c.load()
+	defer c.observeStaleness(s)
+	return s.d.QueryString(path)
+}
+
+// Count is Document.Count on the latest published snapshot.
 func (c *Concurrent) Count(path string) (int, error) {
 	s := c.load()
-	mQueries.Inc()
-	n, err := c.plans.Count(s.eng, s.gen, path)
-	mStaleness.Observe(float64(c.load().gen - s.gen))
-	return n, err
+	defer c.observeStaleness(s)
+	return s.d.Count(path)
 }
 
-// QueryRendered is render(ids) for the ids QueryString returns,
-// memoised with the cached result: until the next edit a repeated query
-// is a map hit returning the same bytes. They are shared — read, never
-// written — and render is bound by plan.Cache.Rendered's contract.
+// QueryRendered is Document.QueryRendered on the latest snapshot.
 func (c *Concurrent) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
 	s := c.load()
-	mQueries.Inc()
-	b, err := c.plans.Rendered(s.eng, s.gen, path, render)
-	mStaleness.Observe(float64(c.load().gen - s.gen))
-	return b, err
+	defer c.observeStaleness(s)
+	return s.d.QueryRendered(path, render)
 }
-
-// CacheFootprint estimates the bytes the plan/result cache holds.
-func (c *Concurrent) CacheFootprint() int64 { return c.plans.MemoryFootprint() }
 
 // updateLocked is the raw single-writer path: it clones the current
 // snapshot's document, applies fn to the clone and publishes the
@@ -245,7 +223,7 @@ func (c *Concurrent) updateLocked(fn func(d *Document) error) error {
 //
 // vet:holds c.mu
 func (c *Concurrent) publishLocked(cur *snapshot, next *Document) *snapshot {
-	ns := &snapshot{d: next, eng: next.engine(), gen: cur.gen + 1}
+	ns := &snapshot{d: next, gen: cur.gen + 1}
 	c.snap.Store(ns)
 	mSnapshotSwaps.Inc()
 	return ns
@@ -461,9 +439,10 @@ func (c *Concurrent) Replay(fn func(d *Document) ([]Edit, []EditResult, error)) 
 // Reset replaces the shared document wholesale with d — the follower
 // path for adopting a leader's new checkpoint generation, where no
 // edit list connects the old state to the new. The replacement
-// publishes as the next generation and watchers receive a reset event
-// (full requery). The caller must not touch d afterwards. Rejected on
-// journaled documents (ErrFollowerOnly).
+// publishes as the next generation, takes over the query cache — its
+// own edit tokens keep its answers apart from the old state's — and
+// watchers receive a reset event (full requery). The caller must not
+// touch d afterwards. Rejected on journaled documents (ErrFollowerOnly).
 func (c *Concurrent) Reset(d *Document) error {
 	if _, ok := d.lab.(scheme.Cloner); !ok {
 		return fmt.Errorf("dyndoc: labeling %s does not support snapshots (missing scheme.Cloner)", d.lab.Name())
@@ -474,6 +453,7 @@ func (c *Concurrent) Reset(d *Document) error {
 		return ErrFollowerOnly
 	}
 	cur := c.load()
+	d.cache = cur.d.cache
 	ns := c.publishLocked(cur, d)
 	c.notifyWatchersLocked(cur, ns, nil, nil, true)
 	return nil

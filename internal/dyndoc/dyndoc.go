@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cow"
 	"repro/internal/metrics"
@@ -56,6 +57,35 @@ type Document struct {
 	factory StoreFactory  // how to build a fresh backend (rebuilds, conversions)
 
 	relabeled int64 // cumulative re-labels caused by edits
+
+	eng   xpath.Engine // over lab, names and idx as they are now (bind)
+	cache *plan.Cache  // plans and results, of d and of everything cloned from it
+
+	// Edit tokens, which tell the cache what an answer outlives: born
+	// is d's construction, lastEdit its last edit of any kind, and
+	// versions[name] the last edit that inserted or deleted an element
+	// called name, if any did. A clone inherits them and copies the map.
+	born, lastEdit uint64
+	versions       map[string]uint64
+}
+
+// editTokens numbers the edits and constructions of every document in
+// the process; an edit draws its token before it mutates anything. A
+// query's stamp is the largest token among the names it reads: the last
+// edit that touched one. Two documents that compute the same stamp both
+// descend, by Clone, from the document that made that edit, and neither
+// has touched those names since — it would have drawn a larger token —
+// so both hold under them what that edit left. With a counter per
+// document, divergent clones would draw one token twice.
+var editTokens atomic.Uint64
+
+// NameToken implements xpath.Versions; every edit is later than born.
+func (d *Document) NameToken(name string) uint64 { return max(d.born, d.versions[name]) }
+
+// bind points d's engine at its columns, labeling and index as they
+// are now; whatever replaces one of the three calls it.
+func (d *Document) bind() {
+	d.eng = *xpath.NewEngineWithIndex(d.lab, d.names, d.idx).Versioned(d)
 }
 
 // leaf is the immutable content of a non-element node: character
@@ -119,7 +149,11 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		namesMark:  cow.NewMark(len(nodes)),
 		leavesMark: cow.NewMark(len(nodes)),
 		factory:    factory,
+		cache:      plan.NewCache(),
+		born:       editTokens.Add(1),
+		versions:   make(map[string]uint64),
 	}
+	d.lastEdit = d.born
 	var elems []int
 	for i, n := range nodes {
 		if d.leaves[i] = leafOf(n); d.leaves[i] != nil {
@@ -136,6 +170,7 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		return nil, err
 	}
 	limitLabels(lab, d.idx)
+	d.bind()
 	return d, nil
 }
 
@@ -185,6 +220,7 @@ func (d *Document) ConvertStore(factory StoreFactory) error {
 	}
 	old := d.idx
 	d.idx, d.factory = idx, factory
+	d.bind()
 	limitLabels(d.lab, idx)
 	return old.Close()
 }
@@ -341,12 +377,17 @@ func (d *Document) validateInsert(parent, pos int) error {
 
 // recordNode fills the columns for the id a label insert just
 // allocated (ids are dense, so it is the next slot): an element called
-// name, or the text or attribute node lf. Elements enter the index
-// unless skipIndex; text and attribute nodes are labeled but not
-// queryable, matching the bulk construction path.
+// name, or the text or attribute node lf. Elements take the running
+// edit's token and enter the index unless skipIndex; text and attribute
+// nodes are labeled but not queryable, matching the bulk construction
+// path.
 func (d *Document) recordNode(id int, name string, lf *leaf, skipIndex bool) error {
 	d.names = cow.Append(&d.namesMark, d.names, name)
 	d.leaves = cow.Append(&d.leavesMark, d.leaves, lf)
+	d.bind()
+	if lf == nil {
+		d.versions[name] = d.lastEdit
+	}
 	if lf != nil || skipIndex {
 		return nil
 	}
@@ -389,6 +430,7 @@ func (d *Document) InsertElement(parent, pos int, name string) (int, int, error)
 	if name == "" {
 		return 0, 0, errors.New("dyndoc: empty element name")
 	}
+	d.lastEdit = editTokens.Add(1)
 	id, relabeled, err := d.lab.InsertChildAt(parent, pos)
 	if err != nil {
 		return 0, 0, refused(err)
@@ -426,11 +468,16 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 	if tr.Parents[id] == -1 {
 		return 0, errors.New("dyndoc: cannot delete the document root")
 	}
-	// Collect the subtree ids before the structural removal.
+	// Collect the subtree ids before the structural removal; every
+	// doomed element's name takes the edit's token.
+	d.lastEdit = editTokens.Add(1)
 	doomed := map[int]bool{}
 	var collect func(v int)
 	collect = func(v int) {
 		doomed[v] = true
+		if name := d.names[v]; name != "" {
+			d.versions[name] = d.lastEdit
+		}
 		for _, c := range tr.Children[v] {
 			collect(c)
 		}
@@ -456,56 +503,50 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 }
 
 // Query evaluates an absolute path expression over the current
-// document state and returns matching ids in document order.
+// document state and returns matching ids in document order. Like
+// every query method it goes through the planner and the result cache,
+// which has the answer unless an edit since it was computed inserted
+// or deleted an element the query reads.
 func (d *Document) Query(q *xpath.Query) ([]int, error) {
 	mQueries.Inc()
-	return d.engine().Eval(q)
-}
-
-// engine builds a query engine over the document's current index
-// views. Construction is a zero-work struct literal; the engine stays
-// valid (and safe to share across goroutines) as long as the document
-// is not edited, which is what the snapshot layer relies on.
-func (d *Document) engine() *xpath.Engine {
-	return xpath.NewEngineWithIndex(d.lab, d.names, d.idx)
+	return d.cache.Eval(&d.eng, d.lastEdit, q)
 }
 
 // Explain plans and evaluates a path expression with instrumentation
-// and returns the EXPLAIN report. An unshared document has no
-// generation counter and therefore no result cache; the report says
-// cache "off". Concurrent.Explain is the cached variant.
+// and returns the EXPLAIN report, which says whether the result cache
+// held the answer.
 func (d *Document) Explain(path string) (*plan.Report, error) {
 	q, err := xpath.Parse(path)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Explain(d.engine(), q)
+	return d.cache.Explain(&d.eng, d.lastEdit, q)
 }
 
-// QueryString parses and evaluates a path expression.
+// QueryString parses and evaluates a path expression; a result-cache
+// hit skips the parse.
 func (d *Document) QueryString(path string) ([]int, error) {
-	q, err := xpath.Parse(path)
-	if err != nil {
-		return nil, err
-	}
-	return d.Query(q)
+	mQueries.Inc()
+	return d.cache.EvalString(&d.eng, d.lastEdit, path)
 }
 
-// Count returns the number of matches for a path expression.
+// Count returns the number of matches for a path expression; on a
+// result-cache hit nothing is parsed, copied or allocated.
 func (d *Document) Count(path string) (int, error) {
-	ids, err := d.QueryString(path)
-	return len(ids), err
+	mQueries.Inc()
+	return d.cache.Count(&d.eng, d.lastEdit, path)
 }
 
-// QueryRendered is render(ids) for the ids QueryString returns; an
-// unshared document has no cache to memoise it in (see Concurrent).
+// QueryRendered is render(ids) for the ids QueryString returns,
+// memoised with the cached result. The bytes are shared — read, never
+// written — and render is bound by plan.Cache.Rendered's contract.
 func (d *Document) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
-	ids, err := d.QueryString(path)
-	if err != nil {
-		return nil, err
-	}
-	return render(ids), nil
+	mQueries.Inc()
+	return d.cache.Rendered(&d.eng, d.lastEdit, path, render)
 }
+
+// CacheFootprint estimates the bytes the plan/result cache holds.
+func (d *Document) CacheFootprint() int64 { return d.cache.MemoryFootprint() }
 
 // InsertTree inserts a copy of the given element fragment as the
 // pos-th child of parent, labeling the whole fragment in one batch.
@@ -517,6 +558,7 @@ func (d *Document) InsertTree(parent, pos int, fragment *xmltree.Node) ([]int, i
 	if fragment == nil || fragment.Kind != xmltree.Element {
 		return nil, 0, errors.New("dyndoc: fragment must be an element tree")
 	}
+	d.lastEdit = editTokens.Add(1)
 	ids, relabeled, err := d.lab.InsertSubtree(parent, pos, fragment)
 	if err != nil {
 		return nil, 0, refused(err)

@@ -67,9 +67,9 @@ func TestBenchmarkQueriesLeaveElemsUnlisted(t *testing.T) {
 				t.Fatalf("%s: explain %s: %v", name, q, err)
 			}
 			err = c.Snapshot(func(d *Document) error {
-				naive, err := d.QueryString(q)
-				if err == nil && len(naive) != len(planned) {
-					t.Errorf("%s: %s: %d matches planned, %d naive", name, q, len(planned), len(naive))
+				ids, err := naive(d, q)
+				if err == nil && len(ids) != len(planned) {
+					t.Errorf("%s: %s: %d matches planned, %d naive", name, q, len(planned), len(ids))
 				}
 				return err
 			})

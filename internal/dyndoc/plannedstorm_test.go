@@ -23,7 +23,9 @@ import (
 // actually fan out under the race detector. Writers insert and delete
 // "pair" elements strictly in pairs, so any odd count — from Query or
 // from an Explain's match counter — means a reader saw a torn
-// snapshot or the cache served a result across generations. The test
+// snapshot. (An answer served at a stamp it was not computed at is even
+// too: the rendered and star storms below, whose oracles know each
+// generation's answer, are the ones that catch that.) The test
 // also checks the published generation never moves backwards from any
 // goroutine's point of view.
 func TestPlannedQueryStorm(t *testing.T) {
@@ -151,9 +153,10 @@ func TestPlannedQueryStorm(t *testing.T) {
 // clone is about to become — so the oracle for a generation exists
 // before any reader can be served from it. A reader brackets its call
 // with two Generation reads; what it gets must be the rendering of the
-// oracle's ids at one of the generations in between. A rendering that
-// outlived its entry's generation, or bytes written after they were
-// shared, fail that (and -race reports the write).
+// oracle's ids at one of the generations in between. A rendering
+// served where the engine computes another stamp than its entry's (the
+// query reads the one name every edit touches), or bytes written after
+// they were shared, fail that (and -race reports the write).
 func TestPlannedQueryStormRendered(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -189,7 +192,7 @@ func TestPlannedQueryStormRendered(t *testing.T) {
 						return err
 					}
 					mine = append(mine, id)
-					ids, err := d.QueryString(query) // the naive engine, on the clone
+					ids, err := naive(d, query)
 					if err != nil {
 						return err
 					}
@@ -292,7 +295,7 @@ func starQueryStorm(t *testing.T, factory StoreFactory) {
 			return err
 		}
 		for _, q := range queries {
-			ids, err := probe.QueryString(q)
+			ids, err := naive(probe, q)
 			if err != nil {
 				return err
 			}

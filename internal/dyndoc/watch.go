@@ -112,7 +112,7 @@ func (c *Concurrent) Watch(path string) (<-chan Notification, func(), error) {
 	s := c.load()
 	w.sinceGen = s.gen
 	if w.sp == nil {
-		ids, err := c.plans.Eval(s.eng, s.gen, q)
+		ids, err := s.d.Query(q)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -259,7 +259,7 @@ func (c *Concurrent) evaluateWatch(w *watcher, ev watchEvent) {
 	// Requery fallback: evaluate on the new snapshot through the shared
 	// plan cache and diff against the watcher's last result set.
 	mWatchRequeries.Inc()
-	ids, err := c.plans.Eval(ev.next.eng, ev.next.gen, w.q)
+	ids, err := ev.next.d.Query(w.q)
 	if err != nil {
 		return // the query parsed at registration; an eval error here means the snapshot cannot answer it
 	}
@@ -267,7 +267,7 @@ func (c *Concurrent) evaluateWatch(w *watcher, ev watchEvent) {
 		// A spine watcher hitting its first reset: seed from the
 		// previous snapshot so the diff spans exactly this event.
 		w.last = make(map[int]struct{})
-		if prev, err := c.plans.Eval(ev.prev.eng, ev.prev.gen, w.q); err == nil {
+		if prev, err := ev.prev.d.Query(w.q); err == nil {
 			for _, id := range prev {
 				w.last[id] = struct{}{}
 			}

@@ -23,6 +23,16 @@ type Engine struct {
 	lab   scheme.Labeling
 	names []string
 	idx   Index
+	vers  Versions // nil: the engine cannot tell which edits a query outlives
+}
+
+// Versions tells an engine how recently its document changed under a
+// given element name (see Stamp).
+type Versions interface {
+	// NameToken returns the token of the last edit that inserted or
+	// deleted an element called name, or of the document's construction.
+	// Tokens increase with time and no two edits ever share one.
+	NameToken(name string) uint64
 }
 
 // Index is the element-name index view an Engine evaluates over: the
@@ -82,6 +92,29 @@ func NewEngine(doc *xmltree.Document, lab scheme.Labeling) (*Engine, error) {
 // updated storage backend (slice or paged) serves every query.
 func NewEngineWithIndex(lab scheme.Labeling, names []string, idx Index) *Engine {
 	return &Engine{lab: lab, names: names, idx: idx}
+}
+
+// Versioned sets the source of e's edit tokens and returns e.
+func (e *Engine) Versioned(v Versions) *Engine {
+	e.vers = v
+	return e
+}
+
+// Stamp identifies the state e evaluates over as far as a query that
+// tests only the given element names can tell, by the latest of their
+// edit tokens: two engines that agree on it hold the same elements
+// under those names, in the same order and the same places. For nil
+// names — a query that tests * reads every element — and for an engine
+// without Versions it is gen, the caller's name for the whole state.
+func (e *Engine) Stamp(names []string, gen uint64) uint64 {
+	if e.vers == nil || names == nil {
+		return gen
+	}
+	stamp := uint64(0)
+	for _, name := range names {
+		stamp = max(stamp, e.vers.NameToken(name))
+	}
+	return stamp
 }
 
 // Eval runs an absolute query and returns matching node ids in
@@ -233,14 +266,24 @@ func (e *Engine) joinDown(ctx, cand []int, anc bool) []int {
 // a context node.
 func (e *Engine) siblings(ctx []int, name string, preceding bool) []int {
 	tr := e.lab.Tree()
-	seen := make(map[int]bool)
 	var out []int
+	// taken[i] marks the i-th child of the parent a run of consecutive
+	// context nodes shares as already in out, so that k siblings in the
+	// context do not put k copies of their common siblings there; what
+	// repeats across runs is left to sortDocOrder.
+	var taken []bool
+	run := -1
 	for _, v := range ctx {
 		p := tr.Parents[v]
 		if p == -1 {
 			continue
 		}
-		for _, u := range tr.Children[p] {
+		kids := tr.Children[p]
+		if p != run {
+			run = p
+			taken = append(taken[:0], make([]bool, len(kids))...)
+		}
+		for i, u := range kids {
 			if u == v {
 				continue
 			}
@@ -248,23 +291,23 @@ func (e *Engine) siblings(ctx []int, name string, preceding bool) []int {
 				continue
 			}
 			// The sibling and order checks are the labeling's work.
-			if !e.lab.IsSibling(u, v) || seen[u] {
+			if !e.lab.IsSibling(u, v) || taken[i] {
 				continue
 			}
 			if before := e.lab.Before(u, v); before == preceding {
-				seen[u] = true
+				taken[i] = true
 				out = append(out, u)
 			}
 		}
 	}
-	e.sortDocOrder(out)
-	return out
+	return e.sortDocOrder(out)
 }
 
-// sortDocOrder sorts distinct ids into document order. Id order is not
-// document order once the document has been edited, and the next
-// step's joinDown assumes a document-ordered context.
-func (e *Engine) sortDocOrder(ids []int) {
+// sortDocOrder sorts ids into document order and drops the duplicates,
+// which the order leaves adjacent. Id order is not document order once
+// the document has been edited, and the next step's joinDown assumes a
+// document-ordered context.
+func (e *Engine) sortDocOrder(ids []int) []int {
 	slices.SortFunc(ids, func(a, b int) int {
 		switch {
 		case a == b:
@@ -274,6 +317,7 @@ func (e *Engine) sortDocOrder(ids []int) {
 		}
 		return 1
 	})
+	return slices.Compact(ids)
 }
 
 // parents returns, deduplicated and in document order, the parents of
@@ -281,20 +325,22 @@ func (e *Engine) sortDocOrder(ids []int) {
 // labeling's parent predicate.
 func (e *Engine) parents(ctx []int, name string) []int {
 	tr := e.lab.Tree()
-	seen := make(map[int]bool)
 	var out []int
 	for _, v := range ctx {
 		p := tr.Parents[v]
-		if p == -1 || seen[p] || e.names[p] == "" || !e.nameMatches(name, p) {
+		if p == -1 || e.names[p] == "" || !e.nameMatches(name, p) {
+			continue
+		}
+		// Consecutive children of one parent add it once; sortDocOrder
+		// drops what repeats further apart.
+		if n := len(out); n > 0 && out[n-1] == p {
 			continue
 		}
 		if e.lab.IsParent(p, v) {
-			seen[p] = true
 			out = append(out, p)
 		}
 	}
-	e.sortDocOrder(out)
-	return out
+	return e.sortDocOrder(out)
 }
 
 // ancestors returns the deduplicated proper ancestors of the context

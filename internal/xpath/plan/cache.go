@@ -9,8 +9,8 @@ import (
 )
 
 // Cache metrics: compiled-plan reuse, materialized-result reuse keyed
-// by snapshot generation, and evictions when the result cache
-// overflows its bounds.
+// by read-set stamp, and evictions when the result cache overflows its
+// bounds.
 var (
 	mPlanHits     = metrics.Default.Counter("xpath_plan_cache_hits_total")
 	mPlanMisses   = metrics.Default.Counter("xpath_plan_cache_misses_total")
@@ -27,12 +27,13 @@ const (
 	defaultMaxCachedIDs = 1 << 22
 )
 
-// resultEntry is one materialized query result, valid only at the
-// generation it was computed against, with the rendering of ids that
-// Cache.Rendered memoises, if one was asked for. An entry is immutable
-// once stored: the rendering arrives on a fresh entry that replaces it.
+// resultEntry is one materialized query result with the rendering of
+// ids that Cache.Rendered memoises, if one was asked for. It is valid
+// for every (engine, gen) whose Stamp of plan.Reads is stamp. An entry
+// is immutable once stored: the rendering arrives on a fresh one.
 type resultEntry struct {
-	gen      uint64
+	plan     *Plan
+	stamp    uint64
 	ids      []int
 	rendered []byte
 }
@@ -42,17 +43,18 @@ type resultEntry struct {
 func (ent *resultEntry) cost() int { return len(ent.ids) + (cap(ent.rendered)+7)/8 }
 
 // Cache holds compiled plans keyed by canonical query text and
-// materialized results keyed by (the text the caller sent, snapshot
-// generation): Eval sends its query's canonical text, Rendered and
-// Count the text they were given, so a hit through them parses nothing
-// and two spellings of one query share a plan. Plans stay
-// valid across snapshots — strategy drift is a performance question,
-// never a correctness one — so they are cached unconditionally.
-// Results are only valid at the exact generation they were computed
-// against: a lookup compares the caller's generation (one atomic load
-// at the call site, dyndoc.Concurrent.Generation) with the entry's,
-// and anything else is a miss. There is no other invalidation
-// protocol; writers never touch the cache.
+// materialized results keyed by the text the caller sent: Eval sends
+// its query's canonical text, Rendered and Count the text they were
+// given, so a hit through them parses nothing and two spellings of one
+// query share a plan. Plans stay valid across snapshots — strategy
+// drift is a performance question, never a correctness one — so they
+// are cached unconditionally. A result is valid wherever the elements
+// its query reads are the ones it was computed from: it is stored with
+// its plan's read set and its stamp, a lookup has the engine at hand
+// compute the stamp of that read set, and anything but equality is a
+// miss. There is no other invalidation protocol; writers never touch
+// the cache, and documents that share history — a document, its
+// clones, the snapshots of one dyndoc.Concurrent — share one Cache.
 type Cache struct {
 	maxResults int
 	maxIDs     int
@@ -97,12 +99,13 @@ func (c *Cache) planFor(e *xpath.Engine, q *xpath.Query, text string) *Plan {
 	return p
 }
 
-// lookupResult returns the cached entry for (text, gen), or nil.
-func (c *Cache) lookupResult(text string, gen uint64) *resultEntry {
+// lookupResult returns the entry cached for text if it is valid for
+// (e, gen), or nil.
+func (c *Cache) lookupResult(e *xpath.Engine, gen uint64, text string) *resultEntry {
 	c.mu.RLock()
 	ent := c.results[text]
 	c.mu.RUnlock()
-	if ent == nil || ent.gen != gen {
+	if ent == nil || ent.stamp != e.Stamp(ent.plan.Reads, gen) {
 		return nil
 	}
 	return ent
@@ -113,7 +116,7 @@ func (c *Cache) lookupResult(text string, gen uint64) *resultEntry {
 // (costlier than maxIDs, or a zero-entry cache) is refused outright:
 // eviction never removes the entry just stored, so it would pin the
 // cache over its bound forever after emptying it in vain. The entry it
-// replaces is dropped either way — at another generation it is wrong.
+// replaces is dropped either way — the caller just found it stale.
 func (c *Cache) storeResult(text string, ent *resultEntry) *resultEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -127,36 +130,27 @@ func (c *Cache) storeResult(text string, ent *resultEntry) *resultEntry {
 	}
 	c.results[text] = ent
 	c.nIDs += ent.cost()
-	c.trimLocked(text, ent.gen)
-	return ent
-}
-
-// trimLocked evicts entries other than keep's, those of another
-// generation than gen first, until both bounds hold; the caller has
-// checked that the kept entry alone fits them.
-//
-// vet:holds c.mu
-func (c *Cache) trimLocked(keep string, gen uint64) {
-	for _, staleOnly := range []bool{true, false} {
-		for key, ent := range c.results {
-			if len(c.results) <= c.maxResults && c.nIDs <= c.maxIDs {
-				return
-			}
-			if key == keep || staleOnly && ent.gen == gen {
-				continue
-			}
+	// Evict entries other than the one just stored, which alone fits the
+	// bounds, until both hold.
+	for key, old := range c.results {
+		if len(c.results) <= c.maxResults && c.nIDs <= c.maxIDs {
+			break
+		}
+		if key != text {
 			delete(c.results, key)
-			c.nIDs -= ent.cost()
+			c.nIDs -= old.cost()
 			mResultEvict.Inc()
 		}
 	}
+	return ent
 }
 
-// result returns the entry for (text, gen), evaluating against e on a
-// miss. q is text parsed, or nil to have a miss parse it. Every call
-// that gets past parsing counts one hit or one miss.
+// result returns the entry for text that is valid for (e, gen),
+// evaluating against e on a miss. q is text parsed, or nil to have a
+// miss parse it. Every call that gets past parsing counts one hit or
+// one miss.
 func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query) (*resultEntry, error) {
-	if ent := c.lookupResult(text, gen); ent != nil {
+	if ent := c.lookupResult(e, gen, text); ent != nil {
 		mResultHits.Inc()
 		return ent, nil
 	}
@@ -169,21 +163,33 @@ func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query)
 		planText = q.String()
 	}
 	mResultMisses.Inc()
-	ids, err := c.planFor(e, q, planText).Eval(e)
+	p := c.planFor(e, q, planText)
+	ids, err := p.Eval(e)
 	if err != nil {
 		return nil, err
 	}
-	return c.storeResult(text, &resultEntry{gen: gen, ids: ids}), nil
+	return c.storeResult(text, &resultEntry{plan: p, stamp: e.Stamp(p.Reads, gen), ids: ids}), nil
 }
 
-// Eval evaluates q against e, serving from the result cache when an
-// entry exists at exactly the caller's generation. The returned slice
-// is a fresh copy the caller owns. gen must identify the snapshot e
-// belongs to; passing a generation that does not match the engine
-// yields stale reads, which is why dyndoc reads both from one atomic
-// snapshot load.
+// Eval evaluates q against e, serving from the result cache when the
+// entry there is valid for (e, gen). The returned slice is a fresh copy
+// the caller owns. gen must identify the state e evaluates over among
+// all that use this cache (xpath.Engine.Stamp): an engine with versions
+// is asked for it only by a query that reads *, a version-less one —
+// whose owner moves gen at every edit, as the document's last-edit
+// token moves — by every query, and a gen that does not change when the
+// state does yields stale reads.
 func (c *Cache) Eval(e *xpath.Engine, gen uint64, q *xpath.Query) ([]int, error) {
-	ent, err := c.result(e, gen, q.String(), q)
+	return c.evalText(e, gen, q.String(), q)
+}
+
+// EvalString is Eval for the query text; a hit parses nothing.
+func (c *Cache) EvalString(e *xpath.Engine, gen uint64, text string) ([]int, error) {
+	return c.evalText(e, gen, text, nil)
+}
+
+func (c *Cache) evalText(e *xpath.Engine, gen uint64, text string, q *xpath.Query) ([]int, error) {
+	ent, err := c.result(e, gen, text, q)
 	if err != nil {
 		return nil, err
 	}
@@ -201,10 +207,10 @@ func (c *Cache) Count(e *xpath.Engine, gen uint64, text string) (int, error) {
 }
 
 // Rendered returns render(ids) for the ids Eval returns for the query
-// text, memoised with the result: render runs once per (text,
-// generation) the cache keeps and every later hit returns the same
-// bytes, which are shared — callers must not write to them — and go
-// with the entry, so they are never served at another generation.
+// text, memoised with the result: render runs once per entry the cache
+// keeps and every later hit returns the same bytes, which are shared —
+// callers must not write to them — and go with the entry, so they are
+// never served at another stamp.
 // render must not keep or modify ids, and every caller of one Cache
 // must pass the same rendering.
 func (c *Cache) Rendered(e *xpath.Engine, gen uint64, text string, render func(ids []int) []byte) ([]byte, error) {
@@ -215,7 +221,7 @@ func (c *Cache) Rendered(e *xpath.Engine, gen uint64, text string, render func(i
 	if ent.rendered != nil {
 		return ent.rendered, nil
 	}
-	ent = &resultEntry{gen: gen, ids: ent.ids, rendered: render(ent.ids)}
+	ent = &resultEntry{plan: ent.plan, stamp: ent.stamp, ids: ent.ids, rendered: render(ent.ids)}
 	// A rendering that puts its result over the bound is not kept: the
 	// store would refuse it and drop the result with it.
 	if ent.cost() <= c.maxIDs {
@@ -234,37 +240,22 @@ func (c *Cache) MemoryFootprint() int64 {
 
 // Explain evaluates q with instrumentation and returns the EXPLAIN
 // report. The result cache state is reported as it stood before the
-// call (hit at this generation or not); the execution itself always
+// call (an entry valid for (e, gen) or not); the execution itself always
 // runs fully so every per-step actual is measured, and its result
 // refreshes the cache. Explain does not bump the hit/miss counters —
 // diagnostics should not skew the production cache metrics.
 func (c *Cache) Explain(e *xpath.Engine, gen uint64, q *xpath.Query) (*Report, error) {
 	text := q.String()
-	hit := c.lookupResult(text, gen) != nil
 	p := c.planFor(e, q, text)
 	rec := newReport(p, e)
-	rec.Generation = gen
-	if hit {
+	rec.Cache = "miss"
+	if c.lookupResult(e, gen, text) != nil {
 		rec.Cache = "hit"
-	} else {
-		rec.Cache = "miss"
 	}
 	ids, err := p.run(e, rec)
 	if err != nil {
 		return nil, err
 	}
-	c.storeResult(text, &resultEntry{gen: gen, ids: ids})
-	return rec, nil
-}
-
-// Explain compiles a throwaway plan for q against e and executes it
-// instrumented — the cache-less path Document.Explain uses.
-func Explain(e *xpath.Engine, q *xpath.Query) (*Report, error) {
-	p := For(e, q)
-	rec := newReport(p, e)
-	rec.Cache = "off"
-	if _, err := p.run(e, rec); err != nil {
-		return nil, err
-	}
+	c.storeResult(text, &resultEntry{plan: p, stamp: e.Stamp(p.Reads, gen), ids: ids})
 	return rec, nil
 }

@@ -32,9 +32,18 @@ func checkBounds(t *testing.T, c *Cache) {
 	}
 }
 
+// readsAll is the plan of a query that tests *: its stamp is the
+// caller's generation whatever the engine.
+var readsAll = &Plan{}
+
 // put stores a result of n ids for (text, gen).
 func put(c *Cache, text string, gen uint64, n int) {
-	c.storeResult(text, &resultEntry{gen: gen, ids: seqIDs(n)})
+	c.storeResult(text, &resultEntry{plan: readsAll, stamp: gen, ids: seqIDs(n)})
+}
+
+// held returns what put stored for (text, gen), if it is still served.
+func held(c *Cache, text string, gen uint64) *resultEntry {
+	return c.lookupResult(new(xpath.Engine), gen, text)
 }
 
 func seqIDs(n int) []int {
@@ -56,17 +65,17 @@ func TestCacheBoundsTinyLimits(t *testing.T) {
 	c := NewCacheBounds(2, 8)
 
 	put(c, "a", 1, 4)
-	if c.lookupResult("a", 1) == nil {
+	if held(c, "a", 1) == nil {
 		t.Fatal("in-bounds result was not cached")
 	}
 
 	// An oversize store must not be admitted and must not wipe "a".
 	put(c, "big", 1, 16)
 	checkBounds(t, c)
-	if c.lookupResult("big", 1) != nil {
+	if held(c, "big", 1) != nil {
 		t.Fatal("result larger than maxIDs was cached; the bound is pinned over its budget forever")
 	}
-	if c.lookupResult("a", 1) == nil {
+	if held(c, "a", 1) == nil {
 		t.Fatal("refusing an oversize result evicted an unrelated in-bounds entry")
 	}
 
@@ -76,18 +85,18 @@ func TestCacheBoundsTinyLimits(t *testing.T) {
 	checkBounds(t, c)
 	put(c, "c", 2, 4)
 	checkBounds(t, c)
-	if c.lookupResult("c", 2) == nil {
+	if held(c, "c", 2) == nil {
 		t.Fatal("fresh in-bounds result was evicted in favor of older entries")
 	}
 
 	// Overwriting an entry with an oversize result drops the stale
-	// entry (wrong at this generation anyway) and refuses the new one.
+	// entry (the caller just found it so) and refuses the new one.
 	put(c, "c", 3, 16)
 	checkBounds(t, c)
-	if c.lookupResult("c", 2) != nil {
+	if held(c, "c", 2) != nil {
 		t.Fatal("stale entry survived an oversize overwrite")
 	}
-	if c.lookupResult("c", 3) != nil {
+	if held(c, "c", 3) != nil {
 		t.Fatal("oversize overwrite was cached")
 	}
 
@@ -95,15 +104,15 @@ func TestCacheBoundsTinyLimits(t *testing.T) {
 	z := NewCacheBounds(0, 8)
 	put(z, "a", 1, 1)
 	checkBounds(t, z)
-	if z.lookupResult("a", 1) != nil {
+	if held(z, "a", 1) != nil {
 		t.Fatal("zero-capacity cache admitted an entry")
 	}
 }
 
 // TestCacheRendered pins the memoised rendering: rendered once per
-// (text, generation) the cache keeps, the same bytes on every hit,
-// never served at another generation, counted hit for hit and miss for
-// miss like Eval, charged to the ids bound and dropped with its entry.
+// entry the cache keeps, the same bytes on every hit, never served at
+// another stamp, counted hit for hit and miss for miss like Eval,
+// charged to the ids bound and dropped with its entry.
 func TestCacheRendered(t *testing.T) {
 	eng := testEngine(t, randomNamedDoc(rand.New(rand.NewSource(3)), 80))
 	q, err := xpath.Parse("//a")
@@ -185,7 +194,7 @@ func TestCacheRendered(t *testing.T) {
 		}
 		checkBounds(t, tiny)
 	}
-	if ent := tiny.lookupResult("//a[3]", 1); ent == nil || ent.rendered == nil || tiny.MemoryFootprint() != 16*8 {
+	if ent := held(tiny, "//a[3]", 1); ent == nil || ent.rendered == nil || tiny.MemoryFootprint() != 16*8 {
 		t.Fatalf("the fresh rendering was not kept, or nothing was evicted for it (%d B held)", tiny.MemoryFootprint())
 	}
 	tiny = NewCacheBounds(4, 16)
@@ -193,9 +202,9 @@ func TestCacheRendered(t *testing.T) {
 	renders = 0
 	for i := 1; i <= 2; i++ {
 		b, err := tiny.Rendered(eng, 1, "q", func([]int) []byte { renders++; return make([]byte, 8*13) })
-		if err != nil || len(b) != 8*13 || renders != i || tiny.lookupResult("q", 1) == nil {
+		if err != nil || len(b) != 8*13 || renders != i || held(tiny, "q", 1) == nil {
 			t.Fatalf("oversize rendering, call %d: %d bytes, %d renders, %v; result kept: %v",
-				i, len(b), renders, err, tiny.lookupResult("q", 1) != nil)
+				i, len(b), renders, err, held(tiny, "q", 1) != nil)
 		}
 		checkBounds(t, tiny)
 	}

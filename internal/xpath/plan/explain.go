@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -20,17 +21,20 @@ type StepReport struct {
 
 // Report is the EXPLAIN output for one execution: the chosen
 // strategy and anchor, the cost-model values behind the choice, the
-// snapshot generation and result-cache state, the widest partition
-// fan-out any operator used, and the per-step estimate/actual rows.
+// result-cache state, the element names the answer depends on, the
+// widest partition fan-out any operator used, and the per-step
+// estimate/actual rows.
 type Report struct {
 	Query         string
 	Strategy      Strategy
 	Anchor        int // 0-based step index; -1 when the strategy has none
 	CostLeftRight float64
 	CostChosen    float64
-	Generation    uint64
-	Cache         string // "hit", "miss" or "off"
-	Parallelism   int    // max partitions any operator split into
+	Generation    uint64   // the snapshot reported on, if Snapshot: dyndoc.Concurrent sets both
+	Snapshot      bool     // the document publishes snapshots
+	Cache         string   // "hit" or "miss"
+	Reads         []string // the plan's read set; nil stands for every element (*)
+	Parallelism   int      // max partitions any operator split into
 	Steps         []StepReport
 	Matches       int
 }
@@ -44,6 +48,7 @@ func newReport(p *Plan, e *xpath.Engine) *Report {
 		Anchor:        -1,
 		CostLeftRight: p.CostLeftRight,
 		CostChosen:    p.CostChosen,
+		Reads:         p.Reads,
 		Parallelism:   1,
 		Steps:         make([]StepReport, len(p.Query.Steps)),
 	}
@@ -109,11 +114,12 @@ func (r *Report) String() string {
 	if r.Strategy != FallbackAxes {
 		fmt.Fprintf(&sb, "cost: chosen=%.0f leftright=%.0f\n", r.CostChosen, r.CostLeftRight)
 	}
-	if r.Cache == "off" {
-		fmt.Fprintf(&sb, "cache: off\n")
-	} else {
+	if r.Snapshot {
 		fmt.Fprintf(&sb, "cache: result=%s generation=%d\n", r.Cache, r.Generation)
+	} else {
+		fmt.Fprintf(&sb, "cache: result=%s\n", r.Cache)
 	}
+	fmt.Fprintf(&sb, "reads: %s\n", cmp.Or(strings.Join(r.Reads, ", "), "*"))
 	fmt.Fprintf(&sb, "parallelism: %d\n", r.Parallelism)
 	for i, s := range r.Steps {
 		actual := "-"

@@ -33,6 +33,8 @@
 package plan
 
 import (
+	"slices"
+
 	"repro/internal/metrics"
 	"repro/internal/xpath"
 )
@@ -91,6 +93,24 @@ type Plan struct {
 	// choice was made on, in label-predicate-call units.
 	CostLeftRight float64
 	CostChosen    float64
+	// Reads is every element name the query tests, predicate paths
+	// included, sorted: the answer is a function of the elements so
+	// named alone, since an edit never moves a node that stays. It is
+	// nil when one of the tests is *, which reads every element.
+	Reads []string
+}
+
+// appendNames appends the name tests of q and of its predicates' paths.
+func appendNames(dst []string, q *xpath.Query) []string {
+	for _, s := range q.Steps {
+		dst = append(dst, s.Name)
+		for _, pred := range s.Preds {
+			if pred.Path != nil {
+				dst = appendNames(dst, pred.Path)
+			}
+		}
+	}
+	return dst
 }
 
 // Planner cost-model constants, in units of one label predicate call.
@@ -245,6 +265,11 @@ func costAnchored(q *xpath.Query, counts []int, anchor int) float64 {
 // fallback strategy.
 func For(e *xpath.Engine, q *xpath.Query) *Plan {
 	p := &Plan{Query: q, Text: q.String(), Strategy: LeftRight}
+	p.Reads = appendNames(nil, q)
+	slices.Sort(p.Reads)
+	if p.Reads = slices.Compact(p.Reads); slices.Contains(p.Reads, "*") {
+		p.Reads = nil
+	}
 	if !spine(q) {
 		p.Strategy = FallbackAxes
 		return p

@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/prefix"
@@ -272,9 +274,17 @@ func TestParallelPartitionedJoins(t *testing.T) {
 	}
 }
 
+// tokens is an xpath.Versions a test moves by hand.
+type tokens map[string]uint64
+
+func (v tokens) NameToken(name string) uint64 { return v[name] }
+
 // TestCacheGenerations pins the invalidation rule: a result serves
-// only at the exact generation it was computed at, a defensive copy
-// protects the cached backing array, and the bounds evict.
+// only where the engine computes the stamp it was stored with — the
+// caller's generation for an engine without versions or a query that
+// reads *, the latest token among the names the query reads otherwise —
+// a defensive copy protects the cached backing array, and the bounds
+// evict.
 func TestCacheGenerations(t *testing.T) {
 	gen := rand.New(rand.NewSource(3))
 	doc := randomNamedDoc(gen, 80)
@@ -320,6 +330,44 @@ func TestCacheGenerations(t *testing.T) {
 	if mResultMisses.Value() != misses+2 {
 		t.Fatalf("generation change did not miss")
 	}
+	// With versions the generation stops counting, except for *: the
+	// entry serves until a name it reads moves.
+	vers, last := tokens{"a": 5, "b": 9, "c": 2}, uint64(9)
+	veng := testEngine(t, doc).Versioned(vers)
+	c = NewCache()
+	for _, step := range []struct {
+		query string
+		gen   uint64
+		move  string
+		hit   bool
+	}{
+		{"//a", 1, "", false},
+		{"//a", 2, "", true}, // the generation alone means nothing
+		{"//a", 2, "b", true},
+		{"//a", 2, "a", false},
+		{"//a[./c]", 2, "", false},
+		{"//a[./c]", 2, "b", true},
+		{"//a[./c]", 2, "c", false}, // the predicate's path is read
+		{"//a[./c]", 2, "", true},
+		{"//a", 2, "", true}, // //a did not read c
+		{"//a/*", 2, "", false},
+		{"//a/*", 2, "a", true}, // * is not a name: its stamp is the generation
+		{"//a/*", 3, "", false},
+		{"//a/*", 3, "", true},
+	} {
+		if step.move != "" { // as an edit does: a token larger than any before
+			last++
+			vers[step.move] = last
+		}
+		hits := mResultHits.Value()
+		got, err := c.EvalString(veng, step.gen, step.query)
+		if want, _ := veng.Eval(xpath.MustParse(step.query)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: got %v, %v; want %v", step, got, err, want)
+		}
+		if hit := mResultHits.Value() == hits+1; hit != step.hit {
+			t.Fatalf("%+v: hit = %v", step, hit)
+		}
+	}
 	// Eviction: bound of one entry, two distinct queries.
 	small := NewCacheBounds(1, 1<<20)
 	q2, err := xpath.Parse("//b")
@@ -349,12 +397,13 @@ func TestExplainReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Explain(eng, q)
+	c := NewCache()
+	rec, err := c.Explain(eng, 7, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Cache != "off" {
-		t.Errorf("cache-less Explain reports cache=%q", rec.Cache)
+	if rec.Cache != "miss" || !reflect.DeepEqual(rec.Reads, []string{"a", "b"}) {
+		t.Errorf("first Explain: cache=%q reads=%v", rec.Cache, rec.Reads)
 	}
 	want, err := eng.Eval(q)
 	if err != nil {
@@ -369,19 +418,28 @@ func TestExplainReport(t *testing.T) {
 	if rec.Steps[1].Actual != len(want) {
 		t.Errorf("last step actual = %d, want %d", rec.Steps[1].Actual, len(want))
 	}
-	c := NewCache()
-	r1, err := c.Explain(eng, 7, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Cache != "miss" || r1.Generation != 7 {
-		t.Errorf("first cached Explain: cache=%q gen=%d", r1.Cache, r1.Generation)
-	}
 	r2, err := c.Explain(eng, 7, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.Cache != "hit" {
-		t.Errorf("second cached Explain: cache=%q, want hit", r2.Cache)
+		t.Errorf("second Explain: cache=%q, want hit", r2.Cache)
+	}
+	if r3, err := c.Explain(eng, 8, q); err != nil || r3.Cache != "miss" {
+		t.Errorf("Explain at another generation: %+v, %v", r3, err)
+	}
+	// A * anywhere, a predicate path included, reads every element.
+	for text, reads := range map[string][]string{
+		"//a[./b/c]/preceding-sibling::d[2]": {"a", "b", "c", "d"},
+		"//a[./*]/b":                         nil,
+		"/root/*":                            nil,
+	} {
+		p := For(eng, xpath.MustParse(text))
+		if !reflect.DeepEqual(p.Reads, reads) {
+			t.Errorf("%s reads %v, want %v", text, p.Reads, reads)
+		}
+		if rec, err := NewCache().Explain(eng, 0, p.Query); err != nil || !strings.Contains(rec.String(), "\nreads: "+cmp.Or(strings.Join(reads, ", "), "*")+"\n") {
+			t.Errorf("%s explains as\n%v(%v)", text, rec, err)
+		}
 	}
 }

@@ -33,7 +33,12 @@
 #                      filled by concurrent readers under the race
 #                      detector, a snapshot edit allocates 26 B per
 #                      id, the paged index is one tree and a paged
-#                      insert faults no page of another name)
+#                      insert faults no page of another name), then
+#                      the read-set stamps (the cached-answer
+#                      differential over all 13 schemes and the
+#                      shared-cache lineages under the race detector,
+#                      a hit allocates the caller's copy and nothing
+#                      else, the sibling and parent axes no map)
 #   6. crash safety  — the segment recovery/fault-injection suite by name
 #                      (internal/journal, internal/faultfs), the
 #                      journal kill matrix, the paged-label damage
@@ -133,6 +138,12 @@ go test -count=1 -run 'TestSliceAddCost' ./internal/store
 go test -race -count=3 -run 'TestStarQueryStorm' ./internal/dyndoc
 go test -count=1 -run 'TestEditBytesBounded' ./internal/dyndoc
 go test -count=1 -run 'TestPagedOneTree' .
+
+echo "==> read-set stamps (an answer outlives every edit that cannot change it: differential and shared lineages under the race detector, hit and edit allocation pins)"
+go test -race -count=3 -run 'TestStampedCacheDifferential|TestStampedCacheSharedLineages' ./internal/dyndoc
+go test -count=1 -run 'TestCacheGenerations|TestCacheRendered|TestCacheBoundsTinyLimits' ./internal/xpath/plan
+go test -count=1 -run 'TestSiblingParentAxisBytes' ./internal/xpath
+go test -count=1 -run 'TestCountHitAllocs|TestPagedInsertAllocs|TestHandleExplainGolden' .
 
 echo "==> close-drain and eviction races under the race detector"
 go test -race -count=1 -run 'TestCloseUnderLoad' .
