@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race indexpins stamps vet fmt labelvet fuzz bench ci
+.PHONY: all build test race indexpins stamps kernels vet fmt labelvet fuzz bench ci
 
 all: build
 
@@ -36,6 +36,22 @@ stamps:
 	$(GO) test -count=1 -run 'TestSiblingParentAxisBytes' ./internal/xpath
 	$(GO) test -count=1 -run 'TestCountHitAllocs|TestPagedInsertAllocs|TestHandleExplainGolden' .
 
+# The label kernels: Algorithm 1, Corollary 3.3 and Algorithm 2 write
+# their codes into the arena, byte-equal to what the boxed kernels
+# return (under the race detector, and under the invariants tag, whose
+# assertions read back what was written); a document is mirrored in one
+# walk; a refused insert claims nothing; an insert allocates no code
+# and an open 160 B a node.
+kernels:
+	$(GO) test -race -count=3 -run 'TestStoredKernelsMatchBoxed' ./internal/keys
+	$(GO) test -tags invariants -count=1 -run 'TestStoredKernelsMatchBoxed|FuzzArenaBetween' ./internal/keys
+	$(GO) test -run=^$$ -fuzz=FuzzArenaBetween -fuzztime=5s ./internal/keys
+	$(GO) test -count=1 -run 'TestNewTreeMatchesMapBuild' ./internal/scheme
+	$(GO) test -count=1 -run 'TestRefusedInsertClaimsNothing|TestPackedPathAllocs' ./internal/containment
+	$(GO) test -count=1 -run 'TestOpenBytesBounded|TestEditBytesBounded' ./internal/dyndoc
+	$(GO) test -count=1 -run 'TestPagedInsertAllocs|TestMetricsJSON' .
+	$(GO) test -count=1 -run 'TestWarmLeafEditAllocs' ./internal/pagestore
+
 # `make vet` is the single local entry point for all static analysis:
 # stock go vet plus the full labelvet suite (including the guardedby/
 # atomicmix/ackorder/lockorder concurrency tier) in both tag states.
@@ -58,6 +74,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeBetween -fuzztime=10s ./internal/cdbs
 	$(GO) test -run=^$$ -fuzz=FuzzBetween -fuzztime=10s ./internal/qed
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeBetween -fuzztime=10s ./internal/qed
+	$(GO) test -run=^$$ -fuzz=FuzzArenaBetween -fuzztime=10s ./internal/keys
 	$(GO) test -run=^$$ -fuzz=FuzzBitstrKernels -fuzztime=10s ./internal/bitstr
 	$(GO) test -run=^$$ -fuzz=FuzzBitstrCodecs -fuzztime=10s ./internal/bitstr
 	$(GO) test -run=^$$ -fuzz=FuzzReadAll -fuzztime=10s ./internal/journal

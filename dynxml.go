@@ -516,6 +516,7 @@ func openJournaled(src any, cfg config) (*Handle, error) {
 
 // docFrom turns any supported source value into a parsed document.
 func docFrom(src any) (*Document, error) {
+	defer dyndoc.ObserveOpenParse(time.Now())
 	switch s := src.(type) {
 	case *Document:
 		if s == nil {

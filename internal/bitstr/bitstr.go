@@ -277,34 +277,42 @@ func (s BitString) Prefix(n int) BitString {
 
 // SpliceBits returns Prefix(keep) with the low k bits of v appended
 // (MSB-first: bit k-1 of v is appended first), fused into a single
-// allocation. It is the kernel behind ReplaceLastBit and the CDBS
-// insertion rewrites (Algorithm 1 case 2 builds r[:len-1] ⊕ "01" this
-// way). It panics if keep is outside [0, Len] or k outside [0, 64].
+// allocation. It is the kernel behind ReplaceLastBit and the boxed CDBS
+// insertion (Algorithm 1 case 2 builds r[:len-1] ⊕ "01" this way);
+// AppendSplicedTo writes the same splice where it will be stored. It
+// panics if keep is outside [0, Len] or k outside [0, 64].
 func (s BitString) SpliceBits(keep int, v uint64, k int) BitString {
-	if keep < 0 || keep > s.n {
-		panic(fmt.Sprintf("bitstr: splice keep %d out of range [0,%d]", keep, s.n))
-	}
-	if k < 0 || k > 64 {
-		panic(fmt.Sprintf("bitstr: splice bit count %d out of range [0,64]", k))
-	}
-	n := keep + k
+	n := s.spliceLen(keep, k)
 	if n == 0 {
 		return Empty
 	}
 	out := make([]byte, bytesFor(n))
-	if nb := bytesFor(keep); nb > 0 {
-		copy(out, s.data[:nb])
-		clearSpareBits(out[:nb], keep)
-	}
-	for i := 0; i < k; i++ {
-		if v>>uint(k-1-i)&1 != 0 {
-			p := keep + i
-			out[p/8] |= 1 << (7 - uint(p)%8)
-		}
-	}
+	s.spliceInto(out, keep, v, k)
 	t := BitString{data: out, n: n}
 	t.assertWellFormed()
 	return t
+}
+
+// spliceLen returns the length of a splice, or panics as SpliceBits
+// documents. It is small enough to inline, and so is spliceInto.
+func (s BitString) spliceLen(keep, k int) int {
+	if keep < 0 || keep > s.n || k < 0 || k > 64 {
+		panic("bitstr: splice keeps a prefix outside [0,Len] or adds bits outside [0,64]")
+	}
+	return keep + k
+}
+
+// spliceInto writes the first keep bits of s and then the low k bits
+// of v into out, which holds bytesFor(keep+k) zero bytes.
+func (s BitString) spliceInto(out []byte, keep int, v uint64, k int) {
+	copy(out, s.data[:bytesFor(keep)])
+	if r := keep % 8; r != 0 {
+		out[keep/8] &= byte(0xFF) << (8 - r)
+	}
+	for p := keep; k > 0; p++ {
+		k--
+		out[p/8] |= byte(v>>uint(k)&1) << (7 - uint(p)%8)
+	}
 }
 
 // PadRight returns s extended with zero bits to exactly width bits.

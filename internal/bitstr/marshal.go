@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // AppendTo serialises the bit string as a uvarint bit count followed
@@ -14,8 +15,26 @@ func (s BitString) AppendTo(dst []byte) []byte {
 }
 
 // EncodedLen returns how many bytes AppendTo appends for s.
-func (s BitString) EncodedLen() int {
-	return (bits.Len64(uint64(s.n)|1)+6)/7 + len(s.data)
+func (s BitString) EncodedLen() int { return StoredLen(s.n) }
+
+// StoredLen returns how many bytes the stored form of an n-bit string
+// takes: what AppendTo and AppendSplicedTo append.
+func StoredLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + bytesFor(n) }
+
+// AppendSplicedTo appends to dst what s.SpliceBits(keep, v, k).AppendTo
+// would — the uvarint bit count, the kept prefix's bytes, the new bits —
+// without building the spliced string in between: with room in dst it
+// allocates nothing. It panics as SpliceBits does.
+func (s BitString) AppendSplicedTo(dst []byte, keep int, v uint64, k int) []byte {
+	n := s.spliceLen(keep, k)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	at, end := len(dst), len(dst)+bytesFor(n)
+	// Not append(dst, make(…)...): the race detector's build allocates it.
+	dst = slices.Grow(dst, end-at)[:end]
+	clear(dst[at:])
+	s.spliceInto(dst[at:], keep, v, k)
+	BitString{data: dst[at:], n: n}.assertWellFormed()
+	return dst
 }
 
 // Stored is DecodeFrom without the copy and without the checks, for
@@ -33,6 +52,12 @@ func Stored(data []byte) (n int, packed []byte) {
 		used++
 	}
 	return n, data[used : used+(n+7)>>3]
+}
+
+// ViewStored is Stored as a BitString that aliases data (View).
+func ViewStored(data []byte) BitString {
+	n, packed := Stored(data)
+	return View(packed, n)
 }
 
 // DecodeFrom parses a bit string produced by AppendTo from the front

@@ -35,11 +35,42 @@ var ErrNotEndingInOne = errors.New("cdbs: code does not end with bit 1")
 // ErrNotOrdered reports Between(l, r) with l ⊀ r.
 var ErrNotOrdered = errors.New("cdbs: left code is not lexicographically smaller than right code")
 
-// Between implements Algorithm 1 (AssignMiddleBinaryString). Given
-// l ≺ r, both ending with "1", it returns m with l ≺ m ≺ r. Either or
-// both bounds may be empty (bitstr.Empty), meaning an open end: the
-// paper's Algorithm 2 calls Between this way for the sentinel
-// positions 0 and N+1.
+// CheckGap validates a gap once, for however many codes then go into
+// it: a bound is empty (open) or ends with "1", and l ≺ r. (Between
+// states the same three tests itself: a call here costs it 7 %.)
+func CheckGap(l, r bitstr.BitString) error {
+	if !l.IsEmpty() && !l.EndsWithOne() {
+		return fmt.Errorf("%w: left %q", ErrNotEndingInOne, l)
+	}
+	if !r.IsEmpty() && !r.EndsWithOne() {
+		return fmt.Errorf("%w: right %q", ErrNotEndingInOne, r)
+	}
+	if !l.IsEmpty() && !r.IsEmpty() && l.Compare(r) >= 0 {
+		return fmt.Errorf("%w: %q vs %q", ErrNotOrdered, l, r)
+	}
+	return nil
+}
+
+// middle is Algorithm 1 (AssignMiddleBinaryString) on a checked gap,
+// stated once, as a splice of one bound: the first keep bits of src,
+// then the low k bits of v. Case (1) is l ⊕ "1" — with both bounds
+// empty, "1", the middle number's code — and case (2) is r with its
+// last "1" changed to "01". The case depends on the bounds' lengths
+// alone, so a caller can size its storage first (BetweenLen).
+func middle(l, r bitstr.BitString) (src bitstr.BitString, keep int, v uint64, k int) {
+	if l.Len() >= r.Len() {
+		return l, l.Len(), 0b1, 1
+	}
+	return r, r.Len() - 1, 0b01, 2
+}
+
+// BetweenLen returns the bits of the code between bounds of ll and rl.
+func BetweenLen(ll, rl int) int { return max(ll, rl) + 1 }
+
+// Between implements Algorithm 1. Given l ≺ r, both ending with "1",
+// it returns m with l ≺ m ≺ r. Either or both bounds may be empty
+// (bitstr.Empty), meaning an open end: the paper's Algorithm 2 calls
+// Between this way for the sentinel positions 0 and N+1.
 func Between(l, r bitstr.BitString) (bitstr.BitString, error) {
 	if !l.IsEmpty() && !l.EndsWithOne() {
 		return bitstr.Empty, fmt.Errorf("%w: left %q", ErrNotEndingInOne, l)
@@ -51,22 +82,39 @@ func Between(l, r bitstr.BitString) (bitstr.BitString, error) {
 		return bitstr.Empty, fmt.Errorf("%w: %q vs %q", ErrNotOrdered, l, r)
 	}
 	var m bitstr.BitString
-	if l.Len() >= r.Len() {
-		// Case (1): m = l ⊕ "1". With both bounds empty this yields
-		// "1", the code the paper assigns to the middle number.
-		m = l.AppendBit(1)
+	if src, keep, v, k := middle(l, r); k == 1 {
+		m = src.AppendBit(1) // inlined here, as in fillGap
 	} else {
-		// Case (2): m = r with the last bit "1" changed to "01",
-		// fused into a single allocation.
-		m = r.SpliceBits(r.Len()-1, 0b01, 2)
+		m = src.SpliceBits(keep, v, k)
 	}
 	assertBetween(l, r, m)
 	return m, nil
 }
 
+// AppendBetween is Between written where the code will live: it
+// appends the code of the checked gap (l, r) to dst in its stored form
+// (bitstr.AppendTo's), allocating nothing with room in dst for
+// StoredLen(BetweenLen(…)) bytes, and returns a view of it.
+func AppendBetween(dst []byte, l, r bitstr.BitString) ([]byte, bitstr.BitString) {
+	at := len(dst)
+	src, keep, v, k := middle(l, r)
+	dst = src.AppendSplicedTo(dst, keep, v, k)
+	m := bitstr.ViewStored(dst[at:])
+	assertBetween(l, r, m)
+	return dst, m
+}
+
+// AppendTwoBetween is Corollary 3.3 in stored form: m1 then m2 with
+// l ≺ m1 ≺ m2 ≺ r, the (start, end) pair of a containment label. m1
+// ends with "1" (Lemma 3.2) and is longer than r, so m2 is m1 ⊕ "1".
+func AppendTwoBetween(dst []byte, l, r bitstr.BitString) []byte {
+	dst, m1 := AppendBetween(dst, l, r)
+	dst, _ = AppendBetween(dst, m1, r)
+	return dst
+}
+
 // TwoBetween implements Corollary 3.3: it returns m1, m2 with
-// l ≺ m1 ≺ m2 ≺ r. Containment labeling needs this to insert a fresh
-// (start, end) pair into one gap.
+// l ≺ m1 ≺ m2 ≺ r.
 func TwoBetween(l, r bitstr.BitString) (m1, m2 bitstr.BitString, err error) {
 	m1, err = Between(l, r)
 	if err != nil {
@@ -112,43 +160,64 @@ func EncodeBetween(l, r bitstr.BitString, n int) ([]bitstr.BitString, error) {
 		// historical NBetween contract the reference keeps.
 		return nil, nil
 	}
-	if !l.IsEmpty() && !l.EndsWithOne() {
-		return nil, fmt.Errorf("%w: left %q", ErrNotEndingInOne, l)
-	}
-	if !r.IsEmpty() && !r.EndsWithOne() {
-		return nil, fmt.Errorf("%w: right %q", ErrNotEndingInOne, r)
-	}
-	if !l.IsEmpty() && !r.IsEmpty() && l.Compare(r) >= 0 {
-		return nil, fmt.Errorf("%w: %q vs %q", ErrNotOrdered, l, r)
+	if err := CheckGap(l, r); err != nil {
+		return nil, err
 	}
 	out := make([]bitstr.BitString, n)
 	fillGap(out, l, r)
-	assertEncodeBetween(l, r, out)
 	return out, nil
 }
 
 // fillGap assigns the codes of the open gap (l, r) into out. The
-// middle slot gets the gap's Algorithm 1 code, computed from the
-// bound lengths alone (the bounds are already validated), and the two
-// halves recurse with that code as their shared bound. The slice
-// midpoint len(out)/2 equals SubEncoding's round((lo+hi)/2) pivot at
-// every depth — with gap size s = hi−lo−1, the pivot's offset into
-// the gap is floor((lo+hi+1)/2) − (lo+1) = floor(s/2) — so the output
-// matches RefNBetween exactly.
+// middle slot gets the gap's Algorithm 1 code and the two halves
+// recurse with that code as their shared bound. The slice midpoint
+// len(out)/2 equals SubEncoding's round((lo+hi)/2) pivot at every
+// depth — with gap size s = hi−lo−1, the pivot's offset into the gap
+// is floor((lo+hi+1)/2) − (lo+1) = floor(s/2) — so the output matches
+// RefNBetween exactly.
 func fillGap(out []bitstr.BitString, l, r bitstr.BitString) {
 	if len(out) == 0 {
 		return
 	}
 	mid := len(out) / 2
 	var m bitstr.BitString
-	if l.Len() >= r.Len() {
-		m = l.AppendBit(1) // Algorithm 1, case (1)
+	if src, keep, v, k := middle(l, r); k == 1 {
+		m = src.AppendBit(1)
 	} else {
-		m = r.SpliceBits(r.Len()-1, 0b01, 2) // case (2): last "1" → "01"
+		m = src.SpliceBits(keep, v, k)
 	}
+	assertBetween(l, r, m)
 	out[mid] = m
 	fillGap(out[:mid], l, m)
 	fillGap(out[mid+1:], m, r)
+}
+
+// PutEncodeBetween is fillGap in stored form: it writes the len(offs)
+// codes of the checked gap (l, r) into buf, the i-th in code order at
+// offs[i], where the caller has left each the StoredLen its length
+// (EncodeBetweenLens) takes. A gap's code is written before its
+// halves', which read it back as their bound: nothing is boxed.
+func PutEncodeBetween[T ~uint32](buf []byte, offs []T, l, r bitstr.BitString) {
+	if len(offs) == 0 {
+		return
+	}
+	mid := len(offs) / 2
+	_, m := AppendBetween(buf[:offs[mid]], l, r)
+	PutEncodeBetween(buf, offs[:mid], l, m)
+	PutEncodeBetween(buf, offs[mid+1:], m, r)
+}
+
+// EncodeBetweenLens is the same recursion on lengths alone: it sets
+// lens[i] to the bits of the i-th code EncodeBetween(l, r, len(lens))
+// assigns between bounds of ll and rl bits.
+func EncodeBetweenLens[T ~uint32](lens []T, ll, rl int) {
+	if len(lens) == 0 {
+		return
+	}
+	mid := len(lens) / 2
+	lens[mid] = T(BetweenLen(ll, rl))
+	EncodeBetweenLens(lens[:mid], ll, int(lens[mid]))
+	EncodeBetweenLens(lens[mid+1:], int(lens[mid]), rl)
 }
 
 // Encode implements Algorithm 2: it returns the V-CDBS codes for the

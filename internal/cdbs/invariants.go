@@ -14,31 +14,12 @@ func invariantPanic(format string, args ...any) {
 	panic("cdbs: invariant violated: " + fmt.Sprintf(format, args...))
 }
 
-// assertEncodeBetween checks the bulk postconditions of EncodeBetween
-// when the `invariants` build tag is on: every emitted code ends with
-// bit 1 and the whole run is strictly ordered inside (l, r).
-func assertEncodeBetween(l, r bitstr.BitString, out []bitstr.BitString) {
-	if !invariantsEnabled {
-		return
-	}
-	prev := l
-	for i, m := range out {
-		if !m.EndsWithOne() {
-			invariantPanic("EncodeBetween(%q, %q) code %d = %q does not end with bit 1", l, r, i, m)
-		}
-		if !prev.IsEmpty() && prev.Compare(m) >= 0 {
-			invariantPanic("EncodeBetween(%q, %q) code %d = %q is not above %q", l, r, i, m, prev)
-		}
-		prev = m
-	}
-	if len(out) > 0 && !r.IsEmpty() && prev.Compare(r) >= 0 {
-		invariantPanic("EncodeBetween(%q, %q) last code %q is not below the right bound", l, r, prev)
-	}
-}
-
-// assertBetween checks the Theorem 3.1 postconditions of Between when
-// the `invariants` build tag is on: the new code ends with bit 1 and
-// sits strictly between its bounds (an empty bound is open).
+// assertBetween checks the Theorem 3.1 postconditions of every code
+// Algorithm 1 assigns — boxed, or read back from where it was stored,
+// singly or as part of a run, which is ordered if each of its codes is
+// between its own bounds — when the `invariants` build tag is on: the
+// new code ends with bit 1 and sits strictly between its bounds (an
+// empty bound is open).
 func assertBetween(l, r, m bitstr.BitString) {
 	if !invariantsEnabled {
 		return

@@ -1,11 +1,14 @@
 package containment
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/keys"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -137,5 +140,79 @@ func TestArenaCloneIsolation(t *testing.T) {
 			same("discarded clone", dropped, alone(5, 1))
 			same("their original", pub, want)
 		})
+	}
+}
+
+// TestRefusedInsertClaimsNothing: an insert over the label-length
+// limit is refused from the bounds' lengths, before a key is written —
+// on a clone too, whose arena its original still reads: neither side's
+// LabelBytes moves. The refusal is exact: a twin without the limit
+// grows the very label that was refused, and no shorter one is.
+func TestRefusedInsertClaimsNothing(t *testing.T) {
+	const limit = 6
+	for _, codec := range []keys.Codec{keys.VCDBS(), keys.FCDBS(), keys.QED()} {
+		build := func() *Labeling {
+			d, err := xmltree.ParseString("<r><a/><b/></r>")
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := New(codec, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+		orig, twin := build(), build()
+		orig.LimitLabel(limit)
+		l := orig.CloneLabeling().(*Labeling)
+		origBytes, origLabels := orig.LabelBytes(), labelsOf(t, orig)
+		// Pile leaves, and now and then a fragment, into the gap behind
+		// the first child until one is refused.
+		rng := rand.New(rand.NewSource(7))
+		insert := func(l *Labeling, shape *xmltree.Node) error {
+			if shape != nil {
+				_, _, err := l.InsertSubtree(0, 1, shape)
+				return err
+			}
+			_, _, err := l.InsertChildAt(0, 1)
+			return err
+		}
+		for i := 0; ; i++ {
+			if i > 1000 {
+				t.Fatalf("%s: limit of %d bytes never reached", codec.Name(), limit)
+			}
+			var shape *xmltree.Node
+			if i%4 == 3 {
+				shape = randomShape(rng)
+			}
+			before, labels := l.LabelBytes(), labelsOf(t, l)
+			err := insert(l, shape)
+			if terr := insert(twin, shape); terr != nil {
+				t.Fatal(terr)
+			}
+			if err == nil {
+				if l.LongestLabel() != twin.LongestLabel() || l.LongestLabel() > limit {
+					t.Fatalf("%s: insert %d let a label of %d bytes in (twin %d)", codec.Name(), i, l.LongestLabel(), twin.LongestLabel())
+				}
+				continue
+			}
+			if !errors.Is(err, scheme.ErrLabelTooLong) {
+				t.Fatalf("%s: insert %d: %v", codec.Name(), i, err)
+			}
+			if twin.LongestLabel() <= limit {
+				t.Errorf("%s: insert %d refused, but its longest label would have been %d bytes", codec.Name(), i, twin.LongestLabel())
+			}
+			if got := l.LabelBytes(); got != before || !reflect.DeepEqual(labelsOf(t, l), labels) {
+				t.Errorf("%s: the refused insert changed the clone: LabelBytes %d -> %d", codec.Name(), before, got)
+			}
+			break
+		}
+		if got := orig.LabelBytes(); got != origBytes || !reflect.DeepEqual(labelsOf(t, orig), origLabels) {
+			t.Errorf("%s: the clone's inserts changed the original: LabelBytes %d -> %d", codec.Name(), origBytes, got)
+		}
+		// Elsewhere there is still room.
+		if _, _, err := l.InsertChildAt(0, 0); err != nil {
+			t.Errorf("%s: insert into another gap after the refusal: %v", codec.Name(), err)
+		}
 	}
 }

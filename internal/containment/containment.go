@@ -82,11 +82,11 @@ func (l *Labeling) start(v int) keys.Ref { return l.ends[2*v] }
 func (l *Labeling) end(v int) keys.Ref   { return l.ends[2*v+1] }
 
 // reassign (re)encodes every node's start and end keys in document
-// order into a fresh arena and returns the count of nodes whose keys
-// changed (zero on the first call, when there are no old keys).
+// order into a fresh arena, sized once for all of them, and returns the
+// count of nodes whose keys changed (zero on the first call, when there
+// are no old keys).
 func (l *Labeling) reassign() (changed int, err error) {
-	order := l.tree.PreOrder()
-	if len(order) == 0 {
+	if !l.tree.Alive(0) {
 		return 0, errors.New("containment: empty tree")
 	}
 	arena, err := keys.NewArena(l.keys.Codec())
@@ -98,18 +98,17 @@ func (l *Labeling) reassign() (changed int, err error) {
 		return 0, err
 	}
 	ends := make([]keys.Ref, 2*l.tree.Cap())
-	pos := 0
+	longest := uint32(0)
 	var walk func(v int)
 	walk = func(v int) {
-		ends[2*v] = ks[pos]
-		pos++
+		ends[2*v], ks = ks[0], ks[1:]
+		longest = max(longest, labelLen(&arena, ends[2*v]))
 		for _, c := range l.tree.Children[v] {
 			walk(c)
 		}
-		ends[2*v+1] = ks[pos]
-		pos++
+		ends[2*v+1], ks = ks[0], ks[1:]
 	}
-	walk(order[0])
+	walk(0) // the root: ids are document order at build time
 	// A key's stored form is canonical, so equal bytes are equal keys.
 	same := func(i int) bool { return bytes.Equal(l.keys.Stored(l.ends[i]), arena.Stored(ends[i])) }
 	for v := 0; 2*v < len(l.ends); v++ {
@@ -118,10 +117,7 @@ func (l *Labeling) reassign() (changed int, err error) {
 		}
 	}
 	l.keys, l.ends, l.mark = arena, ends, cow.NewMark(len(ends))
-	l.longest = 0
-	for _, v := range order {
-		l.longest = max(l.longest, l.labelLen(l.start(v)))
-	}
+	l.longest = longest
 	return changed, nil
 }
 
@@ -157,8 +153,8 @@ func (l *Labeling) AppendOrderedLabel(dst []byte, v int) ([]byte, error) {
 
 // labelLen returns the length of the ordered label a node with start
 // key r has: zero under a codec without one.
-func (l *Labeling) labelLen(r keys.Ref) uint32 {
-	b, _ := l.keys.Ordered(r)
+func labelLen(a *keys.Arena, r keys.Ref) uint32 {
+	b, _ := a.Ordered(r)
 	return uint32(len(b))
 }
 
@@ -168,13 +164,14 @@ func (l *Labeling) LimitLabel(n int) { l.limit = uint32(min(max(n, 0), math.MaxU
 // LongestLabel implements scheme.LabelLimiter.
 func (l *Labeling) LongestLabel() int { return int(l.longest) }
 
-// refuse undoes the key assignment of an insert that would give a
-// node an ordered label of n bytes, over the limit: it drops the keys
-// appended since the arena held size bytes, before anything else has
-// changed.
-func (l *Labeling) refuse(n uint32, size int) error {
-	l.keys.Truncate(size)
-	return fmt.Errorf("containment: %w: %d bytes, limit %d", scheme.ErrLabelTooLong, n, l.limit)
+// keyError wraps the arena's refusal of an insert. One that would give
+// a node an ordered label over the limit (keys.ErrTooLong) is refused
+// before it has appended a key or changed anything else.
+func keyError(err error) error {
+	if errors.Is(err, keys.ErrTooLong) {
+		return fmt.Errorf("containment: %w: %v", scheme.ErrLabelTooLong, err)
+	}
+	return fmt.Errorf("containment: %w", err)
 }
 
 // StartKey returns v's start key as the codec's Key-level methods
@@ -253,21 +250,16 @@ func (l *Labeling) gapBounds(parent, pos int) (left, right keys.Ref) {
 
 // InsertChildAt inserts a fresh leaf element as the pos-th child of
 // parent. Both its start and its end key must fit in one gap — the
-// case Corollary 3.3 covers for CDBS.
+// case Corollary 3.3 covers for CDBS — and are asked for together.
 func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	if err := l.tree.ValidateInsert(parent, pos); err != nil {
 		return 0, 0, err
 	}
 	left, right := l.gapBounds(parent, pos)
-	size := l.keys.Size()
-	m1, err := l.keys.Between(left, right)
-	var m2 keys.Ref
-	if err == nil {
-		m2, err = l.keys.Between(m1, right)
-	}
+	m1, m2, err := l.keys.TwoBetween(left, right, int(l.limit))
 	if err != nil {
 		if !errors.Is(err, keys.ErrNoRoom) {
-			return 0, 0, fmt.Errorf("containment: %w", err)
+			return 0, 0, keyError(err)
 		}
 		// Static codec out of room: grow the tree first, then
 		// re-encode everything and count the damage.
@@ -278,14 +270,10 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 		}
 		return id, changed, nil
 	}
-	n := l.labelLen(m1)
-	if l.limit > 0 && n > l.limit {
-		return 0, 0, l.refuse(n, size)
-	}
 	id := l.tree.AddChild(parent, pos)
 	l.ends = cow.Grow(&l.mark, l.ends, 2)
 	l.ends[2*id], l.ends[2*id+1] = m1, m2
-	l.longest = max(l.longest, n)
+	l.longest = max(l.longest, labelLen(&l.keys, m1))
 	return id, 0, nil
 }
 
@@ -344,60 +332,52 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 		return nil, 0, err
 	}
 	left, right := l.gapBounds(parent, pos)
-	size := l.keys.Size()
-	ks, err := l.keys.NBetween(left, right, 2*total)
-	if err != nil && !errors.Is(err, keys.ErrNoRoom) {
-		return nil, 0, fmt.Errorf("containment: %w", err)
-	}
-	addShapes := func() [][]int {
-		ids := make([][]int, len(shapes))
-		for k, shape := range shapes {
-			ids[k] = l.addShape(parent, pos+k, shape)
+	// The fresh keys go to the fragments in document order: start at
+	// pre-visit, end at post-visit, fragments consecutive. starts and
+	// ends list where in that run each fragment node's two stand, nodes
+	// in preorder, the order addShape hands out ids in. The limit is for
+	// the start keys, which are the labels.
+	starts, ends := make([]uint32, 0, total), make([]uint32, total)
+	next := uint32(0)
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		i := len(starts)
+		starts = append(starts, next)
+		next++
+		for _, c := range n.Children {
+			walk(c)
 		}
-		return ids
+		ends[i] = next
+		next++
+	}
+	for _, shape := range shapes {
+		walk(shape)
+	}
+	ks, err := l.keys.NBetween(left, right, 2*total, int(l.limit), starts)
+	if err != nil && !errors.Is(err, keys.ErrNoRoom) {
+		return nil, 0, keyError(err)
+	}
+	ids := make([][]int, len(shapes))
+	for k, shape := range shapes {
+		ids[k] = l.addShape(parent, pos+k, shape)
 	}
 	if err != nil {
-		// Static codec out of room: grow the tree, then re-encode
+		// Static codec out of room: the tree has grown, now re-encode
 		// everything.
-		ids := addShapes()
 		changed, err := l.reassign()
 		if err != nil {
 			return nil, 0, err
 		}
 		return ids, changed, nil
 	}
-	// The fresh keys go to the fragments in document order: start at
-	// pre-visit, end at post-visit, fragments consecutive. pairs lists
-	// each fragment node's two in preorder, the order addShape hands
-	// out ids in.
-	pairs := make([][2]keys.Ref, 0, total)
-	longest := uint32(0)
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		i := len(pairs)
-		pairs = append(pairs, [2]keys.Ref{ks[0]})
-		longest = max(longest, l.labelLen(ks[0]))
-		ks = ks[1:]
-		for _, c := range n.Children {
-			walk(c)
-		}
-		pairs[i][1], ks = ks[0], ks[1:]
-	}
-	for _, shape := range shapes {
-		walk(shape)
-	}
-	if l.limit > 0 && longest > l.limit {
-		return nil, 0, l.refuse(longest, size)
-	}
-	ids := addShapes()
 	l.ends = cow.Grow(&l.mark, l.ends, 2*total)
 	for k, i := 0, 0; k < len(ids); k++ {
 		for _, id := range ids[k] {
-			l.ends[2*id], l.ends[2*id+1] = pairs[i][0], pairs[i][1]
+			l.ends[2*id], l.ends[2*id+1] = ks[starts[i]], ks[ends[i]]
+			l.longest = max(l.longest, labelLen(&l.keys, ks[starts[i]]))
 			i++
 		}
 	}
-	l.longest = max(l.longest, longest)
 	return ids, 0, nil
 }
 

@@ -59,17 +59,6 @@ func Append[T any](m **Mark, s []T, v T) []T {
 	return s
 }
 
-// Shrink gives back the last k slots of s. The caller must have
-// claimed them with Grow and shown the grown column to nobody: every
-// other holder of the array is then shorter than the slots given back,
-// so the next holder to claim them — this one or another — is again
-// the only one. The slots keep what the caller wrote to them, which
-// suits a column whose writer fills every slot it claims.
-func Shrink[T any](m *Mark, s []T, k int) []T {
-	m.n.Store(int64(len(s) - k))
-	return s[:len(s)-k]
-}
-
 // Copy returns a private copy of s with a little room to spare, so
 // that the appends of the edit that follows a clone do not copy it a
 // second time. It is for the per-id slices that are rewritten in place

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cow"
 	"repro/internal/metrics"
@@ -40,7 +41,15 @@ var (
 	mRelabeled = metrics.Default.Counter("dyndoc_relabeled_total")
 	// Inserts refused because the new label would not fit the index.
 	mLabelTooLong = metrics.Default.Counter("dyndoc_label_too_long_total")
+	// Where an open's time goes. NewWithStore observes label and index;
+	// whoever parsed the text first reports it with ObserveOpenParse.
+	mOpenParse = metrics.Default.Histogram("dynxml_open_parse_seconds", nil)
+	mOpenLabel = metrics.Default.Histogram("dynxml_open_label_seconds", nil)
+	mOpenIndex = metrics.Default.Histogram("dynxml_open_index_seconds", nil)
 )
+
+// ObserveOpenParse records how long the parse that began at start took.
+func ObserveOpenParse(start time.Time) { mOpenParse.Observe(time.Since(start).Seconds()) }
 
 // Document is a live, labeled, queryable XML document.
 //
@@ -134,34 +143,36 @@ func New(doc *xmltree.Document, build scheme.Builder) (*Document, error) {
 // NewWithStore is New with an explicit storage backend for the element
 // index.
 func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFactory) (*Document, error) {
+	start := time.Now()
 	lab, err := build(doc)
 	if err != nil {
 		return nil, err
 	}
+	labelled := time.Now()
+	mOpenLabel.Observe(labelled.Sub(start).Seconds())
 	if factory == nil {
 		factory = func(b store.Binding) (store.Backend, error) { return store.NewSlice(b), nil }
 	}
-	nodes := doc.Nodes()
+	n := lab.Tree().Cap() // the builder's count of doc's nodes
 	d := &Document{
 		lab:        lab,
-		names:      make([]string, len(nodes)),
-		leaves:     make([]*leaf, len(nodes)),
-		namesMark:  cow.NewMark(len(nodes)),
-		leavesMark: cow.NewMark(len(nodes)),
+		names:      make([]string, n),
+		leaves:     make([]*leaf, n),
+		namesMark:  cow.NewMark(n),
+		leavesMark: cow.NewMark(n),
 		factory:    factory,
 		cache:      plan.NewCache(),
 		born:       editTokens.Add(1),
 		versions:   make(map[string]uint64),
 	}
 	d.lastEdit = d.born
-	var elems []int
-	for i, n := range nodes {
-		if d.leaves[i] = leafOf(n); d.leaves[i] != nil {
-			continue
+	elems := make([]int, 0, n)
+	doc.Walk(func(id int, node *xmltree.Node, _, _ int) {
+		if d.leaves[id] = leafOf(node); d.leaves[id] == nil {
+			d.names[id] = node.Name
+			elems = append(elems, id)
 		}
-		d.names[i] = n.Name
-		elems = append(elems, i)
-	}
+	})
 	if d.idx, err = factory(d.binding()); err != nil {
 		return nil, err
 	}
@@ -171,6 +182,7 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 	}
 	limitLabels(lab, d.idx)
 	d.bind()
+	mOpenIndex.Observe(time.Since(labelled).Seconds())
 	return d, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/containment"
+	"repro/internal/datagen"
 	"repro/internal/keys"
 	"repro/internal/xmltree"
 )
@@ -82,5 +83,30 @@ func TestEditBytesBounded(t *testing.T) {
 			t.Errorf("%d elements: %d B allocated per Concurrent.InsertElement, want at most 26 B x %d ids + 8 KB = %d",
 				elems, perEdit, ids, bound)
 		}
+	}
+}
+
+// TestOpenBytesBounded pins what labelling and indexing a document
+// allocate: the columns at their final size, the keys written once
+// into an arena sized for them, no list of nodes and no boxed code in
+// between. Hamlet took 352 B per node when every code was boxed and
+// the tree mirrored through a map; it takes 136 now.
+func TestOpenBytesBounded(t *testing.T) {
+	doc := datagen.Hamlet()
+	nodes := doc.Len()
+	const opens = 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < opens; i++ {
+		if _, err := New(doc, containment.Build(keys.VCDBS())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / opens / float64(nodes)
+	t.Logf("Hamlet, %d nodes: %.0f B per node", nodes, perNode)
+	if perNode > 160 {
+		t.Errorf("New(Hamlet) allocates %.0f B per node, want at most 160", perNode)
 	}
 }

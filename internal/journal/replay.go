@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/dyndoc"
 	"repro/internal/registry"
@@ -155,7 +156,9 @@ func rebuildFromMeta(meta checkpointMeta) (*dyndoc.Document, map[int]int, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: checkpoint scheme: %w", err)
 	}
+	start := time.Now()
 	tree, err := xmltree.ParseWithOptions(strings.NewReader(meta.XML), xmltree.ParseOptions{IncludeAttributes: true})
+	dyndoc.ObserveOpenParse(start)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: rebuilding checkpoint document: %w", err)
 	}

@@ -25,9 +25,10 @@ import (
 //	QED                    one byte per digit (1..3), then a 0 byte
 //
 // so a key costs its own size plus one or two bytes, where a boxed Key
-// costs an interface, a header and an allocation. Compare, Between,
-// NBetween and the size accounting run on views that alias the slice;
-// a Key is built only by Key, for callers that want one.
+// costs an interface, a header and an allocation. Compare, TwoBetween,
+// NBetween and the size accounting read views that alias the slice, and
+// the CDBS kernels write their keys into it; a Key is built only by Key,
+// for callers that want one.
 //
 // An Arena is a value: copying it shares the bytes. A key is never
 // rewritten, so a copy keeps reading what it could see when it was
@@ -67,8 +68,13 @@ type stored interface {
 	// the accounting over the terms (Codec.TotalBits).
 	bits(b []byte) int
 	total(t tally) int
-	between(a *Arena, l, r []byte) (Ref, error)
-	nbetween(a *Arena, l, r []byte, n int) ([]Ref, error)
+	// two appends m1 then m2 with l < m1 < m2 < r, or neither: what
+	// Codec.Between gives for l and r, then for m1 and r. A codec with
+	// an ordered form refuses with tooLong, before it appends, an m1
+	// over limit.
+	two(a *Arena, l, r []byte, limit int) (m1, m2 Ref, err error)
+	// nbetween's limit is for the keys at the ranks bounded lists.
+	nbetween(a *Arena, l, r []byte, n, limit int, bounded []uint32) ([]Ref, error)
 	encode(a *Arena, n int) ([]Ref, error)
 	// marshal appends the key as Marshaler.AppendKey writes it.
 	marshal(dst, b []byte) []byte
@@ -96,11 +102,6 @@ func (a *Arena) Codec() Codec { return a.k }
 // Size returns the arena's length in bytes.
 func (a *Arena) Size() int { return len(a.data) }
 
-// Truncate drops every key appended since Size returned n, for a
-// caller that will not use them after all. No copy of the arena may
-// have been taken in between (cow.Shrink).
-func (a *Arena) Truncate(n int) { a.data = cow.Shrink(a.mark, a.data, len(a.data)-n) }
-
 func (a *Arena) at(r Ref) []byte { return a.data[r:] }
 
 // Stored returns the stored form of key r, aliasing the arena.
@@ -125,14 +126,31 @@ func (a *Arena) TotalBits(refs []Ref) int {
 	return a.k.total(t)
 }
 
-// Between appends a key strictly between keys l and r, as
-// Codec.Between computes it.
-func (a *Arena) Between(l, r Ref) (Ref, error) { return a.k.between(a, a.at(l), a.at(r)) }
+// ErrTooLong reports a TwoBetween or NBetween refused before it
+// appended anything: a key's Ordered form would be over the limit.
+var ErrTooLong = errors.New("keys: key longer than the limit")
+
+// tooLong is ErrTooLong for an Ordered form of n bytes over a limit;
+// zero is no limit.
+func tooLong(n, limit int) error {
+	if limit <= 0 || n <= limit {
+		return nil
+	}
+	return fmt.Errorf("%w: %d bytes, limit %d", ErrTooLong, n, limit)
+}
+
+// TwoBetween appends two keys strictly between keys l and r, as two
+// calls of Codec.Between compute them (the second between the first and
+// r), or neither. limit bounds the first key's Ordered form.
+func (a *Arena) TwoBetween(l, r Ref, limit int) (m1, m2 Ref, err error) {
+	return a.k.two(a, a.at(l), a.at(r), limit)
+}
 
 // NBetween appends n keys strictly between keys l and r, as
-// Codec.NBetween computes them, and returns them in order.
-func (a *Arena) NBetween(l, r Ref, n int) ([]Ref, error) {
-	return a.k.nbetween(a, a.at(l), a.at(r), n)
+// Codec.NBetween computes them, and returns them in order. limit bounds
+// the Ordered form of the keys whose ranks in the run bounded lists.
+func (a *Arena) NBetween(l, r Ref, n, limit int, bounded []uint32) ([]Ref, error) {
+	return a.k.nbetween(a, a.at(l), a.at(r), n, limit, bounded)
 }
 
 // Encode appends the initial keys for positions 1..n, as Codec.Encode
@@ -154,7 +172,8 @@ func (a *Arena) Ordered(r Ref) (b []byte, ok bool) {
 }
 
 // grow claims size more bytes and returns where they start and the
-// empty slice to append them to.
+// arena up to there, with that much room to append them in place; what
+// a kernel appends to it then starts at its Ref.
 func (a *Arena) grow(size int) (Ref, []byte, error) {
 	at := len(a.data)
 	if at+size > math.MaxUint32 {
@@ -164,13 +183,38 @@ func (a *Arena) grow(size int) (Ref, []byte, error) {
 		// Out of room, so this append moves the arena whoever holds it.
 		// Move it to half as much room again: append's own growth, a
 		// quarter at a time, copies a long-lived arena five times over,
-		// and the labels that pile up in one gap are long.
-		grown := make([]byte, at, (at+size)*3/2)
+		// and the labels that pile up in one gap are long. An empty
+		// arena is being filled by a bulk labelling, which asks once.
+		room := (at + size) * 3 / 2
+		if at == 0 {
+			room = size
+		}
+		grown := make([]byte, at, room)
 		copy(grown, a.data)
 		a.data, a.mark = grown, cow.NewMark(at)
 	}
 	a.data = cow.Grow(&a.mark, a.data, size)
-	return Ref(at), a.data[at:at:len(a.data)], nil
+	return Ref(at), a.data[:at:len(a.data)], nil
+}
+
+// putTwo is two for a boxed kernel: both keys are computed before
+// either is stored with the codec's put; fits, if any, can refuse m1.
+func putTwo[K any](l, r K, between func(l, r K) (K, error), fits func(K) error, put func(K) (Ref, error)) (r1, r2 Ref, err error) {
+	m1, err := between(l, r)
+	if err == nil && fits != nil {
+		err = fits(m1)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	m2, err := between(m1, r)
+	if err != nil {
+		return 0, 0, err
+	}
+	if r1, err = put(m1); err == nil {
+		r2, err = put(m2)
+	}
+	return r1, r2, err
 }
 
 // putAll stores a kernel's run of keys with the codec's put.
@@ -190,10 +234,7 @@ func putAll[K any](ks []K, err error, put func(K) (Ref, error)) ([]Ref, error) {
 // ---------------------------------------------------------------------------
 // Bit-string codecs: the stored form is bitstr.AppendTo's.
 
-func bitsAt(b []byte) bitstr.BitString {
-	n, packed := bitstr.Stored(b)
-	return bitstr.View(packed, n)
-}
+func bitsAt(b []byte) bitstr.BitString { return bitstr.ViewStored(b) }
 
 func (a *Arena) putBits(m bitstr.BitString) (Ref, error) {
 	r, dst, err := a.grow(m.EncodedLen())
@@ -224,15 +265,11 @@ func (c intCodec) compare(a, b []byte) int {
 	return bytes.Compare(ap, bp)
 }
 
-func (c intCodec) between(a *Arena, l, r []byte) (Ref, error) {
-	m, err := c.betweenBits(bitsAt(l), bitsAt(r))
-	if err != nil {
-		return 0, err
-	}
-	return a.putBits(m)
+func (c intCodec) two(a *Arena, l, r []byte, _ int) (Ref, Ref, error) {
+	return putTwo(bitsAt(l), bitsAt(r), c.betweenBits, nil, a.putBits)
 }
 
-func (c intCodec) nbetween(a *Arena, l, r []byte, n int) ([]Ref, error) {
+func (c intCodec) nbetween(a *Arena, l, r []byte, n, _ int, _ []uint32) ([]Ref, error) {
 	ms, err := c.nbetweenBits(bitsAt(l), bitsAt(r), n)
 	return putAll(ms, err, a.putBits)
 }
@@ -254,22 +291,65 @@ func (c cdbsCodec) compare(a, b []byte) int {
 	return cmp.Compare(an, bn)
 }
 
-func (c cdbsCodec) between(a *Arena, l, r []byte) (Ref, error) {
-	m, err := cdbs.Between(bitsAt(l), bitsAt(r))
-	if err != nil {
-		return 0, err
+// The CDBS kernels (package cdbs, Append*) write stored codes, and a
+// code's length follows from its bounds' lengths: each method checks
+// the gap once and the lengths against the limit, claims exactly the
+// bytes its codes will take, and has them written there.
+
+func (c cdbsCodec) two(a *Arena, l, r []byte, limit int) (Ref, Ref, error) {
+	lb, rb := bitsAt(l), bitsAt(r)
+	if err := cdbs.CheckGap(lb, rb); err != nil {
+		return 0, 0, err
 	}
-	return a.putBits(m)
+	n := cdbs.BetweenLen(lb.Len(), rb.Len())
+	if err := tooLong((n+7)/8, limit); err != nil {
+		return 0, 0, err
+	}
+	first := bitstr.StoredLen(n)
+	at, dst, err := a.grow(first + bitstr.StoredLen(n+1))
+	if err == nil {
+		cdbs.AppendTwoBetween(dst, lb, rb)
+	}
+	return at, at + Ref(first), err
 }
 
-func (c cdbsCodec) nbetween(a *Arena, l, r []byte, n int) ([]Ref, error) {
-	ms, err := cdbs.NBetween(bitsAt(l), bitsAt(r), n)
-	return putAll(ms, err, a.putBits)
+func (c cdbsCodec) nbetween(a *Arena, l, r []byte, n, limit int, bounded []uint32) ([]Ref, error) {
+	lb, rb := bitsAt(l), bitsAt(r)
+	if n <= 0 {
+		// The boxed kernel's rule: no keys need no gap, fewer is an error.
+		_, err := cdbs.NBetween(lb, rb, n)
+		return nil, err
+	}
+	if err := cdbs.CheckGap(lb, rb); err != nil {
+		return nil, err
+	}
+	refs := make([]Ref, n)
+	cdbs.EncodeBetweenLens(refs, lb.Len(), rb.Len())
+	for _, i := range bounded {
+		if err := tooLong((int(refs[i])+7)/8, limit); err != nil {
+			return nil, err
+		}
+	}
+	// The lengths become offsets: the run is stored back to back in key
+	// order, the order a scan reads it in.
+	size := 0
+	for i, bits := range refs {
+		refs[i] = Ref(len(a.data) + size)
+		size += bitstr.StoredLen(int(bits))
+	}
+	_, buf, err := a.grow(size)
+	if err != nil {
+		return nil, err
+	}
+	cdbs.PutEncodeBetween(buf, refs, lb, rb)
+	return refs, nil
 }
 
+// encode is Algorithm 2: the even subdivision of the gap open at both
+// ends, and the empty bit string is stored as its bit count alone.
 func (c cdbsCodec) encode(a *Arena, n int) ([]Ref, error) {
-	ms, err := cdbs.Encode(n)
-	return putAll(ms, err, a.putBits)
+	open := []byte{0}
+	return c.nbetween(a, open, open, n, 0, nil)
 }
 
 func (c cdbsCodec) ordered(b []byte) []byte {
@@ -298,15 +378,11 @@ func (floatCodec) marshal(dst, b []byte) []byte { return append(dst, b[:8]...) }
 
 func (floatCodec) compare(a, b []byte) int { return compareFloats(floatAt(a), floatAt(b)) }
 
-func (f floatCodec) between(a *Arena, l, r []byte) (Ref, error) {
-	m, err := f.betweenFloats(floatAt(l), floatAt(r))
-	if err != nil {
-		return 0, err
-	}
-	return a.putFloat(m)
+func (f floatCodec) two(a *Arena, l, r []byte, _ int) (Ref, Ref, error) {
+	return putTwo(floatAt(l), floatAt(r), f.betweenFloats, nil, a.putFloat)
 }
 
-func (f floatCodec) nbetween(a *Arena, l, r []byte, n int) ([]Ref, error) {
+func (f floatCodec) nbetween(a *Arena, l, r []byte, n, _ int, _ []uint32) ([]Ref, error) {
 	vs, err := f.nbetweenFloats(floatAt(l), floatAt(r), n)
 	return putAll(vs, err, a.putFloat)
 }
@@ -350,16 +426,21 @@ func (qedCodec) marshal(dst, b []byte) []byte {
 	return append(dst, qed.Marshal([]qed.Code{codeAt(b)})...)
 }
 
-func (qedCodec) between(a *Arena, l, r []byte) (Ref, error) {
-	m, err := qed.Between(codeAt(l), codeAt(r))
-	if err != nil {
-		return 0, err
-	}
-	return a.putCode(m)
+// The QED kernels are boxed: their codes are checked against the limit,
+// then copied in.
+
+func (qedCodec) two(a *Arena, l, r []byte, limit int) (Ref, Ref, error) {
+	fits := func(m qed.Code) error { return tooLong(m.Len(), limit) }
+	return putTwo(codeAt(l), codeAt(r), qed.Between, fits, a.putCode)
 }
 
-func (qedCodec) nbetween(a *Arena, l, r []byte, n int) ([]Ref, error) {
+func (qedCodec) nbetween(a *Arena, l, r []byte, n, limit int, bounded []uint32) ([]Ref, error) {
 	cs, err := qed.NBetween(codeAt(l), codeAt(r), n)
+	for _, i := range bounded {
+		if err == nil {
+			err = tooLong(cs[i].Len(), limit)
+		}
+	}
 	return putAll(cs, err, a.putCode)
 }
 

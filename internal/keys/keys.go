@@ -11,9 +11,10 @@
 // Key-level Codec methods in this file box and unbox around the
 // kernels; they are what the kernel tests and the experiments call,
 // and the reference the packed path is tested against. Arena
-// (arena.go) runs the same kernels over views of keys stored back to
-// back in one byte slice, which is how a containment labeling holds
-// its endpoints.
+// (arena.go) keeps keys stored back to back in one byte slice, which is
+// how a containment labeling holds its endpoints: the static codecs'
+// and QED's kernels run over views of them and their results are copied
+// in, the CDBS kernels have stored-form twins that write them there.
 package keys
 
 import (

@@ -180,35 +180,31 @@ type Tree struct {
 	base int
 }
 
-// NewTree mirrors a document, with node ids in document order.
+// NewTree mirrors a document, with node ids in document order
+// (xmltree's Walk, which has each node's parent at hand), over columns
+// sized from one count. A child list gets exactly the room it needs.
 func NewTree(doc *xmltree.Document) *Tree {
-	nodes := doc.Nodes()
-	index := make(map[*xmltree.Node]int, len(nodes))
-	for i, n := range nodes {
-		index[n] = i
-	}
+	n := doc.Len()
 	t := &Tree{
-		Parents:  make([]int, len(nodes)),
-		Children: make([][]int, len(nodes)),
-		Depths:   make([]int, len(nodes)),
-		dead:     make([]uint64, len(nodes)/64+1),
-		live:     len(nodes),
+		Parents:  make([]int, n),
+		Children: make([][]int, n),
+		Depths:   make([]int, n),
+		dead:     make([]uint64, n/64+1),
+		live:     n,
 
-		parentsMark: cow.NewMark(len(nodes)),
-		depthsMark:  cow.NewMark(len(nodes)),
+		parentsMark: cow.NewMark(n),
+		depthsMark:  cow.NewMark(n),
 		own:         cow.NewOwner[int](),
 	}
-	for i, n := range nodes {
-		if n.Parent == nil {
-			t.Parents[i] = -1
-			t.Depths[i] = 1
-		} else {
-			p := index[n.Parent]
-			t.Parents[i] = p
-			t.Depths[i] = t.Depths[p] + 1
-			t.Children[p] = append(t.Children[p], i)
+	doc.Walk(func(id int, node *xmltree.Node, parent, depth int) {
+		t.Parents[id], t.Depths[id] = parent, depth
+		if len(node.Children) > 0 {
+			t.Children[id] = make([]int, 0, len(node.Children))
 		}
-	}
+		if parent >= 0 {
+			t.Children[parent] = append(t.Children[parent], id)
+		}
+	})
 	return t
 }
 

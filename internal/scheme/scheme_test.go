@@ -1,8 +1,12 @@
 package scheme
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/xmltree"
 )
 
@@ -143,4 +147,76 @@ func TestAliveBounds(t *testing.T) {
 	if !tr.Alive(0) {
 		t.Error("root dead")
 	}
+}
+
+// refNewTree is NewTree as it was built before the one-pass walk: a
+// node list, a map from node to id, parents looked up through it and
+// child lists grown by append.
+func refNewTree(doc *xmltree.Document) *Tree {
+	nodes := doc.Nodes()
+	index := make(map[*xmltree.Node]int, len(nodes))
+	for i, n := range nodes {
+		index[n] = i
+	}
+	t := &Tree{
+		Parents:  make([]int, len(nodes)),
+		Children: make([][]int, len(nodes)),
+		Depths:   make([]int, len(nodes)),
+		live:     len(nodes),
+	}
+	for i, n := range nodes {
+		if n.Parent == nil {
+			t.Parents[i], t.Depths[i] = -1, 1
+			continue
+		}
+		p := index[n.Parent]
+		t.Parents[i], t.Depths[i] = p, t.Depths[p]+1
+		t.Children[p] = append(t.Children[p], i)
+	}
+	return t
+}
+
+// TestNewTreeMatchesMapBuild holds the one-pass NewTree to the
+// map-based construction on every generated dataset and on the corner
+// shapes: one node, text and attribute nodes, no root.
+func TestNewTreeMatchesMapBuild(t *testing.T) {
+	check := func(name string, doc *xmltree.Document) {
+		t.Helper()
+		got, want := NewTree(doc), refNewTree(doc)
+		if got.Len() != want.live || got.Cap() != len(want.Parents) ||
+			!reflect.DeepEqual(got.Parents, want.Parents) || !reflect.DeepEqual(got.Depths, want.Depths) ||
+			!reflect.DeepEqual(got.Children, want.Children) {
+			t.Errorf("%s: one-pass tree differs from the map-built one", name)
+		}
+		for v, kids := range got.Children {
+			if len(kids) != cap(kids) {
+				t.Fatalf("%s: child list of %d has room for %d, holds %d", name, v, cap(kids), len(kids))
+			}
+			if !got.Alive(v) {
+				t.Fatalf("%s: node %d not alive", name, v)
+			}
+		}
+	}
+	for _, spec := range datagen.Specs() {
+		ds, err := datagen.Generate(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, doc := range ds.Files {
+			check(fmt.Sprintf("%s file %d", spec.Name, i), doc)
+		}
+	}
+	check("Hamlet", datagen.Hamlet())
+	for name, src := range map[string]string{
+		"single node": "<r/>",
+		"text":        "<r>a<b>c</b>d<e/>f</r>",
+		"attributes":  `<r x="1" y="2"><a z="3">t</a><b/></r>`,
+	} {
+		doc, err := xmltree.ParseWithOptions(strings.NewReader(src), xmltree.ParseOptions{IncludeAttributes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, doc)
+	}
+	check("nil root", &xmltree.Document{})
 }

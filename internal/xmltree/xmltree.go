@@ -178,19 +178,30 @@ func ParseWithOptions(r io.Reader, opts ParseOptions) (*Document, error) {
 // ParseString parses an XML document from a string.
 func ParseString(s string) (*Document, error) { return Parse(strings.NewReader(s)) }
 
-// Nodes returns every node in document (pre)order.
-func (d *Document) Nodes() []*Node {
-	var out []*Node
-	var walk func(*Node)
-	walk = func(n *Node) {
-		out = append(out, n)
+// Walk visits every node in document (pre)order — the one definition
+// of the ids a labeling and a live document know nodes by: id counts
+// from 0 in that order; parent is the parent's id, -1 for the root, and
+// depth the node's depth, 1 for the root.
+func (d *Document) Walk(visit func(id int, n *Node, parent, depth int)) {
+	next := 0
+	var walk func(n *Node, parent, depth int)
+	walk = func(n *Node, parent, depth int) {
+		id := next
+		next++
+		visit(id, n, parent, depth)
 		for _, c := range n.Children {
-			walk(c)
+			walk(c, id, depth+1)
 		}
 	}
 	if d.Root != nil {
-		walk(d.Root)
+		walk(d.Root, -1, 1)
 	}
+}
+
+// Nodes returns every node in document (pre)order.
+func (d *Document) Nodes() []*Node {
+	out := make([]*Node, 0, d.Len())
+	d.Walk(func(_ int, n *Node, _, _ int) { out = append(out, n) })
 	return out
 }
 
@@ -206,19 +217,8 @@ func (d *Document) Len() int {
 // parent index (-1 for the root) — the input format of the Prime
 // scheme.
 func (d *Document) ParentVector() []int {
-	nodes := d.Nodes()
-	index := make(map[*Node]int, len(nodes))
-	for i, n := range nodes {
-		index[n] = i
-	}
-	out := make([]int, len(nodes))
-	for i, n := range nodes {
-		if n.Parent == nil {
-			out[i] = -1
-		} else {
-			out[i] = index[n.Parent]
-		}
-	}
+	out := make([]int, 0, d.Len())
+	d.Walk(func(_ int, _ *Node, parent, _ int) { out = append(out, parent) })
 	return out
 }
 

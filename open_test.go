@@ -1,6 +1,7 @@
 package dynxml
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -211,6 +212,17 @@ func TestMetricsJSON(t *testing.T) {
 	} {
 		if !strings.Contains(string(data), key) {
 			t.Fatalf("metrics snapshot lacks %q:\n%s", key, data)
+		}
+	}
+	// The one Open above said where its time went.
+	var all map[string]json.RawMessage
+	if err := json.Unmarshal(data, &all); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"dynxml_open_parse_seconds", "dynxml_open_label_seconds", "dynxml_open_index_seconds"} {
+		var h struct{ Count int }
+		if err := json.Unmarshal(all[key], &h); err != nil || h.Count < 1 {
+			t.Errorf("%s observed %d opens (%v), want at least one", key, h.Count, err)
 		}
 	}
 }

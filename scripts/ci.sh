@@ -38,7 +38,14 @@
 #                      differential over all 13 schemes and the
 #                      shared-cache lineages under the race detector,
 #                      a hit allocates the caller's copy and nothing
-#                      else, the sibling and parent axes no map)
+#                      else, the sibling and parent axes no map), then
+#                      the label kernels (the stored-form kernels
+#                      byte-equal to the boxed ones under the race
+#                      detector and under the invariants tag, whose
+#                      assertions read back what was written; their fuzz
+#                      target for 5 s; one-pass NewTree equal to the
+#                      map-built one; a refused insert claims nothing;
+#                      an insert allocates no code, an open 160 B a node)
 #   6. crash safety  — the segment recovery/fault-injection suite by name
 #                      (internal/journal, internal/faultfs), the
 #                      journal kill matrix, the paged-label damage
@@ -144,6 +151,16 @@ go test -race -count=3 -run 'TestStampedCacheDifferential|TestStampedCacheShared
 go test -count=1 -run 'TestCacheGenerations|TestCacheRendered|TestCacheBoundsTinyLimits' ./internal/xpath/plan
 go test -count=1 -run 'TestSiblingParentAxisBytes' ./internal/xpath
 go test -count=1 -run 'TestCountHitAllocs|TestPagedInsertAllocs|TestHandleExplainGolden' .
+
+echo "==> label kernels (stored-form kernels byte-equal to the boxed ones, under race 3x and under the invariants tag; fuzz 5s; build equivalence and pins)"
+go test -race -count=3 -run 'TestStoredKernelsMatchBoxed' ./internal/keys
+go test -tags invariants -count=1 -run 'TestStoredKernelsMatchBoxed|FuzzArenaBetween' ./internal/keys
+go test -run '^$' -fuzz 'FuzzArenaBetween' -fuzztime 5s ./internal/keys
+go test -count=1 -run 'TestNewTreeMatchesMapBuild' ./internal/scheme
+go test -count=1 -run 'TestRefusedInsertClaimsNothing|TestPackedPathAllocs' ./internal/containment
+go test -count=1 -run 'TestOpenBytesBounded|TestEditBytesBounded' ./internal/dyndoc
+go test -count=1 -run 'TestPagedInsertAllocs|TestMetricsJSON' .
+go test -count=1 -run 'TestWarmLeafEditAllocs' ./internal/pagestore
 
 echo "==> close-drain and eviction races under the race detector"
 go test -race -count=1 -run 'TestCloseUnderLoad' .
