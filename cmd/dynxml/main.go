@@ -32,6 +32,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/datagen"
 	"repro/internal/registry"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 	"repro/internal/xpath/plan"
@@ -141,27 +142,29 @@ func label(args []string) error {
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "input: %s (%d file(s))\n", src.name(), len(docs))
-	fmt.Fprintln(w, "Scheme\tnodes\ttotal label bits\tbits/node\trelabels")
+	fmt.Fprintln(w, "Scheme\tnodes\ttotal label bits\tbits/node\trelabels\tordered")
 	for _, entry := range entries {
 		var total int64
 		nodes := 0
 		rel := "-"
+		ordered := false // whether the labels can key a paged index
 		for _, doc := range docs {
 			lab, err := entry.Build(doc)
 			if err != nil {
 				return err
 			}
+			ordered = scheme.Ordered(lab)
 			total += lab.TotalLabelBits()
 			nodes += lab.Len()
 			if src.name() == "hamlet" && *insertAct >= 1 && *insertAct <= 5 {
-				_, n, err := lab.InsertSiblingBefore(actIDs(doc)[*insertAct-1])
+				_, n, err := scheme.InsertSiblingBefore(lab, actIDs(doc)[*insertAct-1])
 				if err != nil {
 					return err
 				}
 				rel = fmt.Sprint(n)
 			}
 		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%s\n", entry.Name, nodes, total, float64(total)/float64(nodes), rel)
+		fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%s\t%t\n", entry.Name, nodes, total, float64(total)/float64(nodes), rel, ordered)
 	}
 	return w.Flush()
 }

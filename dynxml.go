@@ -293,10 +293,12 @@ func WithRecover() Option { return func(c *config) { c.recover = true } }
 // with only a bounded page cache resident (see WithPageCache). The page
 // file is an index, not a store of record: it is rebuilt from the
 // document on every Open, and with WithJournal the journal alone
-// carries durability. It requires a scheme whose labels have an order-preserving byte form —
-// the CDBS and QED containment schemes qualify (the default
-// V-CDBS-Containment included); schemes without one make Open fail
-// with ErrPagedUnsupported.
+// carries durability. It requires a scheme whose labels have an
+// order-preserving byte form: V-CDBS- (the default), F-CDBS- and
+// QED-Containment have one; the other ten schemes — the Binary and
+// Float-point containment schemes, every prefix scheme and Prime —
+// make Open fail with ErrPagedUnsupported before dir is created or
+// anything in it is touched.
 func WithPagedLabels(dir string) Option { return func(c *config) { c.pagedDir = dir } }
 
 // WithPageCache caps how many 4 KiB pages of the paged label index
@@ -309,10 +311,10 @@ func WithPageCache(pages int) Option { return func(c *config) { c.pageCache = pa
 // order-preserving byte encoding.
 var ErrPagedUnsupported = errors.New("dynxml: scheme has no order-preserving label bytes; WithPagedLabels needs one")
 
-// pagedErr maps the storage and scheme layers' no-ordered-bytes
-// sentinels onto the public ErrPagedUnsupported.
+// pagedErr maps the storage layer's no-ordered-bytes sentinel onto the
+// public ErrPagedUnsupported.
 func pagedErr(err error) error {
-	if err != nil && (errors.Is(err, store.ErrNoOrderedKeys) || errors.Is(err, scheme.ErrNoOrderedLabels)) {
+	if errors.Is(err, store.ErrNoOrderedKeys) {
 		return fmt.Errorf("%w: %v", ErrPagedUnsupported, err)
 	}
 	return err
@@ -640,11 +642,6 @@ func (h *Handle) Len() int { return h.doc.Len() }
 // (charged by the backend).
 const bytesPerID = 80
 
-// boxedLabelBytes is what MemoryFootprint charges per id for the
-// labels of a scheme that is no scheme.LabelSizer and holds each label
-// as heap objects of its own.
-const boxedLabelBytes = 80
-
 // MemoryFootprint estimates the handle's resident bytes: a per-id
 // constant for the columns, the labels at the size their labeling
 // reports, plus whatever the index backend reports — for the paged
@@ -657,12 +654,7 @@ func (h *Handle) MemoryFootprint() int64 {
 	var fp int64
 	h.view(func(d *LiveDocument) {
 		lab := d.Labeling()
-		ids := int64(lab.Tree().Cap())
-		labels := ids * boxedLabelBytes
-		if ls, ok := lab.(scheme.LabelSizer); ok {
-			labels = ls.LabelBytes()
-		}
-		fp = ids*bytesPerID + labels + d.Store().MemoryFootprint() + d.CacheFootprint()
+		fp = int64(lab.Tree().Cap())*bytesPerID + lab.LabelBytes() + d.Store().MemoryFootprint() + d.CacheFootprint()
 	})
 	return fp
 }

@@ -19,6 +19,7 @@ import (
 
 	dynxml "repro"
 	"repro/internal/datagen"
+	"repro/internal/scheme"
 )
 
 func main() {
@@ -86,7 +87,7 @@ func main() {
 		relabeled := 0
 		start := time.Now()
 		for i := 0; i < 1000; i++ {
-			_, n, err := lab.InsertSiblingBefore(acts[2])
+			_, n, err := scheme.InsertSiblingBefore(lab, acts[2])
 			if err != nil {
 				log.Fatal(err)
 			}

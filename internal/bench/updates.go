@@ -102,7 +102,7 @@ func Table4(schemes []string) ([]Table4Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			_, relabeled, err := lab.InsertSiblingBefore(acts[c])
+			_, relabeled, err := scheme.InsertSiblingBefore(lab, acts[c])
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s case %d: %w", sn, c+1, err)
 			}
@@ -178,24 +178,19 @@ func Figure7(schemes []string, dir string) ([]Fig7Row, error) {
 				return nil, err
 			}
 			w := bufio.NewWriter(f)
-			marshaler, _ := lab.(scheme.LabelMarshaler)
-			// Fallback payload size if the scheme cannot marshal.
-			fallback := make([]byte, int(lab.TotalLabelBits()/int64(lab.Len())/8)+1)
 			var relabeled int
 			var writes int64
 			ms, err := timeIt(func() error {
-				newID, n, err := lab.InsertSiblingBefore(acts[c])
+				newID, n, err := scheme.InsertSiblingBefore(lab, acts[c])
 				if err != nil {
 					return err
 				}
 				relabeled = n
 				// Persist the new node's real label bytes and one
 				// record per re-written label, then commit.
-				payload := fallback
-				if marshaler != nil {
-					if p, merr := marshaler.MarshalLabel(newID); merr == nil {
-						payload = p
-					}
+				payload, err := lab.MarshalLabel(newID)
+				if err != nil {
+					return err
 				}
 				for i := 0; i <= n; i++ {
 					if _, err := w.Write(payload); err != nil {
@@ -280,7 +275,7 @@ func Frequent(schemes []string, inserts int, skewed bool, seed int64) ([]Frequen
 				var relabeled int
 				var err error
 				if skewed {
-					_, relabeled, err = lab.InsertSiblingBefore(acts[2])
+					_, relabeled, err = scheme.InsertSiblingBefore(lab, acts[2])
 				} else {
 					tr := lab.Tree()
 					parent := gen.Intn(tr.Len())

@@ -30,6 +30,7 @@ package bitstr
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -387,35 +388,16 @@ func (s BitString) HasPrefix(p BitString) bool {
 
 // Compare orders two bit strings per Definition 3.1: bits are compared
 // left to right; 0 sorts before 1; a proper prefix sorts before its
-// extensions. It returns -1, 0 or +1. The shared full bytes go through
-// bytes.Compare (vectorised by the runtime); only the final partial
-// byte is masked by hand. It never allocates.
+// extensions. It returns -1, 0 or +1. Spare bits are zero, so the whole
+// storage goes through bytes.Compare (vectorised by the runtime) — a
+// spare bit of the shorter string stands against a 0, which ties, or a
+// 1, which puts the prefix first — and equal storage leaves the lengths
+// to decide ("1" before "10"). It never allocates.
 func (s BitString) Compare(t BitString) int {
-	m := s.n
-	if t.n < m {
-		m = t.n
-	}
-	full := m / 8
-	if c := bytes.Compare(s.data[:full], t.data[:full]); c != 0 {
+	if c := bytes.Compare(s.data, t.data); c != 0 {
 		return c
 	}
-	if r := m % 8; r != 0 {
-		mask := byte(0xFF) << (8 - r)
-		a, b := s.data[full]&mask, t.data[full]&mask
-		if a != b {
-			if a < b {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case s.n < t.n:
-		return -1
-	case s.n > t.n:
-		return 1
-	}
-	return 0
+	return cmp.Compare(s.n, t.n)
 }
 
 // Less reports s ≺ t lexicographically.

@@ -43,20 +43,15 @@ type Labeling struct {
 	ends []keys.Ref
 	mark *cow.Mark
 
-	// limit and longest are the scheme.LabelLimiter state, in bytes of
-	// ordered label; both stay zero under a codec without that form.
+	// limit and longest are the LimitLabel state, in bytes of ordered
+	// label; both stay zero under a codec without that form.
 	// A label is no longer than its arena, hence the width, which
 	// keeps a clone of the struct in the allocation size it had with
 	// two key slices.
 	limit, longest uint32
 }
 
-var (
-	_ scheme.Labeling       = (*Labeling)(nil)
-	_ scheme.OrderedLabeler = (*Labeling)(nil)
-	_ scheme.LabelLimiter   = (*Labeling)(nil)
-	_ scheme.LabelSizer     = (*Labeling)(nil)
-)
+var _ scheme.Labeling = (*Labeling)(nil)
 
 // Build returns a scheme.Builder for the given endpoint codec.
 func Build(codec keys.Codec) scheme.Builder {
@@ -133,13 +128,12 @@ func (l *Labeling) Tree() *scheme.Tree { return l.tree }
 // Level returns the stored level of v (root = 1).
 func (l *Labeling) Level(v int) int { return l.tree.Depths[v] }
 
-// AppendOrderedLabel implements scheme.OrderedLabeler when the
-// endpoint codec implements keys.OrderedBytes (CDBS, QED): it emits
-// the node's start key, whose order across live nodes is exactly
-// document order and which is unique per node (every start position
-// is distinct). Codecs whose byte form does not sort like their
-// numeric order (binary, float) make this return an error, which the
-// storage layer maps to "slice backend only".
+// AppendOrderedLabel emits, when the endpoint codec implements
+// keys.OrderedBytes (CDBS, QED), the node's start key, whose order
+// across live nodes is exactly document order and which is unique per
+// node (every start position is distinct). Codecs whose byte form does
+// not sort like their numeric order (binary, float) make this return
+// scheme.ErrNoOrderedLabels: slice backend only.
 func (l *Labeling) AppendOrderedLabel(dst []byte, v int) ([]byte, error) {
 	if !l.tree.Alive(v) {
 		return nil, fmt.Errorf("%w: %d", scheme.ErrBadNode, v)
@@ -158,10 +152,10 @@ func labelLen(a *keys.Arena, r keys.Ref) uint32 {
 	return uint32(len(b))
 }
 
-// LimitLabel implements scheme.LabelLimiter.
+// LimitLabel sets the longest ordered label an insert may assign.
 func (l *Labeling) LimitLabel(n int) { l.limit = uint32(min(max(n, 0), math.MaxUint32)) }
 
-// LongestLabel implements scheme.LabelLimiter.
+// LongestLabel returns the longest ordered label assigned so far.
 func (l *Labeling) LongestLabel() int { return int(l.longest) }
 
 // keyError wraps the arena's refusal of an insert. One that would give
@@ -217,8 +211,8 @@ func (l *Labeling) TotalLabelBits() int64 {
 	return int64(l.keys.TotalBits(live)) + int64(levelBits*l.tree.Len())
 }
 
-// LabelBytes implements scheme.LabelSizer: the arena and the column of
-// Refs into it, at their lengths.
+// LabelBytes returns the arena and the column of Refs into it, at
+// their lengths.
 func (l *Labeling) LabelBytes() int64 {
 	return int64(l.keys.Size()) + 4*int64(len(l.ends))
 }
@@ -277,18 +271,9 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	return id, 0, nil
 }
 
-// InsertSiblingBefore inserts a fresh element immediately before v.
-func (l *Labeling) InsertSiblingBefore(v int) (int, int, error) {
-	parent, pos, err := l.tree.SiblingPosition(v)
-	if err != nil {
-		return 0, 0, err
-	}
-	return l.InsertChildAt(parent, pos)
-}
-
 // MarshalLabel serialises node v's label in its storage form: the
 // start and end keys in the codec's own encoding (keys.Marshaler)
-// followed by a one-byte level. It implements scheme.LabelMarshaler.
+// followed by a one-byte level.
 func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 	if !l.tree.Alive(v) {
 		return nil, fmt.Errorf("%w: %d", scheme.ErrBadNode, v)
@@ -316,7 +301,7 @@ func (l *Labeling) InsertSubtree(parent, pos int, shape *xmltree.Node) ([]int, i
 // placing all 2×total endpoint keys into the one gap with a single
 // even subdivision — the batch generalisation of InsertSubtree, where
 // n sequential inserts would subdivide the same gap n times and grow
-// the later fragments' keys. It implements scheme.BatchInserter.
+// the later fragments' keys.
 func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]int, int, error) {
 	if len(shapes) == 0 {
 		return nil, 0, nil
@@ -381,10 +366,9 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 	return ids, 0, nil
 }
 
-// CloneLabeling implements scheme.Cloner. A key is written once — or,
+// CloneLabeling copies no label byte: a key is written once — or,
 // under a static codec, replaced together with the whole arena — so
-// the clone shares the arena and the column of Refs and copies no
-// label byte.
+// the clone shares the arena and the column of Refs.
 func (l *Labeling) CloneLabeling() scheme.Labeling {
 	cl := *l
 	cl.tree = l.tree.Clone()

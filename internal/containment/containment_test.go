@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/keys"
+	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -112,7 +113,7 @@ func TestInsertSiblingBeforeRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.InsertSiblingBefore(0); err == nil {
+	if _, _, err := scheme.InsertSiblingBefore(l, 0); err == nil {
 		t.Error("sibling before root accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
 
@@ -85,32 +84,23 @@ func (d *Document) ApplyBatch(edits []Edit) ([]EditResult, error) {
 }
 
 // InsertTreeBatch inserts copies of the fragments as consecutive
-// children of parent starting at pos. When the labeling implements
-// scheme.BatchInserter the whole run takes the label write path once
-// — every fragment code lands in the single gap with one even
+// children of parent starting at pos. The whole run takes the label
+// write path once (scheme.Labeling.InsertSubtrees): under a dynamic
+// codec every fragment code lands in the single gap with one even
 // subdivision (EncodeBetween), so the codes stay as short as a fresh
-// bulk encoding — otherwise it degrades to per-fragment InsertTree.
-// It returns one preorder id slice per fragment and the total
-// re-label count.
+// bulk encoding. It returns one preorder id slice per fragment and the
+// total re-label count.
 func (d *Document) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) ([][]int, int, error) {
 	if len(fragments) == 0 {
 		return nil, 0, nil
 	}
 	mBatchSize.Observe(float64(len(fragments)))
-	bi, ok := d.lab.(scheme.BatchInserter)
-	if !ok {
-		out := make([][]int, len(fragments))
-		total := 0
-		for k, f := range fragments {
-			ids, relabeled, err := d.InsertTree(parent, pos+k, f)
-			if err != nil {
-				return nil, 0, fmt.Errorf("dyndoc: batch fragment %d: %w", k, err)
-			}
-			out[k] = ids
-			total += relabeled
-		}
-		return out, total, nil
-	}
+	return d.insertTrees(parent, pos, fragments)
+}
+
+// insertTrees is InsertTreeBatch, and InsertTree as a batch of one.
+// Target and fragments are checked before the first mutation.
+func (d *Document) insertTrees(parent, pos int, fragments []*xmltree.Node) ([][]int, int, error) {
 	if err := d.validateInsert(parent, pos); err != nil {
 		return nil, 0, err
 	}
@@ -120,7 +110,7 @@ func (d *Document) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) (
 		}
 	}
 	d.lastEdit = editTokens.Add(1)
-	ids, relabeled, err := bi.InsertSubtrees(parent, pos, fragments)
+	ids, relabeled, err := d.lab.InsertSubtrees(parent, pos, fragments)
 	if err != nil {
 		return nil, 0, refused(err)
 	}

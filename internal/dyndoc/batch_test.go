@@ -1,11 +1,13 @@
 package dyndoc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/containment"
 	"repro/internal/keys"
+	"repro/internal/registry"
 	"repro/internal/xmltree"
 )
 
@@ -20,10 +22,9 @@ func shelfFragment(books int) *xmltree.Node {
 	return shelf
 }
 
-// TestInsertTreeBatchMatchesSequential checks, for every builder
-// (including Prime, which exercises the per-fragment fallback), that a
-// batch of fragments lands exactly like the same fragments inserted
-// one by one: same ids, same names, same query answers.
+// TestInsertTreeBatchMatchesSequential checks, for every builder,
+// that a batch of fragments lands exactly like the same fragments
+// inserted one by one: same ids, same names, same query answers.
 func TestInsertTreeBatchMatchesSequential(t *testing.T) {
 	for name, b := range builders() {
 		t.Run(name, func(t *testing.T) {
@@ -119,34 +120,49 @@ func TestInsertTreeBatchDynamicNoRelabel(t *testing.T) {
 	}
 }
 
-// TestInsertTreeBatchErrors covers validation on the batch path.
+// TestInsertTreeBatchErrors: under every scheme a rejected batch —
+// bad target, or a bad fragment anywhere in the run — is rejected
+// before the first mutation.
 func TestInsertTreeBatchErrors(t *testing.T) {
-	d, err := Parse(seedDoc, containment.Build(keys.VCDBS()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids, relabeled, err := d.InsertTreeBatch(0, 0, nil); err != nil || ids != nil || relabeled != 0 {
-		t.Fatalf("empty batch = %v, %d, %v; want nil, 0, nil", ids, relabeled, err)
-	}
-	frag := shelfFragment(1)
-	if _, _, err := d.InsertTreeBatch(-1, 0, []*xmltree.Node{frag}); err == nil {
-		t.Fatal("negative parent accepted")
-	}
-	if _, _, err := d.InsertTreeBatch(0, 99, []*xmltree.Node{frag}); err == nil {
-		t.Fatal("out-of-range position accepted")
-	}
-	if _, _, err := d.InsertTreeBatch(0, 0, []*xmltree.Node{nil}); err == nil {
-		t.Fatal("nil fragment accepted")
-	}
-	if _, _, err := d.InsertTreeBatch(0, 0, []*xmltree.Node{xmltree.NewText("t")}); err == nil {
-		t.Fatal("text fragment accepted")
-	}
-	before := d.Len()
-	if _, _, err := d.InsertTreeBatch(0, 99, []*xmltree.Node{frag}); err == nil {
-		t.Fatal("out-of-range position accepted")
-	}
-	if d.Len() != before {
-		t.Fatalf("failed batch changed node count from %d to %d", before, d.Len())
+	for _, entry := range registry.All() {
+		t.Run(entry.Name, func(t *testing.T) {
+			d, err := Parse(seedDoc, entry.Build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ids, relabeled, err := d.InsertTreeBatch(0, 0, nil); err != nil || ids != nil || relabeled != 0 {
+				t.Fatalf("empty batch = %v, %d, %v; want nil, 0, nil", ids, relabeled, err)
+			}
+			wantXML, wantLen := d.XML(), d.Len()
+			wantAll, err := d.QueryString("//*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			frag := shelfFragment(1)
+			for _, c := range []struct {
+				what        string
+				parent, pos int
+				fragments   []*xmltree.Node
+			}{
+				{"negative parent", -1, 0, []*xmltree.Node{frag}},
+				{"out-of-range position", 0, 99, []*xmltree.Node{frag}},
+				{"nil fragment", 0, 0, []*xmltree.Node{nil}},
+				{"text fragment", 0, 0, []*xmltree.Node{xmltree.NewText("t")}},
+				{"text fragment after a good one", 0, 0, []*xmltree.Node{xmltree.NewElement("x"), xmltree.NewText("t")}},
+				{"nil fragment after two good ones", 0, 1, []*xmltree.Node{frag, xmltree.NewElement("x"), nil}},
+			} {
+				if _, _, err := d.InsertTreeBatch(c.parent, c.pos, c.fragments); err == nil {
+					t.Fatalf("%s accepted", c.what)
+				}
+				all, err := d.QueryString("//*")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.XML() != wantXML || d.Len() != wantLen || !slices.Equal(all, wantAll) {
+					t.Fatalf("%s: rejected batch changed the document: Len %d (was %d), //* %v (was %v), XML %s", c.what, d.Len(), wantLen, all, wantAll, d.XML())
+				}
+			}
+		})
 	}
 }
 

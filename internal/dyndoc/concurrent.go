@@ -2,7 +2,6 @@ package dyndoc
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -42,8 +41,7 @@ type snapshot struct {
 // and publish it as the next snapshot; a reader racing a publish simply
 // keeps the previous complete snapshot for the rest of its query. The
 // zero value is not usable — construct with NewConcurrent or
-// ParseConcurrent, which require the labeling to implement
-// scheme.Cloner.
+// ParseConcurrent.
 type Concurrent struct {
 	mu   sync.Mutex // serializes writers; never taken on the query path
 	snap atomic.Pointer[snapshot]
@@ -93,7 +91,7 @@ func NewConcurrent(doc *xmltree.Document, build scheme.Builder) (*Concurrent, er
 	if err != nil {
 		return nil, err
 	}
-	return newConcurrent(d)
+	return NewConcurrentFrom(d)
 }
 
 // ParseConcurrent parses XML text into a shared live document.
@@ -102,21 +100,14 @@ func ParseConcurrent(text string, build scheme.Builder) (*Concurrent, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newConcurrent(d)
+	return NewConcurrentFrom(d)
 }
 
 // NewConcurrentFrom wraps an already-built live document — the
 // constructor journal recovery uses after Replay has rebuilt the
 // document. The caller must not touch d afterwards; the Concurrent
-// owns it.
-func NewConcurrentFrom(d *Document) (*Concurrent, error) { return newConcurrent(d) }
-
-// newConcurrent publishes the initial snapshot, failing fast when the
-// labeling cannot support copy-on-write updates.
-func newConcurrent(d *Document) (*Concurrent, error) {
-	if _, ok := d.lab.(scheme.Cloner); !ok {
-		return nil, fmt.Errorf("dyndoc: labeling %s does not support snapshots (missing scheme.Cloner)", d.lab.Name())
-	}
+// owns it. The error is always nil.
+func NewConcurrentFrom(d *Document) (*Concurrent, error) {
 	c := &Concurrent{}
 	c.snap.Store(&snapshot{d: d})
 	return c, nil
@@ -304,9 +295,7 @@ func (c *Concurrent) InsertTree(parent, pos int, fragment *xmltree.Node) ([]int,
 // run (see Document.InsertTreeBatch for the label-side batching).
 // The label write path still runs once per run: the batch is one
 // OpInsertTree per fragment, which Document.ApplyBatch applies
-// individually, so a journaled bulk insert uses InsertSubtrees only
-// through the scheme.BatchInserter path of the underlying document —
-// here the fragments are replayable edits first.
+// individually: here the fragments are replayable edits first.
 func (c *Concurrent) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) ([][]int, int, error) {
 	var ids [][]int
 	var relabeled int
@@ -444,9 +433,6 @@ func (c *Concurrent) Replay(fn func(d *Document) ([]Edit, []EditResult, error)) 
 // watchers receive a reset event (full requery). The caller must not
 // touch d afterwards. Rejected on journaled documents (ErrFollowerOnly).
 func (c *Concurrent) Reset(d *Document) error {
-	if _, ok := d.lab.(scheme.Cloner); !ok {
-		return fmt.Errorf("dyndoc: labeling %s does not support snapshots (missing scheme.Cloner)", d.lab.Name())
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.hook != nil {

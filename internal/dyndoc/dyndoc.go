@@ -64,6 +64,7 @@ type Document struct {
 
 	idx     store.Backend // live element index in document order
 	factory StoreFactory  // how to build a fresh backend (rebuilds, conversions)
+	ordered bool          // scheme.Ordered(lab), asked once: the scheme's labels can key a paged index
 
 	relabeled int64 // cumulative re-labels caused by edits
 
@@ -123,12 +124,11 @@ var ErrBadNode = errors.New("dyndoc: bad node id")
 
 // binding is what d's index backend needs from d: the labeling's
 // document order predicate and d's document-order walk always, and the
-// order-preserving label bytes when the scheme can produce them
-// (scheme.OrderedLabeler).
+// order-preserving label bytes when the scheme has them.
 func (d *Document) binding() store.Binding {
 	b := store.Binding{Before: d.lab.Before, Elems: d.liveElems}
-	if ol, ok := d.lab.(scheme.OrderedLabeler); ok {
-		b.Key = ol.AppendOrderedLabel
+	if d.ordered {
+		b.Key = d.lab.AppendOrderedLabel
 	}
 	return b
 }
@@ -161,6 +161,7 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		namesMark:  cow.NewMark(n),
 		leavesMark: cow.NewMark(n),
 		factory:    factory,
+		ordered:    scheme.Ordered(lab),
 		cache:      plan.NewCache(),
 		born:       editTokens.Add(1),
 		versions:   make(map[string]uint64),
@@ -180,19 +181,15 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		_ = d.idx.Close()
 		return nil, err
 	}
-	limitLabels(lab, d.idx)
+	d.limitLabels()
 	d.bind()
 	mOpenIndex.Observe(time.Since(labelled).Seconds())
 	return d, nil
 }
 
 // limitLabels has the labeling refuse, while it is still harmless, any
-// insert whose label idx could not key.
-func limitLabels(lab scheme.Labeling, idx store.Backend) {
-	if ll, ok := lab.(scheme.LabelLimiter); ok {
-		ll.LimitLabel(idx.Stats().MaxLabel)
-	}
-}
+// insert whose label the index could not key.
+func (d *Document) limitLabels() { d.lab.LimitLabel(d.idx.Stats().MaxLabel) }
 
 // refused counts err if it is a label-length refusal, and returns it.
 func refused(err error) error {
@@ -233,7 +230,7 @@ func (d *Document) ConvertStore(factory StoreFactory) error {
 	old := d.idx
 	d.idx, d.factory = idx, factory
 	d.bind()
-	limitLabels(d.lab, idx)
+	d.limitLabels()
 	return old.Close()
 }
 
@@ -270,8 +267,7 @@ func (d *Document) rebuildIndex() error {
 // missing entries; the rebuild restores consistency or surfaces the
 // fault). A label the index cannot key is not such a failure — the
 // rebuild would meet the same label — and comes back as
-// scheme.ErrLabelTooLong; it gets this far only under a labeling that is no
-// scheme.LabelLimiter, which would have refused the insert itself.
+// scheme.ErrLabelTooLong, should LimitLabel ever let one this far.
 func (d *Document) addToIndex(name string, id int) error {
 	if err := d.idx.Add(name, id); err != nil {
 		if errors.Is(err, store.ErrLabelTooLong) {
@@ -308,12 +304,7 @@ func (d *Document) Relabeled() int64 { return d.relabeled }
 // label the document has ever assigned — the figure to hold against
 // the index's store.Stats.MaxLabel — or zero under a scheme without
 // ordered labels.
-func (d *Document) LongestLabel() int {
-	if ll, ok := d.lab.(scheme.LabelLimiter); ok {
-		return ll.LongestLabel()
-	}
-	return 0
-}
+func (d *Document) LongestLabel() int { return d.lab.LongestLabel() }
 
 // Name returns the element name of a live node id ("" for text).
 func (d *Document) Name(id int) (string, error) {
@@ -564,28 +555,9 @@ func (d *Document) CacheFootprint() int64 { return d.cache.MemoryFootprint() }
 // pos-th child of parent, labeling the whole fragment in one batch.
 // It returns the new ids in preorder.
 func (d *Document) InsertTree(parent, pos int, fragment *xmltree.Node) ([]int, int, error) {
-	if err := d.validateInsert(parent, pos); err != nil {
-		return nil, 0, err
-	}
-	if fragment == nil || fragment.Kind != xmltree.Element {
-		return nil, 0, errors.New("dyndoc: fragment must be an element tree")
-	}
-	d.lastEdit = editTokens.Add(1)
-	ids, relabeled, err := d.lab.InsertSubtree(parent, pos, fragment)
+	ids, relabeled, err := d.insertTrees(parent, pos, []*xmltree.Node{fragment})
 	if err != nil {
-		return nil, 0, refused(err)
-	}
-	d.relabeled += int64(relabeled)
-	mInserts.Inc()
-	mRelabeled.Add(int64(relabeled))
-	rebuild := d.rebuildAfter(relabeled)
-	if err := d.recordTree(ids, fragment, rebuild); err != nil {
 		return nil, 0, err
 	}
-	if rebuild {
-		if err := d.rebuildIndex(); err != nil {
-			return nil, 0, err
-		}
-	}
-	return ids, relabeled, nil
+	return ids[0], relabeled, nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pagestore"
 	"repro/internal/registry"
-	"repro/internal/scheme"
 	"repro/internal/store"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -278,7 +277,7 @@ func TestStampedCacheDifferential(t *testing.T) {
 			for _, kind := range []string{"live", "shared"} {
 				for seed := int64(1); seed <= 3; seed++ {
 					d, err := NewWithStore(stampSeed(), entry.Build, factory)
-					if backend == "paged" && (errors.Is(err, store.ErrNoOrderedKeys) || errors.Is(err, scheme.ErrNoOrderedLabels)) {
+					if backend == "paged" && errors.Is(err, store.ErrNoOrderedKeys) {
 						continue
 					}
 					if err != nil {

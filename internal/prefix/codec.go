@@ -45,6 +45,8 @@ type ComponentCodec interface {
 	// Bits returns the storage of one component, including its
 	// delimiter or length overhead.
 	Bits(c Component) int
+	// AppendComponent serialises c for storage, appending to dst.
+	AppendComponent(dst []byte, c Component) ([]byte, error)
 }
 
 // AllCodecs returns the prefix-scheme codecs in the order the paper's
@@ -447,21 +449,6 @@ func utf8ContainerBytes(n int) int {
 		return 6
 	}
 }
-
-// ComponentMarshaler is implemented by component codecs that can
-// serialise components for storage. All built-in codecs implement it.
-type ComponentMarshaler interface {
-	// AppendComponent serialises c, appending to dst.
-	AppendComponent(dst []byte, c Component) ([]byte, error)
-}
-
-var (
-	_ ComponentMarshaler = deweyCodec{}
-	_ ComponentMarshaler = cohenCodec{}
-	_ ComponentMarshaler = ordpathCodec{}
-	_ ComponentMarshaler = qedPrefixCodec{}
-	_ ComponentMarshaler = cdbsPrefixCodec{}
-)
 
 // AppendComponent writes the ordinal in the UTF-8-style multi-byte
 // container DeweyID uses.

@@ -265,30 +265,16 @@ func (l *Labeling) selfOf(v int) Component {
 	return lab[len(lab)-1]
 }
 
-// InsertSiblingBefore inserts a fresh element immediately before v.
-func (l *Labeling) InsertSiblingBefore(v int) (int, int, error) {
-	parent, pos, err := l.tree.SiblingPosition(v)
-	if err != nil {
-		return 0, 0, err
-	}
-	return l.InsertChildAt(parent, pos)
-}
-
 // MarshalLabel serialises node v's full label: its components
-// concatenated in the codec's storage form. It implements
-// scheme.LabelMarshaler.
+// concatenated in the codec's storage form.
 func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 	if !l.tree.Alive(v) {
 		return nil, fmt.Errorf("%w: %d", scheme.ErrBadNode, v)
 	}
-	m, ok := l.codec.(ComponentMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("prefix: codec %s cannot marshal components", l.codec.Name())
-	}
 	var out []byte
 	var err error
 	for _, c := range l.labels[v] {
-		out, err = m.AppendComponent(out, c)
+		out, err = l.codec.AppendComponent(out, c)
 		if err != nil {
 			return nil, err
 		}
@@ -296,10 +282,24 @@ func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 	return out, nil
 }
 
-// CloneLabeling implements scheme.Cloner. Label slices are write-once
-// (every assignment goes through extend, which allocates fresh
-// storage), and the column of them is shared until a static codec
-// rewrites it.
+// AppendOrderedLabel fails: no component codec's storage form is an
+// order-preserving one yet.
+func (l *Labeling) AppendOrderedLabel([]byte, int) ([]byte, error) {
+	return nil, fmt.Errorf("%w: %s", scheme.ErrNoOrderedLabels, l.codec.Name())
+}
+
+// LimitLabel is inert: there is no ordered label to limit.
+func (l *Labeling) LimitLabel(int) {}
+
+// LongestLabel returns 0: there is no ordered label.
+func (l *Labeling) LongestLabel() int { return 0 }
+
+// LabelBytes estimates the labels, each a slice of boxed components.
+func (l *Labeling) LabelBytes() int64 { return scheme.BoxedLabelBytes * int64(l.tree.Cap()) }
+
+// CloneLabeling shares the label slices, which are write-once (every
+// assignment goes through extend, which allocates fresh storage), and
+// the column of them until a static codec rewrites it.
 func (l *Labeling) CloneLabeling() scheme.Labeling {
 	cl := *l
 	cl.tree = l.tree.Clone()
@@ -313,7 +313,7 @@ func (l *Labeling) CloneLabeling() scheme.Labeling {
 // with a single NBetween call (descendants always get fresh initial
 // labels); a static codec whose gap cannot hold the run falls back to
 // sequential insertion, paying the per-fragment re-label cost a loop
-// of single inserts would. It implements scheme.BatchInserter.
+// of single inserts would.
 func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]int, int, error) {
 	if len(shapes) == 0 {
 		return nil, 0, nil
@@ -335,52 +335,29 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 		right = l.selfOf(kids[pos])
 	}
 	selfs, err := l.codec.NBetween(left, right, len(shapes))
-	if errors.Is(err, ErrNoRoom) {
-		ids := make([][]int, len(shapes))
-		relabeled := 0
-		for k, shape := range shapes {
+	if err != nil && !errors.Is(err, ErrNoRoom) {
+		return nil, 0, fmt.Errorf("prefix: %w", err)
+	}
+	sequential := err != nil
+	ids := make([][]int, len(shapes))
+	relabeled := 0
+	for k, shape := range shapes {
+		if sequential {
 			fids, rl, err := l.InsertSubtree(parent, pos+k, shape)
 			if err != nil {
 				return nil, 0, err
 			}
 			ids[k] = fids
 			relabeled += rl
+			continue
 		}
-		return ids, relabeled, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("prefix: %w", err)
-	}
-	ids := make([][]int, len(shapes))
-	for k, shape := range shapes {
 		rootID := l.tree.AddChild(parent, pos+k)
 		l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[parent], selfs[k]))
-		fids := []int{rootID}
-		var add func(pid int, n *xmltree.Node) error
-		add = func(pid int, n *xmltree.Node) error {
-			if len(n.Children) == 0 {
-				return nil
-			}
-			kidSelfs, err := l.codec.Initial(len(n.Children))
-			if err != nil {
-				return err
-			}
-			for i, c := range n.Children {
-				id := l.tree.AddChild(pid, i)
-				l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[pid], kidSelfs[i]))
-				fids = append(fids, id)
-				if err := add(id, c); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := add(rootID, shape); err != nil {
+		if ids[k], err = l.addDescendants([]int{rootID}, rootID, shape); err != nil {
 			return nil, 0, err
 		}
-		ids[k] = fids
 	}
-	return ids, 0, nil
+	return ids, relabeled, nil
 }
 
 // InsertSubtree inserts a fragment shaped like the given element tree
@@ -396,31 +373,30 @@ func (l *Labeling) InsertSubtree(parent, pos int, shape *xmltree.Node) ([]int, i
 	if err != nil {
 		return nil, 0, err
 	}
-	ids := []int{rootID}
-	var add func(pid int, n *xmltree.Node) error
-	add = func(pid int, n *xmltree.Node) error {
-		if len(n.Children) == 0 {
-			return nil
-		}
-		selfs, err := l.codec.Initial(len(n.Children))
-		if err != nil {
-			return err
-		}
-		for i, c := range n.Children {
-			id := l.tree.AddChild(pid, i)
-			l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[pid], selfs[i]))
-			ids = append(ids, id)
-			if err := add(id, c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := add(rootID, shape); err != nil {
+	ids, err := l.addDescendants([]int{rootID}, rootID, shape)
+	if err != nil {
 		return nil, 0, err
 	}
-	// Re-establish preorder over the fragment ids: add() appended
-	// children-first per level, which already matches preorder for a
-	// depth-first walk.
 	return ids, relabeled, nil
+}
+
+// addDescendants labels the descendants of shape, whose root is
+// already node id, with fresh initial self labels, and appends their
+// ids to ids in preorder.
+func (l *Labeling) addDescendants(ids []int, id int, shape *xmltree.Node) ([]int, error) {
+	if len(shape.Children) == 0 {
+		return ids, nil
+	}
+	selfs, err := l.codec.Initial(len(shape.Children))
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range shape.Children {
+		kid := l.tree.AddChild(id, i)
+		l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[id], selfs[i]))
+		if ids, err = l.addDescendants(append(ids, kid), kid, c); err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
 }

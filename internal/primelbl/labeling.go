@@ -46,7 +46,7 @@ func (l *Labeling) Tree() *scheme.Tree { return l.tree }
 // Scheme exposes the underlying prime machinery.
 func (l *Labeling) Scheme() *Scheme { return l.s }
 
-// CloneLabeling implements scheme.Cloner.
+// CloneLabeling copies the SC values and labels and clones the tree.
 func (l *Labeling) CloneLabeling() scheme.Labeling {
 	return &Labeling{s: l.s.Clone(), tree: l.tree.Clone()}
 }
@@ -135,21 +135,11 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	return id, recalcs, nil
 }
 
-// InsertSiblingBefore inserts a fresh element immediately before v.
-func (l *Labeling) InsertSiblingBefore(v int) (int, int, error) {
-	parent, pos, err := l.tree.SiblingPosition(v)
-	if err != nil {
-		return 0, 0, err
-	}
-	return l.InsertChildAt(parent, pos)
-}
-
 // Ordering returns node i's current 1-based ordering number.
 func (s *Scheme) Ordering(i int) int64 { return s.ordering[i] }
 
 // MarshalLabel serialises node v's Prime label: the product label's
-// big-endian bytes, length-prefixed, followed by the self prime. It
-// implements scheme.LabelMarshaler.
+// big-endian bytes, length-prefixed, followed by the self prime.
 func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 	if !l.tree.Alive(v) {
 		return nil, fmt.Errorf("%w: %d", scheme.ErrBadNode, v)
@@ -190,3 +180,39 @@ func (l *Labeling) InsertSubtree(parent, pos int, shape *xmltree.Node) ([]int, i
 	}
 	return ids, total, nil
 }
+
+// InsertSubtrees is InsertSubtree fragment by fragment: with no bulk
+// path a run has nothing to share.
+func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]int, int, error) {
+	for _, shape := range shapes {
+		if shape == nil {
+			return nil, 0, errors.New("primelbl: nil shape")
+		}
+	}
+	ids := make([][]int, len(shapes))
+	total := 0
+	for k, shape := range shapes {
+		fids, recalcs, err := l.InsertSubtree(parent, pos+k, shape)
+		if err != nil {
+			return nil, 0, err
+		}
+		ids[k] = fids
+		total += recalcs
+	}
+	return ids, total, nil
+}
+
+// AppendOrderedLabel fails: a node's order is its SC-derived document
+// position, which an insert re-assigns.
+func (l *Labeling) AppendOrderedLabel([]byte, int) ([]byte, error) {
+	return nil, fmt.Errorf("%w: Prime", scheme.ErrNoOrderedLabels)
+}
+
+// LimitLabel is inert: there is no ordered label to limit.
+func (l *Labeling) LimitLabel(int) {}
+
+// LongestLabel returns 0: there is no ordered label.
+func (l *Labeling) LongestLabel() int { return 0 }
+
+// LabelBytes estimates the labels, each a big.Int of its own.
+func (l *Labeling) LabelBytes() int64 { return scheme.BoxedLabelBytes * int64(l.tree.Cap()) }

@@ -99,26 +99,18 @@ func TestBatchInsertConformance(t *testing.T) {
 			seqIDs, _ := insertShapes(t, seq, parent, pos, shapes)
 
 			var batIDs []int
-			var batRelabeled int
-			if bi, ok := bat.(scheme.BatchInserter); ok {
-				idss, rl, err := bi.InsertSubtrees(parent, pos, shapes)
-				if err != nil {
-					t.Fatal(err)
+			idss, batRelabeled, err := bat.InsertSubtrees(parent, pos, shapes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(idss) != len(shapes) {
+				t.Fatalf("got %d id slices for %d shapes", len(idss), len(shapes))
+			}
+			for k, fids := range idss {
+				if len(fids) != shapes[k].SubtreeSize() {
+					t.Fatalf("fragment %d: %d ids for %d nodes", k, len(fids), shapes[k].SubtreeSize())
 				}
-				if len(idss) != len(shapes) {
-					t.Fatalf("got %d id slices for %d shapes", len(idss), len(shapes))
-				}
-				for k, fids := range idss {
-					if len(fids) != shapes[k].SubtreeSize() {
-						t.Fatalf("fragment %d: %d ids for %d nodes", k, len(fids), shapes[k].SubtreeSize())
-					}
-					batIDs = append(batIDs, fids...)
-				}
-				batRelabeled = rl
-			} else {
-				// Schemes without a bulk path (Prime) fall back to the
-				// sequential loop, which is then trivially equivalent.
-				batIDs, batRelabeled = insertShapes(t, bat, parent, pos, shapes)
+				batIDs = append(batIDs, fids...)
 			}
 
 			if len(seqIDs) != len(batIDs) {
@@ -152,9 +144,8 @@ func TestBatchInsertConformance(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence checks that every scheme supports
-// scheme.Cloner and that edits on the original never leak into a
-// clone: the snapshot layer's correctness rests on exactly this.
+// TestCloneIndependence checks that edits on the original never leak
+// into a clone: the snapshot layer's correctness rests on exactly this.
 func TestCloneIndependence(t *testing.T) {
 	for _, entry := range All() {
 		entry := entry
@@ -164,11 +155,7 @@ func TestCloneIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl, ok := lab.(scheme.Cloner)
-			if !ok {
-				t.Fatalf("%s does not implement scheme.Cloner", entry.Name)
-			}
-			clone := cl.CloneLabeling()
+			clone := lab.CloneLabeling()
 			wantLen := clone.Len()
 
 			// Edit the original: a child insert and a subtree insert.

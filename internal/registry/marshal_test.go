@@ -3,13 +3,10 @@ package registry
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/scheme"
 )
 
-// TestEverySchemeMarshalsLabels checks that all labelings implement
-// scheme.LabelMarshaler, produce non-empty payloads, and produce
-// distinct payloads for distinct nodes.
+// TestEverySchemeMarshalsLabels checks that all labelings produce
+// non-empty payloads, and distinct payloads for distinct nodes.
 func TestEverySchemeMarshalsLabels(t *testing.T) {
 	doc := randomDoc(50, 3)
 	for _, entry := range All() {
@@ -19,13 +16,9 @@ func TestEverySchemeMarshalsLabels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, ok := lab.(scheme.LabelMarshaler)
-			if !ok {
-				t.Fatalf("%s does not implement LabelMarshaler", entry.Name)
-			}
 			seen := map[string]int{}
 			for v := 0; v < lab.Len(); v++ {
-				payload, err := m.MarshalLabel(v)
+				payload, err := lab.MarshalLabel(v)
 				if err != nil {
 					t.Fatalf("MarshalLabel(%d): %v", v, err)
 				}
@@ -35,7 +28,7 @@ func TestEverySchemeMarshalsLabels(t *testing.T) {
 				}
 				seen[key] = v
 			}
-			if _, err := m.MarshalLabel(-1); err == nil {
+			if _, err := lab.MarshalLabel(-1); err == nil {
 				t.Error("MarshalLabel(-1) succeeded")
 			}
 		})
@@ -57,10 +50,9 @@ func TestMarshaledLabelsRoundTripStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := lab.(scheme.LabelMarshaler)
 		stored := map[int][]byte{}
 		for _, v := range lab.Tree().PreOrder() {
-			payload, err := m.MarshalLabel(v)
+			payload, err := lab.MarshalLabel(v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +62,7 @@ func TestMarshaledLabelsRoundTripStore(t *testing.T) {
 			t.Fatalf("%s: %d records", name, len(stored))
 		}
 		for v, payload := range stored {
-			want, err := m.MarshalLabel(v)
+			want, err := lab.MarshalLabel(v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,10 +87,9 @@ func TestMarshaledSizeTracksAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := lab.(scheme.LabelMarshaler)
 		var serialised int64
 		for v := 0; v < lab.Len(); v++ {
-			p, err := m.MarshalLabel(v)
+			p, err := lab.MarshalLabel(v)
 			if err != nil {
 				t.Fatal(err)
 			}

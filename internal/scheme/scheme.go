@@ -17,7 +17,11 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Labeling is a labeled document.
+// Labeling is a labeled document: what the paper's thirteen schemes
+// share, and everything a served document asks of one. A scheme that
+// cannot do something says so through the method's own result
+// (ErrNoOrderedLabels, an inert LimitLabel); nothing is discovered by
+// type assertion.
 type Labeling interface {
 	// Name returns the scheme's display name as used in the paper's
 	// figures, e.g. "V-CDBS-Containment".
@@ -40,122 +44,121 @@ type Labeling interface {
 	// TotalLabelBits returns the storage footprint of all labels
 	// under the paper's accounting (Figure 5).
 	TotalLabelBits() int64
+	// LabelBytes returns the heap the labels occupy, structural mirror
+	// excluded, so that a memory estimate charges what they occupy. A
+	// scheme that holds each label as heap objects of its own answers
+	// BoxedLabelBytes per id.
+	LabelBytes() int64
+	// MarshalLabel returns node v's label in its storage form.
+	MarshalLabel(v int) ([]byte, error)
 	// InsertChildAt inserts a fresh element node as the pos-th child
 	// of parent. It returns the new node's id and how many existing
 	// nodes had to be re-labeled (0 for fully dynamic schemes; for
 	// Prime, the number of SC values recomputed).
 	InsertChildAt(parent, pos int) (newID int, relabeled int, err error)
-	// InsertSiblingBefore inserts a fresh element node as the
-	// immediately preceding sibling of v.
-	InsertSiblingBefore(v int) (newID int, relabeled int, err error)
 	// InsertSubtree inserts a whole fragment with the shape of the
 	// given element tree as the pos-th child of parent, labeling every
 	// fragment node in one batch (Algorithm 2's even subdivision keeps
 	// bulk labels short). It returns the new ids in preorder and the
 	// re-label count for existing nodes.
 	InsertSubtree(parent, pos int, shape *xmltree.Node) (ids []int, relabeled int, err error)
+	// InsertSubtrees inserts fragments with the shapes of the given
+	// element trees as consecutive children of parent starting at
+	// position pos. The whole run takes the label-assignment write
+	// path once, so dynamic codecs place every code of the run into
+	// the single gap at (parent, pos) with one even subdivision
+	// (EncodeBetween) — short codes, one validation — instead of
+	// splitting the gap once per fragment. It returns one preorder id
+	// slice per fragment and the total re-label count for existing
+	// nodes.
+	InsertSubtrees(parent, pos int, shapes []*xmltree.Node) (ids [][]int, relabeled int, err error)
 	// DeleteSubtree removes node v and its descendants. Deletion
 	// never affects the relative order of the remaining labels
 	// (Section 5.2.1 of the paper), so nothing is re-labeled; the
 	// count of removed nodes is returned. Deleted ids must not be
 	// passed to any predicate afterwards.
 	DeleteSubtree(v int) (removed int, err error)
+	// LimitLabel makes every later insert that would give a node an
+	// ordered label longer than max bytes fail, before it changes
+	// anything, with an error matching ErrLabelTooLong: the owner of a
+	// key store with a size ceiling (the paged index) has the insert
+	// that would cross it refused while it is still harmless. Zero
+	// lifts the limit; clones inherit it. Inert under a scheme without
+	// ordered labels.
+	LimitLabel(max int)
+	// LongestLabel returns the length in bytes of the longest ordered
+	// label assigned so far (deleted nodes included); zero under a
+	// scheme without ordered labels.
+	LongestLabel() int
 	// Tree exposes the structural mirror (for tests and harnesses).
 	Tree() *Tree
+
+	Cloner
+	OrderedLabeler
 }
+
+// Cloner is part of Labeling; benchmark/layers.go:181 keeps the name alive.
+type Cloner interface {
+	// CloneLabeling returns a labeling that answers exactly as the
+	// receiver does now and can be edited independently of it. The
+	// contract is about observability, not about memory: no write on
+	// either side may ever be observable on the other, and cloning
+	// must not write to the original (readers may be traversing it),
+	// but state that is immutable once written — labels, parent
+	// pointers, depths — may be shared, under the rules of package
+	// cow.
+	CloneLabeling() Labeling
+}
+
+// OrderedLabeler is part of Labeling; benchmark/layers.go:192 and stacks.go:713 keep the name alive.
+type OrderedLabeler interface {
+	// AppendOrderedLabel appends node v's order-preserving label bytes
+	// to dst: bytes.Compare on two encodings agrees with Before, and
+	// every live node's encoding is unique. Paged index storage
+	// (internal/store) keys its B-tree with these bytes. A scheme
+	// whose labels have no such form fails, for every node, with an
+	// error matching ErrNoOrderedLabels, and is restricted to the
+	// in-memory slice backend.
+	AppendOrderedLabel(dst []byte, v int) ([]byte, error)
+}
+
+// BoxedLabelBytes is the LabelBytes estimate per id ever allocated of
+// a scheme that holds each label as heap objects of its own (prefix,
+// Prime).
+const BoxedLabelBytes = 80
 
 // Builder constructs a labeling over a document.
 type Builder func(doc *xmltree.Document) (Labeling, error)
 
-// LabelMarshaler is implemented by labelings that can serialise one
-// node's label for storage. Every labeling in this repository
-// implements it; it is a separate interface so storage layers can
-// discover the capability without widening Labeling.
-type LabelMarshaler interface {
-	// MarshalLabel returns node v's label in its storage form.
-	MarshalLabel(v int) ([]byte, error)
+// Ordered reports whether l's labels have an order-preserving byte
+// form, which is a property of the scheme: the root's label answers
+// for all.
+func Ordered(l Labeling) bool {
+	_, err := l.AppendOrderedLabel(nil, 0)
+	return !errors.Is(err, ErrNoOrderedLabels)
 }
 
-// Cloner is implemented by labelings that can produce a clone of
-// themselves. Snapshot layers (dyndoc.Concurrent) clone the labeling
-// to build the next copy-on-write snapshot; like LabelMarshaler it is
-// a separate interface so the capability can be discovered without
-// widening Labeling. The contract is about observability, not about
-// memory: no write on either side may ever be observable on the
-// other, and cloning must not write to the original (readers may be
-// traversing it), but state that is immutable once written — labels,
-// parent pointers, depths — may be shared, under the rules of package
-// cow.
-type Cloner interface {
-	// CloneLabeling returns a labeling that answers exactly as the
-	// receiver does now and can be edited independently of it.
-	CloneLabeling() Labeling
-}
-
-// OrderedLabeler is implemented by labelings that can emit an
-// order-preserving byte encoding of one node's label: bytes.Compare
-// on two encodings agrees with Before, and every live node's encoding
-// is unique. Paged index storage (internal/store) keys its B-trees
-// with these bytes; a labeling without the capability (or whose
-// underlying codec lacks it) is restricted to the in-memory slice
-// backend.
-type OrderedLabeler interface {
-	// AppendOrderedLabel appends node v's order-preserving label bytes
-	// to dst.
-	AppendOrderedLabel(dst []byte, v int) ([]byte, error)
-}
-
-// LabelLimiter is implemented by an OrderedLabeler whose labels grow
-// without bound as inserts pile into one gap, so that the owner of a
-// key store with a size ceiling (the paged index) can have the insert
-// that would cross it refused while it is still harmless, and can
-// watch the distance to it.
-type LabelLimiter interface {
-	// LimitLabel makes every later insert that would give a node an
-	// ordered label longer than max bytes fail, before it changes
-	// anything, with an error matching ErrLabelTooLong. Zero lifts the
-	// limit; clones inherit it.
-	LimitLabel(max int)
-	// LongestLabel returns the length in bytes of the longest ordered
-	// label assigned so far (deleted nodes included).
-	LongestLabel() int
-}
-
-// LabelSizer is implemented by labelings that keep their labels in
-// storage whose size they can read off, so that a memory estimate
-// charges what the labels occupy instead of a guess per node.
-type LabelSizer interface {
-	// LabelBytes returns the heap the labels occupy, structural mirror
-	// excluded.
-	LabelBytes() int64
-}
-
-// BatchInserter is implemented by labelings with a bulk sibling-run
-// insertion path: the whole run takes the label-assignment write path
-// once, so dynamic codecs place every code of the run into the single
-// gap at (parent, pos) with one even subdivision (EncodeBetween) —
-// short codes, one validation — instead of splitting the gap once per
-// fragment.
-type BatchInserter interface {
-	// InsertSubtrees inserts fragments with the shapes of the given
-	// element trees as consecutive children of parent starting at
-	// position pos. It returns one preorder id slice per fragment and
-	// the total re-label count for existing nodes.
-	InsertSubtrees(parent, pos int, shapes []*xmltree.Node) (ids [][]int, relabeled int, err error)
+// InsertSiblingBefore inserts a fresh element node as the immediately
+// preceding sibling of v.
+func InsertSiblingBefore(l Labeling, v int) (newID int, relabeled int, err error) {
+	parent, pos, err := l.Tree().SiblingPosition(v)
+	if err != nil {
+		return 0, 0, err
+	}
+	return l.InsertChildAt(parent, pos)
 }
 
 // ErrBadNode reports a node id that is out of range or dead.
 var ErrBadNode = errors.New("scheme: bad node id")
 
-// ErrLabelTooLong reports an insert refused under LabelLimiter: the
-// new node's ordered label would not fit the limit. The labeling is
+// ErrLabelTooLong reports an insert refused under LimitLabel: the new
+// node's ordered label would not fit the limit. The labeling is
 // unchanged; inserting elsewhere, or into a wider gap, still works.
 var ErrLabelTooLong = errors.New("scheme: ordered label exceeds the key store's limit")
 
 // ErrNoOrderedLabels reports a labeling whose label bytes do not sort
 // like document order, so it cannot feed an order-preserving key
-// store. Implementations of OrderedLabeler whose underlying codec
-// lacks the property wrap this sentinel.
+// store. AppendOrderedLabel wraps it.
 var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byte form")
 
 // Tree is the structural mirror every labeling keeps: parent pointers
@@ -209,7 +212,7 @@ func NewTree(doc *xmltree.Document) *Tree {
 }
 
 // Clone returns a tree that answers as t does now and can be edited
-// independently of it, for labelings that implement Cloner. It copies
+// independently of it, for CloneLabeling. It copies
 // the child-list headers (24 B per id) and the dead bits flat and
 // shares the rest; it does not write to t.
 func (t *Tree) Clone() *Tree {

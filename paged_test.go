@@ -3,6 +3,7 @@ package dynxml
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,9 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/pagestore"
+	"repro/internal/registry"
+	"repro/internal/scheme"
+	"repro/internal/xmltree"
 )
 
 // pagedSeed builds an XML document with n <item> children (each
@@ -138,14 +142,50 @@ func TestPagedFootprintBounded(t *testing.T) {
 	}
 }
 
-// TestPagedUnsupportedScheme: schemes without an order-preserving
-// label encoding must be refused up front.
+// TestPagedUnsupportedScheme: every scheme without an order-preserving
+// label encoding is refused before the directory is created or
+// anything already in it is touched.
 func TestPagedUnsupportedScheme(t *testing.T) {
-	for _, name := range []string{"V-Binary-Containment", "Float-point-Containment", "QED-Prefix", "Prime"} {
-		_, err := Open("<a><b></b></a>", WithScheme(name), WithPagedLabels(t.TempDir()))
-		if !errors.Is(err, ErrPagedUnsupported) {
-			t.Fatalf("scheme %s: err = %v, want ErrPagedUnsupported", name, err)
+	const src = "<a><b></b></a>"
+	refused := 0
+	for _, entry := range registry.All() {
+		doc, err := xmltree.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
 		}
+		lab, err := entry.Build(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scheme.Ordered(lab) {
+			continue
+		}
+		refused++
+		absent := filepath.Join(t.TempDir(), "pages")
+		if _, err := Open(src, WithScheme(entry.Name), WithPagedLabels(absent)); !errors.Is(err, ErrPagedUnsupported) {
+			t.Fatalf("scheme %s: err = %v, want ErrPagedUnsupported", entry.Name, err)
+		}
+		if _, err := os.Stat(absent); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("scheme %s: refused open created %s (stat: %v)", entry.Name, absent, err)
+		}
+		kept := t.TempDir()
+		stale := filepath.Join(kept, "labels-000007.pages")
+		if err := os.WriteFile(stale, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(src, WithScheme(entry.Name), WithPagedLabels(kept)); !errors.Is(err, ErrPagedUnsupported) {
+			t.Fatalf("scheme %s: err = %v, want ErrPagedUnsupported", entry.Name, err)
+		}
+		files, err := os.ReadDir(kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(stale); len(files) != 1 || string(got) != "stale" {
+			t.Fatalf("scheme %s: refused open left %d files in its directory, %s = %q", entry.Name, len(files), filepath.Base(stale), got)
+		}
+	}
+	if refused != 10 {
+		t.Fatalf("%d schemes refused, want 10", refused)
 	}
 	if _, err := Open("<a></a>", WithPageCache(64)); err == nil {
 		t.Fatal("WithPageCache without WithPagedLabels must fail")

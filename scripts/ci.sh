@@ -1,91 +1,15 @@
 #!/bin/sh
-# ci.sh — the full verification gate, runnable locally and in CI.
+# ci.sh — the full verification gate, runnable locally and in CI. The
+# gate is a rule, not a list: a test is gated by existing.
 #
-# Stages, in dependency order:
-#   1. gofmt         — formatting drift fails fast
-#   2. go vet        — the stock vet checks
-#   3. go build      — both tag states (the invariants tag swaps files in)
-#   4. go test       — the whole module, plus the invariants-tagged label
-#                      packages (bitstr, cdbs, and keys + containment,
-#                      whose every arena read goes through the checked
-#                      bitstr.View) and page store (whose tag makes the
-#                      pager run checkPage on every frame it writes
-#                      back or copies on write)
-#   5. go test -race — the packed label arena (keys, containment) and
-#                      its clone-isolation and label-length-limit tests
-#                      by name, the concurrent document layer, the journal's
-#                      segment files and group-commit pipeline, the
-#                      HTTP serving stack (web + catalog + client), plus
-#                      the snapshot storm, planned-query storm,
-#                      snapshot-isolation histories, XML differential,
-#                      hook-install race, close-drain, journal stress,
-#                      watch storm, follower replication, in-place page
-#                      mutation vs clone readers, concurrent cold clone
-#                      reads and two-clones-both-compact tests by name,
-#                      then the page-frame allocation pins (a warm edit
-#                      allocates nothing, a fault one frame) and the
-#                      read-path allocation pins (a result-hit reply
-#                      allocates nothing per id, the client decodes it
-#                      into its body and one exact []int, Count on a
-#                      hit allocates nothing), then the index pins (a
-#                      slice Add or Remove touches one name's list,
-#                      the all-elements memo of either backend is
-#                      filled by concurrent readers under the race
-#                      detector, a snapshot edit allocates 26 B per
-#                      id, the paged index is one tree and a paged
-#                      insert faults no page of another name), then
-#                      the read-set stamps (the cached-answer
-#                      differential over all 13 schemes and the
-#                      shared-cache lineages under the race detector,
-#                      a hit allocates the caller's copy and nothing
-#                      else, the sibling and parent axes no map), then
-#                      the label kernels (the stored-form kernels
-#                      byte-equal to the boxed ones under the race
-#                      detector and under the invariants tag, whose
-#                      assertions read back what was written; their fuzz
-#                      target for 5 s; one-pass NewTree equal to the
-#                      map-built one; a refused insert claims nothing;
-#                      an insert allocates no code, an open 160 B a node)
-#   6. crash safety  — the segment recovery/fault-injection suite by name
-#                      (internal/journal, internal/faultfs), the
-#                      journal kill matrix, the paged-label damage
-#                      matrix (page files deleted/truncated/corrupted
-#                      between runs), the torn-page-file sweep, the
-#                      follower kill matrix (kills inside the first
-#                      open included), then the FuzzReadAll,
-#                      FuzzPageRoundTrip, FuzzMetaDecode,
-#                      FuzzPageValidate, FuzzEncodeBetween,
-#                      FuzzEditCodec, FuzzStreamDecode and
-#                      FuzzQueryReplyDecode seed corpora as short fuzz
-#                      runs
-#   7. labelvet      — the repo's own static-analysis suite (label invariants,
-#                      lock hygiene, dropped errors, panic allowlist), then
-#                      the concurrency/durability tier (guardedby, atomicmix,
-#                      ackorder, lockorder) explicitly in both tag states and
-#                      a fixture-coverage check over `labelvet -list`
-#   8. bench smoke   — the label-kernel packages' benchmarks once
-#                      (-benchtime 1x), so they cannot rot; measuring is
-#                      benchmark/'s job (stage 12)
-#   9. metrics smoke — experiments binary dumps a -metrics-json snapshot and
-#                      the labelstore_* (segment)/cdbs/qed/dyndoc/journal-
-#                      ship/watch/follower keys must be present
-#  10. httpd smoke    — dynxmld starts on a random port, the whole route
-#                      surface is driven through dynxmlctl (the typed
-#                      /v1 client: open, query, explain, edit, batch,
-#                      sync, checkpoint, stats, xml, list, close,
-#                      reopen, horizon, watch), /debug/vars must carry
-#                      the web_* and catalog_* families, and SIGTERM
-#                      must stop the server cleanly (exit 0)
-#  11. replication smoke — a second dynxmld boots with -follow against
-#                      the first, serves a leader write at the ack'd
-#                      horizon, rejects writes with 403 read_only,
-#                      survives SIGKILL and catches up after restart
-#  12. benchmark module — benchmark/ is a module of its own that root
-#                      `go build ./... && go test ./...` does not see:
-#                      build, vet and test it, then run every workload
-#                      once at smoke size with the layer ladder, so an
-#                      internal/ API change that breaks the instrument
-#                      fails here
+#   1. gofmt, go vet, go build (both tag states)
+#   2. go test ./..., plain, under -tags invariants and under -race,
+#      then the clone-isolation and storm tests three more times
+#   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
+#   4. labelvet (both tag states, concurrency tier, fixture coverage)
+#   5. bench smoke, metrics smoke
+#   6. httpd smoke, replication smoke
+#   7. benchmark module (build, vet, test, smoke run)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -110,105 +34,17 @@ go build -tags invariants ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/..."
-go test -tags invariants ./internal/bitstr/... ./internal/cdbs/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/...
+echo "==> go test -tags invariants ./..."
+go test -tags invariants ./...
 
-echo "==> go test -race ./internal/cow/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/journal/... ./internal/faultfs/... ./internal/catalog/... ./internal/web/... ./client/..."
-go test -race ./internal/cow/... ./internal/keys/... ./internal/containment/... ./internal/pagestore/... ./internal/store/... ./internal/dyndoc/... ./internal/journal/... ./internal/faultfs/... ./internal/catalog/... ./internal/web/... ./client/...
+echo "==> go test -race ./..."
+go test -race ./...
 
-echo "==> packed label arena: clone isolation and the label-length limit under the race detector"
-go test -race -count=3 -run 'TestArenaCloneIsolation' ./internal/containment
-go test -race -count=1 -run 'TestPagedLabelLimit' .
-go test -race -count=1 -run 'TestLabelTooLong' ./internal/web
-go test -race -count=1 -run 'TestPagedOverlongLabel' ./internal/store
+echo "==> clone isolation, memo and cache storms, stored kernels (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestStoredKernelsMatchBoxed' ./...
 
-echo "==> snapshot + planned-query storms under the race detector"
-go test -race -count=1 -run 'TestSnapshotStorm|TestQueryDoesNotBlockOnWriter|TestPlannedQueryStorm|TestSetCommitHookInstallRace|TestSnapshotIsolation|TestXMLMatchesEditedTree|TestDocumentClone' ./internal/dyndoc
-go test -race -count=1 -run 'TestParallelPartitionedJoins|TestCacheGenerations|TestCacheRendered' ./internal/xpath/plan
-
-echo "==> in-place page mutation vs clone readers under the race detector"
-go test -race -count=1 -run 'TestInPlaceVsCloneRace|TestCloneConcurrentColdReads' ./internal/pagestore
-go test -race -count=1 -run 'TestPagedClonesBothCompact' ./internal/store
-
-echo "==> page-frame allocation pins (a warm edit allocates nothing, a fault one frame)"
-go test -count=1 -run 'TestWarmLeafEditAllocs|TestFaultAllocatesOneFrame|TestPageReclaimsDeadSpace' ./internal/pagestore
-go test -count=1 -run 'TestPagedAddAllocs' ./internal/store
-go test -count=1 -run 'TestPagedInsertAllocs' .
-
-echo "==> read-path allocation pins (a result-hit reply allocates nothing per id, the client one body and one []int, Count nothing)"
-go test -count=1 -run 'TestQueryHitAllocBytes' ./internal/web
-go test -count=1 -run 'TestQueryDecodeAllocs' ./client
-go test -count=1 -run 'TestCountHitAllocs' .
-
-echo "==> index pins (an edit touches one name's list or key range, the all-elements memo of both backends under the race detector, a snapshot edit copies 26 B per id)"
-go test -count=1 -run 'TestSliceAddCost' ./internal/store
-go test -race -count=3 -run 'TestStarQueryStorm' ./internal/dyndoc
-go test -count=1 -run 'TestEditBytesBounded' ./internal/dyndoc
-go test -count=1 -run 'TestPagedOneTree' .
-
-echo "==> read-set stamps (an answer outlives every edit that cannot change it: differential and shared lineages under the race detector, hit and edit allocation pins)"
-go test -race -count=3 -run 'TestStampedCacheDifferential|TestStampedCacheSharedLineages' ./internal/dyndoc
-go test -count=1 -run 'TestCacheGenerations|TestCacheRendered|TestCacheBoundsTinyLimits' ./internal/xpath/plan
-go test -count=1 -run 'TestSiblingParentAxisBytes' ./internal/xpath
-go test -count=1 -run 'TestCountHitAllocs|TestPagedInsertAllocs|TestHandleExplainGolden' .
-
-echo "==> label kernels (stored-form kernels byte-equal to the boxed ones, under race 3x and under the invariants tag; fuzz 5s; build equivalence and pins)"
-go test -race -count=3 -run 'TestStoredKernelsMatchBoxed' ./internal/keys
-go test -tags invariants -count=1 -run 'TestStoredKernelsMatchBoxed|FuzzArenaBetween' ./internal/keys
-go test -run '^$' -fuzz 'FuzzArenaBetween' -fuzztime 5s ./internal/keys
-go test -count=1 -run 'TestNewTreeMatchesMapBuild' ./internal/scheme
-go test -count=1 -run 'TestRefusedInsertClaimsNothing|TestPackedPathAllocs' ./internal/containment
-go test -count=1 -run 'TestOpenBytesBounded|TestEditBytesBounded' ./internal/dyndoc
-go test -count=1 -run 'TestPagedInsertAllocs|TestMetricsJSON' .
-go test -count=1 -run 'TestWarmLeafEditAllocs' ./internal/pagestore
-
-echo "==> close-drain and eviction races under the race detector"
-go test -race -count=1 -run 'TestCloseUnderLoad' .
-go test -race -count=1 -run 'TestEvictAcquireRace|TestAcquireSingleflight' ./internal/catalog
-
-echo "==> group-commit pipeline under the race detector"
-go test -race -count=1 -run 'TestGroup|TestConcurrent|TestDurable|TestSyncIntervalStress|TestCloseVsAppend' ./internal/journal .
-
-echo "==> replication + watch under the race detector"
-go test -race -count=1 -run 'TestWatchStorm' ./internal/dyndoc
-go test -race -count=1 -run 'TestFollowerKillMatrix|TestFollowerReadYourWrites|TestFollowerWatch' ./internal/journal
-go test -race -count=1 -run 'TestOpenFollower' .
-go test -race -count=1 -run 'TestClientFollowerReadYourWrites|TestClientWatch' ./client
-
-echo "==> crash-safety suite (segment recovery + fault injection)"
-go test -count=1 -run 'TestRecover|TestFault|TestSynced|TestReadAllTorn|TestHeaderBitFlip|TestSegment|TestPrefold' ./internal/journal
-go test -count=1 ./internal/faultfs
-
-echo "==> journal kill matrix (every write/sync fault point at durability=always, Create's own included)"
-go test -count=1 -run 'TestKillMatrix|TestReplay|TestCheckpoint|TestUnfinishedCreate' ./internal/journal
-
-echo "==> paged-label damage matrix (delete/truncate/corrupt page files, replay must restore)"
-go test -count=1 -run 'TestPagedSurvivesPageFileDamage|TestPagedJournalRoundTrip' .
-go test -count=1 -run 'TestTornFileEveryOffset' ./internal/pagestore
-
-echo "==> follower kill matrix (kill the replica at every ship/persist point, catch up)"
-go test -count=1 -run 'TestFollowerKillMatrix' ./internal/journal
-
-echo "==> FuzzReadAll seed corpus (5s)"
-go test -run '^$' -fuzz 'FuzzReadAll' -fuzztime 5s ./internal/journal
-
-echo "==> FuzzPageRoundTrip + FuzzMetaDecode + FuzzPageValidate seed corpora (5s each, pagestore)"
-go test -run '^$' -fuzz 'FuzzPageRoundTrip' -fuzztime 5s ./internal/pagestore
-go test -run '^$' -fuzz 'FuzzMetaDecode' -fuzztime 5s ./internal/pagestore
-go test -run '^$' -fuzz 'FuzzPageValidate' -fuzztime 5s -fuzzminimizetime 1s ./internal/pagestore
-
-echo "==> FuzzEditCodec seed corpus (5s)"
-go test -run '^$' -fuzz 'FuzzEditCodec' -fuzztime 5s ./internal/journal
-
-echo "==> FuzzStreamDecode seed corpus (5s, hostile-leader ship frames)"
-go test -run '^$' -fuzz 'FuzzStreamDecode' -fuzztime 5s ./internal/journal
-
-echo "==> FuzzQueryReplyDecode seed corpus (5s, the client's fast reply decoder against encoding/json)"
-go test -run '^$' -fuzz 'FuzzQueryReplyDecode' -fuzztime 5s ./client
-
-echo "==> FuzzEncodeBetween seed corpus (5s each, cdbs + qed)"
-go test -run '^$' -fuzz 'FuzzEncodeBetween' -fuzztime 5s ./internal/cdbs
-go test -run '^$' -fuzz 'FuzzEncodeBetween' -fuzztime 5s ./internal/qed
+echo "==> every fuzz target, 5s each"
+sh scripts/fuzz.sh 5s
 
 echo "==> labelvet ./..."
 go run ./cmd/labelvet ./...
