@@ -201,16 +201,24 @@ func readAPIError(resp *http.Response) error {
 	return e
 }
 
-// readBody reads a reply whole: into one buffer of its declared length
-// if it states one — up to 64 MB on its word alone — and as the bytes
-// arrive if not.
+// readBody reads a reply whole: as the bytes arrive if it states no
+// length, else into a buffer never more than 1 MB (or append's rounding
+// of it) ahead of them — a stated length is not memory to commit — which
+// for a reply under 1 MB is one buffer of exactly its length.
 func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= 64<<20 {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, buf)
-		return buf, err
+	const ahead = 1 << 20
+	n := resp.ContentLength
+	if n < 0 {
+		return io.ReadAll(resp.Body)
 	}
-	return io.ReadAll(resp.Body)
+	buf := make([]byte, 0, min(n, ahead))
+	for {
+		m, err := io.ReadFull(resp.Body, buf[len(buf):min(int64(cap(buf)), n)])
+		if buf = buf[:len(buf)+m]; err != nil || int64(len(buf)) == n {
+			return buf, err
+		}
+		buf = append(buf, make([]byte, min(n-int64(len(buf)), ahead))...)[:len(buf)]
+	}
 }
 
 // roundTrip runs a logical request and returns its 2xx reply's body.

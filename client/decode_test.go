@@ -129,6 +129,23 @@ func TestQueryDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestReadBodyLyingContentLength: a reply that states 60 MB and sends
+// five bytes costs the client a buffer of 1 MB and an error, not 60 MB;
+// one that states 3.5 MB and sends them is read whole, a step ahead at
+// a time.
+func TestReadBodyLyingContentLength(t *testing.T) {
+	resp := &http.Response{Body: io.NopCloser(strings.NewReader("short")), ContentLength: 60 << 20}
+	raw, err := readBody(resp)
+	if err != io.ErrUnexpectedEOF || string(raw) != "short" || cap(raw) > 1<<20 {
+		t.Errorf("read %d bytes into room for %d: %v", len(raw), cap(raw), err)
+	}
+	body := bytes.Repeat([]byte("0123456"), 1<<19)
+	resp = &http.Response{Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body))}
+	if raw, err = readBody(resp); err != nil || !bytes.Equal(raw, body) {
+		t.Errorf("read %d bytes of %d: %v", len(raw), len(body), err)
+	}
+}
+
 // TestQueryOtherSpellings is a server that does not render the reply
 // the way dynxmld does — chunked, pretty-printed, fields reordered, an
 // extra field, a count that disagrees: the client reads it as it comes

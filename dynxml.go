@@ -629,33 +629,16 @@ func (h *Handle) locked(fn func(d *LiveDocument) error) error {
 // Len returns the live node count.
 func (h *Handle) Len() int { return h.doc.Len() }
 
-// bytesPerID is the heap estimate per node id ever allocated that
-// MemoryFootprint charges for the fixed-width columns outside the
-// labels and the index backend: the id's slots in the name, leaf,
-// parent, depth and child-list columns, its dead bit and its entry in
-// its parent's child list. Every one of those is sized by ids allocated,
-// not by live nodes — a deleted node keeps its slots — so an edit-aged
-// document costs what its id count says. Measured on Hamlet: 100 bytes
-// of heap per id fresh and after 5 000 edits, of which the labels are
-// 14 (their arena and Refs, charged at their real size) and the slice
-// index about 10, 8 more while it holds the list of all elements
-// (charged by the backend).
-const bytesPerID = 80
-
-// MemoryFootprint estimates the handle's resident bytes: a per-id
-// constant for the columns, the labels at the size their labeling
-// reports, plus whatever the index backend reports — for the paged
-// backend that is its bounded page cache, not the document size, which
-// is what lets one process keep many larger-than-budget documents
-// open — and the results and renderings its query cache holds. The
-// catalog's memory budget charges this estimate
+// MemoryFootprint estimates the handle's resident bytes: every per-id
+// column and the label arena at the capacity it has allocated (a
+// deleted node keeps its slots), what the index backend holds — for the
+// paged backend its bounded page cache, which is what lets one process
+// keep many larger-than-budget documents open — and the query cache.
+// The catalog's memory budget charges this estimate
 // (TestMemoryFootprintTracksHeap holds it within 1.5x of the heap).
 func (h *Handle) MemoryFootprint() int64 {
 	var fp int64
-	h.view(func(d *LiveDocument) {
-		lab := d.Labeling()
-		fp = int64(lab.Tree().Cap())*bytesPerID + lab.LabelBytes() + d.Store().MemoryFootprint() + d.CacheFootprint()
-	})
+	h.view(func(d *LiveDocument) { fp = d.MemoryFootprint() })
 	return fp
 }
 

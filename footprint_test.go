@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/xmltree"
 )
 
 // heapDelta returns how much live heap build's result holds: HeapAlloc
@@ -25,9 +26,12 @@ func heapDelta(t *testing.T, build func() *Handle) (*Handle, int64) {
 
 // TestMemoryFootprintTracksHeap pins the estimate the catalog evicts
 // by to what the heap says, within a factor of 1.5 either way — for a
-// fresh document, for one aged by 5 000 edits, whose per-id arrays and
+// fresh document, for one aged by 5 000 edits, whose per-id columns and
 // label arena have grown with every id ever allocated while its live
-// node count stood still, for an unshared one whose slice index holds
+// node count stood still, for one grown by 10 000 inserts, most of
+// whose ids and keys lie in chunks added since it was opened and are
+// charged at what those chunks allocated, for an unshared one whose
+// slice index holds
 // its all-elements memo, for one whose index is paged, and for one
 // whose result cache holds more bytes — a dozen large results and their
 // renderings — than the document itself, concurrent or live.
@@ -40,24 +44,30 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		return h
 	}
 	fresh := func() *Handle { return open(WithConcurrent()) }
-	aged := func() *Handle {
+	// edited inserts n asides, and deletes each again unless keep.
+	edited := func(n int, keep bool) *Handle {
 		h := fresh()
 		speeches, err := h.QueryString("//speech")
 		if err != nil || len(speeches) == 0 {
 			t.Fatalf("speeches: %d, %v", len(speeches), err)
 		}
-		// Every edit pair leaves the live count where it was.
-		for i := 0; i < 2500; i++ {
+		for i := 0; i < n; i++ {
 			id, _, err := h.InsertElement(speeches[i%len(speeches)], 0, "aside")
 			if err != nil {
 				t.Fatal(err)
 			}
+			if keep {
+				continue
+			}
+			// Every edit pair leaves the live count where it was.
 			if _, err := h.DeleteSubtree(id); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return h
 	}
+	aged := func() *Handle { return edited(2500, false) }
+	grown := func() *Handle { return edited(10000, true) }
 	listed := func() *Handle {
 		h := open()
 		before := h.MemoryFootprint()
@@ -91,7 +101,7 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		}
 		return h
 	}
-	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "all elements listed": listed, "paged": paged,
+	for name, build := range map[string]func() *Handle{"fresh": fresh, "aged by 5000 edits": aged, "grown by 10000 inserts": grown, "all elements listed": listed, "paged": paged,
 		"large cached results":              func() *Handle { return cached(WithConcurrent()) },
 		"live handle, large cached results": func() *Handle { return cached() },
 	} {
@@ -129,4 +139,39 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		t.Errorf("paged: backend share %d B over %d pages is not within 1.25x of the measured heap %d B", share, pages, freed)
 	}
 	runtime.KeepAlive(h)
+}
+
+// TestFirstInsertBytesBounded pins the first edit of a freshly opened
+// document, the one that finds every write-once column exactly full: it
+// adds a chunk to each and copies none of them. What it still
+// allocates per id is Tree.Children's outer slice, a plain [][]int of
+// 24 B headers that append moves with a quarter to spare (and that
+// alone; it was 100 B per id when every column and the label arena
+// moved with it).
+func TestFirstInsertBytesBounded(t *testing.T) {
+	plays := xmltree.NewElement("plays")
+	for _, f := range datagen.D5(1).Files[:10] {
+		plays.AppendChild(f.Root)
+	}
+	for name, doc := range map[string]*xmltree.Document{"Hamlet": datagen.Hamlet(), "ten plays": {Root: plays}} {
+		h, err := Open(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = h.InsertElement(0, 0, "x")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ids := int64(after.TotalAlloc-before.TotalAlloc), int64(h.Len())
+		t.Logf("%s: the first insert into %d ids allocates %d B (%.1f B per id)", name, ids, got, float64(got)/float64(ids))
+		if bound := 32*ids + 16<<10; got > bound {
+			t.Errorf("%s: the first InsertElement after Open allocates %d B, want at most 32 B x %d ids + 16 KB = %d", name, got, ids, bound)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

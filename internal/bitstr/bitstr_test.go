@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/invariants"
 )
 
 func TestParseAndString(t *testing.T) {
@@ -362,8 +364,8 @@ func TestViewAliasesAndIsChecked(t *testing.T) {
 			bad()
 			return false
 		}()
-		if panicked != invariantsEnabled {
-			t.Errorf("%s: panicked = %v with invariants enabled = %v", name, panicked, invariantsEnabled)
+		if panicked != invariants.Enabled {
+			t.Errorf("%s: panicked = %v with invariants enabled = %v", name, panicked, invariants.Enabled)
 		}
 	}
 }

@@ -1,14 +1,6 @@
 package bitstr
 
-import "fmt"
-
-// invariantPanic reports a broken internal invariant detected by the
-// self-checks behind the `invariants` build tag. It is the single
-// panic funnel for those checks, so the labelvet panic allowlist
-// stays independent of build tags.
-func invariantPanic(format string, args ...any) {
-	panic("bitstr: invariant violated: " + fmt.Sprintf(format, args...))
-}
+import "repro/internal/invariants"
 
 // assertWellFormed checks the representation invariants of s when the
 // `invariants` build tag is on: the storage holds exactly
@@ -16,15 +8,15 @@ func invariantPanic(format string, args ...any) {
 // byte-tail-zero invariant that Compare and Equal rely on to work on
 // whole bytes).
 func (s BitString) assertWellFormed() {
-	if !invariantsEnabled {
+	if !invariants.Enabled {
 		return
 	}
 	if want := bytesFor(s.n); len(s.data) != want && !(s.n == 0 && s.data == nil) {
-		invariantPanic("%d bits stored in %d bytes, want %d", s.n, len(s.data), want)
+		invariants.Violated("bitstr", "%d bits stored in %d bytes, want %d", s.n, len(s.data), want)
 	}
 	if r := s.n % 8; r != 0 && len(s.data) > 0 {
 		if spare := s.data[len(s.data)-1] & ^(byte(0xFF) << (8 - r)); spare != 0 {
-			invariantPanic("spare bits %08b after bit %d are not zero", spare, s.n)
+			invariants.Violated("bitstr", "spare bits %08b after bit %d are not zero", spare, s.n)
 		}
 	}
 }

@@ -1,18 +1,9 @@
 package cdbs
 
 import (
-	"fmt"
-
 	"repro/internal/bitstr"
+	"repro/internal/invariants"
 )
-
-// invariantPanic reports a broken CDBS invariant detected by the
-// self-checks behind the `invariants` build tag. It is the single
-// panic funnel for those checks, so the labelvet panic allowlist
-// stays independent of build tags.
-func invariantPanic(format string, args ...any) {
-	panic("cdbs: invariant violated: " + fmt.Sprintf(format, args...))
-}
 
 // assertBetween checks the Theorem 3.1 postconditions of every code
 // Algorithm 1 assigns — boxed, or read back from where it was stored,
@@ -21,16 +12,16 @@ func invariantPanic(format string, args ...any) {
 // new code ends with bit 1 and sits strictly between its bounds (an
 // empty bound is open).
 func assertBetween(l, r, m bitstr.BitString) {
-	if !invariantsEnabled {
+	if !invariants.Enabled {
 		return
 	}
 	if !m.EndsWithOne() {
-		invariantPanic("Between(%q, %q) = %q does not end with bit 1", l, r, m)
+		invariants.Violated("cdbs", "Between(%q, %q) = %q does not end with bit 1", l, r, m)
 	}
 	if !l.IsEmpty() && l.Compare(m) >= 0 {
-		invariantPanic("Between(%q, %q) = %q is not above its left bound", l, r, m)
+		invariants.Violated("cdbs", "Between(%q, %q) = %q is not above its left bound", l, r, m)
 	}
 	if !r.IsEmpty() && m.Compare(r) >= 0 {
-		invariantPanic("Between(%q, %q) = %q is not below its right bound", l, r, m)
+		invariants.Violated("cdbs", "Between(%q, %q) = %q is not below its right bound", l, r, m)
 	}
 }

@@ -216,3 +216,73 @@ func TestRefusedInsertClaimsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkedCloneIsolation takes a clone through what makes the arena
+// and the Ref column add chunks while its original is read: a pile of
+// inserts into one gap, whose keys grow until few fit a chunk and most
+// chunks end in a key that would straddle; a fragment whose run of keys
+// is longer than the largest chunk; more leaves behind it. The clone,
+// and a second one that finds the tail taken, end where the same edits
+// lead with no other holder around, and the original where it was.
+func TestChunkedCloneIsolation(t *testing.T) {
+	wide := &xmltree.Node{Kind: xmltree.Element, Name: "f"}
+	for i := 0; i < 20_000; i++ {
+		wide.Children = append(wide.Children, &xmltree.Node{Kind: xmltree.Element, Name: "f", Parent: wide})
+	}
+	for _, codec := range []keys.Codec{keys.VCDBS(), keys.QED()} {
+		codec := codec
+		t.Run(codec.Name(), func(t *testing.T) {
+			t.Parallel()
+			published := func() *Labeling {
+				d, err := xmltree.ParseString("<r><a/><b><c/><c/></b><d/><e><f/></e></r>")
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := New(codec, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edit(t, l, rand.New(rand.NewSource(1)), 40)
+				return l
+			}
+			heavy := func(l *Labeling, seed int64) {
+				for i := 0; i < 1500; i++ {
+					if _, _, err := l.InsertChildAt(0, 1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if _, _, err := l.InsertSubtree(0, 0, wide); err != nil {
+					t.Error(err)
+				}
+				edit(t, l, rand.New(rand.NewSource(seed)), 20)
+			}
+			pub := published()
+			want := labelsOf(t, pub)
+			w, late := pub.CloneLabeling().(*Labeling), pub.CloneLabeling().(*Labeling)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if !reflect.DeepEqual(labelsOf(t, pub), want) {
+						t.Error("the original's labels changed under its reader")
+					}
+				}
+			}()
+			heavy(w, 2)
+			wg.Wait()
+			heavy(late, 3)
+			for seed, l := range map[int64]*Labeling{2: w, 3: late} {
+				alone := published()
+				heavy(alone, seed)
+				if !reflect.DeepEqual(labelsOf(t, l), labelsOf(t, alone)) {
+					t.Errorf("clone with history %d: labels differ from what its own edits make", seed)
+				}
+			}
+			if !reflect.DeepEqual(labelsOf(t, pub), want) {
+				t.Error("the clones' edits changed the original")
+			}
+		})
+	}
+}

@@ -34,20 +34,17 @@ const levelBits = 8
 // keys.Arena, in which every endpoint key is stored once at its own
 // size, and one column of Refs into it: ends[2v] names node v's start
 // key and ends[2v+1] its end key. A dynamic codec writes both once, so
-// the arena and the column keep their backing arrays across
-// CloneLabeling (package cow's write-once rule); a static codec's
-// re-encoding replaces both.
+// the arena and the column keep their chunks across CloneLabeling
+// (package cow's write-once rule); a static codec's re-encoding
+// replaces both.
 type Labeling struct {
 	tree *scheme.Tree
 	keys keys.Arena
-	ends []keys.Ref
-	mark *cow.Mark
+	ends cow.Column[keys.Ref]
 
 	// limit and longest are the LimitLabel state, in bytes of ordered
-	// label; both stay zero under a codec without that form.
-	// A label is no longer than its arena, hence the width, which
-	// keeps a clone of the struct in the allocation size it had with
-	// two key slices.
+	// label; both stay zero under a codec without that form. A label
+	// is no longer than its arena, hence the width.
 	limit, longest uint32
 }
 
@@ -73,8 +70,8 @@ func New(codec keys.Codec, doc *xmltree.Document) (*Labeling, error) {
 	return l, nil
 }
 
-func (l *Labeling) start(v int) keys.Ref { return l.ends[2*v] }
-func (l *Labeling) end(v int) keys.Ref   { return l.ends[2*v+1] }
+func (l *Labeling) start(v int) keys.Ref { return l.ends.At(2 * v) }
+func (l *Labeling) end(v int) keys.Ref   { return l.ends.At(2*v + 1) }
 
 // reassign (re)encodes every node's start and end keys in document
 // order into a fresh arena, sized once for all of them, and returns the
@@ -105,13 +102,13 @@ func (l *Labeling) reassign() (changed int, err error) {
 	}
 	walk(0) // the root: ids are document order at build time
 	// A key's stored form is canonical, so equal bytes are equal keys.
-	same := func(i int) bool { return bytes.Equal(l.keys.Stored(l.ends[i]), arena.Stored(ends[i])) }
-	for v := 0; 2*v < len(l.ends); v++ {
+	same := func(i int) bool { return bytes.Equal(l.keys.Stored(l.ends.At(i)), arena.Stored(ends[i])) }
+	for v := 0; 2*v < l.ends.Len(); v++ {
 		if l.tree.Alive(v) && !(same(2*v) && same(2*v+1)) {
 			changed++
 		}
 	}
-	l.keys, l.ends, l.mark = arena, ends, cow.NewMark(len(ends))
+	l.keys, l.ends = arena, cow.NewColumn(ends)
 	l.longest = longest
 	return changed, nil
 }
@@ -126,7 +123,7 @@ func (l *Labeling) Len() int { return l.tree.Len() }
 func (l *Labeling) Tree() *scheme.Tree { return l.tree }
 
 // Level returns the stored level of v (root = 1).
-func (l *Labeling) Level(v int) int { return l.tree.Depths[v] }
+func (l *Labeling) Level(v int) int { return l.tree.Depth(v) }
 
 // AppendOrderedLabel emits, when the endpoint codec implements
 // keys.OrderedBytes (CDBS, QED), the node's start key, whose order
@@ -191,7 +188,7 @@ func (l *Labeling) IsParent(u, v int) bool {
 // containment indexes the labeling consults its structural parent
 // pointers after an equal-level label check.
 func (l *Labeling) IsSibling(u, v int) bool {
-	return u != v && l.Level(u) == l.Level(v) && l.tree.Parents[u] == l.tree.Parents[v]
+	return u != v && l.Level(u) == l.Level(v) && l.tree.Parent(u) == l.tree.Parent(v)
 }
 
 // Before orders nodes by their start keys (document order).
@@ -203,7 +200,7 @@ func (l *Labeling) Before(u, v int) bool {
 // codec's own overhead accounting) plus a one-byte level.
 func (l *Labeling) TotalLabelBits() int64 {
 	live := make([]keys.Ref, 0, 2*l.tree.Len())
-	for v := 0; 2*v < len(l.ends); v++ {
+	for v := 0; 2*v < l.ends.Len(); v++ {
 		if l.tree.Alive(v) {
 			live = append(live, l.start(v), l.end(v))
 		}
@@ -212,9 +209,9 @@ func (l *Labeling) TotalLabelBits() int64 {
 }
 
 // LabelBytes returns the arena and the column of Refs into it, at
-// their lengths.
+// their capacities.
 func (l *Labeling) LabelBytes() int64 {
-	return int64(l.keys.Size()) + 4*int64(len(l.ends))
+	return int64(l.keys.Cap()) + l.ends.Bytes()
 }
 
 // DeleteSubtree removes node v and its descendants. The remaining
@@ -265,8 +262,9 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 		return id, changed, nil
 	}
 	id := l.tree.AddChild(parent, pos)
-	l.ends = cow.Grow(&l.mark, l.ends, 2)
-	l.ends[2*id], l.ends[2*id+1] = m1, m2
+	l.ends.Grow(2)
+	l.ends.Set(2*id, m1)
+	l.ends.Set(2*id+1, m2)
 	l.longest = max(l.longest, labelLen(&l.keys, m1))
 	return id, 0, nil
 }
@@ -355,10 +353,11 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 		}
 		return ids, changed, nil
 	}
-	l.ends = cow.Grow(&l.mark, l.ends, 2*total)
+	l.ends.Grow(2 * total)
 	for k, i := 0, 0; k < len(ids); k++ {
 		for _, id := range ids[k] {
-			l.ends[2*id], l.ends[2*id+1] = ks[starts[i]], ks[ends[i]]
+			l.ends.Set(2*id, ks[starts[i]])
+			l.ends.Set(2*id+1, ks[ends[i]])
 			l.longest = max(l.longest, labelLen(&l.keys, ks[starts[i]]))
 			i++
 		}

@@ -136,7 +136,7 @@ func (o *oracle) check(t *testing.T, l *Labeling, rng *rand.Rand, step string) {
 		}
 		want, _ := m.AppendKey(nil, o.start[v])
 		want, _ = m.AppendKey(want, o.end[v])
-		want = append(want, byte(o.tree.Depths[v]))
+		want = append(want, byte(o.tree.Depth(v)))
 		if got, err := l.MarshalLabel(v); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: node %d MarshalLabel %x, %v, oracle %x", step, v, got, err, want)
 		}

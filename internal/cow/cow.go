@@ -2,13 +2,15 @@
 // its clones share memory instead of copying it.
 //
 // A column that is written once per id and never again (element
-// names, parent pointers, depths, containment keys, prefix labels)
-// keeps its backing array across a clone: a snapshot only reads
-// indices below its own length, and whoever appends past it must
-// first claim the next slot on the array's Mark. The holder that
-// claims it appends in place; any other holder of the same array —
-// a divergent clone, or the clone that follows a discarded one —
-// moves to a private array once.
+// names, parent pointers, depths, containment keys, prefix labels) is
+// a Column: the array it was built in, then chunks allocated as ids
+// arrive, all of them shared by a clone. A snapshot only reads indices
+// below its own length, and whoever appends past it must first claim
+// the next slots on the column's Mark. The holder that claims them
+// writes in place; any other — a divergent clone, or the clone that
+// follows a discarded one — moves its last, partly filled piece and its
+// table of pieces to private memory once. No written slot is ever
+// copied to make room. keys.Arena is the same rule over bytes.
 //
 // A list that is edited in place (a parent's child list, an element
 // name's id list) is copied by the first holder that touches it after
@@ -21,42 +23,131 @@
 // — a clone takes a flat Copy of.
 package cow
 
-import "sync/atomic"
+import (
+	"reflect"
+	"slices"
+	"sync/atomic"
+	"unsafe"
 
-// Mark is the append watermark of one backing array: how many of its
-// slots have been handed out. It is shared by every slice header over
-// that array.
+	"repro/internal/invariants"
+)
+
+// Mark is an append watermark: how many of the slots it governs have
+// been handed out. It is shared by every holder of those slots.
 type Mark struct{ n atomic.Int64 }
 
-// NewMark returns the mark of a fresh array whose first n slots are
-// written.
+// NewMark returns a mark with the first n slots handed out.
 func NewMark(n int) *Mark {
 	m := new(Mark)
 	m.n.Store(int64(n))
 	return m
 }
 
-// Grow extends the write-once column s, whose backing array *m
-// governs, by k zero slots that the caller fills before it publishes
-// the column. When the slots after s are free and this holder is the
-// first to claim them they are the shared array's own (no holder has
-// written past the mark, so they still hold the zero value);
-// otherwise s moves to a private array under a new mark, which *m is
-// updated to.
-func Grow[T any](m **Mark, s []T, k int) []T {
-	n := len(s)
-	if n+k <= cap(s) && (*m).n.CompareAndSwap(int64(n), int64(n+k)) {
-		return s[:n+k]
+// Claim hands the slots from..to, still zero, to the caller if from is
+// where the mark stands. A nil mark refuses.
+func (m *Mark) Claim(from, to int) bool {
+	return m != nil && m.n.CompareAndSwap(int64(from), int64(to))
+}
+
+// A column's tail is cut into pieces of pieceLen slots, so that At
+// finds a slot with a shift, out of chunks that double from one piece
+// to maxPieces: a small column pays little for its first append, a long
+// one allocates seldom.
+const (
+	pieceShift = 5
+	pieceLen   = 1 << pieceShift
+	maxPieces  = 32
+)
+
+// Column is a write-once column indexed by id. Copying it shares every
+// slot; the zero value is empty.
+type Column[T any] struct {
+	first []T            // the array the column was built in, full
+	tail  []*[pieceLen]T // the slots after it, claimed or not
+	n     int
+	mark  *Mark // over n; nil until the first Grow
+}
+
+// NewColumn returns the column holding first, which it keeps.
+func NewColumn[T any](first []T) Column[T] { return Column[T]{first: first, n: len(first)} }
+
+// Len returns the number of slots, Cap the number allocated.
+func (c *Column[T]) Len() int { return c.n }
+func (c *Column[T]) Cap() int { return len(c.first) + len(c.tail)<<pieceShift }
+
+// Bytes estimates the column's heap: the allocated slots and the table.
+func (c *Column[T]) Bytes() int64 {
+	return int64(c.Cap())*int64(unsafe.Sizeof(*new(T))) + 8*int64(cap(c.tail))
+}
+
+func (c *Column[T]) slot(i int) *T {
+	if i < len(c.first) {
+		return &c.first[i]
 	}
-	*m = NewMark(n + k)
-	return append(s[:n:n], make([]T, k)...)
+	i -= len(c.first)
+	return &c.tail[i>>pieceShift][i&(pieceLen-1)]
+}
+
+// At returns slot i; it is measurably cheaper not to go through slot.
+func (c *Column[T]) At(i int) T {
+	if invariants.Enabled && uint(i) >= uint(c.n) {
+		invariants.Violated("cow", "slot %d of a column of %d", i, c.n)
+	}
+	if uint(i) < uint(len(c.first)) {
+		return c.first[i]
+	}
+	i -= len(c.first)
+	return c.tail[i>>pieceShift][i&(pieceLen-1)]
+}
+
+// Set fills slot i: one its caller's Grow made, or any of an unshared column.
+func (c *Column[T]) Set(i int, v T) { *c.slot(i) = v }
+
+// Flat returns the slots in one fresh slice.
+func (c *Column[T]) Flat() []T {
+	out := make([]T, c.n)
+	for i := range out {
+		out[i] = c.At(i)
+	}
+	return out
+}
+
+// Grow adds k zero slots for the caller to Set. The first holder to
+// claim the slots after its own takes them where they are; any other
+// keeps the full pieces, which nobody writes any more, and moves its
+// partial one and the table.
+func (c *Column[T]) Grow(k int) {
+	n := c.n
+	c.n += k
+	if c.mark.Claim(n, c.n) {
+		for i := n; invariants.Enabled && i < min(c.n, c.Cap()); i++ {
+			if !reflect.ValueOf(c.slot(i)).Elem().IsZero() {
+				invariants.Violated("cow", "claimed slot %d already holds %v", i, c.At(i))
+			}
+		}
+	} else {
+		used := n - len(c.first)
+		full, rest := used>>pieceShift, used&(pieceLen-1)
+		last := c.tail[full:]
+		c.tail = slices.Clip(c.tail[:full])
+		if rest != 0 {
+			c.tail = append(c.tail, new([pieceLen]T))
+			copy(c.tail[full][:rest], last[0][:])
+		}
+		c.mark = NewMark(c.n)
+	}
+	if need := (c.n - c.Cap() + pieceLen - 1) >> pieceShift; need > 0 {
+		chunk := make([]T, max(need, min(max(len(c.tail), 1), maxPieces))<<pieceShift)
+		for ; len(chunk) > 0; chunk = chunk[pieceLen:] {
+			c.tail = append(c.tail, (*[pieceLen]T)(chunk))
+		}
+	}
 }
 
 // Append is Grow by one slot holding v.
-func Append[T any](m **Mark, s []T, v T) []T {
-	s = Grow(m, s, 1)
-	s[len(s)-1] = v
-	return s
+func (c *Column[T]) Append(v T) {
+	c.Grow(1)
+	c.Set(c.n-1, v)
 }
 
 // Copy returns a private copy of s with a little room to spare, so

@@ -54,13 +54,11 @@ func ObserveOpenParse(start time.Time) { mOpenParse.Observe(time.Since(start).Se
 // Document is a live, labeled, queryable XML document.
 //
 // names and leaves are written once per id and never again, so a
-// document and its clones share their backing arrays (cow.Append).
+// document and its clones share those columns (cow.Column).
 type Document struct {
 	lab    scheme.Labeling
-	names  []string // element name by id; "" for text and attribute nodes
-	leaves []*leaf  // what a text or attribute node holds, by id; nil for elements
-
-	namesMark, leavesMark *cow.Mark
+	names  cow.Column[string] // element name by id; "" for text and attribute nodes
+	leaves cow.Column[*leaf]  // what a text or attribute node holds, by id; nil for elements
 
 	idx     store.Backend // live element index in document order
 	factory StoreFactory  // how to build a fresh backend (rebuilds, conversions)
@@ -92,10 +90,10 @@ var editTokens atomic.Uint64
 // NameToken implements xpath.Versions; every edit is later than born.
 func (d *Document) NameToken(name string) uint64 { return max(d.born, d.versions[name]) }
 
-// bind points d's engine at its columns, labeling and index as they
-// are now; whatever replaces one of the three calls it.
+// bind points d's engine at d's own names column and at its labeling
+// and index as they are now; whatever replaces one of the two calls it.
 func (d *Document) bind() {
-	d.eng = *xpath.NewEngineWithIndex(d.lab, d.names, d.idx).Versioned(d)
+	d.eng = *xpath.NewEngineOver(d.lab, &d.names, d.idx).Versioned(d)
 }
 
 // leaf is the immutable content of a non-element node: character
@@ -154,26 +152,24 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		factory = func(b store.Binding) (store.Backend, error) { return store.NewSlice(b), nil }
 	}
 	n := lab.Tree().Cap() // the builder's count of doc's nodes
-	d := &Document{
-		lab:        lab,
-		names:      make([]string, n),
-		leaves:     make([]*leaf, n),
-		namesMark:  cow.NewMark(n),
-		leavesMark: cow.NewMark(n),
-		factory:    factory,
-		ordered:    scheme.Ordered(lab),
-		cache:      plan.NewCache(),
-		born:       editTokens.Add(1),
-		versions:   make(map[string]uint64),
-	}
-	d.lastEdit = d.born
-	elems := make([]int, 0, n)
+	names, leaves, elems := make([]string, n), make([]*leaf, n), make([]int, 0, n)
 	doc.Walk(func(id int, node *xmltree.Node, _, _ int) {
-		if d.leaves[id] = leafOf(node); d.leaves[id] == nil {
-			d.names[id] = node.Name
+		if leaves[id] = leafOf(node); leaves[id] == nil {
+			names[id] = node.Name
 			elems = append(elems, id)
 		}
 	})
+	d := &Document{
+		lab:      lab,
+		names:    cow.NewColumn(names),
+		leaves:   cow.NewColumn(leaves),
+		factory:  factory,
+		ordered:  scheme.Ordered(lab),
+		cache:    plan.NewCache(),
+		born:     editTokens.Add(1),
+		versions: make(map[string]uint64),
+	}
+	d.lastEdit = d.born
 	if d.idx, err = factory(d.binding()); err != nil {
 		return nil, err
 	}
@@ -201,10 +197,10 @@ func refused(err error) error {
 
 // nameOf is the index's view of element names ("" for text nodes).
 func (d *Document) nameOf(id int) string {
-	if id < 0 || id >= len(d.names) {
+	if id < 0 || id >= d.names.Len() {
 		return ""
 	}
-	return d.names[id]
+	return d.names.At(id)
 }
 
 // Store exposes the element index backend (for stats, flushing and
@@ -242,14 +238,14 @@ func (d *Document) liveElems(dst []int) []int {
 	kids := d.lab.Tree().Children
 	var walk func(v int)
 	walk = func(v int) {
-		if d.names[v] != "" {
+		if d.names.At(v) != "" {
 			dst = append(dst, v)
 		}
 		for _, c := range kids[v] {
 			walk(c)
 		}
 	}
-	if len(d.names) > 0 {
+	if d.names.Len() > 0 {
 		walk(0) // the root: see XML
 	}
 	return dst
@@ -311,7 +307,7 @@ func (d *Document) Name(id int) (string, error) {
 	if !d.lab.Tree().Alive(id) {
 		return "", fmt.Errorf("%w: %d", ErrBadNode, id)
 	}
-	return d.names[id], nil
+	return d.names.At(id), nil
 }
 
 // XML serialises the current document, byte for byte as
@@ -327,17 +323,17 @@ func (d *Document) XML() string {
 }
 
 func (d *Document) writeXML(sb *strings.Builder, id int) error {
-	if lf := d.leaves[id]; lf != nil {
+	if lf := d.leaves.At(id); lf != nil {
 		if lf.kind == xmltree.Attr {
 			return fmt.Errorf("xmltree: attribute node %q outside an element", lf.name)
 		}
 		return xml.EscapeText(sb, []byte(lf.data))
 	}
-	name := d.names[id]
+	name := d.names.At(id)
 	sb.WriteString("<" + name)
 	rest := d.lab.Tree().Children[id]
 	for len(rest) > 0 {
-		a := d.leaves[rest[0]]
+		a := d.leaves.At(rest[0])
 		if a == nil || a.kind != xmltree.Attr {
 			break
 		}
@@ -350,7 +346,7 @@ func (d *Document) writeXML(sb *strings.Builder, id int) error {
 	}
 	sb.WriteString(">")
 	for _, c := range rest {
-		if lf := d.leaves[c]; lf != nil && lf.kind == xmltree.Attr {
+		if lf := d.leaves.At(c); lf != nil && lf.kind == xmltree.Attr {
 			return fmt.Errorf("xmltree: attribute %q after non-attribute children of <%s>", lf.name, name)
 		}
 		if err := d.writeXML(sb, c); err != nil {
@@ -369,7 +365,7 @@ func (d *Document) validateInsert(parent, pos int) error {
 	if !tr.Alive(parent) {
 		return fmt.Errorf("%w: parent %d", ErrBadNode, parent)
 	}
-	if d.names[parent] == "" {
+	if d.names.At(parent) == "" {
 		return fmt.Errorf("%w: parent %d is not an element", ErrBadNode, parent)
 	}
 	if pos < 0 || pos > len(tr.Children[parent]) {
@@ -385,9 +381,8 @@ func (d *Document) validateInsert(parent, pos int) error {
 // nodes are labeled but not queryable, matching the bulk construction
 // path.
 func (d *Document) recordNode(id int, name string, lf *leaf, skipIndex bool) error {
-	d.names = cow.Append(&d.namesMark, d.names, name)
-	d.leaves = cow.Append(&d.leavesMark, d.leaves, lf)
-	d.bind()
+	d.names.Append(name)
+	d.leaves.Append(lf)
 	if lf == nil {
 		d.versions[name] = d.lastEdit
 	}
@@ -468,7 +463,7 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 	if !tr.Alive(id) {
 		return 0, fmt.Errorf("%w: %d", ErrBadNode, id)
 	}
-	if tr.Parents[id] == -1 {
+	if tr.Parent(id) == -1 {
 		return 0, errors.New("dyndoc: cannot delete the document root")
 	}
 	// Collect the subtree ids before the structural removal; every
@@ -478,7 +473,7 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 	var collect func(v int)
 	collect = func(v int) {
 		doomed[v] = true
-		if name := d.names[v]; name != "" {
+		if name := d.names.At(v); name != "" {
 			d.versions[name] = d.lastEdit
 		}
 		for _, c := range tr.Children[v] {
@@ -546,6 +541,14 @@ func (d *Document) Count(path string) (int, error) {
 func (d *Document) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
 	mQueries.Inc()
 	return d.cache.Rendered(&d.eng, d.lastEdit, path, render)
+}
+
+// MemoryFootprint estimates d's resident bytes: its columns and the
+// labeling's mirror and labels at what they have allocated, and what
+// the index backend and the query cache report.
+func (d *Document) MemoryFootprint() int64 {
+	return d.names.Bytes() + d.leaves.Bytes() + d.lab.Tree().Bytes() + d.lab.LabelBytes() +
+		d.idx.MemoryFootprint() + d.CacheFootprint()
 }
 
 // CacheFootprint estimates the bytes the plan/result cache holds.

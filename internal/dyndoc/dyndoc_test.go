@@ -169,7 +169,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 				// Delete a random live non-root node.
 				for {
 					v := gen.Intn(tr.Cap())
-					if tr.Alive(v) && tr.Parents[v] != -1 {
+					if tr.Alive(v) && tr.Parent(v) != -1 {
 						if _, err := d.DeleteSubtree(v); err != nil {
 							t.Fatal(err)
 						}

@@ -86,11 +86,37 @@ func TestEditBytesBounded(t *testing.T) {
 	}
 }
 
+// TestWorstEditBytesBounded pins the worst edit of a long run, where
+// TestEditBytesBounded pins the mean: over 4 096 inserts into a shared
+// document of 100 000 elements no single edit allocates more than the
+// flat per-id copies and a chunk or two — a write-once column or the
+// label arena out of room adds a chunk, it does not move.
+func TestWorstEditBytesBounded(t *testing.T) {
+	c := sizedConcurrent(t, 100_000)
+	var worst, ids uint64
+	var before, after runtime.MemStats
+	for i := 0; i < 4096; i++ {
+		runtime.ReadMemStats(&before)
+		if _, _, err := c.InsertElement(1+51*(i%1000), 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > worst {
+			worst, ids = n, uint64(100_000+i+1)
+		}
+	}
+	bound := 26*ids + 64<<10
+	t.Logf("worst edit: %d B at %d ids (%.1f B per id), bound %d", worst, ids, float64(worst)/float64(ids), bound)
+	if worst > bound {
+		t.Errorf("one Concurrent.InsertElement allocated %d B at %d ids, want at most 26 B x ids + 64 KB = %d", worst, ids, bound)
+	}
+}
+
 // TestOpenBytesBounded pins what labelling and indexing a document
 // allocate: the columns at their final size, the keys written once
 // into an arena sized for them, no list of nodes and no boxed code in
 // between. Hamlet took 352 B per node when every code was boxed and
-// the tree mirrored through a map; it takes 136 now.
+// the tree mirrored through a map; it takes 128 now.
 func TestOpenBytesBounded(t *testing.T) {
 	doc := datagen.Hamlet()
 	nodes := doc.Len()

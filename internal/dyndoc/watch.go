@@ -383,11 +383,11 @@ func nameTest(test, name string) bool {
 // (chain position × step index) — O(depth × steps), no document scan.
 func (sp *spine) matches(d *Document, id int) bool {
 	tr := d.lab.Tree()
-	if !tr.Alive(id) || d.names[id] == "" {
+	if !tr.Alive(id) || d.names.At(id) == "" {
 		return false
 	}
 	chain := make([]int, 0, 16)
-	for v := id; v != -1; v = tr.Parents[v] {
+	for v := id; v != -1; v = tr.Parent(v) {
 		chain = append(chain, v)
 	}
 	for i, k := 0, len(chain)-1; i < k; i, k = i+1, k-1 {
@@ -402,7 +402,7 @@ func (sp *spine) matches(d *Document, id int) bool {
 	fPrev[0] = true
 	gPrev[0] = true
 	for _, v := range chain {
-		name := d.names[v]
+		name := d.names.At(v)
 		f[0] = false
 		for j := 1; j <= m; j++ {
 			f[j] = false

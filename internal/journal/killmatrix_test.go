@@ -242,7 +242,7 @@ func checkOracle(t *testing.T, d *dyndoc.Document, boundary string) {
 		if got, want := lab.IsAncestor(u, v), tr.IsAncestorStructural(u, v); got != want {
 			t.Fatalf("%s: IsAncestor(%d,%d) = %v, want %v", boundary, u, v, got, want)
 		}
-		if got, want := lab.IsParent(u, v), tr.Parents[v] == u; got != want {
+		if got, want := lab.IsParent(u, v), tr.Parent(v) == u; got != want {
 			t.Fatalf("%s: IsParent(%d,%d) = %v, want %v", boundary, u, v, got, want)
 		}
 		if got, want := lab.Before(u, v), pos[u] < pos[v]; got != want {
@@ -250,7 +250,7 @@ func checkOracle(t *testing.T, d *dyndoc.Document, boundary string) {
 		}
 	}
 	for _, v := range live {
-		if got, want := lab.Level(v), tr.Depths[v]; got != want {
+		if got, want := lab.Level(v), tr.Depth(v); got != want {
 			t.Fatalf("%s: Level(%d) = %d, want %d", boundary, v, got, want)
 		}
 	}

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/cdbs"
 	"repro/internal/cow"
+	"repro/internal/invariants"
 	"repro/internal/qed"
 )
 
@@ -32,16 +34,35 @@ import (
 //
 // An Arena is a value: copying it shares the bytes. A key is never
 // rewritten, so a copy keeps reading what it could see when it was
-// taken, and whoever appends first claims the free tail through the
-// slice's cow.Mark — any other holder moves to a private slice the
-// first time it appends (package cow's rule for write-once columns).
-// Bytes are never reclaimed: a key nobody refers to any more stays
-// until the arena is dropped.
+// taken. The bytes live in chunks, and a key lies whole in one. Whoever
+// appends first claims the free tail of the open chunk through its
+// cow.Mark; a holder that finds the tail taken, or too short, opens a
+// new chunk and copies no key (package cow's rule for write-once
+// columns, over bytes). Bytes are never reclaimed: a key nobody refers
+// to any more stays until the arena is dropped.
 type Arena struct {
-	k    stored
-	data []byte
-	mark *cow.Mark
+	k stored
+	// data is the first chunk, from offset 0: a bulk labelling's keys in
+	// exactly the room they take. more[i] is the arena from offset
+	// len(data)+i<<chunkShift to the end of the later chunk that lies in.
+	// open, which like data ends at this holder's last key, is the chunk
+	// being filled: data, or from offset base the last of more.
+	data       []byte
+	more       [][]byte
+	open       []byte
+	base       int
+	mark       *cow.Mark // over len(open)
+	size, room int       // bytes stored, bytes allocated
 }
+
+// A later chunk has room for an eighth of what the arena holds, between
+// minChunk and chunkSize bytes, or for the one claim that is more (a long
+// key, a fragment's run), and takes the strides of offset space it needs.
+const (
+	chunkShift = 16
+	chunkSize  = 1 << chunkShift
+	minChunk   = 256
+)
 
 // Ref names a key of an Arena: the offset of its stored form. A Ref
 // stays valid in every copy of the arena taken after the key was
@@ -60,7 +81,8 @@ type stored interface {
 	Codec
 	// size returns the length of the stored key at the front of b.
 	size(b []byte) int
-	compare(a, b []byte) int
+	// compare takes Refs so that Arena.Compare stays small enough to inline.
+	compare(s *Arena, x, y Ref) int
 	// key returns the stored key as the Key the codec's Key-level
 	// methods produce; where the key type allows, it aliases b.
 	key(b []byte) Key
@@ -93,16 +115,28 @@ func NewArena(c Codec) (Arena, error) {
 	if !ok {
 		return Arena{}, fmt.Errorf("keys: codec %s has no stored form", c.Name())
 	}
-	return Arena{k: k, mark: cow.NewMark(0)}, nil
+	return Arena{k: k}, nil
 }
 
 // Codec returns the codec the arena's keys belong to.
 func (a *Arena) Codec() Codec { return a.k }
 
-// Size returns the arena's length in bytes.
-func (a *Arena) Size() int { return len(a.data) }
+// Size returns the bytes the arena's keys take, Cap those its chunks do.
+func (a *Arena) Size() int { return a.size }
+func (a *Arena) Cap() int  { return a.room }
 
-func (a *Arena) at(r Ref) []byte { return a.data[r:] }
+func (a *Arena) at(r Ref) (b []byte) {
+	if int(r) < len(a.data) {
+		b = a.data[r:]
+	} else {
+		r -= Ref(len(a.data))
+		b = a.more[r>>chunkShift][r&(chunkSize-1):]
+	}
+	if invariants.Enabled && len(b) < a.k.size(b) {
+		invariants.Violated("keys", "the key at %d of its chunk crosses the chunk's end at %d", r, int(r)+len(b))
+	}
+	return b
+}
 
 // Stored returns the stored form of key r, aliasing the arena.
 func (a *Arena) Stored(r Ref) []byte {
@@ -115,7 +149,7 @@ func (a *Arena) Stored(r Ref) []byte {
 func (a *Arena) Key(r Ref) Key { return a.k.key(a.at(r)) }
 
 // Compare orders two keys as Codec.Compare does.
-func (a *Arena) Compare(x, y Ref) int { return a.k.compare(a.at(x), a.at(y)) }
+func (a *Arena) Compare(x, y Ref) int { return a.k.compare(a, x, y) }
 
 // TotalBits is Codec.TotalBits over the keys refs names.
 func (a *Arena) TotalBits(refs []Ref) int {
@@ -171,30 +205,58 @@ func (a *Arena) Ordered(r Ref) (b []byte, ok bool) {
 	return b[:len(b):len(b)], true
 }
 
-// grow claims size more bytes and returns where they start and the
-// arena up to there, with that much room to append them in place; what
-// a kernel appends to it then starts at its Ref.
+// grow claims size more bytes in one chunk and returns where they
+// start and that much room to append them in place; what a kernel
+// appends there starts at its Ref.
 func (a *Arena) grow(size int) (Ref, []byte, error) {
-	at := len(a.data)
-	if at+size > math.MaxUint32 {
+	n := len(a.open)
+	if len(a.data)+(len(a.more)+1)<<chunkShift+size > math.MaxUint32 {
 		return 0, nil, ErrArenaFull
 	}
-	if at+size > cap(a.data) {
-		// Out of room, so this append moves the arena whoever holds it.
-		// Move it to half as much room again: append's own growth, a
-		// quarter at a time, copies a long-lived arena five times over,
-		// and the labels that pile up in one gap are long. An empty
-		// arena is being filled by a bulk labelling, which asks once.
-		room := (at + size) * 3 / 2
-		if at == 0 {
-			room = size
+	if n+size > cap(a.open) || !a.mark.Claim(n, n+size) {
+		// The open chunk is full, or another holder writes its tail. Open the
+		// first chunk at what a bulk labelling asks, or list a later one under
+		// every stride it covers: in place only if first to leave this chunk.
+		if a.room == 0 {
+			a.open = make([]byte, 0, size)
+		} else {
+			if !a.mark.Claim(n, math.MaxInt) {
+				a.more = slices.Clip(a.more)
+			}
+			a.base = len(a.data) + len(a.more)<<chunkShift
+			a.open = make([]byte, max(size, min(max(a.size/8, minChunk), chunkSize)))
+			for off := 0; off < len(a.open); off += chunkSize {
+				a.more = append(a.more, a.open[off:])
+			}
+			a.open = a.open[:0]
 		}
-		grown := make([]byte, at, room)
-		copy(grown, a.data)
-		a.data, a.mark = grown, cow.NewMark(at)
+		a.mark, n = cow.NewMark(size), 0
+		a.room += cap(a.open)
 	}
-	a.data = cow.Grow(&a.mark, a.data, size)
-	return Ref(at), a.data[:at:len(a.data)], nil
+	a.open = a.open[:n+size]
+	if len(a.more) == 0 {
+		a.data = a.open
+	}
+	a.size += size
+	if invariants.Enabled && bytes.Count(a.open[n:], []byte{0}) != size {
+		invariants.Violated("keys", "claimed bytes %d..%d of the arena are already written", a.base+n, a.base+n+size)
+	}
+	return Ref(a.base + n), a.open[n : n : n+size], nil
+}
+
+// tiled checks, under the invariants tag, that the keys a stored kernel
+// just wrote at refs fill the size bytes claimed for them from their
+// bounds' lengths, end to end: every Ref names the start of a key.
+func (a *Arena) tiled(size int, refs ...Ref) {
+	for i, at := 0, refs[0]; invariants.Enabled && i < len(refs); i++ {
+		next := refs[0] + Ref(size)
+		if i+1 < len(refs) {
+			next = refs[i+1]
+		}
+		if at += Ref(a.k.size(a.at(at))); at != next {
+			invariants.Violated("keys", "a key ends at %d, the next (or their claim) at %d", at, next)
+		}
+	}
 }
 
 // putTwo is two for a boxed kernel: both keys are computed before
@@ -215,6 +277,19 @@ func putTwo[K any](l, r K, between func(l, r K) (K, error), fits func(K) error, 
 		r2, err = put(m2)
 	}
 	return r1, r2, err
+}
+
+// putBulk is putAll for a labelling's initial keys: an empty arena
+// opens its first chunk with exactly the room they take.
+func putBulk[K any](a *Arena, ks []K, err error, size func(K) int, put func(K) (Ref, error)) ([]Ref, error) {
+	room := 0
+	for _, k := range ks {
+		room += size(k)
+	}
+	if a.room == 0 {
+		a.open, a.mark, a.room = make([]byte, 0, room), cow.NewMark(0), room
+	}
+	return putAll(ks, err, put)
 }
 
 // putAll stores a kernel's run of keys with the codec's put.
@@ -256,9 +331,9 @@ func (s bitStored) marshal(dst, b []byte) []byte { return append(dst, b[:s.size(
 func (c intCodec) total(t tally) int { return bitStringTotal(c.fixed, t) }
 
 // compare is compareNumeric on the stored forms (bitstr.Stored).
-func (c intCodec) compare(a, b []byte) int {
-	an, ap := bitstr.Stored(a)
-	bn, bp := bitstr.Stored(b)
+func (c intCodec) compare(s *Arena, x, y Ref) int {
+	an, ap := bitstr.Stored(s.at(x))
+	bn, bp := bitstr.Stored(s.at(y))
 	if an != bn {
 		return cmp.Compare(an, bn)
 	}
@@ -276,15 +351,15 @@ func (c intCodec) nbetween(a *Arena, l, r []byte, n, _ int, _ []uint32) ([]Ref, 
 
 func (c intCodec) encode(a *Arena, n int) ([]Ref, error) {
 	ms, err := c.encodeBits(n)
-	return putAll(ms, err, a.putBits)
+	return putBulk(a, ms, err, bitstr.BitString.EncodedLen, a.putBits)
 }
 
 func (c cdbsCodec) total(t tally) int { return bitStringTotal(c.fixed, t) }
 
 // compare is BitString.Compare on the stored forms (bitstr.Stored).
-func (c cdbsCodec) compare(a, b []byte) int {
-	an, ap := bitstr.Stored(a)
-	bn, bp := bitstr.Stored(b)
+func (c cdbsCodec) compare(s *Arena, x, y Ref) int {
+	an, ap := bitstr.Stored(s.at(x))
+	bn, bp := bitstr.Stored(s.at(y))
 	if c := bytes.Compare(ap, bp); c != 0 {
 		return c
 	}
@@ -305,10 +380,11 @@ func (c cdbsCodec) two(a *Arena, l, r []byte, limit int) (Ref, Ref, error) {
 	if err := tooLong((n+7)/8, limit); err != nil {
 		return 0, 0, err
 	}
-	first := bitstr.StoredLen(n)
-	at, dst, err := a.grow(first + bitstr.StoredLen(n+1))
+	first, both := bitstr.StoredLen(n), bitstr.StoredLen(n)+bitstr.StoredLen(n+1)
+	at, dst, err := a.grow(both)
 	if err == nil {
 		cdbs.AppendTwoBetween(dst, lb, rb)
+		a.tiled(both, at, at+Ref(first))
 	}
 	return at, at + Ref(first), err
 }
@@ -330,18 +406,23 @@ func (c cdbsCodec) nbetween(a *Arena, l, r []byte, n, limit int, bounded []uint3
 			return nil, err
 		}
 	}
-	// The lengths become offsets: the run is stored back to back in key
-	// order, the order a scan reads it in.
+	// The lengths become offsets into the run, which is stored back to
+	// back in key order, the order a scan reads it in, and once the run
+	// is written into the arena.
 	size := 0
 	for i, bits := range refs {
-		refs[i] = Ref(len(a.data) + size)
+		refs[i] = Ref(size)
 		size += bitstr.StoredLen(int(bits))
 	}
-	_, buf, err := a.grow(size)
+	at, buf, err := a.grow(size)
 	if err != nil {
 		return nil, err
 	}
 	cdbs.PutEncodeBetween(buf, refs, lb, rb)
+	for i := range refs {
+		refs[i] += at
+	}
+	a.tiled(size, refs...)
 	return refs, nil
 }
 
@@ -376,7 +457,9 @@ func (floatCodec) bits([]byte) int              { return 64 }
 func (floatCodec) total(t tally) int            { return t.sum }
 func (floatCodec) marshal(dst, b []byte) []byte { return append(dst, b[:8]...) }
 
-func (floatCodec) compare(a, b []byte) int { return compareFloats(floatAt(a), floatAt(b)) }
+func (floatCodec) compare(s *Arena, x, y Ref) int {
+	return compareFloats(floatAt(s.at(x)), floatAt(s.at(y)))
+}
 
 func (f floatCodec) two(a *Arena, l, r []byte, _ int) (Ref, Ref, error) {
 	return putTwo(floatAt(l), floatAt(r), f.betweenFloats, nil, a.putFloat)
@@ -389,7 +472,7 @@ func (f floatCodec) nbetween(a *Arena, l, r []byte, n, _ int, _ []uint32) ([]Ref
 
 func (f floatCodec) encode(a *Arena, n int) ([]Ref, error) {
 	vs, err := f.encodeFloats(n)
-	return putAll(vs, err, a.putFloat)
+	return putBulk(a, vs, err, func(float64) int { return 8 }, a.putFloat)
 }
 
 // ---------------------------------------------------------------------------
@@ -417,7 +500,8 @@ func (qedCodec) ordered(b []byte) []byte { return digitsAt(b) }
 // below every digit, so two codes are decided no later than at the
 // shorter one's separator, and comparing a's whole stored form with as
 // many bytes from b never looks at what follows b's.
-func (qedCodec) compare(a, b []byte) int {
+func (qedCodec) compare(s *Arena, x, y Ref) int {
+	a, b := s.at(x), s.at(y)
 	n := min(bytes.IndexByte(a, 0)+1, len(b))
 	return bytes.Compare(a[:n], b[:n])
 }
@@ -446,5 +530,5 @@ func (qedCodec) nbetween(a *Arena, l, r []byte, n, limit int, bounded []uint32) 
 
 func (qedCodec) encode(a *Arena, n int) ([]Ref, error) {
 	cs, err := qed.Encode(n)
-	return putAll(cs, err, a.putCode)
+	return putBulk(a, cs, err, func(c qed.Code) int { return c.Len() + 1 }, a.putCode)
 }

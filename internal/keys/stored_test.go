@@ -341,3 +341,94 @@ func FuzzArenaBetween(f *testing.F) {
 		}
 	})
 }
+
+// TestArenaChunks walks an arena over the three ways a key can meet the
+// end of a chunk — it fills the chunk exactly, it would straddle the
+// end, it is longer than any chunk the arena opens unasked — and then
+// goes on in a copy that lost the tail to its original. Every key lies
+// whole in one chunk, reads back as it was put, and no step moves a key
+// put before it.
+func TestArenaChunks(t *testing.T) {
+	type put struct {
+		r    Ref
+		code qed.Code
+		at   *byte
+	}
+	key := func(a *Arena, puts *[]put, size int) Ref { // a key of size stored bytes
+		t.Helper()
+		code := qed.FromDigits(bytes.Repeat([]byte{byte(1 + len(*puts)%3)}, size-1))
+		r, err := a.putCode(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*puts = append(*puts, put{r, code, &a.at(r)[0]})
+		return r
+	}
+	check := func(what string, a *Arena, puts []put) {
+		t.Helper()
+		size := 0
+		for i, p := range puts {
+			if got := a.Key(p.r).(qed.Code); got.Compare(p.code) != 0 || len(a.Stored(p.r)) != p.code.Len()+1 {
+				t.Fatalf("%s: key %d at %d reads back %d digits, put %d", what, i, p.r, got.Len(), p.code.Len())
+			}
+			if &a.at(p.r)[0] != p.at {
+				t.Fatalf("%s: key %d at %d moved", what, i, p.r)
+			}
+			size += p.code.Len() + 1
+		}
+		if a.Size() != size || a.Cap() < size {
+			t.Fatalf("%s: Size %d, Cap %d, keys of %d bytes", what, a.Size(), a.Cap(), size)
+		}
+	}
+	a, err := NewArena(QED())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var as []put
+	stride := func(r Ref) int { return int(r-Ref(len(a.data))) >> chunkShift }
+
+	first := key(&a, &as, 10) // the first chunk, exactly
+	if first != 0 || len(a.data) != 10 || cap(a.data) != 10 {
+		t.Fatalf("first key at %d in a chunk of %d/%d bytes", first, len(a.data), cap(a.data))
+	}
+	// A second chunk of minChunk bytes, filled to the last byte.
+	k1 := key(&a, &as, 100)
+	k2 := key(&a, &as, minChunk-100)
+	if k1 != 10 || k2 != k1+100 || len(a.open) != minChunk || cap(a.open) != minChunk || len(a.more) != 1 {
+		t.Fatalf("keys at %d and %d in an open chunk of %d/%d bytes", k1, k2, len(a.open), cap(a.open))
+	}
+	// The next opens a third, a stride on; with 6 bytes left in it, a
+	// key of 7 goes whole to a fourth and leaves them zero.
+	k3 := key(&a, &as, minChunk-6)
+	k4 := key(&a, &as, 7)
+	if stride(k3) != 1 || stride(k4) != 2 || !bytes.Equal(a.more[1][minChunk-6:minChunk], make([]byte, 6)) {
+		t.Fatalf("keys at %d and %d: strides %d and %d", k3, k4, stride(k3), stride(k4))
+	}
+	// A key longer than chunkSize has a chunk of its own, of exactly its
+	// size and under both strides it covers; the next key starts the
+	// stride after.
+	k5 := key(&a, &as, chunkSize+1000)
+	k6 := key(&a, &as, 5)
+	if stride(k5) != 3 || stride(k6) != 5 || len(a.more[3]) != chunkSize+1000 || &a.more[4][0] != &a.more[3][chunkSize] {
+		t.Fatalf("keys at %d and %d: strides %d and %d, a chunk of %d bytes", k5, k6, stride(k5), stride(k6), len(a.more[3]))
+	}
+	check("original", &a, as)
+
+	// A copy that appends after its original did finds the tail taken: it
+	// opens a chunk of its own, listed in a table of its own, and the two
+	// go on through more chunks without meeting.
+	b, bs := a, append([]put(nil), as...)
+	ka, kb := key(&a, &as, 9), key(&b, &bs, 9)
+	if ka != k6+5 || stride(kb) != 6 || &b.at(kb)[0] == &a.at(ka)[0] || &b.at(k6)[0] != &a.at(k6)[0] {
+		t.Fatalf("the original's key at %d, the copy's at %d", ka, kb)
+	}
+	for i := 0; i < 40; i++ {
+		key(&a, &as, 100)
+		key(&b, &bs, 99)
+	}
+	check("original after the copy", &a, as)
+	check("copy", &b, bs)
+	if a.Compare(k1, k5) != b.Compare(k1, k5) || a.Compare(k5, k1) != -a.Compare(k1, k5) {
+		t.Error("Compare across chunks disagrees between the arena and its copy")
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+
+	"repro/internal/invariants"
 )
 
 // MaxKeySize bounds one key so that a page always fits several
@@ -157,7 +159,7 @@ func (t *Tree) mutable(e *cached, err error) (*cached, error) {
 	if err != nil || t.owned[e.id] {
 		return e, err
 	}
-	if invariantsEnabled {
+	if invariants.Enabled {
 		if err := checkPage(e.node); err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/invariants"
 	"repro/internal/metrics"
 )
 
@@ -107,7 +108,7 @@ func (p *Pager) lruFront(e *cached) {
 //
 // vet:holds p.mu
 func (p *Pager) writebackLocked(e *cached) error {
-	if invariantsEnabled {
+	if invariants.Enabled {
 		if err := checkPage(e.node); err != nil {
 			return err
 		}

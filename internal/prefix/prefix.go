@@ -14,16 +14,14 @@ import (
 // label is the empty sequence.
 //
 // A dynamic codec writes a node's label once, so the labels column
-// keeps its backing array across CloneLabeling (cow.Append). A static
-// codec's sibling renumbering rewrites existing slots and first makes
-// the column private (ownLabels).
+// keeps its chunks across CloneLabeling (cow.Column). A static codec's
+// sibling renumbering rewrites existing slots and first makes the
+// column private (ownLabels).
 type Labeling struct {
-	codec  ComponentCodec
-	tree   *scheme.Tree
-	labels [][]Component
-
-	labelsMark *cow.Mark
-	private    cow.Owner[struct{}] // whether labels' slots may be rewritten in place
+	codec   ComponentCodec
+	tree    *scheme.Tree
+	labels  cow.Column[[]Component]
+	private cow.Owner[struct{}] // whether labels' slots may be rewritten in place
 }
 
 var _ scheme.Labeling = (*Labeling)(nil)
@@ -39,18 +37,16 @@ func Build(codec ComponentCodec) scheme.Builder {
 func New(codec ComponentCodec, doc *xmltree.Document) (*Labeling, error) {
 	tree := scheme.NewTree(doc)
 	l := &Labeling{
-		codec:  codec,
-		tree:   tree,
-		labels: make([][]Component, tree.Len()),
-
-		labelsMark: cow.NewMark(tree.Len()),
-		private:    cow.NewOwner[struct{}](),
+		codec:   codec,
+		tree:    tree,
+		labels:  cow.NewColumn(make([][]Component, tree.Len())),
+		private: cow.NewOwner[struct{}](),
 	}
 	order := tree.PreOrder()
 	if len(order) == 0 {
 		return nil, errors.New("prefix: empty tree")
 	}
-	l.labels[order[0]] = nil // root: empty label
+	// The root keeps the empty label.
 	if err := l.assignChildren(order[0]); err != nil {
 		return nil, err
 	}
@@ -69,7 +65,7 @@ func (l *Labeling) assignChildren(v int) error {
 		return err
 	}
 	for i, c := range kids {
-		l.labels[c] = extend(l.labels[v], selfs[i])
+		l.labels.Set(c, extend(l.labels.At(v), selfs[i]))
 		if err := l.assignChildren(c); err != nil {
 			return err
 		}
@@ -94,11 +90,11 @@ func (l *Labeling) Len() int { return l.tree.Len() }
 func (l *Labeling) Tree() *scheme.Tree { return l.tree }
 
 // Label returns v's full label (shared storage; do not mutate).
-func (l *Labeling) Label(v int) []Component { return l.labels[v] }
+func (l *Labeling) Label(v int) []Component { return l.labels.At(v) }
 
 // Level is the label length plus one (the root's empty label is level
 // 1).
-func (l *Labeling) Level(v int) int { return len(l.labels[v]) + 1 }
+func (l *Labeling) Level(v int) int { return len(l.labels.At(v)) + 1 }
 
 // compareLabels orders labels in document order: componentwise with a
 // proper prefix (ancestor) first.
@@ -123,7 +119,7 @@ func (l *Labeling) compareLabels(a, b []Component) int {
 
 // IsAncestor reports whether u's label is a proper prefix of v's.
 func (l *Labeling) IsAncestor(u, v int) bool {
-	lu, lv := l.labels[u], l.labels[v]
+	lu, lv := l.labels.At(u), l.labels.At(v)
 	if len(lu) >= len(lv) {
 		return false
 	}
@@ -138,13 +134,13 @@ func (l *Labeling) IsAncestor(u, v int) bool {
 // IsParent reports whether removing v's final component yields u's
 // label.
 func (l *Labeling) IsParent(u, v int) bool {
-	return len(l.labels[v]) == len(l.labels[u])+1 && l.IsAncestor(u, v)
+	return len(l.labels.At(v)) == len(l.labels.At(u))+1 && l.IsAncestor(u, v)
 }
 
 // IsSibling reports distinct labels of equal length sharing all but
 // the last component.
 func (l *Labeling) IsSibling(u, v int) bool {
-	lu, lv := l.labels[u], l.labels[v]
+	lu, lv := l.labels.At(u), l.labels.At(v)
 	if len(lu) != len(lv) || len(lu) == 0 {
 		return false
 	}
@@ -158,17 +154,17 @@ func (l *Labeling) IsSibling(u, v int) bool {
 
 // Before reports document order by label comparison.
 func (l *Labeling) Before(u, v int) bool {
-	return l.compareLabels(l.labels[u], l.labels[v]) < 0
+	return l.compareLabels(l.labels.At(u), l.labels.At(v)) < 0
 }
 
 // TotalLabelBits sums the component storage of every live label.
 func (l *Labeling) TotalLabelBits() int64 {
 	var total int64
-	for v, lab := range l.labels {
+	for v := 0; v < l.labels.Len(); v++ {
 		if !l.tree.Alive(v) {
 			continue
 		}
-		for _, c := range lab {
+		for _, c := range l.labels.At(v) {
 			total += int64(l.codec.Bits(c))
 		}
 	}
@@ -200,7 +196,7 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	self, err := l.codec.Between(left, right)
 	if err == nil {
 		id := l.tree.AddChild(parent, pos)
-		l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[parent], self))
+		l.labels.Append(extend(l.labels.At(parent), self))
 		return id, 0, nil
 	}
 	if !errors.Is(err, ErrNoRoom) {
@@ -210,7 +206,7 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	// labels of every shifted subtree.
 	id := l.tree.AddChild(parent, pos)
 	l.ownLabels()
-	l.labels = cow.Append(&l.labelsMark, l.labels, nil)
+	l.labels.Append(nil)
 	kids = l.tree.Children[parent]
 	selfs, err := l.codec.Initial(len(kids))
 	if err != nil {
@@ -218,17 +214,17 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	}
 	relabeled := 0
 	for i, c := range kids {
-		newLabel := extend(l.labels[parent], selfs[i])
+		newLabel := extend(l.labels.At(parent), selfs[i])
 		if c == id {
 			// The fresh node (a leaf) gets its first label; that is
 			// not a re-label.
-			l.labels[c] = newLabel
+			l.labels.Set(c, newLabel)
 			continue
 		}
-		if l.compareLabels(l.labels[c], newLabel) == 0 {
+		if l.compareLabels(l.labels.At(c), newLabel) == 0 {
 			continue
 		}
-		l.labels[c] = newLabel
+		l.labels.Set(c, newLabel)
 		relabeled++
 		l.relabelSubtree(c, &relabeled)
 	}
@@ -243,8 +239,7 @@ func (l *Labeling) ownLabels() {
 	if l.private.Has(struct{}{}) {
 		return
 	}
-	l.labels = cow.Copy(l.labels)
-	l.labelsMark = cow.NewMark(len(l.labels))
+	l.labels = cow.NewColumn(l.labels.Flat())
 	l.private.Add(struct{}{})
 }
 
@@ -253,7 +248,7 @@ func (l *Labeling) ownLabels() {
 func (l *Labeling) relabelSubtree(v int, count *int) {
 	for _, c := range l.tree.Children[v] {
 		self := l.selfOf(c)
-		l.labels[c] = extend(l.labels[v], self)
+		l.labels.Set(c, extend(l.labels.At(v), self))
 		*count++
 		l.relabelSubtree(c, count)
 	}
@@ -261,7 +256,7 @@ func (l *Labeling) relabelSubtree(v int, count *int) {
 
 // selfOf returns v's final component.
 func (l *Labeling) selfOf(v int) Component {
-	lab := l.labels[v]
+	lab := l.labels.At(v)
 	return lab[len(lab)-1]
 }
 
@@ -273,7 +268,7 @@ func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 	}
 	var out []byte
 	var err error
-	for _, c := range l.labels[v] {
+	for _, c := range l.labels.At(v) {
 		out, err = l.codec.AppendComponent(out, c)
 		if err != nil {
 			return nil, err
@@ -352,7 +347,7 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 			continue
 		}
 		rootID := l.tree.AddChild(parent, pos+k)
-		l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[parent], selfs[k]))
+		l.labels.Append(extend(l.labels.At(parent), selfs[k]))
 		if ids[k], err = l.addDescendants([]int{rootID}, rootID, shape); err != nil {
 			return nil, 0, err
 		}
@@ -393,7 +388,7 @@ func (l *Labeling) addDescendants(ids []int, id int, shape *xmltree.Node) ([]int
 	}
 	for i, c := range shape.Children {
 		kid := l.tree.AddChild(id, i)
-		l.labels = cow.Append(&l.labelsMark, l.labels, extend(l.labels[id], selfs[i]))
+		l.labels.Append(extend(l.labels.At(id), selfs[i]))
 		if ids, err = l.addDescendants(append(ids, kid), kid, c); err != nil {
 			return nil, err
 		}

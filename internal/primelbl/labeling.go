@@ -27,7 +27,11 @@ func BuildLabeling(doc *xmltree.Document) (scheme.Labeling, error) {
 // NewLabeling labels doc with the prime scheme.
 func NewLabeling(doc *xmltree.Document) (*Labeling, error) {
 	tree := scheme.NewTree(doc)
-	s, err := Build(tree.Parents)
+	parents := make([]int, tree.Cap())
+	for v := range parents {
+		parents[v] = tree.Parent(v)
+	}
+	s, err := Build(parents)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +57,7 @@ func (l *Labeling) CloneLabeling() scheme.Labeling {
 
 // Level returns the node depth. Prime labels do not encode the level;
 // like the original implementation the depth is tracked beside them.
-func (l *Labeling) Level(v int) int { return l.tree.Depths[v] }
+func (l *Labeling) Level(v int) int { return l.tree.Depth(v) }
 
 // IsAncestor tests divisibility of the product labels.
 func (l *Labeling) IsAncestor(u, v int) bool { return l.s.IsAncestor(u, v) }
@@ -68,8 +72,8 @@ func (l *Labeling) IsSibling(u, v int) bool {
 		return false
 	}
 	var qu, qv big.Int
-	qu.Quo(l.s.labels[u], big.NewInt(l.s.selfPrimes[u]))
-	qv.Quo(l.s.labels[v], big.NewInt(l.s.selfPrimes[v]))
+	qu.Quo(l.s.labels.At(u), big.NewInt(l.s.selfPrimes.At(u)))
+	qv.Quo(l.s.labels.At(v), big.NewInt(l.s.selfPrimes.At(v)))
 	return qu.Cmp(&qv) == 0
 }
 

@@ -39,17 +39,14 @@ var ErrBadTree = errors.New("primelbl: malformed parent vector")
 
 // Scheme holds the prime labels and SC values for one document whose
 // nodes are identified by document-order index 0..n-1. The self
-// labels, product labels and parents are written once per node, so a
-// Scheme and its clones share those columns (cow.Append); the ordering
-// numbers and SC values shift on every insertion and are per clone.
+// labels and product labels are written once per node, so a Scheme and
+// its clones share those columns (cow.Column); the ordering numbers and
+// SC values shift on every insertion and are per clone.
 type Scheme struct {
-	selfPrimes []int64    // self label per node
-	labels     []*big.Int // product label per node
-	parents    []int      // parent index per node (-1 for the root)
-	ordering   []int64    // current ordering number per node (1-based)
-	sc         []*big.Int // one SC value per group of GroupSize nodes
-
-	selfPrimesMark, labelsMark, parentsMark *cow.Mark
+	selfPrimes cow.Column[int64]    // self label per node, ascending
+	labels     cow.Column[*big.Int] // product label per node
+	ordering   []int64              // current ordering number per node (1-based)
+	sc         []*big.Int           // one SC value per group of GroupSize nodes
 }
 
 // Build labels a tree given as a parent vector in document order:
@@ -63,27 +60,17 @@ func Build(parents []int) (*Scheme, error) {
 	if parents[0] != -1 {
 		return nil, fmt.Errorf("%w: parents[0] = %d, want -1", ErrBadTree, parents[0])
 	}
-	s := &Scheme{
-		selfPrimes: make([]int64, n),
-		labels:     make([]*big.Int, n),
-		parents:    append([]int(nil), parents...),
-		ordering:   make([]int64, n),
-
-		selfPrimesMark: cow.NewMark(n),
-		labelsMark:     cow.NewMark(n),
-		parentsMark:    cow.NewMark(n),
-	}
-	primes := firstPrimes(n - 1)
-	s.selfPrimes[0] = 1
-	s.labels[0] = big.NewInt(1)
+	selfPrimes, labels := append(make([]int64, 0, n), 1), make([]*big.Int, n)
+	selfPrimes = append(selfPrimes, firstPrimes(n-1)...)
+	labels[0] = big.NewInt(1)
 	for i := 1; i < n; i++ {
 		p := parents[i]
 		if p < 0 || p >= i {
 			return nil, fmt.Errorf("%w: parents[%d] = %d", ErrBadTree, i, p)
 		}
-		s.selfPrimes[i] = primes[i-1]
-		s.labels[i] = new(big.Int).Mul(s.labels[p], big.NewInt(primes[i-1]))
+		labels[i] = new(big.Int).Mul(labels[p], big.NewInt(selfPrimes[i]))
 	}
+	s := &Scheme{selfPrimes: cow.NewColumn(selfPrimes), labels: cow.NewColumn(labels), ordering: make([]int64, n)}
 	for i := 0; i < n; i++ {
 		s.ordering[i] = int64(i + 1)
 	}
@@ -95,13 +82,13 @@ func Build(parents []int) (*Scheme, error) {
 }
 
 // Len returns the number of nodes.
-func (s *Scheme) Len() int { return len(s.labels) }
+func (s *Scheme) Len() int { return s.labels.Len() }
 
 // SelfPrime returns node i's self label.
-func (s *Scheme) SelfPrime(i int) int64 { return s.selfPrimes[i] }
+func (s *Scheme) SelfPrime(i int) int64 { return s.selfPrimes.At(i) }
 
 // Label returns node i's product label. The caller must not mutate it.
-func (s *Scheme) Label(i int) *big.Int { return s.labels[i] }
+func (s *Scheme) Label(i int) *big.Int { return s.labels.At(i) }
 
 // LabelBits returns the bit length of node i's label, the quantity
 // Figure 5 charges Prime for.
@@ -109,7 +96,7 @@ func (s *Scheme) LabelBits(i int) int {
 	if i == 0 {
 		return 1
 	}
-	return s.labels[i].BitLen()
+	return s.labels.At(i).BitLen()
 }
 
 // SCBits returns the total bit length of all SC values; amortised over
@@ -131,7 +118,7 @@ func (s *Scheme) IsAncestor(u, v int) bool {
 	if u == v {
 		return false
 	}
-	lu, lv := s.labels[u], s.labels[v]
+	lu, lv := s.labels.At(u), s.labels.At(v)
 	if lu.Cmp(lv) >= 0 {
 		return false
 	}
@@ -146,8 +133,8 @@ func (s *Scheme) IsParent(u, v int) bool {
 		return false
 	}
 	var q big.Int
-	q.Quo(s.labels[v], big.NewInt(s.selfPrimes[v]))
-	return q.Cmp(s.labels[u]) == 0
+	q.Quo(s.labels.At(v), big.NewInt(s.selfPrimes.At(v)))
+	return q.Cmp(s.labels.At(u)) == 0
 }
 
 // OrderKey returns node i's ordering number the way Prime derives it:
@@ -157,8 +144,8 @@ func (s *Scheme) IsParent(u, v int) bool {
 func (s *Scheme) OrderKey(i int) int64 {
 	g := i / GroupSize
 	var m big.Int
-	derived := m.Mod(s.sc[g], big.NewInt(s.selfPrimes[i])).Int64()
-	if derived == s.ordering[i]%s.selfPrimes[i] && s.ordering[i] < s.selfPrimes[i] {
+	derived := m.Mod(s.sc[g], big.NewInt(s.selfPrimes.At(i))).Int64()
+	if derived == s.ordering[i]%s.selfPrimes.At(i) && s.ordering[i] < s.selfPrimes.At(i) {
 		return derived
 	}
 	return s.ordering[i]
@@ -174,20 +161,18 @@ func (s *Scheme) Before(u, v int) bool { return s.OrderKey(u) < s.OrderKey(v) }
 func (s *Scheme) recomputeSC(g int) {
 	lo := g * GroupSize
 	hi := lo + GroupSize
-	if hi > len(s.labels) {
-		hi = len(s.labels)
-	}
+	hi = min(hi, s.Len())
 	// M = product of the moduli.
 	M := big.NewInt(1)
 	for i := lo; i < hi; i++ {
-		if s.selfPrimes[i] > 1 {
-			M.Mul(M, big.NewInt(s.selfPrimes[i]))
+		if s.selfPrimes.At(i) > 1 {
+			M.Mul(M, big.NewInt(s.selfPrimes.At(i)))
 		}
 	}
 	x := new(big.Int)
 	var mi, inv, term big.Int
 	for i := lo; i < hi; i++ {
-		p := s.selfPrimes[i]
+		p := s.selfPrimes.At(i)
 		if p <= 1 {
 			continue
 		}
@@ -219,7 +204,7 @@ func (s *Scheme) recomputeSC(g int) {
 // The new node is appended with the next unused prime as a child of
 // parent (an index in 0..Len-1).
 func (s *Scheme) InsertBefore(pos, parent int) (scRecalcs int, err error) {
-	n := len(s.labels)
+	n := s.Len()
 	if pos < 0 || pos > n {
 		return 0, fmt.Errorf("primelbl: position %d out of range [0,%d]", pos, n)
 	}
@@ -233,10 +218,9 @@ func (s *Scheme) InsertBefore(pos, parent int) (scRecalcs int, err error) {
 		}
 	}
 	// Append the new node (index n, prime p_n).
-	p := nthPrimeFrom(s.selfPrimes)
-	s.selfPrimes = cow.Append(&s.selfPrimesMark, s.selfPrimes, p)
-	s.labels = cow.Append(&s.labelsMark, s.labels, new(big.Int).Mul(s.labels[parent], big.NewInt(p)))
-	s.parents = cow.Append(&s.parentsMark, s.parents, parent)
+	p := nextPrime(s.selfPrimes.At(n - 1))
+	s.selfPrimes.Append(p)
+	s.labels.Append(new(big.Int).Mul(s.labels.At(parent), big.NewInt(p)))
 	s.ordering = append(s.ordering, int64(pos+1))
 
 	// Recompute the SC value of every group containing a node whose
@@ -304,16 +288,9 @@ func sieve(bound, limit int) []int64 {
 	return primes
 }
 
-// nthPrimeFrom returns the smallest prime larger than every prime in
-// used.
-func nthPrimeFrom(used []int64) int64 {
-	var max int64 = 1
-	for _, p := range used {
-		if p > max {
-			max = p
-		}
-	}
-	for c := max + 1; ; c++ {
+// nextPrime returns the smallest prime above p.
+func nextPrime(p int64) int64 {
+	for c := p + 1; ; c++ {
 		if isPrime(c) {
 			return c
 		}

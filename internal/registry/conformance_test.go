@@ -80,10 +80,10 @@ func checkAgainstOracle(t *testing.T, lab scheme.Labeling) {
 		if got, want := lab.IsAncestor(u, v), tr.IsAncestorStructural(u, v); got != want {
 			t.Fatalf("IsAncestor(%d,%d) = %v, want %v", u, v, got, want)
 		}
-		if got, want := lab.IsParent(u, v), tr.Parents[v] == u; got != want {
+		if got, want := lab.IsParent(u, v), tr.Parent(v) == u; got != want {
 			t.Fatalf("IsParent(%d,%d) = %v, want %v", u, v, got, want)
 		}
-		if got, want := lab.IsSibling(u, v), tr.Parents[u] != -1 && tr.Parents[u] == tr.Parents[v]; got != want {
+		if got, want := lab.IsSibling(u, v), tr.Parent(u) != -1 && tr.Parent(u) == tr.Parent(v); got != want {
 			t.Fatalf("IsSibling(%d,%d) = %v, want %v", u, v, got, want)
 		}
 		if got, want := lab.Before(u, v), pos[u] < pos[v]; got != want {
@@ -91,7 +91,7 @@ func checkAgainstOracle(t *testing.T, lab scheme.Labeling) {
 		}
 	}
 	for v := 0; v < n; v++ {
-		if got, want := lab.Level(v), tr.Depths[v]; got != want {
+		if got, want := lab.Level(v), tr.Depth(v); got != want {
 			t.Fatalf("Level(%d) = %d, want %d", v, got, want)
 		}
 	}

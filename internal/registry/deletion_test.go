@@ -25,7 +25,7 @@ func TestDeletionNeverRelabels(t *testing.T) {
 				var victim int
 				for {
 					victim = gen.Intn(tr.Cap())
-					if tr.Alive(victim) && tr.Parents[victim] != -1 {
+					if tr.Alive(victim) && tr.Parent(victim) != -1 {
 						break
 					}
 				}

@@ -165,42 +165,41 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // and ordered child lists by node id. It is bookkeeping for updates,
 // not part of any label.
 //
-// Parents and Depths are written once per id, so a Tree and its
-// clones share their backing arrays (cow.Append). A child list is
-// shared until the first edit under that parent after a clone, which
-// replaces it with a private copy.
+// A node's parent and depth are written once per id, so a Tree and its
+// clones share that column (cow.Column). A child list is shared until
+// the first edit under that parent after a clone, which replaces it
+// with a private copy.
 type Tree struct {
-	Parents  []int    // parent id; -1 for the root
+	up       cow.Column[link]
 	Children [][]int  // ordered child ids
-	Depths   []int    // depth; root = 1
 	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
 
-	parentsMark, depthsMark *cow.Mark
 	// own holds the parents below base whose child list is private to
 	// this tree; the lists of ids from base up were created by it.
 	own  cow.Owner[int]
 	base int
 }
 
+// link is a node's way up: its parent id, -1 for the root, and its
+// depth, 1 for the root.
+type link struct{ parent, depth int32 }
+
 // NewTree mirrors a document, with node ids in document order
 // (xmltree's Walk, which has each node's parent at hand), over columns
 // sized from one count. A child list gets exactly the room it needs.
 func NewTree(doc *xmltree.Document) *Tree {
 	n := doc.Len()
+	up := make([]link, n)
 	t := &Tree{
-		Parents:  make([]int, n),
+		up:       cow.NewColumn(up),
 		Children: make([][]int, n),
-		Depths:   make([]int, n),
 		dead:     make([]uint64, n/64+1),
 		live:     n,
-
-		parentsMark: cow.NewMark(n),
-		depthsMark:  cow.NewMark(n),
-		own:         cow.NewOwner[int](),
+		own:      cow.NewOwner[int](),
 	}
 	doc.Walk(func(id int, node *xmltree.Node, parent, depth int) {
-		t.Parents[id], t.Depths[id] = parent, depth
+		up[id] = link{int32(parent), int32(depth)}
 		if len(node.Children) > 0 {
 			t.Children[id] = make([]int, 0, len(node.Children))
 		}
@@ -212,29 +211,38 @@ func NewTree(doc *xmltree.Document) *Tree {
 }
 
 // Clone returns a tree that answers as t does now and can be edited
-// independently of it, for CloneLabeling. It copies
-// the child-list headers (24 B per id) and the dead bits flat and
-// shares the rest; it does not write to t.
+// independently of it, for CloneLabeling. It copies the child-list
+// headers (24 B per id) and the dead bits flat — those exactly: a word
+// more holds 64 ids, and append adds it — and shares the rest; it does
+// not write to t.
 func (t *Tree) Clone() *Tree {
 	return &Tree{
-		Parents:  t.Parents,
+		up:       t.up,
 		Children: cow.Copy(t.Children),
-		Depths:   t.Depths,
-		dead:     cow.Copy(t.dead),
+		dead:     slices.Clone(t.dead),
 		live:     t.live,
-
-		parentsMark: t.parentsMark,
-		depthsMark:  t.depthsMark,
-		own:         t.own.Fork(),
-		base:        len(t.Parents),
+		own:      t.own.Fork(),
+		base:     t.Cap(),
 	}
 }
+
+// Bytes estimates the mirror's heap: the columns, what Clone copies
+// flat, and each id's entry in its parent's list.
+func (t *Tree) Bytes() int64 {
+	return t.up.Bytes() + 24*int64(cap(t.Children)) + 8*int64(len(t.Children)+cap(t.dead))
+}
+
+// Parent returns v's parent id, -1 for the root.
+func (t *Tree) Parent(v int) int { return int(t.up.At(v).parent) }
+
+// Depth returns v's depth; the root's is 1.
+func (t *Tree) Depth(v int) int { return int(t.up.At(v).depth) }
 
 // ownsKids reports whether parent's child list may be edited in
 // place.
 func (t *Tree) ownsKids(parent int) bool {
 	if t.own.Refresh() {
-		t.base = len(t.Parents)
+		t.base = t.Cap()
 	}
 	return parent >= t.base || t.own.Has(parent)
 }
@@ -243,10 +251,10 @@ func (t *Tree) ownsKids(parent int) bool {
 func (t *Tree) Len() int { return t.live }
 
 // Cap returns the number of node ids ever allocated (live and dead).
-func (t *Tree) Cap() int { return len(t.Parents) }
+func (t *Tree) Cap() int { return t.up.Len() }
 
 // Alive reports whether id v names a live node.
-func (t *Tree) Alive(v int) bool { return v >= 0 && v < len(t.Parents) && t.dead[v>>6]>>(v&63)&1 == 0 }
+func (t *Tree) Alive(v int) bool { return v >= 0 && v < t.Cap() && t.dead[v>>6]>>(v&63)&1 == 0 }
 
 // ValidateInsert checks that parent is a live id and pos a valid
 // child position.
@@ -263,15 +271,14 @@ func (t *Tree) ValidateInsert(parent, pos int) error {
 // AddChild records a fresh node as the pos-th child of parent and
 // returns its id.
 func (t *Tree) AddChild(parent, pos int) int {
-	id := len(t.Parents)
+	id := t.Cap()
 	kids := t.Children[parent]
 	if !t.ownsKids(parent) {
 		// Clipped, the insert below cannot fit and moves to a new array.
 		kids = slices.Clip(kids)
 		t.own.Add(parent)
 	}
-	t.Parents = cow.Append(&t.parentsMark, t.Parents, parent)
-	t.Depths = cow.Append(&t.depthsMark, t.Depths, t.Depths[parent]+1)
+	t.up.Append(link{int32(parent), t.up.At(parent).depth + 1})
 	t.Children = append(t.Children, nil)
 	if id>>6 == len(t.dead) {
 		t.dead = append(t.dead, 0)
@@ -287,7 +294,7 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	if !t.Alive(v) {
 		return 0, fmt.Errorf("%w: %d", ErrBadNode, v)
 	}
-	if p := t.Parents[v]; p != -1 {
+	if p := t.Parent(v); p != -1 {
 		kids := t.Children[p]
 		if i := slices.Index(kids, v); i >= 0 {
 			if !t.ownsKids(p) {
@@ -318,7 +325,7 @@ func (t *Tree) SiblingPosition(v int) (parent, pos int, err error) {
 	if !t.Alive(v) {
 		return 0, 0, fmt.Errorf("%w: %d", ErrBadNode, v)
 	}
-	parent = t.Parents[v]
+	parent = t.Parent(v)
 	if parent == -1 {
 		return 0, 0, fmt.Errorf("scheme: node %d is the root and has no siblings", v)
 	}
@@ -351,7 +358,7 @@ func (t *Tree) SubtreeSize(v int) int {
 // IsAncestorStructural is the oracle answer used by tests to verify
 // label-derived predicates.
 func (t *Tree) IsAncestorStructural(u, v int) bool {
-	for p := t.Parents[v]; p != -1; p = t.Parents[p] {
+	for p := t.Parent(v); p != -1; p = t.Parent(p) {
 		if p == u {
 			return true
 		}
@@ -365,7 +372,7 @@ func (t *Tree) PreOrder() []int {
 	if !t.Alive(0) {
 		return nil
 	}
-	out := make([]int, 0, len(t.Parents))
+	out := make([]int, 0, t.Cap())
 	var walk func(int)
 	walk = func(v int) {
 		out = append(out, v)

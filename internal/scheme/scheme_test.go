@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cow"
 	"repro/internal/datagen"
 	"repro/internal/xmltree"
 )
@@ -28,14 +29,14 @@ func TestNewTreeShape(t *testing.T) {
 	}
 	wantParents := []int{-1, 0, 1, 1, 0}
 	for i, w := range wantParents {
-		if tr.Parents[i] != w {
-			t.Errorf("Parents[%d] = %d, want %d", i, tr.Parents[i], w)
+		if tr.Parent(i) != w {
+			t.Errorf("Parents[%d] = %d, want %d", i, tr.Parent(i), w)
 		}
 	}
 	wantDepths := []int{1, 2, 3, 3, 2}
 	for i, w := range wantDepths {
-		if tr.Depths[i] != w {
-			t.Errorf("Depths[%d] = %d, want %d", i, tr.Depths[i], w)
+		if tr.Depth(i) != w {
+			t.Errorf("Depths[%d] = %d, want %d", i, tr.Depth(i), w)
 		}
 	}
 	if len(tr.Children[0]) != 2 || tr.Children[0][0] != 1 || tr.Children[0][1] != 4 {
@@ -69,8 +70,8 @@ func TestAddChildAndSiblingPosition(t *testing.T) {
 	if id != 5 || tr.Len() != 6 {
 		t.Fatalf("AddChild id=%d Len=%d", id, tr.Len())
 	}
-	if tr.Children[1][1] != id || tr.Depths[id] != 3 {
-		t.Errorf("child misplaced: %v depth %d", tr.Children[1], tr.Depths[id])
+	if tr.Children[1][1] != id || tr.Depth(id) != 3 {
+		t.Errorf("child misplaced: %v depth %d", tr.Children[1], tr.Depth(id))
 	}
 	p, pos, err := tr.SiblingPosition(id)
 	if err != nil || p != 1 || pos != 1 {
@@ -158,21 +159,18 @@ func refNewTree(doc *xmltree.Document) *Tree {
 	for i, n := range nodes {
 		index[n] = i
 	}
-	t := &Tree{
-		Parents:  make([]int, len(nodes)),
-		Children: make([][]int, len(nodes)),
-		Depths:   make([]int, len(nodes)),
-		live:     len(nodes),
-	}
+	up := make([]link, len(nodes))
+	t := &Tree{Children: make([][]int, len(nodes)), live: len(nodes)}
 	for i, n := range nodes {
 		if n.Parent == nil {
-			t.Parents[i], t.Depths[i] = -1, 1
+			up[i] = link{-1, 1}
 			continue
 		}
 		p := index[n.Parent]
-		t.Parents[i], t.Depths[i] = p, t.Depths[p]+1
+		up[i] = link{int32(p), up[p].depth + 1}
 		t.Children[p] = append(t.Children[p], i)
 	}
+	t.up = cow.NewColumn(up)
 	return t
 }
 
@@ -183,8 +181,8 @@ func TestNewTreeMatchesMapBuild(t *testing.T) {
 	check := func(name string, doc *xmltree.Document) {
 		t.Helper()
 		got, want := NewTree(doc), refNewTree(doc)
-		if got.Len() != want.live || got.Cap() != len(want.Parents) ||
-			!reflect.DeepEqual(got.Parents, want.Parents) || !reflect.DeepEqual(got.Depths, want.Depths) ||
+		if got.Len() != want.live || got.Cap() != want.Cap() ||
+			!reflect.DeepEqual(got.up.Flat(), want.up.Flat()) ||
 			!reflect.DeepEqual(got.Children, want.Children) {
 			t.Errorf("%s: one-pass tree differs from the map-built one", name)
 		}

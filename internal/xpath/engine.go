@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/cow"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
@@ -21,7 +22,7 @@ import (
 // number of goroutines concurrently with no locking.
 type Engine struct {
 	lab   scheme.Labeling
-	names []string
+	names *cow.Column[string] // element name by id; "" for other nodes
 	idx   Index
 	vers  Versions // nil: the engine cannot tell which edits a query outlives
 }
@@ -71,27 +72,29 @@ func NewEngine(doc *xmltree.Document, lab scheme.Labeling) (*Engine, error) {
 		return nil, fmt.Errorf("xpath: document has %d nodes, labeling %d", len(nodes), lab.Len())
 	}
 	idx := sliceIndex{byName: make(map[string][]int)}
-	e := &Engine{
-		lab:   lab,
-		names: make([]string, len(nodes)),
-	}
+	names := make([]string, len(nodes))
 	for i, n := range nodes {
 		if n.Kind != xmltree.Element {
 			continue
 		}
-		e.names[i] = n.Name
+		names[i] = n.Name
 		idx.byName[n.Name] = append(idx.byName[n.Name], i)
 		idx.elems = append(idx.elems, i)
 	}
-	e.idx = idx
-	return e, nil
+	return NewEngineWithIndex(lab, names, idx), nil
 }
 
-// NewEngineWithIndex builds an engine over any Index implementation —
-// the entry point the dyndoc package uses so one incrementally
-// updated storage backend (slice or paged) serves every query.
-func NewEngineWithIndex(lab scheme.Labeling, names []string, idx Index) *Engine {
+// NewEngineOver builds an engine over any Index implementation and the
+// document's own names column: dyndoc's entry point, so that one
+// incrementally updated backend (slice or paged) serves every query.
+func NewEngineOver(lab scheme.Labeling, names *cow.Column[string], idx Index) *Engine {
 	return &Engine{lab: lab, names: names, idx: idx}
+}
+
+// NewEngineWithIndex is NewEngineOver for names in a plain slice.
+func NewEngineWithIndex(lab scheme.Labeling, names []string, idx Index) *Engine {
+	col := cow.NewColumn(names)
+	return NewEngineOver(lab, &col, idx)
 }
 
 // Versioned sets the source of e's edit tokens and returns e.
@@ -209,8 +212,8 @@ func (e *Engine) eval(q *Query, ctx []int, fromRoot bool) ([]int, bool, error) {
 // rootElement returns the id of the document element.
 func (e *Engine) rootElement() int {
 	tr := e.lab.Tree()
-	for i, p := range tr.Parents {
-		if p == -1 {
+	for i := 0; i < tr.Cap(); i++ {
+		if tr.Parent(i) == -1 {
 			return i
 		}
 	}
@@ -226,7 +229,7 @@ func (e *Engine) candidates(name string) []int {
 }
 
 func (e *Engine) nameMatches(test string, id int) bool {
-	return test == "*" || e.names[id] == test
+	return test == "*" || e.names.At(id) == test
 }
 
 // joinDown is a stack-based structural join: it returns the candidates
@@ -274,7 +277,7 @@ func (e *Engine) siblings(ctx []int, name string, preceding bool) []int {
 	var taken []bool
 	run := -1
 	for _, v := range ctx {
-		p := tr.Parents[v]
+		p := tr.Parent(v)
 		if p == -1 {
 			continue
 		}
@@ -287,7 +290,7 @@ func (e *Engine) siblings(ctx []int, name string, preceding bool) []int {
 			if u == v {
 				continue
 			}
-			if e.names[u] == "" || !e.nameMatches(name, u) {
+			if e.names.At(u) == "" || !e.nameMatches(name, u) {
 				continue
 			}
 			// The sibling and order checks are the labeling's work.
@@ -327,8 +330,8 @@ func (e *Engine) parents(ctx []int, name string) []int {
 	tr := e.lab.Tree()
 	var out []int
 	for _, v := range ctx {
-		p := tr.Parents[v]
-		if p == -1 || e.names[p] == "" || !e.nameMatches(name, p) {
+		p := tr.Parent(v)
+		if p == -1 || e.names.At(p) == "" || !e.nameMatches(name, p) {
 			continue
 		}
 		// Consecutive children of one parent add it once; sortDocOrder
@@ -401,7 +404,7 @@ func (e *Engine) filterPosition(in []int, step Step, n int) []int {
 	tr := e.lab.Tree()
 	var out []int
 	for _, v := range in {
-		p := tr.Parents[v]
+		p := tr.Parent(v)
 		if p == -1 {
 			if n == 1 {
 				out = append(out, v)
@@ -410,7 +413,7 @@ func (e *Engine) filterPosition(in []int, step Step, n int) []int {
 		}
 		pos := 0
 		for _, u := range tr.Children[p] {
-			if e.names[u] != "" && e.nameMatches(step.Name, u) {
+			if e.names.At(u) != "" && e.nameMatches(step.Name, u) {
 				pos++
 			}
 			if u == v {
@@ -479,13 +482,13 @@ func (e *Engine) Root() int { return e.rootElement() }
 
 // NameOf returns the element name recorded for id ("" for text
 // nodes).
-func (e *Engine) NameOf(id int) string { return e.names[id] }
+func (e *Engine) NameOf(id int) string { return e.names.At(id) }
 
 // ParentOf returns the parent id of a node (-1 for the root), read
 // from the labeling's structural mirror. The planner's pathcheck
 // strategy walks these pointers to verify an anchor candidate's
 // ancestor chain without materializing intermediate join results.
-func (e *Engine) ParentOf(id int) int { return e.lab.Tree().Parents[id] }
+func (e *Engine) ParentOf(id int) int { return e.lab.Tree().Parent(id) }
 
 // NameMatches reports whether node id satisfies a name test.
 func (e *Engine) NameMatches(test string, id int) bool { return e.nameMatches(test, id) }

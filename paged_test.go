@@ -131,10 +131,11 @@ func TestPagedFootprintBounded(t *testing.T) {
 	if pgFP <= 0 || slFP <= 0 {
 		t.Fatalf("footprints must be positive: slice %d, paged %d", slFP, pgFP)
 	}
-	// Both share the per-id constant (no edits yet: ids = nodes); the difference is the backend
-	// share, where paged must be bounded by its cache (plus memos),
-	// while slice grows with every entry.
-	backendShare := pgFP - int64(pg.Len())*bytesPerID
+	// Both charge the same columns and labels; the difference is the
+	// backend share, where paged must be bounded by its cache (plus
+	// memos), while slice grows with every entry.
+	var backendShare int64
+	pg.view(func(d *LiveDocument) { backendShare = d.Store().MemoryFootprint() })
 	budget := int64(pagestore.MinCachePages+1) * pagestore.PageSize
 	memoAllowance := int64(pg.Len()) * 24 // memoized id slices + name table
 	if backendShare > budget+memoAllowance {
