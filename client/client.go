@@ -10,9 +10,9 @@
 // before an edit applies, so the retry cannot double-apply. Non-2xx
 // responses decode into *APIError carrying the server's stable error
 // code, message and request id.
-// Replies of the buffered /v1 routes state their Content-Length and
-// are read into one buffer of that size; a chunked reply (a proxy, an
-// older server) is read as it comes.
+// Requests are built from URLs parsed once per Doc; replies state their
+// Content-Length and are read into a buffer of that size (pooled when
+// the client decodes them itself), a chunked one as it comes.
 package client
 
 import (
@@ -27,14 +27,16 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Default dial parameters.
 const (
-	DefaultTimeout = 30 * time.Second
+	// DefaultTimeout is 5 s past the server's: a slow call gets its 504.
+	DefaultTimeout = 35 * time.Second
 	defaultRetries = 3
 	retryBackoff   = 50 * time.Millisecond
 )
@@ -111,21 +113,23 @@ type Client struct {
 	base    string
 	hc      *http.Client
 	retries int
+	list    *url.URL // GET /v1/docs
 }
 
 // Dial validates the base URL (e.g. "http://host:8080") and returns a
 // client for the server behind it. It performs no network traffic —
 // the first call does.
 func Dial(base string, opts ...Option) (*Client, error) {
-	u, err := url.Parse(base)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("client: bad base URL %q", base)
-	}
 	c := &Client{
 		base:    strings.TrimRight(base, "/"),
 		hc:      &http.Client{Timeout: DefaultTimeout},
 		retries: defaultRetries,
 	}
+	u, err := url.Parse(c.base + "/v1/docs")
+	if err != nil || u.Scheme == "" || u.Host == "" {
+		return nil, fmt.Errorf("client: bad base URL %q", base)
+	}
+	c.list = u
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -135,35 +139,28 @@ func Dial(base string, opts ...Option) (*Client, error) {
 // newRequestID mints the id one logical call keeps across retries.
 func newRequestID() string {
 	var b [8]byte
+	var h [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "rid-client"
 	}
-	return hex.EncodeToString(b[:])
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // do runs one logical call: up to c.retries attempts under one request
 // id, retrying 503s and (for body-less requests) transport errors.
 // The caller owns the returned response body.
-func (c *Client) do(method, path string, body []byte) (*http.Response, error) {
-	rid := newRequestID()
+func (c *Client) do(method string, u *url.URL, body []byte) (*http.Response, error) {
+	h := http.Header{"X-Request-Id": {newRequestID()}}
+	if body != nil {
+		h["Content-Type"] = jsonType
+	}
 	var lastErr error
 	for attempt := 0; attempt < c.retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(retryBackoff << (attempt - 1))
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, c.base+path, rd)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("X-Request-ID", rid)
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.hc.Do(req)
+		resp, err := c.hc.Do(newRequest(method, u, h, body))
 		if err != nil {
 			lastErr = err
 			// A failed send with no response may still have applied on
@@ -181,6 +178,28 @@ func (c *Client) do(method, path string, body []byte) (*http.Response, error) {
 	}
 	return nil, lastErr
 }
+
+var (
+	jsonType  = []string{"application/json"}
+	emptyBody = []byte("{}")
+)
+
+// newRequest is every request the client sends: u, shared by its
+// route's calls, and h, by a call's retries, are only read. GetBody lets
+// the transport resend a body a dead kept-alive connection never took.
+func newRequest(method string, u *url.URL, h http.Header, body []byte) *http.Request {
+	r := &http.Request{Method: method, URL: u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: h}
+	if body != nil {
+		r.GetBody = func() (io.ReadCloser, error) { rd := new(bodyReader); rd.Reset(body); return rd, nil }
+		r.Body, _ = r.GetBody()
+		r.ContentLength = int64(len(body))
+	}
+	return r
+}
+
+type bodyReader struct{ bytes.Reader }
+
+func (*bodyReader) Close() error { return nil }
 
 // readAPIError drains a non-2xx response into an APIError. It always
 // closes the body.
@@ -201,17 +220,20 @@ func readAPIError(resp *http.Response) error {
 	return e
 }
 
-// readBody reads a reply whole: as the bytes arrive if it states no
-// length, else into a buffer never more than 1 MB (or append's rounding
-// of it) ahead of them — a stated length is not memory to commit — which
-// for a reply under 1 MB is one buffer of exactly its length.
-func readBody(resp *http.Response) ([]byte, error) {
+// readBody reads a reply whole into buf, as it arrives if it states no
+// length, else growing buf never more than 1 MB (or append's rounding)
+// ahead of the bytes — a stated length is not memory to commit.
+func readBody(buf []byte, resp *http.Response) ([]byte, error) {
 	const ahead = 1 << 20
 	n := resp.ContentLength
 	if n < 0 {
-		return io.ReadAll(resp.Body)
+		b := bytes.NewBuffer(buf[:0])
+		_, err := b.ReadFrom(resp.Body)
+		return b.Bytes(), err
 	}
-	buf := make([]byte, 0, min(n, ahead))
+	if buf = buf[:0]; int64(cap(buf)) < min(n, ahead) {
+		buf = make([]byte, 0, min(n, ahead))
+	}
 	for {
 		m, err := io.ReadFull(resp.Body, buf[len(buf):min(int64(cap(buf)), n)])
 		if buf = buf[:len(buf)+m]; err != nil || int64(len(buf)) == n {
@@ -221,43 +243,65 @@ func readBody(resp *http.Response) ([]byte, error) {
 	}
 }
 
-// roundTrip runs a logical request and returns its 2xx reply's body.
-func (c *Client) roundTrip(method, path string, body any) ([]byte, error) {
-	var raw []byte
-	if body != nil {
-		var err error
-		if raw, err = json.Marshal(body); err != nil {
-			return nil, err
-		}
-	}
-	resp, err := c.do(method, path, raw)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, readAPIError(resp)
-	}
-	defer resp.Body.Close()
-	return readBody(resp)
-}
+// replies pools the buffers (≤ maxPooled) of replies the client decodes.
+var replies = sync.Pool{New: func() any { return new([]byte) }}
 
-// call runs a logical request and decodes a 2xx JSON body into out
-// (skipped when out is nil).
-func (c *Client) call(method, path string, body, out any) error {
-	raw, err := c.roundTrip(method, path, body)
-	if err != nil || out == nil {
+const maxPooled = 64 << 10
+
+// call runs a logical request and hands its 2xx reply to decode (if
+// any) in a pooled buffer that decode must not keep.
+func (c *Client) call(method string, u *url.URL, body []byte, decode func([]byte) error) error {
+	resp, err := c.do(method, u, body)
+	if err != nil {
 		return err
 	}
-	return json.Unmarshal(raw, out)
+	if resp.StatusCode/100 != 2 {
+		return readAPIError(resp)
+	}
+	defer resp.Body.Close()
+	buf := replies.Get().(*[]byte)
+	raw, err := readBody(*buf, resp)
+	if err == nil && decode != nil {
+		err = decode(raw)
+	}
+	if cap(raw) <= maxPooled {
+		*buf = raw[:0]
+		replies.Put(buf)
+	}
+	return err
 }
 
-// docPath builds a /v1 document route.
-func (c *Client) docPath(name, verb string) string {
-	p := "/v1/docs/" + url.PathEscape(name)
-	if verb != "" {
-		p += "/" + verb
+// into is a decode for call by encoding/json.
+func into(out any) func([]byte) error {
+	return func(raw []byte) error { return json.Unmarshal(raw, out) }
+}
+
+// url returns the URL of the document's route verb ("/query"; "" for
+// the document) with query string q: a copy of the document's URL,
+// which is parsed once, on the first call.
+func (d *Doc) url(verb, q string) (*url.URL, error) {
+	base := d.base.Load()
+	if base == nil {
+		var err error
+		if base, err = url.Parse(d.c.base + "/v1/docs/" + url.PathEscape(d.name)); err != nil {
+			return nil, err
+		}
+		d.base.Store(base)
 	}
-	return p
+	u := *base
+	if u.Path, u.RawQuery = u.Path+verb, q; u.RawPath != "" {
+		u.RawPath += verb
+	}
+	return &u, nil
+}
+
+// send is call on route verb with query string q.
+func (d *Doc) send(method, verb, q string, body []byte, decode func([]byte) error) error {
+	u, err := d.url(verb, q)
+	if err != nil {
+		return err
+	}
+	return d.c.call(method, u, body, decode)
 }
 
 // ---------------------------------------------------------------------------
@@ -277,31 +321,32 @@ type Doc struct {
 	c    *Client
 	name string
 	info DocInfo
+	base atomic.Pointer[url.URL] // see url
 }
 
 // Create builds a brand-new named document from XML text under the
 // given scheme ("" for the server default). A name that already exists
 // fails with code exists.
 func (c *Client) Create(name, xml, scheme string) (*Doc, error) {
-	var info DocInfo
-	body := map[string]string{"xml": xml}
+	body := appendString(append(make([]byte, 0, len(xml)+len(scheme)+32), `{"xml":`...), xml)
 	if scheme != "" {
-		body["scheme"] = scheme
+		body = appendString(append(body, `,"scheme":`...), scheme)
 	}
-	if err := c.call("POST", c.docPath(name, "open"), body, &info); err != nil {
-		return nil, err
-	}
-	return &Doc{c: c, name: name, info: info}, nil
+	return c.open(name, append(body, '}'))
 }
 
 // Open opens an existing named document, replaying its journal on the
 // server if it is not resident.
 func (c *Client) Open(name string) (*Doc, error) {
-	var info DocInfo
-	if err := c.call("POST", c.docPath(name, "open"), struct{}{}, &info); err != nil {
+	return c.open(name, emptyBody)
+}
+
+func (c *Client) open(name string, body []byte) (*Doc, error) {
+	d := &Doc{c: c, name: name}
+	if err := d.send("POST", "/open", "", body, into(&d.info)); err != nil {
 		return nil, err
 	}
-	return &Doc{c: c, name: name, info: info}, nil
+	return d, nil
 }
 
 // ListEntry is one document in a List reply.
@@ -315,7 +360,7 @@ func (c *Client) List() ([]ListEntry, error) {
 	var resp struct {
 		Documents []ListEntry `json:"documents"`
 	}
-	if err := c.call("GET", "/v1/docs", nil, &resp); err != nil {
+	if err := c.call("GET", c.list, nil, into(&resp)); err != nil {
 		return nil, err
 	}
 	return resp.Documents, nil
@@ -334,65 +379,22 @@ func (d *Doc) Scheme() string { return d.info.Scheme }
 // A reply in the form the server renders costs its body and one []int
 // of exactly count ids; any other JSON spelling of it goes to
 // encoding/json.
-func (d *Doc) Query(path string) ([]int, error) {
-	raw, err := d.c.roundTrip("POST", d.c.docPath(d.name, "query"), map[string]string{"path": path})
-	if err != nil {
-		return nil, err
-	}
-	if ids, ok := decodeQueryReply(raw); ok {
-		return ids, nil
-	}
-	var resp struct {
-		Count int   `json:"count"`
-		IDs   []int `json:"ids"`
-	}
-	err = json.Unmarshal(raw, &resp)
-	return resp.IDs, err
-}
-
-// maxDigits is how many decimal digits always fit an int.
-const maxDigits = 9 + 9*(strconv.IntSize/64)
-
-// decodeQueryReply decodes a reply of exactly the form the server
-// renders: {"count":N,"ids":[a,b,...]} and at most one newline, no
-// other whitespace, numbers of at most maxDigits digits with no sign or
-// leading zero, N the number of ids — allocated once, at N. Anything
-// else is not ok and goes to encoding/json, which decides what it
-// means and agrees on whatever is accepted here (FuzzQueryReplyDecode).
-func decodeQueryReply(b []byte) (ids []int, ok bool) {
-	n, b, ok := number(b, `{"count":`)
-	// An id takes a digit and a separator: a count of more than half the
-	// body is wrong, and gets no memory on its word.
-	if !ok || n > len(b)/2 {
-		return nil, false
-	}
-	ids, sep := make([]int, n), `,"ids":[`
-	for i := range ids {
-		if ids[i], b, ok = number(b, sep); !ok {
-			return nil, false
+func (d *Doc) Query(path string) (ids []int, err error) {
+	err = d.send("POST", "/query", "", pathBody(path), func(raw []byte) (err error) {
+		var ok bool
+		if ids, ok = decodeQueryReply(raw); !ok {
+			var resp struct{ IDs []int }
+			err = json.Unmarshal(raw, &resp)
+			ids = resp.IDs
 		}
-		sep = ","
-	}
-	if n == 0 {
-		b, ok = bytes.CutPrefix(b, []byte(sep))
-	}
-	return ids, ok && (string(b) == "]}" || string(b) == "]}\n")
+		return err
+	})
+	return ids, err
 }
 
-// number parses the decimal digits after the prefix b must start with
-// and returns what follows them. No digits, more than maxDigits and a
-// zero before another digit are not ok: encoding/json refuses them or
-// an int may not hold them.
-func number(b []byte, after string) (v int, rest []byte, ok bool) {
-	i := len(after)
-	if len(b) < i || string(b[:i]) != after {
-		return 0, nil, false
-	}
-	for ; i < len(b) && b[i]-'0' <= 9; i++ {
-		v = v*10 + int(b[i]-'0')
-	}
-	digits := i - len(after)
-	return v, b[i:], digits > 0 && digits <= maxDigits && (digits == 1 || b[len(after)] != '0')
+// pathBody is the query and explain routes' request, {"path":path}.
+func pathBody(path string) []byte {
+	return append(appendString(append(make([]byte, 0, len(path)+12), `{"path":`...), path), '}')
 }
 
 // Count returns the number of matches for a path expression.
@@ -406,16 +408,16 @@ func (d *Doc) Explain(path string) (string, error) {
 	var resp struct {
 		Explain string `json:"explain"`
 	}
-	if err := d.c.call("POST", d.c.docPath(d.name, "explain"), map[string]string{"path": path}, &resp); err != nil {
+	if err := d.send("POST", "/explain", "", pathBody(path), into(&resp)); err != nil {
 		return "", err
 	}
 	return resp.Explain, nil
 }
 
 // XML fetches the serialized document.
-func (d *Doc) XML() (string, error) {
-	raw, err := d.c.roundTrip("GET", d.c.docPath(d.name, "xml"), nil)
-	return string(raw), err
+func (d *Doc) XML() (xml string, err error) {
+	err = d.send("GET", "/xml", "", nil, func(raw []byte) error { xml = string(raw); return nil })
+	return xml, err
 }
 
 // ---------------------------------------------------------------------------
@@ -449,8 +451,20 @@ type EditAck struct {
 
 // Edit applies one edit.
 func (d *Doc) Edit(e Edit) (EditAck, error) {
-	var ack EditAck
-	err := d.c.call("POST", d.c.docPath(d.name, "edit"), e, &ack)
+	return d.edit("/edit", appendEdit(make([]byte, 0, 64+len(e.Name)+len(e.Fragment)), e))
+}
+
+// edit posts an edit or batch body and decodes its ack.
+func (d *Doc) edit(verb string, body []byte) (ack EditAck, err error) {
+	err = d.send("POST", verb, "", body, func(raw []byte) (err error) {
+		var ok bool
+		if ack, ok = decodeEditAck(raw); !ok {
+			var a EditAck // not ack, which holds what the fast path left
+			err = json.Unmarshal(raw, &a)
+			ack = a
+		}
+		return err
+	})
 	return ack, err
 }
 
@@ -473,9 +487,14 @@ func (d *Doc) Delete(node int) (EditAck, error) {
 
 // Batch applies the edits atomically per server-side chunk.
 func (d *Doc) Batch(edits []Edit) (EditAck, error) {
-	var ack EditAck
-	err := d.c.call("POST", d.c.docPath(d.name, "batch"), map[string]any{"edits": edits}, &ack)
-	return ack, err
+	body := []byte(`{"edits":[`)
+	for i, e := range edits {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = appendEdit(body, e)
+	}
+	return d.edit("/batch", append(body, "]}"...))
 }
 
 // ---------------------------------------------------------------------------
@@ -484,17 +503,17 @@ func (d *Doc) Batch(edits []Edit) (EditAck, error) {
 // Sync forces a durability point (on a follower server: one catch-up
 // poll against its leader).
 func (d *Doc) Sync() error {
-	return d.c.call("POST", d.c.docPath(d.name, "sync"), struct{}{}, nil)
+	return d.send("POST", "/sync", "", emptyBody, nil)
 }
 
 // Checkpoint bounds the document's future replay time.
 func (d *Doc) Checkpoint() error {
-	return d.c.call("POST", d.c.docPath(d.name, "checkpoint"), struct{}{}, nil)
+	return d.send("POST", "/checkpoint", "", emptyBody, nil)
 }
 
 // Close evicts the server-resident handle; the document stays openable.
 func (d *Doc) Close() error {
-	return d.c.call("POST", d.c.docPath(d.name, "close"), struct{}{}, nil)
+	return d.send("POST", "/close", "", emptyBody, nil)
 }
 
 // Stats is the per-document stats reply.
@@ -540,7 +559,7 @@ type Stats struct {
 // counters included.
 func (d *Doc) Stats() (Stats, error) {
 	var st Stats
-	err := d.c.call("GET", d.c.docPath(d.name, ""), nil, &st)
+	err := d.send("GET", "", "", nil, into(&st))
 	return st, err
 }
 
@@ -553,8 +572,8 @@ func (d *Doc) FollowHorizon(min uint64, wait time.Duration) (uint64, bool, error
 		Horizon uint64 `json:"horizon"`
 		Reached bool   `json:"reached"`
 	}
-	path := fmt.Sprintf("%s?min=%d&waitms=%d", d.c.docPath(d.name, "horizon"), min, wait.Milliseconds())
-	if err := d.c.call("GET", path, nil, &resp); err != nil {
+	q := fmt.Sprintf("min=%d&waitms=%d", min, wait.Milliseconds())
+	if err := d.send("GET", "/horizon", q, nil, into(&resp)); err != nil {
 		return 0, false, err
 	}
 	return resp.Horizon, resp.Reached, nil
@@ -566,8 +585,10 @@ func (d *Doc) FollowHorizon(min uint64, wait time.Duration) (uint64, bool, error
 // dynxml.OpenFollower instead; this is the escape hatch for custom
 // transports and tooling.
 func (d *Doc) Journal(from uint64, limit int) ([]byte, error) {
-	path := fmt.Sprintf("%s?from=%d&limit=%d", d.c.docPath(d.name, "journal"), from, limit)
-	return d.c.roundTrip("GET", path, nil)
+	var chunk []byte
+	q := fmt.Sprintf("from=%d&limit=%d", from, limit)
+	err := d.send("GET", "/journal", q, nil, func(raw []byte) error { chunk = bytes.Clone(raw); return nil })
+	return chunk, err
 }
 
 // ---------------------------------------------------------------------------
@@ -590,15 +611,13 @@ type Notification struct {
 // the subscription ends. The error return covers subscription setup
 // only — the server has accepted the stream once Watch returns nil.
 func (d *Doc) Watch(ctx context.Context, path string) (<-chan Notification, func(), error) {
-	ctx, cancel := context.WithCancel(ctx)
-	u := fmt.Sprintf("%s?path=%s", d.c.docPath(d.name, "watch"), url.QueryEscape(path))
-	req, err := http.NewRequestWithContext(ctx, "GET", d.c.base+u, nil)
+	u, err := d.url("/watch", "path="+url.QueryEscape(path))
 	if err != nil {
-		cancel()
 		return nil, nil, err
 	}
-	req.Header.Set("X-Request-ID", newRequestID())
-	req.Header.Set("Accept", "text/event-stream")
+	ctx, cancel := context.WithCancel(ctx)
+	h := http.Header{"X-Request-Id": {newRequestID()}, "Accept": {"text/event-stream"}}
+	req := newRequest("GET", u, h, nil).WithContext(ctx)
 	// The SSE stream outlives any sane request timeout: use the
 	// transport without the client's deadline.
 	hc := &http.Client{Transport: d.c.hc.Transport}

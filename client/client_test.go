@@ -315,3 +315,13 @@ func TestClientFollowerReadYourWrites(t *testing.T) {
 		t.Fatalf("follower stats = %+v, %v", st, err)
 	}
 }
+
+// TestDefaultTimeoutsOrdered: a default client outwaits a default
+// server, so a call the server gives up on ends in its typed 504, not in
+// the client's deadline firing at the same moment.
+func TestDefaultTimeoutsOrdered(t *testing.T) {
+	if client.DefaultTimeout != web.DefaultTimeout+5*time.Second {
+		t.Fatalf("client.DefaultTimeout %v, web.DefaultTimeout %v: want the client's 5 s longer",
+			client.DefaultTimeout, web.DefaultTimeout)
+	}
+}

@@ -112,7 +112,7 @@ func TestQueryDecodeAllocs(t *testing.T) {
 	var ids []int
 	allocs := testing.AllocsPerRun(50, func() {
 		rd.Reset(body)
-		raw, err := readBody(resp)
+		raw, err := readBody(nil, resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,13 +135,13 @@ func TestQueryDecodeAllocs(t *testing.T) {
 // a time.
 func TestReadBodyLyingContentLength(t *testing.T) {
 	resp := &http.Response{Body: io.NopCloser(strings.NewReader("short")), ContentLength: 60 << 20}
-	raw, err := readBody(resp)
+	raw, err := readBody(nil, resp)
 	if err != io.ErrUnexpectedEOF || string(raw) != "short" || cap(raw) > 1<<20 {
 		t.Errorf("read %d bytes into room for %d: %v", len(raw), cap(raw), err)
 	}
 	body := bytes.Repeat([]byte("0123456"), 1<<19)
 	resp = &http.Response{Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body))}
-	if raw, err = readBody(resp); err != nil || !bytes.Equal(raw, body) {
+	if raw, err = readBody(nil, resp); err != nil || !bytes.Equal(raw, body) {
 		t.Errorf("read %d bytes of %d: %v", len(raw), len(body), err)
 	}
 }
@@ -187,5 +187,163 @@ func TestQueryOtherSpellings(t *testing.T) {
 	}
 	if _, err := (&Doc{c: c, name: "none"}).Query("//x"); err == nil {
 		t.Error("an empty reply decoded")
+	}
+}
+
+// canonicalAck is the ack the server renders for results and seq.
+func canonicalAck(results []EditResult, seq uint64) []byte {
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(struct {
+		Results []EditResult `json:"results"`
+		Applied int          `json:"applied"`
+		Seq     uint64       `json:"seq,omitempty"`
+	}{results, len(results), seq})
+	return buf.Bytes()
+}
+
+// FuzzEditAckDecode pins the fast ack decoder to encoding/json as
+// FuzzQueryReplyDecode pins the query one: it declines, or returns
+// exactly the ack encoding/json returns.
+func FuzzEditAckDecode(f *testing.F) {
+	for _, seed := range []string{
+		string(canonicalAck([]EditResult{{IDs: []int{41}}}, 7)),
+		string(canonicalAck([]EditResult{{IDs: []int{7, 8, 9}, Relabeled: 2}, {Removed: 3}, {}}, 0)),
+		string(canonicalAck([]EditResult{}, 12)),
+		`{"results":[{"ids":[],"relabeled":0}],"applied":1}`, // empty ids, which the server omits
+		`{"results":[{"ids":[1],"relabeled":0,"removed":0}],"applied":1,"seq":0}`,
+		`{"results":[{"relabeled":0}],"applied":1,"seq":-1}`,
+		`{"results":[{"relabeled":01}],"applied":1}`,
+		`{"results":[{"relabeled":0}],"applied":1,"seq":18446744073709551615}`,
+		`{"results":[{"relabeled":0}],"applied":1,"seq":18446744073709551616}`,
+		`{"results":[{"relabeled":0}{"relabeled":0}],"applied":2}`,
+		`{"results":[{"relabeled":0},],"applied":1}`,
+		`{"results":[{"relabeled":0}],"applied":1} `, `{"results":[{"relabeled":0}],"applied":1}` + "\n\n",
+		`{"applied":1,"results":[{"relabeled":0}]}`, `{"results":[{"relabeled":0,"ids":[1]}],"applied":1}`,
+		`{"results":[{"ids":[1,2],"relabeled":0}],"applied":1,"extra":1}`, `{"results":null,"applied":0}`,
+		`{"results":[{"ids":[1,2]]}],"applied":1}`, `{"results":[{"relabeled":"0"}],"applied":1}`,
+		`{"results":[`, ``, `null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ack, ok := decodeEditAck(body)
+		if !ok {
+			return
+		}
+		var want EditAck
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("accepted %q, which encoding/json refuses: %v", body, err)
+		}
+		if !reflect.DeepEqual(ack, want) {
+			t.Fatalf("%q: fast decoder %+v, encoding/json %+v", body, ack, want)
+		}
+	})
+}
+
+// TestEditAckDecodeCanonical: the ack the server renders for one edit
+// is taken by the fast path.
+func TestEditAckDecodeCanonical(t *testing.T) {
+	for _, results := range [][]EditResult{
+		{{IDs: []int{41}}}, {{IDs: []int{7, 8, 9}, Relabeled: 2}}, {{Removed: 3}}, {{}},
+	} {
+		for _, seq := range []uint64{0, 1, 1 << 40} {
+			body := canonicalAck(results, seq)
+			if ack, ok := decodeEditAck(body); !ok || !reflect.DeepEqual(ack, EditAck{results, len(results), seq}) {
+				t.Errorf("%q: ok %v, %+v", body, ok, ack)
+			}
+		}
+	}
+}
+
+// TestAppendStringMatchesMarshal: a body the client renders by hand
+// decodes, through encoding/json, to what json.Marshal's rendering of
+// it decodes to.
+func TestAppendStringMatchesMarshal(t *testing.T) {
+	strs := []string{"", "//act/scene/speech", `a"b\c`, "tab\there\nnl\r\x00\x1f\x7f", "<x a='1'>&amp;</x>",
+		"é ü 日本   ", "bad \xff\xfe utf8 \xe6\x97", "\xed\xa0\x80 surrogate"}
+	for _, s := range strs {
+		var got, want string
+		if err := json.Unmarshal(appendString(nil, s), &got); err != nil {
+			t.Fatalf("%q: %v", s, err)
+		}
+		m, _ := json.Marshal(s)
+		_ = json.Unmarshal(m, &want)
+		if got != want {
+			t.Errorf("%q: rendered as %q, json.Marshal's as %q", s, got, want)
+		}
+	}
+	for _, e := range []Edit{
+		{Op: "insert-element", Parent: 12, Pos: 3, Name: "x"}, {Op: "insert-element", Name: "x"},
+		{Op: "insert-tree", Parent: 1, Fragment: "<x><y a=\"1\"></y></x>"}, {Op: "delete", Node: -4},
+	} {
+		m, _ := json.Marshal(e)
+		var got, want Edit
+		if err := json.Unmarshal(appendEdit(nil, e), &got); err != nil {
+			t.Fatal(err)
+		}
+		_ = json.Unmarshal(m, &want)
+		if got != want || (!strings.ContainsAny(e.Fragment, "<>&") && string(appendEdit(nil, e)) != string(m)) {
+			t.Errorf("%+v: rendered %s, json.Marshal %s", e, appendEdit(nil, e), m)
+		}
+	}
+}
+
+// stubTransport answers every request with a canned 200 body, as a
+// server would, without a socket.
+type stubTransport struct{ body []byte }
+
+func (s stubTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		_, _ = io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+	}
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(s.body)),
+		ContentLength: int64(len(s.body)), Request: r}, nil
+}
+
+// raceSlack is what a -race build may add to an allocation pin
+// (race_test.go).
+var raceSlack float64
+
+// TestRequestAllocs pins what a query and an insert cost the client
+// against a transport that costs nearly nothing, through an http.Client
+// without a Timeout (whose context, timer and goroutine add about 20,
+// not all of them every time): 19 and 20 allocations, 31 and 36 before
+// the client built its requests itself. A memory profile puts 10 in the
+// request (itself; its URL, a copy of the document's, and the route's
+// path; its header map (2), the id and its value slice; the body, its
+// reader and GetBody), 1 in the query's ids or 2 in the ack's results
+// and ids, 3 in the stub's response and 5 in http.Client, 4 of them the
+// header clone it keeps for redirects.
+func TestRequestAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply []byte
+		call  func(d *Doc) error
+		pin   float64
+	}{
+		{"query", canonicalReply(seqIDs(40)), func(d *Doc) error { _, err := d.Query("//act/scene/speech"); return err }, 19},
+		{"insert", canonicalAck([]EditResult{{IDs: []int{41}}}, 7), func(d *Doc) error {
+			_, err := d.InsertElement(12, 0, "x")
+			return err
+		}, 20},
+	} {
+		c, err := Dial("http://127.0.0.1:1", WithHTTPClient(&http.Client{Transport: stubTransport{tc.reply}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &Doc{c: c, name: "doc-00"}
+		if err := tc.call(d); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := tc.call(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
+		if allocs > tc.pin+raceSlack {
+			t.Errorf("%s: %.0f allocations, pinned at %.0f", tc.name, allocs, tc.pin)
+		}
 	}
 }

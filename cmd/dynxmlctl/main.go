@@ -136,30 +136,24 @@ func run(c *client.Client, cmd string, args []string) error {
 			return nil
 		}
 		return printJSON(map[string]any{"ids": ids, "count": len(ids)})
-	case "count":
+	case "count", "explain":
 		doc, path, err := docPath(c, args)
 		if err != nil {
 			return err
 		}
-		n, err := doc.Count(path)
+		var out any
+		if cmd == "count" {
+			out, err = doc.Count(path)
+		} else {
+			out, err = doc.Explain(path)
+		}
 		if err != nil {
 			return err
 		}
-		fmt.Println(n)
+		fmt.Println(out)
 		return nil
-	case "explain":
-		doc, path, err := docPath(c, args)
-		if err != nil {
-			return err
-		}
-		text, err := doc.Explain(path)
-		if err != nil {
-			return err
-		}
-		fmt.Println(text)
-		return nil
-	case "insert":
-		fs := flag.NewFlagSet("insert", flag.ExitOnError)
+	case "insert", "insert-tree":
+		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		seqOnly := fs.Bool("seq", false, "print only the ack'd journal sequence")
 		_ = fs.Parse(args)
 		a := fs.Args()
@@ -174,28 +168,11 @@ func run(c *client.Client, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		ack, err := doc.InsertElement(parent, pos, a[3])
-		if err != nil {
-			return err
+		insert := doc.InsertElement
+		if cmd == "insert-tree" {
+			insert = doc.InsertTree
 		}
-		return printAck(ack, *seqOnly)
-	case "insert-tree":
-		fs := flag.NewFlagSet("insert-tree", flag.ExitOnError)
-		seqOnly := fs.Bool("seq", false, "print only the ack'd journal sequence")
-		_ = fs.Parse(args)
-		a := fs.Args()
-		if len(a) != 4 {
-			usage()
-		}
-		doc, err := c.Open(a[0])
-		if err != nil {
-			return err
-		}
-		parent, pos, err := parentPos(a[1], a[2])
-		if err != nil {
-			return err
-		}
-		ack, err := doc.InsertTree(parent, pos, a[3])
+		ack, err := insert(parent, pos, a[3])
 		if err != nil {
 			return err
 		}
@@ -238,45 +215,30 @@ func run(c *client.Client, cmd string, args []string) error {
 			return err
 		}
 		return printAck(ack, *seqOnly)
-	case "xml":
+	case "xml", "stats", "sync", "checkpoint", "close":
 		doc, err := openOne(c, args)
 		if err != nil {
 			return err
 		}
-		xml, err := doc.XML()
-		if err != nil {
+		switch cmd {
+		case "xml":
+			xml, err := doc.XML()
+			if err == nil {
+				fmt.Println(xml)
+			}
 			return err
-		}
-		fmt.Println(xml)
-		return nil
-	case "sync":
-		doc, err := openOne(c, args)
-		if err != nil {
-			return err
-		}
-		return doc.Sync()
-	case "checkpoint":
-		doc, err := openOne(c, args)
-		if err != nil {
-			return err
-		}
-		return doc.Checkpoint()
-	case "close":
-		doc, err := openOne(c, args)
-		if err != nil {
-			return err
+		case "stats":
+			st, err := doc.Stats()
+			if err != nil {
+				return err
+			}
+			return printJSON(st)
+		case "sync":
+			return doc.Sync()
+		case "checkpoint":
+			return doc.Checkpoint()
 		}
 		return doc.Close()
-	case "stats":
-		doc, err := openOne(c, args)
-		if err != nil {
-			return err
-		}
-		st, err := doc.Stats()
-		if err != nil {
-			return err
-		}
-		return printJSON(st)
 	case "horizon":
 		fs := flag.NewFlagSet("horizon", flag.ExitOnError)
 		minSeq := fs.Uint64("min", 0, "sequence the horizon must reach")

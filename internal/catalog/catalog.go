@@ -544,13 +544,13 @@ func (c *Catalog) Resident(name string) bool {
 // Stats is a point-in-time residency summary.
 type Stats struct {
 	// ResidentDocs is the number of open handles.
-	ResidentDocs int
+	ResidentDocs int `json:"resident_docs"`
 	// ResidentBytes is the estimated bytes those handles pin in
 	// memory (the sum of their Handle.MemoryFootprint).
-	ResidentBytes int64
+	ResidentBytes int64 `json:"resident_bytes"`
 	// MemBudget and MaxOpen echo the effective configuration.
-	MemBudget int64
-	MaxOpen   int
+	MemBudget int64 `json:"mem_budget"`
+	MaxOpen   int   `json:"max_open"`
 }
 
 // Stats returns the current residency summary.

@@ -21,18 +21,6 @@ func bitLen(v int) int {
 	return n
 }
 
-// ceilLog2 returns ceil(log2(v)) for v >= 1.
-func ceilLog2(v int) int {
-	if v <= 1 {
-		return 0
-	}
-	n := 0
-	for p := 1; p < v; p <<= 1 {
-		n++
-	}
-	return n
-}
-
 // ExactVBinaryCodeBits returns the exact total code size of the
 // V-Binary encoding of 1..n: sum over i of bitlen(i). Table 1 reports
 // 64 bits for n = 18. By Theorem 4.4 the V-CDBS code total is

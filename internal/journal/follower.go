@@ -64,18 +64,19 @@ var ErrFollowerClosed = errors.New("journal: follower closed")
 // fork the replica. Every later Poll fails with the recorded cause.
 var errDiverged = errors.New("journal: follower diverged")
 
-// FollowerStats is a point-in-time observability snapshot.
+// FollowerStats is a point-in-time observability snapshot; the tags
+// are its form in the /v1 stats reply.
 type FollowerStats struct {
-	Seq           uint64 // last applied (visible) sequence
-	Horizon       uint64 // locally durable sequence
-	LeaderHorizon uint64 // leader's durable horizon at last fetch
-	Generation    uint64 // current segment generation
-	Scheme        string
-	Resets        uint64 // checkpoint adoptions (full document swaps)
-	Polls         uint64
-	Batches       uint64
-	Edits         uint64
-	LastErr       string
+	Seq           uint64 `json:"seq"`            // last applied (visible) sequence
+	Horizon       uint64 `json:"horizon"`        // locally durable sequence
+	LeaderHorizon uint64 `json:"leader_horizon"` // leader's durable horizon at last fetch
+	Generation    uint64 `json:"generation"`     // current segment generation
+	Scheme        string `json:"-"`
+	Resets        uint64 `json:"resets"` // checkpoint adoptions (full document swaps)
+	Polls         uint64 `json:"-"`
+	Batches       uint64 `json:"-"`
+	Edits         uint64 `json:"-"`
+	LastErr       string `json:"last_err,omitempty"`
 }
 
 // Follower is one replica. Construct with OpenFollower.

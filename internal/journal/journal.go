@@ -582,22 +582,23 @@ func (j *Journal) Close() error {
 	return closeErr
 }
 
-// Stats is a point-in-time snapshot of journal counters.
+// Stats is a point-in-time snapshot of journal counters; the tags are
+// its form in the /v1 stats reply.
 type Stats struct {
 	// Appended is the number of batches written to the log this
 	// session (excluding replayed history).
-	Appended uint64
+	Appended uint64 `json:"appended"`
 	// Durable is the highest batch sequence known to be on stable
 	// storage.
-	Durable uint64
+	Durable uint64 `json:"durable"`
 	// Seq is the highest batch sequence appended.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// Generation is the current segment generation.
-	Generation uint64
+	Generation uint64 `json:"generation"`
 	// Checkpoints counts checkpoints taken this session.
-	Checkpoints uint64
-	// Mode is the configured durability mode.
-	Mode Mode
+	Checkpoints uint64 `json:"checkpoints"`
+	// Mode is the configured durability mode (by name in the reply).
+	Mode Mode `json:"-"`
 }
 
 // Stats returns current journal counters.

@@ -62,25 +62,25 @@ func listElems(b Binding, n int, concat func(dst []int) []int) []int {
 }
 
 // Stats describes a backend for surfacing through Handle.Stats and
-// the HTTP stats endpoint.
+// the HTTP stats endpoint, in the form the tags give.
 type Stats struct {
 	// Backend is the backend name: "slice" or "paged".
-	Backend string
+	Backend string `json:"backend"`
 	// Entries is the number of indexed elements.
-	Entries int
+	Entries int `json:"entries"`
 	// MaxLabel is the longest Binding.Key encoding, in bytes, the
 	// backend can index; zero means any. Add refuses a longer one with
 	// ErrLabelTooLong.
-	MaxLabel int
+	MaxLabel int `json:"max_label,omitempty"`
 	// ResidentPages and AllocatedPages describe the page cache and
 	// file; zero for the slice backend.
-	ResidentPages  int
-	AllocatedPages int
+	ResidentPages  int `json:"resident_pages,omitempty"`
+	AllocatedPages int `json:"allocated_pages,omitempty"`
 	// CacheHits, CacheMisses and Writebacks are cumulative pager
 	// counters; zero for the slice backend.
-	CacheHits   uint64
-	CacheMisses uint64
-	Writebacks  uint64
+	CacheHits   uint64 `json:"cache_hits,omitempty"`
+	CacheMisses uint64 `json:"cache_misses,omitempty"`
+	Writebacks  uint64 `json:"writebacks,omitempty"`
 }
 
 // CacheHitRatio returns hits/(hits+misses), or 0 with no traffic.

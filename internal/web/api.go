@@ -10,6 +10,7 @@ import (
 
 	dynxml "repro"
 	"repro/internal/catalog"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/xmltree"
 )
@@ -18,32 +19,16 @@ import (
 // thousand small edits still fits comfortably.
 const maxBodyBytes = 64 << 20
 
-// writeJSON renders v with the given status.
+// writeJSON renders v with the given status as json.Encoder would,
+// stating its length: a 504 goes out while its handler still runs, and
+// must not leave chunked.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, _ := json.Marshal(v)
+	b = append(b, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// decodeJSON parses the request body into dst, rejecting unknown
-// fields and trailing garbage with a 400. A missing or empty body is
-// allowed when allowEmpty is set — dst keeps its zero value.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any, allowEmpty bool) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		if allowEmpty && errors.Is(err, io.EOF) {
-			return true
-		}
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "invalid JSON body: "+err.Error())
-		return false
-	}
-	if dec.More() {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "invalid JSON body: trailing data")
-		return false
-	}
-	return true
+	_, _ = w.Write(b)
 }
 
 // withDoc pins the named document for the duration of fn. All the
@@ -84,15 +69,11 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req, true) {
 		return
 	}
-	name := r.PathValue("name")
-	var (
-		pin     *catalog.Pin
-		err     error
-		created bool
-	)
-	if req.XML != "" {
+	name, created := r.PathValue("name"), req.XML != ""
+	var pin *catalog.Pin
+	var err error
+	if created {
 		pin, err = s.cat.Create(name, req.XML, req.Scheme)
-		created = true
 	} else {
 		pin, err = s.cat.Acquire(name)
 	}
@@ -102,17 +83,12 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	defer pin.Release()
 	h := pin.Handle()
-	writeJSON(w, http.StatusOK, docInfo{
-		Name: name, Scheme: h.Scheme(), Nodes: h.Len(), Created: created, Resident: true,
-	})
+	writeJSON(w, http.StatusOK, docInfo{Name: name, Scheme: h.Scheme(), Nodes: h.Len(), Created: created, Resident: true})
 }
 
 type listResponse struct {
-	Documents     []docEntry `json:"documents"`
-	ResidentDocs  int        `json:"resident_docs"`
-	ResidentBytes int64      `json:"resident_bytes"`
-	MemBudget     int64      `json:"mem_budget"`
-	MaxOpen       int        `json:"max_open"`
+	Documents []docEntry `json:"documents"`
+	catalog.Stats
 }
 
 type docEntry struct {
@@ -126,59 +102,34 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	st := s.cat.Stats()
-	resp := listResponse{
-		Documents:     make([]docEntry, 0, len(names)),
-		ResidentDocs:  st.ResidentDocs,
-		ResidentBytes: st.ResidentBytes,
-		MemBudget:     st.MemBudget,
-		MaxOpen:       st.MaxOpen,
-	}
+	resp := listResponse{Documents: make([]docEntry, 0, len(names)), Stats: s.cat.Stats()}
 	for _, n := range names {
 		resp.Documents = append(resp.Documents, docEntry{Name: n, Resident: s.cat.Resident(n)})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-type journalInfo struct {
-	Appended    uint64 `json:"appended"`
-	Durable     uint64 `json:"durable"`
-	Seq         uint64 `json:"seq"`
-	Generation  uint64 `json:"generation"`
-	Checkpoints uint64 `json:"checkpoints"`
-	Mode        string `json:"mode"`
-}
-
-type replicaInfo struct {
-	Seq           uint64 `json:"seq"`
-	Horizon       uint64 `json:"horizon"`
-	LeaderHorizon uint64 `json:"leader_horizon"`
-	Generation    uint64 `json:"generation"`
-	Resets        uint64 `json:"resets"`
-	LastErr       string `json:"last_err,omitempty"`
-}
-
+// The storage, journal and replica stats are in their /v1 form by their
+// tags; the reply adds the cache hit ratio and the mode's name.
 type storageInfo struct {
-	Backend        string  `json:"backend"`
-	Entries        int     `json:"entries"`
-	MaxLabel       int     `json:"max_label,omitempty"`
-	ResidentPages  int     `json:"resident_pages,omitempty"`
-	AllocatedPages int     `json:"allocated_pages,omitempty"`
-	CacheHits      uint64  `json:"cache_hits,omitempty"`
-	CacheMisses    uint64  `json:"cache_misses,omitempty"`
-	Writebacks     uint64  `json:"writebacks,omitempty"`
-	CacheHitRatio  float64 `json:"cache_hit_ratio,omitempty"`
+	dynxml.StorageStats
+	CacheHitRatio float64 `json:"cache_hit_ratio,omitempty"`
+}
+
+type journalInfo struct {
+	journal.Stats
+	Mode string `json:"mode"`
 }
 
 type statsResponse struct {
-	Name         string       `json:"name"`
-	Scheme       string       `json:"scheme"`
-	Nodes        int          `json:"nodes"`
-	Relabeled    int64        `json:"relabeled"`
-	LongestLabel int          `json:"longest_label,omitempty"`
-	Storage      *storageInfo `json:"storage,omitempty"`
-	Journal      *journalInfo `json:"journal,omitempty"`
-	Replica      *replicaInfo `json:"replica,omitempty"`
+	Name         string                 `json:"name"`
+	Scheme       string                 `json:"scheme"`
+	Nodes        int                    `json:"nodes"`
+	Relabeled    int64                  `json:"relabeled"`
+	LongestLabel int                    `json:"longest_label,omitempty"`
+	Storage      *storageInfo           `json:"storage,omitempty"`
+	Journal      *journalInfo           `json:"journal,omitempty"`
+	Replica      *journal.FollowerStats `json:"replica,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -192,37 +143,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			LongestLabel: st.LongestLabel,
 		}
 		if st.Storage.Backend != "" {
-			resp.Storage = &storageInfo{
-				Backend:        st.Storage.Backend,
-				Entries:        st.Storage.Entries,
-				MaxLabel:       st.Storage.MaxLabel,
-				ResidentPages:  st.Storage.ResidentPages,
-				AllocatedPages: st.Storage.AllocatedPages,
-				CacheHits:      st.Storage.CacheHits,
-				CacheMisses:    st.Storage.CacheMisses,
-				Writebacks:     st.Storage.Writebacks,
-				CacheHitRatio:  st.Storage.CacheHitRatio(),
-			}
+			resp.Storage = &storageInfo{st.Storage, st.Storage.CacheHitRatio()}
 		}
 		if st.Journaled {
-			resp.Journal = &journalInfo{
-				Appended:    st.Journal.Appended,
-				Durable:     st.Journal.Durable,
-				Seq:         st.Journal.Seq,
-				Generation:  st.Journal.Generation,
-				Checkpoints: st.Journal.Checkpoints,
-				Mode:        st.Journal.Mode.String(),
-			}
+			resp.Journal = &journalInfo{st.Journal, st.Journal.Mode.String()}
 		}
 		if st.Following {
-			resp.Replica = &replicaInfo{
-				Seq:           st.Replica.Seq,
-				Horizon:       st.Replica.Horizon,
-				LeaderHorizon: st.Replica.LeaderHorizon,
-				Generation:    st.Replica.Generation,
-				Resets:        st.Replica.Resets,
-				LastErr:       st.Replica.LastErr,
-			}
+			resp.Replica = &st.Replica
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -340,39 +267,15 @@ func (e *editRequest) toEdit() (dynxml.Edit, error) {
 	}
 }
 
-type editResult struct {
-	IDs       []int `json:"ids,omitempty"`
-	Relabeled int   `json:"relabeled"`
-	Removed   int   `json:"removed,omitempty"`
-}
-
-type editResponse struct {
-	Results []editResult `json:"results"`
-	Applied int          `json:"applied"`
-	// Seq is the journal sequence covering this edit (the handle's
-	// current sequence after the batch landed): the read-your-writes
-	// anchor a client hands to a follower's horizon wait. Zero on an
-	// unjournaled document.
-	Seq uint64 `json:"seq,omitempty"`
-}
-
-// editSeq reads the journal sequence after a successful edit. Under
-// concurrent writers it may cover later batches too; waiting on a
-// later sequence is always safe for read-your-writes.
+// editSeq reads the journal sequence after a successful edit: the ack's
+// read-your-writes anchor (0 unjournaled). Under concurrent writers it
+// may cover later batches too, which is safe to wait on.
 func editSeq(h *dynxml.Handle) uint64 {
 	st := h.Stats()
 	if !st.Journaled {
 		return 0
 	}
 	return st.Journal.Seq
-}
-
-func toResults(in []dynxml.EditResult) []editResult {
-	out := make([]editResult, len(in))
-	for i, r := range in {
-		out[i] = editResult{IDs: r.IDs, Relabeled: r.Relabeled, Removed: r.Removed}
-	}
-	return out
 }
 
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
@@ -385,14 +288,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	s.withDoc(w, r, func(h *dynxml.Handle) {
-		results, err := h.ApplyBatch([]dynxml.Edit{edit})
-		if err != nil {
-			fail(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, editResponse{Results: toResults(results), Applied: len(results), Seq: editSeq(h)})
-	})
+	s.applyEdits(w, r, []dynxml.Edit{edit})
 }
 
 type batchRequest struct {
@@ -417,13 +313,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		edits[i] = e
 	}
+	s.applyEdits(w, r, edits)
+}
+
+// applyEdits applies edits to the named document and writes the ack,
+// rendered straight into a buffered response's body.
+func (s *Server) applyEdits(w http.ResponseWriter, r *http.Request, edits []dynxml.Edit) {
 	s.withDoc(w, r, func(h *dynxml.Handle) {
 		results, err := h.ApplyBatch(edits)
 		if err != nil {
 			fail(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, editResponse{Results: toResults(results), Applied: len(results), Seq: editSeq(h)})
+		var b []byte
+		if br, ok := w.(*bufferedResponse); ok {
+			b = br.body.AvailableBuffer()
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(renderEditReply(b, results, editSeq(h)))
 	})
 }
 
@@ -431,22 +338,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // Durability / lifecycle
 
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
-	s.withDoc(w, r, func(h *dynxml.Handle) {
-		if err := h.Sync(); err != nil {
-			fail(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"synced": true})
-	})
+	s.durably(w, r, (*dynxml.Handle).Sync, "synced")
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+	s.durably(w, r, (*dynxml.Handle).Checkpoint, "checkpointed")
+}
+
+// durably runs op on the named document and acknowledges it as done.
+func (s *Server) durably(w http.ResponseWriter, r *http.Request, op func(*dynxml.Handle) error, done string) {
 	s.withDoc(w, r, func(h *dynxml.Handle) {
-		if err := h.Checkpoint(); err != nil {
+		if err := op(h); err != nil {
 			fail(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"checkpointed": true})
+		writeJSON(w, http.StatusOK, map[string]bool{done: true})
 	})
 }
 

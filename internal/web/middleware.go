@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -36,6 +37,57 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
+// reqCtx is a request's one context: its id and, under the timeout
+// layer, its deadline. Done, and with it a registration for the parent's
+// cancellation, is made when a handler asks; until then Err polls.
+type reqCtx struct {
+	parent   context.Context // net/http's, which has no deadline
+	id       string
+	deadline time.Time // set before the handler runs
+	mu       sync.Mutex
+	done     chan struct{} // vet:guardedby mu
+	err      error         // vet:guardedby mu
+}
+
+func (c *reqCtx) Deadline() (time.Time, bool) { return c.deadline, !c.deadline.IsZero() }
+
+func (c *reqCtx) Value(key any) any {
+	if key == ctxRequestID {
+		return c.id
+	}
+	return c.parent.Value(key)
+}
+
+func (c *reqCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.err != nil {
+			close(c.done)
+		} else if c.parent.Done() != nil {
+			context.AfterFunc(c.parent, func() { _ = c.Err() })
+		}
+	}
+	done := c.done // mu guards the field; the channel is there to be shared
+	return done
+}
+
+func (c *reqCtx) Err() error { return c.cancel(c.parent.Err()) }
+
+// cancel ends the context with err (if any) once, and says why it ended.
+func (c *reqCtx) cancel(err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil && err != nil {
+		c.err = err
+		if c.done != nil {
+			close(c.done)
+		}
+	}
+	return c.err
+}
+
 // newRequestID returns 16 hex chars of crypto randomness — unique
 // enough to grep one request out of any log volume this server sees.
 func newRequestID() string {
@@ -46,24 +98,23 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// withRequestID assigns every request an id, echoing a client-chosen
-// X-Request-ID when present, and reflects it in the response header
-// so clients and server logs can be correlated.
+// withRequestID gives every request its context and an id — the
+// client's X-Request-ID (spelt canonically: a copy otherwise), else a
+// fresh one — echoed in the response header for correlating logs.
 func withRequestID(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
+		id := r.Header.Get("X-Request-Id")
 		if id == "" || len(id) > 128 {
 			id = newRequestID()
 		}
-		w.Header().Set("X-Request-ID", id)
-		h.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxRequestID, id)))
+		w.Header().Set("X-Request-Id", id)
+		h.ServeHTTP(w, r.WithContext(&reqCtx{parent: r.Context(), id: id}))
 	})
 }
 
-// withRecover converts a handler panic into a JSON 500 carrying the
-// request id, keeping the connection (and the server) alive. It runs
-// innermost — inside the timeout goroutine — so panics on the
-// timeout's handler goroutine are caught where they happen.
+// withRecover turns a handler panic into a JSON 500 with the request
+// id, keeping the server alive; under the timeout layer it discards the
+// reply the handler had begun, so the client gets the envelope alone.
 func withRecover(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -71,6 +122,9 @@ func withRecover(h http.Handler) http.Handler {
 				mPanics.Inc()
 				log.Printf("web: panic serving %s %s (request %s): %v\n%s",
 					r.Method, r.URL.Path, RequestID(r.Context()), p, debug.Stack())
+				if b, ok := w.(*bufferedResponse); ok {
+					b.reset()
+				}
 				writeError(w, r, http.StatusInternalServerError, CodeInternal, "internal error")
 			}
 		}()
@@ -78,18 +132,16 @@ func withRecover(h http.Handler) http.Handler {
 	})
 }
 
-// bufferedResponse captures a handler's full response so the timeout
-// middleware can atomically either flush it or discard it in favor of
-// a 504 — never interleave the two.
+// maxPooled is the largest buffer a pool keeps.
+const maxPooled = 64 << 10
+
+// bufferedResponse holds a handler's whole response, for the timeout
+// layer to flush or discard for a 504 — never to interleave the two.
 type bufferedResponse struct {
 	header http.Header
 	status int
 	body   bytes.Buffer
 	shared []byte // when set, the body instead, by reference (writeShared)
-}
-
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: make(http.Header)}
 }
 
 func (b *bufferedResponse) Header() http.Header { return b.header }
@@ -105,25 +157,27 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 	return b.body.Write(p)
 }
 
-// flush copies the buffered response onto the real writer. The whole
-// body is in hand, so its length is stated and no reply leaves chunked.
-func (b *bufferedResponse) flush(w http.ResponseWriter) int {
+// reset empties the response, keeping its header map and body buffer.
+func (b *bufferedResponse) reset() {
+	clear(b.header)
+	b.status, b.shared = 0, nil
+	b.body.Reset()
+}
+
+// flush writes the response onto w, header values by reference (reset
+// drops them; net/http only reads them), its length stated.
+func (b *bufferedResponse) flush(w http.ResponseWriter) {
+	h := w.Header()
 	for k, vs := range b.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	if b.status == 0 {
-		b.status = http.StatusOK
+		h[k] = vs
 	}
 	body := b.body.Bytes()
 	if b.shared != nil {
 		body = b.shared
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(b.status)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(max(b.status, http.StatusOK))
 	_, _ = w.Write(body)
-	return b.status
 }
 
 // writeShared writes a 200 reply's whole body from bytes other requests
@@ -139,31 +193,80 @@ func writeShared(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// withTimeout bounds a request's wall time: the handler runs on its
-// own goroutine against a buffered response, and whichever finishes
-// first — handler or deadline — owns the connection. A timed-out
-// handler keeps running against the discarded buffer until it
-// observes its cancelled context; its writes go nowhere.
+// call is a request's passage through the timeout layer, pooled with
+// its timer: the handler writes buf on the connection's goroutine, and
+// whichever of finish and expire takes w first answers the client.
+type call struct {
+	buf   bufferedResponse
+	timer *time.Timer
+	rc    *reqCtx
+	mu    sync.Mutex
+	w     http.ResponseWriter // vet:guardedby mu
+}
+
+var calls = sync.Pool{New: func() any {
+	c := &call{buf: bufferedResponse{header: make(http.Header)}}
+	c.timer = time.AfterFunc(time.Hour, c.expire)
+	c.timer.Stop()
+	return c
+}}
+
+// expire cancels the handler's context and sends the JSON 504, with
+// Connection: close since the handler still holds the connection's
+// goroutine. It writes under mu, so the request cannot end meanwhile.
+func (c *call) expire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.w
+	if w == nil {
+		return
+	}
+	c.w = nil
+	_ = c.rc.cancel(context.DeadlineExceeded)
+	mTimeouts.Inc()
+	w.Header().Set("Connection", "close")
+	writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "request timed out", Code: CodeTimeout, RequestID: c.rc.id})
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// finish runs when the handler returns: unless expire took w, it stops
+// the timer and flushes the reply. A call whose timer fired but lost
+// (it may still wait for mu) or outgrew maxPooled is not pooled again.
+func (c *call) finish() {
+	c.mu.Lock()
+	w := c.w
+	c.w = nil
+	c.mu.Unlock()
+	stopped := c.timer.Stop()
+	if w != nil {
+		c.buf.flush(w)
+	}
+	if (stopped || w == nil) && c.buf.body.Cap() <= maxPooled {
+		c.buf.reset()
+		c.rc = nil
+		calls.Put(c)
+	}
+}
+
+// withTimeout bounds a request's wall time (see call); a timed-out
+// handler runs on until it sees its context cancelled, writing nowhere.
 func withTimeout(d time.Duration, h http.Handler) http.Handler {
 	if d <= 0 {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		rec := newBufferedResponse()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			h.ServeHTTP(rec, r.WithContext(ctx))
-		}()
-		select {
-		case <-done:
-			rec.flush(w)
-		case <-ctx.Done():
-			mTimeouts.Inc()
-			writeError(w, r, http.StatusGatewayTimeout, CodeTimeout, "request timed out")
-		}
+		rc := r.Context().(*reqCtx) // withRequestID's
+		rc.deadline = time.Now().Add(d)
+		c := calls.Get().(*call)
+		c.rc = rc
+		c.mu.Lock()
+		c.w = w
+		c.mu.Unlock()
+		c.timer.Reset(d)
+		defer c.finish()
+		h.ServeHTTP(&c.buf, r)
 	})
 }
 

@@ -43,8 +43,9 @@ type Config struct {
 	// Required.
 	Catalog *catalog.Catalog
 	// Timeout is the per-request wall bound (0: DefaultTimeout,
-	// negative: no timeout). Requests past it get a JSON 504; the
-	// abandoned handler keeps running against a discarded buffer.
+	// negative: no timeout). Requests past it get a JSON 504 that closes
+	// their connection; the abandoned handler keeps running against a
+	// discarded buffer.
 	Timeout time.Duration
 }
 
@@ -62,22 +63,24 @@ func New(cfg Config) *Server {
 		s.timeout = DefaultTimeout
 	}
 	mux := http.NewServeMux()
-	s.route(mux, "POST /v1/docs/{name}/open", "open", s.handleOpen)
-	s.route(mux, "GET /v1/docs", "list", s.handleList)
-	s.route(mux, "GET /v1/docs/{name}", "stats", s.handleStats)
-	s.route(mux, "GET /v1/docs/{name}/xml", "xml", s.handleXML)
-	s.route(mux, "POST /v1/docs/{name}/query", "query", s.handleQuery)
-	s.route(mux, "POST /v1/docs/{name}/explain", "explain", s.handleExplain)
-	s.route(mux, "POST /v1/docs/{name}/edit", "edit", s.handleEdit)
-	s.route(mux, "POST /v1/docs/{name}/batch", "batch", s.handleBatch)
-	s.route(mux, "POST /v1/docs/{name}/sync", "sync", s.handleSync)
-	s.route(mux, "POST /v1/docs/{name}/checkpoint", "checkpoint", s.handleCheckpoint)
-	s.route(mux, "POST /v1/docs/{name}/close", "close", s.handleClose)
+	route(mux, "POST /v1/docs/{name}/open", "open", s.timeout, s.handleOpen)
+	route(mux, "GET /v1/docs", "list", s.timeout, s.handleList)
+	route(mux, "GET /v1/docs/{name}", "stats", s.timeout, s.handleStats)
+	route(mux, "GET /v1/docs/{name}/xml", "xml", s.timeout, s.handleXML)
+	route(mux, "POST /v1/docs/{name}/query", "query", s.timeout, s.handleQuery)
+	route(mux, "POST /v1/docs/{name}/explain", "explain", s.timeout, s.handleExplain)
+	route(mux, "POST /v1/docs/{name}/edit", "edit", s.timeout, s.handleEdit)
+	route(mux, "POST /v1/docs/{name}/batch", "batch", s.timeout, s.handleBatch)
+	route(mux, "POST /v1/docs/{name}/sync", "sync", s.timeout, s.handleSync)
+	route(mux, "POST /v1/docs/{name}/checkpoint", "checkpoint", s.timeout, s.handleCheckpoint)
+	route(mux, "POST /v1/docs/{name}/close", "close", s.timeout, s.handleClose)
 	// The replication sync surface streams or long-polls, so it runs
-	// without the buffering timeout middleware and bounds its own waits.
-	s.routeStream(mux, "GET /v1/docs/{name}/journal", "journal", s.handleJournal)
-	s.routeStream(mux, "GET /v1/docs/{name}/horizon", "horizon", s.handleHorizon)
-	s.routeStream(mux, "GET /v1/docs/{name}/watch", "watch", s.handleWatch)
+	// without the buffering timeout layer, whose buffer would defeat SSE
+	// flushing and kill parked long-polls; its handlers bound their own
+	// waits and stop on request-context cancellation.
+	route(mux, "GET /v1/docs/{name}/journal", "journal", -1, s.handleJournal)
+	route(mux, "GET /v1/docs/{name}/horizon", "horizon", -1, s.handleHorizon)
+	route(mux, "GET /v1/docs/{name}/watch", "watch", -1, s.handleWatch)
 	// Introspection routes skip the timeout and per-route metrics:
 	// they must answer even when the API is saturated, and scraping
 	// them should not perturb what they report.
@@ -87,20 +90,13 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// route registers one API route under the full middleware stack.
-// Recovery sits innermost so it runs on the timeout's handler
-// goroutine; metrics sit outermost so a timed-out request is recorded
-// as its client saw it — a 504.
-func (s *Server) route(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
-	mux.Handle(pattern, withMetrics(newRouteMetrics(name), withTimeout(s.timeout, withRecover(h))))
-}
-
-// routeStream registers a streaming or long-polling route: metrics and
-// recovery, but no timeout layer — its buffered response would defeat
-// SSE flushing and kill parked long-polls. Stream handlers bound their
-// own waits and stop on request-context cancellation.
-func (s *Server) routeStream(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
-	mux.Handle(pattern, withMetrics(newRouteMetrics(name), withRecover(h)))
+// route registers one API route under the middleware stack, with a
+// timeout layer when timeout is positive. Recovery sits innermost, so a
+// panic's partial reply is discarded with the buffer; metrics sit
+// outermost, so a timed-out request is recorded as its client saw it —
+// a 504.
+func route(mux *http.ServeMux, pattern, name string, timeout time.Duration, h http.HandlerFunc) {
+	mux.Handle(pattern, withMetrics(newRouteMetrics(name), withTimeout(timeout, withRecover(h))))
 }
 
 // ServeHTTP dispatches through the middleware stack.

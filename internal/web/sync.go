@@ -82,16 +82,10 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// horizonResponse answers a horizon poll: the durable horizon observed
-// and whether the requested minimum was reached before the wait ended.
-type horizonResponse struct {
-	Horizon uint64 `json:"horizon"`
-	Reached bool   `json:"reached"`
-}
-
 // handleHorizon reports the document's durable horizon. ?min with
 // ?waitms turns it into the read-your-writes wait: block until the
-// horizon reaches min or the wait expires, then report both.
+// horizon reaches min or the wait expires, then report the horizon
+// observed and whether min was reached.
 func (s *Server) handleHorizon(w http.ResponseWriter, r *http.Request) {
 	minSeq, err := queryUint(r, "min", 0)
 	if err != nil {
@@ -109,7 +103,7 @@ func (s *Server) handleHorizon(w http.ResponseWriter, r *http.Request) {
 			fail(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, horizonResponse{Horizon: hor, Reached: reached})
+		writeJSON(w, http.StatusOK, map[string]any{"horizon": hor, "reached": reached})
 	})
 }
 

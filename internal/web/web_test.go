@@ -385,3 +385,29 @@ func TestLabelTooLong(t *testing.T) {
 		t.Error("replay differs from the document the refused edits left")
 	}
 }
+
+// TestPanicAfterPartialWrite: a handler that has begun its reply when
+// it panics gets a 500 whose body is the error envelope alone, not its
+// half-written reply with the envelope after it under a 200.
+func TestPanicAfterPartialWrite(t *testing.T) {
+	half := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain")
+		_, _ = w.Write([]byte(`{"count":3,"ids":[1,`))
+		panic("boom")
+	})
+	h := withRequestID(withMetrics(newRouteMetrics("halftest"), withTimeout(time.Second, withRecover(half))))
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest("GET", "/half", nil)
+	r.Header.Set("X-Request-ID", "caller-chosen-id")
+	h.ServeHTTP(w, r)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 (body %q)", w.Code, w.Body.String())
+	}
+	e := envelope(t, w.Body.Bytes())
+	if e.Code != CodeInternal || e.RequestID != "caller-chosen-id" || w.Header().Get("X-Request-ID") != "caller-chosen-id" {
+		t.Fatalf("envelope %+v, header id %q", e, w.Header().Get("X-Request-ID"))
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+}

@@ -41,7 +41,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> clone isolation, memo and cache storms, stored kernels (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestStoredKernelsMatchBoxed' ./...
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP' ./...
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
