@@ -18,8 +18,9 @@ race:
 	$(GO) test -race ./...
 
 # `make vet` is the single local entry point for all static analysis:
-# stock go vet plus the full labelvet suite (including the guardedby/
-# atomicmix/ackorder/lockorder concurrency tier) in both tag states.
+# stock go vet (copylocks included) plus the six-analyzer labelvet suite
+# in both tag states. `go test ./internal/analysis` runs the same
+# labelvet gate, which is how CI runs it.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/labelvet ./...

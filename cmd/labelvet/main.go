@@ -1,13 +1,12 @@
 // Command labelvet runs the repository's static-analysis suite: the
 // source-level invariants behind the CDBS/QED encodings (canonical
-// label comparison, code-literal validity, lock hygiene, dropped
-// errors, the panic allowlist) and the concurrency/durability tier
-// driven by vet: annotations (guardedby, atomicmix, ackorder,
-// lockorder).
+// label comparison, leaked lock-guarded internals, dropped errors, the
+// panic allowlist) and the concurrency tier driven by vet: annotations
+// (guardedby, lockorder).
 //
 // Usage:
 //
-//	labelvet [-tags tag,...] [-only name,...] [-allowlist file] [-tests=false] packages...
+//	labelvet [-tags tag,...] [-allowlist file] [-tests=false] packages...
 //	labelvet -list
 //
 // Packages are patterns like ./... or ./internal/cdbs. The exit code
@@ -26,7 +25,6 @@ import (
 
 func main() {
 	tags := flag.String("tags", "", "comma-separated extra build tags (e.g. invariants)")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default all; e.g. guardedby,ackorder)")
 	allowlist := flag.String("allowlist", "", "panic allowlist file (default internal/analysis/panic_allowlist.txt)")
 	tests := flag.Bool("tests", true, "also analyze _test.go files")
 	list := flag.Bool("list", false, "list the registered analyzers with their one-line docs and exit")
@@ -57,9 +55,6 @@ func main() {
 	}
 	if *tags != "" {
 		cfg.Tags = strings.Split(*tags, ",")
-	}
-	if *only != "" {
-		cfg.Analyzers = strings.Split(*only, ",")
 	}
 	diags, err := analysis.Vet(cfg)
 	if err != nil {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -75,14 +74,10 @@ type SuiteConfig struct {
 func NewSuite(cfg SuiteConfig) (*Suite, error) {
 	all := []*Analyzer{
 		newLabelCmp(),
-		newCodeLiteral(),
-		newLockCopy(),
 		newLockHeld(),
 		newErrCheck(),
 		newPanicAudit(cfg.Allowlist),
 		newGuardedBy(),
-		newAtomicMix(),
-		newAckOrder(),
 		newLockOrder(),
 	}
 	if len(cfg.Names) == 0 {
@@ -227,14 +222,4 @@ func inModule(pkg *types.Package, modPath string) bool {
 		return false
 	}
 	return pkg.Path() == modPath || strings.HasPrefix(pkg.Path(), modPath+"/")
-}
-
-// stringLiteral returns the value of a constant string expression and
-// whether e is one (possibly parenthesised).
-func stringLiteral(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[unparen(e)]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

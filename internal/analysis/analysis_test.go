@@ -124,15 +124,11 @@ func runFixture(t *testing.T, analyzer, fixture string, al *Allowlist) []Diagnos
 	return diags
 }
 
-func TestLabelCmpFixture(t *testing.T)    { runFixture(t, "labelcmp", "labelcmp", nil) }
-func TestCodeLiteralFixture(t *testing.T) { runFixture(t, "codeliteral", "codeliteral", nil) }
-func TestLockCopyFixture(t *testing.T)    { runFixture(t, "lockcopy", "lockcopy", nil) }
-func TestLockHeldFixture(t *testing.T)    { runFixture(t, "lockheld", "lockheld", nil) }
-func TestErrCheckFixture(t *testing.T)    { runFixture(t, "errcheck", "errcheck", nil) }
-func TestGuardedByFixture(t *testing.T)   { runFixture(t, "guardedby", "guardedby", nil) }
-func TestAtomicMixFixture(t *testing.T)   { runFixture(t, "atomicmix", "atomicmix", nil) }
-func TestAckOrderFixture(t *testing.T)    { runFixture(t, "ackorder", "ackorder", nil) }
-func TestLockOrderFixture(t *testing.T)   { runFixture(t, "lockorder", "lockorder", nil) }
+func TestLabelCmpFixture(t *testing.T)  { runFixture(t, "labelcmp", "labelcmp", nil) }
+func TestLockHeldFixture(t *testing.T)  { runFixture(t, "lockheld", "lockheld", nil) }
+func TestErrCheckFixture(t *testing.T)  { runFixture(t, "errcheck", "errcheck", nil) }
+func TestGuardedByFixture(t *testing.T) { runFixture(t, "guardedby", "guardedby", nil) }
+func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorder", nil) }
 
 // TestFixtureCoverage keeps the suite honest: every registered
 // analyzer must have a fixture package under testdata/src/ so it

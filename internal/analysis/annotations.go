@@ -1,15 +1,11 @@
-// Annotation collection for the concurrency/durability tier.
+// Annotation collection for the concurrency tier.
 //
-// The annotation language is a handful of structured comment lines:
+// The annotation language is two structured comment lines:
 //
 //	// vet:guardedby mu     on a struct field: the field may only be
 //	//                      accessed while the sibling mutex mu is held
 //	// vet:holds j.cmu      on a func: the named lock is held on entry,
 //	//                      and call sites must hold it
-//	// vet:ack              on a func returning error: a nil return
-//	//                      acknowledges durability
-//	// vet:durable          on a func: success establishes durability;
-//	//                      on a field: the durable horizon
 //
 // collectVet parses these once per package, resolves the names they
 // mention against the type information, and records syntax problems
@@ -46,16 +42,8 @@ type vetInfo struct {
 	// guards maps an annotated field to the sibling mutex field that
 	// guards it.
 	guards map[*types.Var]*types.Var
-	// horizon marks fields annotated vet:durable (the durable
-	// horizon whose assignment is an acknowledgment).
-	horizon map[*types.Var]bool
 	// holds maps a function to its declared lock preconditions.
 	holds map[*types.Func][]holdsSpec
-	// ack marks functions whose nil error return acknowledges
-	// durability.
-	ack map[*types.Func]bool
-	// durable marks functions whose success establishes durability.
-	durable map[*types.Func]bool
 	// issues are syntax problems, reported by panicaudit.
 	issues []vetIssue
 }
@@ -78,11 +66,8 @@ func collectVet(p *Pass) *vetInfo {
 		return vi
 	}
 	vi := &vetInfo{
-		guards:  map[*types.Var]*types.Var{},
-		horizon: map[*types.Var]bool{},
-		holds:   map[*types.Func][]holdsSpec{},
-		ack:     map[*types.Func]bool{},
-		durable: map[*types.Func]bool{},
+		guards: map[*types.Var]*types.Var{},
+		holds:  map[*types.Func][]holdsSpec{},
 	}
 	c := &vetCollector{p: p, vi: vi, consumed: map[*ast.Comment]bool{}}
 	for _, f := range p.Pkg.Files {
@@ -178,7 +163,7 @@ func (c *vetCollector) file(f *ast.File) {
 	}
 }
 
-// structType records the guardedby/durable annotations of one struct.
+// structType records the guardedby annotations of one struct.
 func (c *vetCollector) structType(st *ast.StructType) {
 	for _, field := range st.Fields.List {
 		anns := append(c.parseGroup(field.Doc), c.parseGroup(field.Comment)...)
@@ -186,15 +171,7 @@ func (c *vetCollector) structType(st *ast.StructType) {
 			switch ann.Verb {
 			case "guardedby":
 				c.guardedBy(st, field, ann)
-			case "durable":
-				if len(ann.Args) != 0 {
-					c.issuef(ann.Pos, "vet:durable takes no arguments")
-					continue
-				}
-				for _, obj := range c.fieldVars(field) {
-					c.vi.horizon[obj] = true
-				}
-			case "holds", "ack":
+			case "holds":
 				c.issuef(ann.Pos, "vet:%s applies to function declarations, not struct fields", ann.Verb)
 			default:
 				c.issuef(ann.Pos, "unknown vet: verb %q", ann.Verb)
@@ -248,7 +225,7 @@ func (c *vetCollector) fieldVars(field *ast.Field) []*types.Var {
 	return out
 }
 
-// funcDecl records the holds/ack/durable annotations of one function.
+// funcDecl records the holds annotations of one function.
 func (c *vetCollector) funcDecl(fd *ast.FuncDecl) {
 	anns := c.parseGroup(fd.Doc)
 	if len(anns) == 0 {
@@ -271,22 +248,6 @@ func (c *vetCollector) funcDecl(fd *ast.FuncDecl) {
 					c.vi.holds[fn] = append(c.vi.holds[fn], spec)
 				}
 			}
-		case "ack":
-			if len(ann.Args) != 0 {
-				c.issuef(ann.Pos, "vet:ack takes no arguments")
-				continue
-			}
-			if !returnsErrorLast(fn) {
-				c.issuef(ann.Pos, "vet:ack function %s must return an error as its last result", fd.Name.Name)
-				continue
-			}
-			c.vi.ack[fn] = true
-		case "durable":
-			if len(ann.Args) != 0 {
-				c.issuef(ann.Pos, "vet:durable takes no arguments")
-				continue
-			}
-			c.vi.durable[fn] = true
 		case "guardedby":
 			c.issuef(ann.Pos, "vet:guardedby applies to struct fields, not function declarations")
 		default:
@@ -374,14 +335,4 @@ func isMutexType(t types.Type) bool {
 func isRWMutexType(t types.Type) bool {
 	n := namedType(t)
 	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "RWMutex"
-}
-
-// returnsErrorLast reports whether fn's last result is error.
-func returnsErrorLast(fn *types.Func) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Results().Len() == 0 {
-		return false
-	}
-	last := sig.Results().At(sig.Results().Len() - 1).Type()
-	return types.Identical(last, types.Universe.Lookup("error").Type())
 }

@@ -1,5 +1,5 @@
 // A small intraprocedural control-flow engine shared by the
-// flow-sensitive analyzers (guardedby, lockorder, ackorder). It walks
+// flow-sensitive analyzers (guardedby, lockorder). It walks
 // one function body statement by statement, threading an opaque state
 // value through straight-line code, forking it at branches and
 // merging the surviving branches at join points.
@@ -20,7 +20,7 @@ import (
 )
 
 // flowOps is the client vtable for one function walk. All callbacks
-// are required except cond and funcLit.
+// are required except funcLit and isPanic.
 type flowOps struct {
 	// clone deep-copies a state for a branch fork.
 	clone func(st any) any
@@ -32,9 +32,6 @@ type flowOps struct {
 	// touch marks an expression as evaluated (conditions, range
 	// operands, switch tags) so clients can record reads.
 	touch func(st any, e ast.Expr)
-	// cond, if set, refines the state for the two arms of an if; the
-	// default forks two clones.
-	cond func(st any, e ast.Expr) (thenSt, elseSt any)
 	// ret handles an explicit return (before the state dies).
 	ret func(st any, r *ast.ReturnStmt)
 	// end handles falling off the end of the body.
@@ -137,12 +134,7 @@ func (fe *flowEngine) ifStmt(s *ast.IfStmt, st any) (any, bool) {
 		fe.ops.stmt(st, s.Init)
 	}
 	fe.ops.touch(st, s.Cond)
-	var thenSt, elseSt any
-	if fe.ops.cond != nil {
-		thenSt, elseSt = fe.ops.cond(st, s.Cond)
-	} else {
-		thenSt, elseSt = fe.ops.clone(st), fe.ops.clone(st)
-	}
+	thenSt, elseSt := fe.ops.clone(st), fe.ops.clone(st)
 	thenOut, thenTerm := fe.stmts(s.Body.List, thenSt)
 	elseOut, elseTerm := elseSt, false
 	if s.Else != nil {

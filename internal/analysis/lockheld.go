@@ -71,7 +71,7 @@ func guardedStruct(t types.Type, vi *vetInfo) (*types.Struct, bool) {
 	hasMutex := false
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if fn := namedType(f.Type()); fn != nil && lockTypes[typeQualifiedName(fn)] {
+		if isMutexType(f.Type()) {
 			hasMutex = true
 		}
 		if vi != nil {

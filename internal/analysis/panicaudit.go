@@ -65,7 +65,7 @@ func newPanicAudit(al *Allowlist) *Analyzer {
 	}
 	a.Run = func(p *Pass) error {
 		// Malformed vet: annotations are reported here so a typo can
-		// never silently disable a guardedby/ackorder check.
+		// never silently disable a guardedby/lockorder check.
 		for _, issue := range collectVet(p).issues {
 			p.Reportf(issue.Pos, "%s", issue.Msg)
 		}

@@ -39,11 +39,12 @@ type badAnnotations struct {
 	a  int // vet:guardedby nosuch // want `vet:guardedby names unknown sibling field "nosuch"`
 	b  int // vet:guardedby a // want `vet:guardedby a: field a is not a sync\.Mutex or sync\.RWMutex`
 	c  int // vet:bogus // want `unknown vet: verb "bogus"`
+	d  int // vet:durable // want `unknown vet: verb "durable"`
 }
 
-// NoError cannot acknowledge durability: there is no error result.
+// NoError carries a verb the language does not have.
 //
-// vet:ack // want `vet:ack function NoError must return an error as its last result`
+// vet:ack // want `unknown vet: verb "ack"`
 func NoError() {}
 
 // BadHolds names a root that is neither receiver nor parameter.
@@ -54,6 +55,6 @@ func BadHolds() {}
 // Misplaced hangs an annotation where the language gives it no
 // meaning.
 func Misplaced() int {
-	// vet:durable // want `misplaced vet:durable annotation: only struct fields and function declarations take vet: comments`
+	// vet:holds m.mu // want `misplaced vet:holds annotation: only struct fields and function declarations take vet: comments`
 	return 0
 }

@@ -31,9 +31,6 @@ type Config struct {
 	// uses DefaultAllowlist under the module root. Set to os.DevNull
 	// to run with an empty allowlist.
 	AllowlistPath string
-
-	// Analyzers restricts the run to the named analyzers.
-	Analyzers []string
 }
 
 // Vet loads the requested packages and runs the analyzer suite. Type
@@ -68,7 +65,7 @@ func Vet(cfg Config) ([]Diagnostic, error) {
 		// explicitly named one is a typo the user needs to hear about.
 		return nil, err
 	}
-	suite, err := NewSuite(SuiteConfig{Allowlist: al, Names: cfg.Analyzers})
+	suite, err := NewSuite(SuiteConfig{Allowlist: al})
 	if err != nil {
 		return nil, err
 	}

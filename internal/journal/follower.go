@@ -95,7 +95,7 @@ type Follower struct {
 	mu            sync.Mutex
 	cond          *sync.Cond // vet:guardedby mu
 	seq           uint64     // vet:guardedby mu
-	horizon       uint64     // vet:guardedby mu // vet:durable
+	horizon       uint64     // vet:guardedby mu
 	leaderHorizon uint64     // vet:guardedby mu
 	gen           uint64     // vet:guardedby mu
 	schemeName    string     // vet:guardedby mu
@@ -156,20 +156,10 @@ func (f *Follower) Horizon() uint64 {
 	return f.horizon
 }
 
-// LeaderHorizon returns the leader durable horizon observed at the
-// last successful fetch.
-func (f *Follower) LeaderHorizon() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.leaderHorizon
-}
-
 // WaitHorizon blocks until the local horizon reaches min, the timeout
 // expires, or the follower closes or diverges. It reports the horizon
 // it observed and whether min was reached — the read-your-writes wait
-// for clients holding a leader-acknowledged sequence. A passive
-// observer — it never acknowledges anything itself, so it carries no
-// ack-ordering contract.
+// for clients holding a leader-acknowledged sequence.
 func (f *Follower) WaitHorizon(min uint64, timeout time.Duration) (uint64, bool) {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {

@@ -120,7 +120,6 @@ func (f *Follower) pollFetch() error {
 // before advancing the advertised horizon — the order the kill-and-
 // restart contract depends on.
 //
-// vet:durable
 // vet:holds f.pollMu
 func (f *Follower) persistBatches(batches []ShipBatch) error {
 	for _, b := range batches {

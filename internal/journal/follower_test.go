@@ -243,26 +243,28 @@ func TestFollowerRejectsForkedHistory(t *testing.T) {
 }
 
 // TestFollowerKillMatrix crashes the follower at every mirror I/O
-// boundary via fault injection, then restarts it. A follower that had
-// opened restarts with the leader unreachable, and the contract is: it
-// serves some prefix of the leader's history no shorter than the
-// horizon it advertised before dying. A follower killed inside its
-// first open advertised nothing; it restarts against the live leader
-// and must open and converge — whatever the kill left in the mirror
-// must not wedge the name.
+// boundary via fault injection, under every crash outcome the leader's
+// kill matrix uses, then restarts it. A follower that had opened
+// restarts with the leader unreachable, and the contract is: it serves
+// some prefix of the leader's history no shorter than the horizon it
+// advertised before dying. A follower killed inside its first open
+// advertised nothing; it restarts against the live leader and must
+// open and converge — whatever the kill left in the mirror must not
+// wedge the name.
 func TestFollowerKillMatrix(t *testing.T) {
 	// followerScript drives one deterministic leader+follower run with
-	// the given mirror wrapper, returning the advertised horizon at the
-	// moment of "death" (first error) and how many batches the leader
-	// issued. When the initial open itself dies it performs the
-	// live-leader restart check on the spot, while the leader is still
-	// up, and reports opened=false.
+	// its mirror files wrapped by c, returning the advertised horizon at
+	// the moment of "death" (the first error, or the end of the script
+	// when c's fault is survived) and how many batches the leader
+	// issued; cut applies a power cut at death. When the initial open
+	// itself dies it performs the live-leader restart check on the spot,
+	// while the leader is still up, and reports opened=false.
 	type runResult struct {
 		horizon uint64
 		issued  uint64
 		opened  bool
 	}
-	followerScript := func(t *testing.T, fdir, boundary string, wrap func(File) File) (res runResult) {
+	followerScript := func(t *testing.T, fdir, boundary string, c *crashFiles, cut bool) (res runResult) {
 		ldir := t.TempDir()
 		d := mustDoc(t, "<root/>")
 		j, err := Create(Config{Dir: ldir, Scheme: testScheme}, d)
@@ -273,8 +275,11 @@ func TestFollowerKillMatrix(t *testing.T) {
 		leaderWrite(t, j, d, "n1")
 		leaderWrite(t, j, d, "n2")
 		res.issued = 2
-		f, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: fetchVia(j), Manual: true, WrapFile: wrap})
+		f, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: fetchVia(j), Manual: true, WrapFile: c.wrap})
 		if err != nil {
+			if cut {
+				c.powerCut(t)
+			}
 			f2, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: fetchVia(j), Manual: true})
 			if err != nil {
 				t.Fatalf("%s: restart after a kill inside the first open: %v", boundary, err)
@@ -293,6 +298,9 @@ func TestFollowerKillMatrix(t *testing.T) {
 		defer func() {
 			res.horizon = f.Horizon()
 			_ = f.Close()
+			if cut {
+				c.powerCut(t)
+			}
 		}()
 		step := func(ckpt bool, name string) bool {
 			if ckpt {
@@ -302,7 +310,7 @@ func TestFollowerKillMatrix(t *testing.T) {
 			}
 			leaderWrite(t, j, d, name)
 			res.issued++
-			return f.Poll() == nil
+			return f.Poll() == nil || c.fault.Survive
 		}
 		if !step(false, "n3") {
 			return res
@@ -334,20 +342,12 @@ func TestFollowerKillMatrix(t *testing.T) {
 	}(t)
 
 	// Profile the clean run's mirror I/O.
-	var files []*faultfs.File
-	profile := followerScript(t, t.TempDir(), "profile", func(f File) File {
-		ff := faultfs.Wrap(f.(faultfs.Backing))
-		files = append(files, ff)
-		return ff
-	})
+	prof := &crashFiles{n: -1}
+	profile := followerScript(t, t.TempDir(), "profile", prof, false)
 	if !profile.opened || profile.horizon != 6 {
 		t.Fatalf("clean profile run: %+v", profile)
 	}
-	var writes, syncs []int
-	for _, ff := range files {
-		writes = append(writes, ff.Ops(faultfs.OpWrite))
-		syncs = append(syncs, ff.Ops(faultfs.OpSync))
-	}
+	writes, syncs := prof.ops()
 
 	verify := func(t *testing.T, fdir string, res runResult, boundary string) {
 		f, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: deadLeader, Manual: true})
@@ -367,15 +367,18 @@ func TestFollowerKillMatrix(t *testing.T) {
 		}
 	}
 
-	total, firstOpen := 0, 0
+	total, firstOpen := map[string]int{}, map[string]int{}
 	crash := func(boundary string, fi int, fault faultfs.Fault) {
-		fdir := t.TempDir()
-		res := followerScript(t, fdir, boundary, wrapNth(fi, fault))
-		if res.opened {
-			verify(t, fdir, res, boundary)
-			total++
-		} else {
-			firstOpen++
+		for _, o := range outcomes(fault) {
+			boundary := boundary + "/" + o.name
+			fdir := t.TempDir()
+			res := followerScript(t, fdir, boundary, &crashFiles{n: fi, fault: o.fault}, o.cut)
+			if res.opened {
+				verify(t, fdir, res, boundary)
+				total[o.name]++
+			} else {
+				firstOpen[o.name]++
+			}
 		}
 	}
 	for fi := range writes {
@@ -388,8 +391,9 @@ func TestFollowerKillMatrix(t *testing.T) {
 			crash(fmt.Sprintf("file%d/sync%d", fi, n), fi, faultfs.Fault{Op: faultfs.OpSync, N: n})
 		}
 	}
-	if total < 10 || firstOpen == 0 {
-		t.Fatalf("follower kill matrix exercised only %d boundaries (%d inside the first open) — profiling is broken", total, firstOpen)
+	if total["kill"] < 10 || firstOpen["kill"] == 0 || total["powercut"] != total["kill"] {
+		t.Fatalf("follower kill matrix exercised only %v boundaries (%v inside the first open) — profiling is broken", total, firstOpen)
 	}
-	t.Logf("follower kill matrix: %d crash boundaries verified, %d more inside the first open", total, firstOpen)
+	t.Logf("follower kill matrix: %d crash boundaries verified, %d more inside the first open; each again under a power cut, and %d+%d sync boundaries survived, then killed or cut",
+		total["kill"], firstOpen["kill"], total["survived"], firstOpen["survived"])
 }

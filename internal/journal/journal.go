@@ -151,12 +151,9 @@ type Journal struct {
 
 	// durable is the acknowledged-durable horizon: the highest batch
 	// sequence known to be on stable storage.
-	//
-	// vet:guardedby cmu
-	// vet:durable
-	durable uint64
-	syncing bool  // vet:guardedby cmu
-	wedged  error // vet:guardedby cmu
+	durable uint64 // vet:guardedby cmu
+	syncing bool   // vet:guardedby cmu
+	wedged  error  // vet:guardedby cmu
 
 	checkpoints uint64 // vet:guardedby mu // completed checkpoints
 
@@ -217,8 +214,6 @@ func Create(cfg Config, d *dyndoc.Document) (*Journal, error) {
 
 // writeCheckpoint serializes doc into ckpt-gen: everything Replay
 // rebuilds the labeling from — scheme, XML, preorder id list.
-//
-// vet:durable
 func writeCheckpoint(cfg Config, gen uint64, d *dyndoc.Document, baseSeq uint64) error {
 	return writeCheckpointMeta(cfg, gen, encodeMeta(checkpointMeta{
 		Scheme:   cfg.Scheme,
@@ -234,8 +229,6 @@ func writeCheckpoint(cfg Config, gen uint64, d *dyndoc.Document, baseSeq uint64)
 // keep leader ids for mirrored batches to stay replayable. The segment
 // is fully synced and closed before writeCheckpointMeta returns, so
 // its existence with a decodable END record proves it is complete.
-//
-// vet:durable
 func writeCheckpointMeta(cfg Config, gen uint64, metaPayload []byte, baseSeq uint64) error {
 	store, err := openStore(cfg, ckptPath(cfg.Dir, gen))
 	if err != nil {
@@ -339,8 +332,6 @@ func (j *Journal) setDurable(seq uint64) {
 // the condition variable; batches appended while the leader's fsync
 // is in flight are covered by the next leader. This is the group
 // commit pipeline.
-//
-// vet:ack
 func (j *Journal) waitDurable(seq uint64) error {
 	j.cmu.Lock()
 	for {
@@ -417,8 +408,6 @@ func (j *Journal) waitDurable(seq uint64) error {
 
 // Sync forces everything appended so far to stable storage,
 // regardless of mode.
-//
-// vet:ack
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	if j.closed {
@@ -462,8 +451,6 @@ func (j *Journal) flushLoop() {
 // and retires the old one. On return the journal appends to the new
 // log and the old pair has been removed; a crash anywhere inside
 // leaves either the old pair or the new pair recoverable.
-//
-// vet:ack
 func (j *Journal) Checkpoint(d *dyndoc.Document) error {
 	// Quiesce the commit pipeline before touching stores: claim
 	// leadership (or wait out the in-flight leader) so no group-commit
@@ -505,22 +492,22 @@ func (j *Journal) Checkpoint(d *dyndoc.Document) error {
 	}
 	reclaim := fileSize(ckptPath(j.cfg.Dir, j.gen)) + fileSize(logPath(j.cfg.Dir, j.gen))
 	next := j.gen + 1
-	if err := writeCheckpoint(j.cfg, next, d, j.seq); err != nil {
-		// The old pair is untouched; the incomplete ckpt-(next) is a
-		// crash signature recovery knows how to skip.
-		return err
+	err := writeCheckpoint(j.cfg, next, d, j.seq)
+	var store *segment
+	if err == nil {
+		store, err = openStore(j.cfg, logPath(j.cfg.Dir, next))
 	}
-	store, err := openStore(j.cfg, logPath(j.cfg.Dir, next))
 	if err != nil {
-		// ckpt-(next) is complete on disk. Left in place it would win
-		// the next Replay, which would delete log-(gen) as a stale
-		// generation — silently dropping every batch acknowledged into
-		// it after this failed checkpoint. Remove it durably so the old
-		// pair stays authoritative; if even the removal fails, wedge:
-		// the journal must not keep acknowledging batches a future
-		// Replay would drop.
-		if rmErr := os.Remove(ckptPath(j.cfg.Dir, next)); rmErr != nil {
-			err = fmt.Errorf("journal: checkpoint %d unusable (new log: %v) and not removable: %w", next, err, rmErr)
+		// ckpt-(next) may read back complete: the new log failed after
+		// it, or its fsync failed and left the bytes in the page cache.
+		// Left in place it would win the next Replay, which would delete
+		// log-(gen) as a stale generation — silently dropping every
+		// batch acknowledged into it after this failed checkpoint.
+		// Remove it durably so the old pair stays authoritative; if even
+		// the removal fails, wedge: the journal must not keep
+		// acknowledging batches a future Replay would drop.
+		if rmErr := os.Remove(ckptPath(j.cfg.Dir, next)); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
+			err = fmt.Errorf("journal: checkpoint %d unusable (%v) and not removable: %w", next, err, rmErr)
 			j.wedge(err)
 			return err
 		}

@@ -326,7 +326,7 @@ func TestCheckpointNewLogFailureKeepsOldGeneration(t *testing.T) {
 	dir := t.TempDir()
 	d := mustDoc(t, "<root/>")
 	// Files open in order: 0 = ckpt-0, 1 = log-0, 2 = ckpt-1, 3 = log-1.
-	wrap := wrapNth(3, faultfs.Fault{Op: faultfs.OpWrite, N: 1})
+	wrap := (&crashFiles{n: 3, fault: faultfs.Fault{Op: faultfs.OpWrite, N: 1}}).wrap
 	j, err := Create(Config{Dir: dir, Scheme: testScheme, WrapFile: wrap}, d)
 	if err != nil {
 		t.Fatal(err)

@@ -13,11 +13,16 @@ import (
 )
 
 // The kill matrix runs one deterministic workload once per I/O
-// boundary, injecting a fault at exactly that boundary and treating
-// the first error as a process kill: nothing further is issued, the
-// journal is abandoned as-is, and Replay must rebuild a document that
-// contains every batch whose durability was acknowledged — the
-// journal's one promise at durability=always.
+// boundary and crash outcome, injecting a fault at exactly that
+// boundary. A process kill treats the first error as death: nothing
+// further is issued, the journal is abandoned as-is and every written
+// byte survives. A power cut does the same and then leaves each file
+// with only what its last successful Sync covered. A survived sync
+// failure keeps the script going past failed waits and checkpoints, as
+// a process that outlives an fsync error does, and ends in a kill or a
+// power cut. Every way, Replay must rebuild a document that contains
+// every batch whose durability was acknowledged — the journal's one
+// promise at durability=always.
 
 // step is one scripted workload action: a batch generator (a
 // deterministic function of document state, so the reference and
@@ -29,27 +34,86 @@ type step struct {
 
 // crashRun is what a faulted workload run observed before "dying".
 type crashRun struct {
-	acked        int // batches whose wait() returned nil
+	acked        int // longest batch prefix a wait() acknowledged
 	applied      int // batches issued to the journal (acked + in-flight)
 	createFailed bool
 }
 
-// runScripted executes the script against a fresh journal in dir,
-// stopping at the first error, and leaves the directory exactly as
-// the crash left it (Close is only attempted when nothing failed —
-// a dead process does not get to flush).
-func runScripted(t *testing.T, dir string, wrap func(File) File, steps []step, clean bool) crashRun {
+// crashFiles wraps every file a run opens in a faultfs.File, arming
+// fault on the n-th (n < 0 arms none), so the run can end in a power
+// cut as well as in a kill.
+type crashFiles struct {
+	n     int
+	fault faultfs.Fault
+	files []*faultfs.File
+}
+
+func (c *crashFiles) wrap(f File) File {
+	var faults []faultfs.Fault
+	if len(c.files) == c.n {
+		faults = append(faults, c.fault)
+	}
+	ff := faultfs.Wrap(f.(faultfs.Backing), faults...)
+	c.files = append(c.files, ff)
+	return ff
+}
+
+// powerCut leaves every file the run opened with what its last
+// successful Sync covered.
+func (c *crashFiles) powerCut(t *testing.T) {
+	t.Helper()
+	for _, ff := range c.files {
+		if err := ff.PowerCut(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// ops returns per-file write and sync counts, in file-open order.
+func (c *crashFiles) ops() (writes, syncs []int) {
+	for _, ff := range c.files {
+		writes = append(writes, ff.Ops(faultfs.OpWrite))
+		syncs = append(syncs, ff.Ops(faultfs.OpSync))
+	}
+	return writes, syncs
+}
+
+// outcome is one way a run meets its fault: it kills the process, or —
+// for a sync fault — the process survives it and is killed at the end
+// of the script; cut follows either with a power cut.
+type outcome struct {
+	name  string
+	fault faultfs.Fault
+	cut   bool
+}
+
+// outcomes lists the crash outcomes every boundary is verified under.
+func outcomes(fault faultfs.Fault) []outcome {
+	out := []outcome{{"kill", fault, false}, {"powercut", fault, true}}
+	if fault.Op == faultfs.OpSync {
+		fault.Survive = true
+		out = append(out, outcome{"survived", fault, false}, outcome{"survived+powercut", fault, true})
+	}
+	return out
+}
+
+// runScripted executes the script against a fresh journal in dir and
+// leaves the directory exactly as the crash left it (Close is only
+// attempted on a clean run — a dead process does not get to flush). It
+// stops at the first error unless c's fault is survived.
+func runScripted(t *testing.T, dir string, c *crashFiles, steps []step, clean bool) crashRun {
 	t.Helper()
 	d := mustDoc(t, "<root/>")
-	cfg := Config{Dir: dir, Scheme: testScheme, WrapFile: wrap}
+	cfg := Config{Dir: dir, Scheme: testScheme, WrapFile: c.wrap}
 	j, err := Create(cfg, d)
 	if err != nil {
 		return crashRun{createFailed: true}
 	}
+	survive := c.fault.Survive
 	var run crashRun
 	for _, s := range steps {
 		if s.ckpt {
-			if err := j.Checkpoint(d); err != nil {
+			if err := j.Checkpoint(d); err != nil && !survive {
 				return run
 			}
 			continue
@@ -66,10 +130,13 @@ func runScripted(t *testing.T, dir string, wrap func(File) File, steps []step, c
 		run.applied++
 		if wait != nil {
 			if err := wait(); err != nil {
+				if survive {
+					continue
+				}
 				return run
 			}
 		}
-		run.acked++
+		run.acked = run.applied
 	}
 	if clean {
 		if err := j.Close(); err != nil {
@@ -103,34 +170,12 @@ func referenceXMLs(t *testing.T, steps []step) []string {
 // counts, in file-open order.
 func profileOps(t *testing.T, steps []step) (writes, syncs []int) {
 	t.Helper()
-	var files []*faultfs.File
-	wrap := func(f File) File {
-		ff := faultfs.Wrap(f.(faultfs.Backing))
-		files = append(files, ff)
-		return ff
-	}
-	run := runScripted(t, t.TempDir(), wrap, steps, true)
+	c := &crashFiles{n: -1}
+	run := runScripted(t, t.TempDir(), c, steps, true)
 	if run.acked != run.applied {
 		t.Fatalf("clean profile run acked %d of %d", run.acked, run.applied)
 	}
-	for _, ff := range files {
-		writes = append(writes, ff.Ops(faultfs.OpWrite))
-		syncs = append(syncs, ff.Ops(faultfs.OpSync))
-	}
-	return writes, syncs
-}
-
-// wrapNth arms one fault on the n-th file the journal opens.
-func wrapNth(n int, fault faultfs.Fault) func(File) File {
-	opened := 0
-	return func(f File) File {
-		idx := opened
-		opened++
-		if idx == n {
-			return faultfs.Wrap(f.(faultfs.Backing), fault)
-		}
-		return f
-	}
+	return c.ops()
 }
 
 // ckptBatches returns how many batches precede the first checkpoint
@@ -318,21 +363,28 @@ func TestKillMatrixAlways(t *testing.T) {
 	steps := killSteps(t)
 	refXML := referenceXMLs(t, steps)
 	writes, syncs := profileOps(t, steps)
-	total, inCreate, recreated := 0, 0, 0
+	total, inCreate, recreated := map[string]int{}, map[string]int{}, 0
 	crash := func(boundary string, fi int, fault faultfs.Fault) {
-		dir := t.TempDir()
-		run := runScripted(t, dir, wrapNth(fi, fault), steps, false)
-		if run.createFailed {
+		for _, o := range outcomes(fault) {
+			boundary := boundary + "/" + o.name
+			dir := t.TempDir()
+			c := &crashFiles{n: fi, fault: o.fault}
+			run := runScripted(t, dir, c, steps, false)
+			if o.cut {
+				c.powerCut(t)
+			}
+			if !run.createFailed {
+				verifyCrash(t, dir, steps, refXML, run, boundary)
+				total[o.name]++
+				continue
+			}
 			// The journal never existed and no promise was made — except
 			// that the directory stays usable.
-			if verifyCreateCrash(t, dir, boundary) {
+			if verifyCreateCrash(t, dir, boundary) && o.name == "kill" {
 				recreated++
 			}
-			inCreate++
-			return
+			inCreate[o.name]++
 		}
-		verifyCrash(t, dir, steps, refXML, run, boundary)
-		total++
 	}
 	for fi := range writes {
 		for n := 1; n <= writes[fi]; n++ {
@@ -344,10 +396,11 @@ func TestKillMatrixAlways(t *testing.T) {
 			crash(fmt.Sprintf("file%d/sync%d", fi, n), fi, faultfs.Fault{Op: faultfs.OpSync, N: n})
 		}
 	}
-	if total < 10 || recreated == 0 || recreated == inCreate {
-		t.Fatalf("kill matrix exercised only %d boundaries, %d inside Create (%d re-created) — profiling is broken", total, inCreate, recreated)
+	if total["kill"] < 10 || recreated == 0 || recreated == inCreate["kill"] || total["powercut"] != total["kill"] {
+		t.Fatalf("kill matrix exercised only %v boundaries, %v inside Create (%d re-created) — profiling is broken", total, inCreate, recreated)
 	}
-	t.Logf("kill matrix: %d crash boundaries verified, %d more inside Create (%d re-created, %d recovered)", total, inCreate, recreated, inCreate-recreated)
+	t.Logf("kill matrix: %d crash boundaries verified, %d more inside Create (%d re-created, %d recovered); each again under a power cut, and %d+%d sync boundaries survived, then killed or cut",
+		total["kill"], inCreate["kill"], recreated, inCreate["kill"]-recreated, total["survived"], inCreate["survived"])
 }
 
 // TestCrashRequiresRecoverFlag pins the API contract: a journal left
@@ -359,7 +412,7 @@ func TestCrashRequiresRecoverFlag(t *testing.T) {
 	dir := t.TempDir()
 	// Tear the final write of the log (file 3 is log-1 after the
 	// checkpoint; its last flush carries the tail batches).
-	run := runScripted(t, dir, wrapNth(3, faultfs.Fault{Op: faultfs.OpWrite, N: writes[3], Short: 3}), steps, false)
+	run := runScripted(t, dir, &crashFiles{n: 3, fault: faultfs.Fault{Op: faultfs.OpWrite, N: writes[3], Short: 3}}, steps, false)
 	if run.createFailed {
 		t.Fatal("unexpected create failure")
 	}
@@ -386,25 +439,29 @@ func TestReplayEquivalenceRandom(t *testing.T) {
 			steps := randomSteps(t, seed, 14)
 			refXML := referenceXMLs(t, steps)
 			writes, syncs := profileOps(t, steps)
+			crash := func(boundary string, fi int, fault faultfs.Fault) {
+				for _, o := range outcomes(fault) {
+					dir := t.TempDir()
+					c := &crashFiles{n: fi, fault: o.fault}
+					run := runScripted(t, dir, c, steps, false)
+					if o.cut {
+						c.powerCut(t)
+					}
+					if run.createFailed {
+						continue
+					}
+					applied := verifyCrash(t, dir, steps, refXML, run, boundary+"/"+o.name)
+					if fault.Op == faultfs.OpWrite {
+						verifyQueries(t, dir, steps, applied)
+					}
+				}
+			}
 			for fi := range writes {
 				for n := 1; n <= writes[fi]; n++ {
-					boundary := fmt.Sprintf("file%d/write%d", fi, n)
-					dir := t.TempDir()
-					run := runScripted(t, dir, wrapNth(fi, faultfs.Fault{Op: faultfs.OpWrite, N: n, Short: n % 7}), steps, false)
-					if run.createFailed {
-						continue
-					}
-					applied := verifyCrash(t, dir, steps, refXML, run, boundary)
-					verifyQueries(t, dir, steps, applied)
+					crash(fmt.Sprintf("file%d/write%d", fi, n), fi, faultfs.Fault{Op: faultfs.OpWrite, N: n, Short: n % 7})
 				}
 				for n := 1; n <= syncs[fi]; n++ {
-					boundary := fmt.Sprintf("file%d/sync%d", fi, n)
-					dir := t.TempDir()
-					run := runScripted(t, dir, wrapNth(fi, faultfs.Fault{Op: faultfs.OpSync, N: n}), steps, false)
-					if run.createFailed {
-						continue
-					}
-					verifyCrash(t, dir, steps, refXML, run, boundary)
+					crash(fmt.Sprintf("file%d/sync%d", fi, n), fi, faultfs.Fault{Op: faultfs.OpSync, N: n})
 				}
 			}
 		})

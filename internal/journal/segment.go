@@ -142,8 +142,6 @@ func (s *segment) Write(id uint64, payload []byte) error {
 // loses them. Sync is Flush followed by SyncFile; the group-commit
 // pipeline, which fsyncs outside its append lock, uses the two halves
 // directly.
-//
-// vet:durable
 func (s *segment) Sync() error {
 	if err := s.Flush(); err != nil {
 		return err
@@ -170,8 +168,6 @@ func (s *segment) Flush() error {
 // group-commit pipeline fsyncs outside its append lock): it only
 // reads the file handle, and a record racing the fsync simply isn't
 // covered by it. Two SyncFile calls must not run concurrently.
-//
-// vet:durable
 func (s *segment) SyncFile() error {
 	if s.closed {
 		return ErrClosed

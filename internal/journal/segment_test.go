@@ -733,7 +733,7 @@ func FuzzReadAll(f *testing.F) {
 // number of batches whose Sync succeeded.
 func driveStore(t *testing.T, path string, batches int, perBatch int, faults ...faultfs.Fault) (written []record, syncedBatches int, failed error) {
 	t.Helper()
-	s, err := openStore(Config{WrapFile: func(f File) File { return faultfs.Wrap(f, faults...) }}, path)
+	s, err := openStore(Config{WrapFile: func(f File) File { return faultfs.Wrap(f.(faultfs.Backing), faults...) }}, path)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -10,14 +10,12 @@
 // atomically; the set is not a point-in-time cut) and are what
 // `cmd/experiments -metrics-json` writes out.
 //
-// Every instrument implements expvar.Var (String returns JSON), and
-// Registry.Publish exposes a whole registry through the stdlib expvar
-// page.
+// Every instrument implements expvar.Var (String returns JSON);
+// internal/web serves the Default registry at /debug/vars itself.
 package metrics
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -394,10 +392,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "}\n")
 	return err
-}
-
-// Publish registers the whole registry as one expvar variable. It
-// follows expvar semantics: publishing the same name twice panics.
-func (r *Registry) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() interface{} { return r.Snapshot() }))
 }

@@ -182,8 +182,6 @@ func (pf *File) WritePage(buf []byte) error {
 // then write the meta into the slot the previous commit did not use,
 // then fsync again. A crash before the second fsync leaves the old
 // slot winning; after it, the new one. The epoch is assigned here.
-//
-// vet:durable
 func (pf *File) Commit(m Meta) error {
 	if err := pf.f.Sync(); err != nil {
 		return fmt.Errorf("pagestore: %w", err)

@@ -126,8 +126,8 @@ func (c Code) EndsValid() bool {
 
 // Raw digit-value suffixes for single-allocation code construction:
 // appending or splicing with a constant compiles to one string
-// concatenation, where append(dropLast(), d...) would allocate per
-// digit.
+// concatenation, where dropping the last digit and appending another
+// would allocate per digit.
 const (
 	rawD2  = "\x02"
 	rawD3  = "\x03"
@@ -136,9 +136,6 @@ const (
 
 // append returns c with one digit appended.
 func (c Code) append(d byte) Code { return Code{digits: c.digits + string(d)} }
-
-// dropLast returns c without its final digit.
-func (c Code) dropLast() Code { return Code{digits: c.digits[:len(c.digits)-1]} }
 
 // spliceLast returns c with its final digit replaced by the raw digit
 // suffix, in one allocation.

@@ -4,12 +4,13 @@
 #
 #   1. gofmt, go vet, go build (both tag states)
 #   2. go test ./..., plain, under -tags invariants and under -race,
-#      then the clone-isolation and storm tests three more times
+#      then the clone-isolation and storm tests three more times;
+#      labelvet runs here, as internal/analysis's TestRepoClean (both
+#      tag states), fixture and exit-code tests
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
-#   4. labelvet (both tag states, concurrency tier, fixture coverage)
-#   5. bench smoke, metrics smoke
-#   6. httpd smoke, replication smoke
-#   7. benchmark module (build, vet, test, smoke run)
+#   4. bench smoke, metrics smoke
+#   5. httpd smoke, replication smoke
+#   6. benchmark module (build, vet, test, smoke run)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,25 +46,6 @@ go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStam
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
-
-echo "==> labelvet ./..."
-go run ./cmd/labelvet ./...
-
-echo "==> labelvet -tags invariants ./..."
-go run ./cmd/labelvet -tags invariants ./...
-
-echo "==> labelvet concurrency/durability tier (both tag states)"
-go run ./cmd/labelvet -only guardedby,atomicmix,ackorder,lockorder ./...
-go run ./cmd/labelvet -only guardedby,atomicmix,ackorder,lockorder -tags invariants ./...
-
-echo "==> labelvet fixture coverage (every analyzer has a fixture dir)"
-go run ./cmd/labelvet -list | while read -r name _; do
-	dir="internal/analysis/testdata/src/$name"
-	if ! ls "$dir"/*.go >/dev/null 2>&1; then
-		echo "labelvet: analyzer $name has no fixture under $dir" >&2
-		exit 1
-	fi
-done
 
 echo "==> bench smoke (-benchtime 1x)"
 go test -run '^$' -bench . -benchtime 1x ./internal/bitstr ./internal/cdbs ./internal/qed ./internal/containment
