@@ -13,6 +13,11 @@
 // Requests are built from URLs parsed once per Doc; replies state their
 // Content-Length and are read into a buffer of that size (pooled when
 // the client decodes them itself), a chunked one as it comes.
+//
+// Of an *http.Client the package uses only the Transport, to send each
+// attempt, and the Timeout, to bound it from the send to the end of the
+// reply's body. Redirects are not followed: a 3xx comes back as an
+// *APIError. There is no cookie jar.
 package client
 
 import (
@@ -94,9 +99,13 @@ func (e *APIError) Is(target error) bool {
 // Option configures Dial.
 type Option func(*Client)
 
-// WithHTTPClient substitutes the underlying HTTP client (custom
-// transport, TLS, instrumentation).
-func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
+// WithHTTPClient substitutes the transport (TLS, instrumentation) and
+// the timeout of each attempt, zero for none: of hc only Transport (nil
+// for http.DefaultTransport) and Timeout are used. Redirects are not
+// followed, and no cookie jar is consulted.
+func WithHTTPClient(hc *http.Client) Option {
+	return func(c *Client) { c.rt, c.timeout = hc.Transport, hc.Timeout }
+}
 
 // WithRetries sets how many attempts a retryable call gets (default 3;
 // 1 disables retrying).
@@ -111,7 +120,8 @@ func WithRetries(n int) Option {
 // Client talks to one dynxmld server. It is safe for concurrent use.
 type Client struct {
 	base    string
-	hc      *http.Client
+	rt      http.RoundTripper
+	timeout time.Duration // of each attempt; zero for none
 	retries int
 	list    *url.URL // GET /v1/docs
 }
@@ -122,7 +132,7 @@ type Client struct {
 func Dial(base string, opts ...Option) (*Client, error) {
 	c := &Client{
 		base:    strings.TrimRight(base, "/"),
-		hc:      &http.Client{Timeout: DefaultTimeout},
+		timeout: DefaultTimeout,
 		retries: defaultRetries,
 	}
 	u, err := url.Parse(c.base + "/v1/docs")
@@ -132,6 +142,9 @@ func Dial(base string, opts ...Option) (*Client, error) {
 	c.list = u
 	for _, opt := range opts {
 		opt(c)
+	}
+	if c.rt == nil {
+		c.rt = http.DefaultTransport
 	}
 	return c, nil
 }
@@ -151,7 +164,7 @@ func newRequestID() string {
 // id, retrying 503s and (for body-less requests) transport errors.
 // The caller owns the returned response body.
 func (c *Client) do(method string, u *url.URL, body []byte) (*http.Response, error) {
-	h := http.Header{"X-Request-Id": {newRequestID()}}
+	h := http.Header{"X-Request-Id": {newRequestID()}, "Accept-Encoding": identity}
 	if body != nil {
 		h["Content-Type"] = jsonType
 	}
@@ -160,7 +173,7 @@ func (c *Client) do(method string, u *url.URL, body []byte) (*http.Response, err
 		if attempt > 0 {
 			time.Sleep(retryBackoff << (attempt - 1))
 		}
-		resp, err := c.hc.Do(newRequest(method, u, h, body))
+		resp, err := c.send(method, u, h, body)
 		if err != nil {
 			lastErr = err
 			// A failed send with no response may still have applied on
@@ -182,19 +195,61 @@ func (c *Client) do(method string, u *url.URL, body []byte) (*http.Response, err
 var (
 	jsonType  = []string{"application/json"}
 	emptyBody = []byte("{}")
+	// identity asks for the reply as it is, which is how the server
+	// sends it; without it the transport adds its own header map per
+	// request to ask for gzip.
+	identity = []string{"identity"}
 )
+
+// send makes one attempt on the client's transport, under a pooled
+// deadline when the client has a timeout: the deadline wraps the reply's
+// body, whose Close releases it.
+func (c *Client) send(method string, u *url.URL, h http.Header, body []byte) (*http.Response, error) {
+	if c.timeout <= 0 {
+		return roundTrip(c.rt, newRequest(context.Background(), method, u, h, body))
+	}
+	d := startDeadline(c.timeout)
+	resp, err := roundTrip(c.rt, newRequest(d, method, u, h, body))
+	if err != nil {
+		d.release()
+		return nil, err
+	}
+	d.body, resp.Body = resp.Body, d
+	return resp, nil
+}
+
+// roundTrip sends req on rt, holding what rt returns to the rules
+// http.Client holds it to, and reports a failure as http.Client does, in
+// a *url.Error.
+func roundTrip(rt http.RoundTripper, req *http.Request) (*http.Response, error) {
+	resp, err := rt.RoundTrip(req)
+	switch {
+	case err != nil:
+	case resp == nil:
+		err = fmt.Errorf("http: RoundTripper implementation (%T) returned a nil *Response with a nil error", rt)
+	case resp.Body == nil && resp.ContentLength > 0:
+		err = fmt.Errorf("http: RoundTripper implementation (%T) returned a *Response with content length %d but a nil Body", rt, resp.ContentLength)
+	case resp.Body == nil:
+		resp.Body = http.NoBody
+	}
+	if err != nil {
+		op := req.Method[:1] + strings.ToLower(req.Method[1:])
+		return nil, &url.Error{Op: op, URL: req.URL.Redacted(), Err: err}
+	}
+	return resp, nil
+}
 
 // newRequest is every request the client sends: u, shared by its
 // route's calls, and h, by a call's retries, are only read. GetBody lets
 // the transport resend a body a dead kept-alive connection never took.
-func newRequest(method string, u *url.URL, h http.Header, body []byte) *http.Request {
-	r := &http.Request{Method: method, URL: u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: h}
+func newRequest(ctx context.Context, method string, u *url.URL, h http.Header, body []byte) *http.Request {
+	r := http.Request{Method: method, URL: u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: h}
 	if body != nil {
 		r.GetBody = func() (io.ReadCloser, error) { rd := new(bodyReader); rd.Reset(body); return rd, nil }
 		r.Body, _ = r.GetBody()
 		r.ContentLength = int64(len(body))
 	}
-	return r
+	return r.WithContext(ctx) // the one allocation of the request itself
 }
 
 type bodyReader struct{ bytes.Reader }
@@ -616,12 +671,9 @@ func (d *Doc) Watch(ctx context.Context, path string) (<-chan Notification, func
 		return nil, nil, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	h := http.Header{"X-Request-Id": {newRequestID()}, "Accept": {"text/event-stream"}}
-	req := newRequest("GET", u, h, nil).WithContext(ctx)
-	// The SSE stream outlives any sane request timeout: use the
-	// transport without the client's deadline.
-	hc := &http.Client{Transport: d.c.hc.Transport}
-	resp, err := hc.Do(req)
+	h := http.Header{"X-Request-Id": {newRequestID()}, "Accept": {"text/event-stream"}, "Accept-Encoding": identity}
+	// The SSE stream outlives any sane request timeout: no deadline.
+	resp, err := roundTrip(d.c.rt, newRequest(ctx, "GET", u, h, nil))
 	if err != nil {
 		cancel()
 		return nil, nil, err

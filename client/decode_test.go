@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // queryReply is the query route's reply as a struct.
@@ -306,15 +307,17 @@ func (s stubTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 var raceSlack float64
 
 // TestRequestAllocs pins what a query and an insert cost the client
-// against a transport that costs nearly nothing, through an http.Client
-// without a Timeout (whose context, timer and goroutine add about 20,
-// not all of them every time): 19 and 20 allocations, 31 and 36 before
-// the client built its requests itself. A memory profile puts 10 in the
-// request (itself; its URL, a copy of the document's, and the route's
-// path; its header map (2), the id and its value slice; the body, its
-// reader and GetBody), 1 in the query's ids or 2 in the ack's results
-// and ids, 3 in the stub's response and 5 in http.Client, 4 of them the
-// header clone it keeps for redirects.
+// against a transport that costs nearly nothing: 14 and 15 allocations,
+// with the benchmark's Timeout as without one. Before the client sent
+// each attempt on the transport itself, an http.Client took 19 and 20
+// without a Timeout and 42 with one: 5 for its redirect bookkeeping (4
+// of them the header clone it keeps for redirects), and under a Timeout
+// a context, timer and body wrapper per call that the pooled deadline
+// now reuses. A memory profile puts 10 in the request (itself; its URL,
+// a copy of the document's, and the route's path; its header map (2),
+// the id and its value slice; the body, its reader and GetBody), 1 in
+// the query's ids or 2 in the ack's results and ids, and 3 in the stub's
+// response.
 func TestRequestAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -322,28 +325,31 @@ func TestRequestAllocs(t *testing.T) {
 		call  func(d *Doc) error
 		pin   float64
 	}{
-		{"query", canonicalReply(seqIDs(40)), func(d *Doc) error { _, err := d.Query("//act/scene/speech"); return err }, 19},
+		{"query", canonicalReply(seqIDs(40)), func(d *Doc) error { _, err := d.Query("//act/scene/speech"); return err }, 14},
 		{"insert", canonicalAck([]EditResult{{IDs: []int{41}}}, 7), func(d *Doc) error {
 			_, err := d.InsertElement(12, 0, "x")
 			return err
-		}, 20},
+		}, 15},
 	} {
-		c, err := Dial("http://127.0.0.1:1", WithHTTPClient(&http.Client{Transport: stubTransport{tc.reply}}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := &Doc{c: c, name: "doc-00"}
-		if err := tc.call(d); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(200, func() {
+		for _, timeout := range []time.Duration{0, DefaultTimeout} {
+			hc := &http.Client{Transport: stubTransport{tc.reply}, Timeout: timeout}
+			c, err := Dial("http://127.0.0.1:1", WithHTTPClient(hc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &Doc{c: c, name: "doc-00"}
 			if err := tc.call(d); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%s: %.0f allocations", tc.name, allocs)
-		if allocs > tc.pin+raceSlack {
-			t.Errorf("%s: %.0f allocations, pinned at %.0f", tc.name, allocs, tc.pin)
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := tc.call(d); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s, timeout %v: %.0f allocations", tc.name, timeout, allocs)
+			if allocs > tc.pin+raceSlack {
+				t.Errorf("%s, timeout %v: %.0f allocations, pinned at %.0f", tc.name, timeout, allocs, tc.pin)
+			}
 		}
 	}
 }
