@@ -522,6 +522,101 @@ func TestDurableCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// bigFragment is an element holding n bytes of text.
+func bigFragment(name string, n int) *Node {
+	e := xmltree.NewElement(name)
+	e.AppendChild(xmltree.NewText(strings.Repeat("x", n)))
+	return e
+}
+
+// TestDurableOversizeBatchRefused: a batch that encodes past the 16 MiB
+// record limit used to be acknowledged and then cut, with every batch
+// acknowledged after it, by the next open's recovery. It is refused
+// before anything is written, the document publishes nothing, and the
+// journal keeps taking edits that a plain reopen returns.
+func TestDurableOversizeBatchRefused(t *testing.T) {
+	h, dir := openDurable(t)
+	roots, err := h.QueryString("/root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.InsertTree(roots[0], 0, bigFragment("big", 17<<20)); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("17 MiB InsertTree = %v, want ErrRecordTooLarge", err)
+	}
+	if n, err := h.Count("//big"); err != nil || n != 0 {
+		t.Fatalf("Count(//big) = %d, %v; the refused batch was published", n, err)
+	}
+	if _, _, err := h.InsertElement(roots[0], 0, "small"); err != nil {
+		t.Fatalf("insert after a refused batch: %v", err)
+	}
+	want := h.XML()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(nil, WithJournal(dir))
+	if err != nil {
+		t.Fatalf("reopen without WithRecover: %v", err)
+	}
+	defer r.Close()
+	if got := r.XML(); got != want {
+		t.Fatalf("reopened XML = %s, want %s", got, want)
+	}
+}
+
+// TestDurableOversizeDocumentRefused: a document whose checkpoint would
+// exceed the record limit is refused by Open WithJournal, which leaves
+// no journal behind.
+func TestDurableOversizeDocumentRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	src := "<root><big>" + strings.Repeat("x", 17<<20) + "</big></root>"
+	if h, err := Open(src, WithJournal(dir)); !errors.Is(err, ErrRecordTooLarge) {
+		if err == nil {
+			_ = h.Close()
+		}
+		t.Fatalf("Open of a 17 MiB document = %v, want ErrRecordTooLarge", err)
+	}
+	if ok, err := journal.Exists(dir); err != nil || ok {
+		t.Fatalf("journal.Exists after a refused Open = %v, %v; want false", ok, err)
+	}
+}
+
+// TestDurableOversizeCheckpointRefused: a document grown past the
+// record limit by edits that each fit used to checkpoint into a file
+// no open could read, and replaced the only readable pair with it. Its
+// Checkpoint fails, the journal keeps appending to the old pair, and
+// the document reopens with every edit.
+func TestDurableOversizeCheckpointRefused(t *testing.T) {
+	h, dir := openDurable(t)
+	roots, err := h.QueryString("/root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"big1", "big2"} {
+		if _, _, err := h.InsertTree(roots[0], 0, bigFragment(name, 9<<20)); err != nil {
+			t.Fatalf("9 MiB InsertTree: %v", err)
+		}
+	}
+	if err := h.Checkpoint(); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("Checkpoint of an 18 MiB document = %v, want ErrRecordTooLarge", err)
+	}
+	if _, _, err := h.InsertElement(roots[0], 0, "small"); err != nil {
+		t.Fatalf("insert after a refused checkpoint: %v", err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(nil, WithJournal(dir))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	for _, q := range []string{"/root/big1", "/root/big2", "/root/small"} {
+		if n, err := r.Count(q); err != nil || n != 1 {
+			t.Fatalf("reopened Count(%s) = %d, %v; want 1", q, n, err)
+		}
+	}
+}
+
 // TestDurabilityString covers the mode names shown in stats output.
 func TestDurabilityString(t *testing.T) {
 	if s := Always.String(); s != "always" {

@@ -335,6 +335,14 @@ var ErrClosed = errors.New("dynxml: handle is closed")
 // when a journal bears crash damage and WithRecover was not given.
 var ErrRecoveryTruncated = journal.ErrRecoveryTruncated
 
+// ErrRecordTooLarge matches, via errors.Is, the error a journaled
+// handle returns when one journal record would exceed 16 MiB: an edit
+// batch that encodes past it (the edit is not applied), a Checkpoint of
+// a document that has grown past it (the journal keeps the previous
+// checkpoint), or an Open WithJournal of such a document (no journal
+// is created).
+var ErrRecordTooLarge = journal.ErrRecordTooLarge
+
 // Handle is an opened document: one labeled, queryable, editable XML
 // tree. A concurrent handle (WithConcurrent) routes every call
 // through snapshot isolation; a plain handle edits in place with no

@@ -54,7 +54,7 @@ func (f *Follower) bootstrap() error {
 	f.idmap = r.idmap
 	f.store = r.store
 	f.mu.Lock()
-	f.gen = r.info.Checkpoint
+	f.gen = r.gen
 	f.schemeName = r.info.Scheme
 	f.seq = r.seq
 	f.horizon = r.seq
@@ -67,8 +67,10 @@ func (f *Follower) bootstrap() error {
 
 // pollFetch is one poll round: pull a chunk, adopt its snapshot
 // if it carries one, apply and mirror the batches, then advance the
-// horizon. A fetch transport error is transient; everything after a
-// successful fetch is validated history, so failures there are sticky.
+// horizon. A fetch transport error is transient, and so is a snapshot
+// adoption whose mirror writes failed and were removed; everything else
+// after a successful fetch is validated history, so failures there are
+// sticky.
 //
 // vet:holds f.pollMu
 func (f *Follower) pollFetch() error {
@@ -161,45 +163,28 @@ func (f *Follower) adoptChunk(chunk *ShipChunk) error {
 	if chunk.Horizon < seq {
 		return f.fail(fmt.Errorf("journal: follower: leader horizon %d below shipped batch %d", chunk.Horizon, seq))
 	}
-	// Mirror the new generation durably before publishing it.
+	// Mirror the new generation durably before publishing it. A start
+	// that failed cleanly left the old generation as it was, so the next
+	// poll can try again.
 	oldGen := f.genLocal()
 	newGen := oldGen + 1
 	if f.doc == nil {
 		newGen = 0
 	}
-	cfg := Config{Dir: f.cfg.Dir, WrapFile: f.cfg.WrapFile}
-	if err := writeCheckpointMeta(cfg, newGen, chunk.Snapshot, meta.BaseSeq); err != nil {
+	store, err := startGen(Config{Dir: f.cfg.Dir, WrapFile: f.cfg.WrapFile}, newGen, meta, chunk.Batches)
+	if errors.Is(err, errLeftover) {
 		return f.fail(err)
 	}
-	store, err := openStore(cfg, logPath(f.cfg.Dir, newGen))
 	if err != nil {
-		return f.fail(err)
+		return err
 	}
-	for _, b := range chunk.Batches {
-		if err := store.Write(b.Seq, b.Payload); err != nil {
-			_ = store.Close()
-			return f.fail(err)
-		}
-	}
-	if err := store.Sync(); err != nil {
-		_ = store.Close()
-		return f.fail(err)
-	}
-	syncDir(f.cfg.Dir)
 	// Publish, swap mirror state, drop the old generation.
 	reset := f.doc != nil
-	if reset {
-		if err := f.doc.Reset(d); err != nil {
-			_ = store.Close()
-			return f.fail(err)
-		}
-	} else {
-		c, err := dyndoc.NewConcurrentFrom(d)
-		if err != nil {
-			_ = store.Close()
-			return f.fail(err)
-		}
-		f.doc = c
+	if !reset {
+		f.doc, _ = dyndoc.NewConcurrentFrom(d) // its error is always nil
+	} else if err := f.doc.Reset(d); err != nil {
+		_ = store.Close()
+		return f.fail(err)
 	}
 	if f.store != nil {
 		_ = f.store.Close()
@@ -207,9 +192,10 @@ func (f *Follower) adoptChunk(chunk *ShipChunk) error {
 	f.store = store
 	f.idmap = idmap
 	if reset {
-		_ = os.Remove(ckptPath(f.cfg.Dir, oldGen))
-		_ = os.Remove(logPath(f.cfg.Dir, oldGen))
-		syncDir(f.cfg.Dir)
+		// A generation that stays behind is stale: the next bootstrap
+		// retires it.
+		_ = retireGens(f.cfg.Dir, oldGen)
+		mFollowerResets.Inc()
 	}
 	f.mu.Lock()
 	f.gen = newGen
@@ -223,9 +209,6 @@ func (f *Follower) adoptChunk(chunk *ShipChunk) error {
 		f.resets++
 	}
 	f.mu.Unlock()
-	if reset {
-		mFollowerResets.Inc()
-	}
 	mFollowerApplied.Add(int64(len(chunk.Batches)))
 	return nil
 }

@@ -277,9 +277,7 @@ func TestFollowerKillMatrix(t *testing.T) {
 		res.issued = 2
 		f, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: fetchVia(j), Manual: true, WrapFile: c.wrap})
 		if err != nil {
-			if cut {
-				c.powerCut(t)
-			}
+			c.die(t, cut)
 			f2, err := OpenFollower(FollowerConfig{Dir: fdir, Fetch: fetchVia(j), Manual: true})
 			if err != nil {
 				t.Fatalf("%s: restart after a kill inside the first open: %v", boundary, err)
@@ -298,9 +296,7 @@ func TestFollowerKillMatrix(t *testing.T) {
 		defer func() {
 			res.horizon = f.Horizon()
 			_ = f.Close()
-			if cut {
-				c.powerCut(t)
-			}
+			c.die(t, cut)
 		}()
 		step := func(ckpt bool, name string) bool {
 			if ckpt {

@@ -73,9 +73,9 @@ type Config struct {
 	// writing — the fault-injection seam the kill matrix uses.
 	WrapFile func(f File) File
 	// Recover permits Replay to repair crash damage (truncate a torn
-	// log tail, discard an incomplete checkpoint, recreate a missing
-	// log, remove stray segments). Without it Replay refuses such
-	// journals with ErrRecoveryTruncated.
+	// log tail, discard an incomplete checkpoint, start a generation
+	// over a checkpoint whose log is missing, remove stray segments).
+	// Without it Replay refuses such journals with ErrRecoveryTruncated.
 	Recover bool
 }
 
@@ -107,11 +107,14 @@ var ErrExists = errors.New("journal: already exists")
 // are).
 var ErrRecoveryTruncated = errors.New("journal: recovery requires truncation")
 
-// Reserved record ids in checkpoint segments. Node ids are small
-// non-negative ints, so the top of the id space is free.
+// Reserved record ids. A log's records are batches under their
+// sequence numbers, which never reach the top of the id space; a
+// checkpoint is a meta record and an END trailer, and a ship chunk
+// (ship.go) ends with a horizon record.
 const (
-	metaRecordID = ^uint64(0)
-	endRecordID  = ^uint64(0) - 1
+	metaRecordID    = ^uint64(0)
+	endRecordID     = ^uint64(0) - 1
+	horizonRecordID = ^uint64(0) - 2
 )
 
 func ckptPath(dir string, gen uint64) string {
@@ -191,7 +194,9 @@ func syncDir(dir string) {
 // the document's current state, and an empty log 0. The directory is
 // created if missing and must not already contain a journal (the
 // residue of an earlier Create that never finished is not one — see
-// segments — and is written over).
+// segments — and is written over). A document whose checkpoint would
+// exceed the record limit is refused with ErrRecordTooLarge, and no
+// journal is left behind.
 func Create(cfg Config, d *dyndoc.Document) (*Journal, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -201,52 +206,80 @@ func Create(cfg Config, d *dyndoc.Document) (*Journal, error) {
 	} else if len(gens) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrExists, cfg.Dir)
 	}
-	if err := writeCheckpoint(cfg, 0, d, 0); err != nil {
-		return nil, err
-	}
-	store, err := openStore(cfg, logPath(cfg.Dir, 0))
+	store, err := startGen(cfg, 0, checkpointOf(cfg.Scheme, d, 0), nil)
 	if err != nil {
 		return nil, err
 	}
-	syncDir(cfg.Dir)
 	return newJournal(cfg, store, 0, 0, 0), nil
 }
 
-// writeCheckpoint serializes doc into ckpt-gen: everything Replay
-// rebuilds the labeling from — scheme, XML, preorder id list.
-func writeCheckpoint(cfg Config, gen uint64, d *dyndoc.Document, baseSeq uint64) error {
-	return writeCheckpointMeta(cfg, gen, encodeMeta(checkpointMeta{
-		Scheme:   cfg.Scheme,
+// checkpointOf is the checkpoint of d: everything Replay rebuilds the
+// labeling from — scheme, XML, preorder id list.
+func checkpointOf(scheme string, d *dyndoc.Document, baseSeq uint64) checkpointMeta {
+	return checkpointMeta{
+		Scheme:   scheme,
 		XML:      d.XML(),
 		PreOrder: append([]int(nil), d.Labeling().Tree().PreOrder()...),
 		BaseSeq:  baseSeq,
-	}), baseSeq)
+	}
 }
 
-// writeCheckpointMeta writes ckpt-gen as an encoded meta record and an
-// END trailer — the whole checkpoint format. A follower's mirror hands
-// in the leader's meta payload verbatim, since its preorder list must
-// keep leader ids for mirrored batches to stay replayable. The segment
-// is fully synced and closed before writeCheckpointMeta returns, so
-// its existence with a decodable END record proves it is complete.
-func writeCheckpointMeta(cfg Config, gen uint64, metaPayload []byte, baseSeq uint64) error {
-	store, err := openStore(cfg, ckptPath(cfg.Dir, gen))
+// errLeftover marks a failed startGen whose files could not be removed:
+// a later open may pick them, so the caller must stop acknowledging.
+var errLeftover = errors.New("journal: failed generation not removable")
+
+// startGen and retireGens are the generation protocol, the only code
+// that creates or removes a ckpt-N or log-N; Create, Checkpoint, a
+// follower's snapshot adoption and openDir's repair call them.
+//
+// startGen starts generation gen: ckpt-gen holding meta and the END
+// trailer that proves it complete, synced; then log-gen holding
+// batches, synced; then the directory. It returns log-gen open for
+// appending. A start that fails removes what it created, so the
+// generations there before it stay authoritative; when even that
+// removal fails the error wraps errLeftover.
+func startGen(cfg Config, gen uint64, meta checkpointMeta, batches []ShipBatch) (*segment, error) {
+	store, err := writeGen(cfg, gen, meta, batches)
 	if err != nil {
-		return err
+		if rmErr := retireGens(cfg.Dir, gen); rmErr != nil {
+			return nil, fmt.Errorf("%w: generation %d failed (%v), then: %v", errLeftover, gen, err, rmErr)
+		}
+		return nil, err
 	}
-	if err := store.Write(metaRecordID, metaPayload); err != nil {
-		_ = store.Close()
-		return err
+	syncDir(cfg.Dir)
+	return store, nil
+}
+
+// writeGen writes the two files of startGen.
+func writeGen(cfg Config, gen uint64, meta checkpointMeta, batches []ShipBatch) (*segment, error) {
+	ckpt, err := openStore(cfg, ckptPath(cfg.Dir, gen),
+		record{metaRecordID, encodeMeta(meta)}, record{endRecordID, encodeEnd(checkpointEnd{BaseSeq: meta.BaseSeq})})
+	if err == nil {
+		err = ckpt.Close()
 	}
-	if err := store.Write(endRecordID, encodeEnd(checkpointEnd{BaseSeq: baseSeq})); err != nil {
-		_ = store.Close()
-		return err
+	if err != nil {
+		return nil, err
 	}
-	if err := store.Sync(); err != nil {
-		_ = store.Close()
-		return err
+	recs := make([]record, len(batches))
+	for i, b := range batches {
+		recs[i] = record{b.Seq, b.Payload}
 	}
-	return store.Close()
+	return openStore(cfg, logPath(cfg.Dir, gen), recs...)
+}
+
+// retireGens removes each generation, its log and then its checkpoint,
+// syncs the directory and reports the first removal that failed.
+func retireGens(dir string, gens ...uint64) error {
+	var first error
+	for _, gen := range gens {
+		for _, path := range []string{logPath(dir, gen), ckptPath(dir, gen)} {
+			if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) && first == nil {
+				first = fmt.Errorf("journal: %w", err)
+			}
+		}
+	}
+	syncDir(dir)
+	return first
 }
 
 // Append writes one committed batch to the log and returns a wait
@@ -255,7 +288,9 @@ func writeCheckpointMeta(cfg Config, gen uint64, metaPayload []byte, baseSeq uin
 // SyncNone). Callers must not acknowledge the batch to their own
 // clients before wait returns; the commit hook wiring in dyndoc calls
 // wait after snapshot publication, outside the writer mutex, which is
-// what lets concurrent writers share one fsync.
+// what lets concurrent writers share one fsync. A batch that encodes
+// past the record limit fails with ErrRecordTooLarge and leaves the
+// journal usable.
 func (j *Journal) Append(edits []dyndoc.Edit, results []dyndoc.EditResult) (wait func() error, err error) {
 	start := time.Now()
 	payload, err := EncodeBatch(edits, results)
@@ -275,7 +310,9 @@ func (j *Journal) Append(edits []dyndoc.Edit, results []dyndoc.EditResult) (wait
 	}
 	seq := j.seq + 1
 	if err := j.store.Write(seq, payload); err != nil {
-		j.wedge(err)
+		if !errors.Is(err, ErrRecordTooLarge) { // that one wrote nothing
+			j.wedge(err)
+		}
 		j.mu.Unlock()
 		return nil, err
 	}
@@ -450,7 +487,9 @@ func (j *Journal) flushLoop() {
 // under the document's writer lock — into a new segment generation
 // and retires the old one. On return the journal appends to the new
 // log and the old pair has been removed; a crash anywhere inside
-// leaves either the old pair or the new pair recoverable.
+// leaves either the old pair or the new pair recoverable. A failed
+// Checkpoint, such as one whose document exceeds the record limit
+// (ErrRecordTooLarge), leaves the old pair in use.
 func (j *Journal) Checkpoint(d *dyndoc.Document) error {
 	// Quiesce the commit pipeline before touching stores: claim
 	// leadership (or wait out the in-flight leader) so no group-commit
@@ -492,29 +531,16 @@ func (j *Journal) Checkpoint(d *dyndoc.Document) error {
 	}
 	reclaim := fileSize(ckptPath(j.cfg.Dir, j.gen)) + fileSize(logPath(j.cfg.Dir, j.gen))
 	next := j.gen + 1
-	err := writeCheckpoint(j.cfg, next, d, j.seq)
-	var store *segment
-	if err == nil {
-		store, err = openStore(j.cfg, logPath(j.cfg.Dir, next))
-	}
+	store, err := startGen(j.cfg, next, checkpointOf(j.cfg.Scheme, d, j.seq), nil)
 	if err != nil {
-		// ckpt-(next) may read back complete: the new log failed after
-		// it, or its fsync failed and left the bytes in the page cache.
-		// Left in place it would win the next Replay, which would delete
-		// log-(gen) as a stale generation — silently dropping every
-		// batch acknowledged into it after this failed checkpoint.
-		// Remove it durably so the old pair stays authoritative; if even
-		// the removal fails, wedge: the journal must not keep
-		// acknowledging batches a future Replay would drop.
-		if rmErr := os.Remove(ckptPath(j.cfg.Dir, next)); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
-			err = fmt.Errorf("journal: checkpoint %d unusable (%v) and not removable: %w", next, err, rmErr)
+		// A ckpt-(next) left behind could read back complete and win the
+		// next Replay, which would drop log-(gen) and every batch
+		// acknowledged into it since: stop acknowledging.
+		if errors.Is(err, errLeftover) {
 			j.wedge(err)
-			return err
 		}
-		syncDir(j.cfg.Dir)
 		return err
 	}
-	syncDir(j.cfg.Dir)
 	old := j.store
 	j.store = store
 	oldGen := j.gen
@@ -523,9 +549,9 @@ func (j *Journal) Checkpoint(d *dyndoc.Document) error {
 	j.checkpoints++
 	j.setDurable(j.seq) // the checkpoint made everything appended durable
 	_ = old.Close()
-	_ = os.Remove(logPath(j.cfg.Dir, oldGen))
-	_ = os.Remove(ckptPath(j.cfg.Dir, oldGen))
-	syncDir(j.cfg.Dir)
+	// A generation that stays behind is stale: the next open, with
+	// Config.Recover, removes it.
+	_ = retireGens(j.cfg.Dir, oldGen)
 	mCheckpoints.Inc()
 	mReclaimedBytes.Add(reclaim)
 	return nil

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dyndoc"
@@ -15,12 +17,15 @@ import (
 // The kill matrix runs one deterministic workload once per I/O
 // boundary and crash outcome, injecting a fault at exactly that
 // boundary. A process kill treats the first error as death: nothing
-// further is issued, the journal is abandoned as-is and every written
-// byte survives. A power cut does the same and then leaves each file
-// with only what its last successful Sync covered. A survived sync
-// failure keeps the script going past failed waits and checkpoints, as
-// a process that outlives an fsync error does, and ends in a kill or a
-// power cut. Every way, Replay must rebuild a document that contains
+// further is issued, the journal is abandoned as-is, every written
+// byte survives and the directory holds the files it held at the fault
+// (the error paths that run past it, such as a failed generation's
+// cleanup, would not have run). A power cut does the same and then
+// leaves each file with only what its last successful Sync covered.
+// A survived sync failure keeps the script going past failed waits and
+// checkpoints, as a process that outlives an fsync error does, and
+// ends in a kill or a power cut. Every way, Replay must rebuild a
+// document that contains
 // every batch whose durability was acknowledged — the journal's one
 // promise at durability=always.
 
@@ -46,16 +51,92 @@ type crashFiles struct {
 	n     int
 	fault faultfs.Fault
 	files []*faultfs.File
+
+	// At an unsurvived fault, hard links to every file of the directory
+	// as it stood: a killed process does nothing after its fault, so
+	// die puts back what the journal's error paths removed since.
+	dir, atFault string
+	err          error
 }
 
 func (c *crashFiles) wrap(f File) File {
-	var faults []faultfs.Fault
-	if len(c.files) == c.n {
-		faults = append(faults, c.fault)
+	b := f.(faultfs.Backing)
+	if len(c.files) != c.n {
+		ff := faultfs.Wrap(b)
+		c.files = append(c.files, ff)
+		return ff
 	}
-	ff := faultfs.Wrap(f.(faultfs.Backing), faults...)
+	ff := faultfs.Wrap(b, c.fault)
 	c.files = append(c.files, ff)
-	return ff
+	return &faultedFile{File: ff, c: c, dir: filepath.Dir(b.Name())}
+}
+
+// faultedFile is the file carrying the armed fault: its first error is
+// the fault.
+type faultedFile struct {
+	*faultfs.File
+	c   *crashFiles
+	dir string
+}
+
+func (f *faultedFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	if err != nil {
+		f.c.faulted(f.dir)
+	}
+	return n, err
+}
+
+func (f *faultedFile) Sync() error {
+	err := f.File.Sync()
+	if err != nil {
+		f.c.faulted(f.dir)
+	}
+	return err
+}
+
+// faulted links the directory's files aside the first time the armed
+// fault fires, unless the process survives it.
+func (c *crashFiles) faulted(dir string) {
+	if c.atFault != "" || c.err != nil || c.fault.Survive {
+		return
+	}
+	c.dir = dir
+	if c.atFault, c.err = os.MkdirTemp(filepath.Dir(dir), "at-fault-"); c.err != nil {
+		return
+	}
+	entries, err := os.ReadDir(dir)
+	for _, e := range entries {
+		if err == nil && !e.IsDir() {
+			err = os.Link(filepath.Join(dir, e.Name()), filepath.Join(c.atFault, e.Name()))
+		}
+	}
+	c.err = err
+}
+
+// die ends a faulted run the way its outcome says: a kill leaves the
+// directory's entries as they were at the fault, and a power cut then
+// leaves each file what its last successful Sync covered.
+func (c *crashFiles) die(t *testing.T, cut bool) {
+	t.Helper()
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	if c.atFault != "" {
+		entries, err := os.ReadDir(c.atFault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			err := os.Link(filepath.Join(c.atFault, e.Name()), filepath.Join(c.dir, e.Name()))
+			if err != nil && !errors.Is(err, os.ErrExist) {
+				t.Fatal(err)
+			}
+		}
+	}
+	if cut {
+		c.powerCut(t)
+	}
 }
 
 // powerCut leaves every file the run opened with what its last
@@ -370,9 +451,7 @@ func TestKillMatrixAlways(t *testing.T) {
 			dir := t.TempDir()
 			c := &crashFiles{n: fi, fault: o.fault}
 			run := runScripted(t, dir, c, steps, false)
-			if o.cut {
-				c.powerCut(t)
-			}
+			c.die(t, o.cut)
 			if !run.createFailed {
 				verifyCrash(t, dir, steps, refXML, run, boundary)
 				total[o.name]++
@@ -444,9 +523,7 @@ func TestReplayEquivalenceRandom(t *testing.T) {
 					dir := t.TempDir()
 					c := &crashFiles{n: fi, fault: o.fault}
 					run := runScripted(t, dir, c, steps, false)
-					if o.cut {
-						c.powerCut(t)
-					}
+					c.die(t, o.cut)
 					if run.createFailed {
 						continue
 					}

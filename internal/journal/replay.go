@@ -188,6 +188,7 @@ type recovered struct {
 	doc     *dyndoc.Document
 	idmap   map[int]int
 	store   *segment
+	gen     uint64 // generation store belongs to
 	seq     uint64 // last batch replayed
 	baseSeq uint64 // sequence the checkpoint covers
 	info    ReplayInfo
@@ -249,12 +250,11 @@ func openDir(cfg Config) (*recovered, error) {
 	}
 
 	// Open the log tail where it left off. A missing log holds no
-	// batches and is created below; a torn one is truncated at the last
-	// clean record boundary.
-	lp := logPath(cfg.Dir, g.gen)
+	// batches (a new generation is started below); a torn one is
+	// truncated at the last clean record boundary.
 	var tail reopened
 	if g.log {
-		tail, err = reopenStore(cfg, lp)
+		tail, err = reopenStore(cfg, logPath(cfg.Dir, g.gen))
 		if err != nil {
 			return nil, err
 		}
@@ -290,28 +290,26 @@ func openDir(cfg Config) (*recovered, error) {
 	r.info.Batches = len(batches)
 	mReplayedEdits.Add(int64(r.info.Edits))
 
-	// Remove everything that is not the chosen generation (only
-	// reachable with cfg.Recover — needRepair gated above).
-	for i, other := range gens {
-		if i == chosen {
-			continue
-		}
-		if other.ckpt {
-			_ = os.Remove(ckptPath(cfg.Dir, other.gen))
-		}
-		if other.log {
-			_ = os.Remove(logPath(cfg.Dir, other.gen))
-		}
-	}
-	if needRepair {
-		syncDir(cfg.Dir)
-	}
-
+	// Repairs below are only reachable with cfg.Recover (needRepair
+	// gated above). A checkpoint whose log was never created is carried
+	// into a new generation, the one way a log comes to exist; then every
+	// other generation is retired.
+	r.gen = g.gen
 	if r.store == nil {
-		r.store, err = openStore(cfg, lp)
-		if err != nil {
+		r.gen = gens[0].gen + 1
+		if r.store, err = startGen(cfg, r.gen, meta, nil); err != nil {
 			return nil, err
 		}
+	}
+	var stale []uint64
+	for _, other := range gens {
+		if other.gen != r.gen {
+			stale = append(stale, other.gen)
+		}
+	}
+	if len(stale) > 0 {
+		// What stays behind is stale again, for the next open to retire.
+		_ = retireGens(cfg.Dir, stale...)
 	}
 	return r, nil
 }
@@ -331,7 +329,7 @@ func Replay(cfg Config) (*Journal, *dyndoc.Document, ReplayInfo, error) {
 	// caller's scheme while this session's document stays labeled
 	// under the recorded one.
 	cfg.Scheme = r.info.Scheme
-	return newJournal(cfg, r.store, r.info.Checkpoint, r.seq, r.baseSeq), r.doc, r.info, nil
+	return newJournal(cfg, r.store, r.gen, r.seq, r.baseSeq), r.doc, r.info, nil
 }
 
 // replayBatches re-executes a run of journaled batches, the first at

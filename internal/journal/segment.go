@@ -14,7 +14,7 @@ import (
 )
 
 // Segment file format, version 2 — the framing of every ckpt-N and
-// log-N file.
+// log-N file, and of every ship chunk (ship.go).
 //
 //	header:  magic "LBLSTOR\x02" (7 bytes + version byte)
 //	record:  uvarint id | uvarint payload length | payload | crc32c
@@ -34,9 +34,11 @@ const (
 	segVersion    = 2
 	segHeaderSize = len(segMagic) + 1
 
-	// maxPayload bounds one record's payload; longer lengths are
-	// treated as corruption. 16 MiB is generous headroom for a batch
-	// or a checkpoint's XML, not a real limit.
+	// maxPayload bounds one record's payload: the writer refuses a
+	// longer one (ErrRecordTooLarge) and the reader treats a longer
+	// length as corruption, so nothing is written that a reader would
+	// refuse. It caps one edit batch and one checkpoint's meta (the
+	// document's XML and id list).
 	maxPayload = 1 << 24
 )
 
@@ -51,12 +53,18 @@ var (
 	mRecoveries  = metrics.Default.Counter("labelstore_recoveries_total")
 	mTruncBytes  = metrics.Default.Counter("labelstore_recovery_truncated_bytes_total")
 	mTruncRecs   = metrics.Default.Counter("labelstore_recovery_truncated_records_total")
+	mOversize    = metrics.Default.Counter("journal_oversize_refused_total")
 )
 
 // ErrCorrupt reports segment bytes that are present but fail
 // validation — a CRC mismatch, an implausible length, a malformed
 // varint, or a head that is not the segment header.
 var ErrCorrupt = errors.New("journal: corrupt segment")
+
+// ErrRecordTooLarge reports a record whose payload exceeds the 16 MiB
+// the segment reader accepts: an edit batch, or a checkpoint of the
+// whole document. Nothing was written, so the journal stays usable.
+var ErrRecordTooLarge = errors.New("journal: record exceeds the 16 MiB limit")
 
 // segHeader returns the 8-byte segment header.
 func segHeader() []byte {
@@ -66,7 +74,8 @@ func segHeader() []byte {
 }
 
 // record is one framed entry of a segment: a batch under its sequence
-// number in a log, the meta and END entries in a checkpoint.
+// number in a log or a ship chunk, the meta and END entries in a
+// checkpoint, the snapshot and horizon entries in a ship chunk.
 type record struct {
 	ID      uint64
 	Payload []byte
@@ -102,31 +111,23 @@ type segment struct {
 	closed bool
 }
 
-// newSegment starts a fresh segment on an already-open, empty file,
-// writing and syncing the header through it immediately — the header
-// is not buffered, so the on-disk file is a valid empty segment from
-// the moment newSegment returns, and a crash before the first Sync
-// cannot leave a headerless (zero-length) file behind. Close closes f.
-func newSegment(f File) (*segment, error) {
-	if _, err := f.Write(segHeader()); err != nil {
-		return nil, fmt.Errorf("journal: writing segment header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return nil, fmt.Errorf("journal: syncing segment header: %w", err)
-	}
-	return appendSegment(f), nil
-}
-
-// appendSegment resumes appending to a file that already holds a
-// valid segment and is positioned at its end (see reopenStore).
+// appendSegment appends to a file that already holds a valid segment
+// and is positioned at its end (see openStore and reopenStore). Close
+// closes f.
 func appendSegment(f File) *segment {
 	return &segment{f: f, w: bufio.NewWriter(f)}
 }
 
-// Write appends one record (buffered; Sync makes it durable).
+// Write appends one record (buffered; Sync makes it durable). A payload
+// over maxPayload is refused with ErrRecordTooLarge before anything is
+// buffered.
 func (s *segment) Write(id uint64, payload []byte) error {
 	if s.closed {
 		return ErrClosed
+	}
+	if len(payload) > maxPayload {
+		mOversize.Inc()
+		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(payload))
 	}
 	s.buf = appendRecord(s.buf[:0], id, payload)
 	if _, err := s.w.Write(s.buf); err != nil {
@@ -421,17 +422,35 @@ func wrapFile(cfg Config, f *os.File) File {
 	return f
 }
 
-// openStore creates path as a fresh, empty segment (truncating
-// whatever was there) through the configured wrapper.
-func openStore(cfg Config, path string) (*segment, error) {
+// openStore creates path as a fresh segment (truncating whatever was
+// there) through the configured wrapper, holding recs and, when there
+// are any, synced. The header is written and synced first, unbuffered,
+// so a crash before the first Sync cannot leave a headerless
+// (zero-length) file behind.
+func openStore(cfg Config, path string, recs ...record) (*segment, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	lf := wrapFile(cfg, f)
-	s, err := newSegment(lf)
+	if _, err = lf.Write(segHeader()); err == nil {
+		err = lf.Sync()
+	}
 	if err != nil {
-		_ = lf.Close()
+		_ = lf.Close() // the header's error is the one to report
+		return nil, fmt.Errorf("journal: segment header: %w", err)
+	}
+	s := appendSegment(lf)
+	for _, r := range recs {
+		if err = s.Write(r.ID, r.Payload); err != nil {
+			break
+		}
+	}
+	if err == nil && len(recs) > 0 {
+		err = s.Sync()
+	}
+	if err != nil {
+		_ = s.Close() // the write or sync error is the one to report
 		return nil, err
 	}
 	return s, nil

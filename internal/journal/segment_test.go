@@ -794,7 +794,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		fault faultfs.Fault
 	}
 	var cases []tc
-	// newSegment writes and syncs the header unbuffered (write #1 and
+	// openStore writes and syncs the header unbuffered (write #1 and
 	// sync #1); after that the records are bufio-buffered, so batch b
 	// hits the file as write/sync #(b+1) at its Sync. Ops 1..batches+1
 	// cover every boundary.
@@ -849,7 +849,7 @@ func TestFaultDuringHeader(t *testing.T) {
 // fault.
 func TestSyncedDataSurvivesWedge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "labels.log")
-	// Sync #1 is the header sync inside newSegment, so sync #4 kills
+	// Sync #1 is the header sync inside openStore, so sync #4 kills
 	// batch 3's fsync, leaving batches 1 and 2 durable.
 	written, synced, failed := driveStore(t, path, 5, 2, faultfs.Fault{Op: faultfs.OpSync, N: 4})
 	if failed == nil || synced != 2 {

@@ -12,13 +12,14 @@ import (
 )
 
 // Journal shipping: the leader reads acknowledged-durable batches back
-// out of its own segments and frames them for a follower, either over
-// HTTP (internal/web's /v1/docs/{name}/journal endpoint) or through
-// any other transport that moves bytes. The stream is self-describing
-// and hostile-input hardened — a follower decodes it with
-// DecodeShipStream, which enforces length caps, strict sequence
-// continuity and a terminating end frame, so a malicious or truncated
-// leader can neither wedge nor OOM a follower.
+// out of its own segments and sends them to a follower over HTTP
+// (internal/web's /v1/docs/{name}/journal) or any other byte transport.
+// A chunk is a segment stream (segment.go): at most one snapshot record
+// (metaRecordID), the batch records exactly as the log holds them, and
+// a horizon record that ends it. DecodeShipStream reads it with the
+// segment reader — the disk's checksums and length cap — and checks
+// sequence continuity, so a hostile or truncated leader can neither
+// wedge nor OOM a follower. Leader and followers run the same version.
 var (
 	mShipRequests  = metrics.Default.Counter("journal_ship_requests_total")
 	mShipBatches   = metrics.Default.Counter("journal_ship_batches_total")
@@ -26,25 +27,8 @@ var (
 	mShipSnapshots = metrics.Default.Counter("journal_ship_snapshots_total")
 )
 
-// Frame kinds of the ship stream. A chunk is at most one snapshot
-// frame, zero or more batch frames in strictly increasing sequence
-// order, one horizon frame, and a terminating end frame.
-const (
-	frameSnapshot = 1 // payload: encoded checkpoint meta
-	frameBatch    = 2 // payload: uvarint seq ++ EncodeBatch bytes
-	frameHorizon  = 3 // payload: uvarint durable horizon
-	frameEnd      = 4 // payload: empty
-)
-
-// Length caps for network-supplied frames. A snapshot carries a whole
-// document's XML; a batch is one edit batch. Anything larger is an
-// attack or corruption, not data.
-const (
-	maxSnapshotFrame = 1 << 28 // 256 MiB
-	maxBatchFrame    = 1 << 26 // 64 MiB, matches the web layer's body cap
-	maxSmallFrame    = 16      // horizon/end frames hold at most one uvarint
-	maxShipBatches   = 1 << 16 // batches per chunk
-)
+// maxShipBatches caps the batches of one chunk, on both sides.
+const maxShipBatches = 1 << 16
 
 // ErrShip reports a malformed, truncated or regressing ship stream.
 var ErrShip = errors.New("journal: bad ship stream")
@@ -76,156 +60,88 @@ type ShipChunk struct {
 	Horizon  uint64 // leader durable horizon
 }
 
-// writeFrame emits one kind|len|payload frame.
-func writeFrame(w io.Writer, kind byte, payload []byte) error {
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(kind))
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// EncodeShipChunk frames c onto w: snapshot (if any), batches, the
-// horizon, and the end marker a decoder requires to accept the stream.
+// EncodeShipChunk writes c onto w as a segment stream: the header, the
+// snapshot (if any), the batches and the horizon record a decoder
+// requires to accept the stream.
 func EncodeShipChunk(w io.Writer, c *ShipChunk) error {
+	buf := segHeader()
 	if c.Snapshot != nil {
-		if err := writeFrame(w, frameSnapshot, c.Snapshot); err != nil {
-			return err
-		}
+		buf = appendRecord(buf, metaRecordID, c.Snapshot)
 	}
-	var buf []byte
 	for _, b := range c.Batches {
-		buf = binary.AppendUvarint(buf[:0], b.Seq)
-		buf = append(buf, b.Payload...)
-		if err := writeFrame(w, frameBatch, buf); err != nil {
-			return err
-		}
+		buf = appendRecord(buf, b.Seq, b.Payload)
 	}
-	var hbuf [binary.MaxVarintLen64]byte
-	if err := writeFrame(w, frameHorizon, hbuf[:binary.PutUvarint(hbuf[:], c.Horizon)]); err != nil {
-		return err
-	}
-	return writeFrame(w, frameEnd, nil)
-}
-
-// readFrame parses one frame with a per-kind length cap. The cap is
-// checked before any allocation, so a hostile length cannot OOM the
-// reader.
-func readFrame(br *bufio.Reader) (kind byte, payload []byte, err error) {
-	k, err := binary.ReadUvarint(br)
-	if err != nil {
-		if err == io.EOF {
-			return 0, nil, fmt.Errorf("%w: truncated before end frame", ErrShip)
-		}
-		return 0, nil, fmt.Errorf("%w: %v", ErrShip, err)
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: torn frame length", ErrShip)
-	}
-	var limit uint64
-	switch k {
-	case frameSnapshot:
-		limit = maxSnapshotFrame
-	case frameBatch:
-		limit = maxBatchFrame
-	case frameHorizon, frameEnd:
-		limit = maxSmallFrame
-	default:
-		return 0, nil, fmt.Errorf("%w: unknown frame kind %d", ErrShip, k)
-	}
-	if n > limit {
-		return 0, nil, fmt.Errorf("%w: frame kind %d length %d exceeds cap %d", ErrShip, k, n, limit)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: torn frame payload", ErrShip)
-	}
-	return byte(k), payload, nil
+	buf = appendRecord(buf, horizonRecordID, binary.AppendUvarint(nil, c.Horizon))
+	_, err := w.Write(buf)
+	return err
 }
 
 // DecodeShipStream parses and validates one chunk from r. from is the
 // follower's position (the last sequence it holds); the stream must
 // either continue at exactly from+1 or open with a snapshot whose base
 // is at least from — anything else (a gap, a sequence regression, a
-// replayed or reordered batch, junk after the end frame) is rejected,
-// because applying it would silently fork the follower from the
-// leader's history.
+// replayed or reordered batch, a damaged record, data after the
+// horizon record) is rejected with ErrShip, because applying it would
+// silently fork the follower from the leader's history.
 func DecodeShipStream(r io.Reader, from uint64) (*ShipChunk, error) {
-	br := bufio.NewReader(r)
+	sr := &segReader{r: bufio.NewReader(r)}
+	if _, err := sr.header(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrShip, err)
+	}
 	chunk := &ShipChunk{}
 	scratch := from == FromScratch
 	next := from + 1 // 0 when scratch; replaced by the mandatory snapshot
-	seenHorizon := false
 	for {
-		kind, payload, err := readFrame(br)
-		if err != nil {
-			return nil, err
+		rec, err := sr.record()
+		if err == io.EOF {
+			return nil, fmt.Errorf("%w: no horizon record", ErrShip)
 		}
-		switch kind {
-		case frameSnapshot:
-			if chunk.Snapshot != nil || len(chunk.Batches) > 0 || seenHorizon {
-				return nil, fmt.Errorf("%w: snapshot frame out of order", ErrShip)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrShip, err)
+		}
+		switch rec.ID {
+		case metaRecordID:
+			if chunk.Snapshot != nil || len(chunk.Batches) > 0 {
+				return nil, fmt.Errorf("%w: snapshot out of order", ErrShip)
 			}
-			meta, err := decodeMeta(payload)
+			meta, err := decodeMeta(rec.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("%w: snapshot: %v", ErrShip, err)
 			}
 			if !scratch && meta.BaseSeq < from {
 				return nil, fmt.Errorf("%w: snapshot base %d regresses below position %d", ErrShip, meta.BaseSeq, from)
 			}
-			chunk.Snapshot = payload
+			chunk.Snapshot = rec.Payload
 			chunk.BaseSeq = meta.BaseSeq
 			next = meta.BaseSeq + 1
-		case frameBatch:
-			if seenHorizon {
-				return nil, fmt.Errorf("%w: batch after horizon frame", ErrShip)
+		case horizonRecordID:
+			h, n := binary.Uvarint(rec.Payload)
+			if n <= 0 || n != len(rec.Payload) {
+				return nil, fmt.Errorf("%w: bad horizon record", ErrShip)
 			}
+			if scratch && chunk.Snapshot == nil {
+				return nil, fmt.Errorf("%w: from-scratch fetch returned no snapshot", ErrShip)
+			}
+			if len(chunk.Batches) > 0 && h < next-1 {
+				return nil, fmt.Errorf("%w: horizon %d below shipped batch %d", ErrShip, h, next-1)
+			}
+			if _, err := sr.r.ReadByte(); err != io.EOF {
+				return nil, fmt.Errorf("%w: data after the horizon record", ErrShip)
+			}
+			chunk.Horizon = h
+			return chunk, nil
+		default:
 			if scratch && chunk.Snapshot == nil {
 				return nil, fmt.Errorf("%w: batch without snapshot on a from-scratch fetch", ErrShip)
 			}
 			if len(chunk.Batches) >= maxShipBatches {
 				return nil, fmt.Errorf("%w: more than %d batches in one chunk", ErrShip, maxShipBatches)
 			}
-			seq, n := binary.Uvarint(payload)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: bad batch sequence varint", ErrShip)
+			if rec.ID != next {
+				return nil, fmt.Errorf("%w: batch sequence %d, want %d", ErrShip, rec.ID, next)
 			}
-			if seq != next {
-				return nil, fmt.Errorf("%w: batch sequence %d, want %d", ErrShip, seq, next)
-			}
-			chunk.Batches = append(chunk.Batches, ShipBatch{Seq: seq, Payload: payload[n:]})
-			next = seq + 1
-		case frameHorizon:
-			if seenHorizon {
-				return nil, fmt.Errorf("%w: duplicate horizon frame", ErrShip)
-			}
-			h, n := binary.Uvarint(payload)
-			if n <= 0 || n != len(payload) {
-				return nil, fmt.Errorf("%w: bad horizon frame", ErrShip)
-			}
-			if len(chunk.Batches) > 0 && h < chunk.Batches[len(chunk.Batches)-1].Seq {
-				return nil, fmt.Errorf("%w: horizon %d below shipped batch %d", ErrShip, h, chunk.Batches[len(chunk.Batches)-1].Seq)
-			}
-			chunk.Horizon = h
-			seenHorizon = true
-		case frameEnd:
-			if !seenHorizon {
-				return nil, fmt.Errorf("%w: end frame before horizon", ErrShip)
-			}
-			if scratch && chunk.Snapshot == nil {
-				return nil, fmt.Errorf("%w: from-scratch fetch returned no snapshot", ErrShip)
-			}
-			if len(payload) != 0 {
-				return nil, fmt.Errorf("%w: end frame carries payload", ErrShip)
-			}
-			if _, err := br.ReadByte(); err != io.EOF {
-				return nil, fmt.Errorf("%w: trailing data after end frame", ErrShip)
-			}
-			return chunk, nil
+			chunk.Batches = append(chunk.Batches, ShipBatch{Seq: rec.ID, Payload: rec.Payload})
+			next = rec.ID + 1
 		}
 	}
 }

@@ -3,8 +3,11 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -88,16 +91,19 @@ func TestDecodeShipStreamRejects(t *testing.T) {
 	d := mustDoc(t, "<root/>")
 	meta := checkpointMeta{Scheme: testScheme, XML: d.XML(), PreOrder: d.Labeling().Tree().PreOrder(), BaseSeq: 5}
 
-	frame := func(kind byte, p []byte) []byte {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, kind, p); err != nil {
-			t.Fatal(err)
+	// stream is a segment header followed by recs.
+	stream := func(recs ...record) []byte {
+		b := segHeader()
+		for _, r := range recs {
+			b = appendRecord(b, r.ID, r.Payload)
 		}
-		return buf.Bytes()
+		return b
 	}
-	uv := func(v uint64) []byte {
-		var b [binary.MaxVarintLen64]byte
-		return b[:binary.PutUvarint(b[:], v)]
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	flip := func(at int, mask byte) []byte {
+		b := append([]byte(nil), good...)
+		b[at] ^= mask
+		return b
 	}
 
 	cases := []struct {
@@ -107,58 +113,25 @@ func TestDecodeShipStreamRejects(t *testing.T) {
 	}{
 		{"empty", 0, nil},
 		{"truncated mid-frame", 0, good[:len(good)-3]},
-		{"no end frame", 0, frame(frameHorizon, uv(1))},
+		{"no end frame", 0, stream(record{1, payload})}, // no horizon record ends it
 		{"trailing junk", 0, append(append([]byte{}, good...), 0xff)},
-		{"unknown kind", 0, frame(9, nil)},
-		{"oversized small frame", 0, frame(frameHorizon, make([]byte, 64))},
-		{"huge declared length", 0, append(uv(frameBatch), uv(1<<40)...)},
+		{"unknown kind", 0, stream(record{endRecordID, []byte{}}, record{horizonRecordID, uv(1)})},
+		{"oversized small frame", 0, stream(record{horizonRecordID, make([]byte, 64)})},
+		{"end without horizon", 0, stream(record{endRecordID, []byte{}})},
+		{"end with payload", 0, stream(record{horizonRecordID, append(uv(1), 1)})},
+		{"huge declared length", 0, append(segHeader(), append(uv(1), uv(1<<40)...)...)},
 		{"gap", 0, mustEncodeChunk(t, &ShipChunk{Batches: []ShipBatch{{Seq: 2, Payload: payload}}, Horizon: 2})},
 		{"regression", 5, good},
 		{"snapshot regresses", 9, mustEncodeChunk(t, &ShipChunk{Snapshot: encodeMeta(meta), BaseSeq: 5, Horizon: 9})},
-		{"horizon below batch", 0, func() []byte {
-			var buf bytes.Buffer
-			_ = writeFrame(&buf, frameBatch, append(uv(1), payload...))
-			_ = writeFrame(&buf, frameHorizon, uv(0))
-			_ = writeFrame(&buf, frameEnd, nil)
-			return buf.Bytes()
-		}()},
-		{"batch after horizon", 0, func() []byte {
-			var buf bytes.Buffer
-			_ = writeFrame(&buf, frameHorizon, uv(5))
-			_ = writeFrame(&buf, frameBatch, append(uv(1), payload...))
-			_ = writeFrame(&buf, frameEnd, nil)
-			return buf.Bytes()
-		}()},
-		{"duplicate horizon", 0, func() []byte {
-			var buf bytes.Buffer
-			_ = writeFrame(&buf, frameHorizon, uv(5))
-			_ = writeFrame(&buf, frameHorizon, uv(5))
-			_ = writeFrame(&buf, frameEnd, nil)
-			return buf.Bytes()
-		}()},
-		{"end without horizon", 0, frame(frameEnd, nil)},
-		{"end with payload", 0, func() []byte {
-			var buf bytes.Buffer
-			_ = writeFrame(&buf, frameHorizon, uv(1))
-			_ = writeFrame(&buf, frameEnd, []byte{1})
-			return buf.Bytes()
-		}()},
-		{"snapshot after batch", 1, func() []byte {
-			var buf bytes.Buffer
-			_ = writeFrame(&buf, frameBatch, append(uv(2), payload...))
-			_ = writeFrame(&buf, frameSnapshot, encodeMeta(meta))
-			_ = writeFrame(&buf, frameHorizon, uv(5))
-			_ = writeFrame(&buf, frameEnd, nil)
-			return buf.Bytes()
-		}()},
-		{"garbage snapshot", 0, func() []byte {
-			var buf bytes.Buffer
-			_ = writeFrame(&buf, frameSnapshot, []byte("junk"))
-			_ = writeFrame(&buf, frameHorizon, uv(1))
-			_ = writeFrame(&buf, frameEnd, nil)
-			return buf.Bytes()
-		}()},
+		{"horizon below batch", 0, stream(record{1, payload}, record{horizonRecordID, uv(0)})},
+		{"batch after horizon", 0, stream(record{horizonRecordID, uv(5)}, record{1, payload})},
+		{"duplicate horizon", 0, stream(record{horizonRecordID, uv(5)}, record{horizonRecordID, uv(5)})},
+		{"snapshot after batch", 1, stream(record{2, payload}, record{metaRecordID, encodeMeta(meta)}, record{horizonRecordID, uv(5)})},
+		{"garbage snapshot", 0, stream(record{metaRecordID, []byte("junk")}, record{horizonRecordID, uv(1)})},
 		{"scratch without snapshot", FromScratch, good},
+		{"bad magic", 0, flip(0, 1)},
+		{"unsupported version", 0, flip(segHeaderSize-1, 1)},
+		{"checksum mismatch", 0, flip(segHeaderSize+3, 1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,6 +139,64 @@ func TestDecodeShipStreamRejects(t *testing.T) {
 				t.Fatalf("decode = %v, want ErrShip", err)
 			}
 		})
+	}
+}
+
+// TestShipRecordCRC: the wire is checked like the disk. One byte
+// flipped inside a shipped batch's element name — "speech" arriving as
+// "rpeech" — fails the record's checksum, so the batch is refused, not
+// applied.
+func TestShipRecordCRC(t *testing.T) {
+	wire := mustEncodeChunk(t, &ShipChunk{Batches: []ShipBatch{{Seq: 1, Payload: testBatchPayload(t, "speech")}}, Horizon: 1})
+	at := bytes.Index(wire, []byte("speech"))
+	if at < 0 {
+		t.Fatal("element name not found on the wire")
+	}
+	wire[at] ^= 's' ^ 'r'
+	if chunk, err := DecodeShipStream(bytes.NewReader(wire), 0); !errors.Is(err, ErrShip) {
+		t.Fatalf("decode of a damaged batch = %+v, %v; want ErrShip", chunk, err)
+	}
+}
+
+// TestShipGoldenBytes pins the ship format: a chunk is a segment
+// stream, and each batch record on the wire is byte for byte the
+// record in the leader's log.
+func TestShipGoldenBytes(t *testing.T) {
+	const golden = "4c424c53544f5202" + // "LBLSTOR", version 2
+		"ffffffffffffffffff010d" + "0153073c723e3c2f723e010100" + "7c9ee467" + // snapshot: meta record, scheme "S", XML "<r></r>", base 1, ids [0]
+		"0201ab" + "9d776b07" + // batch 2, payload ab
+		"fdffffffffffffffff0101" + "03" + "550b7b63" // horizon record, 3
+	meta := encodeMeta(checkpointMeta{Scheme: "S", XML: "<r></r>", PreOrder: []int{0}, BaseSeq: 1})
+	in := &ShipChunk{Snapshot: meta, BaseSeq: 1, Batches: []ShipBatch{{Seq: 2, Payload: []byte{0xab}}}, Horizon: 3}
+	wire := mustEncodeChunk(t, in)
+	if got := hex.EncodeToString(wire); got != golden {
+		t.Fatalf("ship bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	out, err := DecodeShipStream(bytes.NewReader(wire), 0)
+	if err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("decode of the golden bytes = %+v, %v; want %+v", out, err, in)
+	}
+
+	dir := t.TempDir()
+	d := mustDoc(t, "<root/>")
+	j, err := Create(Config{Dir: dir, Scheme: testScheme}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	leaderWrite(t, j, d, "a")
+	leaderWrite(t, j, d, "b")
+	chunk, err := j.Ship(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(logPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire = mustEncodeChunk(t, chunk)
+	if !bytes.HasPrefix(wire, log) || !bytes.Equal(wire[len(log):], appendRecord(nil, horizonRecordID, []byte{2})) {
+		t.Fatalf("wire is not log-0 plus a horizon record:\nwire %x\nlog  %x", wire, log)
 	}
 }
 

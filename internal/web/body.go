@@ -74,7 +74,10 @@ func decodeRequest(body []byte, dst any, allowEmpty bool) error {
 // with no sign or leading zero. Anything else is not ok, for
 // encoding/json to decide, which agrees on what is accepted here.
 func decodeFlat(b []byte, dst any) bool {
-	f := flat{b, len(b) > 1} // a body is more than the closing brace
+	// A body is more than the closing brace, and opens with the first
+	// key: the keys after it start with a comma, so a body without it
+	// matches none of them and ends unread.
+	f := flat{b, len(b) > 1 && b[0] == '{'}
 	switch v := dst.(type) {
 	case *queryRequest:
 		f.str(`{"path":`, &v.Path)

@@ -21,7 +21,6 @@ import (
 const (
 	maxWaitMS      = 60_000           // cap on ?waitms long-poll waits
 	watchHeartbeat = 15 * time.Second // SSE keep-alive comment cadence
-	maxShipLimit   = 1 << 16          // matches the ship protocol's chunk cap
 )
 
 // queryUint parses an unsigned query parameter, with def when absent.
@@ -39,7 +38,8 @@ func queryUint(r *http.Request, key string, def uint64) (uint64, error) {
 
 // handleJournal serves one encoded ship chunk: everything after
 // position ?from (absent or "scratch": a from-scratch fetch answered
-// with the current checkpoint snapshot), at most ?limit batches.
+// with the current checkpoint snapshot), at most ?limit batches (the
+// journal clamps it to the ship protocol's chunk cap).
 // ?waitms long-polls: when the durable horizon has nothing past from
 // yet, the handler waits up to that many milliseconds for new durable
 // batches before answering, so a quiet leader costs followers one
@@ -55,8 +55,8 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		from = v
 	}
 	limit, err := queryUint(r, "limit", 512)
-	if err != nil || limit == 0 || limit > maxShipLimit {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "bad limit: want 1..65536")
+	if err != nil || limit == 0 {
+		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "bad limit: want a positive integer")
 		return
 	}
 	waitms, err := queryUint(r, "waitms", 0)

@@ -41,6 +41,7 @@ func TestErrorCodes(t *testing.T) {
 		{"POST", "/v1/docs/nope/open", `{"xml":"<x/>","scheme":"No-Such"}`, http.StatusBadRequest, CodeUnknownScheme},
 		{"POST", "/v1/docs/alpha/query", `{"path":"///"}`, http.StatusBadRequest, CodeBadRequest},
 		{"GET", "/v1/docs/alpha/journal?limit=0", "", http.StatusBadRequest, CodeBadRequest},
+		{"GET", "/v1/docs/alpha/journal?limit=-1", "", http.StatusBadRequest, CodeBadRequest},
 		{"GET", "/v1/docs/alpha/watch", "", http.StatusBadRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
@@ -95,6 +96,15 @@ func TestJournalAndHorizon(t *testing.T) {
 	}
 	if chunk.Snapshot == nil || chunk.Horizon != ack.Seq {
 		t.Fatalf("chunk: snapshot %v horizon %d, want %d", chunk.Snapshot != nil, chunk.Horizon, ack.Seq)
+	}
+
+	// A limit past the chunk cap is the journal's to clamp, not an error.
+	w = do(s, "GET", "/v1/docs/alpha/journal?from=0&limit=1048576", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("journal with a large limit: %d %s", w.Code, w.Body.String())
+	}
+	if chunk, err = journal.DecodeShipStream(bytes.NewReader(w.Body.Bytes()), 0); err != nil || len(chunk.Batches) != int(ack.Seq) {
+		t.Fatalf("large-limit chunk: %+v, %v", chunk, err)
 	}
 
 	// Positioned fetch from the edit's seq: nothing further.

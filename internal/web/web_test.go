@@ -386,6 +386,25 @@ func TestLabelTooLong(t *testing.T) {
 	}
 }
 
+// TestRecordTooLarge: an edit under the body limit whose journal record
+// would exceed 16 MiB gets the answer an over-limit body gets, 400
+// bad_request, publishes nothing, and leaves the document taking edits.
+func TestRecordTooLarge(t *testing.T) {
+	s, _ := newTestServer(t, 0)
+	mustOpen(t, s, "alpha", seed)
+	w := do(s, "POST", "/v1/docs/alpha/edit",
+		`{"op":"insert-tree","parent":0,"pos":0,"fragment":"<big>`+strings.Repeat("x", 17<<20)+`</big>"}`)
+	if e := decodeErr(t, w); w.Code != http.StatusBadRequest || e.Code != CodeBadRequest || !strings.Contains(e.Error, "16 MiB") {
+		t.Fatalf("17 MiB edit: %d %+v", w.Code, e)
+	}
+	if w = do(s, "POST", "/v1/docs/alpha/edit", `{"op":"insert-element","parent":0,"pos":0,"name":"small"}`); w.Code != http.StatusOK {
+		t.Fatalf("edit after the refusal: %d %s", w.Code, w.Body.String())
+	}
+	if xml := do(s, "GET", "/v1/docs/alpha/xml", "").Body.String(); strings.Contains(xml, "<big>") || !strings.Contains(xml, "<small>") {
+		t.Fatalf("document after the refusal: %.200s", xml)
+	}
+}
+
 // TestPanicAfterPartialWrite: a handler that has begun its reply when
 // it panics gets a 500 whose body is the error envelope alone, not its
 // half-written reply with the envelope after it under a 200.

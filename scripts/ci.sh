@@ -53,7 +53,7 @@ go test -run '^$' -bench . -benchtime 1x ./internal/bitstr ./internal/cdbs ./int
 echo "==> metrics snapshot smoke (-metrics-json)"
 metrics_out="${METRICS_SMOKE_OUT:-/tmp/metrics_smoke.json}"
 go run ./cmd/experiments -run overflow,durable,follow -edits 60 -metrics-json "$metrics_out" >/dev/null
-for key in labelstore_sync_seconds labelstore_records_total cdbs_relabel_burst_codes qed_code_len_digits dyndoc_inserts_total dyndoc_snapshot_swaps_total dyndoc_reader_staleness_gens dyndoc_batch_size cdbs_batch_insert_codes journal_append_seconds journal_appends_total journal_group_commits_total journal_group_commit_batches journal_checkpoints_total journal_checkpoint_reclaimed_bytes_total journal_replayed_edits_total xpath_plan_cache_hits_total xpath_result_cache_hits_total xpath_join_parallel_parts journal_ship_requests_total journal_ship_batches_total journal_ship_bytes_total journal_ship_snapshots_total watch_watchers_active watch_events_total watch_notifications_total watch_coalesced_total watch_requeries_total follower_lag_seqs follower_applied_total follower_resets_total follower_polls_total; do
+for key in labelstore_sync_seconds labelstore_records_total cdbs_relabel_burst_codes qed_code_len_digits dyndoc_inserts_total dyndoc_snapshot_swaps_total dyndoc_reader_staleness_gens dyndoc_batch_size cdbs_batch_insert_codes journal_append_seconds journal_appends_total journal_group_commits_total journal_group_commit_batches journal_checkpoints_total journal_checkpoint_reclaimed_bytes_total journal_replayed_edits_total journal_oversize_refused_total xpath_plan_cache_hits_total xpath_result_cache_hits_total xpath_join_parallel_parts journal_ship_requests_total journal_ship_batches_total journal_ship_bytes_total journal_ship_snapshots_total watch_watchers_active watch_events_total watch_notifications_total watch_coalesced_total watch_requeries_total follower_lag_seqs follower_applied_total follower_resets_total follower_polls_total; do
 	if ! grep -q "\"$key\"" "$metrics_out"; then
 		echo "metrics smoke: $key missing from $metrics_out" >&2
 		exit 1
@@ -148,6 +148,9 @@ fi
 kill -KILL "$repl_pid"
 wait "$repl_pid" 2>/dev/null || true
 seq2=$("$ctl" insert -seq ci "$root_id" 0 rep) || repl_fail "leader write while follower dead"
+# A checkpoint meanwhile puts the follower's position below the leader's
+# checkpoint base, so its catch-up must adopt a snapshot.
+"$ctl" checkpoint ci || repl_fail "leader checkpoint while follower dead"
 : >"$repl_addr_file"
 "$httpd_bin" -addr 127.0.0.1:0 -root "$httpd_dir/replica" -addr-file "$repl_addr_file" \
 	-follow "$httpd_url" >>"$httpd_dir/flog" 2>&1 &
@@ -161,6 +164,9 @@ done
 repl_url="http://$(cat "$repl_addr_file")"
 "$ctl" -addr "$repl_url" horizon -min "$seq2" -wait 10s ci >/dev/null || repl_fail "restarted follower never caught up to seq $seq2"
 [ "$("$ctl" -addr "$repl_url" count ci /root/rep)" = "2" ] || repl_fail "catch-up lost a write"
+"$ctl" -addr "$repl_url" stats ci | grep -q '"resets":1[,}]' || repl_fail "catch-up did not adopt the leader's snapshot"
+# A ship chunk is a segment stream: it opens with the segment header.
+[ "$(curl -sf "$httpd_url/v1/docs/ci/journal?from=scratch" | head -c 7)" = "LBLSTOR" ] || repl_fail "ship chunk is not a segment stream"
 kill -TERM "$repl_pid"
 repl_status=0
 wait "$repl_pid" || repl_status=$?
