@@ -580,6 +580,47 @@ func TestDurableOversizeDocumentRefused(t *testing.T) {
 	}
 }
 
+// TestDurableBadNodeName: a name a checkpoint could not bring back is
+// refused with ErrBadNodeName by Open, which leaves no journal behind,
+// and by an insert, which journals nothing; the document then
+// checkpoints and reopens as it was.
+func TestDurableBadNodeName(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	if h, err := Open(&Document{Root: xmltree.NewElement("p:q")}, WithJournal(dir)); !errors.Is(err, ErrBadNodeName) {
+		if err == nil {
+			_ = h.Close()
+		}
+		t.Fatalf("Open of <p:q> = %v, want ErrBadNodeName", err)
+	}
+	if ok, err := journal.Exists(dir); err != nil || ok {
+		t.Fatalf("journal.Exists after a refused Open = %v, %v; want false", ok, err)
+	}
+	h, dir := openDurable(t)
+	roots, err := h.QueryString("/root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := h.Stats().Journal.Seq
+	if _, _, err := h.InsertElement(roots[0], 0, "x><y"); !errors.Is(err, ErrBadNodeName) || h.Stats().Journal.Seq != seq {
+		t.Fatalf("InsertElement(x><y) = %v at journal seq %d, want ErrBadNodeName at %d", err, h.Stats().Journal.Seq, seq)
+	}
+	if err := h.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := h.XML()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(nil, WithJournal(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.XML(); got != want {
+		t.Fatalf("reopened XML = %s, want %s", got, want)
+	}
+}
+
 // TestDurableOversizeCheckpointRefused: a document grown past the
 // record limit by edits that each fit used to checkpoint into a file
 // no open could read, and replaced the only readable pair with it. Its

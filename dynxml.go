@@ -39,6 +39,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/scheme"
 	"repro/internal/store"
+	"repro/internal/symtab"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 	"repro/internal/xpath/plan"
@@ -327,6 +328,13 @@ func pagedErr(err error) error {
 // answers and serialises as before, and an insert into a wider gap
 // still succeeds.
 var ErrLabelTooLong = scheme.ErrLabelTooLong
+
+// ErrBadNodeName matches, via errors.Is, the error Open, an insert or a
+// batch returns for an element or attribute name that a checkpoint
+// could not bring back: one that is not an XML Name, or that holds a
+// colon ("p:q" would come back as "q"). Nothing was changed or
+// journaled.
+var ErrBadNodeName = symtab.ErrBadName
 
 // ErrClosed reports a call on a closed Handle, matching errors.Is.
 var ErrClosed = errors.New("dynxml: handle is closed")

@@ -99,14 +99,20 @@ func (d *Document) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) (
 }
 
 // insertTrees is InsertTreeBatch, and InsertTree as a batch of one.
-// Target and fragments are checked before the first mutation.
+// Target, fragments and their names are checked before the first
+// mutation.
 func (d *Document) insertTrees(parent, pos int, fragments []*xmltree.Node) ([][]int, int, error) {
 	if err := d.validateInsert(parent, pos); err != nil {
 		return nil, 0, err
 	}
+	var syms []uint32 // every fragment's, one after the other
 	for _, f := range fragments {
 		if f == nil || f.Kind != xmltree.Element {
 			return nil, 0, errors.New("dyndoc: fragment must be an element tree")
+		}
+		var err error
+		if syms, err = d.symbols(syms, f); err != nil {
+			return nil, 0, err
 		}
 	}
 	d.lastEdit = editTokens.Add(1)
@@ -122,9 +128,10 @@ func (d *Document) insertTrees(parent, pos int, fragments []*xmltree.Node) ([][]
 	for k, f := range fragments {
 		// As within recordTree: every fragment is recorded, the first
 		// index failure ends the index writes.
-		if err := d.recordTree(ids[k], f, rebuild || failed != nil); err != nil {
+		if err := d.recordTree(ids[k], syms[:len(ids[k])], f, rebuild || failed != nil); err != nil {
 			failed = err
 		}
+		syms = syms[len(ids[k]):]
 	}
 	if failed != nil {
 		return nil, 0, failed

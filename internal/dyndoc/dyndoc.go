@@ -6,7 +6,8 @@
 // A Document holds no XML tree of its own. The labeling's structural
 // mirror (scheme.Tree) is the tree; what it does not carry — element
 // names, text data, attribute names and values — lives in id-indexed
-// columns that are written once per id. Every edit updates two things
+// columns that are written once per id, names as codes into a symbol
+// table the document shares with its clones. Every edit updates two things
 // in lock step: the labeling, and the document-ordered element index
 // the query engine joins over. The index lives behind the
 // store.Backend interface: the default slice backend keeps
@@ -28,6 +29,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/scheme"
 	"repro/internal/store"
+	"repro/internal/symtab"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 	"repro/internal/xpath/plan"
@@ -53,12 +55,16 @@ func ObserveOpenParse(start time.Time) { mOpenParse.Observe(time.Since(start).Se
 
 // Document is a live, labeled, queryable XML document.
 //
-// names and leaves are written once per id and never again, so a
-// document and its clones share those columns (cow.Column).
+// Every node has one code in codes: an element's is its name's symbol
+// in syms, a text or attribute node's is leafCode with the index of
+// its content in leaves. Both columns are written once per id and never
+// again, so a document and its clones share them (cow.Column), and the
+// whole family shares syms, which only grows.
 type Document struct {
 	lab    scheme.Labeling
-	names  cow.Column[string] // element name by id; "" for text and attribute nodes
-	leaves cow.Column[*leaf]  // what a text or attribute node holds, by id; nil for elements
+	syms   *symtab.Table      // element and attribute names; Clone shares it
+	codes  cow.Column[uint32] // by id: an element's name symbol, or leafCode|i for leaves[i]
+	leaves cow.Column[leaf]   // text and attribute nodes, by value, in the order they were added
 
 	idx     store.Backend // live element index in document order
 	factory StoreFactory  // how to build a fresh backend (rebuilds, conversions)
@@ -66,7 +72,7 @@ type Document struct {
 
 	relabeled int64 // cumulative re-labels caused by edits
 
-	eng   xpath.Engine // over lab, names and idx as they are now (bind)
+	eng   xpath.Engine // over lab, d's names and idx as they are now (bind)
 	cache *plan.Cache  // plans and results, of d and of everything cloned from it
 
 	// Edit tokens, which tell the cache what an answer outlives: born
@@ -90,26 +96,53 @@ var editTokens atomic.Uint64
 // NameToken implements xpath.Versions; every edit is later than born.
 func (d *Document) NameToken(name string) uint64 { return max(d.born, d.versions[name]) }
 
-// bind points d's engine at d's own names column and at its labeling
-// and index as they are now; whatever replaces one of the two calls it.
+// bind points d's engine at d's own names and at its labeling and index
+// as they are now; whatever replaces one of the two calls it.
 func (d *Document) bind() {
-	d.eng = *xpath.NewEngineOver(d.lab, &d.names, d.idx).Versioned(d)
+	d.eng = *xpath.NewEngineOver(d.lab, d, d.idx).Versioned(d)
 }
+
+// leafCode flags a code that indexes leaves instead of naming an
+// element. Symbols stay below it (symtab.MaxCodes), and so do leaf
+// indexes: a document adds at most 2^31 text and attribute nodes over
+// its life.
+const leafCode = symtab.MaxCodes
 
 // leaf is the immutable content of a non-element node: character
 // data, or an attribute's name and value.
 type leaf struct {
-	kind xmltree.Kind
-	name string
-	data string
+	data string // the character data or the attribute's value
+	name uint32 // an attribute's name symbol
+	attr bool
 }
 
-// leafOf returns the column entry for n: nil for an element.
-func leafOf(n *xmltree.Node) *leaf {
-	if n.Kind == xmltree.Element {
-		return nil
+// leafOf returns the content of the text or attribute node n, whose
+// name, if it has one, is the symbol sym.
+func leafOf(n *xmltree.Node, sym uint32) leaf {
+	return leaf{data: n.Data, name: sym, attr: n.Kind == xmltree.Attr}
+}
+
+// symbols interns the names in the fragment under n and appends, in
+// preorder, each node's symbol (0 for a text node) to dst. It is how an
+// insert refuses a bad name (symtab.ErrBadName) before anything is
+// labeled; a name it interned for an insert that fails later stays in
+// the table, unused.
+func (d *Document) symbols(dst []uint32, n *xmltree.Node) ([]uint32, error) {
+	var sym uint32
+	if n.Kind != xmltree.Text {
+		var err error
+		if sym, err = d.syms.Intern(n.Name); err != nil {
+			return dst, err
+		}
 	}
-	return &leaf{kind: n.Kind, name: n.Name, data: n.Data}
+	dst = append(dst, sym)
+	for _, c := range n.Children {
+		var err error
+		if dst, err = d.symbols(dst, c); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 // StoreFactory builds a storage backend over a binding; it
@@ -152,16 +185,43 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		factory = func(b store.Binding) (store.Backend, error) { return store.NewSlice(b), nil }
 	}
 	n := lab.Tree().Cap() // the builder's count of doc's nodes
-	names, leaves, elems := make([]string, n), make([]*leaf, n), make([]int, 0, n)
+	syms := symtab.New()
+	codes, elems := make([]uint32, n), make([]int, 0, n)
+	// Almost every name repeats one met before: a lookup in seen costs a
+	// third of an Intern, which takes the table's lock.
+	seen := make(map[string]uint32)
 	doc.Walk(func(id int, node *xmltree.Node, _, _ int) {
-		if leaves[id] = leafOf(node); leaves[id] == nil {
-			names[id] = node.Name
+		if node.Kind == xmltree.Element {
 			elems = append(elems, id)
+		}
+		if node.Kind == xmltree.Text || err != nil {
+			return
+		}
+		c, ok := seen[node.Name]
+		if !ok {
+			if c, err = syms.Intern(node.Name); err != nil {
+				return
+			}
+			seen[node.Name] = c
+		}
+		codes[id] = c
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A column's Bytes charges its array's length, so leaves is sized
+	// exactly: the walk above counted the elements, this one fills it.
+	leaves := make([]leaf, 0, n-len(elems))
+	doc.Walk(func(id int, node *xmltree.Node, _, _ int) {
+		if node.Kind != xmltree.Element {
+			leaves = append(leaves, leafOf(node, codes[id]))
+			codes[id] = leafCode | uint32(len(leaves)-1)
 		}
 	})
 	d := &Document{
 		lab:      lab,
-		names:    cow.NewColumn(names),
+		syms:     syms,
+		codes:    cow.NewColumn(codes),
 		leaves:   cow.NewColumn(leaves),
 		factory:  factory,
 		ordered:  scheme.Ordered(lab),
@@ -173,7 +233,7 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 	if d.idx, err = factory(d.binding()); err != nil {
 		return nil, err
 	}
-	if err := d.idx.Build(elems, d.nameOf); err != nil {
+	if err := d.idx.Build(elems, d.NameOf); err != nil {
 		_ = d.idx.Close()
 		return nil, err
 	}
@@ -195,13 +255,23 @@ func refused(err error) error {
 	return err
 }
 
-// nameOf is the index's view of element names ("" for text nodes).
-func (d *Document) nameOf(id int) string {
-	if id < 0 || id >= d.names.Len() {
+// NameOf is Name without the liveness check: the element name recorded
+// for id, "" for a text or attribute node and for an id out of range.
+// It is the one place a name is read from d's columns: the query engine
+// (as its xpath.Names), the index and watch read names through it.
+func (d *Document) NameOf(id int) string {
+	if uint(id) >= uint(d.codes.Len()) {
 		return ""
 	}
-	return d.names.At(id)
+	c := d.codes.At(id)
+	if c&leafCode != 0 {
+		return ""
+	}
+	return d.syms.Name(c)
 }
+
+// isElement reports whether id, which must be in range, is an element.
+func (d *Document) isElement(id int) bool { return d.codes.At(id)&leafCode == 0 }
 
 // Store exposes the element index backend (for stats, flushing and
 // compaction by the ownership layer).
@@ -219,7 +289,7 @@ func (d *Document) ConvertStore(factory StoreFactory) error {
 	if err != nil {
 		return err
 	}
-	if err := idx.Build(d.liveElems(nil), d.nameOf); err != nil {
+	if err := idx.Build(d.liveElems(nil), d.NameOf); err != nil {
 		_ = idx.Close()
 		return err
 	}
@@ -238,14 +308,14 @@ func (d *Document) liveElems(dst []int) []int {
 	kids := d.lab.Tree().Children
 	var walk func(v int)
 	walk = func(v int) {
-		if d.names.At(v) != "" {
+		if d.isElement(v) {
 			dst = append(dst, v)
 		}
 		for _, c := range kids[v] {
 			walk(c)
 		}
 	}
-	if d.names.Len() > 0 {
+	if d.codes.Len() > 0 {
 		walk(0) // the root: see XML
 	}
 	return dst
@@ -255,7 +325,7 @@ func (d *Document) liveElems(dst []int) []int {
 // re-labeling (stored label keys went stale) or after an index write
 // error left it incomplete.
 func (d *Document) rebuildIndex() error {
-	return d.idx.Build(d.liveElems(nil), d.nameOf)
+	return d.idx.Build(d.liveElems(nil), d.NameOf)
 }
 
 // addToIndex registers one new element, falling back to a full rebuild
@@ -307,7 +377,7 @@ func (d *Document) Name(id int) (string, error) {
 	if !d.lab.Tree().Alive(id) {
 		return "", fmt.Errorf("%w: %d", ErrBadNode, id)
 	}
-	return d.names.At(id), nil
+	return d.NameOf(id), nil
 }
 
 // XML serialises the current document, byte for byte as
@@ -322,22 +392,38 @@ func (d *Document) XML() string {
 	return sb.String()
 }
 
+// leafAt returns the content of node id and true, or false for an
+// element.
+func (d *Document) leafAt(id int) (leaf, bool) {
+	c := d.codes.At(id)
+	if c&leafCode == 0 {
+		return leaf{}, false
+	}
+	return d.leaves.At(int(c &^ leafCode)), true
+}
+
+// attrAt returns the attribute node id, or false for any other node.
+func (d *Document) attrAt(id int) (leaf, bool) {
+	lf, ok := d.leafAt(id)
+	return lf, ok && lf.attr
+}
+
 func (d *Document) writeXML(sb *strings.Builder, id int) error {
-	if lf := d.leaves.At(id); lf != nil {
-		if lf.kind == xmltree.Attr {
-			return fmt.Errorf("xmltree: attribute node %q outside an element", lf.name)
+	if lf, ok := d.leafAt(id); ok {
+		if lf.attr {
+			return fmt.Errorf("xmltree: attribute node %q outside an element", d.syms.Name(lf.name))
 		}
 		return xml.EscapeText(sb, []byte(lf.data))
 	}
-	name := d.names.At(id)
+	name := d.NameOf(id)
 	sb.WriteString("<" + name)
 	rest := d.lab.Tree().Children[id]
 	for len(rest) > 0 {
-		a := d.leaves.At(rest[0])
-		if a == nil || a.kind != xmltree.Attr {
+		a, ok := d.attrAt(rest[0])
+		if !ok {
 			break
 		}
-		sb.WriteString(" " + a.name + `="`)
+		sb.WriteString(" " + d.syms.Name(a.name) + `="`)
 		if err := xml.EscapeText(sb, []byte(a.data)); err != nil {
 			return err
 		}
@@ -346,8 +432,8 @@ func (d *Document) writeXML(sb *strings.Builder, id int) error {
 	}
 	sb.WriteString(">")
 	for _, c := range rest {
-		if lf := d.leaves.At(c); lf != nil && lf.kind == xmltree.Attr {
-			return fmt.Errorf("xmltree: attribute %q after non-attribute children of <%s>", lf.name, name)
+		if a, ok := d.attrAt(c); ok {
+			return fmt.Errorf("xmltree: attribute %q after non-attribute children of <%s>", d.syms.Name(a.name), name)
 		}
 		if err := d.writeXML(sb, c); err != nil {
 			return err
@@ -365,7 +451,7 @@ func (d *Document) validateInsert(parent, pos int) error {
 	if !tr.Alive(parent) {
 		return fmt.Errorf("%w: parent %d", ErrBadNode, parent)
 	}
-	if d.names.At(parent) == "" {
+	if !d.isElement(parent) {
 		return fmt.Errorf("%w: parent %d is not an element", ErrBadNode, parent)
 	}
 	if pos < 0 || pos > len(tr.Children[parent]) {
@@ -374,40 +460,38 @@ func (d *Document) validateInsert(parent, pos int) error {
 	return nil
 }
 
-// recordNode fills the columns for the id a label insert just
-// allocated (ids are dense, so it is the next slot): an element called
-// name, or the text or attribute node lf. Elements take the running
-// edit's token and enter the index unless skipIndex; text and attribute
-// nodes are labeled but not queryable, matching the bulk construction
-// path.
-func (d *Document) recordNode(id int, name string, lf *leaf, skipIndex bool) error {
-	d.names.Append(name)
-	d.leaves.Append(lf)
-	if lf == nil {
-		d.versions[name] = d.lastEdit
-	}
-	if lf != nil || skipIndex {
+// recordElement fills the columns for the id a label insert just
+// allocated (ids are dense, so it is the next slot) with an element
+// whose name is the symbol sym. The name takes the running edit's token,
+// and the element enters the index unless skipIndex.
+func (d *Document) recordElement(id int, sym uint32, skipIndex bool) error {
+	d.codes.Append(sym)
+	name := d.syms.Name(sym)
+	d.versions[name] = d.lastEdit
+	if skipIndex {
 		return nil
 	}
 	return d.addToIndex(name, id)
 }
 
-// recordTree is recordNode over frag's nodes, whose ids are given in
-// preorder. An index failure does not stop the walk — the columns must
-// cover every id the labeling allocated — but it is the last index
-// write attempted, and it is returned.
-func (d *Document) recordTree(ids []int, frag *xmltree.Node, skipIndex bool) error {
+// recordTree fills the columns for frag's nodes, whose ids and symbols
+// (see symbols) are given in preorder: elements as recordElement does,
+// text and attribute nodes labeled but not queryable, matching the bulk
+// construction path. An index failure does not stop the walk — the
+// columns must cover every id the labeling allocated — but it is the
+// last index write attempted, and it is returned.
+func (d *Document) recordTree(ids []int, syms []uint32, frag *xmltree.Node, skipIndex bool) error {
 	var failed error
 	at := 0
 	var walk func(n *xmltree.Node)
 	walk = func(n *xmltree.Node) {
-		lf := leafOf(n)
-		name := n.Name
-		if lf != nil {
-			name = ""
-		}
-		if err := d.recordNode(ids[at], name, lf, skipIndex || failed != nil); err != nil {
-			failed = err
+		if n.Kind == xmltree.Element {
+			if err := d.recordElement(ids[at], syms[at], skipIndex || failed != nil); err != nil {
+				failed = err
+			}
+		} else {
+			d.codes.Append(leafCode | uint32(d.leaves.Len()))
+			d.leaves.Append(leafOf(n, syms[at]))
 		}
 		at++
 		for _, c := range n.Children {
@@ -425,8 +509,9 @@ func (d *Document) InsertElement(parent, pos int, name string) (int, int, error)
 	if err := d.validateInsert(parent, pos); err != nil {
 		return 0, 0, err
 	}
-	if name == "" {
-		return 0, 0, errors.New("dyndoc: empty element name")
+	sym, err := d.syms.Intern(name)
+	if err != nil {
+		return 0, 0, err
 	}
 	d.lastEdit = editTokens.Add(1)
 	id, relabeled, err := d.lab.InsertChildAt(parent, pos)
@@ -437,7 +522,7 @@ func (d *Document) InsertElement(parent, pos int, name string) (int, int, error)
 	mInserts.Inc()
 	mRelabeled.Add(int64(relabeled))
 	rebuild := d.rebuildAfter(relabeled)
-	if err := d.recordNode(id, name, nil, rebuild); err != nil {
+	if err := d.recordElement(id, sym, rebuild); err != nil {
 		return 0, 0, err
 	}
 	if rebuild {
@@ -473,7 +558,7 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 	var collect func(v int)
 	collect = func(v int) {
 		doomed[v] = true
-		if name := d.names.At(v); name != "" {
+		if name := d.NameOf(v); name != "" {
 			d.versions[name] = d.lastEdit
 		}
 		for _, c := range tr.Children[v] {
@@ -486,7 +571,7 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 	// its still-live label. A failed incremental removal falls back to
 	// a rebuild — but only after the labels are gone, so the rebuild
 	// sees only surviving nodes.
-	removeErr := d.idx.Remove(doomed, d.nameOf)
+	removeErr := d.idx.Remove(doomed, d.NameOf)
 	removed, err := d.lab.DeleteSubtree(id)
 	if err != nil {
 		return 0, err
@@ -543,11 +628,11 @@ func (d *Document) QueryRendered(path string, render func(ids []int) []byte) ([]
 	return d.cache.Rendered(&d.eng, d.lastEdit, path, render)
 }
 
-// MemoryFootprint estimates d's resident bytes: its columns and the
-// labeling's mirror and labels at what they have allocated, and what
-// the index backend and the query cache report.
+// MemoryFootprint estimates d's resident bytes: its columns, the symbol
+// table and the labeling's mirror and labels at what they have
+// allocated, and what the index backend and the query cache report.
 func (d *Document) MemoryFootprint() int64 {
-	return d.names.Bytes() + d.leaves.Bytes() + d.lab.Tree().Bytes() + d.lab.LabelBytes() +
+	return d.codes.Bytes() + d.leaves.Bytes() + d.syms.Bytes() + d.lab.Tree().Bytes() + d.lab.LabelBytes() +
 		d.idx.MemoryFootprint() + d.CacheFootprint()
 }
 

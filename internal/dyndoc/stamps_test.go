@@ -116,8 +116,8 @@ func sharedSubject(c *Concurrent) stampSubject {
 
 // namesUnder adds to set the element names in the subtree of id.
 func namesUnder(d *Document, id int, set map[string]bool) {
-	if d.names.At(id) != "" {
-		set[d.names.At(id)] = true
+	if name := d.NameOf(id); name != "" {
+		set[name] = true
 	}
 	for _, c := range d.lab.Tree().Children[id] {
 		namesUnder(d, c, set)

@@ -383,7 +383,7 @@ func nameTest(test, name string) bool {
 // (chain position × step index) — O(depth × steps), no document scan.
 func (sp *spine) matches(d *Document, id int) bool {
 	tr := d.lab.Tree()
-	if !tr.Alive(id) || d.names.At(id) == "" {
+	if !tr.Alive(id) || !d.isElement(id) {
 		return false
 	}
 	chain := make([]int, 0, 16)
@@ -402,7 +402,7 @@ func (sp *spine) matches(d *Document, id int) bool {
 	fPrev[0] = true
 	gPrev[0] = true
 	for _, v := range chain {
-		name := d.names.At(v)
+		name := d.NameOf(v)
 		f[0] = false
 		for j := 1; j <= m; j++ {
 			f[j] = false

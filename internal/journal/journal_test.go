@@ -14,6 +14,7 @@ import (
 	"repro/internal/dyndoc"
 	"repro/internal/faultfs"
 	"repro/internal/registry"
+	"repro/internal/symtab"
 	"repro/internal/xmltree"
 )
 
@@ -169,6 +170,41 @@ func TestReplayContinuesAppending(t *testing.T) {
 	want := "<root><second></second><first></first></root>"
 	if got := d3.XML(); got != want {
 		t.Fatalf("XML after two sessions = %s, want %s", got, want)
+	}
+}
+
+// TestReplayRefusesBadName: a log written before names were checked
+// can hold an insert under a name a checkpoint could not bring back.
+// Replay refuses it as the insert is refused now, naming the batch, and
+// changes no file, with or without Recover: it neither drops the batch
+// nor carries the name into a checkpoint that would not read back.
+func TestReplayRefusesBadName(t *testing.T) {
+	dir := t.TempDir()
+	d := mustDoc(t, "<root/>")
+	j, err := Create(Config{Dir: dir, Scheme: testScheme}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The batch as such a log recorded it: the name, and the id it took.
+	wait, err := j.Append(insertEdit(rootID(t, d), "p:q"), []dyndoc.EditResult{{IDs: []int{d.Labeling().Tree().Cap()}}})
+	if err == nil && wait != nil {
+		err = wait()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	for _, recover := range []bool{false, true} {
+		_, _, _, err := Replay(Config{Dir: dir, Scheme: testScheme, Recover: recover})
+		if !errors.Is(err, symtab.ErrBadName) || !strings.Contains(err.Error(), "batch 1") {
+			t.Fatalf("Replay (recover %v) = %v, want ErrBadName in batch 1", recover, err)
+		}
+		if !reflect.DeepEqual(dirFiles(t, dir), before) {
+			t.Fatalf("Replay (recover %v) changed the journal's files", recover)
+		}
 	}
 }
 

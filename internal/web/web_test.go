@@ -405,6 +405,56 @@ func TestRecordTooLarge(t *testing.T) {
 	}
 }
 
+// TestBadNodeNameRefused: an element name a checkpoint cannot bring
+// back used to be acknowledged. After a checkpoint the document then
+// failed to reopen ("a b", "x><y", "1abc": "rebuilding checkpoint
+// document: XML syntax error") or reopened with the name changed ("p:q"
+// as "q", so a follower bootstrapped from that snapshot diverged from
+// its leader). Each is refused with 400, as an edit and inside a batch;
+// nothing is published or journaled; and a checkpoint, a close and an
+// open bring back the document with a valid name inserted after the
+// refusals.
+func TestBadNodeNameRefused(t *testing.T) {
+	s, _ := newTestServer(t, 0)
+	mustOpen(t, s, "alpha", seed)
+	seq := func() uint64 {
+		t.Helper()
+		var st statsResponse
+		if err := json.Unmarshal(do(s, "GET", "/v1/docs/alpha", "").Body.Bytes(), &st); err != nil || st.Journal == nil {
+			t.Fatalf("stats: %v, %+v", err, st)
+		}
+		return st.Journal.Seq
+	}
+	xml, seq0 := do(s, "GET", "/v1/docs/alpha/xml", "").Body.String(), seq()
+	for _, name := range []string{"a b", "x><y", "1abc", "p:q"} {
+		insert := fmt.Sprintf(`{"op":"insert-element","parent":0,"pos":0,"name":%q}`, name)
+		for route, body := range map[string]string{
+			"edit":  insert,
+			"batch": `{"edits":[{"op":"insert-element","parent":0,"pos":0,"name":"ok"},` + insert + `]}`,
+		} {
+			w := do(s, "POST", "/v1/docs/alpha/"+route, body)
+			if e := decodeErr(t, w); w.Code != http.StatusBadRequest || !strings.Contains(e.Error, "not an XML name") {
+				t.Errorf("%s naming %q: %d %+v", route, name, w.Code, e)
+			}
+		}
+	}
+	if got := do(s, "GET", "/v1/docs/alpha/xml", "").Body.String(); got != xml || seq() != seq0 {
+		t.Fatalf("after the refusals: XML %s, journal seq %d; want %s, %d", got, seq(), xml, seq0)
+	}
+	if w := do(s, "POST", "/v1/docs/alpha/edit", `{"op":"insert-element","parent":0,"pos":0,"name":"_n-1.x"}`); w.Code != http.StatusOK {
+		t.Fatalf("valid name: %d %s", w.Code, w.Body.String())
+	}
+	xml = do(s, "GET", "/v1/docs/alpha/xml", "").Body.String()
+	for _, route := range []string{"checkpoint", "close", "open"} {
+		if w := do(s, "POST", "/v1/docs/alpha/"+route, ""); w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", route, w.Code, w.Body.String())
+		}
+	}
+	if got := do(s, "GET", "/v1/docs/alpha/xml", "").Body.String(); got != xml || !strings.Contains(got, "<_n-1.x>") {
+		t.Fatalf("reopened from the checkpoint: %s, want %s", got, xml)
+	}
+}
+
 // TestPanicAfterPartialWrite: a handler that has begun its reply when
 // it panics gets a 500 whose body is the error envelope alone, not its
 // half-written reply with the envelope after it under a 200.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/cow"
 	"repro/internal/scheme"
 	"repro/internal/xmltree"
 )
@@ -22,10 +21,21 @@ import (
 // number of goroutines concurrently with no locking.
 type Engine struct {
 	lab   scheme.Labeling
-	names *cow.Column[string] // element name by id; "" for other nodes
+	names Names
 	idx   Index
 	vers  Versions // nil: the engine cannot tell which edits a query outlives
 }
+
+// Names is the element-name view an Engine evaluates over.
+type Names interface {
+	// NameOf returns the element name of node id, "" for any other node.
+	NameOf(id int) string
+}
+
+// flatNames is the engine's built-in Names over a plain slice by id.
+type flatNames []string
+
+func (f flatNames) NameOf(id int) string { return f[id] }
 
 // Versions tells an engine how recently its document changed under a
 // given element name (see Stamp).
@@ -85,16 +95,16 @@ func NewEngine(doc *xmltree.Document, lab scheme.Labeling) (*Engine, error) {
 }
 
 // NewEngineOver builds an engine over any Index implementation and the
-// document's own names column: dyndoc's entry point, so that one
+// document's own view of its names: dyndoc's entry point, so that one
 // incrementally updated backend (slice or paged) serves every query.
-func NewEngineOver(lab scheme.Labeling, names *cow.Column[string], idx Index) *Engine {
+func NewEngineOver(lab scheme.Labeling, names Names, idx Index) *Engine {
 	return &Engine{lab: lab, names: names, idx: idx}
 }
 
-// NewEngineWithIndex is NewEngineOver for names in a plain slice.
+// NewEngineWithIndex is NewEngineOver for names in a plain slice by id
+// ("" for a node that is not an element), which it keeps.
 func NewEngineWithIndex(lab scheme.Labeling, names []string, idx Index) *Engine {
-	col := cow.NewColumn(names)
-	return NewEngineOver(lab, &col, idx)
+	return NewEngineOver(lab, flatNames(names), idx)
 }
 
 // Versioned sets the source of e's edit tokens and returns e.
@@ -229,7 +239,14 @@ func (e *Engine) candidates(name string) []int {
 }
 
 func (e *Engine) nameMatches(test string, id int) bool {
-	return test == "*" || e.names.At(id) == test
+	return test == "*" || e.names.NameOf(id) == test
+}
+
+// elementMatches reports whether id is an element that satisfies a name
+// test; unlike nameMatches, * does not match a text node.
+func (e *Engine) elementMatches(test string, id int) bool {
+	name := e.names.NameOf(id)
+	return name != "" && (test == "*" || name == test)
 }
 
 // joinDown is a stack-based structural join: it returns the candidates
@@ -290,7 +307,7 @@ func (e *Engine) siblings(ctx []int, name string, preceding bool) []int {
 			if u == v {
 				continue
 			}
-			if e.names.At(u) == "" || !e.nameMatches(name, u) {
+			if !e.elementMatches(name, u) {
 				continue
 			}
 			// The sibling and order checks are the labeling's work.
@@ -331,7 +348,7 @@ func (e *Engine) parents(ctx []int, name string) []int {
 	var out []int
 	for _, v := range ctx {
 		p := tr.Parent(v)
-		if p == -1 || e.names.At(p) == "" || !e.nameMatches(name, p) {
+		if p == -1 || !e.elementMatches(name, p) {
 			continue
 		}
 		// Consecutive children of one parent add it once; sortDocOrder
@@ -413,7 +430,7 @@ func (e *Engine) filterPosition(in []int, step Step, n int) []int {
 		}
 		pos := 0
 		for _, u := range tr.Children[p] {
-			if e.names.At(u) != "" && e.nameMatches(step.Name, u) {
+			if e.elementMatches(step.Name, u) {
 				pos++
 			}
 			if u == v {
@@ -482,7 +499,7 @@ func (e *Engine) Root() int { return e.rootElement() }
 
 // NameOf returns the element name recorded for id ("" for text
 // nodes).
-func (e *Engine) NameOf(id int) string { return e.names.At(id) }
+func (e *Engine) NameOf(id int) string { return e.names.NameOf(id) }
 
 // ParentOf returns the parent id of a node (-1 for the root), read
 // from the labeling's structural mirror. The planner's pathcheck

@@ -2,7 +2,8 @@
 # ci.sh — the full verification gate, runnable locally and in CI. The
 # gate is a rule, not a list: a test is gated by existing.
 #
-#   1. gofmt, go vet, go build (both tag states)
+#   1. gofmt, go vet, go build (both tag states), and build and vet of
+#      the benchmark module, which compiles against internal/ APIs
 #   2. go test ./..., plain, under -tags invariants and under -race,
 #      then the clone-isolation and storm tests three more times;
 #      labelvet runs here, as internal/analysis's TestRepoClean (both
@@ -10,7 +11,7 @@
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
 #   4. bench smoke, metrics smoke
 #   5. httpd smoke, replication smoke
-#   6. benchmark module (build, vet, test, smoke run)
+#   6. benchmark module (test, smoke run)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +29,9 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> benchmark module (build, vet)"
+(cd benchmark && go build -o /dev/null . && go vet ./...)
 
 echo "==> go build -tags invariants ./..."
 go build -tags invariants ./...
@@ -178,8 +182,8 @@ wait "$httpd_pid" || httpd_status=$?
 [ "$httpd_status" = "0" ] || httpd_fail "SIGTERM exit status $httpd_status, want 0"
 rm -rf "$httpd_dir"
 
-echo "==> benchmark module (build, vet, test, smoke run with the layer ladder)"
-(cd benchmark && go build -o /dev/null . && go vet ./... && go test ./...)
+echo "==> benchmark module (test, smoke run with the layer ladder)"
+(cd benchmark && go test ./...)
 bash benchmark/run.sh --smoke --trace 1 >/dev/null
 
 echo "CI gate passed."
