@@ -649,15 +649,15 @@ func (d *Doc) Journal(from uint64, limit int) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Watch: server-sent events
 
-// Notification is one coalesced change report from Watch, mirroring
-// the document layer's notification.
+// Notification is one net change report from Watch, mirroring the
+// document layer's notification: the answer at generation Gen against
+// the answer at the previous notification, Batches generations before.
 type Notification struct {
-	Gen       uint64 `json:"gen"`
-	Batches   int    `json:"batches"`
-	Added     int    `json:"added"`
-	Removed   int    `json:"removed"`
-	IDs       []int  `json:"ids,omitempty"`
-	Requeried bool   `json:"requeried,omitempty"`
+	Gen     uint64 `json:"gen"`
+	Batches int    `json:"batches"`
+	Added   int    `json:"added"`
+	Removed int    `json:"removed"`
+	IDs     []int  `json:"ids,omitempty"`
 }
 
 // Watch subscribes to a path expression over the server's SSE stream.

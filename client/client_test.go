@@ -187,8 +187,8 @@ func TestClientWatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := recvNotification(t, ch)
-	if n.Added != 1 || n.Requeried {
-		t.Fatalf("notification = %+v, want one precise add", n)
+	if n.Added != 1 || n.Removed != 0 || n.Batches != 1 {
+		t.Fatalf("notification = %+v, want one add in one batch", n)
 	}
 	cancel()
 	for range ch {

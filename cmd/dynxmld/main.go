@@ -16,10 +16,10 @@
 //
 //	dynxmld -addr :8081 -root /var/lib/dynxml-replica -follow http://leader:8080
 //
-// SIGINT/SIGTERM shut the server down gracefully: in-flight requests
-// drain, then every resident document is checkpointed and closed, so
-// the next start replays from the checkpoint instead of the full
-// journal.
+// SIGINT/SIGTERM shut the server down gracefully: watch streams end,
+// in-flight requests drain, then every resident document is
+// checkpointed and closed, so the next start replays from the
+// checkpoint instead of the full journal.
 package main
 
 import (
@@ -109,10 +109,9 @@ func run() error {
 		}
 	}
 
-	srv := &http.Server{
-		Handler:           web.New(web.Config{Catalog: cat, Timeout: *timeout}),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	api := web.New(web.Config{Catalog: cat, Timeout: *timeout})
+	srv := &http.Server{Handler: api, ReadHeaderTimeout: 10 * time.Second}
+	srv.RegisterOnShutdown(api.EndStreams)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	if *follow != "" {

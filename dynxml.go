@@ -842,10 +842,11 @@ func (h *Handle) Checkpoint() error {
 // ErrClosed immediately, and Close blocks until every call already in
 // flight has returned, so no request that passed its closed check can
 // reach a closing journal (the race catalog eviction used to hit
-// under HTTP traffic). On a journaled handle it then makes every
-// acknowledged edit durable (regardless of mode) and closes the
-// journal files. Close is idempotent: second and later calls return
-// nil without waiting for the first's drain.
+// under HTTP traffic). It ends every watch: their channels close. On a
+// journaled handle it then makes every acknowledged edit durable
+// (regardless of mode) and closes the journal files. Close is
+// idempotent: second and later calls return nil without waiting for the
+// first's drain.
 func (h *Handle) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -857,6 +858,9 @@ func (h *Handle) Close() error {
 		h.drained.Wait()
 	}
 	h.mu.Unlock()
+	if h.shared != nil {
+		h.shared.EndWatches()
+	}
 	if h.follower != nil {
 		return h.follower.Close()
 	}

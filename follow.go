@@ -17,10 +17,10 @@ import (
 // ---------------------------------------------------------------------------
 // Followers: read-only replicas fed by journal shipping
 
-// Notification is one coalesced change report from Handle.Watch: the
-// snapshot generation it describes, how many published batches it
-// covers, and the net node ids that entered and left the watched
-// query's result set.
+// Notification is one change report from Handle.Watch: the snapshot
+// generation it describes, how many generations were published since
+// the previous notification, and the net count of nodes that entered
+// and left the watched query's result set since then.
 type Notification = dyndoc.Notification
 
 // FromScratch is the journal-shipping position of a follower with no
@@ -125,11 +125,11 @@ func (h *Handle) Following() bool { return h.follower != nil }
 func (h *Handle) Follower() *journal.Follower { return h.follower }
 
 // Watch subscribes to a path expression on a concurrent handle. The
-// returned channel delivers one coalesced Notification per burst of
-// published batches that changed the query's result set; the returned
-// cancel deregisters the watcher and closes the channel. On a follower
-// the notifications fire as replicated batches are applied — a
-// downstream cache hears about leader writes without polling.
+// returned channel delivers a Notification whenever the query's result
+// set differs from what the previous one reported; the returned cancel
+// deregisters the watcher and closes the channel, and so does Close. On
+// a follower the notifications fire as replicated batches are applied —
+// a downstream cache hears about leader writes without polling.
 func (h *Handle) Watch(path string) (<-chan Notification, func(), error) {
 	if err := h.acquire(); err != nil {
 		return nil, nil, err

@@ -47,17 +47,22 @@ type EditResult struct {
 
 // ApplyBatch applies the edits in order against the document and
 // returns one result per completed edit. Later edits may reference
-// ids created by earlier ones. On error the already-applied prefix of
-// results is returned with it; on a Concurrent document ApplyBatch is
-// instead all-or-nothing (the batch runs on a private clone).
+// ids created by earlier ones. A run of OpInsertTree edits at
+// consecutive positions under one parent is labeled in one pass, as
+// InsertTreeBatch labels it, so a replayed or journaled bulk insert
+// gets the same labels as the original; the run's relabel count goes
+// to its first result, and a run with a bad fragment applies none of
+// the run. On error the already-applied prefix of results is returned
+// with it; on a Concurrent document ApplyBatch is instead
+// all-or-nothing (the batch runs on a private clone).
 func (d *Document) ApplyBatch(edits []Edit) ([]EditResult, error) {
 	if len(edits) == 0 {
 		return nil, nil
 	}
 	mBatchSize.Observe(float64(len(edits)))
 	out := make([]EditResult, 0, len(edits))
-	for i, e := range edits {
-		switch e.Op {
+	for i := 0; i < len(edits); i++ {
+		switch e := edits[i]; e.Op {
 		case OpInsertElement:
 			id, relabeled, err := d.InsertElement(e.Parent, e.Pos, e.Name)
 			if err != nil {
@@ -65,11 +70,19 @@ func (d *Document) ApplyBatch(edits []Edit) ([]EditResult, error) {
 			}
 			out = append(out, EditResult{IDs: []int{id}, Relabeled: relabeled})
 		case OpInsertTree:
-			ids, relabeled, err := d.InsertTree(e.Parent, e.Pos, e.Fragment)
+			run := []*xmltree.Node{e.Fragment}
+			for k := i + 1; k < len(edits) && edits[k].Op == OpInsertTree && edits[k].Parent == e.Parent && edits[k].Pos == e.Pos+len(run); k++ {
+				run = append(run, edits[k].Fragment)
+			}
+			ids, relabeled, err := d.insertTrees(e.Parent, e.Pos, run)
 			if err != nil {
 				return out, fmt.Errorf("dyndoc: batch edit %d: %w", i, err)
 			}
-			out = append(out, EditResult{IDs: ids, Relabeled: relabeled})
+			for _, fids := range ids {
+				out = append(out, EditResult{IDs: fids})
+			}
+			out[len(out)-len(ids)].Relabeled = relabeled
+			i += len(run) - 1
 		case OpDeleteSubtree:
 			removed, err := d.DeleteSubtree(e.Node)
 			if err != nil {

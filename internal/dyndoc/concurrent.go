@@ -47,15 +47,14 @@ type Concurrent struct {
 	snap atomic.Pointer[snapshot]
 	hook CommitHook // vet:guardedby mu // journaling hook; nil when the document is not journaled
 
-	// Watch state (see watch.go). Lock order: c.mu before wmu — the
-	// writer path enqueues events under both; the dispatcher only ever
+	// Watch state (see watch.go). Lock order: c.mu before wmu — a
+	// publish wakes the dispatcher under both; the dispatcher only ever
 	// takes wmu, so it can never hold up a writer.
 	wmu         sync.Mutex
-	watchers    map[int]*watcher // vet:guardedby wmu
-	nextWatch   int              // vet:guardedby wmu
-	wevents     []watchEvent     // vet:guardedby wmu // published swaps awaiting dispatch
-	wcond       *sync.Cond       // vet:guardedby wmu
-	dispatching bool             // vet:guardedby wmu
+	watchers    map[*watcher]struct{} // vet:guardedby wmu
+	wcond       *sync.Cond            // vet:guardedby wmu
+	kicked      bool                  // vet:guardedby wmu // a dispatcher round is wanted
+	dispatching bool                  // vet:guardedby wmu
 }
 
 // CommitHook intercepts every structured edit batch on its way to
@@ -80,10 +79,11 @@ func (c *Concurrent) SetCommitHook(h CommitHook) {
 	c.hook = h
 }
 
-// ErrRawUpdate reports an Update(fn) call on a journaled document:
-// an opaque function cannot be written to the edit journal, so it
-// could never be replayed. Use ApplyBatch or the typed edit methods.
-var ErrRawUpdate = errors.New("dyndoc: raw Update cannot be journaled; use ApplyBatch or the typed edit methods")
+// ErrRawUpdate reports an Update(fn) or Reset call on a journaled
+// document: neither an opaque function nor a wholesale replacement can
+// be written to the edit journal, so it could never be replayed. Use
+// ApplyBatch or the typed edit methods.
+var ErrRawUpdate = errors.New("dyndoc: raw Update or Reset cannot be journaled; use ApplyBatch or the typed edit methods")
 
 // NewConcurrent wraps doc under the given builder.
 func NewConcurrent(doc *xmltree.Document, build scheme.Builder) (*Concurrent, error) {
@@ -182,14 +182,14 @@ func (c *Concurrent) QueryRendered(path string, render func(ids []int) []byte) (
 	return s.d.QueryRendered(path, render)
 }
 
-// updateLocked is the raw single-writer path: it clones the current
+// updateLocked is the one writer path: it clones the current
 // snapshot's document, applies fn to the clone and publishes the
 // result as the next snapshot. When fn fails nothing is published, so
 // readers never observe a partially applied edit. The caller holds
-// the writer mutex and has already decided — under that same lock —
-// that the raw path is allowed (no commit hook installed): checking
-// the hook outside the critical section would let a SetCommitHook
-// racing in between slip an unjournaled edit past the journal.
+// the writer mutex and has decided under it how the edit is journaled,
+// if at all: checking the hook outside the critical section would let
+// a SetCommitHook racing in between slip an unjournaled edit past the
+// journal.
 //
 // vet:holds c.mu
 func (c *Concurrent) updateLocked(fn func(d *Document) error) error {
@@ -201,36 +201,42 @@ func (c *Concurrent) updateLocked(fn func(d *Document) error) error {
 	if err := fn(next); err != nil {
 		return err
 	}
-	ns := c.publishLocked(cur, next)
-	// An opaque mutation carries no edit list, so watchers get a reset
-	// event and requery.
-	c.notifyWatchersLocked(cur, ns, nil, nil, true)
+	c.publishLocked(cur, next)
 	return nil
 }
 
 // publishLocked publishes next as the successor of snapshot cur and
-// returns the published snapshot. It must run under the writer mutex
-// so publication order is edit order.
+// wakes the watch dispatcher. It must run under the writer mutex so
+// publication order is edit order.
 //
 // vet:holds c.mu
-func (c *Concurrent) publishLocked(cur *snapshot, next *Document) *snapshot {
-	ns := &snapshot{d: next, gen: cur.gen + 1}
-	c.snap.Store(ns)
+func (c *Concurrent) publishLocked(cur *snapshot, next *Document) {
+	c.snap.Store(&snapshot{d: next, gen: cur.gen + 1})
 	mSnapshotSwaps.Inc()
-	return ns
+	c.wake()
 }
 
 // applyEdits is the structured writer path every typed edit method
-// routes through: clone, apply the batch to the clone, offer the
-// batch to the commit hook (which may veto it), publish one snapshot,
-// then — with the writer mutex released — wait for the hook's
-// durability acknowledgment. A batch is therefore visible to readers
-// the moment it is published but only reported successful once the
-// journal (if any) acknowledges it; an error from the wait still
-// returns the results, because the edit is applied in memory.
+// routes through: on a clone, apply the batch, offer it to the commit
+// hook (which may veto it), publish one snapshot, then — with the
+// writer mutex released — wait for the hook's durability
+// acknowledgment. A batch is therefore visible to readers the moment it
+// is published but only reported successful once the journal (if any)
+// acknowledges it; an error from the wait still returns the results,
+// because the edit is applied in memory.
 func (c *Concurrent) applyEdits(edits []Edit) ([]EditResult, error) {
+	var out []EditResult
+	var wait func() error
 	c.mu.Lock()
-	out, wait, err := c.applyEditsLocked(edits)
+	hook := c.hook
+	err := c.updateLocked(func(d *Document) error {
+		var err error
+		if out, err = d.ApplyBatch(edits); err != nil || hook == nil {
+			return err
+		}
+		wait, err = hook(edits, out)
+		return err
+	})
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -241,35 +247,6 @@ func (c *Concurrent) applyEdits(edits []Edit) ([]EditResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// applyEditsLocked clones, applies and publishes one batch under the
-// writer mutex the caller holds. The returned wait function (the
-// journal's durability acknowledgment, nil when no hook is set or the
-// hook declines) must be called by the caller after releasing the
-// mutex.
-//
-// vet:holds c.mu
-func (c *Concurrent) applyEditsLocked(edits []Edit) ([]EditResult, func() error, error) {
-	cur := c.load()
-	next, err := cur.d.Clone()
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := next.ApplyBatch(edits)
-	if err != nil {
-		return nil, nil, err
-	}
-	var wait func() error
-	if c.hook != nil {
-		wait, err = c.hook(edits, out)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	ns := c.publishLocked(cur, next)
-	c.notifyWatchersLocked(cur, ns, edits, out, false)
-	return out, wait, nil
 }
 
 // InsertElement inserts a fresh element and publishes a new snapshot.
@@ -291,49 +268,25 @@ func (c *Concurrent) InsertTree(parent, pos int, fragment *xmltree.Node) ([]int,
 }
 
 // InsertTreeBatch inserts the fragments as consecutive children of
-// parent in one batch, paying the snapshot clone once for the whole
-// run (see Document.InsertTreeBatch for the label-side batching).
-// The label write path still runs once per run: the batch is one
-// OpInsertTree per fragment, which Document.ApplyBatch applies
-// individually: here the fragments are replayable edits first.
+// parent in one batch: one OpInsertTree per fragment, which
+// Document.ApplyBatch labels as one run (see Document.InsertTreeBatch),
+// under one clone and one snapshot.
 func (c *Concurrent) InsertTreeBatch(parent, pos int, fragments []*xmltree.Node) ([][]int, int, error) {
-	var ids [][]int
-	var relabeled int
-	c.mu.Lock()
-	// The hook decides the write path; checking it under the same lock
-	// that applies and publishes the batch means a SetCommitHook racing
-	// this call either sees the whole batch journaled or none of it —
-	// never a published-but-unjournaled batch.
-	if c.hook != nil {
-		// Journaled path: express the bulk insert as replayable edits.
-		edits := make([]Edit, len(fragments))
-		for k, f := range fragments {
-			edits[k] = Edit{Op: OpInsertTree, Parent: parent, Pos: pos + k, Fragment: f}
-		}
-		res, wait, err := c.applyEditsLocked(edits)
-		c.mu.Unlock()
-		if res != nil {
-			ids = make([][]int, len(res))
-			for k, r := range res {
-				ids[k] = r.IDs
-				relabeled += r.Relabeled
-			}
-		}
-		if err == nil && wait != nil {
-			err = wait()
-		}
-		return ids, relabeled, err
+	edits := make([]Edit, len(fragments))
+	for k, f := range fragments {
+		edits[k] = Edit{Op: OpInsertTree, Parent: parent, Pos: pos + k, Fragment: f}
 	}
-	err := c.updateLocked(func(d *Document) error {
-		var err error
-		ids, relabeled, err = d.InsertTreeBatch(parent, pos, fragments)
-		return err
-	})
-	c.mu.Unlock()
-	if err != nil {
+	res, err := c.ApplyBatch(edits)
+	if res == nil {
 		return nil, 0, err
 	}
-	return ids, relabeled, nil
+	ids := make([][]int, len(res))
+	relabeled := 0
+	for k, r := range res {
+		ids[k] = r.IDs
+		relabeled += r.Relabeled
+	}
+	return ids, relabeled, err
 }
 
 // DeleteSubtree removes a subtree and publishes a new snapshot.
@@ -366,7 +319,8 @@ func (c *Concurrent) Snapshot(fn func(d *Document) error) error {
 // Update runs fn against a private clone of the document and
 // publishes the clone as one new snapshot when fn succeeds, making
 // composite edits atomic with respect to readers. When fn returns an
-// error nothing is published and the shared document is unchanged.
+// error nothing is published and the shared document is unchanged —
+// how a follower applies a run of its leader's batches, all or none.
 // On a journaled document Update fails with ErrRawUpdate: an opaque
 // mutation cannot be recorded for replay. The hook check and the
 // update run under one critical section, so a SetCommitHook that
@@ -392,55 +346,21 @@ func (c *Concurrent) Locked(fn func(d *Document) error) error {
 	return fn(c.load().d)
 }
 
-// ErrFollowerOnly reports a Replay or Reset call on a journaled
-// document: those paths exist for a read-only follower applying a
-// leader's already-journaled batches, and running them on a document
-// with its own commit hook would bypass the journal.
-var ErrFollowerOnly = errors.New("dyndoc: Replay/Reset are follower paths; not allowed on a journaled document")
-
-// Replay applies a run of already-journaled batches as one snapshot
-// swap: fn mutates a private clone (applying as many batches as it
-// likes) and returns the flattened edit/result lists — with node ids
-// valid in the clone — describing what it did, which drive watch
-// notifications. When fn fails nothing is published, so a follower
-// that hits a corrupt or divergent batch mid-run leaves readers on the
-// last good state. Rejected on journaled documents (ErrFollowerOnly).
-func (c *Concurrent) Replay(fn func(d *Document) ([]Edit, []EditResult, error)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hook != nil {
-		return ErrFollowerOnly
-	}
-	cur := c.load()
-	next, err := cur.d.Clone()
-	if err != nil {
-		return err
-	}
-	edits, results, err := fn(next)
-	if err != nil {
-		return err
-	}
-	ns := c.publishLocked(cur, next)
-	c.notifyWatchersLocked(cur, ns, edits, results, false)
-	return nil
-}
-
-// Reset replaces the shared document wholesale with d — the follower
-// path for adopting a leader's new checkpoint generation, where no
-// edit list connects the old state to the new. The replacement
-// publishes as the next generation, takes over the query cache — its
-// own edit tokens keep its answers apart from the old state's — and
-// watchers receive a reset event (full requery). The caller must not
-// touch d afterwards. Rejected on journaled documents (ErrFollowerOnly).
+// Reset replaces the shared document wholesale with d — how a follower
+// adopts a leader's new checkpoint generation, where no edit list
+// connects the old state to the new. The replacement publishes as the
+// next generation and takes over the query cache; its own edit tokens
+// keep its answers apart from the old state's. The caller must not
+// touch d afterwards. On a journaled document Reset fails with
+// ErrRawUpdate.
 func (c *Concurrent) Reset(d *Document) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.hook != nil {
-		return ErrFollowerOnly
+		return ErrRawUpdate
 	}
 	cur := c.load()
 	d.cache = cur.d.cache
-	ns := c.publishLocked(cur, d)
-	c.notifyWatchersLocked(cur, ns, nil, nil, true)
+	c.publishLocked(cur, d)
 	return nil
 }

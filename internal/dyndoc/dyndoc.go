@@ -595,6 +595,11 @@ func (d *Document) Query(q *xpath.Query) ([]int, error) {
 	return d.cache.Eval(&d.eng, d.lastEdit, q)
 }
 
+// stamp is what the result cache stores an answer under, for a query
+// whose read set (plan.ReadSet) is reads: while it stays the same, so
+// does the answer.
+func (d *Document) stamp(reads []string) uint64 { return d.eng.Stamp(reads, d.lastEdit) }
+
 // Explain plans and evaluates a path expression with instrumentation
 // and returns the EXPLAIN report, which says whether the result cache
 // held the answer.

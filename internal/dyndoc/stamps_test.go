@@ -383,7 +383,7 @@ func stampHistory(t *testing.T, s stampSubject, seed int64) {
 // one document edited differently under the same names, beside their
 // origin; a Concurrent before and after a Reset to a fresh document,
 // which takes the cache over; and one that applies, and one that fails
-// to apply, a follower's Replay.
+// to apply, a follower's replay of a batch run through Update.
 func TestStampedCacheSharedLineages(t *testing.T) {
 	build := containment.Build(keys.VCDBS())
 	ask := func(what string, ds ...*Document) {
@@ -463,29 +463,28 @@ func TestStampedCacheSharedLineages(t *testing.T) {
 	ask("after Reset", c.load().d, before)
 
 	replay := func(fail error) error {
-		return c.Replay(func(d *Document) ([]Edit, []EditResult, error) {
+		return c.Update(func(d *Document) error {
 			edits := []Edit{
 				{Op: OpInsertElement, Parent: 0, Pos: 0, Name: "a"},
 				{Op: OpInsertTree, Parent: 0, Pos: 1, Fragment: stampFragment(rand.New(rand.NewSource(1)), 2)},
 			}
-			res, err := d.ApplyBatch(edits)
-			if err != nil {
-				return nil, nil, err
+			if _, err := d.ApplyBatch(edits); err != nil {
+				return err
 			}
-			ask("inside Replay", d)
-			return edits, res, fail
+			ask("inside a replay", d)
+			return fail
 		})
 	}
 	divergent := errors.New("divergent batch")
 	if err := replay(divergent); err != divergent {
-		t.Fatalf("failed Replay: %v", err)
+		t.Fatalf("failed replay: %v", err)
 	}
-	ask("after a failed Replay", c.load().d)
+	ask("after a failed replay", c.load().d)
 	if err := replay(nil); err != nil {
 		t.Fatal(err)
 	}
-	ask("after Replay", c.load().d, before)
+	ask("after a replay", c.load().d, before)
 	if n, err := c.Count("//a"); err != nil || n != 4 {
-		t.Fatalf("//a = %d, %v after Reset and one Replay; want 4", n, err)
+		t.Fatalf("//a = %d, %v after Reset and one replay; want 4", n, err)
 	}
 }

@@ -176,6 +176,20 @@ func (f *Follower) WaitHorizon(min uint64, timeout time.Duration) (uint64, bool)
 	return f.horizon, f.horizon >= min
 }
 
+// seqLocal reads the applied sequence under mu.
+func (f *Follower) seqLocal() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.seq
+}
+
+// genLocal reads the current generation under mu.
+func (f *Follower) genLocal() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.gen
+}
+
 // Stats returns a point-in-time snapshot.
 func (f *Follower) Stats() FollowerStats {
 	f.mu.Lock()

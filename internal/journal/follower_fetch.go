@@ -91,23 +91,32 @@ func (f *Follower) pollFetch() error {
 	if f.doc == nil {
 		return f.fail(fmt.Errorf("journal: follower: no snapshot in from-scratch chunk"))
 	}
-	// Re-validate continuity: a FetchFunc that did not come through
-	// DecodeShipStream (in-process tests, custom transports) gets the
-	// same scrutiny a network stream does.
-	seq := from
-	for _, b := range chunk.Batches {
-		if b.Seq != seq+1 {
-			return f.fail(fmt.Errorf("journal: follower: chunk batch %d out of sequence (want %d)", b.Seq, seq+1))
-		}
-		seq = b.Seq
-	}
 	if chunk.Horizon < from {
 		return f.fail(fmt.Errorf("journal: follower: leader horizon %d below replica position %d", chunk.Horizon, from))
 	}
 	if len(chunk.Batches) > 0 {
-		if err := f.applyBatchesLive(chunk.Batches); err != nil {
+		// The run publishes as one snapshot, applied by replayBatches as
+		// an open or a snapshot adoption applies it. Its continuity check
+		// gives a FetchFunc that did not come through DecodeShipStream
+		// (in-process tests, custom transports) the scrutiny a network
+		// stream gets.
+		var seq uint64
+		var edits int
+		idmap := f.idmap // pinned here: the closure runs synchronously inside Update
+		err := f.doc.Update(func(d *dyndoc.Document) error {
+			var err error
+			seq, edits, err = replayBatches(d, idmap, from, chunk.Batches)
+			return err
+		})
+		if err != nil {
 			return f.fail(err)
 		}
+		f.mu.Lock()
+		f.seq = seq
+		f.batches += uint64(len(chunk.Batches))
+		f.edits += uint64(edits)
+		f.mu.Unlock()
+		mFollowerApplied.Add(int64(len(chunk.Batches)))
 		if err := f.persistBatches(chunk.Batches); err != nil {
 			return err
 		}

@@ -333,9 +333,11 @@ func Replay(cfg Config) (*Journal, *dyndoc.Document, ReplayInfo, error) {
 }
 
 // replayBatches re-executes a run of journaled batches, the first at
-// sequence from+1, onto an unpublished document — no clone, no
-// publication. A gap or regression in the run is an error: applying
-// past it would fork the document from the history that was logged.
+// sequence from+1, onto a document no reader sees: one rebuilt by an
+// open or a snapshot adoption, or the private clone a follower's
+// Update publishes when the whole run applied. A gap or regression in
+// the run is an error: applying past it would fork the document from
+// the history that was logged.
 func replayBatches(d *dyndoc.Document, idmap map[int]int, from uint64, batches []ShipBatch) (seq uint64, edits int, err error) {
 	seq = from
 	for _, b := range batches {
@@ -346,7 +348,7 @@ func replayBatches(d *dyndoc.Document, idmap map[int]int, from uint64, batches [
 		if err != nil {
 			return seq, edits, fmt.Errorf("journal: batch %d: %w", b.Seq, err)
 		}
-		if _, _, err := applyRecorded(d, idmap, es, recorded); err != nil {
+		if err := applyRecorded(d, idmap, es, recorded); err != nil {
 			return seq, edits, fmt.Errorf("journal: replaying batch %d: %w", b.Seq, err)
 		}
 		seq = b.Seq
@@ -358,12 +360,10 @@ func replayBatches(d *dyndoc.Document, idmap map[int]int, from uint64, batches [
 // applyRecorded re-executes one recorded batch against the rebuilt
 // document, translating node ids both ways: edit references old→new
 // before applying, recorded result ids old→new after, so later
-// batches can reference nodes this one created. It returns the
-// translated edits and the fresh results — ids valid in d — which the
-// follower feeds to watch notification.
-func applyRecorded(d *dyndoc.Document, idmap map[int]int, edits []dyndoc.Edit, recorded []dyndoc.EditResult) ([]dyndoc.Edit, []dyndoc.EditResult, error) {
+// batches can reference nodes this one created.
+func applyRecorded(d *dyndoc.Document, idmap map[int]int, edits []dyndoc.Edit, recorded []dyndoc.EditResult) error {
 	if len(recorded) != len(edits) {
-		return nil, nil, fmt.Errorf("%w: %d results for %d edits", ErrCodec, len(recorded), len(edits))
+		return fmt.Errorf("%w: %d results for %d edits", ErrCodec, len(recorded), len(edits))
 	}
 	translated := make([]dyndoc.Edit, len(edits))
 	for i, e := range edits {
@@ -372,13 +372,13 @@ func applyRecorded(d *dyndoc.Document, idmap map[int]int, edits []dyndoc.Edit, r
 		case dyndoc.OpInsertElement, dyndoc.OpInsertTree:
 			nid, ok := idmap[e.Parent]
 			if !ok {
-				return nil, nil, fmt.Errorf("edit %d references unknown parent %d", i, e.Parent)
+				return fmt.Errorf("edit %d references unknown parent %d", i, e.Parent)
 			}
 			t.Parent = nid
 		case dyndoc.OpDeleteSubtree:
 			nid, ok := idmap[e.Node]
 			if !ok {
-				return nil, nil, fmt.Errorf("edit %d references unknown node %d", i, e.Node)
+				return fmt.Errorf("edit %d references unknown node %d", i, e.Node)
 			}
 			t.Node = nid
 		}
@@ -386,15 +386,15 @@ func applyRecorded(d *dyndoc.Document, idmap map[int]int, edits []dyndoc.Edit, r
 	}
 	results, err := d.ApplyBatch(translated)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	for i, rec := range recorded {
 		if len(results[i].IDs) != len(rec.IDs) {
-			return nil, nil, fmt.Errorf("edit %d produced %d ids, journal recorded %d", i, len(results[i].IDs), len(rec.IDs))
+			return fmt.Errorf("edit %d produced %d ids, journal recorded %d", i, len(results[i].IDs), len(rec.IDs))
 		}
 		for k, old := range rec.IDs {
 			idmap[old] = results[i].IDs[k]
 		}
 	}
-	return translated, results, nil
+	return nil
 }

@@ -28,6 +28,7 @@ package web
 
 import (
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/catalog"
@@ -54,11 +55,14 @@ type Server struct {
 	cat     *catalog.Catalog
 	timeout time.Duration
 	handler http.Handler
+
+	endStreams sync.Once
+	streamsEnd chan struct{} // closed by EndStreams
 }
 
 // New wires the route table and middleware stack.
 func New(cfg Config) *Server {
-	s := &Server{cat: cfg.Catalog, timeout: cfg.Timeout}
+	s := &Server{cat: cfg.Catalog, timeout: cfg.Timeout, streamsEnd: make(chan struct{})}
 	if s.timeout == 0 {
 		s.timeout = DefaultTimeout
 	}
@@ -98,6 +102,12 @@ func New(cfg Config) *Server {
 func route(mux *http.ServeMux, pattern, name string, timeout time.Duration, h http.HandlerFunc) {
 	mux.Handle(pattern, withMetrics(newRouteMetrics(name), withTimeout(timeout, withRecover(h))))
 }
+
+// EndStreams ends every watch stream, open or opened later.
+// http.Server.Shutdown waits for handlers but cancels none, and a watch
+// stream never returns on its own: register EndStreams with the
+// server's RegisterOnShutdown so a drain does not wait for it.
+func (s *Server) EndStreams() { s.endStreams.Do(func() { close(s.streamsEnd) }) }
 
 // ServeHTTP dispatches through the middleware stack.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {

@@ -107,11 +107,12 @@ func (s *Server) handleHorizon(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleWatch subscribes ?path on the document and streams coalesced
+// handleWatch subscribes ?path on the document and streams its net
 // change notifications as server-sent events: one "data:" line of
-// Notification JSON per burst, comment heartbeats while quiet. The
-// stream ends when the client disconnects or the document closes; the
-// document stays pinned (never evicted) for the stream's lifetime.
+// Notification JSON per change, comment heartbeats while quiet. The
+// stream ends when the client disconnects, the document closes or is
+// evicted (its handle's Close ends the watch) or the server shuts down
+// (EndStreams); until then the document stays pinned.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Query().Get("path")
 	if path == "" {
@@ -142,6 +143,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		for {
 			select {
 			case <-r.Context().Done():
+				return
+			case <-s.streamsEnd:
 				return
 			case <-heartbeat.C:
 				if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {

@@ -1,10 +1,17 @@
 package web
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/journal"
 )
@@ -135,4 +142,78 @@ func TestJournalAndHorizon(t *testing.T) {
 func itoa(n int) string {
 	buf, _ := json.Marshal(n)
 	return string(buf)
+}
+
+// openWatch starts a watch stream on url and returns its body once the
+// server has registered the watcher (the stream's first comment line).
+func openWatch(t *testing.T, url string) io.ReadCloser {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/docs/alpha/watch?path=/root/w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("watch: status %d", resp.StatusCode)
+	}
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, ": watching") {
+		t.Fatalf("watch stream opened with %q, %v", line, err)
+	}
+	return resp.Body
+}
+
+// streamEnds reports whether body reaches its end within 5 s.
+func streamEnds(body io.ReadCloser) bool {
+	done := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(io.Discard, body)
+		close(done)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(5 * time.Second):
+		_ = body.Close()
+		return false
+	}
+}
+
+// TestWatchStreamEndsOnClose: the close route closes the document's
+// handle, and with it every watch stream on the document.
+func TestWatchStreamEndsOnClose(t *testing.T) {
+	s, _ := newTestServer(t, 0)
+	mustOpen(t, s, "alpha", seed)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	body := openWatch(t, ts.URL)
+	if w := do(s, "POST", "/v1/docs/alpha/close", ""); w.Code != http.StatusOK {
+		t.Fatalf("close: %d %s", w.Code, w.Body.String())
+	}
+	if !streamEnds(body) {
+		t.Fatal("watch stream still open 5 s after the close route")
+	}
+}
+
+// TestShutdownEndsWatchStreams: http.Server.Shutdown cancels no
+// handler, so a watch stream held it for its whole deadline until
+// EndStreams was registered with it.
+func TestShutdownEndsWatchStreams(t *testing.T) {
+	s, _ := newTestServer(t, 0)
+	mustOpen(t, s, "alpha", seed)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: s}
+	srv.RegisterOnShutdown(s.EndStreams)
+	go func() { _ = srv.Serve(ln) }()
+	body := openWatch(t, "http://"+ln.Addr().String())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with a watch stream open: %v", err)
+	}
+	if !streamEnds(body) {
+		t.Fatal("watch stream still open after Shutdown")
+	}
 }

@@ -100,6 +100,17 @@ type Plan struct {
 	Reads []string
 }
 
+// ReadSet is Plan.Reads for q: the element names q tests, sorted, or
+// nil when one of them is *.
+func ReadSet(q *xpath.Query) []string {
+	reads := appendNames(nil, q)
+	slices.Sort(reads)
+	if reads = slices.Compact(reads); slices.Contains(reads, "*") {
+		return nil
+	}
+	return reads
+}
+
 // appendNames appends the name tests of q and of its predicates' paths.
 func appendNames(dst []string, q *xpath.Query) []string {
 	for _, s := range q.Steps {
@@ -264,12 +275,7 @@ func costAnchored(q *xpath.Query, counts []int, anchor int) float64 {
 // fails: queries outside the child/descendant spine compile to the
 // fallback strategy.
 func For(e *xpath.Engine, q *xpath.Query) *Plan {
-	p := &Plan{Query: q, Text: q.String(), Strategy: LeftRight}
-	p.Reads = appendNames(nil, q)
-	slices.Sort(p.Reads)
-	if p.Reads = slices.Compact(p.Reads); slices.Contains(p.Reads, "*") {
-		p.Reads = nil
-	}
+	p := &Plan{Query: q, Text: q.String(), Strategy: LeftRight, Reads: ReadSet(q)}
 	if !spine(q) {
 		p.Strategy = FallbackAxes
 		return p

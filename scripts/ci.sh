@@ -45,8 +45,8 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, memo and cache storms, stored kernels (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP' ./...
+echo "==> clone isolation, memo, cache and watch storms, stored kernels (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP' ./...
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
@@ -102,7 +102,13 @@ edit_seq=$("$ctl" insert -seq ci "$root_id" 0 x) || httpd_fail "edit"
 "$ctl" xml ci | grep -q '<y>' || httpd_fail "xml"
 "$ctl" list | grep -q '"name":"ci"' || httpd_fail "list"
 "$ctl" horizon -min "$edit_seq" -wait 5s ci >/dev/null || httpd_fail "horizon"
+# Closing a document ends its watch streams.
+"$ctl" watch -timeout 20s ci /root/w >"$httpd_dir/closewatch.out" 2>&1 &
+closewatch_pid=$!
+sleep 0.5
 "$ctl" close ci || httpd_fail "close"
+wait "$closewatch_pid" || true
+grep -q 'watch stream ended' "$httpd_dir/closewatch.out" || httpd_fail "close left a watch open: $(cat "$httpd_dir/closewatch.out")"
 "$ctl" open ci >/dev/null || httpd_fail "reopen after close"
 [ "$("$ctl" count ci /root/x)" = "2" ] || httpd_fail "replay lost an edit"
 "$ctl" watch -n 1 -timeout 10s ci /root/w >"$httpd_dir/watch.out" 2>&1 &
@@ -176,10 +182,19 @@ repl_status=0
 wait "$repl_pid" || repl_status=$?
 [ "$repl_status" = "0" ] || repl_fail "follower SIGTERM exit status $repl_status, want 0"
 
+# An open watch stream must not hold up the shutdown drain.
+"$ctl" watch -timeout 60s ci /root/w >"$httpd_dir/termwatch.out" 2>&1 &
+termwatch_pid=$!
+sleep 0.5
+term_start=$(date +%s)
 kill -TERM "$httpd_pid"
 httpd_status=0
 wait "$httpd_pid" || httpd_status=$?
+term_secs=$(($(date +%s) - term_start))
 [ "$httpd_status" = "0" ] || httpd_fail "SIGTERM exit status $httpd_status, want 0"
+[ "$term_secs" -le 5 ] || httpd_fail "SIGTERM with a watch open took ${term_secs}s, want at most 5"
+wait "$termwatch_pid" || true
+grep -q 'watch stream ended' "$httpd_dir/termwatch.out" || httpd_fail "shutdown left a watch open: $(cat "$httpd_dir/termwatch.out")"
 rm -rf "$httpd_dir"
 
 echo "==> benchmark module (test, smoke run with the layer ladder)"
