@@ -9,8 +9,9 @@ import (
 // TestHandleExplainGolden pins Handle.Explain's rendered output — the
 // exact text cmd/dynxml query -explain prints — across the planner's
 // leftright and fallback strategies, the result cache of a concurrent
-// handle (miss, then hit; still a hit after an edit under a name the
-// query does not read, a miss after one it does) and of a plain handle.
+// handle (miss, then hit; still a hit after an edit under a name or
+// child list the query does not read, a miss after one it does) and of
+// a plain handle.
 // The queries are chosen so the strategy choice cannot depend on the
 // process-wide depth histograms (single step, or predicates blocking
 // pathcheck): the output is a pure function of the document.
@@ -126,6 +127,39 @@ matches: 4
 		}
 		if got, err := h.Explain("//*"); err != nil || got != e.everything {
 			t.Errorf("Explain(//*) after inserting <%s> =\n%s(%v)\nwant\n%s", e.name, got, err, e.everything)
+		}
+	}
+
+	// A * child step reads its parent's child list, /shelf: an x under
+	// a book leaves /library[1]/shelf/* a hit, an x under a shelf makes
+	// it a miss. (The predicate keeps pathcheck, whose cost depends on
+	// the depth histograms, out of the choice.)
+	const children = `EXPLAIN /library[1]/shelf/*
+strategy: leftright
+cost: chosen=24 leftright=24
+cache: result=%s generation=%d
+reads: /shelf, library, shelf
+parallelism: 1
+step 1: /library[1] est=1 actual=1 phase=scan
+step 2: /shelf est=2 actual=2 phase=join
+step 3: /* est=%d actual=%d phase=join
+matches: %[4]d
+`
+	for _, e := range []struct {
+		parent int // 2 is a book, 4 a shelf
+		want   string
+	}{
+		{-1, fmt.Sprintf(children, "miss", 3, 9, 5)},
+		{2, fmt.Sprintf(children, "hit", 4, 10, 5)},
+		{4, fmt.Sprintf(children, "miss", 5, 11, 6)},
+	} {
+		if e.parent >= 0 {
+			if _, _, err := h.InsertElement(e.parent, 0, "x"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := h.Explain("/library[1]/shelf/*"); err != nil || got != e.want {
+			t.Errorf("Explain(/library[1]/shelf/*) after an insert under %d =\n%s(%v)\nwant\n%s", e.parent, got, err, e.want)
 		}
 	}
 

@@ -129,6 +129,7 @@ func (d *Document) insertTrees(parent, pos int, fragments []*xmltree.Node) ([][]
 		}
 	}
 	d.lastEdit = editTokens.Add(1)
+	d.touchChildren(parent)
 	ids, relabeled, err := d.lab.InsertSubtrees(parent, pos, fragments)
 	if err != nil {
 		return nil, 0, refused(err)

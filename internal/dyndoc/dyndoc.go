@@ -77,24 +77,46 @@ type Document struct {
 
 	// Edit tokens, which tell the cache what an answer outlives: born
 	// is d's construction, lastEdit its last edit of any kind, and
-	// versions[name] the last edit that inserted or deleted an element
-	// called name, if any did. A clone inherits them and copies the map.
+	// versions the last edit that inserted or deleted an element called
+	// name, or a child of an element called name (readKey), if any did.
+	// A clone inherits them and copies the map.
 	born, lastEdit uint64
-	versions       map[string]uint64
+	versions       map[readKey]uint64
+}
+
+// readKey is what versions keeps a token under: the elements called
+// name, or, with kids, their child lists, which a read set spells
+// "/name" (plan.ReadSet). An edit keys it with the symbol table's own
+// string, so stamping one allocates nothing.
+type readKey struct {
+	name string
+	kids bool
 }
 
 // editTokens numbers the edits and constructions of every document in
 // the process; an edit draws its token before it mutates anything. A
-// query's stamp is the largest token among the names it reads: the last
-// edit that touched one. Two documents that compute the same stamp both
-// descend, by Clone, from the document that made that edit, and neither
-// has touched those names since — it would have drawn a larger token —
+// query's stamp is the largest token among the names and child lists it
+// reads: the last edit that touched one. Two documents that compute the
+// same stamp both descend, by Clone, from the document that made that
+// edit, and neither has touched those since — it would have drawn a larger token —
 // so both hold under them what that edit left. With a counter per
 // document, divergent clones would draw one token twice.
 var editTokens atomic.Uint64
 
 // NameToken implements xpath.Versions; every edit is later than born.
-func (d *Document) NameToken(name string) uint64 { return max(d.born, d.versions[name]) }
+func (d *Document) NameToken(read string) uint64 {
+	k := readKey{name: read}
+	if parent, ok := strings.CutPrefix(read, "/"); ok {
+		k = readKey{name: parent, kids: true}
+	}
+	return max(d.born, d.versions[k])
+}
+
+// touchChildren gives the child list of the element parent the running
+// edit's token: an insert under parent, or the delete of a child of it.
+func (d *Document) touchChildren(parent int) {
+	d.versions[readKey{name: d.NameOf(parent), kids: true}] = d.lastEdit
+}
 
 // bind points d's engine at d's own names and at its labeling and index
 // as they are now; whatever replaces one of the two calls it.
@@ -227,7 +249,7 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		ordered:  scheme.Ordered(lab),
 		cache:    plan.NewCache(),
 		born:     editTokens.Add(1),
-		versions: make(map[string]uint64),
+		versions: make(map[readKey]uint64),
 	}
 	d.lastEdit = d.born
 	if d.idx, err = factory(d.binding()); err != nil {
@@ -467,7 +489,7 @@ func (d *Document) validateInsert(parent, pos int) error {
 func (d *Document) recordElement(id int, sym uint32, skipIndex bool) error {
 	d.codes.Append(sym)
 	name := d.syms.Name(sym)
-	d.versions[name] = d.lastEdit
+	d.versions[readKey{name: name}] = d.lastEdit
 	if skipIndex {
 		return nil
 	}
@@ -514,6 +536,7 @@ func (d *Document) InsertElement(parent, pos int, name string) (int, int, error)
 		return 0, 0, err
 	}
 	d.lastEdit = editTokens.Add(1)
+	d.touchChildren(parent)
 	id, relabeled, err := d.lab.InsertChildAt(parent, pos)
 	if err != nil {
 		return 0, 0, refused(err)
@@ -552,14 +575,16 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 		return 0, errors.New("dyndoc: cannot delete the document root")
 	}
 	// Collect the subtree ids before the structural removal; every
-	// doomed element's name takes the edit's token.
+	// doomed element's name takes the edit's token, and so does the
+	// child list the root leaves.
 	d.lastEdit = editTokens.Add(1)
+	d.touchChildren(tr.Parent(id))
 	doomed := map[int]bool{}
 	var collect func(v int)
 	collect = func(v int) {
 		doomed[v] = true
 		if name := d.NameOf(v); name != "" {
-			d.versions[name] = d.lastEdit
+			d.versions[readKey{name: name}] = d.lastEdit
 		}
 		for _, c := range tr.Children[v] {
 			collect(c)

@@ -31,13 +31,17 @@ func naive(d *Document, path string) ([]int, error) {
 // stampQueries is the pool the read-set tests ask after every step, in
 // canonical spelling so that Query and QueryString share entries: every
 // axis the parser accepts, * in steps and in predicates, positional and
-// path predicates, nested ones included.
+// path predicates, nested ones included. Its * steps are both kinds: the
+// ones that read a parent's child list ("/r/a/*", the sibling steps
+// under a known parent) and the ones that read every element ("//*",
+// "//b/preceding-sibling::*").
 var stampQueries = []string{
 	"//a", "//b", "//e", "/r/a", "/r/a/b", "//a/b", "//a//c", "//b[1]", "//a[2]/b", "//c/d[2]",
 	"//a[./b]", "//a[.//c]/b", "//a[./b[./c]]", "//b[./a/parent::b]",
-	"//*", "/r/*", "//a/*[2]", "//a[./*]", "//b[./*/c]/d",
+	"//*", "/r/*", "/r/a/*", "//a/*[2]", "//a[./*]", "//a[./*]/b", "//b[./*/c]/d",
 	"//b/preceding-sibling::a", "//b/following-sibling::c", "//d[1]/following-sibling::d",
 	"//a/following::b", "//c/parent::a", "//d/ancestor::a",
+	"/r/b/preceding-sibling::*", "//a/b/following-sibling::*[1]", "/r/*/following-sibling::*",
 	"//b/preceding-sibling::*", "//a/following::*", "//c/parent::*/d",
 }
 
@@ -133,9 +137,11 @@ func namesIn(n *xmltree.Node, set map[string]bool) {
 	}
 }
 
-// randomStampEdit draws an edit valid on d and adds the names it
-// touches to touched. Deleted subtrees are drawn among all nodes, text
-// included, and so contain other names than their root's.
+// randomStampEdit draws an edit valid on d and adds what it touches to
+// touched: the element names it inserts or deletes, and "/P" for the
+// name P of the parent whose child list it changes. Deleted subtrees are
+// drawn among all nodes, text included, and so contain other names than
+// their root's.
 func randomStampEdit(rng *rand.Rand, d *Document, touched map[string]bool) Edit {
 	elems := d.liveElems(nil)
 	parent := elems[rng.Intn(len(elems))]
@@ -147,14 +153,17 @@ func randomStampEdit(rng *rand.Rand, d *Document, touched map[string]bool) Edit 
 			id = kids[rng.Intn(len(kids))] // perhaps a text node
 		}
 		namesUnder(d, id, touched)
+		touched["/"+d.NameOf(d.lab.Tree().Parent(id))] = true
 		return Edit{Op: OpDeleteSubtree, Node: id}
 	case k < 6:
 		frag := stampFragment(rng, 2)
 		namesIn(frag, touched)
+		touched["/"+d.NameOf(parent)] = true
 		return Edit{Op: OpInsertTree, Parent: parent, Pos: pos, Fragment: frag}
 	default:
 		name := stampNames[rng.Intn(len(stampNames))]
 		touched[name] = true
+		touched["/"+d.NameOf(parent)] = true
 		return Edit{Op: OpInsertElement, Parent: parent, Pos: pos, Name: name}
 	}
 }
@@ -193,8 +202,9 @@ func newStampChecker(t *testing.T, rng *rand.Rand, d *Document) *stampChecker {
 }
 
 // check asks every query of the pool. touched holds the element names
-// edited, on this state or any that shares its cache, since the pool
-// was last asked: a query that reads none of them must be a hit.
+// and "/P" child lists edited, on this state or any that shares its
+// cache, since the pool was last asked: a query that reads none of them
+// must be a hit.
 func (ck *stampChecker) check(what string, s stampDoc, d *Document, touched map[string]bool) {
 	ck.t.Helper()
 	asked := ck.asked[d.cache]
@@ -250,7 +260,8 @@ func (ck *stampChecker) check(what string, s stampDoc, d *Document, touched map[
 
 // TestStampedCacheDifferential is the differential for the rule the
 // result cache lives by — an answer is served again until an edit
-// inserts or deletes an element under a name the query reads — over
+// inserts or deletes an element under a name the query reads, or a
+// child of an element whose child list a * step of it walks — over
 // every scheme, a live Document and a Concurrent, the slice index and,
 // where the scheme has ordered labels, the paged one. A seeded history
 // of element and fragment inserts, deletes of subtrees that hold other
@@ -259,11 +270,15 @@ func (ck *stampChecker) check(what string, s stampDoc, d *Document, touched map[
 // original under the same name — is applied, and after every step the
 // pool of stampQueries is asked through the document and held against
 // xpath.Engine.Eval on the same state. Hits must occur, and a query
-// that reads none of the names a step touched must be one.
+// that reads none of the names and child lists a step touched must be
+// one.
 //
 // It fails under each of: DeleteSubtree giving a token to the deleted
 // root's name alone; * recorded as a name in the read set; predicate
-// paths left out of the read set; a token counter per document.
+// paths left out of the read set; a token counter per document; an
+// insert that skips its parent's child-list token; a delete that skips
+// the child-list token of the deleted root's parent; a sibling * step
+// charged to its context's own name instead of the context's parent.
 func TestStampedCacheDifferential(t *testing.T) {
 	paged := func(b store.Binding) (store.Backend, error) {
 		return store.OpenPaged(t.TempDir(), pagestore.MinCachePages, b)
@@ -324,6 +339,9 @@ func stampHistory(t *testing.T, s stampSubject, seed int64) {
 			touched[name] = true
 			elems := s.state().liveElems(nil)
 			at := rng.Intn(len(elems))
+			for _, parent := range []int{elems[at], elems[(at+1)%len(elems)]} {
+				touched["/"+s.state().NameOf(parent)] = true
+			}
 			err := s.fork(func(d *Document) error {
 				if _, _, err := d.InsertElement(elems[at], 0, name); err != nil {
 					return err

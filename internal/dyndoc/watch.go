@@ -14,8 +14,8 @@ import (
 // dispatcher goroutine, which re-reads the newest snapshot for every
 // watcher. What the query reads is known by its read-set
 // stamp — the token the result cache keys its answer by — so a round in
-// which no edit touched a name the query tests costs the watcher one
-// stamp and nothing else. Otherwise the query is asked through the
+// which no edit touched a name or child list the query reads costs the
+// watcher one stamp and nothing else. Otherwise the query is asked through the
 // document's result cache and its answer diffed against the watcher's
 // last one. A notification is therefore the net change since the
 // watcher's previous notification: an element inserted and deleted

@@ -135,6 +135,60 @@ func TestWatchPredicateAndReset(t *testing.T) {
 	}
 }
 
+// TestWatchChildStar: a watcher on a child-* query reads its parent's
+// child lists, not every element. Edits under a book do not re-evaluate
+// it (watch_requeries_total moves only for the watcher that paces them),
+// and an insert under a shelf notifies it, folding in the generations
+// before.
+func TestWatchChildStar(t *testing.T) {
+	c, err := ParseConcurrent(seedDoc, containment.Build(keys.VCDBS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel, err := c.Watch("/library/shelf/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	// A //note watcher paces the edits: once it has heard about a note, a
+	// round has read that note's snapshot for both watchers.
+	notes, cancelNotes, err := c.Watch("//note")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelNotes()
+	shelves, err := c.QueryString("/library/shelf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	books, err := c.QueryString("//book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requeries := mWatchRequeries.Value()
+	const elsewhere = 8
+	for i := 0; i < elsewhere; i++ {
+		if _, _, err := c.InsertElement(books[i%len(books)], 0, "note"); err != nil {
+			t.Fatal(err)
+		}
+		if n := recv(t, notes); n.Added != 1 {
+			t.Fatalf("note %d: %+v", i, n)
+		}
+	}
+	id, _, err := c.InsertElement(shelves[1], 0, "pamphlet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := recv(t, ch)
+	if n.Added != 1 || n.Removed != 0 || len(n.IDs) != 1 || n.IDs[0] != id || n.Batches != elsewhere+1 {
+		t.Fatalf("notification = %+v, want the pamphlet %d added over %d batches", n, id, elsewhere+1)
+	}
+	if got := mWatchRequeries.Value() - requeries; got != elsewhere+1 {
+		t.Fatalf("%d re-evaluations for %d notes and one pamphlet, want %d: the //note watcher's and one of /library/shelf/*",
+			got, elsewhere, elsewhere+1)
+	}
+}
+
 // TestWatchReplayDelta: a run of batches replayed through Update, as a
 // follower applies its leader's, reaches a watcher as its net change:
 // an element inserted and deleted within the run is not reported.

@@ -38,11 +38,14 @@ type flatNames []string
 func (f flatNames) NameOf(id int) string { return f[id] }
 
 // Versions tells an engine how recently its document changed under a
-// given element name (see Stamp).
+// given element name, or in the child lists of the elements so named
+// (see Stamp).
 type Versions interface {
 	// NameToken returns the token of the last edit that inserted or
-	// deleted an element called name, or of the document's construction.
-	// Tokens increase with time and no two edits ever share one.
+	// deleted an element called name — for "/name", of the last edit
+	// that inserted or deleted a child of an element called name — or of
+	// the document's construction. Tokens increase with time and no two
+	// edits ever share one.
 	NameToken(name string) uint64
 }
 
@@ -114,11 +117,13 @@ func (e *Engine) Versioned(v Versions) *Engine {
 }
 
 // Stamp identifies the state e evaluates over as far as a query that
-// tests only the given element names can tell, by the latest of their
-// edit tokens: two engines that agree on it hold the same elements
-// under those names, in the same order and the same places. For nil
-// names — a query that tests * reads every element — and for an engine
-// without Versions it is gen, the caller's name for the whole state.
+// reads only the given names and child lists ("/name", see Versions)
+// can tell, by the latest of their edit tokens: two engines that agree
+// on it hold the same elements under those names, in the same order and
+// the same places, and the same children under every element whose
+// child list is read. For nil names — a * step whose parent is unknown
+// reads every element (plan.ReadSet) — and for an engine without
+// Versions it is gen, the caller's name for the whole state.
 func (e *Engine) Stamp(names []string, gen uint64) uint64 {
 	if e.vers == nil || names == nil {
 		return gen

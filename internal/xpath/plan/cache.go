@@ -174,11 +174,13 @@ func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query)
 // Eval evaluates q against e, serving from the result cache when the
 // entry there is valid for (e, gen). The returned slice is a fresh copy
 // the caller owns. gen must identify the state e evaluates over among
-// all that use this cache (xpath.Engine.Stamp): an engine with versions
-// is asked for it only by a query that reads *, a version-less one —
-// whose owner moves gen at every edit, as the document's last-edit
-// token moves — by every query, and a gen that does not change when the
-// state does yields stale reads.
+// all that use this cache (xpath.Engine.Stamp), and a gen that does not
+// change when the state does yields stale reads. A version-less engine,
+// whose owner moves gen at every edit as the document's last-edit token
+// moves, is asked for it by every query. An engine with versions is
+// asked only by a query whose read set is nil: one with a * step whose
+// parent is unknown, such as //*. A * child or sibling step reads its
+// parent's child lists (ReadSet) and leaves gen alone.
 func (c *Cache) Eval(e *xpath.Engine, gen uint64, q *xpath.Query) ([]int, error) {
 	return c.evalText(e, gen, q.String(), q)
 }

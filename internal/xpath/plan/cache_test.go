@@ -32,8 +32,8 @@ func checkBounds(t *testing.T, c *Cache) {
 	}
 }
 
-// readsAll is the plan of a query that tests *: its stamp is the
-// caller's generation whatever the engine.
+// readsAll is the plan of a query that reads every element, such as
+// //*: its stamp is the caller's generation whatever the engine.
 var readsAll = &Plan{}
 
 // put stores a result of n ids for (text, gen).

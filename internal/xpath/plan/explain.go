@@ -21,9 +21,9 @@ type StepReport struct {
 
 // Report is the EXPLAIN output for one execution: the chosen
 // strategy and anchor, the cost-model values behind the choice, the
-// result-cache state, the element names the answer depends on, the
-// widest partition fan-out any operator used, and the per-step
-// estimate/actual rows.
+// result-cache state, the element names and child lists the answer
+// depends on, the widest partition fan-out any operator used, and the
+// per-step estimate/actual rows.
 type Report struct {
 	Query         string
 	Strategy      Strategy
@@ -33,7 +33,7 @@ type Report struct {
 	Generation    uint64   // the snapshot reported on, if Snapshot: dyndoc.Concurrent sets both
 	Snapshot      bool     // the document publishes snapshots
 	Cache         string   // "hit" or "miss"
-	Reads         []string // the plan's read set; nil stands for every element (*)
+	Reads         []string // the plan's read set: names, and "/X" for the children of every X; nil (printed *) for every element
 	Parallelism   int      // max partitions any operator split into
 	Steps         []StepReport
 	Matches       int

@@ -93,35 +93,73 @@ type Plan struct {
 	// choice was made on, in label-predicate-call units.
 	CostLeftRight float64
 	CostChosen    float64
-	// Reads is every element name the query tests, predicate paths
-	// included, sorted: the answer is a function of the elements so
-	// named alone, since an edit never moves a node that stays. It is
-	// nil when one of the tests is *, which reads every element.
+	// Reads is what the answer depends on (ReadSet), sorted: every
+	// element name the query tests, predicate paths included, and for a
+	// * step the child list it walks, "/X" for the children of every X.
+	// An edit never moves a node that stays, so nothing else can change
+	// the answer. It is nil when a * step's parent is unknown, and the
+	// query reads every element.
 	Reads []string
 }
 
-// ReadSet is Plan.Reads for q: the element names q tests, sorted, or
-// nil when one of them is *.
+// ReadSet is Plan.Reads for q. A named step reads its name. A * step
+// reads "/X", the child lists of the elements called X, where X is the
+// parent of the nodes it selects: on the child axis the step before it,
+// on a sibling axis its context's parent, known when that context came
+// down the child axis from X (or is a sibling of such a node). A
+// predicate path starts from its own step. parent::* and ancestor::*
+// read nothing, since the parents and ancestors of a surviving node
+// never change, unless a position asks where they stand among their
+// siblings. A * step whose parent is * or unknown — //*, following::*,
+// /* — reads every element, and ReadSet returns nil.
 func ReadSet(q *xpath.Query) []string {
-	reads := appendNames(nil, q)
-	slices.Sort(reads)
-	if reads = slices.Compact(reads); slices.Contains(reads, "*") {
+	reads, ok := appendReads(nil, q, "", "")
+	if !ok {
 		return nil
 	}
-	return reads
+	slices.Sort(reads)
+	return slices.Compact(reads)
 }
 
-// appendNames appends the name tests of q and of its predicates' paths.
-func appendNames(dst []string, q *xpath.Query) []string {
+// appendReads appends to dst what q reads when its context nodes are
+// called ctx and their parents up ("" where unknown), and reports
+// false if q reads every element.
+func appendReads(dst []string, q *xpath.Query, ctx, up string) ([]string, bool) {
 	for _, s := range q.Steps {
-		dst = append(dst, s.Name)
+		parent := "" // of the nodes s selects
+		switch s.Axis {
+		case xpath.Child:
+			parent = ctx
+		case xpath.PrecedingSibling, xpath.FollowingSibling:
+			parent = up
+		}
+		switch {
+		case s.Name != "*":
+			dst = append(dst, s.Name)
+		case (s.Axis == xpath.Parent || s.Axis == xpath.Ancestor) && !positional(s):
+			// Nothing: the context's own reads fix who its parents are.
+		case parent == "" || parent == "*":
+			return dst, false
+		default:
+			dst = append(dst, "/"+parent)
+		}
 		for _, pred := range s.Preds {
 			if pred.Path != nil {
-				dst = appendNames(dst, pred.Path)
+				var ok bool
+				if dst, ok = appendReads(dst, pred.Path, s.Name, parent); !ok {
+					return dst, false
+				}
 			}
 		}
+		ctx, up = s.Name, parent
 	}
-	return dst
+	return dst, true
+}
+
+// positional reports whether s has a positional predicate, which counts
+// the nodes s selects among their parents' children.
+func positional(s xpath.Step) bool {
+	return slices.ContainsFunc(s.Preds, func(p xpath.Pred) bool { return p.Path == nil })
 }
 
 // Planner cost-model constants, in units of one label predicate call.

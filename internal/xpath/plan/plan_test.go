@@ -282,9 +282,9 @@ func (v tokens) NameToken(name string) uint64 { return v[name] }
 // TestCacheGenerations pins the invalidation rule: a result serves
 // only where the engine computes the stamp it was stored with — the
 // caller's generation for an engine without versions or a query that
-// reads *, the latest token among the names the query reads otherwise —
-// a defensive copy protects the cached backing array, and the bounds
-// evict.
+// reads every element, the latest token among the names and child lists
+// the query reads otherwise — a defensive copy protects the cached
+// backing array, and the bounds evict.
 func TestCacheGenerations(t *testing.T) {
 	gen := rand.New(rand.NewSource(3))
 	doc := randomNamedDoc(gen, 80)
@@ -330,8 +330,9 @@ func TestCacheGenerations(t *testing.T) {
 	if mResultMisses.Value() != misses+2 {
 		t.Fatalf("generation change did not miss")
 	}
-	// With versions the generation stops counting, except for *: the
-	// entry serves until a name it reads moves.
+	// With versions the generation stops counting, except for a query
+	// that reads every element: the entry serves until a name or child
+	// list it reads moves.
 	vers, last := tokens{"a": 5, "b": 9, "c": 2}, uint64(9)
 	veng := testEngine(t, doc).Versioned(vers)
 	c = NewCache()
@@ -351,9 +352,16 @@ func TestCacheGenerations(t *testing.T) {
 		{"//a[./c]", 2, "", true},
 		{"//a", 2, "", true}, // //a did not read c
 		{"//a/*", 2, "", false},
-		{"//a/*", 2, "a", true}, // * is not a name: its stamp is the generation
-		{"//a/*", 3, "", false},
+		{"//a/*", 3, "", true}, // a * child step reads the child lists of a, not the generation
+		{"//a/*", 3, "b", true},
+		{"//a/*", 3, "/b", true},
+		{"//a/*", 3, "/a", false}, // a child inserted under an a
 		{"//a/*", 3, "", true},
+		{"//a/*", 3, "a", false},
+		{"//*", 3, "", false},
+		{"//*", 3, "a", true}, // //* reads every element: its stamp is the generation
+		{"//*", 4, "", false},
+		{"//*", 4, "", true},
 	} {
 		if step.move != "" { // as an edit does: a token larger than any before
 			last++
@@ -428,11 +436,25 @@ func TestExplainReport(t *testing.T) {
 	if r3, err := c.Explain(eng, 8, q); err != nil || r3.Cache != "miss" {
 		t.Errorf("Explain at another generation: %+v, %v", r3, err)
 	}
-	// A * anywhere, a predicate path included, reads every element.
+	// A * step reads the child lists of its parent, "/X", where that
+	// parent is known, a predicate path's starting from its own step;
+	// parent::* adds nothing; a * whose parent is * or unknown reads
+	// every element.
 	for text, reads := range map[string][]string{
 		"//a[./b/c]/preceding-sibling::d[2]": {"a", "b", "c", "d"},
-		"//a[./*]/b":                         nil,
-		"/root/*":                            nil,
+		"//a[./*]/b":                         {"/a", "a", "b"},
+		"/root/*":                            {"/root", "root"},
+		"//c/parent::*/d":                    {"c", "d"},
+		"/r/b/preceding-sibling::*":          {"/r", "b", "r"},
+		"/r/*/following-sibling::*":          {"/r", "r"},
+		"//a/b/following-sibling::*[1]":      {"/a", "a", "b"},
+		"//a/b[./following-sibling::*]":      {"/a", "a", "b"},
+		"//b[./*/*]":                         nil,
+		"//b/preceding-sibling::*":           nil,
+		"//c/parent::*[2]":                   nil,
+		"//a/following::*":                   nil,
+		"/*":                                 nil,
+		"//*":                                nil,
 	} {
 		p := For(eng, xpath.MustParse(text))
 		if !reflect.DeepEqual(p.Reads, reads) {

@@ -46,7 +46,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> clone isolation, memo, cache and watch storms, stored kernels (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP' ./...
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP' ./...
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
