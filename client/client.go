@@ -581,7 +581,10 @@ type Stats struct {
 	// unbounded) is how close the document is to refusing inserts with
 	// CodeLabelTooLong.
 	LongestLabel int `json:"longest_label"`
-	Storage      *struct {
+	// ResidentBytes is the document's estimated heap, the figure the
+	// server's catalog budgets and evicts by.
+	ResidentBytes int64 `json:"resident_bytes"`
+	Storage       *struct {
 		Backend        string  `json:"backend"`
 		Entries        int     `json:"entries"`
 		MaxLabel       int     `json:"max_label"`

@@ -125,6 +125,9 @@ func TestClientRoundTrip(t *testing.T) {
 	if st.Journal == nil || st.Journal.Seq != back.Seq {
 		t.Fatalf("Stats journal = %+v, want seq %d", st.Journal, back.Seq)
 	}
+	if st.ResidentBytes <= 0 {
+		t.Fatalf("Stats resident_bytes = %d, want the document's estimate", st.ResidentBytes)
+	}
 	if hor, reached, err := doc.FollowHorizon(back.Seq, time.Second); err != nil || !reached || hor < back.Seq {
 		t.Fatalf("FollowHorizon = %d, %v, %v", hor, reached, err)
 	}

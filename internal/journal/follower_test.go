@@ -387,8 +387,10 @@ func TestFollowerKillMatrix(t *testing.T) {
 			crash(fmt.Sprintf("file%d/sync%d", fi, n), fi, faultfs.Fault{Op: faultfs.OpSync, N: n})
 		}
 	}
-	if total["kill"] < 10 || firstOpen["kill"] == 0 || total["powercut"] != total["kill"] {
-		t.Fatalf("follower kill matrix exercised only %v boundaries (%v inside the first open) — profiling is broken", total, firstOpen)
+	// Pinned like TestKillMatrixAlways's totals.
+	if total["kill"] != 12 || firstOpen["kill"] != 12 || total["survived"] != 4 || firstOpen["survived"] != 4 ||
+		total["powercut"] != total["kill"] {
+		t.Fatalf("follower kill matrix exercised %v boundaries (%v inside the first open), want 12+12 kill and 4+4 survived — profiling is broken", total, firstOpen)
 	}
 	t.Logf("follower kill matrix: %d crash boundaries verified, %d more inside the first open; each again under a power cut, and %d+%d sync boundaries survived, then killed or cut",
 		total["kill"], firstOpen["kill"], total["survived"], firstOpen["survived"])

@@ -658,6 +658,45 @@ func TestSyncIntervalEventuallyDurable(t *testing.T) {
 	}
 }
 
+// TestSyncAlwaysHoldsOneRecord: once a SyncAlways append is
+// acknowledged, its log holds no pending bytes, and no buffer larger
+// than the largest record it wrote.
+func TestSyncAlwaysHoldsOneRecord(t *testing.T) {
+	d := mustDoc(t, "<root/>")
+	j, err := Create(Config{Dir: t.TempDir(), Scheme: testScheme}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	root := rootID(t, d)
+	largest := 0
+	for i, name := range []string{"a", strings.Repeat("b", 300), "c"} {
+		edits := insertEdit(root, name)
+		results, err := d.ApplyBatch(edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := EncodeBatch(edits, results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, len(appendRecord(nil, uint64(i+1), payload)))
+		wait, err := j.Append(edits, results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		j.mu.Lock()
+		pending, held := len(j.store.pending), cap(j.store.pending)
+		j.mu.Unlock()
+		if pending != 0 || held > largest {
+			t.Fatalf("after batch %d: %d B pending in a %d B buffer, want none in at most %d", i+1, pending, held, largest)
+		}
+	}
+}
+
 func TestSyncNoneCloseStillDurable(t *testing.T) {
 	dir := t.TempDir()
 	d := mustDoc(t, "<root/>")

@@ -92,6 +92,12 @@ func appendRecord(dst []byte, id uint64, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32c.Sum(dst[start:]))
 }
 
+// recordSize is the length of appendRecord's encoding of one record.
+func recordSize(id uint64, payload []byte) int {
+	var hdr [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(hdr[:], id) + binary.PutUvarint(hdr[:], uint64(len(payload))) + len(payload) + 4
+}
+
 // File is the minimal contract a segment is written through: an
 // *os.File satisfies it, and Config.WrapFile substitutes a wrapper
 // (faultfs.File) to inject write and sync failures deterministically
@@ -102,20 +108,32 @@ type File interface {
 	Close() error
 }
 
-// segment is the append side of a segment file. Not safe for
-// concurrent use, except SyncFile as documented there.
+// segment is the append side of a segment file. Write frames each
+// record straight into pending, the one buffer a segment holds; pending
+// reaches the file once flushAt bytes wait, and at Flush and Close. The
+// first error writing to the file sticks: every later Write, Flush and
+// Close returns it. Not safe for concurrent use, except SyncFile as
+// documented there.
 type segment struct {
-	f      File
-	w      *bufio.Writer
-	buf    []byte // record scratch, reused across Writes
-	closed bool
+	f       File
+	pending []byte // framed records not yet written to f
+	err     error
+	closed  bool
 }
+
+// flushAt is how many pending bytes send Write on to the file: the
+// size of a bufio.Writer's buffer, so a log that no caller flushes
+// (SyncInterval between ticks, SyncNone) reaches the operating system
+// in the steps one would. A buffer grown past twice that held an outsize
+// record, and is let go once the record is written rather than kept for
+// the life of the log.
+const flushAt = 4096
 
 // appendSegment appends to a file that already holds a valid segment
 // and is positioned at its end (see openStore and reopenStore). Close
 // closes f.
 func appendSegment(f File) *segment {
-	return &segment{f: f, w: bufio.NewWriter(f)}
+	return &segment{f: f}
 }
 
 // Write appends one record (buffered; Sync makes it durable). A payload
@@ -129,12 +147,42 @@ func (s *segment) Write(id uint64, payload []byte) error {
 		mOversize.Inc()
 		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(payload))
 	}
-	s.buf = appendRecord(s.buf[:0], id, payload)
-	if _, err := s.w.Write(s.buf); err != nil {
-		return fmt.Errorf("journal: %w", err)
+	if s.err != nil {
+		return s.err
 	}
+	size := recordSize(id, payload)
+	if len(s.pending) == 0 && cap(s.pending) < size {
+		// An empty buffer grows to exactly the record: under SyncAlways,
+		// which writes each record out before the next, that is all it
+		// ever holds.
+		s.pending = make([]byte, 0, size)
+	}
+	s.pending = appendRecord(s.pending, id, payload)
 	mRecords.Inc()
-	mBytes.Add(int64(len(s.buf)))
+	mBytes.Add(int64(size))
+	if len(s.pending) < flushAt {
+		return nil
+	}
+	return s.writePending()
+}
+
+// writePending writes every pending byte to the file.
+func (s *segment) writePending() error {
+	if s.err != nil || len(s.pending) == 0 {
+		return s.err
+	}
+	n, err := s.f.Write(s.pending)
+	if err == nil && n < len(s.pending) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		s.err = fmt.Errorf("journal: %w", err)
+		return s.err
+	}
+	s.pending = s.pending[:0]
+	if cap(s.pending) > 2*flushAt {
+		s.pending = nil
+	}
 	return nil
 }
 
@@ -157,14 +205,11 @@ func (s *segment) Flush() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
+	return s.writePending()
 }
 
-// SyncFile fsyncs the underlying file without touching the write
-// buffer — the durability half of Sync. Unlike Write and Flush, one
+// SyncFile fsyncs the underlying file without touching the pending
+// records — the durability half of Sync. Unlike Write and Flush, one
 // SyncFile may run concurrently with Writes on the same segment (the
 // group-commit pipeline fsyncs outside its append lock): it only
 // reads the file handle, and a record racing the fsync simply isn't
@@ -182,15 +227,15 @@ func (s *segment) SyncFile() error {
 	return nil
 }
 
-// Close flushes and closes the underlying file.
+// Close writes what is pending and closes the underlying file.
 func (s *segment) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if err := s.w.Flush(); err != nil {
-		_ = s.f.Close() // best-effort: the flush error is the one to report
-		return fmt.Errorf("journal: %w", err)
+	if err := s.writePending(); err != nil {
+		_ = s.f.Close() // best-effort: the write error is the one to report
+		return err
 	}
 	return s.f.Close()
 }

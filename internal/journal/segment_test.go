@@ -206,6 +206,71 @@ func TestSegmentReopenAppend(t *testing.T) {
 	}
 }
 
+// TestSegmentWritesAtFlushSize: records wait in the segment until
+// flushAt bytes are pending, then reach the file whole, in one write; a
+// buffer an outsize record grew is let go once the record is written.
+func TestSegmentWritesAtFlushSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.log")
+	s, err := openStore(Config{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	payload := bytes.Repeat([]byte{1}, 100)
+	framed := 0
+	for id := uint64(0); framed < flushAt; id++ {
+		if got := size(); got != int64(segHeaderSize) {
+			t.Fatalf("%d pending bytes reached the file early: size %d", framed, got)
+		}
+		if err := s.Write(id, payload); err != nil {
+			t.Fatal(err)
+		}
+		framed += len(appendRecord(nil, id, payload))
+	}
+	if got, want := size(), int64(segHeaderSize+framed); got != want || len(s.pending) != 0 {
+		t.Fatalf("after %d framed bytes: file %d B, want %d; %d still pending", framed, got, want, len(s.pending))
+	}
+	if err := s.Write(1, bytes.Repeat([]byte{2}, 3*flushAt)); err != nil {
+		t.Fatal(err)
+	}
+	if s.pending != nil {
+		t.Fatalf("an outsize record left a %d B buffer behind", cap(s.pending))
+	}
+}
+
+// shortFile accepts one byte of every write and reports no error.
+type shortFile struct{ n int }
+
+func (f *shortFile) Write(p []byte) (int, error) { f.n++; return min(len(p), 1), nil }
+func (f *shortFile) Sync() error                 { return nil }
+func (f *shortFile) Close() error                { return nil }
+
+// TestSegmentShortWrite: a write the file takes only part of fails with
+// io.ErrShortWrite, and that error sticks: nothing more is written.
+func TestSegmentShortWrite(t *testing.T) {
+	f := &shortFile{}
+	s := appendSegment(f)
+	if err := s.Write(1, []byte("record")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Flush = %v, want io.ErrShortWrite", err)
+	}
+	if err := s.Write(2, []byte("x")); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Write after a short write = %v, want io.ErrShortWrite", err)
+	}
+	if err := s.Close(); !errors.Is(err, io.ErrShortWrite) || f.n != 1 {
+		t.Fatalf("Close = %v after %d writes, want io.ErrShortWrite after 1", err, f.n)
+	}
+}
+
 func TestSegmentReopenMissing(t *testing.T) {
 	if _, err := reopenStore(Config{Recover: true}, filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Error("reopen of a missing segment succeeded")
@@ -795,7 +860,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 	}
 	var cases []tc
 	// openStore writes and syncs the header unbuffered (write #1 and
-	// sync #1); after that the records are bufio-buffered, so batch b
+	// sync #1); after that the records wait in the segment, so batch b
 	// hits the file as write/sync #(b+1) at its Sync. Ops 1..batches+1
 	// cover every boundary.
 	for n := 1; n <= batches+1; n++ {

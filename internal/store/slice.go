@@ -17,13 +17,20 @@ import (
 // Readers of one published snapshot may fill it at the same time, with
 // the same list, hence the atomic pointer.
 //
+// Build carves every list from one array of exactly the entries it
+// indexes, each list's capacity its length: the first Add to a list
+// moves it to an array of its own, as the first Add after a clone does.
 // A clone copies the byName map and the memo pointer and shares every
 // list; the first Add or Remove that touches a name after a clone
 // replaces that name's list with a private one (own).
+//
+// caps is the sum of the lists' capacities, what MemoryFootprint
+// charges; put keeps it in step with byName.
 type slice struct {
 	bind    Binding
 	byName  map[string][]int
 	entries int
+	caps    int
 	elems   atomic.Pointer[[]int]
 	own     cow.Owner[string]
 }
@@ -35,15 +42,35 @@ func NewSlice(b Binding) Backend {
 }
 
 func (s *slice) Build(elems []int, nameOf func(int) string) error {
-	s.byName = make(map[string][]int, len(s.byName))
+	count := map[string]int{}
+	for _, id := range elems {
+		count[nameOf(id)]++
+	}
+	s.byName = make(map[string][]int, len(count))
 	s.own = cow.NewOwner[string]()
+	free := make([]int, len(elems))
 	for _, id := range elems {
 		name := nameOf(id)
-		s.byName[name] = append(s.byName[name], id)
+		ids, ok := s.byName[name]
+		if !ok {
+			n := count[name]
+			ids, free = free[:0:n], free[n:]
+		}
+		s.byName[name] = append(ids, id)
 	}
-	s.entries = len(elems)
+	s.entries, s.caps = len(elems), len(elems)
 	s.elems.Store(nil)
 	return nil
+}
+
+// put makes ids name's list, or drops the name when ids is empty.
+func (s *slice) put(name string, ids []int) {
+	s.caps += cap(ids) - cap(s.byName[name])
+	if len(ids) == 0 {
+		delete(s.byName, name)
+		return
+	}
+	s.byName[name] = ids
 }
 
 func (s *slice) Add(name string, id int) error {
@@ -57,7 +84,7 @@ func (s *slice) Add(name string, id int) error {
 	if at > 0 && !s.bind.Before(ids[at-1], id) {
 		at = sort.Search(at, func(i int) bool { return s.bind.Before(id, ids[i]) })
 	}
-	s.byName[name] = slices.Insert(ids, at, id)
+	s.put(name, slices.Insert(ids, at, id))
 	s.entries++
 	s.elems.Store(nil)
 	return nil
@@ -85,11 +112,11 @@ func (s *slice) Remove(doomed map[int]bool, nameOf func(int) string) error {
 		s.entries -= hi - lo
 		switch {
 		case hi-lo == len(ids):
-			delete(s.byName, name)
+			s.put(name, nil)
 		case s.own.Has(name):
 			s.byName[name] = slices.Delete(ids, lo, hi)
 		default:
-			s.byName[name] = slices.Concat(ids[:lo], ids[hi:])
+			s.put(name, slices.Concat(ids[:lo], ids[hi:]))
 			s.own.Add(name)
 		}
 		s.elems.Store(nil)
@@ -117,9 +144,9 @@ func (s *slice) Elems() []int {
 }
 
 func (s *slice) MemoryFootprint() int64 {
-	// One 8-byte slot per entry in its name's list, half as much again
-	// for append slack and the map, and the memo while it is held.
-	fp := int64(s.entries) * 12
+	// One 8-byte slot per unit of the lists' capacity, and the memo
+	// while it is held.
+	fp := int64(s.caps) * 8
 	if memo := s.elems.Load(); memo != nil {
 		fp += int64(cap(*memo)) * 8
 	}
@@ -127,7 +154,7 @@ func (s *slice) MemoryFootprint() int64 {
 }
 
 func (s *slice) Clone(b Binding) (Backend, error) {
-	c := &slice{bind: b, byName: maps.Clone(s.byName), entries: s.entries, own: s.own.Fork()}
+	c := &slice{bind: b, byName: maps.Clone(s.byName), entries: s.entries, caps: s.caps, own: s.own.Fork()}
 	c.elems.Store(s.elems.Load())
 	return c, nil
 }

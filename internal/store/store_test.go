@@ -107,6 +107,15 @@ func (f *family) check(t *testing.T, names []string) {
 			t.Fatalf("elems diverge from the world:\nworld %v\n%s %v", want, b.Name(), got)
 		}
 	}
+	for _, b := range []Backend{f.walked, f.sorted} {
+		s, caps := b.(*slice), 0
+		for _, ids := range s.byName {
+			caps += cap(ids)
+		}
+		if caps != s.caps {
+			t.Fatalf("the slice lists' capacities sum to %d, its running sum says %d", caps, s.caps)
+		}
+	}
 }
 
 // clone forks the world and clones every backend onto the fork.
@@ -580,6 +589,47 @@ func TestSliceCloneSharesNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cl.Elems(), []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
 		t.Fatalf("clone elems %v", cl.Elems())
+	}
+}
+
+// TestSliceBuiltToSize: Build carves the lists from one array of
+// exactly the entries, so their capacities sum to the entry count and
+// the footprint is 8 B an entry; the first Add to a list moves it, and
+// the footprint rises by what the moved list holds.
+func TestSliceBuiltToSize(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	const n = 1000
+	w := newWorld()
+	elems := make([]int, n)
+	for i := range elems {
+		elems[i] = i
+		w.ord[i], w.name[i] = uint64(2*i), names[i*i%len(names)]
+	}
+	b := NewSlice(w.binding())
+	if err := b.Build(elems, func(id int) string { return w.name[id] }); err != nil {
+		t.Fatal(err)
+	}
+	caps := 0
+	for _, name := range names {
+		caps += cap(b.IDs(name))
+	}
+	if caps != n {
+		t.Fatalf("Build of %d entries: the lists' capacities sum to %d", n, caps)
+	}
+	if fp := b.MemoryFootprint(); fp != 8*n {
+		t.Fatalf("footprint after Build %d B, want 8 x %d", fp, n)
+	}
+	before, ids := b.MemoryFootprint(), b.IDs("a")
+	w.ord[n], w.name[n] = 1, "a"
+	if err := b.Add("a", n); err != nil {
+		t.Fatal(err)
+	}
+	moved := b.IDs("a")
+	if &moved[0] == &ids[0] {
+		t.Fatal("the first Add after Build did not move the list")
+	}
+	if got, want := b.MemoryFootprint()-before, 8*int64(cap(moved)-cap(ids)); got != want {
+		t.Fatalf("the Add moved a %d-slot list to %d slots and the footprint rose %d B, want %d", cap(ids), cap(moved), got, want)
 	}
 }
 

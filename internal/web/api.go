@@ -122,25 +122,29 @@ type journalInfo struct {
 }
 
 type statsResponse struct {
-	Name         string                 `json:"name"`
-	Scheme       string                 `json:"scheme"`
-	Nodes        int                    `json:"nodes"`
-	Relabeled    int64                  `json:"relabeled"`
-	LongestLabel int                    `json:"longest_label,omitempty"`
-	Storage      *storageInfo           `json:"storage,omitempty"`
-	Journal      *journalInfo           `json:"journal,omitempty"`
-	Replica      *journal.FollowerStats `json:"replica,omitempty"`
+	Name         string `json:"name"`
+	Scheme       string `json:"scheme"`
+	Nodes        int    `json:"nodes"`
+	Relabeled    int64  `json:"relabeled"`
+	LongestLabel int    `json:"longest_label,omitempty"`
+	// ResidentBytes is Handle.MemoryFootprint, the estimate the catalog
+	// budgets the document by.
+	ResidentBytes int64                  `json:"resident_bytes"`
+	Storage       *storageInfo           `json:"storage,omitempty"`
+	Journal       *journalInfo           `json:"journal,omitempty"`
+	Replica       *journal.FollowerStats `json:"replica,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.withDoc(w, r, func(h *dynxml.Handle) {
 		st := h.Stats()
 		resp := statsResponse{
-			Name:         r.PathValue("name"),
-			Scheme:       st.Scheme,
-			Nodes:        st.Nodes,
-			Relabeled:    st.Relabeled,
-			LongestLabel: st.LongestLabel,
+			Name:          r.PathValue("name"),
+			Scheme:        st.Scheme,
+			Nodes:         st.Nodes,
+			Relabeled:     st.Relabeled,
+			LongestLabel:  st.LongestLabel,
+			ResidentBytes: h.MemoryFootprint(),
 		}
 		if st.Storage.Backend != "" {
 			resp.Storage = &storageInfo{st.Storage, st.Storage.CacheHitRatio()}

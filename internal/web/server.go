@@ -10,7 +10,7 @@
 //
 //	POST /v1/docs/{name}/open        {xml?, scheme?} — create (xml set) or open
 //	GET  /v1/docs                    list documents and residency
-//	GET  /v1/docs/{name}             per-document stats incl. journal counters
+//	GET  /v1/docs/{name}             per-document stats incl. resident_bytes, journal counters
 //	GET  /v1/docs/{name}/xml         serialized document
 //	POST /v1/docs/{name}/query      {path} → {count, ids}
 //	POST /v1/docs/{name}/explain    {path} → {explain}

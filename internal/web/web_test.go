@@ -120,6 +120,26 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestStatsResidentBytes: a document's stats carry the estimate the
+// catalog budgets it by.
+func TestStatsResidentBytes(t *testing.T) {
+	s, cat := newTestServer(t, 0)
+	mustOpen(t, s, "alpha", seed)
+	w := do(s, "GET", "/v1/docs/alpha", "")
+	var st statsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatalf("stats: %v (body %s)", err, w.Body.String())
+	}
+	p, err := cat.Acquire("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	if want := p.Handle().MemoryFootprint(); st.ResidentBytes <= 0 || st.ResidentBytes != want {
+		t.Fatalf("resident_bytes %d, want the handle's estimate %d (> 0)", st.ResidentBytes, want)
+	}
+}
+
 // TestRoundTrip drives the full happy-path surface: open, edit,
 // batch, query, explain, stats, xml, sync, checkpoint, list, close,
 // reopen — asserting no acknowledged edit is lost across the

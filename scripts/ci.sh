@@ -2,7 +2,8 @@
 # ci.sh — the full verification gate, runnable locally and in CI. The
 # gate is a rule, not a list: a test is gated by existing.
 #
-#   1. gofmt, go vet, go build (both tag states), and build and vet of
+#   1. gofmt, the DESIGN.md budget (scripts/loc.sh), go vet, go build
+#      (both tag states), and build and vet of
 #      the benchmark module, which compiles against internal/ APIs
 #   2. go test ./..., plain, under -tags invariants and under -race,
 #      then the clone-isolation and storm tests three more times;
@@ -23,6 +24,9 @@ if [ -n "$unformatted" ]; then
 	echo "$unformatted" >&2
 	exit 1
 fi
+
+echo "==> DESIGN.md budget (scripts/loc.sh)"
+sh scripts/loc.sh >/dev/null
 
 echo "==> go vet ./..."
 go vet ./...
