@@ -292,9 +292,10 @@ func WithRecover() Option { return func(c *config) { c.recover = true } }
 // lists every query starts from, keyed by label — out of the Go heap
 // into a checksummed page file under dir, so a document can be queried
 // with only a bounded page cache resident (see WithPageCache). The page
-// file is an index, not a store of record: it is rebuilt from the
-// document on every Open, and with WithJournal the journal alone
-// carries durability. It requires a scheme whose labels have an
+// file is scratch, not a store of record: it is unlinked as it is
+// created, so nothing under dir survives the handle, and the index is
+// rebuilt from the document on every Open; with WithJournal the journal
+// alone carries durability. It requires a scheme whose labels have an
 // order-preserving byte form: V-CDBS- (the default), F-CDBS- and
 // QED-Containment have one; the other ten schemes — the Binary and
 // Float-point containment schemes, every prefix scheme and Prime —
@@ -818,7 +819,8 @@ func (h *Handle) Sync() error {
 // time and disk use. Edits issued concurrently simply land in the new
 // log. It also maintains the paged label index when one is attached:
 // journaled handles compact it into a dense new generation, unjournaled
-// ones flush its dirty pages. Without either there is nothing to do.
+// ones report the error a degraded read of it recorded, if any.
+// Without either there is nothing to do.
 func (h *Handle) Checkpoint() error {
 	if err := h.acquireWrite(); err != nil {
 		return err
@@ -826,7 +828,7 @@ func (h *Handle) Checkpoint() error {
 	defer h.release()
 	return h.locked(func(d *LiveDocument) error {
 		if h.jnl == nil {
-			return d.Store().Flush()
+			return d.Store().Err()
 		}
 		if err := h.jnl.Checkpoint(d); err != nil {
 			return err
@@ -873,15 +875,15 @@ func (h *Handle) Close() error {
 	return err
 }
 
-// closeStore flushes and closes the index backend of the handle's
-// current document. For the in-memory slice backend both are no-ops;
-// for the paged backend this commits the dirty pages and releases the
-// page file (snapshots still referencing it will fail cleanly, but
-// Close has already drained every in-flight call).
+// closeStore closes the index backend of the handle's current document,
+// reporting the error a degraded read of it recorded. For the in-memory
+// slice backend both are no-ops; the paged backend releases its page
+// file (snapshots still referencing it will fail cleanly, but Close has
+// already drained every in-flight call).
 func (h *Handle) closeStore() error {
 	return h.locked(func(d *LiveDocument) error {
 		st := d.Store()
-		err := st.Flush()
+		err := st.Err()
 		if cerr := st.Close(); err == nil {
 			err = cerr
 		}

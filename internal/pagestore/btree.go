@@ -110,15 +110,7 @@ type Tree struct {
 }
 
 // NewTree returns an empty tree over pg.
-func NewTree(pg *Pager) *Tree { return LoadTree(pg, 0, 0) }
-
-// LoadTree attaches to a committed root.
-func LoadTree(pg *Pager, root uint32, count int) *Tree {
-	return &Tree{pg: pg, root: root, count: count, owned: map[uint32]bool{}}
-}
-
-// Root returns the current root page id (0 when empty).
-func (t *Tree) Root() uint32 { return t.root }
+func NewTree(pg *Pager) *Tree { return &Tree{pg: pg, owned: map[uint32]bool{}} }
 
 // Count returns the number of entries.
 func (t *Tree) Count() int { return t.count }
@@ -130,12 +122,12 @@ func (t *Tree) Count() int { return t.count }
 // place anymore.
 func (t *Tree) Clone() *Tree {
 	t.Sealed()
-	return LoadTree(t.pg, t.root, t.count)
+	return &Tree{pg: t.pg, root: t.root, count: t.count, owned: map[uint32]bool{}}
 }
 
-// Sealed drops ownership of every page allocated so far: called after
-// a flush commits them, so later mutations path-copy instead of
-// changing committed pages in place.
+// Sealed drops ownership of every page allocated so far, so later
+// mutations path-copy them instead of changing them in place: what
+// Clone does to the receiver.
 func (t *Tree) Sealed() { t.owned = map[uint32]bool{} }
 
 // newPage caches n as a fresh page this tree owns.

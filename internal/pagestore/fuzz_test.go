@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/crc32c"
 )
 
 // sealPage fills in a page header by hand and seals the buffer.
@@ -58,23 +54,6 @@ func FuzzPageRoundTrip(f *testing.F) {
 		buf[pos] ^= flip
 		if err := Verify(buf, id); err == nil {
 			t.Fatalf("single corrupted byte at %d (xor %02x) still verified", pos, flip)
-		}
-	})
-}
-
-// FuzzMetaDecode feeds arbitrary bytes to the meta-slot decoder: it
-// must never accept a slot whose checksum does not match, and
-// re-encoding an accepted slot must reproduce the input.
-func FuzzMetaDecode(f *testing.F) {
-	f.Add(encodeMeta(Meta{Epoch: 3, Pages: 9, Roots: [2]uint32{4, 5}, Counts: [2]uint64{1, 2}}))
-	f.Add(make([]byte, metaSlotLen))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, ok := decodeMeta(data)
-		if !ok {
-			return
-		}
-		if !bytes.Equal(encodeMeta(m), data[:metaSlotLen]) {
-			t.Fatalf("accepted meta %+v does not re-encode to its input", m)
 		}
 	})
 }
@@ -166,7 +145,7 @@ func TestValidateRejections(t *testing.T) {
 // frame — lookups, scans, inserts up to and through a split, deletes,
 // compaction — stays inside it and leaves a frame that validates again.
 func FuzzPageValidate(f *testing.F) {
-	pf, err := Create(filepath.Join(f.TempDir(), "pages"))
+	pf, err := Create(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -237,7 +216,7 @@ func FuzzPageValidate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := LoadTree(p, e.id, n.count())
+		tr := &Tree{pg: p, root: e.id, count: n.count(), owned: map[uint32]bool{}}
 		_, _, _ = tr.Get(key)
 		_ = tr.ScanFrom(key, func([]byte, uint32) bool { return true })
 		_ = tr.Insert(key, val)
@@ -247,23 +226,4 @@ func FuzzPageValidate(f *testing.F) {
 		_, _ = tr.Delete(key)
 		_ = tr.Scan(func([]byte, uint32) bool { return true })
 	})
-}
-
-// TestOpenRejectsV1Meta: a file whose only meta slot is a version-1
-// slot — same layout, same CRC discipline, pages in the old format —
-// has no meta a v2 reader may trust.
-func TestOpenRejectsV1Meta(t *testing.T) {
-	slot := encodeMeta(Meta{Epoch: 4, Pages: 3, Roots: [2]uint32{1, 2}, Counts: [2]uint64{5, 5}})
-	if _, ok := decodeMeta(slot); !ok {
-		t.Fatal("the v2 slot this test starts from does not decode")
-	}
-	binary.BigEndian.PutUint32(slot[4:8], 1)
-	binary.BigEndian.PutUint32(slot[metaSlotLen-4:], crc32c.Sum(slot[:metaSlotLen-4]))
-	path := filepath.Join(t.TempDir(), "pages")
-	if err := os.WriteFile(path, append(slot, make([]byte, 3*PageSize-metaSlotLen)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); !errors.Is(err, ErrNoMeta) {
-		t.Fatalf("Open on a v1 file: %v, want ErrNoMeta", err)
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,7 +12,7 @@ import (
 
 func newTestPager(t testing.TB, cachePages int) *Pager {
 	t.Helper()
-	pf, err := Create(filepath.Join(t.TempDir(), "pages"))
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,13 +21,13 @@ func newTestPager(t testing.TB, cachePages int) *Pager {
 	return p
 }
 
-// checkCachedNodes flushes tr and requires of every resident frame what
-// the invariants build checks on each writeback — a well-formed slotted
-// page with ascending keys — and that the file now holds it byte for
-// byte: the frame is the page.
-func checkCachedNodes(t *testing.T, p *Pager, tr *Tree) {
+// checkCachedNodes writes every dirty page back and requires of every
+// resident frame what the invariants build checks on each writeback — a
+// well-formed slotted page with ascending keys — and that the file now
+// holds it byte for byte: the frame is the page.
+func checkCachedNodes(t *testing.T, p *Pager) {
 	t.Helper()
-	if err := p.Flush([2]uint32{tr.Root(), 0}, [2]uint64{uint64(tr.Count()), 0}); err != nil {
+	if err := writeBackAll(p); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
@@ -40,7 +38,7 @@ func checkCachedNodes(t *testing.T, p *Pager, tr *Tree) {
 			t.Fatal(err)
 		}
 		if e.dirty || e.node.id() != id {
-			t.Fatalf("page %d: dirty %v after Flush, frame stamped %d", id, e.dirty, e.node.id())
+			t.Fatalf("page %d: dirty %v after writeback, frame stamped %d", id, e.dirty, e.node.id())
 		}
 		if err := p.file.ReadPage(id, onDisk); err != nil {
 			t.Fatal(err)
@@ -171,7 +169,7 @@ func TestPageReclaimsDeadSpace(t *testing.T) {
 	if seen != len(oracle) || tr.Count() != len(oracle) {
 		t.Fatalf("scan %d, count %d, oracle %d", seen, tr.Count(), len(oracle))
 	}
-	checkCachedNodes(t, p, tr)
+	checkCachedNodes(t, p)
 }
 
 // TestCopyOnWriteOncePerSnapshot: after Clone the first edit copies its
@@ -253,10 +251,10 @@ func TestCachedNodesMatchTheirEncoding(t *testing.T) {
 			case op%613 == 0:
 				tr.Sealed()
 			case op%250 == 0:
-				checkCachedNodes(t, p, tr)
+				checkCachedNodes(t, p)
 			}
 		}
-		checkCachedNodes(t, p, tr)
+		checkCachedNodes(t, p)
 		got := map[string]uint32{}
 		if err := tr.Scan(func(k []byte, v uint32) bool { got[string(k)] = v; return true }); err != nil {
 			t.Fatal(err)
@@ -359,10 +357,11 @@ func TestInPlaceVsCloneRace(t *testing.T) {
 	}
 }
 
-// TestFlushIsDeterministic: Flush writes dirty pages in page-id order
-// and a frame's bytes — free space included — depend only on the
-// operations applied to it (compaction is triggered by an insert, never
-// by eviction), so the file's bytes are a function of the edit history.
+// TestFlushIsDeterministic: a frame's bytes — free space included —
+// depend only on the operations applied to it (compaction is triggered
+// by an insert, never by eviction), so with every dirty page written
+// back in page-id order the file's bytes are a function of the edit
+// history.
 func TestFlushIsDeterministic(t *testing.T) {
 	run := func() []byte {
 		p := newTestPager(t, MinCachePages)
@@ -378,26 +377,22 @@ func TestFlushIsDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if op%1500 == 1499 {
-				if err := p.Flush([2]uint32{tr.Root(), 0}, [2]uint64{uint64(tr.Count()), 0}); err != nil {
+				if err := writeBackAll(p); err != nil {
 					t.Fatal(err)
 				}
 				tr.Sealed()
 			}
 		}
-		if err := p.Flush([2]uint32{tr.Root(), 0}, [2]uint64{uint64(tr.Count()), 0}); err != nil {
+		if err := writeBackAll(p); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(p.file.f.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return fileBytes(t, p)
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two identical histories left different page files (%d and %d bytes)", len(a), len(b))
 	}
 	if len(a) <= PageSize {
-		t.Fatal("the flushed file holds no data pages")
+		t.Fatal("the written-back file holds no data pages")
 	}
 }

@@ -1,17 +1,16 @@
 // Package pagestore is the paged storage layer under the label-index
 // backend: fixed-size 4 KB pages with a typed header and a CRC-32C
-// footer, a page file with a dual-slot commit record, a pager with an
-// LRU cache and dirty-page writeback, and a copy-on-write B-tree keyed
-// by raw label bytes.
+// footer, an unlinked scratch file they spill to, a pager with an LRU
+// cache and dirty-page writeback on eviction, and a copy-on-write
+// B-tree keyed by raw label bytes.
 //
 // The checksum discipline mirrors the journal's segment format: every
 // page carries a Castagnoli CRC over everything but the footer, so a
-// torn or bit-flipped page is detected on read, never silently decoded. Durability
-// is layered the same way as the rest of the system: the journal's
-// write-ahead log stays the recovery truth, and a page file that fails
-// verification is simply rebuilt from the replayed document — the
-// pager's job is spilling a large index out of RAM, not replacing the
-// WAL.
+// torn or bit-flipped page is detected on read, never silently decoded.
+// The page file is a cache and nothing else: no commit record, no name,
+// and nothing — not even the next process — reads it back but the pager
+// that wrote it. The journal's write-ahead log is the recovery truth;
+// the pager's job is spilling a large index out of RAM.
 package pagestore
 
 import (

@@ -3,7 +3,6 @@ package pagestore
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -16,6 +15,7 @@ var (
 	mCacheHits   = metrics.Default.Counter("pagestore_cache_hits")
 	mCacheMisses = metrics.Default.Counter("pagestore_cache_misses")
 	mWritebacks  = metrics.Default.Counter("pagestore_writebacks")
+	mReadErrors  = metrics.Default.Counter("pagestore_read_errors_total")
 	mPages       = metrics.Default.Gauge("pagestore_pages")
 )
 
@@ -41,10 +41,8 @@ const residentPageBytes = PageSize + int64(unsafe.Sizeof(cached{}))
 // Pager serves B-tree pages out of an LRU cache over a page File. A
 // miss reads the page straight into a fresh frame, verifies its CRC and
 // then its structure; new and mutated frames stay dirty, and have their
-// footer computed only when evicted or flushed. Only Flush moves the
-// committed state — eviction writeback never fsyncs and never touches
-// the meta page, so a crash exposes at most an old committed root whose
-// pages are all intact.
+// footer computed and reach the file only when evicted. Nothing is ever
+// synced: the file is scratch that only this pager reads.
 //
 // All methods are safe for concurrent use; snapshot readers and the
 // writer share one pager. Every mutation and every seal of a cached
@@ -67,7 +65,7 @@ type PagerStats struct {
 	Resident      int
 	ResidentBytes int64
 	// Allocated is the number of data pages ever allocated in the
-	// current file (committed or not).
+	// file.
 	Allocated int
 	// Hits, Misses and Writebacks count cache lookups and dirty-page
 	// evictions since the pager opened.
@@ -84,7 +82,7 @@ func NewPager(file *File, cachePages int) *Pager {
 		file:  file,
 		cap:   cachePages,
 		cache: make(map[uint32]*cached, cachePages),
-		next:  file.Meta().Pages,
+		next:  1, // page 0 is never allocated
 	}
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	return p
@@ -146,7 +144,7 @@ func (p *Pager) insertLocked(e *cached) error {
 }
 
 // newPageLocked stamps a fresh page id into frame n and caches it
-// dirty; it reaches the file when it is evicted or flushed.
+// dirty; it reaches the file when it is evicted.
 //
 // vet:holds p.mu
 func (p *Pager) newPageLocked(n *node) (*cached, error) {
@@ -173,7 +171,9 @@ func (p *Pager) node(id uint32) (*node, error) {
 
 // getLocked looks id up in the cache; a miss reads the page into a
 // frame of its own — never a recycled one, a reader may still hold
-// whatever was evicted — and verifies checksum, then structure.
+// whatever was evicted — and verifies checksum, then structure. A
+// spill that fails either is counted and stays uncached, so every
+// later fault on it fails, and is counted, again.
 //
 // vet:holds p.mu
 func (p *Pager) getLocked(id uint32) (*cached, error) {
@@ -192,37 +192,16 @@ func (p *Pager) getLocked(id uint32) (*cached, error) {
 	p.misses++
 	mCacheMisses.Inc()
 	n := new(node)
-	if err := p.file.ReadPage(id, n[:]); err != nil {
-		return nil, err
+	err := p.file.ReadPage(id, n[:])
+	if err == nil {
+		err = n.validate()
 	}
-	if err := n.validate(); err != nil {
+	if err != nil {
+		mReadErrors.Inc()
 		return nil, err
 	}
 	e := &cached{id: id, node: n}
 	return e, p.insertLocked(e)
-}
-
-// Flush writes every dirty page back in ascending page id — sequential
-// I/O, and file bytes that are a function of the edit history alone —
-// and commits the given roots and counts: dirty writeback, fsync, meta
-// slot write, fsync — the ordering rule that makes the committed root
-// only ever reference fully-written pages.
-func (p *Pager) Flush(roots [2]uint32, counts [2]uint64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var dirty []*cached
-	for _, e := range p.cache {
-		if e.dirty {
-			dirty = append(dirty, e)
-		}
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].id < dirty[j].id })
-	for _, e := range dirty {
-		if err := p.writebackLocked(e); err != nil {
-			return err
-		}
-	}
-	return p.file.Commit(Meta{Pages: p.next, Roots: roots, Counts: counts})
 }
 
 // Stats returns a snapshot of the pager's counters.
@@ -239,8 +218,8 @@ func (p *Pager) Stats() PagerStats {
 	}
 }
 
-// Close drops the cache (without writeback) and closes the file. The
-// committed state on disk is whatever the last Flush established.
+// Close drops the cache (without writeback) and closes the file, whose
+// pages go with it.
 func (p *Pager) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

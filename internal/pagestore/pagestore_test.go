@@ -2,59 +2,15 @@ package pagestore
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 )
 
-func TestFileMetaRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Commit(Meta{Pages: 5, Roots: [2]uint32{3, 4}, Counts: [2]uint64{10, 20}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Commit(Meta{Pages: 9, Roots: [2]uint32{7, 8}, Counts: [2]uint64{11, 21}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	m := re.Meta()
-	if m.Pages != 9 || m.Roots != [2]uint32{7, 8} || m.Counts != [2]uint64{11, 21} {
-		t.Fatalf("reopened meta %+v", m)
-	}
-	// Three commits (Create's initial one included) → epoch 3.
-	if m.Epoch != 3 {
-		t.Fatalf("epoch %d, want 3", m.Epoch)
-	}
-}
-
-func TestFileOpenRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	if err := os.WriteFile(path, []byte("not a page file at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); !errors.Is(err, ErrNoMeta) {
-		t.Fatalf("Open on garbage: %v, want ErrNoMeta", err)
-	}
-}
-
 func TestPageWriteReadVerify(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +35,7 @@ func TestPageWriteReadVerify(t *testing.T) {
 }
 
 func TestPagerEvictionWritebackAndReread(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,67 +76,8 @@ func TestPagerEvictionWritebackAndReread(t *testing.T) {
 	}
 }
 
-func TestTreeFlushReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPager(pf, 16)
-	tr := NewTree(p)
-	const n = 2000
-	for i := 0; i < n; i++ {
-		if err := tr.Insert(fmt.Appendf(nil, "key-%06d", i), uint32(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Flush([2]uint32{tr.Root(), 0}, [2]uint64{uint64(tr.Count()), 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	pf2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := NewPager(pf2, 16)
-	defer p2.Close()
-	m := pf2.Meta()
-	tr2 := LoadTree(p2, m.Roots[0], int(m.Counts[0]))
-	if tr2.Count() != n {
-		t.Fatalf("reopened count %d, want %d", tr2.Count(), n)
-	}
-	for i := 0; i < n; i += 97 {
-		v, ok, err := tr2.Get(fmt.Appendf(nil, "key-%06d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || v != uint32(i) {
-			t.Fatalf("key %d: got %d ok=%v", i, v, ok)
-		}
-	}
-	got := 0
-	prev := []byte(nil)
-	if err := tr2.Scan(func(k []byte, v uint32) bool {
-		if prev != nil && string(prev) >= string(k) {
-			t.Fatalf("scan out of order at %q", k)
-		}
-		prev = append(prev[:0], k...)
-		got++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Fatalf("scan visited %d entries, want %d", got, n)
-	}
-}
-
 func TestTreeCloneIsolation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +125,7 @@ func TestTreeCloneIsolation(t *testing.T) {
 // slice-vs-paged differential at the store layer.
 func TestTreeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +203,7 @@ func TestTreeDifferential(t *testing.T) {
 // Wide keys keep the fan-out small so a few thousand inserts build and
 // repeatedly split several internal levels.
 func TestTreeInternalSplitScan(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,8 +266,7 @@ func TestTreeInternalSplitScan(t *testing.T) {
 // overflow a page; the byte-balanced split must keep every node
 // encodable, and every entry must stay retrievable.
 func TestTreeSkewedKeySizes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +317,7 @@ func TestTreeSkewedKeySizes(t *testing.T) {
 // writer keeps inserting. Run under -race this catches unsynchronized
 // sharing on the pager's cache entries.
 func TestCloneConcurrentColdReads(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +330,7 @@ func TestCloneConcurrentColdReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Flush([2]uint32{tr.Root(), 0}, [2]uint64{uint64(tr.Count()), 0}); err != nil {
+	if err := writeBackAll(p); err != nil {
 		t.Fatal(err)
 	}
 	tr.Sealed()
@@ -482,8 +374,7 @@ func TestCloneConcurrentColdReads(t *testing.T) {
 }
 
 func TestScanPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages")
-	pf, err := Create(path)
+	pf, err := Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

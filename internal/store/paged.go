@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/pagestore"
 )
@@ -29,18 +28,16 @@ var ErrNoOrderedKeys = errors.New("store: labeling scheme does not expose order-
 // callback, no post-sort — and an edit touches that name's key range
 // and no other.
 //
-// The name table (name -> nameID) is in-memory only: the page file is
-// rebuilt from the document on every open (the journal is the
-// recovery truth), so nothing beyond the committed pages needs to
-// survive a restart.
+// Nothing of it outlives the process: the name table (name -> nameID)
+// is in memory, and the page file is unlinked scratch that only the
+// pager reads back. Every open rebuilds the index from the document
+// (the journal is the recovery truth).
 type paged struct {
 	mu   sync.Mutex
 	bind Binding
 	dir  string
 	// cachePages is the pager budget handed to every generation.
 	cachePages int
-
-	fam *cloneFamily
 
 	cur   *pageGen        // vet:guardedby mu // nil once closed
 	names *pagestore.Tree // vet:guardedby mu
@@ -62,24 +59,16 @@ type paged struct {
 	keyBuf []byte // vet:guardedby mu
 
 	// lastErr records a degraded read (IDs/Elems cannot return an
-	// error through the query path); Flush surfaces it.
+	// error through the query path); Err surfaces it.
 	lastErr error // vet:guardedby mu
-}
-
-// cloneFamily is what the backend OpenPaged returned and every clone
-// descended from it share: the last generation number handed out, so
-// two clones that both swap never pick the same file name.
-type cloneFamily struct {
-	lastGen atomic.Int32
 }
 
 // pageGen is one generation: a page file and its pager, shared by
 // every clone that has not swapped past it. It is closed once — by the
 // first Close of a backend holding it, or by its finalizer after the
-// last holder dropped it; a retired generation's unlinked file stays
-// readable through the open descriptor until then.
+// last holder dropped it; its unlinked file stays readable through the
+// open descriptor until then.
 type pageGen struct {
-	num  int
 	pg   *pagestore.Pager
 	once sync.Once
 	err  error
@@ -90,13 +79,9 @@ func (g *pageGen) close() error {
 	return g.err
 }
 
-func genPath(dir string, gen int) string {
-	return filepath.Join(dir, fmt.Sprintf("labels-%06d.pages", gen))
-}
-
-// OpenPaged creates a paged backend rooted at dir. The page file is
-// created fresh — stale files from a previous process are removed —
-// because the index is always rebuilt from the recovered document;
+// OpenPaged creates a paged backend whose page files are unlinked
+// scratch in dir; page files older versions left there under a name
+// are removed. The index is always rebuilt from the recovered document:
 // pages are a spill target, not a source of truth. Binding.Key is
 // required.
 func OpenPaged(dir string, cachePages int, b Binding) (Backend, error) {
@@ -116,7 +101,6 @@ func OpenPaged(dir string, cachePages int, b Binding) (Backend, error) {
 		bind:       b,
 		dir:        dir,
 		cachePages: cachePages,
-		fam:        new(cloneFamily),
 		nameIDs:    map[string]uint32{},
 		memoIDs:    map[string][]int{},
 	}
@@ -129,17 +113,16 @@ func OpenPaged(dir string, cachePages int, b Binding) (Backend, error) {
 	return p, nil
 }
 
-// openGen makes a fresh generation current: the family's next file
-// name, a pager over it and an empty tree. On failure p is unchanged.
+// openGen makes a fresh generation current: a new page file, a pager
+// over it and an empty tree. On failure p is unchanged.
 //
 // vet:holds p.mu
 func (p *paged) openGen() error {
-	g := &pageGen{num: int(p.fam.lastGen.Add(1))}
-	file, err := pagestore.Create(genPath(p.dir, g.num))
+	file, err := pagestore.Create(p.dir)
 	if err != nil {
 		return err
 	}
-	g.pg = pagestore.NewPager(file, p.cachePages)
+	g := &pageGen{pg: pagestore.NewPager(file, p.cachePages)}
 	runtime.SetFinalizer(g, func(g *pageGen) { _ = g.close() })
 	p.cur = g
 	p.names = pagestore.NewTree(g.pg)
@@ -266,7 +249,7 @@ func (p *paged) Remove(doomed map[int]bool, nameOf func(int) string) error {
 }
 
 // scanIDsLocked appends to ids the ids stored under prefix, in key
-// order. A failed page read degrades to nil and is recorded for Flush.
+// order. A failed page read degrades to nil and is recorded for Err.
 //
 // vet:holds p.mu
 func (p *paged) scanIDsLocked(ids []int, prefix []byte) []int {
@@ -371,7 +354,6 @@ func (p *paged) Clone(b Binding) (Backend, error) {
 		bind:       b,
 		dir:        p.dir,
 		cachePages: p.cachePages,
-		fam:        p.fam,
 		cur:        p.cur,
 		names:      p.names.Clone(),
 		nameIDs:    maps.Clone(p.nameIDs),
@@ -379,35 +361,10 @@ func (p *paged) Clone(b Binding) (Backend, error) {
 	}, nil
 }
 
-// commitLocked writes every dirty page, commits the tree's root with a
-// dual-fsync barrier (the meta page's second tree slot is written 0, an
-// empty tree) and seals the tree, so later edits path-copy rather than
-// change a committed page in place.
-//
-// vet:holds p.mu
-func (p *paged) commitLocked() error {
-	if p.cur == nil {
-		return errors.New("store: paged backend is closed")
-	}
-	err := p.cur.pg.Flush(
-		[2]uint32{p.names.Root()},
-		[2]uint64{uint64(p.names.Count())},
-	)
-	if err != nil {
-		return err
-	}
-	p.names.Sealed()
-	return nil
-}
-
-// Flush commits the index to the page file, then reports any degraded
-// read recorded since the previous flush.
-func (p *paged) Flush() error {
+// Err reports, and clears, the error a degraded read recorded.
+func (p *paged) Err() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.commitLocked(); err != nil {
-		return err
-	}
 	err := p.lastErr
 	p.lastErr = nil
 	return err
@@ -420,25 +377,23 @@ type generation struct {
 }
 
 // endGenLocked finishes the swap that openGen over old started, once
-// the new tree is filled. If filling it failed it discards it and
-// puts old back; otherwise it retires old: its file is unlinked now, and
-// it closes once no clone holds it any more (pageGen).
+// the new tree is filled. If filling it failed it discards it and puts
+// old back; otherwise old is retired, and closes once no clone holds it
+// any more (pageGen).
 //
 // vet:holds p.mu
 func (p *paged) endGenLocked(old generation, fillErr error) error {
 	if fillErr != nil {
 		_ = p.cur.close()
-		_ = os.Remove(genPath(p.dir, p.cur.num))
 		p.cur, p.names = old.gen, old.names
 		return fmt.Errorf("store: generation swap aborted: %w", fillErr)
 	}
-	_ = os.Remove(genPath(p.dir, old.gen.num))
 	return nil
 }
 
-// Compact rebuilds the tree densely into a new generation file,
-// reclaiming pages left sparse by unbalanced deletes. The entries, and
-// so the memoized lists, are unchanged.
+// Compact rebuilds the tree densely into a new generation, reclaiming
+// pages left sparse by unbalanced deletes. The entries, and so the
+// memoized lists, are unchanged.
 func (p *paged) Compact() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -449,10 +404,7 @@ func (p *paged) Compact() error {
 	if err := p.openGen(); err != nil {
 		return err
 	}
-	if err := p.endGenLocked(old, copyTree(old.names, p.names)); err != nil {
-		return err
-	}
-	return p.commitLocked()
+	return p.endGenLocked(old, copyTree(old.names, p.names))
 }
 
 func copyTree(src, dst *pagestore.Tree) error {

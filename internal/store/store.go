@@ -18,7 +18,7 @@
 // the in-memory document) always holds the recoverable state, and a
 // backend can be rebuilt from a pre-order walk at any time. That is
 // why Backend methods that merely read may degrade (returning nil and
-// recording the error for Flush) instead of failing queries outright.
+// recording the error for Err) instead of failing queries outright.
 package store
 
 import (
@@ -141,11 +141,12 @@ type Backend interface {
 	// documents. Paged clones share the page file copy-on-write.
 	Clone(b Binding) (Backend, error)
 
-	// Flush persists buffered state (a no-op for slice) and reports
-	// any error a degraded read recorded earlier.
-	Flush() error
+	// Err reports, and clears, the error a degraded read recorded
+	// since the previous call (always nil for slice).
+	Err() error
 
-	// Compact rewrites persistent storage densely (a no-op for slice).
+	// Compact rebuilds the index densely, reclaiming pages unbalanced
+	// deletes left sparse (a no-op for slice).
 	Compact() error
 
 	// Close releases resources. The index is unusable afterwards.

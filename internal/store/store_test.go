@@ -7,7 +7,6 @@ import (
 	"maps"
 	"math/bits"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -226,7 +225,7 @@ func TestSlicePagedDifferential(t *testing.T) {
 		}
 		switch round % 10 {
 		case 3:
-			if err := errors.Join(f.pgd.Flush(), f.pgdWlk.Flush()); err != nil {
+			if err := errors.Join(f.pgd.Err(), f.pgdWlk.Err()); err != nil {
 				t.Fatal(err)
 			}
 		case 5:
@@ -668,32 +667,34 @@ func TestStatsShape(t *testing.T) {
 }
 
 // TestPagedClonesBothCompact: two clones of one paged backend that
-// both Compact must not collide — neither on the retired pager (a
-// second runtime.SetFinalizer on it is a fatal throw) nor on the next
-// generation's file name (the second Create would truncate the file
-// the first just committed). Each keeps scanning every entry, and
-// each compaction produced its own generation file.
+// both Compact must not collide on the retired pager (a second
+// runtime.SetFinalizer on it is a fatal throw). Each compacts onto a
+// generation of its own, keeps scanning every entry, and keeps taking
+// edits there: the pages one side allocates never show in the other's
+// Stats.
 func TestPagedClonesBothCompact(t *testing.T) {
 	w := newWorld()
-	dir := t.TempDir()
 	oracle := NewSlice(w.binding())
-	p, err := OpenPaged(dir, 8, w.binding())
+	p, err := OpenPaged(t.TempDir(), 8, w.binding())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	names := []string{"a", "b", "c"}
-	for i := 0; i < 3000; i++ {
-		w.ord[i] = uint64(i)
-		w.name[i] = names[i%len(names)]
-		for _, b := range []Backend{oracle, p} {
-			if err := b.Add(w.name[i], i); err != nil {
-				t.Fatal(err)
+	next := 0
+	add := func(bs ...Backend) {
+		t.Helper()
+		for end := next + 500; next < end; next++ {
+			w.ord[next], w.name[next] = uint64(next), names[next%len(names)]
+			for _, b := range bs {
+				if err := b.Add(w.name[next], next); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+	for next < 3000 {
+		add(oracle, p)
 	}
 	c, err := p.Clone(w.binding())
 	if err != nil {
@@ -707,19 +708,21 @@ func TestPagedClonesBothCompact(t *testing.T) {
 		checkEqual(t, w, oracle, p, names)
 		checkEqual(t, w, oracle, c, names)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "labels-*.pages"))
-	if err != nil || len(files) != 2 {
-		t.Fatalf("generation files after both compactions: %v, %v; want two", files, err)
-	}
 	// Each side still takes edits on its own generation.
-	w.ord[3000], w.name[3000] = 3000, "a"
-	for _, b := range []Backend{oracle, p, c} {
-		if err := b.Add("a", 3000); err != nil {
-			t.Fatal(err)
+	oc, err := oracle.Clone(w.binding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct{ edited, other, oracle Backend }{{p, c, oracle}, {c, p, oc}} {
+		before := side.other.Stats()
+		add(side.oracle, side.edited)
+		if got := side.other.Stats(); got.AllocatedPages != before.AllocatedPages || got.Entries != before.Entries {
+			t.Fatalf("edits on one compacted side moved the other's stats: %+v -> %+v", before, got)
 		}
+		checkEqual(t, w, side.oracle, side.edited, names)
 	}
 	checkEqual(t, w, oracle, p, names)
-	checkEqual(t, w, oracle, c, names)
+	checkEqual(t, w, oc, c, names)
 }
 
 // TestPagedOverlongLabel: a label neither tree can key is refused with
@@ -771,7 +774,7 @@ func TestPagedOverlongLabel(t *testing.T) {
 		t.Fatalf("Build over a %d-byte label: %v, want ErrLabelTooLong", limit+1, err)
 	}
 	checkEqual(t, w, oracle, p, []string{"a", "b"})
-	if err := p.Add("b", 201); !errors.Is(err, ErrLabelTooLong) || p.Flush() != nil {
+	if err := p.Add("b", 201); !errors.Is(err, ErrLabelTooLong) || p.Err() != nil {
 		t.Fatalf("the index after a failed Build: Add %v", err)
 	}
 }

@@ -194,9 +194,8 @@ func TestPagedUnsupportedScheme(t *testing.T) {
 }
 
 // TestPagedJournalRoundTrip journals a paged document, edits it,
-// closes, and replays — the paged index is rebuilt from the journal,
-// so every acknowledged edit must be visible, and checkpoints written
-// with paged labels must omit the redundant label records.
+// checkpoints, edits again, closes, and replays — the paged index is
+// rebuilt from the journal, so every acknowledged edit must be visible.
 func TestPagedJournalRoundTrip(t *testing.T) {
 	base := t.TempDir()
 	jdir := filepath.Join(base, "journal")
@@ -254,27 +253,25 @@ func TestPagedJournalRoundTrip(t *testing.T) {
 }
 
 // TestPagedSurvivesPageFileDamage is the paged half of the kill
-// matrix: whatever happens to the page files between runs — deletion,
-// truncation, bit rot — reopening from the journal must restore every
-// acknowledged edit, because pages are a rebuilt cache, never the
-// store of record.
+// matrix: whatever page files a crashed run, or an older version that
+// named them, left in the page directory — none, a truncated one, a
+// bit-rotted one — reopening from the journal must restore every
+// acknowledged edit and remove them, because pages are a rebuilt cache,
+// never the store of record.
 func TestPagedSurvivesPageFileDamage(t *testing.T) {
 	damage := []struct {
 		name string
-		hit  func(t *testing.T, path string)
+		left []byte // a leftover page file's bytes, nil for none
 	}{
-		{"delete", func(t *testing.T, path string) { _ = os.Remove(path) }},
-		{"truncate", func(t *testing.T, path string) { _ = os.Truncate(path, pagestore.PageSize+17) }},
-		{"corrupt", func(t *testing.T, path string) {
-			b, err := os.ReadFile(path)
-			if err != nil || len(b) == 0 {
-				return
-			}
+		{"delete", nil},
+		{"truncate", make([]byte, pagestore.PageSize+17)},
+		{"corrupt", func() []byte {
+			b := make([]byte, 3*pagestore.PageSize)
 			for i := 0; i < len(b); i += 97 {
 				b[i] ^= 0xFF
 			}
-			_ = os.WriteFile(path, b, 0o644)
-		}},
+			return b
+		}()},
 	}
 	for _, dmg := range damage {
 		t.Run(dmg.name, func(t *testing.T) {
@@ -299,12 +296,12 @@ func TestPagedSurvivesPageFileDamage(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			files, err := filepath.Glob(filepath.Join(pdir, "labels-*.pages"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range files {
-				dmg.hit(t, f)
+			if dmg.left != nil {
+				for _, name := range []string{"labels-000001.pages", "labels-123.pages"} {
+					if err := os.WriteFile(filepath.Join(pdir, name), dmg.left, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 
 			r, err := Open(nil, WithJournal(jdir), WithPagedLabels(pdir), WithRecover())
@@ -322,6 +319,78 @@ func TestPagedSurvivesPageFileDamage(t *testing.T) {
 			if len(acked) != 12 {
 				t.Fatalf("got %d acked markers, want 12", len(acked))
 			}
+			requireNoPageFile(t, pdir, "after the reopen")
+		})
+	}
+}
+
+// requireNoPageFile fails unless dir holds no labels-* entry.
+func requireNoPageFile(t *testing.T, dir, when string) {
+	t.Helper()
+	left, err := filepath.Glob(filepath.Join(dir, "labels-*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("%s the page directory holds %v (%v), want no page file", when, left, err)
+	}
+}
+
+// TestPagedLeavesNoPageFile: a paged handle's page files have no name,
+// so its page directory holds none while it is open, after a
+// Checkpoint, after a clone and both sides' Compact, and after Close;
+// and a page file an older version left there under a name is gone
+// once Open returns. Plain and journaled handles alike.
+func TestPagedLeavesNoPageFile(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			base := t.TempDir()
+			pdir := filepath.Join(base, "p")
+			if err := os.MkdirAll(pdir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(pdir, "labels-000007.pages"), []byte("stale"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts := []Option{WithPagedLabels(pdir), WithPageCache(pagestore.MinCachePages)}
+			if journaled {
+				opts = append(opts, WithJournal(filepath.Join(base, "j")))
+			}
+			h, err := Open(pagedSeed(3000), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			requireNoPageFile(t, pdir, "while open")
+			items, err := h.QueryString("/lib/item")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				if _, _, err := h.InsertElement(items[i], 0, "x"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := h.Stats().Storage; st.Writebacks == 0 {
+				t.Fatalf("the index never spilled a page: %+v", st)
+			}
+			if err := h.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			requireNoPageFile(t, pdir, "after Checkpoint")
+			err = h.locked(func(d *LiveDocument) error {
+				c, err := d.Clone()
+				if err != nil {
+					return err
+				}
+				defer c.Store().Close()
+				return errors.Join(d.Store().Compact(), c.Store().Compact())
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireNoPageFile(t, pdir, "after both sides of a clone compacted")
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireNoPageFile(t, pdir, "after Close")
 		})
 	}
 }
