@@ -29,7 +29,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/datagen"
 	"repro/internal/registry"
 	"repro/internal/scheme"
@@ -192,7 +191,7 @@ func query(args []string) error {
 	var queries []*xpath.Query
 	texts := fs.Args()
 	if *suite {
-		for _, q := range bench.Queries() {
+		for _, q := range datagen.Table3() {
 			texts = append(texts, q.Path)
 		}
 	}

@@ -1,12 +1,16 @@
 package cdbs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"text/tabwriter"
 
 	"repro/internal/bitstr"
+	"repro/internal/qed"
 )
 
 // table1VCDBS is the V-CDBS column of Table 1 of the paper.
@@ -370,4 +374,50 @@ func TestBetweenAllocs(t *testing.T) {
 	check("case1-open", "10110101", "")     // appending at the right end
 	check("case2", "1", "1011010010110101") // l.Len() < r.Len(): splice
 	check("case2-open", "", "1011010010110101")
+}
+
+// TestSizesAgainstQED is Section 4.2's table: the exact V-CDBS code
+// total (Theorem 4.4: V-Binary's), formulas (2), (3) and (5) against
+// the exact totals they drop ceilings from, and QED's total with its
+// separators, larger at every n (the size premium of Section 6).
+func TestSizesAgainstQED(t *testing.T) {
+	rows := []string{"N\tV code\tformula (2)\tV total\tformula (3)\tF total\tformula (5)\tQED total"}
+	for _, n := range []int{18, 100, 1000, 100000} {
+		measured := 0
+		for _, c := range MustEncode(n) {
+			measured += c.Len()
+		}
+		if want := ExactVBinaryCodeBits(n); measured != want {
+			t.Errorf("n=%d: V-CDBS total %d != V-Binary total %d", n, measured, want)
+		}
+		qcodes, err := qed.Encode(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := 0
+		for _, c := range qcodes {
+			q += c.BitsWithSeparator()
+		}
+		if q <= measured {
+			t.Errorf("n=%d: QED %d not larger than V-CDBS %d", n, q, measured)
+		}
+		if f, exact := FormulaVTotal(n), ExactVTotalBits(n); math.Abs(float64(exact)-f) > 2*float64(n)+16 {
+			t.Errorf("n=%d: formula (3) %.0f too far from exact %d", n, f, exact)
+		}
+		rows = append(rows, fmt.Sprintf("%d\t%d\t%.0f\t%d\t%.0f\t%d\t%.0f\t%d", n, measured, FormulaVCode(n),
+			ExactVTotalBits(n), FormulaVTotal(n), ExactFTotalBits(n), FormulaFTotal(n), q))
+	}
+	logTable(t, "Section 4.2: total bits", rows)
+}
+
+// logTable logs tab-separated rows as an aligned table.
+func logTable(t *testing.T, title string, rows []string) {
+	t.Helper()
+	var b strings.Builder
+	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
+	for _, r := range rows {
+		fmt.Fprintln(w, r)
+	}
+	_ = w.Flush()
+	t.Logf("%s\n\n%s", title, b.String())
 }

@@ -1,6 +1,7 @@
 package cdbs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -127,4 +128,44 @@ func BenchmarkLocalRelabelSkewed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestOverflowPolicies is the Section 6 ablation: a 64-key list under
+// 2 000 inserts into one gap, per variant and overflow policy. Widen
+// never re-labels and grows the field instead; Relabel and LocalRelabel
+// re-label, and LocalRelabel rewrites fewer codes than Relabel.
+func TestOverflowPolicies(t *testing.T) {
+	const n, inserts = 64, 2000
+	rows := []string{"Variant\tPolicy\trelabel events\tcodes rewritten\twiden events\tfinal bits"}
+	for _, v := range []Variant{VCDBS, FCDBS} {
+		rewritten := map[OverflowPolicy]int64{}
+		for _, p := range []struct {
+			policy OverflowPolicy
+			name   string
+		}{{Widen, "Widen"}, {Relabel, "Relabel"}, {LocalRelabel, "LocalRelabel"}} {
+			l, err := NewListPolicy(n, v, p.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < inserts; i++ {
+				if _, _, err := l.InsertAt(n / 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			events, codes := l.Relabels()
+			rewritten[p.policy] = codes
+			if p.policy == Widen {
+				if events != 0 || l.WidenEvents() == 0 {
+					t.Errorf("%v/%s: relabels=%d widens=%d", v, p.name, events, l.WidenEvents())
+				}
+			} else if events == 0 || codes == 0 {
+				t.Errorf("%v/%s: no relabels under skew", v, p.name)
+			}
+			rows = append(rows, fmt.Sprintf("%v\t%s\t%d\t%d\t%d\t%d", v, p.name, events, codes, l.WidenEvents(), l.TotalBits()))
+		}
+		if v == VCDBS && rewritten[Relabel] <= rewritten[LocalRelabel] {
+			t.Errorf("%v: Relabel rewrote %d codes, not above LocalRelabel's %d", v, rewritten[Relabel], rewritten[LocalRelabel])
+		}
+	}
+	logTable(t, fmt.Sprintf("Section 6: %d inserts into one gap of a %d-key list", inserts, n), rows)
 }

@@ -164,6 +164,26 @@ func buildPlay(rng *rand.Rand, size, p, g int) *xmltree.Node {
 	return play
 }
 
+// Query is one row of the paper's Table 3: a query over D5 and the
+// number of nodes the paper retrieved on D5 scaled ×10.
+type Query struct {
+	ID    string
+	Path  string
+	Paper int
+}
+
+// Table3 returns Q1–Q6 exactly as Table 3 lists them.
+func Table3() []Query {
+	return []Query{
+		{"Q1", "/play/act[4]", 370},
+		{"Q2", "/play//personae[./title]/pgroup[.//grpdescr]/persona", 2690},
+		{"Q3", "/play/personae/persona[12]/preceding-sibling::*", 4240},
+		{"Q4", "//act[2]/following::speaker", 184060},
+		{"Q5", "//act/scene/speech", 309330},
+		{"Q6", "/play/*//line", 1078330},
+	}
+}
+
 // D5 generates the Shakespeare dataset: 37 plays totalling the Table 2
 // node count, including the exact Hamlet file, replicated scale times
 // (the paper scales D5 ×10 for the query experiments). Replicas share

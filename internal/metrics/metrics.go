@@ -8,7 +8,7 @@
 // overhead on label kernels is a few nanoseconds. Snapshots are
 // consistent enough for reporting (each instrument is read
 // atomically; the set is not a point-in-time cut) and are what
-// `cmd/experiments -metrics-json` writes out.
+// dynxml.MetricsJSON returns.
 //
 // Every instrument implements expvar.Var (String returns JSON);
 // internal/web serves the Default registry at /debug/vars itself.
@@ -233,13 +233,6 @@ func (h *Histogram) snapshot() histogramSnapshot {
 func (h *Histogram) String() string {
 	b, _ := json.Marshal(h.snapshot())
 	return string(b)
-}
-
-// Summary renders a one-line human summary: count, mean and tail
-// quantiles — what bench tables print after a run.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.3g p50=%.3g p95=%.3g p99=%.3g",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
 }
 
 // Registry holds named instruments. Instrument lookups are

@@ -10,7 +10,7 @@
 #      labelvet runs here, as internal/analysis's TestRepoClean (both
 #      tag states), fixture and exit-code tests
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
-#   4. bench smoke, metrics smoke
+#   4. bench smoke
 #   5. httpd smoke, replication smoke
 #   6. benchmark module (test, smoke run)
 set -eu
@@ -57,16 +57,6 @@ sh scripts/fuzz.sh 5s
 
 echo "==> bench smoke (-benchtime 1x)"
 go test -run '^$' -bench . -benchtime 1x ./internal/bitstr ./internal/cdbs ./internal/qed ./internal/containment
-
-echo "==> metrics snapshot smoke (-metrics-json)"
-metrics_out="${METRICS_SMOKE_OUT:-/tmp/metrics_smoke.json}"
-go run ./cmd/experiments -run overflow,durable,follow -edits 60 -metrics-json "$metrics_out" >/dev/null
-for key in labelstore_sync_seconds labelstore_records_total cdbs_relabel_burst_codes qed_code_len_digits dyndoc_inserts_total dyndoc_snapshot_swaps_total dyndoc_reader_staleness_gens dyndoc_batch_size cdbs_batch_insert_codes journal_append_seconds journal_appends_total journal_group_commits_total journal_group_commit_batches journal_checkpoints_total journal_checkpoint_reclaimed_bytes_total journal_replayed_edits_total journal_oversize_refused_total xpath_plan_cache_hits_total xpath_result_cache_hits_total xpath_join_parallel_parts journal_ship_requests_total journal_ship_batches_total journal_ship_bytes_total journal_ship_snapshots_total watch_watchers_active watch_events_total watch_notifications_total watch_coalesced_total watch_requeries_total follower_lag_seqs follower_applied_total follower_resets_total follower_polls_total pagestore_read_errors_total; do
-	if ! grep -q "\"$key\"" "$metrics_out"; then
-		echo "metrics smoke: $key missing from $metrics_out" >&2
-		exit 1
-	fi
-done
 
 echo "==> httpd smoke (dynxmld route surface via dynxmlctl + graceful shutdown)"
 httpd_dir=$(mktemp -d)
@@ -127,7 +117,15 @@ curl -sf "$httpd_url/debug/vars" >"$vars_out" || httpd_fail "debug/vars"
 for key in web_requests_total web_inflight_requests web_panics_total web_timeouts_total \
 	web_route_query_latency_seconds web_route_open_responses_2xx_total \
 	web_route_journal_inflight web_route_watch_inflight web_route_horizon_inflight \
-	catalog_opens_total catalog_replays_total catalog_open_docs catalog_resident_bytes catalog_evictions_total; do
+	catalog_opens_total catalog_replays_total catalog_open_docs catalog_resident_bytes catalog_evictions_total \
+	labelstore_sync_seconds labelstore_records_total cdbs_relabel_burst_codes qed_code_len_digits \
+	dyndoc_inserts_total dyndoc_snapshot_swaps_total dyndoc_reader_staleness_gens dyndoc_batch_size cdbs_batch_insert_codes \
+	journal_append_seconds journal_appends_total journal_group_commits_total journal_group_commit_batches \
+	journal_checkpoints_total journal_checkpoint_reclaimed_bytes_total journal_replayed_edits_total journal_oversize_refused_total \
+	xpath_plan_cache_hits_total xpath_result_cache_hits_total xpath_join_parallel_parts \
+	journal_ship_requests_total journal_ship_batches_total journal_ship_bytes_total journal_ship_snapshots_total \
+	watch_watchers_active watch_events_total watch_notifications_total watch_coalesced_total watch_requeries_total \
+	follower_lag_seqs follower_applied_total follower_resets_total follower_polls_total pagestore_read_errors_total; do
 	grep -q "\"$key\"" "$vars_out" || httpd_fail "/debug/vars missing $key"
 done
 
