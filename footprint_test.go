@@ -77,7 +77,15 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 		return h
 	}
 	paged := func() *Handle {
-		h := open(WithPagedLabels(t.TempDir()), WithPageCache(64))
+		// Two Hamlets: the densely built index of one fills fewer pages
+		// than the check below wants resident.
+		plays := xmltree.NewElement("plays")
+		plays.AppendChild(datagen.Hamlet().Root)
+		plays.AppendChild(datagen.Hamlet().Root)
+		h, err := Open(&xmltree.Document{Root: plays}, WithPagedLabels(t.TempDir()), WithPageCache(64))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := h.QueryString("//speech"); err != nil {
 			t.Fatal(err)
 		}

@@ -257,7 +257,10 @@ func (t *Tree) insert(id uint32, key []byte, val uint32) (newID uint32, sep []by
 		}
 		i, key, val = i+1, childSep, childRight
 	}
-	if e.node.put(i, key, val) {
+	// Compacting pays only if it leaves a quarter page free: a fuller
+	// page, under deletes, would compact again within a few inserts.
+	if n, need := e.node, len(key)+entryOverhead; n.used()+need+2*n.count() <= PayloadSize || n.live()+need <= PayloadSize*3/4 {
+		n.put(i, key, val)
 		return e.id, nil, 0, added, nil
 	}
 	right := newNode(e.node.typ())
@@ -267,6 +270,79 @@ func (t *Tree) insert(id uint32, key []byte, val uint32) (newID uint32, sep []by
 		return 0, nil, 0, false, err
 	}
 	return e.id, sep, r.id, added, nil
+}
+
+// Load fills an empty tree from src, which yields strictly ascending
+// keys. It packs leaves left to right up to the byte, then builds each
+// internal level from the first keys of the level below, slot 0 under
+// the empty key; the tree owns every page. A key out of order, repeated
+// or out of size, or src's error, leaves the tree empty.
+func (t *Tree) Load(src func(yield func(key []byte, val uint32) bool) error) (err error) {
+	if t.count != 0 {
+		return fmt.Errorf("pagestore: Load into a non-empty tree")
+	}
+	l := loader{t: t}
+	if srcErr := src(func(key []byte, val uint32) bool {
+		switch {
+		case len(key) == 0 || len(key) > MaxKeySize:
+			err = fmt.Errorf("pagestore: key size %d out of range [1,%d]", len(key), MaxKeySize)
+		case t.count > 0 && bytes.Compare(l.open[0].key(l.open[0].count()-1), key) >= 0:
+			err = fmt.Errorf("pagestore: Load: key %d does not sort after the one before it", t.count)
+		default:
+			t.count++
+			err = l.push(0, key, val)
+		}
+		return err == nil
+	}); err == nil {
+		err = srcErr
+	}
+	for h := 0; h < len(l.open) && err == nil; h++ {
+		err = l.close(h, true)
+	}
+	if err != nil {
+		t.root, t.count = 0, 0
+	}
+	return err
+}
+
+// loader is Load's right edge: each level's open page and its first key.
+type loader struct {
+	t    *Tree
+	open []*node
+	low  [][]byte
+}
+
+// push appends an entry to level h's open page, closing it first if full.
+func (l *loader) push(h int, key []byte, val uint32) error {
+	if h == len(l.open) {
+		l.open, l.low = append(l.open, nil), append(l.low, nil)
+	} else if n := l.open[h]; n.put(n.count(), key, val) {
+		return nil
+	} else if err := l.close(h, false); err != nil {
+		return err
+	}
+	n, slot0 := newNode(PageLeaf), key
+	if h > 0 {
+		n, slot0 = newNode(PageInternal), nil
+	}
+	n.put(0, slot0, val)
+	l.open[h], l.low[h] = n, append(l.low[h][:0], key...)
+	return nil
+}
+
+// close hands level h's page to the pager and its first key up, or the
+// top level's at the end to the root.
+func (l *loader) close(h int, end bool) error {
+	l.t.pg.mu.Lock()
+	e, err := l.t.newPage(l.open[h])
+	l.t.pg.mu.Unlock()
+	switch {
+	case err == nil && end && h == len(l.open)-1:
+		l.t.root = e.id
+	case err == nil:
+		err = l.push(h+1, l.low[h], e.id)
+	}
+	return err
 }
 
 // Delete removes key, reporting whether it was present. Underflowing

@@ -317,19 +317,42 @@ func TestTreeSkewedKeySizes(t *testing.T) {
 // writer keeps inserting. Run under -race this catches unsynchronized
 // sharing on the pager's cache entries.
 func TestCloneConcurrentColdReads(t *testing.T) {
-	pf, err := Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPager(pf, MinCachePages)
-	defer p.Close()
+	p := newTestPager(t, MinCachePages)
 	tr := NewTree(p)
-	const n = 3000
-	for i := 0; i < n; i++ {
+	for i := 0; i < coldReadKeys; i++ {
 		if err := tr.Insert(fmt.Appendf(nil, "key-%06d", i), uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	coldReadStorm(t, p, tr)
+}
+
+// TestLoadedCloneColdReads is the same storm over a tree Load built,
+// whose pages were all full and all owned by the tree until it was
+// cloned.
+func TestLoadedCloneColdReads(t *testing.T) {
+	p := newTestPager(t, MinCachePages)
+	tr := NewTree(p)
+	if err := tr.Load(func(yield func([]byte, uint32) bool) error {
+		for i := 0; i < coldReadKeys; i++ {
+			if !yield(fmt.Appendf(nil, "key-%06d", i), uint32(i)) {
+				break
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	coldReadStorm(t, p, tr)
+}
+
+// coldReadKeys is how many keys a cold-read storm's tree starts with.
+const coldReadKeys = 3000
+
+// coldReadStorm has four clones of tr scan it five times each while one
+// writer inserts 500 more keys into tr.
+func coldReadStorm(t *testing.T, p *Pager, tr *Tree) {
+	const n = coldReadKeys
 	if err := writeBackAll(p); err != nil {
 		t.Fatal(err)
 	}

@@ -141,18 +141,18 @@ func (p *paged) nameIDLocked(name string) uint32 {
 	return id
 }
 
-// keyLocked builds node id's key in the shared scratch: nameID
-// (big-endian, so prefix scans isolate one name) followed by the
-// order-preserving label bytes.
-//
-// vet:holds p.mu
-func (p *paged) keyLocked(nameID uint32, id int) ([]byte, error) {
-	key, err := p.bind.Key(binary.BigEndian.AppendUint32(p.keyBuf[:0], nameID), id)
-	if err != nil {
-		return nil, err
+// entryKey appends node id's key to dst: nameID (big-endian, so prefix
+// scans isolate one name), then the order-preserving label bytes. It
+// refuses an id or, with ErrLabelTooLong, a key the tree cannot hold.
+func (p *paged) entryKey(dst []byte, nameID uint32, id int) ([]byte, error) {
+	if id < 0 || int64(id) > math.MaxUint32 {
+		return nil, fmt.Errorf("store: node id %d out of paged range", id)
 	}
-	p.keyBuf = key
-	return key, nil
+	key, err := p.bind.Key(binary.BigEndian.AppendUint32(dst, nameID), id)
+	if err == nil && len(key) > pagestore.MaxKeySize {
+		err = fmt.Errorf("%w: node %d has %d bytes, limit %d", ErrLabelTooLong, id, len(key)-4, maxPagedLabel)
+	}
+	return key, err
 }
 
 // dropMemoLocked forgets the lists an edit to one of name's elements
@@ -170,46 +170,70 @@ const maxPagedLabel = pagestore.MaxKeySize - 4
 
 // vet:holds p.mu
 func (p *paged) addLocked(name string, id int) error {
-	if id < 0 || int64(id) > math.MaxUint32 {
-		return fmt.Errorf("store: node id %d out of paged range", id)
-	}
-	key, err := p.keyLocked(p.nameIDLocked(name), id)
+	key, err := p.entryKey(p.keyBuf[:0], p.nameIDLocked(name), id)
 	if err != nil {
 		return err
 	}
-	if len(key) > pagestore.MaxKeySize {
-		return fmt.Errorf("%w: node %d has %d bytes, limit %d", ErrLabelTooLong, id, len(key)-4, maxPagedLabel)
-	}
+	p.keyBuf = key
 	p.dropMemoLocked(name)
 	return p.names.Insert(key, uint32(id))
 }
 
+// Build replaces the index in one pass: a counting sort buckets elems by
+// name id, and within a name document order is label order, so the tree
+// is bulk loaded from ascending keys. Nothing of the sort is kept.
 func (p *paged) Build(elems []int, nameOf func(int) string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.names.Count() == 0 {
-		return p.addAllLocked(elems, nameOf)
+	p.memoElems, p.memoIDs = nil, map[string][]int{}
+	byName := make([]uint32, len(elems)) // elems[i]'s name id
+	for i, id := range elems {
+		byName[i] = p.nameIDLocked(nameOf(id))
 	}
-	// Rebuild into a fresh generation rather than deleting entry by
-	// entry. The old tree stays until the new one is complete, so a
-	// failed rebuild leaves the index as it was.
-	old := generation{p.cur, p.names}
+	end := make([]int, len(p.nameIDs)) // where each bucket starts, then ends
+	for _, n := range byName {
+		end[n]++
+	}
+	for n, sum := 0, 0; n < len(end); n++ {
+		end[n], sum = sum, sum+end[n]
+	}
+	sorted := make([]int, len(elems))
+	for i, n := range byName {
+		sorted[end[n]] = elems[i]
+		end[n]++
+	}
+	return p.loadLocked(func(yield func([]byte, uint32) bool) (err error) {
+		var key []byte
+		for n, lo := 0, 0; n < len(end); lo, n = end[n], n+1 {
+			for _, id := range sorted[lo:end[n]] {
+				if key, err = p.entryKey(key[:0], uint32(n), id); err != nil {
+					return err
+				}
+				if !yield(key, uint32(id)) {
+					return nil
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// loadLocked bulk loads src into the tree while it is empty, else into
+// a fresh generation that replaces the current one once it is complete.
+//
+// vet:holds p.mu
+func (p *paged) loadLocked(src func(yield func([]byte, uint32) bool) error) error {
+	if p.names.Count() == 0 {
+		return p.names.Load(src)
+	}
+	old, names := p.cur, p.names
 	if err := p.openGen(); err != nil {
 		return err
 	}
-	if err := p.endGenLocked(old, p.addAllLocked(elems, nameOf)); err != nil {
-		return err
-	}
-	p.memoElems, p.memoIDs = nil, map[string][]int{}
-	return nil
-}
-
-// vet:holds p.mu
-func (p *paged) addAllLocked(elems []int, nameOf func(int) string) error {
-	for _, id := range elems {
-		if err := p.addLocked(nameOf(id), id); err != nil {
-			return err
-		}
+	if err := p.names.Load(src); err != nil {
+		_ = p.cur.close()
+		p.cur, p.names = old, names
+		return fmt.Errorf("store: generation swap aborted: %w", err)
 	}
 	return nil
 }
@@ -236,10 +260,11 @@ func (p *paged) Remove(doomed map[int]bool, nameOf func(int) string) error {
 			// names only ever seen in deletes.
 			continue
 		}
-		key, err := p.keyLocked(nameID, id)
+		key, err := p.bind.Key(binary.BigEndian.AppendUint32(p.keyBuf[:0], nameID), id)
 		if err != nil {
 			return err
 		}
+		p.keyBuf = key
 		p.dropMemoLocked(name)
 		if _, err := p.names.Delete(key); err != nil {
 			return err
@@ -316,9 +341,9 @@ func (p *paged) MemoryFootprint() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	fp := p.pagerStatsLocked().ResidentBytes
-	fp += int64(len(p.memoElems)) * 8
+	fp += int64(cap(p.memoElems)) * 8
 	for _, ids := range p.memoIDs {
-		fp += int64(len(ids)) * 8
+		fp += int64(cap(ids)) * 8
 	}
 	for name := range p.nameIDs {
 		fp += int64(len(name)) + 24
@@ -370,27 +395,6 @@ func (p *paged) Err() error {
 	return err
 }
 
-// generation is a page file with the tree in it.
-type generation struct {
-	gen   *pageGen
-	names *pagestore.Tree
-}
-
-// endGenLocked finishes the swap that openGen over old started, once
-// the new tree is filled. If filling it failed it discards it and puts
-// old back; otherwise old is retired, and closes once no clone holds it
-// any more (pageGen).
-//
-// vet:holds p.mu
-func (p *paged) endGenLocked(old generation, fillErr error) error {
-	if fillErr != nil {
-		_ = p.cur.close()
-		p.cur, p.names = old.gen, old.names
-		return fmt.Errorf("store: generation swap aborted: %w", fillErr)
-	}
-	return nil
-}
-
 // Compact rebuilds the tree densely into a new generation, reclaiming
 // pages left sparse by unbalanced deletes. The entries, and so the
 // memoized lists, are unchanged.
@@ -400,20 +404,7 @@ func (p *paged) Compact() error {
 	if p.cur == nil {
 		return errors.New("store: paged backend is closed")
 	}
-	old := generation{p.cur, p.names}
-	if err := p.openGen(); err != nil {
-		return err
-	}
-	return p.endGenLocked(old, copyTree(old.names, p.names))
-}
-
-func copyTree(src, dst *pagestore.Tree) error {
-	var insErr error
-	err := src.Scan(func(k []byte, v uint32) bool {
-		insErr = dst.Insert(k, v)
-		return insErr == nil
-	})
-	return errors.Join(err, insErr)
+	return p.loadLocked(p.names.Scan)
 }
 
 func (p *paged) Close() error {

@@ -632,6 +632,35 @@ func TestSliceBuiltToSize(t *testing.T) {
 	}
 }
 
+// TestPagedFootprintChargesCapacity: a memoized id list is charged at
+// its capacity, the slack append left in it included, as the slice
+// backend charges its lists.
+func TestPagedFootprintChargesCapacity(t *testing.T) {
+	const n = 1000
+	w := newWorld()
+	elems := make([]int, n)
+	for i := range elems {
+		elems[i] = i
+		w.ord[i], w.name[i] = uint64(i), "a"
+	}
+	p, err := OpenPaged(t.TempDir(), 64, w.binding()) // every page stays resident
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Build(elems, func(id int) string { return w.name[id] }); err != nil {
+		t.Fatal(err)
+	}
+	before := p.MemoryFootprint()
+	ids := p.IDs("a")
+	if len(ids) != n || cap(ids) == n {
+		t.Fatalf("the scanned list holds %d ids in %d slots: no slack to charge", len(ids), cap(ids))
+	}
+	if got, want := p.MemoryFootprint()-before, 8*int64(cap(ids)); got != want {
+		t.Fatalf("a list of %d ids in %d slots raised the footprint %d B, want %d", len(ids), cap(ids), got, want)
+	}
+}
+
 // TestStatsShape: both backends report coherent Stats.
 func TestStatsShape(t *testing.T) {
 	w := newWorld()
@@ -770,7 +799,9 @@ func TestPagedOverlongLabel(t *testing.T) {
 		t.Fatalf("Add of a %d-byte label: %v, want ErrLabelTooLong", limit+1, err)
 	}
 	checkEqual(t, w, oracle, p, []string{"a", "b"})
-	if err := p.Build(append(elems, 200, 201), nameOf); !errors.Is(err, ErrLabelTooLong) {
+	// 200 and 201 have no ord, so they come first in document order, as
+	// their zero-byte labels do in key order.
+	if err := p.Build(append([]int{200, 201}, elems...), nameOf); !errors.Is(err, ErrLabelTooLong) {
 		t.Fatalf("Build over a %d-byte label: %v, want ErrLabelTooLong", limit+1, err)
 	}
 	checkEqual(t, w, oracle, p, []string{"a", "b"})

@@ -532,8 +532,54 @@ func TestPagedInsertAllocs(t *testing.T) {
 	}
 }
 
+// TestPagedCompactIsDense pins the bulk load behind Compact: once every
+// other item of pagedSeed(25000) is deleted, each delete leaving a hole
+// in its leaf, the checkpoint's Compact packs the live entries into at
+// most ⌈live entry bytes / PayloadSize⌉ leaves plus one internal level,
+// here a root page over every leaf.
+func TestPagedCompactIsDense(t *testing.T) {
+	h, err := Open(pagedSeed(25000), WithPagedLabels(t.TempDir()), WithJournal(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	items, err := h.QueryString("/lib/item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edits []Edit
+	for i := 0; i < len(items); i += 2 {
+		edits = append(edits, Edit{Op: OpDeleteSubtree, Node: items[i]})
+	}
+	if _, err := h.ApplyBatch(edits); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	live := 0 // an entry is its key, a length byte, a u32 value and a u16 slot
+	h.view(func(d *LiveDocument) {
+		for _, id := range d.Store().Elems() {
+			label, lerr := d.Labeling().AppendOrderedLabel(nil, id)
+			if lerr != nil {
+				err = lerr
+			}
+			live += 4 + len(label) + 7
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := (live + pagestore.PayloadSize - 1) / pagestore.PayloadSize
+	pages := h.Stats().Storage.AllocatedPages
+	t.Logf("%d live entry bytes fill %d leaves; compacted, the index takes %d pages", live, leaves, pages)
+	if pages > leaves+1 {
+		t.Errorf("compacted index takes %d pages, want <= %d leaves + 1 root", pages, leaves)
+	}
+}
+
 // TestPagedOneTree pins the paged index at one tree: the 50 001
-// elements of pagedSeed(25000) take at most 340 pages, and an insert
+// elements of pagedSeed(25000) take at most 180 pages, and an insert
 // touches its own name's key range and nothing else — after a warm-up,
 // 2 000 inserts of one name under parents scattered over the whole
 // document fault no page into a 64-page cache.
@@ -543,8 +589,10 @@ func TestPagedOneTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if got := h.Stats().Storage.AllocatedPages; got > 340 {
-		t.Errorf("the index of 50 001 elements takes %d pages, want <= 340", got)
+	pages := h.Stats().Storage.AllocatedPages
+	t.Logf("the index of 50 001 elements takes %d pages", pages)
+	if pages > 180 {
+		t.Errorf("the index of 50 001 elements takes %d pages, want <= 180", pages)
 	}
 	items, err := h.QueryString("/lib/item")
 	if err != nil || len(items) != 25000 {

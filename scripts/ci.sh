@@ -49,8 +49,8 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, memo, cache and watch storms, stored kernels (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP' ./...
+echo "==> clone isolation, memo, cache and watch storms, stored kernels, loaded-tree clones (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads' ./...
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
@@ -125,7 +125,8 @@ for key in web_requests_total web_inflight_requests web_panics_total web_timeout
 	xpath_plan_cache_hits_total xpath_result_cache_hits_total xpath_join_parallel_parts \
 	journal_ship_requests_total journal_ship_batches_total journal_ship_bytes_total journal_ship_snapshots_total \
 	watch_watchers_active watch_events_total watch_notifications_total watch_coalesced_total watch_requeries_total \
-	follower_lag_seqs follower_applied_total follower_resets_total follower_polls_total pagestore_read_errors_total; do
+	follower_lag_seqs follower_applied_total follower_resets_total follower_polls_total pagestore_read_errors_total \
+	pagestore_cache_hits pagestore_cache_misses pagestore_writebacks dynxml_open_label_seconds dynxml_open_index_seconds; do
 	grep -q "\"$key\"" "$vars_out" || httpd_fail "/debug/vars missing $key"
 done
 
