@@ -10,9 +10,10 @@
 // before an edit applies, so the retry cannot double-apply. Non-2xx
 // responses decode into *APIError carrying the server's stable error
 // code, message and request id.
-// Requests are built from URLs parsed once per Doc; replies state their
-// Content-Length and are read into a buffer of that size (pooled when
-// the client decodes them itself), a chunked one as it comes.
+// An attempt's request, header map and body reader are pooled, its URL
+// built once per Doc and route; replies state their Content-Length and
+// are read into a buffer of that size (pooled when the client decodes
+// them itself), a chunked one as it comes.
 //
 // Of an *http.Client the package uses only the Transport, to send each
 // attempt, and the Timeout, to bound it from the send to the end of the
@@ -32,6 +33,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,16 +166,13 @@ func newRequestID() string {
 // id, retrying 503s and (for body-less requests) transport errors.
 // The caller owns the returned response body.
 func (c *Client) do(method string, u *url.URL, body []byte) (*http.Response, error) {
-	h := http.Header{"X-Request-Id": {newRequestID()}, "Accept-Encoding": identity}
-	if body != nil {
-		h["Content-Type"] = jsonType
-	}
+	id := newRequestID()
 	var lastErr error
 	for attempt := 0; attempt < c.retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(retryBackoff << (attempt - 1))
 		}
-		resp, err := c.send(method, u, h, body)
+		resp, err := c.send(method, u, id, body)
 		if err != nil {
 			lastErr = err
 			// A failed send with no response may still have applied on
@@ -201,20 +200,16 @@ var (
 	identity = []string{"identity"}
 )
 
-// send makes one attempt on the client's transport, under a pooled
-// deadline when the client has a timeout: the deadline wraps the reply's
-// body, whose Close releases it.
-func (c *Client) send(method string, u *url.URL, h http.Header, body []byte) (*http.Response, error) {
-	if c.timeout <= 0 {
-		return roundTrip(c.rt, newRequest(context.Background(), method, u, h, body))
-	}
-	d := startDeadline(c.timeout)
-	resp, err := roundTrip(c.rt, newRequest(d, method, u, h, body))
+// send makes one attempt on the client's transport with a pooled
+// attempt, which wraps the reply's body: its Close lets the attempt go.
+func (c *Client) send(method string, u *url.URL, id string, body []byte) (*http.Response, error) {
+	a := startAttempt(c.timeout, method, u, id, body)
+	resp, err := roundTrip(c.rt, a.req)
 	if err != nil {
-		d.release()
+		a.drop()
 		return nil, err
 	}
-	d.body, resp.Body = resp.Body, d
+	a.resp, resp.Body = resp.Body, a
 	return resp, nil
 }
 
@@ -238,23 +233,6 @@ func roundTrip(rt http.RoundTripper, req *http.Request) (*http.Response, error) 
 	}
 	return resp, nil
 }
-
-// newRequest is every request the client sends: u, shared by its
-// route's calls, and h, by a call's retries, are only read. GetBody lets
-// the transport resend a body a dead kept-alive connection never took.
-func newRequest(ctx context.Context, method string, u *url.URL, h http.Header, body []byte) *http.Request {
-	r := http.Request{Method: method, URL: u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: h}
-	if body != nil {
-		r.GetBody = func() (io.ReadCloser, error) { rd := new(bodyReader); rd.Reset(body); return rd, nil }
-		r.Body, _ = r.GetBody()
-		r.ContentLength = int64(len(body))
-	}
-	return r.WithContext(ctx) // the one allocation of the request itself
-}
-
-type bodyReader struct{ bytes.Reader }
-
-func (*bodyReader) Close() error { return nil }
 
 // readAPIError drains a non-2xx response into an APIError. It always
 // closes the body.
@@ -331,23 +309,29 @@ func into(out any) func([]byte) error {
 	return func(raw []byte) error { return json.Unmarshal(raw, out) }
 }
 
-// url returns the URL of the document's route verb ("/query"; "" for
-// the document) with query string q: a copy of the document's URL,
-// which is parsed once, on the first call.
+// verbs are the routes whose URLs a document keeps, "" for itself; the
+// other routes' URLs, made once (open) or with a query string, are
+// parsed per call.
+var verbs = [...]string{"", "/query", "/explain", "/xml", "/edit", "/batch", "/sync", "/checkpoint", "/close"}
+
+// url returns the URL of the document's route verb with query string q.
+// A kept URL is parsed on the first call and shared by the calls after
+// it, which only read it.
 func (d *Doc) url(verb, q string) (*url.URL, error) {
-	base := d.base.Load()
-	if base == nil {
-		var err error
-		if base, err = url.Parse(d.c.base + "/v1/docs/" + url.PathEscape(d.name)); err != nil {
-			return nil, err
+	i := slices.Index(verbs[:], verb)
+	if i >= 0 {
+		if u := d.urls[i].Load(); u != nil {
+			return u, nil
 		}
-		d.base.Store(base)
 	}
-	u := *base
-	if u.Path, u.RawQuery = u.Path+verb, q; u.RawPath != "" {
-		u.RawPath += verb
+	u, err := url.Parse(d.c.base + "/v1/docs/" + url.PathEscape(d.name) + verb)
+	if err != nil {
+		return nil, err
 	}
-	return &u, nil
+	if u.RawQuery = q; i >= 0 {
+		d.urls[i].Store(u)
+	}
+	return u, nil
 }
 
 // send is call on route verb with query string q.
@@ -376,7 +360,7 @@ type Doc struct {
 	c    *Client
 	name string
 	info DocInfo
-	base atomic.Pointer[url.URL] // see url
+	urls [len(verbs)]atomic.Pointer[url.URL] // see url
 }
 
 // Create builds a brand-new named document from XML text under the
@@ -674,9 +658,10 @@ func (d *Doc) Watch(ctx context.Context, path string) (<-chan Notification, func
 		return nil, nil, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
+	// The stream keeps its own request, and outlives any timeout.
 	h := http.Header{"X-Request-Id": {newRequestID()}, "Accept": {"text/event-stream"}, "Accept-Encoding": identity}
-	// The SSE stream outlives any sane request timeout: no deadline.
-	resp, err := roundTrip(d.c.rt, newRequest(ctx, "GET", u, h, nil))
+	req := &http.Request{Method: "GET", URL: u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: h}
+	resp, err := roundTrip(d.c.rt, req.WithContext(ctx))
 	if err != nil {
 		cancel()
 		return nil, nil, err

@@ -306,30 +306,25 @@ func (s stubTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // (race_test.go).
 var raceSlack float64
 
-// TestRequestAllocs pins what a query and an insert cost the client
-// against a transport that costs nearly nothing: 14 and 15 allocations,
-// with the benchmark's Timeout as without one. Before the client sent
-// each attempt on the transport itself, an http.Client took 19 and 20
-// without a Timeout and 42 with one: 5 for its redirect bookkeeping (4
-// of them the header clone it keeps for redirects), and under a Timeout
-// a context, timer and body wrapper per call that the pooled deadline
-// now reuses. A memory profile puts 10 in the request (itself; its URL,
-// a copy of the document's, and the route's path; its header map (2),
-// the id and its value slice; the body, its reader and GetBody), 1 in
-// the query's ids or 2 in the ack's results and ids, and 3 in the stub's
-// response.
-func TestRequestAllocs(t *testing.T) {
+// TestClientCallAllocs pins what a query and an insert cost the client
+// against a transport that costs nearly nothing: 6 and 7 allocations,
+// with the benchmark's Timeout as without one (14 and 15 before an
+// attempt's request, header map and body reader were pooled and a Doc
+// built its route URLs once). A memory profile puts 2 in the call (its
+// request id and its body), 1 in the query's ids or 2 in the ack's
+// results and ids, and 3 in the stub's response.
+func TestClientCallAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		reply []byte
 		call  func(d *Doc) error
 		pin   float64
 	}{
-		{"query", canonicalReply(seqIDs(40)), func(d *Doc) error { _, err := d.Query("//act/scene/speech"); return err }, 14},
+		{"query", canonicalReply(seqIDs(40)), func(d *Doc) error { _, err := d.Query("//act/scene/speech"); return err }, 6},
 		{"insert", canonicalAck([]EditResult{{IDs: []int{41}}}, 7), func(d *Doc) error {
 			_, err := d.InsertElement(12, 0, "x")
 			return err
-		}, 15},
+		}, 7},
 	} {
 		for _, timeout := range []time.Duration{0, DefaultTimeout} {
 			hc := &http.Client{Transport: stubTransport{tc.reply}, Timeout: timeout}

@@ -37,48 +37,70 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// reqCtx is a request's one context: its id and, under the timeout
-// layer, its deadline. Done, and with it a registration for the parent's
-// cancellation, is made when a handler asks; until then Err polls.
-type reqCtx struct {
+// call is a request's passage through the middleware, pooled whole and
+// taken once, by withRequestID. It is the request's one context (its id
+// and, under the timeout layer, its deadline); req is the request the
+// mux and the route see, net/http's with the call as its context; sw is
+// the metrics layer's writer, and buf and timer the timeout layer's. A
+// handler writes buf on the connection's goroutine, and whichever of
+// finish and expire takes w first answers the client. A handler must not
+// keep the request or its context past its return.
+type call struct {
+	req      http.Request
 	parent   context.Context // net/http's, which has no deadline
 	id       string
 	deadline time.Time // set before the handler runs
+	sw       statusWriter
+	buf      bufferedResponse
+	timer    *time.Timer
+	lost     bool // the timer fired, but finish took w
 	mu       sync.Mutex
-	done     chan struct{} // vet:guardedby mu
-	err      error         // vet:guardedby mu
+	w        http.ResponseWriter // vet:guardedby mu
+	ctxMu    sync.Mutex          // taken under mu by expire
+	done     chan struct{}       // vet:guardedby ctxMu
+	err      error               // vet:guardedby ctxMu
+	unhook   func() bool         // vet:guardedby ctxMu // stops Done's registration on parent
 }
 
-func (c *reqCtx) Deadline() (time.Time, bool) { return c.deadline, !c.deadline.IsZero() }
+var calls = sync.Pool{New: func() any {
+	c := &call{buf: bufferedResponse{header: make(http.Header)}}
+	c.timer = time.AfterFunc(time.Hour, c.expire)
+	c.timer.Stop()
+	return c
+}}
 
-func (c *reqCtx) Value(key any) any {
+func (c *call) Deadline() (time.Time, bool) { return c.deadline, !c.deadline.IsZero() }
+
+func (c *call) Value(key any) any {
 	if key == ctxRequestID {
 		return c.id
 	}
 	return c.parent.Value(key)
 }
 
-func (c *reqCtx) Done() <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Done is made, and with it a registration for the parent's
+// cancellation, when a handler asks; until then Err polls.
+func (c *call) Done() <-chan struct{} {
+	c.ctxMu.Lock()
+	defer c.ctxMu.Unlock()
 	if c.done == nil {
 		c.done = make(chan struct{})
 		if c.err != nil {
 			close(c.done)
 		} else if c.parent.Done() != nil {
-			context.AfterFunc(c.parent, func() { _ = c.Err() })
+			c.unhook = context.AfterFunc(c.parent, func() { _ = c.Err() })
 		}
 	}
-	done := c.done // mu guards the field; the channel is there to be shared
+	done := c.done // ctxMu guards the field; the channel is there to be shared
 	return done
 }
 
-func (c *reqCtx) Err() error { return c.cancel(c.parent.Err()) }
+func (c *call) Err() error { return c.cancel(c.parent.Err()) }
 
 // cancel ends the context with err (if any) once, and says why it ended.
-func (c *reqCtx) cancel(err error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *call) cancel(err error) error {
+	c.ctxMu.Lock()
+	defer c.ctxMu.Unlock()
 	if c.err == nil && err != nil {
 		c.err = err
 		if c.done != nil {
@@ -98,7 +120,7 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// withRequestID gives every request its context and an id — the
+// withRequestID takes every request's call and gives it an id — the
 // client's X-Request-ID (spelt canonically: a copy otherwise), else a
 // fresh one — echoed in the response header for correlating logs.
 func withRequestID(h http.Handler) http.Handler {
@@ -108,8 +130,17 @@ func withRequestID(h http.Handler) http.Handler {
 			id = newRequestID()
 		}
 		w.Header().Set("X-Request-Id", id)
-		h.ServeHTTP(w, r.WithContext(&reqCtx{parent: r.Context(), id: id}))
+		calls.Get().(*call).serve(h, w, r, id)
 	})
+}
+
+// serve runs h on c.req, r with the call as its context, and releases
+// the call. WithContext inlines here, so that copy is the only one
+// (TestServeAllocs).
+func (c *call) serve(h http.Handler, w http.ResponseWriter, r *http.Request, id string) {
+	c.id, c.parent, c.req = id, r.Context(), *r.WithContext(c)
+	h.ServeHTTP(w, &c.req)
+	c.release()
 }
 
 // withRecover turns a handler panic into a JSON 500 with the request
@@ -193,24 +224,6 @@ func writeShared(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// call is a request's passage through the timeout layer, pooled with
-// its timer: the handler writes buf on the connection's goroutine, and
-// whichever of finish and expire takes w first answers the client.
-type call struct {
-	buf   bufferedResponse
-	timer *time.Timer
-	rc    *reqCtx
-	mu    sync.Mutex
-	w     http.ResponseWriter // vet:guardedby mu
-}
-
-var calls = sync.Pool{New: func() any {
-	c := &call{buf: bufferedResponse{header: make(http.Header)}}
-	c.timer = time.AfterFunc(time.Hour, c.expire)
-	c.timer.Stop()
-	return c
-}}
-
 // expire cancels the handler's context and sends the JSON 504, with
 // Connection: close since the handler still holds the connection's
 // goroutine. It writes under mu, so the request cannot end meanwhile.
@@ -222,18 +235,17 @@ func (c *call) expire() {
 		return
 	}
 	c.w = nil
-	_ = c.rc.cancel(context.DeadlineExceeded)
+	_ = c.cancel(context.DeadlineExceeded)
 	mTimeouts.Inc()
 	w.Header().Set("Connection", "close")
-	writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "request timed out", Code: CodeTimeout, RequestID: c.rc.id})
+	writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "request timed out", Code: CodeTimeout, RequestID: c.id})
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
 // finish runs when the handler returns: unless expire took w, it stops
-// the timer and flushes the reply. A call whose timer fired but lost
-// (it may still wait for mu) or outgrew maxPooled is not pooled again.
+// the timer and flushes the reply.
 func (c *call) finish() {
 	c.mu.Lock()
 	w := c.w
@@ -243,9 +255,21 @@ func (c *call) finish() {
 	if w != nil {
 		c.buf.flush(w)
 	}
-	if (stopped || w == nil) && c.buf.body.Cap() <= maxPooled {
+	c.lost = !stopped && w != nil
+}
+
+// release pools the call again unless something may still act on it: a
+// timer that fired but lost (it may still wait for mu), or Done's
+// registration once it ran. One whose buffer outgrew maxPooled is
+// dropped too.
+func (c *call) release() {
+	c.ctxMu.Lock()
+	unhook := c.unhook
+	c.done, c.err, c.unhook = nil, nil, nil
+	c.ctxMu.Unlock()
+	if !c.lost && (unhook == nil || unhook()) && c.buf.body.Cap() <= maxPooled {
 		c.buf.reset()
-		c.rc = nil
+		c.req, c.parent, c.deadline, c.sw = http.Request{}, nil, time.Time{}, statusWriter{}
 		calls.Put(c)
 	}
 }
@@ -257,10 +281,8 @@ func withTimeout(d time.Duration, h http.Handler) http.Handler {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rc := r.Context().(*reqCtx) // withRequestID's
-		rc.deadline = time.Now().Add(d)
-		c := calls.Get().(*call)
-		c.rc = rc
+		c := r.Context().(*call) // withRequestID's
+		c.deadline = time.Now().Add(d)
 		c.mu.Lock()
 		c.w = w
 		c.mu.Unlock()
@@ -343,12 +365,13 @@ func withMetrics(m *routeMetrics, h http.Handler) http.Handler {
 		mInflight.Add(1)
 		m.inflight.Add(1)
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
+		c := r.Context().(*call) // withRequestID's
+		c.sw = statusWriter{ResponseWriter: w}
 		defer func() {
 			m.inflight.Add(-1)
 			mInflight.Add(-1)
-			m.observe(sw.status, time.Since(start))
+			m.observe(c.sw.status, time.Since(start))
 		}()
-		h.ServeHTTP(sw, r)
+		h.ServeHTTP(&c.sw, r)
 	})
 }

@@ -49,8 +49,8 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, memo, cache and watch storms, stored kernels, loaded-tree clones (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads' ./...
+echo "==> clone isolation, memo, cache, watch and request-reuse storms, stored kernels, loaded-tree clones (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm' ./...
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
@@ -83,6 +83,17 @@ done
 httpd_url="http://$(cat "$httpd_addr_file")"
 export DYNXML_ADDR="$httpd_url"
 curl -sf "$httpd_url/healthz" >/dev/null || httpd_fail "healthz"
+# Request ids: a client's is echoed, a missing one is minted as 16 hex
+# characters, and an error envelope carries the id its header echoes.
+rid() { tr -d '\r' <"$1" | sed -n 's/^[Xx]-[Rr]equest-[Ii]d: //p'; }
+curl -si -H 'X-Request-Id: ci-rid-1' "$httpd_url/healthz" >"$httpd_dir/rid1" || httpd_fail "healthz with a request id"
+[ "$(rid "$httpd_dir/rid1")" = ci-rid-1 ] || httpd_fail "request id not echoed: $(cat "$httpd_dir/rid1")"
+curl -si "$httpd_url/healthz" >"$httpd_dir/rid2" || httpd_fail "healthz without a request id"
+rid "$httpd_dir/rid2" | grep -Eqx '[0-9a-f]{16}' || httpd_fail "minted request id is not 16 hex characters: $(cat "$httpd_dir/rid2")"
+curl -si -X POST -d '{}' "$httpd_url/v1/docs/ghost/open" >"$httpd_dir/rid3" || httpd_fail "open of an unknown document"
+rid3=$(rid "$httpd_dir/rid3")
+grep -q "\"request_id\":\"$rid3\"" "$httpd_dir/rid3" && [ -n "$rid3" ] ||
+	httpd_fail "error envelope's request_id differs from the echoed header: $(cat "$httpd_dir/rid3")"
 "$ctl" create ci '<root><a></a></root>' >/dev/null || httpd_fail "create"
 root_id=$("$ctl" query -first ci /root) || httpd_fail "query gave no root id"
 edit_seq=$("$ctl" insert -seq ci "$root_id" 0 x) || httpd_fail "edit"
