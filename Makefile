@@ -18,19 +18,19 @@ race:
 	$(GO) test -race ./...
 
 # `make vet` is the single local entry point for all static analysis:
-# stock go vet (copylocks included) plus the six-analyzer labelvet suite
-# in both tag states. `go test ./internal/analysis` runs the same
-# labelvet gate, which is how CI runs it.
+# stock go vet (copylocks included) plus the six-analyzer labelvet suite,
+# which internal/analysis's TestRepoClean and
+# TestRepoCleanWithInvariantsTag run over the whole module in both tag
+# states, as CI does.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/labelvet ./...
-	$(GO) run ./cmd/labelvet -tags invariants ./...
+	$(GO) test -run TestRepoClean ./internal/analysis
 
 fmt:
 	gofmt -l .
 
 labelvet:
-	$(GO) run ./cmd/labelvet ./...
+	$(GO) test -run TestRepoClean ./internal/analysis
 
 # Every Fuzz* target for 10 s (differential, against reference_test.go,
 # where there is a reference).

@@ -59,7 +59,6 @@ const (
 	CodeUnknownScheme = "unknown_scheme"
 	CodeUnavailable   = "unavailable"
 	CodeReadOnly      = "read_only"
-	CodeLabelTooLong  = "label_too_long"
 	CodeBadRequest    = "bad_request"
 	CodeTimeout       = "timeout"
 	CodeInternal      = "internal"
@@ -561,24 +560,17 @@ type Stats struct {
 	Scheme    string `json:"scheme"`
 	Nodes     int    `json:"nodes"`
 	Relabeled int64  `json:"relabeled"`
-	// LongestLabel against Storage.MaxLabel (both in bytes; zero when
-	// unbounded) is how close the document is to refusing inserts with
-	// CodeLabelTooLong.
+	// LongestLabel is the byte length of the longest ordered label the
+	// document has assigned (zero under a scheme without ordered labels).
 	LongestLabel int `json:"longest_label"`
 	// ResidentBytes is the document's estimated heap, the figure the
 	// server's catalog budgets and evicts by.
 	ResidentBytes int64 `json:"resident_bytes"`
-	Storage       *struct {
-		Backend        string  `json:"backend"`
-		Entries        int     `json:"entries"`
-		MaxLabel       int     `json:"max_label"`
-		ResidentPages  int     `json:"resident_pages"`
-		AllocatedPages int     `json:"allocated_pages"`
-		CacheHits      uint64  `json:"cache_hits"`
-		CacheMisses    uint64  `json:"cache_misses"`
-		Writebacks     uint64  `json:"writebacks"`
-		CacheHitRatio  float64 `json:"cache_hit_ratio"`
-	} `json:"storage,omitempty"`
+	// Storage names the document's element index and its entry count.
+	Storage struct {
+		Backend string `json:"backend"`
+		Entries int    `json:"entries"`
+	} `json:"storage"`
 	Journal *struct {
 		Appended    uint64 `json:"appended"`
 		Durable     uint64 `json:"durable"`

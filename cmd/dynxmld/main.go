@@ -73,8 +73,6 @@ func run() error {
 		timeout    = flag.Duration("timeout", web.DefaultTimeout, "per-request wall-clock timeout")
 		addrFile   = flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts using port 0)")
 		follow     = flag.String("follow", "", "leader base URL; serve as a read-only replica mirroring its documents")
-		paged      = flag.Bool("paged", false, "keep each document's element index on paged storage under <docdir>/pages")
-		pageCache  = flag.Int("page-cache", 0, "per-document page cache in 4 KiB pages with -paged (0: pagestore minimum)")
 	)
 	flag.Parse()
 	if *root == "" {
@@ -86,14 +84,12 @@ func run() error {
 	}
 
 	cat, err := catalog.Open(catalog.Config{
-		Root:        *root,
-		Scheme:      *scheme,
-		Durability:  dur,
-		MaxOpen:     *maxOpen,
-		MemBudget:   *memBudget,
-		FollowURL:   *follow,
-		PagedLabels: *paged,
-		PageCache:   *pageCache,
+		Root:       *root,
+		Scheme:     *scheme,
+		Durability: dur,
+		MaxOpen:    *maxOpen,
+		MemBudget:  *memBudget,
+		FollowURL:  *follow,
 	})
 	if err != nil {
 		return err

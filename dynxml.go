@@ -288,25 +288,34 @@ func WithDurability(d Durability) Option { return func(c *config) { c.durability
 // acknowledged under Always durability. It requires WithJournal.
 func WithRecover() Option { return func(c *config) { c.recover = true } }
 
-// WithPagedLabels moves the handle's element index — the per-name id
-// lists every query starts from, keyed by label — out of the Go heap
-// into a checksummed page file under dir, so a document can be queried
-// with only a bounded page cache resident (see WithPageCache). The page
-// file is scratch, not a store of record: it is unlinked as it is
-// created, so nothing under dir survives the handle, and the index is
-// rebuilt from the document on every Open; with WithJournal the journal
-// alone carries durability. It requires a scheme whose labels have an
-// order-preserving byte form: V-CDBS- (the default), F-CDBS- and
-// QED-Containment have one; the other ten schemes — the Binary and
-// Float-point containment schemes, every prefix scheme and Prime —
-// make Open fail with ErrPagedUnsupported before dir is created or
-// anything in it is touched.
+// WithPagedLabels moves an embedded handle's element index — the
+// per-name id lists every query starts from, keyed by label — out of the
+// Go heap into a checksummed page file under dir, so a document can be
+// queried with only a bounded page cache resident (see WithPageCache).
+// The page file is a scratch cache, not a store of record: it is
+// unlinked as it is created, so nothing under dir survives the handle,
+// and the index is rebuilt from the document on every Open. It does not
+// combine with WithJournal, and OpenFollower does not take it: both
+// refuse it before any directory is created. It requires a scheme whose
+// labels have an order-preserving byte form: V-CDBS- (the default),
+// F-CDBS- and QED-Containment have one; the other ten schemes — the
+// Binary and Float-point containment schemes, every prefix scheme and
+// Prime — make Open fail with ErrPagedUnsupported before dir is created
+// or anything in it is touched.
 func WithPagedLabels(dir string) Option { return func(c *config) { c.pagedDir = dir } }
 
 // WithPageCache caps how many 4 KiB pages of the paged label index
 // stay resident (default and floor pagestore.MinCachePages). It
 // requires WithPagedLabels.
 func WithPageCache(pages int) Option { return func(c *config) { c.pageCache = pages } }
+
+// errPagedJournaled refuses the paging options on a handle that keeps a
+// journal, its own or a follower's mirror: the paged index is a cache for
+// embedded, unjournaled handles only.
+var errPagedJournaled = errors.New("dynxml: WithPagedLabels/WithPageCache do not apply to a journaled or follower handle")
+
+// paging reports whether either paging option was given.
+func (c *config) paging() bool { return c.pagedDir != "" || c.pageCache != 0 }
 
 // ErrPagedUnsupported matches, via errors.Is, the error Open returns
 // when WithPagedLabels meets a labeling scheme whose labels have no
@@ -322,12 +331,12 @@ func pagedErr(err error) error {
 	return err
 }
 
-// ErrLabelTooLong matches, via errors.Is, the error an insert returns
-// when the new node's label would be longer than the paged label index
-// can key (HandleStats.Storage.MaxLabel bytes; HandleStats.LongestLabel
-// says how close the document is). Nothing was changed: the document
-// answers and serialises as before, and an insert into a wider gap
-// still succeeds.
+// ErrLabelTooLong matches, via errors.Is, the error an insert into a
+// WithPagedLabels handle returns when the new node's label would be
+// longer than the paged label index can key (HandleStats.Storage.MaxLabel
+// bytes; HandleStats.LongestLabel says how close the document is).
+// Nothing was changed: the document answers and serialises as before,
+// and an insert into a wider gap still succeeds.
 var ErrLabelTooLong = scheme.ErrLabelTooLong
 
 // ErrBadNodeName matches, via errors.Is, the error Open, an insert or a
@@ -422,6 +431,9 @@ func Open(src any, opts ...Option) (*Handle, error) {
 	if cfg.followURL != "" || cfg.followDir != "" {
 		return nil, errors.New("dynxml: WithFollowURL/WithFollowDir require OpenFollower")
 	}
+	if cfg.journalDir != "" && cfg.paging() {
+		return nil, errPagedJournaled
+	}
 	if cfg.pageCache != 0 && cfg.pagedDir == "" {
 		return nil, errors.New("dynxml: WithPageCache requires WithPagedLabels")
 	}
@@ -493,15 +505,6 @@ func openJournaled(src any, cfg config) (*Handle, error) {
 			return nil, err
 		}
 		h.schemeName = info.Scheme
-		// Replay rebuilds into the default slice backend; convert to the
-		// paged one only once the document is complete — a bulk Build
-		// into fresh pages instead of millions of per-edit inserts.
-		if factory := cfg.storeFactory(); factory != nil {
-			if err := d.ConvertStore(factory); err != nil {
-				_ = h.jnl.Close()
-				return nil, pagedErr(err)
-			}
-		}
 	} else {
 		entry, err := registry.Lookup(cfg.scheme)
 		if err != nil {
@@ -512,13 +515,12 @@ func openJournaled(src any, cfg config) (*Handle, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err = dyndoc.NewWithStore(doc, entry.Build, cfg.storeFactory())
+		d, err = dyndoc.New(doc, entry.Build)
 		if err != nil {
-			return nil, pagedErr(err)
+			return nil, err
 		}
 		h.jnl, err = journal.Create(jcfg, d)
 		if err != nil {
-			_ = d.Store().Close()
 			return nil, err
 		}
 		h.schemeName = entry.Name
@@ -648,9 +650,9 @@ func (h *Handle) Len() int { return h.doc.Len() }
 
 // MemoryFootprint estimates the handle's resident bytes: every per-id
 // column and the label arena at the capacity it has allocated (a
-// deleted node keeps its slots), what the index backend holds — for the
-// paged backend its bounded page cache, which is what lets one process
-// keep many larger-than-budget documents open — and the query cache.
+// deleted node keeps its slots), what the index backend holds — for an
+// embedded handle's paged backend its bounded page cache rather than the
+// whole index — and the query cache.
 // The catalog's memory budget charges this estimate
 // (TestMemoryFootprintTracksHeap holds it within 1.5x of the heap).
 func (h *Handle) MemoryFootprint() int64 {
@@ -817,10 +819,8 @@ func (h *Handle) Sync() error {
 // Checkpoint persists the current document state as a fresh journal
 // checkpoint and truncates the replayed log prefix, bounding recovery
 // time and disk use. Edits issued concurrently simply land in the new
-// log. It also maintains the paged label index when one is attached:
-// journaled handles compact it into a dense new generation, unjournaled
-// ones report the error a degraded read of it recorded, if any.
-// Without either there is nothing to do.
+// log. On an unjournaled handle it only reports the error a degraded
+// read of a paged label index recorded, if any; a slice index has none.
 func (h *Handle) Checkpoint() error {
 	if err := h.acquireWrite(); err != nil {
 		return err
@@ -830,13 +830,7 @@ func (h *Handle) Checkpoint() error {
 		if h.jnl == nil {
 			return d.Store().Err()
 		}
-		if err := h.jnl.Checkpoint(d); err != nil {
-			return err
-		}
-		// Compact the paged index alongside the journal checkpoint: both
-		// reclaim space left behind by the replaced history. A slice
-		// backend's Compact is a no-op.
-		return d.Store().Compact()
+		return h.jnl.Checkpoint(d)
 	})
 }
 
@@ -903,8 +897,9 @@ type HandleStats struct {
 	Relabeled int64
 	// LongestLabel is the length in bytes of the longest ordered label
 	// the document has assigned (zero under a scheme without ordered
-	// labels); inserts are refused with ErrLabelTooLong once the next
-	// one would pass Storage.MaxLabel.
+	// labels). On a WithPagedLabels handle inserts are refused with
+	// ErrLabelTooLong once the next one would pass Storage.MaxLabel;
+	// every other handle indexes labels of any length.
 	LongestLabel int
 	// Journaled reports whether the handle writes a journal; Journal
 	// is only meaningful when it is set.
@@ -919,9 +914,9 @@ type HandleStats struct {
 	// durable horizon, leader horizon, resets, last error.
 	Replica journal.FollowerStats
 	// Storage describes the element-index backend: which one
-	// ("slice" or "paged"), its entry count, and — for the paged
-	// backend — the page cache's resident/allocated pages and
-	// hit/miss/writeback counters.
+	// ("slice", or "paged" on a WithPagedLabels handle), its entry
+	// count, and — for the paged backend — its label limit, the page
+	// cache's resident/allocated pages and hit/miss/writeback counters.
 	Storage StorageStats
 }
 

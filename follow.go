@@ -71,6 +71,9 @@ func OpenFollower(src any, opts ...Option) (*Handle, error) {
 	if cfg.journalDir != "" || cfg.durability != nil || cfg.recover {
 		return nil, errors.New("dynxml: WithJournal/WithDurability/WithRecover do not apply to a follower")
 	}
+	if cfg.paging() {
+		return nil, errPagedJournaled
+	}
 	if cfg.followURL == "" || cfg.followDir == "" {
 		return nil, errors.New("dynxml: OpenFollower needs both WithFollowURL and WithFollowDir")
 	}

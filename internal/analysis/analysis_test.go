@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -119,7 +118,7 @@ func runFixture(t *testing.T, analyzer, fixture string, al *Allowlist) []Diagnos
 		}
 	}
 	if len(diags) == 0 {
-		t.Errorf("fixture %s produced no diagnostics; labelvet must exit non-zero on it", fixture)
+		t.Errorf("fixture %s produced no diagnostics; the gate must fail on it", fixture)
 	}
 	return diags
 }
@@ -207,35 +206,6 @@ func TestRepoCleanWithInvariantsTag(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("repo not clean under -tags invariants: %s", d)
-	}
-}
-
-// TestLabelvetExitCodes runs the actual binary: exit 0 on a clean
-// package, exit 1 on a fixture.
-func TestLabelvetExitCodes(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go binary not on PATH")
-	}
-	root := moduleRoot(t)
-	run := func(args ...string) (int, string) {
-		cmd := exec.Command(goBin, append([]string{"run", "./cmd/labelvet"}, args...)...)
-		cmd.Dir = root
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return 0, string(out)
-		}
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode(), string(out)
-		}
-		t.Fatalf("running labelvet: %v\n%s", err, out)
-		return -1, ""
-	}
-	if code, out := run("./internal/cdbs"); code != 0 {
-		t.Errorf("labelvet ./internal/cdbs: exit %d, want 0\n%s", code, out)
-	}
-	if code, out := run(fixturePath("errcheck")); code != 1 {
-		t.Errorf("labelvet on errcheck fixture: exit %d, want 1\n%s", code, out)
 	}
 }
 

@@ -37,7 +37,7 @@ type Package struct {
 	Info  *types.Info
 
 	// TypeErrors holds type-checker errors; analyzers still run on
-	// packages with errors, but labelvet reports them and fails.
+	// packages with errors, but Vet reports them and fails.
 	TypeErrors []error
 }
 

@@ -10,7 +10,7 @@ import (
 // allowlist.
 const DefaultAllowlist = "internal/analysis/panic_allowlist.txt"
 
-// Config parameterizes one labelvet run.
+// Config parameterizes one run of the suite.
 type Config struct {
 	// Dir is any directory inside the module; the module root is
 	// found by walking up to go.mod. Empty means the current
@@ -24,13 +24,8 @@ type Config struct {
 	// Tags are extra build tags (e.g. "invariants").
 	Tags []string
 
-	// IncludeTests loads _test.go files too (default in labelvet).
+	// IncludeTests loads _test.go files too.
 	IncludeTests bool
-
-	// AllowlistPath overrides the panic allowlist location; empty
-	// uses DefaultAllowlist under the module root. Set to os.DevNull
-	// to run with an empty allowlist.
-	AllowlistPath string
 }
 
 // Vet loads the requested packages and runs the analyzer suite. Type
@@ -49,20 +44,15 @@ func Vet(cfg Config) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	alPath := cfg.AllowlistPath
-	explicit := alPath != ""
-	if !explicit {
-		alPath = filepath.Join(ld.ModuleDir, filepath.FromSlash(DefaultAllowlist))
-	}
+	alPath := filepath.Join(ld.ModuleDir, filepath.FromSlash(DefaultAllowlist))
 	var al *Allowlist
 	if data, err := os.ReadFile(alPath); err == nil {
 		al, err = ParseAllowlist(alPath, string(data))
 		if err != nil {
 			return nil, err
 		}
-	} else if explicit || !os.IsNotExist(err) {
-		// A missing default allowlist just means "empty"; a missing
-		// explicitly named one is a typo the user needs to hear about.
+	} else if !os.IsNotExist(err) {
+		// A missing allowlist just means "empty".
 		return nil, err
 	}
 	suite, err := NewSuite(SuiteConfig{Allowlist: al})

@@ -92,15 +92,6 @@ type Config struct {
 	// Root, Create fails with dynxml.ErrReadOnly, and a name unknown
 	// locally is fetched from the leader on first Acquire.
 	FollowURL string
-	// PagedLabels opens every leader document with its element index on
-	// paged storage (dynxml.WithPagedLabels) under <docdir>/pages, so a
-	// document's budget charge is its bounded page cache rather than
-	// its size. Followers ignore it. It requires a scheme with
-	// order-preserving label bytes.
-	PagedLabels bool
-	// PageCache is the per-document page-cache size in 4 KiB pages when
-	// PagedLabels is set (0: the pagestore minimum).
-	PageCache int
 }
 
 // entry is one named document's residency state. An entry is in
@@ -343,12 +334,6 @@ func (c *Catalog) finishOpen(e *entry, src any, schemeName string) (*Pin, error)
 		}
 		if schemeName != "" {
 			opts = append(opts, dynxml.WithScheme(schemeName))
-		}
-		if c.cfg.PagedLabels {
-			opts = append(opts, dynxml.WithPagedLabels(filepath.Join(c.dir(e.name), "pages")))
-			if c.cfg.PageCache > 0 {
-				opts = append(opts, dynxml.WithPageCache(c.cfg.PageCache))
-			}
 		}
 		h, err = dynxml.Open(src, opts...)
 	}

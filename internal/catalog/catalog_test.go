@@ -432,39 +432,3 @@ func TestBudgetChargesFootprint(t *testing.T) {
 	}
 	p.Release()
 }
-
-// TestPagedCatalog runs the catalog with paged label storage: the
-// pages directory lives inside each document's journal directory, so
-// replay must tolerate it, and edits must survive eviction exactly as
-// on the slice backend.
-func TestPagedCatalog(t *testing.T) {
-	c := openTest(t, Config{MaxOpen: 1, PagedLabels: true, PageCache: 16})
-	p, err := c.Create("alpha", seed, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Handle().Stats().Storage.Backend; got != "paged" {
-		t.Fatalf("catalog backend = %q, want paged", got)
-	}
-	addX(t, p, 30)
-	p.Release()
-
-	q, err := c.Create("beta", seed, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Release()
-	waitEvicted(t, c, "alpha")
-
-	p, err = c.Acquire("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Handle().Stats().Storage.Backend; got != "paged" {
-		t.Fatalf("replayed catalog backend = %q, want paged", got)
-	}
-	if got := countX(t, p); got != 30 {
-		t.Fatalf("after eviction and replay alpha has %d edits, want 30", got)
-	}
-	p.Release()
-}

@@ -67,7 +67,6 @@ type Document struct {
 	leaves cow.Column[leaf]   // text and attribute nodes, by value, in the order they were added
 
 	idx     store.Backend // live element index in document order
-	factory StoreFactory  // how to build a fresh backend (rebuilds, conversions)
 	ordered bool          // scheme.Ordered(lab), asked once: the scheme's labels can key a paged index
 
 	relabeled int64 // cumulative re-labels caused by edits
@@ -245,7 +244,6 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		syms:     syms,
 		codes:    cow.NewColumn(codes),
 		leaves:   cow.NewColumn(leaves),
-		factory:  factory,
 		ordered:  scheme.Ordered(lab),
 		cache:    plan.NewCache(),
 		born:     editTokens.Add(1),
@@ -295,32 +293,9 @@ func (d *Document) NameOf(id int) string {
 // isElement reports whether id, which must be in range, is an element.
 func (d *Document) isElement(id int) bool { return d.codes.At(id)&leafCode == 0 }
 
-// Store exposes the element index backend (for stats, flushing and
-// compaction by the ownership layer).
+// Store exposes the element index backend (for its stats, its degraded
+// read error and its close by the ownership layer).
 func (d *Document) Store() store.Backend { return d.idx }
-
-// ConvertStore rebuilds the element index into a backend from the
-// given factory, replacing the current one. The document must not be
-// queried concurrently. It is how a journal-replayed document (always
-// rebuilt on the slice backend) moves onto paged storage.
-func (d *Document) ConvertStore(factory StoreFactory) error {
-	if factory == nil {
-		factory = func(b store.Binding) (store.Backend, error) { return store.NewSlice(b), nil }
-	}
-	idx, err := factory(d.binding())
-	if err != nil {
-		return err
-	}
-	if err := idx.Build(d.liveElems(nil), d.NameOf); err != nil {
-		_ = idx.Close()
-		return err
-	}
-	old := d.idx
-	d.idx, d.factory = idx, factory
-	d.bind()
-	d.limitLabels()
-	return old.Close()
-}
 
 // liveElems appends the live element ids in current document order to
 // dst, from a walk of the labeling's structural mirror (not from the

@@ -63,8 +63,8 @@ func listGens(dir string) ([]genFiles, error) {
 	byGen := map[uint64]*genFiles{}
 	for _, e := range entries {
 		if e.IsDir() {
-			// Subdirectories are someone else's: dynxml parks its paged
-			// label files in <dir>/pages alongside the segments.
+			// Subdirectories are someone else's: a journal directory may
+			// still hold the <dir>/pages an older dynxmld -paged left.
 			continue
 		}
 		var gen uint64

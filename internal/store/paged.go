@@ -369,9 +369,9 @@ func (p *paged) Stats() Stats {
 
 // Clone shares the page file copy-on-write: both sides' trees are
 // sealed, so each changes only pages it allocates afterwards. The
-// clone inherits the generation; a later Compact on either side swaps
-// only that side's pointers, and the shared old file stays readable
-// until every holder drops it.
+// clone inherits the generation; a later rebuilding Build on either
+// side swaps only that side's pointers, and the shared old file stays
+// readable until every holder drops it.
 func (p *paged) Clone(b Binding) (Backend, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -393,18 +393,6 @@ func (p *paged) Err() error {
 	err := p.lastErr
 	p.lastErr = nil
 	return err
-}
-
-// Compact rebuilds the tree densely into a new generation, reclaiming
-// pages left sparse by unbalanced deletes. The entries, and so the
-// memoized lists, are unchanged.
-func (p *paged) Compact() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cur == nil {
-		return errors.New("store: paged backend is closed")
-	}
-	return p.loadLocked(p.names.Scan)
 }
 
 func (p *paged) Close() error {

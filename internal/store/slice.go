@@ -159,6 +159,5 @@ func (s *slice) Clone(b Binding) (Backend, error) {
 	return c, nil
 }
 
-func (s *slice) Err() error     { return nil }
-func (s *slice) Compact() error { return nil }
-func (s *slice) Close() error   { return nil }
+func (s *slice) Err() error   { return nil }
+func (s *slice) Close() error { return nil }

@@ -83,15 +83,6 @@ type Stats struct {
 	Writebacks  uint64 `json:"writebacks,omitempty"`
 }
 
-// CacheHitRatio returns hits/(hits+misses), or 0 with no traffic.
-func (s Stats) CacheHitRatio() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
 // ErrLabelTooLong reports a node whose Binding.Key encoding is longer
 // than Stats.MaxLabel. The index is unchanged.
 var ErrLabelTooLong = errors.New("store: label too long for the index")
@@ -144,10 +135,6 @@ type Backend interface {
 	// Err reports, and clears, the error a degraded read recorded
 	// since the previous call (always nil for slice).
 	Err() error
-
-	// Compact rebuilds the index densely, reclaiming pages unbalanced
-	// deletes left sparse (a no-op for slice).
-	Compact() error
 
 	// Close releases resources. The index is unusable afterwards.
 	Close() error

@@ -252,10 +252,18 @@ func TestSlicePagedDifferential(t *testing.T) {
 				}
 			}
 		case 7:
-			if err := errors.Join(f.pgd.Compact(), f.pgdWlk.Compact()); err != nil {
-				t.Fatal(err)
+			// A rebuilding Build, the document's recovery from a failed
+			// edit, moves each paged index onto a generation of its own,
+			// the original and its clones alike, off the one they shared.
+			for _, f := range fams {
+				elems, nameOf := f.w.walk(nil), func(id int) string { return f.w.name[id] }
+				if err := errors.Join(f.pgd.Build(elems, nameOf), f.pgdWlk.Build(elems, nameOf)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			f.check(t, names)
+			for _, f := range fams {
+				f.check(t, names)
+			}
 		}
 	}
 	if len(fams) < 3 {
@@ -693,65 +701,6 @@ func TestStatsShape(t *testing.T) {
 	if s.MemoryFootprint() <= 0 || p.MemoryFootprint() <= 0 {
 		t.Fatal("zero memory footprint")
 	}
-}
-
-// TestPagedClonesBothCompact: two clones of one paged backend that
-// both Compact must not collide on the retired pager (a second
-// runtime.SetFinalizer on it is a fatal throw). Each compacts onto a
-// generation of its own, keeps scanning every entry, and keeps taking
-// edits there: the pages one side allocates never show in the other's
-// Stats.
-func TestPagedClonesBothCompact(t *testing.T) {
-	w := newWorld()
-	oracle := NewSlice(w.binding())
-	p, err := OpenPaged(t.TempDir(), 8, w.binding())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	names := []string{"a", "b", "c"}
-	next := 0
-	add := func(bs ...Backend) {
-		t.Helper()
-		for end := next + 500; next < end; next++ {
-			w.ord[next], w.name[next] = uint64(next), names[next%len(names)]
-			for _, b := range bs {
-				if err := b.Add(w.name[next], next); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	for next < 3000 {
-		add(oracle, p)
-	}
-	c, err := p.Clone(w.binding())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, b := range []Backend{p, c} {
-		if err := b.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		checkEqual(t, w, oracle, p, names)
-		checkEqual(t, w, oracle, c, names)
-	}
-	// Each side still takes edits on its own generation.
-	oc, err := oracle.Clone(w.binding())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, side := range []struct{ edited, other, oracle Backend }{{p, c, oracle}, {c, p, oc}} {
-		before := side.other.Stats()
-		add(side.oracle, side.edited)
-		if got := side.other.Stats(); got.AllocatedPages != before.AllocatedPages || got.Entries != before.Entries {
-			t.Fatalf("edits on one compacted side moved the other's stats: %+v -> %+v", before, got)
-		}
-		checkEqual(t, w, side.oracle, side.edited, names)
-	}
-	checkEqual(t, w, oracle, p, names)
-	checkEqual(t, w, oc, c, names)
 }
 
 // TestPagedOverlongLabel: a label neither tree can key is refused with

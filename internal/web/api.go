@@ -110,12 +110,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // The storage, journal and replica stats are in their /v1 form by their
-// tags; the reply adds the cache hit ratio and the mode's name.
-type storageInfo struct {
-	dynxml.StorageStats
-	CacheHitRatio float64 `json:"cache_hit_ratio,omitempty"`
-}
-
+// tags; the reply adds the journal mode's name.
 type journalInfo struct {
 	journal.Stats
 	Mode string `json:"mode"`
@@ -130,7 +125,7 @@ type statsResponse struct {
 	// ResidentBytes is Handle.MemoryFootprint, the estimate the catalog
 	// budgets the document by.
 	ResidentBytes int64                  `json:"resident_bytes"`
-	Storage       *storageInfo           `json:"storage,omitempty"`
+	Storage       dynxml.StorageStats    `json:"storage"`
 	Journal       *journalInfo           `json:"journal,omitempty"`
 	Replica       *journal.FollowerStats `json:"replica,omitempty"`
 }
@@ -145,9 +140,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Relabeled:     st.Relabeled,
 			LongestLabel:  st.LongestLabel,
 			ResidentBytes: h.MemoryFootprint(),
-		}
-		if st.Storage.Backend != "" {
-			resp.Storage = &storageInfo{st.Storage, st.Storage.CacheHitRatio()}
+			Storage:       st.Storage,
 		}
 		if st.Journaled {
 			resp.Journal = &journalInfo{st.Journal, st.Journal.Mode.String()}

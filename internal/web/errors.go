@@ -20,7 +20,6 @@ const (
 	CodeUnknownScheme = "unknown_scheme"
 	CodeUnavailable   = "unavailable"
 	CodeReadOnly      = "read_only"
-	CodeLabelTooLong  = "label_too_long"
 	CodeBadRequest    = "bad_request"
 	CodeTimeout       = "timeout"
 	CodeInternal      = "internal"
@@ -62,11 +61,6 @@ func mapError(err error) (int, string, string) {
 	case errors.Is(err, dynxml.ErrReadOnly):
 		// A follower serves reads only; writes belong on the leader.
 		return http.StatusForbidden, CodeReadOnly, err.Error()
-	case errors.Is(err, dynxml.ErrLabelTooLong):
-		// The edit is well-formed but this document's index cannot key
-		// the label it would need; the document is unchanged and other
-		// inserts still work.
-		return http.StatusUnprocessableEntity, CodeLabelTooLong, err.Error()
 	case errors.Is(err, dynxml.ErrClosed), errors.Is(err, catalog.ErrCatalogClosed):
 		// The handle was evicted or the server is draining; the client
 		// can retry and the catalog will replay the document.

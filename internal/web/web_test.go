@@ -329,83 +329,6 @@ func TestIntrospection(t *testing.T) {
 	}
 }
 
-// TestLabelTooLong drives the single-gap history that exhausts a paged
-// document's label length over the API: the edit that no longer fits
-// is a 422 with its own code, leaves the document as it was — through
-// a close and a replay too — and does not stop edits elsewhere.
-func TestLabelTooLong(t *testing.T) {
-	cat, err := catalog.Open(catalog.Config{Root: t.TempDir(), PagedLabels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = cat.Close() })
-	s := New(Config{Catalog: cat})
-	mustOpen(t, s, "alpha", seed)
-
-	const insert = `{"op":"insert-element","parent":0,"pos":1,"name":"x"}`
-	batch := `{"edits":[` + strings.Repeat(insert+",", 511) + insert + `]}`
-	count := func() int {
-		t.Helper()
-		var q queryResponse
-		if err := json.Unmarshal(do(s, "POST", "/v1/docs/alpha/query", `{"path":"//x"}`).Body.Bytes(), &q); err != nil {
-			t.Fatal(err)
-		}
-		return q.Count
-	}
-	// Whole batches while they fit (a batch is all or nothing), then
-	// one edit at a time up to the limit.
-	inserted := 0
-	var w *httptest.ResponseRecorder
-	for w = do(s, "POST", "/v1/docs/alpha/batch", batch); w.Code == http.StatusOK; w = do(s, "POST", "/v1/docs/alpha/batch", batch) {
-		if inserted += 512; inserted > 1<<16 {
-			t.Fatal("no label limit in sight")
-		}
-	}
-	if e := decodeErr(t, w); w.Code != http.StatusUnprocessableEntity || e.Code != CodeLabelTooLong {
-		t.Fatalf("overlong batch: %d %+v", w.Code, e)
-	}
-	if got := count(); got != inserted {
-		t.Fatalf("refused batch left %d of its edits behind", got-inserted)
-	}
-	for w = do(s, "POST", "/v1/docs/alpha/edit", insert); w.Code == http.StatusOK; w = do(s, "POST", "/v1/docs/alpha/edit", insert) {
-		inserted++
-	}
-	if e := decodeErr(t, w); w.Code != http.StatusUnprocessableEntity || e.Code != CodeLabelTooLong || e.RequestID == "" {
-		t.Fatalf("overlong edit: %d %+v", w.Code, e)
-	}
-	xml := do(s, "GET", "/v1/docs/alpha/xml", "").Body.String()
-	var st statsResponse
-	if err := json.Unmarshal(do(s, "GET", "/v1/docs/alpha", "").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Storage == nil || st.Storage.MaxLabel == 0 || st.LongestLabel != st.Storage.MaxLabel {
-		t.Errorf("stats at the limit: longest_label %d, storage %+v", st.LongestLabel, st.Storage)
-	}
-	if got := count(); got != inserted || strings.Count(xml, "<x>") != inserted {
-		t.Errorf("after the refusal //x counts %d and the XML holds %d; %d were acknowledged", got, strings.Count(xml, "<x>"), inserted)
-	}
-
-	if w = do(s, "POST", "/v1/docs/alpha/edit", `{"op":"insert-element","parent":0,"pos":0,"name":"x"}`); w.Code != http.StatusOK {
-		t.Errorf("edit in a fresh gap: %d %s", w.Code, w.Body.String())
-	}
-	if got := count(); got != inserted+1 {
-		t.Errorf("//x = %d after one more edit, want %d", got, inserted+1)
-	}
-
-	// The journal holds the acknowledged edits only, and a replay builds
-	// their document, index included.
-	xml = do(s, "GET", "/v1/docs/alpha/xml", "").Body.String()
-	if w = do(s, "POST", "/v1/docs/alpha/close", ""); w.Code != http.StatusOK {
-		t.Fatalf("close: %d %s", w.Code, w.Body.String())
-	}
-	if w = do(s, "POST", "/v1/docs/alpha/open", ""); w.Code != http.StatusOK {
-		t.Fatalf("reopen: %d %s", w.Code, w.Body.String())
-	}
-	if got := do(s, "GET", "/v1/docs/alpha/xml", "").Body.String(); got != xml || count() != inserted+1 {
-		t.Error("replay differs from the document the refused edits left")
-	}
-}
-
 // TestRecordTooLarge: an edit under the body limit whose journal record
 // would exceed 16 MiB gets the answer an over-limit body gets, 400
 // bad_request, publishes nothing, and leaves the document taking edits.

@@ -193,71 +193,42 @@ func TestPagedUnsupportedScheme(t *testing.T) {
 	}
 }
 
-// TestPagedJournalRoundTrip journals a paged document, edits it,
-// checkpoints, edits again, closes, and replays — the paged index is
-// rebuilt from the journal, so every acknowledged edit must be visible.
-func TestPagedJournalRoundTrip(t *testing.T) {
+// TestPagedRefusedWithJournal: the paged index is a cache for embedded,
+// unjournaled handles only. Open refuses it next to WithJournal, for a
+// fresh journal and for a replay alike, and OpenFollower refuses it too,
+// each before any directory exists.
+func TestPagedRefusedWithJournal(t *testing.T) {
+	ldir := t.TempDir()
+	srv := shipServer(t, leaderHandle(t, ldir))
 	base := t.TempDir()
-	jdir := filepath.Join(base, "journal")
-	pdir := filepath.Join(base, "journal", "pages")
-	open := func(src any) *Handle {
-		t.Helper()
-		h, err := Open(src, WithJournal(jdir), WithPagedLabels(pdir), WithPageCache(pagestore.MinCachePages), WithRecover())
-		if err != nil {
-			t.Fatal(err)
+	fresh, pdir, fdir := filepath.Join(base, "j"), filepath.Join(base, "p"), filepath.Join(base, "f")
+	for _, paging := range [][]Option{
+		{WithPagedLabels(pdir)},
+		{WithPageCache(64)},
+		{WithPagedLabels(pdir), WithPageCache(64)},
+	} {
+		if _, err := Open(openSeed, append([]Option{WithJournal(fresh)}, paging...)...); !errors.Is(err, errPagedJournaled) {
+			t.Fatalf("Open with a fresh journal and %d paging options: %v, want the refusal", len(paging), err)
 		}
-		return h
-	}
-	h := open(pagedSeed(400))
-	items, err := h.QueryString("/lib/item")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, _, err := h.InsertElement(items[i*7], 0, "mark"); err != nil {
-			t.Fatal(err)
+		if _, err := Open(nil, append([]Option{WithJournal(ldir), WithRecover()}, paging...)...); !errors.Is(err, errPagedJournaled) {
+			t.Fatalf("Open replaying a journal with %d paging options: %v, want the refusal", len(paging), err)
 		}
-	}
-	if err := h.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, _, err := h.InsertElement(items[i*11+1], 1, "late"); err != nil {
-			t.Fatal(err)
+		if _, err := OpenFollower(nil, append([]Option{WithFollowURL(srv.URL), WithFollowDir(fdir)}, paging...)...); !errors.Is(err, errPagedJournaled) {
+			t.Fatalf("OpenFollower with %d paging options: %v, want the refusal", len(paging), err)
 		}
-	}
-	want := h.XML()
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := open(nil)
-	defer r.Close()
-	if got := r.XML(); got != want {
-		t.Fatal("replayed document differs")
-	}
-	if got := r.Stats().Storage.Backend; got != "paged" {
-		t.Fatalf("replayed backend %q, want paged", got)
-	}
-	marks, err := r.QueryString("//mark")
-	if err != nil {
-		t.Fatal(err)
-	}
-	late, err := r.QueryString("//late")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(marks) != 20 || len(late) != 10 {
-		t.Fatalf("replay lost edits: %d marks, %d late", len(marks), len(late))
+		for _, dir := range []string{fresh, pdir, fdir} {
+			if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("a refused open created %s (stat: %v)", dir, err)
+			}
+		}
 	}
 }
 
-// TestPagedSurvivesPageFileDamage is the paged half of the kill
-// matrix: whatever page files a crashed run, or an older version that
-// named them, left in the page directory — none, a truncated one, a
-// bit-rotted one — reopening from the journal must restore every
-// acknowledged edit and remove them, because pages are a rebuilt cache,
-// never the store of record.
+// TestPagedSurvivesPageFileDamage: whatever page files an older version
+// that named them left in the page directory — none, a truncated one, a
+// bit-rotted one — an embedded paged handle opened over it removes them
+// and answers as the slice handle does, because the pages are a cache
+// rebuilt from the document on every open, never read back.
 func TestPagedSurvivesPageFileDamage(t *testing.T) {
 	damage := []struct {
 		name string
@@ -273,29 +244,10 @@ func TestPagedSurvivesPageFileDamage(t *testing.T) {
 			return b
 		}()},
 	}
+	text := pagedSeed(300)
 	for _, dmg := range damage {
 		t.Run(dmg.name, func(t *testing.T) {
-			base := t.TempDir()
-			jdir := filepath.Join(base, "j")
-			pdir := filepath.Join(base, "p")
-			h, err := Open(pagedSeed(300), WithJournal(jdir), WithPagedLabels(pdir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			items, err := h.QueryString("/lib/item")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 12; i++ {
-				if _, _, err := h.InsertElement(items[i], 0, "acked"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := h.XML()
-			if err := h.Close(); err != nil {
-				t.Fatal(err)
-			}
-
+			pdir := t.TempDir()
 			if dmg.left != nil {
 				for _, name := range []string{"labels-000001.pages", "labels-123.pages"} {
 					if err := os.WriteFile(filepath.Join(pdir, name), dmg.left, 0o644); err != nil {
@@ -303,23 +255,48 @@ func TestPagedSurvivesPageFileDamage(t *testing.T) {
 					}
 				}
 			}
-
-			r, err := Open(nil, WithJournal(jdir), WithPagedLabels(pdir), WithRecover())
+			sl, err := Open(text)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
-			if got := r.XML(); got != want {
-				t.Fatal("acked edits lost after page-file damage")
-			}
-			acked, err := r.QueryString("//acked")
+			defer sl.Close()
+			pg, err := Open(text, WithPagedLabels(pdir), WithPageCache(pagestore.MinCachePages))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(acked) != 12 {
-				t.Fatalf("got %d acked markers, want 12", len(acked))
+			defer pg.Close()
+			requireNoPageFile(t, pdir, "once Open returned")
+			for _, h := range []*Handle{sl, pg} {
+				items, err := h.QueryString("/lib/item")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 12; i++ {
+					if _, _, err := h.InsertElement(items[i*23], 0, "acked"); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			requireNoPageFile(t, pdir, "after the reopen")
+			if pg.XML() != sl.XML() {
+				t.Fatal("the paged handle's document differs from the slice handle's")
+			}
+			for _, q := range []string{"/lib/item", "//tag", "//acked", "//item[./acked]"} {
+				want, err := sl.QueryString(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := pg.QueryString(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: paged %v, slice %v", q, got, want)
+				}
+			}
+			if err := pg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireNoPageFile(t, pdir, "after Close")
 		})
 	}
 }
@@ -335,64 +312,58 @@ func requireNoPageFile(t *testing.T, dir, when string) {
 
 // TestPagedLeavesNoPageFile: a paged handle's page files have no name,
 // so its page directory holds none while it is open, after a
-// Checkpoint, after a clone and both sides' Compact, and after Close;
-// and a page file an older version left there under a name is gone
-// once Open returns. Plain and journaled handles alike.
+// Checkpoint, after a clone and a rebuild of both sides' index, and
+// after Close; and a page file an older version left there under a
+// name is gone once Open returns.
 func TestPagedLeavesNoPageFile(t *testing.T) {
-	for _, journaled := range []bool{false, true} {
-		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
-			base := t.TempDir()
-			pdir := filepath.Join(base, "p")
-			if err := os.MkdirAll(pdir, 0o755); err != nil {
+	// Only an unjournaled handle pages; Open refuses the journaled pairing.
+	t.Run("journaled=false", func(t *testing.T) {
+		pdir := filepath.Join(t.TempDir(), "p")
+		if err := os.MkdirAll(pdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(pdir, "labels-000007.pages"), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h, err := Open(pagedSeed(3000), WithPagedLabels(pdir), WithPageCache(pagestore.MinCachePages))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		requireNoPageFile(t, pdir, "while open")
+		items, err := h.QueryString("/lib/item")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			if _, _, err := h.InsertElement(items[i], 0, "x"); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(pdir, "labels-000007.pages"), []byte("stale"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			opts := []Option{WithPagedLabels(pdir), WithPageCache(pagestore.MinCachePages)}
-			if journaled {
-				opts = append(opts, WithJournal(filepath.Join(base, "j")))
-			}
-			h, err := Open(pagedSeed(3000), opts...)
+		}
+		if st := h.Stats().Storage; st.Writebacks == 0 {
+			t.Fatalf("the index never spilled a page: %+v", st)
+		}
+		if err := h.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		requireNoPageFile(t, pdir, "after Checkpoint")
+		err = h.locked(func(d *LiveDocument) error {
+			c, err := d.Clone()
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			defer h.Close()
-			requireNoPageFile(t, pdir, "while open")
-			items, err := h.QueryString("/lib/item")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 50; i++ {
-				if _, _, err := h.InsertElement(items[i], 0, "x"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if st := h.Stats().Storage; st.Writebacks == 0 {
-				t.Fatalf("the index never spilled a page: %+v", st)
-			}
-			if err := h.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			requireNoPageFile(t, pdir, "after Checkpoint")
-			err = h.locked(func(d *LiveDocument) error {
-				c, err := d.Clone()
-				if err != nil {
-					return err
-				}
-				defer c.Store().Close()
-				return errors.Join(d.Store().Compact(), c.Store().Compact())
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireNoPageFile(t, pdir, "after both sides of a clone compacted")
-			if err := h.Close(); err != nil {
-				t.Fatal(err)
-			}
-			requireNoPageFile(t, pdir, "after Close")
+			defer c.Store().Close()
+			return errors.Join(d.Store().Build(d.Store().Elems(), d.NameOf), c.Store().Build(c.Store().Elems(), c.NameOf))
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireNoPageFile(t, pdir, "after both sides of a clone rebuilt their index")
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		requireNoPageFile(t, pdir, "after Close")
+	})
 }
 
 // TestPagedNonConcurrent exercises the plain (non-snapshot) handle on
@@ -416,7 +387,7 @@ func TestPagedNonConcurrent(t *testing.T) {
 	if n != 50 {
 		t.Fatalf("Count = %d, want 50", n)
 	}
-	// Checkpoint on an unjournaled paged handle flushes the pages.
+	// Checkpoint on an unjournaled paged handle reports no degraded read.
 	if err := h.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -529,52 +500,6 @@ func TestPagedInsertAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, insert); got > 2 {
 		t.Errorf("InsertElement on a warm paged document allocates %.1f times, want <= 2", got)
-	}
-}
-
-// TestPagedCompactIsDense pins the bulk load behind Compact: once every
-// other item of pagedSeed(25000) is deleted, each delete leaving a hole
-// in its leaf, the checkpoint's Compact packs the live entries into at
-// most ⌈live entry bytes / PayloadSize⌉ leaves plus one internal level,
-// here a root page over every leaf.
-func TestPagedCompactIsDense(t *testing.T) {
-	h, err := Open(pagedSeed(25000), WithPagedLabels(t.TempDir()), WithJournal(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	items, err := h.QueryString("/lib/item")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edits []Edit
-	for i := 0; i < len(items); i += 2 {
-		edits = append(edits, Edit{Op: OpDeleteSubtree, Node: items[i]})
-	}
-	if _, err := h.ApplyBatch(edits); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	live := 0 // an entry is its key, a length byte, a u32 value and a u16 slot
-	h.view(func(d *LiveDocument) {
-		for _, id := range d.Store().Elems() {
-			label, lerr := d.Labeling().AppendOrderedLabel(nil, id)
-			if lerr != nil {
-				err = lerr
-			}
-			live += 4 + len(label) + 7
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaves := (live + pagestore.PayloadSize - 1) / pagestore.PayloadSize
-	pages := h.Stats().Storage.AllocatedPages
-	t.Logf("%d live entry bytes fill %d leaves; compacted, the index takes %d pages", live, leaves, pages)
-	if pages > leaves+1 {
-		t.Errorf("compacted index takes %d pages, want <= %d leaves + 1 root", pages, leaves)
 	}
 }
 

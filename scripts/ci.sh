@@ -8,7 +8,7 @@
 #   2. go test ./..., plain, under -tags invariants and under -race,
 #      then the clone-isolation and storm tests three more times;
 #      labelvet runs here, as internal/analysis's TestRepoClean (both
-#      tag states), fixture and exit-code tests
+#      tag states) and fixture tests
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
 #   4. bench smoke
 #   5. httpd smoke, replication smoke
@@ -103,7 +103,9 @@ edit_seq=$("$ctl" insert -seq ci "$root_id" 0 x) || httpd_fail "edit"
 "$ctl" explain ci /root/x | grep -q 'strategy' || httpd_fail "explain"
 "$ctl" sync ci || httpd_fail "sync"
 "$ctl" checkpoint ci || httpd_fail "checkpoint"
-"$ctl" stats ci | grep -q '"journal"' || httpd_fail "stats"
+"$ctl" stats ci >"$httpd_dir/stats" || httpd_fail "stats"
+grep -q '"journal"' "$httpd_dir/stats" || httpd_fail "stats carry no journal: $(cat "$httpd_dir/stats")"
+grep -q '"backend":"slice"' "$httpd_dir/stats" || httpd_fail "served document is not on the slice index: $(cat "$httpd_dir/stats")"
 "$ctl" xml ci | grep -q '<y>' || httpd_fail "xml"
 "$ctl" list | grep -q '"name":"ci"' || httpd_fail "list"
 "$ctl" horizon -min "$edit_seq" -wait 5s ci >/dev/null || httpd_fail "horizon"
