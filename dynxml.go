@@ -615,7 +615,9 @@ func (h *Handle) Shared() *SharedDocument { return h.shared }
 
 // Labeling returns the document's labeling. On a concurrent handle it
 // is the latest snapshot's labeling: immutable, safe to read, and
-// left behind by the next edit.
+// left behind by the next edit. Read its tree's child lists through
+// Tree().Kids and Tree().Child: a snapshot's Tree().Children is nil
+// while its lists are an overlay on the array it shares.
 func (h *Handle) Labeling() Labeling {
 	var lab Labeling
 	h.view(func(d *LiveDocument) { lab = d.Labeling() })

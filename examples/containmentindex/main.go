@@ -83,7 +83,7 @@ func main() {
 			log.Fatal(err)
 		}
 		lab := h.Labeling()
-		acts := lab.Tree().Children[0]
+		acts := lab.Tree().Kids(0)
 		relabeled := 0
 		start := time.Now()
 		for i := 0; i < 1000; i++ {

@@ -46,7 +46,7 @@ func main() {
 		// Relationship queries answered from labels alone still work
 		// on the grown tree.
 		tr := lab.Tree()
-		secondBook := tr.Children[0][1]
+		secondBook := tr.Child(0, 1)
 		fmt.Printf("root is parent of new node: %v, level %d\n\n",
 			lab.IsParent(0, secondBook), lab.Level(secondBook))
 	}

@@ -35,7 +35,7 @@ func edit(t *testing.T, l *Labeling, rng *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
 		live := l.Tree().PreOrder()
 		parent := live[rng.Intn(len(live))]
-		pos := rng.Intn(len(l.Tree().Children[parent]) + 1)
+		pos := rng.Intn(len(l.Tree().Kids(parent)) + 1)
 		var err error
 		if rng.Intn(8) == 0 {
 			_, _, err = l.InsertSubtree(parent, pos, randomShape(rng))

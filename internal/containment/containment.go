@@ -95,7 +95,7 @@ func (l *Labeling) reassign() (changed int, err error) {
 	walk = func(v int) {
 		ends[2*v], ks = ks[0], ks[1:]
 		longest = max(longest, labelLen(&arena, ends[2*v]))
-		for _, c := range l.tree.Children[v] {
+		for _, c := range l.tree.Kids(v) {
 			walk(c)
 		}
 		ends[2*v+1], ks = ks[0], ks[1:]
@@ -225,7 +225,7 @@ func (l *Labeling) DeleteSubtree(v int) (int, error) {
 // pos-th child of parent would be inserted: the key immediately to the
 // left and immediately to the right.
 func (l *Labeling) gapBounds(parent, pos int) (left, right keys.Ref) {
-	kids := l.tree.Children[parent]
+	kids := l.tree.Kids(parent)
 	if pos > 0 {
 		left = l.end(kids[pos-1])
 	} else {

@@ -43,7 +43,7 @@ func (o *oracle) reassign(t *testing.T) (changed int) {
 	var walk func(v int)
 	walk = func(v int) {
 		start[v], ks = ks[0], ks[1:]
-		for _, c := range o.tree.Children[v] {
+		for _, c := range o.tree.Kids(v) {
 			walk(c)
 		}
 		end[v], ks = ks[0], ks[1:]
@@ -59,7 +59,7 @@ func (o *oracle) reassign(t *testing.T) (changed int) {
 }
 
 func (o *oracle) gap(parent, pos int) (l, r keys.Key) {
-	kids := o.tree.Children[parent]
+	kids := o.tree.Kids(parent)
 	l, r = o.start[parent], o.end[parent]
 	if pos > 0 {
 		l = o.end[kids[pos-1]]
@@ -200,7 +200,7 @@ func TestPackedMatchesKeyLevelOracle(t *testing.T) {
 				for i := 0; i < steps; i++ {
 					live := o.tree.PreOrder()
 					parent := live[rng.Intn(len(live))]
-					pos := rng.Intn(len(o.tree.Children[parent]) + 1)
+					pos := rng.Intn(len(o.tree.Kids(parent)) + 1)
 					var step string
 					var got, want int
 					switch op := rng.Intn(10); {

@@ -19,8 +19,10 @@
 //
 // Neither rule ever writes to the value a clone is taken from, so a
 // published snapshot can be cloned while readers traverse it. What
-// fits neither rule — a per-id slice whose existing slots are rewritten
-// — a clone takes a flat Copy of.
+// fits neither rule — primelbl's ordering and SC columns, whose
+// existing slots are rewritten — a clone takes a flat Copy of.
+// scheme.Tree's child-list headers are rewritten too, but shared: a
+// clone keeps the ones it changes in an overlay of its own.
 package cow
 
 import (
@@ -152,8 +154,8 @@ func (c *Column[T]) Append(v T) {
 
 // Copy returns a private copy of s with a little room to spare, so
 // that the appends of the edit that follows a clone do not copy it a
-// second time. It is for the per-id slices that are rewritten in place
-// and therefore cannot be shared.
+// second time. It is for primelbl's per-id columns, which are
+// rewritten in place and therefore cannot be shared.
 func Copy[T any](s []T) []T {
 	const slack = 32
 	out := make([]T, len(s), len(s)+slack)

@@ -302,13 +302,13 @@ func (d *Document) Store() store.Backend { return d.idx }
 // index — this is what rebuilds the index, and what the slice backend
 // answers a * name test from).
 func (d *Document) liveElems(dst []int) []int {
-	kids := d.lab.Tree().Children
+	tr := d.lab.Tree()
 	var walk func(v int)
 	walk = func(v int) {
 		if d.isElement(v) {
 			dst = append(dst, v)
 		}
-		for _, c := range kids[v] {
+		for _, c := range tr.Kids(v) {
 			walk(c)
 		}
 	}
@@ -414,7 +414,7 @@ func (d *Document) writeXML(sb *strings.Builder, id int) error {
 	}
 	name := d.NameOf(id)
 	sb.WriteString("<" + name)
-	rest := d.lab.Tree().Children[id]
+	rest := d.lab.Tree().Kids(id)
 	for len(rest) > 0 {
 		a, ok := d.attrAt(rest[0])
 		if !ok {
@@ -451,8 +451,8 @@ func (d *Document) validateInsert(parent, pos int) error {
 	if !d.isElement(parent) {
 		return fmt.Errorf("%w: parent %d is not an element", ErrBadNode, parent)
 	}
-	if pos < 0 || pos > len(tr.Children[parent]) {
-		return fmt.Errorf("dyndoc: child position %d out of range [0,%d]", pos, len(tr.Children[parent]))
+	if n := len(tr.Kids(parent)); pos < 0 || pos > n {
+		return fmt.Errorf("dyndoc: child position %d out of range [0,%d]", pos, n)
 	}
 	return nil
 }
@@ -561,7 +561,7 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 		if name := d.NameOf(v); name != "" {
 			d.versions[readKey{name: name}] = d.lastEdit
 		}
-		for _, c := range tr.Children[v] {
+		for _, c := range tr.Kids(v) {
 			collect(c)
 		}
 	}

@@ -185,7 +185,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 					break
 				}
 			}
-			pos := gen.Intn(len(tr.Children[parent]) + 1)
+			pos := gen.Intn(len(tr.Kids(parent)) + 1)
 			if _, _, err := d.InsertElement(parent, pos, names[gen.Intn(len(names))]); err != nil {
 				t.Fatal(err)
 			}

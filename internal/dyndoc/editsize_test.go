@@ -2,6 +2,7 @@ package dyndoc
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -58,39 +59,56 @@ func BenchmarkEditVsSize(b *testing.B) {
 }
 
 // TestEditBytesBounded pins what a snapshot edit may allocate: the
-// flat per-id copies (child-list headers 24 B, dead bit 1/8 B) and the
-// lists the edit touches — not a copy of the document, which was about
-// 250 B per id, and not a list of its elements, which was 8 more.
+// lists the edit touches, the clone's overlay of changed child lists
+// (at most about √ids entries of 32 B) and its share of the fold that
+// empties the overlay (about √ids × 24 B) — not a copy of the
+// document, which was about 250 B per id, nor its child-list headers,
+// which were 24. One history inserts under one section, so its overlay
+// holds one entry; the other spreads its inserts over every element of
+// every section, so its overlay fills and folds four times.
 func TestEditBytesBounded(t *testing.T) {
-	const edits = 64
-	for _, elems := range editSizes {
-		c := sizedConcurrent(t, elems)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < edits; i++ {
-			if _, _, err := c.InsertElement(1, 0, "x"); err != nil {
-				t.Fatal(err)
+	for _, spread := range []bool{false, true} {
+		for _, elems := range editSizes {
+			c := sizedConcurrent(t, elems)
+			edits := 64
+			if spread {
+				edits = 4 * int(math.Sqrt(float64(elems)))
 			}
-		}
-		runtime.ReadMemStats(&after)
-		var ids int
-		_ = c.Snapshot(func(d *Document) error { ids = d.Labeling().Tree().Cap(); return nil })
-		perEdit := (after.TotalAlloc - before.TotalAlloc) / edits
-		bound := uint64(26*ids + 8<<10)
-		t.Logf("%d elements: %d B per edit (%.1f B per id), bound %d", elems, perEdit, float64(perEdit)/float64(ids), bound)
-		if perEdit > bound {
-			t.Errorf("%d elements: %d B allocated per Concurrent.InsertElement, want at most 26 B x %d ids + 8 KB = %d",
-				elems, perEdit, ids, bound)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < edits; i++ {
+				// Section 1 is node id 1; 7919 is prime, so the spread
+				// history meets a new element every time.
+				parent := 1
+				if spread {
+					parent = i * 7919 % elems
+				}
+				if _, _, err := c.InsertElement(parent, 0, "x"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			var ids int
+			_ = c.Snapshot(func(d *Document) error { ids = d.Labeling().Tree().Cap(); return nil })
+			perEdit := (after.TotalAlloc - before.TotalAlloc) / uint64(edits)
+			bound := uint64(64*math.Sqrt(float64(ids))) + 8<<10
+			t.Logf("%d elements, spread %v: %d B per edit (%.1f B per √id), bound %d",
+				elems, spread, perEdit, float64(perEdit)/math.Sqrt(float64(ids)), bound)
+			if perEdit > bound {
+				t.Errorf("%d elements, spread %v: %d B allocated per Concurrent.InsertElement, want at most 64 B x √%d ids + 8 KB = %d",
+					elems, spread, perEdit, ids, bound)
+			}
 		}
 	}
 }
 
 // TestWorstEditBytesBounded pins the worst edit of a long run, where
 // TestEditBytesBounded pins the mean: over 4 096 inserts into a shared
-// document of 100 000 elements no single edit allocates more than the
-// flat per-id copies and a chunk or two — a write-once column or the
-// label arena out of room adds a chunk, it does not move.
+// document of 100 000 elements no single edit allocates more than a
+// fold — the one edit in about √ids that copies every child-list
+// header — and a chunk or two: a write-once column or the label arena
+// out of room adds a chunk, it does not move.
 func TestWorstEditBytesBounded(t *testing.T) {
 	c := sizedConcurrent(t, 100_000)
 	var worst, ids uint64

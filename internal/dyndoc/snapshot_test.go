@@ -2,7 +2,11 @@ package dyndoc
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,4 +237,154 @@ func TestConcurrentBatchInsert(t *testing.T) {
 	if g := c.Generation(); g != 1 {
 		t.Fatalf("batch of %d fragments published %d generations, want 1", len(fragments), g)
 	}
+}
+
+// TestOverlayFoldStorm runs child, sibling and positional reads on
+// published snapshots while one writer edits through several folds: a
+// snapshot's tree reads its lists through a clone's overlay on a
+// shared header array, and the writer's next clone folds that overlay
+// into an array of its own every √ids or so edits. Every read holds
+// the child lists to what the labels and the parent column say and to
+// what the queries answer, in the same snapshot. Run under -race it
+// also shows that no writer touches an array a published tree reads.
+func TestOverlayFoldStorm(t *testing.T) {
+	const elems, edits, readers = 3_000, 1_200, 4
+	c := sizedConcurrent(t, elems)
+	frag := xmltree.NewElement("f")
+	frag.AppendChild(xmltree.NewElement("g"))
+	frag.AppendChild(xmltree.NewElement("g"))
+	stop := make(chan struct{})
+	errCh := make(chan error, readers+1)
+	var wg, started sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			read := func() bool {
+				if err := c.Snapshot(func(d *Document) error { return checkSection(d, rng) }); err != nil {
+					errCh <- err
+					return false
+				}
+				reads.Add(1)
+				return true
+			}
+			ok := read()
+			started.Done()
+			for ok {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ok = read()
+			}
+		}(int64(r))
+	}
+	started.Wait()
+	rng := rand.New(rand.NewSource(99))
+	var inserted []int
+	folds := 0
+	for i := 0; i < edits; i++ {
+		var err error
+		switch {
+		case i%5 == 4 && len(inserted) > 0:
+			k := rng.Intn(len(inserted))
+			_, err = c.DeleteSubtree(inserted[k])
+			inserted = append(inserted[:k], inserted[k+1:]...)
+		default:
+			// Any element of the document but the root, so that the
+			// root's children stay its sections.
+			parent := 1 + rng.Intn(elems-1)
+			var n int
+			_ = c.Snapshot(func(d *Document) error { n = len(d.Labeling().Tree().Kids(parent)); return nil })
+			var id int
+			if i%7 == 6 {
+				var ids []int
+				ids, _, err = c.InsertTree(parent, rng.Intn(n+1), frag)
+				if err == nil {
+					id = ids[0]
+				}
+			} else {
+				id, _, err = c.InsertElement(parent, rng.Intn(n+1), "x")
+			}
+			inserted = append(inserted, id)
+		}
+		if err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
+		_ = c.Snapshot(func(d *Document) error {
+			if d.Labeling().Tree().Children != nil {
+				folds++
+			}
+			return nil
+		})
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	t.Logf("%d edits, %d of them folded, under %d reads", edits, folds, reads.Load())
+	if folds < 3 {
+		t.Errorf("%d edits folded %d times, want at least 3", edits, folds)
+	}
+}
+
+// checkSection reads one random section of d's sizedDoc through the
+// tree's accessors, the labels and three queries, and fails where they
+// disagree.
+func checkSection(d *Document, rng *rand.Rand) error {
+	tr := d.Labeling().Tree()
+	if tr.Children != nil && len(tr.Children) != tr.Cap() {
+		return fmt.Errorf("Children holds %d lists of %d ids", len(tr.Children), tr.Cap())
+	}
+	k := rng.Intn(len(tr.Kids(0)))
+	s := tr.Child(0, k)
+	kids := tr.Kids(s)
+	// xs are the section's x children, afterItem those after its first
+	// item, beforeX its items before its first x.
+	var xs, afterItem, beforeX []int
+	item := false
+	for i, v := range kids {
+		if tr.Parent(v) != s || i > 0 && !d.Labeling().Before(kids[i-1], v) {
+			return fmt.Errorf("section %d: child %d of %v is out of place", s, v, kids)
+		}
+		switch d.NameOf(v) {
+		case "x":
+			if item {
+				afterItem = append(afterItem, v)
+			}
+			xs = append(xs, v)
+		case "item":
+			item = true
+			if len(xs) == 0 {
+				beforeX = append(beforeX, v)
+			}
+		}
+	}
+	if len(xs) == 0 {
+		beforeX = nil
+	}
+	sec := fmt.Sprintf("//section[%d]", k+1)
+	for q, want := range map[string][]int{
+		sec + "/x":                            xs,
+		sec + "/item[1]/following-sibling::x": afterItem,
+		sec + "/x[1]/preceding-sibling::item": beforeX,
+	} {
+		got, err := d.QueryString(q)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("%s: %v, the tree says %v", q, got, want)
+		}
+	}
+	return nil
 }

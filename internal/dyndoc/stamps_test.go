@@ -123,7 +123,7 @@ func namesUnder(d *Document, id int, set map[string]bool) {
 	if name := d.NameOf(id); name != "" {
 		set[name] = true
 	}
-	for _, c := range d.lab.Tree().Children[id] {
+	for _, c := range d.lab.Tree().Kids(id) {
 		namesUnder(d, c, set)
 	}
 }
@@ -145,11 +145,11 @@ func namesIn(n *xmltree.Node, set map[string]bool) {
 func randomStampEdit(rng *rand.Rand, d *Document, touched map[string]bool) Edit {
 	elems := d.liveElems(nil)
 	parent := elems[rng.Intn(len(elems))]
-	pos := rng.Intn(len(d.lab.Tree().Children[parent]) + 1)
+	pos := rng.Intn(len(d.lab.Tree().Kids(parent)) + 1)
 	switch k := rng.Intn(10); {
 	case k < 3 && len(elems) > 12 || len(elems) > 60:
 		id := elems[1+rng.Intn(len(elems)-1)] // elems[0] is the root
-		if kids := d.lab.Tree().Children[id]; len(kids) > 0 && rng.Intn(4) == 0 {
+		if kids := d.lab.Tree().Kids(id); len(kids) > 0 && rng.Intn(4) == 0 {
 			id = kids[rng.Intn(len(kids))] // perhaps a text node
 		}
 		namesUnder(d, id, touched)

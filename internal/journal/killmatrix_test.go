@@ -402,7 +402,7 @@ func killSteps(t *testing.T) []step {
 		return step{gen: func(d *dyndoc.Document) []dyndoc.Edit {
 			tr := d.Labeling().Tree()
 			root := tr.PreOrder()[0]
-			kids := liveChildren(tr.Children[root], tr.Alive)
+			kids := liveChildren(tr.Kids(root), tr.Alive)
 			return []dyndoc.Edit{{Op: dyndoc.OpDeleteSubtree, Node: kids[len(kids)-1]}}
 		}}
 	}
@@ -570,7 +570,7 @@ func randomSteps(t *testing.T, seed int64, n int) []step {
 			switch {
 			case r.Intn(10) < 6 || len(live) < 3:
 				parent := elems[r.Intn(len(elems))]
-				pos := r.Intn(len(liveChildren(tr.Children[parent], tr.Alive)) + 1)
+				pos := r.Intn(len(liveChildren(tr.Kids(parent), tr.Alive)) + 1)
 				return []dyndoc.Edit{{Op: dyndoc.OpInsertElement, Parent: parent, Pos: pos, Name: fmt.Sprintf("s%dn%d", seed, i)}}
 			case r.Intn(2) == 0:
 				parent := elems[r.Intn(len(elems))]

@@ -56,7 +56,7 @@ func New(codec ComponentCodec, doc *xmltree.Document) (*Labeling, error) {
 // assignChildren gives every child of v a fresh initial self label and
 // recurses.
 func (l *Labeling) assignChildren(v int) error {
-	kids := l.tree.Children[v]
+	kids := l.tree.Kids(v)
 	if len(kids) == 0 {
 		return nil
 	}
@@ -185,7 +185,7 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	if err := l.tree.ValidateInsert(parent, pos); err != nil {
 		return 0, 0, err
 	}
-	kids := l.tree.Children[parent]
+	kids := l.tree.Kids(parent)
 	var left, right Component
 	if pos > 0 {
 		left = l.selfOf(kids[pos-1])
@@ -207,7 +207,7 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	id := l.tree.AddChild(parent, pos)
 	l.ownLabels()
 	l.labels.Append(nil)
-	kids = l.tree.Children[parent]
+	kids = l.tree.Kids(parent)
 	selfs, err := l.codec.Initial(len(kids))
 	if err != nil {
 		return 0, 0, err
@@ -246,7 +246,7 @@ func (l *Labeling) ownLabels() {
 // relabelSubtree rebuilds the labels of v's descendants from v's
 // (already updated) label, counting each change.
 func (l *Labeling) relabelSubtree(v int, count *int) {
-	for _, c := range l.tree.Children[v] {
+	for _, c := range l.tree.Kids(v) {
 		self := l.selfOf(c)
 		l.labels.Set(c, extend(l.labels.At(v), self))
 		*count++
@@ -321,7 +321,7 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 	if err := l.tree.ValidateInsert(parent, pos); err != nil {
 		return nil, 0, err
 	}
-	kids := l.tree.Children[parent]
+	kids := l.tree.Kids(parent)
 	var left, right Component
 	if pos > 0 {
 		left = l.selfOf(kids[pos-1])

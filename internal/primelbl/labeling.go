@@ -118,7 +118,7 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 	if err := l.tree.ValidateInsert(parent, pos); err != nil {
 		return 0, 0, err
 	}
-	kids := l.tree.Children[parent]
+	kids := l.tree.Kids(parent)
 	var docPos int
 	switch {
 	case pos < len(kids):

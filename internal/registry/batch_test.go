@@ -2,7 +2,9 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,7 +96,7 @@ func TestBatchInsertConformance(t *testing.T) {
 				xmltree.NewElement("s"),
 			}
 			parent := 0
-			pos := len(seq.Tree().Children[parent]) / 2
+			pos := len(seq.Tree().Kids(parent)) / 2
 
 			seqIDs, _ := insertShapes(t, seq, parent, pos, shapes)
 
@@ -188,7 +190,7 @@ func TestCloneIndependence(t *testing.T) {
 			// dense id space, so the deletion comes last and only the
 			// clone (which never saw it) is re-checked.
 			cloneLen := clone.Len()
-			if kids := lab.Tree().Children[0]; len(kids) > 2 {
+			if kids := lab.Tree().Kids(0); len(kids) > 2 {
 				if _, err := lab.DeleteSubtree(kids[len(kids)-1]); err != nil {
 					t.Fatal(err)
 				}
@@ -197,6 +199,212 @@ func TestCloneIndependence(t *testing.T) {
 				t.Fatalf("clone length changed from %d to %d after a delete in the original", cloneLen, clone.Len())
 			}
 			checkAgainstOracle(t, clone)
+		})
+	}
+}
+
+// treeModel is a labeling's structural mirror as a plain [][]int, kept
+// by hand beside it.
+type treeModel struct {
+	kids  [][]int
+	alive []bool
+}
+
+func newTreeModel(doc *xmltree.Document) *treeModel {
+	m := &treeModel{kids: make([][]int, doc.Len()), alive: make([]bool, doc.Len())}
+	doc.Walk(func(id int, _ *xmltree.Node, parent, _ int) {
+		m.alive[id] = true
+		if parent >= 0 {
+			m.kids[parent] = append(m.kids[parent], id)
+		}
+	})
+	return m
+}
+
+func (m *treeModel) clone() *treeModel {
+	c := &treeModel{kids: make([][]int, len(m.kids)), alive: append([]bool(nil), m.alive...)}
+	for v, kids := range m.kids {
+		c.kids[v] = append([]int(nil), kids...)
+	}
+	return c
+}
+
+// add records shape inserted as the pos-th child of parent under the
+// preorder ids, and returns the ids it did not use.
+func (m *treeModel) add(parent, pos int, shape *xmltree.Node, ids []int) []int {
+	id := ids[0]
+	for len(m.kids) <= id {
+		m.kids, m.alive = append(m.kids, nil), append(m.alive, false)
+	}
+	m.alive[id] = true
+	m.kids[parent] = append(m.kids[parent][:pos], append([]int{id}, m.kids[parent][pos:]...)...)
+	ids = ids[1:]
+	if shape != nil {
+		for i, c := range shape.Children {
+			ids = m.add(id, i, c, ids)
+		}
+	}
+	return ids
+}
+
+func (m *treeModel) remove(v int) {
+	for p := range m.kids {
+		for i, c := range m.kids[p] {
+			if c == v {
+				m.kids[p] = append(m.kids[p][:i], m.kids[p][i+1:]...)
+			}
+		}
+	}
+	var kill func(int)
+	kill = func(u int) {
+		m.alive[u] = false
+		for _, c := range m.kids[u] {
+			kill(c)
+		}
+		m.kids[u] = nil
+	}
+	kill(v)
+}
+
+func (m *treeModel) preOrder(v int, out []int) []int {
+	out = append(out, v)
+	for _, c := range m.kids[v] {
+		out = m.preOrder(c, out)
+	}
+	return out
+}
+
+// live returns the live ids in id order.
+func (m *treeModel) live() []int {
+	var out []int
+	for v, ok := range m.alive {
+		if ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// checkTreeModel holds every structural read of tr to the model.
+func checkTreeModel(t *testing.T, what string, tr *scheme.Tree, m *treeModel) {
+	t.Helper()
+	if tr.Cap() != len(m.kids) || tr.Len() != len(m.live()) {
+		t.Fatalf("%s: Cap %d Len %d, model %d and %d", what, tr.Cap(), tr.Len(), len(m.kids), len(m.live()))
+	}
+	if tr.Children != nil && len(tr.Children) != tr.Cap() {
+		t.Fatalf("%s: Children holds %d lists of %d ids", what, len(tr.Children), tr.Cap())
+	}
+	for v, want := range m.kids {
+		got := tr.Kids(v)
+		if tr.Alive(v) != m.alive[v] || !slices.Equal(got, want) {
+			t.Fatalf("%s: node %d: alive %v, Kids %v; model %v, %v", what, v, tr.Alive(v), got, m.alive[v], want)
+		}
+		if tr.Children != nil && !slices.Equal(tr.Children[v], want) {
+			t.Fatalf("%s: Children[%d] = %v, model %v", what, v, tr.Children[v], want)
+		}
+		for k, c := range want {
+			if tr.Child(v, k) != c {
+				t.Fatalf("%s: Child(%d, %d) = %d, model %d", what, v, k, tr.Child(v, k), c)
+			}
+			if p, pos, err := tr.SiblingPosition(c); err != nil || p != v || pos != k {
+				t.Fatalf("%s: SiblingPosition(%d) = %d, %d, %v; model %d, %d", what, c, p, pos, err, v, k)
+			}
+		}
+		if m.alive[v] {
+			last := v
+			for len(m.kids[last]) > 0 {
+				last = m.kids[last][len(m.kids[last])-1]
+			}
+			if got := tr.SubtreeLast(v); got != last {
+				t.Fatalf("%s: SubtreeLast(%d) = %d, model %d", what, v, got, last)
+			}
+		}
+	}
+	if got, want := tr.PreOrder(), m.preOrder(0, nil); !slices.Equal(got, want) {
+		t.Fatalf("%s: PreOrder %v, model %v", what, got, want)
+	}
+}
+
+// TestCloneHistoriesMatchModel runs seeded histories of clones and
+// edits over every scheme — sources edited after being cloned, clones
+// of clones, subtree deletes and batch inserts — on a document small
+// enough that a clone's overlay of changed child lists folds every few
+// edits, and holds every tree of the family to a plain [][]int model
+// after every step: an edit on one tree must not move any other.
+func TestCloneHistoriesMatchModel(t *testing.T) {
+	for _, entry := range All() {
+		entry := entry
+		t.Run(entry.Name, func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= 3; seed++ {
+				doc := randomDoc(40, seed)
+				lab, err := entry.Build(doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				labs, models := []scheme.Labeling{lab}, []*treeModel{newTreeModel(doc)}
+				gen := rand.New(rand.NewSource(seed))
+				folds := 0
+				for step := 0; step < 300; step++ {
+					h := gen.Intn(len(labs))
+					l, m := labs[h], models[h]
+					live := m.live()
+					parent := live[gen.Intn(len(live))]
+					pos := gen.Intn(len(m.kids[parent]) + 1)
+					overlaid := l.Tree().Children == nil
+					switch k := gen.Intn(20); {
+					case k < 3:
+						c := l.CloneLabeling()
+						if len(labs) < 6 {
+							labs, models = append(labs, c), append(models, m.clone())
+						} else {
+							r := gen.Intn(len(labs))
+							labs[r], models[r] = c, m.clone()
+						}
+						overlaid = false
+					case k < 11:
+						id, _, err := l.InsertChildAt(parent, pos)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m.add(parent, pos, nil, []int{id})
+					case k < 13:
+						shape := randomShape(gen, 1+gen.Intn(6))
+						ids, _, err := l.InsertSubtree(parent, pos, shape)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m.add(parent, pos, shape, ids)
+					case k < 15:
+						shapes := []*xmltree.Node{randomShape(gen, 1+gen.Intn(4)), randomShape(gen, 1+gen.Intn(4))}
+						ids, _, err := l.InsertSubtrees(parent, pos, shapes)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, shape := range shapes {
+							m.add(parent, pos+i, shape, ids[i])
+						}
+					default:
+						if len(live) < 20 {
+							continue
+						}
+						v := live[1+gen.Intn(len(live)-1)]
+						if _, err := l.DeleteSubtree(v); err != nil {
+							t.Fatal(err)
+						}
+						m.remove(v)
+					}
+					if overlaid && l.Tree().Children != nil {
+						folds++
+					}
+					for i := range labs {
+						checkTreeModel(t, fmt.Sprintf("seed %d step %d tree %d", seed, step, i), labs[i].Tree(), models[i])
+					}
+				}
+				if folds == 0 {
+					t.Errorf("seed %d: no clone folded its overlay", seed)
+				}
+			}
 		})
 	}
 }

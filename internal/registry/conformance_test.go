@@ -118,7 +118,7 @@ func TestConformanceAfterInsertions(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				tr := lab.Tree()
 				parent := gen.Intn(tr.Len())
-				pos := gen.Intn(len(tr.Children[parent]) + 1)
+				pos := gen.Intn(len(tr.Kids(parent)) + 1)
 				if _, _, err := lab.InsertChildAt(parent, pos); err != nil {
 					t.Fatalf("insert %d: %v", i, err)
 				}
@@ -147,7 +147,7 @@ func TestDynamicSchemesNeverRelabel(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				tr := lab.Tree()
 				parent := gen.Intn(tr.Len())
-				pos := gen.Intn(len(tr.Children[parent]) + 1)
+				pos := gen.Intn(len(tr.Kids(parent)) + 1)
 				_, relabeled, err := lab.InsertChildAt(parent, pos)
 				if err != nil {
 					t.Fatal(err)
@@ -320,7 +320,7 @@ func TestLabelingContract(t *testing.T) {
 			for i := 0; i < 80; i++ {
 				live := lab.Tree().PreOrder()
 				parent := live[gen.Intn(len(live))]
-				pos := gen.Intn(len(lab.Tree().Children[parent]) + 1)
+				pos := gen.Intn(len(lab.Tree().Kids(parent)) + 1)
 				switch v := live[gen.Intn(len(live))]; {
 				case i%8 == 7 && v != 0:
 					_, err = lab.DeleteSubtree(v)

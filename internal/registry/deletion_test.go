@@ -105,7 +105,7 @@ func TestInsertAfterDelete(t *testing.T) {
 			tr := lab.Tree()
 			// Delete the root's first child's subtree, then insert a
 			// fresh node in its place.
-			first := tr.Children[0][0]
+			first := tr.Kids(0)[0]
 			if _, err := lab.DeleteSubtree(first); err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestInsertAfterDelete(t *testing.T) {
 			if !lab.IsParent(0, id) {
 				t.Error("fresh node not a child of root")
 			}
-			if len(tr.Children[0]) == 0 || tr.Children[0][0] != id {
+			if len(tr.Kids(0)) == 0 || tr.Kids(0)[0] != id {
 				t.Error("fresh node not first child")
 			}
 		})

@@ -45,7 +45,7 @@ func TestInsertSubtreeConformance(t *testing.T) {
 						break
 					}
 				}
-				pos := gen.Intn(len(tr.Children[parent]) + 1)
+				pos := gen.Intn(len(tr.Kids(parent)) + 1)
 				shape := randomShape(gen, 2+gen.Intn(12))
 				ids, relabeled, err := lab.InsertSubtree(parent, pos, shape)
 				if err != nil {

@@ -11,6 +11,7 @@ package scheme
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/cow"
@@ -168,17 +169,37 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // A node's parent and depth are written once per id, so a Tree and its
 // clones share that column (cow.Column). A child list is shared until
 // the first edit under that parent after a clone, which replaces it
-// with a private copy.
+// with a private copy. The headers of the lists are shared too: a
+// clone reads its source's header array, its base, and keeps the lists
+// it changes in a short overlay sorted by id, which its own clones
+// copy; when the overlay passes about √Cap() entries the writer folds
+// it into a header array of its own. Read a list through Kids.
 type Tree struct {
-	up       cow.Column[link]
-	Children [][]int  // ordered child ids
+	up cow.Column[link]
+	// Children is every id's ordered child list, Cap() long, while the
+	// tree holds them all: never cloned, a clone's source, or just
+	// folded. It is nil on a tree whose lists are base under over.
+	Children [][]int
+	base     [][]int  // the header array a clone shares; never written
+	over     []entry  // the lists that differ from base, sorted by id
 	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
 
-	// own holds the parents below base whose child list is private to
-	// this tree; the lists of ids from base up were created by it.
-	own  cow.Owner[int]
-	base int
+	// own holds the parents below fresh whose child list is private to
+	// this tree; the lists of ids from fresh up were created by it.
+	// ownChildren and ownDead say whether Children and dead are this
+	// tree's alone. A clone taken anywhere in the family revokes all
+	// of it at the next write.
+	own         cow.Owner[int]
+	fresh       int
+	ownChildren bool
+	ownDead     bool
+}
+
+// entry is an overlay entry: node id's child list.
+type entry struct {
+	id   int
+	list []int
 }
 
 // link is a node's way up: its parent id, -1 for the root, and its
@@ -192,11 +213,13 @@ func NewTree(doc *xmltree.Document) *Tree {
 	n := doc.Len()
 	up := make([]link, n)
 	t := &Tree{
-		up:       cow.NewColumn(up),
-		Children: make([][]int, n),
-		dead:     make([]uint64, n/64+1),
-		live:     n,
-		own:      cow.NewOwner[int](),
+		up:          cow.NewColumn(up),
+		Children:    make([][]int, n),
+		dead:        make([]uint64, n/64+1),
+		live:        n,
+		own:         cow.NewOwner[int](),
+		ownChildren: true,
+		ownDead:     true,
 	}
 	doc.Walk(func(id int, node *xmltree.Node, parent, depth int) {
 		up[id] = link{int32(parent), int32(depth)}
@@ -211,25 +234,39 @@ func NewTree(doc *xmltree.Document) *Tree {
 }
 
 // Clone returns a tree that answers as t does now and can be edited
-// independently of it, for CloneLabeling. It copies the child-list
-// headers (24 B per id) and the dead bits flat — those exactly: a word
-// more holds 64 ids, and append adds it — and shares the rest; it does
+// independently of it, for CloneLabeling. It copies t's overlay, with
+// room for the entry the next edit most likely adds, and shares the
+// rest: the header array, the lists, and the dead bits, clipped so
+// that a word the clone appends goes to an array of its own. It does
 // not write to t.
 func (t *Tree) Clone() *Tree {
-	return &Tree{
-		up:       t.up,
-		Children: cow.Copy(t.Children),
-		dead:     slices.Clone(t.dead),
-		live:     t.live,
-		own:      t.own.Fork(),
-		base:     t.Cap(),
+	c := &Tree{
+		up:    t.up,
+		base:  t.base,
+		dead:  slices.Clip(t.dead),
+		live:  t.live,
+		own:   t.own.Fork(),
+		fresh: t.Cap(),
 	}
+	if t.Children != nil {
+		c.base = t.Children
+	}
+	if len(t.over) > 0 {
+		c.over = append(make([]entry, 0, len(t.over)+1), t.over...)
+	}
+	return c
 }
 
-// Bytes estimates the mirror's heap: the columns, what Clone copies
-// flat, and each id's entry in its parent's list.
+// Bytes estimates the mirror's heap: the columns, the header array and
+// the overlay, each id's entry in its parent's list and the overlay's
+// copies of the lists it replaced.
 func (t *Tree) Bytes() int64 {
-	return t.up.Bytes() + 24*int64(cap(t.Children)) + 8*int64(len(t.Children)+cap(t.dead))
+	b := t.up.Bytes() + 24*int64(cap(t.Children)+cap(t.base)) + 32*int64(cap(t.over)) +
+		8*int64(t.Cap()+cap(t.dead))
+	for _, e := range t.over {
+		b += 8 * int64(cap(e.list))
+	}
+	return b
 }
 
 // Parent returns v's parent id, -1 for the root.
@@ -238,14 +275,97 @@ func (t *Tree) Parent(v int) int { return int(t.up.At(v).parent) }
 // Depth returns v's depth; the root's is 1.
 func (t *Tree) Depth(v int) int { return int(t.up.At(v).depth) }
 
+// Kids returns v's ordered child ids, nil for a dead id. The slice is
+// the tree's own: read it, never write it.
+func (t *Tree) Kids(v int) []int {
+	if t.Children != nil {
+		return t.Children[v]
+	}
+	return t.overKids(v)
+}
+
+// Child returns the k-th child of v.
+func (t *Tree) Child(v, k int) int { return t.Kids(v)[k] }
+
+// overKids is Kids on a tree without Children: v's list in the
+// overlay, or else in the base.
+func (t *Tree) overKids(v int) []int {
+	if !t.Alive(v) {
+		return nil
+	}
+	if i, ok := t.find(v); ok {
+		return t.over[i].list
+	}
+	if v < len(t.base) {
+		return t.base[v]
+	}
+	return nil
+}
+
+// find returns where id v's entry is, or would go, in the overlay.
+func (t *Tree) find(v int) (int, bool) {
+	lo, hi := 0, len(t.over)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.over[m].id < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.over) && t.over[lo].id == v
+}
+
+// setKids makes list v's child list.
+func (t *Tree) setKids(v int, list []int) {
+	if t.Children != nil {
+		t.Children[v] = list
+		return
+	}
+	i, ok := t.find(v)
+	if ok {
+		t.over[i].list = list
+		return
+	}
+	t.over = slices.Insert(t.over, i, entry{v, list})
+	if len(t.over)*len(t.over) > t.Cap() {
+		t.fold()
+	}
+}
+
+// fold applies the overlay to a header array of t's own, which becomes
+// Children. At √Cap() entries a fold's Cap() headers cost about what
+// the clones since the last one copied of the overlay.
+func (t *Tree) fold() {
+	heads := make([][]int, t.Cap())
+	copy(heads, t.base)
+	for _, e := range t.over {
+		heads[e.id] = e.list
+	}
+	for w, word := range t.dead {
+		for ; word != 0; word &= word - 1 {
+			heads[w<<6|bits.TrailingZeros64(word)] = nil
+		}
+	}
+	t.Children, t.base, t.over, t.ownChildren = heads, nil, nil, true
+}
+
+// prepare readies t for a write. After a clone taken anywhere in the
+// family t owns nothing it might share, and a tree with Children
+// copies them, with room for one id, before it writes them.
+func (t *Tree) prepare() {
+	if t.own.Refresh() {
+		t.fresh, t.ownChildren, t.ownDead = t.Cap(), false, false
+	}
+	if t.Children != nil && !t.ownChildren {
+		t.Children = append(make([][]int, 0, len(t.Children)+1), t.Children...)
+		t.ownChildren = true
+	}
+}
+
 // ownsKids reports whether parent's child list may be edited in
 // place.
-func (t *Tree) ownsKids(parent int) bool {
-	if t.own.Refresh() {
-		t.base = t.Cap()
-	}
-	return parent >= t.base || t.own.Has(parent)
-}
+func (t *Tree) ownsKids(parent int) bool { return parent >= t.fresh || t.own.Has(parent) }
 
 // Len returns the number of live nodes.
 func (t *Tree) Len() int { return t.live }
@@ -262,8 +382,8 @@ func (t *Tree) ValidateInsert(parent, pos int) error {
 	if !t.Alive(parent) {
 		return fmt.Errorf("%w: parent %d", ErrBadNode, parent)
 	}
-	if pos < 0 || pos > len(t.Children[parent]) {
-		return fmt.Errorf("scheme: child position %d out of range [0,%d]", pos, len(t.Children[parent]))
+	if n := len(t.Kids(parent)); pos < 0 || pos > n {
+		return fmt.Errorf("scheme: child position %d out of range [0,%d]", pos, n)
 	}
 	return nil
 }
@@ -271,49 +391,62 @@ func (t *Tree) ValidateInsert(parent, pos int) error {
 // AddChild records a fresh node as the pos-th child of parent and
 // returns its id.
 func (t *Tree) AddChild(parent, pos int) int {
+	t.prepare()
 	id := t.Cap()
-	kids := t.Children[parent]
+	list := t.Kids(parent)
 	if !t.ownsKids(parent) {
 		// Clipped, the insert below cannot fit and moves to a new array.
-		kids = slices.Clip(kids)
+		list = slices.Clip(list)
 		t.own.Add(parent)
 	}
 	t.up.Append(link{int32(parent), t.up.At(parent).depth + 1})
-	t.Children = append(t.Children, nil)
+	if t.Children != nil {
+		t.Children = append(t.Children, nil)
+	}
 	if id>>6 == len(t.dead) {
+		// A clone's dead bits are clipped, so the word never lands in
+		// an array another tree reads.
 		t.dead = append(t.dead, 0)
 	}
 	t.live++
-	t.Children[parent] = slices.Insert(kids, pos, id)
+	t.setKids(parent, slices.Insert(list, pos, id))
 	return id
 }
 
 // RemoveSubtree detaches node v and its descendants, marking their
-// ids dead. It returns the number of removed nodes.
+// ids dead. Only the parent's list is written: a dead id's Kids are
+// nil whatever its list was. It returns the number of removed nodes.
 func (t *Tree) RemoveSubtree(v int) (int, error) {
 	if !t.Alive(v) {
 		return 0, fmt.Errorf("%w: %d", ErrBadNode, v)
 	}
+	t.prepare()
+	if !t.ownDead {
+		t.dead, t.ownDead = slices.Clone(t.dead), true
+	}
 	if p := t.Parent(v); p != -1 {
-		kids := t.Children[p]
-		if i := slices.Index(kids, v); i >= 0 {
+		list := t.Kids(p)
+		if i := slices.Index(list, v); i >= 0 {
 			if !t.ownsKids(p) {
-				kids = slices.Clone(kids)
+				list = slices.Clone(list)
 				t.own.Add(p)
 			}
-			t.Children[p] = slices.Delete(kids, i, i+1)
+			t.setKids(p, slices.Delete(list, i, i+1))
 		}
 	}
 	removed := 0
 	var kill func(int)
 	kill = func(u int) {
+		list := t.Kids(u)
 		t.dead[u>>6] |= 1 << (u & 63)
 		t.live--
 		removed++
-		for _, c := range t.Children[u] {
+		for _, c := range list {
 			kill(c)
 		}
-		t.Children[u] = nil
+		if t.Children != nil {
+			t.Children[u] = nil
+		}
 	}
 	kill(v)
 	return removed, nil
@@ -329,10 +462,8 @@ func (t *Tree) SiblingPosition(v int) (parent, pos int, err error) {
 	if parent == -1 {
 		return 0, 0, fmt.Errorf("scheme: node %d is the root and has no siblings", v)
 	}
-	for i, c := range t.Children[parent] {
-		if c == v {
-			return parent, i, nil
-		}
+	if i := slices.Index(t.Kids(parent), v); i >= 0 {
+		return parent, i, nil
 	}
 	return 0, 0, fmt.Errorf("%w: %d not found under parent %d", ErrBadNode, v, parent)
 }
@@ -340,8 +471,8 @@ func (t *Tree) SiblingPosition(v int) (parent, pos int, err error) {
 // SubtreeLast returns the id of the last node, in document order, of
 // the subtree rooted at v (v itself for a leaf).
 func (t *Tree) SubtreeLast(v int) int {
-	for len(t.Children[v]) > 0 {
-		v = t.Children[v][len(t.Children[v])-1]
+	for list := t.Kids(v); len(list) > 0; list = t.Kids(v) {
+		v = list[len(list)-1]
 	}
 	return v
 }
@@ -349,7 +480,7 @@ func (t *Tree) SubtreeLast(v int) int {
 // SubtreeSize returns the node count of the subtree rooted at v.
 func (t *Tree) SubtreeSize(v int) int {
 	size := 1
-	for _, c := range t.Children[v] {
+	for _, c := range t.Kids(v) {
 		size += t.SubtreeSize(c)
 	}
 	return size
@@ -376,7 +507,7 @@ func (t *Tree) PreOrder() []int {
 	var walk func(int)
 	walk = func(v int) {
 		out = append(out, v)
-		for _, c := range t.Children[v] {
+		for _, c := range t.Kids(v) {
 			walk(c)
 		}
 	}

@@ -39,8 +39,8 @@ func TestNewTreeShape(t *testing.T) {
 			t.Errorf("Depths[%d] = %d, want %d", i, tr.Depth(i), w)
 		}
 	}
-	if len(tr.Children[0]) != 2 || tr.Children[0][0] != 1 || tr.Children[0][1] != 4 {
-		t.Errorf("root children = %v", tr.Children[0])
+	if len(tr.Kids(0)) != 2 || tr.Kids(0)[0] != 1 || tr.Kids(0)[1] != 4 {
+		t.Errorf("root children = %v", tr.Kids(0))
 	}
 }
 
@@ -70,8 +70,8 @@ func TestAddChildAndSiblingPosition(t *testing.T) {
 	if id != 5 || tr.Len() != 6 {
 		t.Fatalf("AddChild id=%d Len=%d", id, tr.Len())
 	}
-	if tr.Children[1][1] != id || tr.Depth(id) != 3 {
-		t.Errorf("child misplaced: %v depth %d", tr.Children[1], tr.Depth(id))
+	if tr.Kids(1)[1] != id || tr.Depth(id) != 3 {
+		t.Errorf("child misplaced: %v depth %d", tr.Kids(1), tr.Depth(id))
 	}
 	p, pos, err := tr.SiblingPosition(id)
 	if err != nil || p != 1 || pos != 1 {
@@ -112,8 +112,8 @@ func TestRemoveSubtree(t *testing.T) {
 			t.Errorf("node %d still alive", v)
 		}
 	}
-	if len(tr.Children[0]) != 1 || tr.Children[0][0] != 4 {
-		t.Errorf("root children = %v", tr.Children[0])
+	if len(tr.Kids(0)) != 1 || tr.Kids(0)[0] != 4 {
+		t.Errorf("root children = %v", tr.Kids(0))
 	}
 	if _, err := tr.RemoveSubtree(1); err == nil {
 		t.Error("double removal accepted")

@@ -303,7 +303,7 @@ func (e *Engine) siblings(ctx []int, name string, preceding bool) []int {
 		if p == -1 {
 			continue
 		}
-		kids := tr.Children[p]
+		kids := tr.Kids(p)
 		if p != run {
 			run = p
 			taken = append(taken[:0], make([]bool, len(kids))...)
@@ -434,7 +434,7 @@ func (e *Engine) filterPosition(in []int, step Step, n int) []int {
 			continue
 		}
 		pos := 0
-		for _, u := range tr.Children[p] {
+		for _, u := range tr.Kids(p) {
 			if e.elementMatches(step.Name, u) {
 				pos++
 			}

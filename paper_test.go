@@ -461,7 +461,7 @@ func TestPaperFrequentUpdates(t *testing.T) {
 				} else {
 					tr := lab.Tree()
 					parent := rng.Intn(tr.Len())
-					_, n, err = lab.InsertChildAt(parent, rng.Intn(len(tr.Children[parent])+1))
+					_, n, err = lab.InsertChildAt(parent, rng.Intn(len(tr.Kids(parent))+1))
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
