@@ -617,7 +617,7 @@ func (h *Handle) Shared() *SharedDocument { return h.shared }
 // is the latest snapshot's labeling: immutable, safe to read, and
 // left behind by the next edit. Read its tree's child lists through
 // Tree().Kids and Tree().Child: a snapshot's Tree().Children is nil
-// while its lists are an overlay on the array it shares.
+// once an edit has packed its lists into the id arena it shares.
 func (h *Handle) Labeling() Labeling {
 	var lab Labeling
 	h.view(func(d *LiveDocument) { lab = d.Labeling() })

@@ -10,19 +10,21 @@
 // writes in place; any other — a divergent clone, or the clone that
 // follows a discarded one — moves its last, partly filled piece and its
 // table of pieces to private memory once. No written slot is ever
-// copied to make room. keys.Arena is the same rule over bytes.
+// copied to make room. keys.Arena is the same rule over bytes, and
+// scheme.Tree's child-id arena over runs of ids.
 //
-// A list that is edited in place (a parent's child list, an element
-// name's id list) is copied by the first holder that touches it after
-// a clone. Which lists a holder has already made private is an Owner;
-// clones anywhere in the family invalidate it.
+// A list that is edited in place (an element name's id list) is copied
+// by the first holder that touches it after a clone. Which lists a
+// holder has already made private is an Owner; clones anywhere in the
+// family, counted by an Epoch, invalidate it.
 //
 // Neither rule ever writes to the value a clone is taken from, so a
 // published snapshot can be cloned while readers traverse it. What
 // fits neither rule — primelbl's ordering and SC columns, whose
 // existing slots are rewritten — a clone takes a flat Copy of.
-// scheme.Tree's child-list headers are rewritten too, but shared: a
-// clone keeps the ones it changes in an overlay of its own.
+// scheme.Tree writes its id arena's runs once but edits in place the
+// runs it appended since its Epoch last moved, which no other holder
+// can have read.
 package cow
 
 import (
@@ -163,62 +165,71 @@ func Copy[T any](s []T) []T {
 	return out
 }
 
-// Owner records which keyed lists a holder may edit in place. A fresh
-// Owner owns every list; one returned by Fork owns none until it has
-// copied them. Any later Fork in the family (the original and every
-// clone descended from it) may have shared those copies again, so it
-// resets every Owner of the family at its next Refresh.
-type Owner[K comparable] struct {
+// Epoch is a holder's count of the forks taken in its family (the
+// original and every clone descended from it). What a holder writes
+// after a Refresh is its alone until the next fork, which the next
+// Refresh reports.
+type Epoch struct {
 	fam  *family
-	seen uint64 // value of fam.forks that all and own are exact for
-	all  bool
-	own  map[K]struct{}
+	seen uint64 // value of fam.forks at the last Refresh
 }
 
-// family counts the forks taken anywhere among an original and the
-// clones descended from it.
 type family struct{ forks atomic.Uint64 }
 
-// NewOwner returns the Owner of a holder that has never been cloned.
-func NewOwner[K comparable]() Owner[K] {
-	return Owner[K]{fam: new(family), all: true}
+// NewEpoch returns the Epoch of a holder that has never been cloned.
+func NewEpoch() Epoch { return Epoch{fam: new(family)} }
+
+// Fork returns the Epoch of a clone of e's holder. It does not write
+// to e.
+func (e *Epoch) Fork() Epoch { return Epoch{fam: e.fam, seen: e.fam.forks.Add(1)} }
+
+// Refresh reports whether a clone was taken anywhere in the family
+// since the previous call.
+func (e *Epoch) Refresh() bool {
+	n := e.fam.forks.Load()
+	if n == e.seen {
+		return false
+	}
+	e.seen = n
+	return true
 }
+
+// Owner records which keyed lists a holder may edit in place. A fresh
+// Owner owns every list; one returned by Fork owns none until it has
+// copied them. Any later Fork in the family may have shared those
+// copies again, so it resets every Owner of the family at its next
+// Refresh. The keys, the names edited between two forks, are few.
+type Owner[K comparable] struct {
+	epoch Epoch
+	all   bool
+	own   []K
+}
+
+// NewOwner returns the Owner of a holder that has never been cloned.
+func NewOwner[K comparable]() Owner[K] { return Owner[K]{epoch: NewEpoch(), all: true} }
 
 // Fork returns the Owner of a clone of o's holder. It does not write
 // to o.
-func (o *Owner[K]) Fork() Owner[K] {
-	return Owner[K]{fam: o.fam, seen: o.fam.forks.Add(1)}
-}
+func (o *Owner[K]) Fork() Owner[K] { return Owner[K]{epoch: o.epoch.Fork()} }
 
 // Refresh must run before Has on every mutating path. It reports
 // whether a clone was taken since the previous call, in which case o
 // now owns nothing.
 func (o *Owner[K]) Refresh() bool {
-	n := o.fam.forks.Load()
-	if n == o.seen {
+	if !o.epoch.Refresh() {
 		return false
 	}
-	o.seen, o.all, o.own = n, false, nil
+	o.all, o.own = false, o.own[:0]
 	return true
 }
 
 // Has reports whether the list under k is private to o's holder.
-func (o *Owner[K]) Has(k K) bool {
-	if o.all {
-		return true
-	}
-	_, ok := o.own[k]
-	return ok
-}
+func (o *Owner[K]) Has(k K) bool { return o.all || slices.Contains(o.own, k) }
 
 // Add records that o's holder has replaced the list under k with a
 // private copy.
 func (o *Owner[K]) Add(k K) {
-	if o.all {
-		return
+	if !o.all {
+		o.own = append(o.own, k)
 	}
-	if o.own == nil {
-		o.own = make(map[K]struct{})
-	}
-	o.own[k] = struct{}{}
 }

@@ -177,3 +177,18 @@ func TestOwner(t *testing.T) {
 		t.Fatal("a later clone anywhere in the family resets every owner")
 	}
 }
+
+// TestOwnerAddAllocs pins what a fork's first Add costs: one short
+// slice, where it was a map.
+func TestOwnerAddAllocs(t *testing.T) {
+	a := NewOwner[string]()
+	if n := testing.AllocsPerRun(100, func() {
+		b := a.Fork()
+		b.Add("x")
+		if !b.Has("x") || b.Has("y") {
+			t.Fatal("a clone owns exactly what it added")
+		}
+	}); n > 1 {
+		t.Errorf("Fork, Add and Has allocate %.0f times, want at most 1", n)
+	}
+}

@@ -240,13 +240,15 @@ func TestConcurrentBatchInsert(t *testing.T) {
 }
 
 // TestOverlayFoldStorm runs child, sibling and positional reads on
-// published snapshots while one writer edits through several folds: a
-// snapshot's tree reads its lists through a clone's overlay on a
-// shared header array, and the writer's next clone folds that overlay
-// into an array of its own every √ids or so edits. Every read holds
+// published snapshots while one writer edits through several folds and
+// compactions: a snapshot's tree reads its lists as runs of an id
+// arena it shares with every other snapshot, through a clone's overlay
+// on a shared span array; the writer's next clone folds that overlay
+// into an array of its own every √ids or so edits, and moves the live
+// runs to a fresh arena when a third of it is dead. Every read holds
 // the child lists to what the labels and the parent column say and to
 // what the queries answer, in the same snapshot. Run under -race it
-// also shows that no writer touches an array a published tree reads.
+// also shows that no writer touches a run a published tree reads.
 func TestOverlayFoldStorm(t *testing.T) {
 	const elems, edits, readers = 3_000, 1_200, 4
 	c := sizedConcurrent(t, elems)
@@ -286,7 +288,12 @@ func TestOverlayFoldStorm(t *testing.T) {
 	started.Wait()
 	rng := rand.New(rand.NewSource(99))
 	var inserted []int
-	folds := 0
+	folds, compactions := 0, 0
+	packing := func() (slots, over int) {
+		_ = c.Snapshot(func(d *Document) error { slots, _, over = d.Labeling().Tree().Packing(); return nil })
+		return slots, over
+	}
+	slots, over := packing()
 	for i := 0; i < edits; i++ {
 		var err error
 		switch {
@@ -296,10 +303,19 @@ func TestOverlayFoldStorm(t *testing.T) {
 			inserted = append(inserted[:k], inserted[k+1:]...)
 		default:
 			// Any element of the document but the root, so that the
-			// root's children stay its sections.
+			// root's children stay its sections; every other edit a
+			// section, whose long run each edit copies, so that the
+			// arena fills with dead runs and compacts.
 			parent := 1 + rng.Intn(elems-1)
 			var n int
-			_ = c.Snapshot(func(d *Document) error { n = len(d.Labeling().Tree().Kids(parent)); return nil })
+			_ = c.Snapshot(func(d *Document) error {
+				tr := d.Labeling().Tree()
+				if i%2 == 0 {
+					parent = tr.Child(0, rng.Intn(len(tr.Kids(0))))
+				}
+				n = len(tr.Kids(parent))
+				return nil
+			})
 			var id int
 			if i%7 == 6 {
 				var ids []int
@@ -317,12 +333,17 @@ func TestOverlayFoldStorm(t *testing.T) {
 			wg.Wait()
 			t.Fatal(err)
 		}
-		_ = c.Snapshot(func(d *Document) error {
-			if d.Labeling().Tree().Children != nil {
-				folds++
-			}
-			return nil
-		})
+		// Each snapshot is a clone of the one before with one edit,
+		// which only adds to the overlay and the arena's slots, but for
+		// a fold and a compaction.
+		s, o := packing()
+		if o < over {
+			folds++
+		}
+		if s < slots {
+			compactions++
+		}
+		slots, over = s, o
 	}
 	close(stop)
 	wg.Wait()
@@ -331,9 +352,9 @@ func TestOverlayFoldStorm(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	t.Logf("%d edits, %d of them folded, under %d reads", edits, folds, reads.Load())
-	if folds < 3 {
-		t.Errorf("%d edits folded %d times, want at least 3", edits, folds)
+	t.Logf("%d edits, %d of them folded, %d compacted, under %d reads", edits, folds, compactions, reads.Load())
+	if folds < 3 || compactions < 3 {
+		t.Errorf("%d edits folded %d times and compacted %d, want at least 3 of each", edits, folds, compactions)
 	}
 }
 

@@ -328,9 +328,11 @@ func checkTreeModel(t *testing.T, what string, tr *scheme.Tree, m *treeModel) {
 // TestCloneHistoriesMatchModel runs seeded histories of clones and
 // edits over every scheme — sources edited after being cloned, clones
 // of clones, subtree deletes and batch inserts — on a document small
-// enough that a clone's overlay of changed child lists folds every few
-// edits, and holds every tree of the family to a plain [][]int model
-// after every step: an edit on one tree must not move any other.
+// enough that a clone's overlay of changed runs folds every few edits
+// and its id arena compacts every few folds, and holds every tree of
+// the family to a plain [][]int model after every step: an edit on one
+// tree must not move any other. Every seed packs a tree's Children, and
+// folds and compacts an arena, at least once.
 func TestCloneHistoriesMatchModel(t *testing.T) {
 	for _, entry := range All() {
 		entry := entry
@@ -344,14 +346,28 @@ func TestCloneHistoriesMatchModel(t *testing.T) {
 				}
 				labs, models := []scheme.Labeling{lab}, []*treeModel{newTreeModel(doc)}
 				gen := rand.New(rand.NewSource(seed))
-				folds := 0
+				packs, folds, compactions := 0, 0, 0
+				lastH, lastParent := 0, 0
 				for step := 0; step < 300; step++ {
-					h := gen.Intn(len(labs))
+					// Half the steps stay on the last step's tree and
+					// parent, so that a tree is edited under the parent
+					// whose run it appended last, before and after being
+					// cloned.
+					sticky := gen.Intn(2) == 0
+					if !sticky {
+						lastH = gen.Intn(len(labs))
+					}
+					h := lastH
 					l, m := labs[h], models[h]
 					live := m.live()
 					parent := live[gen.Intn(len(live))]
+					if sticky && lastParent < len(m.alive) && m.alive[lastParent] {
+						parent = lastParent
+					}
+					lastParent = parent
 					pos := gen.Intn(len(m.kids[parent]) + 1)
-					overlaid := l.Tree().Children == nil
+					packed := l.Tree().Children == nil
+					slots, _, over := l.Tree().Packing()
 					switch k := gen.Intn(20); {
 					case k < 3:
 						c := l.CloneLabeling()
@@ -361,7 +377,10 @@ func TestCloneHistoriesMatchModel(t *testing.T) {
 							r := gen.Intn(len(labs))
 							labs[r], models[r] = c, m.clone()
 						}
-						overlaid = false
+						if !packed && c.Tree().Children == nil {
+							packs++
+						}
+						packed = false
 					case k < 11:
 						id, _, err := l.InsertChildAt(parent, pos)
 						if err != nil {
@@ -394,15 +413,21 @@ func TestCloneHistoriesMatchModel(t *testing.T) {
 						}
 						m.remove(v)
 					}
-					if overlaid && l.Tree().Children != nil {
+					// An edit only adds to the overlay and the arena's
+					// slots, but for a fold and a compaction.
+					if s, _, o := l.Tree().Packing(); packed && o < over {
 						folds++
+						if s < slots {
+							compactions++
+						}
 					}
 					for i := range labs {
 						checkTreeModel(t, fmt.Sprintf("seed %d step %d tree %d", seed, step, i), labs[i].Tree(), models[i])
 					}
 				}
-				if folds == 0 {
-					t.Errorf("seed %d: no clone folded its overlay", seed)
+				t.Logf("seed %d: %d packs, %d folds, %d compactions", seed, packs, folds, compactions)
+				if packs == 0 || folds == 0 || compactions == 0 {
+					t.Errorf("seed %d: %d packs, %d folds, %d compactions; want at least one of each", seed, packs, folds, compactions)
 				}
 			}
 		})

@@ -11,10 +11,12 @@ package scheme
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
 	"repro/internal/cow"
+	"repro/internal/invariants"
 	"repro/internal/xmltree"
 )
 
@@ -167,39 +169,43 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // not part of any label.
 //
 // A node's parent and depth are written once per id, so a Tree and its
-// clones share that column (cow.Column). A child list is shared until
-// the first edit under that parent after a clone, which replaces it
-// with a private copy. The headers of the lists are shared too: a
-// clone reads its source's header array, its base, and keeps the lists
-// it changes in a short overlay sorted by id, which its own clones
-// copy; when the overlay passes about √Cap() entries the writer folds
-// it into a header array of its own. Read a list through Kids.
+// clones share that column (cow.Column). A tree from NewTree holds its
+// child lists in Children and edits them in place, cloned or not. Its
+// clone packs them into an arena of child ids, shared by every clone
+// descended from it, and reads a list as an (offset, length) span. An edit copies the
+// parent's run to the arena's end, or shifts it in place if this tree
+// appended it since the family's last fork. A clone shares the span
+// array and keeps the spans it changes in an overlay sorted by id; past
+// √Cap() entries, or more dead slots than live, the writer folds the
+// overlay into a span array of its own, and compacts the arena if a
+// third of it is dead. Read a list through Kids.
 type Tree struct {
 	up cow.Column[link]
-	// Children is every id's ordered child list, Cap() long, while the
-	// tree holds them all: never cloned, a clone's source, or just
-	// folded. It is nil on a tree whose lists are base under over.
+	// Children is every id's ordered child list, Cap() long, on a tree
+	// from NewTree; nil on a clone, whose lists are runs of kids.
 	Children [][]int
-	base     [][]int  // the header array a clone shares; never written
-	over     []entry  // the lists that differ from base, sorted by id
 	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
 
-	// own holds the parents below fresh whose child list is private to
-	// this tree; the lists of ids from fresh up were created by it.
-	// ownChildren and ownDead say whether Children and dead are this
-	// tree's alone. A clone taken anywhere in the family revokes all
-	// of it at the next write.
-	own         cow.Owner[int]
-	fresh       int
-	ownChildren bool
-	ownDead     bool
+	kids  idArena
+	spans []span  // id v's run for v below its length; never written
+	over  []patch // the runs that differ from spans, sorted by id
+
+	// fork counts the clones taken in the family. Since the last it saw,
+	// the runs from offset mark up are this tree's alone, and so is dead
+	// if ownDead.
+	fork    cow.Epoch
+	mark    int
+	ownDead bool
 }
 
-// entry is an overlay entry: node id's child list.
-type entry struct {
-	id   int
-	list []int
+// span is a child list's run in a tree's arena.
+type span struct{ off, n int32 }
+
+// patch is an overlay entry: node id's run.
+type patch struct {
+	id int32
+	s  span
 }
 
 // link is a node's way up: its parent id, -1 for the root, and its
@@ -213,13 +219,12 @@ func NewTree(doc *xmltree.Document) *Tree {
 	n := doc.Len()
 	up := make([]link, n)
 	t := &Tree{
-		up:          cow.NewColumn(up),
-		Children:    make([][]int, n),
-		dead:        make([]uint64, n/64+1),
-		live:        n,
-		own:         cow.NewOwner[int](),
-		ownChildren: true,
-		ownDead:     true,
+		up:       cow.NewColumn(up),
+		Children: make([][]int, n),
+		dead:     make([]uint64, n/64+1),
+		live:     n,
+		fork:     cow.NewEpoch(),
+		ownDead:  true,
 	}
 	doc.Walk(func(id int, node *xmltree.Node, parent, depth int) {
 		up[id] = link{int32(parent), int32(depth)}
@@ -234,39 +239,48 @@ func NewTree(doc *xmltree.Document) *Tree {
 }
 
 // Clone returns a tree that answers as t does now and can be edited
-// independently of it, for CloneLabeling. It copies t's overlay, with
-// room for the entry the next edit most likely adds, and shares the
-// rest: the header array, the lists, and the dead bits, clipped so
-// that a word the clone appends goes to an array of its own. It does
-// not write to t.
+// independently of it, for CloneLabeling. A clone of a tree with
+// Children packs them into a fresh arena, 16 B per id; any other copies
+// t's overlay, with room for the entry the next edit most likely adds,
+// and shares the rest: the arena, the span array and the dead bits,
+// clipped so that a word the clone appends goes to an array of its own.
+// It does not write to t.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{
 		up:    t.up,
-		base:  t.base,
 		dead:  slices.Clip(t.dead),
 		live:  t.live,
-		own:   t.own.Fork(),
-		fresh: t.Cap(),
+		kids:  t.kids,
+		spans: t.spans,
+		fork:  t.fork.Fork(),
+		mark:  t.kids.end(),
 	}
 	if t.Children != nil {
-		c.base = t.Children
+		c.spans, c.mark = make([]span, t.Cap()), 0
+		c.kids = packed(c.spans, t.liveSlots(), func(v int) []int { return t.Children[v] })
 	}
 	if len(t.over) > 0 {
-		c.over = append(make([]entry, 0, len(t.over)+1), t.over...)
+		c.over = append(make([]patch, 0, len(t.over)+1), t.over...)
 	}
 	return c
 }
 
-// Bytes estimates the mirror's heap: the columns, the header array and
-// the overlay, each id's entry in its parent's list and the overlay's
-// copies of the lists it replaced.
+// Bytes estimates the mirror's heap: the columns and, with Children,
+// the headers and each id's entry in its parent's list; without, the
+// span array, the overlay and the arena's chunks.
 func (t *Tree) Bytes() int64 {
-	b := t.up.Bytes() + 24*int64(cap(t.Children)+cap(t.base)) + 32*int64(cap(t.over)) +
-		8*int64(t.Cap()+cap(t.dead))
-	for _, e := range t.over {
-		b += 8 * int64(cap(e.list))
+	b := t.up.Bytes() + 8*int64(cap(t.dead))
+	if t.Children != nil {
+		return b + 24*int64(cap(t.Children)) + 8*int64(t.Cap())
 	}
-	return b
+	return b + 8*int64(cap(t.spans)) + 12*int64(cap(t.over)) + 8*int64(t.kids.room) + 24*int64(cap(t.kids.more))
+}
+
+// Packing reports a clone's arena: the slots its runs have taken and
+// how many of them no list reads any more, and its overlay's length.
+// All three are zero on a tree with Children.
+func (t *Tree) Packing() (slots, dead, over int) {
+	return t.kids.used, max(t.deadSlots(), 0), len(t.over)
 }
 
 // Parent returns v's parent id, -1 for the root.
@@ -281,25 +295,24 @@ func (t *Tree) Kids(v int) []int {
 	if t.Children != nil {
 		return t.Children[v]
 	}
-	return t.overKids(v)
+	if !t.Alive(v) {
+		return nil
+	}
+	return t.kids.run(t.span(v))
 }
 
 // Child returns the k-th child of v.
 func (t *Tree) Child(v, k int) int { return t.Kids(v)[k] }
 
-// overKids is Kids on a tree without Children: v's list in the
-// overlay, or else in the base.
-func (t *Tree) overKids(v int) []int {
-	if !t.Alive(v) {
-		return nil
-	}
+// span returns v's run: its overlay entry, or else its span.
+func (t *Tree) span(v int) span {
 	if i, ok := t.find(v); ok {
-		return t.over[i].list
+		return t.over[i].s
 	}
-	if v < len(t.base) {
-		return t.base[v]
+	if v < len(t.spans) {
+		return t.spans[v]
 	}
-	return nil
+	return span{}
 }
 
 // find returns where id v's entry is, or would go, in the overlay.
@@ -307,65 +320,99 @@ func (t *Tree) find(v int) (int, bool) {
 	lo, hi := 0, len(t.over)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if t.over[m].id < v {
+		if int(t.over[m].id) < v {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(t.over) && t.over[lo].id == v
+	return lo, lo < len(t.over) && int(t.over[lo].id) == v
 }
 
-// setKids makes list v's child list.
-func (t *Tree) setKids(v int, list []int) {
-	if t.Children != nil {
-		t.Children[v] = list
-		return
+// setSpan makes s v's run, folding the overlay when it has grown past
+// √Cap() entries or the arena holds more dead slots than live ones.
+func (t *Tree) setSpan(v int, s span) {
+	if i, ok := t.find(v); ok {
+		t.over[i].s = s
+	} else {
+		t.over = slices.Insert(t.over, i, patch{int32(v), s})
 	}
-	i, ok := t.find(v)
-	if ok {
-		t.over[i].list = list
-		return
-	}
-	t.over = slices.Insert(t.over, i, entry{v, list})
-	if len(t.over)*len(t.over) > t.Cap() {
+	if n := len(t.over); n*n > t.Cap() || t.deadSlots() > t.liveSlots() || t.kids.end() > maxOffset {
 		t.fold()
 	}
 }
 
-// fold applies the overlay to a header array of t's own, which becomes
-// Children. At √Cap() entries a fold's Cap() headers cost about what
-// the clones since the last one copied of the overlay.
+// fold applies the overlay to a span array of t's own, in which a dead
+// id's run is empty. At √Cap() entries a fold's 8 B × Cap() is about
+// what the clones since the last one copied of the overlay. When more
+// than a third of the arena is dead, the live runs move to a fresh one,
+// so the arena holds at most about twice what its lists do.
 func (t *Tree) fold() {
-	heads := make([][]int, t.Cap())
-	copy(heads, t.base)
-	for _, e := range t.over {
-		heads[e.id] = e.list
+	spans := make([]span, t.Cap())
+	copy(spans, t.spans)
+	for _, p := range t.over {
+		spans[p.id] = p.s
 	}
 	for w, word := range t.dead {
 		for ; word != 0; word &= word - 1 {
-			heads[w<<6|bits.TrailingZeros64(word)] = nil
+			spans[w<<6|bits.TrailingZeros64(word)] = span{}
 		}
 	}
-	t.Children, t.base, t.over, t.ownChildren = heads, nil, nil, true
+	if 2*t.deadSlots() > t.liveSlots() || t.kids.end() > maxOffset {
+		old := t.kids
+		t.kids, t.mark = packed(spans, t.liveSlots(), func(v int) []int { return old.run(spans[v]) }), 0
+	}
+	t.spans, t.over = spans, t.over[:0]
 }
 
-// prepare readies t for a write. After a clone taken anywhere in the
-// family t owns nothing it might share, and a tree with Children
-// copies them, with room for one id, before it writes them.
+// prepare readies t for a write: after a clone taken anywhere in the
+// family, t owns no run it has and not its dead bits.
 func (t *Tree) prepare() {
-	if t.own.Refresh() {
-		t.fresh, t.ownChildren, t.ownDead = t.Cap(), false, false
-	}
-	if t.Children != nil && !t.ownChildren {
-		t.Children = append(make([][]int, 0, len(t.Children)+1), t.Children...)
-		t.ownChildren = true
+	if t.fork.Refresh() {
+		t.mark, t.ownDead = t.kids.end(), false
 	}
 }
 
-// ownsKids reports whether parent's child list may be edited in
-// place.
-func (t *Tree) ownsKids(parent int) bool { return parent >= t.fresh || t.own.Has(parent) }
+// liveSlots is how many ids the live lists hold: every live node but
+// the root is in its parent's. The rest of the arena's slots are dead.
+func (t *Tree) liveSlots() int { return max(t.live-1, 0) }
+func (t *Tree) deadSlots() int { return t.kids.used - t.liveSlots() }
+
+// insert returns s's run with id at pos: s itself, shifted in place, if
+// t appended it since the last fork and it is the open chunk's last,
+// with room after it; else a copy at the arena's end.
+func (t *Tree) insert(s span, pos, id int) span {
+	if s.n > 0 && int(s.off) >= max(t.mark, t.kids.base) && int(s.off+s.n) == t.kids.end() && t.kids.extend(1) {
+		s.n++
+		run := t.kids.run(s)
+		copy(run[pos+1:], run[pos:])
+		run[pos] = id
+		return s
+	}
+	old := t.kids.run(s)
+	off, run := t.kids.grow(len(old) + 1)
+	copy(run, old[:pos])
+	run[pos] = id
+	copy(run[pos+1:], old[pos:])
+	return span{int32(off), s.n + 1}
+}
+
+// cut returns s's run without its i-th id: s itself, shifted in place,
+// if t appended it since the last fork, else a copy at the arena's end.
+func (t *Tree) cut(s span, i int) span {
+	old := t.kids.run(s)
+	if int(s.off) >= t.mark {
+		copy(old[i:], old[i+1:])
+		return span{s.off, s.n - 1}
+	}
+	if s.n == 1 {
+		return span{}
+	}
+	off, run := t.kids.grow(len(old) - 1)
+	copy(run, old[:i])
+	copy(run[i:], old[i+1:])
+	return span{int32(off), s.n - 1}
+}
 
 // Len returns the number of live nodes.
 func (t *Tree) Len() int { return t.live }
@@ -393,23 +440,19 @@ func (t *Tree) ValidateInsert(parent, pos int) error {
 func (t *Tree) AddChild(parent, pos int) int {
 	t.prepare()
 	id := t.Cap()
-	list := t.Kids(parent)
-	if !t.ownsKids(parent) {
-		// Clipped, the insert below cannot fit and moves to a new array.
-		list = slices.Clip(list)
-		t.own.Add(parent)
-	}
 	t.up.Append(link{int32(parent), t.up.At(parent).depth + 1})
-	if t.Children != nil {
-		t.Children = append(t.Children, nil)
-	}
 	if id>>6 == len(t.dead) {
 		// A clone's dead bits are clipped, so the word never lands in
 		// an array another tree reads.
 		t.dead = append(t.dead, 0)
 	}
 	t.live++
-	t.setKids(parent, slices.Insert(list, pos, id))
+	if t.Children != nil {
+		t.Children = append(t.Children, nil)
+		t.Children[parent] = slices.Insert(t.Children[parent], pos, id)
+	} else {
+		t.setSpan(parent, t.insert(t.span(parent), pos, id))
+	}
 	return id
 }
 
@@ -424,22 +467,11 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	if !t.ownDead {
 		t.dead, t.ownDead = slices.Clone(t.dead), true
 	}
-	if p := t.Parent(v); p != -1 {
-		list := t.Kids(p)
-		if i := slices.Index(list, v); i >= 0 {
-			if !t.ownsKids(p) {
-				list = slices.Clone(list)
-				t.own.Add(p)
-			}
-			t.setKids(p, slices.Delete(list, i, i+1))
-		}
-	}
 	removed := 0
 	var kill func(int)
 	kill = func(u int) {
 		list := t.Kids(u)
 		t.dead[u>>6] |= 1 << (u & 63)
-		t.live--
 		removed++
 		for _, c := range list {
 			kill(c)
@@ -449,6 +481,14 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 		}
 	}
 	kill(v)
+	t.live -= removed
+	if p := t.Parent(v); p != -1 {
+		if i := slices.Index(t.Kids(p), v); i >= 0 && t.Children != nil {
+			t.Children[p] = slices.Delete(t.Children[p], i, i+1)
+		} else if i >= 0 {
+			t.setSpan(p, t.cut(t.span(p), i))
+		}
+	}
 	return removed, nil
 }
 
@@ -513,4 +553,100 @@ func (t *Tree) PreOrder() []int {
 	}
 	walk(0)
 	return out
+}
+
+// idArena holds a cloned tree's child lists as runs of ids, shared as
+// keys.Arena shares label bytes: a run lies whole in one chunk and is
+// never rewritten once another holder may read it. Whoever appends
+// first claims the open chunk's free tail through its cow.Mark; any
+// other holder opens a new chunk and copies nothing.
+type idArena struct {
+	// more[i] is the arena from offset i<<strideShift to the end of the
+	// chunk that lies in. open, which ends at this holder's last run, is
+	// the last chunk, from offset base.
+	more [][]int
+	open []int
+	base int
+	mark *cow.Mark // over len(open); nil on a packed chunk, which is full
+	used int       // slots this holder's runs have taken
+	room int       // slots allocated
+}
+
+// A new chunk has room for an eighth of the arena, between minChunk
+// and strideLen ids, or for a longer run, and takes the strides of
+// offset space it needs. An arena past maxOffset is compacted at the
+// next edit, so that a span's int32 never overflows.
+const (
+	strideShift = 12
+	strideLen   = 1 << strideShift
+	minChunk    = 64
+	maxOffset   = 1 << 30
+)
+
+// packed returns an arena of the runs list gives for the ids below
+// len(spans), in id order, n ids in all, and points spans at them.
+func packed(spans []span, n int, list func(v int) []int) (a idArena) {
+	first := make([]int, 0, n)
+	for v := range spans {
+		l := list(v)
+		spans[v] = span{int32(len(first)), int32(len(l))}
+		first = append(first, l...)
+	}
+	a.start(first, len(first))
+	return a
+}
+
+// start makes chunk, whose first k slots this holder has claimed, the
+// open chunk, listed under every stride it covers.
+func (a *idArena) start(chunk []int, k int) {
+	a.base = len(a.more) << strideShift
+	for off := 0; off < len(chunk); off += strideLen {
+		a.more = append(a.more, chunk[off:])
+	}
+	a.open, a.used, a.room = chunk[:k], a.used+k, a.room+len(chunk)
+}
+
+// run returns s's ids, aliasing the arena.
+func (a *idArena) run(s span) []int {
+	if s.n == 0 {
+		return nil
+	}
+	o, n := int(s.off), int(s.n)
+	return a.more[o>>strideShift][o&(strideLen-1):][:n:n]
+}
+
+// end returns the offset after this holder's last run.
+func (a *idArena) end() int { return a.base + len(a.open) }
+
+// extend claims the k slots after this holder's last run in the open
+// chunk, if they are there and free.
+func (a *idArena) extend(k int) bool {
+	n := len(a.open)
+	if n+k > cap(a.open) || !a.mark.Claim(n, n+k) {
+		return false
+	}
+	for i := n; invariants.Enabled && i < n+k; i++ {
+		if id := a.open[:n+k][i]; id != 0 {
+			invariants.Violated("scheme", "claimed slot %d of the id arena already holds %d", a.base+i, id)
+		}
+	}
+	a.open = a.open[:n+k]
+	a.used += k
+	return true
+}
+
+// grow claims a run of k slots and returns its offset and the run for
+// the caller to fill: after this holder's last run if it can, else in
+// a new chunk, listed in the shared table only if this holder is the
+// first to leave the open one.
+func (a *idArena) grow(k int) (int, []int) {
+	if !a.extend(k) {
+		if !a.mark.Claim(len(a.open), math.MaxInt) {
+			a.more = slices.Clip(a.more)
+		}
+		a.start(make([]int, max(k, min(max(a.used/8, minChunk), strideLen))), k)
+		a.mark = cow.NewMark(k)
+	}
+	n := len(a.open)
+	return a.base + n - k, a.open[n-k : n : n]
 }

@@ -6,9 +6,9 @@
 #      (both tag states), and build and vet of
 #      the benchmark module, which compiles against internal/ APIs
 #   2. go test ./..., plain, under -tags invariants and under -race,
-#      then the clone-isolation, overlay-fold and storm tests three more
-#      times; labelvet runs here, as internal/analysis's TestRepoClean (both
-#      tag states) and fixture tests
+#      then the clone-isolation, overlay-fold-and-compaction and storm
+#      tests three more times; labelvet runs here, as internal/analysis's
+#      TestRepoClean (both tag states) and fixture tests
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
 #   4. bench smoke
 #   5. httpd smoke, replication smoke
@@ -49,7 +49,7 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, overlay fold, memo, cache, watch and request-reuse storms, stored kernels, loaded-tree clones (race, 3x)"
+echo "==> clone isolation, overlay fold and arena compaction, memo, cache, watch and request-reuse storms, stored kernels, loaded-tree clones (race, 3x)"
 go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm' ./...
 
 echo "==> every fuzz target, 5s each"
