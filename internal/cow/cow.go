@@ -1,33 +1,32 @@
-// Package cow holds the two ownership rules that let a document and
-// its clones share memory instead of copying it.
+// Package cow holds the three ownership rules that let a document and
+// its clones share memory instead of copying it. No rule writes to the
+// value a clone is taken from, so a published snapshot can be cloned
+// while readers traverse it.
 //
-// A column that is written once per id and never again (element
-// names, parent pointers, depths, containment keys, prefix labels) is
-// a Column: the array it was built in, then chunks allocated as ids
-// arrive, all of them shared by a clone. A snapshot only reads indices
-// below its own length, and whoever appends past it must first claim
-// the next slots on the column's Mark. The holder that claims them
-// writes in place; any other — a divergent clone, or the clone that
-// follows a discarded one — moves its last, partly filled piece and its
-// table of pieces to private memory once. No written slot is ever
-// copied to make room. keys.Arena is the same rule over bytes, and
-// scheme.Tree's child-id arena over runs of ids.
+// Slots written once per id (element names, parent pointers, depths,
+// containment Refs, prefix labels) are a Column: the array it was built
+// in, then chunks allocated as ids arrive, shared by every clone. A
+// snapshot only reads below its own length, and whoever appends past it
+// first claims the next slots on the column's Mark and writes in place;
+// any other holder moves its last, partly filled piece and its table of
+// pieces to private memory once, so that ids stay dense.
 //
-// A list that is edited in place (an element name's id list) is copied
-// by the first holder that touches it after a clone. Which lists a
-// holder has already made private is an Owner; clones anywhere in the
-// family, counted by an Epoch, invalidate it.
+// Runs of any length written once and named by offset (keys.Arena's
+// label bytes, a cloned scheme.Tree's child lists) are an Arena, under
+// the same claim; a holder that loses it opens a chunk of its own at
+// the next stride and copies nothing. The winner may Extend its last
+// run in place, and scheme.Tree rewrites the runs it appended since its
+// Epoch last moved, which no other holder can have read.
 //
-// Neither rule ever writes to the value a clone is taken from, so a
-// published snapshot can be cloned while readers traverse it. What
-// fits neither rule — primelbl's ordering and SC columns, whose
-// existing slots are rewritten — a clone takes a flat Copy of.
-// scheme.Tree writes its id arena's runs once but edits in place the
-// runs it appended since its Epoch last moved, which no other holder
-// can have read.
+// A list edited in place (an element name's id list) is copied by the
+// first holder that touches it after a clone: an Owner records which
+// it has made private, and a clone anywhere in the family, counted by
+// an Epoch, resets it. What fits no rule — primelbl's ordering and SC
+// columns, rewritten in place — a clone takes a flat Copy of.
 package cow
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -152,6 +151,100 @@ func (c *Column[T]) Grow(k int) {
 func (c *Column[T]) Append(v T) {
 	c.Grow(1)
 	c.Set(c.n-1, v)
+}
+
+// Arena is a write-once store of runs of T, each named by the offset of
+// its first slot and lying whole in one chunk. Copying it shares every
+// chunk. first, read directly, is the first chunk, cut at this holder's
+// last run while it is the open one; more[i] is the arena from offset
+// len(first)+i<<shift to the end of the later chunk that lies in. open,
+// from offset base to this holder's last run, is the chunk being filled.
+type Arena[T any] struct {
+	first, open []T
+	more        [][]T
+	base        int
+	mark        *Mark // over len(open)
+	used, room  int   // slots this holder's runs take, and its chunks hold
+	shift       uint8 // a stride is 1<<shift slots
+	least       int32 // slots a later chunk holds at least
+}
+
+// NewArena returns an empty arena. A later chunk holds an eighth of what
+// the holder has used, from least slots to a stride, or one longer run.
+func NewArena[T any](shift uint8, least int32) Arena[T] { return Arena[T]{shift: shift, least: least} }
+
+// Start makes chunk, the first k slots of it the caller's, the only
+// chunk: a bulk fill, or a compaction. Other holders keep the old ones.
+func (a *Arena[T]) Start(chunk []T, k int) {
+	a.first, a.more, a.open, a.base = chunk[:k], nil, chunk[:k], 0
+	a.mark, a.used, a.room = NewMark(k), k, len(chunk)
+}
+
+// From returns the arena from offset off to the end of its chunk, or of
+// this holder's runs in the first.
+func (a *Arena[T]) From(off int) []T {
+	if off < len(a.first) {
+		return a.first[off:]
+	}
+	off -= len(a.first)
+	return a.more[off>>a.shift][off&(1<<a.shift-1):]
+}
+
+// End returns the offset after this holder's last run, Used the slots
+// its runs have taken, Room those its chunks hold.
+func (a *Arena[T]) End() int  { return a.base + len(a.open) }
+func (a *Arena[T]) Used() int { return a.used }
+func (a *Arena[T]) Room() int { return a.room }
+
+// Bytes estimates the arena's heap: its chunks and its table of strides.
+func (a *Arena[T]) Bytes() int64 {
+	return int64(a.room)*int64(unsafe.Sizeof(*new(T))) + 24*int64(cap(a.more))
+}
+
+// Extend claims the k slots after this holder's last run if the open
+// chunk has them and no other holder claimed them first.
+func (a *Arena[T]) Extend(k int) bool {
+	n := len(a.open)
+	if n+k > cap(a.open) || !a.mark.Claim(n, n+k) {
+		return false
+	}
+	a.open = a.open[:n+k]
+	for i := n; invariants.Enabled && i < n+k; i++ {
+		if !reflect.ValueOf(&a.open[i]).Elem().IsZero() {
+			invariants.Violated("cow", "claimed slot %d of an arena already holds %v", a.base+i, a.open[i])
+		}
+	}
+	if len(a.more) == 0 {
+		a.first = a.open
+	}
+	a.used += k
+	return true
+}
+
+// Grow claims a run of k zero slots and returns its offset and the run
+// for the caller to fill: after this holder's last run if Extend can,
+// else in a new chunk, which on an empty arena is the first and exactly
+// k. The first holder to leave the open chunk lists the new one in the
+// shared table; any other clips the table first. No run is copied.
+func (a *Arena[T]) Grow(k int) (int, []T) {
+	switch {
+	case a.Extend(k):
+	case a.room == 0:
+		a.Start(make([]T, k), k)
+	default:
+		if !a.mark.Claim(len(a.open), math.MaxInt) {
+			a.more = slices.Clip(a.more)
+		}
+		a.base = len(a.first) + len(a.more)<<a.shift
+		chunk := make([]T, max(k, min(max(a.used/8, int(a.least)), 1<<a.shift)))
+		for off := 0; off < len(chunk); off += 1 << a.shift {
+			a.more = append(a.more, chunk[off:])
+		}
+		a.open, a.mark = chunk[:k], NewMark(k)
+		a.used, a.room = a.used+k, a.room+len(chunk)
+	}
+	n := len(a.open)
+	return a.base + n - k, a.open[n-k : n : n]
 }
 
 // Copy returns a private copy of s with a little room to spare, so

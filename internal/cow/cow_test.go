@@ -88,21 +88,32 @@ func TestGrowFullArrayAndZeroSlots(t *testing.T) {
 }
 
 // FuzzColumnFamily runs a history of appends, grows, clones and drops
-// over a family of columns descended from one, every holder mirrored
-// by a plain slice, while snapshots taken along the way are read on
-// other goroutines: no holder ever sees another's writes, and under
-// -race no write lands where a snapshot can read. A byte of the
-// history picks the holder (high bits) and what it does (low three).
+// over a family of holders descended from one, each holding a column
+// and an arena, while snapshots taken along the way are read on other
+// goroutines: no holder ever sees another's writes, and under -race no
+// write lands where a snapshot can read. A holder's column is mirrored
+// by a plain slice, its arena by the runs it has put there. An append
+// extends the holder's last run in place if it can claim the slot, and
+// a grow puts a run up to five strides long. A byte of the history
+// picks the holder (high bits) and what it does (low three).
 func FuzzColumnFamily(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 0, 5, 8, 1, 9, 6, 0, 14, 2})
 	f.Add([]byte{3, 3, 3, 3, 3, 5, 0, 8, 5, 8, 16, 0, 7, 7, 5, 6})
 	f.Add(bytes.Repeat([]byte{0, 5, 8, 1, 6, 16, 3}, 40))
 	f.Fuzz(func(t *testing.T, history []byte) {
+		type run struct {
+			off int
+			ids []int
+		}
 		type holder struct {
 			col  Column[int]
 			want []int
+			ar   Arena[int]
+			runs []run // the last ends at ar.End()
 		}
-		check := func(what string, col Column[int], want []int) {
+		// check reads every slot of the column and every run of the arena
+		// from the first to read on.
+		check := func(what string, col Column[int], want []int, ar Arena[int], runs []run, read int) {
 			if col.Len() != len(want) || col.Cap() < col.Len() {
 				t.Errorf("%s: %d of %d slots, want %d", what, col.Len(), col.Cap(), len(want))
 				return
@@ -113,8 +124,22 @@ func FuzzColumnFamily(f *testing.F) {
 					return
 				}
 			}
+			used := 0
+			for i, r := range runs {
+				used += len(r.ids)
+				if got := ar.From(r.off); i >= read && (len(got) < len(r.ids) || !slices.Equal(got[:len(r.ids)], r.ids)) {
+					t.Errorf("%s: the run at %d reads %v, want %v", what, r.off, got[:min(len(got), len(r.ids))], r.ids)
+					return
+				}
+			}
+			if last := runs[len(runs)-1]; ar.Used() != used || ar.End() != last.off+len(last.ids) || ar.Room() < used {
+				t.Errorf("%s: arena used %d, room %d, end %d; runs of %d ids end at %d", what, ar.Used(), ar.Room(), ar.End(), used, last.off+len(last.ids))
+			}
 		}
-		family := []*holder{{col: column(-1, -2, -3), want: []int{-1, -2, -3}}}
+		// A small geometry, so that short histories cross strides.
+		first := NewArena[int](5, 4)
+		first.Start([]int{-1, -2, -3}, 3)
+		family := []*holder{{column(-1, -2, -3), []int{-1, -2, -3}, first, []run{{0, []int{-1, -2, -3}}}}}
 		var readers sync.WaitGroup
 		defer readers.Wait()
 		for next, op := range history {
@@ -123,34 +148,56 @@ func FuzzColumnFamily(f *testing.F) {
 			case 0, 1, 2: // append
 				h.col.Append(next)
 				h.want = append(h.want, next)
-			case 3, 4: // grow, by up to two chunks' worth, and fill
-				n := h.col.Len()
-				h.col.Grow(int(op>>3) * 5)
+				if last := &h.runs[len(h.runs)-1]; h.ar.Extend(1) {
+					h.ar.From(last.off)[len(last.ids)] = next
+					last.ids = append(last.ids, next)
+				} else {
+					off, ids := h.ar.Grow(1)
+					ids[0] = next
+					h.runs = append(h.runs, run{off, []int{next}})
+				}
+			case 3, 4: // grow, by up to two chunks' or five strides' worth, and fill
+				n, k := h.col.Len(), int(op>>3)*5
+				h.col.Grow(k)
 				for i := n; i < h.col.Len(); i++ {
 					h.col.Set(i, next+i)
 					h.want = append(h.want, next+i)
 				}
+				if k > 0 {
+					off, ids := h.ar.Grow(k)
+					for i := range ids {
+						ids[i] = next + i
+					}
+					h.runs = append(h.runs, run{off, slices.Clone(ids)})
+				}
 			case 5: // clone: from here on the two diverge
-				family = append(family, &holder{h.col, slices.Clone(h.want)})
+				runs := slices.Clone(h.runs)
+				for i := range runs {
+					runs[i].ids = slices.Clone(runs[i].ids)
+				}
+				family = append(family, &holder{h.col, slices.Clone(h.want), h.ar, runs})
 			case 6: // drop, unless it is the last
 				if i := slices.Index(family, h); len(family) > 1 {
 					family = slices.Delete(family, i, i+1)
 				}
 			case 7: // a snapshot, read while the history goes on
-				snap, want := h.col, slices.Clone(h.want)
+				snap, want, ar, runs := h.col, slices.Clone(h.want), h.ar, slices.Clone(h.runs)
+				for i := range runs {
+					runs[i].ids = slices.Clone(runs[i].ids)
+				}
 				readers.Add(1)
 				go func() {
 					defer readers.Done()
-					check("snapshot", snap, want)
+					check("snapshot", snap, want, ar, runs, 0)
 					if !slices.Equal(snap.Flat(), want) {
 						t.Errorf("snapshot: Flat = %v, want %v", snap.Flat(), want)
 					}
 				}()
 			}
-			check("edited holder", h.col, h.want)
+			check("edited holder", h.col, h.want, h.ar, h.runs, len(h.runs)-1)
 		}
 		for _, h := range family {
-			check("holder at the end", h.col, h.want)
+			check("holder at the end", h.col, h.want, h.ar, h.runs, 0)
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/cdbs"
@@ -17,9 +16,8 @@ import (
 )
 
 // Arena is a packed, append-only store of keys of one codec: every key
-// is written once, in a self-delimiting stored form, into one byte
-// slice, and is named from then on by where it starts (a Ref). The
-// stored forms are
+// is written once, in a self-delimiting stored form, and is named from
+// then on by where it starts (a Ref). The stored forms are
 //
 //	V/F-Binary, V/F-CDBS   uvarint bit count, then the bits MSB-first
 //	                       in ceil(count/8) bytes (bitstr.AppendTo)
@@ -34,33 +32,19 @@ import (
 //
 // An Arena is a value: copying it shares the bytes. A key is never
 // rewritten, so a copy keeps reading what it could see when it was
-// taken. The bytes live in chunks, and a key lies whole in one. Whoever
-// appends first claims the free tail of the open chunk through its
-// cow.Mark; a holder that finds the tail taken, or too short, opens a
-// new chunk and copies no key (package cow's rule for write-once
-// columns, over bytes). Bytes are never reclaimed: a key nobody refers
-// to any more stays until the arena is dropped.
+// taken. The bytes are a cow.Arena's, and a key lies whole in one of
+// its chunks, so a holder that appends after another opens a chunk of
+// its own and copies no key. Bytes are never reclaimed: a key nobody
+// refers to any more stays until the arena is dropped.
 type Arena struct {
-	k stored
-	// data is the first chunk, from offset 0: a bulk labelling's keys in
-	// exactly the room they take. more[i] is the arena from offset
-	// len(data)+i<<chunkShift to the end of the later chunk that lies in.
-	// open, which like data ends at this holder's last key, is the chunk
-	// being filled: data, or from offset base the last of more.
-	data       []byte
-	more       [][]byte
-	open       []byte
-	base       int
-	mark       *cow.Mark // over len(open)
-	size, room int       // bytes stored, bytes allocated
+	k   stored
+	mem cow.Arena[byte]
 }
 
-// A later chunk has room for an eighth of what the arena holds, between
-// minChunk and chunkSize bytes, or for the one claim that is more (a long
-// key, a fragment's run), and takes the strides of offset space it needs.
+// The arena's strides are 64 KB, and a later chunk has room for an
+// eighth of what it holds, at least 256 bytes.
 const (
 	chunkShift = 16
-	chunkSize  = 1 << chunkShift
 	minChunk   = 256
 )
 
@@ -115,25 +99,20 @@ func NewArena(c Codec) (Arena, error) {
 	if !ok {
 		return Arena{}, fmt.Errorf("keys: codec %s has no stored form", c.Name())
 	}
-	return Arena{k: k}, nil
+	return Arena{k: k, mem: cow.NewArena[byte](chunkShift, minChunk)}, nil
 }
 
 // Codec returns the codec the arena's keys belong to.
 func (a *Arena) Codec() Codec { return a.k }
 
 // Size returns the bytes the arena's keys take, Cap those its chunks do.
-func (a *Arena) Size() int { return a.size }
-func (a *Arena) Cap() int  { return a.room }
+func (a *Arena) Size() int { return a.mem.Used() }
+func (a *Arena) Cap() int  { return a.mem.Room() }
 
-func (a *Arena) at(r Ref) (b []byte) {
-	if int(r) < len(a.data) {
-		b = a.data[r:]
-	} else {
-		r -= Ref(len(a.data))
-		b = a.more[r>>chunkShift][r&(chunkSize-1):]
-	}
+func (a *Arena) at(r Ref) []byte {
+	b := a.mem.From(int(r))
 	if invariants.Enabled && len(b) < a.k.size(b) {
-		invariants.Violated("keys", "the key at %d of its chunk crosses the chunk's end at %d", r, int(r)+len(b))
+		invariants.Violated("keys", "the key at %d crosses its chunk's end at %d", r, int(r)+len(b))
 	}
 	return b
 }
@@ -207,41 +186,15 @@ func (a *Arena) Ordered(r Ref) (b []byte, ok bool) {
 
 // grow claims size more bytes in one chunk and returns where they
 // start and that much room to append them in place; what a kernel
-// appends there starts at its Ref.
+// appends there starts at its Ref. A new chunk starts at most a stride
+// after the arena's end, so a Ref past 4 GiB is refused before it is
+// claimed.
 func (a *Arena) grow(size int) (Ref, []byte, error) {
-	n := len(a.open)
-	if len(a.data)+(len(a.more)+1)<<chunkShift+size > math.MaxUint32 {
+	if a.mem.End()+1<<chunkShift+size > math.MaxUint32 {
 		return 0, nil, ErrArenaFull
 	}
-	if n+size > cap(a.open) || !a.mark.Claim(n, n+size) {
-		// The open chunk is full, or another holder writes its tail. Open the
-		// first chunk at what a bulk labelling asks, or list a later one under
-		// every stride it covers: in place only if first to leave this chunk.
-		if a.room == 0 {
-			a.open = make([]byte, 0, size)
-		} else {
-			if !a.mark.Claim(n, math.MaxInt) {
-				a.more = slices.Clip(a.more)
-			}
-			a.base = len(a.data) + len(a.more)<<chunkShift
-			a.open = make([]byte, max(size, min(max(a.size/8, minChunk), chunkSize)))
-			for off := 0; off < len(a.open); off += chunkSize {
-				a.more = append(a.more, a.open[off:])
-			}
-			a.open = a.open[:0]
-		}
-		a.mark, n = cow.NewMark(size), 0
-		a.room += cap(a.open)
-	}
-	a.open = a.open[:n+size]
-	if len(a.more) == 0 {
-		a.data = a.open
-	}
-	a.size += size
-	if invariants.Enabled && bytes.Count(a.open[n:], []byte{0}) != size {
-		invariants.Violated("keys", "claimed bytes %d..%d of the arena are already written", a.base+n, a.base+n+size)
-	}
-	return Ref(a.base + n), a.open[n : n : n+size], nil
+	at, b := a.mem.Grow(size)
+	return Ref(at), b[:0], nil
 }
 
 // tiled checks, under the invariants tag, that the keys a stored kernel
@@ -286,8 +239,8 @@ func putBulk[K any](a *Arena, ks []K, err error, size func(K) int, put func(K) (
 	for _, k := range ks {
 		room += size(k)
 	}
-	if a.room == 0 {
-		a.open, a.mark, a.room = make([]byte, 0, room), cow.NewMark(0), room
+	if a.Cap() == 0 {
+		a.mem.Start(make([]byte, room), 0)
 	}
 	return putAll(ks, err, put)
 }

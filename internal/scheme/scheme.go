@@ -11,12 +11,10 @@ package scheme
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
 	"repro/internal/cow"
-	"repro/internal/invariants"
 	"repro/internal/xmltree"
 )
 
@@ -171,7 +169,7 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // A node's parent and depth are written once per id, so a Tree and its
 // clones share that column (cow.Column). A tree from NewTree holds its
 // child lists in Children and edits them in place, cloned or not. Its
-// clone packs them into an arena of child ids, shared by every clone
+// clone packs them into a cow.Arena of child ids, shared by every clone
 // descended from it, and reads a list as an (offset, length) span. An edit copies the
 // parent's run to the arena's end, or shifts it in place if this tree
 // appended it since the family's last fork. A clone shares the span
@@ -187,9 +185,9 @@ type Tree struct {
 	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
 
-	kids  idArena
-	spans []span  // id v's run for v below its length; never written
-	over  []patch // the runs that differ from spans, sorted by id
+	kids  cow.Arena[int] // the child lists' runs
+	spans []span         // id v's run for v below its length; never written
+	over  []patch        // the runs that differ from spans, sorted by id
 
 	// fork counts the clones taken in the family. Since the last it saw,
 	// the runs from offset mark up are this tree's alone, and so is dead
@@ -253,7 +251,7 @@ func (t *Tree) Clone() *Tree {
 		kids:  t.kids,
 		spans: t.spans,
 		fork:  t.fork.Fork(),
-		mark:  t.kids.end(),
+		mark:  t.kids.End(),
 	}
 	if t.Children != nil {
 		c.spans, c.mark = make([]span, t.Cap()), 0
@@ -273,14 +271,14 @@ func (t *Tree) Bytes() int64 {
 	if t.Children != nil {
 		return b + 24*int64(cap(t.Children)) + 8*int64(t.Cap())
 	}
-	return b + 8*int64(cap(t.spans)) + 12*int64(cap(t.over)) + 8*int64(t.kids.room) + 24*int64(cap(t.kids.more))
+	return b + 8*int64(cap(t.spans)) + 12*int64(cap(t.over)) + t.kids.Bytes()
 }
 
 // Packing reports a clone's arena: the slots its runs have taken and
 // how many of them no list reads any more, and its overlay's length.
 // All three are zero on a tree with Children.
 func (t *Tree) Packing() (slots, dead, over int) {
-	return t.kids.used, max(t.deadSlots(), 0), len(t.over)
+	return t.kids.Used(), max(t.deadSlots(), 0), len(t.over)
 }
 
 // Parent returns v's parent id, -1 for the root.
@@ -298,7 +296,15 @@ func (t *Tree) Kids(v int) []int {
 	if !t.Alive(v) {
 		return nil
 	}
-	return t.kids.run(t.span(v))
+	return t.run(t.span(v))
+}
+
+// run returns s's ids, aliasing the arena.
+func (t *Tree) run(s span) []int {
+	if s.n == 0 {
+		return nil
+	}
+	return t.kids.From(int(s.off))[:s.n:s.n]
 }
 
 // Child returns the k-th child of v.
@@ -337,7 +343,7 @@ func (t *Tree) setSpan(v int, s span) {
 	} else {
 		t.over = slices.Insert(t.over, i, patch{int32(v), s})
 	}
-	if n := len(t.over); n*n > t.Cap() || t.deadSlots() > t.liveSlots() || t.kids.end() > maxOffset {
+	if n := len(t.over); n*n > t.Cap() || t.deadSlots() > t.liveSlots() || t.kids.End() > maxOffset {
 		t.fold()
 	}
 }
@@ -358,9 +364,8 @@ func (t *Tree) fold() {
 			spans[w<<6|bits.TrailingZeros64(word)] = span{}
 		}
 	}
-	if 2*t.deadSlots() > t.liveSlots() || t.kids.end() > maxOffset {
-		old := t.kids
-		t.kids, t.mark = packed(spans, t.liveSlots(), func(v int) []int { return old.run(spans[v]) }), 0
+	if 2*t.deadSlots() > t.liveSlots() || t.kids.End() > maxOffset {
+		t.kids, t.mark = packed(spans, t.liveSlots(), func(v int) []int { return t.run(spans[v]) }), 0
 	}
 	t.spans, t.over = spans, t.over[:0]
 }
@@ -369,28 +374,29 @@ func (t *Tree) fold() {
 // family, t owns no run it has and not its dead bits.
 func (t *Tree) prepare() {
 	if t.fork.Refresh() {
-		t.mark, t.ownDead = t.kids.end(), false
+		t.mark, t.ownDead = t.kids.End(), false
 	}
 }
 
 // liveSlots is how many ids the live lists hold: every live node but
 // the root is in its parent's. The rest of the arena's slots are dead.
 func (t *Tree) liveSlots() int { return max(t.live-1, 0) }
-func (t *Tree) deadSlots() int { return t.kids.used - t.liveSlots() }
+func (t *Tree) deadSlots() int { return t.kids.Used() - t.liveSlots() }
 
 // insert returns s's run with id at pos: s itself, shifted in place, if
-// t appended it since the last fork and it is the open chunk's last,
-// with room after it; else a copy at the arena's end.
+// t appended it since the last fork and it is the arena's last (no run
+// is empty, so it lies in the open chunk) with room after it; else a
+// copy at the arena's end.
 func (t *Tree) insert(s span, pos, id int) span {
-	if s.n > 0 && int(s.off) >= max(t.mark, t.kids.base) && int(s.off+s.n) == t.kids.end() && t.kids.extend(1) {
+	if s.n > 0 && int(s.off) >= t.mark && int(s.off+s.n) == t.kids.End() && t.kids.Extend(1) {
 		s.n++
-		run := t.kids.run(s)
+		run := t.run(s)
 		copy(run[pos+1:], run[pos:])
 		run[pos] = id
 		return s
 	}
-	old := t.kids.run(s)
-	off, run := t.kids.grow(len(old) + 1)
+	old := t.run(s)
+	off, run := t.kids.Grow(len(old) + 1)
 	copy(run, old[:pos])
 	run[pos] = id
 	copy(run[pos+1:], old[pos:])
@@ -400,7 +406,7 @@ func (t *Tree) insert(s span, pos, id int) span {
 // cut returns s's run without its i-th id: s itself, shifted in place,
 // if t appended it since the last fork, else a copy at the arena's end.
 func (t *Tree) cut(s span, i int) span {
-	old := t.kids.run(s)
+	old := t.run(s)
 	if int(s.off) >= t.mark {
 		copy(old[i:], old[i+1:])
 		return span{s.off, s.n - 1}
@@ -408,7 +414,7 @@ func (t *Tree) cut(s span, i int) span {
 	if s.n == 1 {
 		return span{}
 	}
-	off, run := t.kids.grow(len(old) - 1)
+	off, run := t.kids.Grow(len(old) - 1)
 	copy(run, old[:i])
 	copy(run[i:], old[i+1:])
 	return span{int32(off), s.n - 1}
@@ -555,98 +561,25 @@ func (t *Tree) PreOrder() []int {
 	return out
 }
 
-// idArena holds a cloned tree's child lists as runs of ids, shared as
-// keys.Arena shares label bytes: a run lies whole in one chunk and is
-// never rewritten once another holder may read it. Whoever appends
-// first claims the open chunk's free tail through its cow.Mark; any
-// other holder opens a new chunk and copies nothing.
-type idArena struct {
-	// more[i] is the arena from offset i<<strideShift to the end of the
-	// chunk that lies in. open, which ends at this holder's last run, is
-	// the last chunk, from offset base.
-	more [][]int
-	open []int
-	base int
-	mark *cow.Mark // over len(open); nil on a packed chunk, which is full
-	used int       // slots this holder's runs have taken
-	room int       // slots allocated
-}
-
-// A new chunk has room for an eighth of the arena, between minChunk
-// and strideLen ids, or for a longer run, and takes the strides of
-// offset space it needs. An arena past maxOffset is compacted at the
-// next edit, so that a span's int32 never overflows.
+// A cloned tree's arena has strides of 4 096 ids and chunks of at least
+// 64. An arena past maxOffset is compacted at the next edit, so that a
+// span's int32 never overflows.
 const (
 	strideShift = 12
-	strideLen   = 1 << strideShift
 	minChunk    = 64
 	maxOffset   = 1 << 30
 )
 
 // packed returns an arena of the runs list gives for the ids below
 // len(spans), in id order, n ids in all, and points spans at them.
-func packed(spans []span, n int, list func(v int) []int) (a idArena) {
+func packed(spans []span, n int, list func(v int) []int) cow.Arena[int] {
 	first := make([]int, 0, n)
 	for v := range spans {
 		l := list(v)
 		spans[v] = span{int32(len(first)), int32(len(l))}
 		first = append(first, l...)
 	}
-	a.start(first, len(first))
+	a := cow.NewArena[int](strideShift, minChunk)
+	a.Start(first, len(first))
 	return a
-}
-
-// start makes chunk, whose first k slots this holder has claimed, the
-// open chunk, listed under every stride it covers.
-func (a *idArena) start(chunk []int, k int) {
-	a.base = len(a.more) << strideShift
-	for off := 0; off < len(chunk); off += strideLen {
-		a.more = append(a.more, chunk[off:])
-	}
-	a.open, a.used, a.room = chunk[:k], a.used+k, a.room+len(chunk)
-}
-
-// run returns s's ids, aliasing the arena.
-func (a *idArena) run(s span) []int {
-	if s.n == 0 {
-		return nil
-	}
-	o, n := int(s.off), int(s.n)
-	return a.more[o>>strideShift][o&(strideLen-1):][:n:n]
-}
-
-// end returns the offset after this holder's last run.
-func (a *idArena) end() int { return a.base + len(a.open) }
-
-// extend claims the k slots after this holder's last run in the open
-// chunk, if they are there and free.
-func (a *idArena) extend(k int) bool {
-	n := len(a.open)
-	if n+k > cap(a.open) || !a.mark.Claim(n, n+k) {
-		return false
-	}
-	for i := n; invariants.Enabled && i < n+k; i++ {
-		if id := a.open[:n+k][i]; id != 0 {
-			invariants.Violated("scheme", "claimed slot %d of the id arena already holds %d", a.base+i, id)
-		}
-	}
-	a.open = a.open[:n+k]
-	a.used += k
-	return true
-}
-
-// grow claims a run of k slots and returns its offset and the run for
-// the caller to fill: after this holder's last run if it can, else in
-// a new chunk, listed in the shared table only if this holder is the
-// first to leave the open one.
-func (a *idArena) grow(k int) (int, []int) {
-	if !a.extend(k) {
-		if !a.mark.Claim(len(a.open), math.MaxInt) {
-			a.more = slices.Clip(a.more)
-		}
-		a.start(make([]int, max(k, min(max(a.used/8, minChunk), strideLen))), k)
-		a.mark = cow.NewMark(k)
-	}
-	n := len(a.open)
-	return a.base + n - k, a.open[n-k : n : n]
 }

@@ -3,8 +3,9 @@
 # gate is a rule, not a list: a test is gated by existing.
 #
 #   1. gofmt, the DESIGN.md budget (scripts/loc.sh), go vet, go build
-#      (both tag states), and build and vet of
-#      the benchmark module, which compiles against internal/ APIs
+#      (both tag states), that the compiler inlines the per-predicate
+#      read path, and build and vet of the benchmark module, which
+#      compiles against internal/ APIs
 #   2. go test ./..., plain, under -tags invariants and under -race,
 #      then the clone-isolation, overlay-fold-and-compaction and storm
 #      tests three more times; labelvet runs here, as internal/analysis's
@@ -33,6 +34,16 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> the per-predicate read path inlines (keys.Arena.at and Compare, scheme.Tree.run)"
+inlined=$(go build -gcflags=-m ./internal/keys ./internal/scheme 2>&1)
+for f in 'keys/arena\.go:.* can inline \(\*Arena\)\.at$' 'keys/arena\.go:.* can inline \(\*Arena\)\.Compare$' \
+	'scheme/scheme\.go:.* can inline \(\*Tree\)\.run$'; do
+	if ! echo "$inlined" | grep -Eq "$f"; then
+		echo "inlining: no match for $f in go build -gcflags=-m" >&2
+		exit 1
+	fi
+done
 
 echo "==> benchmark module (build, vet)"
 (cd benchmark && go build -o /dev/null . && go vet ./...)
