@@ -724,10 +724,9 @@ func (h *Handle) QueryRendered(path string, render func(ids []int) []byte) ([]by
 
 // Explain plans and evaluates a path expression with instrumentation
 // and returns the rendered EXPLAIN tree: the chosen strategy and
-// anchor step, estimated vs. measured cardinality per step, the
-// partition fan-out of the parallel joins, whether the result cache
-// held the answer (on a concurrent handle, at which snapshot
-// generation) and the element names the answer depends on.
+// anchor step, estimated vs. measured cardinality per step, whether
+// the result cache held the answer (on a concurrent handle, at which
+// snapshot generation) and the element names the answer depends on.
 // The query is evaluated for real, so the report's numbers are
 // measurements, not guesses.
 func (h *Handle) Explain(path string) (string, error) {

@@ -8,13 +8,12 @@ import (
 
 // TestHandleExplainGolden pins Handle.Explain's rendered output — the
 // exact text cmd/dynxml query -explain prints — across the planner's
-// leftright and fallback strategies, the result cache of a concurrent
-// handle (miss, then hit; still a hit after an edit under a name or
-// child list the query does not read, a miss after one it does) and of
-// a plain handle.
-// The queries are chosen so the strategy choice cannot depend on the
-// process-wide depth histograms (single step, or predicates blocking
-// pathcheck): the output is a pure function of the document.
+// leftright, pathcheck and fallback strategies, the result cache of a
+// concurrent handle (miss, then hit; still a hit after an edit under a
+// name or child list the query does not read, a miss after one it
+// does) and of a plain handle. The planner's statistics are the
+// document's candidate counts and a constant depth, so the output is a
+// pure function of the document.
 func TestHandleExplainGolden(t *testing.T) {
 	const seed = `<library><shelf><book/><book/></shelf><shelf><book/></shelf></library>`
 	h, err := Open(seed, WithConcurrent())
@@ -33,7 +32,6 @@ strategy: leftright
 cost: chosen=4 leftright=4
 cache: result=miss generation=1
 reads: book
-parallelism: 1
 step 1: //book est=3 actual=3 phase=scan
 matches: 3
 `},
@@ -42,7 +40,6 @@ strategy: leftright
 cost: chosen=34 leftright=34
 cache: result=miss generation=1
 reads: book, library, shelf
-parallelism: 1
 step 1: /library[1] est=1 actual=1 phase=scan
 step 2: /shelf[./book] est=2 actual=2 phase=join
 step 3: /book est=3 actual=3 phase=join
@@ -52,10 +49,22 @@ matches: 3
 strategy: fallback-axes
 cache: result=miss generation=1
 reads: book, shelf
-parallelism: 1
 step 1: //book est=3 actual=- phase=fallback
 step 2: /parent::shelf est=2 actual=2 phase=fallback
 matches: 2
+`},
+		// Predicate-free and narrowing: every book is verified by a
+		// walk up its ancestor chain, and shelf and library are never
+		// materialized.
+		{"/library/shelf/book", `EXPLAIN /library/shelf/book
+strategy: pathcheck anchor=3
+cost: chosen=2 leftright=10
+cache: result=miss generation=1
+reads: book, library, shelf
+step 1: /library est=1 actual=- phase=path-verified
+step 2: /shelf est=2 actual=- phase=path-verified
+step 3: /book est=3 actual=3 phase=anchor
+matches: 3
 `},
 		// Same query again: the result cache holds it.
 		{"//book", `EXPLAIN //book
@@ -63,7 +72,6 @@ strategy: leftright
 cost: chosen=4 leftright=4
 cache: result=hit generation=1
 reads: book
-parallelism: 1
 step 1: //book est=3 actual=3 phase=scan
 matches: 3
 `},
@@ -88,7 +96,6 @@ strategy: leftright
 cost: chosen=8 leftright=8
 cache: result=miss generation=%d
 reads: *
-parallelism: 1
 step 1: //* est=%d actual=%[2]d phase=scan
 matches: %[2]d
 `
@@ -102,7 +109,6 @@ strategy: leftright
 cost: chosen=4 leftright=4
 cache: result=hit generation=2
 reads: book
-parallelism: 1
 step 1: //book est=3 actual=3 phase=scan
 matches: 3
 `, fmt.Sprintf(star, 2, 8)},
@@ -111,7 +117,6 @@ strategy: leftright
 cost: chosen=4 leftright=4
 cache: result=miss generation=3
 reads: book
-parallelism: 1
 step 1: //book est=4 actual=4 phase=scan
 matches: 4
 `, fmt.Sprintf(star, 3, 9)},
@@ -132,14 +137,12 @@ matches: 4
 
 	// A * child step reads its parent's child list, /shelf: an x under
 	// a book leaves /library[1]/shelf/* a hit, an x under a shelf makes
-	// it a miss. (The predicate keeps pathcheck, whose cost depends on
-	// the depth histograms, out of the choice.)
+	// it a miss.
 	const children = `EXPLAIN /library[1]/shelf/*
 strategy: leftright
 cost: chosen=24 leftright=24
 cache: result=%s generation=%d
 reads: /shelf, library, shelf
-parallelism: 1
 step 1: /library[1] est=1 actual=1 phase=scan
 step 2: /shelf est=2 actual=2 phase=join
 step 3: /* est=%d actual=%d phase=join
@@ -178,7 +181,6 @@ strategy: leftright
 cost: chosen=4 leftright=4
 cache: result=` + want + `
 reads: book
-parallelism: 1
 step 1: //book est=3 actual=3 phase=scan
 matches: 3
 `

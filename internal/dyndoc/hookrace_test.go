@@ -41,6 +41,7 @@ func TestSetCommitHookInstallRace(t *testing.T) {
 	if testing.Short() {
 		rounds = 50
 	}
+	// Writers and installs run in parallel even on one CPU.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for round := 0; round < rounds; round++ {
 		c, err := ParseConcurrent("<r><a></a></r>", containment.Build(keys.VCDBS()))

@@ -19,8 +19,8 @@ import (
 // TestPlannedQueryStorm is the planned-query counterpart of
 // TestSnapshotStorm: readers evaluate through the plan/result cache
 // (Concurrent.Query) and render EXPLAIN reports while writers churn
-// snapshots, with GOMAXPROCS raised so the partitioned join path can
-// actually fan out under the race detector. Writers insert and delete
+// snapshots, with GOMAXPROCS raised so its readers and writers run in
+// parallel under the race detector. Writers insert and delete
 // "pair" elements strictly in pairs, so any odd count — from Query or
 // from an Explain's match counter — means a reader saw a torn
 // snapshot. (An answer served at a stamp it was not computed at is even
@@ -67,8 +67,8 @@ func TestPlannedQueryStorm(t *testing.T) {
 			}
 		}()
 	}
-	// The reader queries cover all three planner strategies plus the
-	// axis fallback, all hammering one shared plan/result cache.
+	// The reader queries cover both planner strategies plus the axis
+	// fallback, all hammering one shared plan/result cache.
 	queries := []string{"//pair", "/library//pair", "/library/*/book", "//shelf/parent::library"}
 	for r := 0; r < readers; r++ {
 		r := r

@@ -476,15 +476,14 @@ func (e *Engine) Count(q *Query) (int, error) {
 //
 // The exported methods below are the raw building blocks the
 // xpath/plan package composes plans from: borrowed candidate lists,
-// structural joins in both directions over arbitrary (contiguous)
-// list slices, and predicate filtering. They are plain reads of the
-// engine's immutable views, so — like Eval — they are safe to call
-// from any number of goroutines concurrently.
+// ancestor chains, the downward structural join, and predicate
+// filtering. They are plain reads of the engine's immutable views, so
+// — like Eval — they are safe to call from any number of goroutines
+// concurrently.
 
 // Candidates returns the document-ordered element ids matching a name
 // test. The slice is BORROWED from the engine's index: callers must
-// treat it as read-only and may sub-slice it (for partitioned joins)
-// but never mutate or append to it in place.
+// treat it as read-only and never mutate or append to it in place.
 func (e *Engine) Candidates(name string) []int { return e.candidates(name) }
 
 // CandidateCount returns len(Candidates(name)) — the per-name
@@ -517,70 +516,9 @@ func (e *Engine) NameMatches(test string, id int) bool { return e.nameMatches(te
 
 // JoinDown is the exported structural join: it returns the candidates
 // that are children (or, with desc, descendants) of some context
-// node. Both inputs must be in document order; cand may be any
-// contiguous slice of a document-ordered list, which is what makes
-// the join partitionable — JoinDown(ctx, cand[a:b]) depends only on
-// ctx and cand[a:b], so disjoint partitions evaluated concurrently
-// concatenate into exactly JoinDown(ctx, cand).
+// node. Both inputs must be in document order.
 func (e *Engine) JoinDown(ctx, cand []int, desc bool) []int {
 	return e.joinDown(ctx, cand, desc)
-}
-
-// JoinUp is the reverse structural semi-join: it returns, in document
-// order, the context nodes with at least one candidate child (or,
-// with desc, descendant). It is the upward direction of the planner's
-// anchored evaluation — pruning the lists of earlier steps by the
-// survivors of a more selective later step.
-func (e *Engine) JoinUp(ctx, cand []int, desc bool) []int {
-	marked := make([]bool, len(ctx))
-	e.JoinUpMarks(ctx, cand, desc, marked)
-	var out []int
-	for i, m := range marked {
-		if m {
-			out = append(out, ctx[i])
-		}
-	}
-	return out
-}
-
-// JoinUpMarks is JoinUp writing into a caller-owned mark vector
-// (marked[i] is set when ctx[i] has a qualifying candidate below it;
-// existing marks are preserved). Partitioned parallel joins give each
-// worker a disjoint candidate slice and a private mark vector, then
-// OR the vectors — document order makes that union exact.
-func (e *Engine) JoinUpMarks(ctx, cand []int, desc bool, marked []bool) {
-	var stack []int // indices into ctx, innermost open context last
-	i := 0
-	for _, d := range cand {
-		// Open every context node that starts before d, keeping the
-		// stack a nested ancestor chain (same invariant as joinDown).
-		for i < len(ctx) && e.lab.Before(ctx[i], d) {
-			for len(stack) > 0 && !e.lab.IsAncestor(ctx[stack[len(stack)-1]], ctx[i]) {
-				stack = stack[:len(stack)-1]
-			}
-			stack = append(stack, i)
-			i++
-		}
-		// Close context nodes whose subtree ended before d.
-		for len(stack) > 0 && !e.lab.IsAncestor(ctx[stack[len(stack)-1]], d) {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			continue
-		}
-		if desc {
-			// Every open context node is an ancestor of d. An entry
-			// already marked had everything beneath it marked when it
-			// was, so the walk can stop there — total marking work is
-			// amortized O(len(ctx)).
-			for j := len(stack) - 1; j >= 0 && !marked[stack[j]]; j-- {
-				marked[stack[j]] = true
-			}
-		} else if e.lab.IsParent(ctx[stack[len(stack)-1]], d) {
-			// Only the innermost open context node can be the parent.
-			marked[stack[len(stack)-1]] = true
-		}
-	}
 }
 
 // FilterPreds applies every predicate of step to the given node list.

@@ -80,23 +80,22 @@ func NewCacheBounds(maxResults, maxIDs int) *Cache {
 	}
 }
 
-// planFor returns the cached plan for text, compiling against e on a
-// miss. Concurrent compilations of the same query may race; both
-// produce correct plans and the last store wins.
-func (c *Cache) planFor(e *xpath.Engine, q *xpath.Query, text string) *Plan {
+// plan returns the cached plan for text and true, or compiles one
+// against e, caches it and returns it with false. Concurrent
+// compilations of the same query may race; both produce correct plans
+// and the last store wins.
+func (c *Cache) plan(e *xpath.Engine, q *xpath.Query, text string) (*Plan, bool) {
 	c.mu.RLock()
 	p := c.plans[text]
 	c.mu.RUnlock()
 	if p != nil {
-		mPlanHits.Inc()
-		return p
+		return p, true
 	}
-	mPlanMisses.Inc()
 	p = For(e, q)
 	c.mu.Lock()
 	c.plans[text] = p
 	c.mu.Unlock()
-	return p
+	return p, false
 }
 
 // lookupResult returns the entry cached for text if it is valid for
@@ -163,7 +162,12 @@ func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query)
 		planText = q.String()
 	}
 	mResultMisses.Inc()
-	p := c.planFor(e, q, planText)
+	p, hit := c.plan(e, q, planText)
+	if hit {
+		mPlanHits.Inc()
+	} else {
+		mPlanMisses.Inc()
+	}
 	ids, err := p.Eval(e)
 	if err != nil {
 		return nil, err
@@ -244,11 +248,12 @@ func (c *Cache) MemoryFootprint() int64 {
 // report. The result cache state is reported as it stood before the
 // call (an entry valid for (e, gen) or not); the execution itself always
 // runs fully so every per-step actual is measured, and its result
-// refreshes the cache. Explain does not bump the hit/miss counters —
-// diagnostics should not skew the production cache metrics.
+// refreshes the cache. Explain moves none of the plan or result
+// hit/miss counters — diagnostics should not skew the production cache
+// metrics.
 func (c *Cache) Explain(e *xpath.Engine, gen uint64, q *xpath.Query) (*Report, error) {
 	text := q.String()
-	p := c.planFor(e, q, text)
+	p, _ := c.plan(e, q, text)
 	rec := newReport(p, e)
 	rec.Cache = "miss"
 	if c.lookupResult(e, gen, text) != nil {

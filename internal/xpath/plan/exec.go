@@ -25,8 +25,6 @@ func (p *Plan) run(e *xpath.Engine, rec *Report) ([]int, error) {
 	switch p.Strategy {
 	case FallbackAxes:
 		out, err = e.Eval(p.Query)
-	case Anchored:
-		out, err = p.runAnchored(e, rec)
 	case PathCheck:
 		out, err = p.runPathCheck(e, rec)
 	default:
@@ -41,8 +39,7 @@ func (p *Plan) run(e *xpath.Engine, rec *Report) ([]int, error) {
 	return out, err
 }
 
-// runLeftRight is the engine's own join order, with every structural
-// join partitioned when its candidate list is large.
+// runLeftRight is the engine's own join order.
 func (p *Plan) runLeftRight(e *xpath.Engine, rec *Report) ([]int, error) {
 	var out []int
 	borrowed := false
@@ -61,7 +58,7 @@ func (p *Plan) runLeftRight(e *xpath.Engine, rec *Report) ([]int, error) {
 			out = e.Candidates(step.Name)
 			borrowed = true
 		default:
-			out = joinDownPar(e, out, e.Candidates(step.Name), step.Axis == xpath.Descendant, rec)
+			out = e.JoinDown(out, e.Candidates(step.Name), step.Axis == xpath.Descendant)
 			borrowed = false
 		}
 		var err error
@@ -82,58 +79,6 @@ func (p *Plan) runLeftRight(e *xpath.Engine, rec *Report) ([]int, error) {
 	return out, nil
 }
 
-// runAnchored evaluates outward from the anchor step. Upward pass:
-// pruned[i] is the subset of step i's (predicate-filtered) candidates
-// with a qualifying chain down to the anchor, computed by reverse
-// semi-joins from pruned[i+1]. Downward pass: ordinary joins over the
-// pruned lists re-establish the root-to-anchor connection, yielding
-// after step i exactly {naive result for step i} ∩ {nodes on a chain
-// to the anchor} — equal to the naive result at the anchor itself,
-// since every anchor survivor trivially chains to itself. Predicates
-// commute with both joins because they are node-local
-// (Engine.FilterPreds), which is what licenses filtering the pruned
-// lists instead of the naive intermediate results.
-func (p *Plan) runAnchored(e *xpath.Engine, rec *Report) ([]int, error) {
-	steps := p.Query.Steps
-	a := p.Anchor
-	pruned := make([][]int, a+1)
-	anchorCand, err := e.FilterPreds(e.Candidates(steps[a].Name), steps[a])
-	if err != nil {
-		return nil, err
-	}
-	pruned[a] = anchorCand
-	for i := a - 1; i >= 0; i-- {
-		sel := joinUpPar(e, e.Candidates(steps[i].Name), pruned[i+1], steps[i+1].Axis == xpath.Descendant, rec)
-		if i == 0 && steps[0].Axis == xpath.Child {
-			// A child-axis first step matches only the document root.
-			r := e.Root()
-			var keep []int
-			for _, v := range sel {
-				if v == r {
-					keep = append(keep, v)
-				}
-			}
-			sel = keep
-		}
-		sel, err = e.FilterPreds(sel, steps[i])
-		if err != nil {
-			return nil, err
-		}
-		pruned[i] = sel
-		if rec != nil {
-			rec.Steps[i].Actual = len(sel)
-		}
-	}
-	out := pruned[0]
-	for i := 1; i <= a; i++ {
-		out = joinDownPar(e, out, pruned[i], steps[i].Axis == xpath.Descendant, rec)
-	}
-	if rec != nil {
-		rec.Steps[a].Actual = len(out)
-	}
-	return p.runForward(e, out, rec)
-}
-
 // runPathCheck verifies each anchor candidate's ancestor chain
 // against the predicate-free step prefix directly — no intermediate
 // candidate list is ever materialized, so a huge early step (the `*`
@@ -141,7 +86,7 @@ func (p *Plan) runAnchored(e *xpath.Engine, rec *Report) ([]int, error) {
 func (p *Plan) runPathCheck(e *xpath.Engine, rec *Report) ([]int, error) {
 	steps := p.Query.Steps
 	a := p.Anchor
-	out := pathFilterPar(e, steps, a, e.Candidates(steps[a].Name), rec)
+	out := pathFilter(e, steps, a, e.Candidates(steps[a].Name))
 	out, err := e.FilterPreds(out, steps[a])
 	if err != nil {
 		return nil, err
@@ -157,7 +102,7 @@ func (p *Plan) runPathCheck(e *xpath.Engine, rec *Report) ([]int, error) {
 func (p *Plan) runForward(e *xpath.Engine, out []int, rec *Report) ([]int, error) {
 	steps := p.Query.Steps
 	for i := p.Anchor + 1; i < len(steps); i++ {
-		out = joinDownPar(e, out, e.Candidates(steps[i].Name), steps[i].Axis == xpath.Descendant, rec)
+		out = e.JoinDown(out, e.Candidates(steps[i].Name), steps[i].Axis == xpath.Descendant)
 		var err error
 		out, err = e.FilterPreds(out, steps[i])
 		if err != nil {
@@ -170,25 +115,27 @@ func (p *Plan) runForward(e *xpath.Engine, out []int, rec *Report) ([]int, error
 	return out, nil
 }
 
-// pathScratch is one worker's reusable state for the ancestor-walk
-// verifier: the candidate's ancestor chain and the two rows of the
-// reachability DP.
+// pathScratch is the ancestor-walk verifier's state, reused across
+// the candidates of one scan: the candidate's ancestor chain and the
+// two rows of the reachability DP.
 type pathScratch struct {
 	path []int  // ancestors of the candidate, parent first
 	cur  []bool // positions (depth from root) the step prefix can reach
 	nxt  []bool
 }
 
-// pathFilterRange keeps the candidates whose ancestor chain admits
-// the step prefix. Survivors cannot outnumber the candidates, so one
-// full-size allocation replaces the append growth cycle.
-func pathFilterRange(e *xpath.Engine, steps []xpath.Step, anchor int, cand []int, s *pathScratch) []int {
+// pathFilter keeps, in document order, the candidates whose ancestor
+// chain admits the step prefix. Survivors cannot outnumber the
+// candidates, so one full-size allocation replaces the append growth
+// cycle.
+func pathFilter(e *xpath.Engine, steps []xpath.Step, anchor int, cand []int) []int {
 	if len(cand) == 0 {
 		return nil
 	}
 	out := make([]int, 0, len(cand))
+	var s pathScratch
 	for _, d := range cand {
-		if admitPath(e, steps, anchor, d, s) {
+		if admitPath(e, steps, anchor, d, &s) {
 			out = append(out, d)
 		}
 	}

@@ -22,8 +22,7 @@ type StepReport struct {
 // Report is the EXPLAIN output for one execution: the chosen
 // strategy and anchor, the cost-model values behind the choice, the
 // result-cache state, the element names and child lists the answer
-// depends on, the widest partition fan-out any operator used, and the
-// per-step estimate/actual rows.
+// depends on, and the per-step estimate/actual rows.
 type Report struct {
 	Query         string
 	Strategy      Strategy
@@ -34,7 +33,6 @@ type Report struct {
 	Snapshot      bool     // the document publishes snapshots
 	Cache         string   // "hit" or "miss"
 	Reads         []string // the plan's read set: names, and "/X" for the children of every X; nil (printed *) for every element
-	Parallelism   int      // max partitions any operator split into
 	Steps         []StepReport
 	Matches       int
 }
@@ -49,10 +47,9 @@ func newReport(p *Plan, e *xpath.Engine) *Report {
 		CostLeftRight: p.CostLeftRight,
 		CostChosen:    p.CostChosen,
 		Reads:         p.Reads,
-		Parallelism:   1,
 		Steps:         make([]StepReport, len(p.Query.Steps)),
 	}
-	if p.Strategy == Anchored || p.Strategy == PathCheck {
+	if p.Strategy == PathCheck {
 		rec.Anchor = p.Anchor
 	}
 	est := estimates(e, p.Query)
@@ -78,14 +75,6 @@ func phaseOf(p *Plan, i int) string {
 	switch p.Strategy {
 	case FallbackAxes:
 		return "fallback"
-	case Anchored:
-		switch {
-		case i < p.Anchor:
-			return "prune-up"
-		case i == p.Anchor:
-			return "anchor"
-		}
-		return "join"
 	case PathCheck:
 		switch {
 		case i < p.Anchor:
@@ -120,7 +109,6 @@ func (r *Report) String() string {
 		fmt.Fprintf(&sb, "cache: result=%s\n", r.Cache)
 	}
 	fmt.Fprintf(&sb, "reads: %s\n", cmp.Or(strings.Join(r.Reads, ", "), "*"))
-	fmt.Fprintf(&sb, "parallelism: %d\n", r.Parallelism)
 	for i, s := range r.Steps {
 		actual := "-"
 		if s.Actual >= 0 {

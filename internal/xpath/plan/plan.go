@@ -5,19 +5,10 @@
 // early step has a huge candidate list (the `*` step of the paper's
 // Q6 scans every element of the document). The planner estimates
 // per-step selectivity from the per-name candidate counts the engine
-// already indexes — plus a depth estimate derived from the label
-// code-length histograms in internal/metrics — and picks the cheapest
-// of three result-equivalent strategies:
+// already indexes, plus a constant typical element depth, and picks
+// the cheaper of two result-equivalent strategies:
 //
-//   - leftright: the engine's own document-ordered join sequence,
-//     with large structural joins partitioned across a bounded worker
-//     pool (document order makes the merge a pure concat).
-//   - anchored: evaluate outward from the most selective name test:
-//     an upward semi-join pass (Engine.JoinUp) prunes every earlier
-//     step's candidate list down to nodes that lead to the anchor,
-//     then a downward pass re-validates the pruned lists with
-//     ordinary joins. Predicates run on the pruned lists — often
-//     orders of magnitude smaller than what leftright filters.
+//   - leftright: the engine's own document-ordered join sequence.
 //   - pathcheck: when every step before the anchor is predicate-free,
 //     skip the intermediate joins entirely and verify each anchor
 //     candidate by walking its ancestor chain (Engine.ParentOf)
@@ -26,16 +17,16 @@
 //     that beats leftright on Q6-shaped queries.
 //
 // Queries using axes outside the child/descendant spine fall back to
-// the engine's reference evaluator unchanged. Every strategy is
+// the engine's reference evaluator unchanged. Both strategies are
 // proven result-equivalent to the naive engine by the property tests
 // in this package (the naive path is the retained Ref oracle, the
-// same discipline bitstr and cdbs use for their kernels).
+// same discipline bitstr and cdbs use for their kernels). The package
+// starts no goroutine: every plan runs on its caller's.
 package plan
 
 import (
 	"slices"
 
-	"repro/internal/metrics"
 	"repro/internal/xpath"
 )
 
@@ -43,12 +34,9 @@ import (
 type Strategy int
 
 const (
-	// LeftRight is the engine's document-ordered join sequence (with
-	// parallel partitioned joins) — the planner's baseline.
+	// LeftRight is the engine's document-ordered join sequence — the
+	// planner's baseline.
 	LeftRight Strategy = iota
-	// Anchored prunes with upward semi-joins to the anchor step, then
-	// re-validates downward.
-	Anchored
 	// PathCheck verifies the predicate-free step prefix by ancestor
 	// walks from the anchor's candidates.
 	PathCheck
@@ -62,8 +50,6 @@ func (s Strategy) String() string {
 	switch s {
 	case LeftRight:
 		return "leftright"
-	case Anchored:
-		return "anchored"
 	case PathCheck:
 		return "pathcheck"
 	case FallbackAxes:
@@ -87,7 +73,7 @@ type Plan struct {
 	// Strategy is the chosen evaluation strategy.
 	Strategy Strategy
 	// Anchor is the 0-based step index evaluation is anchored on
-	// (Anchored and PathCheck only).
+	// (PathCheck only).
 	Anchor int
 	// CostLeftRight and CostChosen record the cost-model values the
 	// choice was made on, in label-predicate-call units.
@@ -176,38 +162,12 @@ const (
 	// beat leftright by this factor to displace it, so estimation
 	// noise does not flip plans.
 	chooseMargin = 0.9
+	// depth is the typical element depth an ancestor walk climbs. It
+	// only tunes the pathcheck cost, never correctness, and being a
+	// constant it makes a plan, and EXPLAIN, a function of the
+	// document alone.
+	depth = 8.0
 )
-
-// meanDepth estimates the document's mean element depth from the
-// process-wide label code-length histograms (cdbs bits at roughly two
-// bits per level, qed digits at roughly one per level). The histogram
-// is a process aggregate, not a per-document statistic, so the value
-// only tunes cost constants — never correctness. With no observations
-// it falls back to a typical XML depth.
-func meanDepth() float64 {
-	if m := mCDBSCodeLen.Mean(); m > 0 {
-		return clampDepth(m / 2)
-	}
-	if m := mQEDCodeLen.Mean(); m > 0 {
-		return clampDepth(m)
-	}
-	return 8
-}
-
-var (
-	mCDBSCodeLen = metrics.Default.Histogram("cdbs_code_len_bits", metrics.ExpBuckets(1, 2, 12))
-	mQEDCodeLen  = metrics.Default.Histogram("qed_code_len_digits", metrics.ExpBuckets(1, 2, 12))
-)
-
-func clampDepth(d float64) float64 {
-	if d < 4 {
-		return 4
-	}
-	if d > 32 {
-		return 32
-	}
-	return d
-}
 
 // spine reports whether every step uses the child or descendant axis
 // — the fragment the planner can reorder.
@@ -283,30 +243,10 @@ func costForward(q *xpath.Query, counts []int, anchor int) float64 {
 }
 
 // costPathCheck models verifying counts[anchor] candidates by an
-// ancestor walk of depth d̄ against an anchor-step prefix.
-func costPathCheck(q *xpath.Query, counts []int, anchor int, depth float64) float64 {
+// ancestor walk of the typical depth against an anchor-step prefix.
+func costPathCheck(q *xpath.Query, counts []int, anchor int) float64 {
 	walk := float64(counts[anchor]) * (depth + float64(anchor)) * walkWeight
 	return walk + predCost(q.Steps[anchor], counts[anchor]) + costForward(q, counts, anchor)
-}
-
-// costAnchored models the upward semi-join pass plus the downward
-// re-validation, mirroring runAnchored's scans: the semi-join at step
-// i reads both its own candidate list and the already-pruned list
-// from step i+1 (at i = anchor-1 that is the full anchor list), while
-// predicates and the downward validation joins run on lists pruned to
-// at most the next pruned list's size.
-func costAnchored(q *xpath.Query, counts []int, anchor int) float64 {
-	cost := 0.0
-	prunedNext := counts[anchor]
-	for i := anchor - 1; i >= 0; i-- {
-		pruned := min(counts[i], prunedNext)
-		// Upward semi-join scans both inputs; predicate filtering and
-		// one downward validation join touch only the pruned list.
-		cost += float64(counts[i]) + float64(prunedNext) + predCost(q.Steps[i], pruned) + 2*float64(pruned)
-		prunedNext = pruned
-	}
-	cost += predCost(q.Steps[anchor], counts[anchor]) + costForward(q, counts, anchor)
-	return cost
 }
 
 // For compiles a plan for q against e's statistics. Compilation never
@@ -319,24 +259,14 @@ func For(e *xpath.Engine, q *xpath.Query) *Plan {
 		return p
 	}
 	counts := stepCounts(e, q)
-	depth := meanDepth()
 	p.CostLeftRight = costLeftRight(q, counts)
 	p.CostChosen = p.CostLeftRight
 
-	// predFree[i]: steps 0..i-1 carry no predicates (pathcheck
-	// eligibility for an anchor at step i).
-	prefixPredFree := true
-	for a := 1; a < len(q.Steps); a++ {
-		if len(q.Steps[a-1].Preds) > 0 {
-			prefixPredFree = false
-		}
-		if c := costAnchored(q, counts, a); c < p.CostChosen*chooseMargin {
-			p.Strategy, p.Anchor, p.CostChosen = Anchored, a, c
-		}
-		if prefixPredFree {
-			if c := costPathCheck(q, counts, a, depth); c < p.CostChosen*chooseMargin {
-				p.Strategy, p.Anchor, p.CostChosen = PathCheck, a, c
-			}
+	// Pathcheck may anchor at step a while steps 0..a-1 carry no
+	// predicates.
+	for a := 1; a < len(q.Steps) && len(q.Steps[a-1].Preds) == 0; a++ {
+		if c := costPathCheck(q, counts, a); c < p.CostChosen*chooseMargin {
+			p.Strategy, p.Anchor, p.CostChosen = PathCheck, a, c
 		}
 	}
 	return p

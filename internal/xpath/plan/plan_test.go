@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -105,7 +104,6 @@ func forcedPlans(q *xpath.Query) []*Plan {
 		if len(q.Steps[a-1].Preds) > 0 {
 			prefixPredFree = false
 		}
-		plans = append(plans, &Plan{Query: q, Text: q.String(), Strategy: Anchored, Anchor: a})
 		if prefixPredFree {
 			plans = append(plans, &Plan{Query: q, Text: q.String(), Strategy: PathCheck, Anchor: a})
 		}
@@ -208,58 +206,16 @@ func TestPlannerMatchesNaiveAllSchemes(t *testing.T) {
 	}
 }
 
-// TestParallelPartitionedJoins forces multi-part execution (the box
-// may have one CPU, so GOMAXPROCS is raised for the test) on a
-// document large enough to cross the partition threshold and checks
-// the partitioned operators against their sequential forms.
-func TestParallelPartitionedJoins(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
+// TestPathCheckMatchesNaiveLargeDoc checks a Q6-shaped pathcheck plan
+// against the naive engine on a 49 152-element document, where the
+// * step's candidate list is the whole document.
+func TestPathCheckMatchesNaiveLargeDoc(t *testing.T) {
 	gen := rand.New(rand.NewSource(9))
-	doc := randomNamedDoc(gen, 6*parallelThreshold)
+	doc := randomNamedDoc(gen, 6*8192)
 	eng := testEngine(t, doc)
-	ctxQ, err := xpath.Parse("//a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := eng.Eval(ctxQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"b", "*"} {
-		cand := eng.Candidates(name)
-		if partitions(len(cand)) < 2 {
-			t.Fatalf("document too small to partition %q (%d candidates)", name, len(cand))
-		}
-		for _, desc := range []bool{false, true} {
-			rec := &Report{Parallelism: 1}
-			got := joinDownPar(eng, ctx, cand, desc, rec)
-			want := eng.JoinDown(eng.Candidates("a"), cand, desc)
-			if !reflect.DeepEqual(normalize(got), normalize(want)) {
-				t.Errorf("joinDownPar(%q, desc=%v) diverges from JoinDown", name, desc)
-			}
-			if rec.Parallelism < 2 {
-				t.Errorf("joinDownPar(%q, desc=%v) did not partition", name, desc)
-			}
-			gotUp := joinUpPar(eng, ctx, cand, desc, nil)
-			wantUp := eng.JoinUp(eng.Candidates("a"), cand, desc)
-			if !reflect.DeepEqual(normalize(gotUp), normalize(wantUp)) {
-				t.Errorf("joinUpPar(%q, desc=%v) diverges from JoinUp", name, desc)
-			}
-		}
-	}
-	// pathFilterPar against the sequential range filter and the naive
-	// engine on a Q6-shaped query.
 	q, err := xpath.Parse("/root/*//b")
 	if err != nil {
 		t.Fatal(err)
-	}
-	cand := eng.Candidates("b")
-	var s pathScratch
-	seq := pathFilterRange(eng, q.Steps, 2, cand, &s)
-	par := pathFilterPar(eng, q.Steps, 2, cand, nil)
-	if !reflect.DeepEqual(normalize(seq), normalize(par)) {
-		t.Error("pathFilterPar diverges from sequential pathFilterRange")
 	}
 	want, err := eng.Eval(q)
 	if err != nil {
@@ -270,7 +226,7 @@ func TestParallelPartitionedJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(normalize(got), normalize(want)) {
-		t.Errorf("parallel pathcheck = %d matches, naive = %d", len(got), len(want))
+		t.Errorf("pathcheck = %d matches, naive = %d", len(got), len(want))
 	}
 }
 
@@ -463,5 +419,29 @@ func TestExplainReport(t *testing.T) {
 		if rec, err := NewCache().Explain(eng, 0, p.Query); err != nil || !strings.Contains(rec.String(), "\nreads: "+cmp.Or(strings.Join(reads, ", "), "*")+"\n") {
 			t.Errorf("%s explains as\n%v(%v)", text, rec, err)
 		}
+	}
+}
+
+// TestExplainCountsNothing pins Cache.Explain's promise that
+// diagnostics do not skew the cache metrics: an Explain of a query
+// whose plan and result are cached, and of one whose are not, moves
+// none of the four plan and result hit/miss counters.
+func TestExplainCountsNothing(t *testing.T) {
+	eng := testEngine(t, randomNamedDoc(rand.New(rand.NewSource(5)), 60))
+	c := NewCache()
+	if _, err := c.EvalString(eng, 1, "//a/b"); err != nil {
+		t.Fatal(err)
+	}
+	counters := func() [4]int64 {
+		return [4]int64{mPlanHits.Value(), mPlanMisses.Value(), mResultHits.Value(), mResultMisses.Value()}
+	}
+	before := counters()
+	for _, text := range []string{"//a/b", "//b/a", "//b/a"} {
+		if _, err := c.Explain(eng, 1, xpath.MustParse(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := counters(); after != before {
+		t.Errorf("Explain moved the plan hits, plan misses, result hits and result misses from %v to %v", before, after)
 	}
 }

@@ -146,7 +146,7 @@ for key in web_requests_total web_inflight_requests web_panics_total web_timeout
 	dyndoc_inserts_total dyndoc_snapshot_swaps_total dyndoc_reader_staleness_gens dyndoc_batch_size cdbs_batch_insert_codes \
 	journal_append_seconds journal_appends_total journal_group_commits_total journal_group_commit_batches \
 	journal_checkpoints_total journal_checkpoint_reclaimed_bytes_total journal_replayed_edits_total journal_oversize_refused_total \
-	xpath_plan_cache_hits_total xpath_result_cache_hits_total xpath_join_parallel_parts \
+	xpath_plan_cache_hits_total xpath_result_cache_hits_total \
 	journal_ship_requests_total journal_ship_batches_total journal_ship_bytes_total journal_ship_snapshots_total \
 	watch_watchers_active watch_events_total watch_notifications_total watch_coalesced_total watch_requeries_total \
 	follower_lag_seqs follower_applied_total follower_resets_total follower_polls_total pagestore_read_errors_total \
