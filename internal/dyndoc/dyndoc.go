@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,21 +77,17 @@ type Document struct {
 
 	// Edit tokens, which tell the cache what an answer outlives: born
 	// is d's construction, lastEdit its last edit of any kind, and
-	// versions the last edit that inserted or deleted an element called
-	// name, or a child of an element called name (readKey), if any did.
-	// A clone inherits them and copies the map.
+	// versions, by symbol, the last edits that touched each name (see
+	// tokens). A clone inherits them and copies versions, σ × 16 B.
 	born, lastEdit uint64
-	versions       map[readKey]uint64
+	versions       []tokens
 }
 
-// readKey is what versions keeps a token under: the elements called
-// name, or, with kids, their child lists, which a read set spells
-// "/name" (plan.ReadSet). An edit keys it with the symbol table's own
-// string, so stamping one allocates nothing.
-type readKey struct {
-	name string
-	kids bool
-}
+// tokens is what versions keeps for one name: the last edit that
+// inserted or deleted an element so called, and the last that inserted
+// or deleted a child of one — its child list, which a read set spells
+// "/name" (plan.ReadSet). Zero is no edit.
+type tokens struct{ name, kids uint64 }
 
 // editTokens numbers the edits and constructions of every document in
 // the process; an edit draws its token before it mutates anything. A
@@ -104,17 +101,42 @@ var editTokens atomic.Uint64
 
 // NameToken implements xpath.Versions; every edit is later than born.
 func (d *Document) NameToken(read string) uint64 {
-	k := readKey{name: read}
-	if parent, ok := strings.CutPrefix(read, "/"); ok {
-		k = readKey{name: parent, kids: true}
+	name, kids := strings.CutPrefix(read, "/")
+	sym, ok := d.syms.Lookup(name)
+	if !ok {
+		return d.born
 	}
-	return max(d.born, d.versions[k])
+	v := d.version(sym)
+	if kids {
+		return max(d.born, v.kids)
+	}
+	return max(d.born, v.name)
+}
+
+// version returns the tokens of the name whose symbol is sym. A symbol
+// at or past versions' end names nothing d has touched: a divergent
+// clone interned it after d forked, or no edit has reached it yet.
+func (d *Document) version(sym uint32) tokens {
+	if int(sym) < len(d.versions) {
+		return d.versions[sym]
+	}
+	return tokens{}
+}
+
+// touch returns the tokens of the name whose symbol is sym, for the
+// running edit to stamp, growing versions to the whole table first if
+// it stops short of sym.
+func (d *Document) touch(sym uint32) *tokens {
+	if int(sym) >= len(d.versions) {
+		d.versions = append(d.versions, make([]tokens, d.syms.Len()-len(d.versions))...)
+	}
+	return &d.versions[sym]
 }
 
 // touchChildren gives the child list of the element parent the running
 // edit's token: an insert under parent, or the delete of a child of it.
 func (d *Document) touchChildren(parent int) {
-	d.versions[readKey{name: d.NameOf(parent), kids: true}] = d.lastEdit
+	d.touch(d.codes.At(parent)).kids = d.lastEdit
 }
 
 // bind points d's engine at d's own names and at its labeling and index
@@ -174,16 +196,27 @@ type StoreFactory func(store.Binding) (store.Backend, error)
 // ErrBadNode reports an id that is out of range or deleted.
 var ErrBadNode = errors.New("dyndoc: bad node id")
 
-// binding is what d's index backend needs from d: the labeling's
-// document order predicate and d's document-order walk always, and the
-// order-preserving label bytes when the scheme has them.
-func (d *Document) binding() store.Binding {
-	b := store.Binding{Before: d.lab.Before, Elems: d.liveElems}
-	if d.ordered {
-		b.Key = d.lab.AppendOrderedLabel
+// binding is what d's index backend needs from d: d itself, a
+// store.Doc, which allocates nothing.
+func (d *Document) binding() store.Binding { return store.Binding{Doc: d} }
+
+// Before implements store.Doc: the labeling's document order.
+func (d *Document) Before(a, b int) bool { return d.lab.Before(a, b) }
+
+// AppendKey implements store.Doc with the labeling's ordered label
+// bytes.
+func (d *Document) AppendKey(dst []byte, id int) ([]byte, error) {
+	if !d.ordered {
+		return nil, store.ErrNoOrderedKeys
 	}
-	return b
+	return d.lab.AppendOrderedLabel(dst, id)
 }
+
+// AppendElems implements store.Doc with liveElems.
+func (d *Document) AppendElems(dst []int) []int { return d.liveElems(dst) }
+
+// Symbols implements store.Doc: the family's symbol table.
+func (d *Document) Symbols() *symtab.Table { return d.syms }
 
 // New labels doc with the given builder and indexes it in the default
 // in-memory slice backend. It reads doc once and keeps no reference to
@@ -208,8 +241,8 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 	n := lab.Tree().Cap() // the builder's count of doc's nodes
 	syms := symtab.New()
 	codes, elems := make([]uint32, n), make([]int, 0, n)
-	// Almost every name repeats one met before: a lookup in seen costs a
-	// third of an Intern, which takes the table's lock.
+	// Almost every name repeats one met before: a lookup in seen costs
+	// less than an Intern's in the table's sync.Map.
 	seen := make(map[string]uint32)
 	doc.Walk(func(id int, node *xmltree.Node, _, _ int) {
 		if node.Kind == xmltree.Element {
@@ -247,7 +280,7 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 		ordered:  scheme.Ordered(lab),
 		cache:    plan.NewCache(),
 		born:     editTokens.Add(1),
-		versions: make(map[readKey]uint64),
+		versions: make([]tokens, syms.Len()),
 	}
 	d.lastEdit = d.born
 	if d.idx, err = factory(d.binding()); err != nil {
@@ -463,12 +496,11 @@ func (d *Document) validateInsert(parent, pos int) error {
 // and the element enters the index unless skipIndex.
 func (d *Document) recordElement(id int, sym uint32, skipIndex bool) error {
 	d.codes.Append(sym)
-	name := d.syms.Name(sym)
-	d.versions[readKey{name: name}] = d.lastEdit
+	d.touch(sym).name = d.lastEdit
 	if skipIndex {
 		return nil
 	}
-	return d.addToIndex(name, id)
+	return d.addToIndex(d.syms.Name(sym), id)
 }
 
 // recordTree fills the columns for frag's nodes, whose ids and symbols
@@ -538,6 +570,11 @@ func (d *Document) rebuildAfter(relabeled int) bool {
 	return relabeled > 0 && d.idx.Name() != "slice"
 }
 
+// doomedSets recycles DeleteSubtree's sets of doomed ids, which
+// Backend.Remove takes and does not keep: a served delete, on a fresh
+// clone, builds no map of its own.
+var doomedSets = sync.Pool{New: func() any { return map[int]bool{} }}
+
 // DeleteSubtree removes the node id and its descendants from the
 // labeling and the index. It returns the number of removed
 // nodes.
@@ -554,12 +591,16 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 	// child list the root leaves.
 	d.lastEdit = editTokens.Add(1)
 	d.touchChildren(tr.Parent(id))
-	doomed := map[int]bool{}
+	doomed := doomedSets.Get().(map[int]bool)
+	defer func() {
+		clear(doomed)
+		doomedSets.Put(doomed)
+	}()
 	var collect func(v int)
 	collect = func(v int) {
 		doomed[v] = true
-		if name := d.NameOf(v); name != "" {
-			d.versions[readKey{name: name}] = d.lastEdit
+		if d.isElement(v) {
+			d.touch(d.codes.At(v)).name = d.lastEdit
 		}
 		for _, c := range tr.Kids(v) {
 			collect(c)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -21,38 +20,36 @@ var ErrNoOrderedKeys = errors.New("store: labeling scheme does not expose order-
 // paged keeps the element index in one B-tree over a checksummed page
 // file:
 //
-//	names tree:   nameID(u32 BE) || label bytes  -> node id
+//	names tree:   symbol(u32 BE) || label bytes  -> node id
 //
-// Because the label encoding is order-preserving, a prefix scan under
-// one nameID yields that name's ids in document order — no Before
-// callback, no post-sort — and an edit touches that name's key range
-// and no other.
+// The symbol is the name's code in the binding's symbol table, which is
+// dense and never frees one. Because the label encoding is
+// order-preserving, a prefix scan under one symbol yields that name's
+// ids in document order — no Before callback, no post-sort — and an
+// edit touches that name's key range and no other.
 //
-// Nothing of it outlives the process: the name table (name -> nameID)
-// is in memory, and the page file is unlinked scratch that only the
-// pager reads back. Every open rebuilds the index from the document
-// (the journal is the recovery truth).
+// Nothing of it outlives the process: the page file is unlinked
+// scratch that only the pager reads back. Every open rebuilds the index
+// from the document (the journal is the recovery truth).
 type paged struct {
-	mu   sync.Mutex
-	bind Binding
-	dir  string
+	mu  sync.Mutex
+	doc Doc
+	dir string
 	// cachePages is the pager budget handed to every generation.
 	cachePages int
 
 	cur   *pageGen        // vet:guardedby mu // nil once closed
 	names *pagestore.Tree // vet:guardedby mu
 
-	// nameIDs are dense and never freed: the next one is len(nameIDs).
-	nameIDs map[string]uint32 // vet:guardedby mu
-
-	// memoElems and memoIDs materialize Elems and IDs so repeated
-	// queries don't re-scan the tree; an edit drops memoElems and the
-	// lists of the names it touched, nothing else. They are mutated
-	// only under mu, but a materialized slice itself is never written
-	// again — invalidation forgets it — so handing one out as a borrowed
-	// read-only view is safe and they are deliberately left un-annotated.
+	// memoElems and memoIDs, by symbol, materialize Elems and IDs so
+	// repeated queries don't re-scan the tree; a nil slot is no memo. An
+	// edit drops memoElems and the lists of the names it touched, nothing
+	// else. They are mutated only under mu, but a materialized slice
+	// itself is never written again — invalidation forgets it — so
+	// handing one out as a borrowed read-only view is safe and they are
+	// deliberately left un-annotated.
 	memoElems []int
-	memoIDs   map[string][]int
+	memoIDs   [][]int
 
 	// keyBuf is the scratch keys are built in (the tree copies what it
 	// keeps).
@@ -82,10 +79,11 @@ func (g *pageGen) close() error {
 // OpenPaged creates a paged backend whose page files are unlinked
 // scratch in dir; page files older versions left there under a name
 // are removed. The index is always rebuilt from the recovered document:
-// pages are a spill target, not a source of truth. Binding.Key is
-// required.
+// pages are a spill target, not a source of truth. The binding must
+// have ordered keys: the root's key answers for every node's.
 func OpenPaged(dir string, cachePages int, b Binding) (Backend, error) {
-	if b.Key == nil {
+	doc := b.doc(nil)
+	if _, err := doc.AppendKey(nil, 0); errors.Is(err, ErrNoOrderedKeys) {
 		return nil, ErrNoOrderedKeys
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -97,13 +95,7 @@ func OpenPaged(dir string, cachePages int, b Binding) (Backend, error) {
 			_ = os.Remove(s)
 		}
 	}
-	p := &paged{
-		bind:       b,
-		dir:        dir,
-		cachePages: cachePages,
-		nameIDs:    map[string]uint32{},
-		memoIDs:    map[string][]int{},
-	}
+	p := &paged{doc: doc, dir: dir, cachePages: cachePages}
 	p.mu.Lock()
 	err = p.openGen()
 	p.mu.Unlock()
@@ -131,66 +123,52 @@ func (p *paged) openGen() error {
 
 func (p *paged) Name() string { return "paged" }
 
-// vet:holds p.mu
-func (p *paged) nameIDLocked(name string) uint32 {
-	if id, ok := p.nameIDs[name]; ok {
-		return id
-	}
-	id := uint32(len(p.nameIDs))
-	p.nameIDs[name] = id
-	return id
-}
-
-// entryKey appends node id's key to dst: nameID (big-endian, so prefix
-// scans isolate one name), then the order-preserving label bytes. It
-// refuses an id or, with ErrLabelTooLong, a key the tree cannot hold.
-func (p *paged) entryKey(dst []byte, nameID uint32, id int) ([]byte, error) {
+// entryKey appends node id's key to dst: the symbol (big-endian, so
+// prefix scans isolate one name), then the order-preserving label
+// bytes. It refuses an id or, with ErrLabelTooLong, a key the tree
+// cannot hold.
+func (p *paged) entryKey(dst []byte, sym uint32, id int) ([]byte, error) {
 	if id < 0 || int64(id) > math.MaxUint32 {
 		return nil, fmt.Errorf("store: node id %d out of paged range", id)
 	}
-	key, err := p.bind.Key(binary.BigEndian.AppendUint32(dst, nameID), id)
+	key, err := p.doc.AppendKey(binary.BigEndian.AppendUint32(dst, sym), id)
 	if err == nil && len(key) > pagestore.MaxKeySize {
 		err = fmt.Errorf("%w: node %d has %d bytes, limit %d", ErrLabelTooLong, id, len(key)-4, maxPagedLabel)
 	}
 	return key, err
 }
 
-// dropMemoLocked forgets the lists an edit to one of name's elements
+// dropMemoLocked forgets the lists an edit to one of sym's elements
 // made stale.
 //
 // vet:holds p.mu
-func (p *paged) dropMemoLocked(name string) {
+func (p *paged) dropMemoLocked(sym uint32) {
 	p.memoElems = nil
-	delete(p.memoIDs, name)
+	if int(sym) < len(p.memoIDs) {
+		p.memoIDs[sym] = nil
+	}
 }
 
 // maxPagedLabel is the longest label the tree can key: four bytes of
-// pagestore.MaxKeySize go to the name id.
+// pagestore.MaxKeySize go to the symbol.
 const maxPagedLabel = pagestore.MaxKeySize - 4
 
-// vet:holds p.mu
-func (p *paged) addLocked(name string, id int) error {
-	key, err := p.entryKey(p.keyBuf[:0], p.nameIDLocked(name), id)
-	if err != nil {
-		return err
-	}
-	p.keyBuf = key
-	p.dropMemoLocked(name)
-	return p.names.Insert(key, uint32(id))
-}
-
 // Build replaces the index in one pass: a counting sort buckets elems by
-// name id, and within a name document order is label order, so the tree
+// symbol, and within a name document order is label order, so the tree
 // is bulk loaded from ascending keys. Nothing of the sort is kept.
 func (p *paged) Build(elems []int, nameOf func(int) string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.memoElems, p.memoIDs = nil, map[string][]int{}
-	byName := make([]uint32, len(elems)) // elems[i]'s name id
+	p.memoElems, p.memoIDs = nil, nil
+	syms := p.doc.Symbols()
+	byName := make([]uint32, len(elems)) // elems[i]'s symbol
 	for i, id := range elems {
-		byName[i] = p.nameIDLocked(nameOf(id))
+		var err error
+		if byName[i], err = syms.Intern(nameOf(id)); err != nil {
+			return err
+		}
 	}
-	end := make([]int, len(p.nameIDs)) // where each bucket starts, then ends
+	end := make([]int, syms.Len()) // where each bucket starts, then ends
 	for _, n := range byName {
 		end[n]++
 	}
@@ -239,33 +217,36 @@ func (p *paged) loadLocked(src func(yield func([]byte, uint32) bool) error) erro
 }
 
 func (p *paged) Add(name string, id int) error {
+	sym, err := p.doc.Symbols().Intern(name)
+	if err != nil {
+		return err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.addLocked(name, id)
+	key, err := p.entryKey(p.keyBuf[:0], sym, id)
+	if err != nil {
+		return err
+	}
+	p.keyBuf = key
+	p.dropMemoLocked(sym)
+	return p.names.Insert(key, uint32(id))
 }
 
 func (p *paged) Remove(doomed map[int]bool, nameOf func(int) string) error {
+	syms := p.doc.Symbols()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for id := range doomed {
-		name := nameOf(id)
-		if name == "" {
-			continue // only elements are indexed
-		}
-		nameID, ok := p.nameIDs[name]
+		sym, ok := syms.Lookup(nameOf(id))
 		if !ok {
-			// Every Add allocates its name's id first, so a name without
-			// one has no entries; allocating one here would permanently
-			// grow the name table (and every future clone's copy) for
-			// names only ever seen in deletes.
-			continue
+			continue // not an element, so not indexed
 		}
-		key, err := p.bind.Key(binary.BigEndian.AppendUint32(p.keyBuf[:0], nameID), id)
+		key, err := p.doc.AppendKey(binary.BigEndian.AppendUint32(p.keyBuf[:0], sym), id)
 		if err != nil {
 			return err
 		}
 		p.keyBuf = key
-		p.dropMemoLocked(name)
+		p.dropMemoLocked(sym)
 		if _, err := p.names.Delete(key); err != nil {
 			return err
 		}
@@ -296,18 +277,21 @@ func (p *paged) scanIDsLocked(ids []int, prefix []byte) []int {
 func (p *paged) appendAllLocked(dst []int) []int { return p.scanIDsLocked(dst, nil) }
 
 func (p *paged) IDs(name string) []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ids, ok := p.memoIDs[name]; ok {
-		return ids
-	}
-	nameID, ok := p.nameIDs[name]
+	sym, ok := p.doc.Symbols().Lookup(name)
 	if !ok {
 		return nil
 	}
-	ids := p.scanIDsLocked([]int{}, binary.BigEndian.AppendUint32(nil, nameID))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if int(sym) < len(p.memoIDs) && p.memoIDs[sym] != nil {
+		return p.memoIDs[sym]
+	}
+	ids := p.scanIDsLocked([]int{}, binary.BigEndian.AppendUint32(nil, sym))
 	if ids != nil {
-		p.memoIDs[name] = ids
+		if n := int(sym) + 1; n > len(p.memoIDs) {
+			p.memoIDs = append(p.memoIDs, make([][]int, n-len(p.memoIDs))...)
+		}
+		p.memoIDs[sym] = ids
 	}
 	return ids
 }
@@ -316,7 +300,7 @@ func (p *paged) Elems() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.memoElems == nil {
-		p.memoElems = listElems(p.bind, p.names.Count(), p.appendAllLocked)
+		p.memoElems = listElems(p.doc, p.names.Count(), p.appendAllLocked)
 	}
 	return p.memoElems
 }
@@ -344,9 +328,6 @@ func (p *paged) MemoryFootprint() int64 {
 	fp += int64(cap(p.memoElems)) * 8
 	for _, ids := range p.memoIDs {
 		fp += int64(cap(ids)) * 8
-	}
-	for name := range p.nameIDs {
-		fp += int64(len(name)) + 24
 	}
 	return fp
 }
@@ -376,13 +357,11 @@ func (p *paged) Clone(b Binding) (Backend, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return &paged{
-		bind:       b,
+		doc:        b.doc(p.doc.Symbols()),
 		dir:        p.dir,
 		cachePages: p.cachePages,
 		cur:        p.cur,
 		names:      p.names.Clone(),
-		nameIDs:    maps.Clone(p.nameIDs),
-		memoIDs:    map[string][]int{},
 	}, nil
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -10,7 +9,9 @@ import (
 )
 
 // slice is the in-memory backend: one id slice per element name, kept
-// in document order by ordered insertion, and nothing else per id.
+// in document order by ordered insertion, and nothing else per id. The
+// lists sit in byName at their names' symbols; a symbol at or past its
+// end, or a nil slot, has no elements.
 //
 // elems memoises the all-elements list: the first Elems after an edit
 // fills it, nothing writes to it afterwards, the next edit forgets it.
@@ -20,71 +21,90 @@ import (
 // Build carves every list from one array of exactly the entries it
 // indexes, each list's capacity its length: the first Add to a list
 // moves it to an array of its own, as the first Add after a clone does.
-// A clone copies the byName map and the memo pointer and shares every
-// list; the first Add or Remove that touches a name after a clone
-// replaces that name's list with a private one (own).
+// A clone copies byName, one slice header a symbol, and the memo
+// pointer, and shares every list; the first Add or Remove that touches
+// a name after a clone replaces that name's list with a private one
+// (own).
 //
 // caps is the sum of the lists' capacities, what MemoryFootprint
 // charges; put keeps it in step with byName.
 type slice struct {
-	bind    Binding
-	byName  map[string][]int
+	doc     Doc
+	byName  [][]int
 	entries int
 	caps    int
 	elems   atomic.Pointer[[]int]
-	own     cow.Owner[string]
+	own     cow.Owner[uint32]
 }
 
-// NewSlice returns the in-memory slice backend. Binding.Before is
-// required; Binding.Key is unused.
+// NewSlice returns the in-memory slice backend. It needs the binding's
+// Before, and Key only through a Doc.
 func NewSlice(b Binding) Backend {
-	return &slice{bind: b, byName: map[string][]int{}, own: cow.NewOwner[string]()}
+	return &slice{doc: b.doc(nil), own: cow.NewOwner[uint32]()}
+}
+
+// list returns the list of the name whose symbol is sym.
+func (s *slice) list(sym uint32) []int {
+	if int(sym) < len(s.byName) {
+		return s.byName[sym]
+	}
+	return nil
 }
 
 func (s *slice) Build(elems []int, nameOf func(int) string) error {
-	count := map[string]int{}
-	for _, id := range elems {
-		count[nameOf(id)]++
+	syms := s.doc.Symbols()
+	of := make([]uint32, len(elems)) // elems[i]'s symbol
+	for i, id := range elems {
+		var err error
+		if of[i], err = syms.Intern(nameOf(id)); err != nil {
+			return err
+		}
 	}
-	s.byName = make(map[string][]int, len(count))
-	s.own = cow.NewOwner[string]()
+	count := make([]int, syms.Len())
+	for _, sym := range of {
+		count[sym]++
+	}
+	s.byName = make([][]int, len(count))
+	s.own = cow.NewOwner[uint32]()
 	free := make([]int, len(elems))
-	for _, id := range elems {
-		name := nameOf(id)
-		ids, ok := s.byName[name]
-		if !ok {
-			n := count[name]
+	for i, sym := range of {
+		ids := s.byName[sym]
+		if ids == nil {
+			n := count[sym]
 			ids, free = free[:0:n], free[n:]
 		}
-		s.byName[name] = append(ids, id)
+		s.byName[sym] = append(ids, elems[i])
 	}
 	s.entries, s.caps = len(elems), len(elems)
 	s.elems.Store(nil)
 	return nil
 }
 
-// put makes ids name's list, or drops the name when ids is empty.
-func (s *slice) put(name string, ids []int) {
-	s.caps += cap(ids) - cap(s.byName[name])
-	if len(ids) == 0 {
-		delete(s.byName, name)
-		return
+// put makes ids the list of the name whose symbol is sym.
+func (s *slice) put(sym uint32, ids []int) {
+	if n := int(sym) + 1; n > len(s.byName) {
+		s.byName = append(s.byName, make([][]int, n-len(s.byName))...)
 	}
-	s.byName[name] = ids
+	s.caps += cap(ids) - cap(s.byName[sym])
+	s.byName[sym] = ids
 }
 
 func (s *slice) Add(name string, id int) error {
-	ids := s.byName[name]
-	if s.own.Refresh(); !s.own.Has(name) {
+	sym, err := s.doc.Symbols().Intern(name)
+	if err != nil {
+		return err
+	}
+	ids := s.list(sym)
+	if s.own.Refresh(); !s.own.Has(sym) {
 		// Clipped, the insert cannot fit and moves to a new array.
 		ids = slices.Clip(ids)
-		s.own.Add(name)
+		s.own.Add(sym)
 	}
 	at := len(ids) // the common case, and one Before call
-	if at > 0 && !s.bind.Before(ids[at-1], id) {
-		at = sort.Search(at, func(i int) bool { return s.bind.Before(id, ids[i]) })
+	if at > 0 && !s.doc.Before(ids[at-1], id) {
+		at = sort.Search(at, func(i int) bool { return s.doc.Before(id, ids[i]) })
 	}
-	s.put(name, slices.Insert(ids, at, id))
+	s.put(sym, slices.Insert(ids, at, id))
 	s.entries++
 	s.elems.Store(nil)
 	return nil
@@ -95,10 +115,14 @@ func (s *slice) Add(name string, id int) error {
 // subtree is deleted — leave in one move.
 func (s *slice) Remove(doomed map[int]bool, nameOf func(int) string) error {
 	s.own.Refresh()
+	syms := s.doc.Symbols()
 	for id := range doomed {
-		name := nameOf(id)
-		ids := s.byName[name]
-		lo := sort.Search(len(ids), func(i int) bool { return !s.bind.Before(ids[i], id) })
+		sym, ok := syms.Lookup(nameOf(id))
+		if !ok {
+			continue // not an element
+		}
+		ids := s.list(sym)
+		lo := sort.Search(len(ids), func(i int) bool { return !s.doc.Before(ids[i], id) })
 		if lo == len(ids) || ids[lo] != id {
 			continue // not indexed, or gone with an earlier run
 		}
@@ -112,28 +136,35 @@ func (s *slice) Remove(doomed map[int]bool, nameOf func(int) string) error {
 		s.entries -= hi - lo
 		switch {
 		case hi-lo == len(ids):
-			s.put(name, nil)
-		case s.own.Has(name):
-			s.byName[name] = slices.Delete(ids, lo, hi)
+			s.put(sym, nil)
+		case s.own.Has(sym):
+			s.byName[sym] = slices.Delete(ids, lo, hi)
 		default:
-			s.put(name, slices.Concat(ids[:lo], ids[hi:]))
-			s.own.Add(name)
+			s.put(sym, slices.Concat(ids[:lo], ids[hi:]))
+			s.own.Add(sym)
 		}
 		s.elems.Store(nil)
 	}
 	return nil
 }
 
-func (s *slice) Name() string          { return "slice" }
-func (s *slice) IDs(name string) []int { return s.byName[name] }
-func (s *slice) Entries() int          { return s.entries }
-func (s *slice) Stats() Stats          { return Stats{Backend: "slice", Entries: s.entries} }
+func (s *slice) Name() string { return "slice" }
+func (s *slice) Entries() int { return s.entries }
+func (s *slice) Stats() Stats { return Stats{Backend: "slice", Entries: s.entries} }
+
+func (s *slice) IDs(name string) []int {
+	sym, ok := s.doc.Symbols().Lookup(name)
+	if !ok {
+		return nil
+	}
+	return s.list(sym)
+}
 
 func (s *slice) Elems() []int {
 	if memo := s.elems.Load(); memo != nil {
 		return *memo
 	}
-	all := listElems(s.bind, s.entries, func(dst []int) []int {
+	all := listElems(s.doc, s.entries, func(dst []int) []int {
 		for _, ids := range s.byName {
 			dst = append(dst, ids...)
 		}
@@ -154,7 +185,7 @@ func (s *slice) MemoryFootprint() int64 {
 }
 
 func (s *slice) Clone(b Binding) (Backend, error) {
-	c := &slice{bind: b, byName: maps.Clone(s.byName), entries: s.entries, caps: s.caps, own: s.own.Fork()}
+	c := &slice{doc: b.doc(s.doc.Symbols()), byName: slices.Clone(s.byName), entries: s.entries, caps: s.caps, own: s.own.Fork()}
 	c.elems.Store(s.elems.Load())
 	return c, nil
 }

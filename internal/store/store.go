@@ -4,12 +4,14 @@
 // order.
 //
 // Two backends implement it, and both are one ordered id list per
-// element name and nothing else per id. The slice backend keeps the
-// lists as in-memory slices; it is also the differential oracle for the
-// paged backend, which keeps them as the key ranges of one B-tree over
-// fixed-size checksummed pages (internal/pagestore) keyed by name id
-// and raw order-preserving label bytes, so documents whose index
-// exceeds the cache budget spill to disk instead of growing the heap.
+// element name and nothing else per id, found by the name's symbol: its
+// code in the document's symbol table (internal/symtab). The slice
+// backend keeps the lists as in-memory slices in an array indexed by
+// symbol; it is also the differential oracle for the paged backend,
+// which keeps them as the key ranges of one B-tree over fixed-size
+// checksummed pages (internal/pagestore) keyed by symbol and raw
+// order-preserving label bytes, so documents whose index exceeds the
+// cache budget spill to disk instead of growing the heap.
 // Neither maintains the list of all elements: the first * name test
 // after an edit fills an immutable memo (listElems) and the next edit
 // forgets it.
@@ -24,40 +26,97 @@ package store
 import (
 	"errors"
 	"sort"
+
+	"repro/internal/symtab"
 )
 
-// Binding supplies the label-dependent callbacks a backend needs from
-// the owning document. Backends never reach into the labeling
-// directly; rebinding a Binding is how a cloned document re-points its
-// backend clone at the cloned labeling.
+// Binding is what a backend needs from the document it indexes.
+// Backends never reach into the labeling directly; rebinding is how a
+// cloned document re-points its backend clone at the cloned labeling.
+// A document binds itself as Doc, which costs nothing per clone; a
+// caller that holds only a labeling gives the three funcs instead, and
+// the backend then names elements in a symbol table of its own, which
+// its clones share.
 type Binding struct {
+	// Doc, when not nil, is the document; the funcs are then unused.
+	Doc Doc
 	// Before reports whether node a precedes node b in document order.
-	// Required by the slice backend's ordered inserts.
 	Before func(a, b int) bool
-	// Key appends an order-preserving byte encoding of node id's label
-	// to dst: bytes.Compare on two encodings must agree with document
-	// order, and encodings must be unique per live node. Nil when the
-	// labeling scheme cannot provide one; the paged backend then
-	// refuses to open.
+	// Key is Doc.AppendKey; nil when the labeling scheme cannot provide
+	// one, and the paged backend then refuses to open.
 	Key func(dst []byte, id int) ([]byte, error)
-	// Elems appends every live element id to dst in document order, from
-	// a walk of the document itself: what a backend fills its
-	// all-elements memo from. Optional; without it the memo is the per-name
-	// lists sorted by Before, thirty times slower on 15 000 elements.
+	// Elems is Doc.AppendElems. Optional; without it the all-elements
+	// memo is the per-name lists sorted by Before, thirty times slower
+	// on 15 000 elements.
 	Elems func(dst []int) []int
 }
 
-// listElems is the all-elements list of a backend bound to b that holds
-// n ids: the document's own walk or, for a binding without one, the
+// Doc is a document as its index sees it.
+type Doc interface {
+	// Before reports whether node a precedes node b in document order.
+	Before(a, b int) bool
+	// AppendKey appends an order-preserving byte encoding of node id's
+	// label to dst: bytes.Compare on two encodings must agree with
+	// document order, and encodings must be unique per live node. Under
+	// a scheme without one it fails for every node with
+	// ErrNoOrderedKeys.
+	AppendKey(dst []byte, id int) ([]byte, error)
+	// AppendElems appends every live element id to dst in document
+	// order, from a walk of the document itself: what a backend fills
+	// its all-elements memo from.
+	AppendElems(dst []int) []int
+	// Symbols is the table that codes the document's element names; a
+	// backend keeps its per-name state by code.
+	Symbols() *symtab.Table
+}
+
+// doc returns what b binds: b.Doc, or b's funcs with syms (a new table
+// if nil) for the element names.
+func (b Binding) doc(syms *symtab.Table) Doc {
+	if b.Doc != nil {
+		return b.Doc
+	}
+	if syms == nil {
+		syms = symtab.New()
+	}
+	return &funcDoc{b: b, syms: syms}
+}
+
+// funcDoc is a Binding given as funcs, as a Doc.
+type funcDoc struct {
+	b    Binding
+	syms *symtab.Table
+}
+
+func (f *funcDoc) Before(a, b int) bool   { return f.b.Before(a, b) }
+func (f *funcDoc) Symbols() *symtab.Table { return f.syms }
+
+func (f *funcDoc) AppendKey(dst []byte, id int) ([]byte, error) {
+	if f.b.Key == nil {
+		return nil, ErrNoOrderedKeys
+	}
+	return f.b.Key(dst, id)
+}
+
+// AppendElems returns nil when the binding has no Elems.
+func (f *funcDoc) AppendElems(dst []int) []int {
+	if f.b.Elems == nil {
+		return nil
+	}
+	return f.b.Elems(dst)
+}
+
+// listElems is the all-elements list of a backend over d that holds n
+// ids: the document's own walk or, for a binding without one, the
 // definition — every per-name list, which concat appends to its
 // argument, sorted by Before.
-func listElems(b Binding, n int, concat func(dst []int) []int) []int {
+func listElems(d Doc, n int, concat func(dst []int) []int) []int {
 	all := make([]int, 0, n)
-	if b.Elems != nil {
-		return b.Elems(all)
+	if walked := d.AppendElems(all); walked != nil {
+		return walked
 	}
 	all = concat(all)
-	sort.Slice(all, func(i, j int) bool { return b.Before(all[i], all[j]) })
+	sort.Slice(all, func(i, j int) bool { return d.Before(all[i], all[j]) })
 	return all
 }
 
@@ -96,22 +155,23 @@ type Backend interface {
 
 	// Build replaces the index contents from a document-order walk:
 	// elems lists every element node id in document order and nameOf
-	// returns each node's element name.
+	// returns each node's element name, which the binding's symbol
+	// table interns.
 	Build(elems []int, nameOf func(int) string) error
 
 	// Add indexes one new element node. The node's label must already
-	// be assigned (Binding callbacks are consulted).
+	// be assigned (the binding is consulted).
 	Add(name string, id int) error
 
 	// Remove drops every doomed node from the index. nameOf reports
 	// each node's element name ("" for non-elements, which are
 	// skipped). Must be called while the doomed nodes' labels are
-	// still live.
+	// still live; Remove does not keep doomed.
 	Remove(doomed map[int]bool, nameOf func(int) string) error
 
-	// IDs returns the ids of elements named name in document order.
-	// Callers must not mutate or retain the slice across index
-	// mutations.
+	// IDs returns the ids of elements named name in document order, nil
+	// for a name the binding's symbol table does not hold. Callers must
+	// not mutate or retain the slice across index mutations.
 	IDs(name string) []int
 
 	// Elems returns all element ids in document order, under the same
@@ -129,7 +189,8 @@ type Backend interface {
 	Stats() Stats
 
 	// Clone returns an independent copy bound to b, for cloned
-	// documents. Paged clones share the page file copy-on-write.
+	// documents: b's symbol table must be the original's. Paged clones
+	// share the page file copy-on-write.
 	Clone(b Binding) (Backend, error)
 
 	// Err reports, and clears, the error a degraded read recorded

@@ -525,9 +525,8 @@ func TestPagedCloneIsolation(t *testing.T) {
 }
 
 // TestPagedRemoveUnknownName: removing elements whose name was never
-// indexed must be a no-op that does not allocate name-table ids — a
-// name first seen in a delete would otherwise grow nameIDs (and every
-// future clone's copy) forever.
+// indexed must be a no-op that interns nothing — a name first seen in a
+// delete would otherwise grow the symbol table forever.
 func TestPagedRemoveUnknownName(t *testing.T) {
 	w := newWorld()
 	b, err := OpenPaged(t.TempDir(), 8, w.binding())
@@ -546,7 +545,7 @@ func TestPagedRemoveUnknownName(t *testing.T) {
 		w.ord[i] = uint64(i)
 	}
 	p := b.(*paged)
-	namesBefore := len(p.nameIDs)
+	namesBefore := p.doc.Symbols().Len()
 	doomed := map[int]bool{}
 	for i := 10; i < 20; i++ {
 		doomed[i] = true
@@ -555,8 +554,8 @@ func TestPagedRemoveUnknownName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.nameIDs) != namesBefore {
-		t.Fatalf("remove of unknown names grew the name table: %d ids, want %d", len(p.nameIDs), namesBefore)
+	if n := p.doc.Symbols().Len(); n != namesBefore {
+		t.Fatalf("remove of unknown names grew the name table: %d symbols, want %d", n, namesBefore)
 	}
 	if b.Entries() != 10 {
 		t.Fatalf("entries %d, want 10", b.Entries())
