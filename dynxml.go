@@ -682,7 +682,9 @@ func (h *Handle) XML() string { return h.doc.XML() }
 // Query evaluates a parsed path expression through the planner and the
 // result cache, which keeps an answer until an edit inserts or deletes
 // an element the query reads; on a concurrent handle the evaluation is
-// lock-free against the latest snapshot.
+// lock-free against the latest snapshot. The ids are the cached answer,
+// shared and read-only, and stay valid across later edits: call
+// slices.Clone to own them.
 func (h *Handle) Query(q *Query) ([]int, error) {
 	if err := h.acquire(); err != nil {
 		return nil, err
@@ -692,7 +694,8 @@ func (h *Handle) Query(q *Query) ([]int, error) {
 }
 
 // QueryString parses and evaluates a path expression; a result-cache
-// hit skips the parse.
+// hit parses, copies and allocates nothing. The ids are shared and
+// read-only, as Query's are: call slices.Clone to own them.
 func (h *Handle) QueryString(path string) ([]int, error) {
 	if err := h.acquire(); err != nil {
 		return nil, err

@@ -183,10 +183,9 @@ func TestLiveFacade(t *testing.T) {
 
 // TestCountHitAllocs pins what a result-cache hit costs on either kind
 // of handle, with an edit the query does not read between filling the
-// cache and asking again: Count reads the cached result's length — no
-// parse, no copy of the ids, no allocation — and QueryString allocates
-// the caller's copy of the ids and nothing beside it, whether that is 5
-// ids or 3 797.
+// cache and asking again: nothing. Count reads the cached answer's
+// length and QueryString returns the cached answer itself — no parse,
+// no copy of the ids, no allocation — whether that is 5 ids or 3 797.
 func TestCountHitAllocs(t *testing.T) {
 	for name, opts := range map[string][]Option{"concurrent": {WithConcurrent()}, "live": nil} {
 		h, err := Open(datagen.Hamlet(), opts...)
@@ -219,12 +218,11 @@ func TestCountHitAllocs(t *testing.T) {
 				}
 			}
 			runtime.ReadMemStats(&after)
-			n, b := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
-			t.Logf("%s: %s: %d ids, %d B in %d allocations per hit", name, q, want, b, n)
-			// A size class is at most an eighth above the request.
-			if limit := uint64(8*want)*9/8 + 64; n > 2 || b > limit {
-				t.Errorf("%s: QueryString(%s) on a hit allocates %d B in %d allocations for %d ids, want at most %d B in 2",
-					name, q, b, n, want, limit)
+			// Per hit, rounded down as AllocsPerRun does: a stray
+			// allocation of another goroutine's is not the hit's.
+			if n, b := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs; n != 0 || b != 0 {
+				t.Errorf("%s: a QueryString(%s) hit on %d ids allocates %d B in %d allocations, want none",
+					name, q, want, b, n)
 			}
 		}
 	}

@@ -142,7 +142,9 @@ func (c *Concurrent) observeStaleness(s *snapshot) {
 // published snapshot, lock-free. The snapshots of one Concurrent share
 // their documents' plan and result cache (Document.Query), so an answer
 // computed on one snapshot serves every later one whose edits touched
-// no element the query reads.
+// no element the query reads. The ids are that shared answer, read-only
+// and valid for as long as the caller holds them: call slices.Clone to
+// own them.
 func (c *Concurrent) Query(q *xpath.Query) ([]int, error) {
 	s := c.load()
 	defer c.observeStaleness(s)
@@ -161,7 +163,8 @@ func (c *Concurrent) Explain(path string) (*plan.Report, error) {
 	return rep, nil
 }
 
-// QueryString is Document.QueryString on the latest published snapshot.
+// QueryString is Document.QueryString on the latest published
+// snapshot; its ids are shared and read-only, as Query's are.
 func (c *Concurrent) QueryString(path string) ([]int, error) {
 	s := c.load()
 	defer c.observeStaleness(s)

@@ -630,7 +630,8 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 // document state and returns matching ids in document order. Like
 // every query method it goes through the planner and the result cache,
 // which has the answer unless an edit since it was computed inserted
-// or deleted an element the query reads.
+// or deleted an element the query reads. The ids are the cached answer,
+// shared and read-only (plan.Cache.Eval): call slices.Clone to own them.
 func (d *Document) Query(q *xpath.Query) ([]int, error) {
 	mQueries.Inc()
 	return d.cache.Eval(&d.eng, d.lastEdit, q)
@@ -653,17 +654,17 @@ func (d *Document) Explain(path string) (*plan.Report, error) {
 }
 
 // QueryString parses and evaluates a path expression; a result-cache
-// hit skips the parse.
+// hit parses, copies and allocates nothing. The ids are shared and
+// read-only, as Query's are: call slices.Clone to own them.
 func (d *Document) QueryString(path string) ([]int, error) {
 	mQueries.Inc()
 	return d.cache.EvalString(&d.eng, d.lastEdit, path)
 }
 
-// Count returns the number of matches for a path expression; on a
-// result-cache hit nothing is parsed, copied or allocated.
+// Count returns the number of matches for a path expression.
 func (d *Document) Count(path string) (int, error) {
-	mQueries.Inc()
-	return d.cache.Count(&d.eng, d.lastEdit, path)
+	ids, err := d.QueryString(path)
+	return len(ids), err
 }
 
 // QueryRendered is render(ids) for the ids QueryString returns,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,5 +381,142 @@ func starQueryStorm(t *testing.T, factory StoreFactory) {
 	t.Logf("%d answers served across %d generations", served.Load(), editors*editsEach)
 	if served.Load() < readers {
 		t.Errorf("only %d answers were served: the readers did not run beside the editors", served.Load())
+	}
+}
+
+// TestBorrowedAnswerStorm is the storm for the borrowed-answer contract:
+// Query and QueryString return the result cache's own ids, which a
+// caller may hold across later publishes. A writer inserts and deletes
+// while readers each keep their last few answers; the writer files
+// every generation's answers, by the naive engine, before publishing
+// it, and a watcher re-reads the first query at every publish. Every
+// answer a reader holds, each time it looks again and at the end, must
+// be the oracle's at a generation between the two Generation reads
+// that bracketed its call: an answer that changed while held fails,
+// and -race reports a write to one, such as a watcher sorting it.
+func TestBorrowedAnswerStorm(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	c, err := ParseConcurrent(seedDoc, containment.Build(keys.VCDBS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, edits, held = 4, 300, 8
+	queries := []string{"//pair", "/library/*", "//shelf/book"}
+	answers := func(d *Document) ([][]int, error) {
+		out := make([][]int, len(queries))
+		for i, q := range queries {
+			ids, err := naive(d, q)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = ids
+		}
+		return out, nil
+	}
+	var oracle sync.Map // generation -> [][]int, one answer per query
+	first, err := answers(c.load().d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle.Store(uint64(0), first)
+
+	type borrowed struct {
+		query  int
+		ids    []int
+		g0, g1 uint64
+	}
+	check := func(b borrowed) error {
+		for g := b.g0; g <= b.g1; g++ {
+			if want, ok := oracle.Load(g); ok && slices.Equal(want.([][]int)[b.query], b.ids) {
+				return nil
+			}
+		}
+		return fmt.Errorf("%s: holding %v from between generations %d and %d; the oracle has it at neither",
+			queries[b.query], b.ids, b.g0, b.g1)
+	}
+	notes, cancel, err := c.Watch(queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range notes {
+		}
+	}()
+	defer cancel()
+	var reading sync.WaitGroup
+	errCh := make(chan error, readers+1)
+	var stop atomic.Bool
+	var served atomic.Int64
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func(r int) {
+			defer reading.Done()
+			var mine []borrowed
+			for i := r; !stop.Load(); i++ {
+				q := i % len(queries)
+				g0 := c.Generation()
+				ids, err := c.QueryString(queries[q])
+				g1 := c.Generation()
+				if err != nil {
+					errCh <- err
+					return
+				}
+				served.Add(1)
+				if len(mine) == held {
+					mine = mine[1:]
+				}
+				mine = append(mine, borrowed{q, ids, g0, g1})
+				for _, b := range mine {
+					if err := check(b); err != nil {
+						errCh <- err
+						return
+					}
+				}
+			}
+			for _, b := range mine {
+				if err := check(b); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}(r)
+	}
+	var pairs []int
+	for i := 0; i < edits; i++ {
+		err := c.Update(func(d *Document) error {
+			if len(pairs) > 6 || (len(pairs) > 0 && i%3 == 0) {
+				if _, err := d.DeleteSubtree(pairs[0]); err != nil {
+					return err
+				}
+				pairs = pairs[1:]
+			}
+			id, _, err := d.InsertElement(0, i%2, "pair")
+			if err != nil {
+				return err
+			}
+			pairs = append(pairs, id)
+			next, err := answers(d)
+			if err != nil {
+				return err
+			}
+			oracle.Store(c.Generation()+1, next)
+			return nil
+		})
+		if err != nil {
+			errCh <- err
+			break
+		}
+	}
+	stop.Store(true)
+	reading.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	t.Logf("%d answers borrowed across %d generations", served.Load(), c.Generation())
+	if served.Load() < readers {
+		t.Errorf("only %d answers were served: the readers did not run beside the writer", served.Load())
 	}
 }

@@ -92,6 +92,7 @@ func (c *Concurrent) seed(q *xpath.Query) (*watcher, error) {
 	if err != nil {
 		return nil, err
 	}
+	ids = slices.Clone(ids) // the answer is the cache's: sort a copy
 	slices.Sort(ids)
 	reads := plan.ReadSet(q)
 	return &watcher{
@@ -231,8 +232,8 @@ func (w *watcher) reread(s *snapshot) (Notification, bool) {
 		}
 	}
 	n.Removed = len(w.last) - (len(ids) - n.Added)
-	slices.Sort(ids)
-	w.last = ids
+	w.last = slices.Clone(ids) // the answer is the cache's: sort a copy
+	slices.Sort(w.last)
 	if n.Added == 0 && n.Removed == 0 {
 		return Notification{}, false
 	}

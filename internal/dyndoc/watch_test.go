@@ -81,6 +81,52 @@ func TestWatchInsertDelete(t *testing.T) {
 	}
 }
 
+// TestWatchKeepsAnswerOrder: a watcher sorts its own copy of the
+// answer by id, never the cached answer it borrows, so after Watch
+// seeds and after one re-read, QueryString of the watched query still
+// returns document order. A book inserted first under a shelf has a
+// larger id than the books after it, so the two orders differ.
+func TestWatchKeepsAnswerOrder(t *testing.T) {
+	c, err := ParseConcurrent(seedDoc, containment.Build(keys.VCDBS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shelves, err := c.QueryString("/library/shelf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.InsertElement(shelves[0], 0, "book"); err != nil {
+		t.Fatal(err)
+	}
+	inOrder := func(when string) {
+		t.Helper()
+		got, err := c.QueryString("//book")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := naive(c.load().d, "//book")
+		if err != nil || slices.IsSorted(want) {
+			t.Fatalf("//book in document order is %v (%v): that is id order too, so the test shows nothing", want, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: QueryString(//book) = %v, want document order %v", when, got, want)
+		}
+	}
+	ch, cancel, err := c.Watch("//book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	inOrder("after Watch")
+	if _, _, err := c.InsertElement(shelves[1], 0, "book"); err != nil {
+		t.Fatal(err)
+	}
+	if n := recv(t, ch); n.Added != 1 {
+		t.Fatalf("notification %+v, want Added=1", n)
+	}
+	inOrder("after a re-read")
+}
+
 // TestWatchPredicateAndReset: a predicate query, a raw Update and a
 // wholesale Reset reach a watcher like a typed edit does.
 func TestWatchPredicateAndReset(t *testing.T) {

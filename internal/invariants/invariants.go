@@ -1,6 +1,6 @@
 // Package invariants is the switch of the runtime self-checks that
-// bitstr, cdbs, cow, keys and pagestore run behind the `invariants`
-// build tag, and the one place they panic.
+// bitstr, cdbs, cow, keys, pagestore and plan run behind the
+// `invariants` build tag, and the one place they panic.
 package invariants
 
 import "fmt"

@@ -1,9 +1,9 @@
 package plan
 
 import (
-	"slices"
 	"sync"
 
+	"repro/internal/invariants"
 	"repro/internal/metrics"
 	"repro/internal/xpath"
 )
@@ -30,12 +30,25 @@ const (
 // resultEntry is one materialized query result with the rendering of
 // ids that Cache.Rendered memoises, if one was asked for. It is valid
 // for every (engine, gen) whose Stamp of plan.Reads is stamp. An entry
-// is immutable once stored: the rendering arrives on a fresh one.
+// is immutable once stored: the rendering arrives on a fresh one. Its
+// ids are what every read of it returns, shared, so under the
+// invariants build sum, their hash at store time, is checked at every
+// lookup: a caller that wrote to an answer is caught at the next one.
 type resultEntry struct {
 	plan     *Plan
 	stamp    uint64
 	ids      []int
 	rendered []byte
+	sum      uint64 // hashIDs(ids) when invariants.Enabled
+}
+
+// hashIDs is FNV-1a over ids, one word at a time.
+func hashIDs(ids []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range ids {
+		h = (h ^ uint64(id)) * 1099511628211
+	}
+	return h
 }
 
 // cost is what the entry is charged against maxIDs: its ids, and its
@@ -44,7 +57,7 @@ func (ent *resultEntry) cost() int { return len(ent.ids) + (cap(ent.rendered)+7)
 
 // Cache holds compiled plans keyed by canonical query text and
 // materialized results keyed by the text the caller sent: Eval sends
-// its query's canonical text, Rendered and Count the text they were
+// its query's canonical text, EvalString and Rendered the text they were
 // given, so a hit through them parses nothing and two spellings of one
 // query share a plan. Plans stay valid across snapshots — strategy
 // drift is a performance question, never a correctness one — so they
@@ -104,7 +117,13 @@ func (c *Cache) lookupResult(e *xpath.Engine, gen uint64, text string) *resultEn
 	c.mu.RLock()
 	ent := c.results[text]
 	c.mu.RUnlock()
-	if ent == nil || ent.stamp != e.Stamp(ent.plan.Reads, gen) {
+	if ent == nil {
+		return nil
+	}
+	if invariants.Enabled && hashIDs(ent.ids) != ent.sum {
+		invariants.Violated("plan", "the cached answer to %q was written after it was returned; answers are shared and read-only", text)
+	}
+	if ent.stamp != e.Stamp(ent.plan.Reads, gen) {
 		return nil
 	}
 	return ent
@@ -117,6 +136,9 @@ func (c *Cache) lookupResult(e *xpath.Engine, gen uint64, text string) *resultEn
 // cache over its bound forever after emptying it in vain. The entry it
 // replaces is dropped either way — the caller just found it stale.
 func (c *Cache) storeResult(text string, ent *resultEntry) *resultEntry {
+	if invariants.Enabled {
+		ent.sum = hashIDs(ent.ids)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old := c.results[text]; old != nil {
@@ -176,20 +198,26 @@ func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query)
 }
 
 // Eval evaluates q against e, serving from the result cache when the
-// entry there is valid for (e, gen). The returned slice is a fresh copy
-// the caller owns. gen must identify the state e evaluates over among
-// all that use this cache (xpath.Engine.Stamp), and a gen that does not
-// change when the state does yields stale reads. A version-less engine,
-// whose owner moves gen at every edit as the document's last-edit token
-// moves, is asked for it by every query. An engine with versions is
-// asked only by a query whose read set is nil: one with a * step whose
-// parent is unknown, such as //*. A * child or sibling step reads its
-// parent's child lists (ReadSet) and leaves gen alone.
+// entry there is valid for (e, gen). The returned slice is the cached
+// answer itself, shared with every caller and read-only: it stays
+// valid for as long as the caller holds it, across later edits, and an
+// append to it copies, but a write into it corrupts the answer for
+// everyone (the invariants build panics at the next lookup). A caller
+// that must modify it calls slices.Clone first.
+// gen must identify the state e evaluates over among all that use this
+// cache (xpath.Engine.Stamp), and a gen that does not change when the
+// state does yields stale reads. A version-less engine, whose owner
+// moves gen at every edit as the document's last-edit token moves, is
+// asked for it by every query. An engine with versions is asked only by
+// a query whose read set is nil: one with a * step whose parent is
+// unknown, such as //*. A * child or sibling step reads its parent's
+// child lists (ReadSet) and leaves gen alone.
 func (c *Cache) Eval(e *xpath.Engine, gen uint64, q *xpath.Query) ([]int, error) {
 	return c.evalText(e, gen, q.String(), q)
 }
 
-// EvalString is Eval for the query text; a hit parses nothing.
+// EvalString is Eval for the query text; a hit parses and allocates
+// nothing.
 func (c *Cache) EvalString(e *xpath.Engine, gen uint64, text string) ([]int, error) {
 	return c.evalText(e, gen, text, nil)
 }
@@ -199,17 +227,8 @@ func (c *Cache) evalText(e *xpath.Engine, gen uint64, text string, q *xpath.Quer
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(ent.ids), nil // nil stays nil: an empty result keeps the engine's convention
-}
-
-// Count is len of what Eval returns for the query text; a hit parses
-// and allocates nothing.
-func (c *Cache) Count(e *xpath.Engine, gen uint64, text string) (int, error) {
-	ent, err := c.result(e, gen, text, nil)
-	if err != nil {
-		return 0, err
-	}
-	return len(ent.ids), nil
+	n := len(ent.ids)
+	return ent.ids[:n:n], nil // capacity clipped: an append never writes into the entry
 }
 
 // Rendered returns render(ids) for the ids Eval returns for the query

@@ -139,8 +139,8 @@ func TestCacheRendered(t *testing.T) {
 	if err != nil || &again[0] != &first[0] || renders != 0 {
 		t.Fatalf("hit rendered %d times and returned other bytes (%v)", renders, err)
 	}
-	if n, err := c.Count(eng, 1, "//a"); err != nil || n != len(want) {
-		t.Fatalf("Count = %d, %v; want %d", n, err, len(want))
+	if ids, err := c.EvalString(eng, 1, "//a"); err != nil || !reflect.DeepEqual(ids, want) {
+		t.Fatalf("EvalString beside a rendering: %v, %v", ids, err)
 	}
 	if ids, err := c.Eval(eng, 1, q); err != nil || !reflect.DeepEqual(ids, want) {
 		t.Fatalf("Eval beside a rendering: %v, %v", ids, err)
@@ -159,19 +159,19 @@ func TestCacheRendered(t *testing.T) {
 	}
 	checkBounds(t, c)
 	// A path that does not parse is an error and neither hit nor miss;
-	// Count on a hit allocates nothing.
+	// EvalString on a hit allocates nothing.
 	hits, misses = mResultHits.Value(), mResultMisses.Value()
 	if _, err := c.Rendered(eng, 2, "///", render); err == nil {
 		t.Fatal("bad path rendered")
 	}
-	if _, err := c.Count(eng, 2, "///"); err == nil {
-		t.Fatal("bad path counted")
+	if _, err := c.EvalString(eng, 2, "///"); err == nil {
+		t.Fatal("bad path evaluated")
 	}
 	if mResultHits.Value() != hits || mResultMisses.Value() != misses {
 		t.Fatal("a parse error moved the result-cache counters")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = c.Count(eng, 2, "//a") }); allocs != 0 {
-		t.Fatalf("Count on a hit allocates %v times", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = c.EvalString(eng, 2, "//a") }); allocs != 0 {
+		t.Fatalf("EvalString on a hit allocates %v times", allocs)
 	}
 	// Explain replaces the entry; the rendering goes with it.
 	if _, err := c.Explain(eng, 2, q); err != nil {
@@ -207,5 +207,35 @@ func TestCacheRendered(t *testing.T) {
 				i, len(b), renders, err, held(tiny, "q", 1) != nil)
 		}
 		checkBounds(t, tiny)
+	}
+}
+
+// TestCacheAnswerShared pins the borrowed-answer contract: a hit returns
+// the entry's own ids, not a copy, with the capacity clipped to the
+// length, so an append to a returned answer lands in a new array and
+// the cached answer is what every later hit still reads.
+func TestCacheAnswerShared(t *testing.T) {
+	eng := testEngine(t, randomNamedDoc(rand.New(rand.NewSource(3)), 80))
+	q, err := xpath.Parse("//a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Eval(q)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("//a: %d ids, %v", len(want), err)
+	}
+	c := NewCache()
+	first, err := c.EvalString(eng, 1, "//a")
+	if err != nil || cap(first) != len(first) {
+		t.Fatalf("miss: %d ids of capacity %d, %v", len(first), cap(first), err)
+	}
+	grown := append(first, -1)
+	grown[0] = -1
+	again, err := c.EvalString(eng, 1, "//a")
+	if err != nil || !reflect.DeepEqual(again, want) {
+		t.Fatalf("after an append to the answer, the hit reads %v, %v; want %v", again, err, want)
+	}
+	if &again[0] != &first[0] {
+		t.Fatal("a hit returned a copy of the cached answer")
 	}
 }

@@ -8,8 +8,10 @@
 #      compiles against internal/ APIs
 #   2. go test ./..., plain, under -tags invariants and under -race,
 #      then the clone-isolation, overlay-fold-and-compaction and storm
-#      tests three more times; labelvet runs here, as internal/analysis's
-#      TestRepoClean (both tag states) and fixture tests
+#      tests (the borrowed-answer storm among them: readers hold cached
+#      answers across publishes) three more times; labelvet runs here,
+#      as internal/analysis's TestRepoClean (both tag states) and
+#      fixture tests
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
 #   4. bench smoke
 #   5. httpd smoke, replication smoke
@@ -61,8 +63,8 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, overlay fold and arena compaction, memo, cache, watch and request-reuse storms, stored kernels, loaded-tree clones (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm' ./...
+echo "==> clone isolation, overlay fold and arena compaction, memo, cache, borrowed-answer, watch and request-reuse storms, stored kernels, loaded-tree clones (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm' ./...
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
