@@ -108,23 +108,12 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.rt, c.timeout = hc.Transport, hc.Timeout }
 }
 
-// WithRetries sets how many attempts a retryable call gets (default 3;
-// 1 disables retrying).
-func WithRetries(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.retries = n
-		}
-	}
-}
-
 // Client talks to one dynxmld server. It is safe for concurrent use.
 type Client struct {
 	base    string
 	rt      http.RoundTripper
 	timeout time.Duration // of each attempt; zero for none
-	retries int
-	list    *url.URL // GET /v1/docs
+	list    *url.URL      // GET /v1/docs
 }
 
 // Dial validates the base URL (e.g. "http://host:8080") and returns a
@@ -134,7 +123,6 @@ func Dial(base string, opts ...Option) (*Client, error) {
 	c := &Client{
 		base:    strings.TrimRight(base, "/"),
 		timeout: DefaultTimeout,
-		retries: defaultRetries,
 	}
 	u, err := url.Parse(c.base + "/v1/docs")
 	if err != nil || u.Scheme == "" || u.Host == "" {
@@ -161,13 +149,14 @@ func newRequestID() string {
 	return string(h[:])
 }
 
-// do runs one logical call: up to c.retries attempts under one request
-// id, retrying 503s and (for body-less requests) transport errors.
+// do runs one logical call: up to defaultRetries attempts under one
+// request id, retrying 503s and (for body-less requests) transport
+// errors.
 // The caller owns the returned response body.
 func (c *Client) do(method string, u *url.URL, body []byte) (*http.Response, error) {
 	id := newRequestID()
 	var lastErr error
-	for attempt := 0; attempt < c.retries; attempt++ {
+	for attempt := 0; attempt < defaultRetries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(retryBackoff << (attempt - 1))
 		}

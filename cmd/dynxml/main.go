@@ -1,5 +1,6 @@
-// Command dynxml is the offline tool: it labels, queries and generates
-// XML documents in-process, without a server or a journal.
+// Command dynxml is the command-line tool: it labels, queries and
+// generates XML documents in-process, without a server or a journal,
+// and drives a dynxmld server remotely.
 //
 // Usage:
 //
@@ -10,13 +11,19 @@
 //	dynxml query -explain -hamlet '/play/*//line'
 //	dynxml gen -dataset D5 -out /tmp/d5
 //	dynxml gen -dataset all -out /tmp/corpus -limit 5
+//	dynxml remote -addr http://127.0.0.1:8080 create books '<library/>'
+//	dynxml remote query -first books /library
+//	dynxml remote insert -seq books 1 0 shelf
+//	dynxml remote horizon -min 3 -wait 5s books
+//	dynxml remote watch -n 1 -timeout 10s books /library/shelf
 //
 // label reports label storage statistics for one or all schemes (a
 // one-document slice of Figure 5), query times label-driven path
 // evaluation (an interactive slice of Figure 6), and gen materialises
 // the synthetic evaluation datasets (Table 2 stand-ins) as XML files.
-// Every subcommand selects its input with the same flags: -file,
-// -dataset (D1..D6, with -scale for D5) or -hamlet.
+// Those three select their input with the same flags: -file, -dataset
+// (D1..D6, with -scale for D5) or -hamlet. remote sends one command to
+// the server at -addr or $DYNXML_ADDR (dynxml remote -h lists them).
 package main
 
 import (
@@ -42,9 +49,9 @@ import (
 var errUsage = errors.New("usage")
 
 func main() {
-	cmds := map[string]func([]string) error{"label": label, "query": query, "gen": gen}
+	cmds := map[string]func([]string) error{"label": label, "query": query, "gen": gen, "remote": remote}
 	if len(os.Args) < 2 || cmds[os.Args[1]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: dynxml label|query|gen [flags] [queries...]")
+		fmt.Fprintln(os.Stderr, "usage: dynxml label|query|gen|remote [flags] [args...]")
 		os.Exit(2)
 	}
 	if err := cmds[os.Args[1]](os.Args[2:]); err != nil {

@@ -1,23 +1,10 @@
-// Command dynxmlctl is the command-line companion of dynxmld, built
-// entirely on the typed client package: every request goes to the
-// versioned /v1 surface with a request id and the client's retry
-// policy, never to hand-rolled URLs.
-//
-//	dynxmlctl -addr http://127.0.0.1:8080 create books '<library/>'
-//	dynxmlctl query -first books /library
-//	dynxmlctl insert -seq books 1 0 shelf
-//	dynxmlctl horizon -min 3 -wait 5s books
-//	dynxmlctl watch -n 1 -timeout 10s books /library/shelf
-//
-// The server address comes from -addr or the DYNXML_ADDR environment
-// variable. Commands print their primary result on stdout (JSON for
-// structured answers, a bare value under -first/-seq so shell scripts
-// can capture it) and exit non-zero on any API error.
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +12,7 @@ import (
 	"repro/client"
 )
 
-const usageText = `usage: dynxmlctl [-addr URL] <command> [flags] [args]
+const remoteUsage = `usage: dynxml remote [-addr URL] <command> [flags] [args]
 
 commands:
   list                                 list documents
@@ -49,35 +36,34 @@ commands:
 The address defaults to $DYNXML_ADDR, then http://127.0.0.1:8080.
 `
 
-func usage() {
-	fmt.Fprint(os.Stderr, usageText)
-	os.Exit(2)
-}
+// errArgs is a command given the wrong number of arguments.
+var errArgs = fmt.Errorf("%w: wrong number of arguments", errUsage)
 
-func main() {
-	addrDefault := os.Getenv("DYNXML_ADDR")
-	if addrDefault == "" {
-		addrDefault = "http://127.0.0.1:8080"
+// remote drives a dynxmld server through the typed client package:
+// every request goes to the versioned /v1 surface with a request id
+// and the client's retry policy. Commands print their primary result on
+// stdout (JSON for structured answers, a bare value under -first/-seq
+// so shell scripts can capture it).
+func remote(args []string) error {
+	fs := flag.NewFlagSet("remote", flag.ContinueOnError)
+	fs.Usage = func() { fmt.Fprint(os.Stderr, remoteUsage) }
+	addr := fs.String("addr", cmp.Or(os.Getenv("DYNXML_ADDR"), "http://127.0.0.1:8080"), "dynxmld base URL")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	addr := flag.String("addr", addrDefault, "dynxmld base URL")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() == 0 {
-		usage()
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return fmt.Errorf("%w: no command", errUsage)
 	}
 	c, err := client.Dial(*addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	cmd, args := flag.Arg(0), flag.Args()[1:]
-	if err := run(c, cmd, args); err != nil {
-		fatal(err)
+	err = remoteCmd(c, fs.Arg(0), fs.Args()[1:])
+	if errors.Is(err, errUsage) {
+		fs.Usage()
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "dynxmlctl: %v\n", err)
-	os.Exit(1)
+	return err
 }
 
 // printJSON writes one value as a single JSON line on stdout.
@@ -86,7 +72,7 @@ func printJSON(v any) error {
 	return enc.Encode(v)
 }
 
-func run(c *client.Client, cmd string, args []string) error {
+func remoteCmd(c *client.Client, cmd string, args []string) error {
 	switch cmd {
 	case "list":
 		list, err := c.List()
@@ -96,7 +82,7 @@ func run(c *client.Client, cmd string, args []string) error {
 		return printJSON(list)
 	case "create":
 		if len(args) < 2 || len(args) > 3 {
-			usage()
+			return errArgs
 		}
 		scheme := ""
 		if len(args) == 3 {
@@ -108,10 +94,7 @@ func run(c *client.Client, cmd string, args []string) error {
 		}
 		return printJSON(map[string]string{"name": doc.Name(), "scheme": doc.Scheme()})
 	case "open":
-		if len(args) != 1 {
-			usage()
-		}
-		doc, err := c.Open(args[0])
+		doc, err := openOne(c, args)
 		if err != nil {
 			return err
 		}
@@ -120,7 +103,7 @@ func run(c *client.Client, cmd string, args []string) error {
 		fs := flag.NewFlagSet("query", flag.ExitOnError)
 		first := fs.Bool("first", false, "print only the first matching node id")
 		_ = fs.Parse(args)
-		doc, path, err := docPath(c, fs.Args())
+		doc, path, err := docArg(c, fs.Args())
 		if err != nil {
 			return err
 		}
@@ -137,7 +120,7 @@ func run(c *client.Client, cmd string, args []string) error {
 		}
 		return printJSON(map[string]any{"ids": ids, "count": len(ids)})
 	case "count", "explain":
-		doc, path, err := docPath(c, args)
+		doc, path, err := docArg(c, args)
 		if err != nil {
 			return err
 		}
@@ -158,7 +141,7 @@ func run(c *client.Client, cmd string, args []string) error {
 		_ = fs.Parse(args)
 		a := fs.Args()
 		if len(a) != 4 {
-			usage()
+			return errArgs
 		}
 		doc, err := c.Open(a[0])
 		if err != nil {
@@ -178,16 +161,13 @@ func run(c *client.Client, cmd string, args []string) error {
 		}
 		return printAck(ack, *seqOnly)
 	case "delete":
-		if len(args) != 2 {
-			usage()
-		}
-		doc, err := c.Open(args[0])
+		doc, id, err := docArg(c, args)
 		if err != nil {
 			return err
 		}
 		var node int
-		if _, err := fmt.Sscanf(args[1], "%d", &node); err != nil {
-			return fmt.Errorf("bad node id %q", args[1])
+		if _, err := fmt.Sscanf(id, "%d", &node); err != nil {
+			return fmt.Errorf("bad node id %q", id)
 		}
 		ack, err := doc.Delete(node)
 		if err != nil {
@@ -200,7 +180,7 @@ func run(c *client.Client, cmd string, args []string) error {
 		_ = fs.Parse(args)
 		a := fs.Args()
 		if len(a) != 2 {
-			usage()
+			return errArgs
 		}
 		doc, err := c.Open(a[0])
 		if err != nil {
@@ -262,7 +242,7 @@ func run(c *client.Client, cmd string, args []string) error {
 		n := fs.Int("n", 0, "exit after this many notifications (0 = forever)")
 		timeout := fs.Duration("timeout", 0, "give up after this long (0 = forever)")
 		_ = fs.Parse(args)
-		doc, path, err := docPath(c, fs.Args())
+		doc, path, err := docArg(c, fs.Args())
 		if err != nil {
 			return err
 		}
@@ -295,24 +275,22 @@ func run(c *client.Client, cmd string, args []string) error {
 				return fmt.Errorf("watch: %d/%d notifications before timeout", seen, *n)
 			}
 		}
-	default:
-		usage()
 	}
-	return nil
+	return fmt.Errorf("%w: unknown command %q", errUsage, cmd)
 }
 
 // openOne opens the single <doc> positional argument.
 func openOne(c *client.Client, args []string) (*client.Doc, error) {
 	if len(args) != 1 {
-		usage()
+		return nil, errArgs
 	}
 	return c.Open(args[0])
 }
 
-// docPath opens <doc> and returns it with the <path> argument.
-func docPath(c *client.Client, args []string) (*client.Doc, string, error) {
+// docArg opens <doc> and returns it with the argument after it.
+func docArg(c *client.Client, args []string) (*client.Doc, string, error) {
 	if len(args) != 2 {
-		usage()
+		return nil, "", errArgs
 	}
 	doc, err := c.Open(args[0])
 	return doc, args[1], err

@@ -10,13 +10,15 @@
 //     two existing keys without touching them — the paper's core
 //     contribution, reusable for any order-maintenance problem
 //     (ranked lists, fractional indexing, …).
-//   - Labeled XML documents: Label parses or accepts a document and
+//   - Labeled XML documents: Open parses or accepts a document and
 //     labels it with any of the paper's thirteen schemes (containment,
-//     prefix and prime families). Labelings answer
-//     ancestor/parent/sibling/order queries from labels alone and
-//     support insertions; dynamic schemes never re-label.
-//   - Queries: an XPath-fragment engine whose structural joins run on
-//     the labeling's predicates.
+//     prefix and prime families). The returned Handle inserts and
+//     deletes elements (Handle.InsertElement, InsertTree,
+//     DeleteSubtree); dynamic schemes never re-label a node.
+//   - Queries: Handle.QueryString and Count evaluate an XPath fragment
+//     whose structural joins run on the labeling's predicates, through
+//     a planner and a result cache that keeps an answer across every
+//     edit that does not touch a name the query reads.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured evaluation results.
@@ -129,9 +131,6 @@ type Document = xmltree.Document
 // Node is one document node.
 type Node = xmltree.Node
 
-// ParseXML parses an XML document from a reader.
-func ParseXML(r io.Reader) (*Document, error) { return xmltree.Parse(r) }
-
 // ParseXMLString parses an XML document from a string.
 func ParseXMLString(s string) (*Document, error) { return xmltree.ParseString(s) }
 
@@ -156,15 +155,9 @@ var ErrUnknownScheme = registry.ErrUnknownScheme
 // tests; positional and relative-path predicates).
 type Query = xpath.Query
 
-// Engine evaluates queries over one labeled document.
-type Engine = xpath.Engine
-
 // ParseQuery parses a path expression such as
 // "/play//personae[./title]/pgroup[.//grpdescr]/persona".
 func ParseQuery(s string) (*Query, error) { return xpath.Parse(s) }
-
-// NewEngine indexes a document for querying under its labeling.
-func NewEngine(doc *Document, lab Labeling) (*Engine, error) { return xpath.NewEngine(doc, lab) }
 
 // ---------------------------------------------------------------------------
 // Live documents: the Open API

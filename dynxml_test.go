@@ -93,15 +93,7 @@ func TestLabelAndQueryFacade(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		e, err := NewEngine(doc, h.Labeling())
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := ParseQuery("/play/act")
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := e.Count(q)
+		n, err := h.Count("/play/act")
 		if err != nil || n != 2 {
 			t.Errorf("%s: Count = %d, %v", name, n, err)
 		}
@@ -119,6 +111,17 @@ func ExampleBetween() {
 	between, _ := Between(first, second)
 	fmt.Println(first, second, between)
 	// Output: 1 11 101
+}
+
+// ExampleOpen is README's Quickstart: insert between two elements,
+// re-label nothing, keep querying.
+func ExampleOpen() {
+	h, _ := Open("<r><a/><b/></r>")               // V-CDBS-Containment by default
+	x, relabeled, _ := h.InsertElement(0, 1, "x") // <x/> between <a/> and <b/>
+	n, _ := h.Count("/r/*")
+	ids, _ := h.QueryString("/r/x") // the cached answer: shared, read-only
+	fmt.Println(relabeled, n, ids[0] == x)
+	// Output: 0 3 true
 }
 
 // ExampleHandle_Labeling shows re-label-free insertion under V-CDBS

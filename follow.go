@@ -123,10 +123,6 @@ func httpFetch(url string) journal.FetchFunc {
 // Following reports whether the handle is a read-only follower.
 func (h *Handle) Following() bool { return h.follower != nil }
 
-// Follower returns the underlying replica machinery, or nil on a
-// leader handle.
-func (h *Handle) Follower() *journal.Follower { return h.follower }
-
 // Watch subscribes to a path expression on a concurrent handle. The
 // returned channel delivers a Notification whenever the query's result
 // set differs from what the previous one reported; the returned cancel

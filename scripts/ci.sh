@@ -13,7 +13,7 @@
 #      as internal/analysis's TestRepoClean (both tag states) and
 #      fixture tests
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
-#   4. bench smoke
+#   4. every example run, bench smoke
 #   5. httpd smoke, replication smoke
 #   6. benchmark module (test, smoke run)
 set -eu
@@ -69,16 +69,21 @@ go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestSt
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
 
+echo "==> every example runs to a zero exit"
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null || { echo "example $ex failed" >&2; exit 1; }
+done
+
 echo "==> bench smoke (-benchtime 1x)"
 go test -run '^$' -bench . -benchtime 1x ./internal/bitstr ./internal/cdbs ./internal/qed ./internal/containment
 
-echo "==> httpd smoke (dynxmld route surface via dynxmlctl + graceful shutdown)"
+echo "==> httpd smoke (dynxmld route surface via dynxml remote + graceful shutdown)"
 httpd_dir=$(mktemp -d)
 httpd_bin="$httpd_dir/dynxmld"
-ctl="$httpd_dir/dynxmlctl"
+dynxml="$httpd_dir/dynxml"
 httpd_addr_file="$httpd_dir/addr"
 go build -o "$httpd_bin" ./cmd/dynxmld
-go build -o "$ctl" ./cmd/dynxmlctl
+go build -o "$dynxml" ./cmd/dynxml
 "$httpd_bin" -addr 127.0.0.1:0 -root "$httpd_dir/docs" -addr-file "$httpd_addr_file" \
 	-durability interval=20ms >"$httpd_dir/log" 2>&1 &
 httpd_pid=$!
@@ -108,37 +113,37 @@ curl -si -X POST -d '{}' "$httpd_url/v1/docs/ghost/open" >"$httpd_dir/rid3" || h
 rid3=$(rid "$httpd_dir/rid3")
 grep -q "\"request_id\":\"$rid3\"" "$httpd_dir/rid3" && [ -n "$rid3" ] ||
 	httpd_fail "error envelope's request_id differs from the echoed header: $(cat "$httpd_dir/rid3")"
-"$ctl" create ci '<root><a></a></root>' >/dev/null || httpd_fail "create"
-root_id=$("$ctl" query -first ci /root) || httpd_fail "query gave no root id"
-edit_seq=$("$ctl" insert -seq ci "$root_id" 0 x) || httpd_fail "edit"
+"$dynxml" remote create ci '<root><a></a></root>' >/dev/null || httpd_fail "create"
+root_id=$("$dynxml" remote query -first ci /root) || httpd_fail "query gave no root id"
+edit_seq=$("$dynxml" remote insert -seq ci "$root_id" 0 x) || httpd_fail "edit"
 [ "$edit_seq" -gt 0 ] || httpd_fail "edit ack carried no journal seq"
-"$ctl" batch ci "[{\"op\":\"insert-tree\",\"parent\":$root_id,\"pos\":0,\"fragment\":\"<x><y></y></x>\"}]" >/dev/null || httpd_fail "batch"
-[ "$("$ctl" count ci /root/x)" = "2" ] || httpd_fail "query after edits"
-"$ctl" explain ci /root/x | grep -q 'strategy' || httpd_fail "explain"
-"$ctl" sync ci || httpd_fail "sync"
-"$ctl" checkpoint ci || httpd_fail "checkpoint"
-"$ctl" stats ci >"$httpd_dir/stats" || httpd_fail "stats"
+"$dynxml" remote batch ci "[{\"op\":\"insert-tree\",\"parent\":$root_id,\"pos\":0,\"fragment\":\"<x><y></y></x>\"}]" >/dev/null || httpd_fail "batch"
+[ "$("$dynxml" remote count ci /root/x)" = "2" ] || httpd_fail "query after edits"
+"$dynxml" remote explain ci /root/x | grep -q 'strategy' || httpd_fail "explain"
+"$dynxml" remote sync ci || httpd_fail "sync"
+"$dynxml" remote checkpoint ci || httpd_fail "checkpoint"
+"$dynxml" remote stats ci >"$httpd_dir/stats" || httpd_fail "stats"
 grep -q '"journal"' "$httpd_dir/stats" || httpd_fail "stats carry no journal: $(cat "$httpd_dir/stats")"
 grep -q '"backend":"slice"' "$httpd_dir/stats" || httpd_fail "served document is not on the slice index: $(cat "$httpd_dir/stats")"
-"$ctl" xml ci | grep -q '<y>' || httpd_fail "xml"
-"$ctl" list | grep -q '"name":"ci"' || httpd_fail "list"
-"$ctl" horizon -min "$edit_seq" -wait 5s ci >/dev/null || httpd_fail "horizon"
+"$dynxml" remote xml ci | grep -q '<y>' || httpd_fail "xml"
+"$dynxml" remote list | grep -q '"name":"ci"' || httpd_fail "list"
+"$dynxml" remote horizon -min "$edit_seq" -wait 5s ci >/dev/null || httpd_fail "horizon"
 # Closing a document ends its watch streams.
-"$ctl" watch -timeout 20s ci /root/w >"$httpd_dir/closewatch.out" 2>&1 &
+"$dynxml" remote watch -timeout 20s ci /root/w >"$httpd_dir/closewatch.out" 2>&1 &
 closewatch_pid=$!
 sleep 0.5
-"$ctl" close ci || httpd_fail "close"
+"$dynxml" remote close ci || httpd_fail "close"
 wait "$closewatch_pid" || true
 grep -q 'watch stream ended' "$httpd_dir/closewatch.out" || httpd_fail "close left a watch open: $(cat "$httpd_dir/closewatch.out")"
-"$ctl" open ci >/dev/null || httpd_fail "reopen after close"
-[ "$("$ctl" count ci /root/x)" = "2" ] || httpd_fail "replay lost an edit"
-"$ctl" watch -n 1 -timeout 10s ci /root/w >"$httpd_dir/watch.out" 2>&1 &
+"$dynxml" remote open ci >/dev/null || httpd_fail "reopen after close"
+[ "$("$dynxml" remote count ci /root/x)" = "2" ] || httpd_fail "replay lost an edit"
+"$dynxml" remote watch -n 1 -timeout 10s ci /root/w >"$httpd_dir/watch.out" 2>&1 &
 watch_pid=$!
 sleep 0.5
-"$ctl" insert ci "$root_id" 0 w >/dev/null || httpd_fail "insert under watch"
+"$dynxml" remote insert ci "$root_id" 0 w >/dev/null || httpd_fail "insert under watch"
 wait "$watch_pid" || httpd_fail "watch never fired: $(cat "$httpd_dir/watch.out")"
 grep -q '"added":1' "$httpd_dir/watch.out" || httpd_fail "watch notification malformed: $(cat "$httpd_dir/watch.out")"
-if "$ctl" open ghost >/dev/null 2>&1; then httpd_fail "unknown doc did not fail"; fi
+if "$dynxml" remote open ghost >/dev/null 2>&1; then httpd_fail "unknown doc did not fail"; fi
 vars_out="$httpd_dir/vars.json"
 curl -sf "$httpd_url/debug/vars" >"$vars_out" || httpd_fail "debug/vars"
 for key in web_requests_total web_inflight_requests web_panics_total web_timeouts_total \
@@ -177,20 +182,20 @@ done
 repl_url="http://$(cat "$repl_addr_file")"
 # Write through the leader, then the follower must serve at/after the
 # acknowledged horizon (read-your-writes across the pair).
-seq1=$("$ctl" insert -seq ci "$root_id" 0 rep) || repl_fail "leader write"
-"$ctl" -addr "$repl_url" horizon -min "$seq1" -wait 10s ci >/dev/null || repl_fail "follower never reached seq $seq1"
-[ "$("$ctl" -addr "$repl_url" count ci /root/rep)" = "1" ] || repl_fail "leader write invisible on follower"
+seq1=$("$dynxml" remote insert -seq ci "$root_id" 0 rep) || repl_fail "leader write"
+"$dynxml" remote -addr "$repl_url" horizon -min "$seq1" -wait 10s ci >/dev/null || repl_fail "follower never reached seq $seq1"
+[ "$("$dynxml" remote -addr "$repl_url" count ci /root/rep)" = "1" ] || repl_fail "leader write invisible on follower"
 # Mutations on the follower are rejected read-only.
-if "$ctl" -addr "$repl_url" insert ci "$root_id" 0 nope >/dev/null 2>&1; then
+if "$dynxml" remote -addr "$repl_url" insert ci "$root_id" 0 nope >/dev/null 2>&1; then
 	repl_fail "follower accepted a write"
 fi
 # SIGKILL the follower mid-life; its mirror must let a restart catch up.
 kill -KILL "$repl_pid"
 wait "$repl_pid" 2>/dev/null || true
-seq2=$("$ctl" insert -seq ci "$root_id" 0 rep) || repl_fail "leader write while follower dead"
+seq2=$("$dynxml" remote insert -seq ci "$root_id" 0 rep) || repl_fail "leader write while follower dead"
 # A checkpoint meanwhile puts the follower's position below the leader's
 # checkpoint base, so its catch-up must adopt a snapshot.
-"$ctl" checkpoint ci || repl_fail "leader checkpoint while follower dead"
+"$dynxml" remote checkpoint ci || repl_fail "leader checkpoint while follower dead"
 : >"$repl_addr_file"
 "$httpd_bin" -addr 127.0.0.1:0 -root "$httpd_dir/replica" -addr-file "$repl_addr_file" \
 	-follow "$httpd_url" >>"$httpd_dir/flog" 2>&1 &
@@ -202,9 +207,9 @@ while [ ! -s "$repl_addr_file" ]; do
 	sleep 0.1
 done
 repl_url="http://$(cat "$repl_addr_file")"
-"$ctl" -addr "$repl_url" horizon -min "$seq2" -wait 10s ci >/dev/null || repl_fail "restarted follower never caught up to seq $seq2"
-[ "$("$ctl" -addr "$repl_url" count ci /root/rep)" = "2" ] || repl_fail "catch-up lost a write"
-"$ctl" -addr "$repl_url" stats ci | grep -q '"resets":1[,}]' || repl_fail "catch-up did not adopt the leader's snapshot"
+"$dynxml" remote -addr "$repl_url" horizon -min "$seq2" -wait 10s ci >/dev/null || repl_fail "restarted follower never caught up to seq $seq2"
+[ "$("$dynxml" remote -addr "$repl_url" count ci /root/rep)" = "2" ] || repl_fail "catch-up lost a write"
+"$dynxml" remote -addr "$repl_url" stats ci | grep -q '"resets":1[,}]' || repl_fail "catch-up did not adopt the leader's snapshot"
 # A ship chunk is a segment stream: it opens with the segment header.
 [ "$(curl -sf "$httpd_url/v1/docs/ci/journal?from=scratch" | head -c 7)" = "LBLSTOR" ] || repl_fail "ship chunk is not a segment stream"
 kill -TERM "$repl_pid"
@@ -213,7 +218,7 @@ wait "$repl_pid" || repl_status=$?
 [ "$repl_status" = "0" ] || repl_fail "follower SIGTERM exit status $repl_status, want 0"
 
 # An open watch stream must not hold up the shutdown drain.
-"$ctl" watch -timeout 60s ci /root/w >"$httpd_dir/termwatch.out" 2>&1 &
+"$dynxml" remote watch -timeout 60s ci /root/w >"$httpd_dir/termwatch.out" 2>&1 &
 termwatch_pid=$!
 sleep 0.5
 term_start=$(date +%s)
