@@ -8,7 +8,7 @@ import (
 
 // TestHandleExplainGolden pins Handle.Explain's rendered output — the
 // exact text cmd/dynxml query -explain prints — across the planner's
-// leftright, pathcheck and fallback strategies, the result cache of a
+// leftright and pathcheck strategies, the result cache of a
 // concurrent handle (miss, then hit; still a hit after an edit under a
 // name or child list the query does not read, a miss after one it
 // does) and of a plain handle. The planner's statistics are the
@@ -45,13 +45,25 @@ step 2: /shelf[./book] est=2 actual=2 phase=join
 step 3: /book est=3 actual=3 phase=join
 matches: 3
 `},
+		// Off the child/descendant spine every step still runs through
+		// the engine's one loop, so each step's actual is measured.
 		{"//book/parent::shelf", `EXPLAIN //book/parent::shelf
-strategy: fallback-axes
+strategy: leftright
+cost: chosen=9 leftright=9
 cache: result=miss generation=1
 reads: book, shelf
-step 1: //book est=3 actual=- phase=fallback
-step 2: /parent::shelf est=2 actual=2 phase=fallback
+step 1: //book est=3 actual=3 phase=scan
+step 2: /parent::shelf est=2 actual=2 phase=join
 matches: 2
+`},
+		{"//shelf[2]/preceding-sibling::shelf", `EXPLAIN //shelf[2]/preceding-sibling::shelf
+strategy: leftright
+cost: chosen=23 leftright=23
+cache: result=miss generation=1
+reads: shelf
+step 1: //shelf[2] est=2 actual=1 phase=scan
+step 2: /preceding-sibling::shelf est=2 actual=1 phase=join
+matches: 1
 `},
 		// Predicate-free and narrowing: every book is verified by a
 		// walk up its ancestor chain, and shelf and library are never

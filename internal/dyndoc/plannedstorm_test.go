@@ -68,8 +68,9 @@ func TestPlannedQueryStorm(t *testing.T) {
 			}
 		}()
 	}
-	// The reader queries cover both planner strategies plus the axis
-	// fallback, all hammering one shared plan/result cache.
+	// The reader queries cover both planner strategies, on the
+	// child/descendant spine and off it, all hammering one shared
+	// plan/result cache.
 	queries := []string{"//pair", "/library//pair", "/library/*/book", "//shelf/parent::library"}
 	for r := 0; r < readers; r++ {
 		r := r
@@ -444,14 +445,19 @@ func TestBorrowedAnswerStorm(t *testing.T) {
 		}
 	}()
 	defer cancel()
-	var reading sync.WaitGroup
+	var reading, started sync.WaitGroup
 	errCh := make(chan error, readers+1)
 	var stop atomic.Bool
 	var served atomic.Int64
 	for r := 0; r < readers; r++ {
 		reading.Add(1)
+		started.Add(1)
 		go func(r int) {
 			defer reading.Done()
+			// The writer waits for every reader's first answer (or its
+			// exit), so that no reader starts only after the last edit.
+			ready := sync.OnceFunc(started.Done)
+			defer ready()
 			var mine []borrowed
 			for i := r; !stop.Load(); i++ {
 				q := i % len(queries)
@@ -463,6 +469,7 @@ func TestBorrowedAnswerStorm(t *testing.T) {
 					return
 				}
 				served.Add(1)
+				ready()
 				if len(mine) == held {
 					mine = mine[1:]
 				}
@@ -482,6 +489,7 @@ func TestBorrowedAnswerStorm(t *testing.T) {
 			}
 		}(r)
 	}
+	started.Wait()
 	var pairs []int
 	for i := 0; i < edits; i++ {
 		err := c.Update(func(d *Document) error {

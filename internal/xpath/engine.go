@@ -137,13 +137,13 @@ func (e *Engine) Stamp(names []string, gen uint64) uint64 {
 
 // Eval runs an absolute query and returns matching node ids in
 // document order. The returned slice is always the caller's to keep:
-// when evaluation ends on a borrowed index list (see eval) a copy is
+// when evaluation ends on a borrowed index list (see Run) a copy is
 // made here, so callers may mutate the result freely.
 func (e *Engine) Eval(q *Query) ([]int, error) {
 	if q.Relative {
 		return nil, fmt.Errorf("xpath: Eval needs an absolute query, got %q", q)
 	}
-	out, borrowed, err := e.eval(q, nil, true)
+	out, borrowed, err := e.Run(q, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -153,21 +153,29 @@ func (e *Engine) Eval(q *Query) ([]int, error) {
 	return out, nil
 }
 
-// eval runs the steps from the given context; fromRoot selects the
-// virtual document node as initial context.
+// Run is the engine's one evaluation loop: it runs q's steps from step
+// from on, each joined to the previous step's result (ctx before the
+// first), and returns the last step's nodes in document order. An
+// absolute query run from step 0 starts at the virtual document node
+// and ignores ctx. onStep, when non-nil, is called with each step's
+// index and result size once its predicates have filtered it; the plan
+// package's EXPLAIN measures its actuals that way, and every other
+// caller passes nil.
 //
 // Copy-on-write guard: a first-step descendant axis borrows the
 // per-name index slice directly instead of copying it — no predicate
 // or later step ever mutates a step's input in place (joins and
 // predicate filters always build fresh output slices), so sharing is
 // safe inside evaluation. The returned borrowed flag reports that the
-// final result still aliases the index; Eval copies exactly then, and
-// internal consumers (exists) only read, so they skip the copy.
-func (e *Engine) eval(q *Query, ctx []int, fromRoot bool) ([]int, bool, error) {
+// result still aliases the index: a caller that hands the result on
+// copies it exactly then (Eval), one that only reads it does not
+// (Count, exists).
+func (e *Engine) Run(q *Query, from int, ctx []int, onStep func(step, n int)) ([]int, bool, error) {
 	borrowed := false
-	for si, step := range q.Steps {
+	for si := from; si < len(q.Steps); si++ {
+		step := q.Steps[si]
 		var out []int
-		first := fromRoot && si == 0
+		first := si == 0 && !q.Relative
 		borrowed = false
 		switch step.Axis {
 		case Child:
@@ -218,6 +226,9 @@ func (e *Engine) eval(q *Query, ctx []int, fromRoot bool) ([]int, bool, error) {
 			// Predicate filters build fresh slices, so the borrow (if
 			// any) ends here.
 			borrowed = false
+		}
+		if onStep != nil {
+			onStep(si, len(out))
 		}
 		ctx = out
 	}
@@ -452,7 +463,7 @@ func (e *Engine) filterPosition(in []int, step Step, n int) []int {
 // exists evaluates a relative path predicate under node v. It only
 // inspects the result length, so a borrowed final slice needs no copy.
 func (e *Engine) exists(v int, q *Query) (bool, error) {
-	res, _, err := e.eval(q, []int{v}, false)
+	res, _, err := e.Run(q, 0, []int{v}, nil)
 	if err != nil {
 		return false, err
 	}
@@ -467,18 +478,18 @@ func (e *Engine) Count(q *Query) (int, error) {
 	if q.Relative {
 		return 0, fmt.Errorf("xpath: Count needs an absolute query, got %q", q)
 	}
-	res, _, err := e.eval(q, nil, true)
+	res, _, err := e.Run(q, 0, nil, nil)
 	return len(res), err
 }
 
 // ---------------------------------------------------------------------------
 // Planner primitives.
 //
-// The exported methods below are the raw building blocks the
-// xpath/plan package composes plans from: borrowed candidate lists,
-// ancestor chains, the downward structural join, and predicate
-// filtering. They are plain reads of the engine's immutable views, so
-// — like Eval — they are safe to call from any number of goroutines
+// The exported methods below are what the xpath/plan package reads
+// besides Run: borrowed candidate lists and their sizes, ancestor
+// chains, and predicate filtering. Every join a plan makes goes
+// through Run. They are plain reads of the engine's immutable views,
+// so — like Eval — they are safe to call from any number of goroutines
 // concurrently.
 
 // Candidates returns the document-ordered element ids matching a name
@@ -497,10 +508,6 @@ func (e *Engine) CandidateCount(name string) int {
 	return len(e.idx.IDs(name))
 }
 
-// Root returns the id of the document element, or -1 on an empty
-// document.
-func (e *Engine) Root() int { return e.rootElement() }
-
 // NameOf returns the element name recorded for id ("" for text
 // nodes).
 func (e *Engine) NameOf(id int) string { return e.names.NameOf(id) }
@@ -513,13 +520,6 @@ func (e *Engine) ParentOf(id int) int { return e.lab.Tree().Parent(id) }
 
 // NameMatches reports whether node id satisfies a name test.
 func (e *Engine) NameMatches(test string, id int) bool { return e.nameMatches(test, id) }
-
-// JoinDown is the exported structural join: it returns the candidates
-// that are children (or, with desc, descendants) of some context
-// node. Both inputs must be in document order.
-func (e *Engine) JoinDown(ctx, cand []int, desc bool) []int {
-	return e.joinDown(ctx, cand, desc)
-}
 
 // FilterPreds applies every predicate of step to the given node list.
 // With no predicates the input slice is returned as-is (so a borrowed

@@ -18,99 +18,38 @@ func (p *Plan) run(e *xpath.Engine, rec *Report) ([]int, error) {
 	if p.Query.Relative {
 		return nil, fmt.Errorf("xpath: Eval needs an absolute query, got %q", p.Query)
 	}
-	var (
-		out []int
-		err error
-	)
-	switch p.Strategy {
-	case FallbackAxes:
-		out, err = e.Eval(p.Query)
-	case PathCheck:
-		out, err = p.runPathCheck(e, rec)
-	default:
-		out, err = p.runLeftRight(e, rec)
+	var onStep func(step, n int)
+	if rec != nil {
+		onStep = func(step, n int) { rec.Steps[step].Actual = n }
 	}
-	if rec != nil && err == nil {
-		rec.Matches = len(out)
-		if n := len(rec.Steps); n > 0 {
-			rec.Steps[n-1].Actual = len(out)
-		}
-	}
-	return out, err
-}
-
-// runLeftRight is the engine's own join order.
-func (p *Plan) runLeftRight(e *xpath.Engine, rec *Report) ([]int, error) {
-	var out []int
-	borrowed := false
-	for i, step := range p.Query.Steps {
-		switch {
-		case i == 0 && step.Axis == xpath.Child:
-			out = nil
-			if r := e.Root(); r >= 0 && e.NameMatches(step.Name, r) {
-				out = []int{r}
-			}
-			borrowed = false
-		case i == 0:
-			// Borrow the index's document-ordered list (see
-			// Engine.Candidates); copied below only if it survives to
-			// the return untouched.
-			out = e.Candidates(step.Name)
-			borrowed = true
-		default:
-			out = e.JoinDown(out, e.Candidates(step.Name), step.Axis == xpath.Descendant)
-			borrowed = false
-		}
+	// Leftright runs every step from the document node. Pathcheck
+	// verifies each anchor candidate's ancestor chain against the
+	// predicate-free step prefix directly — no intermediate candidate
+	// list is ever materialized, so a huge early step (the `*` in Q6)
+	// costs nothing — and runs the steps after the anchor from its
+	// survivors, as leftright would.
+	from, ctx := 0, []int(nil)
+	if p.Strategy == PathCheck {
+		steps, a := p.Query.Steps, p.Anchor
 		var err error
-		out, err = e.FilterPreds(out, step)
+		ctx, err = e.FilterPreds(pathFilter(e, steps, a, e.Candidates(steps[a].Name)), steps[a])
 		if err != nil {
 			return nil, err
 		}
-		if len(step.Preds) > 0 {
-			borrowed = false
-		}
 		if rec != nil {
-			rec.Steps[i].Actual = len(out)
+			rec.Steps[a].Actual = len(ctx)
 		}
+		from = a + 1
+	}
+	out, borrowed, err := e.Run(p.Query, from, ctx, onStep)
+	if err != nil {
+		return nil, err
 	}
 	if borrowed {
 		out = append([]int(nil), out...)
 	}
-	return out, nil
-}
-
-// runPathCheck verifies each anchor candidate's ancestor chain
-// against the predicate-free step prefix directly — no intermediate
-// candidate list is ever materialized, so a huge early step (the `*`
-// in Q6) costs nothing.
-func (p *Plan) runPathCheck(e *xpath.Engine, rec *Report) ([]int, error) {
-	steps := p.Query.Steps
-	a := p.Anchor
-	out := pathFilter(e, steps, a, e.Candidates(steps[a].Name))
-	out, err := e.FilterPreds(out, steps[a])
-	if err != nil {
-		return nil, err
-	}
 	if rec != nil {
-		rec.Steps[a].Actual = len(out)
-	}
-	return p.runForward(e, out, rec)
-}
-
-// runForward evaluates the steps after the anchor exactly as
-// leftright would, starting from the anchor's survivors.
-func (p *Plan) runForward(e *xpath.Engine, out []int, rec *Report) ([]int, error) {
-	steps := p.Query.Steps
-	for i := p.Anchor + 1; i < len(steps); i++ {
-		out = e.JoinDown(out, e.Candidates(steps[i].Name), steps[i].Axis == xpath.Descendant)
-		var err error
-		out, err = e.FilterPreds(out, steps[i])
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil {
-			rec.Steps[i].Actual = len(out)
-		}
+		rec.Matches = len(out)
 	}
 	return out, nil
 }

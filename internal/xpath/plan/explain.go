@@ -72,19 +72,12 @@ func stepText(s xpath.Step) string {
 
 // phaseOf names the role step i plays under the plan's strategy.
 func phaseOf(p *Plan, i int) string {
-	switch p.Strategy {
-	case FallbackAxes:
-		return "fallback"
-	case PathCheck:
-		switch {
-		case i < p.Anchor:
-			return "path-verified"
-		case i == p.Anchor:
-			return "anchor"
-		}
-		return "join"
-	}
-	if i == 0 {
+	switch {
+	case p.Strategy == PathCheck && i < p.Anchor:
+		return "path-verified"
+	case p.Strategy == PathCheck && i == p.Anchor:
+		return "anchor"
+	case i == 0:
 		return "scan"
 	}
 	return "join"
@@ -100,9 +93,7 @@ func (r *Report) String() string {
 	} else {
 		fmt.Fprintf(&sb, "strategy: %s\n", r.Strategy)
 	}
-	if r.Strategy != FallbackAxes {
-		fmt.Fprintf(&sb, "cost: chosen=%.0f leftright=%.0f\n", r.CostChosen, r.CostLeftRight)
-	}
+	fmt.Fprintf(&sb, "cost: chosen=%.0f leftright=%.0f\n", r.CostChosen, r.CostLeftRight)
 	if r.Snapshot {
 		fmt.Fprintf(&sb, "cache: result=%s generation=%d\n", r.Cache, r.Generation)
 	} else {

@@ -1,27 +1,28 @@
 // Package plan is the cost-based query planner over xpath.Engine.
 //
-// The naive engine evaluates steps strictly left-to-right, which is
-// optimal when every step narrows the result but pathological when an
-// early step has a huge candidate list (the `*` step of the paper's
-// Q6 scans every element of the document). The planner estimates
-// per-step selectivity from the per-name candidate counts the engine
-// already indexes, plus a constant typical element depth, and picks
-// the cheaper of two result-equivalent strategies:
+// The engine evaluates steps strictly left-to-right in one loop
+// (Engine.Run), which is optimal when every step narrows the result
+// but pathological when an early step has a huge candidate list (the
+// `*` step of the paper's Q6 scans every element of the document). The
+// planner estimates per-step selectivity from the per-name candidate
+// counts the engine already indexes, plus a constant typical element
+// depth, and picks the cheaper of two result-equivalent strategies,
+// both of which join through that loop:
 //
-//   - leftright: the engine's own document-ordered join sequence.
-//   - pathcheck: when every step before the anchor is predicate-free,
-//     skip the intermediate joins entirely and verify each anchor
-//     candidate by walking its ancestor chain (Engine.ParentOf)
-//     against the step prefix. Cost is |anchor| × depth regardless of
-//     how large the intermediate candidate lists are — the strategy
-//     that beats leftright on Q6-shaped queries.
+//   - leftright: the loop from the first step, on any axis.
+//   - pathcheck: when every step uses the child or descendant axis
+//     and every step before the anchor is predicate-free, skip the
+//     intermediate joins entirely and verify each anchor candidate
+//     by walking its ancestor chain (Engine.ParentOf) against the step
+//     prefix, then run the loop from the step after the anchor on the
+//     survivors. Cost is |anchor| × depth regardless of how large the
+//     intermediate candidate lists are — the strategy that beats
+//     leftright on Q6-shaped queries.
 //
-// Queries using axes outside the child/descendant spine fall back to
-// the engine's reference evaluator unchanged. Both strategies are
-// proven result-equivalent to the naive engine by the property tests
-// in this package (the naive path is the retained Ref oracle, the
-// same discipline bitstr and cdbs use for their kernels). The package
-// starts no goroutine: every plan runs on its caller's.
+// Both strategies are proven result-equivalent to the engine's Eval by
+// the property tests in this package (Eval is the retained Ref oracle,
+// the same discipline bitstr and cdbs use for their kernels). The
+// package starts no goroutine: every plan runs on its caller's.
 package plan
 
 import (
@@ -40,9 +41,6 @@ const (
 	// PathCheck verifies the predicate-free step prefix by ancestor
 	// walks from the anchor's candidates.
 	PathCheck
-	// FallbackAxes delegates to the engine's reference evaluator
-	// (query uses axes outside the child/descendant spine).
-	FallbackAxes
 )
 
 // String names the strategy as EXPLAIN prints it.
@@ -52,8 +50,6 @@ func (s Strategy) String() string {
 		return "leftright"
 	case PathCheck:
 		return "pathcheck"
-	case FallbackAxes:
-		return "fallback-axes"
 	}
 	return "unknown"
 }
@@ -170,7 +166,7 @@ const (
 )
 
 // spine reports whether every step uses the child or descendant axis
-// — the fragment the planner can reorder.
+// — pathcheck's precondition: its ancestor walk decides only those.
 func spine(q *xpath.Query) bool {
 	for _, s := range q.Steps {
 		if s.Axis != xpath.Child && s.Axis != xpath.Descendant {
@@ -250,21 +246,16 @@ func costPathCheck(q *xpath.Query, counts []int, anchor int) float64 {
 }
 
 // For compiles a plan for q against e's statistics. Compilation never
-// fails: queries outside the child/descendant spine compile to the
-// fallback strategy.
+// fails: every query can run leftright.
 func For(e *xpath.Engine, q *xpath.Query) *Plan {
 	p := &Plan{Query: q, Text: q.String(), Strategy: LeftRight, Reads: ReadSet(q)}
-	if !spine(q) {
-		p.Strategy = FallbackAxes
-		return p
-	}
 	counts := stepCounts(e, q)
 	p.CostLeftRight = costLeftRight(q, counts)
 	p.CostChosen = p.CostLeftRight
 
-	// Pathcheck may anchor at step a while steps 0..a-1 carry no
-	// predicates.
-	for a := 1; a < len(q.Steps) && len(q.Steps[a-1].Preds) == 0; a++ {
+	// Pathcheck may anchor at step a of a spine query while steps
+	// 0..a-1 carry no predicates.
+	for a := 1; spine(q) && a < len(q.Steps) && len(q.Steps[a-1].Preds) == 0; a++ {
 		if c := costPathCheck(q, counts, a); c < p.CostChosen*chooseMargin {
 			p.Strategy, p.Anchor, p.CostChosen = PathCheck, a, c
 		}

@@ -96,7 +96,6 @@ func normalize(ids []int) []int {
 func forcedPlans(q *xpath.Query) []*Plan {
 	plans := []*Plan{{Query: q, Text: q.String(), Strategy: LeftRight}}
 	if !spineForTest(q) {
-		plans[0].Strategy = FallbackAxes
 		return plans
 	}
 	prefixPredFree := true
@@ -154,8 +153,8 @@ func TestStrategiesMatchNaive(t *testing.T) {
 }
 
 // TestPlannerMatchesNaiveAllSchemes runs the planner-chosen plan —
-// including the fallback for non-spine axes — against the naive
-// engine under every registered labeling scheme.
+// leftright for every query off the child/descendant spine — against
+// the naive engine under every registered labeling scheme.
 func TestPlannerMatchesNaiveAllSchemes(t *testing.T) {
 	for _, ent := range registry.All() {
 		ent := ent
@@ -438,5 +437,28 @@ func TestExplainCountsNothing(t *testing.T) {
 	}
 	if after := counters(); after != before {
 		t.Errorf("Explain moved the plan hits, plan misses, result hits and result misses from %v to %v", before, after)
+	}
+}
+
+// TestLeftRightAllocsMatchEngine pins that a leftright plan allocates
+// exactly what Engine.Eval does for the same query, on the spine and
+// off it: the per-step callback that fills EXPLAIN's actuals costs
+// nothing when EXPLAIN is off.
+func TestLeftRightAllocsMatchEngine(t *testing.T) {
+	eng := testEngine(t, randomNamedDoc(rand.New(rand.NewSource(5)), 200))
+	for _, text := range []string{"//a[./b]/c", "//a/b[2]/preceding-sibling::c"} {
+		q := xpath.MustParse(text)
+		p := For(eng, q)
+		if p.Strategy != LeftRight {
+			t.Fatalf("%s plans %s, want leftright", text, p.Strategy)
+		}
+		if ids, err := p.Eval(eng); err != nil || len(ids) == 0 {
+			t.Fatalf("%s: %v, %v; want some matches", text, ids, err)
+		}
+		planned := testing.AllocsPerRun(50, func() { _, _ = p.Eval(eng) })
+		naive := testing.AllocsPerRun(50, func() { _, _ = eng.Eval(q) })
+		if planned != naive {
+			t.Errorf("%s: Plan.Eval makes %v allocations, Engine.Eval %v", text, planned, naive)
+		}
 	}
 }

@@ -2,10 +2,10 @@
 # ci.sh — the full verification gate, runnable locally and in CI. The
 # gate is a rule, not a list: a test is gated by existing.
 #
-#   1. gofmt, the DESIGN.md budget (scripts/loc.sh), go vet, go build
-#      (both tag states), that the compiler inlines the per-predicate
-#      read path, and build and vet of the benchmark module, which
-#      compiles against internal/ APIs
+#   1. gofmt, the DESIGN.md and verify-skill budgets (scripts/loc.sh),
+#      go vet, go build (both tag states), that the compiler inlines
+#      the per-predicate read path, and build and vet of the benchmark
+#      module, which compiles against internal/ APIs
 #   2. go test ./..., plain, under -tags invariants and under -race,
 #      then the clone-isolation, overlay-fold-and-compaction and storm
 #      tests (the borrowed-answer storm among them: readers hold cached
@@ -28,7 +28,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "==> DESIGN.md budget (scripts/loc.sh)"
+echo "==> DESIGN.md and verify-skill budgets (scripts/loc.sh)"
 sh scripts/loc.sh >/dev/null
 
 echo "==> go vet ./..."
