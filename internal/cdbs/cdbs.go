@@ -52,16 +52,28 @@ func CheckGap(l, r bitstr.BitString) error {
 }
 
 // middle is Algorithm 1 (AssignMiddleBinaryString) on a checked gap,
-// stated once, as a splice of one bound: the first keep bits of src,
-// then the low k bits of v. Case (1) is l ⊕ "1" — with both bounds
-// empty, "1", the middle number's code — and case (2) is r with its
-// last "1" changed to "01". The case depends on the bounds' lengths
-// alone, so a caller can size its storage first (BetweenLen).
+// stated once, as a splice of one bound (Splice): the first keep bits
+// of src, then the low k bits of v.
 func middle(l, r bitstr.BitString) (src bitstr.BitString, keep int, v uint64, k int) {
-	if l.Len() >= r.Len() {
-		return l, l.Len(), 0b1, 1
+	right, keep, v, k := Splice(l.Len(), r.Len())
+	if right {
+		return r, keep, v, k
 	}
-	return r, r.Len() - 1, 0b01, 2
+	return l, keep, v, k
+}
+
+// Splice is Algorithm 1's case split, which depends on the bounds'
+// lengths alone: the code between bounds of ll and rl bits is the first
+// keep bits of the left bound (right false) or of the right one, then
+// the low k bits of v. Case (1) is l ⊕ "1" — with both bounds empty,
+// "1", the middle number's code — and case (2) is r with its last "1"
+// changed to "01". A caller can so size its storage first (BetweenLen),
+// and splice a code held in any form.
+func Splice(ll, rl int) (right bool, keep int, v uint64, k int) {
+	if ll >= rl {
+		return false, ll, 0b1, 1
+	}
+	return true, rl - 1, 0b01, 2
 }
 
 // BetweenLen returns the bits of the code between bounds of ll and rl.
@@ -89,28 +101,6 @@ func Between(l, r bitstr.BitString) (bitstr.BitString, error) {
 	}
 	assertBetween(l, r, m)
 	return m, nil
-}
-
-// AppendBetween is Between written where the code will live: it
-// appends the code of the checked gap (l, r) to dst in its stored form
-// (bitstr.AppendTo's), allocating nothing with room in dst for
-// StoredLen(BetweenLen(…)) bytes, and returns a view of it.
-func AppendBetween(dst []byte, l, r bitstr.BitString) ([]byte, bitstr.BitString) {
-	at := len(dst)
-	src, keep, v, k := middle(l, r)
-	dst = src.AppendSplicedTo(dst, keep, v, k)
-	m := bitstr.ViewStored(dst[at:])
-	assertBetween(l, r, m)
-	return dst, m
-}
-
-// AppendTwoBetween is Corollary 3.3 in stored form: m1 then m2 with
-// l ≺ m1 ≺ m2 ≺ r, the (start, end) pair of a containment label. m1
-// ends with "1" (Lemma 3.2) and is longer than r, so m2 is m1 ⊕ "1".
-func AppendTwoBetween(dst []byte, l, r bitstr.BitString) []byte {
-	dst, m1 := AppendBetween(dst, l, r)
-	dst, _ = AppendBetween(dst, m1, r)
-	return dst
 }
 
 // TwoBetween implements Corollary 3.3: it returns m1, m2 with
@@ -190,21 +180,6 @@ func fillGap(out []bitstr.BitString, l, r bitstr.BitString) {
 	out[mid] = m
 	fillGap(out[:mid], l, m)
 	fillGap(out[mid+1:], m, r)
-}
-
-// PutEncodeBetween is fillGap in stored form: it writes the len(offs)
-// codes of the checked gap (l, r) into buf, the i-th in code order at
-// offs[i], where the caller has left each the StoredLen its length
-// (EncodeBetweenLens) takes. A gap's code is written before its
-// halves', which read it back as their bound: nothing is boxed.
-func PutEncodeBetween[T ~uint32](buf []byte, offs []T, l, r bitstr.BitString) {
-	if len(offs) == 0 {
-		return
-	}
-	mid := len(offs) / 2
-	_, m := AppendBetween(buf[:offs[mid]], l, r)
-	PutEncodeBetween(buf, offs[:mid], l, m)
-	PutEncodeBetween(buf, offs[mid+1:], m, r)
 }
 
 // EncodeBetweenLens is the same recursion on lengths alone: it sets

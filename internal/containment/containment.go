@@ -31,9 +31,10 @@ import (
 const levelBits = 8
 
 // Labeling is a containment-labeled document. Its labels are one
-// keys.Arena, in which every endpoint key is stored once at its own
-// size, and one column of Refs into it: ends[2v] names node v's start
-// key and ends[2v+1] its end key. A dynamic codec writes both once, so
+// column of keys.Refs, ends[2v] node v's start key and ends[2v+1] its
+// end key, and one keys.Arena behind them: a CDBS or QED key of at
+// most 31 bits is its Ref, and a longer one, or any binary or float
+// key, is stored once in the arena at its own size. A dynamic codec writes both once, so
 // the arena and the column keep their chunks across CloneLabeling
 // (package cow's write-once rule); a static codec's re-encoding
 // replaces both.
@@ -135,19 +136,16 @@ func (l *Labeling) AppendOrderedLabel(dst []byte, v int) ([]byte, error) {
 	if !l.tree.Alive(v) {
 		return nil, fmt.Errorf("%w: %d", scheme.ErrBadNode, v)
 	}
-	b, ok := l.keys.Ordered(l.start(v))
+	dst, ok := l.keys.AppendOrdered(dst, l.start(v))
 	if !ok {
 		return nil, fmt.Errorf("%w: containment codec %s", scheme.ErrNoOrderedLabels, l.keys.Codec().Name())
 	}
-	return append(dst, b...), nil
+	return dst, nil
 }
 
 // labelLen returns the length of the ordered label a node with start
 // key r has: zero under a codec without one.
-func labelLen(a *keys.Arena, r keys.Ref) uint32 {
-	b, _ := a.Ordered(r)
-	return uint32(len(b))
-}
+func labelLen(a *keys.Arena, r keys.Ref) uint32 { return uint32(a.OrderedLen(r)) }
 
 // LimitLabel sets the longest ordered label an insert may assign.
 func (l *Labeling) LimitLabel(n int) { l.limit = uint32(min(max(n, 0), math.MaxUint32)) }
@@ -270,7 +268,7 @@ func (l *Labeling) InsertChildAt(parent, pos int) (int, int, error) {
 }
 
 // MarshalLabel serialises node v's label in its storage form: the
-// start and end keys in the codec's own encoding (keys.Marshaler)
+// start and end keys in the codec's own encoding (keys.Arena.AppendKey)
 // followed by a one-byte level.
 func (l *Labeling) MarshalLabel(v int) ([]byte, error) {
 	if !l.tree.Alive(v) {

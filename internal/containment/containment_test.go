@@ -24,7 +24,7 @@ func TestIntervalAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Figure 2 style: root spans everything; b contains c.
-	codec := keys.VBinary()
+	codec := referenceOf(keys.VBinary())
 	val := func(k keys.Key) string {
 		return k.(interface{ String() string }).String()
 	}
@@ -57,7 +57,7 @@ func TestInsertDynamicKeepsNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := keys.VCDBS()
+	codec := referenceOf(keys.VCDBS())
 	beforeStart := l.StartKey(2)
 	beforeEnd := l.EndKey(1)
 	id, relabeled, err := l.InsertChildAt(0, 1) // between a and b

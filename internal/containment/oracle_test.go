@@ -17,17 +17,19 @@ func allCodecs() []keys.Codec {
 	return []keys.Codec{keys.VBinary(), keys.FBinary(), keys.Float(), keys.VCDBS(), keys.FCDBS(), keys.QED()}
 }
 
-// oracle is the containment scheme over boxed keys and the Key-level
-// codec methods: the representation the packed Labeling replaced, kept
-// here as the reference it must agree with key for key.
+// oracle is the containment scheme over boxed keys and a test-local
+// reference of the codec's kernels: the representation the packed
+// Labeling replaced, kept here as the reference it must agree with key
+// for key.
 type oracle struct {
 	codec      keys.Codec
+	ref        reference
 	tree       *scheme.Tree
 	start, end []keys.Key
 }
 
 func newOracle(t *testing.T, codec keys.Codec, doc *xmltree.Document) *oracle {
-	o := &oracle{codec: codec, tree: scheme.NewTree(doc)}
+	o := &oracle{codec: codec, ref: referenceOf(codec), tree: scheme.NewTree(doc)}
 	if o.reassign(t) != 0 {
 		t.Fatal("first assignment re-labeled")
 	}
@@ -35,7 +37,7 @@ func newOracle(t *testing.T, codec keys.Codec, doc *xmltree.Document) *oracle {
 }
 
 func (o *oracle) reassign(t *testing.T) (changed int) {
-	ks, err := o.codec.Encode(2 * o.tree.Len())
+	ks, err := o.ref.Encode(2 * o.tree.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func (o *oracle) reassign(t *testing.T) (changed int) {
 	}
 	walk(o.tree.PreOrder()[0])
 	for v := range o.start {
-		if o.tree.Alive(v) && o.start[v] != nil && (o.codec.Compare(o.start[v], start[v]) != 0 || o.codec.Compare(o.end[v], end[v]) != 0) {
+		if o.tree.Alive(v) && o.start[v] != nil && (o.ref.Compare(o.start[v], start[v]) != 0 || o.ref.Compare(o.end[v], end[v]) != 0) {
 			changed++
 		}
 	}
@@ -79,8 +81,8 @@ func (o *oracle) insert(t *testing.T, parent, pos int, shapes []*xmltree.Node, s
 	var err error
 	if single {
 		var m1, m2 keys.Key
-		if m1, err = o.codec.Between(l, r); err == nil {
-			m2, err = o.codec.Between(m1, r)
+		if m1, err = o.ref.Between(l, r); err == nil {
+			m2, err = o.ref.Between(m1, r)
 		}
 		ks = []keys.Key{m1, m2}
 	} else {
@@ -88,7 +90,7 @@ func (o *oracle) insert(t *testing.T, parent, pos int, shapes []*xmltree.Node, s
 		for _, s := range shapes {
 			total += s.SubtreeSize()
 		}
-		ks, err = o.codec.NBetween(l, r, 2*total)
+		ks, err = o.ref.NBetween(l, r, 2*total)
 	}
 	if err != nil && !errors.Is(err, keys.ErrNoRoom) {
 		t.Fatal(err)
@@ -124,18 +126,17 @@ func (o *oracle) check(t *testing.T, l *Labeling, rng *rand.Rand, step string) {
 		t.Fatalf("%s: trees diverged", step)
 	}
 	var all []keys.Key
-	ob, ordered := o.codec.(keys.OrderedBytes)
-	m := o.codec.(keys.Marshaler)
+	_, ordered := o.codec.(keys.OrderedBytes)
 	var dst []byte
 	for _, v := range live {
 		all = append(all, o.start[v], o.end[v])
 		for _, p := range [][2]keys.Key{{l.StartKey(v), o.start[v]}, {l.EndKey(v), o.end[v]}} {
-			if reflect.TypeOf(p[0]) != reflect.TypeOf(p[1]) || o.codec.Compare(p[0], p[1]) != 0 {
+			if reflect.TypeOf(p[0]) != reflect.TypeOf(p[1]) || o.ref.Compare(p[0], p[1]) != 0 {
 				t.Fatalf("%s: node %d key %v (%T), oracle %v (%T)", step, v, p[0], p[0], p[1], p[1])
 			}
 		}
-		want, _ := m.AppendKey(nil, o.start[v])
-		want, _ = m.AppendKey(want, o.end[v])
+		want := o.ref.AppendKey(nil, o.start[v])
+		want = o.ref.AppendKey(want, o.end[v])
 		want = append(want, byte(o.tree.Depth(v)))
 		if got, err := l.MarshalLabel(v); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: node %d MarshalLabel %x, %v, oracle %x", step, v, got, err, want)
@@ -148,17 +149,17 @@ func (o *oracle) check(t *testing.T, l *Labeling, rng *rand.Rand, step string) {
 			}
 			continue
 		}
-		if want, _ := ob.AppendOrdered(nil, o.start[v]); err != nil || !bytes.Equal(dst, want) {
+		if want := o.ref.AppendOrdered(nil, o.start[v]); err != nil || !bytes.Equal(dst, want) {
 			t.Fatalf("%s: node %d ordered label %x, %v, oracle %x", step, v, dst, err, want)
 		}
 	}
-	if got, want := l.TotalLabelBits(), int64(o.codec.TotalBits(all)+levelBits*len(live)); got != want {
+	if got, want := l.TotalLabelBits(), int64(o.ref.TotalBits(all)+levelBits*len(live)); got != want {
 		t.Fatalf("%s: TotalLabelBits %d, oracle %d", step, got, want)
 	}
 	for i := 0; i < 4*len(live); i++ {
 		u, v := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
-		before := o.codec.Compare(o.start[u], o.start[v]) < 0
-		anc := before && o.codec.Compare(o.end[v], o.end[u]) < 0
+		before := o.ref.Compare(o.start[u], o.start[v]) < 0
+		anc := before && o.ref.Compare(o.end[v], o.end[u]) < 0
 		if l.Before(u, v) != before || l.IsAncestor(u, v) != anc || anc != o.tree.IsAncestorStructural(u, v) {
 			t.Fatalf("%s: (%d,%d) Before %v IsAncestor %v, oracle %v %v", step, u, v, l.Before(u, v), l.IsAncestor(u, v), before, anc)
 		}

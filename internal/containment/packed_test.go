@@ -65,7 +65,10 @@ func TestPackedPathAllocs(t *testing.T) {
 }
 
 // BenchmarkCompare is the query-time cost of a label: one Before and
-// one IsAncestor between pseudo-random Hamlet nodes.
+// one IsAncestor between pseudo-random Hamlet nodes. The escaped case
+// draws them from 200 inserts into one gap of Hamlet under V-CDBS
+// (singleGap), whose keys from the 17th on are too long for a
+// word: the cost of a compare in stored form.
 func BenchmarkCompare(b *testing.B) {
 	for _, codec := range allCodecs() {
 		b.Run(codec.Name(), func(b *testing.B) {
@@ -79,6 +82,17 @@ func BenchmarkCompare(b *testing.B) {
 			}
 		})
 	}
+	b.Run("escaped", func(b *testing.B) {
+		l := hamlet(b, keys.VCDBS())
+		ids := singleGap(b, l, 200)
+		n := len(ids)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u, v := ids[i%n], ids[(i*7919+13)%n]
+			sink = l.Before(u, v) != l.IsAncestor(u, v)
+		}
+	})
 }
 
 // BenchmarkInsertChildAt spreads leaf inserts over Hamlet's nodes.

@@ -7,14 +7,12 @@
 // Table 4.
 //
 // Every codec is written once, as kernels over its own key type
-// (bit strings, float64, QED codes), and reached two ways. The
-// Key-level Codec methods in this file box and unbox around the
-// kernels; they are what the kernel tests and the experiments call,
-// and the reference the packed path is tested against. Arena
-// (arena.go) keeps keys stored back to back in one byte slice, which is
-// how a containment labeling holds its endpoints: the static codecs'
-// and QED's kernels run over views of them and their results are copied
-// in, the CDBS kernels have stored-form twins that write them there.
+// (bit strings, float64, QED codes), and reached through an Arena
+// (arena.go), which is how a containment labeling holds its endpoints:
+// a key of the CDBS or QED codecs short enough lives in its Ref, the
+// rest are stored back to back in one byte slice. The static codecs'
+// and QED's kernels run over views of the keys and their results are
+// copied in; the CDBS codes are spliced where they will live.
 package keys
 
 import (
@@ -24,12 +22,10 @@ import (
 	"math/bits"
 
 	"repro/internal/bitstr"
-	"repro/internal/cdbs"
-	"repro/internal/qed"
 )
 
 // Key is an opaque ordered key; its concrete type belongs to the codec
-// that produced it.
+// that produced it (Arena.Key).
 type Key any
 
 // ErrNoRoom reports that no key exists between the given neighbors
@@ -38,81 +34,30 @@ type Key any
 // re-labeling.
 var ErrNoRoom = errors.New("keys: no room between neighboring keys without re-labeling")
 
-// ErrWrongKeyType reports a key from a different codec.
-var ErrWrongKeyType = errors.New("keys: key has wrong concrete type for this codec")
-
-// Codec is one endpoint encoding.
+// Codec is one endpoint encoding. Its keys are made, compared and
+// accounted for by an Arena.
 type Codec interface {
 	// Name returns the codec's display name as used in the paper's
 	// figures, e.g. "V-CDBS".
 	Name() string
-	// Dynamic reports whether Between can always succeed (no
-	// re-labeling ever needed for order maintenance).
+	// Dynamic reports whether a key can always be made between two
+	// others (no re-labeling ever needed for order maintenance).
 	Dynamic() bool
-	// Encode returns the initial keys for positions 1..n in order.
-	Encode(n int) ([]Key, error)
-	// Between returns a key strictly between l and r; a nil bound is
-	// open. It returns ErrNoRoom when only re-labeling can make room.
-	Between(l, r Key) (Key, error)
-	// NBetween returns n ordered keys strictly between l and r,
-	// assigned evenly so bulk insertions get short keys. It returns
-	// ErrNoRoom when the gap cannot hold n keys without re-labeling.
-	NBetween(l, r Key, n int) ([]Key, error)
-	// Compare orders two keys.
-	Compare(a, b Key) int
-	// TotalBits returns the storage footprint of a key list under the
-	// paper's Section 4.2 accounting, including per-key overhead
-	// (length fields, separators) and per-list overhead (a stored
-	// width).
-	TotalBits(ks []Key) int
 }
 
-// OrderedBytes is implemented by codecs whose keys admit an
-// order-preserving raw-byte encoding: bytes.Compare on two encodings
-// must agree with Compare, and the encoding must be unique per key.
-// Paged index storage (internal/store) keys its B-trees with these
-// bytes. CDBS codes qualify because every code ends in a 1-bit, so
-// MSB-first byte packing with zero padding is bijective and preserves
-// the bitwise lexicographic order; QED codes qualify because the
-// digit string itself is the comparison key. Binary and float codecs
-// do not (their numeric order disagrees with bytewise order), so they
-// deliberately lack this method.
+// OrderedBytes is implemented by the codecs whose keys are strings of
+// symbols compared symbol by symbol, a proper prefix first, that end
+// in a nonzero symbol: CDBS codes (bits, ending in 1) and QED codes
+// (the digits 1..3). Padded with zero symbols, two such keys keep
+// their order and stay distinct, so the packed symbols are an
+// order-preserving byte form (Arena.AppendOrdered; the paged index
+// keys its B-tree with it) and a key of at most 31 bits is held in its
+// Ref (the word form). Binary and float keys are numbers, whose order
+// bytewise comparison does not follow.
 type OrderedBytes interface {
-	// AppendOrdered appends the order-preserving encoding of k to dst.
-	AppendOrdered(dst []byte, k Key) ([]byte, error)
-}
-
-// unbox returns the codec's own form of a bound: open for nil.
-func unbox[K any](k Key, open K) (K, error) {
-	if k == nil {
-		return open, nil
-	}
-	v, ok := k.(K)
-	if !ok {
-		return open, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
-	}
-	return v, nil
-}
-
-// unboxBounds is unbox over a gap's two bounds.
-func unboxBounds[K any](l, r Key, open K) (lv, rv K, err error) {
-	if lv, err = unbox(l, open); err != nil {
-		return lv, rv, err
-	}
-	rv, err = unbox(r, open)
-	return lv, rv, err
-}
-
-// boxAll turns a kernel's run of keys into Keys.
-func boxAll[K any](ks []K, err error) ([]Key, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Key, len(ks))
-	for i, k := range ks {
-		out[i] = k
-	}
-	return out, nil
+	Codec
+	// symbol returns the bits of one symbol.
+	symbol() int
 }
 
 // tally is what every codec's size accounting reduces a key list to:
@@ -139,14 +84,6 @@ func bitStringTotal(fixed bool, t tally) int {
 		return t.count*t.max + uintBits(uint64(t.max))
 	}
 	return t.sum + t.count*uintBits(uint64(t.max))
-}
-
-func bitStringTotalOf(fixed bool, ks []Key) int {
-	var t tally
-	for _, k := range ks {
-		t.add(k.(bitstr.BitString).Len())
-	}
-	return bitStringTotal(fixed, t)
 }
 
 // ---------------------------------------------------------------------------
@@ -177,30 +114,6 @@ func (c intCodec) Name() string {
 }
 
 func (c intCodec) Dynamic() bool { return false }
-
-func (c intCodec) Encode(n int) ([]Key, error) { return boxAll(c.encodeBits(n)) }
-
-func (c intCodec) Between(l, r Key) (Key, error) {
-	lb, rb, err := unboxBounds(l, r, bitstr.Empty)
-	if err != nil {
-		return nil, err
-	}
-	return c.betweenBits(lb, rb)
-}
-
-func (c intCodec) NBetween(l, r Key, n int) ([]Key, error) {
-	lb, rb, err := unboxBounds(l, r, bitstr.Empty)
-	if err != nil {
-		return nil, err
-	}
-	return boxAll(c.nbetweenBits(lb, rb, n))
-}
-
-func (c intCodec) Compare(a, b Key) int {
-	return compareNumeric(a.(bitstr.BitString), b.(bitstr.BitString))
-}
-
-func (c intCodec) TotalBits(ks []Key) int { return bitStringTotalOf(c.fixed, ks) }
 
 func (c intCodec) encodeBits(n int) ([]bitstr.BitString, error) {
 	if n < 0 {
@@ -296,19 +209,6 @@ func (c intCodec) fromUint(v uint64, width int) bitstr.BitString {
 	return bitstr.FromUintFixed(v, max(width, uintBits(v)))
 }
 
-// compareNumeric is numeric order on leading-zero-free codes: shorter
-// means smaller; equal lengths compare bitwise. (Fixed-width codes
-// have equal lengths, so this is plain bitwise comparison for them.)
-func compareNumeric(a, b bitstr.BitString) int {
-	switch {
-	case a.Len() < b.Len():
-		return -1
-	case a.Len() > b.Len():
-		return 1
-	}
-	return a.Compare(b)
-}
-
 // uintBits returns the bit length of v, with a 1-bit minimum (the
 // V-Binary encoding of 0 is "0").
 func uintBits(v uint64) int {
@@ -333,32 +233,10 @@ func Float() Codec { return floatCodec{} }
 func (floatCodec) Name() string  { return "Float-point" }
 func (floatCodec) Dynamic() bool { return false }
 
-// openFloat is the float kernels' open bound. No key is NaN: every
-// key is an integer, an integer step from a key, or a finite midpoint.
-var openFloat = math.NaN()
-
-func (f floatCodec) Encode(n int) ([]Key, error) { return boxAll(f.encodeFloats(n)) }
-
-func (f floatCodec) Between(l, r Key) (Key, error) {
-	lv, rv, err := unboxBounds(l, r, openFloat)
-	if err != nil {
-		return nil, err
-	}
-	return f.betweenFloats(lv, rv)
-}
-
-func (f floatCodec) NBetween(l, r Key, n int) ([]Key, error) {
-	lv, rv, err := unboxBounds(l, r, openFloat)
-	if err != nil {
-		return nil, err
-	}
-	return boxAll(f.nbetweenFloats(lv, rv, n))
-}
-
-func (floatCodec) Compare(a, b Key) int { return compareFloats(a.(float64), b.(float64)) }
-
 // compareFloats orders two keys; none is NaN, which spares the
-// comparisons cmp.Compare spends on it.
+// comparisons cmp.Compare spends on it. NaN is the kernels' open bound:
+// every key is an integer, an integer step from a key, or a finite
+// midpoint.
 func compareFloats(x, y float64) int {
 	switch {
 	case x < y:
@@ -368,8 +246,6 @@ func compareFloats(x, y float64) int {
 	}
 	return 0
 }
-
-func (floatCodec) TotalBits(ks []Key) int { return 64 * len(ks) }
 
 func (floatCodec) encodeFloats(n int) ([]float64, error) {
 	if n < 0 {
@@ -455,43 +331,7 @@ func (c cdbsCodec) Name() string {
 }
 
 func (c cdbsCodec) Dynamic() bool { return true }
-
-func (c cdbsCodec) Encode(n int) ([]Key, error) { return boxAll(cdbs.Encode(n)) }
-
-func (c cdbsCodec) Between(l, r Key) (Key, error) {
-	lb, rb, err := unboxBounds(l, r, bitstr.Empty)
-	if err != nil {
-		return nil, err
-	}
-	return cdbs.Between(lb, rb)
-}
-
-// NBetween delegates to Algorithm 2's even subdivision.
-func (c cdbsCodec) NBetween(l, r Key, n int) ([]Key, error) {
-	lb, rb, err := unboxBounds(l, r, bitstr.Empty)
-	if err != nil {
-		return nil, err
-	}
-	return boxAll(cdbs.NBetween(lb, rb, n))
-}
-
-func (c cdbsCodec) Compare(a, b Key) int {
-	return a.(bitstr.BitString).Compare(b.(bitstr.BitString))
-}
-
-// AppendOrdered implements OrderedBytes: packed MSB-first code bytes.
-// CDBS codes end in a 1-bit, so the zero padding in the final byte
-// never makes two distinct codes collide, and bytewise comparison of
-// the packed form equals bitwise comparison of the codes.
-func (c cdbsCodec) AppendOrdered(dst []byte, k Key) ([]byte, error) {
-	b, ok := k.(bitstr.BitString)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
-	}
-	return b.AppendBytes(dst), nil
-}
-
-func (c cdbsCodec) TotalBits(ks []Key) int { return bitStringTotalOf(c.fixed, ks) }
+func (c cdbsCodec) symbol() int   { return 1 }
 
 // ---------------------------------------------------------------------------
 // QED codec
@@ -504,45 +344,4 @@ func QED() Codec { return qedCodec{} }
 
 func (qedCodec) Name() string  { return "QED" }
 func (qedCodec) Dynamic() bool { return true }
-
-func (qedCodec) Encode(n int) ([]Key, error) { return boxAll(qed.Encode(n)) }
-
-func (qedCodec) Between(l, r Key) (Key, error) {
-	lc, rc, err := unboxBounds(l, r, qed.Empty)
-	if err != nil {
-		return nil, err
-	}
-	return qed.Between(lc, rc)
-}
-
-// NBetween delegates to QED's even subdivision.
-func (qedCodec) NBetween(l, r Key, n int) ([]Key, error) {
-	lc, rc, err := unboxBounds(l, r, qed.Empty)
-	if err != nil {
-		return nil, err
-	}
-	return boxAll(qed.NBetween(lc, rc, n))
-}
-
-func (qedCodec) Compare(a, b Key) int {
-	return a.(qed.Code).Compare(b.(qed.Code))
-}
-
-// AppendOrdered implements OrderedBytes: the raw digit bytes. QED
-// comparison is Go string order on the digit values, so the digit
-// string is its own order-preserving encoding.
-func (qedCodec) AppendOrdered(dst []byte, k Key) ([]byte, error) {
-	c, ok := k.(qed.Code)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T", ErrWrongKeyType, k)
-	}
-	return c.AppendDigits(dst), nil
-}
-
-func (qedCodec) TotalBits(ks []Key) int {
-	total := 0
-	for _, k := range ks {
-		total += k.(qed.Code).BitsWithSeparator()
-	}
-	return total
-}
+func (qedCodec) symbol() int   { return 2 }

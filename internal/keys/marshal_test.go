@@ -1,32 +1,39 @@
 package keys
 
 import (
+	"bytes"
 	"testing"
 )
 
-// TestKeyMarshalRoundTrip serialises every codec's initial keys and
-// parses them back, checking order and equality survive.
+// TestKeyMarshalRoundTrip serialises every codec's initial keys with
+// Arena.AppendKey and parses them back with the reference's DecodeKey,
+// checking order and equality survive.
 func TestKeyMarshalRoundTrip(t *testing.T) {
 	for _, c := range allCodecs() {
-		m, ok := c.(Marshaler)
-		if !ok {
-			t.Fatalf("%s does not implement Marshaler", c.Name())
+		m := box(c)
+		a, err := NewArena(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ks, err := c.Encode(50)
+		refs, err := a.Encode(50)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Concatenate all keys into one buffer, then parse them back
 		// in sequence — the storage scenario.
-		var buf []byte
-		for _, k := range ks {
-			buf, err = m.AppendKey(buf, k)
+		var buf, boxedBuf []byte
+		for _, r := range refs {
+			buf = a.AppendKey(buf, r)
+			boxedBuf, err = m.AppendKey(boxedBuf, a.Key(r))
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name(), err)
 			}
 		}
+		if !bytes.Equal(buf, boxedBuf) {
+			t.Fatalf("%s: the arena serialises %x, the reference %x", c.Name(), buf, boxedBuf)
+		}
 		pos := 0
-		for i, want := range ks {
+		for i, r := range refs {
 			got, used, err := m.DecodeKey(buf[pos:])
 			if err != nil {
 				t.Fatalf("%s key %d: %v", c.Name(), i, err)
@@ -35,7 +42,7 @@ func TestKeyMarshalRoundTrip(t *testing.T) {
 				t.Fatalf("%s key %d: used %d", c.Name(), i, used)
 			}
 			pos += used
-			if c.Compare(got, want) != 0 {
+			if want := a.Key(r); box(c).Compare(got, want) != 0 {
 				t.Fatalf("%s key %d: decoded %v, want %v", c.Name(), i, got, want)
 			}
 		}
@@ -47,7 +54,7 @@ func TestKeyMarshalRoundTrip(t *testing.T) {
 
 func TestKeyMarshalErrors(t *testing.T) {
 	for _, c := range allCodecs() {
-		m := c.(Marshaler)
+		m := box(c)
 		if _, err := m.AppendKey(nil, "wrong type"); err == nil {
 			t.Errorf("%s: wrong key type accepted", c.Name())
 		}
@@ -61,12 +68,12 @@ func TestKeyMarshalErrors(t *testing.T) {
 // codec.
 func TestNBetweenOrderAllCodecs(t *testing.T) {
 	for _, c := range allCodecs() {
-		ks, err := c.Encode(10)
+		ks, err := box(c).Encode(10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 7, 40} {
-			mids, err := c.NBetween(ks[4], ks[5], n)
+			mids, err := box(c).NBetween(ks[4], ks[5], n)
 			if err != nil {
 				if !c.Dynamic() {
 					continue // static codecs may legitimately lack room
@@ -75,32 +82,32 @@ func TestNBetweenOrderAllCodecs(t *testing.T) {
 			}
 			prev := ks[4]
 			for i, mk := range mids {
-				if c.Compare(prev, mk) >= 0 {
+				if box(c).Compare(prev, mk) >= 0 {
 					t.Fatalf("%s: NBetween(%d)[%d] out of order", c.Name(), n, i)
 				}
 				prev = mk
 			}
-			if c.Compare(prev, ks[5]) >= 0 {
+			if box(c).Compare(prev, ks[5]) >= 0 {
 				t.Fatalf("%s: NBetween(%d) exceeded right bound", c.Name(), n)
 			}
 		}
 		// Open ends.
-		if mids, err := c.NBetween(ks[9], nil, 3); err != nil || len(mids) != 3 {
+		if mids, err := box(c).NBetween(ks[9], nil, 3); err != nil || len(mids) != 3 {
 			t.Fatalf("%s: open-right NBetween: %v", c.Name(), err)
 		}
-		if _, err := c.NBetween(ks[0], ks[1], -1); err == nil {
+		if _, err := box(c).NBetween(ks[0], ks[1], -1); err == nil {
 			t.Fatalf("%s: negative count accepted", c.Name())
 		}
 	}
 	// Static integer codec: a wide man-made gap has room for a few.
 	c := VBinary()
-	ks, _ := c.Encode(1000)
-	mids, err := c.NBetween(ks[0], ks[999], 50)
+	ks, _ := box(c).Encode(1000)
+	mids, err := box(c).NBetween(ks[0], ks[999], 50)
 	if err != nil || len(mids) != 50 {
 		t.Fatalf("V-Binary NBetween over wide gap: %v", err)
 	}
 	// But a tight gap correctly reports no room.
-	if _, err := c.NBetween(ks[0], ks[1], 1); err == nil {
+	if _, err := box(c).NBetween(ks[0], ks[1], 1); err == nil {
 		t.Fatal("V-Binary NBetween in unit gap succeeded")
 	}
 }

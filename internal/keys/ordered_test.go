@@ -8,18 +8,23 @@ import (
 
 // TestOrderedBytesAgree is the property the paged index backend rests
 // on: for every codec exposing OrderedBytes, bytes.Compare on the
-// encodings must agree with the codec's own Compare, and distinct keys
-// must encode distinctly — including keys produced by Between, whose
-// lengths vary freely.
+// encodings Arena.AppendOrdered gives must agree with the codec's own
+// order (the boxed reference's Compare), and distinct keys must encode
+// distinctly — including keys made between others, whose lengths vary
+// freely, words and stored keys both.
 func TestOrderedBytesAgree(t *testing.T) {
 	for _, c := range allCodecs() {
-		ob, ok := c.(OrderedBytes)
-		if !ok {
+		if _, ok := c.(OrderedBytes); !ok {
 			continue
 		}
+		ob := box(c)
 		t.Run(c.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			ks, err := c.Encode(64)
+			a, err := NewArena(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks, err := a.Encode(64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -27,17 +32,17 @@ func TestOrderedBytesAgree(t *testing.T) {
 			// lengths diverge (the padding-sensitive case).
 			for i := 0; i < 400; i++ {
 				at := rng.Intn(len(ks)-1) + 1
-				mid, err := c.Between(ks[at-1], ks[at])
+				mid, err := a.NBetween(ks[at-1], ks[at], 1, 0, nil)
 				if err != nil {
 					t.Fatalf("between: %v", err)
 				}
-				ks = append(ks[:at], append([]Key{mid}, ks[at:]...)...)
+				ks = append(ks[:at], append(mid, ks[at:]...)...)
 			}
 			enc := make([][]byte, len(ks))
 			for i, k := range ks {
-				e, err := ob.AppendOrdered(nil, k)
-				if err != nil {
-					t.Fatal(err)
+				e, ok := a.AppendOrdered(nil, k)
+				if !ok {
+					t.Fatalf("key %d has no ordered form", i)
 				}
 				if len(e) == 0 {
 					t.Fatalf("key %d encodes empty", i)
@@ -46,7 +51,7 @@ func TestOrderedBytesAgree(t *testing.T) {
 			}
 			for i := 0; i < len(ks); i++ {
 				for j := i + 1; j < len(ks); j++ {
-					want := c.Compare(ks[i], ks[j])
+					want := ob.Compare(a.Key(ks[i]), a.Key(ks[j]))
 					got := bytes.Compare(enc[i], enc[j])
 					if got != want {
 						t.Fatalf("order disagrees at (%d,%d): codec %d, bytes %d (%x vs %x)",

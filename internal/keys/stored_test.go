@@ -21,23 +21,23 @@ import (
 // the RefNBetween references), its result copied into the arena by put.
 type boxedPath struct {
 	codec    Codec
-	between  func(a *Arena, l, r []byte) (Ref, error)
-	nbetween func(a *Arena, l, r []byte, n int) ([]Ref, error)
+	between  func(a *Arena, l, r Ref) (Ref, error)
+	nbetween func(a *Arena, l, r Ref, n int) ([]Ref, error)
 	encode   func(a *Arena, n int) ([]Ref, error)
 }
 
 func boxedCDBS(c Codec) boxedPath {
 	return boxedPath{
 		codec: c,
-		between: func(a *Arena, l, r []byte) (Ref, error) {
-			m, err := cdbs.Between(bitsAt(l), bitsAt(r))
+		between: func(a *Arena, l, r Ref) (Ref, error) {
+			m, err := cdbs.Between(a.bitString(l), a.bitString(r))
 			if err != nil {
 				return 0, err
 			}
 			return a.putBits(m)
 		},
-		nbetween: func(a *Arena, l, r []byte, n int) ([]Ref, error) {
-			ms, err := cdbs.EncodeBetween(bitsAt(l), bitsAt(r), n)
+		nbetween: func(a *Arena, l, r Ref, n int) ([]Ref, error) {
+			ms, err := cdbs.EncodeBetween(a.bitString(l), a.bitString(r), n)
 			return putAll(ms, err, a.putBits)
 		},
 		encode: func(a *Arena, n int) ([]Ref, error) {
@@ -52,15 +52,15 @@ func boxedPaths() []boxedPath {
 	// arena's plumbing to the contract a stored kernel will have to meet.
 	return []boxedPath{boxedCDBS(VCDBS()), boxedCDBS(FCDBS()), {
 		codec: QED(),
-		between: func(a *Arena, l, r []byte) (Ref, error) {
-			m, err := qed.Between(codeAt(l), codeAt(r))
+		between: func(a *Arena, l, r Ref) (Ref, error) {
+			m, err := qed.Between(a.code(l), a.code(r))
 			if err != nil {
 				return 0, err
 			}
 			return a.putCode(m)
 		},
-		nbetween: func(a *Arena, l, r []byte, n int) ([]Ref, error) {
-			ms, err := qed.EncodeBetween(codeAt(l), codeAt(r), n)
+		nbetween: func(a *Arena, l, r Ref, n int) ([]Ref, error) {
+			ms, err := qed.EncodeBetween(a.code(l), a.code(r), n)
 			return putAll(ms, err, a.putCode)
 		},
 		encode: func(a *Arena, n int) ([]Ref, error) {
@@ -130,10 +130,10 @@ func (q *pair) insert(at int, gots, wants []Ref) {
 
 func (q *pair) two(at int) {
 	g1, g2, gerr := q.got.TwoBetween(q.gots[at], q.gots[at+1], 0)
-	w1, werr := q.p.between(&q.want, q.want.at(q.wants[at]), q.want.at(q.wants[at+1]))
+	w1, werr := q.p.between(&q.want, q.wants[at], q.wants[at+1])
 	var w2 Ref
 	if werr == nil {
-		w2, werr = q.p.between(&q.want, q.want.at(w1), q.want.at(q.wants[at+1]))
+		w2, werr = q.p.between(&q.want, w1, q.wants[at+1])
 	}
 	if q.same("TwoBetween", []Ref{g1, g2}, []Ref{w1, w2}, gerr, werr) {
 		q.insert(at, []Ref{g1, g2}, []Ref{w1, w2})
@@ -142,7 +142,7 @@ func (q *pair) two(at int) {
 
 func (q *pair) nbetween(at, n int) {
 	gs, gerr := q.got.NBetween(q.gots[at], q.gots[at+1], n, 0, nil)
-	ws, werr := q.p.nbetween(&q.want, q.want.at(q.wants[at]), q.want.at(q.wants[at+1]), n)
+	ws, werr := q.p.nbetween(&q.want, q.wants[at], q.wants[at+1], n)
 	if q.same("NBetween("+strconv.Itoa(n)+")", gs, ws, gerr, werr) {
 		q.insert(at, gs, ws)
 	}
