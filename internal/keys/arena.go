@@ -248,7 +248,19 @@ func (a *Arena) Encode(n int) ([]Ref, error) { return a.k.encode(a, n) }
 
 // AppendKey appends key r in the codec's serialised form: the stored
 // form, but QED's digits packed two bits each.
-func (a *Arena) AppendKey(dst []byte, r Ref) []byte { return a.k.marshal(dst, a.Stored(r)) }
+func (a *Arena) AppendKey(dst []byte, r Ref) []byte {
+	if r&inline == 0 {
+		return a.k.marshal(dst, a.at(r))
+	}
+	// A word is CDBS or QED's; calling them directly keeps buf, which
+	// an interface call would take to the heap, on the stack.
+	var buf wordBuf
+	b := a.unword(&buf, r)
+	if a.sym() == 2 {
+		return qedCodec{}.marshal(dst, b)
+	}
+	return bitStored{}.marshal(dst, b)
+}
 
 // ordered returns the order-preserving form of key r (OrderedBytes),
 // a slice of the arena or of buf; ok is false for a codec without one.
@@ -450,15 +462,16 @@ func (a *Arena) codeLen(r Ref) int {
 	return n
 }
 
-// word returns CDBS key r, of at most 64 bits, left-aligned in a word.
-func (a *Arena) word(r Ref) uint64 {
+// word returns CDBS key r, of at most 31 bits, as a word's payload;
+// r may be a short key putBits stored whole.
+func (a *Arena) word(r Ref) Ref {
 	if r&inline != 0 {
-		return uint64(r&^inline) << 33
+		return r &^ inline
 	}
-	var w [8]byte
+	var w [4]byte
 	_, p := bitstr.Stored(a.at(r))
 	copy(w[:], p)
-	return binary.BigEndian.Uint64(w[:])
+	return Ref(binary.BigEndian.Uint32(w[:]) >> 1)
 }
 
 // checkGap is cdbs.CheckGap on keys of the arena: a bound is empty
@@ -493,27 +506,17 @@ func (a *Arena) storedLen(n int) int {
 // between writes the code Algorithm 1 assigns between CDBS keys l and
 // r of a checked gap (cdbs.Splice): in its Ref when it fits one,
 // otherwise stored at the front of room, which starts at offset at.
-// A code of fewer than 64 bits is spliced as a word, a longer one from
-// the stored bound it extends.
 func (a *Arena) between(l, r Ref, room []byte, at Ref) Ref {
 	right, keep, v, k := cdbs.Splice(a.codeLen(l), a.codeLen(r))
 	src, n, m := l, keep+k, at
 	if right {
 		src = r
 	}
-	var w uint64
-	if n < 64 {
-		w = a.word(src)&^(math.MaxUint64>>keep) | v<<(64-n)
-	}
-	switch {
-	case n >= 64:
-		_ = bitsAt(a.at(src)).AppendSplicedTo(room, keep, v, k)
-	case a.fits(n):
-		m = inline | Ref(w>>33)
-	default:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], w)
-		_ = append(binary.AppendUvarint(room, uint64(n)), b[:(n+7)/8]...)
+	if a.fits(n) {
+		m = inline | a.word(src)&^(math.MaxUint32>>1>>keep) | Ref(v)<<(31-n)
+	} else {
+		var buf wordBuf
+		_ = bitsAt(a.view(&buf, src)).AppendSplicedTo(room, keep, v, k)
 	}
 	if invariants.Enabled && !(a.endsOne(m) && (a.codeLen(l) == 0 || a.Compare(l, m) < 0) && (a.codeLen(r) == 0 || a.Compare(m, r) < 0)) {
 		invariants.Violated("keys", "Between(%q, %q) = %q is not a code strictly between them", a.bitString(l), a.bitString(r), a.bitString(m))

@@ -14,6 +14,32 @@ func allCodecs() []Codec {
 	return []Codec{VBinary(), FBinary(), Float(), VCDBS(), FCDBS(), QED()}
 }
 
+// arenaEncode returns the keys c's arena assigns positions 1..n, and
+// the arena; an error is Encode's.
+func arenaEncode(c Codec, n int) (*Arena, []Ref, error) {
+	a, err := NewArena(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	refs, err := a.Encode(n)
+	return &a, refs, err
+}
+
+// totals returns c's size accounting over its n initial keys, by the
+// boxed reference and by the arena, which ships.
+func totals(t *testing.T, c Codec, n int) (boxedBits, arenaBits int) {
+	t.Helper()
+	ks, err := box(c).Encode(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, refs, err := arenaEncode(c, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return box(c).TotalBits(ks), a.TotalBits(refs)
+}
+
 func TestAllCodecsEncodeOrdered(t *testing.T) {
 	for _, c := range allCodecs() {
 		for _, n := range []int{0, 1, 2, 18, 100} {
@@ -32,6 +58,24 @@ func TestAllCodecsEncodeOrdered(t *testing.T) {
 		}
 		if _, err := box(c).Encode(-1); err == nil {
 			t.Errorf("%s.Encode(-1) succeeded", c.Name())
+		}
+		// The arena's keys, which ship, in the same order.
+		for _, n := range []int{0, 1, 2, 18, 100} {
+			a, refs, err := arenaEncode(c, n)
+			if err != nil {
+				t.Fatalf("%s arena Encode(%d): %v", c.Name(), n, err)
+			}
+			if len(refs) != n {
+				t.Fatalf("%s arena Encode(%d) returned %d keys", c.Name(), n, len(refs))
+			}
+			for i := 1; i < n; i++ {
+				if a.Compare(refs[i-1], refs[i]) >= 0 {
+					t.Errorf("%s arena Encode(%d): keys %d,%d out of order", c.Name(), n, i-1, i)
+				}
+			}
+		}
+		if _, _, err := arenaEncode(c, -1); err == nil {
+			t.Errorf("%s arena Encode(-1) succeeded", c.Name())
 		}
 	}
 }
@@ -204,44 +248,56 @@ func TestTotalBitsAccounting(t *testing.T) {
 				codec = c
 			}
 		}
-		ks, err := box(codec).Encode(18)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := box(codec).TotalBits(ks); got != w.bits {
+		got, arena := totals(t, codec, 18)
+		if got != w.bits {
 			t.Errorf("%s.TotalBits(18) = %d, want %d", w.name, got, w.bits)
+		}
+		if arena != w.bits {
+			t.Errorf("%s arena TotalBits(18) = %d, want %d", w.name, arena, w.bits)
 		}
 	}
 	// QED: larger than V-CDBS but no length fields.
-	q := QED()
-	ks, _ := box(q).Encode(18)
-	got := box(q).TotalBits(ks)
+	got, arena := totals(t, QED(), 18)
 	if got <= 64 {
 		t.Errorf("QED.TotalBits(18) = %d, implausibly small", got)
 	}
 	if got > 200 {
 		t.Errorf("QED.TotalBits(18) = %d, implausibly large", got)
 	}
+	if arena != got {
+		t.Errorf("QED arena TotalBits(18) = %d, boxed %d", arena, got)
+	}
 	for _, c := range allCodecs() {
 		if n := box(c).TotalBits(nil); n != 0 {
 			t.Errorf("%s.TotalBits(nil) = %d", c.Name(), n)
+		}
+		if a, err := NewArena(c); err != nil {
+			t.Fatal(err)
+		} else if n := a.TotalBits(nil); n != 0 {
+			t.Errorf("%s arena TotalBits(nil) = %d", c.Name(), n)
 		}
 	}
 }
 
 func TestCDBSKeySizeEqualsBinary(t *testing.T) {
 	// Figure 5's key claim: V-CDBS == V-Binary and F-CDBS == F-Binary
-	// total sizes, at any n.
+	// total sizes, at any n; by the boxed reference and by the arena.
 	for _, n := range []int{5, 18, 100, 1000} {
-		vb, _ := box(VBinary()).Encode(n)
-		vc, _ := box(VCDBS()).Encode(n)
-		if a, b := box(VBinary()).TotalBits(vb), box(VCDBS()).TotalBits(vc); a != b {
-			t.Errorf("n=%d: V-Binary %d != V-CDBS %d", n, a, b)
+		vb, avb := totals(t, VBinary(), n)
+		vc, avc := totals(t, VCDBS(), n)
+		if vb != vc {
+			t.Errorf("n=%d: V-Binary %d != V-CDBS %d", n, vb, vc)
 		}
-		fb, _ := box(FBinary()).Encode(n)
-		fc, _ := box(FCDBS()).Encode(n)
-		if a, b := box(FBinary()).TotalBits(fb), box(FCDBS()).TotalBits(fc); a != b {
-			t.Errorf("n=%d: F-Binary %d != F-CDBS %d", n, a, b)
+		if avb != avc || avc != vc {
+			t.Errorf("n=%d: arena V-Binary %d, V-CDBS %d; boxed %d", n, avb, avc, vc)
+		}
+		fb, afb := totals(t, FBinary(), n)
+		fc, afc := totals(t, FCDBS(), n)
+		if fb != fc {
+			t.Errorf("n=%d: F-Binary %d != F-CDBS %d", n, fb, fc)
+		}
+		if afb != afc || afc != fc {
+			t.Errorf("n=%d: arena F-Binary %d, F-CDBS %d; boxed %d", n, afb, afc, fc)
 		}
 	}
 }
