@@ -898,6 +898,9 @@ type HandleStats struct {
 	// ErrLabelTooLong once the next one would pass Storage.MaxLabel;
 	// every other handle indexes labels of any length.
 	LongestLabel int
+	// EscapedKeys counts the live label keys too long for their 32-bit
+	// ref, held in the label arena instead (containment schemes only).
+	EscapedKeys int
 	// Journaled reports whether the handle writes a journal; Journal
 	// is only meaningful when it is set.
 	Journaled bool
@@ -925,7 +928,12 @@ type StorageStats = store.Stats
 // on a closed handle.
 func (h *Handle) Stats() HandleStats {
 	s := HandleStats{Scheme: h.schemeName, Nodes: h.doc.Len(), Relabeled: h.doc.Relabeled()}
-	h.view(func(d *LiveDocument) { s.Storage, s.LongestLabel = d.Store().Stats(), d.LongestLabel() })
+	h.view(func(d *LiveDocument) {
+		s.Storage, s.LongestLabel = d.Store().Stats(), d.LongestLabel()
+		if e, ok := d.Labeling().(interface{ EscapedKeys() int }); ok {
+			s.EscapedKeys = e.EscapedKeys()
+		}
+	})
 	if h.jnl != nil {
 		s.Journaled = true
 		s.Journal = h.jnl.Stats()

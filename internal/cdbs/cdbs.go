@@ -182,19 +182,6 @@ func fillGap(out []bitstr.BitString, l, r bitstr.BitString) {
 	fillGap(out[mid+1:], m, r)
 }
 
-// EncodeBetweenLens is the same recursion on lengths alone: it sets
-// lens[i] to the bits of the i-th code EncodeBetween(l, r, len(lens))
-// assigns between bounds of ll and rl bits.
-func EncodeBetweenLens[T ~uint32](lens []T, ll, rl int) {
-	if len(lens) == 0 {
-		return
-	}
-	mid := len(lens) / 2
-	lens[mid] = T(BetweenLen(ll, rl))
-	EncodeBetweenLens(lens[:mid], ll, int(lens[mid]))
-	EncodeBetweenLens(lens[mid+1:], int(lens[mid]), rl)
-}
-
 // Encode implements Algorithm 2: it returns the V-CDBS codes for the
 // numbers 1..n, lexicographically ordered (Theorem 4.3), each ending
 // with "1" (Lemma 4.2), with total size equal to the V-Binary encoding
@@ -204,15 +191,6 @@ func Encode(n int) ([]bitstr.BitString, error) {
 		return nil, fmt.Errorf("cdbs: cannot encode %d numbers", n)
 	}
 	return NBetween(bitstr.Empty, bitstr.Empty, n)
-}
-
-// MustEncode is Encode for known-good n; it panics on error.
-func MustEncode(n int) []bitstr.BitString {
-	codes, err := Encode(n)
-	if err != nil {
-		panic(err)
-	}
-	return codes
 }
 
 // FixedWidth returns the F-CDBS code width for n codes: the length of

@@ -15,7 +15,6 @@
 package containment
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -86,32 +85,50 @@ func (l *Labeling) reassign() (changed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	ks, err := arena.Encode(2 * l.tree.Len())
-	if err != nil {
+	n := &Labeling{tree: l.tree, keys: arena, ends: cow.NewColumn(make([]keys.Ref, 2*l.tree.Cap()))}
+	// The ids are document order as built; later ones are appended.
+	w := &walk{l: n, open: -1}
+	if l.ends.Len() > 0 {
+		w.order = append(l.tree.PreOrder(), l.tree.Cap())
+	}
+	if err := n.keys.Initial(2*l.tree.Len(), w); err != nil {
 		return 0, err
 	}
-	ends := make([]keys.Ref, 2*l.tree.Cap())
-	longest := uint32(0)
-	var walk func(v int)
-	walk = func(v int) {
-		ends[2*v], ks = ks[0], ks[1:]
-		longest = max(longest, labelLen(&arena, ends[2*v]))
-		for _, c := range l.tree.Kids(v) {
-			walk(c)
-		}
-		ends[2*v+1], ks = ks[0], ks[1:]
-	}
-	walk(0) // the root: ids are document order at build time
-	// A key's stored form is canonical, so equal bytes are equal keys.
-	same := func(i int) bool { return bytes.Equal(l.keys.Stored(l.ends.At(i)), arena.Stored(ends[i])) }
+	same := func(i int) bool { return keys.Same(&l.keys, l.ends.At(i), &n.keys, n.ends.At(i)) }
 	for v := 0; 2*v < l.ends.Len(); v++ {
 		if l.tree.Alive(v) && !(same(2*v) && same(2*v+1)) {
 			changed++
 		}
 	}
-	l.keys, l.ends = arena, cow.NewColumn(ends)
-	l.longest = longest
+	l.keys, l.ends, l.longest = n.keys, n.ends, n.longest
 	return changed, nil
+}
+
+// walk is a keys.Sink over the nodes order lists in preorder (then Cap),
+// or the ids from next on. Their keys come in document order, so the
+// tree's parents say whether the next is the start of the next node or
+// the end of the node the walk is in, open, and where in l.ends it goes.
+type walk struct {
+	l          *Labeling
+	order      []int
+	next, open int
+}
+
+func (w *walk) Bounded() bool { return false }
+
+func (w *walk) Put(r keys.Ref) {
+	l, u, i := w.l, w.next, 2*w.open+1
+	if w.order != nil {
+		u = w.order[w.next]
+	}
+	if u < l.tree.Cap() && l.tree.Parent(u) == w.open {
+		i, w.open, w.next = 2*u, u, w.next+1
+	} else {
+		w.open = l.tree.Parent(w.open)
+	}
+	if l.ends.Set(i, r); i&1 == 0 {
+		l.longest = max(l.longest, labelLen(&l.keys, r))
+	}
 }
 
 // Name returns e.g. "V-CDBS-Containment".
@@ -210,6 +227,16 @@ func (l *Labeling) TotalLabelBits() int64 {
 // their capacities.
 func (l *Labeling) LabelBytes() int64 {
 	return int64(l.keys.Cap()) + l.ends.Bytes()
+}
+
+// EscapedKeys counts the live nodes' keys in the arena, not their Ref.
+func (l *Labeling) EscapedKeys() (n int) {
+	for i := range l.ends.Len() {
+		if l.tree.Alive(i/2) && !l.ends.At(i).Word() {
+			n++
+		}
+	}
+	return n
 }
 
 // DeleteSubtree removes node v and its descendants. The remaining
@@ -313,54 +340,78 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 		return nil, 0, err
 	}
 	left, right := l.gapBounds(parent, pos)
-	// The fresh keys go to the fragments in document order: start at
-	// pre-visit, end at post-visit, fragments consecutive. starts and
-	// ends list where in that run each fragment node's two stand, nodes
-	// in preorder, the order addShape hands out ids in. The limit is for
-	// the start keys, which are the labels.
-	starts, ends := make([]uint32, 0, total), make([]uint32, total)
-	next := uint32(0)
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		i := len(starts)
-		starts = append(starts, next)
-		next++
-		for _, c := range n.Children {
-			walk(c)
-		}
-		ends[i] = next
-		next++
-	}
-	for _, shape := range shapes {
-		walk(shape)
-	}
-	ks, err := l.keys.NBetween(left, right, 2*total, int(l.limit), starts)
+	g := &graft{walk: walk{l: l, open: parent}, pos: pos, total: total, shapes: shapes}
+	err := l.keys.Fill(left, right, 2*total, int(l.limit), g)
 	if err != nil && !errors.Is(err, keys.ErrNoRoom) {
 		return nil, 0, keyError(err)
 	}
-	ids := make([][]int, len(shapes))
-	for k, shape := range shapes {
-		ids[k] = l.addShape(parent, pos+k, shape)
-	}
+	changed := 0
 	if err != nil {
-		// Static codec out of room: the tree has grown, now re-encode
-		// everything.
-		changed, err := l.reassign()
-		if err != nil {
+		// Static codec out of room: grow the tree, re-encode everything.
+		g.mirror()
+		if changed, err = l.reassign(); err != nil {
 			return nil, 0, err
 		}
-		return ids, changed, nil
 	}
-	l.ends.Grow(2 * total)
-	for k, i := 0, 0; k < len(ids); k++ {
-		for _, id := range ids[k] {
-			l.ends.Set(2*id, ks[starts[i]])
-			l.ends.Set(2*id+1, ks[ends[i]])
-			l.longest = max(l.longest, labelLen(&l.keys, ks[starts[i]]))
-			i++
+	// The fragments' ids are the last total, in preorder.
+	all, ids := make([]int, total), make([][]int, len(shapes))
+	for i := range all {
+		all[i] = l.tree.Cap() - total + i
+	}
+	for k, shape := range shapes {
+		n := shape.SubtreeSize()
+		ids[k], all = all[:n:n], all[n:]
+	}
+	return ids, changed, nil
+}
+
+// graft is InsertSubtrees' keys.Sink: its first Put, when the run can
+// no longer fail, mirrors the fragments into the tree, and walks them.
+type graft struct {
+	walk
+	pos, total int
+	shapes     []*xmltree.Node
+	starts     []bool // the limit's, if it asks
+}
+
+// Bounded picks the start keys, which are the labels. The tree is not
+// grown yet, so the first call lists which keys are starts.
+func (g *graft) Bounded() bool {
+	if g.starts == nil {
+		for _, n := range g.shapes {
+			g.starts = starts(g.starts, n)
 		}
 	}
-	return ids, 0, nil
+	b := g.starts[0]
+	g.starts = g.starts[1:]
+	return b
+}
+
+// starts appends, in document order, true for the start key and false
+// for the end key of each node of n's fragment.
+func starts(dst []bool, n *xmltree.Node) []bool {
+	dst = append(dst, true)
+	for _, c := range n.Children {
+		dst = starts(dst, c)
+	}
+	return append(dst, false)
+}
+
+func (g *graft) Put(r keys.Ref) {
+	if g.next == 0 {
+		g.mirror()
+		g.l.ends.Grow(2 * g.total)
+	}
+	g.walk.Put(r)
+}
+
+// mirror adds the fragments to the tree as consecutive children of
+// open from pos: their ids are next on.
+func (g *graft) mirror() {
+	g.next = g.l.tree.Cap()
+	for k, shape := range g.shapes {
+		g.l.addShape(g.open, g.pos+k, shape)
+	}
 }
 
 // CloneLabeling copies no label byte: a key is written once — or,
@@ -372,18 +423,10 @@ func (l *Labeling) CloneLabeling() scheme.Labeling {
 	return &cl
 }
 
-// addShape mirrors the fragment into the structural tree, returning
-// the fresh ids in preorder.
-func (l *Labeling) addShape(parent, pos int, shape *xmltree.Node) []int {
-	var ids []int
-	var add func(p, at int, n *xmltree.Node)
-	add = func(p, at int, n *xmltree.Node) {
-		id := l.tree.AddChild(p, at)
-		ids = append(ids, id)
-		for i, c := range n.Children {
-			add(id, i, c)
-		}
+// addShape adds n's fragment as the at-th child of p.
+func (l *Labeling) addShape(p, at int, n *xmltree.Node) {
+	id := l.tree.AddChild(p, at)
+	for i, c := range n.Children {
+		l.addShape(id, i, c)
 	}
-	add(parent, pos, shape)
-	return ids
 }

@@ -118,11 +118,15 @@ func (d *Document) insertTrees(parent, pos int, fragments []*xmltree.Node) ([][]
 	if err := d.validateInsert(parent, pos); err != nil {
 		return nil, 0, err
 	}
-	var syms []uint32 // every fragment's, one after the other
+	total := 0
 	for _, f := range fragments {
 		if f == nil || f.Kind != xmltree.Element {
 			return nil, 0, errors.New("dyndoc: fragment must be an element tree")
 		}
+		total += f.SubtreeSize()
+	}
+	syms := make([]uint32, 0, total) // every fragment's, one after the other
+	for _, f := range fragments {
 		var err error
 		if syms, err = d.symbols(syms, f); err != nil {
 			return nil, 0, err

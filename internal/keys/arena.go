@@ -29,7 +29,7 @@ import (
 //
 // so a key costs 4 bytes, or its own size plus one or two, where a
 // boxed Key costs an interface, a header and an allocation. Compare,
-// TwoBetween, NBetween and the size accounting read words and views
+// TwoBetween, Fill and the size accounting read words and views
 // that alias the slice, and the CDBS kernels write their keys in place;
 // a Key is built only by Key, for callers that want one.
 //
@@ -90,10 +90,8 @@ type stored interface {
 	// ordered form refuses with tooLong, before it appends, an m1 over
 	// limit.
 	two(a *Arena, l, r Ref, limit int) (m1, m2 Ref, err error)
-	// nbetween's n keys are spread evenly over the gap; limit is for
-	// the keys at the ranks bounded lists.
-	nbetween(a *Arena, l, r Ref, n, limit int, bounded []uint32) ([]Ref, error)
-	encode(a *Arena, n int) ([]Ref, error)
+	// run is Fill.
+	run(a *Arena, l, r Ref, n, limit int, s Sink) error
 	// marshal appends the key in the codec's own serialised form.
 	marshal(dst, b []byte) []byte
 }
@@ -178,11 +176,10 @@ func (a *Arena) unword(buf *wordBuf, r Ref) []byte {
 	return buf[:n+1]
 }
 
-// Stored returns the stored form of key r: a slice of the arena, or a
-// copy for a key held in its Ref.
-func (a *Arena) Stored(r Ref) []byte {
+// exact is view cut at the key's end; buf never meets the interface.
+func (a *Arena) exact(buf *wordBuf, r Ref) []byte {
 	if r&inline != 0 {
-		b := a.unword(new(wordBuf), r)
+		b := a.unword(buf, r)
 		return b[:len(b):len(b)]
 	}
 	b := a.at(r)
@@ -191,7 +188,7 @@ func (a *Arena) Stored(r Ref) []byte {
 }
 
 // Key returns key r as a Key of the codec's own type.
-func (a *Arena) Key(r Ref) Key { return a.k.key(a.Stored(r)) }
+func (a *Arena) Key(r Ref) Key { return a.k.key(a.exact(new(wordBuf), r)) }
 
 // Compare orders two keys: negative, zero or positive as x is below,
 // equal to or above y. Two words compare as integers, by their
@@ -214,7 +211,7 @@ func (a *Arena) TotalBits(refs []Ref) int {
 	return a.k.total(t)
 }
 
-// ErrTooLong reports a TwoBetween or NBetween refused before it
+// ErrTooLong reports a TwoBetween or Fill refused before it
 // appended anything: a key's ordered form would be over the limit.
 var ErrTooLong = errors.New("keys: key longer than the limit")
 
@@ -234,17 +231,51 @@ func (a *Arena) TwoBetween(l, r Ref, limit int) (m1, m2 Ref, err error) {
 	return a.k.two(a, l, r, limit)
 }
 
-// NBetween appends n keys strictly between keys l and r, spread evenly
-// (Algorithm 2's subdivision for CDBS), and returns them in order.
-// limit bounds the ordered form of the keys whose ranks in the run
-// bounded lists.
-func (a *Arena) NBetween(l, r Ref, n, limit int, bounded []uint32) ([]Ref, error) {
-	return a.k.nbetween(a, l, r, n, limit, bounded)
+// A Sink takes the keys of a run in key order.
+type Sink interface {
+	// Bounded reports whether the run's limit bounds its next key. A
+	// run asks it of its keys in key order, or of none, before any Put.
+	Bounded() bool
+	Put(Ref)
 }
 
-// Encode appends the initial keys for positions 1..n and returns them
-// in order.
-func (a *Arena) Encode(n int) ([]Ref, error) { return a.k.encode(a, n) }
+// Fill makes n keys strictly between keys l and r, spread evenly
+// (Algorithm 2's subdivision for CDBS), and hands them to s in key
+// order; limit bounds the ordered form of those s picks (ErrTooLong).
+// Keys not held in words go into one claim made after every check, so
+// s has a key only once the run can no longer fail.
+func (a *Arena) Fill(l, r Ref, n, limit int, s Sink) error { return a.k.run(a, l, r, n, limit, s) }
+
+// Initial is Fill for the keys of positions 1..n, without a limit:
+// Algorithm 2, for CDBS the subdivision of the open gap, the empty word.
+func (a *Arena) Initial(n int, s Sink) error {
+	switch c := a.k.(type) {
+	case cdbsCodec:
+		return c.run(a, inline, inline, n, 0, s)
+	case qedCodec:
+		cs, err := qed.Encode(n)
+		return putKeys(a, cs, err, a.codeSize, a.appendCode, s.Put)
+	case intCodec:
+		ms, err := c.encodeBits(n)
+		return putKeys(a, ms, err, bitstr.BitString.EncodedLen, appendBits, s.Put)
+	}
+	vs, err := floatCodec{}.encodeFloats(n)
+	return putKeys(a, vs, err, floatSize, appendFloat, s.Put)
+}
+
+// Word reports whether r holds its key.
+func (r Ref) Word() bool { return r&inline != 0 }
+
+// Same reports whether key x of a and key y of b, arenas of one codec,
+// are one key: two words are compared as integers, any other pair by
+// stored form, a word's written out on the stack.
+func Same(a *Arena, x Ref, b *Arena, y Ref) bool {
+	if x&y&inline != 0 {
+		return x == y
+	}
+	var bx, by wordBuf
+	return bytes.Equal(a.exact(&bx, x), b.exact(&by, y))
+}
 
 // AppendKey appends key r in the codec's serialised form: the stored
 // form, but QED's digits packed two bits each.
@@ -296,7 +327,8 @@ func (a *Arena) OrderedLen(r Ref) int {
 // start and that much room to append them in place; what a kernel
 // appends there starts at its Ref. A new chunk starts at most a stride
 // after the arena's end, so an offset past 2 GiB, which would read as
-// a word, is refused before it is claimed. No bytes claim no chunk.
+// a word, is refused before it is claimed. No bytes claim no chunk;
+// on an empty arena the first chunk is exactly size.
 func (a *Arena) grow(size int) (Ref, []byte, error) {
 	if size == 0 {
 		return 0, nil, nil
@@ -308,73 +340,54 @@ func (a *Arena) grow(size int) (Ref, []byte, error) {
 	return Ref(at), b[:0], nil
 }
 
-// tiled checks, under the invariants tag, that the stored keys among
-// refs fill the size bytes claimed at at for them, end to end and in
-// order: every Ref that is not a word names the start of a key.
-func (a *Arena) tiled(at Ref, size int, refs ...Ref) {
-	if !invariants.Enabled {
-		return
-	}
-	end := at + Ref(size)
-	for _, r := range refs {
-		if r&inline != 0 {
-			continue
-		}
-		if r != at {
-			invariants.Violated("keys", "a key starts at %d, the one before it ends at %d", r, at)
-		}
-		at += Ref(a.k.size(a.at(r)))
-	}
-	if at != end {
-		invariants.Violated("keys", "the keys end at %d, their claim at %d", at, end)
+// filled checks, under the invariants tag, that the keys written into
+// a claim of size bytes fill it.
+func filled(room []byte, size int) {
+	if invariants.Enabled && len(room) != size {
+		invariants.Violated("keys", "%d bytes written into a claim of %d", len(room), size)
 	}
 }
 
-// putTwo is two for a boxed kernel: both keys are computed before
-// either is stored with the codec's put; fits, if any, can refuse m1.
-func putTwo[K any](l, r K, between func(l, r K) (K, error), fits func(K) error, put func(K) (Ref, error)) (r1, r2 Ref, err error) {
+// putKeys writes a boxed kernel's keys, unless it failed, into one
+// claim of size bytes each — enc appends a stored form or returns the
+// word that holds the key — and hands their Refs to out in order.
+func putKeys[K any](a *Arena, ks []K, err error, size func(K) int, enc func([]byte, K) ([]byte, Ref), out func(Ref)) error {
+	if err != nil {
+		return err
+	}
+	total := 0
+	for _, k := range ks {
+		total += size(k)
+	}
+	at, room, err := a.grow(total)
+	if err != nil {
+		return err
+	}
+	for _, k := range ks {
+		r := at + Ref(len(room))
+		var w Ref
+		if room, w = enc(room, k); w != 0 {
+			r = w
+		}
+		out(r)
+	}
+	filled(room, total)
+	return nil
+}
+
+// putTwo is two for a boxed kernel: both keys are computed, and fits,
+// if any, can refuse m1, before either is written.
+func putTwo[K any](a *Arena, l, r K, between func(l, r K) (K, error), fits func(K) error, size func(K) int, enc func([]byte, K) ([]byte, Ref)) (r1, r2 Ref, err error) {
 	m1, err := between(l, r)
 	if err == nil && fits != nil {
 		err = fits(m1)
 	}
-	if err != nil {
-		return 0, 0, err
+	var m2 K
+	if err == nil {
+		m2, err = between(m1, r)
 	}
-	m2, err := between(m1, r)
-	if err != nil {
-		return 0, 0, err
-	}
-	if r1, err = put(m1); err == nil {
-		r2, err = put(m2)
-	}
+	err = putKeys(a, []K{m1, m2}, err, size, enc, func(m Ref) { r1, r2 = r2, m }) // m1, then m2
 	return r1, r2, err
-}
-
-// putBulk is putAll for a labelling's initial keys: an empty arena
-// opens its first chunk with exactly the room the stored ones take.
-func putBulk[K any](a *Arena, ks []K, err error, size func(K) int, put func(K) (Ref, error)) ([]Ref, error) {
-	room := 0
-	for _, k := range ks {
-		room += size(k)
-	}
-	if a.Cap() == 0 && room > 0 {
-		a.mem.Start(make([]byte, room), 0)
-	}
-	return putAll(ks, err, put)
-}
-
-// putAll stores a kernel's run of keys with the codec's put.
-func putAll[K any](ks []K, err error, put func(K) (Ref, error)) ([]Ref, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ref, len(ks))
-	for i, k := range ks {
-		if out[i], err = put(k); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -382,14 +395,7 @@ func putAll[K any](ks []K, err error, put func(K) (Ref, error)) ([]Ref, error) {
 
 func bitsAt(b []byte) bitstr.BitString { return bitstr.ViewStored(b) }
 
-// putBits stores a bit string in the arena, whatever its length.
-func (a *Arena) putBits(m bitstr.BitString) (Ref, error) {
-	r, dst, err := a.grow(m.EncodedLen())
-	if err == nil {
-		m.AppendTo(dst)
-	}
-	return r, err
-}
+func appendBits(dst []byte, m bitstr.BitString) ([]byte, Ref) { return m.AppendTo(dst), 0 }
 
 // bitStored is the part of the stored form the integer and CDBS codecs
 // share.
@@ -415,17 +421,12 @@ func (c intCodec) compare(s *Arena, x, y Ref) int {
 }
 
 func (c intCodec) two(a *Arena, l, r Ref, _ int) (Ref, Ref, error) {
-	return putTwo(bitsAt(a.at(l)), bitsAt(a.at(r)), c.betweenBits, nil, a.putBits)
+	return putTwo(a, bitsAt(a.at(l)), bitsAt(a.at(r)), c.betweenBits, nil, bitstr.BitString.EncodedLen, appendBits)
 }
 
-func (c intCodec) nbetween(a *Arena, l, r Ref, n, _ int, _ []uint32) ([]Ref, error) {
+func (c intCodec) run(a *Arena, l, r Ref, n, _ int, out Sink) error {
 	ms, err := c.nbetweenBits(bitsAt(a.at(l)), bitsAt(a.at(r)), n)
-	return putAll(ms, err, a.putBits)
-}
-
-func (c intCodec) encode(a *Arena, n int) ([]Ref, error) {
-	ms, err := c.encodeBits(n)
-	return putBulk(a, ms, err, bitstr.BitString.EncodedLen, a.putBits)
+	return putKeys(a, ms, err, bitstr.BitString.EncodedLen, appendBits, out.Put)
 }
 
 func (c cdbsCodec) total(t tally) int { return bitStringTotal(c.fixed, t) }
@@ -503,103 +504,116 @@ func (a *Arena) storedLen(n int) int {
 	return bitstr.StoredLen(n)
 }
 
-// between writes the code Algorithm 1 assigns between CDBS keys l and
-// r of a checked gap (cdbs.Splice): in its Ref when it fits one,
-// otherwise stored at the front of room, which starts at offset at.
-func (a *Arena) between(l, r Ref, room []byte, at Ref) Ref {
-	right, keep, v, k := cdbs.Splice(a.codeLen(l), a.codeLen(r))
-	src, n, m := l, keep+k, at
+// between makes the code Algorithm 1 assigns in a checked gap of CDBS
+// keys l and r, of ll and rl bits (cdbs.Splice), and its bits: a word,
+// or a key appended to the claim *room, which starts at offset at.
+func (a *Arena) between(l, r Ref, ll, rl int, room *[]byte, at Ref) (Ref, int) {
+	right, keep, v, k := cdbs.Splice(ll, rl)
+	src, n := l, keep+k
 	if right {
 		src = r
 	}
+	var m Ref
 	if a.fits(n) {
 		m = inline | a.word(src)&^(math.MaxUint32>>1>>keep) | Ref(v)<<(31-n)
 	} else {
 		var buf wordBuf
-		_ = bitsAt(a.view(&buf, src)).AppendSplicedTo(room, keep, v, k)
+		m = at + Ref(len(*room))
+		*room = bitsAt(a.view(&buf, src)).AppendSplicedTo(*room, keep, v, k)
 	}
-	if invariants.Enabled && !(a.endsOne(m) && (a.codeLen(l) == 0 || a.Compare(l, m) < 0) && (a.codeLen(r) == 0 || a.Compare(m, r) < 0)) {
+	if invariants.Enabled && !(a.endsOne(m) && (ll == 0 || a.Compare(l, m) < 0) && (rl == 0 || a.Compare(m, r) < 0)) {
 		invariants.Violated("keys", "Between(%q, %q) = %q is not a code strictly between them", a.bitString(l), a.bitString(r), a.bitString(m))
 	}
-	return m
+	return m, n
 }
 
 // The CDBS kernels: a code's length follows from its bounds' lengths,
-// so each method checks the gap once and the lengths against the
-// limit, claims exactly the bytes its stored codes will take, and
-// splices every code where it will live.
+// so each checks the gap once and the lengths against the limit, claims
+// exactly the bytes its stored codes will take, and splices every code
+// where it will live.
 
 func (c cdbsCodec) two(a *Arena, l, r Ref, limit int) (Ref, Ref, error) {
 	if err := a.checkGap(l, r); err != nil {
 		return 0, 0, err
 	}
-	n := cdbs.BetweenLen(a.codeLen(l), a.codeLen(r))
+	ll, rl := a.codeLen(l), a.codeLen(r)
+	n := cdbs.BetweenLen(ll, rl)
 	if err := tooLong((n+7)/8, limit); err != nil {
 		return 0, 0, err
 	}
-	first, size := a.storedLen(n), a.storedLen(n)+a.storedLen(n+1)
+	size := a.storedLen(n) + a.storedLen(n+1)
 	at, room, err := a.grow(size)
 	if err != nil {
 		return 0, 0, err
 	}
-	m1 := a.between(l, r, room, at)
-	m2 := a.between(m1, r, room[first:first], at+Ref(first))
-	a.tiled(at, size, m1, m2)
+	m1, n1 := a.between(l, r, ll, rl, &room, at)
+	m2, _ := a.between(m1, r, n1, rl, &room, at)
+	filled(room, size)
 	return m1, m2, nil
 }
 
-func (c cdbsCodec) nbetween(a *Arena, l, r Ref, n, limit int, bounded []uint32) ([]Ref, error) {
+// run is Algorithm 2's subdivision of the gap in key order. No code is
+// longer than max(ll, rl) plus the subdivision's depth, FixedWidth(n)
+// (cdbs.EncodeBetween): when that fits a word and the limit, the codes
+// are made without being measured first, as below 2^31 keys Algorithm 2
+// on the open gap always is.
+func (c cdbsCodec) run(a *Arena, l, r Ref, n, limit int, out Sink) error {
 	if n <= 0 {
 		// The boxed kernel's rule: no keys need no gap, fewer is an error.
 		_, err := cdbs.NBetween(bitstr.Empty, bitstr.Empty, n)
-		return nil, err
+		return err
 	}
 	if err := a.checkGap(l, r); err != nil {
-		return nil, err
+		return err
 	}
-	refs := make([]Ref, n)
-	cdbs.EncodeBetweenLens(refs, a.codeLen(l), a.codeLen(r))
-	for _, i := range bounded {
-		if err := tooLong((int(refs[i])+7)/8, limit); err != nil {
-			return nil, err
+	ll, rl := a.codeLen(l), a.codeLen(r)
+	size, longest := 0, max(ll, rl)+cdbs.FixedWidth(n)
+	var at Ref
+	var room []byte
+	if !a.fits(longest) || tooLong((longest+7)/8, limit) != nil {
+		var err error
+		if size, err = a.measure(ll, rl, n, limit, out); err != nil {
+			return err
+		}
+		if at, room, err = a.grow(size); err != nil {
+			return err
 		}
 	}
-	// The lengths become offsets into the run for the codes that do not
-	// fit a word, which are stored back to back in key order, the order
-	// a scan reads them in, and once the run is written into the arena.
-	size := 0
-	for i, bits := range refs {
-		refs[i] = Ref(size)
-		size += a.storedLen(int(bits))
-	}
-	at, room, err := a.grow(size)
-	if err != nil {
-		return nil, err
-	}
-	a.fill(refs, room, at, l, r)
-	a.tiled(at, size, refs...)
-	return refs, nil
+	a.fill(l, r, ll, rl, n, &room, at, out)
+	filled(room, size)
+	return nil
 }
 
-// fill is cdbs.EncodeBetween's recursion over the arena: each of refs
-// holds its code's offset into room until the code is written, and
-// then its Ref. A gap's code is written before its halves', which read
-// it back as their bound.
-func (a *Arena) fill(refs []Ref, room []byte, at Ref, l, r Ref) {
-	if len(refs) == 0 {
-		return
+// measure walks the n codes' bits in key order: it refuses one s picks
+// over limit, and returns the bytes the codes not held in words take.
+func (a *Arena) measure(ll, rl, n, limit int, s Sink) (size int, err error) {
+	for n > 0 {
+		mid, m := n/2, cdbs.BetweenLen(ll, rl)
+		left, err := a.measure(ll, m, mid, limit, s)
+		if err != nil {
+			return 0, err
+		}
+		if limit > 0 && s.Bounded() {
+			if err := tooLong((m+7)/8, limit); err != nil {
+				return 0, err
+			}
+		}
+		size += left + a.storedLen(m)
+		ll, n = m, n-mid-1
 	}
-	mid := len(refs) / 2
-	off := refs[mid]
-	refs[mid] = a.between(l, r, room[off:off], at+off)
-	a.fill(refs[:mid], room, at, l, refs[mid])
-	a.fill(refs[mid+1:], room, at, refs[mid], r)
+	return size, nil
 }
 
-// encode is Algorithm 2: the even subdivision of the gap open at both
-// ends, the empty word.
-func (c cdbsCodec) encode(a *Arena, n int) ([]Ref, error) {
-	return c.nbetween(a, inline, inline, n, 0, nil)
+// fill makes the n codes between l and r, of ll and rl bits, into the
+// claim room at at, and hands them to out.
+func (a *Arena) fill(l, r Ref, ll, rl, n int, room *[]byte, at Ref, out Sink) {
+	for n > 0 {
+		mid := n / 2
+		m, ml := a.between(l, r, ll, rl, room, at)
+		a.fill(l, m, ll, ml, mid, room, at, out)
+		out.Put(m)
+		l, ll, n = m, ml, n-mid-1
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -607,12 +621,10 @@ func (c cdbsCodec) encode(a *Arena, n int) ([]Ref, error) {
 
 func floatAt(b []byte) float64 { return math.Float64frombits(binary.BigEndian.Uint64(b)) }
 
-func (a *Arena) putFloat(v float64) (Ref, error) {
-	r, dst, err := a.grow(8)
-	if err == nil {
-		binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return r, err
+func floatSize(float64) int { return 8 }
+
+func appendFloat(dst []byte, v float64) ([]byte, Ref) {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v)), 0
 }
 
 func (floatCodec) size([]byte) int              { return 8 }
@@ -626,17 +638,12 @@ func (floatCodec) compare(s *Arena, x, y Ref) int {
 }
 
 func (f floatCodec) two(a *Arena, l, r Ref, _ int) (Ref, Ref, error) {
-	return putTwo(floatAt(a.at(l)), floatAt(a.at(r)), f.betweenFloats, nil, a.putFloat)
+	return putTwo(a, floatAt(a.at(l)), floatAt(a.at(r)), f.betweenFloats, nil, floatSize, appendFloat)
 }
 
-func (f floatCodec) nbetween(a *Arena, l, r Ref, n, _ int, _ []uint32) ([]Ref, error) {
+func (f floatCodec) run(a *Arena, l, r Ref, n, _ int, out Sink) error {
 	vs, err := f.nbetweenFloats(floatAt(a.at(l)), floatAt(a.at(r)), n)
-	return putAll(vs, err, a.putFloat)
-}
-
-func (f floatCodec) encode(a *Arena, n int) ([]Ref, error) {
-	vs, err := f.encodeFloats(n)
-	return putBulk(a, vs, err, func(float64) int { return 8 }, a.putFloat)
+	return putKeys(a, vs, err, floatSize, appendFloat, out.Put)
 }
 
 // ---------------------------------------------------------------------------
@@ -652,21 +659,23 @@ func (a *Arena) code(r Ref) qed.Code {
 	return codeAt(a.view(&buf, r))
 }
 
-// putCode holds a code of up to 15 digits in its Ref and stores a
-// longer one.
-func (a *Arena) putCode(c qed.Code) (Ref, error) {
+// codeSize returns the arena bytes a QED code takes, none in a word.
+func (a *Arena) codeSize(c qed.Code) int {
 	if a.fits(c.Len()) {
-		w := inline
-		for i := range c.Len() {
-			w |= Ref(c.Digit(i)) << (29 - 2*i)
-		}
-		return w, nil
+		return 0
 	}
-	r, dst, err := a.grow(c.Len() + 1)
-	if err == nil {
-		_ = append(c.AppendDigits(dst), 0)
+	return c.Len() + 1
+}
+
+func (a *Arena) appendCode(dst []byte, c qed.Code) ([]byte, Ref) {
+	if !a.fits(c.Len()) {
+		return append(c.AppendDigits(dst), 0), 0
 	}
-	return r, err
+	w := inline
+	for i := range c.Len() {
+		w |= Ref(c.Digit(i)) << (29 - 2*i)
+	}
+	return dst, w
 }
 
 func (qedCodec) size(b []byte) int { return len(digitsAt(b)) + 1 }
@@ -704,26 +713,15 @@ func (qedCodec) marshal(dst, b []byte) []byte {
 
 func (qedCodec) two(a *Arena, l, r Ref, limit int) (Ref, Ref, error) {
 	fits := func(m qed.Code) error { return tooLong(m.Len(), limit) }
-	return putTwo(a.code(l), a.code(r), qed.Between, fits, a.putCode)
+	return putTwo(a, a.code(l), a.code(r), qed.Between, fits, a.codeSize, a.appendCode)
 }
 
-func (qedCodec) nbetween(a *Arena, l, r Ref, n, limit int, bounded []uint32) ([]Ref, error) {
+func (qedCodec) run(a *Arena, l, r Ref, n, limit int, out Sink) error {
 	cs, err := qed.NBetween(a.code(l), a.code(r), n)
-	for _, i := range bounded {
-		if err == nil {
-			err = tooLong(cs[i].Len(), limit)
+	for _, c := range cs {
+		if err == nil && limit > 0 && out.Bounded() {
+			err = tooLong(c.Len(), limit)
 		}
 	}
-	return putAll(cs, err, a.putCode)
-}
-
-func (qedCodec) encode(a *Arena, n int) ([]Ref, error) {
-	cs, err := qed.Encode(n)
-	size := func(c qed.Code) int {
-		if a.fits(c.Len()) {
-			return 0
-		}
-		return c.Len() + 1
-	}
-	return putBulk(a, cs, err, size, a.putCode)
+	return putKeys(a, cs, err, a.codeSize, a.appendCode, out.Put)
 }

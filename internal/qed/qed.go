@@ -80,15 +80,6 @@ func mapASCII(s string) string {
 	return string(b)
 }
 
-// MustParse is Parse for known-good literals; it panics on error.
-func MustParse(s string) Code {
-	c, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // FromDigits returns the code whose digit values (1..3, not ASCII)
 // are d, copying them. It is the inverse of AppendDigits and trusts d
 // the way that pairing allows: Between and EncodeBetween still check
@@ -284,20 +275,6 @@ func fillGap(out []Code, l, r Code) {
 	fillGap(out[mid+1:], m, r)
 }
 
-// TwoBetween returns m1 ≺ m2 strictly between l and r, for containment
-// (start, end) pairs.
-func TwoBetween(l, r Code) (m1, m2 Code, err error) {
-	m1, err = Between(l, r)
-	if err != nil {
-		return Empty, Empty, err
-	}
-	m2, err = Between(m1, r)
-	if err != nil {
-		return Empty, Empty, err
-	}
-	return m1, m2, nil
-}
-
 // Encode returns compact QED codes for the numbers 1..n in order. The
 // assignment branches three ways per digit (the universe of codes of
 // length ≤ k has 3^k − 1 members), so code lengths grow with log₃(n) —
@@ -333,15 +310,6 @@ func Encode(n int) ([]Code, error) {
 	}
 	gen(Empty, n)
 	return out, nil
-}
-
-// MustEncode is Encode for known-good n; it panics on error.
-func MustEncode(n int) []Code {
-	codes, err := Encode(n)
-	if err != nil {
-		panic(err)
-	}
-	return codes
 }
 
 // Marshal packs codes into a byte stream, two bits per digit, with a

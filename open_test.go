@@ -187,6 +187,27 @@ func TestOpenAccessorsAgree(t *testing.T) {
 	}
 }
 
+// TestStatsEscapedKeys: HandleStats.EscapedKeys reads no key held
+// outside its ref after Open, and counts those that repeated inserts
+// into one gap push out: from the 17th on, at least one a node.
+func TestStatsEscapedKeys(t *testing.T) {
+	h, err := Open(openSeed, WithScheme("V-CDBS-Containment"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Stats().EscapedKeys; got != 0 {
+		t.Fatalf("EscapedKeys after Open = %d, want 0", got)
+	}
+	for i := 0; i < 40; i++ {
+		if _, _, err := h.InsertElement(0, 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.Stats().EscapedKeys; got < 40-17 {
+		t.Errorf("EscapedKeys after 40 inserts into one gap = %d, want at least %d", got, 40-17)
+	}
+}
+
 // TestMetricsJSON checks the read-only metrics snapshot carries the
 // instrumented keys after some activity.
 func TestMetricsJSON(t *testing.T) {

@@ -74,8 +74,9 @@ for ex in examples/*/; do
 	go run "./$ex" >/dev/null || { echo "example $ex failed" >&2; exit 1; }
 done
 
-echo "==> bench smoke (-benchtime 1x)"
-go test -run '^$' -bench . -benchtime 1x ./internal/bitstr ./internal/cdbs ./internal/qed ./internal/containment
+echo "==> bench smoke (-benchtime 1x, every package that defines a benchmark)"
+go test -run '^$' -bench . -benchtime 1x $(grep -rl --include='*_test.go' '^func Benchmark' \
+	--exclude-dir=benchmark --exclude-dir=.bench_build --exclude-dir=testdata . | xargs -n1 dirname | sort -u)
 
 echo "==> httpd smoke (dynxmld route surface via dynxml remote + graceful shutdown)"
 httpd_dir=$(mktemp -d)
