@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cow"
 	"repro/internal/keys"
@@ -340,7 +341,9 @@ func (l *Labeling) InsertSubtrees(parent, pos int, shapes []*xmltree.Node) ([][]
 		return nil, 0, err
 	}
 	left, right := l.gapBounds(parent, pos)
-	g := &graft{walk: walk{l: l, open: parent}, pos: pos, total: total, shapes: shapes}
+	g := grafts.Get().(*graft)
+	*g = graft{walk: walk{l: l, open: parent}, pos: pos, total: total, shapes: shapes}
+	defer func() { *g = graft{}; grafts.Put(g) }()
 	err := l.keys.Fill(left, right, 2*total, int(l.limit), g)
 	if err != nil && !errors.Is(err, keys.ErrNoRoom) {
 		return nil, 0, keyError(err)
@@ -373,6 +376,11 @@ type graft struct {
 	shapes     []*xmltree.Node
 	starts     []bool // the limit's, if it asks
 }
+
+// grafts recycles the sinks, which keys.Arena.Fill takes as an
+// interface and so would move to the heap on every call. A pooled
+// graft is zero: it holds no labeling and no fragment.
+var grafts = sync.Pool{New: func() any { return new(graft) }}
 
 // Bounded picks the start keys, which are the labels. The tree is not
 // grown yet, so the first call lists which keys are starts.

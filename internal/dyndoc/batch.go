@@ -118,17 +118,13 @@ func (d *Document) insertTrees(parent, pos int, fragments []*xmltree.Node) ([][]
 	if err := d.validateInsert(parent, pos); err != nil {
 		return nil, 0, err
 	}
-	total := 0
 	for _, f := range fragments {
 		if f == nil || f.Kind != xmltree.Element {
 			return nil, 0, errors.New("dyndoc: fragment must be an element tree")
 		}
-		total += f.SubtreeSize()
 	}
-	syms := make([]uint32, 0, total) // every fragment's, one after the other
 	for _, f := range fragments {
-		var err error
-		if syms, err = d.symbols(syms, f); err != nil {
+		if err := d.intern(f); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -146,10 +142,9 @@ func (d *Document) insertTrees(parent, pos int, fragments []*xmltree.Node) ([][]
 	for k, f := range fragments {
 		// As within recordTree: every fragment is recorded, the first
 		// index failure ends the index writes.
-		if err := d.recordTree(ids[k], syms[:len(ids[k])], f, rebuild || failed != nil); err != nil {
+		if err := d.recordTree(ids[k], f, rebuild || failed != nil); err != nil {
 			failed = err
 		}
-		syms = syms[len(ids[k]):]
 	}
 	if failed != nil {
 		return nil, 0, failed

@@ -165,27 +165,30 @@ func leafOf(n *xmltree.Node, sym uint32) leaf {
 	return leaf{data: n.Data, name: sym, attr: n.Kind == xmltree.Attr}
 }
 
-// symbols interns the names in the fragment under n and appends, in
-// preorder, each node's symbol (0 for a text node) to dst. It is how an
-// insert refuses a bad name (symtab.ErrBadName) before anything is
-// labeled; a name it interned for an insert that fails later stays in
-// the table, unused.
-func (d *Document) symbols(dst []uint32, n *xmltree.Node) ([]uint32, error) {
-	var sym uint32
+// intern interns the names in the fragment under n, in preorder. It is
+// how an insert refuses a bad name (symtab.ErrBadName) before anything
+// is labeled; a name it interned for an insert that fails later stays
+// in the table, unused.
+func (d *Document) intern(n *xmltree.Node) error {
 	if n.Kind != xmltree.Text {
-		var err error
-		if sym, err = d.syms.Intern(n.Name); err != nil {
-			return dst, err
+		if _, err := d.syms.Intern(n.Name); err != nil {
+			return err
 		}
 	}
-	dst = append(dst, sym)
 	for _, c := range n.Children {
-		var err error
-		if dst, err = d.symbols(dst, c); err != nil {
-			return dst, err
+		if err := d.intern(c); err != nil {
+			return err
 		}
 	}
-	return dst, nil
+	return nil
+}
+
+// symbol is the symbol intern gave n's name, 0 for a text node.
+func (d *Document) symbol(n *xmltree.Node) (sym uint32) {
+	if n.Kind != xmltree.Text {
+		sym, _ = d.syms.Lookup(n.Name)
+	}
+	return sym
 }
 
 // StoreFactory builds a storage backend over a binding; it
@@ -503,24 +506,25 @@ func (d *Document) recordElement(id int, sym uint32, skipIndex bool) error {
 	return d.addToIndex(d.syms.Name(sym), id)
 }
 
-// recordTree fills the columns for frag's nodes, whose ids and symbols
-// (see symbols) are given in preorder: elements as recordElement does,
-// text and attribute nodes labeled but not queryable, matching the bulk
-// construction path. An index failure does not stop the walk — the
-// columns must cover every id the labeling allocated — but it is the
-// last index write attempted, and it is returned.
-func (d *Document) recordTree(ids []int, syms []uint32, frag *xmltree.Node, skipIndex bool) error {
+// recordTree fills the columns for frag's nodes, whose ids are given in
+// preorder and whose names intern has interned: elements as
+// recordElement does, text and attribute nodes labeled but not
+// queryable, matching the bulk construction path. An index failure does
+// not stop the walk — the columns must cover every id the labeling
+// allocated — but it is the last index write attempted, and it is
+// returned.
+func (d *Document) recordTree(ids []int, frag *xmltree.Node, skipIndex bool) error {
 	var failed error
 	at := 0
 	var walk func(n *xmltree.Node)
 	walk = func(n *xmltree.Node) {
 		if n.Kind == xmltree.Element {
-			if err := d.recordElement(ids[at], syms[at], skipIndex || failed != nil); err != nil {
+			if err := d.recordElement(ids[at], d.symbol(n), skipIndex || failed != nil); err != nil {
 				failed = err
 			}
 		} else {
 			d.codes.Append(leafCode | uint32(d.leaves.Len()))
-			d.leaves.Append(leafOf(n, syms[at]))
+			d.leaves.Append(leafOf(n, d.symbol(n)))
 		}
 		at++
 		for _, c := range n.Children {
@@ -570,10 +574,23 @@ func (d *Document) rebuildAfter(relabeled int) bool {
 	return relabeled > 0 && d.idx.Name() != "slice"
 }
 
-// doomedSets recycles DeleteSubtree's sets of doomed ids, which
-// Backend.Remove takes and does not keep: a served delete, on a fresh
-// clone, builds no map of its own.
-var doomedSets = sync.Pool{New: func() any { return map[int]bool{} }}
+// doomedSet is what DeleteSubtree hands Backend.Remove, which keeps
+// neither: the doomed ids and a name lookup, bound to the set once, when
+// the pool makes it, so that a delete builds no method value. d is the
+// deleting document while Remove runs and nil while the set is pooled.
+type doomedSet struct {
+	ids    map[int]bool
+	d      *Document
+	nameOf func(int) string
+}
+
+// doomedSets recycles the doomed sets: a served delete, on a fresh
+// clone, builds no map or closure of its own.
+var doomedSets = sync.Pool{New: func() any {
+	s := &doomedSet{ids: map[int]bool{}}
+	s.nameOf = func(id int) string { return s.d.NameOf(id) }
+	return s
+}}
 
 // DeleteSubtree removes the node id and its descendants from the
 // labeling and the index. It returns the number of removed
@@ -591,14 +608,16 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 	// child list the root leaves.
 	d.lastEdit = editTokens.Add(1)
 	d.touchChildren(tr.Parent(id))
-	doomed := doomedSets.Get().(map[int]bool)
+	doomed := doomedSets.Get().(*doomedSet)
+	doomed.d = d
 	defer func() {
-		clear(doomed)
+		clear(doomed.ids)
+		doomed.d = nil
 		doomedSets.Put(doomed)
 	}()
 	var collect func(v int)
 	collect = func(v int) {
-		doomed[v] = true
+		doomed.ids[v] = true
 		if d.isElement(v) {
 			d.touch(d.codes.At(v)).name = d.lastEdit
 		}
@@ -612,7 +631,7 @@ func (d *Document) DeleteSubtree(id int) (int, error) {
 	// its still-live label. A failed incremental removal falls back to
 	// a rebuild — but only after the labels are gone, so the rebuild
 	// sees only surviving nodes.
-	removeErr := d.idx.Remove(doomed, d.NameOf)
+	removeErr := d.idx.Remove(doomed.ids, doomed.nameOf)
 	removed, err := d.lab.DeleteSubtree(id)
 	if err != nil {
 		return 0, err

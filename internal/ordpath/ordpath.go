@@ -20,6 +20,7 @@ package ordpath
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -58,30 +59,7 @@ func (s Self) Validate() error {
 // first. (A valid Self is never a proper prefix of another valid Self,
 // because interior components are even and final ones odd, but the
 // rule matters for full labels.)
-func compareComps(a, b []int64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
-// Compare orders two self-labels.
-func (s Self) Compare(t Self) int { return compareComps(s, t) }
+func (s Self) Compare(t Self) int { return slices.Compare(s, t) }
 
 // String renders the components dot-separated, e.g. "2.1".
 func (s Self) String() string {
@@ -227,7 +205,7 @@ func (l Label) Extend(self Self) Label {
 
 // Compare orders labels in document order: componentwise numerically,
 // with an ancestor (proper prefix) before its descendants.
-func (l Label) Compare(m Label) int { return compareComps(l, m) }
+func (l Label) Compare(m Label) int { return slices.Compare(l, m) }
 
 // Level returns the node depth encoded by the label: the number of odd
 // components, since even caret components do not increase the level.

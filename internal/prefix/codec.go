@@ -6,6 +6,7 @@
 package prefix
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -126,19 +127,9 @@ func (deweyCodec) NBetween(l, r Component, n int) ([]Component, error) {
 	return out, nil
 }
 
-func (deweyCodec) Compare(a, b Component) int { return intCompare(a.(int), b.(int)) }
+func (deweyCodec) Compare(a, b Component) int { return cmp.Compare(a.(int), b.(int)) }
 
 func (deweyCodec) Bits(c Component) int { return 8 * deweyid.UTF8ComponentBytes(c.(int)) }
-
-func intCompare(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
 
 // ---------------------------------------------------------------------------
 // Binary-String (Cohen, Kaplan, Milo)
@@ -163,7 +154,7 @@ func (cohenCodec) NBetween(l, r Component, n int) ([]Component, error) {
 	return deweyCodec{}.NBetween(l, r, n)
 }
 
-func (cohenCodec) Compare(a, b Component) int { return intCompare(a.(int), b.(int)) }
+func (cohenCodec) Compare(a, b Component) int { return cmp.Compare(a.(int), b.(int)) }
 
 func (cohenCodec) Bits(c Component) int { return deweyid.CohenSelfBits(c.(int)) }
 

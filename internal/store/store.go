@@ -166,7 +166,7 @@ type Backend interface {
 	// Remove drops every doomed node from the index. nameOf reports
 	// each node's element name ("" for non-elements, which are
 	// skipped). Must be called while the doomed nodes' labels are
-	// still live; Remove does not keep doomed.
+	// still live; Remove keeps neither doomed nor nameOf.
 	Remove(doomed map[int]bool, nameOf func(int) string) error
 
 	// IDs returns the ids of elements named name in document order, nil

@@ -11,7 +11,8 @@
 #      tests (the borrowed-answer storm among them: readers hold cached
 #      answers across publishes) three more times; labelvet runs here,
 #      as internal/analysis's TestRepoClean (both tag states) and
-#      fixture tests
+#      fixture tests; and the allocation pins five more times, since a
+#      pin that rests on a sync.Pool can read a pool miss after a GC
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
 #   4. every example run, bench smoke
 #   5. httpd smoke, replication smoke
@@ -63,8 +64,12 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, overlay fold and arena compaction, memo, cache, borrowed-answer, watch and request-reuse storms, stored kernels, loaded-tree clones (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm' ./...
+echo "==> clone isolation, overlay fold and arena compaction, memo, cache, borrowed-answer, watch, request-reuse and edit-scratch storms, stored kernels, loaded-tree clones (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm' ./...
+
+echo "==> allocation pins (5x)"
+go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestServeAllocs|TestPackedPathAllocs' \
+	./internal/dyndoc ./internal/web ./internal/containment
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
