@@ -8,7 +8,7 @@
 # in plain sight.
 set -eu
 
-design_budget=99029
+design_budget=99025
 skill_budget=37683
 
 cd "$(dirname "$0")/.."
