@@ -393,7 +393,7 @@ type document interface {
 	Query(q *Query) ([]int, error)
 	QueryString(path string) ([]int, error)
 	Count(path string) (int, error)
-	QueryRendered(path string, render func(ids []int) []byte) ([]byte, error)
+	QueryRendered(path string, r plan.Rendering) ([]byte, error)
 	Explain(path string) (*plan.Report, error)
 	InsertElement(parent, pos int, name string) (int, int, error)
 	InsertTree(parent, pos int, fragment *Node) ([]int, int, error)
@@ -706,16 +706,17 @@ func (h *Handle) Count(path string) (int, error) {
 	return h.doc.Count(path)
 }
 
-// QueryRendered is render(ids) for the ids QueryString returns,
+// QueryRendered is r.Render(ids) for the ids QueryString returns,
 // memoised with the cached result: while that stays valid a repeated
-// query returns the same bytes, shared and read-only. Pass one render
-// per handle, which neither keeps nor modifies ids.
-func (h *Handle) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
+// query returns the same bytes, shared and read-only. An answer only
+// ever served is kept as those bytes alone, and QueryString parses its
+// ids from them with r.Parse. Pass one rendering per handle.
+func (h *Handle) QueryRendered(path string, r plan.Rendering) ([]byte, error) {
 	if err := h.acquire(); err != nil {
 		return nil, err
 	}
 	defer h.release()
-	return h.doc.QueryRendered(path, render)
+	return h.doc.QueryRendered(path, r)
 }
 
 // Explain plans and evaluates a path expression with instrumentation

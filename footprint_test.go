@@ -3,10 +3,13 @@ package dynxml
 import (
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/xmltree"
+	"repro/internal/xpath/plan"
 )
 
 // heapDelta returns how much live heap build's result holds: HeapAlloc
@@ -24,6 +27,21 @@ func heapDelta(t *testing.T, build func() *Handle) (*Handle, int64) {
 	return h, int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
+// parseBracketed is the inverse of renderings that print ids as fmt
+// does, "[1 2 3]", zeros before a number allowed.
+func parseBracketed(b []byte) []int {
+	_, list, _ := strings.Cut(string(b), "[")
+	var ids []int
+	for _, f := range strings.Fields(strings.TrimSuffix(list, "]")) {
+		id, err := strconv.Atoi(f)
+		if err != nil {
+			panic(err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // TestMemoryFootprintTracksHeap pins the estimate the catalog evicts
 // by to what the heap says, within a factor of 1.5 either way — for a
 // fresh document, for one aged by 5 000 edits, whose per-id columns and
@@ -33,9 +51,21 @@ func heapDelta(t *testing.T, build func() *Handle) (*Handle, int64) {
 // charged at what those chunks allocated, for an unshared one whose
 // slice index holds
 // its all-elements memo, for one whose index is paged, and for one
-// whose result cache holds more bytes — a dozen large results and their
-// renderings — than the document itself, concurrent or live.
+// whose result cache holds more bytes — a dozen large results, kept as
+// their renderings — than the document itself, concurrent or live.
 func TestMemoryFootprintTracksHeap(t *testing.T) {
+	// 17 bytes an id, what an id and its rendering took when the cache
+	// kept both: the renderings outweigh the document.
+	wideRendering := plan.Rendering{
+		Render: func(ids []int) []byte {
+			b := []byte{'['}
+			for _, id := range ids {
+				b = fmt.Appendf(b, "%016d ", id)
+			}
+			return append(b, ']')
+		},
+		Parse: parseBracketed,
+	}
 	open := func(opts ...Option) *Handle {
 		h, err := Open(datagen.Hamlet(), opts...)
 		if err != nil {
@@ -97,7 +127,7 @@ func TestMemoryFootprintTracksHeap(t *testing.T) {
 			"//*", "/play//*", "//act//*", "//scene//*", "//speech//*", "//speech/*", "//line", "//speech/line",
 			"//scene//line", "//act//line", "/play//line", "//scene/speech/line", "//act/scene/speech/line",
 		} {
-			b, err := h.QueryRendered(q, func(ids []int) []byte { return []byte(fmt.Sprint(ids)) })
+			b, err := h.QueryRendered(q, wideRendering)
 			if err != nil || len(b) < 4*4000 {
 				t.Fatalf("%s: rendering of %d bytes, %v", q, len(b), err)
 			}

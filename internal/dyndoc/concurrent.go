@@ -179,10 +179,10 @@ func (c *Concurrent) Count(path string) (int, error) {
 }
 
 // QueryRendered is Document.QueryRendered on the latest snapshot.
-func (c *Concurrent) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
+func (c *Concurrent) QueryRendered(path string, r plan.Rendering) ([]byte, error) {
 	s := c.load()
 	defer c.observeStaleness(s)
-	return s.d.QueryRendered(path, render)
+	return s.d.QueryRendered(path, r)
 }
 
 // updateLocked is the one writer path: it clones the current

@@ -686,12 +686,12 @@ func (d *Document) Count(path string) (int, error) {
 	return len(ids), err
 }
 
-// QueryRendered is render(ids) for the ids QueryString returns,
+// QueryRendered is r.Render(ids) for the ids QueryString returns,
 // memoised with the cached result. The bytes are shared — read, never
-// written — and render is bound by plan.Cache.Rendered's contract.
-func (d *Document) QueryRendered(path string, render func(ids []int) []byte) ([]byte, error) {
+// written — and r is bound by plan.Cache.Rendered's contract.
+func (d *Document) QueryRendered(path string, r plan.Rendering) ([]byte, error) {
 	mQueries.Inc()
-	return d.cache.Rendered(&d.eng, d.lastEdit, path, render)
+	return d.cache.Rendered(&d.eng, d.lastEdit, path, r)
 }
 
 // MemoryFootprint estimates d's resident bytes: its columns, the symbol

@@ -15,6 +15,7 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/store"
 	"repro/internal/xmltree"
+	"repro/internal/xpath/plan"
 )
 
 // TestPlannedQueryStorm is the planned-query counterpart of
@@ -214,7 +215,7 @@ func TestPlannedQueryStormRendered(t *testing.T) {
 			defer reading.Done()
 			for !stop.Load() {
 				g0 := c.Generation()
-				got, err := c.QueryRendered(query, render)
+				got, err := c.QueryRendered(query, plan.Rendering{Render: render, Parse: parseBracketed})
 				g1 := c.Generation()
 				if err != nil {
 					errCh <- err

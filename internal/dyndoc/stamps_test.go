@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/containment"
@@ -26,6 +28,21 @@ func naive(d *Document, path string) ([]int, error) {
 		return nil, err
 	}
 	return d.eng.Eval(q)
+}
+
+// parseBracketed is the inverse of renderings that print ids as fmt
+// does, "[1 2 3]", behind anything without a bracket.
+func parseBracketed(b []byte) []int {
+	_, list, _ := strings.Cut(string(b), "[")
+	var ids []int
+	for _, f := range strings.Fields(strings.TrimSuffix(list, "]")) {
+		id, err := strconv.Atoi(f)
+		if err != nil {
+			panic(err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // stampQueries is the pool the read-set tests ask after every step, in
@@ -85,7 +102,7 @@ type stampDoc interface {
 	Query(q *xpath.Query) ([]int, error)
 	QueryString(path string) ([]int, error)
 	Count(path string) (int, error)
-	QueryRendered(path string, render func(ids []int) []byte) ([]byte, error)
+	QueryRendered(path string, r plan.Rendering) ([]byte, error)
 }
 
 var errForkDropped = errors.New("fork dropped")
@@ -232,7 +249,7 @@ func (ck *stampChecker) check(what string, s stampDoc, d *Document, touched map[
 			got = want
 		case 3:
 			var b []byte
-			b, err = s.QueryRendered(text, func(ids []int) []byte { return fmt.Append(nil, ids) })
+			b, err = s.QueryRendered(text, plan.Rendering{Render: func(ids []int) []byte { return fmt.Append(nil, ids) }, Parse: parseBracketed})
 			if string(b) != fmt.Sprint(want) && !(len(want) == 0 && string(b) == "[]") {
 				ck.t.Fatalf("%s: QueryRendered(%s) = %s, naive has %v", what, text, b, want)
 			}

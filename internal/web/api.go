@@ -13,6 +13,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/xmltree"
+	"repro/internal/xpath/plan"
 )
 
 // maxBodyBytes bounds request bodies; a batch of a few hundred
@@ -188,6 +189,35 @@ func renderQueryReply(ids []int) []byte {
 	return append(b, "]}\n"...)
 }
 
+// parseQueryReply is renderQueryReply's inverse: the ids of a reply it
+// rendered, allocated once at their count, nil for none. It reads
+// nothing else.
+func parseQueryReply(b []byte) []int {
+	n, b := leadingInt(b[len(`{"count":`):])
+	if n == 0 {
+		return nil
+	}
+	ids := make([]int, n)
+	b = b[len(`,"ids":[`)-1:]
+	for i := range ids {
+		ids[i], b = leadingInt(b[1:]) // past the bracket or comma before the id
+	}
+	return ids
+}
+
+// leadingInt parses the decimal digits b starts with and returns the
+// rest.
+func leadingInt(b []byte) (int, []byte) {
+	v, i := 0, 0
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		v = 10*v + int(b[i]-'0')
+	}
+	return v, b[i:]
+}
+
+// queryReply is the form the query route serves an answer in.
+var queryReply = plan.Rendering{Render: renderQueryReply, Parse: parseQueryReply}
+
 // decimalLen is the number of digits of a non-negative v.
 func decimalLen(v int) int {
 	n := 1
@@ -203,7 +233,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.withDoc(w, r, func(h *dynxml.Handle) {
-		body, err := h.QueryRendered(req.Path, renderQueryReply)
+		body, err := h.QueryRendered(req.Path, queryReply)
 		if err != nil {
 			fail(w, r, err)
 			return

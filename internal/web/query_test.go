@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,7 +39,8 @@ func encoded(t *testing.T, ids []int) []byte {
 }
 
 // TestRenderQueryReplyGolden pins the rendered reply to json.Encoder's
-// bytes, and what it holds to those bytes.
+// bytes, what it holds to those bytes, and parseQueryReply to its
+// inverse.
 func TestRenderQueryReplyGolden(t *testing.T) {
 	big := make([]int, 10000)
 	for i := range big {
@@ -51,6 +53,9 @@ func TestRenderQueryReplyGolden(t *testing.T) {
 		}
 		if cap(got) != len(got) {
 			t.Errorf("%s: rendering holds %d bytes for a reply of %d", name, cap(got), len(got))
+		}
+		if back := parseQueryReply(got); !slices.Equal(back, ids) || len(ids) == 0 && back != nil {
+			t.Errorf("%s: the rendering of %d ids parses back to %d others", name, len(ids), len(back))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/invariants"
@@ -27,32 +28,47 @@ const (
 	defaultMaxCachedIDs = 1 << 22
 )
 
-// resultEntry is one materialized query result with the rendering of
-// ids that Cache.Rendered memoises, if one was asked for. It is valid
-// for every (engine, gen) whose Stamp of plan.Reads is stamp. An entry
-// is immutable once stored: the rendering arrives on a fresh one. Its
-// ids are what every read of it returns, shared, so under the
-// invariants build sum, their hash at store time, is checked at every
-// lookup: a caller that wrote to an answer is caught at the next one.
+// Rendering is the form an answer is served in, with its inverse:
+// Render turns ids into the bytes sent, and Parse turns exactly those
+// bytes back into the ids. Neither keeps nor modifies its argument.
+type Rendering struct {
+	Render func(ids []int) []byte
+	Parse  func(b []byte) []int
+}
+
+// resultEntry is one materialized query result, held in the forms it
+// has been asked for: its ids (Eval, EvalString, Explain), the bytes
+// Cache.Rendered serves, or both. It is valid for every (engine, gen)
+// whose Stamp of plan.Reads is stamp. An entry is immutable once
+// stored: a form made from the one held arrives on a fresh entry. What
+// it holds is what every read of it returns, shared, so under the
+// invariants build sum and rsum, hashes of the answer's ids and of its
+// rendering, are checked at every lookup: a caller that wrote to an
+// answer is caught at the next one.
 type resultEntry struct {
 	plan     *Plan
 	stamp    uint64
 	ids      []int
 	rendered []byte
-	sum      uint64 // hashIDs(ids) when invariants.Enabled
+	parse    func(b []byte) []int // set when rendered is all the entry holds
+	sum      uint64               // hash of the answer's ids when invariants.Enabled
+	rsum     uint64               // hash(rendered) when invariants.Enabled
 }
 
-// hashIDs is FNV-1a over ids, one word at a time.
-func hashIDs(ids []int) uint64 {
+// bytesOnly reports whether the entry holds its rendering and no ids.
+func (ent *resultEntry) bytesOnly() bool { return ent.parse != nil }
+
+// hash is FNV-1a over s, one element at a time.
+func hash[E int | byte](s []E) uint64 {
 	h := uint64(14695981039346656037)
-	for _, id := range ids {
-		h = (h ^ uint64(id)) * 1099511628211
+	for _, v := range s {
+		h = (h ^ uint64(v)) * 1099511628211
 	}
 	return h
 }
 
-// cost is what the entry is charged against maxIDs: its ids, and its
-// rendering at one id per 8 bytes held.
+// cost is what the entry is charged against maxIDs: the ids it holds,
+// and its rendering at one id per 8 bytes held.
 func (ent *resultEntry) cost() int { return len(ent.ids) + (cap(ent.rendered)+7)/8 }
 
 // Cache holds compiled plans keyed by canonical query text and
@@ -120,7 +136,7 @@ func (c *Cache) lookupResult(e *xpath.Engine, gen uint64, text string) *resultEn
 	if ent == nil {
 		return nil
 	}
-	if invariants.Enabled && hashIDs(ent.ids) != ent.sum {
+	if invariants.Enabled && (!ent.bytesOnly() && hash(ent.ids) != ent.sum || hash(ent.rendered) != ent.rsum) {
 		invariants.Violated("plan", "the cached answer to %q was written after it was returned; answers are shared and read-only", text)
 	}
 	if ent.stamp != e.Stamp(ent.plan.Reads, gen) {
@@ -137,7 +153,10 @@ func (c *Cache) lookupResult(e *xpath.Engine, gen uint64, text string) *resultEn
 // replaces is dropped either way — the caller just found it stale.
 func (c *Cache) storeResult(text string, ent *resultEntry) *resultEntry {
 	if invariants.Enabled {
-		ent.sum = hashIDs(ent.ids)
+		if !ent.bytesOnly() {
+			ent.sum = hash(ent.ids)
+		}
+		ent.rsum = hash(ent.rendered)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,20 +185,30 @@ func (c *Cache) storeResult(text string, ent *resultEntry) *resultEntry {
 	return ent
 }
 
-// result returns the entry for text that is valid for (e, gen),
-// evaluating against e on a miss. q is text parsed, or nil to have a
+// widen stores ent, which holds both forms of an answer the cache holds
+// in one, in place of that entry, unless ent alone is over the bound:
+// the store would refuse it and drop the answer with it.
+func (c *Cache) widen(text string, ent *resultEntry) {
+	if ent.cost() <= c.maxIDs {
+		c.storeResult(text, ent)
+	}
+}
+
+// result returns the entry for text that is valid for (e, gen) and
+// true, or evaluates against e and returns a new entry that holds the
+// ids, not yet stored, and false. q is text parsed, or nil to have a
 // miss parse it. Every call that gets past parsing counts one hit or
 // one miss.
-func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query) (*resultEntry, error) {
+func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query) (*resultEntry, bool, error) {
 	if ent := c.lookupResult(e, gen, text); ent != nil {
 		mResultHits.Inc()
-		return ent, nil
+		return ent, true, nil
 	}
 	planText := text
 	if q == nil {
 		var err error
 		if q, err = xpath.Parse(text); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		planText = q.String()
 	}
@@ -192,9 +221,9 @@ func (c *Cache) result(e *xpath.Engine, gen uint64, text string, q *xpath.Query)
 	}
 	ids, err := p.Eval(e)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return c.storeResult(text, &resultEntry{plan: p, stamp: e.Stamp(p.Reads, gen), ids: ids}), nil
+	return &resultEntry{plan: p, stamp: e.Stamp(p.Reads, gen), ids: ids}, false, nil
 }
 
 // Eval evaluates q against e, serving from the result cache when the
@@ -216,47 +245,70 @@ func (c *Cache) Eval(e *xpath.Engine, gen uint64, q *xpath.Query) ([]int, error)
 	return c.evalText(e, gen, q.String(), q)
 }
 
-// EvalString is Eval for the query text; a hit parses and allocates
-// nothing.
+// EvalString is Eval for the query text; a hit on an entry that holds
+// the ids parses and allocates nothing.
 func (c *Cache) EvalString(e *xpath.Engine, gen uint64, text string) ([]int, error) {
 	return c.evalText(e, gen, text, nil)
 }
 
 func (c *Cache) evalText(e *xpath.Engine, gen uint64, text string, q *xpath.Query) ([]int, error) {
-	ent, err := c.result(e, gen, text, q)
+	ent, hit, err := c.result(e, gen, text, q)
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case !hit:
+		c.storeResult(text, ent)
+	case ent.bytesOnly():
+		// Asked for in process after it was served: the ids come from
+		// the bytes, which evaluates nothing, and stay beside them.
+		ids := ent.parse(ent.rendered)
+		if invariants.Enabled && hash(ids) != ent.sum {
+			invariants.Violated("plan", "the rendering of %q parses to %d ids, not to its answer", text, len(ids))
+		}
+		ent = &resultEntry{plan: ent.plan, stamp: ent.stamp, ids: ids, rendered: ent.rendered}
+		c.widen(text, ent)
 	}
 	n := len(ent.ids)
 	return ent.ids[:n:n], nil // capacity clipped: an append never writes into the entry
 }
 
-// Rendered returns render(ids) for the ids Eval returns for the query
-// text, memoised with the result: render runs once per entry the cache
+// Rendered returns r.Render(ids) for the ids Eval returns for the query
+// text, memoised with the result: Render runs once per entry the cache
 // keeps and every later hit returns the same bytes, which are shared —
 // callers must not write to them — and go with the entry, so they are
-// never served at another stamp.
-// render must not keep or modify ids, and every caller of one Cache
-// must pass the same rendering.
-func (c *Cache) Rendered(e *xpath.Engine, gen uint64, text string, render func(ids []int) []byte) ([]byte, error) {
-	ent, err := c.result(e, gen, text, nil)
+// never served at another stamp. An answer first asked for here is
+// kept as its bytes alone; Eval and EvalString make its ids with
+// r.Parse, and Rendered its bytes from ids it holds, each at a hit.
+// Every caller of one Cache must pass the same rendering.
+func (c *Cache) Rendered(e *xpath.Engine, gen uint64, text string, r Rendering) ([]byte, error) {
+	ent, hit, err := c.result(e, gen, text, nil)
 	if err != nil {
 		return nil, err
 	}
 	if ent.rendered != nil {
 		return ent.rendered, nil
 	}
-	ent = &resultEntry{plan: ent.plan, stamp: ent.stamp, ids: ent.ids, rendered: render(ent.ids)}
-	// A rendering that puts its result over the bound is not kept: the
-	// store would refuse it and drop the result with it.
-	if ent.cost() <= c.maxIDs {
-		c.storeResult(text, ent)
+	b := r.Render(ent.ids)
+	if invariants.Enabled {
+		if back := r.Parse(b); !slices.Equal(back, ent.ids) {
+			invariants.Violated("plan", "the rendering of %q parses to %d ids, not to its answer", text, len(back))
+		}
 	}
-	return ent.rendered, nil
+	if hit {
+		c.widen(text, &resultEntry{plan: ent.plan, stamp: ent.stamp, ids: ent.ids, rendered: b})
+		return b, nil
+	}
+	served := &resultEntry{plan: ent.plan, stamp: ent.stamp, rendered: b, parse: r.Parse}
+	if invariants.Enabled {
+		served.sum = hash(ent.ids)
+	}
+	c.storeResult(text, served)
+	return b, nil
 }
 
 // MemoryFootprint estimates the bytes the cached results hold: 8 per
-// id plus the renderings.
+// id held plus the renderings.
 func (c *Cache) MemoryFootprint() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/xpath"
@@ -44,6 +46,21 @@ func put(c *Cache, text string, gen uint64, n int) {
 // held returns what put stored for (text, gen), if it is still served.
 func held(c *Cache, text string, gen uint64) *resultEntry {
 	return c.lookupResult(new(xpath.Engine), gen, text)
+}
+
+// parseBracketed is the inverse of renderings that print ids as fmt
+// does, "[1 2 3]", behind anything without a bracket.
+func parseBracketed(b []byte) []int {
+	_, list, _ := strings.Cut(string(b), "[")
+	var ids []int
+	for _, f := range strings.Fields(strings.TrimSuffix(list, "]")) {
+		id, err := strconv.Atoi(f)
+		if err != nil {
+			panic(err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 func seqIDs(n int) []int {
@@ -128,14 +145,15 @@ func TestCacheRendered(t *testing.T) {
 		renders++
 		return fmt.Appendf(nil, "%d%v", len(ids), ids)
 	}
+	rendering := Rendering{Render: render, Parse: parseBracketed}
 	c := NewCache()
 	hits, misses := mResultHits.Value(), mResultMisses.Value()
-	first, err := c.Rendered(eng, 1, "//a", render)
+	first, err := c.Rendered(eng, 1, "//a", rendering)
 	if err != nil || string(first) != string(render(want)) {
 		t.Fatalf("miss: %q, %v", first, err)
 	}
 	renders = 0
-	again, err := c.Rendered(eng, 1, "//a", render)
+	again, err := c.Rendered(eng, 1, "//a", rendering)
 	if err != nil || &again[0] != &first[0] || renders != 0 {
 		t.Fatalf("hit rendered %d times and returned other bytes (%v)", renders, err)
 	}
@@ -153,7 +171,7 @@ func TestCacheRendered(t *testing.T) {
 	}
 	checkBounds(t, c)
 	// Another generation: the rendering of generation 1 is not served.
-	next, err := c.Rendered(eng, 2, "//a", render)
+	next, err := c.Rendered(eng, 2, "//a", rendering)
 	if err != nil || renders != 1 || &next[0] == &first[0] {
 		t.Fatalf("generation 2 was served generation 1's rendering (%d renders, %v)", renders, err)
 	}
@@ -161,7 +179,7 @@ func TestCacheRendered(t *testing.T) {
 	// A path that does not parse is an error and neither hit nor miss;
 	// EvalString on a hit allocates nothing.
 	hits, misses = mResultHits.Value(), mResultMisses.Value()
-	if _, err := c.Rendered(eng, 2, "///", render); err == nil {
+	if _, err := c.Rendered(eng, 2, "///", rendering); err == nil {
 		t.Fatal("bad path rendered")
 	}
 	if _, err := c.EvalString(eng, 2, "///"); err == nil {
@@ -179,17 +197,18 @@ func TestCacheRendered(t *testing.T) {
 	}
 	checkBounds(t, c)
 	renders = 0
-	if _, err := c.Rendered(eng, 2, "//a", render); err != nil || renders != 1 {
+	if _, err := c.Rendered(eng, 2, "//a", rendering); err != nil || renders != 1 {
 		t.Fatalf("after Explain replaced the entry: %d renders, %v", renders, err)
 	}
 
 	// Bounds. 16 ids of room: a 4-id result with a 32-byte rendering
 	// costs 8, so a third such entry evicts; a rendering that would put
 	// its own entry over the bound is returned but not kept.
+	four := func([]byte) []int { return seqIDs(4) } // what put stores
 	tiny := NewCacheBounds(4, 16)
 	for _, text := range []string{"//a[1]", "//a[2]", "//a[3]"} {
 		put(tiny, text, 1, 4)
-		if _, err := tiny.Rendered(eng, 1, text, func([]int) []byte { return make([]byte, 32) }); err != nil {
+		if _, err := tiny.Rendered(eng, 1, text, Rendering{func([]int) []byte { return make([]byte, 32) }, four}); err != nil {
 			t.Fatal(err)
 		}
 		checkBounds(t, tiny)
@@ -201,7 +220,7 @@ func TestCacheRendered(t *testing.T) {
 	put(tiny, "q", 1, 4)
 	renders = 0
 	for i := 1; i <= 2; i++ {
-		b, err := tiny.Rendered(eng, 1, "q", func([]int) []byte { renders++; return make([]byte, 8*13) })
+		b, err := tiny.Rendered(eng, 1, "q", Rendering{func([]int) []byte { renders++; return make([]byte, 8*13) }, four})
 		if err != nil || len(b) != 8*13 || renders != i || held(tiny, "q", 1) == nil {
 			t.Fatalf("oversize rendering, call %d: %d bytes, %d renders, %v; result kept: %v",
 				i, len(b), renders, err, held(tiny, "q", 1) != nil)
