@@ -18,19 +18,19 @@ race:
 	$(GO) test -race ./...
 
 # `make vet` is the single local entry point for all static analysis:
-# stock go vet (copylocks included) plus the six-analyzer labelvet suite,
-# which internal/analysis's TestRepoClean and
+# stock go vet (copylocks included) plus the three-analyzer labelvet
+# suite, which internal/analysis's TestRepoClean and
 # TestRepoCleanWithInvariantsTag run over the whole module in both tag
-# states, as CI does.
+# states, as CI does, and TestPanicSites, the panic allowlist check.
 vet:
 	$(GO) vet ./...
-	$(GO) test -run TestRepoClean ./internal/analysis
+	$(GO) test -run 'TestRepoClean|TestPanicSites' ./internal/analysis
 
 fmt:
 	gofmt -l .
 
 labelvet:
-	$(GO) test -run TestRepoClean ./internal/analysis
+	$(GO) test -run 'TestRepoClean|TestPanicSites' ./internal/analysis
 
 # Every Fuzz* target for 10 s (differential, against reference_test.go,
 # where there is a reference).

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"net/url"
 	"sync"
 	"sync/atomic"
@@ -18,73 +19,89 @@ import (
 // of the response body it wraps; without one its context is as
 // context.Background. The transport's context.WithCancelCause registers
 // on it through AfterFunc, not with a goroutine. It goes back to the pool
-// when http.RoundTripper lets a request be reused: its response body
-// closed, its request body closed by the transport and every
-// registration stopped. One whose timer fired, or whose send failed with
-// no response, is dropped, since the transport may still act on it.
+// when no part of the transport can still touch it: its response body
+// closed, every registration stopped and, for a request with a body, the
+// transport's last write of it done. One whose timer fired, or whose send
+// failed with no response, is dropped, since the transport may still act
+// on it.
+//
+// The body is a *bytes.Reader under io.NopCloser, which net/http writes
+// in the same buffer as the headers: one socket write a call, where a
+// reader of another type costs a write of its own for the headers. Its
+// Close tells nothing, so the hold on the body ends at WroteRequest
+// instead, which the HTTP/1 and HTTP/2 transports report after each
+// write of a request, its body read and closed. A write is of one body:
+// a resend takes a new one from GetBody, which takes the hold back if a
+// write had let it go, and a transport that fails a write waits for it to
+// end before it resends. So when the hold ends, the last write of the
+// request is done. A transport that reports no WroteRequest keeps its
+// body-carrying attempts from the pool, which is safe. Attempts with and
+// without a body have pools of their own: the write of a body-less
+// request takes no hold, so its trace, read by that write however late,
+// must never be one a body-carrying use sets.
 type attempt struct {
-	req   *http.Request
-	id    []string // req.Header's X-Request-Id
-	body  reqBody
-	again func() (io.ReadCloser, error) // GetBody: a new reader, as the transport may still hold body
-	pool  *sync.Pool                    // timed or untimed for good, so Done and Deadline never change
-	timer *time.Timer                   // nil without a Timeout
-	done  chan struct{}                 // likewise; closed only by expire
-	at    time.Time
-	resp  io.ReadCloser // the response's body, set by send
-	stop0 func() bool   // the first registration's stop, made once
-	holds atomic.Int32  // the response, an open body and live registrations
-	mu    sync.Mutex
-	err   error    // vet:guardedby mu
-	fns   []func() // vet:guardedby mu // registered; nil once stopped
+	req    *http.Request
+	id     [1]string             // req.Header's X-Request-Id
+	body   bytes.Reader          // req.Body's, under io.NopCloser
+	raw    []byte                // the body's bytes, for req.GetBody
+	trace  httptrace.ClientTrace // its WroteRequest ends the hold on the body
+	unsent atomic.Bool           // a body the transport may still write
+	pool   *sync.Pool            // of its kind for good, so Done and Deadline never change
+	timer  *time.Timer           // nil without a Timeout
+	done   chan struct{}         // likewise; closed only by expire
+	at     time.Time
+	resp   io.ReadCloser // the response's body, set by send
+	stop0  func() bool   // the first registration's stop, made once
+	holds  atomic.Int32  // the response, an unsent body and live registrations
+	mu     sync.Mutex
+	err    error    // vet:guardedby mu
+	fns    []func() // vet:guardedby mu // registered; nil once stopped
 }
 
-// reqBody is an attempt's request body.
-type reqBody struct {
-	bytes.Reader
-	raw  []byte
-	open atomic.Bool // until the transport's first Close
-	a    *attempt
-}
-
-// The pools have no New, which would be an initialization cycle: the
-// stops a New builds put into the pool.
-var timed, untimed sync.Pool
+// pools holds attempts by [timed][carries a body]. They have no New,
+// which would be an initialization cycle: the stops a New builds put
+// into the pool.
+var pools [2][2]sync.Pool
 
 // startAttempt takes an attempt from the pool, due in timeout (none if
 // zero), and sets its request: u is only read, id is the call's.
 func startAttempt(timeout time.Duration, method string, u *url.URL, id string, body []byte) *attempt {
-	pool := &untimed
-	if timeout > 0 {
-		pool = &timed
-	}
+	pool := &pools[b2i(timeout > 0)][b2i(body != nil)]
 	a, _ := pool.Get().(*attempt)
 	if a == nil {
-		a = &attempt{id: make([]string, 1), pool: pool}
+		a = &attempt{pool: pool}
 		if timeout > 0 {
 			a.done = make(chan struct{})
 			a.timer = time.AfterFunc(time.Hour, a.expire)
 			a.timer.Stop()
 		}
-		h := http.Header{"X-Request-Id": a.id, "Accept-Encoding": identity}
+		h := http.Header{"X-Request-Id": a.id[:], "Accept-Encoding": identity}
 		a.req = (&http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: h}).WithContext(a)
-		a.body.a = a
-		a.again = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(a.body.raw)), nil }
 		a.stop0 = func() bool { return a.stop(0) }
+		if body != nil {
+			h["Content-Type"] = jsonType
+			a.trace.WroteRequest = func(httptrace.WroteRequestInfo) {
+				if a.unsent.Swap(false) {
+					a.let()
+				}
+			}
+			// GetBody lets the transport resend on a dead kept-alive connection.
+			a.req.Body, a.req.GetBody = io.NopCloser(&a.body), func() (io.ReadCloser, error) {
+				if !a.unsent.Swap(true) {
+					a.holds.Add(1)
+				}
+				return io.NopCloser(bytes.NewReader(a.raw)), nil
+			}
+		}
 	}
 	r := a.req
 	r.Method, r.URL, r.Host, a.id[0] = method, u, u.Host, id
-	r.Body, r.GetBody, r.ContentLength = nil, nil, 0
 	a.holds.Store(1) // the response
 	if body != nil {
-		r.Header["Content-Type"] = jsonType
 		a.body.Reset(body)
-		// GetBody lets the transport resend on a dead kept-alive connection.
-		r.Body, r.GetBody, r.ContentLength, a.body.raw = &a.body, a.again, int64(len(body)), body
-		a.body.open.Store(true)
+		r.ContentLength, a.raw = int64(len(body)), body
+		a.unsent.Store(true)
 		a.holds.Add(1)
-	} else {
-		delete(r.Header, "Content-Type")
 	}
 	if timeout > 0 {
 		a.at = time.Now().Add(timeout)
@@ -96,9 +113,34 @@ func startAttempt(timeout time.Duration, method string, u *url.URL, id string, b
 func (a *attempt) Deadline() (time.Time, bool) { return a.at, a.timer != nil }
 func (a *attempt) Done() <-chan struct{}       { return a.done }
 
-// Value holds nothing, and so reads no field a later attempt writes: a
-// dial the transport leaves running past the attempt still asks.
-func (a *attempt) Value(any) any { return nil }
+// Value holds the trace and nothing else, and reads no field a later
+// attempt writes: a dial the transport leaves running past the attempt
+// still asks.
+func (a *attempt) Value(key any) any {
+	if key == traceKey {
+		return &a.trace
+	}
+	return nil
+}
+
+// traceKey is the key httptrace.ContextClientTrace looks a trace up by,
+// learned once from WithClientTrace, which asks its parent context for a
+// trace to compose with.
+var traceKey = func() (key any) {
+	httptrace.WithClientTrace(keyProbe{context.Background(), &key}, new(httptrace.ClientTrace))
+	return key
+}()
+
+// keyProbe is a context that records the key it is asked for.
+type keyProbe struct {
+	context.Context
+	key *any
+}
+
+func (p keyProbe) Value(key any) any {
+	*p.key = key
+	return nil
+}
 
 func (a *attempt) Err() error {
 	a.mu.Lock()
@@ -154,14 +196,6 @@ func (a *attempt) expire() {
 	}
 }
 
-// Close is the transport's, which may call it more than once.
-func (b *reqBody) Close() error {
-	if b.open.CompareAndSwap(true, false) {
-		b.a.let()
-	}
-	return nil
-}
-
 func (a *attempt) Read(p []byte) (int, error) { return a.resp.Read(p) }
 
 // Close closes the response body and, unless the timer fired, lets the
@@ -190,4 +224,11 @@ func (a *attempt) let() {
 		a.resp = nil
 		a.pool.Put(a)
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

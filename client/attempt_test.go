@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"reflect"
 	"strconv"
 	"strings"
@@ -17,12 +18,13 @@ import (
 )
 
 // reuseCheck is a RoundTripper in front of a real transport that fails
-// the test when a request comes back to it while a body of its last use
-// is still open (the reply the transport returned, or the request body,
-// whose Close it passes on a millisecond late), while a registration on
-// its context is live (it stops one a millisecond after the reply's
-// Close), or after its send failed with no reply; and when a request's
-// method, URL, headers and body do not belong to one call.
+// the test when a request comes back to it while its last use is still
+// open (the reply the transport returned, or the write of the request,
+// whose end, the trace's WroteRequest, it passes on a millisecond late),
+// while a registration on its context is live (it stops one a
+// millisecond after the reply's Close), or after its send failed with no
+// reply; and when a request's method, URL, headers and body do not
+// belong to one call.
 type reuseCheck struct {
 	t     *testing.T
 	rt    http.RoundTripper
@@ -31,7 +33,7 @@ type reuseCheck struct {
 }
 
 // later runs f a millisecond from now, as a transport's own goroutine
-// may; f touches only the check's state, the request's body and its
+// may; f touches only the check's state, the request's trace and its
 // registration, so nothing waits for it.
 func (c *reuseCheck) later(f func()) {
 	go func() {
@@ -42,8 +44,23 @@ func (c *reuseCheck) later(f func()) {
 
 // use is what reuseCheck knows of a request's last send.
 type use struct {
-	reply, body, hook, dead bool // reply open, request body open, registered, send failed
+	reply, body, hook, dead bool // reply open, request being written, registered, send failed
 }
+
+// lateTrace is a request's context whose trace is the check's: the
+// request's own context, an attempt, still takes the transport's
+// registrations.
+type lateTrace struct {
+	afterFuncer
+	traced context.Context
+}
+
+type afterFuncer interface {
+	context.Context
+	AfterFunc(func()) (stop func() bool)
+}
+
+func (l lateTrace) Value(key any) any { return l.traced.Value(key) }
 
 func (c *reuseCheck) RoundTrip(r *http.Request) (*http.Response, error) {
 	c.mu.Lock()
@@ -53,7 +70,7 @@ func (c *reuseCheck) RoundTrip(r *http.Request) (*http.Response, error) {
 		c.state[r] = u
 	}
 	if u.reply || u.body || u.hook || u.dead {
-		c.t.Errorf("request %p sent again: reply open %v, body open %v, registered %v, send failed %v", r, u.reply, u.body, u.hook, u.dead)
+		c.t.Errorf("request %p sent again: reply open %v, being written %v, registered %v, send failed %v", r, u.reply, u.body, u.hook, u.dead)
 	}
 	u.body, u.hook = r.Body != nil, r.Context().Done() != nil
 	c.mu.Unlock()
@@ -74,21 +91,28 @@ func (c *reuseCheck) RoundTrip(r *http.Request) (*http.Response, error) {
 		r.Header.Get("Content-Type") != "application/json" || r.Header.Get("Accept-Encoding") != "identity" {
 		c.t.Errorf("request %s %s: host %q, header %v", r.Method, r.URL, r.Host, r.Header)
 	}
+	// As a transport may, end a write after RoundTrip returns.
+	wrote := httptrace.ContextClientTrace(r.Context()).WroteRequest
+	sent := r.WithContext(lateTrace{r.Context().(afterFuncer), httptrace.WithClientTrace(context.Background(),
+		&httptrace.ClientTrace{WroteRequest: func(info httptrace.WroteRequestInfo) {
+			c.later(func() {
+				c.mu.Lock()
+				u.body = false
+				c.mu.Unlock()
+				if wrote != nil {
+					wrote(info)
+				}
+			})
+		}})})
 	route, length := r.URL.Path, r.ContentLength
-	body := r.Body
-	r.Body = &checkBody{ReadCloser: io.NopCloser(body), closed: func(b []byte) {
-		if int64(len(b)) == length && !belongs(route, b) {
-			c.t.Errorf("%s carried body %s", route, b)
-		}
-		// As a transport may, close the body after RoundTrip returns.
-		c.later(func() {
-			c.mu.Lock()
-			u.body = false
-			c.mu.Unlock()
-			body.Close()
-		})
-	}}
-	resp, err := c.rt.RoundTrip(r)
+	if r.Body != nil {
+		sent.Body = &checkBody{ReadCloser: r.Body, closed: func(b []byte) {
+			if int64(len(b)) == length && !belongs(route, b) {
+				c.t.Errorf("%s carried body %s", route, b)
+			}
+		}}
+	}
+	resp, err := c.rt.RoundTrip(sent)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"reflect"
 	"strings"
 	"testing"
@@ -290,13 +291,18 @@ func TestAppendStringMatchesMarshal(t *testing.T) {
 }
 
 // stubTransport answers every request with a canned 200 body, as a
-// server would, without a socket.
+// server would, without a socket. It writes the request as net/http's
+// transports do: the body read and closed, then the trace's
+// WroteRequest.
 type stubTransport struct{ body []byte }
 
 func (s stubTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	if r.Body != nil {
 		_, _ = io.Copy(io.Discard, r.Body)
 		r.Body.Close()
+	}
+	if trace := httptrace.ContextClientTrace(r.Context()); trace != nil && trace.WroteRequest != nil {
+		trace.WroteRequest(httptrace.WroteRequestInfo{})
 	}
 	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(s.body)),
 		ContentLength: int64(len(s.body)), Request: r}, nil

@@ -44,27 +44,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // InTestFile reports whether pos lies in a _test.go file.
 func (p *Pass) InTestFile(pos token.Pos) bool { return p.Loader.IsTestFile(pos) }
 
-// Analyzer is one check. Run is called once per package; Finish, if
-// set, once after every package has been analyzed (for whole-module
-// checks such as the panic allowlist staleness audit).
+// Analyzer is one check; Run is called once per package.
 type Analyzer struct {
-	Name   string
-	Doc    string
-	Run    func(p *Pass) error
-	Finish func(report func(pos token.Position, format string, args ...any)) error
+	Name string
+	Doc  string
+	Run  func(p *Pass) error
 }
 
-// Suite is a configured set of analyzers sharing per-run state.
+// Suite is a configured set of analyzers.
 type Suite struct {
 	Analyzers []*Analyzer
 }
 
 // SuiteConfig parameterizes NewSuite.
 type SuiteConfig struct {
-	// Allowlist is the parsed panic allowlist for panicaudit. A nil
-	// allowlist makes every library panic a finding.
-	Allowlist *Allowlist
-
 	// Names restricts the suite to the named analyzers; empty means
 	// all of them.
 	Names []string
@@ -74,11 +67,8 @@ type SuiteConfig struct {
 func NewSuite(cfg SuiteConfig) (*Suite, error) {
 	all := []*Analyzer{
 		newLabelCmp(),
-		newLockHeld(),
 		newErrCheck(),
-		newPanicAudit(cfg.Allowlist),
 		newGuardedBy(),
-		newLockOrder(),
 	}
 	if len(cfg.Names) == 0 {
 		return &Suite{Analyzers: all}, nil
@@ -115,18 +105,6 @@ func (s *Suite) Run(ld *Loader, pkgs []*Package) ([]Diagnostic, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}
-		}
-	}
-	for _, a := range s.Analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		name := a.Name
-		err := a.Finish(func(pos token.Position, format string, args ...any) {
-			diags = append(diags, Diagnostic{Analyzer: name, Pos: pos, Message: fmt.Sprintf(format, args...)})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %s finish: %w", a.Name, err)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

@@ -65,7 +65,7 @@ func collectExpectations(t *testing.T, ld *Loader, pkg *Package) []*expectation 
 // checks the diagnostics against the fixture's want comments —
 // positions included: a diagnostic must appear on the exact line of
 // its expectation.
-func runFixture(t *testing.T, analyzer, fixture string, al *Allowlist) []Diagnostic {
+func runFixture(t *testing.T, analyzer, fixture string) {
 	t.Helper()
 	root := moduleRoot(t)
 	ld, err := NewLoader(root, nil, true)
@@ -84,7 +84,7 @@ func runFixture(t *testing.T, analyzer, fixture string, al *Allowlist) []Diagnos
 			t.Fatalf("fixture %s: type error: %v", fixture, terr)
 		}
 	}
-	suite, err := NewSuite(SuiteConfig{Allowlist: al, Names: []string{analyzer}})
+	suite, err := NewSuite(SuiteConfig{Names: []string{analyzer}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,6 @@ func runFixture(t *testing.T, analyzer, fixture string, al *Allowlist) []Diagnos
 		t.Fatalf("fixture %s has no want comments", fixture)
 	}
 	for _, d := range diags {
-		if !strings.Contains(d.Pos.Filename, "testdata") {
-			continue // allowlist staleness findings are asserted separately
-		}
 		found := false
 		for _, e := range exps {
 			if !e.matched && e.file == d.Pos.Filename && e.line == d.Pos.Line && e.pattern.MatchString(d.Message) {
@@ -120,14 +117,11 @@ func runFixture(t *testing.T, analyzer, fixture string, al *Allowlist) []Diagnos
 	if len(diags) == 0 {
 		t.Errorf("fixture %s produced no diagnostics; the gate must fail on it", fixture)
 	}
-	return diags
 }
 
-func TestLabelCmpFixture(t *testing.T)  { runFixture(t, "labelcmp", "labelcmp", nil) }
-func TestLockHeldFixture(t *testing.T)  { runFixture(t, "lockheld", "lockheld", nil) }
-func TestErrCheckFixture(t *testing.T)  { runFixture(t, "errcheck", "errcheck", nil) }
-func TestGuardedByFixture(t *testing.T) { runFixture(t, "guardedby", "guardedby", nil) }
-func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorder", nil) }
+func TestLabelCmpFixture(t *testing.T)  { runFixture(t, "labelcmp", "labelcmp") }
+func TestErrCheckFixture(t *testing.T)  { runFixture(t, "errcheck", "errcheck") }
+func TestGuardedByFixture(t *testing.T) { runFixture(t, "guardedby", "guardedby") }
 
 // TestFixtureCoverage keeps the suite honest: every registered
 // analyzer must have a fixture package under testdata/src/ so it
@@ -157,34 +151,8 @@ func TestFixtureCoverage(t *testing.T) {
 	}
 }
 
-func TestPanicAuditFixture(t *testing.T) {
-	const fixturePkg = "repro/internal/analysis/testdata/src/panicaudit"
-	al, err := ParseAllowlist("fixture_allowlist.txt", strings.Join([]string{
-		"# fixture allowlist",
-		fixturePkg + " MustVetted",
-		fixturePkg + " Gone # stale: no such panic anymore",
-	}, "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := runFixture(t, "panicaudit", "panicaudit", al)
-	foundStale := false
-	for _, d := range diags {
-		if d.Pos.Filename == "fixture_allowlist.txt" && d.Pos.Line == 3 &&
-			strings.Contains(d.Message, `stale allowlist entry "`+fixturePkg+` Gone"`) {
-			foundStale = true
-		}
-		if strings.Contains(d.Message, "MustVetted") {
-			t.Errorf("vetted panic was flagged: %s", d)
-		}
-	}
-	if !foundStale {
-		t.Errorf("missing stale-allowlist diagnostic at fixture_allowlist.txt:3; got %v", diags)
-	}
-}
-
 // TestRepoClean is the acceptance gate: the full suite over the whole
-// module (tests included, real allowlist) must be silent.
+// module (tests included) must be silent.
 func TestRepoClean(t *testing.T) {
 	root := moduleRoot(t)
 	diags, err := Vet(Config{Dir: root, Patterns: []string{"./..."}, IncludeTests: true})
@@ -225,39 +193,5 @@ func TestDiagnosticString(t *testing.T) {
 	d.Pos.Column = 7
 	if got, want := d.String(), "x.go:3:7: [labelcmp] msg"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
-// TestAllowlistParsing covers comments, blank lines and error cases.
-func TestAllowlistParsing(t *testing.T) {
-	al, err := ParseAllowlist("f.txt", "# c\n\npkg Fn # trailing\npkg Fn2\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if al.Entries["pkg Fn"] != 3 || al.Entries["pkg Fn2"] != 4 {
-		t.Fatalf("entries = %v", al.Entries)
-	}
-	if _, err := ParseAllowlist("f.txt", "only-one-field\n"); err == nil {
-		t.Fatal("accepted malformed entry")
-	}
-	if _, err := ParseAllowlist("f.txt", "pkg Fn\npkg Fn\n"); err == nil {
-		t.Fatal("accepted duplicate entry")
-	}
-}
-
-// TestRealAllowlistParses keeps the checked-in allowlist loadable.
-func TestRealAllowlistParses(t *testing.T) {
-	root := moduleRoot(t)
-	al, err := LoadAllowlist(filepath.Join(root, filepath.FromSlash(DefaultAllowlist)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(al.Entries) == 0 {
-		t.Fatal("real allowlist is empty")
-	}
-	for key := range al.Entries {
-		if !strings.HasPrefix(key, "repro/") {
-			t.Errorf("allowlist entry %q does not name a module package", key)
-		}
 	}
 }

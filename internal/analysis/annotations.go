@@ -10,7 +10,7 @@
 // collectVet parses these once per package, resolves the names they
 // mention against the type information, and records syntax problems
 // (unknown verbs, dangling mutex names, misplaced comments) for
-// panicaudit to report as diagnostics.
+// guardedby to report as diagnostics.
 package analysis
 
 import (
@@ -31,10 +31,8 @@ type vetIssue struct {
 // "j.cmu", split into its root name (receiver or parameter) and the
 // field chain below it.
 type holdsSpec struct {
-	Raw  string // as written, e.g. "j.cmu"
 	Root string // "j"
 	Path string // "cmu"
-	Pos  token.Pos
 }
 
 // vetInfo is the collected annotation set of one package.
@@ -44,7 +42,7 @@ type vetInfo struct {
 	guards map[*types.Var]*types.Var
 	// holds maps a function to its declared lock preconditions.
 	holds map[*types.Func][]holdsSpec
-	// issues are syntax problems, reported by panicaudit.
+	// issues are syntax problems, reported by guardedby.
 	issues []vetIssue
 }
 
@@ -297,7 +295,7 @@ func (c *vetCollector) resolveHolds(fd *ast.FuncDecl, raw string, pos token.Pos)
 		c.issuef(pos, "vet:holds path %q does not end in a sync.Mutex or sync.RWMutex", raw)
 		return holdsSpec{}, false
 	}
-	return holdsSpec{Raw: raw, Root: root, Path: rest, Pos: pos}, true
+	return holdsSpec{Root: root, Path: rest}, true
 }
 
 // lookupField finds a struct field by name on t (through pointers and

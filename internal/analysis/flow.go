@@ -1,8 +1,8 @@
-// A small intraprocedural control-flow engine shared by the
-// flow-sensitive analyzers (guardedby, lockorder). It walks
-// one function body statement by statement, threading an opaque state
-// value through straight-line code, forking it at branches and
-// merging the surviving branches at join points.
+// A small intraprocedural control-flow engine for the flow-sensitive
+// analyzer, guardedby. It walks one function body statement by
+// statement, threading an opaque state value through straight-line
+// code, forking it at branches and merging the surviving branches at
+// join points.
 //
 // The engine handles only control structure; everything a client
 // cares about (lock calls, field accesses, error tracking) happens in

@@ -13,7 +13,8 @@ import (
 // intraprocedurally through Lock/RLock/Unlock/RUnlock calls and
 // deferred unlocks; accesses rooted at function-local objects (fresh
 // values under construction) are exempt, since no other goroutine can
-// reach them yet.
+// reach them yet. It also reports every malformed or misplaced vet:
+// comment, so a typo can never silently disable a check.
 func newGuardedBy() *Analyzer {
 	a := &Analyzer{
 		Name: "guardedby",
@@ -21,6 +22,9 @@ func newGuardedBy() *Analyzer {
 	}
 	a.Run = func(p *Pass) error {
 		vi := collectVet(p)
+		for _, issue := range vi.issues {
+			p.Reportf(issue.Pos, "%s", issue.Msg)
+		}
 		gb := &guardedByPass{p: p, vi: vi}
 		for _, f := range p.Pkg.Files {
 			for _, decl := range f.Decls {
@@ -87,12 +91,12 @@ func (gb *guardedByPass) checkUse(sel *ast.SelectorExpr, write bool, held lockSe
 		return
 	}
 	key := base + "." + mu.Name()
-	h, ok := held[key]
+	readOnly, ok := held[key]
 	access := base + "." + fv.Name()
 	switch {
 	case !ok:
 		gb.p.Reportf(sel.Sel.Pos(), "%s is guarded by %s but accessed without holding it", access, key)
-	case write && h.read:
+	case write && readOnly:
 		gb.p.Reportf(sel.Sel.Pos(), "%s is guarded by %s but written while holding only the read lock", access, key)
 	}
 }

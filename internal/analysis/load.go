@@ -1,10 +1,9 @@
 // Package analysis implements labelvet, a stdlib-only static-analysis
-// suite that enforces the source-level invariants the CDBS/QED
-// encodings depend on: lexicographic label comparison through the
-// canonical Compare/Equal methods (Definition 3.1), the end-with-1
-// rule for CDBS code literals (Theorem 3.1), the no-0-digit rule for
-// QED code literals, lock-copy and lock-leak hygiene around
-// dyndoc.Concurrent, dropped error returns, and a panic allowlist.
+// suite: lexicographic label comparison through the canonical
+// Compare/Equal methods (Definition 3.1), dropped error returns, and
+// fields accessed only under the mutex their vet:guardedby comment
+// names. Its tests also hold the library's panic sites to an
+// allowlist.
 //
 // The suite is built directly on go/ast, go/parser, go/types and
 // go/token — no golang.org/x/tools dependency — so go.mod stays

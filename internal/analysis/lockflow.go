@@ -1,53 +1,28 @@
 // Lock-state tracking on top of the flow engine: which mutexes are
 // held at each program point of one function. Used by guardedby
-// (annotated-field access checks, vet:holds preconditions) and
-// lockorder (acquisition ordering, leaked locks).
+// (annotated-field access checks, vet:holds preconditions).
 package analysis
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
+	"maps"
 )
 
-// heldLock records one held mutex.
-type heldLock struct {
-	read     bool      // acquired via RLock
-	deferred bool      // a deferred unlock pins it until function exit
-	entry    bool      // held at entry via vet:holds, not acquired here
-	pos      token.Pos // acquisition site (or annotation)
-	global   string    // package-qualified identity, e.g. "journal.Journal.cmu"
-}
+// lockSet maps a local lock path ("j.mu") to whether it is held only
+// for reading (via RLock).
+type lockSet map[string]bool
 
-// lockSet maps a local lock path ("j.mu") to its held record.
-type lockSet map[string]heldLock
-
-func (ls lockSet) clone() lockSet {
-	out := make(lockSet, len(ls))
-	for k, v := range ls {
-		out[k] = v
-	}
-	return out
-}
+func (ls lockSet) clone() lockSet { return maps.Clone(ls) }
 
 // intersect keeps locks held on both paths. A lock read-held on
-// either side stays read (the weaker fact); deferred/entry survive if
-// either side says so (they are exit-time properties, not path
-// facts).
+// either side stays read (the weaker fact).
 func (ls lockSet) intersect(other lockSet) lockSet {
 	out := lockSet{}
 	for k, a := range ls {
-		b, ok := other[k]
-		if !ok {
-			continue
-		}
-		out[k] = heldLock{
-			read:     a.read || b.read,
-			deferred: a.deferred || b.deferred,
-			entry:    a.entry || b.entry,
-			pos:      a.pos,
-			global:   a.global,
+		if b, ok := other[k]; ok {
+			out[k] = a || b
 		}
 	}
 	return out
@@ -62,12 +37,6 @@ type lockClient struct {
 	use func(sel *ast.SelectorExpr, write bool, held lockSet)
 	// call is called for every call expression with the held set.
 	call func(call *ast.CallExpr, held lockSet)
-	// onLock is called before a Lock/RLock takes effect. key is the
-	// local path; if key is already in held this is a self-acquire.
-	onLock func(key string, l heldLock, held lockSet)
-	// onExit is called at return/panic/fall-off-end with the held
-	// set. kind is "return", "panic" or "end".
-	onExit func(pos token.Pos, held lockSet, kind string)
 
 	// lits accumulates nested function literals plus the signature
 	// objects visible inside them, for the caller to walk separately.
@@ -87,19 +56,11 @@ func (lc *lockClient) lockFlow(body *ast.BlockStmt, entry lockSet, outerSig map[
 		stmt:  func(st any, s ast.Stmt) { lc.leafStmt(st.(lockSet), s, outerSig) },
 		touch: func(st any, e ast.Expr) { lc.expr(st.(lockSet), e, outerSig) },
 		ret: func(st any, r *ast.ReturnStmt) {
-			held := st.(lockSet)
 			for _, res := range r.Results {
-				lc.expr(held, res, outerSig)
-			}
-			if lc.onExit != nil {
-				lc.onExit(r.Pos(), held, "return")
+				lc.expr(st.(lockSet), res, outerSig)
 			}
 		},
-		end: func(st any, pos token.Pos) {
-			if lc.onExit != nil {
-				lc.onExit(pos, st.(lockSet), "end")
-			}
-		},
+		end:     func(any, token.Pos) {},
 		funcLit: func(lit *ast.FuncLit) {},
 		isPanic: func(e ast.Expr) bool { return isPanicCall(lc.p.Info, e) },
 	}
@@ -171,7 +132,7 @@ func (lc *lockClient) leafStmt(held lockSet, s ast.Stmt, outerSig map[types.Obje
 }
 
 // lockOp recognizes and applies mu.Lock/RLock/Unlock/RUnlock calls.
-// In deferred position an unlock marks the lock held-until-exit
+// In deferred position an unlock leaves the lock held until exit
 // instead of releasing it. It reports whether e was a lock call.
 func (lc *lockClient) lockOp(held lockSet, e ast.Expr, deferred bool) bool {
 	call, ok := unparen(e).(*ast.CallExpr)
@@ -197,24 +158,13 @@ func (lc *lockClient) lockOp(held lockSet, e ast.Expr, deferred bool) bool {
 	if key == "" {
 		return true // an unnameable mutex; recognized but untracked
 	}
-	switch op {
-	case "Lock", "RLock":
-		if deferred {
-			return true // defer mu.Lock() — bizarre; ignore
-		}
-		l := heldLock{read: op == "RLock", pos: call.Pos(), global: lc.globalLockKey(sel.X)}
-		if lc.onLock != nil {
-			lc.onLock(key, l, held)
-		}
-		held[key] = l
-	case "Unlock", "RUnlock":
-		if deferred {
-			if l, ok := held[key]; ok {
-				l.deferred = true
-				held[key] = l
-			}
-			return true
-		}
+	switch {
+	case deferred:
+		// A deferred unlock pins the lock until the function exits;
+		// defer mu.Lock() is bizarre and ignored.
+	case op == "Lock" || op == "RLock":
+		held[key] = op == "RLock"
+	default:
 		delete(held, key)
 	}
 	return true
@@ -236,11 +186,6 @@ func (lc *lockClient) expr(held lockSet, e ast.Expr, outerSig map[types.Object]b
 				lc.use(n, false, held)
 			}
 		case *ast.CallExpr:
-			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				if _, isBuiltin := lc.p.Info.Uses[id].(*types.Builtin); isBuiltin && lc.onExit != nil {
-					lc.onExit(n.Pos(), held, "panic")
-				}
-			}
 			if lc.call != nil {
 				lc.call(n, held)
 			}
@@ -296,26 +241,6 @@ func exprPath(e ast.Expr) string {
 	return ""
 }
 
-// globalLockKey names a mutex across functions: "pkg.Type.field" for
-// a struct field, "pkg.var" for a package-level mutex, "" for locals
-// (which have no cross-function identity).
-func (lc *lockClient) globalLockKey(e ast.Expr) string {
-	switch e := unparen(e).(type) {
-	case *ast.SelectorExpr:
-		recv := lc.p.Info.TypeOf(e.X)
-		if n := namedType(recv); n != nil && n.Obj().Pkg() != nil {
-			return n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + e.Sel.Name
-		}
-	case *ast.Ident:
-		if v, ok := lc.p.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil {
-			if v.Parent() == v.Pkg().Scope() {
-				return v.Pkg().Name() + "." + v.Name()
-			}
-		}
-	}
-	return ""
-}
-
 // sigObjects collects the receiver, parameter and named-result
 // objects of a function declaration.
 func sigObjects(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
@@ -355,51 +280,9 @@ func addFieldList(info *types.Info, out map[types.Object]bool, fl *ast.FieldList
 // entryLocks builds the entry lock set a vet:holds annotation
 // declares.
 func entryLocks(vi *vetInfo, fn *types.Func) lockSet {
-	specs := vi.holds[fn]
-	if len(specs) == 0 {
-		return lockSet{}
-	}
 	held := lockSet{}
-	for _, spec := range specs {
-		key := spec.Root + "." + spec.Path
-		held[key] = heldLock{entry: true, pos: spec.Pos, global: globalKeyForHolds(fn, spec)}
+	for _, spec := range vi.holds[fn] {
+		held[spec.Root+"."+spec.Path] = false
 	}
 	return held
-}
-
-// globalKeyForHolds resolves a holds spec to its cross-function lock
-// identity by walking the field chain from the root's type.
-func globalKeyForHolds(fn *types.Func, spec holdsSpec) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
-		return ""
-	}
-	var rootVar *types.Var
-	if r := sig.Recv(); r != nil && r.Name() == spec.Root {
-		rootVar = r
-	}
-	for i := 0; rootVar == nil && i < sig.Params().Len(); i++ {
-		if sig.Params().At(i).Name() == spec.Root {
-			rootVar = sig.Params().At(i)
-		}
-	}
-	if rootVar == nil {
-		return ""
-	}
-	t := rootVar.Type()
-	parts := strings.Split(spec.Path, ".")
-	for i, name := range parts {
-		f := lookupField(t, name)
-		if f == nil {
-			return ""
-		}
-		if i == len(parts)-1 {
-			if n := namedType(t); n != nil && n.Obj().Pkg() != nil {
-				return n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + name
-			}
-			return ""
-		}
-		t = f.Type()
-	}
-	return ""
 }

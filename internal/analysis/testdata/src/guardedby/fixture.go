@@ -118,3 +118,31 @@ func GoodParamHolds(c *counter) {
 func BadParamHolds(c *counter) {
 	lockedAdd(c, 1) // want `call to lockedAdd requires holding c\.mu \(vet:holds\)`
 }
+
+// badAnnotations carries vet: comments the language rejects; a
+// misspelt verb must fail the gate rather than silently disable a
+// check.
+type badAnnotations struct {
+	mu sync.Mutex
+	a  int // vet:guardedby nosuch // want `vet:guardedby names unknown sibling field "nosuch"`
+	b  int // vet:guardedby a // want `vet:guardedby a: field a is not a sync\.Mutex or sync\.RWMutex`
+	c  int // vet:bogus // want `unknown vet: verb "bogus"`
+	d  int // vet:durable // want `unknown vet: verb "durable"`
+}
+
+// NoError carries a verb the language does not have.
+//
+// vet:ack // want `unknown vet: verb "ack"`
+func NoError() {}
+
+// BadHoldsRoot names a root that is neither receiver nor parameter.
+//
+// vet:holds q.mu // want `vet:holds path "q\.mu": "q" is not the receiver or a parameter of BadHoldsRoot`
+func BadHoldsRoot() {}
+
+// Misplaced hangs an annotation where the language gives it no
+// meaning.
+func Misplaced() int {
+	// vet:holds m.mu // want `misplaced vet:holds annotation: only struct fields and function declarations take vet: comments`
+	return 0
+}

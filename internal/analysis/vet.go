@@ -1,14 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-)
-
-// DefaultAllowlist is the module-relative path of the panic
-// allowlist.
-const DefaultAllowlist = "internal/analysis/panic_allowlist.txt"
+import "fmt"
 
 // Config parameterizes one run of the suite.
 type Config struct {
@@ -44,18 +36,7 @@ func Vet(cfg Config) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	alPath := filepath.Join(ld.ModuleDir, filepath.FromSlash(DefaultAllowlist))
-	var al *Allowlist
-	if data, err := os.ReadFile(alPath); err == nil {
-		al, err = ParseAllowlist(alPath, string(data))
-		if err != nil {
-			return nil, err
-		}
-	} else if !os.IsNotExist(err) {
-		// A missing allowlist just means "empty".
-		return nil, err
-	}
-	suite, err := NewSuite(SuiteConfig{Allowlist: al})
+	suite, err := NewSuite(SuiteConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -2,17 +2,18 @@
 # ci.sh — the full verification gate, runnable locally and in CI. The
 # gate is a rule, not a list: a test is gated by existing.
 #
-#   1. gofmt, the DESIGN.md and verify-skill budgets (scripts/loc.sh),
-#      go vet, go build (both tag states), that the compiler inlines
-#      the per-predicate read path, and build and vet of the benchmark
-#      module, which compiles against internal/ APIs
+#   1. gofmt, the line cap and the DESIGN.md and verify-skill budgets
+#      (scripts/loc.sh), go vet, go build (both tag states), that the
+#      compiler inlines the per-predicate read path, and build and vet
+#      of the benchmark module, which compiles against internal/ APIs
 #   2. go test ./..., plain, under -tags invariants and under -race,
 #      then the clone-isolation, overlay-fold-and-compaction and storm
 #      tests (the borrowed-answer storm among them: readers hold cached
 #      answers across publishes) three more times; labelvet runs here,
 #      as internal/analysis's TestRepoClean (both tag states) and
-#      fixture tests; and the allocation pins five more times, since a
-#      pin that rests on a sync.Pool can read a pool miss after a GC
+#      fixture tests, and so does its TestPanicSites; and the allocation
+#      pins five more times, since a pin that rests on a sync.Pool can
+#      read a pool miss after a GC
 #   3. every Fuzz* target for 5 s (scripts/fuzz.sh)
 #   4. every example run, bench smoke
 #   5. httpd smoke, replication smoke
@@ -29,7 +30,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "==> DESIGN.md and verify-skill budgets (scripts/loc.sh)"
+echo "==> line cap, DESIGN.md and verify-skill budgets (scripts/loc.sh)"
 sh scripts/loc.sh >/dev/null
 
 echo "==> go vet ./..."
@@ -68,8 +69,8 @@ echo "==> clone isolation, overlay fold and arena compaction, memo, cache, borro
 go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestMixedFormStorm|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm' ./...
 
 echo "==> allocation pins (5x)"
-go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestServeAllocs|TestPackedPathAllocs' \
-	./internal/dyndoc ./internal/web ./internal/containment
+go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestServeAllocs|TestPackedPathAllocs|TestClientCallAllocs|TestQueryDecodeAllocs' \
+	./internal/dyndoc ./internal/web ./internal/containment ./client
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
