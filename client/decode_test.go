@@ -308,9 +308,12 @@ func (s stubTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		ContentLength: int64(len(s.body)), Request: r}, nil
 }
 
-// raceSlack is what a -race build may add to an allocation pin
-// (race_test.go).
-var raceSlack float64
+// raceSlack is what a -race build may add to an allocation pin, and
+// pinRuns how many calls the pin averages (race_test.go).
+var (
+	raceSlack float64
+	pinRuns   = 200
+)
 
 // TestClientCallAllocs pins what a query and an insert cost the client
 // against a transport that costs nearly nothing: 6 and 7 allocations,
@@ -342,7 +345,7 @@ func TestClientCallAllocs(t *testing.T) {
 			if err := tc.call(d); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(200, func() {
+			allocs := testing.AllocsPerRun(pinRuns, func() {
 				if err := tc.call(d); err != nil {
 					t.Fatal(err)
 				}

@@ -61,13 +61,14 @@ func BenchmarkEditVsSize(b *testing.B) {
 }
 
 // TestEditBytesBounded pins what a snapshot edit may allocate once the
-// document's first edit has packed its child lists into an id arena
-// (16 B per id, once; TestWorstEditBytesBounded pins it): the edited
-// parent's run, copied to the arena's end, the clone's overlay of
-// changed runs (at most about √ids entries of 12 B) and its share of
-// the fold that empties the overlay (about √ids × 8 B) — not a copy of
-// the document, which was about 250 B per id, nor its child-list
-// headers, which were 24. One history inserts under one section, so
+// document's first edit has packed its child lists into an id arena and
+// its index (8 B per child and 4 B per parent, once;
+// TestWorstEditBytesBounded pins it): the edited parent's run, copied
+// to the arena's end, the clone's overlay of changed runs (at most about
+// √ids entries of 12 B) and its share of the fold that repacks the live
+// lists and empties the overlay (about √ids × 9 B) — not a copy of the
+// document, which was about 250 B per id, nor its child-list headers,
+// which were 24. One history inserts under one section, so
 // its overlay holds one entry; the other spreads its inserts over every
 // element of every section, so its overlay fills and folds four times.
 func TestEditBytesBounded(t *testing.T) {
@@ -115,11 +116,12 @@ func TestEditBytesBounded(t *testing.T) {
 // TestWorstEditBytesBounded pins the worst edit of a long run, where
 // TestEditBytesBounded pins the mean: over 4 096 inserts into a shared
 // document of 100 000 elements no single edit allocates more than the
-// first, which packs the child lists into an id arena, or a fold with
-// a compaction — the one edit in many that writes a span for every id
-// and moves every live run, about 16 B per id — and a chunk or two: a
-// write-once column or an arena out of room adds a chunk, it does not
-// move.
+// first, which packs the child lists into an id arena, or a fold — the
+// one edit in many that repacks every live run into an arena and index
+// of its own, 8 B per child and 4 B per parent, about 9 B per id — and
+// a chunk or two: a write-once column or an arena out of room adds a
+// chunk, it does not move. With a span of 8 B per id, and a compaction
+// apart from the fold, it read 16.9 B per id.
 func TestWorstEditBytesBounded(t *testing.T) {
 	c := sizedConcurrent(t, 100_000)
 	var worst, ids uint64
@@ -134,10 +136,10 @@ func TestWorstEditBytesBounded(t *testing.T) {
 			worst, ids = n, uint64(100_000+i+1)
 		}
 	}
-	bound := 18*ids + 64<<10
+	bound := 12*ids + 64<<10
 	t.Logf("worst edit: %d B at %d ids (%.1f B per id), bound %d", worst, ids, float64(worst)/float64(ids), bound)
 	if worst > bound {
-		t.Errorf("one Concurrent.InsertElement allocated %d B at %d ids, want at most 18 B x ids + 64 KB = %d", worst, ids, bound)
+		t.Errorf("one Concurrent.InsertElement allocated %d B at %d ids, want at most 12 B x ids + 64 KB = %d", worst, ids, bound)
 	}
 }
 
@@ -332,13 +334,14 @@ func fifoHistory(t *testing.T, c *Concurrent, parents []int, edits, keep int, ch
 }
 
 // TestForkedTreeBytes pins what a served document's tree holds once
-// its edits have forked it: per id its parent and depth (8 B) and its
-// run's span (8 B), per child 8 B in the id arena, and at most as many
-// dead slots as live ones. With every id's 24 B list header it held
-// 40.4 B per live node on the 10-play document and 44.4 on the tenant
-// order after the same histories. A long history on a small document must not let the arena
-// fill with dead runs: after every edit they are at most the live ones
-// and a chunk.
+// its edits have forked it: per id its parent and depth (8 B) and a
+// has-children bit, per parent its run's 4 B offset in the index, per
+// child 8 B in the id arena, and at most as many dead slots as live
+// ones. After the same histories it held 40.4 B per live node on the
+// 10-play document and 44.4 on the tenant order with every id's 24 B
+// list header, and 24.8 and 29.2 with an 8 B span per id. A long
+// history on a small document must not let the arena fill with dead
+// runs: after every edit they are at most the live ones and a chunk.
 func TestForkedTreeBytes(t *testing.T) {
 	plays := xmltree.NewElement("plays")
 	for _, f := range datagen.D5(1).Files[:10] {
@@ -379,8 +382,8 @@ func TestForkedTreeBytes(t *testing.T) {
 			perNode := float64(tr.Bytes()) / float64(tr.Len())
 			t.Logf("%s: %d live nodes, %d ids: %.1f B per live node, %.1f per id", w.name, tr.Len(), tr.Cap(), perNode,
 				float64(tr.Bytes())/float64(tr.Cap()))
-			if tr.Children != nil || perNode > 30 {
-				t.Errorf("%s: a forked tree (Children nil: %v) holds %.1f B per live node, want at most 30",
+			if tr.Children != nil || perNode > 20 {
+				t.Errorf("%s: a forked tree (Children nil: %v) holds %.1f B per live node, want at most 20",
 					w.name, tr.Children == nil, perNode)
 			}
 			return nil

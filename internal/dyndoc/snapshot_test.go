@@ -243,9 +243,9 @@ func TestConcurrentBatchInsert(t *testing.T) {
 // published snapshots while one writer edits through several folds and
 // compactions: a snapshot's tree reads its lists as runs of an id
 // arena it shares with every other snapshot, through a clone's overlay
-// on a shared span array; the writer's next clone folds that overlay
-// into an array of its own every √ids or so edits, and moves the live
-// runs to a fresh arena when a third of it is dead. Every read holds
+// on a shared index; the writer's next clone folds every √ids or so
+// edits, repacking the live runs into an arena and index of its own,
+// which compacts the arena whenever some of it was dead. Every read holds
 // the child lists to what the labels and the parent column say and to
 // what the queries answer, in the same snapshot. Run under -race it
 // also shows that no writer touches a run a published tree reads.

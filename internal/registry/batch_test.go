@@ -328,10 +328,10 @@ func checkTreeModel(t *testing.T, what string, tr *scheme.Tree, m *treeModel) {
 // TestCloneHistoriesMatchModel runs seeded histories of clones and
 // edits over every scheme — sources edited after being cloned, clones
 // of clones, subtree deletes and batch inserts — on a document small
-// enough that a clone's overlay of changed runs folds every few edits
-// and its id arena compacts every few folds, and holds every tree of
-// the family to a plain [][]int model after every step: an edit on one
-// tree must not move any other. Every seed packs a tree's Children, and
+// enough that a clone's overlay of changed runs folds every few edits,
+// repacking its id arena smaller when runs have died, and holds every
+// tree of the family to a plain [][]int model after every step: an edit
+// on one tree must not move any other. Every seed packs a tree's Children, and
 // folds and compacts an arena, at least once.
 func TestCloneHistoriesMatchModel(t *testing.T) {
 	for _, entry := range All() {

@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"repro/internal/cow"
+	"repro/internal/invariants"
 	"repro/internal/xmltree"
 )
 
@@ -170,13 +171,14 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // clones share that column (cow.Column). A tree from NewTree holds its
 // child lists in Children and edits them in place, cloned or not. Its
 // clone packs them into a cow.Arena of child ids, shared by every clone
-// descended from it, and reads a list as an (offset, length) span. An edit copies the
-// parent's run to the arena's end, or shifts it in place if this tree
-// appended it since the family's last fork. A clone shares the span
-// array and keeps the spans it changes in an overlay sorted by id; past
-// √Cap() entries, or more dead slots than live, the writer folds the
-// overlay into a span array of its own, and compacts the arena if a
-// third of it is dead. Read a list through Kids.
+// descended from it, and finds a list through an index: a has-children
+// bit per id, ranked, and an offset per id that has children. An edit
+// copies the parent's run to the arena's end, or shifts it in place if
+// this tree appended it since the family's last fork. A clone shares the
+// index and keeps the runs it changes in an overlay sorted by id; past
+// √Cap() entries, or more dead slots than live, the writer folds: it
+// repacks the live lists into an arena and index of its own. Read a list
+// through Kids.
 type Tree struct {
 	up cow.Column[link]
 	// Children is every id's ordered child list, Cap() long, on a tree
@@ -185,9 +187,9 @@ type Tree struct {
 	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
 
-	kids  cow.Arena[int] // the child lists' runs
-	spans []span         // id v's run for v below its length; never written
-	over  []patch        // the runs that differ from spans, sorted by id
+	kids cow.Arena[int] // the child lists' runs
+	base index          // the runs as packed; never written
+	over []patch        // the runs that differ from base, sorted by id
 
 	// fork counts the clones taken in the family. Since the last it saw,
 	// the runs from offset mark up are this tree's alone, and so is dead
@@ -204,6 +206,28 @@ type span struct{ off, n int32 }
 type patch struct {
 	id int32
 	s  span
+}
+
+// index is a packed arena's directory, one slice: per 32 ids a word
+// whose bit v&31 is set if id v has children, and the position in the
+// index of the first of that word's offsets; then, in id order, the
+// arena offset of each id with children, and the arena's end. A run
+// ends where the next begins. The offsets begin at x[1]: an id whose
+// word would lie there has no run.
+type index []uint32
+
+// span returns v's packed run: a bit test, a popcount and two loads.
+func (x index) span(v int) span {
+	w := v >> 5 << 1
+	if w >= int(x[1]) {
+		return span{}
+	}
+	bit := uint32(1) << (v & 31)
+	if x[w]&bit == 0 {
+		return span{}
+	}
+	i := int(x[w+1]) + bits.OnesCount32(x[w]&(bit-1))
+	return span{int32(x[i]), int32(x[i+1] - x[i])}
 }
 
 // link is a node's way up: its parent id, -1 for the root, and its
@@ -238,24 +262,24 @@ func NewTree(doc *xmltree.Document) *Tree {
 
 // Clone returns a tree that answers as t does now and can be edited
 // independently of it, for CloneLabeling. A clone of a tree with
-// Children packs them into a fresh arena, 16 B per id; any other copies
-// t's overlay, with room for the entry the next edit most likely adds,
-// and shares the rest: the arena, the span array and the dead bits,
-// clipped so that a word the clone appends goes to an array of its own.
-// It does not write to t.
+// Children packs them into a fresh arena and index, 8 B per child and
+// 4 B per parent; any other copies t's overlay, with room for the entry
+// the next edit most likely adds, and shares the rest: the arena, the
+// index and the dead bits, clipped so that a word the clone appends goes
+// to an array of its own. It does not write to t.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{
-		up:    t.up,
-		dead:  slices.Clip(t.dead),
-		live:  t.live,
-		kids:  t.kids,
-		spans: t.spans,
-		fork:  t.fork.Fork(),
-		mark:  t.kids.End(),
+		up:   t.up,
+		dead: slices.Clip(t.dead),
+		live: t.live,
+		kids: t.kids,
+		base: t.base,
+		fork: t.fork.Fork(),
+		mark: t.kids.End(),
 	}
 	if t.Children != nil {
-		c.spans, c.mark = make([]span, t.Cap()), 0
-		c.kids = packed(c.spans, t.liveSlots(), func(v int) []int { return t.Children[v] })
+		c.kids, c.base = packed(t.Cap(), t.liveSlots(), func(v int) []int { return t.Children[v] })
+		c.mark = 0
 	}
 	if len(t.over) > 0 {
 		c.over = append(make([]patch, 0, len(t.over)+1), t.over...)
@@ -271,7 +295,7 @@ func (t *Tree) Bytes() int64 {
 	if t.Children != nil {
 		return b + 24*int64(cap(t.Children)) + 8*int64(t.Cap())
 	}
-	return b + 8*int64(cap(t.spans)) + 12*int64(cap(t.over)) + t.kids.Bytes()
+	return b + 4*int64(cap(t.base)) + 12*int64(cap(t.over)) + t.kids.Bytes()
 }
 
 // Packing reports a clone's arena: the slots its runs have taken and
@@ -310,15 +334,12 @@ func (t *Tree) run(s span) []int {
 // Child returns the k-th child of v.
 func (t *Tree) Child(v, k int) int { return t.Kids(v)[k] }
 
-// span returns v's run: its overlay entry, or else its span.
+// span returns v's run: its overlay entry, or else its packed one.
 func (t *Tree) span(v int) span {
 	if i, ok := t.find(v); ok {
 		return t.over[i].s
 	}
-	if v < len(t.spans) {
-		return t.spans[v]
-	}
-	return span{}
+	return t.base.span(v)
 }
 
 // find returns where id v's entry is, or would go, in the overlay.
@@ -336,7 +357,8 @@ func (t *Tree) find(v int) (int, bool) {
 }
 
 // setSpan makes s v's run, folding the overlay when it has grown past
-// √Cap() entries or the arena holds more dead slots than live ones.
+// √Cap() entries, the arena holds more dead slots than live ones, or
+// it has passed maxOffset.
 func (t *Tree) setSpan(v int, s span) {
 	if i, ok := t.find(v); ok {
 		t.over[i].s = s
@@ -348,26 +370,14 @@ func (t *Tree) setSpan(v int, s span) {
 	}
 }
 
-// fold applies the overlay to a span array of t's own, in which a dead
-// id's run is empty. At √Cap() entries a fold's 8 B × Cap() is about
-// what the clones since the last one copied of the overlay. When more
-// than a third of the arena is dead, the live runs move to a fresh one,
-// so the arena holds at most about twice what its lists do.
+// fold repacks t's live lists into an arena and index of its own, in
+// which a dead id's run is empty, and empties the overlay. At √Cap()
+// entries a fold's 8 B per child and 4 B per parent are about what the
+// clones since the last one copied of the overlay, and the arena holds
+// at most about twice what its lists do.
 func (t *Tree) fold() {
-	spans := make([]span, t.Cap())
-	copy(spans, t.spans)
-	for _, p := range t.over {
-		spans[p.id] = p.s
-	}
-	for w, word := range t.dead {
-		for ; word != 0; word &= word - 1 {
-			spans[w<<6|bits.TrailingZeros64(word)] = span{}
-		}
-	}
-	if 2*t.deadSlots() > t.liveSlots() || t.kids.End() > maxOffset {
-		t.kids, t.mark = packed(spans, t.liveSlots(), func(v int) []int { return t.run(spans[v]) }), 0
-	}
-	t.spans, t.over = spans, t.over[:0]
+	t.kids, t.base = packed(t.Cap(), t.liveSlots(), t.Kids)
+	t.mark, t.over = 0, t.over[:0]
 }
 
 // prepare readies t for a write: after a clone taken anywhere in the
@@ -562,7 +572,7 @@ func (t *Tree) PreOrder() []int {
 }
 
 // A cloned tree's arena has strides of 4 096 ids and chunks of at least
-// 64. An arena past maxOffset is compacted at the next edit, so that a
+// 64. An arena past maxOffset is repacked at the next edit, so that a
 // span's int32 never overflows.
 const (
 	strideShift = 12
@@ -570,16 +580,44 @@ const (
 	maxOffset   = 1 << 30
 )
 
-// packed returns an arena of the runs list gives for the ids below
-// len(spans), in id order, n ids in all, and points spans at them.
-func packed(spans []span, n int, list func(v int) []int) cow.Arena[int] {
-	first := make([]int, 0, n)
-	for v := range spans {
-		l := list(v)
-		spans[v] = span{int32(len(first)), int32(len(l))}
-		first = append(first, l...)
+// packed returns a fresh arena of the runs list gives for the ids below
+// ids, in id order, and its index. The runs must hold slots ids in all:
+// a dead id's run is empty.
+func packed(ids, slots int, list func(v int) []int) (cow.Arena[int], index) {
+	parents := 0
+	for v := range ids {
+		if len(list(v)) > 0 {
+			parents++
+		}
+	}
+	words := ids>>5 + 1
+	x := make(index, 2*words+parents+1)
+	first := make([]int, 0, slots)
+	at := 2 * words
+	for v := range ids {
+		w := v >> 5 << 1
+		if v&31 == 0 {
+			x[w+1] = uint32(at)
+		}
+		if l := list(v); len(l) > 0 {
+			x[w] |= 1 << (v & 31)
+			x[at], at = uint32(len(first)), at+1
+			first = append(first, l...)
+		}
+	}
+	x[at] = uint32(len(first))
+	if invariants.Enabled {
+		if len(first) != slots {
+			invariants.Violated("scheme", "packed %d slots, want the %d live ones", len(first), slots)
+		}
+		for v := range ids {
+			s := x.span(v)
+			if !slices.Equal(first[s.off:s.off+s.n], list(v)) {
+				invariants.Violated("scheme", "id %d reads back %v, packed from %v", v, first[s.off:s.off+s.n], list(v))
+			}
+		}
 	}
 	a := cow.NewArena[int](strideShift, minChunk)
 	a.Start(first, len(first))
-	return a
+	return a, x
 }
