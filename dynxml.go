@@ -609,8 +609,8 @@ func (h *Handle) Shared() *SharedDocument { return h.shared }
 // Labeling returns the document's labeling. On a concurrent handle it
 // is the latest snapshot's labeling: immutable, safe to read, and
 // left behind by the next edit. Read its tree's child lists through
-// Tree().Kids and Tree().Child: a snapshot's Tree().Children is nil
-// once an edit has packed its lists into the id arena it shares.
+// Tree().Kids and Tree().Child: an opened document's tree keeps them
+// in an id arena, and its Tree().Children is nil.
 func (h *Handle) Labeling() Labeling {
 	var lab Labeling
 	h.view(func(d *LiveDocument) { lab = d.Labeling() })

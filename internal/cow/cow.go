@@ -276,6 +276,10 @@ func NewEpoch() Epoch { return Epoch{fam: new(family)} }
 // to e.
 func (e *Epoch) Fork() Epoch { return Epoch{fam: e.fam, seen: e.fam.forks.Add(1)} }
 
+// Alone reports whether no clone has been taken in the family. It does
+// not write to e.
+func (e *Epoch) Alone() bool { return e.fam.forks.Load() == 0 }
+
 // Refresh reports whether a clone was taken anywhere in the family
 // since the previous call.
 func (e *Epoch) Refresh() bool {

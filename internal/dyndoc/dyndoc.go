@@ -236,6 +236,7 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 	if err != nil {
 		return nil, err
 	}
+	lab.Tree().Adopt()
 	labelled := time.Now()
 	mOpenLabel.Observe(labelled.Sub(start).Seconds())
 	if factory == nil {

@@ -363,9 +363,6 @@ func TestOverlayFoldStorm(t *testing.T) {
 // disagree.
 func checkSection(d *Document, rng *rand.Rand) error {
 	tr := d.Labeling().Tree()
-	if tr.Children != nil && len(tr.Children) != tr.Cap() {
-		return fmt.Errorf("Children holds %d lists of %d ids", len(tr.Children), tr.Cap())
-	}
 	k := rng.Intn(len(tr.Kids(0)))
 	s := tr.Child(0, k)
 	kids := tr.Kids(s)

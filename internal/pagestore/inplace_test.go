@@ -72,9 +72,12 @@ func TestWarmLeafEditAllocs(t *testing.T) {
 	}
 	const runs = 2000 // enough to fill the leaf's heap with dead entries and compact it
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, edit)
-	runtime.ReadMemStats(&after)
+	var allocs float64
+	singleP(func() {
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, edit)
+		runtime.ReadMemStats(&after)
+	})
 	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
 	t.Logf("insert+delete on a warm owned leaf: %.0f allocs, %d B", allocs, perRun)
 	if allocs > 0 || perRun > 0 {
@@ -83,6 +86,15 @@ func TestWarmLeafEditAllocs(t *testing.T) {
 	if got := p.Stats().Allocated; got != pages {
 		t.Errorf("in-place edits allocated %d new pages", got-pages)
 	}
+}
+
+// singleP runs f with GOMAXPROCS at 1, as testing.AllocsPerRun counts
+// allocations: a TotalAlloc difference taken inside f then counts
+// another goroutine's bytes only if f blocks or is preempted, where
+// under -race in a whole-module run it read 2 B now and then.
+func singleP(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
 }
 
 // TestFaultAllocatesOneFrame pins a cache miss: one 4 KB frame the page
@@ -107,10 +119,13 @@ func TestFaultAllocatesOneFrame(t *testing.T) {
 	}
 	const runs = 2000
 	var before, after runtime.MemStats
+	var allocs float64
 	missesBefore := p.Stats().Misses
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, get)
-	runtime.ReadMemStats(&after)
+	singleP(func() {
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, get)
+		runtime.ReadMemStats(&after)
+	})
 	misses := p.Stats().Misses - missesBefore
 	if misses < runs {
 		t.Fatalf("%d cold gets missed %d times: the test does not fault", runs, misses)

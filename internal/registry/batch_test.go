@@ -331,105 +331,143 @@ func checkTreeModel(t *testing.T, what string, tr *scheme.Tree, m *treeModel) {
 // enough that a clone's overlay of changed runs folds every few edits,
 // repacking its id arena smaller when runs have died, and holds every
 // tree of the family to a plain [][]int model after every step: an edit
-// on one tree must not move any other. Every seed packs a tree's Children, and
-// folds and compacts an arena, at least once.
+// on one tree must not move any other. Every history runs twice: from
+// the tree as built, whose Children a clone packs, and from the tree a
+// live open adopts, which its owner edits in place, moves and repacks
+// with free slots until the first clone, which must pack exact. Every
+// seed packs, folds and compacts at least once, and from the adopted
+// tree edits in place, moves and repacks its owner's arena too.
 func TestCloneHistoriesMatchModel(t *testing.T) {
 	for _, entry := range All() {
 		entry := entry
 		t.Run(entry.Name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 3; seed++ {
-				doc := randomDoc(40, seed)
-				lab, err := entry.Build(doc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				labs, models := []scheme.Labeling{lab}, []*treeModel{newTreeModel(doc)}
-				gen := rand.New(rand.NewSource(seed))
-				packs, folds, compactions := 0, 0, 0
-				lastH, lastParent := 0, 0
-				for step := 0; step < 300; step++ {
-					// Half the steps stay on the last step's tree and
-					// parent, so that a tree is edited under the parent
-					// whose run it appended last, before and after being
-					// cloned.
-					sticky := gen.Intn(2) == 0
-					if !sticky {
-						lastH = gen.Intn(len(labs))
-					}
-					h := lastH
-					l, m := labs[h], models[h]
-					live := m.live()
-					parent := live[gen.Intn(len(live))]
-					if sticky && lastParent < len(m.alive) && m.alive[lastParent] {
-						parent = lastParent
-					}
-					lastParent = parent
-					pos := gen.Intn(len(m.kids[parent]) + 1)
-					packed := l.Tree().Children == nil
-					slots, _, over := l.Tree().Packing()
-					switch k := gen.Intn(20); {
-					case k < 3:
-						c := l.CloneLabeling()
-						if len(labs) < 6 {
-							labs, models = append(labs, c), append(models, m.clone())
-						} else {
-							r := gen.Intn(len(labs))
-							labs[r], models[r] = c, m.clone()
-						}
-						if !packed && c.Tree().Children == nil {
-							packs++
-						}
-						packed = false
-					case k < 11:
-						id, _, err := l.InsertChildAt(parent, pos)
-						if err != nil {
-							t.Fatal(err)
-						}
-						m.add(parent, pos, nil, []int{id})
-					case k < 13:
-						shape := randomShape(gen, 1+gen.Intn(6))
-						ids, _, err := l.InsertSubtree(parent, pos, shape)
-						if err != nil {
-							t.Fatal(err)
-						}
-						m.add(parent, pos, shape, ids)
-					case k < 15:
-						shapes := []*xmltree.Node{randomShape(gen, 1+gen.Intn(4)), randomShape(gen, 1+gen.Intn(4))}
-						ids, _, err := l.InsertSubtrees(parent, pos, shapes)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i, shape := range shapes {
-							m.add(parent, pos+i, shape, ids[i])
-						}
-					default:
-						if len(live) < 20 {
-							continue
-						}
-						v := live[1+gen.Intn(len(live)-1)]
-						if _, err := l.DeleteSubtree(v); err != nil {
-							t.Fatal(err)
-						}
-						m.remove(v)
-					}
-					// An edit only adds to the overlay and the arena's
-					// slots, but for a fold and a compaction.
-					if s, _, o := l.Tree().Packing(); packed && o < over {
-						folds++
-						if s < slots {
-							compactions++
-						}
-					}
-					for i := range labs {
-						checkTreeModel(t, fmt.Sprintf("seed %d step %d tree %d", seed, step, i), labs[i].Tree(), models[i])
-					}
-				}
-				t.Logf("seed %d: %d packs, %d folds, %d compactions", seed, packs, folds, compactions)
-				if packs == 0 || folds == 0 || compactions == 0 {
-					t.Errorf("seed %d: %d packs, %d folds, %d compactions; want at least one of each", seed, packs, folds, compactions)
+				for _, adopted := range []bool{false, true} {
+					cloneHistory(t, entry, seed, adopted)
 				}
 			}
 		})
+	}
+}
+
+// cloneHistory is one seeded history of TestCloneHistoriesMatchModel;
+// adopted starts it from an adopted tree. The first 200 steps of an
+// adopted history take no clone, so that its owner edits alone long enough to
+// repack.
+func cloneHistory(t *testing.T, entry Entry, seed int64, adopted bool) {
+	doc := randomDoc(40, seed)
+	lab, err := entry.Build(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adopted {
+		lab.Tree().Adopt()
+	}
+	labs, models := []scheme.Labeling{lab}, []*treeModel{newTreeModel(doc)}
+	gen := rand.New(rand.NewSource(seed))
+	packs, folds, compactions := 0, 0, 0
+	inPlace, moves, repacks := 0, 0, 0
+	lastH, lastParent := 0, 0
+	for step := 0; step < 300; step++ {
+		// Half the steps stay on the last step's tree and parent, so
+		// that a tree is edited under the parent whose run it appended
+		// last, before and after being cloned.
+		sticky := gen.Intn(2) == 0
+		if !sticky {
+			lastH = gen.Intn(len(labs))
+		}
+		h := lastH
+		l, m := labs[h], models[h]
+		live := m.live()
+		parent := live[gen.Intn(len(live))]
+		if sticky && lastParent < len(m.alive) && m.alive[lastParent] {
+			parent = lastParent
+		}
+		lastParent = parent
+		pos := gen.Intn(len(m.kids[parent]) + 1)
+		packed := l.Tree().Children == nil
+		owner := packed && len(labs) == 1
+		slots, _, over := l.Tree().Packing()
+		k := gen.Intn(20)
+		if owner && k < 3 && step < 200 {
+			k = 3
+		}
+		switch {
+		case k < 3:
+			c := l.CloneLabeling()
+			if _, dead, over := c.Tree().Packing(); owner && (dead != 0 || over != 0) {
+				t.Fatalf("seed %d step %d: the first clone of an adopted tree holds %d dead slots and %d overlay entries, want an exact pack", seed, step, dead, over)
+			}
+			if len(labs) < 6 {
+				labs, models = append(labs, c), append(models, m.clone())
+			} else {
+				r := gen.Intn(len(labs))
+				labs[r], models[r] = c, m.clone()
+			}
+			if !packed || owner {
+				packs++
+			}
+			packed = false
+		case k < 11:
+			id, _, err := l.InsertChildAt(parent, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.add(parent, pos, nil, []int{id})
+		case k < 13:
+			shape := randomShape(gen, 1+gen.Intn(6))
+			ids, _, err := l.InsertSubtree(parent, pos, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.add(parent, pos, shape, ids)
+		case k < 15:
+			shapes := []*xmltree.Node{randomShape(gen, 1+gen.Intn(4)), randomShape(gen, 1+gen.Intn(4))}
+			ids, _, err := l.InsertSubtrees(parent, pos, shapes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, shape := range shapes {
+				m.add(parent, pos+i, shape, ids[i])
+			}
+		default:
+			if len(live) < 20 {
+				continue
+			}
+			v := live[1+gen.Intn(len(live)-1)]
+			if _, err := l.DeleteSubtree(v); err != nil {
+				t.Fatal(err)
+			}
+			m.remove(v)
+		}
+		// An edit only adds to the overlay and the arena's slots, but
+		// for a fold and a compaction; the owner's edits in place add
+		// to neither, and its repacks shrink the arena.
+		s, _, o := l.Tree().Packing()
+		switch {
+		case owner && k == 3 && s == slots:
+			inPlace++
+		case owner && s > slots:
+			moves++
+		case owner && s < slots:
+			repacks++
+		case packed && !owner && o < over:
+			folds++
+			if s < slots {
+				compactions++
+			}
+		}
+		for i := range labs {
+			checkTreeModel(t, fmt.Sprintf("seed %d adopted %v step %d tree %d", seed, adopted, step, i), labs[i].Tree(), models[i])
+		}
+	}
+	t.Logf("seed %d, adopted %v: %d packs, %d folds, %d compactions; owner: %d in place, %d moves, %d repacks",
+		seed, adopted, packs, folds, compactions, inPlace, moves, repacks)
+	if packs == 0 || folds == 0 || compactions == 0 {
+		t.Errorf("seed %d adopted %v: %d packs, %d folds, %d compactions; want at least one of each", seed, adopted, packs, folds, compactions)
+	}
+	if adopted && (inPlace == 0 || moves == 0 || repacks == 0) {
+		t.Errorf("seed %d adopted: the owner edited %d times in place, moved %d runs and repacked %d times; want at least one of each", seed, inPlace, moves, repacks)
 	}
 }

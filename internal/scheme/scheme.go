@@ -168,28 +168,36 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // not part of any label.
 //
 // A node's parent and depth are written once per id, so a Tree and its
-// clones share that column (cow.Column). A tree from NewTree holds its
-// child lists in Children and edits them in place, cloned or not. Its
-// clone packs them into a cow.Arena of child ids, shared by every clone
-// descended from it, and finds a list through an index: a has-children
-// bit per id, ranked, and an offset per id that has children. An edit
+// clones share that column (cow.Column). The child lists are runs in a
+// cow.Arena of child ids, found through an index: a has-children bit per
+// id, ranked, and an offset per id that has children. NewTree carves
+// them from one slab with a free slot after each, and also hands them
+// out as Children, which a labeling built alone edits; Adopt drops
+// Children and keeps the slab as the arena, as a live document does.
+// Until a clone is taken such a tree owns every run: an edit shifts a
+// run in place while a free slot (a -1 filler) follows it, and moves a
+// full one to the arena's end with as many free slots again, its packed
+// slots forwarding to it; only an id packed without a run keeps its run
+// in an overlay sorted by id. The first clone packs the lists exact, as
+// a clone of a tree with Children does; a later clone shares the arena
+// and index and copies the overlay. After a fork an edit
 // copies the parent's run to the arena's end, or shifts it in place if
-// this tree appended it since the family's last fork. A clone shares the
-// index and keeps the runs it changes in an overlay sorted by id; past
-// √Cap() entries, or more dead slots than live, the writer folds: it
-// repacks the live lists into an arena and index of its own. Read a list
-// through Kids.
+// this tree appended it since the family's last fork. Past √Cap()
+// overlay entries after a fork, or more dead slots than live (the free
+// slots runs may still fill aside), the writer folds: it repacks the
+// live lists into an arena and index of its own. Read a list through
+// Kids.
 type Tree struct {
 	up cow.Column[link]
 	// Children is every id's ordered child list, Cap() long, on a tree
-	// from NewTree; nil on a clone, whose lists are runs of kids.
+	// from NewTree that has not been adopted; nil otherwise.
 	Children [][]int
 	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
 
 	kids cow.Arena[int] // the child lists' runs
 	base index          // the runs as packed; never written
-	over []patch        // the runs that differ from base, sorted by id
+	over []patch        // the runs the index does not find, sorted by id
 
 	// fork counts the clones taken in the family. Since the last it saw,
 	// the runs from offset mark up are this tree's alone, and so is dead
@@ -197,6 +205,11 @@ type Tree struct {
 	fork    cow.Epoch
 	mark    int
 	ownDead bool
+	// slack: base's runs end in free slots that the index counts. own:
+	// no clone has been taken since Adopt, so t owns every run. spare
+	// counts the free slots the owner's runs may still take in place.
+	slack, own bool
+	spare      int
 }
 
 // span is a child list's run in a tree's arena.
@@ -230,78 +243,127 @@ func (x index) span(v int) span {
 	return span{int32(x[i]), int32(x[i+1] - x[i])}
 }
 
+// runs returns how many ids have a run.
+func (x index) runs() int { return len(x) - 1 - int(x[1]) }
+
 // link is a node's way up: its parent id, -1 for the root, and its
 // depth, 1 for the root.
 type link struct{ parent, depth int32 }
 
 // NewTree mirrors a document, with node ids in document order
 // (xmltree's Walk, which has each node's parent at hand), over columns
-// sized from one count. A child list gets exactly the room it needs.
+// sized from one count. Each child list is carved from one slab with
+// room for one more id, a -1 filler in that slot.
 func NewTree(doc *xmltree.Document) *Tree {
-	n := doc.Len()
+	n, parents := 0, 0
+	doc.Walk(func(_ int, node *xmltree.Node, _, _ int) {
+		n++
+		if len(node.Children) > 0 {
+			parents++
+		}
+	})
 	up := make([]link, n)
+	slab := make([]int, max(n-1, 0)+parents)
 	t := &Tree{
 		up:       cow.NewColumn(up),
 		Children: make([][]int, n),
 		dead:     make([]uint64, n/64+1),
 		live:     n,
+		kids:     cow.NewArena[int](strideShift, minChunk),
 		fork:     cow.NewEpoch(),
 		ownDead:  true,
 	}
+	at := 0
 	doc.Walk(func(id int, node *xmltree.Node, parent, depth int) {
 		up[id] = link{int32(parent), int32(depth)}
-		if len(node.Children) > 0 {
-			t.Children[id] = make([]int, 0, len(node.Children))
+		if k := len(node.Children); k > 0 {
+			t.Children[id] = slab[at : at : at+k+1]
+			slab[at+k], at = -1, at+k+1
 		}
 		if parent >= 0 {
 			t.Children[parent] = append(t.Children[parent], id)
 		}
 	})
+	t.kids.Start(slab, len(slab))
 	return t
+}
+
+// Adopt drops Children and keeps the slab NewTree carved them from as
+// t's arena, under an index that counts each run's free slot: it copies
+// no child id, and t owns every run until its first clone. t must be as
+// NewTree built it, neither edited nor cloned.
+func (t *Tree) Adopt() {
+	lists, parents := t.Children, 0
+	for _, l := range lists {
+		if len(l) > 0 {
+			parents++
+		}
+	}
+	b, off := newIndexer(t.Cap(), parents), 0
+	for v, l := range lists {
+		if len(l) > 0 {
+			b.add(v, off)
+			off += cap(l)
+		}
+	}
+	t.base = b.end(off)
+	t.Children, t.slack, t.own, t.spare = nil, true, true, parents
+	if invariants.Enabled {
+		if !t.fork.Alone() {
+			invariants.Violated("scheme", "adopted a tree that has been cloned")
+		}
+		checkRuns(t.kids, t.base, true, &Tree{up: t.up, Children: lists})
+	}
 }
 
 // Clone returns a tree that answers as t does now and can be edited
 // independently of it, for CloneLabeling. A clone of a tree with
-// Children packs them into a fresh arena and index, 8 B per child and
-// 4 B per parent; any other copies t's overlay, with room for the entry
-// the next edit most likely adds, and shares the rest: the arena, the
-// index and the dead bits, clipped so that a word the clone appends goes
-// to an array of its own. It does not write to t.
+// Children, or of one that owns every run and has never been cloned,
+// packs the lists into a fresh arena and index, 8 B per child and 4 B
+// per parent, with no free slot; any other copies t's overlay, with
+// room for the entry the next edit most likely adds, and shares the
+// rest: the arena, the index and the dead bits, clipped so that a word
+// the clone appends goes to an array of its own. It does not write to t.
 func (t *Tree) Clone() *Tree {
+	exact := t.Children != nil || t.own && t.fork.Alone()
 	c := &Tree{
-		up:   t.up,
-		dead: slices.Clip(t.dead),
-		live: t.live,
-		kids: t.kids,
-		base: t.base,
-		fork: t.fork.Fork(),
-		mark: t.kids.End(),
+		up:    t.up,
+		dead:  slices.Clip(t.dead),
+		live:  t.live,
+		kids:  t.kids,
+		base:  t.base,
+		slack: t.slack,
+		spare: t.spare,
+		fork:  t.fork.Fork(),
+		mark:  t.kids.End(),
 	}
-	if t.Children != nil {
-		c.kids, c.base = packed(t.Cap(), t.liveSlots(), func(v int) []int { return t.Children[v] })
-		c.mark = 0
-	}
-	if len(t.over) > 0 {
+	if exact {
+		c.kids, c.base = packed(t, false)
+		c.mark, c.slack, c.spare = 0, false, 0
+	} else if len(t.over) > 0 {
 		c.over = append(make([]patch, 0, len(t.over)+1), t.over...)
 	}
 	return c
 }
 
 // Bytes estimates the mirror's heap: the columns and, with Children,
-// the headers and each id's entry in its parent's list; without, the
-// span array, the overlay and the arena's chunks.
+// the headers and the slab; without, the index, the overlay and the
+// arena's chunks.
 func (t *Tree) Bytes() int64 {
-	b := t.up.Bytes() + 8*int64(cap(t.dead))
+	b := t.up.Bytes() + 8*int64(cap(t.dead)) + t.kids.Bytes()
 	if t.Children != nil {
-		return b + 24*int64(cap(t.Children)) + 8*int64(t.Cap())
+		return b + 24*int64(cap(t.Children))
 	}
-	return b + 4*int64(cap(t.base)) + 12*int64(cap(t.over)) + t.kids.Bytes()
+	return b + 4*int64(cap(t.base)) + 12*int64(cap(t.over))
 }
 
-// Packing reports a clone's arena: the slots its runs have taken and
-// how many of them no list reads any more, and its overlay's length.
-// All three are zero on a tree with Children.
+// Packing reports the arena: the slots its runs have taken and how many
+// of them no list reads any more (free slots included), and the
+// overlay's length. All three are zero on a tree with Children.
 func (t *Tree) Packing() (slots, dead, over int) {
+	if t.Children != nil {
+		return 0, 0, 0
+	}
 	return t.kids.Used(), max(t.deadSlots(), 0), len(t.over)
 }
 
@@ -312,7 +374,8 @@ func (t *Tree) Parent(v int) int { return int(t.up.At(v).parent) }
 func (t *Tree) Depth(v int) int { return int(t.up.At(v).depth) }
 
 // Kids returns v's ordered child ids, nil for a dead id. The slice is
-// the tree's own: read it, never write it.
+// the tree's own: read it, never write it. It is span, less the
+// record of where the run lies.
 func (t *Tree) Kids(v int) []int {
 	if t.Children != nil {
 		return t.Children[v]
@@ -320,7 +383,17 @@ func (t *Tree) Kids(v int) []int {
 	if !t.Alive(v) {
 		return nil
 	}
-	return t.run(t.span(v))
+	b := t.base.span(v)
+	if b.n == 0 || !t.own {
+		if i, ok := t.find(v); ok {
+			return t.run(t.over[i].s)
+		}
+		if b.n == 0 {
+			return nil
+		}
+	}
+	s, _ := packedRun(&t.kids, b, t.slack)
+	return t.run(s)
 }
 
 // run returns s's ids, aliasing the arena.
@@ -334,57 +407,178 @@ func (t *Tree) run(s span) []int {
 // Child returns the k-th child of v.
 func (t *Tree) Child(v, k int) int { return t.Kids(v)[k] }
 
-// span returns v's run: its overlay entry, or else its packed one.
-func (t *Tree) span(v int) span {
-	if i, ok := t.find(v); ok {
-		return t.over[i].s
+// span returns v's run and where it is recorded. A tree that owns every
+// run records none of its packed ids in the overlay, so it reads them
+// without searching it.
+func (t *Tree) span(v int) (span, where) {
+	b := t.base.span(v)
+	if !t.own || b.n == 0 {
+		if i, ok := t.find(v); ok {
+			return t.over[i].s, inOverlay
+		}
 	}
-	return t.base.span(v)
+	return packedRun(&t.kids, b, t.slack)
 }
 
-// find returns where id v's entry is, or would go, in the overlay.
+// where says how an edit records a run's new place: in the index, which
+// finds it where it was packed; in its packed run's first two slots,
+// which forward to it; or in the overlay (also for an id with no run).
+type where int8
+
+const (
+	inIndex where = iota
+	forwarded
+	inOverlay
+)
+
+// lists calls f with every live id that has children, in id order, and
+// its list: a walk of the index's bits beside the overlay, which skips
+// the ids that have no run.
+func (t *Tree) lists(f func(v int, kids []int)) {
+	if t.Children != nil {
+		for v, l := range t.Children {
+			if len(l) > 0 {
+				f(v, l)
+			}
+		}
+		return
+	}
+	over := t.over
+	emit := func(v int, s span) {
+		if s.n > 0 && t.Alive(v) {
+			f(v, t.run(s))
+		}
+	}
+	for w := 0; w < int(t.base[1]); w += 2 {
+		for b := t.base[w]; b != 0; b &= b - 1 {
+			v := w<<4 | bits.TrailingZeros32(b)
+			for len(over) > 0 && int(over[0].id) < v {
+				emit(int(over[0].id), over[0].s)
+				over = over[1:]
+			}
+			if len(over) > 0 && int(over[0].id) == v {
+				emit(v, over[0].s)
+				over = over[1:]
+			} else {
+				r, _ := packedRun(&t.kids, t.base.span(v), t.slack)
+				emit(v, r)
+			}
+		}
+	}
+	for _, p := range over {
+		emit(int(p.id), p.s)
+	}
+}
+
+// packedRun returns the run in arena a that the index gives as b: in a
+// slack arena, without its free slots, or where the owner moved it. A
+// moved run's packed slots hold -2 less its offset, then its length.
+func packedRun(a *cow.Arena[int], b span, slack bool) (span, where) {
+	if b.n == 0 {
+		return b, inOverlay
+	}
+	if slack {
+		run := a.From(int(b.off))
+		if run[0] < -1 {
+			return span{int32(-2 - run[0]), int32(run[1])}, forwarded
+		}
+		for b.n > 0 && run[b.n-1] < 0 {
+			b.n--
+		}
+	}
+	return b, inIndex
+}
+
+// find returns where id v's entry is, or would go, in the overlay. An
+// id outside the overlay's range, as most are, costs no search; inside,
+// the first probe is where v would lie were the ids spread evenly, as
+// an owner's are when it adds whole fragments, and one more probe beside
+// it most often settles it.
 func (t *Tree) find(v int) (int, bool) {
-	lo, hi := 0, len(t.over)
+	over := t.over
+	lo, hi := 0, len(over)
+	if hi == 0 || v < int(over[0].id) {
+		return 0, false
+	}
+	first, last := int(over[0].id), int(over[hi-1].id)
+	if v > last {
+		return hi, false
+	}
+	if first == last {
+		return 0, true
+	}
+	g := int(uint64(v-first) * uint64(hi-1) / uint64(last-first))
+	switch id := int(over[g].id); {
+	case id == v:
+		return g, true
+	case id < v:
+		lo = g + 1 // over[hi-1].id >= v, so lo < hi
+		if int(over[lo].id) >= v {
+			return lo, int(over[lo].id) == v
+		}
+	default:
+		hi = g // g > 0, as over[0].id <= v
+		if id := int(over[g-1].id); id < v {
+			return g, false
+		} else if id == v {
+			return g - 1, true
+		}
+	}
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if int(t.over[m].id) < v {
+		if int(over[m].id) < v {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(t.over) && int(t.over[lo].id) == v
+	return lo, lo < len(over) && int(over[lo].id) == v
 }
 
-// setSpan makes s v's run, folding the overlay when it has grown past
-// √Cap() entries, the arena holds more dead slots than live ones, or
-// it has passed maxOffset.
+// setSpan makes s v's run, its overlay entry, and settles.
 func (t *Tree) setSpan(v int, s span) {
 	if i, ok := t.find(v); ok {
 		t.over[i].s = s
 	} else {
 		t.over = slices.Insert(t.over, i, patch{int32(v), s})
 	}
-	if n := len(t.over); n*n > t.Cap() || t.deadSlots() > t.liveSlots() || t.kids.End() > maxOffset {
+	t.settle()
+}
+
+// settle folds when the overlay has grown past √Cap() entries since a
+// clone was taken, the arena holds more dead slots than live ones (the
+// spare ones aside, so that the room a moved run grows into is not
+// thrown away), or it has passed maxOffset.
+func (t *Tree) settle() {
+	if n := len(t.over); !t.own && n*n > t.Cap() || t.deadSlots()-t.spare > t.liveSlots() || t.kids.End() > maxOffset {
 		t.fold()
 	}
 }
 
 // fold repacks t's live lists into an arena and index of its own, in
-// which a dead id's run is empty, and empties the overlay. At √Cap()
-// entries a fold's 8 B per child and 4 B per parent are about what the
-// clones since the last one copied of the overlay, and the arena holds
-// at most about twice what its lists do.
+// which a dead id's run is empty, and empties the overlay; a tree that
+// owns every run packs a free slot after each. At √Cap() entries a
+// fold's 8 B per child and 4 B per parent are about what the clones
+// since the last one copied of the overlay, and the arena holds at most
+// about twice what its lists and their free slots do. An owner's folds
+// stay amortised O(1) an edit: a run it moved keeps its room, and only
+// the slots it left count as dead.
 func (t *Tree) fold() {
-	t.kids, t.base = packed(t.Cap(), t.liveSlots(), t.Kids)
-	t.mark, t.over = 0, t.over[:0]
+	if invariants.Enabled && t.own {
+		t.checkSpare()
+	}
+	t.kids, t.base = packed(t, t.own)
+	t.slack, t.mark, t.over, t.spare = t.own, 0, t.over[:0], 0
+	if t.own {
+		t.spare = t.base.runs()
+	}
 }
 
 // prepare readies t for a write: after a clone taken anywhere in the
 // family, t owns no run it has and not its dead bits.
 func (t *Tree) prepare() {
 	if t.fork.Refresh() {
-		t.mark, t.ownDead = t.kids.End(), false
+		t.mark, t.ownDead, t.own = t.kids.End(), false, false
 	}
 }
 
@@ -393,41 +587,142 @@ func (t *Tree) prepare() {
 func (t *Tree) liveSlots() int { return max(t.live-1, 0) }
 func (t *Tree) deadSlots() int { return t.kids.Used() - t.liveSlots() }
 
-// insert returns s's run with id at pos: s itself, shifted in place, if
-// t appended it since the last fork and it is the arena's last (no run
-// is empty, so it lies in the open chunk) with room after it; else a
-// copy at the arena's end.
-func (t *Tree) insert(s span, pos, id int) span {
-	if s.n > 0 && int(s.off) >= t.mark && int(s.off+s.n) == t.kids.End() && t.kids.Extend(1) {
-		s.n++
-		run := t.run(s)
-		copy(run[pos+1:], run[pos:])
-		run[pos] = id
-		return s
+// free reports whether t may fill the slot after v's run s, recorded at
+// w, in place: t owns every run, and the slot is one of the packed run's
+// or, after a run t moved, holds the -1 filler.
+func (t *Tree) free(v int, s span, w where) bool {
+	end := int(s.off + s.n)
+	switch {
+	case !t.own:
+		return false
+	case w == inIndex:
+		b := t.base.span(v)
+		return end < int(b.off+b.n)
+	case s.n == 0 || end >= t.kids.End():
+		return false
 	}
-	old := t.run(s)
-	off, run := t.kids.Grow(len(old) + 1)
-	copy(run, old[:pos])
-	run[pos] = id
-	copy(run[pos+1:], old[pos:])
-	return span{int32(off), s.n + 1}
+	rest := t.kids.From(int(s.off))
+	return int(s.n) < len(rest) && rest[s.n] == -1
 }
 
-// cut returns s's run without its i-th id: s itself, shifted in place,
-// if t appended it since the last fork, else a copy at the arena's end.
-func (t *Tree) cut(s span, i int) span {
+// room counts the free slots after v's run s, recorded at w, that t
+// could fill in place while it owns every run: the packed run's, or the
+// -1 fillers after a run t moved.
+func (t *Tree) room(v int, s span, w where) int {
+	if w == inIndex {
+		b := t.base.span(v)
+		return int(b.off + b.n - s.off - s.n)
+	}
+	if s.n == 0 {
+		return 0
+	}
+	rest, n := t.kids.From(int(s.off)), int(s.n)
+	for n < min(len(rest), t.kids.End()-int(s.off)) && rest[n] == -1 {
+		n++
+	}
+	return n - int(s.n)
+}
+
+// insert puts id at position pos of v's run: in place if the slot after
+// the run is free, or, on a tree that does not own every run, it is t's
+// since the last fork and the arena's last (no run is empty, so it lies
+// in the open chunk) with room after it; else in a copy at the arena's
+// end, which has as many free slots again while t owns every run.
+func (t *Tree) insert(v, pos, id int) {
+	s, w := t.span(v)
+	switch {
+	case t.free(v, s, w):
+		t.shift(s, pos, id)
+		s.n++
+		t.spare--
+	case !t.own && s.n > 0 && int(s.off) >= t.mark && int(s.off+s.n) == t.kids.End() && t.kids.Extend(1):
+		t.shift(s, pos, id)
+		s.n++
+	default:
+		old := t.run(s)
+		k := len(old) + 1
+		if t.own {
+			k = max(2*len(old), 2)
+		}
+		off, run := t.kids.Grow(k)
+		copy(run, old[:pos])
+		run[pos] = id
+		copy(run[pos+1:], old[pos:])
+		for i := len(old) + 1; i < k; i++ {
+			run[i] = -1
+		}
+		s, t.spare = span{int32(off), s.n + 1}, t.spare+k-len(old)-1
+	}
+	t.record(v, s, w)
+}
+
+// shift writes id at position pos of run s in place, moving the ids from
+// pos up into the slot after s.
+func (t *Tree) shift(s span, pos, id int) {
+	t.owned(s)
+	run := t.run(span{s.off, s.n + 1})
+	copy(run[pos+1:], run[pos:])
+	run[pos] = id
+}
+
+// owned checks, under the invariants build, that t may write run s in
+// place: no clone shares it.
+func (t *Tree) owned(s span) {
+	if invariants.Enabled && int(s.off) < t.mark {
+		invariants.Violated("scheme", "a run at offset %d, below the mark %d that a clone shares, written in place", s.off, t.mark)
+	}
+}
+
+// cut removes the i-th id of v's run: in place, the -1 filler taking the
+// slot it frees, if t appended the run since the last fork or owns every
+// run; else in a copy at the arena's end. An owner's moved run that
+// empties goes dead, room and all, and keeps the id in its first slot,
+// so that the run before it never takes that slot for a free one.
+func (t *Tree) cut(v, i int) {
+	s, w := t.span(v)
 	old := t.run(s)
-	if int(s.off) >= t.mark {
+	switch {
+	case t.own && s.n == 1 && w != inIndex:
+		t.spare -= t.room(v, s, w)
+		s.n--
+	case int(s.off) >= t.mark:
+		t.owned(s)
 		copy(old[i:], old[i+1:])
-		return span{s.off, s.n - 1}
+		old[len(old)-1] = -1
+		s.n--
+		if t.own {
+			t.spare++
+		}
+	case s.n == 1:
+		s = span{}
+	default:
+		off, run := t.kids.Grow(len(old) - 1)
+		copy(run, old[:i])
+		copy(run[i:], old[i+1:])
+		s = span{int32(off), s.n - 1}
 	}
-	if s.n == 1 {
-		return span{}
+	t.record(v, s, w)
+}
+
+// record makes s v's run after an edit of the run it had at w. A tree
+// that owns every run records a packed id's run in its packed slots: the
+// index still finds it where it was packed, or its first two slots
+// forward to where it moved. Any other run, and every run of a tree
+// that does not, goes to the overlay.
+func (t *Tree) record(v int, s span, w where) {
+	if !t.own || w == inOverlay {
+		if s.n == 0 {
+			s = span{}
+		}
+		t.setSpan(v, s)
+		return
 	}
-	off, run := t.kids.Grow(len(old) - 1)
-	copy(run, old[:i])
-	copy(run[i:], old[i+1:])
-	return span{int32(off), s.n - 1}
+	if b := t.base.span(v); s.off != b.off {
+		t.owned(b)
+		run := t.kids.From(int(b.off))
+		run[0], run[1] = -2-int(s.off), int(s.n)
+	}
+	t.settle()
 }
 
 // Len returns the number of live nodes.
@@ -467,7 +762,7 @@ func (t *Tree) AddChild(parent, pos int) int {
 		t.Children = append(t.Children, nil)
 		t.Children[parent] = slices.Insert(t.Children[parent], pos, id)
 	} else {
-		t.setSpan(parent, t.insert(t.span(parent), pos, id))
+		t.insert(parent, pos, id)
 	}
 	return id
 }
@@ -487,6 +782,10 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	var kill func(int)
 	kill = func(u int) {
 		list := t.Kids(u)
+		if t.own {
+			s, w := t.span(u)
+			t.spare -= t.room(u, s, w)
+		}
 		t.dead[u>>6] |= 1 << (u & 63)
 		removed++
 		for _, c := range list {
@@ -502,7 +801,7 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 		if i := slices.Index(t.Kids(p), v); i >= 0 && t.Children != nil {
 			t.Children[p] = slices.Delete(t.Children[p], i, i+1)
 		} else if i >= 0 {
-			t.setSpan(p, t.cut(t.span(p), i))
+			t.cut(p, i)
 		}
 	}
 	return removed, nil
@@ -580,44 +879,103 @@ const (
 	maxOffset   = 1 << 30
 )
 
-// packed returns a fresh arena of the runs list gives for the ids below
-// ids, in id order, and its index. The runs must hold slots ids in all:
-// a dead id's run is empty.
-func packed(ids, slots int, list func(v int) []int) (cow.Arena[int], index) {
-	parents := 0
-	for v := range ids {
-		if len(list(v)) > 0 {
-			parents++
-		}
-	}
+// An indexer lays out the index of ids ids, parents of which have a
+// run, one id with a run at a time, in id order.
+type indexer struct {
+	x     index
+	words int
+	at    int // where the next offset goes
+	next  int // the first word whose header is unset
+}
+
+func newIndexer(ids, parents int) indexer {
 	words := ids>>5 + 1
-	x := make(index, 2*words+parents+1)
-	first := make([]int, 0, slots)
-	at := 2 * words
-	for v := range ids {
-		w := v >> 5 << 1
-		if v&31 == 0 {
-			x[w+1] = uint32(at)
-		}
-		if l := list(v); len(l) > 0 {
-			x[w] |= 1 << (v & 31)
-			x[at], at = uint32(len(first)), at+1
-			first = append(first, l...)
-		}
+	return indexer{x: make(index, 2*words+parents+1), words: words, at: 2 * words}
+}
+
+// add records that v's run begins at offset off.
+func (b *indexer) add(v, off int) {
+	for ; b.next <= v>>5; b.next++ {
+		b.x[2*b.next+1] = uint32(b.at)
 	}
-	x[at] = uint32(len(first))
-	if invariants.Enabled {
-		if len(first) != slots {
-			invariants.Violated("scheme", "packed %d slots, want the %d live ones", len(first), slots)
-		}
-		for v := range ids {
-			s := x.span(v)
-			if !slices.Equal(first[s.off:s.off+s.n], list(v)) {
-				invariants.Violated("scheme", "id %d reads back %v, packed from %v", v, first[s.off:s.off+s.n], list(v))
-			}
-		}
+	b.x[v>>5<<1] |= 1 << (v & 31)
+	b.x[b.at], b.at = uint32(off), b.at+1
+}
+
+// end returns the index of an arena whose last run ends at off.
+func (b *indexer) end(off int) index {
+	for ; b.next < b.words; b.next++ {
+		b.x[2*b.next+1] = uint32(b.at)
 	}
+	b.x[b.at] = uint32(off)
+	return b.x
+}
+
+// packed returns a fresh arena of src's live lists, in id order, and
+// its index; with slack, a -1 filler follows each run in a slot of its
+// own.
+func packed(src *Tree, slack bool) (cow.Arena[int], index) {
+	free, parents, n := 0, 0, 0
+	if slack {
+		free = 1
+	}
+	src.lists(func(_ int, kids []int) { parents, n = parents+1, n+len(kids)+free })
+	b, first, off := newIndexer(src.Cap(), parents), make([]int, n), 0
+	src.lists(func(v int, kids []int) {
+		b.add(v, off)
+		off += copy(first[off:], kids)
+		if slack {
+			first[off], off = -1, off+1
+		}
+	})
+	x := b.end(off)
 	a := cow.NewArena[int](strideShift, minChunk)
 	a.Start(first, len(first))
+	if invariants.Enabled {
+		if n -= free * parents; n != src.liveSlots() {
+			invariants.Violated("scheme", "packed %d slots, want the %d live ones", n, src.liveSlots())
+		}
+		checkRuns(a, x, slack, src)
+	}
 	return a, x
+}
+
+// checkSpare holds an owner's count of spare slots to its live runs'.
+func (t *Tree) checkSpare() {
+	n := 0
+	for v := 0; v < t.Cap(); v++ {
+		if t.Alive(v) {
+			s, w := t.span(v)
+			n += t.room(v, s, w)
+		}
+	}
+	if n != t.spare {
+		invariants.Violated("scheme", "the owner counts %d spare slots, its live runs have %d", t.spare, n)
+	}
+}
+
+// checkRuns holds every run of arena a under index x, read back without
+// its free slots, to src's live lists: an id src lists no run for must
+// read none.
+func checkRuns(a cow.Arena[int], x index, slack bool, src *Tree) {
+	next := 0
+	check := func(v int, want []int) {
+		var got []int
+		if s, _ := packedRun(&a, x.span(v), slack); s.n > 0 {
+			got = a.From(int(s.off))[:s.n]
+		}
+		if !slices.Equal(got, want) {
+			invariants.Violated("scheme", "id %d reads back %v, packed from %v", v, got, want)
+		}
+	}
+	src.lists(func(v int, kids []int) {
+		for ; next < v; next++ {
+			check(next, nil)
+		}
+		check(v, kids)
+		next = v + 1
+	})
+	for ; next < src.Cap(); next++ {
+		check(next, nil)
+	}
 }

@@ -3,6 +3,8 @@ package scheme
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,7 +178,9 @@ func refNewTree(doc *xmltree.Document) *Tree {
 
 // TestNewTreeMatchesMapBuild holds the one-pass NewTree to the
 // map-based construction on every generated dataset and on the corner
-// shapes: one node, text and attribute nodes, no root.
+// shapes: one node, text and attribute nodes, no root. Each list has
+// room for one more id, a -1 filler in that slot, and Adopt reads the
+// same lists back through the index without copying them.
 func TestNewTreeMatchesMapBuild(t *testing.T) {
 	check := func(name string, doc *xmltree.Document) {
 		t.Helper()
@@ -187,11 +191,21 @@ func TestNewTreeMatchesMapBuild(t *testing.T) {
 			t.Errorf("%s: one-pass tree differs from the map-built one", name)
 		}
 		for v, kids := range got.Children {
-			if len(kids) != cap(kids) {
-				t.Fatalf("%s: child list of %d has room for %d, holds %d", name, v, cap(kids), len(kids))
+			if len(kids) > 0 && (cap(kids) != len(kids)+1 || kids[:cap(kids)][len(kids)] != -1) {
+				t.Fatalf("%s: child list of %d has room for %d, holds %d: %v", name, v, cap(kids), len(kids), kids[:cap(kids)])
 			}
 			if !got.Alive(v) {
 				t.Fatalf("%s: node %d not alive", name, v)
+			}
+		}
+		slab := got.kids.Used()
+		got.Adopt()
+		if got.Children != nil || got.kids.Used() != slab {
+			t.Fatalf("%s: Adopt kept Children or moved the slab", name)
+		}
+		for v, kids := range want.Children {
+			if !slices.Equal(got.Kids(v), kids) {
+				t.Fatalf("%s: adopted Kids(%d) = %v, want %v", name, v, got.Kids(v), kids)
 			}
 		}
 	}
@@ -217,4 +231,67 @@ func TestNewTreeMatchesMapBuild(t *testing.T) {
 		check(name, doc)
 	}
 	check("nil root", &xmltree.Document{})
+}
+
+// TestAdoptedRunGrows holds an adopted tree's root list, the slab's last
+// run whatever the slab's spare capacity, to a model while its owner
+// inserts in front of it: in place into the free slot, then moved, and
+// forwarded from its packed slots, with twice the room each time it
+// fills.
+func TestAdoptedRunGrows(t *testing.T) {
+	for k := 0; k < 6; k++ {
+		doc, err := xmltree.ParseString("<r>" + strings.Repeat("<a/>", k) + "</r>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTree(doc)
+		tr.Adopt()
+		want := slices.Clone(tr.Kids(0))
+		for i := 0; i < 100; i++ {
+			id := tr.AddChild(0, 0)
+			want = slices.Insert(want, 0, id)
+			if i%3 == 2 {
+				if _, err := tr.RemoveSubtree(want[1]); err != nil {
+					t.Fatal(err)
+				}
+				want = slices.Delete(want, 1, 2)
+			}
+			if got := tr.Kids(0); !slices.Equal(got, want) {
+				t.Fatalf("%d children, step %d: Kids(0) = %v, want %v", k, i, got, want)
+			}
+		}
+	}
+}
+
+// TestOwnerAppendBytes pins an owner's growth as amortised O(1): 10 000
+// children appended under the root of a flat adopted document, whose
+// list holds nearly every live node. A full run moves to twice its room;
+// were that room counted dead, every second append would fold, a repack
+// of the whole tree (65 KB an append here).
+func TestOwnerAppendBytes(t *testing.T) {
+	const n = 10000
+	doc, err := xmltree.ParseString("<r>" + strings.Repeat("<a/>", 100) + "</r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTree(doc)
+	tr.Adopt()
+	var before, after runtime.MemStats
+	func() {
+		// One P, as testing.AllocsPerRun: no other goroutine's bytes.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			tr.AddChild(0, 100+i)
+		}
+		runtime.ReadMemStats(&after)
+	}()
+	per := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%d appends under the root: %.1f B each", n, per)
+	if per > 128 {
+		t.Errorf("%d appends under the root allocate %.1f B each, want <= 128", n, per)
+	}
+	if got := len(tr.Kids(0)); got != 100+n {
+		t.Errorf("the root has %d children, want %d", got, 100+n)
+	}
 }

@@ -69,8 +69,8 @@ echo "==> clone isolation, overlay fold and arena compaction, memo, cache, borro
 go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestMixedFormStorm|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm' ./...
 
 echo "==> allocation pins (5x)"
-go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestForkedTreeBytes|TestWorstEditBytesBounded|TestServeAllocs|TestPackedPathAllocs|TestClientCallAllocs|TestQueryDecodeAllocs' \
-	./internal/dyndoc ./internal/web ./internal/containment ./client
+go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestForkedTreeBytes|TestWorstEditBytesBounded|TestServeAllocs|TestPackedPathAllocs|TestClientCallAllocs|TestQueryDecodeAllocs|TestFirstInsertBytesBounded|TestWarmLeafEditAllocs|TestFaultAllocatesOneFrame|TestOwnerAppendBytes' \
+	. ./internal/dyndoc ./internal/web ./internal/containment ./internal/pagestore ./internal/scheme ./client
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
