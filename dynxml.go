@@ -450,7 +450,7 @@ func Open(src any, opts ...Option) (*Handle, error) {
 	}
 	h := newHandle()
 	h.schemeName = entry.Name
-	d, err := dyndoc.NewWithStore(doc, entry.Build, cfg.storeFactory())
+	d, err := dyndoc.NewWithStore(doc, entry.Live, cfg.storeFactory())
 	if err != nil {
 		return nil, pagedErr(err)
 	}
@@ -508,7 +508,7 @@ func openJournaled(src any, cfg config) (*Handle, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err = dyndoc.New(doc, entry.Build)
+		d, err = dyndoc.New(doc, entry.Live)
 		if err != nil {
 			return nil, err
 		}

@@ -229,7 +229,9 @@ func New(doc *xmltree.Document, build scheme.Builder) (*Document, error) {
 }
 
 // NewWithStore is New with an explicit storage backend for the element
-// index.
+// index. build should label for a live document (registry's
+// Entry.Live); the Children a builder for use alone lays over the tree
+// are dropped.
 func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFactory) (*Document, error) {
 	start := time.Now()
 	lab, err := build(doc)
@@ -244,13 +246,13 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 	}
 	n := lab.Tree().Cap() // the builder's count of doc's nodes
 	syms := symtab.New()
-	codes, elems := make([]uint32, n), make([]int, 0, n)
+	codes, nelems := make([]uint32, n), 0
 	// Almost every name repeats one met before: a lookup in seen costs
 	// less than an Intern's in the table's sync.Map.
 	seen := make(map[string]uint32)
 	doc.Walk(func(id int, node *xmltree.Node, _, _ int) {
 		if node.Kind == xmltree.Element {
-			elems = append(elems, id)
+			nelems++
 		}
 		if node.Kind == xmltree.Text || err != nil {
 			return
@@ -267,11 +269,14 @@ func NewWithStore(doc *xmltree.Document, build scheme.Builder, factory StoreFact
 	if err != nil {
 		return nil, err
 	}
-	// A column's Bytes charges its array's length, so leaves is sized
-	// exactly: the walk above counted the elements, this one fills it.
-	leaves := make([]leaf, 0, n-len(elems))
+	// A column's Bytes charges its array's length, and the index keeps
+	// elems as the array its lists are carved from, so both are sized
+	// exactly: the walk above counted the elements, this one fills them.
+	elems, leaves := make([]int, 0, nelems), make([]leaf, 0, n-nelems)
 	doc.Walk(func(id int, node *xmltree.Node, _, _ int) {
-		if node.Kind != xmltree.Element {
+		if node.Kind == xmltree.Element {
+			elems = append(elems, id)
+		} else {
 			leaves = append(leaves, leafOf(node, codes[id]))
 			codes[id] = leafCode | uint32(len(leaves)-1)
 		}

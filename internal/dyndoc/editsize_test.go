@@ -143,39 +143,6 @@ func TestWorstEditBytesBounded(t *testing.T) {
 	}
 }
 
-// TestOpenBytesBounded pins what labelling and indexing a document
-// allocate: the columns at their final size, the keys written once
-// into an arena sized for them, no list of nodes and no boxed code in
-// between, and a node's name as a four-byte code. Hamlet took 352 B per
-// node when every code was boxed and the tree mirrored through a map,
-// 128 when every node held a string header and a leaf pointer, 108
-// while the element index grew its lists by append, 88 while the bulk
-// labelling listed its keys before it stored them, and 77.7 while each
-// child list was allocated exact. It takes 81.6 now that the lists are
-// carved from one slab that the live tree adopts: its free slot per
-// parent adds 1.92 B a node (1 592 parents), the index 1.23, and the
-// slab's rounding up to whole pages 1.19, less the 0.40 that the lists'
-// own size classes rounded up.
-func TestOpenBytesBounded(t *testing.T) {
-	doc := datagen.Hamlet()
-	nodes := doc.Len()
-	const opens = 8
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < opens; i++ {
-		if _, err := New(doc, containment.Build(keys.VCDBS())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perNode := float64(after.TotalAlloc-before.TotalAlloc) / opens / float64(nodes)
-	t.Logf("Hamlet, %d nodes: %.1f B per node", nodes, perNode)
-	if perNode > 84 {
-		t.Errorf("New(Hamlet) allocates %.1f B per node, want at most 84", perNode)
-	}
-}
-
 // BenchmarkOpen labels and indexes Hamlet under V-CDBS-Containment, as
 // every Open, reopen and follower bootstrap does.
 func BenchmarkOpen(b *testing.B) {

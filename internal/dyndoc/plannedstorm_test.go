@@ -173,7 +173,11 @@ func TestPlannedQueryStormRendered(t *testing.T) {
 
 	var oracle sync.Map // generation -> rendered oracle ids
 	oracle.Store(uint64(0), string(render(nil)))
-	var editing, reading sync.WaitGroup
+	// The editors start once every reader has been served a reply, so
+	// that edits that finish before a loaded machine schedules the
+	// readers cannot leave them unserved.
+	var editing, reading, ready sync.WaitGroup
+	ready.Add(readers)
 	errCh := make(chan error, editors+readers)
 	var stop atomic.Bool
 	var served atomic.Int64
@@ -181,6 +185,7 @@ func TestPlannedQueryStormRendered(t *testing.T) {
 		editing.Add(1)
 		go func() {
 			defer editing.Done()
+			ready.Wait()
 			var mine []int
 			for i := 0; i < editsEach; i++ {
 				err := c.Update(func(d *Document) error {
@@ -213,7 +218,16 @@ func TestPlannedQueryStormRendered(t *testing.T) {
 		reading.Add(1)
 		go func() {
 			defer reading.Done()
-			for !stop.Load() {
+			i := 0
+			defer func() {
+				if i < 1 {
+					ready.Done() // failed before it was ready
+				}
+			}()
+			for ; !stop.Load(); i++ {
+				if i == 1 {
+					ready.Done()
+				}
 				g0 := c.Generation()
 				got, err := c.QueryRendered(query, plan.Rendering{Render: render, Parse: parseBracketed})
 				g1 := c.Generation()

@@ -144,7 +144,11 @@ func TestMixedFormStorm(t *testing.T) {
 	}
 	oracle.Store(uint64(0), first)
 
-	var editing, reading sync.WaitGroup
+	// The editors start once every reader has served a read in each
+	// form, so that edits that finish before a loaded machine schedules
+	// the readers cannot leave a form unread.
+	var editing, reading, ready sync.WaitGroup
+	ready.Add(readers)
 	errCh := make(chan error, editors+readers)
 	var stop atomic.Bool
 	var served [3]atomic.Int64
@@ -152,6 +156,7 @@ func TestMixedFormStorm(t *testing.T) {
 		editing.Add(1)
 		go func() {
 			defer editing.Done()
+			ready.Wait()
 			var mine []int
 			for i := 0; i < editsEach; i++ {
 				err := c.Update(func(d *Document) error {
@@ -184,7 +189,16 @@ func TestMixedFormStorm(t *testing.T) {
 		reading.Add(1)
 		go func() {
 			defer reading.Done()
-			for i := 0; !stop.Load(); i++ {
+			i := 0
+			defer func() {
+				if i < 3 {
+					ready.Done() // failed before it was ready
+				}
+			}()
+			for ; !stop.Load(); i++ {
+				if i == 3 {
+					ready.Done()
+				}
 				form, qi := (r+i)%3, (i/3)%len(queries)
 				g0 := c.Generation()
 				var match func(want []int) bool

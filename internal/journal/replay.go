@@ -162,7 +162,7 @@ func rebuildFromMeta(meta checkpointMeta) (*dyndoc.Document, map[int]int, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: rebuilding checkpoint document: %w", err)
 	}
-	d, err := dyndoc.New(tree, entry.Build)
+	d, err := dyndoc.New(tree, entry.Live)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: rebuilding checkpoint document: %w", err)
 	}

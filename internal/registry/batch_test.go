@@ -332,8 +332,9 @@ func checkTreeModel(t *testing.T, what string, tr *scheme.Tree, m *treeModel) {
 // repacking its id arena smaller when runs have died, and holds every
 // tree of the family to a plain [][]int model after every step: an edit
 // on one tree must not move any other. Every history runs twice: from
-// the tree as built, whose Children a clone packs, and from the tree a
-// live open adopts, which its owner edits in place, moves and repacks
+// the tree Build makes, whose Children a clone packs, and from that tree
+// adopted, as Live makes it (scheme's TestNewTreeMatchesUnpackAdopt),
+// which its owner edits in place, moves and repacks
 // with free slots until the first clone, which must pack exact. Every
 // seed packs, folds and compacts at least once, and from the adopted
 // tree edits in place, moves and repacks its owner's arena too.

@@ -15,33 +15,52 @@ import (
 	"repro/internal/prefix"
 	"repro/internal/primelbl"
 	"repro/internal/scheme"
+	"repro/internal/xmltree"
 )
 
-// Entry is one scheme.
+// Entry is one scheme. Its builder labels a document in the form a
+// live document edits; Build and Live offer it to a labeling built alone
+// and to a served document.
 type Entry struct {
 	Name string
 	// Dynamic reports whether single insertions never re-label
 	// (Table 4's zero rows).
 	Dynamic bool
-	Build   scheme.Builder
+	build   scheme.Builder
 }
+
+// Build labels doc for use alone: its tree's child lists are also
+// Children, which a labeling built alone edits as slices
+// (scheme.Tree.Unpack).
+func (e Entry) Build(doc *xmltree.Document) (scheme.Labeling, error) {
+	l, err := e.build(doc)
+	if err != nil {
+		return nil, err
+	}
+	l.Tree().Unpack()
+	return l, nil
+}
+
+// Live labels doc for a served document (dyndoc): its tree has no
+// Children, and edits its runs in place until its first clone.
+func (e Entry) Live(doc *xmltree.Document) (scheme.Labeling, error) { return e.build(doc) }
 
 // All returns every scheme in the order the paper's tables list them.
 func All() []Entry {
 	return []Entry{
-		{Name: "Prime", Dynamic: true, Build: primelbl.BuildLabeling},
-		{Name: "DeweyID(UTF8)-Prefix", Dynamic: false, Build: prefix.Build(prefix.Dewey())},
-		{Name: "Binary-String-Prefix", Dynamic: false, Build: prefix.Build(prefix.Cohen())},
-		{Name: "OrdPath1-Prefix", Dynamic: true, Build: prefix.Build(prefix.OrdPath(ordpath.Table1))},
-		{Name: "OrdPath2-Prefix", Dynamic: true, Build: prefix.Build(prefix.OrdPath(ordpath.Table2))},
-		{Name: "QED-Prefix", Dynamic: true, Build: prefix.Build(prefix.QEDCodec())},
-		{Name: "V-CDBS-Prefix", Dynamic: true, Build: prefix.Build(prefix.VCDBSCodec())},
-		{Name: "Float-point-Containment", Dynamic: true, Build: containment.Build(keys.Float())},
-		{Name: "V-Binary-Containment", Dynamic: false, Build: containment.Build(keys.VBinary())},
-		{Name: "F-Binary-Containment", Dynamic: false, Build: containment.Build(keys.FBinary())},
-		{Name: "V-CDBS-Containment", Dynamic: true, Build: containment.Build(keys.VCDBS())},
-		{Name: "F-CDBS-Containment", Dynamic: true, Build: containment.Build(keys.FCDBS())},
-		{Name: "QED-Containment", Dynamic: true, Build: containment.Build(keys.QED())},
+		{Name: "Prime", Dynamic: true, build: primelbl.BuildLabeling},
+		{Name: "DeweyID(UTF8)-Prefix", Dynamic: false, build: prefix.Build(prefix.Dewey())},
+		{Name: "Binary-String-Prefix", Dynamic: false, build: prefix.Build(prefix.Cohen())},
+		{Name: "OrdPath1-Prefix", Dynamic: true, build: prefix.Build(prefix.OrdPath(ordpath.Table1))},
+		{Name: "OrdPath2-Prefix", Dynamic: true, build: prefix.Build(prefix.OrdPath(ordpath.Table2))},
+		{Name: "QED-Prefix", Dynamic: true, build: prefix.Build(prefix.QEDCodec())},
+		{Name: "V-CDBS-Prefix", Dynamic: true, build: prefix.Build(prefix.VCDBSCodec())},
+		{Name: "Float-point-Containment", Dynamic: true, build: containment.Build(keys.Float())},
+		{Name: "V-Binary-Containment", Dynamic: false, build: containment.Build(keys.VBinary())},
+		{Name: "F-Binary-Containment", Dynamic: false, build: containment.Build(keys.FBinary())},
+		{Name: "V-CDBS-Containment", Dynamic: true, build: containment.Build(keys.VCDBS())},
+		{Name: "F-CDBS-Containment", Dynamic: true, build: containment.Build(keys.FCDBS())},
+		{Name: "QED-Containment", Dynamic: true, build: containment.Build(keys.QED())},
 	}
 }
 

@@ -171,9 +171,10 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // clones share that column (cow.Column). The child lists are runs in a
 // cow.Arena of child ids, found through an index: a has-children bit per
 // id, ranked, and an offset per id that has children. NewTree carves
-// them from one slab with a free slot after each, and also hands them
-// out as Children, which a labeling built alone edits; Adopt drops
-// Children and keeps the slab as the arena, as a live document does.
+// them from one slab with a free slot after each and writes the index in
+// the same walk, in the form a live document edits; Unpack lays Children
+// headers over the runs for a labeling built alone, which edits them as
+// slices, and Adopt drops them again.
 // Until a clone is taken such a tree owns every run: an edit shifts a
 // run in place while a free slot (a -1 filler) follows it, and moves a
 // full one to the arena's end with as many free slots again, its packed
@@ -190,7 +191,7 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 type Tree struct {
 	up cow.Column[link]
 	// Children is every id's ordered child list, Cap() long, on a tree
-	// from NewTree that has not been adopted; nil otherwise.
+	// Unpack laid them over and Adopt has not dropped; nil otherwise.
 	Children [][]int
 	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
@@ -206,8 +207,9 @@ type Tree struct {
 	mark    int
 	ownDead bool
 	// slack: base's runs end in free slots that the index counts. own:
-	// no clone has been taken since Adopt, so t owns every run. spare
-	// counts the free slots the owner's runs may still take in place.
+	// no clone has been taken since NewTree and no Children lie over the
+	// runs, so t owns every run. spare counts the free slots the owner's
+	// runs may still take in place.
 	slack, own bool
 	spare      int
 }
@@ -252,8 +254,11 @@ type link struct{ parent, depth int32 }
 
 // NewTree mirrors a document, with node ids in document order
 // (xmltree's Walk, which has each node's parent at hand), over columns
-// sized from one count. Each child list is carved from one slab with
-// room for one more id, a -1 filler in that slot.
+// sized from one count, in the form a live document edits: every child
+// list is a run in one slab with room for one more id, a -1 filler in
+// that slot, under an index that counts the free slot. The walk writes
+// each id into its parent's run through a cursor per depth, so no list
+// header is made. The tree owns every run until its first clone.
 func NewTree(doc *xmltree.Document) *Tree {
 	n, parents := 0, 0
 	doc.Walk(func(_ int, node *xmltree.Node, _, _ int) {
@@ -264,50 +269,60 @@ func NewTree(doc *xmltree.Document) *Tree {
 	})
 	up := make([]link, n)
 	slab := make([]int, max(n-1, 0)+parents)
-	t := &Tree{
-		up:       cow.NewColumn(up),
-		Children: make([][]int, n),
-		dead:     make([]uint64, n/64+1),
-		live:     n,
-		kids:     cow.NewArena[int](strideShift, minChunk),
-		fork:     cow.NewEpoch(),
-		ownDead:  true,
-	}
-	at := 0
+	b, at := newIndexer(n, parents), 0
+	var next []int // next[d]: where the last node at depth d+1 writes its next child
 	doc.Walk(func(id int, node *xmltree.Node, parent, depth int) {
 		up[id] = link{int32(parent), int32(depth)}
+		if parent >= 0 {
+			slab[next[depth-2]], next[depth-2] = id, next[depth-2]+1
+		}
 		if k := len(node.Children); k > 0 {
-			t.Children[id] = slab[at : at : at+k+1]
+			b.add(id, at)
+			next = append(next[:depth-1], at)
 			slab[at+k], at = -1, at+k+1
 		}
-		if parent >= 0 {
-			t.Children[parent] = append(t.Children[parent], id)
-		}
 	})
+	t := &Tree{
+		up:      cow.NewColumn(up),
+		dead:    make([]uint64, n/64+1),
+		live:    n,
+		kids:    cow.NewArena[int](strideShift, minChunk),
+		base:    b.end(at),
+		fork:    cow.NewEpoch(),
+		ownDead: true,
+		slack:   true,
+		own:     true,
+		spare:   parents,
+	}
 	t.kids.Start(slab, len(slab))
 	return t
 }
 
-// Adopt drops Children and keeps the slab NewTree carved them from as
-// t's arena, under an index that counts each run's free slot: it copies
-// no child id, and t owns every run until its first clone. t must be as
-// NewTree built it, neither edited nor cloned.
+// Unpack lays Children over t's runs, each list its run without the
+// free slot and that slot its spare capacity, for a labeling built
+// alone, which edits them as slices. t must be as NewTree built it,
+// neither edited nor cloned; it keeps the index, so Adopt can drop the
+// headers again.
+func (t *Tree) Unpack() {
+	t.Children = make([][]int, t.Cap())
+	for v := range t.Children {
+		if s := t.base.span(v); s.n > 0 {
+			t.Children[v] = t.kids.From(int(s.off))[: s.n-1 : s.n]
+		}
+	}
+	t.own = false
+}
+
+// Adopt drops the Children that Unpack laid over t's runs, so that t is
+// again as NewTree built it: a live document's tree, which owns every
+// run until its first clone. A tree without Children is left as it is.
+// t must not have been edited or cloned since Unpack.
 func (t *Tree) Adopt() {
-	lists, parents := t.Children, 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			parents++
-		}
+	lists := t.Children
+	if lists == nil {
+		return
 	}
-	b, off := newIndexer(t.Cap(), parents), 0
-	for v, l := range lists {
-		if len(l) > 0 {
-			b.add(v, off)
-			off += cap(l)
-		}
-	}
-	t.base = b.end(off)
-	t.Children, t.slack, t.own, t.spare = nil, true, true, parents
+	t.Children, t.own = nil, true
 	if invariants.Enabled {
 		if !t.fork.Alone() {
 			invariants.Violated("scheme", "adopted a tree that has been cloned")
@@ -346,15 +361,14 @@ func (t *Tree) Clone() *Tree {
 	return c
 }
 
-// Bytes estimates the mirror's heap: the columns and, with Children,
-// the headers and the slab; without, the index, the overlay and the
-// arena's chunks.
+// Bytes estimates the mirror's heap: the columns, the index and the
+// arena's chunks, and with Children the headers, without the overlay.
 func (t *Tree) Bytes() int64 {
-	b := t.up.Bytes() + 8*int64(cap(t.dead)) + t.kids.Bytes()
+	b := t.up.Bytes() + 8*int64(cap(t.dead)) + t.kids.Bytes() + 4*int64(cap(t.base))
 	if t.Children != nil {
 		return b + 24*int64(cap(t.Children))
 	}
-	return b + 4*int64(cap(t.base)) + 12*int64(cap(t.over))
+	return b + 12*int64(cap(t.over))
 }
 
 // Packing reports the arena: the slots its runs have taken and how many

@@ -178,13 +178,15 @@ func refNewTree(doc *xmltree.Document) *Tree {
 
 // TestNewTreeMatchesMapBuild holds the one-pass NewTree to the
 // map-based construction on every generated dataset and on the corner
-// shapes: one node, text and attribute nodes, no root. Each list has
-// room for one more id, a -1 filler in that slot, and Adopt reads the
-// same lists back through the index without copying them.
+// shapes: one node, text and attribute nodes, no root. Each list Unpack
+// lays over the runs has room for one more id, a -1 filler in that slot,
+// and Adopt reads the same lists back through the index without copying
+// them.
 func TestNewTreeMatchesMapBuild(t *testing.T) {
 	check := func(name string, doc *xmltree.Document) {
 		t.Helper()
 		got, want := NewTree(doc), refNewTree(doc)
+		got.Unpack()
 		if got.Len() != want.live || got.Cap() != want.Cap() ||
 			!reflect.DeepEqual(got.up.Flat(), want.up.Flat()) ||
 			!reflect.DeepEqual(got.Children, want.Children) {
@@ -233,7 +235,7 @@ func TestNewTreeMatchesMapBuild(t *testing.T) {
 	check("nil root", &xmltree.Document{})
 }
 
-// TestAdoptedRunGrows holds an adopted tree's root list, the slab's last
+// TestAdoptedRunGrows holds a live tree's root list, the slab's last
 // run whatever the slab's spare capacity, to a model while its owner
 // inserts in front of it: in place into the free slot, then moved, and
 // forwarded from its packed slots, with twice the room each time it
@@ -245,7 +247,6 @@ func TestAdoptedRunGrows(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := NewTree(doc)
-		tr.Adopt()
 		want := slices.Clone(tr.Kids(0))
 		for i := 0; i < 100; i++ {
 			id := tr.AddChild(0, 0)
@@ -264,7 +265,7 @@ func TestAdoptedRunGrows(t *testing.T) {
 }
 
 // TestOwnerAppendBytes pins an owner's growth as amortised O(1): 10 000
-// children appended under the root of a flat adopted document, whose
+// children appended under the root of a flat live document, whose
 // list holds nearly every live node. A full run moves to twice its room;
 // were that room counted dead, every second append would fold, a repack
 // of the whole tree (65 KB an append here).
@@ -275,7 +276,6 @@ func TestOwnerAppendBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTree(doc)
-	tr.Adopt()
 	var before, after runtime.MemStats
 	func() {
 		// One P, as testing.AllocsPerRun: no other goroutine's bytes.

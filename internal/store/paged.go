@@ -153,37 +153,21 @@ func (p *paged) dropMemoLocked(sym uint32) {
 // pagestore.MaxKeySize go to the symbol.
 const maxPagedLabel = pagestore.MaxKeySize - 4
 
-// Build replaces the index in one pass: a counting sort buckets elems by
-// symbol, and within a name document order is label order, so the tree
-// is bulk loaded from ascending keys. Nothing of the sort is kept.
+// Build replaces the index in one pass: elems grouped by symbol in
+// place, and within a name document order is label order, so the tree
+// is bulk loaded from ascending keys. Nothing of the grouping is kept.
 func (p *paged) Build(elems []int, nameOf func(int) string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.memoElems, p.memoIDs = nil, nil
-	syms := p.doc.Symbols()
-	byName := make([]uint32, len(elems)) // elems[i]'s symbol
-	for i, id := range elems {
-		var err error
-		if byName[i], err = syms.Intern(nameOf(id)); err != nil {
-			return err
-		}
-	}
-	end := make([]int, syms.Len()) // where each bucket starts, then ends
-	for _, n := range byName {
-		end[n]++
-	}
-	for n, sum := 0, 0; n < len(end); n++ {
-		end[n], sum = sum, sum+end[n]
-	}
-	sorted := make([]int, len(elems))
-	for i, n := range byName {
-		sorted[end[n]] = elems[i]
-		end[n]++
+	end, err := groupByName(elems, nameOf, p.doc.Symbols())
+	if err != nil {
+		return err
 	}
 	return p.loadLocked(func(yield func([]byte, uint32) bool) (err error) {
 		var key []byte
 		for n, lo := 0, 0; n < len(end); lo, n = end[n], n+1 {
-			for _, id := range sorted[lo:end[n]] {
+			for _, id := range elems[lo:end[n]] {
 				if key, err = p.entryKey(key[:0], uint32(n), id); err != nil {
 					return err
 				}

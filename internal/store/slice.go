@@ -18,8 +18,8 @@ import (
 // Readers of one published snapshot may fill it at the same time, with
 // the same list, hence the atomic pointer.
 //
-// Build carves every list from one array of exactly the entries it
-// indexes, each list's capacity its length: the first Add to a list
+// Build carves every list from elems itself, grouped by name in place,
+// each list's capacity its length: the first Add to a list
 // moves it to an array of its own, as the first Add after a clone does.
 // A clone copies byName, one slice header a symbol, and the memo
 // pointer, and shares every list; the first Add or Remove that touches
@@ -52,28 +52,22 @@ func (s *slice) list(sym uint32) []int {
 }
 
 func (s *slice) Build(elems []int, nameOf func(int) string) error {
-	syms := s.doc.Symbols()
-	of := make([]uint32, len(elems)) // elems[i]'s symbol
-	for i, id := range elems {
-		var err error
-		if of[i], err = syms.Intern(nameOf(id)); err != nil {
-			return err
-		}
+	if cap(elems) > len(elems) {
+		// Kept, elems would hold its spare capacity where no list sees it.
+		elems = append(make([]int, 0, len(elems)), elems...)
 	}
-	count := make([]int, syms.Len())
-	for _, sym := range of {
-		count[sym]++
+	end, err := groupByName(elems, nameOf, s.doc.Symbols())
+	if err != nil {
+		return err
 	}
-	s.byName = make([][]int, len(count))
+	s.byName = make([][]int, len(end))
 	s.own = cow.NewOwner[uint32]()
-	free := make([]int, len(elems))
-	for i, sym := range of {
-		ids := s.byName[sym]
-		if ids == nil {
-			n := count[sym]
-			ids, free = free[:0:n], free[n:]
+	lo := 0
+	for sym, hi := range end {
+		if hi > lo {
+			s.byName[sym] = elems[lo:hi:hi]
 		}
-		s.byName[sym] = append(ids, elems[i])
+		lo = hi
 	}
 	s.entries, s.caps = len(elems), len(elems)
 	s.elems.Store(nil)

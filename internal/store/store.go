@@ -156,7 +156,9 @@ type Backend interface {
 	// Build replaces the index contents from a document-order walk:
 	// elems lists every element node id in document order and nameOf
 	// returns each node's element name, which the binding's symbol
-	// table interns.
+	// table interns. Build may reorder elems and the index may keep it,
+	// as the array its lists are carved from, so the caller hands elems
+	// over, sized exactly.
 	Build(elems []int, nameOf func(int) string) error
 
 	// Add indexes one new element node. The node's label must already
@@ -199,4 +201,38 @@ type Backend interface {
 
 	// Close releases resources. The index is unusable afterwards.
 	Close() error
+}
+
+// groupByName interns each element's name and groups elems by symbol in
+// place, each name's ids in the order elems lists them. It returns where
+// each symbol's ids end; they begin where the previous symbol's end. A
+// counting sort turns the 4 B array of symbols into each id's place, and
+// a cycle walk moves every id there by swaps, so nothing of elems' size
+// is copied. On an error elems is as it was.
+func groupByName(elems []int, nameOf func(int) string, syms *symtab.Table) ([]int, error) {
+	to := make([]uint32, len(elems)) // elems[i]'s symbol, then its place
+	for i, id := range elems {
+		var err error
+		if to[i], err = syms.Intern(nameOf(id)); err != nil {
+			return nil, err
+		}
+	}
+	end := make([]int, syms.Len()) // where each symbol's ids start, then end
+	for _, sym := range to {
+		end[sym]++
+	}
+	for sym, sum := 0, 0; sym < len(end); sym++ {
+		end[sym], sum = sum, sum+end[sym]
+	}
+	for i, sym := range to {
+		to[i] = uint32(end[sym])
+		end[sym]++
+	}
+	for i := range elems {
+		for j := int(to[i]); j != i; j = int(to[i]) {
+			elems[i], elems[j] = elems[j], elems[i]
+			to[i], to[j] = to[j], to[i]
+		}
+	}
+	return end, nil
 }

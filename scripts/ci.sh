@@ -65,12 +65,12 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, overlay fold and arena compaction, memo, cache, borrowed-answer, watch, request-reuse and edit-scratch storms, stored kernels, loaded-tree clones (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestMixedFormStorm|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm' ./...
+echo "==> clone isolation, overlay fold and arena compaction, memo, cache, borrowed-answer, watch, request-reuse and edit-scratch storms, stored kernels, loaded-tree clones, the open and index-build pins (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestMixedFormStorm|TestPlannedQueryStormRendered|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm|TestOpenBytesBounded|TestSliceBuildBytes' ./...
 
-echo "==> allocation pins (5x)"
-go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestForkedTreeBytes|TestWorstEditBytesBounded|TestServeAllocs|TestPackedPathAllocs|TestClientCallAllocs|TestQueryDecodeAllocs|TestFirstInsertBytesBounded|TestWarmLeafEditAllocs|TestFaultAllocatesOneFrame|TestOwnerAppendBytes' \
-	. ./internal/dyndoc ./internal/web ./internal/containment ./internal/pagestore ./internal/scheme ./client
+echo "==> allocation pins and the rendered-reply storm (5x)"
+go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestForkedTreeBytes|TestWorstEditBytesBounded|TestServeAllocs|TestPackedPathAllocs|TestClientCallAllocs|TestQueryDecodeAllocs|TestFirstInsertBytesBounded|TestWarmLeafEditAllocs|TestFaultAllocatesOneFrame|TestOwnerAppendBytes|TestSliceBuildBytes|TestPlannedQueryStormRendered' \
+	. ./internal/dyndoc ./internal/web ./internal/containment ./internal/pagestore ./internal/scheme ./internal/store ./client
 
 echo "==> every fuzz target, 5s each"
 sh scripts/fuzz.sh 5s
