@@ -280,6 +280,11 @@ func (e *Epoch) Fork() Epoch { return Epoch{fam: e.fam, seen: e.fam.forks.Add(1)
 // not write to e.
 func (e *Epoch) Alone() bool { return e.fam.forks.Load() == 0 }
 
+// Seen returns the fork count at the last Refresh, or at the Fork that
+// made e: what e's holder wrote since is shared with no holder that has
+// seen the same count.
+func (e *Epoch) Seen() uint64 { return e.seen }
+
 // Refresh reports whether a clone was taken anywhere in the family
 // since the previous call.
 func (e *Epoch) Refresh() bool {

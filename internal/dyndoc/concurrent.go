@@ -55,6 +55,7 @@ type Concurrent struct {
 	wcond       *sync.Cond            // vet:guardedby wmu
 	kicked      bool                  // vet:guardedby wmu // a dispatcher round is wanted
 	dispatching bool                  // vet:guardedby wmu
+	round       bool                  // vet:guardedby wmu // the dispatcher is re-reading, wmu released
 }
 
 // CommitHook intercepts every structured edit batch on its way to

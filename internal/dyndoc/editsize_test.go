@@ -62,15 +62,13 @@ func BenchmarkEditVsSize(b *testing.B) {
 
 // TestEditBytesBounded pins what a snapshot edit may allocate once the
 // document's first edit has packed its child lists into an id arena and
-// its index (8 B per child and 4 B per parent, once;
-// TestWorstEditBytesBounded pins it): the edited parent's run, copied
-// to the arena's end, the clone's overlay of changed runs (at most about
-// √ids entries of 12 B) and its share of the fold that repacks the live
-// lists and empties the overlay (about √ids × 9 B) — not a copy of the
-// document, which was about 250 B per id, nor its child-list headers,
-// which were 24. One history inserts under one section, so
-// its overlay holds one entry; the other spreads its inserts over every
-// element of every section, so its overlay fills and folds four times.
+// its directory (TestWorstEditBytesBounded pins that pack): the table
+// of directory chunks (8 B a chunk), the chunk and the run the edit
+// changes, each copied once, and its share of the repack that follows a
+// fifth as many dead slots as live ones — not a copy of the document,
+// which was about 250 B per id, nor its child-list headers, which were
+// 24. One history inserts under one section; the other spreads its
+// inserts over every element of every section.
 func TestEditBytesBounded(t *testing.T) {
 	for _, spread := range []bool{false, true} {
 		for _, elems := range editSizes {
@@ -349,8 +347,8 @@ func fifoHistory(t *testing.T, c fifoEditor, parents []int, edits, keep int, che
 }
 
 // TestForkedTreeBytes pins what a served document's tree holds once
-// its edits have forked it: per id its parent and depth (8 B) and a
-// has-children bit, per parent its run's 4 B offset in the index, per
+// its edits have forked it: per id its parent and depth (8 B) and its
+// directory bits, per parent its run's 5 B in a directory chunk, per
 // child 8 B in the id arena, and at most as many dead slots as live
 // ones. After the same histories it held 40.4 B per live node on the
 // 10-play document and 44.4 on the tenant order with every id's 24 B
@@ -428,7 +426,7 @@ func TestForkedTreeBytes(t *testing.T) {
 	worst := 0
 	fifoHistory(t, c, parents, 100_000, 16, func() {
 		_ = c.Snapshot(func(d *Document) error {
-			slots, dead, _ := d.Labeling().Tree().Packing()
+			slots, dead := d.Labeling().Tree().Packing()
 			if dead > slots-dead+64 {
 				t.Fatalf("the id arena holds %d dead slots beside %d live ones", dead, slots-dead)
 			}

@@ -114,7 +114,7 @@ func (c *Concurrent) register(w *watcher) {
 	c.kicked = true
 	start := !c.dispatching
 	c.dispatching = true
-	c.wcond.Signal()
+	c.wcond.Broadcast()
 	c.wmu.Unlock()
 	if start {
 		go c.dispatch()
@@ -133,7 +133,7 @@ func (c *Concurrent) cancel(w *watcher) {
 	}
 	w.cancelled = true
 	delete(c.watchers, w)
-	c.wcond.Signal()
+	c.wcond.Broadcast()
 	closeNow := !w.inflight
 	c.wmu.Unlock()
 	close(w.done)
@@ -144,7 +144,8 @@ func (c *Concurrent) cancel(w *watcher) {
 }
 
 // EndWatches cancels every watch registered on the document, closing
-// their channels.
+// their channels, and returns once the dispatcher is in no round: no
+// query runs after it for a watch it ended.
 func (c *Concurrent) EndWatches() {
 	c.wmu.Lock()
 	ws := make([]*watcher, 0, len(c.watchers))
@@ -155,6 +156,11 @@ func (c *Concurrent) EndWatches() {
 	for _, w := range ws {
 		c.cancel(w)
 	}
+	c.wmu.Lock()
+	for c.round {
+		c.wcond.Wait()
+	}
+	c.wmu.Unlock()
 }
 
 // Watchers returns the number of active subscriptions.
@@ -170,15 +176,17 @@ func (c *Concurrent) wake() {
 	c.wmu.Lock()
 	if c.dispatching {
 		c.kicked = true
-		c.wcond.Signal()
+		c.wcond.Broadcast()
 	}
 	c.wmu.Unlock()
 }
 
 // dispatch runs rounds until the last watcher cancels; the next Watch
 // starts it again. A round reads the newest snapshot once for every
-// watcher with no notification on its way: every wake and every
-// delivery asks for one, so a watcher skipped now is read later.
+// watcher with no notification on its way and not cancelled since the
+// round listed it: every wake and every delivery asks for one, so a
+// watcher skipped now is read later. EndWatches waits on wcond for the
+// round to end, so every wake is a Broadcast.
 func (c *Concurrent) dispatch() {
 	c.wmu.Lock()
 	for {
@@ -190,7 +198,7 @@ func (c *Concurrent) dispatch() {
 			c.wmu.Unlock()
 			return
 		}
-		c.kicked = false
+		c.kicked, c.round = false, true
 		ws := make([]*watcher, 0, len(c.watchers))
 		for w := range c.watchers {
 			if !w.inflight {
@@ -201,11 +209,18 @@ func (c *Concurrent) dispatch() {
 		mWatchEvents.Inc()
 		s := c.load()
 		for _, w := range ws {
+			select {
+			case <-w.done:
+				continue
+			default:
+			}
 			if n, ok := w.reread(s); ok {
 				c.offer(w, n)
 			}
 		}
 		c.wmu.Lock()
+		c.round = false
+		c.wcond.Broadcast()
 	}
 }
 
@@ -267,7 +282,7 @@ func (c *Concurrent) deliver(w *watcher, n Notification) {
 	cancelled := w.cancelled
 	if !cancelled {
 		c.kicked = true
-		c.wcond.Signal()
+		c.wcond.Broadcast()
 	}
 	c.wmu.Unlock()
 	if cancelled {

@@ -5,12 +5,14 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/containment"
 	"repro/internal/datagen"
 	"repro/internal/keys"
+	"repro/internal/store"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -347,6 +349,98 @@ func TestWatchCancelClosesChannel(t *testing.T) {
 	if got := c.Watchers(); got != 0 {
 		t.Fatalf("Watchers() = %d after EndWatches, want 0", got)
 	}
+}
+
+// TestEndWatchesWaitsForRound blocks the dispatcher inside one of two
+// watchers' re-reads of //x, in the element index's lookup of x, and
+// ends every watch meanwhile: EndWatches must not return before the
+// round does, and the round must not re-read the other watcher, which
+// was cancelled after the round listed it, so the count of re-reads
+// stays where the blocked one left it.
+func TestEndWatchesWaitsForRound(t *testing.T) {
+	doc, err := xmltree.ParseString(seedDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gate{blocked: make(chan struct{}), release: make(chan struct{})}
+	d, err := NewWithStore(doc, containment.Build(keys.VCDBS()), func(b store.Binding) (store.Backend, error) {
+		return gatedIndex{store.NewSlice(b), g}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := NewConcurrentFrom(d)
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.Watch("//x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.armed.Store(true)
+	if _, _, err := c.InsertElement(0, 0, "x"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-g.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no re-read looked x up")
+	}
+	requeries := mWatchRequeries.Value()
+	ended := make(chan struct{})
+	go func() {
+		c.EndWatches()
+		close(ended)
+	}()
+	for c.Watchers() > 0 {
+		runtime.Gosched()
+	}
+	select {
+	case <-ended:
+		t.Error("EndWatches returned while the dispatcher was re-reading")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(g.release)
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("EndWatches did not return after the round")
+	}
+	for {
+		c.wmu.Lock()
+		running := c.dispatching
+		c.wmu.Unlock()
+		if !running {
+			break
+		}
+		runtime.Gosched()
+	}
+	if got := mWatchRequeries.Value() - requeries; got != 0 {
+		t.Errorf("%d more re-reads after both watches ended, want 0", got)
+	}
+}
+
+// gate blocks the first lookup of x after it is armed until released.
+type gate struct {
+	armed            atomic.Bool
+	blocked, release chan struct{}
+}
+
+// gatedIndex is an element index whose lookups pass g.
+type gatedIndex struct {
+	store.Backend
+	g *gate
+}
+
+func (b gatedIndex) IDs(name string) []int {
+	if name == "x" && b.g.armed.CompareAndSwap(true, false) {
+		close(b.g.blocked)
+		<-b.g.release
+	}
+	return b.Backend.IDs(name)
+}
+
+func (b gatedIndex) Clone(bind store.Binding) (store.Backend, error) {
+	c, err := b.Backend.Clone(bind)
+	return gatedIndex{c, b.g}, err
 }
 
 // waiting counts the watchers with a notification waiting for its
@@ -733,9 +827,9 @@ func TestWatchRetentionStorm(t *testing.T) {
 		cancel()
 	}
 	drained.Wait()
-	// The dispatcher finishes the round it is in, re-reading queries on
-	// Hamlet for watchers already gone: let it exit, so that it does not
-	// allocate under a later test's byte count.
+	// The dispatcher finishes the re-read it is in, a query on Hamlet,
+	// and skips the watchers cancelled since: let it exit, so that it
+	// does not allocate under a later test's byte count.
 	for {
 		c.wmu.Lock()
 		running := c.dispatching

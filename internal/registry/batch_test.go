@@ -327,37 +327,73 @@ func checkTreeModel(t *testing.T, what string, tr *scheme.Tree, m *treeModel) {
 
 // TestCloneHistoriesMatchModel runs seeded histories of clones and
 // edits over every scheme — sources edited after being cloned, clones
-// of clones, subtree deletes and batch inserts — on a document small
-// enough that a clone's overlay of changed runs folds every few edits,
-// repacking its id arena smaller when runs have died, and holds every
-// tree of the family to a plain [][]int model after every step: an edit
-// on one tree must not move any other. Every history runs twice: from
+// of clones, subtree deletes and batch inserts — on documents small
+// enough that a tree's arena repacks every few edits, once dead runs
+// outnumber live ones, and holds every tree of the family to a plain
+// [][]int model after every step: an edit on one tree must not move any
+// other. A directory chunk describes 256 ids (scheme's chunkShift), so
+// beside a 40-node document three inputs cross chunks: a root whose 300
+// children lie in two, a 250-node document whose inserts append ids
+// across the first chunk's edge, and histories in which every clone is
+// followed by an insert on each side of it under one parent, so that
+// both trees write the chunk they shared. Every history runs twice: from
 // the tree Build makes, whose Children a clone packs, and from that tree
 // adopted, as Live makes it (scheme's TestNewTreeMatchesUnpackAdopt),
-// which its owner edits in place, moves and repacks
-// with free slots until the first clone, which must pack exact. Every
-// seed packs, folds and compacts at least once, and from the adopted
-// tree edits in place, moves and repacks its owner's arena too.
+// which its owner edits in place and moves until the first clone, which
+// must pack exact. Every history packs, and from the adopted tree edits
+// in place and moves its owner's runs; every input repacks.
 func TestCloneHistoriesMatchModel(t *testing.T) {
 	for _, entry := range All() {
 		entry := entry
 		t.Run(entry.Name, func(t *testing.T) {
 			t.Parallel()
-			for seed := int64(1); seed <= 3; seed++ {
-				for _, adopted := range []bool{false, true} {
-					cloneHistory(t, entry, seed, adopted)
+			for _, in := range historyInputs {
+				repacks := 0
+				for seed := int64(1); seed <= 3; seed++ {
+					for _, adopted := range []bool{false, true} {
+						repacks += cloneHistory(t, entry, in.name, in.doc(seed), in.both, seed, adopted)
+					}
+				}
+				if repacks == 0 {
+					t.Errorf("%s: no tree repacked", in.name)
 				}
 			}
 		})
 	}
 }
 
-// cloneHistory is one seeded history of TestCloneHistoriesMatchModel;
-// adopted starts it from an adopted tree. The first 200 steps of an
-// adopted history take no clone, so that its owner edits alone long enough to
-// repack.
-func cloneHistory(t *testing.T, entry Entry, seed int64, adopted bool) {
-	doc := randomDoc(40, seed)
+// historyInputs are TestCloneHistoriesMatchModel's documents, by seed;
+// both inserts on each side of every fork.
+var historyInputs = []struct {
+	name string
+	doc  func(seed int64) *xmltree.Document
+	both bool
+}{
+	{"40 nodes", func(seed int64) *xmltree.Document { return randomDoc(40, seed) }, false},
+	{"fan-out 300", wideDoc, false},
+	{"250 nodes", func(seed int64) *xmltree.Document { return randomDoc(250, seed) }, false},
+	{"both sides of a fork", func(seed int64) *xmltree.Document { return randomDoc(40, seed) }, true},
+}
+
+// wideDoc is a root of 300 children, 30 of them with a child of their own.
+func wideDoc(seed int64) *xmltree.Document {
+	gen := rand.New(rand.NewSource(seed))
+	root := xmltree.NewElement("root")
+	for i := 0; i < 300; i++ {
+		root.AppendChild(xmltree.NewElement("e"))
+	}
+	for i := 0; i < 30; i++ {
+		root.Children[gen.Intn(300)].AppendChild(xmltree.NewElement("e"))
+	}
+	return &xmltree.Document{Root: root}
+}
+
+// cloneHistory is one seeded history of TestCloneHistoriesMatchModel on
+// doc; adopted starts it from an adopted tree. The first 200 steps of an
+// adopted history take no clone, so that its owner edits alone long
+// enough to move its runs.
+// It returns how many times a tree repacked.
+func cloneHistory(t *testing.T, entry Entry, input string, doc *xmltree.Document, both bool, seed int64, adopted bool) int {
 	lab, err := entry.Build(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -367,9 +403,15 @@ func cloneHistory(t *testing.T, entry Entry, seed int64, adopted bool) {
 	}
 	labs, models := []scheme.Labeling{lab}, []*treeModel{newTreeModel(doc)}
 	gen := rand.New(rand.NewSource(seed))
-	packs, folds, compactions := 0, 0, 0
-	inPlace, moves, repacks := 0, 0, 0
+	packs, repacks, inPlace, moves := 0, 0, 0, 0
 	lastH, lastParent := 0, 0
+	insert := func(l scheme.Labeling, m *treeModel, parent, pos int) {
+		id, _, err := l.InsertChildAt(parent, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.add(parent, pos, nil, []int{id})
+	}
 	for step := 0; step < 300; step++ {
 		// Half the steps stay on the last step's tree and parent, so
 		// that a tree is edited under the parent whose run it appended
@@ -389,7 +431,7 @@ func cloneHistory(t *testing.T, entry Entry, seed int64, adopted bool) {
 		pos := gen.Intn(len(m.kids[parent]) + 1)
 		packed := l.Tree().Children == nil
 		owner := packed && len(labs) == 1
-		slots, _, over := l.Tree().Packing()
+		slots, _ := l.Tree().Packing()
 		k := gen.Intn(20)
 		if owner && k < 3 && step < 200 {
 			k = 3
@@ -397,25 +439,26 @@ func cloneHistory(t *testing.T, entry Entry, seed int64, adopted bool) {
 		switch {
 		case k < 3:
 			c := l.CloneLabeling()
-			if _, dead, over := c.Tree().Packing(); owner && (dead != 0 || over != 0) {
-				t.Fatalf("seed %d step %d: the first clone of an adopted tree holds %d dead slots and %d overlay entries, want an exact pack", seed, step, dead, over)
+			if _, dead := c.Tree().Packing(); owner && dead != 0 {
+				t.Fatalf("%s seed %d step %d: the first clone of an adopted tree holds %d dead slots, want an exact pack", input, seed, step, dead)
+			}
+			cm := m.clone()
+			if both {
+				insert(l, m, parent, pos)
+				insert(c, cm, parent, 0)
 			}
 			if len(labs) < 6 {
-				labs, models = append(labs, c), append(models, m.clone())
+				labs, models = append(labs, c), append(models, cm)
 			} else {
 				r := gen.Intn(len(labs))
-				labs[r], models[r] = c, m.clone()
+				labs[r], models[r] = c, cm
 			}
 			if !packed || owner {
 				packs++
 			}
 			packed = false
 		case k < 11:
-			id, _, err := l.InsertChildAt(parent, pos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.add(parent, pos, nil, []int{id})
+			insert(l, m, parent, pos)
 		case k < 13:
 			shape := randomShape(gen, 1+gen.Intn(6))
 			ids, _, err := l.InsertSubtree(parent, pos, shape)
@@ -442,33 +485,27 @@ func cloneHistory(t *testing.T, entry Entry, seed int64, adopted bool) {
 			}
 			m.remove(v)
 		}
-		// An edit only adds to the overlay and the arena's slots, but
-		// for a fold and a compaction; the owner's edits in place add
-		// to neither, and its repacks shrink the arena.
-		s, _, o := l.Tree().Packing()
-		switch {
+		// An edit only adds to the arena's slots, but for a repack; the
+		// owner's edits in place add nothing.
+		switch s, _ := l.Tree().Packing(); {
+		case packed && s < slots:
+			repacks++
 		case owner && k == 3 && s == slots:
 			inPlace++
 		case owner && s > slots:
 			moves++
-		case owner && s < slots:
-			repacks++
-		case packed && !owner && o < over:
-			folds++
-			if s < slots {
-				compactions++
-			}
 		}
 		for i := range labs {
-			checkTreeModel(t, fmt.Sprintf("seed %d adopted %v step %d tree %d", seed, adopted, step, i), labs[i].Tree(), models[i])
+			checkTreeModel(t, fmt.Sprintf("%s seed %d adopted %v step %d tree %d", input, seed, adopted, step, i), labs[i].Tree(), models[i])
 		}
 	}
-	t.Logf("seed %d, adopted %v: %d packs, %d folds, %d compactions; owner: %d in place, %d moves, %d repacks",
-		seed, adopted, packs, folds, compactions, inPlace, moves, repacks)
-	if packs == 0 || folds == 0 || compactions == 0 {
-		t.Errorf("seed %d adopted %v: %d packs, %d folds, %d compactions; want at least one of each", seed, adopted, packs, folds, compactions)
+	t.Logf("%s seed %d, adopted %v: %d packs, %d repacks; owner: %d in place, %d moves",
+		input, seed, adopted, packs, repacks, inPlace, moves)
+	if packs == 0 {
+		t.Errorf("%s seed %d adopted %v: no pack", input, seed, adopted)
 	}
-	if adopted && (inPlace == 0 || moves == 0 || repacks == 0) {
-		t.Errorf("seed %d adopted: the owner edited %d times in place, moved %d runs and repacked %d times; want at least one of each", seed, inPlace, moves, repacks)
+	if adopted && (inPlace == 0 || moves == 0) {
+		t.Errorf("%s seed %d: the owner edited %d runs in place and moved %d; want at least one of each", input, seed, inPlace, moves)
 	}
+	return repacks
 }

@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,9 +13,10 @@ import (
 
 // TestNewTreeMatchesUnpackAdopt builds each document's tree twice: as
 // NewTree writes it, and unpacked and then adopted again. The two must
-// hold the same arena, index and spare count; the index must be the one
-// laid out from the unpacked Children, as Adopt laid it out while it
-// built one; and every id's Kids must be its node's children in xmltree.
+// hold the same arena, directory and filler count; the directory must be
+// the one laid out from the unpacked Children, as Adopt laid one out
+// while it built it; and every id's Kids must be its node's children in
+// xmltree.
 // The two trees then take the same random edits and clones, and every
 // pair must go on agreeing, with a plain model of the lists too.
 func TestNewTreeMatchesUnpackAdopt(t *testing.T) {
@@ -45,8 +47,8 @@ func TestNewTreeMatchesUnpackAdopt(t *testing.T) {
 		name, doc := nd.name, nd.doc
 		live, unpacked := NewTree(doc), NewTree(doc)
 		unpacked.Unpack()
-		if got := indexOf(unpacked); !slices.Equal(got, live.base) {
-			t.Fatalf("%s: NewTree's index differs from the one laid out from Children", name)
+		if got := dirOf(unpacked); !sameDir(got, live.dir) {
+			t.Fatalf("%s: NewTree's directory differs from the one laid out from Children", name)
 		}
 		unpacked.Adopt()
 		sameTree(t, name, live, unpacked)
@@ -79,23 +81,30 @@ func randomDoc(gen *rand.Rand, n int) *xmltree.Document {
 	return &xmltree.Document{Root: nodes[0]}
 }
 
-// indexOf lays out the index of t's Children, a run per non-empty list
-// with its free slot, as Adopt did before NewTree wrote the index.
-func indexOf(t *Tree) index {
-	parents := 0
+// dirOf lays out the directory of t's Children, a run per non-empty
+// list followed by its filler, as Adopt did before NewTree wrote one.
+func dirOf(t *Tree) []*chunk {
+	runs, slots := 0, 0
 	for _, l := range t.Children {
 		if len(l) > 0 {
-			parents++
+			runs, slots = runs+1, slots+header(len(l))+cap(l)
 		}
 	}
-	b, off := newIndexer(t.Cap(), parents), 0
+	p := newPacker(t.Cap(), runs, slots, 0)
 	for v, l := range t.Children {
 		if len(l) > 0 {
-			b.add(v, off)
-			off += cap(l)
+			copy(p.add(v, len(l), cap(l)-len(l)), l)
 		}
 	}
-	return b.end(off)
+	_, dir := p.finish()
+	return dir
+}
+
+// sameDir reports whether two directories hold the same chunks.
+func sameDir(a, b []*chunk) bool {
+	return slices.EqualFunc(a, b, func(x, y *chunk) bool {
+		return x.stamp == y.stamp && x.words == y.words && bytes.Equal(x.runs, y.runs)
+	})
 }
 
 // editBoth runs 300 random steps on two trees that must agree, and on
@@ -163,35 +172,32 @@ func agree(t *testing.T, name string, a, b *Tree, model [][]int) {
 	}
 }
 
-// sameTree fails unless a and b hold the same columns, index, overlay,
-// arena extent and bookkeeping, and every id reads the same run and the
-// same Kids.
+// sameTree fails unless a and b hold the same columns, directory, arena
+// extent and bookkeeping, and every id reads the same run and the same
+// Kids.
 func sameTree(t *testing.T, name string, a, b *Tree) {
 	t.Helper()
 	switch {
 	case a.Children != nil || b.Children != nil:
 		t.Fatalf("%s: a tree kept Children", name)
-	case a.Cap() != b.Cap() || a.live != b.live || !slices.Equal(a.dead, b.dead):
+	case a.Cap() != b.Cap() || a.live != b.live:
 		t.Fatalf("%s: the ids differ", name)
-	case !slices.Equal(a.base, b.base) || !slices.Equal(a.over, b.over):
-		t.Fatalf("%s: the index or the overlay differs", name)
+	case !sameDir(a.dir, b.dir):
+		t.Fatalf("%s: the directories differ", name)
 	case a.kids.Used() != b.kids.Used() || a.kids.End() != b.kids.End() || a.kids.Room() != b.kids.Room():
 		t.Fatalf("%s: the arenas differ: %d/%d/%d slots, %d/%d/%d", name,
 			a.kids.Used(), a.kids.End(), a.kids.Room(), b.kids.Used(), b.kids.End(), b.kids.Room())
-	case a.spare != b.spare || a.slack != b.slack || a.own != b.own || a.mark != b.mark:
-		t.Fatalf("%s: spare %d/%d, slack %v/%v, own %v/%v, mark %d/%d", name,
-			a.spare, b.spare, a.slack, b.slack, a.own, b.own, a.mark, b.mark)
+	case a.fillers != b.fillers || a.mark != b.mark:
+		t.Fatalf("%s: fillers %d/%d, mark %d/%d", name, a.fillers, b.fillers, a.mark, b.mark)
 	}
 	for v := 0; v < a.Cap(); v++ {
 		if a.Parent(v) != b.Parent(v) || a.Depth(v) != b.Depth(v) {
 			t.Fatalf("%s: id %d's link differs", name, v)
 		}
-		if !a.Alive(v) {
-			continue
+		if a.Alive(v) != b.Alive(v) {
+			t.Fatalf("%s: id %d is alive in one tree only", name, v)
 		}
-		sa, wa := a.span(v)
-		sb, wb := b.span(v)
-		if sa != sb || wa != wb || !slices.Equal(a.Kids(v), b.Kids(v)) {
+		if sa, sb := a.span(v), b.span(v); sa != sb || !slices.Equal(a.Kids(v), b.Kids(v)) {
 			t.Fatalf("%s: id %d reads %v at %v and %v at %v", name, v, a.Kids(v), sa, b.Kids(v), sb)
 		}
 	}

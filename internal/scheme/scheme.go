@@ -9,10 +9,12 @@
 package scheme
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"repro/internal/cow"
 	"repro/internal/invariants"
@@ -168,85 +170,64 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // not part of any label.
 //
 // A node's parent and depth are written once per id, so a Tree and its
-// clones share that column (cow.Column). The child lists are runs in a
-// cow.Arena of child ids, found through an index: a has-children bit per
-// id, ranked, and an offset per id that has children. NewTree carves
-// them from one slab with a free slot after each and writes the index in
-// the same walk, in the form a live document edits; Unpack lays Children
-// headers over the runs for a labeling built alone, which edits them as
-// slices, and Adopt drops them again.
-// Until a clone is taken such a tree owns every run: an edit shifts a
-// run in place while a free slot (a -1 filler) follows it, and moves a
-// full one to the arena's end with as many free slots again, its packed
-// slots forwarding to it; only an id packed without a run keeps its run
-// in an overlay sorted by id. The first clone packs the lists exact, as
-// a clone of a tree with Children does; a later clone shares the arena
-// and index and copies the overlay. After a fork an edit
-// copies the parent's run to the arena's end, or shifts it in place if
-// this tree appended it since the family's last fork. Past √Cap()
-// overlay entries after a fork, or more dead slots than live (the free
-// slots runs may still fill aside), the writer folds: it repacks the
-// live lists into an arena and index of its own. Read a list through
-// Kids.
+// clones share that column (cow.Column). Each child list is a run in a
+// cow.Arena of child ids, found through a directory cut into chunks of
+// chunkIDs ids. Clones share the arena and the chunks: a tree copies a
+// chunk the first time it writes it after a fork, and a run the first
+// time it edits it, to the arena's end. A run it wrote since the family's
+// last fork it edits in place, growing into the -1 filler after it, and
+// one that outgrows its room moves to the arena's end with as many
+// fillers again. NewTree lays every run with one filler, in the form a
+// live document edits; Unpack lays Children headers over the runs for a
+// labeling built alone, which edits them as slices, and Adopt drops them
+// again. A tree repacks its lists exact, into an arena and a directory of
+// its own, once the slots neither a live run nor a filler holds outnumber
+// the live ones; a clone packs them instead of sharing them (see Clone).
+// Read a list through Kids.
 type Tree struct {
 	up cow.Column[link]
 	// Children is every id's ordered child list, Cap() long, on a tree
 	// Unpack laid them over and Adopt has not dropped; nil otherwise.
 	Children [][]int
-	dead     []uint64 // bit v set: id v was removed by deletion
 	live     int
 
+	dir  []*chunk       // dir[i] describes the ids from i<<chunkShift
 	kids cow.Arena[int] // the child lists' runs
-	base index          // the runs as packed; never written
-	over []patch        // the runs the index does not find, sorted by id
 
 	// fork counts the clones taken in the family. Since the last it saw,
-	// the runs from offset mark up are this tree's alone, and so is dead
-	// if ownDead.
-	fork    cow.Epoch
-	mark    int
-	ownDead bool
-	// slack: base's runs end in free slots that the index counts. own:
-	// no clone has been taken since NewTree and no Children lie over the
-	// runs, so t owns every run. spare counts the free slots the owner's
-	// runs may still take in place.
-	slack, own bool
-	spare      int
+	// the runs from offset mark up are this tree's alone, and so is a
+	// chunk stamped with that count, and the table of chunks if table is.
+	fork  cow.Epoch
+	table uint64
+	mark  int
+	// fillers counts the -1 slots from mark up that the run before each
+	// may still take (a dead run's among them, until a repack).
+	fillers int
 }
+
+// A chunk describes chunkIDs ids: per 32 of them a word of has-a-run
+// bits, a word of dead bits and the number of runs in the chunk's
+// earlier words; then, in id order, each run's offset in the arena (4 B)
+// and its length (1 B). A run of longRun ids or more holds its length in
+// the arena slot before it. E20 in EXPERIMENTS.md measures the size.
+type chunk struct {
+	stamp uint64 // the fork count of the tree that wrote it
+	words [chunkWords]word
+	runs  []byte
+}
+
+type word struct{ has, dead, rank uint32 }
+
+const (
+	chunkShift = 8
+	chunkIDs   = 1 << chunkShift
+	chunkWords = chunkIDs / 32
+	runBytes   = 5
+	longRun    = 255
+)
 
 // span is a child list's run in a tree's arena.
-type span struct{ off, n int32 }
-
-// patch is an overlay entry: node id's run.
-type patch struct {
-	id int32
-	s  span
-}
-
-// index is a packed arena's directory, one slice: per 32 ids a word
-// whose bit v&31 is set if id v has children, and the position in the
-// index of the first of that word's offsets; then, in id order, the
-// arena offset of each id with children, and the arena's end. A run
-// ends where the next begins. The offsets begin at x[1]: an id whose
-// word would lie there has no run.
-type index []uint32
-
-// span returns v's packed run: a bit test, a popcount and two loads.
-func (x index) span(v int) span {
-	w := v >> 5 << 1
-	if w >= int(x[1]) {
-		return span{}
-	}
-	bit := uint32(1) << (v & 31)
-	if x[w]&bit == 0 {
-		return span{}
-	}
-	i := int(x[w+1]) + bits.OnesCount32(x[w]&(bit-1))
-	return span{int32(x[i]), int32(x[i+1] - x[i])}
-}
-
-// runs returns how many ids have a run.
-func (x index) runs() int { return len(x) - 1 - int(x[1]) }
+type span struct{ off, n uint32 }
 
 // link is a node's way up: its parent id, -1 for the root, and its
 // depth, 1 for the root.
@@ -255,130 +236,105 @@ type link struct{ parent, depth int32 }
 // NewTree mirrors a document, with node ids in document order
 // (xmltree's Walk, which has each node's parent at hand), over columns
 // sized from one count, in the form a live document edits: every child
-// list is a run in one slab with room for one more id, a -1 filler in
-// that slot, under an index that counts the free slot. The walk writes
-// each id into its parent's run through a cursor per depth, so no list
-// header is made. The tree owns every run until its first clone.
+// list is a run in one slab with a filler after it, and every chunk of
+// the directory lies in one backing array. The walk writes each id into
+// its parent's run through a cursor per depth, so no list header is made.
 func NewTree(doc *xmltree.Document) *Tree {
-	n, parents := 0, 0
+	n, parents, slots := 0, 0, 0
 	doc.Walk(func(_ int, node *xmltree.Node, _, _ int) {
 		n++
-		if len(node.Children) > 0 {
-			parents++
+		if k := len(node.Children); k > 0 {
+			parents, slots = parents+1, slots+header(k)+k+1
 		}
 	})
 	up := make([]link, n)
-	slab := make([]int, max(n-1, 0)+parents)
-	b, at := newIndexer(n, parents), 0
-	var next []int // next[d]: where the last node at depth d+1 writes its next child
+	p := newPacker(n, parents, slots, 0)
+	var next [][]int // next[d]: the slots left for the children of the last node at depth d+1
 	doc.Walk(func(id int, node *xmltree.Node, parent, depth int) {
 		up[id] = link{int32(parent), int32(depth)}
 		if parent >= 0 {
-			slab[next[depth-2]], next[depth-2] = id, next[depth-2]+1
+			next[depth-2][0], next[depth-2] = id, next[depth-2][1:]
 		}
 		if k := len(node.Children); k > 0 {
-			b.add(id, at)
-			next = append(next[:depth-1], at)
-			slab[at+k], at = -1, at+k+1
+			next = append(next[:depth-1], p.add(id, k, 1))
 		}
 	})
-	t := &Tree{
-		up:      cow.NewColumn(up),
-		dead:    make([]uint64, n/64+1),
-		live:    n,
-		kids:    cow.NewArena[int](strideShift, minChunk),
-		base:    b.end(at),
-		fork:    cow.NewEpoch(),
-		ownDead: true,
-		slack:   true,
-		own:     true,
-		spare:   parents,
-	}
-	t.kids.Start(slab, len(slab))
+	t := &Tree{up: cow.NewColumn(up), live: n, fork: cow.NewEpoch(), fillers: parents}
+	t.kids, t.dir = p.finish()
 	return t
 }
 
-// Unpack lays Children over t's runs, each list its run without the
-// free slot and that slot its spare capacity, for a labeling built
-// alone, which edits them as slices. t must be as NewTree built it,
-// neither edited nor cloned; it keeps the index, so Adopt can drop the
-// headers again.
+// Unpack lays Children over t's runs, each list its run and the filler
+// after it its spare capacity, for a labeling built alone, which edits
+// them as slices. t must be as NewTree built it, neither edited nor
+// cloned; it keeps the directory, so Adopt can drop the headers again.
 func (t *Tree) Unpack() {
 	t.Children = make([][]int, t.Cap())
 	for v := range t.Children {
-		if s := t.base.span(v); s.n > 0 {
-			t.Children[v] = t.kids.From(int(s.off))[: s.n-1 : s.n]
+		if s := t.span(v); s.n > 0 {
+			t.Children[v] = t.kids.From(int(s.off))[: s.n : s.n+1]
 		}
 	}
-	t.own = false
 }
 
 // Adopt drops the Children that Unpack laid over t's runs, so that t is
-// again as NewTree built it: a live document's tree, which owns every
-// run until its first clone. A tree without Children is left as it is.
-// t must not have been edited or cloned since Unpack.
+// again as NewTree built it: a live document's tree. A tree without
+// Children is left as it is. t must not have been edited or cloned since
+// Unpack.
 func (t *Tree) Adopt() {
 	lists := t.Children
 	if lists == nil {
 		return
 	}
-	t.Children, t.own = nil, true
+	t.Children = nil
 	if invariants.Enabled {
 		if !t.fork.Alone() {
 			invariants.Violated("scheme", "adopted a tree that has been cloned")
 		}
-		checkRuns(t.kids, t.base, true, &Tree{up: t.up, Children: lists})
+		checkRuns(t, &Tree{up: t.up, Children: lists})
 	}
 }
 
 // Clone returns a tree that answers as t does now and can be edited
-// independently of it, for CloneLabeling. A clone of a tree with
-// Children, or of one that owns every run and has never been cloned,
-// packs the lists into a fresh arena and index, 8 B per child and 4 B
-// per parent, with no free slot; any other copies t's overlay, with
-// room for the entry the next edit most likely adds, and shares the
-// rest: the arena, the index and the dead bits, clipped so that a word
-// the clone appends goes to an array of its own. It does not write to t.
+// independently of it, for CloneLabeling. It shares t's arena, its
+// chunks and their table, which each copies at its first edit (see
+// prepare). A clone of a tree with Children, or the first clone of a
+// family, each run of which a filler no tree may take after a fork
+// follows, packs the lists into a fresh arena and directory instead, 8 B
+// per child and 5 B per parent. It does not write to t.
 func (t *Tree) Clone() *Tree {
-	exact := t.Children != nil || t.own && t.fork.Alone()
-	c := &Tree{
-		up:    t.up,
-		dead:  slices.Clip(t.dead),
-		live:  t.live,
-		kids:  t.kids,
-		base:  t.base,
-		slack: t.slack,
-		spare: t.spare,
-		fork:  t.fork.Fork(),
-		mark:  t.kids.End(),
-	}
+	exact := t.Children != nil || t.fork.Alone()
+	c := &Tree{up: t.up, live: t.live, dir: t.dir, kids: t.kids, fork: t.fork.Fork(), mark: t.kids.End()}
 	if exact {
-		c.kids, c.base = packed(t, false)
-		c.mark, c.slack, c.spare = 0, false, 0
-	} else if len(t.over) > 0 {
-		c.over = append(make([]patch, 0, len(t.over)+1), t.over...)
+		c.kids, c.dir = pack(t, c.fork.Seen(), -1, 0)
+		c.mark, c.table = 0, c.fork.Seen()
 	}
 	return c
 }
 
-// Bytes estimates the mirror's heap: the columns, the index and the
-// arena's chunks, and with Children the headers, without the overlay.
+// Bytes estimates the mirror's heap: the column, the arena's chunks, the
+// directory's chunks and their table, and with Children the headers.
 func (t *Tree) Bytes() int64 {
-	b := t.up.Bytes() + 8*int64(cap(t.dead)) + t.kids.Bytes() + 4*int64(cap(t.base))
-	if t.Children != nil {
-		return b + 24*int64(cap(t.Children))
+	b := t.up.Bytes() + t.kids.Bytes() + 8*int64(cap(t.dir))
+	for _, c := range t.dir {
+		b += int64(unsafe.Sizeof(*c)) + int64(cap(c.runs))
 	}
-	return b + 12*int64(cap(t.over))
+	if t.Children != nil {
+		b += 24 * int64(cap(t.Children))
+	}
+	return b
 }
 
 // Packing reports the arena: the slots its runs have taken and how many
-// of them no list reads any more (free slots included), and the
-// overlay's length. All three are zero on a tree with Children.
-func (t *Tree) Packing() (slots, dead, over int) {
+// of them hold neither a live list's id nor its length, fillers
+// included. Both are zero on a tree with Children.
+func (t *Tree) Packing() (slots, dead int) {
 	if t.Children != nil {
-		return 0, 0, 0
+		return 0, 0
 	}
-	return t.kids.Used(), max(t.deadSlots(), 0), len(t.over)
+	dead = t.kids.Used()
+	t.lists(func(_ int, kids []int) { dead -= header(len(kids)) + len(kids) })
+	return t.kids.Used(), dead
 }
 
 // Parent returns v's parent id, -1 for the root.
@@ -388,26 +344,12 @@ func (t *Tree) Parent(v int) int { return int(t.up.At(v).parent) }
 func (t *Tree) Depth(v int) int { return int(t.up.At(v).depth) }
 
 // Kids returns v's ordered child ids, nil for a dead id. The slice is
-// the tree's own: read it, never write it. It is span, less the
-// record of where the run lies.
+// the tree's own: read it, never write it.
 func (t *Tree) Kids(v int) []int {
 	if t.Children != nil {
 		return t.Children[v]
 	}
-	if !t.Alive(v) {
-		return nil
-	}
-	b := t.base.span(v)
-	if b.n == 0 || !t.own {
-		if i, ok := t.find(v); ok {
-			return t.run(t.over[i].s)
-		}
-		if b.n == 0 {
-			return nil
-		}
-	}
-	s, _ := packedRun(&t.kids, b, t.slack)
-	return t.run(s)
+	return t.run(t.span(v))
 }
 
 // run returns s's ids, aliasing the arena.
@@ -421,322 +363,185 @@ func (t *Tree) run(s span) []int {
 // Child returns the k-th child of v.
 func (t *Tree) Child(v, k int) int { return t.Kids(v)[k] }
 
-// span returns v's run and where it is recorded. A tree that owns every
-// run records none of its packed ids in the overlay, so it reads them
-// without searching it.
-func (t *Tree) span(v int) (span, where) {
-	b := t.base.span(v)
-	if !t.own || b.n == 0 {
-		if i, ok := t.find(v); ok {
-			return t.over[i].s, inOverlay
-		}
-	}
-	return packedRun(&t.kids, b, t.slack)
+// word returns the chunk that describes id v, v's word in it and v's
+// bit in the word.
+func (t *Tree) word(v int) (*chunk, *word, uint32) {
+	c := t.dir[v>>chunkShift]
+	return c, &c.words[v>>5&(chunkWords-1)], 1 << (v & 31)
 }
 
-// where says how an edit records a run's new place: in the index, which
-// finds it where it was packed; in its packed run's first two slots,
-// which forward to it; or in the overlay (also for an id with no run).
-type where int8
+// span returns v's run: a bit test, a popcount and two loads. A dead id,
+// and one that never had children, has none.
+func (t *Tree) span(v int) span {
+	if uint(v) >= uint(t.Cap()) {
+		return span{}
+	}
+	c, w, bit := t.word(v)
+	if w.has&bit == 0 || w.dead&bit != 0 {
+		return span{}
+	}
+	r := c.runs[runBytes*(int(w.rank)+bits.OnesCount32(w.has&(bit-1))):]
+	s := span{binary.LittleEndian.Uint32(r), uint32(r[4])}
+	if s.n == longRun {
+		s.n = uint32(t.kids.From(int(s.off) - 1)[0])
+	}
+	return s
+}
 
-const (
-	inIndex where = iota
-	forwarded
-	inOverlay
-)
+// ownWord is word for a write: unless t wrote v's chunk since the
+// family's last fork, it first puts a copy of its own in the chunk's
+// place, with room for one more run.
+func (t *Tree) ownWord(v int) (*chunk, *word, uint32) {
+	if c := t.dir[v>>chunkShift]; c.stamp != t.fork.Seen() {
+		own := *c
+		own.stamp, own.runs = t.fork.Seen(), append(make([]byte, 0, len(c.runs)+runBytes), c.runs...)
+		t.dir[v>>chunkShift] = &own
+	}
+	return t.word(v)
+}
 
-// lists calls f with every live id that has children, in id order, and
-// its list: a walk of the index's bits beside the overlay, which skips
-// the ids that have no run.
-func (t *Tree) lists(f func(v int, kids []int)) {
-	if t.Children != nil {
-		for v, l := range t.Children {
-			if len(l) > 0 {
-				f(v, l)
-			}
+// set makes s v's run, adding a run to v's chunk if v had none.
+func (t *Tree) set(v int, s span) {
+	c, w, bit := t.ownWord(v)
+	i := runBytes * (int(w.rank) + bits.OnesCount32(w.has&(bit-1)))
+	if w.has&bit == 0 {
+		w.has |= bit
+		for j := v>>5&(chunkWords-1) + 1; j < chunkWords; j++ {
+			c.words[j].rank++
 		}
-		return
+		c.runs = append(c.runs, make([]byte, runBytes)...)
+		copy(c.runs[i+runBytes:], c.runs[i:])
 	}
-	over := t.over
-	emit := func(v int, s span) {
-		if s.n > 0 && t.Alive(v) {
-			f(v, t.run(s))
-		}
-	}
-	for w := 0; w < int(t.base[1]); w += 2 {
-		for b := t.base[w]; b != 0; b &= b - 1 {
-			v := w<<4 | bits.TrailingZeros32(b)
-			for len(over) > 0 && int(over[0].id) < v {
-				emit(int(over[0].id), over[0].s)
-				over = over[1:]
-			}
-			if len(over) > 0 && int(over[0].id) == v {
-				emit(v, over[0].s)
-				over = over[1:]
-			} else {
-				r, _ := packedRun(&t.kids, t.base.span(v), t.slack)
-				emit(v, r)
-			}
-		}
-	}
-	for _, p := range over {
-		emit(int(p.id), p.s)
+	binary.LittleEndian.PutUint32(c.runs[i:], s.off)
+	c.runs[i+4] = byte(min(s.n, longRun))
+	if s.n >= longRun {
+		t.owned(int(s.off) - 1)
+		t.kids.From(int(s.off) - 1)[0] = int(s.n)
 	}
 }
 
-// packedRun returns the run in arena a that the index gives as b: in a
-// slack arena, without its free slots, or where the owner moved it. A
-// moved run's packed slots hold -2 less its offset, then its length.
-func packedRun(a *cow.Arena[int], b span, slack bool) (span, where) {
-	if b.n == 0 {
-		return b, inOverlay
+// header is how many slots before a run of n ids hold its length.
+func header(n int) int {
+	if n >= longRun {
+		return 1
 	}
-	if slack {
-		run := a.From(int(b.off))
-		if run[0] < -1 {
-			return span{int32(-2 - run[0]), int32(run[1])}, forwarded
-		}
-		for b.n > 0 && run[b.n-1] < 0 {
-			b.n--
-		}
-	}
-	return b, inIndex
+	return 0
 }
 
-// find returns where id v's entry is, or would go, in the overlay. An
-// id outside the overlay's range, as most are, costs no search; inside,
-// the first probe is where v would lie were the ids spread evenly, as
-// an owner's are when it adds whole fragments, and one more probe beside
-// it most often settles it.
-func (t *Tree) find(v int) (int, bool) {
-	over := t.over
-	lo, hi := 0, len(over)
-	if hi == 0 || v < int(over[0].id) {
-		return 0, false
-	}
-	first, last := int(over[0].id), int(over[hi-1].id)
-	if v > last {
-		return hi, false
-	}
-	if first == last {
-		return 0, true
-	}
-	g := int(uint64(v-first) * uint64(hi-1) / uint64(last-first))
-	switch id := int(over[g].id); {
-	case id == v:
-		return g, true
-	case id < v:
-		lo = g + 1 // over[hi-1].id >= v, so lo < hi
-		if int(over[lo].id) >= v {
-			return lo, int(over[lo].id) == v
-		}
-	default:
-		hi = g // g > 0, as over[0].id <= v
-		if id := int(over[g-1].id); id < v {
-			return g, false
-		} else if id == v {
-			return g - 1, true
-		}
-	}
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if int(over[m].id) < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(over) && int(over[lo].id) == v
-}
-
-// setSpan makes s v's run, its overlay entry, and settles.
-func (t *Tree) setSpan(v int, s span) {
-	if i, ok := t.find(v); ok {
-		t.over[i].s = s
-	} else {
-		t.over = slices.Insert(t.over, i, patch{int32(v), s})
-	}
-	t.settle()
-}
-
-// settle folds when the overlay has grown past √Cap() entries since a
-// clone was taken, the arena holds more dead slots than live ones (the
-// spare ones aside, so that the room a moved run grows into is not
-// thrown away), or it has passed maxOffset.
-func (t *Tree) settle() {
-	if n := len(t.over); !t.own && n*n > t.Cap() || t.deadSlots()-t.spare > t.liveSlots() || t.kids.End() > maxOffset {
-		t.fold()
-	}
-}
-
-// fold repacks t's live lists into an arena and index of its own, in
-// which a dead id's run is empty, and empties the overlay; a tree that
-// owns every run packs a free slot after each. At √Cap() entries a
-// fold's 8 B per child and 4 B per parent are about what the clones
-// since the last one copied of the overlay, and the arena holds at most
-// about twice what its lists and their free slots do. An owner's folds
-// stay amortised O(1) an edit: a run it moved keeps its room, and only
-// the slots it left count as dead.
-func (t *Tree) fold() {
-	if invariants.Enabled && t.own {
-		t.checkSpare()
-	}
-	t.kids, t.base = packed(t, t.own)
-	t.slack, t.mark, t.over, t.spare = t.own, 0, t.over[:0], 0
-	if t.own {
-		t.spare = t.base.runs()
-	}
-}
-
-// prepare readies t for a write: after a clone taken anywhere in the
-// family, t owns no run it has and not its dead bits.
-func (t *Tree) prepare() {
+// prepare readies t to edit, and v's list to grow (v < 0: none does).
+// After a clone taken anywhere in the family, t owns no run it has and
+// no chunk, and shares its table of chunks, which its first edit since
+// copies. That edit repacks instead if more than a fifth as many slots
+// as are live, and more than a chunk's worth, are dead or fillers, which
+// no tree will write again. Any edit repacks once the slots that neither
+// a live run nor a filler holds outnumber the live ones by a chunk's
+// worth (a list that moves to twice its room leaves a run as long as
+// itself, so a repack is paid for by as many slots gone dead), or the
+// arena has passed maxOffset. A repack leaves v's run as many fillers as
+// it has ids and one more, so the edit fits.
+func (t *Tree) prepare(v int) {
 	if t.fork.Refresh() {
-		t.mark, t.ownDead, t.own = t.kids.End(), false, false
+		t.mark, t.fillers = t.kids.End(), 0
 	}
+	dead, live, fresh := t.kids.Used()-t.fillers-t.liveSlots(), t.liveSlots(), t.table != t.fork.Seen()
+	switch {
+	case t.Children == nil && (fresh && 5*dead > max(live, 5*minChunk) || dead > live+minChunk || t.kids.End() > maxOffset):
+		room := len(t.Kids(v))
+		if room > 0 {
+			room++
+		}
+		t.kids, t.dir = pack(t, t.fork.Seen(), v, room)
+		t.mark, t.fillers = 0, room
+	case fresh:
+		t.dir = slices.Clone(t.dir)
+	}
+	t.table = t.fork.Seen()
 }
 
 // liveSlots is how many ids the live lists hold: every live node but
-// the root is in its parent's. The rest of the arena's slots are dead.
+// the root is in its parent's.
 func (t *Tree) liveSlots() int { return max(t.live-1, 0) }
-func (t *Tree) deadSlots() int { return t.kids.Used() - t.liveSlots() }
 
-// free reports whether t may fill the slot after v's run s, recorded at
-// w, in place: t owns every run, and the slot is one of the packed run's
-// or, after a run t moved, holds the -1 filler.
-func (t *Tree) free(v int, s span, w where) bool {
-	end := int(s.off + s.n)
-	switch {
-	case !t.own:
-		return false
-	case w == inIndex:
-		b := t.base.span(v)
-		return end < int(b.off+b.n)
-	case s.n == 0 || end >= t.kids.End():
+// fits reports whether run s may take the slot after it in place: t
+// wrote the run since the family's last fork, a filler holds the slot
+// before the arena's end, and the run does not become long.
+func (t *Tree) fits(s span) bool {
+	if s.n == 0 || int(s.off) < t.mark || int(s.off+s.n) >= t.kids.End() || s.n+1 == longRun {
 		return false
 	}
 	rest := t.kids.From(int(s.off))
 	return int(s.n) < len(rest) && rest[s.n] == -1
 }
 
-// room counts the free slots after v's run s, recorded at w, that t
-// could fill in place while it owns every run: the packed run's, or the
-// -1 fillers after a run t moved.
-func (t *Tree) room(v int, s span, w where) int {
-	if w == inIndex {
-		b := t.base.span(v)
-		return int(b.off + b.n - s.off - s.n)
+// lay claims n slots for a run's ids at the arena's end, with room
+// fillers after them and, for a long run, its length before them.
+func (t *Tree) lay(n, room int) (span, []int) {
+	h := header(n)
+	if n+room == 0 {
+		return span{}, nil
 	}
-	if s.n == 0 {
-		return 0
+	off, run := t.kids.Grow(h + n + room)
+	for i := h + n; i < len(run); i++ {
+		run[i] = -1
 	}
-	rest, n := t.kids.From(int(s.off)), int(s.n)
-	for n < min(len(rest), t.kids.End()-int(s.off)) && rest[n] == -1 {
-		n++
-	}
-	return n - int(s.n)
+	t.fillers += room
+	return span{uint32(off + h), uint32(n)}, run[h : h+n]
 }
 
-// insert puts id at position pos of v's run: in place if the slot after
-// the run is free, or, on a tree that does not own every run, it is t's
-// since the last fork and the arena's last (no run is empty, so it lies
-// in the open chunk) with room after it; else in a copy at the arena's
-// end, which has as many free slots again while t owns every run.
+// insert puts id at position pos of v's run: in place if the run fits,
+// else in a copy at the arena's end, with as many fillers again if t
+// wrote the run since the family's last fork, so that a list its writer
+// keeps growing moves O(log n) times.
 func (t *Tree) insert(v, pos, id int) {
-	s, w := t.span(v)
-	switch {
-	case t.free(v, s, w):
-		t.shift(s, pos, id)
+	s := t.span(v)
+	if t.fits(s) {
+		t.owned(int(s.off))
+		run := t.kids.From(int(s.off))[:s.n+1]
+		copy(run[pos+1:], run[pos:])
+		run[pos] = id
 		s.n++
-		t.spare--
-	case !t.own && s.n > 0 && int(s.off) >= t.mark && int(s.off+s.n) == t.kids.End() && t.kids.Extend(1):
-		t.shift(s, pos, id)
-		s.n++
-	default:
-		old := t.run(s)
-		k := len(old) + 1
-		if t.own {
-			k = max(2*len(old), 2)
+		t.fillers--
+	} else {
+		old, room := t.run(s), 0
+		if int(s.off) >= t.mark {
+			room = len(old) + 1
 		}
-		off, run := t.kids.Grow(k)
+		var run []int
+		s, run = t.lay(len(old)+1, room)
 		copy(run, old[:pos])
 		run[pos] = id
 		copy(run[pos+1:], old[pos:])
-		for i := len(old) + 1; i < k; i++ {
-			run[i] = -1
-		}
-		s, t.spare = span{int32(off), s.n + 1}, t.spare+k-len(old)-1
 	}
-	t.record(v, s, w)
+	t.set(v, s)
 }
 
-// shift writes id at position pos of run s in place, moving the ids from
-// pos up into the slot after s.
-func (t *Tree) shift(s span, pos, id int) {
-	t.owned(s)
-	run := t.run(span{s.off, s.n + 1})
-	copy(run[pos+1:], run[pos:])
-	run[pos] = id
-}
-
-// owned checks, under the invariants build, that t may write run s in
-// place: no clone shares it.
-func (t *Tree) owned(s span) {
-	if invariants.Enabled && int(s.off) < t.mark {
-		invariants.Violated("scheme", "a run at offset %d, below the mark %d that a clone shares, written in place", s.off, t.mark)
-	}
-}
-
-// cut removes the i-th id of v's run: in place, the -1 filler taking the
-// slot it frees, if t appended the run since the last fork or owns every
-// run; else in a copy at the arena's end. An owner's moved run that
-// empties goes dead, room and all, and keeps the id in its first slot,
-// so that the run before it never takes that slot for a free one.
+// cut removes the i-th id of v's run: in place, a filler taking the slot
+// it frees, if t wrote the run since the family's last fork; else in a
+// copy at the arena's end.
 func (t *Tree) cut(v, i int) {
-	s, w := t.span(v)
+	s := t.span(v)
 	old := t.run(s)
-	switch {
-	case t.own && s.n == 1 && w != inIndex:
-		t.spare -= t.room(v, s, w)
-		s.n--
-	case int(s.off) >= t.mark:
-		t.owned(s)
+	if int(s.off) >= t.mark {
+		t.owned(int(s.off))
 		copy(old[i:], old[i+1:])
 		old[len(old)-1] = -1
 		s.n--
-		if t.own {
-			t.spare++
-		}
-	case s.n == 1:
-		s = span{}
-	default:
-		off, run := t.kids.Grow(len(old) - 1)
+		t.fillers++
+	} else {
+		var run []int
+		s, run = t.lay(len(old)-1, 0)
 		copy(run, old[:i])
 		copy(run[i:], old[i+1:])
-		s = span{int32(off), s.n - 1}
 	}
-	t.record(v, s, w)
+	t.set(v, s)
 }
 
-// record makes s v's run after an edit of the run it had at w. A tree
-// that owns every run records a packed id's run in its packed slots: the
-// index still finds it where it was packed, or its first two slots
-// forward to where it moved. Any other run, and every run of a tree
-// that does not, goes to the overlay.
-func (t *Tree) record(v int, s span, w where) {
-	if !t.own || w == inOverlay {
-		if s.n == 0 {
-			s = span{}
-		}
-		t.setSpan(v, s)
-		return
+// owned checks, under the invariants build, that t may write the arena
+// slot at off in place: no clone shares it.
+func (t *Tree) owned(off int) {
+	if invariants.Enabled && off < t.mark {
+		invariants.Violated("scheme", "arena slot %d, below the mark %d that a clone shares, written in place", off, t.mark)
 	}
-	if b := t.base.span(v); s.off != b.off {
-		t.owned(b)
-		run := t.kids.From(int(b.off))
-		run[0], run[1] = -2-int(s.off), int(s.n)
-	}
-	t.settle()
 }
 
 // Len returns the number of live nodes.
@@ -746,7 +551,13 @@ func (t *Tree) Len() int { return t.live }
 func (t *Tree) Cap() int { return t.up.Len() }
 
 // Alive reports whether id v names a live node.
-func (t *Tree) Alive(v int) bool { return v >= 0 && v < t.Cap() && t.dead[v>>6]>>(v&63)&1 == 0 }
+func (t *Tree) Alive(v int) bool {
+	if uint(v) >= uint(t.Cap()) {
+		return false
+	}
+	_, w, bit := t.word(v)
+	return w.dead&bit == 0
+}
 
 // ValidateInsert checks that parent is a live id and pos a valid
 // child position.
@@ -763,13 +574,11 @@ func (t *Tree) ValidateInsert(parent, pos int) error {
 // AddChild records a fresh node as the pos-th child of parent and
 // returns its id.
 func (t *Tree) AddChild(parent, pos int) int {
-	t.prepare()
+	t.prepare(parent)
 	id := t.Cap()
 	t.up.Append(link{int32(parent), t.up.At(parent).depth + 1})
-	if id>>6 == len(t.dead) {
-		// A clone's dead bits are clipped, so the word never lands in
-		// an array another tree reads.
-		t.dead = append(t.dead, 0)
+	if id&(chunkIDs-1) == 0 {
+		t.dir = append(t.dir, &chunk{stamp: t.fork.Seen()})
 	}
 	t.live++
 	if t.Children != nil {
@@ -788,19 +597,13 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	if !t.Alive(v) {
 		return 0, fmt.Errorf("%w: %d", ErrBadNode, v)
 	}
-	t.prepare()
-	if !t.ownDead {
-		t.dead, t.ownDead = slices.Clone(t.dead), true
-	}
+	t.prepare(-1)
 	removed := 0
 	var kill func(int)
 	kill = func(u int) {
 		list := t.Kids(u)
-		if t.own {
-			s, w := t.span(u)
-			t.spare -= t.room(u, s, w)
-		}
-		t.dead[u>>6] |= 1 << (u & 63)
+		_, w, bit := t.ownWord(u)
+		w.dead |= bit
 		removed++
 		for _, c := range list {
 			kill(c)
@@ -812,9 +615,11 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	kill(v)
 	t.live -= removed
 	if p := t.Parent(v); p != -1 {
-		if i := slices.Index(t.Kids(p), v); i >= 0 && t.Children != nil {
+		switch i := slices.Index(t.Kids(p), v); {
+		case i < 0:
+		case t.Children != nil:
 			t.Children[p] = slices.Delete(t.Children[p], i, i+1)
-		} else if i >= 0 {
+		default:
 			t.cut(p, i)
 		}
 	}
@@ -884,112 +689,121 @@ func (t *Tree) PreOrder() []int {
 	return out
 }
 
-// A cloned tree's arena has strides of 4 096 ids and chunks of at least
-// 64. An arena past maxOffset is repacked at the next edit, so that a
-// span's int32 never overflows.
+// A tree's arena has strides of 4 096 ids and chunks of at least 64. An
+// arena past maxOffset is repacked at the next edit, so that a run's
+// offset never overflows.
 const (
 	strideShift = 12
 	minChunk    = 64
 	maxOffset   = 1 << 30
 )
 
-// An indexer lays out the index of ids ids, parents of which have a
-// run, one id with a run at a time, in id order.
-type indexer struct {
-	x     index
-	words int
-	at    int // where the next offset goes
-	next  int // the first word whose header is unset
-}
-
-func newIndexer(ids, parents int) indexer {
-	words := ids>>5 + 1
-	return indexer{x: make(index, 2*words+parents+1), words: words, at: 2 * words}
-}
-
-// add records that v's run begins at offset off.
-func (b *indexer) add(v, off int) {
-	for ; b.next <= v>>5; b.next++ {
-		b.x[2*b.next+1] = uint32(b.at)
-	}
-	b.x[v>>5<<1] |= 1 << (v & 31)
-	b.x[b.at], b.at = uint32(off), b.at+1
-}
-
-// end returns the index of an arena whose last run ends at off.
-func (b *indexer) end(off int) index {
-	for ; b.next < b.words; b.next++ {
-		b.x[2*b.next+1] = uint32(b.at)
-	}
-	b.x[b.at] = uint32(off)
-	return b.x
-}
-
-// packed returns a fresh arena of src's live lists, in id order, and
-// its index; with slack, a -1 filler follows each run in a slot of its
-// own.
-func packed(src *Tree, slack bool) (cow.Arena[int], index) {
-	free, parents, n := 0, 0, 0
-	if slack {
-		free = 1
-	}
-	src.lists(func(_ int, kids []int) { parents, n = parents+1, n+len(kids)+free })
-	b, first, off := newIndexer(src.Cap(), parents), make([]int, n), 0
-	src.lists(func(v int, kids []int) {
-		b.add(v, off)
-		off += copy(first[off:], kids)
-		if slack {
-			first[off], off = -1, off+1
+// lists calls f with every live id that has children, in id order, and
+// its list: a walk of the directory's bits, which skips the ids that
+// have no run.
+func (t *Tree) lists(f func(v int, kids []int)) {
+	if t.Children != nil {
+		for v, l := range t.Children {
+			if len(l) > 0 {
+				f(v, l)
+			}
 		}
-	})
-	x := b.end(off)
+		return
+	}
+	for i, c := range t.dir {
+		for j, w := range c.words {
+			for b := w.has &^ w.dead; b != 0; b &= b - 1 {
+				v := i<<chunkShift | j<<5 | bits.TrailingZeros32(b)
+				if kids := t.Kids(v); len(kids) > 0 {
+					f(v, kids)
+				}
+			}
+		}
+	}
+}
+
+// A packer lays out runs in id order, each in a slab after the one
+// before, with its length before it if it is long and fillers after it,
+// and the directory that finds them, its chunks in one backing array
+// stamped stamp.
+type packer struct {
+	slab   []int
+	at     int
+	chunks []chunk
+	runs   []byte
+}
+
+func newPacker(ids, runs, slots int, stamp uint64) *packer {
+	p := &packer{slab: make([]int, slots), chunks: make([]chunk, (ids+chunkIDs-1)>>chunkShift), runs: make([]byte, 0, runBytes*runs)}
+	for i := range p.chunks {
+		p.chunks[i].stamp = stamp
+	}
+	return p
+}
+
+// add lays v's run of n ids with free fillers after them and returns
+// the slots for the caller to fill.
+func (p *packer) add(v, n, free int) []int {
+	p.chunks[v>>chunkShift].words[v>>5&(chunkWords-1)].has |= 1 << (v & 31)
+	if n >= longRun {
+		p.slab[p.at], p.at = n, p.at+1
+	}
+	p.runs = append(binary.LittleEndian.AppendUint32(p.runs, uint32(p.at)), byte(min(n, longRun)))
+	run := p.slab[p.at : p.at+n]
+	p.at += n
+	for range free {
+		p.slab[p.at], p.at = -1, p.at+1
+	}
+	return run
+}
+
+// finish ranks the runs and returns the arena and the directory.
+func (p *packer) finish() (cow.Arena[int], []*chunk) {
+	dir, r := make([]*chunk, len(p.chunks)), 0
+	for i := range p.chunks {
+		c, first := &p.chunks[i], r
+		for j := range c.words {
+			c.words[j].rank = uint32(r - first)
+			r += bits.OnesCount32(c.words[j].has)
+		}
+		c.runs, dir[i] = p.runs[runBytes*first:runBytes*r:runBytes*r], c
+	}
 	a := cow.NewArena[int](strideShift, minChunk)
-	a.Start(first, len(first))
+	a.Start(p.slab, len(p.slab))
+	return a, dir
+}
+
+// pack returns a fresh arena of src's live lists, in id order, with
+// room fillers after v's and none after any other, and its directory,
+// stamped stamp, with src's dead bits.
+func pack(src *Tree, stamp uint64, v, room int) (cow.Arena[int], []*chunk) {
+	free := func(u int) int {
+		if u == v {
+			return room
+		}
+		return 0
+	}
+	runs, slots := 0, 0
+	src.lists(func(u int, kids []int) { runs, slots = runs+1, slots+header(len(kids))+len(kids)+free(u) })
+	p := newPacker(src.Cap(), runs, slots, stamp)
+	src.lists(func(u int, kids []int) { copy(p.add(u, len(kids), free(u)), kids) })
+	for i := range p.chunks {
+		for j, w := range src.dir[i].words {
+			p.chunks[i].words[j].dead = w.dead
+		}
+	}
+	a, dir := p.finish()
 	if invariants.Enabled {
-		if n -= free * parents; n != src.liveSlots() {
-			invariants.Violated("scheme", "packed %d slots, want the %d live ones", n, src.liveSlots())
-		}
-		checkRuns(a, x, slack, src)
+		checkRuns(&Tree{up: src.up, dir: dir, kids: a}, src)
 	}
-	return a, x
+	return a, dir
 }
 
-// checkSpare holds an owner's count of spare slots to its live runs'.
-func (t *Tree) checkSpare() {
-	n := 0
-	for v := 0; v < t.Cap(); v++ {
-		if t.Alive(v) {
-			s, w := t.span(v)
-			n += t.room(v, s, w)
+// checkRuns holds every id's list in got to want's.
+func checkRuns(got, want *Tree) {
+	for v := range want.Cap() {
+		if g, w := got.Kids(v), want.Kids(v); !slices.Equal(g, w) {
+			invariants.Violated("scheme", "id %d reads back %v, want %v", v, g, w)
 		}
-	}
-	if n != t.spare {
-		invariants.Violated("scheme", "the owner counts %d spare slots, its live runs have %d", t.spare, n)
-	}
-}
-
-// checkRuns holds every run of arena a under index x, read back without
-// its free slots, to src's live lists: an id src lists no run for must
-// read none.
-func checkRuns(a cow.Arena[int], x index, slack bool, src *Tree) {
-	next := 0
-	check := func(v int, want []int) {
-		var got []int
-		if s, _ := packedRun(&a, x.span(v), slack); s.n > 0 {
-			got = a.From(int(s.off))[:s.n]
-		}
-		if !slices.Equal(got, want) {
-			invariants.Violated("scheme", "id %d reads back %v, packed from %v", v, got, want)
-		}
-	}
-	src.lists(func(v int, kids []int) {
-		for ; next < v; next++ {
-			check(next, nil)
-		}
-		check(v, kids)
-		next = v + 1
-	})
-	for ; next < src.Cap(); next++ {
-		check(next, nil)
 	}
 }

@@ -7,7 +7,7 @@
 #      compiler inlines the per-predicate read path, and build and vet
 #      of the benchmark module, which compiles against internal/ APIs
 #   2. go test ./..., plain, under -tags invariants and under -race,
-#      then the clone-isolation, overlay-fold-and-compaction and storm
+#      then the clone-isolation, tree-repack and storm
 #      tests (the borrowed-answer storm among them: readers hold cached
 #      answers across publishes) three more times; labelvet runs here,
 #      as internal/analysis's TestRepoClean (both tag states) and
@@ -65,8 +65,8 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, overlay fold and arena compaction, memo, cache, borrowed-answer, watch, request-reuse and edit-scratch storms, stored kernels, loaded-tree clones, the open and index-build pins (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestOverlayFoldStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestMixedFormStorm|TestPlannedQueryStormRendered|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm|TestOpenBytesBounded|TestSliceBuildBytes' ./...
+echo "==> clone isolation, tree repack, memo, cache, borrowed-answer, watch, request-reuse and edit-scratch storms, stored kernels, loaded-tree clones, the open and index-build pins (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestRepackStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestMixedFormStorm|TestPlannedQueryStormRendered|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestEndWatchesWaitsForRound|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm|TestOpenBytesBounded|TestSliceBuildBytes' ./...
 
 echo "==> allocation pins and the rendered-reply storm (5x)"
 go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestForkedTreeBytes|TestWorstEditBytesBounded|TestServeAllocs|TestPackedPathAllocs|TestClientCallAllocs|TestQueryDecodeAllocs|TestFirstInsertBytesBounded|TestWarmLeafEditAllocs|TestFaultAllocatesOneFrame|TestOwnerAppendBytes|TestSliceBuildBytes|TestPlannedQueryStormRendered' \
