@@ -237,9 +237,9 @@ func TestNewTreeMatchesMapBuild(t *testing.T) {
 
 // TestAdoptedRunGrows holds a live tree's root list, the slab's last
 // run whatever the slab's spare capacity, to a model while its owner
-// inserts in front of it: in place into the free slot, then moved, and
-// forwarded from its packed slots, with twice the room each time it
-// fills.
+// inserts in front of it: in place into the free slot, then moved to
+// the arena's end, its directory entry rewritten, with twice the room
+// each time it fills.
 func TestAdoptedRunGrows(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		doc, err := xmltree.ParseString("<r>" + strings.Repeat("<a/>", k) + "</r>")
@@ -267,7 +267,7 @@ func TestAdoptedRunGrows(t *testing.T) {
 // TestOwnerAppendBytes pins an owner's growth as amortised O(1): 10 000
 // children appended under the root of a flat live document, whose
 // list holds nearly every live node. A full run moves to twice its room;
-// were that room counted dead, every second append would fold, a repack
+// were that room counted dead, every second append would repack
 // of the whole tree (65 KB an append here).
 func TestOwnerAppendBytes(t *testing.T) {
 	const n = 10000
