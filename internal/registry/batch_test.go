@@ -336,7 +336,11 @@ func checkTreeModel(t *testing.T, what string, tr *scheme.Tree, m *treeModel) {
 // children lie in two, a 250-node document whose inserts append ids
 // across the first chunk's edge, and histories in which every clone is
 // followed by an insert on each side of it under one parent, so that
-// both trees write the chunk they shared. Every history runs twice: from
+// both trees write the chunk they shared. A fifth puts half its inserts
+// under a root of 250 children, whose run passes 255 ids and takes its
+// length slot, and deletes the only child of a leaf's parent, emptying
+// its run (scheme's TestFillersCounted holds the fillers such runs leave
+// behind to the count a repack reads). Every history runs twice: from
 // the tree Build makes, whose Children a clone packs, and from that tree
 // adopted, as Live makes it (scheme's TestNewTreeMatchesUnpackAdopt),
 // which its owner edits in place and moves until the first clone, which
@@ -351,7 +355,7 @@ func TestCloneHistoriesMatchModel(t *testing.T) {
 				repacks := 0
 				for seed := int64(1); seed <= 3; seed++ {
 					for _, adopted := range []bool{false, true} {
-						repacks += cloneHistory(t, entry, in.name, in.doc(seed), in.both, seed, adopted)
+						repacks += cloneHistory(t, entry, in, seed, adopted)
 					}
 				}
 				if repacks == 0 {
@@ -362,28 +366,33 @@ func TestCloneHistoriesMatchModel(t *testing.T) {
 	}
 }
 
-// historyInputs are TestCloneHistoriesMatchModel's documents, by seed;
-// both inserts on each side of every fork.
-var historyInputs = []struct {
-	name string
-	doc  func(seed int64) *xmltree.Document
-	both bool
-}{
-	{"40 nodes", func(seed int64) *xmltree.Document { return randomDoc(40, seed) }, false},
-	{"fan-out 300", wideDoc, false},
-	{"250 nodes", func(seed int64) *xmltree.Document { return randomDoc(250, seed) }, false},
-	{"both sides of a fork", func(seed int64) *xmltree.Document { return randomDoc(40, seed) }, true},
+// historyInput is one of TestCloneHistoriesMatchModel's documents, by
+// seed; both inserts on each side of every fork, and hub puts half the
+// inserts under the root.
+type historyInput struct {
+	name      string
+	doc       func(seed int64) *xmltree.Document
+	both, hub bool
 }
 
-// wideDoc is a root of 300 children, 30 of them with a child of their own.
-func wideDoc(seed int64) *xmltree.Document {
+var historyInputs = []historyInput{
+	{"40 nodes", func(seed int64) *xmltree.Document { return randomDoc(40, seed) }, false, false},
+	{"fan-out 300", func(seed int64) *xmltree.Document { return wideDoc(300, 30, seed) }, false, false},
+	{"250 nodes", func(seed int64) *xmltree.Document { return randomDoc(250, seed) }, false, false},
+	{"both sides of a fork", func(seed int64) *xmltree.Document { return randomDoc(40, seed) }, true, false},
+	{"root past 255, runs emptied", func(seed int64) *xmltree.Document { return wideDoc(250, 60, seed) }, false, true},
+}
+
+// wideDoc is a root of n children, about k of them with a child of
+// their own.
+func wideDoc(n, k int, seed int64) *xmltree.Document {
 	gen := rand.New(rand.NewSource(seed))
 	root := xmltree.NewElement("root")
-	for i := 0; i < 300; i++ {
+	for i := 0; i < n; i++ {
 		root.AppendChild(xmltree.NewElement("e"))
 	}
-	for i := 0; i < 30; i++ {
-		root.Children[gen.Intn(300)].AppendChild(xmltree.NewElement("e"))
+	for i := 0; i < k; i++ {
+		root.Children[gen.Intn(n)].AppendChild(xmltree.NewElement("e"))
 	}
 	return &xmltree.Document{Root: root}
 }
@@ -393,7 +402,8 @@ func wideDoc(seed int64) *xmltree.Document {
 // adopted history take no clone, so that its owner edits alone long
 // enough to move its runs.
 // It returns how many times a tree repacked.
-func cloneHistory(t *testing.T, entry Entry, input string, doc *xmltree.Document, both bool, seed int64, adopted bool) int {
+func cloneHistory(t *testing.T, entry Entry, in historyInput, seed int64, adopted bool) int {
+	input, doc, both := in.name, in.doc(seed), in.both
 	lab, err := entry.Build(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +413,7 @@ func cloneHistory(t *testing.T, entry Entry, input string, doc *xmltree.Document
 	}
 	labs, models := []scheme.Labeling{lab}, []*treeModel{newTreeModel(doc)}
 	gen := rand.New(rand.NewSource(seed))
-	packs, repacks, inPlace, moves := 0, 0, 0, 0
+	packs, repacks, inPlace, moves, emptied, most := 0, 0, 0, 0, 0, 0
 	lastH, lastParent := 0, 0
 	insert := func(l scheme.Labeling, m *treeModel, parent, pos int) {
 		id, _, err := l.InsertChildAt(parent, pos)
@@ -426,6 +436,9 @@ func cloneHistory(t *testing.T, entry Entry, input string, doc *xmltree.Document
 		parent := live[gen.Intn(len(live))]
 		if sticky && lastParent < len(m.alive) && m.alive[lastParent] {
 			parent = lastParent
+		}
+		if in.hub && gen.Intn(2) == 0 {
+			parent = 0
 		}
 		lastParent = parent
 		pos := gen.Intn(len(m.kids[parent]) + 1)
@@ -483,7 +496,11 @@ func cloneHistory(t *testing.T, entry Entry, input string, doc *xmltree.Document
 			if _, err := l.DeleteSubtree(v); err != nil {
 				t.Fatal(err)
 			}
+			p := l.Tree().Parent(v)
 			m.remove(v)
+			if len(m.kids[p]) == 0 {
+				emptied++
+			}
 		}
 		// An edit only adds to the arena's slots, but for a repack; the
 		// owner's edits in place add nothing.
@@ -495,6 +512,7 @@ func cloneHistory(t *testing.T, entry Entry, input string, doc *xmltree.Document
 		case owner && s > slots:
 			moves++
 		}
+		most = max(most, len(m.kids[0]))
 		for i := range labs {
 			checkTreeModel(t, fmt.Sprintf("%s seed %d adopted %v step %d tree %d", input, seed, adopted, step, i), labs[i].Tree(), models[i])
 		}
@@ -503,6 +521,10 @@ func cloneHistory(t *testing.T, entry Entry, input string, doc *xmltree.Document
 		input, seed, adopted, packs, repacks, inPlace, moves)
 	if packs == 0 {
 		t.Errorf("%s seed %d adopted %v: no pack", input, seed, adopted)
+	}
+	if in.hub && (most < 256 || emptied == 0) {
+		t.Errorf("%s seed %d adopted %v: the root's list reached %d ids and %d runs emptied; want more than 255 and one",
+			input, seed, adopted, most, emptied)
 	}
 	if adopted && (inPlace == 0 || moves == 0) {
 		t.Errorf("%s seed %d: the owner edited %d runs in place and moved %d; want at least one of each", input, seed, inPlace, moves)

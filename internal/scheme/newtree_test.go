@@ -189,6 +189,8 @@ func sameTree(t *testing.T, name string, a, b *Tree) {
 			a.kids.Used(), a.kids.End(), a.kids.Room(), b.kids.Used(), b.kids.End(), b.kids.Room())
 	case a.fillers != b.fillers || a.mark != b.mark:
 		t.Fatalf("%s: fillers %d/%d, mark %d/%d", name, a.fillers, b.fillers, a.mark, b.mark)
+	case a.fillers != countFillers(a):
+		t.Fatalf("%s: the tree counts %d fillers, its runs have %d", name, a.fillers, countFillers(a))
 	}
 	for v := 0; v < a.Cap(); v++ {
 		if a.Parent(v) != b.Parent(v) || a.Depth(v) != b.Depth(v) {

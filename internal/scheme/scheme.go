@@ -181,9 +181,9 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // live document edits; Unpack lays Children headers over the runs for a
 // labeling built alone, which edits them as slices, and Adopt drops them
 // again. A tree repacks its lists exact, into an arena and a directory of
-// its own, once the slots neither a live run nor a filler holds outnumber
-// the live ones; a clone packs them instead of sharing them (see Clone).
-// Read a list through Kids.
+// its own, once the slots neither a live run nor a filler holds pass a
+// bound (see prepare); a clone packs them instead of sharing them (see
+// Clone). Read a list through Kids.
 type Tree struct {
 	up cow.Column[link]
 	// Children is every id's ordered child list, Cap() long, on a tree
@@ -201,7 +201,7 @@ type Tree struct {
 	table uint64
 	mark  int
 	// fillers counts the -1 slots from mark up that the run before each
-	// may still take (a dead run's among them, until a repack).
+	// may still take; a run moved, emptied or dead retires its own (-2).
 	fillers int
 }
 
@@ -429,21 +429,28 @@ func header(n int) int {
 }
 
 // prepare readies t to edit, and v's list to grow (v < 0: none does).
-// After a clone taken anywhere in the family, t owns no run it has and
-// no chunk, and shares its table of chunks, which its first edit since
-// copies. That edit repacks instead if more than a fifth as many slots
-// as are live, and more than a chunk's worth, are dead or fillers, which
-// no tree will write again. Any edit repacks once the slots that neither
-// a live run nor a filler holds outnumber the live ones by a chunk's
-// worth (a list that moves to twice its room leaves a run as long as
-// itself, so a repack is paid for by as many slots gone dead), or the
-// arena has passed maxOffset. A repack leaves v's run as many fillers as
-// it has ids and one more, so the edit fits.
+// After a clone taken anywhere in the family, t owns no run and no chunk,
+// and shares its table of chunks, which its first edit since copies. A
+// repack lays every live list exact, and v's with as many fillers as it
+// has ids and one more, so the edit fits. It counts the slots that
+// neither a live run nor a filler holds, with two triggers that pull
+// apart. The first edit after a fork repacks once they pass a fifth of
+// the live ones and a chunk's worth: a served document forks before
+// nearly every edit, each of which copies the run it edits, and waiting
+// for dead to pass live left TestForkedTreeBytes's tenant order at 27.1 B
+// a live node (bound 20); of 1/3 to 1/8, a fifth is the only one that
+// also keeps TestEditBytesBounded's 1k-element history under 9.2 KB (8.0).
+// Any other edit repacks once they outnumber the live ones by a chunk's
+// worth, or the arena has passed maxOffset: an owner's list that outgrows
+// its room moves to twice it, so a repack is paid for by as many slots
+// gone dead, where a fifth raised label-updates' alloc_kb_per_op from
+// 0.36 KB to 0.55.
 func (t *Tree) prepare(v int) {
 	if t.fork.Refresh() {
 		t.mark, t.fillers = t.kids.End(), 0
 	}
-	dead, live, fresh := t.kids.Used()-t.fillers-t.liveSlots(), t.liveSlots(), t.table != t.fork.Seen()
+	live := max(t.live-1, 0) // every live node but the root is in its parent's list
+	dead, fresh := t.kids.Used()-t.fillers-live, t.table != t.fork.Seen()
 	switch {
 	case t.Children == nil && (fresh && 5*dead > max(live, 5*minChunk) || dead > live+minChunk || t.kids.End() > maxOffset):
 		room := len(t.Kids(v))
@@ -458,82 +465,73 @@ func (t *Tree) prepare(v int) {
 	t.table = t.fork.Seen()
 }
 
-// liveSlots is how many ids the live lists hold: every live node but
-// the root is in its parent's.
-func (t *Tree) liveSlots() int { return max(t.live-1, 0) }
-
-// fits reports whether run s may take the slot after it in place: t
-// wrote the run since the family's last fork, a filler holds the slot
-// before the arena's end, and the run does not become long.
-func (t *Tree) fits(s span) bool {
-	if s.n == 0 || int(s.off) < t.mark || int(s.off+s.n) >= t.kids.End() || s.n+1 == longRun {
-		return false
+// edit rewrites v's list with id put at position i, or, for id < 0, with
+// its i-th id taken out. A run t wrote since the family's last fork it
+// edits in place: a cut gives the slot it frees to the fillers, an insert
+// takes the filler after the run unless there is none or the run becomes
+// long. Else the list moves to a copy at the arena's end, with as many
+// fillers again if t wrote the run, so that a list its writer keeps
+// growing moves O(log n) times; a run moved or emptied retires its own.
+func (t *Tree) edit(v, i, id int) {
+	s := t.span(v)
+	old, n, mine := t.run(s), int(s.n)+1, int(s.off) >= t.mark
+	if id < 0 {
+		n -= 2
 	}
-	rest := t.kids.From(int(s.off))
-	return int(s.n) < len(rest) && rest[s.n] == -1
-}
-
-// lay claims n slots for a run's ids at the arena's end, with room
-// fillers after them and, for a long run, its length before them.
-func (t *Tree) lay(n, room int) (span, []int) {
-	h := header(n)
-	if n+room == 0 {
-		return span{}, nil
+	if mine && s.n > 0 {
+		run := t.kids.From(int(s.off))
+		if id < 0 || n != longRun && int(s.off+s.n) < t.kids.End() && int(s.n) < len(run) && run[s.n] == -1 {
+			t.owned(int(s.off))
+			if id < 0 {
+				copy(run[i:], run[i+1:s.n])
+				run[n] = -1
+			} else {
+				copy(run[i+1:n], run[i:s.n])
+				run[i] = id
+			}
+			t.fillers -= n - int(s.n)
+			t.set(v, span{s.off, uint32(n)})
+			if n == 0 {
+				t.retire(span{s.off, 0})
+			}
+			return
+		}
+		t.retire(s)
+	}
+	h, room := header(n), 0
+	if mine && id >= 0 {
+		room = n
+	}
+	if n == 0 {
+		t.set(v, span{})
+		return
 	}
 	off, run := t.kids.Grow(h + n + room)
-	for i := h + n; i < len(run); i++ {
-		run[i] = -1
+	for j := h + n; j < len(run); j++ {
+		run[j] = -1
 	}
 	t.fillers += room
-	return span{uint32(off + h), uint32(n)}, run[h : h+n]
+	copy(run[h:], old[:i])
+	if j := h + i; id >= 0 {
+		run[j] = id
+		copy(run[j+1:], old[i:])
+	} else {
+		copy(run[j:], old[i+1:])
+	}
+	t.set(v, span{uint32(off + h), uint32(n)})
 }
 
-// insert puts id at position pos of v's run: in place if the run fits,
-// else in a copy at the arena's end, with as many fillers again if t
-// wrote the run since the family's last fork, so that a list its writer
-// keeps growing moves O(log n) times.
-func (t *Tree) insert(v, pos, id int) {
-	s := t.span(v)
-	if t.fits(s) {
-		t.owned(int(s.off))
-		run := t.kids.From(int(s.off))[:s.n+1]
-		copy(run[pos+1:], run[pos:])
-		run[pos] = id
-		s.n++
-		t.fillers--
-	} else {
-		old, room := t.run(s), 0
-		if int(s.off) >= t.mark {
-			room = len(old) + 1
-		}
-		var run []int
-		s, run = t.lay(len(old)+1, room)
-		copy(run, old[:pos])
-		run[pos] = id
-		copy(run[pos+1:], old[pos:])
+// retire takes the fillers after run s, which t wrote and leaves, off
+// the count, and writes -2 over them, so that no run before s takes them
+// for its own.
+func (t *Tree) retire(s span) {
+	if int(s.off+s.n) >= t.kids.End() {
+		return
 	}
-	t.set(v, s)
-}
-
-// cut removes the i-th id of v's run: in place, a filler taking the slot
-// it frees, if t wrote the run since the family's last fork; else in a
-// copy at the arena's end.
-func (t *Tree) cut(v, i int) {
-	s := t.span(v)
-	old := t.run(s)
-	if int(s.off) >= t.mark {
-		t.owned(int(s.off))
-		copy(old[i:], old[i+1:])
-		old[len(old)-1] = -1
-		s.n--
-		t.fillers++
-	} else {
-		var run []int
-		s, run = t.lay(len(old)-1, 0)
-		copy(run, old[:i])
-		copy(run[i:], old[i+1:])
+	rest := t.kids.From(int(s.off + s.n))
+	for i := 0; i < len(rest) && rest[i] == -1; i++ {
+		rest[i], t.fillers = -2, t.fillers-1
 	}
-	t.set(v, s)
 }
 
 // owned checks, under the invariants build, that t may write the arena
@@ -585,7 +583,7 @@ func (t *Tree) AddChild(parent, pos int) int {
 		t.Children = append(t.Children, nil)
 		t.Children[parent] = slices.Insert(t.Children[parent], pos, id)
 	} else {
-		t.insert(parent, pos, id)
+		t.edit(parent, pos, id)
 	}
 	return id
 }
@@ -601,15 +599,17 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	removed := 0
 	var kill func(int)
 	kill = func(u int) {
-		list := t.Kids(u)
+		list, s := t.Kids(u), t.span(u)
+		if t.Children != nil {
+			t.Children[u] = nil
+		} else if s.n > 0 && int(s.off) >= t.mark {
+			t.retire(s)
+		}
 		_, w, bit := t.ownWord(u)
 		w.dead |= bit
 		removed++
 		for _, c := range list {
 			kill(c)
-		}
-		if t.Children != nil {
-			t.Children[u] = nil
 		}
 	}
 	kill(v)
@@ -620,7 +620,7 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 		case t.Children != nil:
 			t.Children[p] = slices.Delete(t.Children[p], i, i+1)
 		default:
-			t.cut(p, i)
+			t.edit(p, i, -1)
 		}
 	}
 	return removed, nil

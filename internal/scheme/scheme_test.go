@@ -295,3 +295,62 @@ func TestOwnerAppendBytes(t *testing.T) {
 		t.Errorf("the root has %d children, want %d", got, 100+n)
 	}
 }
+
+// countFillers counts the -1 slots after each live run that t wrote
+// since the family's last fork: the fillers its runs may still take,
+// which t.fillers must count exactly.
+func countFillers(t *Tree) int {
+	n := 0
+	t.lists(func(v int, _ []int) {
+		s := t.span(v)
+		for off := int(s.off + s.n); int(s.off) >= t.mark && off < t.kids.End(); off++ {
+			if rest := t.kids.From(off); len(rest) == 0 || rest[0] != -1 {
+				break
+			}
+			n++
+		}
+	})
+	return n
+}
+
+// TestFillersCounted holds an owner's count of fillers to its runs'
+// while runs leave fillers behind: the root's run growing in place to
+// 254 ids and moving at 255, a run cut in place to no ids, and a parent
+// deleted with fillers after its run. Counted too high, they would hide
+// dead slots from the repack.
+func TestFillersCounted(t *testing.T) {
+	doc, err := xmltree.ParseString("<r>" + strings.Repeat("<a><b/><b/></a>", 200) + "</r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTree(doc)
+	check := func(what string) {
+		t.Helper()
+		if got, want := tr.fillers, countFillers(tr); got != want {
+			t.Fatalf("%s: the tree counts %d fillers, its runs have %d", what, got, want)
+		}
+	}
+	check("NewTree")
+	a := slices.Clone(tr.Kids(0)[:2])
+	for len(tr.Kids(0)) < 300 {
+		tr.AddChild(0, len(tr.Kids(0)))
+		check(fmt.Sprintf("the root at %d ids", len(tr.Kids(0))))
+	}
+	for _, v := range a {
+		for _, b := range slices.Clone(tr.Kids(v)) {
+			if _, err := tr.RemoveSubtree(b); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%d's run cut to %d ids", v, len(tr.Kids(v))))
+		}
+	}
+	tr.AddChild(a[0], 0)
+	check("an emptied run given an id")
+	v := tr.Kids(0)[5]
+	tr.AddChild(v, 0)
+	tr.AddChild(v, 0)
+	if _, err := tr.RemoveSubtree(v); err != nil {
+		t.Fatal(err)
+	}
+	check("a parent with fillers deleted")
+}
