@@ -610,7 +610,7 @@ func (h *Handle) Shared() *SharedDocument { return h.shared }
 // is the latest snapshot's labeling: immutable, safe to read, and
 // left behind by the next edit. Read its tree's child lists through
 // Tree().Kids and Tree().Child: an opened document's tree keeps them
-// in an id arena, and its Tree().Children is nil.
+// in an id arena, without the Tree().Children mirror.
 func (h *Handle) Labeling() Labeling {
 	var lab Labeling
 	h.view(func(d *LiveDocument) { lab = d.Labeling() })

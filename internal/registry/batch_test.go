@@ -341,11 +341,11 @@ func checkTreeModel(t *testing.T, what string, tr *scheme.Tree, m *treeModel) {
 // length slot, and deletes the only child of a leaf's parent, emptying
 // its run (scheme's TestFillersCounted holds the fillers such runs leave
 // behind to the count a repack reads). Every history runs twice: from
-// the tree Build makes, whose Children a clone packs, and from that tree
-// adopted, as Live makes it (scheme's TestNewTreeMatchesUnpackAdopt),
-// which its owner edits in place and moves until the first clone, which
-// must pack exact. Every history packs, and from the adopted tree edits
-// in place and moves its owner's runs; every input repacks.
+// the tree Build makes, whose Children must mirror its runs after every
+// step, and from that tree adopted, as Live makes it (scheme's
+// TestNewTreeMatchesUnpackAdopt), which takes no clone for 200 steps, so
+// that its owner edits in place and moves its runs. Either way the
+// family's first clone must pack exact; every input repacks.
 func TestCloneHistoriesMatchModel(t *testing.T) {
 	for _, entry := range All() {
 		entry := entry
@@ -400,7 +400,7 @@ func wideDoc(n, k int, seed int64) *xmltree.Document {
 // cloneHistory is one seeded history of TestCloneHistoriesMatchModel on
 // doc; adopted starts it from an adopted tree. The first 200 steps of an
 // adopted history take no clone, so that its owner edits alone long
-// enough to move its runs.
+// enough to move its runs; the other clones early.
 // It returns how many times a tree repacked.
 func cloneHistory(t *testing.T, entry Entry, in historyInput, seed int64, adopted bool) int {
 	input, doc, both := in.name, in.doc(seed), in.both
@@ -442,18 +442,17 @@ func cloneHistory(t *testing.T, entry Entry, in historyInput, seed int64, adopte
 		}
 		lastParent = parent
 		pos := gen.Intn(len(m.kids[parent]) + 1)
-		packed := l.Tree().Children == nil
-		owner := packed && len(labs) == 1
+		owner := len(labs) == 1
 		slots, _ := l.Tree().Packing()
 		k := gen.Intn(20)
-		if owner && k < 3 && step < 200 {
+		if adopted && owner && k < 3 && step < 200 {
 			k = 3
 		}
 		switch {
 		case k < 3:
 			c := l.CloneLabeling()
 			if _, dead := c.Tree().Packing(); owner && dead != 0 {
-				t.Fatalf("%s seed %d step %d: the first clone of an adopted tree holds %d dead slots, want an exact pack", input, seed, step, dead)
+				t.Fatalf("%s seed %d step %d: the family's first clone holds %d dead slots, want an exact pack", input, seed, step, dead)
 			}
 			cm := m.clone()
 			if both {
@@ -466,10 +465,9 @@ func cloneHistory(t *testing.T, entry Entry, in historyInput, seed int64, adopte
 				r := gen.Intn(len(labs))
 				labs[r], models[r] = c, cm
 			}
-			if !packed || owner {
+			if owner {
 				packs++
 			}
-			packed = false
 		case k < 11:
 			insert(l, m, parent, pos)
 		case k < 13:
@@ -505,7 +503,8 @@ func cloneHistory(t *testing.T, entry Entry, in historyInput, seed int64, adopte
 		// An edit only adds to the arena's slots, but for a repack; the
 		// owner's edits in place add nothing.
 		switch s, _ := l.Tree().Packing(); {
-		case packed && s < slots:
+		case k < 3:
+		case s < slots:
 			repacks++
 		case owner && k == 3 && s == slots:
 			inPlace++

@@ -29,9 +29,9 @@ type Entry struct {
 	build   scheme.Builder
 }
 
-// Build labels doc for use alone: its tree's child lists are also
-// Children, which a labeling built alone edits as slices
-// (scheme.Tree.Unpack).
+// Build labels doc for use alone: its tree edits its runs as Live's
+// does, and keeps Children, a read-only mirror of them, for readers that
+// index the lists (scheme.Tree.Unpack).
 func (e Entry) Build(doc *xmltree.Document) (scheme.Labeling, error) {
 	l, err := e.build(doc)
 	if err != nil {

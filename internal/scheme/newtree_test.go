@@ -12,13 +12,14 @@ import (
 )
 
 // TestNewTreeMatchesUnpackAdopt builds each document's tree twice: as
-// NewTree writes it, and unpacked and then adopted again. The two must
-// hold the same arena, directory and filler count; the directory must be
-// the one laid out from the unpacked Children, as Adopt laid one out
-// while it built it; and every id's Kids must be its node's children in
-// xmltree.
+// NewTree writes it, and unpacked, as a labeling built alone has it. The
+// two must hold the same arena, directory and filler count, the unpacked
+// tree's Children must mirror its Kids, and every id's Kids must be its
+// node's children in xmltree.
 // The two trees then take the same random edits and clones, and every
-// pair must go on agreeing, with a plain model of the lists too.
+// pair must go on agreeing, with a plain model of the lists too, and the
+// unpacked tree's Children with its Kids after every step. Adopted at the
+// end, it must still agree.
 func TestNewTreeMatchesUnpackAdopt(t *testing.T) {
 	type named struct {
 		name string
@@ -47,10 +48,6 @@ func TestNewTreeMatchesUnpackAdopt(t *testing.T) {
 		name, doc := nd.name, nd.doc
 		live, unpacked := NewTree(doc), NewTree(doc)
 		unpacked.Unpack()
-		if got := dirOf(unpacked); !sameDir(got, live.dir) {
-			t.Fatalf("%s: NewTree's directory differs from the one laid out from Children", name)
-		}
-		unpacked.Adopt()
 		sameTree(t, name, live, unpacked)
 		if n := live.kids.Used(); n > 0 && !slices.Equal(live.kids.From(0)[:n], unpacked.kids.From(0)[:n]) {
 			t.Fatalf("%s: the slabs differ", name)
@@ -67,6 +64,10 @@ func TestNewTreeMatchesUnpackAdopt(t *testing.T) {
 			}
 		})
 		editBoth(t, name, gen, live, unpacked, model)
+		if unpacked.Adopt(); unpacked.Children != nil {
+			t.Fatalf("%s: Adopt kept Children", name)
+		}
+		sameTree(t, name+" adopted", live, unpacked)
 	}
 }
 
@@ -81,23 +82,23 @@ func randomDoc(gen *rand.Rand, n int) *xmltree.Document {
 	return &xmltree.Document{Root: nodes[0]}
 }
 
-// dirOf lays out the directory of t's Children, a run per non-empty
-// list followed by its filler, as Adopt did before NewTree wrote one.
-func dirOf(t *Tree) []*chunk {
-	runs, slots := 0, 0
-	for _, l := range t.Children {
-		if len(l) > 0 {
-			runs, slots = runs+1, slots+header(len(l))+cap(l)
+// mirrors fails unless tr's Children, if it has them, hold every id's
+// Kids as the run itself, with no room after it: a repack must lay them
+// over the new arena, lest they keep the old one alive, and a reader's
+// append must copy a list.
+func mirrors(t *testing.T, name string, tr *Tree) {
+	t.Helper()
+	if tr.Children == nil {
+		return
+	}
+	if len(tr.Children) != tr.Cap() {
+		t.Fatalf("%s: Children holds %d lists of %d ids", name, len(tr.Children), tr.Cap())
+	}
+	for v, l := range tr.Children {
+		if k := tr.Kids(v); !slices.Equal(l, k) || cap(l) != len(l) || len(l) > 0 && &l[0] != &k[0] {
+			t.Fatalf("%s: Children[%d] = %v (cap %d) is not the run %v", name, v, l, cap(l), tr.Kids(v))
 		}
 	}
-	p := newPacker(t.Cap(), runs, slots, 0)
-	for v, l := range t.Children {
-		if len(l) > 0 {
-			copy(p.add(v, len(l), cap(l)-len(l)), l)
-		}
-	}
-	_, dir := p.finish()
-	return dir
 }
 
 // sameDir reports whether two directories hold the same chunks.
@@ -109,9 +110,9 @@ func sameDir(a, b []*chunk) bool {
 
 // editBoth runs 300 random steps on two trees that must agree, and on
 // model: an insert, a subtree delete or, one step in ten, a clone of
-// both, which later steps may edit in place of the trees. The edited
-// pair is held to the model every fifth step, and every pair every
-// thirtieth.
+// both, which later steps may edit in place of the trees. A tree with
+// Children is held to its Kids after every step, the edited pair to the
+// model every fifth step, and every pair every thirtieth.
 func editBoth(t *testing.T, name string, gen *rand.Rand, a, b *Tree, model [][]int) {
 	t.Helper()
 	type family struct {
@@ -150,6 +151,8 @@ func editBoth(t *testing.T, name string, gen *rand.Rand, a, b *Tree, model [][]i
 			f.model = append(f.model, nil)
 			f.model[v] = slices.Insert(f.model[v], pos, id)
 		}
+		mirrors(t, fmt.Sprintf("%s step %d", name, step), f.a)
+		mirrors(t, fmt.Sprintf("%s step %d", name, step), f.b)
 		switch {
 		case step%30 == 29:
 			for _, f := range fams {
@@ -173,13 +176,13 @@ func agree(t *testing.T, name string, a, b *Tree, model [][]int) {
 }
 
 // sameTree fails unless a and b hold the same columns, directory, arena
-// extent and bookkeeping, and every id reads the same run and the same
-// Kids.
+// extent and bookkeeping, every id reads the same run and the same Kids,
+// and Children, on either, mirror its Kids.
 func sameTree(t *testing.T, name string, a, b *Tree) {
 	t.Helper()
+	mirrors(t, name, a)
+	mirrors(t, name, b)
 	switch {
-	case a.Children != nil || b.Children != nil:
-		t.Fatalf("%s: a tree kept Children", name)
 	case a.Cap() != b.Cap() || a.live != b.live:
 		t.Fatalf("%s: the ids differ", name)
 	case !sameDir(a.dir, b.dir):

@@ -178,16 +178,16 @@ var ErrNoOrderedLabels = errors.New("scheme: labels have no order-preserving byt
 // last fork it edits in place, growing into the -1 filler after it, and
 // one that outgrows its room moves to the arena's end with as many
 // fillers again. NewTree lays every run with one filler, in the form a
-// live document edits; Unpack lays Children headers over the runs for a
-// labeling built alone, which edits them as slices, and Adopt drops them
-// again. A tree repacks its lists exact, into an arena and a directory of
-// its own, once the slots neither a live run nor a filler holds pass a
-// bound (see prepare); a clone packs them instead of sharing them (see
-// Clone). Read a list through Kids.
+// live document edits. Every tree edits its runs; Unpack gives a
+// labeling built alone Children, a read-only mirror of them that set keeps
+// up, and Adopt drops it. A tree repacks its lists exact, into an arena
+// and a directory of its own, once the slots neither a live run nor a
+// filler holds pass a bound (see prepare); a clone packs them instead of
+// sharing them (see Clone). Read a list through Kids.
 type Tree struct {
 	up cow.Column[link]
-	// Children is every id's ordered child list, Cap() long, on a tree
-	// Unpack laid them over and Adopt has not dropped; nil otherwise.
+	// Children mirrors Kids, Cap() long, on a tree Unpack was called on
+	// and Adopt has not been since; nil otherwise. Read it, never write it.
 	Children [][]int
 	live     int
 
@@ -264,46 +264,34 @@ func NewTree(doc *xmltree.Document) *Tree {
 	return t
 }
 
-// Unpack lays Children over t's runs, each list its run and the filler
-// after it its spare capacity, for a labeling built alone, which edits
-// them as slices. t must be as NewTree built it, neither edited nor
-// cloned; it keeps the directory, so Adopt can drop the headers again.
+// Unpack gives t Children, for a labeling built alone whose readers
+// index the lists: each list is its run, with no room, so that a reader's
+// append copies it. t's edits keep the mirror up; its clones have none.
 func (t *Tree) Unpack() {
 	t.Children = make([][]int, t.Cap())
-	for v := range t.Children {
-		if s := t.span(v); s.n > 0 {
-			t.Children[v] = t.kids.From(int(s.off))[: s.n : s.n+1]
-		}
-	}
+	t.mirror()
 }
 
-// Adopt drops the Children that Unpack laid over t's runs, so that t is
-// again as NewTree built it: a live document's tree. A tree without
-// Children is left as it is. t must not have been edited or cloned since
-// Unpack.
-func (t *Tree) Adopt() {
-	lists := t.Children
-	if lists == nil {
-		return
-	}
-	t.Children = nil
-	if invariants.Enabled {
-		if !t.fork.Alone() {
-			invariants.Violated("scheme", "adopted a tree that has been cloned")
-		}
-		checkRuns(t, &Tree{up: t.up, Children: lists})
+// Adopt drops t's Children, so that t is a live document's tree.
+func (t *Tree) Adopt() { t.Children = nil }
+
+// mirror lays Children, if t has them, over every live run, as Unpack
+// does and a repack, which moves every run, must.
+func (t *Tree) mirror() {
+	if t.Children != nil {
+		t.lists(func(v int, kids []int) { t.Children[v] = kids })
 	}
 }
 
 // Clone returns a tree that answers as t does now and can be edited
-// independently of it, for CloneLabeling. It shares t's arena, its
-// chunks and their table, which each copies at its first edit (see
-// prepare). A clone of a tree with Children, or the first clone of a
-// family, each run of which a filler no tree may take after a fork
-// follows, packs the lists into a fresh arena and directory instead, 8 B
-// per child and 5 B per parent. It does not write to t.
+// independently of it, for CloneLabeling, without Children. It shares
+// t's arena, its chunks and their table, which each copies at its first
+// edit (see prepare). The first clone of a family, each run of which a
+// filler no tree may take after a fork follows, packs the lists into a
+// fresh arena and directory instead, 8 B per child and 5 B per parent. It
+// does not write to t.
 func (t *Tree) Clone() *Tree {
-	exact := t.Children != nil || t.fork.Alone()
+	exact := t.fork.Alone()
 	c := &Tree{up: t.up, live: t.live, dir: t.dir, kids: t.kids, fork: t.fork.Fork(), mark: t.kids.End()}
 	if exact {
 		c.kids, c.dir = pack(t, c.fork.Seen(), -1, 0)
@@ -313,25 +301,20 @@ func (t *Tree) Clone() *Tree {
 }
 
 // Bytes estimates the mirror's heap: the column, the arena's chunks, the
-// directory's chunks and their table, and with Children the headers.
+// directory's chunks and their table. Children, which no served
+// document's tree has, are not counted.
 func (t *Tree) Bytes() int64 {
 	b := t.up.Bytes() + t.kids.Bytes() + 8*int64(cap(t.dir))
 	for _, c := range t.dir {
 		b += int64(unsafe.Sizeof(*c)) + int64(cap(c.runs))
-	}
-	if t.Children != nil {
-		b += 24 * int64(cap(t.Children))
 	}
 	return b
 }
 
 // Packing reports the arena: the slots its runs have taken and how many
 // of them hold neither a live list's id nor its length, fillers
-// included. Both are zero on a tree with Children.
+// included.
 func (t *Tree) Packing() (slots, dead int) {
-	if t.Children != nil {
-		return 0, 0
-	}
 	dead = t.kids.Used()
 	t.lists(func(_ int, kids []int) { dead -= header(len(kids)) + len(kids) })
 	return t.kids.Used(), dead
@@ -346,9 +329,6 @@ func (t *Tree) Depth(v int) int { return int(t.up.At(v).depth) }
 // Kids returns v's ordered child ids, nil for a dead id. The slice is
 // the tree's own: read it, never write it.
 func (t *Tree) Kids(v int) []int {
-	if t.Children != nil {
-		return t.Children[v]
-	}
 	return t.run(t.span(v))
 }
 
@@ -400,8 +380,12 @@ func (t *Tree) ownWord(v int) (*chunk, *word, uint32) {
 	return t.word(v)
 }
 
-// set makes s v's run, adding a run to v's chunk if v had none.
+// set makes s v's run, adding a run to v's chunk if v had none, and v's
+// Children if t has them.
 func (t *Tree) set(v int, s span) {
+	if t.Children != nil {
+		t.Children[v] = t.run(s)
+	}
 	c, w, bit := t.ownWord(v)
 	i := runBytes * (int(w.rank) + bits.OnesCount32(w.has&(bit-1)))
 	if w.has&bit == 0 {
@@ -433,32 +417,35 @@ func header(n int) int {
 // and shares its table of chunks, which its first edit since copies. A
 // repack lays every live list exact, and v's with as many fillers as it
 // has ids and one more, so the edit fits. It counts the slots that
-// neither a live run nor a filler holds, with two triggers that pull
-// apart. The first edit after a fork repacks once they pass a fifth of
-// the live ones and a chunk's worth: a served document forks before
-// nearly every edit, each of which copies the run it edits, and waiting
-// for dead to pass live left TestForkedTreeBytes's tenant order at 27.1 B
-// a live node (bound 20); of 1/3 to 1/8, a fifth is the only one that
-// also keeps TestEditBytesBounded's 1k-element history under 9.2 KB (8.0).
-// Any other edit repacks once they outnumber the live ones by a chunk's
-// worth, or the arena has passed maxOffset: an owner's list that outgrows
-// its room moves to twice it, so a repack is paid for by as many slots
-// gone dead, where a fifth raised label-updates' alloc_kb_per_op from
-// 0.36 KB to 0.55.
+// neither a live run nor a filler holds, at most one filler per live id:
+// a run cut in place keeps a filler per id it loses, and with all counted
+// a root cut from 10 000 ids to 10 kept 10 002 slots
+// (TestShrunkRunRepacks). Two triggers pull apart. The first edit after a
+// fork repacks once they pass a fifth of the live ones and a chunk's
+// worth: a served document forks before nearly every edit, each of which
+// copies the run it edits, and waiting for dead to pass live left
+// TestForkedTreeBytes's tenant order at 27.1 B a live node (bound 20); of
+// 1/3 to 1/8, a fifth is the only one that also keeps
+// TestEditBytesBounded's 1k-element history under 9.2 KB (8.0). Any other
+// edit repacks once they outnumber the live ones by a chunk's worth, or
+// the arena has passed maxOffset: an owner's list that outgrows its room
+// moves to twice it, so a repack is paid for by as many slots gone dead,
+// where a fifth raised label-updates' alloc_kb_per_op 0.36 → 0.55 KB.
 func (t *Tree) prepare(v int) {
 	if t.fork.Refresh() {
 		t.mark, t.fillers = t.kids.End(), 0
 	}
 	live := max(t.live-1, 0) // every live node but the root is in its parent's list
-	dead, fresh := t.kids.Used()-t.fillers-live, t.table != t.fork.Seen()
+	dead, fresh := t.kids.Used()-min(t.fillers, live)-live, t.table != t.fork.Seen()
 	switch {
-	case t.Children == nil && (fresh && 5*dead > max(live, 5*minChunk) || dead > live+minChunk || t.kids.End() > maxOffset):
+	case fresh && 5*dead > max(live, 5*minChunk) || dead > live+minChunk || t.kids.End() > maxOffset:
 		room := len(t.Kids(v))
 		if room > 0 {
 			room++
 		}
 		t.kids, t.dir = pack(t, t.fork.Seen(), v, room)
 		t.mark, t.fillers = 0, room
+		t.mirror()
 	case fresh:
 		t.dir = slices.Clone(t.dir)
 	}
@@ -581,10 +568,8 @@ func (t *Tree) AddChild(parent, pos int) int {
 	t.live++
 	if t.Children != nil {
 		t.Children = append(t.Children, nil)
-		t.Children[parent] = slices.Insert(t.Children[parent], pos, id)
-	} else {
-		t.edit(parent, pos, id)
 	}
+	t.edit(parent, pos, id)
 	return id
 }
 
@@ -600,10 +585,11 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	var kill func(int)
 	kill = func(u int) {
 		list, s := t.Kids(u), t.span(u)
+		if s.n > 0 && int(s.off) >= t.mark {
+			t.retire(s)
+		}
 		if t.Children != nil {
 			t.Children[u] = nil
-		} else if s.n > 0 && int(s.off) >= t.mark {
-			t.retire(s)
 		}
 		_, w, bit := t.ownWord(u)
 		w.dead |= bit
@@ -615,11 +601,7 @@ func (t *Tree) RemoveSubtree(v int) (int, error) {
 	kill(v)
 	t.live -= removed
 	if p := t.Parent(v); p != -1 {
-		switch i := slices.Index(t.Kids(p), v); {
-		case i < 0:
-		case t.Children != nil:
-			t.Children[p] = slices.Delete(t.Children[p], i, i+1)
-		default:
+		if i := slices.Index(t.Kids(p), v); i >= 0 {
 			t.edit(p, i, -1)
 		}
 	}
@@ -702,14 +684,6 @@ const (
 // its list: a walk of the directory's bits, which skips the ids that
 // have no run.
 func (t *Tree) lists(f func(v int, kids []int)) {
-	if t.Children != nil {
-		for v, l := range t.Children {
-			if len(l) > 0 {
-				f(v, l)
-			}
-		}
-		return
-	}
 	for i, c := range t.dir {
 		for j, w := range c.words {
 			for b := w.has &^ w.dead; b != 0; b &= b - 1 {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cow"
 	"repro/internal/datagen"
 	"repro/internal/xmltree"
 )
@@ -154,15 +153,14 @@ func TestAliveBounds(t *testing.T) {
 
 // refNewTree is NewTree as it was built before the one-pass walk: a
 // node list, a map from node to id, parents looked up through it and
-// child lists grown by append.
-func refNewTree(doc *xmltree.Document) *Tree {
+// child lists grown by append. It returns the links and the lists.
+func refNewTree(doc *xmltree.Document) ([]link, [][]int) {
 	nodes := doc.Nodes()
 	index := make(map[*xmltree.Node]int, len(nodes))
 	for i, n := range nodes {
 		index[n] = i
 	}
-	up := make([]link, len(nodes))
-	t := &Tree{Children: make([][]int, len(nodes)), live: len(nodes)}
+	up, lists := make([]link, len(nodes)), make([][]int, len(nodes))
 	for i, n := range nodes {
 		if n.Parent == nil {
 			up[i] = link{-1, 1}
@@ -170,32 +168,28 @@ func refNewTree(doc *xmltree.Document) *Tree {
 		}
 		p := index[n.Parent]
 		up[i] = link{int32(p), up[p].depth + 1}
-		t.Children[p] = append(t.Children[p], i)
+		lists[p] = append(lists[p], i)
 	}
-	t.up = cow.NewColumn(up)
-	return t
+	return up, lists
 }
 
 // TestNewTreeMatchesMapBuild holds the one-pass NewTree to the
 // map-based construction on every generated dataset and on the corner
-// shapes: one node, text and attribute nodes, no root. Each list Unpack
-// lays over the runs has room for one more id, a -1 filler in that slot,
-// and Adopt reads the same lists back through the index without copying
-// them.
+// shapes: one node, text and attribute nodes, no root. The Children
+// Unpack lays mirror Kids, and Adopt drops them without moving the slab.
 func TestNewTreeMatchesMapBuild(t *testing.T) {
 	check := func(name string, doc *xmltree.Document) {
 		t.Helper()
-		got, want := NewTree(doc), refNewTree(doc)
+		got := NewTree(doc)
+		up, lists := refNewTree(doc)
 		got.Unpack()
-		if got.Len() != want.live || got.Cap() != want.Cap() ||
-			!reflect.DeepEqual(got.up.Flat(), want.up.Flat()) ||
-			!reflect.DeepEqual(got.Children, want.Children) {
+		if got.Len() != len(up) || got.Cap() != len(up) ||
+			!reflect.DeepEqual(got.up.Flat(), up) ||
+			!reflect.DeepEqual(got.Children, lists) {
 			t.Errorf("%s: one-pass tree differs from the map-built one", name)
 		}
-		for v, kids := range got.Children {
-			if len(kids) > 0 && (cap(kids) != len(kids)+1 || kids[:cap(kids)][len(kids)] != -1) {
-				t.Fatalf("%s: child list of %d has room for %d, holds %d: %v", name, v, cap(kids), len(kids), kids[:cap(kids)])
-			}
+		mirrors(t, name, got)
+		for v := range got.Children {
 			if !got.Alive(v) {
 				t.Fatalf("%s: node %d not alive", name, v)
 			}
@@ -205,7 +199,7 @@ func TestNewTreeMatchesMapBuild(t *testing.T) {
 		if got.Children != nil || got.kids.Used() != slab {
 			t.Fatalf("%s: Adopt kept Children or moved the slab", name)
 		}
-		for v, kids := range want.Children {
+		for v, kids := range lists {
 			if !slices.Equal(got.Kids(v), kids) {
 				t.Fatalf("%s: adopted Kids(%d) = %v, want %v", name, v, got.Kids(v), kids)
 			}
@@ -353,4 +347,35 @@ func TestFillersCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("a parent with fillers deleted")
+}
+
+// TestShrunkRunRepacks cuts a root of 10 000 children to 10, one delete
+// at a time, and then inserts and deletes one child under it 100 times.
+// Each cut frees a slot after the root's run, which its owner keeps as a
+// filler; were every filler counted as room, the arena would keep its
+// 10 002 slots for 11 live nodes and no edit would repack it. At most one
+// filler per live id counts.
+func TestShrunkRunRepacks(t *testing.T) {
+	const n = 10000
+	doc, err := xmltree.ParseString("<r>" + strings.Repeat("<a/>", n) + "</r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTree(doc)
+	for kids := tr.Kids(0); len(kids) > 10; kids = tr.Kids(0) {
+		if _, err := tr.RemoveSubtree(kids[len(kids)-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := tr.RemoveSubtree(tr.AddChild(0, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slots, dead := tr.Packing()
+	t.Logf("%d live nodes: %d arena slots, %d dead, %d B", tr.Len(), slots, dead, tr.Bytes())
+	if slots > 128 {
+		t.Errorf("a root cut from %d children to 10 keeps %d arena slots (%d dead, %d B) for %d live nodes, want <= 128",
+			n, slots, dead, tr.Bytes(), tr.Len())
+	}
 }

@@ -65,8 +65,8 @@ go test -tags invariants ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> clone isolation, tree repack, memo, cache, borrowed-answer, watch, request-reuse and edit-scratch storms, stored kernels, loaded-tree clones, the open and index-build pins (race, 3x)"
-go test -race -count=3 -run 'TestArenaCloneIsolation|TestRepackStorm|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestMixedFormStorm|TestPlannedQueryStormRendered|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestEndWatchesWaitsForRound|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm|TestOpenBytesBounded|TestSliceBuildBytes' ./...
+echo "==> clone isolation, tree repack, shrunk run and filler count, memo, cache, borrowed-answer, watch, request-reuse and edit-scratch storms, stored kernels, loaded-tree clones, the open and index-build pins (race, 3x)"
+go test -race -count=3 -run 'TestArenaCloneIsolation|TestRepackStorm|TestShrunkRunRepacks|TestFillersCounted|TestStarQueryStorm|TestStampedCache|TestBorrowedAnswerStorm|TestMixedFormStorm|TestPlannedQueryStormRendered|TestWatchStorm|TestWatchChildStar|TestWatchRetentionStorm|TestEndWatchesWaitsForRound|TestStoredKernelsMatchBoxed|TestTimeoutOverTCP|TestTimeoutRaceOverTCP|TestLoadedCloneColdReads|TestRequestReuseStorm|TestCallReuseStorm|TestEditScratchStorm|TestOpenBytesBounded|TestSliceBuildBytes' ./...
 
 echo "==> allocation pins and the rendered-reply storm (5x)"
 go test -count=5 -run 'TestCloneAllocs|TestInsertTreeBytes|TestLeafEditAllocs|TestOpenBytesBounded|TestForkedTreeBytes|TestWorstEditBytesBounded|TestServeAllocs|TestPackedPathAllocs|TestClientCallAllocs|TestQueryDecodeAllocs|TestFirstInsertBytesBounded|TestWarmLeafEditAllocs|TestFaultAllocatesOneFrame|TestOwnerAppendBytes|TestSliceBuildBytes|TestPlannedQueryStormRendered' \
